@@ -70,7 +70,7 @@ mod wire;
 
 pub use codec::{decode, encode, encode_into, encoded_len, DecodeError};
 pub use config::{ConfigError, GoCastConfig, GoCastConfigBuilder};
-pub use node::{GoCastCommand, GoCastNode};
+pub use node::{GoCastCommand, GoCastNode, NodeMem};
 pub use snapshot::{snapshot, Snapshot};
 pub use types::{
     age_on_arrival, DegreeInfo, DeliveryPath, DropReason, GoCastEvent, LinkKind, MsgId,

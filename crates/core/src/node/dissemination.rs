@@ -8,7 +8,7 @@ use gocast_sim::{Ctx, NodeId, Timer};
 use crate::types::{age_on_arrival, DegreeInfo, DeliveryPath, GoCastEvent, MsgId};
 use crate::wire::{GoCastMsg, GossipEntry, MemberEntry};
 
-use super::{timers, GoCastNode, Pending, Stored};
+use super::{known, timers, GoCastNode, Pending, Stored};
 
 impl GoCastNode {
     /// Injects a new multicast message originated by this node and pushes
@@ -277,17 +277,7 @@ impl GoCastNode {
         }
         let mut out: Vec<MemberEntry> = self
             .view
-            .sample_k(k, ctx.rng())
-            .into_iter()
-            .map(|id| {
-                let coords = self
-                    .coord_cache
-                    .get(&id)
-                    .cloned()
-                    .unwrap_or_else(LandmarkVector::unknown);
-                (id, coords)
-            })
-            .collect();
+            .sample_k_map(k, ctx.rng(), |id, &coords| (id, coords));
         // Introduce ourselves too (address + coordinates).
         out.push((self.id, self.coords));
         out
@@ -307,16 +297,11 @@ impl GoCastNode {
         if let Some(n) = self.neighbors.get_mut(&from) {
             n.degrees = degrees;
         }
-        if !coords.is_empty() {
-            self.cache_coords(from, coords);
+        if let Some(coords) = known(coords) {
+            self.view.set(from, coords);
         }
         for (id, c) in members {
-            if id != self.id {
-                self.view.insert(id, ctx.rng());
-                if !c.is_empty() {
-                    self.cache_coords(id, c);
-                }
-            }
+            self.view.upsert(id, known(c), ctx.rng());
         }
 
         let now = ctx.now();

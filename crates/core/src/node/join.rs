@@ -6,14 +6,13 @@
 //! afterwards. Landmark probing also runs at cohort startup so every node
 //! obtains coordinates.
 
-use gocast_net::LandmarkVector;
 use gocast_sim::{Ctx, NodeId, Timer};
 use rand::Rng;
 
 use crate::types::LinkKind;
 use crate::wire::{GoCastMsg, MemberEntry, ProbeKind};
 
-use super::{timers, GoCastNode};
+use super::{known, timers, GoCastNode};
 
 impl GoCastNode {
     /// Begins measuring RTTs to the landmark nodes (the first
@@ -77,16 +76,9 @@ impl GoCastNode {
     pub(crate) fn on_join_request(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId) {
         let mut members: Vec<MemberEntry> = self
             .view
-            .iter()
-            .filter(|&m| m != from)
-            .map(|m| {
-                let coords = self
-                    .coord_cache
-                    .get(&m)
-                    .cloned()
-                    .unwrap_or_else(LandmarkVector::unknown);
-                (m, coords)
-            })
+            .entries()
+            .filter(|&(m, _)| m != from)
+            .map(|(m, &coords)| (m, coords))
             .collect();
         members.push((self.id, self.coords));
         ctx.send(from, GoCastMsg::JoinReply { members });
@@ -105,13 +97,7 @@ impl GoCastNode {
         members: Vec<MemberEntry>,
     ) {
         for (id, coords) in members {
-            if id == self.id {
-                continue;
-            }
-            self.view.insert(id, ctx.rng());
-            if !coords.is_empty() {
-                self.cache_coords(id, coords);
-            }
+            self.view.upsert(id, known(coords), ctx.rng());
         }
         // Random links first (connectivity insurance).
         if self.d_rand() < self.c_rand && self.pending_rand_link.is_none() {

@@ -16,7 +16,7 @@ use rand::Rng;
 use crate::types::{DegreeInfo, DropReason, LinkKind};
 use crate::wire::{GoCastMsg, ProbeKind};
 
-use super::{timers, GoCastNode};
+use super::{known, timers, GoCastNode};
 
 impl GoCastNode {
     /// The periodic maintenance tick.
@@ -142,12 +142,10 @@ impl GoCastNode {
             let my = self.coords;
             let mut q: Vec<(u64, NodeId)> = self
                 .view
-                .iter()
-                .map(|id| {
-                    let est = self
-                        .coord_cache
-                        .get(&id)
-                        .and_then(|c| my.estimate_rtt(c))
+                .entries()
+                .map(|(id, c)| {
+                    let est = my
+                        .estimate_rtt(c)
                         .map(|d| d.as_micros() as u64)
                         .unwrap_or(u64::MAX / 2);
                     (est, id)
@@ -224,8 +222,8 @@ impl GoCastNode {
         coords: LandmarkVector,
     ) {
         let rtt_us = Self::now_us(ctx).saturating_sub(sent_at_us);
-        if !coords.is_empty() {
-            self.cache_coords(from, coords);
+        if let Some(coords) = known(coords) {
+            self.view.set(from, coords);
         }
         match kind {
             ProbeKind::Landmark(i) => {

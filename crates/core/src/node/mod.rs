@@ -16,6 +16,7 @@ mod neighbors;
 mod tree;
 
 use std::collections::{BTreeMap, VecDeque};
+use std::mem::size_of;
 use std::time::Duration;
 
 use gocast_membership::MemberView;
@@ -114,11 +115,12 @@ pub struct GoCastNode {
     pub(crate) initial_links: Vec<NodeId>,
     /// Members seeded before start.
     pub(crate) initial_members: Vec<NodeId>,
-    pub(crate) view: MemberView,
+    /// The partial member list, each member with its landmark
+    /// coordinates: known iff some message carried them since the member
+    /// entered the view, forgotten when it is evicted (§2.2.1 estimates
+    /// latency "to nodes in S", the member list, and no further).
+    pub(crate) view: MemberView<LandmarkVector>,
     pub(crate) coords: LandmarkVector,
-    /// Cached landmark coordinates of peers, bounded by
-    /// [`COORD_CACHE_CAP`].
-    pub(crate) coord_cache: FxHashMap<NodeId, LandmarkVector>,
     pub(crate) neighbors: BTreeMap<NodeId, Neighbor>,
     pub(crate) pending_link: Option<PendingLink>,
     pub(crate) pending_rand_link: Option<PendingLink>,
@@ -149,24 +151,7 @@ pub struct GoCastNode {
     pub(crate) counters: crate::types::ProtocolCounters,
 }
 
-/// Upper bound on cached peer coordinates per node. The cache serves RTT
-/// estimation for the node's *own* candidates — view members (capacity
-/// 128) and neighbors — so this cap is never approached in normal
-/// operation; it exists to bound per-node memory at 10⁵–10⁶-node scale,
-/// where gossip under heavy churn would otherwise accrete coordinates for
-/// every peer ever mentioned.
-pub(crate) const COORD_CACHE_CAP: usize = 4096;
-
 impl GoCastNode {
-    /// Caches `coords` for `id`, refreshing an existing entry but refusing
-    /// to grow the cache past [`COORD_CACHE_CAP`].
-    pub(crate) fn cache_coords(&mut self, id: NodeId, coords: LandmarkVector) {
-        if self.coord_cache.len() >= COORD_CACHE_CAP && !self.coord_cache.contains_key(&id) {
-            return;
-        }
-        self.coord_cache.insert(id, coords);
-    }
-
     /// Creates a node that bootstraps from `members` (its initial partial
     /// view) with no pre-established links; it will join through the
     /// overlay maintenance protocols.
@@ -214,7 +199,7 @@ impl GoCastNode {
     ) -> Self {
         cfg.validate().expect("invalid GoCast configuration");
         assert!(capacity > 0, "capacity must be positive");
-        let view = MemberView::new(id, cfg.member_view_capacity);
+        let view = MemberView::with_values(id, cfg.member_view_capacity);
         let tree = TreeState::new(cfg.root);
         let c_rand = cfg.c_rand * capacity;
         let c_near = cfg.c_near * capacity;
@@ -229,7 +214,6 @@ impl GoCastNode {
             initial_members: members,
             view,
             coords: LandmarkVector::unknown(),
-            coord_cache: FxHashMap::default(),
             neighbors: BTreeMap::new(),
             pending_link: None,
             pending_rand_link: None,
@@ -370,14 +354,46 @@ impl GoCastNode {
         &self.counters
     }
 
-    /// The membership view.
-    pub fn member_view(&self) -> &MemberView {
+    /// The membership view; each member carries its landmark coordinates
+    /// (empty while unknown).
+    pub fn member_view(&self) -> &MemberView<LandmarkVector> {
         &self.view
     }
 
     /// This node's landmark coordinates.
     pub fn coords(&self) -> &LandmarkVector {
         &self.coords
+    }
+
+    /// Bytes this node holds, by structure. Vectors and hash tables count
+    /// their *capacity* (what the allocator handed out, buckets and control
+    /// bytes included); the two B-tree maps have no capacity to ask for and
+    /// count their entries, which B-tree nodes hold at 50–100 % fill.
+    pub fn mem_bytes(&self) -> NodeMem {
+        fn table<K, V>(capacity: usize) -> usize {
+            // hashbrown: capacity is 7/8 of the buckets, one control byte each.
+            capacity * 8 / 7 * (size_of::<(K, V)>() + 1)
+        }
+        NodeMem {
+            fixed: size_of::<Self>(),
+            view: self.view.mem_bytes(),
+            neighbors: self.neighbors.len() * size_of::<(NodeId, Neighbor)>(),
+            store: table::<MsgId, Stored>(self.store.capacity())
+                + self
+                    .store
+                    .values()
+                    .map(|s| s.heard_from.capacity() * size_of::<NodeId>())
+                    .sum::<usize>(),
+            recent: self.recent.capacity() * size_of::<(MsgId, SimTime)>(),
+            pending_pulls: self
+                .pending_pulls
+                .values()
+                .map(|p| {
+                    size_of::<(MsgId, Pending)>() + p.candidates.capacity() * size_of::<NodeId>()
+                })
+                .sum(),
+            probe_queue: self.probe_queue.capacity() * size_of::<NodeId>(),
+        }
     }
 
     /// Whether maintenance has been frozen by
@@ -407,6 +423,45 @@ impl GoCastNode {
     pub(crate) fn arm(ctx: &mut Ctx<'_, Self>, delay: Duration, kind: u32) {
         ctx.set_timer(delay, Timer::of_kind(kind));
     }
+}
+
+/// What one node holds in memory, by structure
+/// ([`GoCastNode::mem_bytes`]), in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NodeMem {
+    /// The node struct itself (inline fields, counters, tree state).
+    pub fixed: usize,
+    /// Member view: ids plus each member's landmark coordinates.
+    pub view: usize,
+    /// Overlay neighbor table.
+    pub neighbors: usize,
+    /// Message store, including every message's `heard_from` list.
+    pub store: usize,
+    /// Reception-order window behind gossip construction.
+    pub recent: usize,
+    /// Messages heard of but not yet received, with their candidates.
+    pub pending_pulls: usize,
+    /// Estimated-latency probe order.
+    pub probe_queue: usize,
+}
+
+impl NodeMem {
+    /// Sum over every structure.
+    pub fn total(&self) -> usize {
+        self.fixed
+            + self.view
+            + self.neighbors
+            + self.store
+            + self.recent
+            + self.pending_pulls
+            + self.probe_queue
+    }
+}
+
+/// Coordinates as a message carried them: `None` when the sender had
+/// nothing measured, so an empty vector never overwrites a known one.
+pub(crate) fn known(coords: LandmarkVector) -> Option<LandmarkVector> {
+    (!coords.is_empty()).then_some(coords)
 }
 
 /// Out-of-band commands injected by the harness.
@@ -633,5 +688,53 @@ impl GoCastNode {
         }
         self.joined = false;
         self.frozen = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gocast_sim::{FixedLatency, SimBuilder};
+
+    /// What a node remembers about its peers is O(view + degree), however
+    /// many peers the gossips mention and however long they keep coming.
+    /// (The per-node coordinate cache this replaces grew toward one entry
+    /// per peer in the system: 255 here, against a 16-member view.)
+    #[test]
+    fn idle_node_memory_is_bounded_by_view_and_degree_not_population() {
+        const N: usize = 256;
+        let cfg = GoCastConfig {
+            member_view_capacity: 16,
+            ..GoCastConfig::default()
+        };
+        let mut boot = crate::bootstrap_random_graph(N, cfg.c_degree() / 2, 3);
+        let mut sim = SimBuilder::new(FixedLatency::new(N, Duration::from_millis(20)))
+            .seed(3)
+            .build(|id| {
+                let (links, members) = boot(id);
+                GoCastNode::with_initial_links(id, cfg.clone(), links, members)
+            });
+        let mut largest_after = |secs| {
+            sim.run_until(SimTime::from_secs(secs));
+            (0..N as u32)
+                .map(|i| sim.node(NodeId::new(i)).mem_bytes().total())
+                .max()
+                .expect("N > 0")
+        };
+        let early = largest_after(30);
+        let late = largest_after(150);
+
+        // Vectors grow by doubling, so a full view sits in this many slots.
+        let slots = cfg.member_view_capacity.next_power_of_two();
+        let max_degree = cfg.c_rand + cfg.c_near + 2 * cfg.degree_slack;
+        let bound = size_of::<GoCastNode>()
+            + slots * (size_of::<NodeId>() + size_of::<LandmarkVector>())
+            + slots * size_of::<NodeId>() // probe queue: one id per member
+            + max_degree * size_of::<(NodeId, Neighbor)>();
+        assert!(late <= bound, "{late} B held, bound {bound} B");
+        assert!(
+            late.abs_diff(early) * 20 <= early,
+            "idle state moved from {early} B at 30 s to {late} B at 150 s"
+        );
     }
 }

@@ -405,7 +405,6 @@ impl GoCastNode {
             .collect();
         for p in stale {
             self.view.remove(p);
-            self.coord_cache.remove(&p);
             self.drop_link(ctx, p, DropReason::PeerFailed, false);
         }
     }

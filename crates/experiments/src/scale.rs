@@ -19,8 +19,9 @@
 //! empty churn plan and the scale artifact must exercise faults)
 //! driven through the scenario compiler and audited by the invariant
 //! oracle. Both report the kernel's self-measured memory occupancy
-//! ([`gocast_sim::KernelStats::slab_slots`] / `queue_mem_bytes`) plus the
-//! process peak RSS, feeding the scaling-curve table in EXPERIMENTS.md.
+//! ([`gocast_sim::KernelStats::slab_slots`] / `queue_mem_bytes`), the
+//! nodes' ([`GoCastNode::mem_bytes`], mean per node) plus the process peak
+//! RSS, feeding the scaling-curve table in EXPERIMENTS.md.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -110,6 +111,10 @@ pub struct ScaleOutcome {
     /// Kernel counters at the end of the run (includes the self-reported
     /// queue memory and slab occupancy).
     pub kernel: gocast_sim::KernelStats,
+    /// Mean self-reported protocol state per node at the end of the run
+    /// ([`GoCastNode::mem_bytes`] totals over every node, crashed ones
+    /// included — their state stays allocated).
+    pub node_mem_bytes: u64,
     /// Final combined metrics snapshot (kernel + protocol).
     pub metrics: gocast_metrics::Snapshot,
     /// Process peak RSS (`VmHWM`), best-effort; process-wide, so it is
@@ -284,6 +289,9 @@ fn finish_run(
         .per_node_average_delays(opts.messages as u64, &live);
     let mut snap = sim.metrics_snapshot();
     sim.recorder().proto.snapshot_into(&mut snap);
+    let node_mem_total: u64 = (0..sim.len() as u32)
+        .map(|n| sim.node(NodeId::new(n)).mem_bytes().total() as u64)
+        .sum();
     let rec = sim.recorder();
     ScaleOutcome {
         phase,
@@ -306,6 +314,7 @@ fn finish_run(
             .map(|v| v.to_string())
             .collect(),
         kernel: sim.kernel_stats(),
+        node_mem_bytes: node_mem_total / sim.len().max(1) as u64,
         metrics: snap,
         peak_rss_bytes: peak_rss_bytes(),
     }
@@ -406,6 +415,7 @@ fn outcome_row(table: &mut Table, o: &ScaleOutcome) {
         o.kernel.events_processed.to_string(),
         format!("{:.0}", o.events_per_sec()),
         format!("{:.1}", o.kernel.queue_mem_bytes as f64 / (1024.0 * 1024.0)),
+        format!("{:.1}", o.node_mem_bytes as f64 / 1024.0),
         o.kernel.slab_slots.to_string(),
         o.peak_rss_bytes
             .map(|b| format!("{:.0}", b as f64 / (1024.0 * 1024.0)))
@@ -457,6 +467,7 @@ pub fn scale(opts: &ExpOptions, scenario_name: &str, spec: Option<&str>) -> i32 
         "events",
         "events_per_sec",
         "queue_mem_mb",
+        "node_kb",
         "slab_slots",
         "peak_rss_mb",
     ]);
@@ -521,6 +532,7 @@ mod tests {
         );
         assert!(!out.per_node_avg.is_empty());
         assert!(out.kernel.queue_mem_bytes > 0, "self-reported memory");
+        assert!(out.node_mem_bytes > 0, "self-reported node state");
         assert!(out.manifest().contains("phase=delivery"));
     }
 

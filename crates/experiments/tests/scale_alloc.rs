@@ -5,9 +5,9 @@
 //! The scale runs must stay within an O(nodes) envelope: the
 //! [`gocast_net::OnDemandKing`] latency model is O(sites), the lane
 //! queues recycle payload slots, and per-node protocol state is bounded
-//! (member view capacity, coordinate-cache cap) — so peak memory must
-//! not bend toward the O(nodes²) a latency matrix or unbounded caches
-//! would cost.
+//! (member view capacity — peer coordinates live in the view's slots —
+//! and degree caps) — so peak memory must not bend toward the O(nodes²)
+//! a latency matrix or per-node caches of every peer would cost.
 //!
 //! This file is its own test binary so the global allocator sees only
 //! the workload under measurement. The 10⁵-node smoke is `#[ignore]`d —
@@ -118,10 +118,12 @@ fn assert_clean_and_bounded(out: &ScaleOutcome, cap_bytes: u64) {
 #[test]
 fn two_thousand_node_scale_run_stays_bounded() {
     let out = run_scale_delivery(&scale_opts(2_000));
-    // ~2k nodes cost tens of MiB; a 2000² latency table alone would be
-    // 16 MiB and the matching per-node caches far more. 512 MiB is the
-    // generous O(nodes) envelope.
-    assert_clean_and_bounded(&out, 512 << 20);
+    // 32 KiB per node, everything included (protocol state, event
+    // queues, recorders, the latency model); the run peaks near 16 KiB.
+    // A 2000² latency table alone would be 16 MiB, and a per-node cache
+    // of every peer's coordinates (what the protocol kept before the
+    // member view carried them) peaked at 38 KiB per node.
+    assert_clean_and_bounded(&out, 2_000 * (32 << 10));
 }
 
 /// The 10⁵-node smoke (ignored: minutes of debug-mode runtime).

@@ -134,9 +134,24 @@ echo "==> scale smoke: 10^4 nodes on the sharded kernel (oracle-gated)"
 # O(sites)-memory latency model, on 2 worker threads. The subcommand
 # exits nonzero on any oracle violation or delivery collapse; `timeout`
 # enforces the wall-clock budget so a scaling regression fails loudly.
-timeout 600 cargo run --release -q -p gocast-experiments -- scale \
+# The printed `node_kb` (mean self-reported protocol state per node,
+# `GoCastNode::mem_bytes`) is held to a quarter above the 7.8 KB this
+# workload measures: per-node state that grows with the population or
+# the run length (the old per-node coordinate cache: 44.3 KB here) fails.
+NODE_KB_MAX=9.8
+SCALE_OUT=$(timeout 600 cargo run --release -q -p gocast-experiments -- scale \
     --nodes 10000 --sim-shards 2 --warmup 30 --messages 10 --rate 2 \
-    --drain 20 --no-csv
+    --drain 20 --no-csv)
+echo "$SCALE_OUT"
+echo "$SCALE_OUT" | awk -v max="$NODE_KB_MAX" '
+    !col { for (i = 1; i <= NF; i++) if ($i == "node_kb") col = i; next }
+    NF >= col { rows++
+      if ($col + 0 > max) {
+          printf "FAIL: %s holds %s KB/node, over the %s KB bound\n", $1, $col, max > "/dev/stderr"
+          bad = 1
+      } }
+    END { if (!rows) print "FAIL: scale printed no node_kb row" > "/dev/stderr"
+          exit (bad || !rows) }'
 
 echo "==> docs cross-reference check (every .md link resolves)"
 # Every relative markdown link in the repo's own docs must point at a
