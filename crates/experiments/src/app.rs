@@ -376,7 +376,7 @@ pub fn run_app(
         });
 
     sim.run_until(SimTime::ZERO + opts.warmup);
-    plan.schedule_into_sink(
+    plan.schedule_into(
         &mut sim,
         <AppNode as Stack>::cmd_join,
         <AppNode as Stack>::cmd_leave,

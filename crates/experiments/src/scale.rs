@@ -343,8 +343,8 @@ pub fn run_scale_delivery(opts: &ExpOptions) -> ScaleOutcome {
 
 /// The chaos run: same build, plus a compiled fault scenario (site groups
 /// come from [`OnDemandKing::site_assignment`], so group faults are
-/// correlated site failures) scheduled through the kernel-generic
-/// [`gocast_sim::FaultSink`], presence-gated injections, and a
+/// correlated site failures) scheduled through
+/// [`gocast_sim::ScenarioPlan::schedule_into`], presence-gated injections, and a
 /// presence-aware audit — the sharded-kernel analogue of the `chaos`
 /// subcommand's driver.
 pub fn run_scale_chaos(opts: &ExpOptions, label: &str, scenario: &Scenario) -> ScaleOutcome {
@@ -355,7 +355,7 @@ pub fn run_scale_chaos(opts: &ExpOptions, label: &str, scenario: &Scenario) -> S
         .with_groups(&groups)
         .starting_at(sim.now());
     let plan = scenario.compile(&env);
-    plan.schedule_into_sink(
+    plan.schedule_into(
         &mut sim,
         <GoCastNode as Stack>::cmd_join,
         <GoCastNode as Stack>::cmd_leave,

@@ -1,31 +1,31 @@
-//! The discrete-event simulation kernel.
-//!
-//! [`Sim`] owns the protocol instances, the event queue, the latency model,
-//! per-node RNGs, the traffic counters, and the event recorder. Execution is
-//! single-threaded and fully deterministic for a given seed: events at equal
-//! timestamps fire in scheduling order.
+//! The discrete-event simulation engine: one kernel ([`Engine`]), two
+//! entry points ([`Sim`], [`ShardedSim`]), built over the lanes of
+//! [`crate::lane`]. The execution and determinism model is documented on
+//! [`Engine`].
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 use gocast_metrics::{Log2Histogram, Snapshot};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::id::NodeId;
+use crate::lane::{link_key, CrossLaneMsg, Event, Lane};
 use crate::latency::LatencyModel;
-use crate::protocol::{Ctx, KernelEvent, Protocol, Timer};
-use crate::queue::EventQueue;
+use crate::protocol::Protocol;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
 
-/// Kernel-level execution counters, snapshot via [`Sim::kernel_stats`].
+/// Kernel-level execution counters, snapshot via [`Engine::kernel_stats`].
 ///
 /// These measure the *kernel itself* — how many events it processed and
 /// how fast — as opposed to [`TrafficStats`], which measures the
 /// protocol's traffic. All counters are cumulative since construction.
 ///
-/// Wall-clock time is accrued by the run loops ([`Sim::run_until`],
-/// [`Sim::run_until_idle`], [`Sim::run_for`]); stepping manually with
-/// [`Sim::step`] advances the event counters but not `wall_time`.
+/// Wall-clock time is accrued by the run loops ([`Engine::run_until`],
+/// [`Engine::run_until_idle`], [`Engine::run_for`]); stepping manually with
+/// [`Engine::step`] advances the event counters but not `wall_time`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelStats {
     /// Total events popped from the queue and executed.
@@ -39,7 +39,7 @@ pub struct KernelStats {
     /// sides of a network partition (a subset of `messages_dropped`).
     pub partition_drops: u64,
     /// Messages dropped at send time by the probabilistic-loss fault
-    /// injector ([`Sim::set_loss`]). Disjoint from `messages_dropped`.
+    /// injector ([`Engine::set_loss`]). Disjoint from `messages_dropped`.
     pub chaos_losses: u64,
     /// Timer firings dispatched.
     pub timers_fired: u64,
@@ -84,8 +84,8 @@ impl KernelStats {
         }
     }
 
-    /// Folds another kernel's counters into this one — the sharded
-    /// kernel's per-lane aggregation. Monotonic counters and memory sizes
+    /// Folds another kernel's counters into this one — the engine's
+    /// per-lane aggregation. Monotonic counters and memory sizes
     /// add; the high-water marks take the per-lane maximum (a lane-local
     /// depth, not a global instant); wall time takes the maximum because
     /// lanes run concurrently.
@@ -171,55 +171,11 @@ impl EventClass {
     }
 }
 
-/// Deep kernel instrumentation, off by default ([`Sim::enable_telemetry`]).
-///
-/// The always-on [`KernelStats`] counters cover event totals; this adds a
-/// queue-depth histogram observed at every pop (sim-deterministic) and
-/// per-class dispatch-time histograms sampled every
-/// `TELEMETRY_SAMPLE`-th event (wall-clock, so marked non-deterministic
-/// in snapshots). Sampling keeps the `Instant` reads off most events:
-/// measured overhead stays within the ≤5% budget the wire-path work
-/// requires (see DESIGN.md "Telemetry").
-#[derive(Debug)]
-struct KernelTelemetry {
-    enabled: bool,
-    queue_depth: Log2Histogram,
-    dispatch_ns: [Log2Histogram; EventClass::ALL.len()],
-}
-
-/// Dispatch timing samples every 64th event: two `Instant` reads cost
-/// tens of nanoseconds, which amortized over 64 events is well under a
-/// nanosecond per event.
-const TELEMETRY_SAMPLE: u64 = 64;
-
-impl KernelTelemetry {
-    fn new() -> Self {
-        KernelTelemetry {
-            enabled: false,
-            queue_depth: Log2Histogram::new(),
-            dispatch_ns: [Log2Histogram::new(); EventClass::ALL.len()],
-        }
-    }
-}
-
-fn event_class<M, C>(ev: &KernelEvent<M, C>) -> EventClass {
-    match ev {
-        KernelEvent::Deliver { .. } => EventClass::Deliver,
-        KernelEvent::Fire { .. } => EventClass::Timer,
-        KernelEvent::Command { .. } => EventClass::Command,
-        KernelEvent::Fail { .. }
-        | KernelEvent::SetLink { .. }
-        | KernelEvent::SetLoss { .. }
-        | KernelEvent::SetJitter { .. }
-        | KernelEvent::SetPartition { .. } => EventClass::Control,
-    }
-}
-
 /// Error returned by the `try_*` scheduling methods when the requested
 /// firing time is earlier than the simulation clock.
 ///
-/// The panicking variants ([`Sim::fail_node_at`], [`Sim::fail_link_at`],
-/// [`Sim::schedule_command`], ...) panic with this error's message.
+/// The panicking variants ([`Engine::fail_node_at`], [`Engine::fail_link_at`],
+/// [`Engine::schedule_command`], ...) panic with this error's message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PastScheduleError {
     /// The requested firing time.
@@ -240,45 +196,918 @@ impl std::fmt::Display for PastScheduleError {
 
 impl std::error::Error for PastScheduleError {}
 
-/// Message-level fault injection state: probabilistic loss and latency
-/// jitter, applied at send time.
-///
-/// Draws come from a dedicated RNG stream (derived from the master seed,
-/// separate from every per-node stream), so enabling chaos never perturbs
-/// protocol-level randomness, and a run without chaos makes zero draws —
-/// byte-identical to a build without this feature.
-#[derive(Debug)]
-pub(crate) struct NetFaults {
-    /// Per-message loss probability in parts per million (0 = off).
-    pub(crate) loss_ppm: u32,
-    /// Maximum extra one-way latency, drawn uniformly per message (0 = off).
-    pub(crate) jitter_ns: u64,
-    /// Dedicated chaos RNG stream.
-    pub(crate) rng: SmallRng,
-    /// Messages dropped by the loss injector.
-    pub(crate) losses: u64,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::OneLane {}
+    impl Sealed for super::Lanes {}
 }
 
-impl NetFaults {
-    pub(crate) fn new(seed: u64) -> Self {
-        NetFaults {
-            loss_ppm: 0,
-            jitter_ns: 0,
-            // Distinct stream: per-node RNGs use seed * GOLDEN ^ node_index,
-            // so folding in a large constant cannot collide with any node.
-            rng: SmallRng::seed_from_u64(
-                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xC4A0_5FA7_17E5_0123,
-            ),
-            losses: 0,
+/// How an [`Engine`] is driven: by one run loop over one lane
+/// ([`OneLane`]) or by the window loop over any number of lanes
+/// ([`Lanes`]). The mode decides which `run_until` the engine has and
+/// whether its latency model must be shareable across threads; everything
+/// else is common.
+pub trait Mode: sealed::Sealed {
+    /// The latency model as this mode holds it.
+    type Net: ?Sized;
+    #[doc(hidden)]
+    fn model(net: &Self::Net) -> &dyn LatencyModel;
+}
+
+/// The mode of [`Sim`]: exactly one lane, run on the caller's thread.
+#[derive(Debug, Clone, Copy)]
+pub struct OneLane;
+
+/// The mode of [`ShardedSim`]: `lanes ≥ 1`, run in lookahead windows that
+/// fan across worker threads.
+#[derive(Debug, Clone, Copy)]
+pub struct Lanes;
+
+impl Mode for OneLane {
+    type Net = dyn LatencyModel;
+    fn model(net: &Self::Net) -> &dyn LatencyModel {
+        net
+    }
+}
+
+impl Mode for Lanes {
+    type Net = dyn LatencyModel + Send + Sync;
+    fn model(net: &Self::Net) -> &dyn LatencyModel {
+        net
+    }
+}
+
+/// The engine at one lane: the single-threaded, fully deterministic
+/// discrete-event loop. Built by [`SimBuilder`]. One run loop covers the
+/// whole deadline, events reach the recorder as they happen, and
+/// [`Engine::step`] / [`Engine::run_until_idle`] are available.
+pub type Sim<P, R = NullRecorder> = Engine<P, R, OneLane>;
+
+/// The engine at any lane count, run in conservative-lookahead windows
+/// that fan across worker threads (see [`Engine`]). Built by
+/// [`ShardedSimBuilder`].
+pub type ShardedSim<P, R> = Engine<P, R, Lanes>;
+
+/// Barrier-merge scratch, reused across windows.
+struct MergeScratch<P: Protocol> {
+    /// `(lane, pos, msg)`.
+    msgs: Vec<(u32, u32, CrossLaneMsg<P::Msg>)>,
+    /// `(at, lane, pos, node, event)`.
+    events: Vec<(SimTime, u32, u32, NodeId, P::Event)>,
+}
+
+/// A deterministic discrete-event simulation of `n` protocol instances:
+/// one kernel with two entry points, [`Sim`] and [`ShardedSim`]. Node
+/// access, scheduling, fault injection, statistics and telemetry are the
+/// same methods on both; only the run loop differs.
+///
+/// The engine owns the protocol instances (split over one or more
+/// *lanes*: node `g` lives in lane `g % lanes`, each lane with its own
+/// event queue, per-node RNG streams, counters and fault-state replicas),
+/// the latency model, and the event recorder. Within a lane, events at
+/// equal timestamps fire in scheduling order.
+///
+/// - [`Sim`] is the engine at **one lane**. The run loop is a single
+///   window covering the whole `run_until` deadline, so the latency model
+///   needs no lookahead bound, events reach the recorder as they happen
+///   (nothing is buffered), and `step` / `run_until_idle` are available.
+/// - [`ShardedSim`] is the same engine at **`lanes ≥ 1`**, executed under
+///   the classic conservative-lookahead scheme, because at 10⁵–10⁶ nodes
+///   one event loop becomes the wall-clock bottleneck long before memory
+///   does:
+///
+///   1. The latency model promises a positive lower bound Δ on cross-node
+///      latency ([`LatencyModel::lookahead`]). A message sent at any time
+///      `t` inside a window `[w, w + Δ)` arrives at `t + latency ≥ w + Δ`,
+///      i.e. **never inside the window** at another lane.
+///   2. Each lane therefore processes its local events for one window with
+///      no synchronization at all; sends to other lanes buffer in a
+///      per-lane outbox.
+///   3. At the window barrier the coordinator merges all outboxes in a
+///      canonical order — `(arrival time, source lane, send order)` — and
+///      schedules them into the destination lanes, then drains every
+///      lane's buffered recorder events into the single global recorder,
+///      sorted by `(time, lane, emission order)`.
+///
+///   At one lane nothing crosses lanes, so a one-lane `ShardedSim` runs
+///   the one-lane loop and is indistinguishable from a `Sim`.
+///
+/// # Determinism contract
+///
+/// The *lane count* is part of the simulation's semantics: it decides the
+/// cross-lane merge order, so two runs agree byte-for-byte iff they use
+/// the same seed and lane count. The *thread count*
+/// ([`ShardedSimBuilder::threads`], the CLI's `--sim-shards`) is pure
+/// execution policy: lanes are data-independent within a window, so any
+/// thread count produces identical output by construction — the property
+/// the cross-shard determinism tests assert. This mirrors the testnet
+/// fabric's shard-merge proof (`gocast-testnet::shard`): sharded loops,
+/// stable time-sorted merge, canonical manifest.
+///
+/// RNG streams do not depend on the lane count: node `g` draws from
+/// `seed * GOLDEN ^ g` whichever lane owns it. The chaos (loss/jitter)
+/// stream is per lane — lane 0 draws from the stream a one-lane engine
+/// uses, lane `i ≥ 1` from one derived from the seed and `i` — so runs
+/// with loss or jitter are deterministic per `(seed, lane count)`.
+pub struct Engine<P: Protocol, R: Recorder<P::Event>, M: Mode> {
+    now: SimTime,
+    lanes: Vec<Lane<P>>,
+    net: Box<M::Net>,
+    recorder: R,
+    threads: usize,
+    wall_time: Duration,
+    started: bool,
+    scratch: MergeScratch<P>,
+}
+
+impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, R, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("now", &self.now)
+            .field("nodes", &self.len())
+            .field("lanes", &self.lanes.len())
+            .field("threads", &self.threads)
+            .field("pending_events", &self.kernel_stats().queue_len)
+            .finish()
+    }
+}
+
+/// The lanes as the window loop and the barrier merge reach them:
+/// exclusively (one thread), or through the per-lane mutexes the
+/// coordinator shares with its worker threads.
+trait LaneSet<P: Protocol> {
+    fn count(&self) -> usize;
+    fn with<T>(&mut self, i: usize, f: impl FnOnce(&mut Lane<P>) -> T) -> T;
+}
+
+impl<P: Protocol> LaneSet<P> for Vec<Lane<P>> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn with<T>(&mut self, i: usize, f: impl FnOnce(&mut Lane<P>) -> T) -> T {
+        f(&mut self[i])
+    }
+}
+
+impl<P: Protocol> LaneSet<P> for &[Mutex<&mut Lane<P>>] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn with<T>(&mut self, i: usize, f: impl FnOnce(&mut Lane<P>) -> T) -> T {
+        f(&mut self[i].lock().expect("a lane worker panicked"))
+    }
+}
+
+/// Drains every lane's outbox and recorder buffer in canonical order:
+/// cross-lane messages sort by `(arrival, source lane, send order)` and
+/// are scheduled into their destination lanes; recorder events sort by
+/// `(time, lane, emission order)` and feed the global recorder. Both
+/// orders are independent of the thread count.
+fn merge_barrier<P: Protocol>(
+    lanes: &mut impl LaneSet<P>,
+    recorder: &mut dyn Recorder<P::Event>,
+    scratch: &mut MergeScratch<P>,
+) {
+    let count = lanes.count();
+    for i in 0..count {
+        lanes.with(i, |lane| {
+            let outbox = lane.outbox.drain(..).enumerate();
+            scratch
+                .msgs
+                .extend(outbox.map(|(pos, m)| (i as u32, pos as u32, m)));
+            let events = lane.events_out.events.drain(..).enumerate();
+            scratch
+                .events
+                .extend(events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)));
+        });
+    }
+    scratch
+        .msgs
+        .sort_by_key(|(lane, pos, m)| (m.at, *lane, *pos));
+    for (_, _, CrossLaneMsg { at, from, to, msg }) in scratch.msgs.drain(..) {
+        lanes.with(to.index() % count, |lane| {
+            lane.queue.schedule(at, Event::Deliver { from, to, msg });
+        });
+    }
+    scratch
+        .events
+        .sort_by_key(|(at, lane, pos, _, _)| (*at, *lane, *pos));
+    for (at, _, _, node, ev) in scratch.events.drain(..) {
+        recorder.record(at, node, ev);
+    }
+}
+
+/// The window loop: while an event is due by `deadline`, `run_window`
+/// makes every lane process its local events up to the window end (at
+/// most Δ = `delta` ns past the earliest pending event), then the lanes'
+/// output is merged at the barrier.
+fn run_windows<P: Protocol, L: LaneSet<P>>(
+    lanes: &mut L,
+    deadline: SimTime,
+    delta: u64,
+    mut run_window: impl FnMut(&mut L, SimTime),
+    recorder: &mut dyn Recorder<P::Event>,
+    scratch: &mut MergeScratch<P>,
+) {
+    loop {
+        let next = (0..lanes.count())
+            .filter_map(|i| lanes.with(i, |lane| lane.queue.peek_time()))
+            .min();
+        let Some(next) = next.filter(|t| *t <= deadline) else {
+            break;
+        };
+        let end = next.as_nanos().saturating_add(delta - 1);
+        run_window(lanes, SimTime::from_nanos(end.min(deadline.as_nanos())));
+        merge_barrier(lanes, recorder, scratch);
+    }
+}
+
+impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
+    /// Builds the engine: `make` is called once per node in global id
+    /// order (so bootstrap-graph draws are the same at any lane count).
+    fn assemble<F: FnMut(NodeId) -> P>(
+        net: Box<M::Net>,
+        seed: u64,
+        lanes: usize,
+        threads: usize,
+        recorder: R,
+        mut make: F,
+    ) -> Self {
+        let model = M::model(&net);
+        let n = model.len();
+        let lane_count = lanes.min(n.max(1));
+        assert!(
+            lane_count == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
+            "more than one lane requires a latency model with positive lookahead"
+        );
+        let mut lanes: Vec<Lane<P>> = (0..lane_count as u32)
+            .map(|i| Lane::new(i, lane_count as u32, seed))
+            .collect();
+        for g in 0..n {
+            let id = NodeId::new(g as u32);
+            lanes[g % lane_count].push_node(id, make(id), seed);
+        }
+        Engine {
+            now: SimTime::ZERO,
+            lanes,
+            net,
+            recorder,
+            threads,
+            wall_time: Duration::ZERO,
+            started: false,
+            scratch: MergeScratch {
+                msgs: Vec::new(),
+                events: Vec::new(),
+            },
         }
     }
 
-    /// Whether any send-time fault is enabled (single branch on the
-    /// no-chaos hot path).
-    #[inline]
-    pub(crate) fn active(&self) -> bool {
-        self.loss_ppm > 0 || self.jitter_ns > 0
+    /// Number of nodes (alive or failed).
+    pub fn len(&self) -> usize {
+        self.lanes.iter().map(|l| l.nodes.len()).sum()
     }
+
+    /// Whether the simulation has zero nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current simulated time (the frontier every lane has reached).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The lane count — a **semantic** parameter (see the determinism
+    /// contract above); always 1 on [`Sim`].
+    pub fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The latency model driving this simulation.
+    pub fn latency_model(&self) -> &dyn LatencyModel {
+        M::model(&self.net)
+    }
+
+    #[inline]
+    fn lane_of(&self, node: NodeId) -> &Lane<P> {
+        &self.lanes[node.index() % self.lanes.len()]
+    }
+
+    #[inline]
+    fn lane_of_mut(&mut self, node: NodeId) -> &mut Lane<P> {
+        let owner = node.index() % self.lanes.len();
+        &mut self.lanes[owner]
+    }
+
+    /// Whether `node` is currently alive.
+    pub fn is_alive(&self, node: NodeId) -> bool {
+        let lane = self.lane_of(node);
+        lane.alive[lane.local(node)]
+    }
+
+    /// Ids of all currently alive nodes, in increasing id order.
+    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.len() as u32)
+            .map(NodeId::new)
+            .filter(|id| self.is_alive(*id))
+    }
+
+    /// Immutable access to a node's protocol state (available even after the
+    /// node failed — useful for post-mortem analysis).
+    pub fn node(&self, node: NodeId) -> &P {
+        let lane = self.lane_of(node);
+        &lane.nodes[lane.local(node)]
+    }
+
+    /// Mutable access to a node's protocol state (test/harness use).
+    pub fn node_mut(&mut self, node: NodeId) -> &mut P {
+        let lane = self.lane_of_mut(node);
+        let l = lane.local(node);
+        &mut lane.nodes[l]
+    }
+
+    /// Iterates over `(id, state)` for every node in increasing id order.
+    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        (0..self.len() as u32)
+            .map(NodeId::new)
+            .map(|id| (id, self.node(id)))
+    }
+
+    /// Traffic counters accumulated so far. Lanes count locally and every
+    /// run call ends by folding the counts into lane 0, so this is the
+    /// total at any lane count.
+    pub fn stats(&self) -> &TrafficStats {
+        &self.lanes[0].stats
+    }
+
+    /// Resets traffic counters (e.g. to exclude warm-up traffic).
+    pub fn reset_stats(&mut self) {
+        for lane in &mut self.lanes {
+            lane.stats.reset();
+        }
+    }
+
+    /// Snapshot of the kernel execution counters (see [`KernelStats`]),
+    /// summed over all lanes: `queue_high_water` is the deepest single
+    /// lane, not a global instant; `wall_time` is the run loops' time.
+    pub fn kernel_stats(&self) -> KernelStats {
+        let mut total = KernelStats::default();
+        for lane in &self.lanes {
+            total.absorb(&lane.kernel_stats());
+        }
+        total.wall_time = self.wall_time;
+        total
+    }
+
+    /// Turns on deep kernel telemetry for an already-built simulation
+    /// (equivalent to [`SimBuilder::telemetry`]).
+    pub fn enable_telemetry(&mut self) {
+        for lane in &mut self.lanes {
+            lane.telemetry.enabled = true;
+        }
+    }
+
+    /// Whether deep kernel telemetry is on.
+    pub fn telemetry_enabled(&self) -> bool {
+        self.lanes[0].telemetry.enabled
+    }
+
+    /// A named [`Snapshot`] of every kernel metric under stable `kernel_*`
+    /// names: the always-on [`KernelStats`] counters, event-queue and
+    /// payload-slab occupancy, `kernel_lanes` when there is more than one
+    /// lane, and — when telemetry is enabled — the queue-depth histogram
+    /// (sim-deterministic) plus per-class dispatch timings (wall-clock,
+    /// marked non-deterministic), each merged over the lanes.
+    pub fn metrics_snapshot(&self) -> Snapshot {
+        let k = self.kernel_stats();
+        let mut s = Snapshot::new();
+        s.record_counter("kernel_events", k.events_processed);
+        s.record_counter("kernel_scheduled", k.events_scheduled);
+        s.record_counter("kernel_deliveries", k.deliveries);
+        s.record_counter("kernel_drops", k.messages_dropped);
+        s.record_counter("kernel_partition_drops", k.partition_drops);
+        s.record_counter("kernel_chaos_losses", k.chaos_losses);
+        s.record_counter("kernel_timers", k.timers_fired);
+        s.record_counter("kernel_commands", k.commands);
+        s.record_counter("kernel_control", k.control_events);
+        s.record_level(
+            "kernel_queue_len",
+            k.queue_len as i64,
+            k.queue_high_water as i64,
+        );
+        // Slab length is itself a high-water mark of concurrently pending
+        // events; occupied = total minus the recycled free list.
+        let free: usize = self.lanes.iter().map(|l| l.queue.free_slots()).sum();
+        let occupied = k.slab_slots - free;
+        s.record_level("kernel_slab_occupied", occupied as i64, k.slab_slots as i64);
+        s.record_counter("kernel_queue_mem_bytes", k.queue_mem_bytes);
+        if self.lanes.len() > 1 {
+            s.record_counter("kernel_lanes", self.lanes.len() as u64);
+        }
+        if self.telemetry_enabled() {
+            let mut depth = Log2Histogram::new();
+            let mut dispatch = [Log2Histogram::new(); EventClass::ALL.len()];
+            for lane in &self.lanes {
+                depth.merge(&lane.telemetry.queue_depth);
+                for (total, h) in dispatch.iter_mut().zip(&lane.telemetry.dispatch_ns) {
+                    total.merge(h);
+                }
+            }
+            s.record_histogram("kernel_queue_depth", &depth);
+            for class in EventClass::ALL {
+                s.record_wall_histogram(class.dispatch_metric_name(), &dispatch[class.index()]);
+            }
+        }
+        s
+    }
+
+    /// The recorder (with more than one lane: the merged event stream).
+    pub fn recorder(&self) -> &R {
+        &self.recorder
+    }
+
+    /// Mutable access to the recorder.
+    pub fn recorder_mut(&mut self) -> &mut R {
+        &mut self.recorder
+    }
+
+    /// Consumes the simulation, returning the recorder.
+    pub fn into_recorder(self) -> R {
+        self.recorder
+    }
+
+    /// Checks that `at` has not already passed.
+    fn check_future(&self, at: SimTime) -> Result<(), PastScheduleError> {
+        if at < self.now {
+            Err(PastScheduleError { at, now: self.now })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Schedules `ev` into the queue of the lane that owns `node`.
+    fn try_schedule(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        ev: Event<P::Msg, P::Command>,
+    ) -> Result<(), PastScheduleError> {
+        self.check_future(at)?;
+        self.lane_of_mut(node).queue.schedule(at, ev);
+        Ok(())
+    }
+
+    /// Schedules a control event into every lane's queue (each lane holds
+    /// a replica of the global fault state).
+    fn try_broadcast(
+        &mut self,
+        at: SimTime,
+        make: impl Fn() -> Event<P::Msg, P::Command>,
+    ) -> Result<(), PastScheduleError> {
+        self.check_future(at)?;
+        for lane in &mut self.lanes {
+            lane.queue.schedule(at, make());
+        }
+        Ok(())
+    }
+
+    /// Schedules command `cmd` for `node` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past; use [`Engine::try_schedule_command`]
+    /// for a fallible variant.
+    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
+        self.try_schedule_command(at, node, cmd)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Schedules command `cmd` for `node` at absolute time `at`, or
+    /// returns a [`PastScheduleError`] if `at` has already passed.
+    pub fn try_schedule_command(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        cmd: P::Command,
+    ) -> Result<(), PastScheduleError> {
+        self.try_schedule(at, node, Event::Command { node, cmd })
+    }
+
+    /// Injects a command for `node` at the current time.
+    pub fn command_now(&mut self, node: NodeId, cmd: P::Command) {
+        self.schedule_command(self.now, node, cmd);
+    }
+
+    /// Schedules a crash of `node` at absolute time `at`. From that instant
+    /// the node stops executing handlers and all traffic to it is dropped.
+    ///
+    /// ```
+    /// use gocast_sim::{Ctx, FixedLatency, NodeId, Protocol, SimBuilder, SimTime, Timer};
+    /// # use gocast_sim::{TrafficClass, Wire};
+    /// use std::time::Duration;
+    ///
+    /// # struct Quiet;
+    /// # #[derive(Debug)]
+    /// # struct Never;
+    /// # impl Wire for Never {
+    /// #     fn wire_size(&self) -> u32 { 0 }
+    /// #     fn class(&self) -> TrafficClass { TrafficClass::Data }
+    /// # }
+    /// # impl Protocol for Quiet {
+    /// #     type Msg = Never;
+    /// #     type Command = ();
+    /// #     type Event = ();
+    /// #     fn on_start(&mut self, _: &mut Ctx<'_, Self>) {}
+    /// #     fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Never) {}
+    /// #     fn on_timer(&mut self, _: &mut Ctx<'_, Self>, _: Timer) {}
+    /// # }
+    /// let mut sim = SimBuilder::new(FixedLatency::new(4, Duration::from_millis(5)))
+    ///     .build(|_| Quiet);
+    /// sim.fail_node_at(SimTime::from_secs(1), NodeId::new(3));
+    /// sim.run_until(SimTime::from_secs(2));
+    /// assert!(!sim.is_alive(NodeId::new(3)));
+    /// assert_eq!(sim.alive_nodes().count(), 3);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past; use [`Engine::try_fail_node_at`] for a
+    /// fallible variant.
+    pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
+        self.try_fail_node_at(at, node)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Schedules a crash of `node` at absolute time `at`, or returns a
+    /// [`PastScheduleError`] if `at` has already passed.
+    pub fn try_fail_node_at(&mut self, at: SimTime, node: NodeId) -> Result<(), PastScheduleError> {
+        self.try_schedule(at, node, Event::Fail { node })
+    }
+
+    /// Crashes `node` immediately.
+    pub fn fail_node(&mut self, node: NodeId) {
+        let lane = self.lane_of_mut(node);
+        let l = lane.local(node);
+        lane.alive[l] = false;
+    }
+
+    /// Cuts the (bidirectional) network path between `a` and `b`
+    /// immediately: messages in either direction are silently dropped
+    /// until [`Engine::heal_link`].
+    pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
+        for lane in &mut self.lanes {
+            lane.failed_links.set(link_key(a, b), true);
+        }
+    }
+
+    /// Restores a previously failed link.
+    pub fn heal_link(&mut self, a: NodeId, b: NodeId) {
+        for lane in &mut self.lanes {
+            lane.failed_links.set(link_key(a, b), false);
+        }
+    }
+
+    /// Schedules a link cut at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past; use [`Engine::try_fail_link_at`] for a
+    /// fallible variant.
+    pub fn fail_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
+        self.try_fail_link_at(at, a, b)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Schedules a link cut at absolute time `at`, or returns a
+    /// [`PastScheduleError`] if `at` has already passed.
+    pub fn try_fail_link_at(
+        &mut self,
+        at: SimTime,
+        a: NodeId,
+        b: NodeId,
+    ) -> Result<(), PastScheduleError> {
+        self.try_broadcast(at, || Event::SetLink { a, b, up: false })
+    }
+
+    /// Schedules a link restore at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past; use [`Engine::try_heal_link_at`] for a
+    /// fallible variant.
+    pub fn heal_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
+        self.try_heal_link_at(at, a, b)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Schedules a link restore at absolute time `at`, or returns a
+    /// [`PastScheduleError`] if `at` has already passed.
+    pub fn try_heal_link_at(
+        &mut self,
+        at: SimTime,
+        a: NodeId,
+        b: NodeId,
+    ) -> Result<(), PastScheduleError> {
+        self.try_broadcast(at, || Event::SetLink { a, b, up: true })
+    }
+
+    /// Whether the path between `a` and `b` is currently cut.
+    pub fn is_link_failed(&self, a: NodeId, b: NodeId) -> bool {
+        self.lanes[0].failed_links.contains(link_key(a, b))
+    }
+
+    // ------------------------------------------------------------------
+    // Message-level fault injection (chaos engine).
+    // ------------------------------------------------------------------
+
+    /// Sets the per-message loss probability (`0.0..=1.0`) applied to every
+    /// subsequent send between distinct nodes. Lost messages count into
+    /// [`KernelStats::chaos_losses`], not `messages_dropped`.
+    ///
+    /// Loss draws come from dedicated chaos RNG streams (one per lane), so
+    /// runs with `p == 0.0` are byte-identical to runs on a kernel without
+    /// fault injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not within `0.0..=1.0`.
+    pub fn set_loss(&mut self, p: f64) {
+        let ppm = loss_ppm(p);
+        for lane in &mut self.lanes {
+            lane.faults.loss_ppm = ppm;
+        }
+    }
+
+    /// Current per-message loss probability.
+    pub fn loss(&self) -> f64 {
+        self.lanes[0].faults.loss_ppm as f64 / 1_000_000.0
+    }
+
+    /// Sets the maximum extra one-way latency added to every subsequent
+    /// send between distinct nodes; each message draws uniformly from
+    /// `[0, jitter]`. `Duration::ZERO` disables jitter.
+    pub fn set_jitter(&mut self, jitter: Duration) {
+        for lane in &mut self.lanes {
+            lane.faults.jitter_ns = saturating_nanos(jitter);
+        }
+    }
+
+    /// Current maximum latency jitter.
+    pub fn jitter(&self) -> Duration {
+        Duration::from_nanos(self.lanes[0].faults.jitter_ns)
+    }
+
+    /// Schedules a loss-probability change at absolute time `at` (see
+    /// [`Engine::set_loss`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `p` is not within `0.0..=1.0`.
+    pub fn set_loss_at(&mut self, at: SimTime, p: f64) {
+        let ppm = loss_ppm(p);
+        self.try_broadcast(at, || Event::SetLoss { ppm })
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Schedules a jitter change at absolute time `at` (see
+    /// [`Engine::set_jitter`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn set_jitter_at(&mut self, at: SimTime, jitter: Duration) {
+        let nanos = saturating_nanos(jitter);
+        self.try_broadcast(at, || Event::SetJitter { nanos })
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn check_sides(&self, sides: Vec<u32>) -> Arc<Vec<u32>> {
+        assert_eq!(sides.len(), self.len(), "partition must label every node");
+        Arc::new(sides)
+    }
+
+    /// Installs a network partition immediately: `sides[i]` is node `i`'s
+    /// side label, and messages between nodes with different labels are
+    /// dropped in flight (counted in [`KernelStats::partition_drops`]).
+    /// Messages already in flight across the cut are dropped on arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sides.len()` differs from the node count.
+    pub fn set_partition(&mut self, sides: Vec<u32>) {
+        let sides = self.check_sides(sides);
+        for lane in &mut self.lanes {
+            lane.partition = Some(Arc::clone(&sides));
+        }
+    }
+
+    /// Removes the active partition (no-op when none is active).
+    pub fn clear_partition(&mut self) {
+        for lane in &mut self.lanes {
+            lane.partition = None;
+        }
+    }
+
+    /// Whether a partition is currently active.
+    pub fn is_partitioned(&self) -> bool {
+        self.lanes[0].partition.is_some()
+    }
+
+    /// Schedules a partition at absolute time `at` (see
+    /// [`Engine::set_partition`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `sides.len()` differs from the node
+    /// count.
+    pub fn partition_at(&mut self, at: SimTime, sides: Vec<u32>) {
+        let sides = Some(self.check_sides(sides));
+        self.try_broadcast(at, || Event::SetPartition {
+            sides: sides.clone(),
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Schedules the removal of any active partition at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn heal_partition_at(&mut self, at: SimTime) {
+        self.try_broadcast(at, || Event::SetPartition { sides: None })
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Calls `on_start` on every alive node, once (with more than one
+    /// lane, also merges the resulting cross-lane traffic). Run methods
+    /// call this implicitly.
+    pub fn start(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        let net = M::model(&self.net);
+        if let [lane] = &mut self.lanes[..] {
+            lane.start(net, &mut self.recorder);
+        } else {
+            for lane in &mut self.lanes {
+                lane.buffered(|lane, out| lane.start(net, out));
+            }
+            merge_barrier(&mut self.lanes, &mut self.recorder, &mut self.scratch);
+            self.fold_stats();
+        }
+    }
+
+    /// Lanes count traffic locally; this folds the counts into lane 0,
+    /// the one [`Engine::stats`] reads.
+    fn fold_stats(&mut self) {
+        let (home, rest) = self.lanes.split_first_mut().expect("at least one lane");
+        for lane in rest {
+            home.stats.absorb(&lane.stats);
+            lane.stats.reset();
+        }
+    }
+
+    /// The one-lane run loop: a single window covering the whole deadline,
+    /// with events going straight to the recorder.
+    fn run_one_lane(&mut self, deadline: SimTime) {
+        let [lane] = &mut self.lanes[..] else {
+            unreachable!("the one-lane loop runs one lane")
+        };
+        lane.run_window(deadline, M::model(&self.net), &mut self.recorder);
+        self.now = deadline;
+    }
+}
+
+impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
+    /// Processes all events scheduled at or before `deadline`, then advances
+    /// the clock to `deadline`.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        let t0 = std::time::Instant::now();
+        self.start();
+        self.run_one_lane(deadline);
+        self.wall_time += t0.elapsed();
+    }
+
+    /// Runs for `d` more simulated time.
+    pub fn run_for(&mut self, d: Duration) {
+        self.run_until(self.now + d);
+    }
+
+    /// Processes events until the queue is exhausted.
+    ///
+    /// Periodic protocols never go idle; prefer [`Engine::run_until`] for
+    /// them.
+    pub fn run_until_idle(&mut self) {
+        let t0 = std::time::Instant::now();
+        self.start();
+        while self.step() {}
+        self.wall_time += t0.elapsed();
+    }
+
+    /// Processes a single event. Returns `false` when the queue is empty.
+    /// Stepping manually advances the event counters but not
+    /// [`KernelStats::wall_time`].
+    pub fn step(&mut self) -> bool {
+        let stepped = self.lanes[0].step(&*self.net, &mut self.recorder);
+        self.now = stepped.unwrap_or(self.now);
+        stepped.is_some()
+    }
+}
+
+impl<P, R> Engine<P, R, Lanes>
+where
+    P: Protocol + Send,
+    P::Msg: Send,
+    P::Command: Send,
+    P::Event: Send,
+    R: Recorder<P::Event>,
+{
+    /// Processes all events scheduled at or before `deadline`, then
+    /// advances the clock to `deadline`. Windows of length Δ execute
+    /// lane-parallel across the configured worker threads; output is
+    /// byte-identical at any thread count.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        let t0 = std::time::Instant::now();
+        self.start();
+        if self.lanes.len() == 1 {
+            self.run_one_lane(deadline);
+        } else {
+            self.run_lanes(deadline);
+        }
+        self.wall_time += t0.elapsed();
+    }
+
+    /// Runs for `d` more simulated time.
+    pub fn run_for(&mut self, d: Duration) {
+        self.run_until(self.now + d);
+    }
+
+    /// Drives the window loop: inline with one thread, else on persistent
+    /// workers (two barrier waits per window: start work / work done)
+    /// with the coordinator merging in between.
+    fn run_lanes(&mut self, deadline: SimTime) {
+        let net = &*self.net;
+        let delta = saturating_nanos(net.lookahead().expect("checked when built"));
+        let run = |lane: &mut Lane<P>, end| lane.buffered(|l, out| l.run_window(end, net, out));
+        let (recorder, scratch) = (&mut self.recorder, &mut self.scratch);
+        let workers = self.threads.min(self.lanes.len());
+        if workers <= 1 {
+            let run_all = |lanes: &mut Vec<Lane<P>>, end| {
+                lanes.iter_mut().for_each(|lane| run(lane, end));
+            };
+            run_windows(&mut self.lanes, deadline, delta, run_all, recorder, scratch);
+        } else {
+            let barrier = Barrier::new(workers + 1);
+            // Window end, as nanos; u64::MAX doubles as the shutdown signal.
+            let window_end = AtomicU64::new(0);
+            let next_lane = AtomicUsize::new(0);
+            // Workers claim lanes by atomic index, so each lane has exactly
+            // one owner per window; the per-lane mutexes hand them back to
+            // the coordinator, which keeps recorder + scratch.
+            let cells: Vec<_> = self.lanes.iter_mut().map(Mutex::new).collect();
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| loop {
+                        barrier.wait();
+                        let end = window_end.load(Ordering::Acquire);
+                        if end == u64::MAX {
+                            break;
+                        }
+                        let end = SimTime::from_nanos(end);
+                        while let Some(cell) = cells.get(next_lane.fetch_add(1, Ordering::Relaxed))
+                        {
+                            run(&mut cell.lock().expect("a lane worker panicked"), end);
+                        }
+                        barrier.wait();
+                    });
+                }
+                let run_all = |_: &mut &[_], end: SimTime| {
+                    window_end.store(end.as_nanos(), Ordering::Release);
+                    next_lane.store(0, Ordering::Relaxed);
+                    barrier.wait(); // workers start
+                    barrier.wait(); // workers done
+                };
+                run_windows(&mut &cells[..], deadline, delta, run_all, recorder, scratch);
+                window_end.store(u64::MAX, Ordering::Release);
+                barrier.wait();
+            });
+        }
+        self.fold_stats();
+        self.now = deadline;
+    }
+}
+
+fn loss_ppm(p: f64) -> u32 {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "loss probability {p} not in 0..=1"
+    );
+    (p * 1_000_000.0).round() as u32
+}
+
+fn saturating_nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Configures and constructs a [`Sim`].
@@ -335,7 +1164,7 @@ impl SimBuilder {
     }
 
     /// Enables deep kernel telemetry (queue-depth histogram plus sampled
-    /// per-class dispatch timing; see [`Sim::metrics_snapshot`]).
+    /// per-class dispatch timing; see [`Engine::metrics_snapshot`]).
     pub fn telemetry(mut self) -> Self {
         self.telemetry = true;
         self
@@ -343,39 +1172,20 @@ impl SimBuilder {
 
     /// Builds the simulation, constructing one protocol instance per node
     /// with `make`, and recording events with `recorder`.
-    pub fn build_with<P, R, F>(self, recorder: R, mut make: F) -> Sim<P, R>
+    pub fn build_with<P, R, F>(self, recorder: R, make: F) -> Sim<P, R>
     where
         P: Protocol,
         R: Recorder<P::Event>,
         F: FnMut(NodeId) -> P,
     {
-        let n = self.net.len();
-        let nodes = (0..n).map(|i| make(NodeId::new(i as u32))).collect();
-        let rngs = (0..n)
-            .map(|i| SmallRng::seed_from_u64(self.seed.wrapping_mul(0x9e3779b97f4a7c15) ^ i as u64))
-            .collect();
-        let mut stats = TrafficStats::new();
+        let mut sim = Engine::assemble(self.net, self.seed, 1, 1, recorder, make);
         if self.pair_counts {
-            stats.enable_pair_counts();
+            sim.lanes[0].stats.enable_pair_counts();
         }
-        let mut telemetry = KernelTelemetry::new();
-        telemetry.enabled = self.telemetry;
-        Sim {
-            now: SimTime::ZERO,
-            nodes,
-            alive: vec![true; n],
-            rngs,
-            queue: EventQueue::new(),
-            net: self.net,
-            recorder,
-            stats,
-            kernel: KernelStats::default(),
-            telemetry,
-            failed_links: LinkSet::default(),
-            faults: NetFaults::new(self.seed),
-            partition: None,
-            started: false,
+        if self.telemetry {
+            sim.enable_telemetry();
         }
+        sim
     }
 
     /// Convenience: builds with a [`NullRecorder`].
@@ -388,687 +1198,98 @@ impl SimBuilder {
     }
 }
 
-/// A deterministic discrete-event simulation of `n` protocol instances.
-pub struct Sim<P: Protocol, R: Recorder<P::Event> = NullRecorder> {
-    now: SimTime,
-    /// Protocol state, arena-style: one dense slot per node, never moved
-    /// after construction (dispatch split-borrows the slot in place).
-    nodes: Vec<P>,
-    alive: Vec<bool>,
-    rngs: Vec<SmallRng>,
-    queue: EventQueue<KernelEvent<P::Msg, P::Command>>,
-    net: Box<dyn LatencyModel>,
-    recorder: R,
-    stats: TrafficStats,
-    kernel: KernelStats,
-    telemetry: KernelTelemetry,
-    /// Currently failed links, as normalized `(min, max)` pairs.
-    failed_links: LinkSet,
-    /// Send-time fault injection (loss / jitter).
-    faults: NetFaults,
-    /// Active network partition: side label per node. Messages between
-    /// nodes with different labels are dropped in flight.
-    partition: Option<Vec<u32>>,
-    started: bool,
-}
-
-pub(crate) fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// The set of currently failed links, as normalized `(min, max)` pairs.
+/// Configures and constructs a [`ShardedSim`].
 ///
-/// Failure scenarios cut at most a handful of links, but the *membership
-/// check* sits on the per-delivery hot path, so the representation is a
-/// sorted `Vec` probed by binary search instead of a `HashSet`: the empty
-/// and tiny cases cost a length check plus at most a few comparisons, with
-/// none of SipHash's per-lookup hashing, and iteration order (hence any
-/// derived behaviour) is deterministic.
-#[derive(Debug, Default)]
-pub(crate) struct LinkSet(Vec<(NodeId, NodeId)>);
-
-impl LinkSet {
-    #[inline]
-    pub(crate) fn contains(&self, key: (NodeId, NodeId)) -> bool {
-        !self.0.is_empty() && self.0.binary_search(&key).is_ok()
-    }
-
-    pub(crate) fn insert(&mut self, key: (NodeId, NodeId)) {
-        if let Err(i) = self.0.binary_search(&key) {
-            self.0.insert(i, key);
-        }
-    }
-
-    pub(crate) fn remove(&mut self, key: (NodeId, NodeId)) {
-        if let Ok(i) = self.0.binary_search(&key) {
-            self.0.remove(i);
-        }
-    }
+/// ```
+/// use gocast_sim::{FixedLatency, ShardedSimBuilder};
+/// use std::time::Duration;
+///
+/// let builder = ShardedSimBuilder::new(FixedLatency::new(256, Duration::from_millis(10)))
+///     .seed(42)
+///     .lanes(16)
+///     .threads(2);
+/// # let _ = builder;
+/// ```
+pub struct ShardedSimBuilder {
+    net: Box<dyn LatencyModel + Send + Sync>,
+    seed: u64,
+    lanes: usize,
+    threads: usize,
 }
 
-impl<P: Protocol, R: Recorder<P::Event>> std::fmt::Debug for Sim<P, R> {
+impl std::fmt::Debug for ShardedSimBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
-            .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
-            .field("pending_events", &self.queue.len())
+        f.debug_struct("ShardedSimBuilder")
+            .field("nodes", &self.net.len())
+            .field("seed", &self.seed)
+            .field("lanes", &self.lanes)
+            .field("threads", &self.threads)
             .finish()
     }
 }
 
-impl<P: Protocol, R: Recorder<P::Event>> Sim<P, R> {
-    /// Number of nodes (alive or failed).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
+/// Default lane count: enough lanes that any plausible `--sim-shards`
+/// divides the population usefully, few enough that per-window barrier
+/// bookkeeping stays negligible.
+pub const DEFAULT_LANES: usize = 64;
 
-    /// Whether the simulation has zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Whether `node` is currently alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
-    }
-
-    /// Ids of all currently alive nodes.
-    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| **a)
-            .map(|(i, _)| NodeId::new(i as u32))
-    }
-
-    /// Immutable access to a node's protocol state (available even after the
-    /// node failed — useful for post-mortem analysis).
-    pub fn node(&self, node: NodeId) -> &P {
-        &self.nodes[node.index()]
-    }
-
-    /// Mutable access to a node's protocol state (test/ harness use).
-    pub fn node_mut(&mut self, node: NodeId) -> &mut P {
-        &mut self.nodes[node.index()]
-    }
-
-    /// Iterates over `(id, state)` for every node.
-    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId::new(i as u32), n))
-    }
-
-    /// The latency model driving this simulation.
-    pub fn latency_model(&self) -> &dyn LatencyModel {
-        self.net.as_ref()
-    }
-
-    /// Traffic counters accumulated so far.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
-    /// Resets traffic counters (e.g. to exclude warm-up traffic).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Snapshot of the kernel execution counters (see [`KernelStats`]).
-    pub fn kernel_stats(&self) -> KernelStats {
-        let mut k = self.kernel;
-        k.queue_len = self.queue.len();
-        k.events_scheduled = self.queue.scheduled_total();
-        k.chaos_losses = self.faults.losses;
-        k.slab_slots = self.queue.slab_slots();
-        k.queue_mem_bytes = self.queue.mem_bytes();
-        k
-    }
-
-    /// Turns on deep kernel telemetry for an already-built simulation
-    /// (equivalent to [`SimBuilder::telemetry`]).
-    pub fn enable_telemetry(&mut self) {
-        self.telemetry.enabled = true;
-    }
-
-    /// Whether deep kernel telemetry is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.enabled
-    }
-
-    /// A named [`Snapshot`] of every kernel metric under stable `kernel_*`
-    /// names: the always-on [`KernelStats`] counters, event-queue and
-    /// payload-slab occupancy, and — when telemetry is enabled — the
-    /// queue-depth histogram (sim-deterministic) plus per-class dispatch
-    /// timings (wall-clock, marked non-deterministic).
-    pub fn metrics_snapshot(&self) -> Snapshot {
-        let k = self.kernel_stats();
-        let mut s = Snapshot::new();
-        s.record_counter("kernel_events", k.events_processed);
-        s.record_counter("kernel_scheduled", k.events_scheduled);
-        s.record_counter("kernel_deliveries", k.deliveries);
-        s.record_counter("kernel_drops", k.messages_dropped);
-        s.record_counter("kernel_partition_drops", k.partition_drops);
-        s.record_counter("kernel_chaos_losses", k.chaos_losses);
-        s.record_counter("kernel_timers", k.timers_fired);
-        s.record_counter("kernel_commands", k.commands);
-        s.record_counter("kernel_control", k.control_events);
-        s.record_level(
-            "kernel_queue_len",
-            k.queue_len as i64,
-            k.queue_high_water as i64,
-        );
-        // Slab length is itself a high-water mark of concurrently pending
-        // events; occupied = total minus the recycled free list.
-        let slots = self.queue.slab_slots();
-        let occupied = slots - self.queue.free_slots();
-        s.record_level("kernel_slab_occupied", occupied as i64, slots as i64);
-        s.record_counter("kernel_queue_mem_bytes", self.queue.mem_bytes());
-        if self.telemetry.enabled {
-            s.record_histogram("kernel_queue_depth", &self.telemetry.queue_depth);
-            for class in EventClass::ALL {
-                s.record_wall_histogram(
-                    class.dispatch_metric_name(),
-                    &self.telemetry.dispatch_ns[class.index()],
-                );
-            }
-        }
-        s
-    }
-
-    /// The recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Mutable access to the recorder.
-    pub fn recorder_mut(&mut self) -> &mut R {
-        &mut self.recorder
-    }
-
-    /// Consumes the simulation, returning the recorder.
-    pub fn into_recorder(self) -> R {
-        self.recorder
-    }
-
-    /// Checks that `at` has not already passed.
-    fn check_future(&self, at: SimTime) -> Result<(), PastScheduleError> {
-        if at < self.now {
-            Err(PastScheduleError { at, now: self.now })
-        } else {
-            Ok(())
+impl ShardedSimBuilder {
+    /// Starts a builder over `net`, whose node count determines the
+    /// simulation's node count. With more than one lane the model must
+    /// promise a positive [`LatencyModel::lookahead`];
+    /// [`ShardedSimBuilder::build_with`] panics otherwise.
+    pub fn new(net: impl LatencyModel + Send + Sync + 'static) -> Self {
+        ShardedSimBuilder {
+            net: Box::new(net),
+            seed: 0,
+            lanes: DEFAULT_LANES,
+            threads: 1,
         }
     }
 
-    /// Schedules command `cmd` for `node` at absolute time `at`.
+    /// Sets the master seed. Per-node RNG streams derive from it exactly
+    /// as on [`Sim`].
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Sets the lane count — a **semantic** parameter (see [`Engine`]).
+    /// Clamped to at least 1 and at most the node count.
+    pub fn lanes(mut self, lanes: usize) -> Self {
+        self.lanes = lanes.max(1);
+        self
+    }
+
+    /// Sets the worker-thread count — pure execution policy; output is
+    /// byte-identical at any value. Clamped to at least 1.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Builds the sharded simulation, constructing one protocol instance
+    /// per node with `make` (called in global id order) and recording
+    /// merged events with `recorder`.
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past; use [`Sim::try_schedule_command`]
-    /// for a fallible variant.
-    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
-        self.try_schedule_command(at, node, cmd)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules command `cmd` for `node` at absolute time `at`, or
-    /// returns a [`PastScheduleError`] if `at` has already passed.
-    pub fn try_schedule_command(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        cmd: P::Command,
-    ) -> Result<(), PastScheduleError> {
-        self.check_future(at)?;
-        self.queue.schedule(at, KernelEvent::Command { node, cmd });
-        Ok(())
-    }
-
-    /// Injects a command for `node` at the current time.
-    pub fn command_now(&mut self, node: NodeId, cmd: P::Command) {
-        self.queue
-            .schedule(self.now, KernelEvent::Command { node, cmd });
-    }
-
-    /// Schedules a crash of `node` at absolute time `at`. From that instant
-    /// the node stops executing handlers and all traffic to it is dropped.
-    ///
-    /// ```
-    /// use gocast_sim::{Ctx, FixedLatency, NodeId, Protocol, SimBuilder, SimTime, Timer};
-    /// # use gocast_sim::{TrafficClass, Wire};
-    /// use std::time::Duration;
-    ///
-    /// # struct Quiet;
-    /// # #[derive(Debug)]
-    /// # struct Never;
-    /// # impl Wire for Never {
-    /// #     fn wire_size(&self) -> u32 { 0 }
-    /// #     fn class(&self) -> TrafficClass { TrafficClass::Data }
-    /// # }
-    /// # impl Protocol for Quiet {
-    /// #     type Msg = Never;
-    /// #     type Command = ();
-    /// #     type Event = ();
-    /// #     fn on_start(&mut self, _: &mut Ctx<'_, Self>) {}
-    /// #     fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Never) {}
-    /// #     fn on_timer(&mut self, _: &mut Ctx<'_, Self>, _: Timer) {}
-    /// # }
-    /// let mut sim = SimBuilder::new(FixedLatency::new(4, Duration::from_millis(5)))
-    ///     .build(|_| Quiet);
-    /// sim.fail_node_at(SimTime::from_secs(1), NodeId::new(3));
-    /// sim.run_until(SimTime::from_secs(2));
-    /// assert!(!sim.is_alive(NodeId::new(3)));
-    /// assert_eq!(sim.alive_nodes().count(), 3);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past; use [`Sim::try_fail_node_at`] for a
-    /// fallible variant.
-    pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
-        self.try_fail_node_at(at, node)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a crash of `node` at absolute time `at`, or returns a
-    /// [`PastScheduleError`] if `at` has already passed.
-    pub fn try_fail_node_at(&mut self, at: SimTime, node: NodeId) -> Result<(), PastScheduleError> {
-        self.check_future(at)?;
-        self.queue.schedule(at, KernelEvent::Fail { node });
-        Ok(())
-    }
-
-    /// Crashes `node` immediately.
-    pub fn fail_node(&mut self, node: NodeId) {
-        self.alive[node.index()] = false;
-    }
-
-    /// Cuts the (bidirectional) network path between `a` and `b`
-    /// immediately: messages in either direction are silently dropped
-    /// until [`Sim::heal_link`].
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        self.failed_links.insert(link_key(a, b));
-    }
-
-    /// Restores a previously failed link.
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId) {
-        self.failed_links.remove(link_key(a, b));
-    }
-
-    /// Schedules a link cut at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past; use [`Sim::try_fail_link_at`] for a
-    /// fallible variant.
-    pub fn fail_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.try_fail_link_at(at, a, b)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a link cut at absolute time `at`, or returns a
-    /// [`PastScheduleError`] if `at` has already passed.
-    pub fn try_fail_link_at(
-        &mut self,
-        at: SimTime,
-        a: NodeId,
-        b: NodeId,
-    ) -> Result<(), PastScheduleError> {
-        self.check_future(at)?;
-        self.queue
-            .schedule(at, KernelEvent::SetLink { a, b, up: false });
-        Ok(())
-    }
-
-    /// Schedules a link restore at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past; use [`Sim::try_heal_link_at`] for a
-    /// fallible variant.
-    pub fn heal_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.try_heal_link_at(at, a, b)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a link restore at absolute time `at`, or returns a
-    /// [`PastScheduleError`] if `at` has already passed.
-    pub fn try_heal_link_at(
-        &mut self,
-        at: SimTime,
-        a: NodeId,
-        b: NodeId,
-    ) -> Result<(), PastScheduleError> {
-        self.check_future(at)?;
-        self.queue
-            .schedule(at, KernelEvent::SetLink { a, b, up: true });
-        Ok(())
-    }
-
-    /// Whether the path between `a` and `b` is currently cut.
-    pub fn is_link_failed(&self, a: NodeId, b: NodeId) -> bool {
-        self.failed_links.contains(link_key(a, b))
-    }
-
-    // ------------------------------------------------------------------
-    // Message-level fault injection (chaos engine).
-    // ------------------------------------------------------------------
-
-    /// Sets the per-message loss probability (`0.0..=1.0`) applied to every
-    /// subsequent send between distinct nodes. Lost messages count into
-    /// [`KernelStats::chaos_losses`], not `messages_dropped`.
-    ///
-    /// Loss draws come from a dedicated chaos RNG stream, so runs with
-    /// `p == 0.0` are byte-identical to runs on a kernel without fault
-    /// injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `0.0..=1.0`.
-    pub fn set_loss(&mut self, p: f64) {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} not in 0..=1"
-        );
-        self.faults.loss_ppm = (p * 1_000_000.0).round() as u32;
-    }
-
-    /// Current per-message loss probability.
-    pub fn loss(&self) -> f64 {
-        self.faults.loss_ppm as f64 / 1_000_000.0
-    }
-
-    /// Sets the maximum extra one-way latency added to every subsequent
-    /// send between distinct nodes; each message draws uniformly from
-    /// `[0, jitter]`. `Duration::ZERO` disables jitter.
-    pub fn set_jitter(&mut self, jitter: std::time::Duration) {
-        self.faults.jitter_ns = jitter.as_nanos().min(u64::MAX as u128) as u64;
-    }
-
-    /// Current maximum latency jitter.
-    pub fn jitter(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.faults.jitter_ns)
-    }
-
-    /// Schedules a loss-probability change at absolute time `at` (see
-    /// [`Sim::set_loss`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past or `p` is not within `0.0..=1.0`.
-    pub fn set_loss_at(&mut self, at: SimTime, p: f64) {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} not in 0..=1"
-        );
-        self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        let ppm = (p * 1_000_000.0).round() as u32;
-        self.queue.schedule(at, KernelEvent::SetLoss { ppm });
-    }
-
-    /// Schedules a jitter change at absolute time `at` (see
-    /// [`Sim::set_jitter`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn set_jitter_at(&mut self, at: SimTime, jitter: std::time::Duration) {
-        self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        let nanos = jitter.as_nanos().min(u64::MAX as u128) as u64;
-        self.queue.schedule(at, KernelEvent::SetJitter { nanos });
-    }
-
-    /// Installs a network partition immediately: `sides[i]` is node `i`'s
-    /// side label, and messages between nodes with different labels are
-    /// dropped in flight (counted in [`KernelStats::partition_drops`]).
-    /// Messages already in flight across the cut are dropped on arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sides.len()` differs from the node count.
-    pub fn set_partition(&mut self, sides: Vec<u32>) {
-        assert_eq!(
-            sides.len(),
-            self.nodes.len(),
-            "partition must label every node"
-        );
-        self.partition = Some(sides);
-    }
-
-    /// Removes the active partition (no-op when none is active).
-    pub fn clear_partition(&mut self) {
-        self.partition = None;
-    }
-
-    /// Whether a partition is currently active.
-    pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
-    }
-
-    /// Schedules a partition at absolute time `at` (see
-    /// [`Sim::set_partition`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past or `sides.len()` differs from the node
-    /// count.
-    pub fn partition_at(&mut self, at: SimTime, sides: Vec<u32>) {
-        assert_eq!(
-            sides.len(),
-            self.nodes.len(),
-            "partition must label every node"
-        );
-        self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        self.queue
-            .schedule(at, KernelEvent::SetPartition { sides: Some(sides) });
-    }
-
-    /// Schedules the removal of any active partition at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn heal_partition_at(&mut self, at: SimTime) {
-        self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        self.queue
-            .schedule(at, KernelEvent::SetPartition { sides: None });
-    }
-
-    /// Whether the active partition separates `a` from `b`.
-    #[inline]
-    fn partition_blocks(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            None => false,
-            Some(sides) => sides[a.index()] != sides[b.index()],
-        }
-    }
-
-    /// Calls `on_start` on every alive node, once. Run methods call this
-    /// implicitly.
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            if self.alive[i] {
-                self.dispatch_start(NodeId::new(i as u32));
-            }
-        }
-    }
-
-    /// Processes events until the queue is exhausted.
-    ///
-    /// Periodic protocols never go idle; prefer [`Sim::run_until`] for them.
-    pub fn run_until_idle(&mut self) {
-        let t0 = std::time::Instant::now();
-        self.start();
-        while self.step() {}
-        self.kernel.wall_time += t0.elapsed();
-    }
-
-    /// Processes all events scheduled at or before `deadline`, then advances
-    /// the clock to `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let t0 = std::time::Instant::now();
-        self.start();
-        loop {
-            let depth = self.queue.len();
-            if depth > self.kernel.queue_high_water {
-                self.kernel.queue_high_water = depth;
-            }
-            // Deadline test and pop share a single heap-top probe.
-            let Some(ev) = self.queue.pop_at_or_before(deadline) else {
-                break;
-            };
-            self.execute(ev);
-        }
-        debug_assert!(self.now <= deadline);
-        self.now = deadline;
-        self.kernel.wall_time += t0.elapsed();
-    }
-
-    /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: std::time::Duration) {
-        self.run_until(self.now + d);
-    }
-
-    /// Processes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let depth = self.queue.len();
-        if depth > self.kernel.queue_high_water {
-            self.kernel.queue_high_water = depth;
-        }
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        self.execute(ev);
-        true
-    }
-
-    /// Advances the clock to the event's timestamp and dispatches it.
-    fn execute(&mut self, ev: crate::queue::Scheduled<KernelEvent<P::Msg, P::Command>>) {
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        self.kernel.events_processed += 1;
-        if self.telemetry.enabled {
-            self.telemetry.queue_depth.observe(self.queue.len() as u64);
-            if self
-                .kernel
-                .events_processed
-                .is_multiple_of(TELEMETRY_SAMPLE)
-            {
-                let class = event_class(&ev.payload);
-                let t0 = std::time::Instant::now();
-                self.dispatch_event(ev.payload);
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.telemetry.dispatch_ns[class.index()].observe(ns);
-                return;
-            }
-        }
-        self.dispatch_event(ev.payload);
-    }
-
-    fn dispatch_event(&mut self, payload: KernelEvent<P::Msg, P::Command>) {
-        match payload {
-            KernelEvent::Deliver { from, to, msg } => {
-                if !self.alive[to.index()] || self.failed_links.contains(link_key(from, to)) {
-                    self.kernel.messages_dropped += 1;
-                    self.stats.record_drop_to_dead();
-                } else if self.partition_blocks(from, to) {
-                    self.kernel.messages_dropped += 1;
-                    self.kernel.partition_drops += 1;
-                    self.stats.record_drop_to_dead();
-                } else {
-                    self.kernel.deliveries += 1;
-                    self.dispatch_message(to, from, msg);
-                }
-            }
-            KernelEvent::Fire { node, timer } => {
-                if self.alive[node.index()] {
-                    self.kernel.timers_fired += 1;
-                    self.dispatch_timer(node, timer);
-                }
-            }
-            KernelEvent::Command { node, cmd } => {
-                if self.alive[node.index()] {
-                    self.kernel.commands += 1;
-                    self.dispatch_command(node, cmd);
-                }
-            }
-            KernelEvent::Fail { node } => {
-                self.kernel.control_events += 1;
-                self.alive[node.index()] = false;
-            }
-            KernelEvent::SetLink { a, b, up } => {
-                self.kernel.control_events += 1;
-                if up {
-                    self.heal_link(a, b);
-                } else {
-                    self.fail_link(a, b);
-                }
-            }
-            KernelEvent::SetLoss { ppm } => {
-                self.kernel.control_events += 1;
-                self.faults.loss_ppm = ppm;
-            }
-            KernelEvent::SetJitter { nanos } => {
-                self.kernel.control_events += 1;
-                self.faults.jitter_ns = nanos;
-            }
-            KernelEvent::SetPartition { sides } => {
-                self.kernel.control_events += 1;
-                if let Some(s) = &sides {
-                    debug_assert_eq!(s.len(), self.nodes.len());
-                }
-                self.partition = sides;
-            }
-        }
-    }
-
-    fn with_ctx<F: FnOnce(&mut P, &mut Ctx<'_, P>)>(&mut self, node: NodeId, f: F) {
-        // Split borrows: the protocol instance and the context borrow
-        // disjoint fields of `self`, so the node stays in place — no
-        // whole-struct move in and out of the slot per dispatched event.
-        let i = node.index();
-        let p = &mut self.nodes[i];
-        let mut ctx = Ctx::for_sim(
-            node,
-            self.now,
-            &mut self.rngs[i],
-            &mut self.queue,
-            self.net.as_ref(),
-            &mut self.recorder,
-            &mut self.stats,
-            &mut self.faults,
-        );
-        f(p, &mut ctx);
-    }
-
-    fn dispatch_start(&mut self, node: NodeId) {
-        self.with_ctx(node, |p, ctx| p.on_start(ctx));
-    }
-
-    fn dispatch_message(&mut self, node: NodeId, from: NodeId, msg: P::Msg) {
-        self.with_ctx(node, |p, ctx| p.on_message(ctx, from, msg));
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, timer: Timer) {
-        self.with_ctx(node, |p, ctx| p.on_timer(ctx, timer));
-    }
-
-    fn dispatch_command(&mut self, node: NodeId, cmd: P::Command) {
-        self.with_ctx(node, |p, ctx| p.on_command(ctx, cmd));
+    /// Panics if there is more than one lane and the latency model does
+    /// not promise a positive lookahead.
+    pub fn build_with<P, R, F>(self, recorder: R, make: F) -> ShardedSim<P, R>
+    where
+        P: Protocol,
+        R: Recorder<P::Event>,
+        F: FnMut(NodeId) -> P,
+    {
+        Engine::assemble(
+            self.net,
+            self.seed,
+            self.lanes,
+            self.threads,
+            recorder,
+            make,
+        )
     }
 }
 
@@ -1076,10 +1297,10 @@ impl<P: Protocol, R: Recorder<P::Event>> Sim<P, R> {
 mod tests {
     use super::*;
     use crate::latency::FixedLatency;
-    use crate::protocol::Wire;
+    use crate::protocol::{Ctx, Timer, Wire};
     use crate::recorder::VecRecorder;
     use crate::stats::TrafficClass;
-    use std::time::Duration;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A toy protocol: floods a token around a ring, one hop per message.
     struct Ring {
@@ -1100,15 +1321,10 @@ mod tests {
         }
     }
 
-    #[derive(Debug, PartialEq)]
-    enum RingEvent {
-        Received(u32),
-    }
-
     impl Protocol for Ring {
         type Msg = Hop;
         type Command = ();
-        type Event = RingEvent;
+        type Event = (SimTime, u32);
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             if self.id == NodeId::new(0) {
@@ -1119,7 +1335,7 @@ mod tests {
 
         fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: NodeId, msg: Hop) {
             self.hops_seen += 1;
-            ctx.emit(RingEvent::Received(msg.0));
+            ctx.emit((ctx.now(), msg.0));
             if msg.0 < 3 * self.n {
                 let next = NodeId::new((self.id.as_u32() + 1) % self.n);
                 ctx.send(next, Hop(msg.0 + 1));
@@ -1129,212 +1345,306 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _timer: Timer) {}
     }
 
-    fn ring_sim(n: u32, seed: u64) -> Sim<Ring, VecRecorder<RingEvent>> {
-        SimBuilder::new(FixedLatency::new(n as usize, Duration::from_millis(10)))
+    type Rec = VecRecorder<(SimTime, u32)>;
+
+    /// Ring size of the table-driven checks: enough nodes for 64 lanes.
+    const N: u32 = 96;
+    /// Hops a token makes before it retires: `3n + 1`, 10 ms each.
+    const HOPS: u32 = 3 * N + 1;
+    /// Past the last hop of an undisturbed run.
+    const DONE: SimTime = SimTime::from_secs(10);
+
+    fn ms(v: u64) -> SimTime {
+        SimTime::from_millis(v)
+    }
+
+    fn net(n: u32) -> FixedLatency {
+        FixedLatency::new(n as usize, Duration::from_millis(10))
+    }
+
+    fn member(n: u32) -> impl FnMut(NodeId) -> Ring {
+        move |id| Ring {
+            id,
+            n,
+            hops_seen: 0,
+        }
+    }
+
+    fn serial(n: u32, seed: u64) -> Sim<Ring, Rec> {
+        SimBuilder::new(net(n))
             .seed(seed)
-            .build_with(VecRecorder::new(), |id| Ring {
-                id,
-                n,
-                hops_seen: 0,
-            })
+            .build_with(Rec::new(), member(n))
+    }
+
+    fn sharded(n: u32, seed: u64, lanes: usize, threads: usize) -> ShardedSim<Ring, Rec> {
+        ShardedSimBuilder::new(net(n))
+            .seed(seed)
+            .lanes(lanes)
+            .threads(threads)
+            .build_with(Rec::new(), member(n))
+    }
+
+    /// Runs `$body` with `$sim` bound to a fresh `N`-node ring on every
+    /// row of the table: `Sim`, then `ShardedSim` at 1, 4 and 64 lanes on
+    /// one thread and at 4 lanes on two. `$seed` is the master seed.
+    macro_rules! on_every_engine {
+        ($seed:expr, |$sim:ident| $body:block) => {{
+            {
+                #[allow(unused_mut)]
+                let mut $sim = serial(N, $seed);
+                $body
+            }
+            for (lanes, threads) in [(1, 1), (4, 1), (64, 1), (4, 2)] {
+                #[allow(unused_mut)]
+                let mut $sim = sharded(N, $seed, lanes, threads);
+                assert_eq!($sim.lane_count(), lanes);
+                $body
+            }
+        }};
+    }
+
+    fn hops<M: Mode>(sim: &Engine<Ring, Rec, M>) -> u32 {
+        sim.iter_nodes().map(|(_, p)| p.hops_seen).sum()
+    }
+
+    /// Nodes `a..b` on side 1, everyone else on side 0.
+    fn sides(a: u32, b: u32) -> Vec<u32> {
+        (0..N).map(|i| u32::from((a..b).contains(&i))).collect()
+    }
+
+    fn assert_panics(expected: &str, f: impl FnOnce()) {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains(expected), "panicked with {msg:?}");
     }
 
     #[test]
-    fn token_circulates_and_time_advances() {
-        let mut sim = ring_sim(4, 1);
+    fn token_circulates_and_traffic_is_counted() {
+        on_every_engine!(1, |sim| {
+            sim.run_until(DONE);
+            assert_eq!(sim.now(), DONE);
+            assert_eq!(hops(&sim), HOPS);
+            assert_eq!(sim.recorder().events.len(), HOPS as usize);
+            assert_eq!(sim.kernel_stats().deliveries, HOPS as u64);
+            let data = sim.stats().class(TrafficClass::Data);
+            assert_eq!((data.messages, data.bytes), (HOPS as u64, HOPS as u64 * 8));
+        });
+    }
+
+    #[test]
+    fn run_until_idle_stops_the_clock_at_the_last_event() {
+        let mut sim = serial(4, 1);
         sim.run_until_idle();
         // 3n + 1 = 13 hops, each 10ms.
-        assert_eq!(sim.now(), SimTime::from_millis(130));
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 13);
-        assert_eq!(sim.recorder().events.len(), 13);
-        assert_eq!(sim.stats().class(TrafficClass::Data).messages, 13);
-        assert_eq!(sim.stats().class(TrafficClass::Data).bytes, 13 * 8);
+        assert_eq!(sim.now(), ms(130));
+        assert_eq!(hops(&sim), 13);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut sim = ring_sim(4, 1);
-        sim.run_until(SimTime::from_millis(35));
-        assert_eq!(sim.now(), SimTime::from_millis(35));
-        // Hops at 10, 20, 30 ms have fired.
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 3);
-        sim.run_until_idle();
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 13);
+        on_every_engine!(1, |sim| {
+            sim.run_until(ms(35));
+            assert_eq!(sim.now(), ms(35));
+            // Hops at 10, 20, 30 ms have fired.
+            assert_eq!(hops(&sim), 3);
+            sim.run_until(DONE);
+            assert_eq!(hops(&sim), HOPS);
+        });
     }
 
     #[test]
     fn failed_node_drops_traffic() {
-        let mut sim = ring_sim(4, 1);
-        sim.fail_node_at(SimTime::from_millis(15), NodeId::new(2));
-        sim.run_until_idle();
-        // Hop 0 reaches n1 at 10ms, hop 1 is in flight to n2, which dies at
-        // 15ms; the message is dropped at 20ms and the ring stops.
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 1);
-        assert_eq!(sim.stats().dropped_to_dead(), 1);
-        assert!(!sim.is_alive(NodeId::new(2)));
-        assert_eq!(sim.alive_nodes().count(), 3);
+        on_every_engine!(1, |sim| {
+            sim.fail_node_at(ms(15), NodeId::new(2));
+            sim.run_until(DONE);
+            // Hop 0 reaches n1 at 10ms, hop 1 is in flight to n2, which dies at
+            // 15ms; the message is dropped at 20ms and the ring stops.
+            assert_eq!(hops(&sim), 1);
+            assert_eq!(sim.stats().dropped_to_dead(), 1);
+            assert_eq!(sim.kernel_stats().messages_dropped, 1);
+            assert!(!sim.is_alive(NodeId::new(2)));
+            assert_eq!(sim.alive_nodes().count(), N as usize - 1);
+        });
     }
 
     #[test]
-    fn determinism_same_seed_same_trace() {
-        let mut a = ring_sim(5, 7);
-        let mut b = ring_sim(5, 7);
-        a.run_until_idle();
-        b.run_until_idle();
-        assert_eq!(a.recorder().events, b.recorder().events);
-        assert_eq!(a.now(), b.now());
+    fn same_seed_same_trace() {
+        on_every_engine!(7, |a| {
+            a.run_until(DONE);
+            let first = a.recorder().events.clone();
+            on_every_engine!(7, |b| {
+                b.run_until(DONE);
+                // The ring has one event in flight at a time, so the trace
+                // does not even depend on the lane count.
+                assert_eq!(first, b.recorder().events);
+            });
+        });
+    }
+
+    #[test]
+    fn output_identical_across_thread_counts() {
+        for lanes in [1, 4, 64] {
+            let run = |threads| {
+                let mut sim = sharded(N, 1, lanes, threads);
+                sim.fail_node_at(ms(1500), NodeId::new(7));
+                sim.run_until(DONE);
+                let k = KernelStats {
+                    wall_time: Duration::ZERO,
+                    ..sim.kernel_stats()
+                };
+                (sim.recorder().events.clone(), k, sim.stats().total())
+            };
+            let serial = run(1);
+            assert_eq!(serial, run(2));
+            assert_eq!(serial, run(4));
+        }
     }
 
     #[test]
     fn node_state_remains_accessible_after_failure() {
-        let mut sim = ring_sim(3, 1);
-        sim.run_until(SimTime::from_millis(25));
-        sim.fail_node(NodeId::new(1));
-        assert!(sim.node(NodeId::new(1)).hops_seen > 0);
+        on_every_engine!(1, |sim| {
+            sim.run_until(ms(25));
+            sim.fail_node(NodeId::new(1));
+            assert!(!sim.is_alive(NodeId::new(1)));
+            assert!(sim.node(NodeId::new(1)).hops_seen > 0);
+            sim.node_mut(NodeId::new(1)).hops_seen = 0;
+            assert_eq!(hops(&sim), 1);
+        });
     }
 
     #[test]
     fn failed_link_drops_traffic_both_ways_until_healed() {
-        let mut sim = ring_sim(4, 1);
-        // Cut 1 -> 2 from the start; the token dies on that hop.
-        sim.fail_link(NodeId::new(1), NodeId::new(2));
-        assert!(
-            sim.is_link_failed(NodeId::new(2), NodeId::new(1)),
-            "undirected"
-        );
-        sim.run_until(SimTime::from_millis(100));
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 1, "only the first hop (0 -> 1) delivers");
-        assert_eq!(sim.stats().dropped_to_dead(), 1);
-        // Healing restores nothing retroactively (the message was lost),
-        // but future traffic flows.
-        sim.heal_link(NodeId::new(1), NodeId::new(2));
-        assert!(!sim.is_link_failed(NodeId::new(1), NodeId::new(2)));
+        on_every_engine!(1, |sim| {
+            // Cut 1 -> 2 from the start; the token dies on that hop.
+            sim.fail_link(NodeId::new(1), NodeId::new(2));
+            assert!(
+                sim.is_link_failed(NodeId::new(2), NodeId::new(1)),
+                "undirected"
+            );
+            sim.run_until(ms(100));
+            assert_eq!(hops(&sim), 1, "only the first hop (0 -> 1) delivers");
+            assert_eq!(sim.stats().dropped_to_dead(), 1);
+            // Healing restores nothing retroactively (the message was lost),
+            // but future traffic flows.
+            sim.heal_link(NodeId::new(1), NodeId::new(2));
+            assert!(!sim.is_link_failed(NodeId::new(1), NodeId::new(2)));
+        });
     }
 
     #[test]
     fn scheduled_link_failure_fires_at_time() {
-        let mut sim = ring_sim(4, 1);
-        // Cut 2 -> 3 at 25 ms: hops at 10 (0->1), 20 (1->2) deliver; the
-        // 2->3 delivery at 30 ms is dropped.
-        sim.fail_link_at(SimTime::from_millis(25), NodeId::new(2), NodeId::new(3));
-        sim.run_until_idle();
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 2);
-        // Heal scheduling works too.
-        sim.heal_link_at(sim.now(), NodeId::new(2), NodeId::new(3));
-        sim.run_until_idle();
-        assert!(!sim.is_link_failed(NodeId::new(2), NodeId::new(3)));
+        on_every_engine!(1, |sim| {
+            // Cut 2 -> 3 at 25 ms: hops at 10 (0->1), 20 (1->2) deliver; the
+            // 2->3 delivery at 30 ms is dropped.
+            sim.fail_link_at(ms(25), NodeId::new(2), NodeId::new(3));
+            sim.run_until(DONE);
+            assert_eq!(hops(&sim), 2);
+            assert!(sim.is_link_failed(NodeId::new(2), NodeId::new(3)));
+            // Heal scheduling works too.
+            sim.heal_link_at(sim.now(), NodeId::new(2), NodeId::new(3));
+            sim.run_for(Duration::from_millis(1));
+            assert!(!sim.is_link_failed(NodeId::new(2), NodeId::new(3)));
+            // One cut and one heal, however many lanes replicate them.
+            assert_eq!(sim.kernel_stats().control_events, 2);
+        });
     }
 
     #[test]
     fn kernel_stats_count_events_and_throughput() {
-        let mut sim = ring_sim(4, 1);
-        assert_eq!(sim.kernel_stats(), KernelStats::default());
-        sim.fail_node_at(SimTime::from_millis(15), NodeId::new(2));
-        sim.run_until_idle();
-        let k = sim.kernel_stats();
-        // Hop 0 delivers to n1 at 10ms; hop 1 drops at the dead n2; the
-        // Fail control event fires in between.
-        assert_eq!(k.deliveries, 1);
-        assert_eq!(k.messages_dropped, 1);
-        assert_eq!(k.control_events, 1);
-        assert_eq!(k.events_processed, 3);
-        assert_eq!(k.messages_sent(), 2);
-        assert_eq!(k.events_scheduled, 3);
-        assert_eq!(k.queue_len, 0);
-        assert!(k.queue_high_water >= 1);
-        assert!(k.wall_time > Duration::ZERO);
-        assert!(k.events_per_sec() > 0.0);
-        // Counters are cumulative across runs.
-        sim.command_now(NodeId::new(0), ());
-        sim.run_until_idle();
-        let k2 = sim.kernel_stats();
-        assert_eq!(k2.commands, 1);
-        assert!(k2.events_processed > k.events_processed);
-        assert!(k2.wall_time >= k.wall_time);
+        on_every_engine!(1, |sim| {
+            assert_eq!(sim.kernel_stats(), KernelStats::default());
+            sim.fail_node_at(ms(15), NodeId::new(2));
+            sim.run_until(DONE);
+            let k = sim.kernel_stats();
+            // Hop 0 delivers to n1 at 10ms; hop 1 drops at the dead n2; the
+            // Fail control event fires in between.
+            assert_eq!(k.deliveries, 1);
+            assert_eq!(k.messages_dropped, 1);
+            assert_eq!(k.control_events, 1);
+            assert_eq!(k.events_processed, 3);
+            assert_eq!(k.messages_sent(), 2);
+            assert_eq!(k.events_scheduled, 3);
+            assert_eq!(k.queue_len, 0);
+            assert!(k.queue_high_water >= 1);
+            assert!(k.wall_time > Duration::ZERO);
+            assert!(k.events_per_sec() > 0.0);
+            // Counters are cumulative across runs.
+            sim.command_now(NodeId::new(0), ());
+            sim.run_for(Duration::from_millis(1));
+            let k2 = sim.kernel_stats();
+            assert_eq!(k2.commands, 1);
+            assert!(k2.events_processed > k.events_processed);
+            assert!(k2.wall_time >= k.wall_time);
+        });
     }
 
     #[test]
     fn manual_stepping_counts_events_without_wall_time() {
-        let mut sim = ring_sim(4, 1);
+        let mut sim = serial(4, 1);
         sim.start();
         while sim.step() {}
         let k = sim.kernel_stats();
         assert_eq!(k.deliveries, 13);
+        assert_eq!(sim.now(), ms(130));
         assert_eq!(k.wall_time, Duration::ZERO);
         assert_eq!(k.events_per_sec(), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim = ring_sim(3, 1);
-        sim.run_until(SimTime::from_millis(50));
-        sim.schedule_command(SimTime::from_millis(10), NodeId::new(0), ());
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn fail_node_in_the_past_panics() {
-        let mut sim = ring_sim(3, 1);
-        sim.run_until(SimTime::from_millis(50));
-        sim.fail_node_at(SimTime::from_millis(10), NodeId::new(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn fail_link_in_the_past_panics() {
-        let mut sim = ring_sim(3, 1);
-        sim.run_until(SimTime::from_millis(50));
-        sim.fail_link_at(SimTime::from_millis(10), NodeId::new(0), NodeId::new(1));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        on_every_engine!(1, |sim| {
+            sim.run_until(ms(50));
+            assert_panics("in the past", || sim.schedule_command(ms(10), a, ()));
+            assert_panics("in the past", || sim.fail_node_at(ms(10), a));
+            assert_panics("in the past", || sim.fail_link_at(ms(10), a, b));
+            assert_panics("in the past", || sim.heal_link_at(ms(10), a, b));
+            assert_panics("in the past", || sim.set_loss_at(ms(10), 0.5));
+            assert_panics("in the past", || {
+                sim.set_jitter_at(ms(10), Duration::from_millis(1))
+            });
+            assert_panics("in the past", || sim.partition_at(ms(10), sides(0, 2)));
+            assert_panics("in the past", || sim.heal_partition_at(ms(10)));
+        });
     }
 
     #[test]
     fn try_scheduling_reports_past_timestamps() {
-        let mut sim = ring_sim(3, 1);
-        sim.run_until(SimTime::from_millis(50));
-        let err = sim
-            .try_fail_node_at(SimTime::from_millis(10), NodeId::new(0))
-            .unwrap_err();
-        assert_eq!(err.at, SimTime::from_millis(10));
-        assert_eq!(err.now, SimTime::from_millis(50));
-        assert!(err.to_string().contains("in the past"));
-        assert!(sim
-            .try_fail_link_at(SimTime::from_millis(10), NodeId::new(0), NodeId::new(1))
-            .is_err());
-        assert!(sim
-            .try_heal_link_at(SimTime::from_millis(10), NodeId::new(0), NodeId::new(1))
-            .is_err());
-        assert!(sim
-            .try_schedule_command(SimTime::from_millis(10), NodeId::new(0), ())
-            .is_err());
-        // Present and future timestamps are fine.
-        sim.try_fail_node_at(SimTime::from_millis(50), NodeId::new(2))
-            .unwrap();
-        sim.try_fail_link_at(SimTime::from_millis(60), NodeId::new(0), NodeId::new(1))
-            .unwrap();
-        sim.run_until(SimTime::from_millis(70));
-        assert!(!sim.is_alive(NodeId::new(2)));
-        assert!(sim.is_link_failed(NodeId::new(0), NodeId::new(1)));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        on_every_engine!(1, |sim| {
+            sim.run_until(ms(50));
+            let err = sim.try_fail_node_at(ms(10), a).unwrap_err();
+            assert_eq!(err.at, ms(10));
+            assert_eq!(err.now, ms(50));
+            assert!(err.to_string().contains("in the past"));
+            assert!(sim.try_fail_link_at(ms(10), a, b).is_err());
+            assert!(sim.try_heal_link_at(ms(10), a, b).is_err());
+            assert!(sim.try_schedule_command(ms(10), a, ()).is_err());
+            // Present and future timestamps are fine.
+            sim.try_fail_node_at(ms(50), NodeId::new(2)).unwrap();
+            sim.try_fail_link_at(ms(60), a, b).unwrap();
+            sim.run_until(ms(70));
+            assert!(!sim.is_alive(NodeId::new(2)));
+            assert!(sim.is_link_failed(a, b));
+        });
     }
 
     #[test]
     fn total_loss_kills_all_traffic_and_is_counted() {
-        let mut sim = ring_sim(4, 1);
-        sim.set_loss(1.0);
-        assert_eq!(sim.loss(), 1.0);
-        sim.run_until_idle();
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 0, "every send is lost");
-        let k = sim.kernel_stats();
-        assert_eq!(k.chaos_losses, 1);
-        assert_eq!(k.deliveries, 0);
-        assert_eq!(k.messages_sent(), 1);
+        on_every_engine!(1, |sim| {
+            sim.set_loss(1.0);
+            assert_eq!(sim.loss(), 1.0);
+            sim.run_until(DONE);
+            assert_eq!(hops(&sim), 0, "every send is lost");
+            let k = sim.kernel_stats();
+            assert_eq!(k.chaos_losses, 1);
+            assert_eq!(k.deliveries, 0);
+            assert_eq!(k.messages_sent(), 1);
+        });
     }
 
     #[test]
@@ -1345,7 +1655,7 @@ mod tests {
         let mut lost = 0u64;
         let mut sent = 0u64;
         for seed in 0..200 {
-            let mut sim = ring_sim(3, seed);
+            let mut sim = serial(3, seed);
             sim.set_loss(0.3);
             sim.run_until_idle();
             let k = sim.kernel_stats();
@@ -1358,87 +1668,155 @@ mod tests {
 
     #[test]
     fn loss_is_deterministic_per_seed() {
-        let run = |seed| {
-            let mut sim = ring_sim(5, seed);
-            sim.set_loss(0.2);
-            sim.run_until_idle();
-            (sim.kernel_stats().chaos_losses, sim.now())
-        };
-        assert_eq!(run(9), run(9));
+        on_every_engine!(9, |a| {
+            a.set_loss(0.02);
+            a.run_until(DONE);
+            let lanes = a.lane_count();
+            let first = (a.kernel_stats().chaos_losses, a.recorder().events.clone());
+            assert!(!first.1.is_empty());
+            on_every_engine!(9, |b| {
+                if b.lane_count() == lanes {
+                    b.set_loss(0.02);
+                    b.run_until(DONE);
+                    let again = (b.kernel_stats().chaos_losses, b.recorder().events.clone());
+                    assert_eq!(first, again);
+                }
+            });
+        });
     }
 
     #[test]
     fn jitter_delays_but_preserves_delivery() {
-        let mut sim = ring_sim(4, 1);
-        sim.set_jitter(Duration::from_millis(5));
-        assert_eq!(sim.jitter(), Duration::from_millis(5));
-        sim.run_until_idle();
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 13, "jitter loses nothing");
-        // 13 hops of 10ms base latency plus per-hop jitter in [0, 5ms].
-        assert!(sim.now() >= SimTime::from_millis(130));
-        assert!(sim.now() <= SimTime::from_millis(130 + 13 * 5));
+        on_every_engine!(1, |sim| {
+            sim.set_jitter(Duration::from_millis(5));
+            assert_eq!(sim.jitter(), Duration::from_millis(5));
+            sim.run_until(DONE);
+            assert_eq!(hops(&sim), HOPS, "jitter loses nothing");
+            // 10ms of base latency per hop plus per-hop jitter in [0, 5ms].
+            let last = sim.recorder().events.last().expect("events").0;
+            assert!(last > ms(HOPS as u64 * 10), "some hop drew jitter");
+            assert!(last <= ms(HOPS as u64 * 15));
+        });
     }
 
     #[test]
     fn chaos_disabled_makes_no_rng_draws() {
         // A run with loss/jitter never enabled must be byte-identical to
         // one where they were enabled and disabled again before start.
-        let mut plain = ring_sim(5, 3);
-        let mut toggled = ring_sim(5, 3);
-        toggled.set_loss(0.5);
-        toggled.set_jitter(Duration::from_millis(2));
-        toggled.set_loss(0.0);
-        toggled.set_jitter(Duration::ZERO);
-        plain.run_until_idle();
-        toggled.run_until_idle();
-        assert_eq!(plain.recorder().events, toggled.recorder().events);
-        assert_eq!(plain.now(), toggled.now());
+        on_every_engine!(3, |plain| {
+            plain.run_until(DONE);
+            let lanes = plain.lane_count();
+            on_every_engine!(3, |toggled| {
+                if toggled.lane_count() == lanes {
+                    toggled.set_loss(0.5);
+                    toggled.set_jitter(Duration::from_millis(2));
+                    toggled.set_loss(0.0);
+                    toggled.set_jitter(Duration::ZERO);
+                    toggled.run_until(DONE);
+                    assert_eq!(plain.recorder().events, toggled.recorder().events);
+                }
+            });
+        });
     }
 
     #[test]
     fn partition_blocks_cross_side_traffic_until_healed() {
-        let mut sim = ring_sim(4, 1);
-        // Nodes 0,1 vs 2,3: the token dies on the 1 -> 2 hop.
-        sim.set_partition(vec![0, 0, 1, 1]);
-        assert!(sim.is_partitioned());
-        sim.run_until(SimTime::from_millis(100));
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 1);
-        let k = sim.kernel_stats();
-        assert_eq!(k.partition_drops, 1);
-        assert_eq!(k.messages_dropped, 1);
-        sim.clear_partition();
-        assert!(!sim.is_partitioned());
+        on_every_engine!(1, |sim| {
+            // Nodes 0,1 vs the rest: the token dies on the 1 -> 2 hop.
+            sim.set_partition(sides(0, 2));
+            assert!(sim.is_partitioned());
+            sim.run_until(ms(100));
+            assert_eq!(hops(&sim), 1);
+            let k = sim.kernel_stats();
+            assert_eq!(k.partition_drops, 1);
+            assert_eq!(k.messages_dropped, 1);
+            sim.clear_partition();
+            assert!(!sim.is_partitioned());
+        });
     }
 
     #[test]
     fn scheduled_partition_and_heal_fire_at_time() {
-        let mut sim = ring_sim(4, 1);
-        sim.partition_at(SimTime::from_millis(25), vec![0, 0, 1, 1]);
-        sim.heal_partition_at(SimTime::from_millis(45));
-        sim.run_until(SimTime::from_millis(30));
-        assert!(sim.is_partitioned());
-        sim.run_until(SimTime::from_millis(50));
-        assert!(!sim.is_partitioned());
-        // Hops at 10 (0->1), 20 (1->2, pre-partition) and 30 (2->3,
-        // same side) delivered; 3->0 at 40 was dropped across the cut.
-        let total: u32 = sim.iter_nodes().map(|(_, p)| p.hops_seen).sum();
-        assert_eq!(total, 3);
-        assert_eq!(sim.kernel_stats().partition_drops, 1);
+        on_every_engine!(1, |sim| {
+            sim.partition_at(ms(25), sides(2, 4));
+            sim.heal_partition_at(ms(45));
+            sim.run_until(ms(30));
+            assert!(sim.is_partitioned());
+            sim.run_until(ms(50));
+            assert!(!sim.is_partitioned());
+            // Hops at 10 (0->1), 20 (1->2, pre-partition) and 30 (2->3,
+            // same side) delivered; 3->4 at 40 was dropped across the cut.
+            assert_eq!(hops(&sim), 3);
+            let k = sim.kernel_stats();
+            assert_eq!(k.partition_drops, 1);
+            // One partition and one heal, however many lanes replicate them.
+            assert_eq!(k.control_events, 2);
+        });
     }
 
     #[test]
-    #[should_panic(expected = "label every node")]
-    fn partition_must_cover_all_nodes() {
-        let mut sim = ring_sim(4, 1);
-        sim.set_partition(vec![0, 1]);
+    fn bad_fault_arguments_panic() {
+        on_every_engine!(1, |sim| {
+            assert_panics("label every node", || sim.set_partition(vec![0, 1]));
+            assert_panics("label every node", || sim.partition_at(DONE, vec![0, 1]));
+            assert_panics("not in 0..=1", || sim.set_loss(1.5));
+            assert_panics("not in 0..=1", || sim.set_loss_at(DONE, -0.1));
+        });
     }
 
     #[test]
-    #[should_panic(expected = "not in 0..=1")]
-    fn loss_probability_is_validated() {
-        let mut sim = ring_sim(4, 1);
-        sim.set_loss(1.5);
+    fn lookahead_is_required_only_with_more_than_one_lane() {
+        struct NoBound;
+        impl LatencyModel for NoBound {
+            fn one_way(&self, _: NodeId, _: NodeId) -> Duration {
+                Duration::from_millis(10)
+            }
+            fn len(&self) -> usize {
+                4
+            }
+        }
+        assert_panics("positive lookahead", || {
+            ShardedSimBuilder::new(NoBound)
+                .lanes(4)
+                .build_with(Rec::new(), member(4));
+        });
+        let mut one_lane = ShardedSimBuilder::new(NoBound)
+            .lanes(1)
+            .build_with(Rec::new(), member(4));
+        one_lane.run_until(DONE);
+        let mut sim = SimBuilder::new(NoBound).build_with(Rec::new(), member(4));
+        sim.run_until(DONE);
+        assert_eq!(hops(&one_lane), 13);
+        assert_eq!(one_lane.recorder().events, sim.recorder().events);
+    }
+
+    #[test]
+    fn metric_names_agree_across_entry_points_and_telemetry_merges_lanes() {
+        let names = |s: &Snapshot| -> Vec<&'static str> {
+            let mut names: Vec<_> = s.entries().iter().map(|e| e.name).collect();
+            names.retain(|n| *n != "kernel_lanes");
+            names
+        };
+        let mut sim = SimBuilder::new(net(N))
+            .telemetry()
+            .build_with(Rec::new(), member(N));
+        let mut lanes = sharded(N, 0, 64, 1);
+        lanes.enable_telemetry();
+        assert!(lanes.telemetry_enabled());
+        sim.run_until(DONE);
+        lanes.run_until(DONE);
+        let (a, b) = (sim.metrics_snapshot(), lanes.metrics_snapshot());
+        assert_eq!(names(&a), names(&b));
+        assert!(names(&a).contains(&"kernel_dispatch_ns_deliver"));
+        assert!(a.entries().iter().all(|e| e.name != "kernel_lanes"));
+        let depth = |s: &Snapshot| {
+            let entry = s.entries().iter().find(|e| e.name == "kernel_queue_depth");
+            match &entry.expect("queue-depth histogram present").value {
+                gocast_metrics::MetricValue::Histogram(h) => h.count,
+                other => panic!("unexpected value {other:?}"),
+            }
+        };
+        assert_eq!(depth(&a), sim.kernel_stats().events_processed);
+        assert_eq!(depth(&b), lanes.kernel_stats().events_processed);
     }
 }

@@ -1,0 +1,515 @@
+//! One lane of the simulation engine: a self-contained slice of the node
+//! population with its own event queue, per-node RNG streams, counters,
+//! telemetry and fault-state replicas — and the **only** dispatch table
+//! and send path in the crate.
+//!
+//! Node `g` lives in lane `g % lanes` at local index `g / lanes`. With one
+//! lane that is the whole population and nothing ever crosses lanes; with
+//! more, sends to other lanes buffer in the lane's outbox until the
+//! engine's window barrier (see [`crate::Engine`]).
+//!
+//! Link cuts, the loss/jitter state and the partition labelling are
+//! *global* facts applied at delivery (or send) time, so each lane holds a
+//! replica, updated by broadcasting the control event into every lane's
+//! queue; the partition side vector is shared behind an [`Arc`].
+//! Delivery-time checks are thus lane-local and the hot path takes no
+//! cross-lane locks.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use gocast_metrics::Log2Histogram;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use crate::id::NodeId;
+use crate::kernel::{EventClass, KernelStats};
+use crate::latency::LatencyModel;
+use crate::protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
+use crate::queue::{EventQueue, Scheduled};
+use crate::recorder::{Recorder, VecRecorder};
+use crate::stats::TrafficStats;
+use crate::time::SimTime;
+
+/// Odd 64-bit golden-ratio constant every seed derivation mixes with.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The engine's event representation.
+#[derive(Debug)]
+pub(crate) enum Event<M, C> {
+    /// A message in flight arrives at `to`.
+    Deliver { from: NodeId, to: NodeId, msg: M },
+    /// A protocol timer fires at `node`.
+    Fire { node: NodeId, timer: Timer },
+    /// The harness injects a command into `node`.
+    Command { node: NodeId, cmd: C },
+    /// The kernel marks `node` as crashed.
+    Fail { node: NodeId },
+    /// The kernel changes the state of the link between two nodes.
+    SetLink { a: NodeId, b: NodeId, up: bool },
+    /// The kernel changes the injected message-loss probability (ppm).
+    SetLoss { ppm: u32 },
+    /// The kernel changes the injected latency jitter (max extra ns).
+    SetJitter { nanos: u64 },
+    /// The kernel installs (`Some`) or removes (`None`) a partition.
+    SetPartition { sides: Option<Arc<Vec<u32>>> },
+}
+
+impl<M, C> Event<M, C> {
+    fn class(&self) -> EventClass {
+        match self {
+            Event::Deliver { .. } => EventClass::Deliver,
+            Event::Fire { .. } => EventClass::Timer,
+            Event::Command { .. } => EventClass::Command,
+            Event::Fail { .. }
+            | Event::SetLink { .. }
+            | Event::SetLoss { .. }
+            | Event::SetJitter { .. }
+            | Event::SetPartition { .. } => EventClass::Control,
+        }
+    }
+}
+
+/// A message crossing lanes, buffered until the window barrier.
+pub(crate) struct CrossLaneMsg<M> {
+    pub(crate) at: SimTime,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) msg: M,
+}
+
+/// Message-level fault injection state: probabilistic loss and latency
+/// jitter, applied at send time.
+///
+/// Draws come from a dedicated RNG stream (derived from the master seed,
+/// separate from every per-node stream), so enabling chaos never perturbs
+/// protocol-level randomness, and a run without chaos makes zero draws —
+/// byte-identical to a build without this feature.
+#[derive(Debug)]
+pub(crate) struct NetFaults {
+    /// Per-message loss probability in parts per million (0 = off).
+    pub(crate) loss_ppm: u32,
+    /// Maximum extra one-way latency, drawn uniformly per message (0 = off).
+    pub(crate) jitter_ns: u64,
+    /// Dedicated chaos RNG stream.
+    rng: SmallRng,
+    /// Messages dropped by the loss injector.
+    losses: u64,
+}
+
+impl NetFaults {
+    /// Lane 0 draws from the stream a one-lane engine has always used, so
+    /// one lane behaves the same whichever builder made it; lane `i ≥ 1`
+    /// derives its own from the master seed and the lane index (stable
+    /// across thread counts).
+    fn for_lane(seed: u64, lane: u32) -> Self {
+        let seed = match lane {
+            0 => seed,
+            i => seed.wrapping_add(GOLDEN.wrapping_mul(i as u64 + 1)),
+        };
+        NetFaults {
+            loss_ppm: 0,
+            jitter_ns: 0,
+            // Distinct stream: per-node RNGs use seed * GOLDEN ^ node_index,
+            // so folding in a large constant cannot collide with any node.
+            rng: SmallRng::seed_from_u64(seed.wrapping_mul(GOLDEN) ^ 0xC4A0_5FA7_17E5_0123),
+            losses: 0,
+        }
+    }
+
+    /// Whether any send-time fault is enabled (single branch on the
+    /// no-chaos hot path).
+    #[inline]
+    fn active(&self) -> bool {
+        self.loss_ppm > 0 || self.jitter_ns > 0
+    }
+}
+
+pub(crate) fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// The set of currently failed links, as normalized `(min, max)` pairs.
+///
+/// Failure scenarios cut at most a handful of links, but the *membership
+/// check* sits on the per-delivery hot path, so the representation is a
+/// sorted `Vec` probed by binary search instead of a `HashSet`: the empty
+/// and tiny cases cost a length check plus at most a few comparisons, with
+/// none of SipHash's per-lookup hashing, and iteration order (hence any
+/// derived behaviour) is deterministic.
+#[derive(Debug, Default)]
+pub(crate) struct LinkSet(Vec<(NodeId, NodeId)>);
+
+impl LinkSet {
+    #[inline]
+    pub(crate) fn contains(&self, key: (NodeId, NodeId)) -> bool {
+        !self.0.is_empty() && self.0.binary_search(&key).is_ok()
+    }
+
+    pub(crate) fn set(&mut self, key: (NodeId, NodeId), failed: bool) {
+        match (self.0.binary_search(&key), failed) {
+            (Err(i), true) => self.0.insert(i, key),
+            (Ok(i), false) => {
+                self.0.remove(i);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Deep kernel instrumentation, off by default
+/// ([`Engine::enable_telemetry`](crate::Engine::enable_telemetry)).
+///
+/// The always-on [`KernelStats`] counters cover event totals; this adds a
+/// queue-depth histogram observed at every pop (sim-deterministic) and
+/// per-class dispatch-time histograms sampled every
+/// `TELEMETRY_SAMPLE`-th event (wall-clock, so marked non-deterministic
+/// in snapshots). Sampling keeps the `Instant` reads off most events:
+/// measured overhead stays within the ≤5% budget the wire-path work
+/// requires (see DESIGN.md "Telemetry").
+#[derive(Debug)]
+pub(crate) struct KernelTelemetry {
+    pub(crate) enabled: bool,
+    pub(crate) queue_depth: Log2Histogram,
+    pub(crate) dispatch_ns: [Log2Histogram; EventClass::ALL.len()],
+}
+
+/// Dispatch timing samples every 64th event: two `Instant` reads cost
+/// tens of nanoseconds, which amortized over 64 events is well under a
+/// nanosecond per event.
+const TELEMETRY_SAMPLE: u64 = 64;
+
+/// One lane: a self-contained slice of the node population.
+pub(crate) struct Lane<P: Protocol> {
+    /// This lane's index in `0..lanes`.
+    index: u32,
+    /// Total lane count (for ownership tests on the send path).
+    lanes: u32,
+    /// Protocol state for owned nodes, arena-style: dense by local index
+    /// (`global = local * lanes + index`), never moved after construction
+    /// (dispatch split-borrows the slot in place).
+    pub(crate) nodes: Vec<P>,
+    pub(crate) alive: Vec<bool>,
+    rngs: Vec<SmallRng>,
+    pub(crate) queue: EventQueue<Event<P::Msg, P::Command>>,
+    pub(crate) stats: TrafficStats,
+    kernel: KernelStats,
+    pub(crate) telemetry: KernelTelemetry,
+    /// Send-time fault injection (loss / jitter).
+    pub(crate) faults: NetFaults,
+    /// Currently failed links.
+    pub(crate) failed_links: LinkSet,
+    /// Active network partition: side label per (global) node. Messages
+    /// between nodes with different labels are dropped in flight.
+    pub(crate) partition: Option<Arc<Vec<u32>>>,
+    /// Cross-lane sends made this window, in send order.
+    pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
+    /// Recorder events emitted this window, in emission order (unused
+    /// when the engine hands the lane its recorder directly).
+    pub(crate) events_out: VecRecorder<P::Event>,
+}
+
+impl<P: Protocol> Lane<P> {
+    pub(crate) fn new(index: u32, lanes: u32, seed: u64) -> Self {
+        Lane {
+            index,
+            lanes,
+            nodes: Vec::new(),
+            alive: Vec::new(),
+            rngs: Vec::new(),
+            queue: EventQueue::new(),
+            stats: TrafficStats::new(),
+            kernel: KernelStats::default(),
+            telemetry: KernelTelemetry {
+                enabled: false,
+                queue_depth: Log2Histogram::new(),
+                dispatch_ns: [Log2Histogram::new(); EventClass::ALL.len()],
+            },
+            faults: NetFaults::for_lane(seed, index),
+            failed_links: LinkSet::default(),
+            partition: None,
+            outbox: Vec::new(),
+            events_out: VecRecorder::new(),
+        }
+    }
+
+    /// Adds the next owned node (callers push in increasing global id
+    /// order). Node `g` draws from `seed * GOLDEN ^ g` whichever lane
+    /// owns it.
+    pub(crate) fn push_node(&mut self, id: NodeId, node: P, seed: u64) {
+        debug_assert_eq!(self.local(id), self.nodes.len());
+        self.nodes.push(node);
+        self.alive.push(true);
+        self.rngs.push(SmallRng::seed_from_u64(
+            seed.wrapping_mul(GOLDEN) ^ id.index() as u64,
+        ));
+    }
+
+    /// Local index of an owned node. The one-lane case skips the division:
+    /// it sits on every dispatch.
+    #[inline]
+    pub(crate) fn local(&self, node: NodeId) -> usize {
+        if self.lanes == 1 {
+            node.index()
+        } else {
+            (node.as_u32() / self.lanes) as usize
+        }
+    }
+
+    #[inline]
+    fn partition_blocks(&self, a: NodeId, b: NodeId) -> bool {
+        match &self.partition {
+            None => false,
+            Some(sides) => sides[a.index()] != sides[b.index()],
+        }
+    }
+
+    /// Runs `f` with this lane's own event buffer as the recorder: the
+    /// many-lane mode, where the engine merges the buffers at the barrier.
+    pub(crate) fn buffered(&mut self, f: impl FnOnce(&mut Self, &mut VecRecorder<P::Event>)) {
+        let mut out = std::mem::take(&mut self.events_out);
+        f(self, &mut out);
+        self.events_out = out;
+    }
+
+    /// Calls `on_start` on every alive owned node.
+    pub(crate) fn start<S: Recorder<P::Event>>(&mut self, net: &dyn LatencyModel, sink: &mut S) {
+        for l in 0..self.nodes.len() {
+            if self.alive[l] {
+                let id = NodeId::new(l as u32 * self.lanes + self.index);
+                self.with_ctx(SimTime::ZERO, id, net, sink, |p, ctx| p.on_start(ctx));
+            }
+        }
+    }
+
+    /// Runs every local event with `at <= end_inclusive`.
+    ///
+    /// The event sink is a type parameter — the engine's own recorder at
+    /// one lane, this lane's buffer otherwise — and the execute → dispatch
+    /// → handler chain below is forced inline: with a `dyn` sink and the
+    /// chain left to the inliner the one-lane loop ran ≈ 6 % slower than
+    /// the serial kernel it replaced on a 128-node, cache-resident run
+    /// (EXPERIMENTS.md "One kernel").
+    pub(crate) fn run_window<S: Recorder<P::Event>>(
+        &mut self,
+        end_inclusive: SimTime,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) {
+        loop {
+            self.note_depth();
+            // Deadline test and pop share a single heap-top probe.
+            let Some(ev) = self.queue.pop_at_or_before(end_inclusive) else {
+                break;
+            };
+            self.execute(ev, net, sink);
+        }
+    }
+
+    /// Runs the earliest local event, returning its timestamp.
+    pub(crate) fn step<S: Recorder<P::Event>>(
+        &mut self,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) -> Option<SimTime> {
+        self.note_depth();
+        let ev = self.queue.pop()?;
+        let at = ev.at;
+        self.execute(ev, net, sink);
+        Some(at)
+    }
+
+    #[inline]
+    fn note_depth(&mut self) {
+        let depth = self.queue.len();
+        if depth > self.kernel.queue_high_water {
+            self.kernel.queue_high_water = depth;
+        }
+    }
+
+    #[inline(always)]
+    fn execute<S: Recorder<P::Event>>(
+        &mut self,
+        ev: Scheduled<Event<P::Msg, P::Command>>,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) {
+        self.kernel.events_processed += 1;
+        if self.telemetry.enabled {
+            self.telemetry.queue_depth.observe(self.queue.len() as u64);
+            if self
+                .kernel
+                .events_processed
+                .is_multiple_of(TELEMETRY_SAMPLE)
+            {
+                let class = ev.payload.class();
+                let t0 = std::time::Instant::now();
+                self.dispatch(ev.at, ev.payload, net, sink);
+                let ns = t0.elapsed().as_nanos() as u64;
+                self.telemetry.dispatch_ns[class.index()].observe(ns);
+                return;
+            }
+        }
+        self.dispatch(ev.at, ev.payload, net, sink);
+    }
+
+    #[inline(always)]
+    fn dispatch<S: Recorder<P::Event>>(
+        &mut self,
+        at: SimTime,
+        ev: Event<P::Msg, P::Command>,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) {
+        // A broadcast control event sits in every lane's queue; lane 0
+        // alone counts it, so `control_events` is per scheduled fault at
+        // any lane count.
+        let broadcast = u64::from(self.index == 0);
+        match ev {
+            Event::Deliver { from, to, msg } => {
+                let dead =
+                    !self.alive[self.local(to)] || self.failed_links.contains(link_key(from, to));
+                let cut = !dead && self.partition_blocks(from, to);
+                if dead || cut {
+                    self.kernel.messages_dropped += 1;
+                    self.kernel.partition_drops += u64::from(cut);
+                    self.stats.record_drop_to_dead();
+                } else {
+                    self.kernel.deliveries += 1;
+                    self.with_ctx(at, to, net, sink, |p, ctx| p.on_message(ctx, from, msg));
+                }
+            }
+            Event::Fire { node, timer } => {
+                if self.alive[self.local(node)] {
+                    self.kernel.timers_fired += 1;
+                    self.with_ctx(at, node, net, sink, |p, ctx| p.on_timer(ctx, timer));
+                }
+            }
+            Event::Command { node, cmd } => {
+                if self.alive[self.local(node)] {
+                    self.kernel.commands += 1;
+                    self.with_ctx(at, node, net, sink, |p, ctx| p.on_command(ctx, cmd));
+                }
+            }
+            Event::Fail { node } => {
+                self.kernel.control_events += 1;
+                let l = self.local(node);
+                self.alive[l] = false;
+            }
+            Event::SetLink { a, b, up } => {
+                self.kernel.control_events += broadcast;
+                self.failed_links.set(link_key(a, b), !up);
+            }
+            Event::SetLoss { ppm } => {
+                self.kernel.control_events += broadcast;
+                self.faults.loss_ppm = ppm;
+            }
+            Event::SetJitter { nanos } => {
+                self.kernel.control_events += broadcast;
+                self.faults.jitter_ns = nanos;
+            }
+            Event::SetPartition { sides } => {
+                self.kernel.control_events += broadcast;
+                self.partition = sides;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn with_ctx<S: Recorder<P::Event>, F: FnOnce(&mut P, &mut Ctx<'_, P>)>(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+        f: F,
+    ) {
+        // Split borrows: the protocol instance and the backend borrow
+        // disjoint fields of `self`, so the node stays in place — no
+        // whole-struct move in and out of the slot per dispatched event.
+        let l = self.local(node);
+        let p = &mut self.nodes[l];
+        let mut backend = Backend::<P, S> {
+            lane_index: self.index,
+            lanes: self.lanes,
+            from: node,
+            now: at,
+            net,
+            queue: &mut self.queue,
+            stats: &mut self.stats,
+            faults: &mut self.faults,
+            outbox: &mut self.outbox,
+            sink,
+        };
+        let mut ctx = Ctx::for_host(node, at, &mut self.rngs[l], &mut backend);
+        f(p, &mut ctx);
+    }
+
+    pub(crate) fn kernel_stats(&self) -> KernelStats {
+        let mut k = self.kernel;
+        k.queue_len = self.queue.len();
+        k.events_scheduled = self.queue.scheduled_total();
+        k.chaos_losses = self.faults.losses;
+        k.slab_slots = self.queue.slab_slots();
+        k.queue_mem_bytes = self.queue.mem_bytes();
+        k
+    }
+}
+
+/// The [`HostBackend`] a lane presents to its protocol instances. The
+/// state machines run unchanged: they cannot tell a lane from a real
+/// deployment host.
+struct Backend<'a, P: Protocol, S> {
+    lane_index: u32,
+    lanes: u32,
+    from: NodeId,
+    now: SimTime,
+    net: &'a dyn LatencyModel,
+    queue: &'a mut EventQueue<Event<P::Msg, P::Command>>,
+    stats: &'a mut TrafficStats,
+    faults: &'a mut NetFaults,
+    outbox: &'a mut Vec<CrossLaneMsg<P::Msg>>,
+    sink: &'a mut S,
+}
+
+impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
+    fn send(&mut self, to: NodeId, msg: P::Msg) {
+        // Send-path order: count the send, then the loss draw, then jitter.
+        let (from, faults) = (self.from, &mut *self.faults);
+        let mut latency = self.net.one_way(from, to);
+        self.stats.record(from, to, msg.wire_size(), msg.class());
+        if faults.active() && to != from {
+            if faults.loss_ppm > 0 && faults.rng.gen_range(0..1_000_000u32) < faults.loss_ppm {
+                faults.losses += 1;
+                return;
+            }
+            if faults.jitter_ns > 0 {
+                latency += Duration::from_nanos(faults.rng.gen_range(0..=faults.jitter_ns));
+            }
+        }
+        let at = self.now + latency;
+        if self.lanes == 1 || to.as_u32() % self.lanes == self.lane_index {
+            self.queue.schedule(at, Event::Deliver { from, to, msg });
+        } else {
+            self.outbox.push(CrossLaneMsg { at, from, to, msg });
+        }
+    }
+
+    fn set_timer(&mut self, delay: Duration, timer: Timer) {
+        let node = self.from;
+        self.queue
+            .schedule(self.now + delay, Event::Fire { node, timer });
+    }
+
+    fn emit(&mut self, event: P::Event) {
+        self.sink.record(self.now, self.from, event);
+    }
+
+    fn node_count(&self) -> usize {
+        self.net.len()
+    }
+}

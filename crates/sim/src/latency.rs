@@ -34,13 +34,13 @@ pub trait LatencyModel {
     /// A lower bound on the one-way latency between any two *distinct*
     /// nodes, or `None` when the model cannot promise a positive bound.
     ///
-    /// This is the conservative-parallel-simulation lookahead: the sharded
-    /// kernel ([`crate::ShardedSim`]) processes each lane independently for
-    /// a window of this length, because a message sent inside the window
-    /// cannot arrive at another lane before the window ends. Injected
-    /// jitter only *adds* latency, so the bound survives chaos. Models
-    /// that cannot promise a positive bound return `None` (the default)
-    /// and cannot drive the sharded kernel.
+    /// This is the conservative-parallel-simulation lookahead: with more
+    /// than one lane the engine ([`crate::ShardedSim`]) processes each lane
+    /// independently for a window of this length, because a message sent
+    /// inside the window cannot arrive at another lane before the window
+    /// ends. Injected jitter only *adds* latency, so the bound survives
+    /// chaos. Models that cannot promise a positive bound return `None`
+    /// (the default) and can only run on one lane.
     fn lookahead(&self) -> Option<Duration> {
         None
     }

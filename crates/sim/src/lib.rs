@@ -2,16 +2,19 @@
 //!
 //! The execution substrate for the GoCast reproduction. Protocols are
 //! written **sans-IO** against the [`Protocol`] trait and driven by one
-//! of two kernels over a pluggable [`LatencyModel`]:
+//! simulation [`Engine`] over a pluggable [`LatencyModel`]. The engine has
+//! two entry points, and every method but the run loop is shared:
 //!
-//! - [`Sim`] — the single-threaded, fully deterministic discrete-event
-//!   loop every experiment historically ran on.
-//! - [`ShardedSim`] — the scale kernel: the node population is split
-//!   into fixed *lanes* ([`DEFAULT_LANES`]), events execute in
-//!   conservative lookahead windows, and the lanes fan across worker
-//!   threads. Thread count is pure execution policy — output is
-//!   byte-identical at any `threads` value, so 10⁵–10⁶-node runs can
-//!   use every core without giving up replay.
+//! - [`Sim`] — the engine at one lane: the single-threaded, fully
+//!   deterministic discrete-event loop. No lookahead bound needed, events
+//!   stream straight to the recorder, `step` / `run_until_idle` available.
+//! - [`ShardedSim`] — the same engine at `lanes ≥ 1`, for scale: the node
+//!   population is split into fixed *lanes* ([`DEFAULT_LANES`]), events
+//!   execute in conservative lookahead windows, and the lanes fan across
+//!   worker threads. Thread count is pure execution policy — output is
+//!   byte-identical at any `threads` value, so 10⁵–10⁶-node runs can use
+//!   every core without giving up replay. At one lane it runs the very
+//!   loop `Sim` runs.
 //!
 //! The paper evaluates GoCast with exactly this style of simulator ("We
 //! built an event-driven simulator ... We do not simulate the network-level
@@ -72,10 +75,10 @@
 //!   seed and the node id, so a node's behaviour does not depend on how many
 //!   random draws *other* nodes made.
 //! - Protocol code has no access to wall-clock time or IO.
-//! - On [`ShardedSim`], node → lane assignment is a pure function of the
-//!   node id and the lane count (never the thread count), and lanes merge
-//!   cross-lane messages at window barriers in a canonical sort order —
-//!   so parallelism cannot reorder anything observable.
+//! - With more than one lane, node → lane assignment is a pure function
+//!   of the node id and the lane count (never the thread count), and lanes
+//!   merge cross-lane messages at window barriers in a canonical sort
+//!   order — so parallelism cannot reorder anything observable.
 //!
 //! Two runs with the same seed and topology produce byte-identical event
 //! traces; integration tests assert this (including sharded runs at
@@ -87,12 +90,13 @@
 mod hash;
 mod id;
 mod kernel;
+mod lane;
 mod latency;
+mod parallel;
 mod protocol;
 mod queue;
 pub mod recorder;
 pub mod scenario;
-mod shard;
 mod stack;
 mod stats;
 mod time;
@@ -100,16 +104,18 @@ mod trace;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::NodeId;
-pub use kernel::{EventClass, KernelStats, PastScheduleError, Sim, SimBuilder};
+pub use kernel::{
+    Engine, EventClass, KernelStats, Lanes, Mode, OneLane, PastScheduleError, ShardedSim,
+    ShardedSimBuilder, Sim, SimBuilder, DEFAULT_LANES,
+};
 pub use latency::{FixedLatency, HashedLatency, LatencyModel};
+pub use parallel::parallel_map;
 pub use protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
 pub use queue::{EventQueue, Scheduled};
 pub use recorder::{FilterRecorder, FnRecorder, NullRecorder, Recorder, TeeRecorder, VecRecorder};
 pub use scenario::{
-    Fault, FaultSink, PlannedFault, PlannedSub, PresenceTimeline, Scenario, ScenarioEnv,
-    ScenarioPlan, Split,
+    Fault, PlannedFault, PlannedSub, PresenceTimeline, Scenario, ScenarioEnv, ScenarioPlan, Split,
 };
-pub use shard::{parallel_map, ShardedSim, ShardedSimBuilder, DEFAULT_LANES};
 pub use stack::{Stack, StackCaps};
 pub use stats::{ClassCounters, TrafficClass, TrafficStats};
 pub use time::SimTime;

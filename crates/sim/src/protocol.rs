@@ -9,14 +9,9 @@
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::id::NodeId;
-use crate::kernel::NetFaults;
-use crate::latency::LatencyModel;
-use crate::queue::EventQueue;
-use crate::recorder::Recorder;
-use crate::stats::{TrafficClass, TrafficStats};
+use crate::stats::TrafficClass;
 use crate::time::SimTime;
 
 /// Wire metadata for a message type: its serialized size and traffic class.
@@ -65,7 +60,7 @@ pub trait Protocol: Sized {
     /// Out-of-band control input (e.g. "start a multicast", "freeze
     /// maintenance"). Injected by the experiment harness, not by peers.
     type Command;
-    /// Metric/event record type consumed by a [`Recorder`].
+    /// Metric/event record type consumed by a [`Recorder`](crate::Recorder).
     type Event;
 
     /// Called once when the node boots (simulation start).
@@ -84,32 +79,10 @@ pub trait Protocol: Sized {
     }
 }
 
-/// Kernel-internal event representation.
-#[derive(Debug)]
-pub(crate) enum KernelEvent<M, C> {
-    /// A message in flight arrives at `to`.
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    /// A protocol timer fires at `node`.
-    Fire { node: NodeId, timer: Timer },
-    /// The harness injects a command into `node`.
-    Command { node: NodeId, cmd: C },
-    /// The kernel marks `node` as crashed.
-    Fail { node: NodeId },
-    /// The kernel changes the state of the link between two nodes.
-    SetLink { a: NodeId, b: NodeId, up: bool },
-    /// The kernel changes the injected message-loss probability (ppm).
-    SetLoss { ppm: u32 },
-    /// The kernel changes the injected latency jitter (max extra ns).
-    SetJitter { nanos: u64 },
-    /// The kernel installs (`Some`) or removes (`None`) a partition.
-    SetPartition { sides: Option<Vec<u32>> },
-}
-
-/// The world a protocol instance talks to when it is *not* running inside
-/// the simulation kernel — a deployment host (e.g. the UDP host in
-/// `gocast-udp`). The host supplies real message transport, real timers,
-/// and an event sink; the protocol state machine cannot tell the
-/// difference.
+/// The world a protocol instance talks to: a lane of the simulation
+/// engine, or a deployment host (e.g. the UDP host in `gocast-udp`) that
+/// supplies real message transport, real timers, and an event sink. The
+/// protocol state machine cannot tell the difference.
 pub trait HostBackend<P: Protocol> {
     /// Transmit `msg` to `to`.
     fn send(&mut self, to: NodeId, msg: P::Msg);
@@ -121,26 +94,13 @@ pub trait HostBackend<P: Protocol> {
     fn node_count(&self) -> usize;
 }
 
-/// How a [`Ctx`] reaches the outside world: the simulation kernel, or an
-/// external deployment host.
-enum CtxInner<'a, P: Protocol> {
-    Sim {
-        queue: &'a mut EventQueue<KernelEvent<P::Msg, P::Command>>,
-        net: &'a dyn LatencyModel,
-        recorder: &'a mut dyn Recorder<P::Event>,
-        stats: &'a mut TrafficStats,
-        faults: &'a mut NetFaults,
-    },
-    Host(&'a mut dyn HostBackend<P>),
-}
-
 /// Handler-side view of the world: the only way a protocol interacts with
 /// anything outside its own state.
 pub struct Ctx<'a, P: Protocol> {
     pub(crate) id: NodeId,
     pub(crate) now: SimTime,
     pub(crate) rng: &'a mut SmallRng,
-    inner: CtxInner<'a, P>,
+    backend: &'a mut dyn HostBackend<P>,
 }
 
 impl<'a, P: Protocol> std::fmt::Debug for Ctx<'a, P> {
@@ -153,33 +113,7 @@ impl<'a, P: Protocol> std::fmt::Debug for Ctx<'a, P> {
 }
 
 impl<'a, P: Protocol> Ctx<'a, P> {
-    /// Builds a context for the simulation kernel (crate internal).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn for_sim(
-        id: NodeId,
-        now: SimTime,
-        rng: &'a mut SmallRng,
-        queue: &'a mut EventQueue<KernelEvent<P::Msg, P::Command>>,
-        net: &'a dyn LatencyModel,
-        recorder: &'a mut dyn Recorder<P::Event>,
-        stats: &'a mut TrafficStats,
-        faults: &'a mut NetFaults,
-    ) -> Self {
-        Ctx {
-            id,
-            now,
-            rng,
-            inner: CtxInner::Sim {
-                queue,
-                net,
-                recorder,
-                stats,
-                faults,
-            },
-        }
-    }
-
-    /// Builds a context backed by an external deployment host. `now` is
+    /// Builds a context over `backend`. Under a deployment host `now` is
     /// the host's monotonic clock expressed as time since host start.
     pub fn for_host(
         id: NodeId,
@@ -191,7 +125,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             id,
             now,
             rng,
-            inner: CtxInner::Host(backend),
+            backend,
         }
     }
 
@@ -209,10 +143,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// a deployment would use a configured cluster size; GoCast itself only
     /// uses it for bootstrap membership and landmark placement).
     pub fn node_count(&self) -> usize {
-        match &self.inner {
-            CtxInner::Sim { net, .. } => net.len(),
-            CtxInner::Host(b) => b.node_count(),
-        }
+        self.backend.node_count()
     }
 
     /// Deterministic per-node randomness source.
@@ -229,63 +160,18 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// and is exempt from loss/jitter injection: only the network between
     /// distinct nodes is faulty.
     pub fn send(&mut self, to: NodeId, msg: P::Msg) {
-        match &mut self.inner {
-            CtxInner::Sim {
-                queue,
-                net,
-                stats,
-                faults,
-                ..
-            } => {
-                let mut latency = net.one_way(self.id, to);
-                stats.record(self.id, to, msg.wire_size(), msg.class());
-                if faults.active() && to != self.id {
-                    if faults.loss_ppm > 0
-                        && faults.rng.gen_range(0..1_000_000u32) < faults.loss_ppm
-                    {
-                        faults.losses += 1;
-                        return;
-                    }
-                    if faults.jitter_ns > 0 {
-                        latency += Duration::from_nanos(faults.rng.gen_range(0..=faults.jitter_ns));
-                    }
-                }
-                queue.schedule(
-                    self.now + latency,
-                    KernelEvent::Deliver {
-                        from: self.id,
-                        to,
-                        msg,
-                    },
-                );
-            }
-            CtxInner::Host(b) => b.send(to, msg),
-        }
+        self.backend.send(to, msg);
     }
 
     /// Arms `timer` to fire after `delay`. Timers are one-shot and cannot be
     /// cancelled; re-arm from the handler for periodic behaviour.
     pub fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        match &mut self.inner {
-            CtxInner::Sim { queue, .. } => {
-                queue.schedule(
-                    self.now + delay,
-                    KernelEvent::Fire {
-                        node: self.id,
-                        timer,
-                    },
-                );
-            }
-            CtxInner::Host(b) => b.set_timer(delay, timer),
-        }
+        self.backend.set_timer(delay, timer);
     }
 
     /// Emits a metric event to the recorder / host sink.
     pub fn emit(&mut self, event: P::Event) {
-        match &mut self.inner {
-            CtxInner::Sim { recorder, .. } => recorder.record(self.now, self.id, event),
-            CtxInner::Host(b) => b.emit(event),
-        }
+        self.backend.emit(event);
     }
 }
 

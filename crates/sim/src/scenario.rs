@@ -47,7 +47,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::id::NodeId;
-use crate::kernel::Sim;
+use crate::kernel::{Engine, Mode};
 use crate::protocol::Protocol;
 use crate::recorder::Recorder;
 use crate::time::SimTime;
@@ -841,7 +841,8 @@ impl ScenarioPlan {
         PresenceTimeline { per_node }
     }
 
-    /// Schedules every planned fault onto `sim`. Kernel faults (crashes,
+    /// Schedules every planned fault onto `sim` — a [`Sim`](crate::Sim) or
+    /// a [`ShardedSim`](crate::ShardedSim) alike. Kernel faults (crashes,
     /// link state, partitions, loss, jitter) are applied directly;
     /// [`Fault::Leave`] and [`Fault::Join`] become protocol commands built
     /// by `leave` / `join` (`join` receives the contact node).
@@ -850,122 +851,36 @@ impl ScenarioPlan {
     ///
     /// Panics if `sim` has a different node count than the plan was
     /// compiled for, or if any fault time is already in the past.
-    pub fn schedule_into<P, R>(
+    pub fn schedule_into<P, R, M>(
         &self,
-        sim: &mut Sim<P, R>,
-        join: impl FnMut(NodeId) -> P::Command,
-        leave: impl FnMut() -> P::Command,
+        sim: &mut Engine<P, R, M>,
+        mut join: impl FnMut(NodeId) -> P::Command,
+        mut leave: impl FnMut() -> P::Command,
     ) where
         P: Protocol,
         R: Recorder<P::Event>,
-    {
-        self.schedule_into_sink(sim, join, leave);
-    }
-
-    /// Schedules every planned fault onto any [`FaultSink`] — the
-    /// single-threaded kernel or the sharded one — so experiment harnesses
-    /// can be generic over both. Semantics match
-    /// [`ScenarioPlan::schedule_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sink` has a different node count than the plan was
-    /// compiled for, or if any fault time is already in the past.
-    pub fn schedule_into_sink<C, S>(
-        &self,
-        sink: &mut S,
-        mut join: impl FnMut(NodeId) -> C,
-        mut leave: impl FnMut() -> C,
-    ) where
-        S: FaultSink<C>,
+        M: Mode,
     {
         assert_eq!(
-            sink.sink_node_count(),
+            sim.len(),
             self.nodes,
             "plan was compiled for a different node count"
         );
         for ev in &self.events {
             match &ev.fault {
-                Fault::Crash(n) => sink.sink_fail_node_at(ev.at, *n),
-                Fault::Leave(n) => sink.sink_schedule_command(ev.at, *n, leave()),
+                Fault::Crash(n) => sim.fail_node_at(ev.at, *n),
+                Fault::Leave(n) => sim.schedule_command(ev.at, *n, leave()),
                 Fault::Join { node, contact } => {
-                    sink.sink_schedule_command(ev.at, *node, join(*contact));
+                    sim.schedule_command(ev.at, *node, join(*contact));
                 }
-                Fault::CutLink(a, b) => sink.sink_fail_link_at(ev.at, *a, *b),
-                Fault::HealLink(a, b) => sink.sink_heal_link_at(ev.at, *a, *b),
-                Fault::Partition(sides) => sink.sink_partition_at(ev.at, sides.clone()),
-                Fault::HealPartition => sink.sink_heal_partition_at(ev.at),
-                Fault::SetLoss(p) => sink.sink_set_loss_at(ev.at, *p),
-                Fault::SetJitter(j) => sink.sink_set_jitter_at(ev.at, *j),
+                Fault::CutLink(a, b) => sim.fail_link_at(ev.at, *a, *b),
+                Fault::HealLink(a, b) => sim.heal_link_at(ev.at, *a, *b),
+                Fault::Partition(sides) => sim.partition_at(ev.at, sides.clone()),
+                Fault::HealPartition => sim.heal_partition_at(ev.at),
+                Fault::SetLoss(p) => sim.set_loss_at(ev.at, *p),
+                Fault::SetJitter(j) => sim.set_jitter_at(ev.at, *j),
             }
         }
-    }
-}
-
-/// Anything a [`ScenarioPlan`] can be scheduled onto: a simulation that
-/// accepts timed commands and kernel-level faults. Implemented by both
-/// [`Sim`] and [`ShardedSim`](crate::ShardedSim), letting
-/// harness code apply one compiled plan to either kernel.
-///
-/// `C` is the protocol command type (for graceful leave/join). Method
-/// names carry a `sink_` prefix so the blanket implementations can call
-/// the kernels' identically-named inherent methods without recursing.
-pub trait FaultSink<C> {
-    /// Node count the sink simulates (plans validate against it).
-    fn sink_node_count(&self) -> usize;
-    /// Schedules a node crash at `at`.
-    fn sink_fail_node_at(&mut self, at: SimTime, node: NodeId);
-    /// Schedules a protocol command for `node` at `at`.
-    fn sink_schedule_command(&mut self, at: SimTime, node: NodeId, cmd: C);
-    /// Schedules a link cut at `at`.
-    fn sink_fail_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId);
-    /// Schedules a link restore at `at`.
-    fn sink_heal_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId);
-    /// Schedules a partition (side label per node) at `at`.
-    fn sink_partition_at(&mut self, at: SimTime, sides: Vec<u32>);
-    /// Schedules the removal of any active partition at `at`.
-    fn sink_heal_partition_at(&mut self, at: SimTime);
-    /// Schedules a loss-probability change at `at`.
-    fn sink_set_loss_at(&mut self, at: SimTime, p: f64);
-    /// Schedules a jitter change at `at`.
-    fn sink_set_jitter_at(&mut self, at: SimTime, jitter: Duration);
-}
-
-impl<P: Protocol, R: Recorder<P::Event>> FaultSink<P::Command> for Sim<P, R> {
-    fn sink_node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn sink_fail_node_at(&mut self, at: SimTime, node: NodeId) {
-        self.fail_node_at(at, node);
-    }
-
-    fn sink_schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
-        self.schedule_command(at, node, cmd);
-    }
-
-    fn sink_fail_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.fail_link_at(at, a, b);
-    }
-
-    fn sink_heal_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.heal_link_at(at, a, b);
-    }
-
-    fn sink_partition_at(&mut self, at: SimTime, sides: Vec<u32>) {
-        self.partition_at(at, sides);
-    }
-
-    fn sink_heal_partition_at(&mut self, at: SimTime) {
-        self.heal_partition_at(at);
-    }
-
-    fn sink_set_loss_at(&mut self, at: SimTime, p: f64) {
-        self.set_loss_at(at, p);
-    }
-
-    fn sink_set_jitter_at(&mut self, at: SimTime, jitter: Duration) {
-        self.set_jitter_at(at, jitter);
     }
 }
 

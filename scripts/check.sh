@@ -22,6 +22,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark harness builds and passes against the workspace"
+# benchmark/ is a stand-alone package with path dependencies on crates/*;
+# it is not a workspace member, so an API break against it would otherwise
+# surface only when the benchmark is next run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo doc --no-deps (missing docs are errors)"
 # First-party crates only: the vendored offline stand-ins under vendor/
 # are exempt from the docs gate. gocast-sim and gocast-core carry
