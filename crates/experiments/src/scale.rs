@@ -18,7 +18,7 @@
 //! Poisson `churn` because a short window can legitimately compile an
 //! empty churn plan and the scale artifact must exercise faults)
 //! driven through the scenario compiler and audited by the invariant
-//! oracle. Both report the kernel's self-measured memory occupancy
+//! oracle. Both report what the kernel's queues reserve when the run ends
 //! ([`gocast_sim::KernelStats::slab_slots`] / `queue_mem_bytes`), the
 //! nodes' ([`GoCastNode::mem_bytes`], mean per node) plus the process peak
 //! RSS, feeding the scaling-curve table in EXPERIMENTS.md.

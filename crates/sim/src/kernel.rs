@@ -51,16 +51,18 @@ pub struct KernelStats {
     pub events_scheduled: u64,
     /// Events pending at snapshot time.
     pub queue_len: usize,
-    /// Highest queue depth observed at any step.
+    /// Most events pending at once: sampled at every step on one lane, and
+    /// over all lanes at every window boundary on more (so the mark is
+    /// comparable with `queue_len` at any lane count).
     pub queue_high_water: usize,
-    /// Payload slots ever created in the event-queue slab — the
-    /// high-water mark of *concurrently pending* events (occupied plus the
-    /// recycled free list). Once this stops growing, steady-state
-    /// scheduling no longer allocates.
+    /// Payload slots currently allocated in the event-queue slab (occupied
+    /// plus the vacant ones awaiting reuse): the deepest the queue has been
+    /// since it last shrank, not since the run began — see
+    /// [`EventQueue`](crate::EventQueue).
     pub slab_slots: usize,
     /// Bytes of backing storage the event queue currently reserves (heap
-    /// entries + payload slab + free list). Self-reported, so scaling
-    /// tables need no external process inspection.
+    /// entries + payload slab). Self-reported, so scaling tables need no
+    /// external process inspection.
     pub queue_mem_bytes: u64,
     /// Wall-clock time spent inside the run loops.
     pub wall_time: std::time::Duration,
@@ -86,9 +88,10 @@ impl KernelStats {
 
     /// Folds another kernel's counters into this one — the engine's
     /// per-lane aggregation. Monotonic counters and memory sizes
-    /// add; the high-water marks take the per-lane maximum (a lane-local
-    /// depth, not a global instant); wall time takes the maximum because
-    /// lanes run concurrently.
+    /// add; the high-water mark takes the per-lane maximum (a lane-local
+    /// depth — [`Engine::kernel_stats`] raises it to the all-lane count it
+    /// samples itself); wall time takes the maximum because lanes run
+    /// concurrently.
     pub fn absorb(&mut self, other: &KernelStats) {
         self.events_processed += other.events_processed;
         self.deliveries += other.deliveries;
@@ -248,13 +251,19 @@ pub type Sim<P, R = NullRecorder> = Engine<P, R, OneLane>;
 /// [`ShardedSimBuilder`].
 pub type ShardedSim<P, R> = Engine<P, R, Lanes>;
 
-/// Barrier-merge scratch, reused across windows.
-struct MergeScratch<P: Protocol> {
-    /// `(lane, pos, msg)`.
-    msgs: Vec<(u32, u32, CrossLaneMsg<P::Msg>)>,
-    /// `(at, lane, pos, node, event)`.
+/// What the window loop keeps from one barrier to the next.
+struct WindowLoop<P: Protocol> {
+    /// The recorder events of the window being merged, `(at, lane, pos,
+    /// node, event)`; empty between barriers.
     events: Vec<(SimTime, u32, u32, NodeId, P::Event)>,
+    /// Most events pending over all lanes at any window boundary.
+    pending_high_water: usize,
 }
+
+/// Capacity (in entries) a window buffer keeps where a run call returns:
+/// enough that small simulations stepped in short run calls do not
+/// reallocate every call, nothing next to a start-up storm's worth.
+const WINDOW_BUFFER_KEEP: usize = 64;
 
 /// A deterministic discrete-event simulation of `n` protocol instances:
 /// one kernel with two entry points, [`Sim`] and [`ShardedSim`]. Node
@@ -283,11 +292,14 @@ struct MergeScratch<P: Protocol> {
 ///   2. Each lane therefore processes its local events for one window with
 ///      no synchronization at all; sends to other lanes buffer in a
 ///      per-lane outbox.
-///   3. At the window barrier the coordinator merges all outboxes in a
-///      canonical order — `(arrival time, source lane, send order)` — and
-///      schedules them into the destination lanes, then drains every
-///      lane's buffered recorder events into the single global recorder,
-///      sorted by `(time, lane, emission order)`.
+///   3. At the window barrier the coordinator schedules every outbox
+///      into the destination lanes' queues in `(source lane, send order)`
+///      — the queue sorts by arrival time and breaks ties by insertion,
+///      so deliveries happen in the canonical `(arrival time, source
+///      lane, send order)` without the messages ever being copied or
+///      sorted — then drains every lane's buffered recorder events into
+///      the single global recorder, sorted by `(time, lane, emission
+///      order)`.
 ///
 ///   At one lane nothing crosses lanes, so a one-lane `ShardedSim` runs
 ///   the one-lane loop and is indistinguishable from a `Sim`.
@@ -317,7 +329,7 @@ pub struct Engine<P: Protocol, R: Recorder<P::Event>, M: Mode> {
     threads: usize,
     wall_time: Duration,
     started: bool,
-    scratch: MergeScratch<P>,
+    window_loop: WindowLoop<P>,
 }
 
 impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, R, M> {
@@ -358,41 +370,41 @@ impl<P: Protocol> LaneSet<P> for &[Mutex<&mut Lane<P>>] {
     }
 }
 
-/// Drains every lane's outbox and recorder buffer in canonical order:
-/// cross-lane messages sort by `(arrival, source lane, send order)` and
-/// are scheduled into their destination lanes; recorder events sort by
-/// `(time, lane, emission order)` and feed the global recorder. Both
-/// orders are independent of the thread count.
+/// Drains every lane's outbox and recorder buffer in canonical order.
+/// Cross-lane messages go straight into their destination queues, lane by
+/// lane in send order: the queue orders by arrival time and breaks ties
+/// by insertion, so they pop in `(arrival, source lane, send order)`.
+/// Recorder events sort by `(time, lane, emission order)` and feed the
+/// global recorder. Both orders are independent of the thread count.
 fn merge_barrier<P: Protocol>(
     lanes: &mut impl LaneSet<P>,
     recorder: &mut dyn Recorder<P::Event>,
-    scratch: &mut MergeScratch<P>,
+    state: &mut WindowLoop<P>,
 ) {
     let count = lanes.count();
     for i in 0..count {
-        lanes.with(i, |lane| {
-            let outbox = lane.outbox.drain(..).enumerate();
-            scratch
-                .msgs
-                .extend(outbox.map(|(pos, m)| (i as u32, pos as u32, m)));
+        // A lane never sends to itself through its outbox, so nothing
+        // misses the buffer while it is out.
+        let mut outbox = lanes.with(i, |lane| {
             let events = lane.events_out.events.drain(..).enumerate();
-            scratch
+            state
                 .events
                 .extend(events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)));
+            std::mem::take(&mut lane.outbox)
         });
+        for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
+            lanes.with(to.index() % count, |lane| {
+                lane.queue.schedule(at, Event::Deliver { from, to, msg });
+            });
+        }
+        lanes.with(i, |lane| lane.outbox = outbox);
     }
-    scratch
-        .msgs
-        .sort_by_key(|(lane, pos, m)| (m.at, *lane, *pos));
-    for (_, _, CrossLaneMsg { at, from, to, msg }) in scratch.msgs.drain(..) {
-        lanes.with(to.index() % count, |lane| {
-            lane.queue.schedule(at, Event::Deliver { from, to, msg });
-        });
-    }
-    scratch
+    // The keys are unique, so the unstable sort is the stable one without
+    // its allocation.
+    state
         .events
-        .sort_by_key(|(at, lane, pos, _, _)| (*at, *lane, *pos));
-    for (at, _, _, node, ev) in scratch.events.drain(..) {
+        .sort_unstable_by_key(|(at, lane, pos, _, _)| (*at, *lane, *pos));
+    for (at, _, _, node, ev) in state.events.drain(..) {
         recorder.record(at, node, ev);
     }
 }
@@ -407,18 +419,26 @@ fn run_windows<P: Protocol, L: LaneSet<P>>(
     delta: u64,
     mut run_window: impl FnMut(&mut L, SimTime),
     recorder: &mut dyn Recorder<P::Event>,
-    scratch: &mut MergeScratch<P>,
+    state: &mut WindowLoop<P>,
 ) {
     loop {
-        let next = (0..lanes.count())
-            .filter_map(|i| lanes.with(i, |lane| lane.queue.peek_time()))
-            .min();
+        // One scan of the lanes finds the next event and counts the
+        // pending ones: the only instants at which an all-lane count
+        // exists, and the same ones at any thread count.
+        let (mut next, mut pending) = (None, 0);
+        for i in 0..lanes.count() {
+            lanes.with(i, |lane| {
+                next = [next, lane.queue.peek_time()].into_iter().flatten().min();
+                pending += lane.queue.len();
+            });
+        }
+        state.pending_high_water = state.pending_high_water.max(pending);
         let Some(next) = next.filter(|t| *t <= deadline) else {
             break;
         };
         let end = next.as_nanos().saturating_add(delta - 1);
         run_window(lanes, SimTime::from_nanos(end.min(deadline.as_nanos())));
-        merge_barrier(lanes, recorder, scratch);
+        merge_barrier(lanes, recorder, state);
     }
 }
 
@@ -440,8 +460,12 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             lane_count == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
             "more than one lane requires a latency model with positive lookahead"
         );
-        let mut lanes: Vec<Lane<P>> = (0..lane_count as u32)
-            .map(|i| Lane::new(i, lane_count as u32, seed))
+        // Lane `i` owns the ids congruent to `i`: `(n - i) / lanes`, rounded up.
+        let mut lanes: Vec<Lane<P>> = (0..lane_count)
+            .map(|i| {
+                let owned = (n - i).div_ceil(lane_count);
+                Lane::new(i as u32, lane_count as u32, seed, owned)
+            })
             .collect();
         for g in 0..n {
             let id = NodeId::new(g as u32);
@@ -455,9 +479,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             threads,
             wall_time: Duration::ZERO,
             started: false,
-            scratch: MergeScratch {
-                msgs: Vec::new(),
+            window_loop: WindowLoop {
                 events: Vec::new(),
+                pending_high_water: 0,
             },
         }
     }
@@ -548,13 +572,17 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     }
 
     /// Snapshot of the kernel execution counters (see [`KernelStats`]),
-    /// summed over all lanes: `queue_high_water` is the deepest single
-    /// lane, not a global instant; `wall_time` is the run loops' time.
+    /// summed over all lanes: `queue_high_water` is the most pending over
+    /// all lanes at a window boundary (lanes run a window unobserved, so no
+    /// finer all-lane count exists); `wall_time` is the run loops' time.
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = KernelStats::default();
         for lane in &self.lanes {
             total.absorb(&lane.kernel_stats());
         }
+        total.queue_high_water = total
+            .queue_high_water
+            .max(self.window_loop.pending_high_water);
         total.wall_time = self.wall_time;
         total
     }
@@ -595,11 +623,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             k.queue_len as i64,
             k.queue_high_water as i64,
         );
-        // Slab length is itself a high-water mark of concurrently pending
-        // events; occupied = total minus the recycled free list.
-        let free: usize = self.lanes.iter().map(|l| l.queue.free_slots()).sum();
-        let occupied = k.slab_slots - free;
-        s.record_level("kernel_slab_occupied", occupied as i64, k.slab_slots as i64);
+        // Every pending event occupies one slot; the slots currently
+        // allocated are the most the level has been since the queues last
+        // shrank.
+        s.record_level(
+            "kernel_slab_occupied",
+            k.queue_len as i64,
+            k.slab_slots as i64,
+        );
         s.record_counter("kernel_queue_mem_bytes", k.queue_mem_bytes);
         if self.lanes.len() > 1 {
             s.record_counter("kernel_lanes", self.lanes.len() as u64);
@@ -953,7 +984,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             for lane in &mut self.lanes {
                 lane.buffered(|lane, out| lane.start(net, out));
             }
-            merge_barrier(&mut self.lanes, &mut self.recorder, &mut self.scratch);
+            merge_barrier(&mut self.lanes, &mut self.recorder, &mut self.window_loop);
             self.fold_stats();
         }
     }
@@ -977,6 +1008,18 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         lane.run_window(deadline, M::model(&self.net), &mut self.recorder);
         self.now = deadline;
     }
+
+    /// Where a run call returns the queues are at rest and the window
+    /// buffers empty: gives back what the start-up storm, or any burst
+    /// since, made them reserve beyond what is pending now.
+    fn release_slack(&mut self) {
+        for lane in &mut self.lanes {
+            lane.queue.trim();
+            lane.outbox.shrink_to(WINDOW_BUFFER_KEEP);
+            lane.events_out.events.shrink_to(WINDOW_BUFFER_KEEP);
+        }
+        self.window_loop.events.shrink_to(WINDOW_BUFFER_KEEP);
+    }
 }
 
 impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
@@ -986,6 +1029,7 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
         let t0 = std::time::Instant::now();
         self.start();
         self.run_one_lane(deadline);
+        self.release_slack();
         self.wall_time += t0.elapsed();
     }
 
@@ -1002,6 +1046,7 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
         let t0 = std::time::Instant::now();
         self.start();
         while self.step() {}
+        self.release_slack();
         self.wall_time += t0.elapsed();
     }
 
@@ -1035,6 +1080,7 @@ where
         } else {
             self.run_lanes(deadline);
         }
+        self.release_slack();
         self.wall_time += t0.elapsed();
     }
 
@@ -1050,13 +1096,13 @@ where
         let net = &*self.net;
         let delta = saturating_nanos(net.lookahead().expect("checked when built"));
         let run = |lane: &mut Lane<P>, end| lane.buffered(|l, out| l.run_window(end, net, out));
-        let (recorder, scratch) = (&mut self.recorder, &mut self.scratch);
+        let (recorder, state) = (&mut self.recorder, &mut self.window_loop);
         let workers = self.threads.min(self.lanes.len());
         if workers <= 1 {
             let run_all = |lanes: &mut Vec<Lane<P>>, end| {
                 lanes.iter_mut().for_each(|lane| run(lane, end));
             };
-            run_windows(&mut self.lanes, deadline, delta, run_all, recorder, scratch);
+            run_windows(&mut self.lanes, deadline, delta, run_all, recorder, state);
         } else {
             let barrier = Barrier::new(workers + 1);
             // Window end, as nanos; u64::MAX doubles as the shutdown signal.
@@ -1088,7 +1134,7 @@ where
                     barrier.wait(); // workers start
                     barrier.wait(); // workers done
                 };
-                run_windows(&mut &cells[..], deadline, delta, run_all, recorder, scratch);
+                run_windows(&mut &cells[..], deadline, delta, run_all, recorder, state);
                 window_end.store(u64::MAX, Ordering::Release);
                 barrier.wait();
             });
@@ -1579,6 +1625,21 @@ mod tests {
             assert_eq!(k2.commands, 1);
             assert!(k2.events_processed > k.events_processed);
             assert!(k2.wall_time >= k.wall_time);
+        });
+    }
+
+    #[test]
+    fn queue_high_water_counts_every_lane() {
+        on_every_engine!(1, |sim| {
+            for i in 0..N {
+                sim.schedule_command(DONE, NodeId::new(i), ());
+            }
+            sim.run_until(ms(5));
+            // A command per node and the token in flight; no single lane
+            // of 64 holds more than two of the commands.
+            let k = sim.kernel_stats();
+            assert_eq!(k.queue_len, N as usize + 1);
+            assert!(k.queue_high_water >= k.queue_len);
         });
     }
 

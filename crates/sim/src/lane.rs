@@ -214,13 +214,16 @@ pub(crate) struct Lane<P: Protocol> {
 }
 
 impl<P: Protocol> Lane<P> {
-    pub(crate) fn new(index: u32, lanes: u32, seed: u64) -> Self {
+    /// An empty lane with room for exactly the `nodes` it will own: the
+    /// arenas are the simulation's largest allocations, and growing them
+    /// by doubling would leave up to half of each unused.
+    pub(crate) fn new(index: u32, lanes: u32, seed: u64, nodes: usize) -> Self {
         Lane {
             index,
             lanes,
-            nodes: Vec::new(),
-            alive: Vec::new(),
-            rngs: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            alive: Vec::with_capacity(nodes),
+            rngs: Vec::with_capacity(nodes),
             queue: EventQueue::new(),
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),

@@ -76,9 +76,10 @@
 //!   random draws *other* nodes made.
 //! - Protocol code has no access to wall-clock time or IO.
 //! - With more than one lane, node → lane assignment is a pure function
-//!   of the node id and the lane count (never the thread count), and lanes
-//!   merge cross-lane messages at window barriers in a canonical sort
-//!   order — so parallelism cannot reorder anything observable.
+//!   of the node id and the lane count (never the thread count), and
+//!   cross-lane messages enter their destination queues at window barriers
+//!   in a canonical order — so parallelism cannot reorder anything
+//!   observable.
 //!
 //! Two runs with the same seed and topology produce byte-identical event
 //! traces; integration tests assert this (including sharded runs at

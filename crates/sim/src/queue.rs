@@ -20,10 +20,29 @@
 //!   the four children of a node share at most two cache lines, so the
 //!   extra comparisons per level are cheaper than the levels they save.
 //!
-//! The slab recycles vacated slots through a free list, so once the
-//! backing vectors have grown to the steady-state high-water mark,
-//! scheduling and popping perform **zero heap allocations** (asserted by
-//! the `zero_alloc` integration test).
+//! The slab recycles vacated slots through a free list threaded through
+//! the vacant slots themselves, so once the backing vectors have grown to
+//! the steady-state high-water mark, scheduling and popping perform **zero
+//! heap allocations** (asserted by the `zero_alloc` integration test).
+//!
+//! ## Memory follows pending work
+//!
+//! A simulation's first second is a storm (every node starts its timers
+//! and joins at once) several times deeper than anything after it, and a
+//! slab that only grows keeps that storm's capacity for the whole run. So
+//! the queue has the dynamic array's shrink rule. Pops are counted in
+//! *epochs* of as many pops as there are slots; when the deepest the queue
+//! got over a whole epoch would fit twice over in what is reserved, the
+//! queue compacts: payloads in the slab's tail move into the vacant slots
+//! before them, their heap entries are pointed at the new slots — pop
+//! order is `(at, seq)` and never looks at a slot number — and the slab is
+//! cut down in place to that peak plus a quarter. A compaction scans no
+//! more slots than its epoch had pops, so the rule is amortised O(1) per
+//! pop, and a queue that oscillates between `n` and `2n` pending — timers
+//! plus one message each in flight — never compacts at all. Judging
+//! vacancy at a single pop instead would shrink at every trough of such
+//! an oscillation and regrow at every crest. [`EventQueue::trim`] is the
+//! rule for a caller that knows the queue is at rest.
 
 use crate::time::SimTime;
 
@@ -60,6 +79,27 @@ impl Entry {
     }
 }
 
+/// A payload slot: an event awaiting its pop, or a link of the free list.
+#[derive(Debug)]
+enum Slot<T> {
+    Occupied(T),
+    Vacant { next: u32 },
+}
+
+/// End of the free list.
+const NIL: u32 = u32::MAX;
+
+/// No shrink goes below this many slots: under it the slab is a few KiB,
+/// and compacting would only cost small steady queues their
+/// allocation-free path.
+const MIN_SLOTS: usize = 64;
+
+/// Capacity a shrink leaves for `pending` events: a quarter of headroom, so
+/// the next few schedules do not immediately double it again.
+fn shrunk_capacity(pending: usize) -> usize {
+    (pending + pending / 4).max(MIN_SLOTS)
+}
+
 /// A deterministic future-event list.
 ///
 /// ```
@@ -79,11 +119,16 @@ impl Entry {
 pub struct EventQueue<T> {
     /// 4-ary min-heap of small fixed-size entries.
     heap: Vec<Entry>,
-    /// Payload storage; `heap` entries index into it. `None` = vacant.
-    slab: Vec<Option<T>>,
-    /// Vacant slab slots available for reuse.
-    free: Vec<u32>,
+    /// Payload storage; `heap` entries index into it.
+    slab: Vec<Slot<T>>,
+    /// First vacant slot (each links to the next), or [`NIL`].
+    free_head: u32,
     next_seq: u64,
+    /// Pops since the current epoch began; an epoch ends after
+    /// `slab.len()` of them.
+    epoch_pops: usize,
+    /// Deepest the queue has been at a pop of the current epoch.
+    epoch_peak: usize,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -95,12 +140,7 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: Vec::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `cap` pending events before
@@ -109,8 +149,10 @@ impl<T> EventQueue<T> {
         EventQueue {
             heap: Vec::with_capacity(cap),
             slab: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
+            free_head: NIL,
             next_seq: 0,
+            epoch_pops: 0,
+            epoch_peak: 0,
         }
     }
 
@@ -121,15 +163,19 @@ impl<T> EventQueue<T> {
     pub fn schedule(&mut self, at: SimTime, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = Some(payload);
-                s
+        let slot = match self.free_head {
+            NIL => {
+                self.slab.push(Slot::Occupied(payload));
+                self.slab.len() as u32 - 1
             }
-            None => {
-                let s = self.slab.len() as u32;
-                self.slab.push(Some(payload));
-                s
+            slot => {
+                let vacated =
+                    std::mem::replace(&mut self.slab[slot as usize], Slot::Occupied(payload));
+                let Slot::Vacant { next } = vacated else {
+                    unreachable!("the free list links vacant slots only")
+                };
+                self.free_head = next;
+                slot
             }
         };
         self.heap.push(Entry { at, seq, slot });
@@ -140,20 +186,77 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
         let top = *self.heap.first()?;
+        self.epoch_peak = self.epoch_peak.max(self.heap.len());
         let last = self.heap.pop().expect("non-empty heap");
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down(0);
         }
-        let payload = self.slab[top.slot as usize]
-            .take()
-            .expect("heap entry points at occupied slot");
-        self.free.push(top.slot);
+        let next = self.free_head;
+        let popped = std::mem::replace(&mut self.slab[top.slot as usize], Slot::Vacant { next });
+        let Slot::Occupied(payload) = popped else {
+            unreachable!("a heap entry points at an occupied slot")
+        };
+        self.free_head = top.slot;
+        self.epoch_pops += 1;
+        if self.epoch_pops >= self.slab.len() {
+            self.end_epoch();
+        }
         Some(Scheduled {
             at: top.at,
             seq: top.seq,
             payload,
         })
+    }
+
+    /// Closes an epoch of `slab.len()` pops — as many as the slots a
+    /// compaction scans — and starts the next.
+    #[cold]
+    fn end_epoch(&mut self) {
+        if self.slab.capacity() > 2 * self.epoch_peak.max(MIN_SLOTS) {
+            self.compact(shrunk_capacity(self.epoch_peak));
+        }
+        self.epoch_pops = 0;
+        self.epoch_peak = self.heap.len();
+    }
+
+    /// Releases capacity the pending events do not need, for a caller that
+    /// knows the queue is at rest (the engine, where a run call returns),
+    /// so a queue that has drained need not wait an epoch of pops that may
+    /// never come. The pending count may be the trough of a swing for
+    /// whose crest the slab has just doubled, so this is the dynamic
+    /// array's quarter rule: under it, returning at the trough of an
+    /// `n`/`2n` oscillation never shrinks what the crest will need again.
+    pub fn trim(&mut self) {
+        let pending = self.heap.len();
+        if self.slab.capacity() > 4 * pending.max(MIN_SLOTS) {
+            self.compact(shrunk_capacity(pending));
+        }
+    }
+
+    /// Packs the pending payloads into the first `len()` slots — those
+    /// beyond move into the vacant slots before, and their heap entries are
+    /// pointed at the new slot — then cuts the slab and the heap down to
+    /// capacity `cap` in place.
+    fn compact(&mut self, cap: usize) {
+        let pending = self.heap.len();
+        let mut hole = 0;
+        for entry in &mut self.heap {
+            let slot = entry.slot as usize;
+            if slot >= pending {
+                // As many slots before `pending` are vacant as there are
+                // payloads beyond it.
+                while matches!(self.slab[hole], Slot::Occupied(_)) {
+                    hole += 1;
+                }
+                self.slab.swap(slot, hole);
+                entry.slot = hole as u32;
+            }
+        }
+        self.slab.truncate(pending);
+        self.slab.shrink_to(cap);
+        self.heap.shrink_to(cap);
+        self.free_head = NIL;
     }
 
     /// Pops the earliest event only if it fires at or before `deadline`.
@@ -195,24 +298,20 @@ impl<T> EventQueue<T> {
         self.heap.capacity().min(self.slab.capacity())
     }
 
-    /// Payload slots ever created — the high-water mark of concurrently
-    /// pending events (occupied slots plus the recycled free list).
+    /// Payload slots currently allocated: occupied ones plus the vacant
+    /// ones on the free list — the deepest the queue has been since it
+    /// last shrank.
     pub fn slab_slots(&self) -> usize {
         self.slab.len()
     }
 
-    /// Vacant payload slots currently awaiting reuse.
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
     /// Bytes of backing storage currently reserved by the queue: the heap
-    /// entries, the payload slab, and the free list. Self-reported memory
-    /// accounting for the scaling experiments — no `ps` required.
+    /// entries and the payload slab (whose vacant slots are the free
+    /// list). Self-reported memory accounting for the scaling experiments
+    /// — no `ps` required.
     pub fn mem_bytes(&self) -> u64 {
         (self.heap.capacity() * std::mem::size_of::<Entry>()
-            + self.slab.capacity() * std::mem::size_of::<Option<T>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+            + self.slab.capacity() * std::mem::size_of::<Slot<T>>()) as u64
     }
 
     fn sift_up(&mut self, mut i: usize) {

@@ -145,20 +145,29 @@ echo "==> scale smoke: 10^4 nodes on the sharded kernel (oracle-gated)"
 # `GoCastNode::mem_bytes`) is held to a quarter above the 7.8 KB this
 # workload measures: per-node state that grows with the population or
 # the run length (the old per-node coordinate cache: 44.3 KB here) fails.
+# `queue_mem_mb` (what the lane queues reserve when the run ends) is held
+# to a quarter above its 13.7 MB the same way: queues that keep their
+# start-up storm's capacity (44.9 MB here, before they shrank) fail.
 NODE_KB_MAX=9.8
+QUEUE_MB_MAX=17.1
 SCALE_OUT=$(timeout 600 cargo run --release -q -p gocast-experiments -- scale \
     --nodes 10000 --sim-shards 2 --warmup 30 --messages 10 --rate 2 \
     --drain 20 --no-csv)
 echo "$SCALE_OUT"
-echo "$SCALE_OUT" | awk -v max="$NODE_KB_MAX" '
-    !col { for (i = 1; i <= NF; i++) if ($i == "node_kb") col = i; next }
-    NF >= col { rows++
-      if ($col + 0 > max) {
-          printf "FAIL: %s holds %s KB/node, over the %s KB bound\n", $1, $col, max > "/dev/stderr"
-          bad = 1
-      } }
-    END { if (!rows) print "FAIL: scale printed no node_kb row" > "/dev/stderr"
-          exit (bad || !rows) }'
+# scale_column_at_most COLUMN MAX UNIT: every row's COLUMN is at most MAX.
+scale_column_at_most() {
+    echo "$SCALE_OUT" | awk -v name="$1" -v max="$2" -v unit="$3" '
+        !col { for (i = 1; i <= NF; i++) if ($i == name) col = i; next }
+        NF >= col { rows++
+          if ($col + 0 > max) {
+              printf "FAIL: %s has %s %s %s, over the %s bound\n", $1, name, $col, unit, max > "/dev/stderr"
+              bad = 1
+          } }
+        END { if (!rows) print "FAIL: scale printed no " name " row" > "/dev/stderr"
+              exit (bad || !rows) }'
+}
+scale_column_at_most node_kb "$NODE_KB_MAX" "KB/node"
+scale_column_at_most queue_mem_mb "$QUEUE_MB_MAX" "MB"
 
 echo "==> docs cross-reference check (every .md link resolves)"
 # Every relative markdown link in the repo's own docs must point at a
