@@ -13,41 +13,47 @@
 //!   replica-state audit ([`CrdtAudit`]) over every node the fault plan
 //!   says survived the measured window.
 //!
-//! The simulation side runs on the sharded kernel exactly like `scale`
-//! ([`OnDemandKing`] latencies, presence-gated injection, oracle audit),
-//! so 10⁴–10⁵-node runs work and every simulation-domain number in
+//! The simulation side is the `scale` configuration of
+//! [`crate::pipeline`] with a [`TopicMux`] around every node, so 10⁴–10⁵
+//! -node runs work and every simulation-domain number in
 //! [`AppOutcome::manifest`] is byte-identical at any `--sim-shards`
-//! count. The wire side replays the same compiled plan against real
-//! loopback-UDP sockets via `Testnet<TopicMux<GoCastNode>>`.
+//! count. The wire side replays the same compiled plan and the same
+//! workload loop against real loopback-UDP sockets via
+//! `Testnet<TopicMux<GoCastNode>>`.
 //!
 //! One ordering subtlety makes deterministic subscription churn work:
 //! the fault scenario is compiled *before* the simulation is built
-//! (anchored at the end of warm-up with [`ScenarioEnv::starting_at`]),
-//! because the [`TopicDirectory`] needs the compiled subscription events
-//! up front to precompute its per-epoch trees. The scenario compiler
-//! draws subscription events from a phase that runs after every fault
-//! draw, so attaching subscription churn never perturbs the fault
-//! schedule — chaos-off runs stay byte-identical.
+//! ([`compile_plan`] anchors it at the end of warm-up), because the
+//! [`TopicDirectory`] needs the compiled subscription events up front to
+//! precompute its per-epoch trees. The scenario compiler draws
+//! subscription events from a phase that runs after every fault draw, so
+//! attaching subscription churn never perturbs the fault schedule —
+//! chaos-off runs stay byte-identical.
 
 use std::fmt::Write as _;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gocast::{bootstrap_random_graph, GoCastConfig, GoCastEvent, GoCastNode};
+use gocast::{GoCastConfig, GoCastEvent, GoCastNode};
 use gocast_analysis::{ConvergenceReport, ConvergenceTracker, InvariantOracle, Table};
 use gocast_app::{AppCommand, AppConfig, CrdtAudit, SubscriptionTable, TopicDirectory, TopicMux};
-use gocast_metrics::{ProtocolMetrics, TopicMetrics};
-use gocast_net::{OnDemandKing, SyntheticKingConfig};
+use gocast_metrics::TopicMetrics;
 use gocast_sim::{
-    parallel_map, NodeId, Recorder, Scenario, ScenarioEnv, ScenarioPlan, SimTime, Stack,
+    KernelStats, Lanes, NodeId, PresenceTimeline, Recorder, Scenario, ScenarioPlan, SimTime,
 };
 use gocast_testnet::{deployment_config, loopback_available, Testnet, TestnetConfig};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::chaos::{builtin_names, builtin_scenario, parse_spec};
-use crate::options::ExpOptions;
-use crate::report::kernel_digest;
+use crate::chaos::{builtin_scenario, resolve_scenario};
+use crate::options::{ExpOptions, GivenFlags, Scale};
+use crate::pipeline::{
+    audited_gocast, compile_plan, gocast_nodes, horizon, inject, scale_network, Run, RunCore,
+    RunRecorder, Sources, WORKLOAD,
+};
+use crate::report::{kernel_digest, table_of, Column};
+use crate::sweep::per_seed;
 
 /// The mux-over-GoCast node both subcommands run.
 pub type AppNode = TopicMux<GoCastNode>;
@@ -72,37 +78,19 @@ impl Workload {
     }
 }
 
-/// The composite recorder application runs install: the convergence /
-/// goodput tracker, the universal invariant oracle (application `MsgId`s
-/// live above `APP_SEQ_BASE`, so one oracle covers both tiers), per-topic
-/// delivery counters, and the capability-neutral protocol counters.
-#[derive(Debug)]
-pub struct AppRecorder {
+/// What application runs add to the recorder: the convergence / goodput
+/// tracker and per-topic delivery counters. (Application `MsgId`s live
+/// above `APP_SEQ_BASE`, so the one invariant oracle covers both tiers.)
+#[derive(Debug, Default)]
+pub struct AppTier {
     /// Goodput, staleness, and convergence aggregation.
     pub conv: ConvergenceTracker,
-    /// Online safety-invariant checker (overlay + topic tier).
-    pub oracle: InvariantOracle,
     /// Per-topic delivery/byte counters for metrics snapshots.
     pub topics: TopicMetrics,
-    /// Capability-neutral protocol counters.
-    pub proto: ProtocolMetrics,
 }
 
-impl AppRecorder {
-    /// A recorder whose oracle bounds match a GoCast `cfg`.
-    pub fn for_protocol(cfg: &GoCastConfig) -> Self {
-        AppRecorder {
-            conv: ConvergenceTracker::new(),
-            oracle: InvariantOracle::for_protocol(cfg),
-            topics: TopicMetrics::default(),
-            proto: ProtocolMetrics::default(),
-        }
-    }
-}
-
-impl Recorder<GoCastEvent> for AppRecorder {
+impl Recorder<GoCastEvent> for AppTier {
     fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        event.observe_into(&mut self.proto);
         match &event {
             GoCastEvent::TopicDelivered { topic, bytes, .. } => {
                 self.topics.observe_delivery(*topic, *bytes)
@@ -113,7 +101,6 @@ impl Recorder<GoCastEvent> for AppRecorder {
             GoCastEvent::TopicUnsubscribed { .. } => self.topics.unsubscribes.inc(),
             _ => {}
         }
-        self.oracle.record(now, node, event.clone());
         self.conv.record(now, node, event);
     }
 }
@@ -121,6 +108,11 @@ impl Recorder<GoCastEvent> for AppRecorder {
 /// Everything one application run produces.
 #[derive(Debug)]
 pub struct AppOutcome {
+    /// Application commands injected (publishes or CRDT mutations),
+    /// planned faults, the oracle's verdict, kernel counters (zeroed
+    /// default on the wire side) and the final combined metrics snapshot
+    /// (kernel or fabric + protocol + topics).
+    pub core: RunCore,
     /// Which workload ran.
     pub workload: Workload,
     /// Scenario label (`baseline`, `chaos:churn`, ...).
@@ -135,12 +127,8 @@ pub struct AppOutcome {
     pub epochs: usize,
     /// Tree edges that exceeded the shared degree budget.
     pub overflow_edges: usize,
-    /// Planned faults the scenario compiled to.
-    pub faults: usize,
     /// Compiled subscription-churn events.
     pub sub_events: usize,
-    /// Application commands injected (publishes or CRDT mutations).
-    pub injected: u64,
     /// Base (epoch-0) subscriber slots: Σ over nodes of |topics(node)|.
     pub base_subscriptions: u64,
     /// Injection-to-end measurement window.
@@ -155,16 +143,14 @@ pub struct AppOutcome {
     pub audited_topics: usize,
     /// Topics whose surviving replicas disagree (must be empty).
     pub divergent: Vec<u32>,
-    /// Records the invariant oracle checked.
-    pub oracle_records: u64,
-    /// Invariant violations found (should be 0).
-    pub violations: usize,
-    /// The first few violations, formatted (empty on a clean run).
-    pub violation_lines: Vec<String>,
-    /// Kernel counters (zeroed default on the wire side).
-    pub kernel: gocast_sim::KernelStats,
-    /// Final combined metrics snapshot (kernel + protocol + topics).
-    pub metrics: gocast_metrics::Snapshot,
+}
+
+impl Deref for AppOutcome {
+    type Target = RunCore;
+
+    fn deref(&self) -> &RunCore {
+        &self.core
+    }
 }
 
 impl AppOutcome {
@@ -195,7 +181,7 @@ impl AppOutcome {
             self.nodes,
             self.topics,
             self.epochs,
-            self.faults,
+            self.plan_len,
             self.sub_events,
             self.injected,
             r.topic_deliveries,
@@ -237,227 +223,188 @@ impl AppOutcome {
 /// crowd onto the hot topic. `baseline` stays pure (no steps at all), so
 /// chaos-off runs keep their strict byte-identity guarantees.
 pub fn app_scenario(name: &str, opts: &ExpOptions) -> Option<Scenario> {
-    let base = builtin_scenario(name, opts)?;
+    builtin_scenario(name, opts).map(|base| with_sub_churn(base, opts))
+}
+
+fn with_sub_churn(base: Scenario, opts: &ExpOptions) -> Scenario {
     if base.step_count() == 0 {
-        return Some(base);
+        return base;
     }
     let span = opts.inject_duration().max(Duration::from_secs(30));
-    Some(
-        base.subscribe_flood(span / 3, (opts.nodes / 16).max(4), opts.topics.max(1))
-            .topic_flashcrowd(span * 2 / 3, 0, (opts.nodes / 32).max(2)),
-    )
+    base.subscribe_flood(span / 3, (opts.nodes / 16).max(4), opts.topics.max(1))
+        .topic_flashcrowd(span * 2 / 3, 0, (opts.nodes / 32).max(2))
 }
 
-/// Compiles the plan for a run: anchored at the end of warm-up, with the
-/// site map as the fault-correlation group assignment.
-fn compile_plan(opts: &ExpOptions, scenario: &Scenario, groups: &[u32]) -> ScenarioPlan {
-    let env = ScenarioEnv::new(opts.nodes, opts.seed)
-        .with_groups(groups)
-        .starting_at(SimTime::ZERO + opts.warmup);
-    scenario.compile(&env)
-}
-
-/// Schedules `opts.messages` application commands from presence-gated
-/// sources into `schedule`, starting at `start`. For [`Workload::Crdt`],
-/// every fifth command removes a previously added element (when its
-/// adder is still present); everything else adds a globally unique one.
-/// Returns the number of commands scheduled.
-fn inject_workload(
-    opts: &ExpOptions,
+/// What both hosts derive from the options before anything is built: the
+/// compiled plan (first — see the module docs), its presence timeline, the
+/// subscription table and the precomputed topic directory.
+struct Staged<'a> {
+    opts: &'a ExpOptions,
     workload: Workload,
-    table: &SubscriptionTable,
-    presence: &gocast_sim::PresenceTimeline,
-    start: SimTime,
-    mut schedule: impl FnMut(SimTime, NodeId, AppCommand<gocast::GoCastCommand>),
-) -> u64 {
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x5EED);
-    let mut added: Vec<(NodeId, u32, u64)> = Vec::new();
-    for i in 0..opts.messages {
-        let at = start + Duration::from_secs_f64(f64::from(i) / opts.rate);
-        let src = loop {
-            let cand = NodeId::new(rng.gen_range(0..opts.nodes as u32));
-            if presence.present(cand, at) {
-                break cand;
-            }
-        };
-        match workload {
-            Workload::PubSub => schedule(at, src, AppCommand::Publish { topic: None }),
-            Workload::Crdt => {
-                let removal = if i % 5 == 4 && !added.is_empty() {
-                    let k = rng.gen_range(0..added.len());
-                    let (n, t, e) = added[k];
-                    // Only remove from a replica the plan says is still
-                    // there; otherwise fall through to another add.
-                    presence.present(n, at).then(|| {
-                        added.swap_remove(k);
-                        (n, t, e)
-                    })
-                } else {
-                    None
-                };
-                match removal {
-                    Some((n, t, e)) => schedule(
-                        at,
-                        n,
-                        AppCommand::CrdtRemove {
-                            topic: Some(t),
-                            elem: e,
-                        },
-                    ),
-                    None => {
-                        let topics = table.topics_of(src);
-                        let t = topics[i as usize % topics.len()];
-                        let elem = 1_000 + u64::from(i);
-                        added.push((src, t, elem));
-                        schedule(
-                            at,
-                            src,
-                            AppCommand::CrdtAdd {
-                                topic: Some(t),
-                                elem,
-                            },
-                        );
-                    }
-                }
-            }
+    plan: ScenarioPlan,
+    presence: PresenceTimeline,
+    table: SubscriptionTable,
+    dir: Arc<TopicDirectory>,
+}
+
+impl<'a> Staged<'a> {
+    fn new(
+        opts: &'a ExpOptions,
+        workload: Workload,
+        scenario: &Scenario,
+        groups: &[u32],
+        proto: &GoCastConfig,
+    ) -> Self {
+        let plan = compile_plan(opts, scenario, groups);
+        let table = SubscriptionTable::new(opts.seed, opts.nodes as u32, opts.topics.max(1));
+        let dir = TopicDirectory::build(table, plan.sub_events(), proto.c_degree());
+        Staged {
+            opts,
+            workload,
+            presence: plan.presence(),
+            plan,
+            table,
+            dir: Arc::new(dir),
         }
     }
-    u64::from(opts.messages)
+
+    /// Mux-over-GoCast nodes in the standard bootstrap state.
+    fn nodes(&self, proto: &GoCastConfig, app: AppConfig) -> impl FnMut(NodeId) -> AppNode {
+        let mut inner = gocast_nodes(self.opts, proto);
+        let dir = self.dir.clone();
+        move |id| TopicMux::new(id, inner(id), dir.clone(), app.clone())
+    }
+
+    /// Schedules the plan's subscription churn and `opts.messages`
+    /// application commands from presence-gated sources, starting at
+    /// `start`. For [`Workload::Crdt`], every fifth command removes a
+    /// previously added element (when its adder is still present);
+    /// everything else adds a globally unique one.
+    fn inject(
+        &self,
+        start: SimTime,
+        mut schedule: impl FnMut(SimTime, NodeId, AppCommand<gocast::GoCastCommand>),
+    ) {
+        for s in self.plan.sub_events() {
+            let cmd = if s.subscribe {
+                AppCommand::Subscribe { topic: s.topic }
+            } else {
+                AppCommand::Unsubscribe { topic: s.topic }
+            };
+            schedule(s.at, s.node, cmd);
+        }
+        let mut added: Vec<(NodeId, u32, u64)> = Vec::new();
+        let command = |i: u32, at: SimTime, src: NodeId, rng: &mut SmallRng| {
+            if self.workload == Workload::PubSub {
+                return (src, AppCommand::Publish { topic: None });
+            }
+            if i % 5 == 4 && !added.is_empty() {
+                let k = rng.gen_range(0..added.len());
+                let (n, t, elem) = added[k];
+                // Only remove from a replica the plan says is still
+                // there; otherwise fall through to another add.
+                if self.presence.present(n, at) {
+                    added.swap_remove(k);
+                    let topic = Some(t);
+                    return (n, AppCommand::CrdtRemove { topic, elem });
+                }
+            }
+            let topics = self.table.topics_of(src);
+            let t = topics[i as usize % topics.len()];
+            let elem = 1_000 + u64::from(i);
+            added.push((src, t, elem));
+            let topic = Some(t);
+            (src, AppCommand::CrdtAdd { topic, elem })
+        };
+        let sources = Sources::Present(&self.presence);
+        inject(self.opts, WORKLOAD, start, &sources, command, schedule);
+    }
+
+    /// The end-of-run replica audit and the outcome — the same for both
+    /// hosts. Convergence is owed only by replicas present for the whole
+    /// measured window (churned-out nodes legitimately diverge); `node`
+    /// returns `None` for any other replica the host rules out.
+    fn outcome<'n>(
+        &self,
+        phase: String,
+        lanes: usize,
+        (start, end): (SimTime, SimTime),
+        mut core: RunCore,
+        tier: &AppTier,
+        node: impl Fn(NodeId) -> Option<&'n AppNode>,
+    ) -> AppOutcome {
+        tier.topics.snapshot_into(&mut core.metrics);
+        let ids = || (0..self.opts.nodes as u32).map(NodeId::new);
+        let mut audit = CrdtAudit::new();
+        for n in ids().filter(|&n| self.presence.present_from(n, start)) {
+            if let Some(replica) = node(n) {
+                audit.observe(replica);
+            }
+        }
+        AppOutcome {
+            core,
+            workload: self.workload,
+            phase,
+            nodes: self.opts.nodes,
+            lanes,
+            topics: self.opts.topics.max(1),
+            epochs: self.dir.epoch_count(),
+            overflow_edges: self.dir.overflow_edges(),
+            sub_events: self.plan.sub_events().len(),
+            base_subscriptions: ids().map(|n| self.table.topics_of(n).len() as u64).sum(),
+            window: end.saturating_since(start),
+            report: tier.conv.report(),
+            per_topic: tier.conv.per_topic().collect(),
+            audited_replicas: audit.replica_count(),
+            audited_topics: audit.topic_count(),
+            divergent: audit.divergent_topics(),
+        }
+    }
 }
 
-/// One simulated application run on the sharded kernel: warm the overlay
-/// up, replay the fault plan and its subscription churn, inject the
-/// workload from surviving nodes, drain past the plan's end, then audit
-/// replicas and distill the outcome.
+/// One simulated application run, the pipeline's `scale` configuration
+/// with a mux around every node: warm the overlay up, replay the fault
+/// plan and its subscription churn, inject the workload from surviving
+/// nodes, drain past the plan's end, then audit replicas and distill the
+/// outcome.
 pub fn run_app(
     opts: &ExpOptions,
     workload: Workload,
     label: &str,
     scenario: &Scenario,
 ) -> AppOutcome {
-    let topics = opts.topics.max(1);
-    let sites = opts.sites.min(opts.nodes.max(16));
-    let net = OnDemandKing::new(
-        opts.nodes,
-        &SyntheticKingConfig {
-            sites,
-            seed: opts.seed ^ 0x4B494E47,
-            ..SyntheticKingConfig::default()
-        },
+    let net = scale_network(opts);
+    let cfg = audited_gocast();
+    let staged = Staged::new(opts, workload, scenario, &net.site_assignment(), &cfg);
+    let recorder = RunRecorder::for_opts(
+        opts,
+        &opts.manifest_for_workload(workload.name(), Some(label)),
+        Some(InvariantOracle::for_protocol(&cfg)),
+        AppTier::default(),
     );
-    let groups = net.site_assignment();
-    let cfg = GoCastConfig {
-        gc_wait: Duration::from_secs(3600),
-        ..GoCastConfig::default()
+    let nodes = staged.nodes(&cfg, AppConfig::default());
+    let mut run: Run<AppNode, AppTier, Lanes> = Run::sharded(opts, net, recorder, nodes);
+    run.warm(opts.warmup);
+    run.schedule(&staged.plan);
+    let start = run.sim.now() + Duration::from_millis(100);
+    staged.inject(start, |at, n, cmd| run.sim.schedule_command(at, n, cmd));
+    let end = horizon(opts, start, Some(&staged.plan));
+    run.drive(end);
+
+    let core = run.finish(u64::from(opts.messages), staged.plan.len());
+    let phase = if staged.plan.is_empty() && staged.plan.sub_events().is_empty() {
+        label.to_string()
+    } else {
+        format!("chaos:{label}")
     };
-
-    // Plan first (see the module docs): the directory's epoch trees are
-    // precomputed from the compiled subscription events.
-    let plan = compile_plan(opts, scenario, &groups);
-    let presence = plan.presence();
-    let table = SubscriptionTable::new(opts.seed, opts.nodes as u32, topics);
-    let dir = Arc::new(TopicDirectory::build(
-        table,
-        plan.sub_events(),
-        cfg.c_degree(),
-    ));
-
-    let links_per_node = (cfg.c_degree() / 2).max(1);
-    let mut boot = bootstrap_random_graph(opts.nodes, links_per_node, opts.seed ^ 0xB007);
-    let node_cfg = cfg.clone();
-    let d = dir.clone();
-    let mut sim = gocast_sim::ShardedSimBuilder::new(net)
-        .seed(opts.seed)
-        .threads(opts.sim_shards)
-        .build_with(AppRecorder::for_protocol(&cfg), move |id| {
-            let (links, members) = boot(id);
-            let inner = GoCastNode::with_initial_links(id, node_cfg.clone(), links, members);
-            TopicMux::new(id, inner, d.clone(), AppConfig::default())
-        });
-
-    sim.run_until(SimTime::ZERO + opts.warmup);
-    plan.schedule_into(
-        &mut sim,
-        <AppNode as Stack>::cmd_join,
-        <AppNode as Stack>::cmd_leave,
-    );
-    for s in plan.sub_events() {
-        let cmd = if s.subscribe {
-            AppCommand::Subscribe { topic: s.topic }
-        } else {
-            AppCommand::Unsubscribe { topic: s.topic }
-        };
-        sim.schedule_command(s.at, s.node, cmd);
-    }
-
-    let start = sim.now() + Duration::from_millis(100);
-    let injected = inject_workload(opts, workload, &table, &presence, start, |at, n, cmd| {
-        sim.schedule_command(at, n, cmd)
-    });
-    let end = plan
-        .end()
-        .unwrap_or(start)
-        .max(start + opts.inject_duration())
-        + opts.drain;
-    sim.run_until(end);
-    sim.recorder_mut().oracle.finish();
-
-    // Convergence is owed only by replicas present for the whole
-    // measured window; churned-out nodes legitimately diverge.
-    let mut audit = CrdtAudit::new();
-    for i in 0..opts.nodes as u32 {
-        let n = NodeId::new(i);
-        if presence.present_from(n, start) {
-            audit.observe(sim.node(n));
-        }
-    }
-
-    let base_subscriptions: u64 = (0..opts.nodes as u32)
-        .map(|i| table.topics_of(NodeId::new(i)).len() as u64)
-        .sum();
-    let mut snap = sim.metrics_snapshot();
-    sim.recorder().proto.snapshot_into(&mut snap);
-    sim.recorder().topics.snapshot_into(&mut snap);
-    let rec = sim.recorder();
-    AppOutcome {
-        workload,
-        phase: if plan.is_empty() && plan.sub_events().is_empty() {
-            label.to_string()
-        } else {
-            format!("chaos:{label}")
-        },
-        nodes: opts.nodes,
-        lanes: sim.lane_count(),
-        topics,
-        epochs: dir.epoch_count(),
-        overflow_edges: dir.overflow_edges(),
-        faults: plan.len(),
-        sub_events: plan.sub_events().len(),
-        injected,
-        base_subscriptions,
-        window: Duration::from_nanos(end.as_nanos() - start.as_nanos()),
-        report: rec.conv.report(),
-        per_topic: rec.conv.per_topic().collect(),
-        audited_replicas: audit.replica_count(),
-        audited_topics: audit.topic_count(),
-        divergent: audit.divergent_topics(),
-        oracle_records: rec.oracle.records_checked(),
-        violations: rec.oracle.violations().len(),
-        violation_lines: rec
-            .oracle
-            .violations()
-            .iter()
-            .take(8)
-            .map(|v| v.to_string())
-            .collect(),
-        kernel: sim.kernel_stats(),
-        metrics: snap,
-    }
+    let sim = &run.sim;
+    let tier = &sim.recorder().ext;
+    staged.outcome(phase, sim.lane_count(), (start, end), core, tier, |n| {
+        Some(sim.node(n))
+    })
 }
 
-/// Runs [`run_app`] across `seeds` consecutive seeds, fanned over
-/// `opts.effective_jobs()` worker threads. Results come back in seed
-/// order, so output is byte-identical at any job count.
+/// Runs [`run_app`] across `seeds` consecutive seeds ([`per_seed`]).
 pub fn app_sweep(
     opts: &ExpOptions,
     workload: Workload,
@@ -465,44 +412,25 @@ pub fn app_sweep(
     scenario: &Scenario,
     seeds: u64,
 ) -> Vec<AppOutcome> {
-    assert!(seeds > 0, "need at least one seed");
-    let runs: Vec<ExpOptions> = (0..seeds)
-        .map(|i| opts.clone().with_seed(opts.seed.wrapping_add(i)))
-        .collect();
-    parallel_map(opts.effective_jobs(), runs, |_, o| {
-        run_app(&o, workload, label, scenario)
-    })
+    per_seed(opts, seeds, |o| run_app(o, workload, label, scenario))
 }
 
-/// Wire-scale option resolution, mirroring the `testnet` subcommand:
-/// fields left at the simulation default drop to deployment scale (16
-/// nodes, 3 s warm-up/drain, 100 commands), explicit flags win.
-fn resolve_wire(opts: &ExpOptions) -> ExpOptions {
-    let d = ExpOptions::default();
-    let mut w = opts.clone();
-    if w.nodes == d.nodes {
-        w.nodes = 16;
-    }
-    if w.messages == d.messages {
-        w.messages = 100;
-    }
-    if w.rate == d.rate {
-        w.rate = 25.0;
-    }
-    if w.warmup == d.warmup {
-        w.warmup = Duration::from_secs(3);
-    }
-    if w.drain == d.drain {
-        w.drain = Duration::from_secs(6);
-    }
-    w
-}
+/// The deployment scale the wire replay drops to wherever the command
+/// line left a scale flag unset (see [`ExpOptions::scaled_to`]).
+pub const WIRE_SCALE: Scale = Scale {
+    nodes: 16,
+    messages: 100,
+    rate: 25.0,
+    warmup: Duration::from_secs(3),
+    drain: Duration::from_secs(6),
+};
 
 /// The same workload against real loopback-UDP sockets:
 /// `Testnet<TopicMux<GoCastNode>>` with the deployment protocol config,
 /// the compiled plan replayed by the fabric, and the outcome distilled
-/// from the recorded wire trace. Wire time is wall-clock, so only the
-/// audit and oracle results gate; goodput numbers are reported as-is.
+/// from the recorded wire trace. `opts` is taken as given (the subcommand
+/// resolves it to [`WIRE_SCALE`] first). Wire time is wall-clock, so only
+/// the audit and oracle results gate; goodput numbers are reported as-is.
 ///
 /// # Errors
 ///
@@ -513,7 +441,7 @@ pub fn run_app_wire(
     label: &str,
     scenario: &Scenario,
 ) -> std::io::Result<AppOutcome> {
-    let mut opts = resolve_wire(opts);
+    let mut opts = opts.clone();
     if workload == Workload::Crdt {
         // When the plan's last event is a partition heal, the drain is
         // the entire post-heal repair budget: a diverged replica pair
@@ -522,19 +450,11 @@ pub fn run_app_wire(
         // round or two. Floor the drain so ~15 rounds always fit.
         opts.drain = opts.drain.max(Duration::from_secs(12));
     }
-    let topics = opts.topics.max(1);
     let proto = deployment_config();
     // Wire nodes have no latency-derived site map; synthetic quartet
     // groups keep group-targeted faults meaningful.
     let groups: Vec<u32> = (0..opts.nodes as u32).map(|i| i % 4).collect();
-    let plan = compile_plan(&opts, scenario, &groups);
-    let presence = plan.presence();
-    let table = SubscriptionTable::new(opts.seed, opts.nodes as u32, topics);
-    let dir = Arc::new(TopicDirectory::build(
-        table,
-        plan.sub_events(),
-        proto.c_degree(),
-    ));
+    let staged = Staged::new(&opts, workload, scenario, &groups, &proto);
 
     // Faster application cadences for short wall-clock runs: several
     // anti-entropy rounds must fit inside the drain.
@@ -544,95 +464,35 @@ pub fn run_app_wire(
         pull_retry_after: Duration::from_millis(200),
         ..AppConfig::default()
     };
-
     let mut cfg = TestnetConfig::new(opts.nodes)
         .with_seed(opts.seed)
         .with_shards(opts.shards.max(1))
         .with_record_trace(true);
     cfg.protocol = proto.clone();
-    let links = (proto.c_degree() / 2)
-        .max(1)
-        .min(opts.nodes.saturating_sub(1));
-    let mut boot = bootstrap_random_graph(opts.nodes, links, opts.seed ^ 0xB007);
-    let node_cfg = proto.clone();
-    let d = dir.clone();
-    let ac = app_cfg.clone();
-    let mut net: Testnet<AppNode> = Testnet::build(&cfg, move |id| {
-        let (l, m) = boot(id);
-        let inner = GoCastNode::with_initial_links(id, node_cfg.clone(), l, m);
-        TopicMux::new(id, inner, d.clone(), ac.clone())
-    })?;
+    let mut net: Testnet<AppNode> = Testnet::build(&cfg, staged.nodes(&proto, app_cfg))?;
 
-    net.attach_plan(&plan);
-    for s in plan.sub_events() {
-        let cmd = if s.subscribe {
-            AppCommand::Subscribe { topic: s.topic }
-        } else {
-            AppCommand::Unsubscribe { topic: s.topic }
-        };
-        net.schedule_command(s.at, s.node, cmd);
-    }
+    net.attach_plan(&staged.plan);
     let start = SimTime::ZERO + opts.warmup;
-    let injected = inject_workload(&opts, workload, &table, &presence, start, |at, n, cmd| {
-        net.schedule_command(at, n, cmd)
-    });
-    let end = plan
-        .end()
-        .unwrap_or(start)
-        .max(start + opts.inject_duration())
-        + opts.drain;
+    staged.inject(start, |at, n, cmd| net.schedule_command(at, n, cmd));
+    let end = horizon(&opts, start, Some(&staged.plan));
     net.run_for(Duration::from_nanos(end.as_nanos()));
 
-    let mut rec = AppRecorder::for_protocol(&proto);
+    let oracle = InvariantOracle::for_protocol(&proto);
+    let mut rec = RunRecorder::detached(Some(oracle), AppTier::default());
     for (t, n, ev) in net.trace() {
         rec.record(*t, *n, ev.clone());
     }
-    rec.oracle.finish();
-
-    let mut audit = CrdtAudit::new();
-    for i in 0..opts.nodes as u32 {
-        let n = NodeId::new(i);
-        if !net.is_crashed(n) && presence.present_from(n, start) {
-            audit.observe(net.node(n));
-        }
-    }
-
-    let base_subscriptions: u64 = (0..opts.nodes as u32)
-        .map(|i| table.topics_of(NodeId::new(i)).len() as u64)
-        .sum();
-    let mut snap = net.metrics_snapshot();
-    rec.proto.snapshot_into(&mut snap);
-    rec.topics.snapshot_into(&mut snap);
-    Ok(AppOutcome {
-        workload,
-        phase: format!("wire:{label}"),
-        nodes: opts.nodes,
-        lanes: 0,
-        topics,
-        epochs: dir.epoch_count(),
-        overflow_edges: dir.overflow_edges(),
-        faults: plan.len(),
-        sub_events: plan.sub_events().len(),
-        injected,
-        base_subscriptions,
-        window: Duration::from_nanos(end.as_nanos() - start.as_nanos()),
-        report: rec.conv.report(),
-        per_topic: rec.conv.per_topic().collect(),
-        audited_replicas: audit.replica_count(),
-        audited_topics: audit.topic_count(),
-        divergent: audit.divergent_topics(),
-        oracle_records: rec.oracle.records_checked(),
-        violations: rec.oracle.violations().len(),
-        violation_lines: rec
-            .oracle
-            .violations()
-            .iter()
-            .take(8)
-            .map(|v| v.to_string())
-            .collect(),
-        kernel: gocast_sim::KernelStats::default(),
-        metrics: snap,
-    })
+    let core = RunCore::distil(
+        &mut rec,
+        u64::from(opts.messages),
+        staged.plan.len(),
+        KernelStats::default(),
+        net.metrics_snapshot(),
+    );
+    let phase = format!("wire:{label}");
+    Ok(staged.outcome(phase, 0, (start, end), core, &rec.ext, |n| {
+        (!net.is_crashed(n)).then(|| net.node(n))
+    }))
 }
 
 /// Scenario presets the subcommands run when `--scenario`/`--spec` is
@@ -645,38 +505,35 @@ pub const APP_PRESETS: [&str; 3] = ["baseline", "churn", "partition"];
 /// socket-exhaustion test; sim-side runs carry the scale story.
 pub const MAX_WIRE_NODES: usize = 512;
 
-/// One row of the table both subcommands print and write.
-fn outcome_row(table: &mut Table, o: &AppOutcome) {
-    let r = &o.report;
-    table.row([
-        o.workload.name().to_string(),
-        o.phase.clone(),
-        o.nodes.to_string(),
-        o.topics.to_string(),
-        o.epochs.to_string(),
-        o.faults.to_string(),
-        o.sub_events.to_string(),
-        o.injected.to_string(),
-        r.topic_deliveries.to_string(),
-        format!("{:.1}", o.goodput_bytes_per_sec()),
-        format!("{:.1}", r.mean_staleness.as_secs_f64() * 1000.0),
-        format!("{:.1}", r.convergence_p99.as_secs_f64() * 1000.0),
-        r.unapplied.to_string(),
-        o.divergent.len().to_string(),
-        o.violations.to_string(),
-    ]);
+/// The table both subcommands print and write, one row per run.
+fn outcome_table(runs: &[AppOutcome]) -> Table {
+    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1000.0);
+    let columns: [Column<'_, AppOutcome>; 15] = [
+        ("workload", &|o| o.workload.name().to_string()),
+        ("phase", &|o| o.phase.clone()),
+        ("nodes", &|o| o.nodes.to_string()),
+        ("topics", &|o| o.topics.to_string()),
+        ("epochs", &|o| o.epochs.to_string()),
+        ("faults", &|o| o.plan_len.to_string()),
+        ("sub_events", &|o| o.sub_events.to_string()),
+        ("injected", &|o| o.injected.to_string()),
+        ("deliveries", &|o| o.report.topic_deliveries.to_string()),
+        ("goodput_bps", &|o| {
+            format!("{:.1}", o.goodput_bytes_per_sec())
+        }),
+        ("stale_ms", &|o| ms(o.report.mean_staleness)),
+        ("conv_p99_ms", &|o| ms(o.report.convergence_p99)),
+        ("unapplied", &|o| o.report.unapplied.to_string()),
+        ("divergent", &|o| o.divergent.len().to_string()),
+        ("violations", &|o| o.violations.to_string()),
+    ];
+    table_of(&columns, runs)
 }
 
 /// Gates one outcome; prints what failed and returns the exit code
 /// contribution (0 = clean).
 fn gate(o: &AppOutcome) -> i32 {
-    let mut code = 0;
-    for line in &o.violation_lines {
-        eprintln!("  violation [{}]: {line}", o.phase);
-    }
-    if o.violations > 0 {
-        code = 1;
-    }
+    let mut code = o.oracle_gate(&o.phase);
     if !o.divergent.is_empty() {
         eprintln!(
             "  {}: CRDT replicas diverged on topics {:?}",
@@ -698,43 +555,31 @@ fn gate(o: &AppOutcome) -> i32 {
 /// The `pubsub`/`crdt` subcommand driver: runs the workload in
 /// simulation under each selected scenario (the [`APP_PRESETS`] trio by
 /// default; `--scenario`/`--spec` narrow it), then replays the same
-/// scenarios on the wire when loopback sockets are available. Writes
-/// `<workload>.csv` and `<workload>_topics.csv`. Returns the process
-/// exit code: nonzero on oracle violations, replica divergence, or a
-/// dead application tier.
+/// scenarios on the wire — at [`WIRE_SCALE`] wherever `given` says a
+/// scale flag was left unset — when loopback sockets are available.
+/// Writes `<workload>.csv` and `<workload>_topics.csv`. Returns the
+/// process exit code — nonzero on oracle violations, replica divergence,
+/// or a dead application tier — or the scenario resolver's error.
 pub fn app(
     opts: &ExpOptions,
+    given: &GivenFlags,
     workload: Workload,
     scenario: Option<&str>,
     spec: Option<&str>,
-) -> i32 {
+) -> Result<i32, String> {
+    // Presets gain the subscription churn; an ad-hoc spec runs as written.
+    let resolve = |name: &str, spec: Option<&str>| {
+        resolve_scenario(opts, name, spec).map(|(label, sc)| match spec {
+            Some(_) => (label, sc),
+            None => (label, with_sub_churn(sc, opts)),
+        })
+    };
     let runs: Vec<(String, Scenario)> = match (spec, scenario) {
-        (Some(s), _) => match parse_spec(s) {
-            Ok(sc) => vec![("spec".to_string(), sc)],
-            Err(e) => {
-                eprintln!("bad --spec: {e}");
-                return 2;
-            }
-        },
-        (None, Some(name)) => match app_scenario(name, opts) {
-            Some(sc) => vec![(name.to_string(), sc)],
-            None => {
-                eprintln!(
-                    "unknown scenario `{name}` (one of: {})",
-                    builtin_names().join(", ")
-                );
-                return 2;
-            }
-        },
         (None, None) => APP_PRESETS
             .iter()
-            .map(|&n| {
-                (
-                    n.to_string(),
-                    app_scenario(n, opts).expect("preset names are builtin"),
-                )
-            })
-            .collect(),
+            .map(|name| resolve(name, None))
+            .collect::<Result<_, _>>()?,
+        (spec, name) => vec![resolve(name.unwrap_or_default(), spec)?],
     };
     eprintln!(
         "{}: {} nodes, {} topics, {} commands, {} sim-shard(s); scenarios: {} ...",
@@ -749,56 +594,37 @@ pub fn app(
             .join(", ")
     );
 
-    let mut table = Table::new([
-        "workload",
-        "phase",
-        "nodes",
-        "topics",
-        "epochs",
-        "faults",
-        "sub_events",
-        "injected",
-        "deliveries",
-        "goodput_bps",
-        "stale_ms",
-        "conv_p99_ms",
-        "unapplied",
-        "divergent",
-        "violations",
-    ]);
+    let mut outs: Vec<AppOutcome> = Vec::new();
     let mut code = 0;
-    let mut first_label: Option<String> = None;
-
     for (label, scenario) in &runs {
         let out = run_app(opts, workload, label, scenario);
         eprintln!("  {}", out.manifest());
-        outcome_row(&mut table, &out);
         code = code.max(gate(&out));
-        if first_label.is_none() {
-            first_label = Some(label.clone());
-            opts.write_csv_for_workload(
-                &format!("{}_topics", workload.name()),
-                &out.topic_table(),
-                workload.name(),
-                Some(label),
-            );
-        }
+        outs.push(out);
     }
+    let first_label = Some(runs[0].0.as_str());
+    opts.write_csv_for_workload(
+        &format!("{}_topics", workload.name()),
+        &outs[0].topic_table(),
+        workload.name(),
+        first_label,
+    );
 
-    let wire_nodes = resolve_wire(opts).nodes;
-    if wire_nodes > MAX_WIRE_NODES {
+    let wire = opts.scaled_to(given, &WIRE_SCALE);
+    if wire.nodes > MAX_WIRE_NODES {
         eprintln!(
-            "{}: wire replay skipped at {wire_nodes} nodes \
+            "{}: wire replay skipped at {} nodes \
              (the loopback fabric is a deployment-scale harness, max {MAX_WIRE_NODES})",
-            workload.name()
+            workload.name(),
+            wire.nodes
         );
     } else if loopback_available() {
         for (label, scenario) in &runs {
-            match run_app_wire(opts, workload, label, scenario) {
+            match run_app_wire(&wire, workload, label, scenario) {
                 Ok(out) => {
                     eprintln!("  {}", out.manifest());
-                    outcome_row(&mut table, &out);
                     code = code.max(gate(&out));
+                    outs.push(out);
                 }
                 Err(e) => {
                     eprintln!("  wire:{label}: run failed: {e}");
@@ -813,19 +639,16 @@ pub fn app(
         );
     }
 
+    let table = outcome_table(&outs);
     println!("{table}");
-    opts.write_csv_for_workload(
-        workload.name(),
-        &table,
-        workload.name(),
-        first_label.as_deref(),
-    );
-    code
+    opts.write_csv_for_workload(workload.name(), &table, workload.name(), first_label);
+    Ok(code)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::parse_spec;
 
     fn tiny(sim_shards: usize) -> ExpOptions {
         let mut o = ExpOptions::quick().with_sim_shards(sim_shards);
@@ -863,7 +686,7 @@ mod tests {
             .subscribe_flood(Duration::from_secs(2), 8, 6)
             .topic_flashcrowd(Duration::from_secs(5), 0, 4);
         let out = run_app(&o, Workload::Crdt, "spec", &scenario);
-        assert!(out.faults >= 12, "plan must contain the faults");
+        assert!(out.plan_len >= 12, "plan must contain the faults");
         assert!(out.sub_events > 0, "plan must contain sub churn");
         assert!(out.epochs > 1, "sub churn opens epochs");
         assert_eq!(out.violations, 0, "{:?}", out.violation_lines);

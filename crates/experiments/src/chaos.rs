@@ -1,8 +1,8 @@
 //! Chaos runs: scenario-driven churn, correlated failures and partitions.
 //!
 //! The `chaos` subcommand drives a protocol stack (GoCast by default,
-//! Plumtree via `--stack plumtree`; see [`run_chaos_with`] for the
-//! stack-generic driver) through a [`gocast_sim::Scenario`] — either one
+//! Plumtree via `--stack plumtree`; the configuration is generic over the
+//! stack) through a [`gocast_sim::Scenario`] — either one
 //! of the built-in presets ([`builtin_scenario`]) or an ad-hoc spec
 //! string ([`parse_spec`]) — and measures how dissemination *degrades and
 //! recovers*:
@@ -20,35 +20,29 @@
 //!   (no duplicate delivery, no delivery before injection, degree bounds,
 //!   no pull of a held message) *while the faults are active*.
 //!
-//! Every run is deterministic: the scenario compiles from its own seeded
-//! RNG stream, the simulation is single-threaded and seeded, and
 //! [`ChaosOutcome::summary_string`] deliberately excludes wall-clock
-//! counters — so the same options replay to a byte-identical summary at
-//! any `--jobs` count (asserted by the integration tests).
+//! counters, so the same options replay to a byte-identical summary (see
+//! [`crate::pipeline`] for the determinism contract).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Deref;
 use std::time::Duration;
 
-use gocast::{bootstrap_random_graph, GoCastConfig, GoCastEvent, GoCastNode};
+use gocast::GoCastEvent;
 use gocast_analysis::{
-    fmt_ms, fmt_secs, InvariantOracle, MetricsRecorder, OracleConfig, OrphanTracker,
-    RecoveryTracker, Table, WindowRatio,
+    fmt_ms, fmt_secs, InvariantOracle, OracleConfig, OrphanTracker, WindowRatio,
 };
 use gocast_plumtree::{PlumtreeConfig, PlumtreeNode};
-use gocast_sim::{
-    KernelStats, NodeId, PresenceTimeline, Recorder, Scenario, ScenarioEnv, Sim, SimBuilder,
-    SimTime, Split, Stack,
-};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use gocast_metrics::ProtocolMetrics;
+use gocast_sim::{NodeId, OneLane, Recorder, Scenario, SimTime, Split, Stack};
 
 use crate::options::{ExpOptions, StackKind};
-use crate::report::kernel_digest;
-use crate::runners::{build_network, MetricsStream};
-use crate::sweep::parallel_map;
+use crate::pipeline::{
+    audited_gocast, bootstrapped, build_network, compile_plan, gocast_nodes, horizon, Run, RunCore,
+    RunRecorder, Sources, AUDIT_GC_WAIT,
+};
+use crate::report::{kernel_digest, table_of, whole_ms, Column};
+use crate::sweep::per_seed;
 
 /// Sampling period for the tree-attachment time series.
 pub const SLICE: Duration = Duration::from_millis(500);
@@ -57,62 +51,34 @@ pub const SLICE: Duration = Duration::from_millis(500);
 /// should be present are attached to the tree (parent set, or root).
 pub const REPAIR_FRAC: f64 = 0.99;
 
-/// Width of the sliding delivery-ratio windows.
-pub const WINDOW: Duration = Duration::from_secs(5);
-
-/// The composite recorder chaos runs install: steady-state metrics,
-/// recovery trackers, and the online invariant oracle, all fed from the
-/// same event stream.
+/// What chaos runs add to the recorder: orphan (tree-detachment) spells
+/// and how deliveries arrived.
 #[derive(Debug)]
-pub struct ChaosRecorder {
-    /// Steady-state delivery aggregates (redundancy, tree fraction, pulls).
-    pub metrics: MetricsRecorder,
-    /// Per-message injection/delivery counting for windowed ratios.
-    pub recovery: RecoveryTracker,
-    /// Orphan (tree-detachment) spell accounting.
+pub struct TreeHealth {
+    /// Orphan spell accounting.
     pub orphans: OrphanTracker,
-    /// Online safety-invariant checker.
-    pub oracle: InvariantOracle,
-    /// Capability-neutral protocol counters folded from the event stream.
-    pub proto: ProtocolMetrics,
     /// Sum of causal hop counts over all deliveries.
     pub hop_sum: u64,
     /// Deliveries carrying a nonzero hop count.
     pub hops: u64,
     /// Deliveries recovered via pull/graft (not the primary push path).
     pub pull_deliveries: u64,
-    /// All deliveries seen in the event stream.
-    pub deliveries: u64,
 }
 
-impl ChaosRecorder {
-    /// A recorder with an explicit oracle (built per stack from its
-    /// [`gocast_sim::StackCaps`]).
-    pub fn with_oracle(oracle: InvariantOracle) -> Self {
-        ChaosRecorder {
-            metrics: MetricsRecorder::new(),
-            recovery: RecoveryTracker::new(WINDOW),
+impl Default for TreeHealth {
+    fn default() -> Self {
+        TreeHealth {
             orphans: OrphanTracker::new(),
-            oracle,
-            proto: ProtocolMetrics::default(),
             hop_sum: 0,
             hops: 0,
             pull_deliveries: 0,
-            deliveries: 0,
         }
-    }
-
-    /// A recorder whose oracle bounds match a GoCast `cfg`.
-    pub fn for_protocol(cfg: &GoCastConfig) -> Self {
-        Self::with_oracle(InvariantOracle::for_protocol(cfg))
     }
 }
 
-impl Recorder<GoCastEvent> for ChaosRecorder {
+impl Recorder<GoCastEvent> for TreeHealth {
     fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        event.observe_into(&mut self.proto);
         if let GoCastEvent::Delivered { via, hop, .. } = &event {
-            self.deliveries += 1;
             if *hop > 0 {
                 self.hop_sum += u64::from(*hop);
                 self.hops += 1;
@@ -121,10 +87,7 @@ impl Recorder<GoCastEvent> for ChaosRecorder {
                 self.pull_deliveries += 1;
             }
         }
-        self.recovery.record(now, node, event.clone());
-        self.orphans.record(now, node, event.clone());
-        self.oracle.record(now, node, event.clone());
-        self.metrics.record(now, node, event);
+        self.orphans.record(now, node, event);
     }
 }
 
@@ -143,19 +106,13 @@ pub struct BurstRepair {
 /// Everything one seeded chaos run produces.
 #[derive(Debug)]
 pub struct ChaosOutcome {
+    /// Injected messages, planned faults, the oracle's verdict, kernel
+    /// counters and the final combined metrics snapshot.
+    pub core: RunCore,
     /// Name of the stack that ran ([`Stack::NAME`]).
     pub stack: &'static str,
     /// The seed this run used.
     pub seed: u64,
-    /// Concrete faults in the compiled plan.
-    pub plan_len: usize,
-    /// Messages injected.
-    pub injected: u64,
-    /// Deliveries owed (present-at-injection, never-departing nodes,
-    /// origin excluded, summed over messages).
-    pub expected: u64,
-    /// Deliveries found in message stores at the end of the run.
-    pub delivered: u64,
     /// Sliding-window delivery ratios over injection time.
     pub windows: Vec<WindowRatio>,
     /// Tree-repair time after each labelled burst.
@@ -166,13 +123,6 @@ pub struct ChaosOutcome {
     pub orphan_mean: Duration,
     /// Longest orphan spell.
     pub orphan_max: Duration,
-    /// Records the invariant oracle checked.
-    pub oracle_records: u64,
-    /// Invariant violations found (should be 0).
-    pub violations: usize,
-    /// The first few violations, formatted (empty on a clean run) — so a
-    /// failing gate says *what* broke, not just that something did.
-    pub violation_lines: Vec<String>,
     /// Sum of causal hop counts over event-stream deliveries.
     pub hop_sum: u64,
     /// Event-stream deliveries carrying a nonzero hop count.
@@ -181,22 +131,17 @@ pub struct ChaosOutcome {
     pub pull_deliveries: u64,
     /// All event-stream deliveries.
     pub event_deliveries: u64,
-    /// Kernel counters at the end of the run.
-    pub kernel: KernelStats,
-    /// Final combined metrics snapshot (kernel + protocol).
-    pub metrics: gocast_metrics::Snapshot,
+}
+
+impl Deref for ChaosOutcome {
+    type Target = RunCore;
+
+    fn deref(&self) -> &RunCore {
+        &self.core
+    }
 }
 
 impl ChaosOutcome {
-    /// `delivered / expected` (1.0 when nothing was owed).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.expected == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.expected as f64
-        }
-    }
-
     /// Mean causal hop count over deliveries that carried one.
     pub fn mean_hops(&self) -> f64 {
         if self.hops == 0 {
@@ -215,6 +160,11 @@ impl ChaosOutcome {
         } else {
             self.pull_deliveries as f64 / self.event_deliveries as f64
         }
+    }
+
+    /// [`ChaosOutcome::mean_repair`] in whole milliseconds (`-`: none).
+    pub fn mean_repair_ms(&self) -> String {
+        self.mean_repair().map_or("-".into(), whole_ms)
     }
 
     /// Mean repair time over bursts that did recover within the run.
@@ -258,25 +208,11 @@ impl ChaosOutcome {
             );
         }
         for r in &self.repairs {
-            match r.repair {
-                Some(d) => {
-                    let _ = write!(
-                        s,
-                        " repair[{}@{}ms]={}ms",
-                        r.label,
-                        r.at.as_nanos() / 1_000_000,
-                        d.as_millis()
-                    );
-                }
-                None => {
-                    let _ = write!(
-                        s,
-                        " repair[{}@{}ms]=never",
-                        r.label,
-                        r.at.as_nanos() / 1_000_000
-                    );
-                }
-            }
+            let at_ms = r.at.as_nanos() / 1_000_000;
+            let took = r
+                .repair
+                .map_or("never".into(), |d| format!("{}ms", d.as_millis()));
+            let _ = write!(s, " repair[{}@{at_ms}ms]={took}", r.label);
         }
         let _ = write!(
             s,
@@ -292,31 +228,6 @@ impl ChaosOutcome {
     }
 }
 
-/// Fraction of should-be-present, alive nodes attached to their stack's
-/// dissemination structure ([`Stack::attached`]) at `t`.
-fn attached_fraction<S: Stack<Event = GoCastEvent>>(
-    sim: &Sim<S, ChaosRecorder>,
-    presence: &PresenceTimeline,
-    t: SimTime,
-) -> f64 {
-    let mut present = 0u32;
-    let mut attached = 0u32;
-    for (id, node) in sim.iter_nodes() {
-        if !presence.present(id, t) || !sim.is_alive(id) {
-            continue;
-        }
-        present += 1;
-        if node.attached() {
-            attached += 1;
-        }
-    }
-    if present == 0 {
-        1.0
-    } else {
-        attached as f64 / present as f64
-    }
-}
-
 /// Runs one seeded chaos experiment for [`ExpOptions::stack`].
 ///
 /// Both stacks get the same network, bootstrap graph shape, scenario
@@ -324,33 +235,18 @@ fn attached_fraction<S: Stack<Event = GoCastEvent>>(
 /// Stack-specific oracle checks are gated by [`Stack::capabilities`]
 /// (Plumtree keeps no degree-bounded random/nearby split, so those checks
 /// are skipped for it; the universal no-early/no-duplicate-delivery
-/// checks always apply).
+/// checks always apply). Message stores keep everything for the
+/// end-of-run audit ([`audited_gocast`]).
 pub fn run_chaos(opts: &ExpOptions, scenario: &Scenario) -> ChaosOutcome {
-    // Keep every message in the stores: the end-of-run audit reads them,
-    // and the default 120 s garbage collection would erase the evidence
-    // mid-run.
-    let audit_gc = Duration::from_secs(3600);
     match opts.stack {
         StackKind::GoCast => {
-            let cfg = GoCastConfig {
-                gc_wait: audit_gc,
-                ..GoCastConfig::default()
-            };
+            let cfg = audited_gocast();
             let oracle = InvariantOracle::for_protocol(&cfg);
-            let links_per_node = (cfg.c_degree() / 2).max(1);
-            run_chaos_with(
-                opts,
-                scenario,
-                oracle,
-                links_per_node,
-                |id, links, members| {
-                    GoCastNode::with_initial_links(id, cfg.clone(), links, members)
-                },
-            )
+            chaos_phases(opts, scenario, oracle, gocast_nodes(opts, &cfg))
         }
         StackKind::Plumtree => {
             let cfg = PlumtreeConfig {
-                gc_wait: audit_gc,
+                gc_wait: AUDIT_GC_WAIT,
                 ..PlumtreeConfig::default()
             };
             let ocfg = OracleConfig {
@@ -359,127 +255,65 @@ pub fn run_chaos(opts: &ExpOptions, scenario: &Scenario) -> ChaosOutcome {
                 ..OracleConfig::universal()
             }
             .with_caps(&PlumtreeNode::capabilities());
-            let oracle = InvariantOracle::new(ocfg);
-            let links_per_node = (cfg.active_view / 2).max(1);
-            run_chaos_with(
-                opts,
-                scenario,
-                oracle,
-                links_per_node,
-                |id, links, members| {
-                    PlumtreeNode::with_initial_links(id, cfg.clone(), links, members)
-                },
-            )
+            let make = bootstrapped(opts, cfg.active_view / 2, |id, links, members| {
+                PlumtreeNode::with_initial_links(id, cfg.clone(), links, members)
+            });
+            chaos_phases(opts, scenario, InvariantOracle::new(ocfg), make)
         }
     }
 }
 
-/// The stack-generic chaos driver: warm the overlay up, compile and
-/// schedule `scenario` (site groups come from the latency matrix, so
-/// group faults are correlated site failures), inject the message
-/// workload from nodes the plan says are present, sample attachment every
-/// [`SLICE`], drain, and audit message stores against the presence
-/// timeline.
-pub fn run_chaos_with<S, F>(
+/// The chaos configuration of the pipeline, generic over the stack: the
+/// one-lane kernel over the synthetic-King matrix (site groups make group
+/// faults correlated site failures), the scenario compiled and scheduled
+/// after warm-up, presence-gated sources, tree attachment sampled every
+/// [`SLICE`], and a presence-aware store audit.
+fn chaos_phases<S: Stack<Event = GoCastEvent>>(
     opts: &ExpOptions,
     scenario: &Scenario,
     oracle: InvariantOracle,
-    links_per_node: usize,
-    mut make: F,
-) -> ChaosOutcome
-where
-    S: Stack<Event = GoCastEvent>,
-    F: FnMut(NodeId, Vec<NodeId>, Vec<NodeId>) -> S,
-{
+    make: impl FnMut(NodeId) -> S,
+) -> ChaosOutcome {
     let net = build_network(opts);
-    let groups: Vec<u32> = net.site_assignment().to_vec();
-    let mut boot = bootstrap_random_graph(opts.nodes, links_per_node, opts.seed ^ 0xB007);
-    let mut builder = SimBuilder::new(net).seed(opts.seed);
-    if opts.metrics_out.is_some() {
-        builder = builder.telemetry();
-    }
-    let mut stream = MetricsStream::for_opts(opts, None);
-    let mut sim = builder.build_with(ChaosRecorder::with_oracle(oracle), |id| {
-        let (links, members) = boot(id);
-        make(id, links, members)
-    });
-    let chaos_snapshot = |sim: &Sim<S, ChaosRecorder>| {
-        let mut snap = sim.metrics_snapshot();
-        sim.recorder().proto.snapshot_into(&mut snap);
-        snap
-    };
-    sim.run_until(SimTime::ZERO + opts.warmup);
-
-    let env = ScenarioEnv::new(opts.nodes, opts.seed)
-        .with_groups(&groups)
-        .starting_at(sim.now());
-    let plan = scenario.compile(&env);
-    plan.schedule_into(&mut sim, |contact| S::cmd_join(contact), || S::cmd_leave());
+    let plan = compile_plan(opts, scenario, net.site_assignment());
     let presence = plan.presence();
+    let recorder = RunRecorder::for_opts(
+        opts,
+        &opts.manifest(None),
+        Some(oracle),
+        TreeHealth::default(),
+    );
+    let mut run: Run<S, TreeHealth, OneLane> = Run::serial(opts, net, false, recorder, make);
+    run.warm(opts.warmup);
+    run.schedule(&plan);
+    let start = run.inject_multicasts(opts, &Sources::Present(&presence));
 
-    // Injections come from nodes the plan says are present at send time
-    // (rejection sampling; the plan never empties the population).
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x5EED);
-    let start = sim.now() + Duration::from_millis(100);
-    for i in 0..opts.messages {
-        let at = start + Duration::from_secs_f64(i as f64 / opts.rate);
-        let src = loop {
-            let cand = NodeId::new(rng.gen_range(0..opts.nodes as u32));
-            if presence.present(cand, at) {
-                break cand;
-            }
-        };
-        sim.schedule_command(at, src, S::cmd_multicast());
-    }
-
-    // Step in slices, sampling tree attachment for repair measurement.
-    let end = plan
-        .end()
-        .unwrap_or(start)
-        .max(start + opts.inject_duration())
-        + opts.drain;
+    // Fraction of should-be-present, alive nodes attached to the stack's
+    // dissemination structure, per slice — what repair times are read off.
     let mut samples: Vec<(SimTime, f64)> = Vec::new();
-    let mut t = sim.now();
-    while t < end {
-        t = (t + SLICE).min(end);
-        sim.run_until(t);
-        samples.push((t, attached_fraction(&sim, &presence, t)));
-        if let Some(s) = &mut stream {
-            s.sample(t, &chaos_snapshot(&sim));
-        }
-    }
-
-    let final_now = sim.now();
-    sim.recorder_mut().orphans.finish(final_now);
-    sim.recorder_mut().oracle.finish();
-
-    // Audit: a node owes a delivery of message `m` iff the plan says it
-    // was present when `m` was injected and never departed afterwards.
-    // `has_message` reads the actual store, independent of the event
-    // stream the trackers saw.
-    let rec = sim.recorder();
-    let mut per_msg: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    let mut expected = 0u64;
-    let mut delivered = 0u64;
-    for (id, at) in rec.recovery.injections() {
-        let mut owed = 0u64;
-        for n in 0..opts.nodes as u32 {
-            let n = NodeId::new(n);
-            if n == id.origin || !presence.present_from(n, at) {
-                continue;
-            }
-            owed += 1;
-            if sim.node(n).holds(id.origin, id.seq) {
-                delivered += 1;
+    run.observe_every(horizon(opts, start, Some(&plan)), SLICE, |sim, t| {
+        let (mut present, mut attached) = (0u32, 0u32);
+        for (id, node) in sim.iter_nodes() {
+            if presence.present(id, t) && sim.is_alive(id) {
+                present += 1;
+                attached += u32::from(node.attached());
             }
         }
-        expected += owed;
-        per_msg.insert((id.origin.as_u32(), id.seq), owed);
-    }
-    let windows = rec
-        .recovery
-        .windowed_ratios(|id, _| per_msg[&(id.origin.as_u32(), id.seq)]);
+        let frac = if present == 0 {
+            1.0
+        } else {
+            f64::from(attached) / f64::from(present)
+        };
+        samples.push((t, frac));
+    });
 
+    let final_now = run.sim.now();
+    run.sim.recorder_mut().ext.orphans.finish(final_now);
+    // A node owes a delivery of message `m` iff the plan says it was
+    // present when `m` was injected and never departed afterwards.
+    let (core, windows) = run.finish_audited(plan.len(), |n, at| presence.present_from(n, at));
+
+    let rec = run.sim.recorder();
     let repairs: Vec<BurstRepair> = plan
         .bursts()
         .iter()
@@ -492,46 +326,26 @@ where
                 .map(|(t, _)| t.saturating_since(*at)),
         })
         .collect();
-
+    let health = &rec.ext;
     ChaosOutcome {
+        core,
         stack: S::NAME,
         seed: opts.seed,
-        plan_len: plan.len(),
-        injected: rec.recovery.injected_count(),
-        expected,
-        delivered,
         windows,
         repairs,
-        orphan_spells: rec.orphans.spells(),
-        orphan_mean: rec.orphans.mean_spell(),
-        orphan_max: rec.orphans.max_spell(),
-        oracle_records: rec.oracle.records_checked(),
-        violations: rec.oracle.violations().len(),
-        violation_lines: rec
-            .oracle
-            .violations()
-            .iter()
-            .take(8)
-            .map(|v| v.to_string())
-            .collect(),
-        hop_sum: rec.hop_sum,
-        hops: rec.hops,
-        pull_deliveries: rec.pull_deliveries,
-        event_deliveries: rec.deliveries,
-        kernel: sim.kernel_stats(),
-        metrics: chaos_snapshot(&sim),
+        orphan_spells: health.orphans.spells(),
+        orphan_mean: health.orphans.mean_spell(),
+        orphan_max: health.orphans.max_spell(),
+        hop_sum: health.hop_sum,
+        hops: health.hops,
+        pull_deliveries: health.pull_deliveries,
+        event_deliveries: rec.proto.deliveries.get(),
     }
 }
 
-/// Runs `run_chaos` across `seeds` consecutive seeds, fanned over
-/// `opts.effective_jobs()` worker threads. Results come back in seed
-/// order, so output is byte-identical at any job count.
+/// Runs `run_chaos` across `seeds` consecutive seeds ([`per_seed`]).
 pub fn chaos_sweep(opts: &ExpOptions, scenario: &Scenario, seeds: u64) -> Vec<ChaosOutcome> {
-    assert!(seeds > 0, "need at least one seed");
-    let runs: Vec<ExpOptions> = (0..seeds)
-        .map(|i| opts.clone().with_seed(opts.seed.wrapping_add(i)))
-        .collect();
-    parallel_map(opts.effective_jobs(), runs, |_, o| run_chaos(&o, scenario))
+    per_seed(opts, seeds, |o| run_chaos(o, scenario))
 }
 
 /// The built-in scenario presets, keyed by `--scenario` name. Each is
@@ -625,51 +439,20 @@ pub fn parse_spec(spec: &str) -> Result<Scenario, String> {
                 .ok_or_else(|| format!("`{pair}` in `{clause}` is not k=v"))?;
             kv.insert(k.trim(), v.trim());
         }
-        let f = |key: &str| -> Result<f64, String> {
-            kv.get(key)
-                .ok_or_else(|| format!("`{name}` needs `{key}=`"))?
-                .parse::<f64>()
-                .map_err(|e| format!("`{key}` in `{name}`: {e}"))
-        };
-        let f_or = |key: &str, default: f64| -> Result<f64, String> {
-            match kv.get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .parse::<f64>()
-                    .map_err(|e| format!("`{key}` in `{name}`: {e}")),
-            }
-        };
-        let secs = |key: &str| -> Result<Duration, String> {
-            let v = f(key)?;
+        let f = |key| arg::<f64>(&kv, name, key, None);
+        let secs_or = |key: &str, default: Option<f64>| -> Result<Duration, String> {
+            let v = arg(&kv, name, key, default)?;
             if !(v.is_finite() && v >= 0.0) {
                 return Err(format!("`{key}` in `{name}` must be a non-negative time"));
             }
             Ok(Duration::from_secs_f64(v))
         };
-        let secs_or = |key: &str, default: f64| -> Result<Duration, String> {
-            let v = f_or(key, default)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("`{key}` in `{name}` must be a non-negative time"));
-            }
-            Ok(Duration::from_secs_f64(v))
-        };
-        let node = |key: &str| -> Result<NodeId, String> {
-            Ok(NodeId::new(
-                kv.get(key)
-                    .ok_or_else(|| format!("`{name}` needs `{key}=`"))?
-                    .parse::<u32>()
-                    .map_err(|e| format!("`{key}` in `{name}`: {e}"))?,
-            ))
-        };
-        let count = |key: &str| -> Result<usize, String> {
-            kv.get(key)
-                .ok_or_else(|| format!("`{name}` needs `{key}=`"))?
-                .parse::<usize>()
-                .map_err(|e| format!("`{key}` in `{name}`: {e}"))
-        };
+        let secs = |key| secs_or(key, None);
+        let node = |key| arg::<u32>(&kv, name, key, None).map(NodeId::new);
+        let count = |key| arg::<usize>(&kv, name, key, None);
         s = match name.trim() {
             "churn" => {
-                let (start, end) = (secs_or("start", 0.0)?, secs("end")?);
+                let (start, end) = (secs_or("start", Some(0.0))?, secs("end")?);
                 let (leave, join) = (f("leave")?, f("join")?);
                 if end < start {
                     return Err("churn `end` must not precede `start`".into());
@@ -707,14 +490,17 @@ pub fn parse_spec(spec: &str) -> Result<Scenario, String> {
                 if !(0.0..=1.0).contains(&p) {
                     return Err(format!("loss probability {p} not in 0..=1"));
                 }
-                s.loss_at(secs_or("at", 0.0)?, p)
+                s.loss_at(secs_or("at", Some(0.0))?, p)
             }
             "jitter" => {
                 let ms = f("ms")?;
                 if !(ms.is_finite() && ms >= 0.0) {
                     return Err("jitter `ms` must be non-negative".into());
                 }
-                s.jitter_at(secs_or("at", 0.0)?, Duration::from_secs_f64(ms / 1000.0))
+                s.jitter_at(
+                    secs_or("at", Some(0.0))?,
+                    Duration::from_secs_f64(ms / 1000.0),
+                )
             }
             "protect" => s.protect(node("node")?),
             "floor" => s.min_present(count("n")?),
@@ -729,37 +515,61 @@ pub fn parse_spec(spec: &str) -> Result<Scenario, String> {
     Ok(s)
 }
 
-/// The `chaos` subcommand: resolve the scenario (`--spec` wins over
-/// `--scenario`), run it over `seeds` consecutive seeds, print the
-/// per-seed recovery table plus (for a single seed) the windowed
-/// delivery-ratio series, and write `chaos.csv` / `chaos_windows.csv`.
-/// Returns the outcomes for programmatic use (benches, tests).
+/// The clause argument `key=`, parsed as `T`; `default` stands in when the
+/// clause omits it.
+fn arg<T: std::str::FromStr>(
+    kv: &BTreeMap<&str, &str>,
+    name: &str,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    match (kv.get(key), default) {
+        (Some(v), _) => v.parse().map_err(|e| format!("`{key}` in `{name}`: {e}")),
+        (None, Some(default)) => Ok(default),
+        (None, None) => Err(format!("`{name}` needs `{key}=`")),
+    }
+}
+
+/// Resolves `--spec STR` (which wins) or `--scenario NAME` to a label —
+/// `spec` or the preset name — and the scenario. The one place a bad
+/// spec or an unknown preset is reported; the binary owns the exit code.
+pub fn resolve_scenario(
+    opts: &ExpOptions,
+    name: &str,
+    spec: Option<&str>,
+) -> Result<(String, Scenario), String> {
+    match spec {
+        Some(spec) => parse_spec(spec)
+            .map(|s| ("spec".to_string(), s))
+            .map_err(|e| format!("bad --spec: {e}")),
+        None => builtin_scenario(name, opts)
+            .map(|s| (name.to_string(), s))
+            .ok_or_else(|| {
+                format!(
+                    "unknown scenario `{name}` (one of: {})",
+                    builtin_names().join(", ")
+                )
+            }),
+    }
+}
+
+/// The `chaos` subcommand: resolve the scenario, run it over `seeds`
+/// consecutive seeds, print the per-seed recovery table plus (for a single
+/// seed) the windowed delivery-ratio series, and write `chaos.csv` /
+/// `chaos_windows.csv`. Returns the outcomes for programmatic use
+/// (benches, tests), or the resolver's error.
 pub fn chaos(
     opts: &ExpOptions,
     scenario_name: &str,
     spec: Option<&str>,
     seeds: u64,
-) -> Vec<ChaosOutcome> {
-    let scenario = match spec {
-        Some(spec) => parse_spec(spec).unwrap_or_else(|e| {
-            eprintln!("bad --spec: {e}");
-            std::process::exit(2);
-        }),
-        None => builtin_scenario(scenario_name, opts).unwrap_or_else(|| {
-            eprintln!(
-                "unknown scenario `{scenario_name}` (one of: {})",
-                builtin_names().join(", ")
-            );
-            std::process::exit(2);
-        }),
-    };
+) -> Result<Vec<ChaosOutcome>, String> {
+    let (label, scenario) = resolve_scenario(opts, scenario_name, spec)?;
     eprintln!(
-        "chaos `{}`: {} nodes, {} messages, {} seed(s), {} scenario step(s) ...",
-        if spec.is_some() {
-            "spec"
-        } else {
-            scenario_name
-        },
+        "chaos `{label}`: {} nodes, {} messages, {} seed(s), {} scenario step(s) ...",
         opts.nodes,
         opts.messages,
         seeds,
@@ -768,40 +578,24 @@ pub fn chaos(
 
     let outcomes = chaos_sweep(opts, &scenario, seeds);
 
-    let mut table = Table::new([
-        "stack",
-        "seed",
-        "faults",
-        "injected",
-        "expected",
-        "delivered",
-        "ratio",
-        "mean_hops",
-        "recovery_frac",
-        "mean_repair_ms",
-        "orphan_mean_ms",
-        "orphan_max_ms",
-        "violations",
-    ]);
-    for o in &outcomes {
-        table.row([
-            o.stack.to_string(),
-            o.seed.to_string(),
-            o.plan_len.to_string(),
-            o.injected.to_string(),
-            o.expected.to_string(),
-            o.delivered.to_string(),
-            format!("{:.4}", o.delivery_ratio()),
-            format!("{:.2}", o.mean_hops()),
-            format!("{:.4}", o.recovery_fraction()),
-            o.mean_repair()
-                .map(|d| format!("{:.0}", d.as_secs_f64() * 1000.0))
-                .unwrap_or_else(|| "-".into()),
-            format!("{:.0}", o.orphan_mean.as_secs_f64() * 1000.0),
-            format!("{:.0}", o.orphan_max.as_secs_f64() * 1000.0),
-            o.violations.to_string(),
-        ]);
-    }
+    let columns: [Column<'_, ChaosOutcome>; 13] = [
+        ("stack", &|o| o.stack.to_string()),
+        ("seed", &|o| o.seed.to_string()),
+        ("faults", &|o| o.plan_len.to_string()),
+        ("injected", &|o| o.injected.to_string()),
+        ("expected", &|o| o.expected.to_string()),
+        ("delivered", &|o| o.delivered.to_string()),
+        ("ratio", &|o| format!("{:.4}", o.delivery_ratio())),
+        ("mean_hops", &|o| format!("{:.2}", o.mean_hops())),
+        ("recovery_frac", &|o| {
+            format!("{:.4}", o.recovery_fraction())
+        }),
+        ("mean_repair_ms", &|o| o.mean_repair_ms()),
+        ("orphan_mean_ms", &|o| whole_ms(o.orphan_mean)),
+        ("orphan_max_ms", &|o| whole_ms(o.orphan_max)),
+        ("violations", &|o| o.violations.to_string()),
+    ];
+    let table = table_of(&columns, &outcomes);
     let scenario_label = spec.unwrap_or(scenario_name);
     println!("{table}");
     opts.write_csv_for_scenario("chaos", &table, Some(scenario_label));
@@ -809,52 +603,37 @@ pub fn chaos(
     for o in &outcomes {
         for r in &o.repairs {
             let when = fmt_secs(Duration::from_nanos(r.at.as_nanos()));
-            match r.repair {
-                Some(d) => println!(
-                    "  seed {}: burst {} at {when}s: tree repaired in {} ms",
-                    o.seed,
-                    r.label,
-                    fmt_ms(d)
-                ),
-                None => println!(
-                    "  seed {}: burst {} at {when}s: tree NOT repaired within the run",
-                    o.seed, r.label
-                ),
-            }
+            let verdict = r.repair.map_or("NOT repaired within the run".into(), |d| {
+                format!("repaired in {} ms", fmt_ms(d))
+            });
+            let (seed, label) = (o.seed, &r.label);
+            println!("  seed {seed}: burst {label} at {when}s: tree {verdict}");
         }
     }
 
     if outcomes.len() == 1 {
         let o = &outcomes[0];
-        let mut wins = Table::new([
-            "window_start_s",
-            "injected",
-            "expected",
-            "delivered",
-            "ratio",
-        ]);
-        for w in &o.windows {
-            wins.row([
-                format!("{:.0}", w.start.as_nanos() as f64 / 1e9),
-                w.injected.to_string(),
-                w.expected.to_string(),
-                w.delivered.to_string(),
-                format!("{:.4}", w.ratio()),
-            ]);
-        }
+        let columns: [Column<'_, WindowRatio>; 5] = [
+            ("window_start_s", &|w| {
+                format!("{:.0}", w.start.as_nanos() as f64 / 1e9)
+            }),
+            ("injected", &|w| w.injected.to_string()),
+            ("expected", &|w| w.expected.to_string()),
+            ("delivered", &|w| w.delivered.to_string()),
+            ("ratio", &|w| format!("{:.4}", w.ratio())),
+        ];
+        let wins = table_of(&columns, &o.windows);
         println!("{wins}");
         opts.write_csv_for_scenario("chaos_windows", &wins, Some(scenario_label));
     }
 
     let worst = outcomes
         .iter()
-        .map(ChaosOutcome::delivery_ratio)
+        .map(|o| o.delivery_ratio())
         .fold(f64::INFINITY, f64::min);
     let violations: usize = outcomes.iter().map(|o| o.violations).sum();
     for o in &outcomes {
-        for line in &o.violation_lines {
-            eprintln!("  violation [{} seed {}]: {line}", o.stack, o.seed);
-        }
+        o.oracle_gate(&format!("{} seed {}", o.stack, o.seed));
     }
     println!(
         "worst-seed delivery ratio {:.4}; invariant oracle: {} violation(s) across {} record(s)",
@@ -862,7 +641,7 @@ pub fn chaos(
         violations,
         outcomes.iter().map(|o| o.oracle_records).sum::<u64>()
     );
-    outcomes
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -912,8 +691,7 @@ mod tests {
         let groups: Vec<u32> = (0..opts.nodes as u32).map(|i| i % 8).collect();
         for name in builtin_names() {
             let s = builtin_scenario(name, &opts).unwrap();
-            let env = ScenarioEnv::new(opts.nodes, opts.seed).with_groups(&groups);
-            let plan = s.compile(&env);
+            let plan = compile_plan(&opts, &s, &groups);
             // Stochastic presets (churn, lossy) may expand to nothing on an
             // unlucky seed; the deterministic ones always produce faults.
             if matches!(*name, "catastrophe" | "partition" | "flashcrowd") {
@@ -921,6 +699,33 @@ mod tests {
             }
         }
         assert!(builtin_scenario("nope", &opts).is_none());
+    }
+
+    #[test]
+    fn every_entry_point_returns_the_resolver_error() {
+        use crate::app::{app, Workload};
+        use crate::options::GivenFlags;
+        let opts = ExpOptions::quick();
+        let given = GivenFlags::ALL;
+        for (name, spec, needle) in [
+            ("nope", None, "unknown scenario `nope`"),
+            ("churn", Some("explode(at=1)"), "bad --spec"),
+        ] {
+            let errors = [
+                chaos(&opts, name, spec, 1).map(|_| ()).unwrap_err(),
+                crate::scale::scale(&opts, name, spec).unwrap_err(),
+                app(&opts, &given, Workload::PubSub, Some(name), spec).unwrap_err(),
+                crate::testnet::testnet(&opts, &given, name, spec).unwrap_err(),
+            ];
+            for e in errors {
+                assert!(e.contains(needle), "`{e}` should mention `{needle}`");
+            }
+        }
+        // `compare` takes preset names only.
+        let e = crate::compare::compare(&opts, &["churn", "nope"], 1)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(e.contains("unknown scenario `nope`"), "{e}");
     }
 
     #[test]

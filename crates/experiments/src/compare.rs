@@ -11,16 +11,17 @@
 //! pull/graft path), mean tree-repair time, orphan-spell statistics, and
 //! oracle violations.
 //!
-//! Output is deterministic: runs fan across `--jobs` workers but merge in
-//! submission order, so the table and `compare.csv` are byte-identical at
-//! any job count (asserted by the integration tests).
+//! Each cell is two runs of the `chaos` configuration of
+//! [`crate::pipeline`], so the table and `compare.csv` are byte-identical
+//! at any `--jobs` count (asserted by the integration tests).
 
 use gocast_analysis::Table;
 use gocast_sim::Scenario;
 
-use crate::chaos::{builtin_scenario, run_chaos, ChaosOutcome};
+use crate::chaos::{resolve_scenario, run_chaos, ChaosOutcome};
 use crate::options::{ExpOptions, StackKind};
-use crate::sweep::parallel_map;
+use crate::report::{table_of, Column};
+use crate::sweep::{parallel_map, seeded};
 
 /// The presets `compare` runs by default: the three fault families the
 /// paper's dependability story rests on (continuous churn, a network
@@ -62,31 +63,18 @@ pub fn compare_sweep(
     presets: &[&str],
     seeds: u64,
 ) -> Result<Vec<CompareRow>, String> {
-    assert!(seeds > 0, "need at least one seed");
     assert!(!presets.is_empty(), "need at least one preset");
     let scenarios: Vec<(String, Scenario)> = presets
         .iter()
-        .map(|&p| {
-            builtin_scenario(p, opts)
-                .map(|s| (p.to_string(), s))
-                .ok_or_else(|| format!("unknown preset `{p}`"))
-        })
+        .map(|&p| resolve_scenario(opts, p, None))
         .collect::<Result<_, _>>()?;
 
     // Submission order is the output order: preset-major, then seed, then
     // stack (GoCast before Plumtree) — fixed regardless of job count.
-    let mut runs: Vec<(usize, ExpOptions)> = Vec::new();
-    for (si, _) in scenarios.iter().enumerate() {
-        for i in 0..seeds {
-            for stack in StackKind::ALL {
-                let o = opts
-                    .clone()
-                    .with_seed(opts.seed.wrapping_add(i))
-                    .with_stack(stack);
-                runs.push((si, o));
-            }
-        }
-    }
+    let runs: Vec<(usize, ExpOptions)> = (0..scenarios.len())
+        .flat_map(|si| seeded(opts, seeds).map(move |o| (si, o)))
+        .flat_map(|(si, o)| StackKind::ALL.map(|stack| (si, o.clone().with_stack(stack))))
+        .collect();
     let outcomes = parallel_map(opts.effective_jobs(), runs, |_, (si, o)| {
         (si, run_chaos(&o, &scenarios[si].1))
     });
@@ -108,53 +96,39 @@ pub fn compare_sweep(
 /// Formats comparison rows as the side-by-side table `compare` prints and
 /// writes as `compare.csv`. Column names are prefixed `go_` / `pt_`.
 pub fn compare_table(rows: &[CompareRow]) -> Table {
-    let mut table = Table::new([
-        "preset",
-        "seed",
-        "faults",
-        "go_ratio",
-        "pt_ratio",
-        "go_mean_hops",
-        "pt_mean_hops",
-        "go_recovery_frac",
-        "pt_recovery_frac",
-        "go_repair_ms",
-        "pt_repair_ms",
-        "go_violations",
-        "pt_violations",
-    ]);
-    let repair = |o: &ChaosOutcome| {
-        o.mean_repair()
-            .map(|d| format!("{:.0}", d.as_secs_f64() * 1000.0))
-            .unwrap_or_else(|| "-".into())
-    };
-    for r in rows {
-        table.row([
-            r.preset.clone(),
-            r.seed().to_string(),
-            r.gocast.plan_len.to_string(),
-            format!("{:.4}", r.gocast.delivery_ratio()),
-            format!("{:.4}", r.plumtree.delivery_ratio()),
-            format!("{:.2}", r.gocast.mean_hops()),
-            format!("{:.2}", r.plumtree.mean_hops()),
-            format!("{:.4}", r.gocast.recovery_fraction()),
-            format!("{:.4}", r.plumtree.recovery_fraction()),
-            repair(&r.gocast),
-            repair(&r.plumtree),
-            r.gocast.violations.to_string(),
-            r.plumtree.violations.to_string(),
-        ]);
-    }
-    table
+    let columns: [Column<'_, CompareRow>; 13] = [
+        ("preset", &|r| r.preset.clone()),
+        ("seed", &|r| r.seed().to_string()),
+        ("faults", &|r| r.gocast.plan_len.to_string()),
+        ("go_ratio", &|r| format!("{:.4}", r.gocast.delivery_ratio())),
+        ("pt_ratio", &|r| {
+            format!("{:.4}", r.plumtree.delivery_ratio())
+        }),
+        ("go_mean_hops", &|r| format!("{:.2}", r.gocast.mean_hops())),
+        ("pt_mean_hops", &|r| {
+            format!("{:.2}", r.plumtree.mean_hops())
+        }),
+        ("go_recovery_frac", &|r| {
+            format!("{:.4}", r.gocast.recovery_fraction())
+        }),
+        ("pt_recovery_frac", &|r| {
+            format!("{:.4}", r.plumtree.recovery_fraction())
+        }),
+        ("go_repair_ms", &|r| r.gocast.mean_repair_ms()),
+        ("pt_repair_ms", &|r| r.plumtree.mean_repair_ms()),
+        ("go_violations", &|r| r.gocast.violations.to_string()),
+        ("pt_violations", &|r| r.plumtree.violations.to_string()),
+    ];
+    table_of(&columns, rows)
 }
 
 /// The `compare` subcommand: run GoCast and Plumtree head-to-head over
 /// the selected presets (all of [`COMPARE_PRESETS`] unless the caller
 /// narrows it with `--scenario`) and `seeds` consecutive seeds, print the
 /// side-by-side table, and write `compare.csv`. Returns the rows for
-/// programmatic use; the CLI exits nonzero if any run had an oracle
-/// violation.
-pub fn compare(opts: &ExpOptions, presets: &[&str], seeds: u64) -> Vec<CompareRow> {
+/// programmatic use (the CLI exits nonzero if any run had an oracle
+/// violation), or the scenario resolver's error.
+pub fn compare(opts: &ExpOptions, presets: &[&str], seeds: u64) -> Result<Vec<CompareRow>, String> {
     eprintln!(
         "compare gocast vs plumtree: {} nodes, {} messages, {} seed(s), presets [{}] ...",
         opts.nodes,
@@ -162,10 +136,7 @@ pub fn compare(opts: &ExpOptions, presets: &[&str], seeds: u64) -> Vec<CompareRo
         seeds,
         presets.join(", "),
     );
-    let rows = compare_sweep(opts, presets, seeds).unwrap_or_else(|e| {
-        eprintln!("bad preset list: {e}");
-        std::process::exit(2);
-    });
+    let rows = compare_sweep(opts, presets, seeds)?;
     let table = compare_table(&rows);
     println!("{table}");
     opts.write_csv("compare", &table);
@@ -176,12 +147,7 @@ pub fn compare(opts: &ExpOptions, presets: &[&str], seeds: u64) -> Vec<CompareRo
         .sum();
     for r in &rows {
         for o in [&r.gocast, &r.plumtree] {
-            for line in &o.violation_lines {
-                eprintln!(
-                    "  violation [{} {} seed {}]: {line}",
-                    r.preset, o.stack, o.seed
-                );
-            }
+            o.oracle_gate(&format!("{} {} seed {}", r.preset, o.stack, o.seed));
         }
     }
     let worst = |pick: fn(&CompareRow) -> &ChaosOutcome| {
@@ -195,7 +161,7 @@ pub fn compare(opts: &ExpOptions, presets: &[&str], seeds: u64) -> Vec<CompareRo
         worst(|r| &r.plumtree),
         violations,
     );
-    rows
+    Ok(rows)
 }
 
 #[cfg(test)]

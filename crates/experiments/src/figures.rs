@@ -4,21 +4,20 @@
 
 use std::time::Duration;
 
-use gocast::{GoCastCommand, GoCastConfig};
-use gocast_analysis::{diameter, fmt_ms, fmt_secs, Cdf, MetricsRecorder, Table};
+use gocast::{GoCastCommand, GoCastConfig, GoCastEvent};
+use gocast_analysis::{diameter, fmt_ms, fmt_secs, Table};
 use gocast_baselines::{
     prob_all_nodes_hear, prob_all_nodes_hear_all, PushGossipConfig, PushGossipNode,
 };
 use gocast_net::{AsTopology, LinkStress};
-use gocast_sim::{NodeId, SimBuilder, SimTime};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use gocast_sim::Stack;
 
 use crate::options::ExpOptions;
+use crate::pipeline::{build_network, gocast_nodes, horizon, inject};
 use crate::report::log_kernel;
 use crate::runners::{
-    build_gocast_sim, build_network, overlay_latency_breakdown, resilience_q, run_adaptation,
-    run_delay, DelayStats, Proto,
+    gocast_run, overlay_latency_breakdown, plain_run, resilience_q, run_adaptation, run_delay,
+    DelayStats, PlainRun, Proto,
 };
 
 /// Percentiles reported for delay CDFs.
@@ -75,30 +74,32 @@ pub fn fig1(opts: &ExpOptions) -> Vec<Table> {
     println!("Figure 1 — push-gossip reliability (analytic), n = {n}:\n{t}");
     opts.write_csv("fig1_analytic", &t);
 
-    // Empirical: run the baseline and measure misses and hear counts.
-    let net = build_network(opts);
+    // Empirical: run the baseline and measure misses and hear counts. Its
+    // own short workload (at most 50 messages from any node, on the
+    // figure's own stream), injected right at the end of a 1 s warm-up.
     let cfg = PushGossipConfig::default();
-    let mut sim = SimBuilder::new(net)
-        .seed(opts.seed)
-        .build_with(MetricsRecorder::new(), |id| {
-            PushGossipNode::new(id, cfg.clone())
-        });
-    sim.run_until(SimTime::from_secs(1));
+    let mut run = plain_run(opts, build_network(opts), false, |id| {
+        PushGossipNode::new(id, cfg.clone())
+    });
+    run.warm(Duration::from_secs(1));
     let msgs = opts.messages.min(50);
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xF16);
-    for i in 0..msgs {
-        let src = NodeId::new(rng.gen_range(0..opts.nodes as u32));
-        sim.schedule_command(
-            SimTime::from_secs(1) + Duration::from_secs_f64(i as f64 / opts.rate),
-            src,
-            GoCastCommand::Multicast,
-        );
-    }
-    sim.run_until(SimTime::from_secs(1) + opts.inject_duration() + opts.drain);
+    let mut few = opts.clone();
+    few.messages = msgs;
+    let start = run.sim.now();
+    inject(
+        &few,
+        0xF16,
+        start,
+        &run.live_sources(),
+        |_, _, src, _| (src, GoCastCommand::Multicast),
+        |at, node, cmd| run.sim.schedule_command(at, node, cmd),
+    );
+    run.drive(start + opts.inject_duration() + opts.drain);
+    let sim = &run.sim;
     log_kernel(&sim.kernel_stats());
 
     // Misses: every injected message should reach the other n-1 nodes.
-    let delivered = sim.recorder().delivered();
+    let delivered = sim.recorder().metrics.delivered();
     let expected = msgs as u64 * (opts.nodes as u64 - 1);
     let missing = expected.saturating_sub(delivered);
     let max_hears = sim
@@ -146,7 +147,6 @@ pub fn fig3(opts: &ExpOptions, fail_frac: f64) -> Vec<Table> {
     });
     for stats in results {
         let label = stats.protocol.clone();
-        log_kernel(&stats.kernel);
         if !stats.per_node_avg.is_empty() {
             if label == "GoCast" {
                 gocast_mean = Some(stats.per_node_avg.mean());
@@ -197,7 +197,6 @@ pub fn fig4(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
         let mut t = delay_table();
         for _ in sizes {
             let stats = results.next().expect("one result per (fail, size) combo");
-            log_kernel(&stats.kernel);
             t.row(delay_row(&stats));
         }
         println!(
@@ -215,7 +214,6 @@ pub fn fig4(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
 pub fn fig5a(opts: &ExpOptions) -> Vec<Table> {
     let snap_times = [0, 5, opts.warmup.as_secs()];
     let res = run_adaptation(opts, &GoCastConfig::default(), &snap_times, 0);
-    log_kernel(&res.kernel);
     let max_deg = res
         .degree_hists
         .iter()
@@ -252,7 +250,6 @@ pub fn fig5a(opts: &ExpOptions) -> Vec<Table> {
 /// `latency_secs` seconds.
 pub fn fig5b(opts: &ExpOptions, latency_secs: u64) -> Vec<Table> {
     let res = run_adaptation(opts, &GoCastConfig::default(), &[], latency_secs);
-    log_kernel(&res.kernel);
     let mut t = Table::new([
         "t(s)",
         "overlay link latency (ms)",
@@ -294,7 +291,6 @@ pub fn fig6(opts: &ExpOptions) -> Vec<Table> {
         let cfg = GoCastConfig::default().with_degrees(c, 6 - c);
         eprintln!("  adapting overlay with C_rand = {c} ...");
         let res = run_adaptation(opts, &cfg, &[], 0);
-        log_kernel(&res.kernel);
         snaps.push(res.final_snapshot);
     }
     for &f in &fracs {
@@ -316,7 +312,6 @@ pub fn fig6(opts: &ExpOptions) -> Vec<Table> {
 /// stabilizes.
 pub fn ext1(opts: &ExpOptions) -> Vec<Table> {
     let res = run_adaptation(opts, &GoCastConfig::default(), &[], 0);
-    log_kernel(&res.kernel);
     let mut t = Table::new(["t(s)", "link changes/s"]);
     for (s, &c) in res.link_changes_per_sec.iter().enumerate() {
         t.row([s.to_string(), c.to_string()]);
@@ -351,7 +346,6 @@ pub fn ext2(opts: &ExpOptions) -> Vec<Table> {
         let cfg = GoCastConfig::default().with_degrees(c, 6 - c);
         eprintln!("  adapting overlay with C_rand = {c} ...");
         let res = run_adaptation(opts, &cfg, &[], 0);
-        log_kernel(&res.kernel);
         let net = build_network(opts);
         let (all, rand, near) = overlay_latency_breakdown(&res.final_snapshot, &net);
         t.row([
@@ -376,7 +370,6 @@ pub fn ext3(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
         let o = opts.clone().with_nodes(n);
         eprintln!("  adapting overlay with n = {n} ...");
         let res = run_adaptation(&o, &GoCastConfig::default(), &[], 0);
-        log_kernel(&res.kernel);
         let adj = res.final_snapshot.overlay_adjacency();
         let alive = vec![true; n];
         t.row([
@@ -388,6 +381,21 @@ pub fn ext3(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
     println!("§3(3) — overlay diameter vs size (paper: 6 -> 10 hops for 256 -> 8192):\n{t}");
     opts.write_csv("ext3", &t);
     vec![t]
+}
+
+/// The link-stress phases: warm up, drop the warm-up traffic from the
+/// counters, then the standard workload and drain.
+fn stress_phases<S: Stack<Event = GoCastEvent>>(
+    mut run: PlainRun<S>,
+    opts: &ExpOptions,
+    warmup: Duration,
+) -> PlainRun<S> {
+    run.warm(warmup);
+    run.sim.reset_stats();
+    let start = run.inject_multicasts(opts, &run.live_sources());
+    run.drive(horizon(opts, start, None));
+    log_kernel(&run.sim.kernel_stats());
+    run
 }
 
 /// §3 summary (4): bottleneck physical-link stress, GoCast vs gossip.
@@ -420,89 +428,53 @@ pub fn ext4(opts: &ExpOptions) -> Vec<Table> {
         }
     };
 
-    // GoCast with pair tracking; exclude warm-up traffic.
+    // Pair tracking on, warm-up traffic excluded, sources over every id.
+    let mut stress_row = |label: &str, name: String, pairs: &_| {
+        let stress = LinkStress::from_pair_counts(&topo, &net_probe, pairs);
+        maxes.push(stress.max());
+        for (l, bytes) in stress.top_k(3) {
+            eprintln!(
+                "    {label} hot link {:?} ({}): {:.1} MB",
+                l,
+                classify(l),
+                bytes as f64 / 1e6
+            );
+        }
+        t.row([
+            name,
+            format!("{:.1}", stress.max() as f64 / 1e3),
+            format!("{:.1}", stress.mean_over_used() / 1e3),
+            stress.links_used().to_string(),
+            format!("{:.2}", stress.total() as f64 / 1e6),
+        ]);
+    };
     for &payload in &[1024u32, 64] {
         eprintln!("  running GoCast stress (payload {payload} B) ...");
         let cfg = GoCastConfig::default().with_payload_size(payload);
-        let mut sim = build_gocast_sim(opts, &cfg, true);
-        sim.run_until(SimTime::ZERO + opts.warmup);
-        sim.reset_stats();
-        let start = sim.now() + Duration::from_millis(100);
-        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x5EED);
-        for i in 0..opts.messages {
-            let at = start + Duration::from_secs_f64(i as f64 / opts.rate);
-            let src = NodeId::new(rng.gen_range(0..opts.nodes as u32));
-            sim.schedule_command(at, src, GoCastCommand::Multicast);
-        }
-        sim.run_until(start + opts.inject_duration() + opts.drain);
-        log_kernel(&sim.kernel_stats());
-        {
-            let pairs = sim.stats().pair_counts().expect("pair tracking enabled");
-            let stress = LinkStress::from_pair_counts(&topo, &net_probe, pairs);
-            maxes.push(stress.max());
-            for (l, bytes) in stress.top_k(3) {
-                eprintln!(
-                    "    GoCast hot link {:?} ({}): {:.1} MB",
-                    l,
-                    classify(l),
-                    bytes as f64 / 1e6
-                );
-            }
-            t.row([
-                format!("GoCast ({payload} B)"),
-                format!("{:.1}", stress.max() as f64 / 1e3),
-                format!("{:.1}", stress.mean_over_used() / 1e3),
-                stress.links_used().to_string(),
-                format!("{:.2}", stress.total() as f64 / 1e6),
-            ]);
-        }
+        let run = stress_phases(gocast_run(opts, &cfg, true), opts, opts.warmup);
+        let pairs = run
+            .sim
+            .stats()
+            .pair_counts()
+            .expect("pair tracking enabled");
+        stress_row("GoCast", format!("GoCast ({payload} B)"), pairs);
     }
-
-    // Push gossip, fanout 5.
     for &payload in &[1024u32, 64] {
         eprintln!("  running gossip stress (payload {payload} B) ...");
         let gcfg = PushGossipConfig {
             payload_size: payload,
             ..Default::default()
         };
-        let net = build_network(opts);
-        let mut sim = SimBuilder::new(net)
-            .seed(opts.seed)
-            .track_pair_counts()
-            .build_with(MetricsRecorder::new(), |id| {
-                PushGossipNode::new(id, gcfg.clone())
-            });
-        sim.run_until(SimTime::from_secs(2));
-        sim.reset_stats();
-        let start = sim.now() + Duration::from_millis(100);
-        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x5EED);
-        for i in 0..opts.messages {
-            let at = start + Duration::from_secs_f64(i as f64 / opts.rate);
-            let src = NodeId::new(rng.gen_range(0..opts.nodes as u32));
-            sim.schedule_command(at, src, GoCastCommand::Multicast);
-        }
-        sim.run_until(start + opts.inject_duration() + opts.drain);
-        log_kernel(&sim.kernel_stats());
-        {
-            let pairs = sim.stats().pair_counts().expect("pair tracking enabled");
-            let stress = LinkStress::from_pair_counts(&topo, &net_probe, pairs);
-            maxes.push(stress.max());
-            for (l, bytes) in stress.top_k(3) {
-                eprintln!(
-                    "    gossip hot link {:?} ({}): {:.1} MB",
-                    l,
-                    classify(l),
-                    bytes as f64 / 1e6
-                );
-            }
-            t.row([
-                format!("gossip F=5 ({payload} B)"),
-                format!("{:.1}", stress.max() as f64 / 1e3),
-                format!("{:.1}", stress.mean_over_used() / 1e3),
-                stress.links_used().to_string(),
-                format!("{:.2}", stress.total() as f64 / 1e6),
-            ]);
-        }
+        let gossip = plain_run(opts, build_network(opts), true, |id| {
+            PushGossipNode::new(id, gcfg.clone())
+        });
+        let run = stress_phases(gossip, opts, Duration::from_secs(2));
+        let pairs = run
+            .sim
+            .stats()
+            .pair_counts()
+            .expect("pair tracking enabled");
+        stress_row("gossip", format!("gossip F=5 ({payload} B)"), pairs);
     }
 
     println!(
@@ -531,7 +503,6 @@ pub fn ext5(opts: &ExpOptions) -> Vec<Table> {
             Proto::PushGossip(PushGossipConfig::default().with_fanout(fanout)),
             0.0,
         );
-        log_kernel(&stats.kernel);
         if !stats.per_node_avg.is_empty() {
             means.push((fanout, stats.per_node_avg.mean()));
         }
@@ -561,7 +532,6 @@ pub fn txt1(opts: &ExpOptions) -> Vec<Table> {
         let cfg = GoCastConfig::default().with_pull_delay(Duration::from_millis(f_ms));
         eprintln!("  running GoCast with f = {f_ms} ms ...");
         let stats = run_delay(opts, Proto::GoCast(cfg), 0.0);
-        log_kernel(&stats.kernel);
         t.row([
             format!("{} ms", f_ms),
             format!("{:.4}", stats.redundancy),
@@ -583,7 +553,6 @@ pub fn txt1(opts: &ExpOptions) -> Vec<Table> {
 pub fn txt2(opts: &ExpOptions) -> Vec<Table> {
     let cfg = GoCastConfig::default();
     let res = run_adaptation(opts, &cfg, &[], 0);
-    log_kernel(&res.kernel);
     let mut t = Table::new(["quantity", "at target", "at target+1", "paper"]);
     t.row([
         format!("random degree (C_rand = {})", cfg.c_rand),
@@ -620,18 +589,11 @@ pub fn txt4(opts: &ExpOptions) -> Vec<Table> {
         let cfg = GoCastConfig::default().with_degrees(c_rand, 6 - c_rand);
         eprintln!("  adapting two-continent overlay with C_rand = {c_rand} ...");
         let net = gocast_net::two_continents(opts.nodes, opts.seed ^ 0x2C);
-        let mut boot =
-            gocast::bootstrap_random_graph(opts.nodes, cfg.c_degree() / 2, opts.seed ^ 0xB007);
-        let mut sim =
-            SimBuilder::new(net)
-                .seed(opts.seed)
-                .build_with(MetricsRecorder::new(), |id| {
-                    let (links, members) = boot(id);
-                    gocast::GoCastNode::with_initial_links(id, cfg.clone(), links, members)
-                });
-        sim.run_until(SimTime::ZERO + opts.warmup);
+        let mut run = plain_run(opts, net, false, gocast_nodes(opts, &cfg));
+        run.warm(opts.warmup);
+        let sim = &run.sim;
         log_kernel(&sim.kernel_stats());
-        let snap = gocast::snapshot(&sim);
+        let snap = gocast::snapshot(sim);
         let adj = snap.overlay_adjacency();
         let alive = vec![true; opts.nodes];
         let comps = gocast_analysis::component_sizes(&adj, &alive);
@@ -695,7 +657,6 @@ pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
     for (name, cfg) in variants {
         eprintln!("  adapting with {name} ...");
         let res = run_adaptation(opts, &cfg, &[], 0);
-        log_kernel(&res.kernel);
         let total: u64 = res.link_changes_per_sec.iter().sum();
         let late: u64 = res.link_changes_per_sec.iter().rev().take(10).sum();
         let net = build_network(opts);
@@ -740,29 +701,21 @@ pub fn adaptive(opts: &ExpOptions) -> Vec<Table> {
             ..Default::default()
         };
         eprintln!("  running adaptive = {adaptive} ...");
-        let mut sim = build_gocast_sim(opts, &cfg, false);
-        sim.run_until(SimTime::ZERO + opts.warmup);
+        let mut run = gocast_run(opts, &cfg, false);
+        run.warm(opts.warmup);
         // Quiet period.
-        sim.reset_stats();
+        run.sim.reset_stats();
         let quiet = Duration::from_secs(60.min(opts.warmup.as_secs().max(10)));
-        sim.run_for(quiet);
-        let idle_total = sim.stats().total().messages;
-        let idle_probe = sim.stats().class(gocast_sim::TrafficClass::Probe).messages;
-        let idle_gossip = sim.stats().class(gocast_sim::TrafficClass::Gossip).messages;
+        run.drive(run.sim.now() + quiet);
+        let stats = run.sim.stats();
+        let idle_total = stats.total().messages;
+        let idle_probe = stats.class(gocast_sim::TrafficClass::Probe).messages;
+        let idle_gossip = stats.class(gocast_sim::TrafficClass::Gossip).messages;
         // Message phase.
-        let start = sim.now() + Duration::from_millis(100);
-        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x5EED);
-        for i in 0..opts.messages {
-            let at = start + Duration::from_secs_f64(i as f64 / opts.rate);
-            let src = NodeId::new(rng.gen_range(0..opts.nodes as u32));
-            sim.schedule_command(at, src, GoCastCommand::Multicast);
-        }
-        sim.run_until(start + opts.inject_duration() + opts.drain);
-        log_kernel(&sim.kernel_stats());
-        let live: Vec<NodeId> = sim.alive_nodes().collect();
-        let (avg, incomplete) = sim
-            .recorder()
-            .per_node_average_delays(opts.messages as u64, &live);
+        let start = run.inject_multicasts(opts, &run.live_sources());
+        run.drive(horizon(opts, start, None));
+        log_kernel(&run.sim.kernel_stats());
+        let (avg, incomplete, live) = run.delays(opts);
         t.row([
             if adaptive {
                 "adaptive t and r"
@@ -781,10 +734,7 @@ pub fn adaptive(opts: &ExpOptions) -> Vec<Table> {
             } else {
                 fmt_secs(avg.mean())
             },
-            format!(
-                "{:.4}",
-                (live.len() - incomplete) as f64 / live.len() as f64
-            ),
+            format!("{:.4}", (live - incomplete) as f64 / live as f64),
         ]);
     }
     println!(
@@ -793,15 +743,6 @@ pub fn adaptive(opts: &ExpOptions) -> Vec<Table> {
     );
     opts.write_csv("adaptive", &t);
     vec![t]
-}
-
-/// Empirical Cdf helper exposed for tests.
-pub fn empty_or_mean(cdf: &Cdf) -> Option<Duration> {
-    if cdf.is_empty() {
-        None
-    } else {
-        Some(cdf.mean())
-    }
 }
 
 /// `trace` subcommand: a Figure 3-style GoCast dissemination run with the
@@ -837,8 +778,7 @@ pub fn trace_run(opts: &ExpOptions, fail_frac: f64) -> Vec<gocast_analysis::Viol
         opts.messages,
         fail_frac * 100.0
     );
-    let stats = run_delay(&opts, Proto::GoCast(cfg.clone()), fail_frac);
-    log_kernel(&stats.kernel);
+    run_delay(&opts, Proto::GoCast(cfg.clone()), fail_frac);
 
     let file = std::fs::File::open(&trace_path)
         .unwrap_or_else(|e| panic!("cannot reopen trace {}: {e}", trace_path.display()));

@@ -1,11 +1,15 @@
 //! # gocast-experiments — regenerating every figure of the GoCast paper
 //!
-//! Each function in [`figures`] reproduces one figure or in-text claim of
-//! the paper (see DESIGN.md's experiment index): it runs the necessary
+//! Every experiment is a configuration of one [`pipeline`] — build →
+//! warm → plan → inject → drive → audit — over a kernel, a stack, a
+//! scenario, a source rule and a set of observers (DESIGN.md's experiment
+//! index tabulates them). Each function in [`figures`] reproduces one
+//! figure or in-text claim of the paper: it runs the necessary
 //! simulations, prints the series/rows the paper reports, and writes CSV
-//! under `results/`. The `gocast-experiments` binary exposes them as
-//! subcommands; the Criterion benches call the same functions at reduced
-//! scale.
+//! under `results/`; [`chaos`], [`compare`], [`scale`] and [`app`] drive
+//! the same phases under fault scenarios. The `gocast-experiments` binary
+//! exposes them as subcommands; the Criterion benches call the same
+//! functions at reduced scale.
 //!
 //! ```no_run
 //! use gocast_experiments::{figures, ExpOptions};
@@ -24,11 +28,12 @@ pub mod compare;
 pub mod figures;
 pub mod metrics_view;
 mod options;
+pub mod pipeline;
 pub mod report;
 pub mod runners;
 pub mod scale;
 pub mod sweep;
 pub mod testnet;
 
-pub use options::{ExpOptions, StackKind};
-pub use runners::{DelayStats, ExpRecorder, MetricsStream, Proto};
+pub use options::{ExpOptions, GivenFlags, Scale, StackKind};
+pub use runners::{DelayStats, Proto};

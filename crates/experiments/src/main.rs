@@ -1,6 +1,11 @@
 //! CLI harness: `gocast-experiments <experiment> [flags]`.
 //!
-//! Experiments (see DESIGN.md for the index):
+//! Every subcommand is a configuration of `gocast_experiments::pipeline`
+//! (DESIGN.md's experiment index says of what); this file parses flags,
+//! dispatches, and owns the exit code — 1 for a failed gate, 2 for a usage
+//! error, including a bad `--scenario`/`--spec` the library reports back.
+//!
+//! Experiments:
 //!
 //! ```text
 //! fig1    gossip reliability vs fanout (analytic + empirical)
@@ -29,7 +34,8 @@
 //!         chaos presets, seeds, oracle, and audit; side-by-side CSV
 //! testnet sim-vs-wire conformance: the same workload through the
 //!         simulator and through real loopback-UDP nodes (wall-clock
-//!         defaults: 16 nodes, 200 messages; accepts --scenario/--spec)
+//!         defaults wherever a scale flag is not given: 16 nodes, 200
+//!         messages, 3 s warm-up/drain; accepts --scenario/--spec)
 //! scale   10⁵-node-default runs on the sharded kernel (`--sim-shards N`
 //!         worker threads, O(1)-memory latency model): a fig3-style
 //!         delivery run plus one chaos preset, printing the scaling row
@@ -53,9 +59,10 @@
 //! Flags: `--quick` (reduced scale), `--nodes N`, `--seed S`,
 //! `--warmup SECS`, `--messages M`, `--rate R`, `--drain SECS`,
 //! `--out DIR`, `--no-csv`, `--trace-out PATH` (stream the causal JSONL
-//! trace of every run to PATH; any experiment accepts it),
-//! `--metrics-out PATH` (stream periodic manifest-stamped telemetry
-//! snapshots of every run to PATH as JSONL; any experiment accepts it),
+//! trace of every run to PATH; every simulated run honours it),
+//! `--metrics-out PATH` (stream manifest-stamped telemetry snapshots of
+//! every run to PATH as JSONL, one per slice of the drive loop; every
+//! simulated run honours it, `testnet` writes its wire-side snapshot),
 //! `--jobs N` (fan independent runs across N worker threads; output is
 //! byte-identical to the default fully serial `--jobs 1`).
 //!
@@ -78,7 +85,9 @@
 
 use std::time::Duration;
 
-use gocast_experiments::{figures, ExpOptions, StackKind};
+use gocast_experiments::runners::run_delay;
+use gocast_experiments::sweep::sweep_seeds;
+use gocast_experiments::{figures, ExpOptions, GivenFlags, Proto, StackKind};
 
 fn usage() -> ! {
     eprintln!(
@@ -89,14 +98,24 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Everything the command line resolves to: the shared experiment options
-/// plus the `chaos`-only scenario selection.
+/// Everything the command line resolves to: the shared experiment options,
+/// which scale flags set them, and the scenario selection.
 struct CliArgs {
     opts: ExpOptions,
+    given: GivenFlags,
     scenario: String,
     spec: Option<String>,
     seeds: u64,
     overhead: bool,
+}
+
+/// A subcommand's bad `--spec`/`--scenario`: the library reports it, the
+/// binary owns the exit code (2, like every other usage error).
+fn or_usage_error<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 fn parse_opts(args: &[String], scale: bool) -> CliArgs {
@@ -115,6 +134,7 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
     let mut spec = None;
     let mut seeds = 1u64;
     let mut overhead = false;
+    let mut given = GivenFlags::default();
     let mut explicit_nodes = None;
     let mut explicit_jobs = None;
     let mut i = 0;
@@ -131,25 +151,35 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
         };
         match arg {
             "--quick" => {
-                let keep_out = opts.out_dir.clone();
-                let keep_stack = opts.stack;
-                let keep_sim_shards = opts.sim_shards;
-                let keep_topics = opts.topics;
-                opts = ExpOptions::quick();
-                opts.out_dir = keep_out;
-                opts.stack = keep_stack;
-                opts.sim_shards = keep_sim_shards;
-                opts.topics = keep_topics;
+                given = GivenFlags::ALL;
+                opts = ExpOptions {
+                    out_dir: opts.out_dir.clone(),
+                    stack: opts.stack,
+                    sim_shards: opts.sim_shards,
+                    topics: opts.topics,
+                    ..ExpOptions::quick()
+                };
             }
-            "--nodes" => explicit_nodes = Some(take("--nodes").parse().expect("--nodes")),
+            "--nodes" => {
+                explicit_nodes = Some(take("--nodes").parse().expect("--nodes"));
+                given.nodes = true;
+            }
             "--seed" => opts.seed = take("--seed").parse().expect("--seed"),
             "--warmup" => {
-                opts.warmup = Duration::from_secs(take("--warmup").parse().expect("--warmup"))
+                opts.warmup = Duration::from_secs(take("--warmup").parse().expect("--warmup"));
+                given.warmup = true;
             }
-            "--messages" => opts.messages = take("--messages").parse().expect("--messages"),
-            "--rate" => opts.rate = take("--rate").parse().expect("--rate"),
+            "--messages" => {
+                opts.messages = take("--messages").parse().expect("--messages");
+                given.messages = true;
+            }
+            "--rate" => {
+                opts.rate = take("--rate").parse().expect("--rate");
+                given.rate = true;
+            }
             "--drain" => {
-                opts.drain = Duration::from_secs(take("--drain").parse().expect("--drain"))
+                opts.drain = Duration::from_secs(take("--drain").parse().expect("--drain"));
+                given.drain = true;
             }
             "--out" => opts.out_dir = Some(take("--out").into()),
             "--no-csv" => opts.out_dir = None,
@@ -184,24 +214,20 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
     if let Some(j) = explicit_jobs {
         opts = opts.with_jobs(j);
     }
-    if seeds == 0 {
-        eprintln!("--seeds must be at least 1");
-        usage()
-    }
-    if opts.shards == 0 {
-        eprintln!("--shards must be at least 1");
-        usage()
-    }
-    if opts.sim_shards == 0 {
-        eprintln!("--sim-shards must be at least 1");
-        usage()
-    }
-    if opts.topics == 0 {
-        eprintln!("--topics must be at least 1");
-        usage()
+    for (flag, value) in [
+        ("--seeds", seeds),
+        ("--shards", opts.shards as u64),
+        ("--sim-shards", opts.sim_shards as u64),
+        ("--topics", u64::from(opts.topics)),
+    ] {
+        if value == 0 {
+            eprintln!("{flag} must be at least 1");
+            usage()
+        }
     }
     CliArgs {
         opts,
+        given,
         scenario,
         spec,
         seeds,
@@ -228,86 +254,46 @@ fn main() {
     };
     let fig5b_secs = if quick { opts.warmup.as_secs() } else { 200 };
 
+    // The figure subcommands, in the order `all` runs them.
+    let figure_table: [(&str, &dyn Fn()); 17] = [
+        ("fig1", &|| drop(figures::fig1(&opts))),
+        ("fig3a", &|| drop(figures::fig3(&opts, 0.0))),
+        ("fig3b", &|| drop(figures::fig3(&opts, 0.2))),
+        ("fig4", &|| drop(figures::fig4(&opts, &fig4_sizes))),
+        ("fig5a", &|| drop(figures::fig5a(&opts))),
+        ("fig5b", &|| drop(figures::fig5b(&opts, fig5b_secs))),
+        ("fig6", &|| drop(figures::fig6(&opts))),
+        ("ext1", &|| drop(figures::ext1(&opts))),
+        ("ext2", &|| drop(figures::ext2(&opts))),
+        ("ext3", &|| drop(figures::ext3(&opts, &ext3_sizes))),
+        ("ext4", &|| drop(figures::ext4(&opts))),
+        ("ext5", &|| drop(figures::ext5(&opts))),
+        ("txt1", &|| drop(figures::txt1(&opts))),
+        ("txt2", &|| drop(figures::txt2(&opts))),
+        ("txt4", &|| drop(figures::txt4(&opts))),
+        ("ablate", &|| drop(figures::ablations(&opts))),
+        ("adaptive", &|| drop(figures::adaptive(&opts))),
+    ];
+
+    let explicit_scenario = args.iter().any(|a| a == "--scenario");
     let t0 = std::time::Instant::now();
+    let mut exit_code = 0;
     match exp.as_str() {
-        "fig1" => {
-            figures::fig1(&opts);
-        }
-        "fig3a" => {
-            figures::fig3(&opts, 0.0);
-        }
-        "fig3b" => {
-            figures::fig3(&opts, 0.2);
-        }
-        "fig4" => {
-            figures::fig4(&opts, &fig4_sizes);
-        }
-        "fig5a" => {
-            figures::fig5a(&opts);
-        }
-        "fig5b" => {
-            figures::fig5b(&opts, fig5b_secs);
-        }
-        "fig6" => {
-            figures::fig6(&opts);
-        }
-        "ext1" => {
-            figures::ext1(&opts);
-        }
-        "ext2" => {
-            figures::ext2(&opts);
-        }
-        "ext3" => {
-            figures::ext3(&opts, &ext3_sizes);
-        }
-        "ext4" => {
-            figures::ext4(&opts);
-        }
-        "ext5" => {
-            figures::ext5(&opts);
-        }
-        "txt1" => {
-            figures::txt1(&opts);
-        }
-        "txt2" => {
-            figures::txt2(&opts);
-        }
-        "txt4" => {
-            figures::txt4(&opts);
-        }
-        "ablate" => {
-            figures::ablations(&opts);
-        }
-        "adaptive" => {
-            figures::adaptive(&opts);
-        }
+        "all" => figure_table.iter().for_each(|(_, run)| run()),
         "sweep" => {
             // Multi-seed robustness check of the headline result.
             let seeds = 5;
             eprintln!("sweeping GoCast vs gossip mean delay over {seeds} seeds ...");
-            let go = gocast_experiments::sweep::sweep_seeds(&opts, seeds, |o| {
-                let s = gocast_experiments::runners::run_delay(
-                    o,
-                    gocast_experiments::Proto::GoCast(Default::default()),
-                    0.0,
-                );
-                gocast_experiments::report::log_kernel_tagged(
-                    &format!("GoCast seed {}", o.seed),
-                    &s.kernel,
-                );
-                s.per_node_avg.mean().as_secs_f64()
-            });
-            let gs = gocast_experiments::sweep::sweep_seeds(&opts, seeds, |o| {
-                let s = gocast_experiments::runners::run_delay(
-                    o,
-                    gocast_experiments::Proto::PushGossip(Default::default()),
-                    0.0,
-                );
-                gocast_experiments::report::log_kernel_tagged(
-                    &format!("gossip seed {}", o.seed),
-                    &s.kernel,
-                );
-                s.per_node_avg.mean().as_secs_f64()
+            let [go, gs] = [
+                ("GoCast", Proto::GoCast(Default::default())),
+                ("gossip", Proto::PushGossip(Default::default())),
+            ]
+            .map(|(tag, proto)| {
+                sweep_seeds(&opts, seeds, |o| {
+                    eprintln!("  running {tag}, seed {} ...", o.seed);
+                    let stats = run_delay(o, proto.clone(), 0.0);
+                    stats.per_node_avg.mean().as_secs_f64()
+                })
             });
             println!("GoCast mean delay (s): {go}");
             println!("gossip mean delay (s): {gs}");
@@ -315,23 +301,16 @@ fn main() {
         }
         "trace" | "trace-fail" => {
             let fail_frac = if exp == "trace-fail" { 0.2 } else { 0.0 };
-            let violations = figures::trace_run(&opts, fail_frac);
-            if !violations.is_empty() {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(1);
-            }
+            exit_code = i32::from(!figures::trace_run(&opts, fail_frac).is_empty());
         }
         "chaos" => {
-            let outcomes = gocast_experiments::chaos::chaos(
+            let outcomes = or_usage_error(gocast_experiments::chaos::chaos(
                 &opts,
                 &cli.scenario,
                 cli.spec.as_deref(),
                 cli.seeds,
-            );
-            if outcomes.iter().any(|o| o.violations > 0) {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(1);
-            }
+            ));
+            exit_code = i32::from(outcomes.iter().any(|o| o.violations > 0));
         }
         "compare" => {
             if cli.spec.is_some() {
@@ -339,39 +318,33 @@ fn main() {
                 usage()
             }
             // `--scenario` narrows the default preset trio to one.
-            let explicit = args.iter().any(|a| a == "--scenario");
-            let presets: Vec<&str> = if explicit {
+            let presets: Vec<&str> = if explicit_scenario {
                 vec![cli.scenario.as_str()]
             } else {
                 gocast_experiments::compare::COMPARE_PRESETS.to_vec()
             };
-            let rows = gocast_experiments::compare::compare(&opts, &presets, cli.seeds);
+            let rows = or_usage_error(gocast_experiments::compare::compare(
+                &opts, &presets, cli.seeds,
+            ));
             let violations: usize = rows
                 .iter()
                 .map(|r| r.gocast.violations + r.plumtree.violations)
                 .sum();
-            if violations > 0 {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(1);
-            }
+            exit_code = i32::from(violations > 0);
         }
         "scale" => {
-            let code = gocast_experiments::scale::scale(&opts, &cli.scenario, cli.spec.as_deref());
-            if code != 0 {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(code);
-            }
+            exit_code = or_usage_error(gocast_experiments::scale::scale(
+                &opts,
+                &cli.scenario,
+                cli.spec.as_deref(),
+            ));
         }
         "metrics" => {
-            let code = if cli.overhead {
-                gocast_experiments::metrics_view::overhead(&opts)
+            exit_code = if cli.overhead {
+                gocast_experiments::metrics_view::overhead(&opts, &cli.given)
             } else {
-                gocast_experiments::metrics_view::metrics(&opts)
+                gocast_experiments::metrics_view::metrics(&opts, &cli.given)
             };
-            if code != 0 {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(code);
-            }
         }
         "pubsub" | "crdt" => {
             let workload = if exp == "pubsub" {
@@ -381,49 +354,37 @@ fn main() {
             };
             // Without an explicit --scenario the driver runs the whole
             // baseline/churn/partition preset trio.
-            let explicit = args.iter().any(|a| a == "--scenario");
-            let scenario = explicit.then_some(cli.scenario.as_str());
-            let code = gocast_experiments::app::app(&opts, workload, scenario, cli.spec.as_deref());
-            if code != 0 {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(code);
-            }
+            let scenario = explicit_scenario.then_some(cli.scenario.as_str());
+            exit_code = or_usage_error(gocast_experiments::app::app(
+                &opts,
+                &cli.given,
+                workload,
+                scenario,
+                cli.spec.as_deref(),
+            ));
         }
         "testnet" => {
             // `chaos` defaults --scenario to churn; the conformance
             // reference point is the fault-free baseline.
-            let explicit = args.iter().any(|a| a == "--scenario");
-            let scenario = if explicit {
+            let scenario = if explicit_scenario {
                 cli.scenario.as_str()
             } else {
                 "baseline"
             };
-            let code = gocast_experiments::testnet::testnet(&opts, scenario, cli.spec.as_deref());
-            if code != 0 {
-                eprintln!("done in {:?}", t0.elapsed());
-                std::process::exit(code);
-            }
+            exit_code = or_usage_error(gocast_experiments::testnet::testnet(
+                &opts,
+                &cli.given,
+                scenario,
+                cli.spec.as_deref(),
+            ));
         }
-        "all" => {
-            figures::fig1(&opts);
-            figures::fig3(&opts, 0.0);
-            figures::fig3(&opts, 0.2);
-            figures::fig4(&opts, &fig4_sizes);
-            figures::fig5a(&opts);
-            figures::fig5b(&opts, fig5b_secs);
-            figures::fig6(&opts);
-            figures::ext1(&opts);
-            figures::ext2(&opts);
-            figures::ext3(&opts, &ext3_sizes);
-            figures::ext4(&opts);
-            figures::ext5(&opts);
-            figures::txt1(&opts);
-            figures::txt2(&opts);
-            figures::txt4(&opts);
-            figures::ablations(&opts);
-            figures::adaptive(&opts);
-        }
-        _ => usage(),
+        name => match figure_table.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => run(),
+            None => usage(),
+        },
     }
     eprintln!("done in {:?}", t0.elapsed());
+    if exit_code != 0 {
+        std::process::exit(exit_code);
+    }
 }

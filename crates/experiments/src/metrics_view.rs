@@ -13,12 +13,11 @@ use std::time::{Duration, Instant};
 use gocast::{GoCastCommand, GoCastConfig};
 use gocast_sim::SimTime;
 use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-use crate::options::ExpOptions;
+use crate::options::{ExpOptions, GivenFlags, Scale};
+use crate::pipeline::{combined_snapshot, horizon};
 use crate::report::print_snapshot;
-use crate::runners::{build_gocast_sim, combined_snapshot};
+use crate::runners::gocast_run;
 
 /// Telemetry may slow steady-state event processing by at most this
 /// fraction (5%).
@@ -33,26 +32,20 @@ pub const MAX_OVERHEAD: f64 = 0.05;
 /// which discards pairs a noise spike landed inside.
 const PAIRS: usize = 7;
 
-/// Scales simulation-sized defaults down to a seconds-long run, keeping
-/// any explicitly set flag (the same defaulting rule `testnet` uses).
-fn resolve_scale(opts: &ExpOptions) -> ExpOptions {
-    let d = ExpOptions::default();
-    let mut o = opts.clone();
-    if o.nodes == d.nodes {
-        o.nodes = 128;
+/// A seconds-long run: what the simulation-sized defaults scale down to
+/// wherever no flag was given ([`ExpOptions::scaled_to`]).
+const METRICS_SCALE: Scale = Scale {
+    nodes: 128,
+    messages: 50,
+    rate: 25.0,
+    warmup: Duration::from_secs(60),
+    drain: Duration::from_secs(10),
+};
+
+fn resolve_scale(opts: &ExpOptions, given: &GivenFlags) -> ExpOptions {
+    let mut o = opts.scaled_to(given, &METRICS_SCALE);
+    if !given.nodes {
         o.sites = 256;
-    }
-    if o.warmup == d.warmup {
-        o.warmup = Duration::from_secs(60);
-    }
-    if o.messages == d.messages {
-        o.messages = 50;
-    }
-    if o.rate == d.rate {
-        o.rate = 25.0;
-    }
-    if o.drain == d.drain {
-        o.drain = Duration::from_secs(10);
     }
     o
 }
@@ -60,22 +53,12 @@ fn resolve_scale(opts: &ExpOptions) -> ExpOptions {
 /// Runs a GoCast dissemination workload with kernel telemetry enabled
 /// and returns the final combined snapshot.
 fn instrumented_run(o: &ExpOptions) -> gocast_metrics::Snapshot {
-    let mut sim = build_gocast_sim(o, &GoCastConfig::default(), false);
-    sim.enable_telemetry();
-    sim.run_until(SimTime::ZERO + o.warmup);
-    let start = sim.now() + Duration::from_millis(100);
-    let mut rng = SmallRng::seed_from_u64(o.seed ^ 0x5EED);
-    let live: Vec<_> = sim.alive_nodes().collect();
-    for i in 0..o.messages {
-        let at = start + Duration::from_secs_f64(f64::from(i) / o.rate);
-        sim.schedule_command(
-            at,
-            live[rng.gen_range(0..live.len())],
-            GoCastCommand::Multicast,
-        );
-    }
-    sim.run_until(start + o.inject_duration() + o.drain);
-    combined_snapshot(&sim)
+    let mut run = gocast_run(o, &GoCastConfig::default(), false);
+    run.sim.enable_telemetry();
+    run.warm(o.warmup);
+    let start = run.inject_multicasts(o, &run.live_sources());
+    run.drive(horizon(o, start, None));
+    combined_snapshot(&run.sim)
 }
 
 /// Runs a small pub/sub workload through the [`crate::app`] runner and
@@ -91,12 +74,12 @@ fn app_snapshot(o: &ExpOptions) -> gocast_metrics::Snapshot {
         "baseline",
         &gocast_sim::Scenario::new(),
     );
-    out.metrics
+    out.core.metrics
 }
 
 /// The `metrics` subcommand body. Returns the process exit code.
-pub fn metrics(opts: &ExpOptions) -> i32 {
-    let o = resolve_scale(opts);
+pub fn metrics(opts: &ExpOptions, given: &GivenFlags) -> i32 {
+    let o = resolve_scale(opts, given);
     eprintln!(
         "metrics: instrumented GoCast run, {} nodes, {} messages, seed {} ...",
         o.nodes, o.messages, o.seed
@@ -136,7 +119,7 @@ pub fn metrics(opts: &ExpOptions) -> i32 {
 /// Steady-state kernel throughput (events per wall-clock second) of a
 /// warmed-up simulation, with or without telemetry.
 fn steady_events_per_sec(o: &ExpOptions, telemetry: bool) -> f64 {
-    let mut sim = build_gocast_sim(o, &GoCastConfig::default(), false);
+    let mut sim = gocast_run(o, &GoCastConfig::default(), false).sim;
     if telemetry {
         sim.enable_telemetry();
     }
@@ -150,8 +133,8 @@ fn steady_events_per_sec(o: &ExpOptions, telemetry: bool) -> f64 {
 }
 
 /// The `metrics --overhead` gate. Returns the process exit code.
-pub fn overhead(opts: &ExpOptions) -> i32 {
-    let o = resolve_scale(opts);
+pub fn overhead(opts: &ExpOptions, given: &GivenFlags) -> i32 {
+    let o = resolve_scale(opts, given);
     eprintln!(
         "metrics --overhead: {} nodes, median over {PAIRS} interleaved pairs ...",
         o.nodes
@@ -198,19 +181,24 @@ mod tests {
 
     #[test]
     fn resolve_scale_keeps_explicit_flags() {
-        let o = resolve_scale(&ExpOptions::default());
-        assert_eq!(o.nodes, 128);
+        let o = resolve_scale(&ExpOptions::default(), &GivenFlags::default());
+        assert_eq!((o.nodes, o.sites), (128, 256));
         assert_eq!(o.warmup, Duration::from_secs(60));
         let explicit = ExpOptions {
             nodes: 64,
             ..ExpOptions::default()
         };
-        assert_eq!(resolve_scale(&explicit).nodes, 64);
+        let given = GivenFlags {
+            nodes: true,
+            ..GivenFlags::default()
+        };
+        let o = resolve_scale(&explicit, &given);
+        assert_eq!((o.nodes, o.sites), (64, 1740));
     }
 
     #[test]
     fn instrumented_run_reports_every_subsystem() {
-        let mut o = resolve_scale(&ExpOptions::quick());
+        let mut o = resolve_scale(&ExpOptions::quick(), &GivenFlags::ALL);
         o.nodes = 32;
         o.sites = 32;
         o.warmup = Duration::from_secs(10);
@@ -229,7 +217,7 @@ mod tests {
 
     #[test]
     fn app_snapshot_carries_topic_labels() {
-        let mut o = resolve_scale(&ExpOptions::quick());
+        let mut o = resolve_scale(&ExpOptions::quick(), &GivenFlags::ALL);
         o.nodes = 48;
         o.sites = 48;
         o.topics = 4;

@@ -94,6 +94,50 @@ pub struct ExpOptions {
     pub topics: u32,
 }
 
+/// Which scale flags the command line set (`--quick` sets all five).
+/// Kept beside [`ExpOptions`] rather than inside it: comparing a field
+/// with its default cannot tell `--messages 1000` from no flag at all.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GivenFlags {
+    /// `--nodes` was given.
+    pub nodes: bool,
+    /// `--messages` was given.
+    pub messages: bool,
+    /// `--rate` was given.
+    pub rate: bool,
+    /// `--warmup` was given.
+    pub warmup: bool,
+    /// `--drain` was given.
+    pub drain: bool,
+}
+
+impl GivenFlags {
+    /// Every scale flag given (what `--quick` means).
+    pub const ALL: GivenFlags = GivenFlags {
+        nodes: true,
+        messages: true,
+        rate: true,
+        warmup: true,
+        drain: true,
+    };
+}
+
+/// The five scale fields a subcommand may re-default
+/// ([`ExpOptions::scaled_to`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scale {
+    /// Node count.
+    pub nodes: usize,
+    /// Messages to inject.
+    pub messages: u32,
+    /// Injection rate, messages/second.
+    pub rate: f64,
+    /// Warm-up time.
+    pub warmup: Duration,
+    /// Drain time.
+    pub drain: Duration,
+}
+
 impl Default for ExpOptions {
     fn default() -> Self {
         ExpOptions {
@@ -125,19 +169,12 @@ impl ExpOptions {
         ExpOptions {
             nodes: 128,
             sites: 256,
-            seed: 42,
             warmup: Duration::from_secs(60),
             messages: 50,
             rate: 25.0,
             drain: Duration::from_secs(30),
             out_dir: None,
-            trace_out: None,
-            metrics_out: None,
-            jobs: 1,
-            stack: StackKind::GoCast,
-            shards: 1,
-            sim_shards: 1,
-            topics: 8,
+            ..ExpOptions::default()
         }
     }
 
@@ -149,20 +186,11 @@ impl ExpOptions {
     pub fn scale() -> Self {
         ExpOptions {
             nodes: 100_000,
-            sites: 1740,
-            seed: 42,
             warmup: Duration::from_secs(60),
             messages: 20,
             rate: 2.0,
             drain: Duration::from_secs(30),
-            out_dir: Some(PathBuf::from("results")),
-            trace_out: None,
-            metrics_out: None,
-            jobs: 1,
-            stack: StackKind::GoCast,
-            shards: 1,
-            sim_shards: 1,
-            topics: 8,
+            ..ExpOptions::default()
         }
     }
 
@@ -200,6 +228,31 @@ impl ExpOptions {
     pub fn with_topics(mut self, topics: u32) -> Self {
         self.topics = topics.max(1);
         self
+    }
+
+    /// This option set at a subcommand's own scale: every scale field the
+    /// command line did not set (`given`) takes `scale`'s value, every
+    /// explicit flag wins — even one that repeats the simulation default.
+    /// The one defaulting rule of the wall-clock subcommands (`testnet`,
+    /// the `pubsub`/`crdt` wire replay, `metrics`).
+    pub fn scaled_to(&self, given: &GivenFlags, scale: &Scale) -> ExpOptions {
+        let mut o = self.clone();
+        if !given.nodes {
+            o.nodes = scale.nodes;
+        }
+        if !given.messages {
+            o.messages = scale.messages;
+        }
+        if !given.rate {
+            o.rate = scale.rate;
+        }
+        if !given.warmup {
+            o.warmup = scale.warmup;
+        }
+        if !given.drain {
+            o.drain = scale.drain;
+        }
+        o
     }
 
     /// The job count multi-run experiments should actually use.
@@ -265,13 +318,7 @@ impl ExpOptions {
         table: &gocast_analysis::Table,
         scenario: Option<&str>,
     ) {
-        if let Some(dir) = &self.out_dir {
-            let path = dir.join(format!("{name}.csv"));
-            let comment = self.manifest(scenario).csv_comment();
-            if let Err(e) = table.write_csv_with_comment(&path, Some(&comment)) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
+        self.write_csv_stamped(name, table, &self.manifest(scenario));
     }
 
     /// [`ExpOptions::write_csv`] with the full application-tier manifest
@@ -283,10 +330,18 @@ impl ExpOptions {
         workload: &str,
         scenario: Option<&str>,
     ) {
+        self.write_csv_stamped(name, table, &self.manifest_for_workload(workload, scenario));
+    }
+
+    fn write_csv_stamped(
+        &self,
+        name: &str,
+        table: &gocast_analysis::Table,
+        manifest: &gocast_metrics::RunManifest,
+    ) {
         if let Some(dir) = &self.out_dir {
             let path = dir.join(format!("{name}.csv"));
-            let comment = self.manifest_for_workload(workload, scenario).csv_comment();
-            if let Err(e) = table.write_csv_with_comment(&path, Some(&comment)) {
+            if let Err(e) = table.write_csv_with_comment(&path, Some(&manifest.csv_comment())) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             }
         }
@@ -333,6 +388,32 @@ mod tests {
             "metrics streaming forces serial"
         );
         assert_eq!(ExpOptions::default().with_jobs(0).jobs, 1, "clamped");
+    }
+
+    #[test]
+    fn scaled_to_keeps_given_flags_even_at_the_default_value() {
+        let wire = Scale {
+            nodes: 16,
+            messages: 200,
+            rate: 25.0,
+            warmup: Duration::from_secs(3),
+            drain: Duration::from_secs(3),
+        };
+        let unset = ExpOptions::default().scaled_to(&GivenFlags::default(), &wire);
+        assert_eq!((unset.nodes, unset.messages), (16, 200));
+        assert_eq!((unset.rate, unset.warmup), (25.0, Duration::from_secs(3)));
+        // `--messages 1000 --rate 100` repeat the simulation defaults and
+        // must still win; the unset fields still drop to wire scale.
+        let given = GivenFlags {
+            messages: true,
+            rate: true,
+            ..GivenFlags::default()
+        };
+        let o = ExpOptions::default().scaled_to(&given, &wire);
+        assert_eq!((o.messages, o.rate), (1000, 100.0));
+        assert_eq!((o.nodes, o.drain), (16, Duration::from_secs(3)));
+        let quick = ExpOptions::quick().scaled_to(&GivenFlags::ALL, &wire);
+        assert_eq!(quick.nodes, 128, "--quick counts as setting every field");
     }
 
     #[test]

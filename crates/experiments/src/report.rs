@@ -1,9 +1,6 @@
 //! Shared reporting helpers: the one kernel-stats formatter every
 //! experiment uses, and table rendering for metrics snapshots.
 //!
-//! Before this module each of `figures`, `chaos`, and the sweep branch of
-//! `main` carried its own copy of the kernel-counter formatting; they now
-//! all call [`log_kernel`] / [`log_kernel_tagged`] / [`kernel_digest`].
 
 use gocast_metrics::{HistogramSnapshot, MetricValue, Snapshot};
 use gocast_sim::KernelStats;
@@ -11,15 +8,30 @@ use gocast_sim::KernelStats;
 use gocast_analysis::Table;
 
 /// Reports the kernel counters of a finished run on stderr, next to the
-/// progress lines — every experiment prints its event throughput.
+/// progress lines.
 pub fn log_kernel(kernel: &KernelStats) {
     eprintln!("    kernel: {kernel}");
 }
 
-/// [`log_kernel`] with a tag distinguishing runs in one experiment (e.g.
-/// `GoCast seed 42` in the sweep).
-pub fn log_kernel_tagged(tag: &str, kernel: &KernelStats) {
-    eprintln!("    kernel[{tag}]: {kernel}");
+/// One column of a result table: its header, and how a row renders in it.
+pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+
+/// A table with one row per value of `rows`, each column's header and cell
+/// defined side by side.
+pub fn table_of<'r, R: 'r>(
+    columns: &[Column<'_, R>],
+    rows: impl IntoIterator<Item = &'r R>,
+) -> Table {
+    let mut table = Table::new(columns.iter().map(|(header, _)| *header));
+    for row in rows {
+        table.row(columns.iter().map(|(_, cell)| cell(row)));
+    }
+    table
+}
+
+/// Whole milliseconds, the unit of the recovery tables.
+pub fn whole_ms(d: std::time::Duration) -> String {
+    format!("{:.0}", d.as_secs_f64() * 1000.0)
 }
 
 /// The deterministic `kernel[ev=... del=...]` digest embedded in chaos

@@ -1,194 +1,20 @@
-//! Shared simulation runners behind every experiment.
+//! The dissemination and adaptation experiments (Figures 3–6 and the §3
+//! summaries) as configurations of [`crate::pipeline`]: the one-lane
+//! kernel over the synthetic-King matrix, unaudited, sources drawn from
+//! the live nodes.
 
-use std::fs::File;
-use std::io;
 use std::ops::Deref;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use gocast::{snapshot, GoCastConfig, GoCastEvent, GoCastNode, LinkKind, Snapshot};
-use gocast_analysis::{Cdf, DelayHistogram, Histogram, MetricsRecorder};
+use gocast_analysis::{Cdf, DelayHistogram, Histogram};
 use gocast_baselines::{PushGossipConfig, PushGossipNode};
-use gocast_metrics::ProtocolMetrics;
-use gocast_net::{synthetic_king, SiteLatencyMatrix, SyntheticKingConfig};
-use gocast_sim::{KernelStats, NodeId, Recorder, Sim, SimBuilder, SimTime, Stack, TraceRecorder};
+use gocast_sim::{KernelStats, LatencyModel, NodeId, NullRecorder, OneLane, SimTime, Stack};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::options::{ExpOptions, StackKind};
-
-/// Distinguishes traces when one process runs several simulations (e.g.
-/// `fig3a` runs five protocols): run `k > 0` writes `<stem>.<k>.<ext>`.
-static TRACE_RUN: AtomicU32 = AtomicU32::new(0);
-/// Same numbering, independently, for `--metrics-out` JSONL streams.
-static METRICS_RUN: AtomicU32 = AtomicU32::new(0);
-
-fn numbered_trace_path(path: &Path, k: u32) -> PathBuf {
-    if k == 0 {
-        return path.to_path_buf();
-    }
-    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-    let name = match path.extension().and_then(|e| e.to_str()) {
-        Some(ext) => format!("{stem}.{k}.{ext}"),
-        None => format!("{stem}.{k}"),
-    };
-    path.with_file_name(name)
-}
-
-/// The recorder every experiment runner installs: the aggregating
-/// [`MetricsRecorder`] always, plus an optional JSONL causal-trace sink
-/// when `--trace-out` is given. With tracing off (the default) the only
-/// added cost per event is one `Option` check; the aggregate side is
-/// reachable through `Deref`, so `sim.recorder().delivered()` and friends
-/// read exactly as before.
-#[derive(Debug, Default)]
-pub struct ExpRecorder {
-    metrics: MetricsRecorder,
-    proto: ProtocolMetrics,
-    trace: Option<TraceRecorder<io::BufWriter<File>>>,
-}
-
-/// Opens a manifest-stamped JSONL sink: the provenance line goes in
-/// first, then the `TraceRecorder` takes over the stream.
-fn open_stamped_jsonl(
-    path: &Path,
-    manifest: &gocast_metrics::RunManifest,
-) -> io::Result<TraceRecorder<io::BufWriter<File>>> {
-    use io::Write as _;
-    let mut file = io::BufWriter::new(File::create(path)?);
-    writeln!(file, "{}", manifest.json_line())?;
-    Ok(TraceRecorder::new(file))
-}
-
-impl ExpRecorder {
-    /// A metrics-only recorder (tracing off).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A recorder honoring `opts.trace_out`. A trace-file open failure
-    /// warns and falls back to metrics-only rather than aborting the run.
-    pub fn for_opts(opts: &ExpOptions) -> Self {
-        let trace = opts.trace_out.as_ref().and_then(|base| {
-            let path = numbered_trace_path(base, TRACE_RUN.fetch_add(1, Ordering::Relaxed));
-            match open_stamped_jsonl(&path, &opts.manifest(None)) {
-                Ok(rec) => {
-                    eprintln!("tracing to {}", path.display());
-                    // GoCast traces keep the historic untagged schema
-                    // (readers default a missing `proto` to gocast); other
-                    // stacks are tagged explicitly.
-                    Some(match opts.stack {
-                        StackKind::GoCast => rec,
-                        other => rec.with_proto(other.name()),
-                    })
-                }
-                Err(e) => {
-                    eprintln!("warning: cannot open trace {}: {e}", path.display());
-                    None
-                }
-            }
-        });
-        ExpRecorder {
-            metrics: MetricsRecorder::new(),
-            proto: ProtocolMetrics::default(),
-            trace,
-        }
-    }
-
-    /// Lines written to the trace so far (`None` when tracing is off).
-    pub fn trace_lines(&self) -> Option<u64> {
-        self.trace.as_ref().map(|t| t.lines())
-    }
-
-    /// The capability-neutral protocol counters folded from every event
-    /// this recorder saw (pushes, IHAVEs, pulls, redundant drops, ...).
-    pub fn protocol_metrics(&self) -> &ProtocolMetrics {
-        &self.proto
-    }
-}
-
-impl Deref for ExpRecorder {
-    type Target = MetricsRecorder;
-
-    fn deref(&self) -> &MetricsRecorder {
-        &self.metrics
-    }
-}
-
-impl Recorder<GoCastEvent> for ExpRecorder {
-    fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        event.observe_into(&mut self.proto);
-        if let Some(trace) = &mut self.trace {
-            trace.record(now, node, event.clone());
-        }
-        self.metrics.record(now, node, event);
-    }
-}
-
-/// A `--metrics-out` JSONL stream: one manifest line, then one
-/// `"ev":"metrics"` snapshot line per sample, all deterministic fields
-/// only — byte-identical at any `--jobs` (streaming forces serial runs,
-/// and wall-clock metric entries are excluded by the snapshot encoder).
-#[derive(Debug)]
-pub struct MetricsStream {
-    rec: TraceRecorder<io::BufWriter<File>>,
-}
-
-impl MetricsStream {
-    /// Opens the stream named by `opts.metrics_out`, if set. Later runs
-    /// in one process get numbered files, mirroring trace output. An
-    /// open failure warns and disables streaming for the run.
-    pub fn for_opts(opts: &ExpOptions, scenario: Option<&str>) -> Option<MetricsStream> {
-        let base = opts.metrics_out.as_ref()?;
-        let path = numbered_trace_path(base, METRICS_RUN.fetch_add(1, Ordering::Relaxed));
-        match open_stamped_jsonl(&path, &opts.manifest(scenario)) {
-            Ok(rec) => {
-                eprintln!("metrics to {}", path.display());
-                Some(MetricsStream { rec })
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open metrics {}: {e}", path.display());
-                None
-            }
-        }
-    }
-
-    /// Appends one snapshot line stamped with simulation time `now`.
-    pub fn sample(&mut self, now: SimTime, snap: &gocast_metrics::Snapshot) {
-        self.rec.record(now, NodeId::new(0), snap.clone());
-    }
-}
-
-/// One combined snapshot of everything the simulation knows: kernel
-/// counters/telemetry plus the recorder's protocol metrics.
-pub fn combined_snapshot<P>(sim: &Sim<P, ExpRecorder>) -> gocast_metrics::Snapshot
-where
-    P: Stack<Event = GoCastEvent>,
-{
-    let mut snap = sim.metrics_snapshot();
-    sim.recorder().protocol_metrics().snapshot_into(&mut snap);
-    snap
-}
-
-/// Advances the simulation to `until`; with a metrics stream attached,
-/// steps in one-second slices and samples a combined snapshot after each.
-fn run_sampled<P>(sim: &mut Sim<P, ExpRecorder>, until: SimTime, stream: &mut Option<MetricsStream>)
-where
-    P: Stack<Event = GoCastEvent>,
-{
-    match stream {
-        None => sim.run_until(until),
-        Some(s) => {
-            let mut t = sim.now();
-            while t < until {
-                t = (t + Duration::from_secs(1)).min(until);
-                sim.run_until(t);
-                s.sample(t, &combined_snapshot(sim));
-            }
-        }
-    }
-}
+use crate::options::ExpOptions;
+use crate::pipeline::{build_network, gocast_nodes, horizon, Run, RunCore, RunRecorder};
 
 /// Which protocol to drive through a delay experiment.
 #[derive(Debug, Clone)]
@@ -215,6 +41,9 @@ impl Proto {
 /// Outcome of one dissemination run.
 #[derive(Debug)]
 pub struct DelayStats {
+    /// Injected messages, crashed nodes, kernel counters and the final
+    /// combined metrics snapshot.
+    pub core: RunCore,
     /// Protocol label.
     pub protocol: String,
     /// Live nodes at measurement time.
@@ -233,162 +62,98 @@ pub struct DelayStats {
     pub tree_fraction: f64,
     /// Pull requests issued during the run.
     pub pulls: u64,
-    /// Kernel counters snapshotted at the end of the run (events
-    /// processed, drops, queue high-water, events/sec).
-    pub kernel: KernelStats,
-    /// Final combined metrics snapshot (kernel + protocol).
-    pub metrics: gocast_metrics::Snapshot,
 }
 
-/// The synthetic-King network for a given option set.
-pub fn build_network(opts: &ExpOptions) -> SiteLatencyMatrix {
-    synthetic_king(
-        opts.nodes,
-        &SyntheticKingConfig {
-            sites: opts.sites.min(opts.nodes.max(16)),
-            seed: opts.seed ^ 0x4B494E47, // "KING"
-            ..Default::default()
-        },
+impl Deref for DelayStats {
+    type Target = RunCore;
+
+    fn deref(&self) -> &RunCore {
+        &self.core
+    }
+}
+
+/// An unaudited run on the one-lane kernel.
+pub(crate) type PlainRun<S> = Run<S, NullRecorder, OneLane>;
+
+/// Builds the unaudited one-lane run the figure experiments use, over
+/// `net`, honoring `--trace-out`/`--metrics-out`.
+pub(crate) fn plain_run<S: Stack<Event = GoCastEvent>>(
+    opts: &ExpOptions,
+    net: impl LatencyModel + 'static,
+    pair_counts: bool,
+    make: impl FnMut(NodeId) -> S,
+) -> PlainRun<S> {
+    let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), None, NullRecorder);
+    Run::serial(opts, net, pair_counts, recorder, make)
+}
+
+/// A GoCast [`plain_run`] over the synthetic-King matrix in the paper's
+/// standard bootstrap state.
+pub(crate) fn gocast_run(
+    opts: &ExpOptions,
+    cfg: &GoCastConfig,
+    pair_counts: bool,
+) -> PlainRun<GoCastNode> {
+    plain_run(
+        opts,
+        build_network(opts),
+        pair_counts,
+        gocast_nodes(opts, cfg),
     )
 }
 
-fn failure_set(opts: &ExpOptions, fail_frac: f64) -> Vec<NodeId> {
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xFA11);
-    let k = (opts.nodes as f64 * fail_frac).round() as usize;
-    let mut ids: Vec<u32> = (0..opts.nodes as u32).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..ids.len());
-        ids.swap(i, j);
+/// Runs a full dissemination experiment: warm up (streamed, when
+/// `--metrics-out` is on), optionally fail a fraction of nodes and freeze
+/// all repair, inject the message workload from live sources, drain, and
+/// aggregate.
+pub fn run_delay(opts: &ExpOptions, proto: Proto, fail_frac: f64) -> DelayStats {
+    let label = proto.label();
+    match proto {
+        Proto::GoCast(cfg) => delay_phases(
+            gocast_run(opts, &cfg, false),
+            opts,
+            label,
+            opts.warmup,
+            fail_frac,
+        ),
+        // No overlay to warm up (full membership is assumed) and no
+        // repair to freeze.
+        Proto::PushGossip(cfg) => delay_phases(
+            plain_run(opts, build_network(opts), false, |id| {
+                PushGossipNode::new(id, cfg.clone())
+            }),
+            opts,
+            label,
+            Duration::from_secs(2),
+            fail_frac,
+        ),
     }
-    ids.truncate(k);
-    ids.into_iter().map(NodeId::new).collect()
 }
 
-/// Schedules `opts.messages` multicasts at `opts.rate` from random live
-/// sources, starting at `start`. Works for any [`Stack`], which supplies
-/// the protocol's multicast command.
-fn schedule_injections<P>(sim: &mut Sim<P, ExpRecorder>, opts: &ExpOptions, start: SimTime)
-where
-    P: Stack<Event = gocast::GoCastEvent>,
-{
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x5EED);
-    let live: Vec<NodeId> = sim.alive_nodes().collect();
-    for i in 0..opts.messages {
-        let at = start + Duration::from_secs_f64(i as f64 / opts.rate);
-        let src = live[rng.gen_range(0..live.len())];
-        sim.schedule_command(at, src, P::cmd_multicast());
-    }
-}
-
-fn collect_delay_stats<P>(sim: &Sim<P, ExpRecorder>, opts: &ExpOptions, label: String) -> DelayStats
-where
-    P: Stack<Event = gocast::GoCastEvent>,
-{
-    let live: Vec<NodeId> = sim.alive_nodes().collect();
-    let rec = sim.recorder();
-    let (per_node_avg, incomplete) = rec.per_node_average_delays(opts.messages as u64, &live);
+fn delay_phases<S: Stack<Event = GoCastEvent>>(
+    mut run: PlainRun<S>,
+    opts: &ExpOptions,
+    protocol: String,
+    warmup: Duration,
+    fail_frac: f64,
+) -> DelayStats {
+    run.drive(SimTime::ZERO + warmup);
+    let crashed = run.crash_and_freeze(opts, fail_frac, true);
+    let start = run.inject_multicasts(opts, &run.live_sources());
+    run.drive(horizon(opts, start, None));
+    let (per_node_avg, incomplete_nodes, live_nodes) = run.delays(opts);
+    let core = run.finish(u64::from(opts.messages), crashed);
+    let rec = &run.sim.recorder().metrics;
     DelayStats {
-        protocol: label,
-        live_nodes: live.len(),
+        core,
+        protocol,
+        live_nodes,
         per_node_avg,
-        incomplete_nodes: incomplete,
+        incomplete_nodes,
         all_delays: rec.delay_histogram().clone(),
         redundancy: rec.redundancy_factor(),
         tree_fraction: rec.tree_fraction(),
         pulls: rec.pulls(),
-        kernel: sim.kernel_stats(),
-        metrics: combined_snapshot(sim),
-    }
-}
-
-/// Builds a GoCast simulation in the paper's standard bootstrap state.
-pub fn build_gocast_sim(
-    opts: &ExpOptions,
-    cfg: &GoCastConfig,
-    track_pairs: bool,
-) -> Sim<GoCastNode, ExpRecorder> {
-    let net = build_network(opts);
-    let links_per_node = (cfg.c_degree() / 2).max(1);
-    let mut boot = gocast::bootstrap_random_graph(opts.nodes, links_per_node, opts.seed ^ 0xB007);
-    let mut builder = SimBuilder::new(net).seed(opts.seed);
-    if track_pairs {
-        builder = builder.track_pair_counts();
-    }
-    if opts.metrics_out.is_some() {
-        builder = builder.telemetry();
-    }
-    builder.build_with(ExpRecorder::for_opts(opts), |id| {
-        let (links, members) = boot(id);
-        GoCastNode::with_initial_links(id, cfg.clone(), links, members)
-    })
-}
-
-/// Runs a full dissemination experiment: warm up (GoCast only), optionally
-/// fail a fraction of nodes and freeze all repair, inject the message
-/// workload, drain, and aggregate.
-pub fn run_delay(opts: &ExpOptions, proto: Proto, fail_frac: f64) -> DelayStats {
-    let label = proto.label();
-    let mut stream = MetricsStream::for_opts(opts, None);
-    match proto {
-        Proto::GoCast(cfg) => {
-            let mut sim = build_gocast_sim(opts, &cfg, false);
-            run_sampled(&mut sim, SimTime::ZERO + opts.warmup, &mut stream);
-            apply_failures_and_freeze(&mut sim, opts, fail_frac, true);
-            let start = sim.now() + Duration::from_millis(100);
-            schedule_injections(&mut sim, opts, start);
-            run_sampled(
-                &mut sim,
-                start + opts.inject_duration() + opts.drain,
-                &mut stream,
-            );
-            collect_delay_stats(&sim, opts, label)
-        }
-        Proto::PushGossip(cfg) => {
-            let net = build_network(opts);
-            let mut builder = SimBuilder::new(net).seed(opts.seed);
-            if opts.metrics_out.is_some() {
-                builder = builder.telemetry();
-            }
-            let mut sim = builder.build_with(ExpRecorder::for_opts(opts), |id| {
-                PushGossipNode::new(id, cfg.clone())
-            });
-            // No overlay to warm up: full membership is assumed.
-            run_sampled(&mut sim, SimTime::from_secs(2), &mut stream);
-            apply_failures_and_freeze(&mut sim, opts, fail_frac, false);
-            let start = sim.now() + Duration::from_millis(100);
-            schedule_injections(&mut sim, opts, start);
-            run_sampled(
-                &mut sim,
-                start + opts.inject_duration() + opts.drain,
-                &mut stream,
-            );
-            collect_delay_stats(&sim, opts, label)
-        }
-    }
-}
-
-fn apply_failures_and_freeze<P>(
-    sim: &mut Sim<P, ExpRecorder>,
-    opts: &ExpOptions,
-    fail_frac: f64,
-    freeze: bool,
-) where
-    P: Stack<Event = gocast::GoCastEvent>,
-{
-    if fail_frac <= 0.0 {
-        return;
-    }
-    for id in failure_set(opts, fail_frac) {
-        sim.fail_node(id);
-    }
-    // A stack without repair activity has no freeze command; skip.
-    if freeze && P::cmd_freeze().is_some() {
-        let live: Vec<NodeId> = sim.alive_nodes().collect();
-        for id in live {
-            let cmd = P::cmd_freeze().expect("checked above");
-            sim.command_now(id, cmd);
-        }
-        sim.run_for(Duration::from_millis(1));
     }
 }
 
@@ -424,8 +189,7 @@ pub fn run_adaptation(
     snap_times: &[u64],
     latency_secs: u64,
 ) -> AdaptationResult {
-    let mut sim = build_gocast_sim(opts, cfg, false);
-    let mut stream = MetricsStream::for_opts(opts, None);
+    let mut run = gocast_run(opts, cfg, false);
     let end = opts
         .warmup
         .as_secs()
@@ -433,25 +197,26 @@ pub fn run_adaptation(
         .max(snap_times.iter().copied().max().unwrap_or(0));
     let mut degree_hists = Vec::new();
     let mut latency_series = Vec::new();
-    for sec in 0..=end {
-        sim.run_until(SimTime::from_secs(sec));
-        if let Some(s) = &mut stream {
-            s.sample(SimTime::from_secs(sec), &combined_snapshot(&sim));
-        }
+    let mut each_second = |sim: &gocast_sim::Sim<GoCastNode, RunRecorder>, t: SimTime| {
+        let sec = t.as_nanos() / 1_000_000_000;
         if snap_times.contains(&sec) {
-            let snap = snapshot(&sim);
+            let snap = snapshot(sim);
             degree_hists.push((sec, Histogram::from_values(snap.degrees())));
         }
         if sec <= latency_secs {
-            let snap = snapshot(&sim);
+            let snap = snapshot(sim);
             latency_series.push((
                 sec,
                 snap.mean_overlay_latency(sim.latency_model()),
                 snap.mean_tree_latency(sim.latency_model()),
             ));
         }
-    }
-    let final_snapshot = snapshot(&sim);
+    };
+    run.step_to(SimTime::ZERO, &mut each_second);
+    run.observe_every(SimTime::from_secs(end), Duration::from_secs(1), each_second);
+    let core = run.finish(0, 0);
+    let sim = &run.sim;
+    let final_snapshot = snapshot(sim);
     let mean_degree = final_snapshot.degrees().iter().sum::<usize>() as f64 / opts.nodes as f64;
     let rand_hist =
         Histogram::from_values(sim.iter_nodes().map(|(_, n)| n.degrees().d_rand as usize));
@@ -460,13 +225,13 @@ pub fn run_adaptation(
     AdaptationResult {
         degree_hists,
         latency_series,
-        link_changes_per_sec: sim.recorder().link_changes_per_sec().to_vec(),
+        link_changes_per_sec: sim.recorder().metrics.link_changes_per_sec().to_vec(),
         rand_hist,
         near_hist,
         final_snapshot,
         mean_degree,
-        kernel: sim.kernel_stats(),
-        metrics: combined_snapshot(&sim),
+        kernel: core.kernel,
+        metrics: core.metrics,
     }
 }
 
@@ -517,14 +282,7 @@ mod tests {
             messages: 5,
             rate: 5.0,
             drain: Duration::from_secs(20),
-            out_dir: None,
-            trace_out: None,
-            metrics_out: None,
-            jobs: 1,
-            stack: StackKind::GoCast,
-            shards: 1,
-            sim_shards: 1,
-            topics: 8,
+            ..ExpOptions::quick()
         }
     }
 
@@ -547,17 +305,6 @@ mod tests {
             Proto::PushGossip(PushGossipConfig::no_wait()).label(),
             "no-wait gossip (F=5)"
         );
-    }
-
-    #[test]
-    fn failure_set_is_deterministic_and_sized() {
-        let opts = tiny();
-        let a = failure_set(&opts, 0.25);
-        let b = failure_set(&opts, 0.25);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 12);
-        let set: std::collections::HashSet<_> = a.iter().collect();
-        assert_eq!(set.len(), 12, "distinct");
     }
 
     #[test]

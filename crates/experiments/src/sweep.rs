@@ -1,35 +1,49 @@
-//! Parallel multi-run execution.
+//! Multi-run execution: the per-seed fan-out.
 //!
-//! Every topology, bootstrap graph, and failure draw in this reproduction
-//! is seeded, so independent simulation runs (different seeds, protocols,
-//! or system sizes) can be fanned across worker threads without changing
-//! any result: each run is still a single-threaded deterministic
-//! simulation, and [`parallel_map`] merges results back in submission
-//! order, so experiment output is **byte-identical** at any `--jobs`
-//! count (asserted by the `jobs_do_not_change_csv_output` test).
-//!
-//! [`sweep_seeds`] builds on this to re-run an experiment across
-//! consecutive seeds and summarize the scalar it returns — quantifying how
-//! sensitive a result is to the random inputs, something the paper
-//! (single dataset, unspecified repetition count) cannot show.
+//! Independent simulation runs (different seeds, protocols, or system
+//! sizes) fan across `--jobs` worker threads without changing any result
+//! (see [`crate::pipeline`] for why). [`seeded`] is the consecutive-seed
+//! rule, [`per_seed`] runs one function over it, and [`sweep_seeds`]
+//! summarizes a scalar across it — quantifying how sensitive a result is
+//! to the random inputs, something the paper (single dataset, unspecified
+//! repetition count) cannot show.
 
 use gocast_analysis::Summary;
 
 use crate::options::ExpOptions;
 
-// `parallel_map` moved into `gocast-sim` when the sharded kernel arrived:
-// the per-seed experiment fan-out and the kernel's intra-run parallelism
-// now share one audited implementation. Re-exported here so experiment
-// code (and the `jobs_do_not_change_csv_output` guarantees built on it)
-// keep their historic import path.
+// Shared with the lane kernel's intra-run parallelism: one audited
+// implementation, merging results in submission order.
 pub use gocast_sim::parallel_map;
 
-/// Runs `f(opts-with-seed)` for `seeds` consecutive seeds starting at the
-/// option set's base seed — across `opts.jobs` worker threads — and
-/// summarizes the scalar it returns. Values are aggregated in seed order,
-/// so the summary is identical at any job count.
+/// The option sets of `seeds` consecutive seeds starting at `opts.seed`.
 ///
-/// `f` must be deterministic given the options (all our runners are).
+/// # Panics
+///
+/// Panics if `seeds == 0`.
+pub fn seeded(opts: &ExpOptions, seeds: u64) -> impl Iterator<Item = ExpOptions> + '_ {
+    assert!(seeds > 0, "need at least one seed");
+    (0..seeds).map(|i| opts.clone().with_seed(opts.seed.wrapping_add(i)))
+}
+
+/// Runs `f` once per seed of [`seeded`], across `opts.effective_jobs()`
+/// worker threads. Results come back in seed order, so output is
+/// byte-identical at any job count. `f` must be deterministic given the
+/// options (every runner is).
+///
+/// # Panics
+///
+/// Panics if `seeds == 0` or if a worker thread panics.
+pub fn per_seed<T: Send>(
+    opts: &ExpOptions,
+    seeds: u64,
+    f: impl Fn(&ExpOptions) -> T + Sync,
+) -> Vec<T> {
+    let runs: Vec<ExpOptions> = seeded(opts, seeds).collect();
+    parallel_map(opts.effective_jobs(), runs, |_, o| f(&o))
+}
+
+/// [`per_seed`] over a scalar, summarized.
 ///
 /// ```no_run
 /// use gocast::GoCastConfig;
@@ -43,20 +57,12 @@ pub use gocast_sim::parallel_map;
 /// });
 /// println!("mean delay across 5 topologies: {s}");
 /// ```
-///
-/// # Panics
-///
-/// Panics if `seeds == 0` or if a worker thread panics.
-pub fn sweep_seeds<F>(opts: &ExpOptions, seeds: u64, f: F) -> Summary
-where
-    F: Fn(&ExpOptions) -> f64 + Sync,
-{
-    assert!(seeds > 0, "need at least one seed");
-    let runs: Vec<ExpOptions> = (0..seeds)
-        .map(|i| opts.clone().with_seed(opts.seed.wrapping_add(i)))
-        .collect();
-    let values = parallel_map(opts.effective_jobs(), runs, |_, o| f(&o));
-    Summary::from_values(&values)
+pub fn sweep_seeds(
+    opts: &ExpOptions,
+    seeds: u64,
+    f: impl Fn(&ExpOptions) -> f64 + Sync,
+) -> Summary {
+    Summary::from_values(&per_seed(opts, seeds, f))
 }
 
 #[cfg(test)]

@@ -7,12 +7,12 @@
 //! invariant.
 //!
 //! Because the wire side runs in *wall-clock* time, this experiment uses
-//! its own deployment-scale defaults (16 nodes, 200 messages, 3 s
-//! warm-up, 3 s drain, `gocast_testnet::deployment_config` cadences)
-//! wherever the corresponding CLI flag was left at the simulation
-//! default; explicit `--nodes/--messages/--warmup/--drain/--rate/--seed`
-//! still win. `--scenario NAME` / `--spec STR` attach a chaos scenario,
-//! compiled once and replayed identically on both sides.
+//! its own deployment-scale defaults ([`TESTNET_SCALE`]: 16 nodes, 200
+//! messages, 3 s warm-up, 3 s drain; `gocast_testnet::deployment_config`
+//! cadences) wherever the corresponding CLI flag was not given; explicit
+//! `--nodes/--messages/--warmup/--drain/--rate/--seed` win
+//! ([`ExpOptions::scaled_to`]). `--scenario NAME` / `--spec STR` attach a
+//! chaos scenario, compiled once and replayed identically on both sides.
 //!
 //! Environments that cannot bind loopback sockets (some sandboxes) are
 //! reported and skipped with exit 0, so CI stays green without sockets.
@@ -22,80 +22,61 @@ use std::time::Duration;
 use gocast_testnet::conformance::ConformanceOptions;
 use gocast_testnet::{deployment_config, loopback_available};
 
-use crate::chaos::{builtin_names, builtin_scenario, parse_spec};
+use crate::chaos::resolve_scenario;
+use crate::options::{GivenFlags, Scale};
 use crate::ExpOptions;
+
+/// The conformance run's scale wherever no flag says otherwise (the
+/// injection rate stays the paper's).
+pub const TESTNET_SCALE: Scale = Scale {
+    nodes: 16,
+    messages: 200,
+    rate: 100.0,
+    warmup: Duration::from_secs(3),
+    drain: Duration::from_secs(3),
+};
 
 /// Builds the conformance options the CLI flags resolve to (exposed for
 /// tests; see the module docs for the defaulting rule).
 pub fn resolve(
     opts: &ExpOptions,
+    given: &GivenFlags,
     scenario: &str,
     spec: Option<&str>,
 ) -> Result<ConformanceOptions, String> {
-    let d = ExpOptions::default();
-    let mut conf = ConformanceOptions::new(
-        if opts.nodes == d.nodes {
-            16
-        } else {
-            opts.nodes
-        },
-        if opts.messages == d.messages {
-            200
-        } else {
-            opts.messages as usize
-        },
-    )
-    .with_seed(opts.seed);
-    conf.warmup = if opts.warmup == d.warmup {
-        Duration::from_secs(3)
-    } else {
-        opts.warmup
-    };
-    conf.drain = if opts.drain == d.drain {
-        Duration::from_secs(3)
-    } else {
-        opts.drain
-    };
-    conf.rate = opts.rate;
+    let wire = opts.scaled_to(given, &TESTNET_SCALE);
+    let mut conf = ConformanceOptions::new(wire.nodes, wire.messages as usize).with_seed(wire.seed);
+    conf.warmup = wire.warmup;
+    conf.drain = wire.drain;
+    conf.rate = wire.rate;
     conf.protocol = deployment_config();
     if opts.shards == 0 {
         return Err("--shards must be at least 1".into());
     }
     conf.shards = opts.shards;
 
-    let scenario = match spec {
-        Some(s) => Some(parse_spec(s).map_err(|e| format!("--spec: {e}"))?),
-        None => {
-            let sc = builtin_scenario(scenario, opts).ok_or_else(|| {
-                format!(
-                    "unknown scenario `{scenario}` (valid: {})",
-                    builtin_names().join(", ")
-                )
-            })?;
-            // An empty scenario (the `baseline` preset) keeps the strict
-            // delivery gate; attaching it would relax it for nothing.
-            (sc.step_count() > 0).then_some(sc)
-        }
-    };
-    if let Some(sc) = scenario {
+    // An empty scenario (the `baseline` preset) keeps the strict delivery
+    // gate; attaching it would relax it for nothing.
+    let (_, sc) = resolve_scenario(opts, scenario, spec)?;
+    if spec.is_some() || sc.step_count() > 0 {
         conf = conf.with_scenario(sc);
     }
     Ok(conf)
 }
 
-/// Runs the conformance harness and returns the process exit code.
-pub fn testnet(opts: &ExpOptions, scenario: &str, spec: Option<&str>) -> i32 {
+/// Runs the conformance harness and returns the process exit code, or
+/// the option/scenario resolver's error.
+pub fn testnet(
+    opts: &ExpOptions,
+    given: &GivenFlags,
+    scenario: &str,
+    spec: Option<&str>,
+) -> Result<i32, String> {
+    let conf = resolve(opts, given, scenario, spec)?;
     if !loopback_available() {
         eprintln!("testnet: loopback UDP unavailable in this environment; skipping");
-        return 0;
+        return Ok(0);
     }
-    let conf = match resolve(opts, scenario, spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("testnet: {e}");
-            return 2;
-        }
-    };
     eprintln!(
         "testnet: {} nodes, {} messages @ {:.0}/s, warmup {:?}, drain {:?}, seed {}, shards {}{}",
         conf.nodes,
@@ -115,7 +96,7 @@ pub fn testnet(opts: &ExpOptions, scenario: &str, spec: Option<&str>) -> i32 {
         Ok(r) => r,
         Err(e) => {
             eprintln!("testnet: run failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     print!("{}", report.render());
@@ -141,21 +122,20 @@ pub fn testnet(opts: &ExpOptions, scenario: &str, spec: Option<&str>) -> i32 {
         // `--metrics-out` on testnet captures the wire-side fabric
         // snapshot (manifest-stamped, one line) for offline comparison.
         let label = spec.unwrap_or(scenario);
-        if let Some(mut stream) = crate::runners::MetricsStream::for_opts(opts, Some(label)) {
+        let manifest = opts.manifest(Some(label));
+        if let Some(mut stream) = crate::pipeline::MetricsStream::open(opts, &manifest) {
             let at = gocast_sim::SimTime::from_nanos(conf.total().as_nanos() as u64);
             stream.sample(at, snap);
         }
     }
     let failures = report.failures();
+    for f in &failures {
+        println!("conformance FAIL: {f}");
+    }
     if failures.is_empty() {
         println!("conformance: PASS");
-        0
-    } else {
-        for f in &failures {
-            println!("conformance FAIL: {f}");
-        }
-        1
     }
+    Ok(i32::from(!failures.is_empty()))
 }
 
 #[cfg(test)]
@@ -165,12 +145,28 @@ mod tests {
     #[test]
     fn defaults_resolve_to_deployment_scale() {
         let opts = ExpOptions::default();
-        let conf = resolve(&opts, "baseline", None).unwrap();
+        let conf = resolve(&opts, &GivenFlags::default(), "baseline", None).unwrap();
         assert_eq!(conf.nodes, 16);
         assert_eq!(conf.messages, 200);
         assert_eq!(conf.warmup, Duration::from_secs(3));
         assert!(conf.scenario.is_none(), "baseline must stay strict");
         assert!(conf.tol.require_delivery);
+    }
+
+    #[test]
+    fn a_flag_that_repeats_the_simulation_default_still_wins() {
+        // `testnet --messages 1000 --warmup 500`: both equal
+        // `ExpOptions::default()`, both were given.
+        let given = GivenFlags {
+            messages: true,
+            warmup: true,
+            ..GivenFlags::default()
+        };
+        let conf = resolve(&ExpOptions::default(), &given, "baseline", None).unwrap();
+        assert_eq!(conf.messages, 1000);
+        assert_eq!(conf.warmup, Duration::from_secs(500));
+        assert_eq!(conf.nodes, 16, "unset fields still drop to wire scale");
+        assert_eq!(conf.drain, Duration::from_secs(3));
     }
 
     #[test]
@@ -180,7 +176,12 @@ mod tests {
             messages: 50,
             ..ExpOptions::default()
         };
-        let conf = resolve(&opts, "partition", None).unwrap();
+        let given = GivenFlags {
+            nodes: true,
+            messages: true,
+            ..GivenFlags::default()
+        };
+        let conf = resolve(&opts, &given, "partition", None).unwrap();
         assert_eq!(conf.nodes, 8);
         assert_eq!(conf.messages, 50);
         assert!(conf.scenario.is_some());
@@ -188,6 +189,6 @@ mod tests {
             !conf.tol.require_delivery,
             "chaos relaxes the delivery gate"
         );
-        assert!(resolve(&opts, "nonsense", None).is_err());
+        assert!(resolve(&opts, &given, "nonsense", None).is_err());
     }
 }

@@ -16,6 +16,21 @@ echo "==> cargo clippy (perf lints, -D warnings)"
 # the gate.
 cargo clippy --workspace --all-targets -- -W clippy::perf -D warnings
 
+echo "==> structure gate: each experiment phase is written once"
+# The workload, bootstrap and network seed salts mark the injection loop,
+# the bootstrap-graph site and the network constructor; a second non-test
+# occurrence under crates/experiments/src is a copied run-loop.
+for salt in 0x5EED 0xB007 0x4B494E47; do
+    hits=$(awk -v salt="$salt" 'FNR == 1 { test = 0 }
+        /#\[cfg\(test\)\]/ { test = 1 }
+        !test && index($0, salt) && $0 !~ /^[[:space:]]*\/\// { n++ }
+        END { print n + 0 }' crates/experiments/src/*.rs)
+    [[ "$hits" -eq 1 ]] || {
+        echo "FAIL: $salt occurs on $hits non-test lines of crates/experiments/src (want 1)" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -93,6 +108,17 @@ head -n1 "$TRACE_DIR/metrics.jsonl" | grep -q '"manifest":1' \
     || { echo "FAIL: metrics JSONL missing run-manifest header" >&2; exit 1; }
 grep -q '"ev":"metrics"' "$TRACE_DIR/metrics.jsonl" \
     || { echo "FAIL: metrics JSONL contains no snapshots" >&2; exit 1; }
+# The lane kernel streams through the same drive loop: both scale runs
+# (delivery, then the chaos preset) leave a stamped, non-empty stream.
+cargo run --release -q -p gocast-experiments -- scale --nodes 2000 \
+    --warmup 20 --messages 4 --rate 2 --drain 20 --no-csv \
+    --metrics-out "$TRACE_DIR/scale.jsonl" > /dev/null
+for stream in "$TRACE_DIR/scale.jsonl" "$TRACE_DIR/scale.1.jsonl"; do
+    head -n1 "$stream" | grep -q '"manifest":1' \
+        || { echo "FAIL: $stream missing run-manifest header" >&2; exit 1; }
+    grep -q '"ev":"metrics"' "$stream" \
+        || { echo "FAIL: $stream contains no snapshots" >&2; exit 1; }
+done
 
 echo "==> telemetry overhead budget (instrumented kernel within 5%)"
 # Exits nonzero if the instrumented kernel retires steady-state events
