@@ -65,7 +65,8 @@ impl Writer<'_> {
         }
     }
     fn coords(&mut self, c: &LandmarkVector) {
-        // Stored as RTT microseconds per landmark; reconstructed via set().
+        // One RTT word per landmark slot: microseconds, or `u32::MAX` for a
+        // slot not measured (the reader maps it back).
         self.u32(c.len() as u32);
         for i in 0..c.len() {
             self.u32(c.rtt_us_at(i));
@@ -120,7 +121,10 @@ impl<'a> Reader<'a> {
         }
         let mut v = LandmarkVector::unknown();
         for i in 0..n {
-            v.set(i, std::time::Duration::from_micros(self.u32()? as u64));
+            match self.u32()? {
+                u32::MAX => v.set_unmeasured(i),
+                us => v.set(i, std::time::Duration::from_micros(us as u64)),
+            }
         }
         Ok(v)
     }
@@ -956,6 +960,51 @@ mod tests {
             let bytes = encode(&msg);
             let back = decode(&bytes).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
             assert_eq!(back, msg);
+        }
+    }
+
+    /// The wire carries 32-bit RTT words; a slot holds 24 bits. A word too
+    /// large for a slot is a (very slow) measurement, `u32::MAX` alone
+    /// means "not measured", and what decodes re-encodes at its own length.
+    #[test]
+    fn rtt_words_beyond_a_slot_decode_saturated_and_u32_max_unmeasured() {
+        const SLOT_MAX_US: u32 = (1 << 24) - 2;
+        let frame_with = |word: u32| {
+            let coords = LandmarkVector::from_rtts([std::time::Duration::from_millis(10)]);
+            let mut bytes = encode(&GoCastMsg::JoinReply {
+                members: vec![(NodeId::new(5), coords)],
+            });
+            // The single RTT word is the frame's last field.
+            let at = bytes.len() - 4;
+            bytes[at..].copy_from_slice(&word.to_le_bytes());
+            bytes
+        };
+        let coords_of = |bytes: &[u8]| match decode(bytes) {
+            Ok(GoCastMsg::JoinReply { members }) => members[0].1,
+            other => panic!("{other:?}"),
+        };
+        for word in [
+            SLOT_MAX_US,
+            SLOT_MAX_US + 1,
+            1 << 31,
+            u32::MAX - 1,
+            u32::MAX,
+        ] {
+            let bytes = frame_with(word);
+            let coords = coords_of(&bytes);
+            assert_eq!(coords.len(), 1);
+            if word == u32::MAX {
+                assert!(!coords.is_complete(1));
+                assert_eq!(coords.rtt_us_at(0), u32::MAX);
+            } else {
+                assert!(coords.is_complete(1), "{word} is a measurement");
+                assert_eq!(coords.rtt_us_at(0), SLOT_MAX_US);
+            }
+            let msg = decode(&bytes).unwrap();
+            let again = encode(&msg);
+            assert_eq!(encoded_len(&msg), again.len());
+            assert_eq!(again.len(), bytes.len());
+            assert_eq!(decode(&again), Ok(msg));
         }
     }
 

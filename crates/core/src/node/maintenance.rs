@@ -164,6 +164,10 @@ impl GoCastNode {
                 return Some(cand);
             }
         }
+        // The sorted walk is over until a join reply rebuilds it: give the
+        // ids back rather than hold one per member for the rest of the run.
+        self.probe_queue = Vec::new();
+        self.probe_cursor = 0;
         // Then round-robin over the (possibly grown) view.
         for _ in 0..self.view.len().min(8) {
             let cand = self.view.next_round_robin()?;

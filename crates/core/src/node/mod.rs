@@ -367,8 +367,9 @@ impl GoCastNode {
 
     /// Bytes this node holds, by structure. Vectors and hash tables count
     /// their *capacity* (what the allocator handed out, buckets and control
-    /// bytes included); the two B-tree maps have no capacity to ask for and
-    /// count their entries, which B-tree nodes hold at 50–100 % fill.
+    /// bytes included). B-tree maps have no capacity to ask for: the
+    /// neighbor table counts whole leaves, which is what the allocator
+    /// holds, the short-lived pull table its entries.
     pub fn mem_bytes(&self) -> NodeMem {
         fn table<K, V>(capacity: usize) -> usize {
             // hashbrown: capacity is 7/8 of the buckets, one control byte each.
@@ -377,7 +378,7 @@ impl GoCastNode {
         NodeMem {
             fixed: size_of::<Self>(),
             view: self.view.mem_bytes(),
-            neighbors: self.neighbors.len() * size_of::<(NodeId, Neighbor)>(),
+            neighbors: btree_leaf_bytes::<NodeId, Neighbor>(self.neighbors.len()),
             store: table::<MsgId, Stored>(self.store.capacity())
                 + self
                     .store
@@ -456,6 +457,20 @@ impl NodeMem {
             + self.pending_pulls
             + self.probe_queue
     }
+}
+
+/// What the allocator holds for a `BTreeMap<K, V>` of `len` entries, leaves
+/// only. Assumes std's layout: a leaf is allocated whole, with room for 11
+/// keys and 11 values beside a parent pointer and two `u16`s, whatever its
+/// fill. A degree-capped neighbor table sits in one leaf; past 11 entries
+/// this is a floor (leaves split to half fill, and internal nodes add 12
+/// edge pointers each).
+fn btree_leaf_bytes<K, V>(len: usize) -> usize {
+    const LEAF_ENTRIES: usize = 11;
+    let leaf = size_of::<usize>()
+        + 2 * size_of::<u16>()
+        + LEAF_ENTRIES * (size_of::<K>() + size_of::<V>());
+    len.div_ceil(LEAF_ENTRIES) * leaf.next_multiple_of(align_of::<usize>())
 }
 
 /// Coordinates as a message carried them: `None` when the sender had
@@ -730,7 +745,7 @@ mod tests {
         let bound = size_of::<GoCastNode>()
             + slots * (size_of::<NodeId>() + size_of::<LandmarkVector>())
             + slots * size_of::<NodeId>() // probe queue: one id per member
-            + max_degree * size_of::<(NodeId, Neighbor)>();
+            + btree_leaf_bytes::<NodeId, Neighbor>(max_degree);
         assert!(late <= bound, "{late} B held, bound {bound} B");
         assert!(
             late.abs_diff(early) * 20 <= early,

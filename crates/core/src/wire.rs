@@ -272,6 +272,13 @@ impl Wire for GoCastMsg {
 mod tests {
     use super::*;
 
+    /// Every queued event and cross-lane outbox entry is one `GoCastMsg`
+    /// wide, so a field that widens the enum widens all of them.
+    #[test]
+    fn message_stays_within_88_bytes() {
+        assert!(size_of::<GoCastMsg>() <= 88, "{}", size_of::<GoCastMsg>());
+    }
+
     #[test]
     fn data_size_includes_payload() {
         let m = GoCastMsg::Data {

@@ -7,7 +7,9 @@
 //! queues recycle payload slots, and per-node protocol state is bounded
 //! (member view capacity — peer coordinates live in the view's slots —
 //! and degree caps) — so peak memory must not bend toward the O(nodes²)
-//! a latency matrix or per-node caches of every peer would cost.
+//! a latency matrix or per-node caches of every peer would cost. The
+//! same allocator closes the ledger: what nodes and queues report about
+//! themselves must be most of the bytes live when the run ends.
 //!
 //! This file is its own test binary so the global allocator sees only
 //! the workload under measurement. The 10⁵-node smoke is `#[ignore]`d —
@@ -19,8 +21,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use gocast_experiments::scale::{run_scale_delivery, ScaleOutcome};
+use gocast::GoCastNode;
+use gocast_analysis::InvariantOracle;
+use gocast_experiments::pipeline::{
+    audited_gocast, gocast_nodes, horizon, scale_network, Run, RunCore, RunRecorder,
+};
+use gocast_experiments::scale::run_scale_delivery;
 use gocast_experiments::ExpOptions;
+use gocast_sim::{Lanes, NullRecorder};
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
@@ -77,6 +85,10 @@ fn peak_heap_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
+fn live_heap_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
 fn scale_opts(nodes: usize) -> ExpOptions {
     let mut o = ExpOptions::quick().with_sim_shards(2);
     o.nodes = nodes;
@@ -88,11 +100,12 @@ fn scale_opts(nodes: usize) -> ExpOptions {
     o
 }
 
-/// What one pending GoCast event occupies in a lane queue: a 104-byte
-/// payload slot and a 24-byte heap entry.
-const EVENT_BYTES: u64 = 128;
+/// What one pending GoCast event occupies in a lane queue: a 96-byte
+/// payload slot (the 88-byte message beside its addressing) and a 24-byte
+/// heap entry.
+const EVENT_BYTES: u64 = 120;
 
-fn assert_clean_and_bounded(out: &ScaleOutcome, cap_bytes: u64) {
+fn assert_clean_and_bounded(out: &RunCore, nodes: usize, cap_bytes: u64) {
     assert_eq!(
         out.violations, 0,
         "oracle violations: {:?}",
@@ -109,7 +122,7 @@ fn assert_clean_and_bounded(out: &ScaleOutcome, cap_bytes: u64) {
         "peak live heap {} MiB exceeds the {} MiB envelope for {} nodes",
         peak >> 20,
         cap_bytes >> 20,
-        out.nodes
+        nodes
     );
     // The kernel's self-reported occupancy is live and plausible: some
     // slab slots were created, and the queue accounts nonzero bytes that
@@ -132,14 +145,50 @@ fn assert_clean_and_bounded(out: &ScaleOutcome, cap_bytes: u64) {
 
 #[test]
 fn two_thousand_node_scale_run_stays_bounded() {
-    let out = run_scale_delivery(&scale_opts(2_000));
-    // 13 KiB per node, everything included (protocol state, event
-    // queues, recorders, the latency model): a quarter above the 10.4 KiB
+    // `run_scale_delivery`'s steps, with the run kept alive past its end so
+    // the heap can be read while the nodes and queues still hold it.
+    let opts = scale_opts(2_000);
+    let cfg = audited_gocast();
+    let recorder = RunRecorder::for_opts(
+        &opts,
+        &opts.manifest(None),
+        Some(InvariantOracle::for_protocol(&cfg)),
+        NullRecorder,
+    );
+    let mut run: Run<GoCastNode, NullRecorder, Lanes> = Run::sharded(
+        &opts,
+        scale_network(&opts),
+        recorder,
+        gocast_nodes(&opts, &cfg),
+    );
+    run.warm(opts.warmup);
+    let sources = run.live_sources();
+    let start = run.inject_multicasts(&opts, &sources);
+    run.drive(horizon(&opts, start, None));
+    let (out, _) = run.finish_audited(0, |_, _| true);
+
+    // 12 KiB per node, everything included (protocol state, event
+    // queues, recorders, the latency model): a quarter above the 9.6 KiB
     // the run peaks at. A 2000² latency table alone would be 16 MiB; a
     // per-node cache of every peer's coordinates (what the protocol kept
     // before the member view carried them) peaked at 38 KiB per node, and
     // queues and lane arenas that kept their start-up capacity at 16 KiB.
-    assert_clean_and_bounded(&out, 2_000 * (13 << 10));
+    assert_clean_and_bounded(&out, opts.nodes, 2_000 * (12 << 10));
+
+    // The ledger closes: what the nodes and the queues report holding is
+    // most of what the allocator has handed out, and never more. A new
+    // owner of bytes that reports nothing drops the ratio under the floor.
+    let live = live_heap_bytes();
+    let nodes: u64 = run
+        .sim
+        .iter_nodes()
+        .map(|(_, node)| node.mem_bytes().total() as u64)
+        .sum();
+    let reported = nodes + out.kernel.queue_mem_bytes;
+    assert!(
+        reported * 10 >= live * 8 && reported <= live,
+        "nodes and queues report {reported} B of {live} B live heap"
+    );
 }
 
 /// The 10⁵-node smoke (ignored: minutes of debug-mode runtime).
@@ -151,5 +200,5 @@ fn hundred_thousand_node_scale_run_stays_bounded() {
     // A 10⁵-node latency matrix would be 40 GB; the O(nodes) budget is
     // 8 GiB (per-node protocol state dominates).
     let out = run_scale_delivery(&o);
-    assert_clean_and_bounded(&out, 8 << 30);
+    assert_clean_and_bounded(&out, o.nodes, 8 << 30);
 }

@@ -168,14 +168,14 @@ echo "==> scale smoke: 10^4 nodes on the sharded kernel (oracle-gated)"
 # exits nonzero on any oracle violation or delivery collapse; `timeout`
 # enforces the wall-clock budget so a scaling regression fails loudly.
 # The printed `node_kb` (mean self-reported protocol state per node,
-# `GoCastNode::mem_bytes`) is held to a quarter above the 7.8 KB this
+# `GoCastNode::mem_bytes`) is held to a quarter above the 6.7 KB this
 # workload measures: per-node state that grows with the population or
 # the run length (the old per-node coordinate cache: 44.3 KB here) fails.
 # `queue_mem_mb` (what the lane queues reserve when the run ends) is held
-# to a quarter above its 13.7 MB the same way: queues that keep their
+# to a quarter above its 12.9 MB the same way: queues that keep their
 # start-up storm's capacity (44.9 MB here, before they shrank) fail.
-NODE_KB_MAX=9.8
-QUEUE_MB_MAX=17.1
+NODE_KB_MAX=8.4
+QUEUE_MB_MAX=16.1
 SCALE_OUT=$(timeout 600 cargo run --release -q -p gocast-experiments -- scale \
     --nodes 10000 --sim-shards 2 --warmup 30 --messages 10 --rate 2 \
     --drain 20 --no-csv)

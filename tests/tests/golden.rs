@@ -322,7 +322,9 @@ const COMPARE_CHURN: &str = concat!(
     "   churn     7       8    1.0000    1.0000          5.66          4.99            0.0560            0.1683             -             -              0              0\n",
     "   churn     8       8    1.0000    1.0000          5.58          4.59            0.0603            0.1587             -             -              0              0\n",
 );
-const CHAOS_CHURN_METRICS_FNV: u64 = 0x0cc8995eebd57da3;
+// The stream reports `kernel_queue_mem_bytes`, so this digest also pins
+// what a queued GoCast event occupies (120 B: 91,800 at every sample).
+const CHAOS_CHURN_METRICS_FNV: u64 = 0x1326da44882370e6;
 const FIG3A_TRACE_FNV: [u64; 5] = [
     0x4151c88554a144fe,
     0x920866c35dc39aba,
