@@ -7,16 +7,14 @@
 //! until *every* replica reflects a mutation (convergence = publish →
 //! last-apply delay). [`ConvergenceTracker`] folds the topic-tier events
 //! (`TopicDelivered`, `DeltaPublished`, `DeltaApplied`) into those three
-//! numbers in O(topics + mutations) memory, either online as a
-//! [`Recorder`] or offline from parsed [`TraceRecord`]s.
+//! numbers in O(topics + mutations) memory. It is a [`Recorder`]: attach
+//! it to a run, or replay a parsed trace's events into `record`.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use gocast::GoCastEvent;
 use gocast_sim::{NodeId, Recorder, SimTime};
-
-use crate::trace::{TraceEv, TraceRecord};
 
 /// Per-mutation apply aggregate. Times are stored raw and compared with
 /// the publish time at report time, so feeding order never matters.
@@ -92,24 +90,6 @@ impl ConvergenceTracker {
         let e = self.topics.entry(topic).or_insert((0, 0));
         e.0 += 1;
         e.1 += bytes as u64;
-    }
-
-    /// Folds one parsed trace record in (wire-side runs).
-    pub fn feed(&mut self, rec: &TraceRecord) {
-        match rec.ev {
-            TraceEv::TopicDelivered { topic, bytes, .. } => self.on_topic_delivery(topic, bytes),
-            TraceEv::DeltaPublished { topic, counter } => {
-                self.on_publish(rec.t_us, topic, rec.node, counter)
-            }
-            TraceEv::DeltaApplied {
-                topic,
-                origin,
-                counter,
-            } => self.on_apply(rec.t_us, topic, origin, counter),
-            TraceEv::TopicSubscribed { .. } => self.subscribes += 1,
-            TraceEv::TopicUnsubscribed { .. } => self.unsubscribes += 1,
-            _ => {}
-        }
     }
 
     /// Per-topic `(deliveries, payload bytes)` in topic order.
@@ -190,47 +170,31 @@ impl Recorder<GoCastEvent> for ConvergenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ProtoTag;
+    use gocast::MsgId;
 
-    fn rec(t_us: u64, node: u32, ev: TraceEv) -> TraceRecord {
-        TraceRecord {
-            t_us,
-            node,
-            proto: ProtoTag::GoCast,
-            ev,
+    fn record(c: &mut ConvergenceTracker, t_us: u64, node: u32, ev: GoCastEvent) {
+        c.record(SimTime::from_nanos(t_us * 1_000), NodeId::new(node), ev);
+    }
+
+    fn applied(topic: u32, origin: u32, counter: u32) -> GoCastEvent {
+        GoCastEvent::DeltaApplied {
+            topic,
+            origin: NodeId::new(origin),
+            counter,
         }
     }
 
     #[test]
     fn staleness_and_convergence_from_trace_records() {
         let mut c = ConvergenceTracker::new();
-        c.feed(&rec(
-            1_000,
-            7,
-            TraceEv::DeltaPublished {
-                topic: 1,
-                counter: 1,
-            },
-        ));
+        let published = GoCastEvent::DeltaPublished {
+            topic: 1,
+            counter: 1,
+        };
+        record(&mut c, 1_000, 7, published);
         // Two remote applies at +1ms and +3ms.
-        c.feed(&rec(
-            2_000,
-            8,
-            TraceEv::DeltaApplied {
-                topic: 1,
-                origin: 7,
-                counter: 1,
-            },
-        ));
-        c.feed(&rec(
-            4_000,
-            9,
-            TraceEv::DeltaApplied {
-                topic: 1,
-                origin: 7,
-                counter: 1,
-            },
-        ));
+        record(&mut c, 2_000, 8, applied(1, 7, 1));
+        record(&mut c, 4_000, 9, applied(1, 7, 1));
         let r = c.report();
         assert_eq!(r.mutations, 1);
         assert_eq!(r.applies, 2);
@@ -242,64 +206,39 @@ mod tests {
 
     #[test]
     fn out_of_order_feeding_gives_the_same_report() {
-        let publish = rec(
-            1_000,
-            7,
-            TraceEv::DeltaPublished {
+        let publish = |c: &mut ConvergenceTracker| {
+            let ev = GoCastEvent::DeltaPublished {
                 topic: 0,
                 counter: 1,
-            },
-        );
-        let apply = rec(
-            5_000,
-            8,
-            TraceEv::DeltaApplied {
-                topic: 0,
-                origin: 7,
-                counter: 1,
-            },
-        );
+            };
+            record(c, 1_000, 7, ev)
+        };
+        let apply = |c: &mut ConvergenceTracker| record(c, 5_000, 8, applied(0, 7, 1));
         let mut fwd = ConvergenceTracker::new();
-        fwd.feed(&publish);
-        fwd.feed(&apply);
+        publish(&mut fwd);
+        apply(&mut fwd);
         let mut rev = ConvergenceTracker::new();
-        rev.feed(&apply);
-        rev.feed(&publish);
+        apply(&mut rev);
+        publish(&mut rev);
         assert_eq!(fwd.report(), rev.report());
     }
 
     #[test]
     fn goodput_and_unapplied_accounting() {
         let mut c = ConvergenceTracker::new();
-        c.feed(&rec(
-            10,
-            1,
-            TraceEv::TopicDelivered {
-                topic: 3,
-                origin: 1,
-                seq: 5,
-                bytes: 512,
-            },
-        ));
-        c.feed(&rec(
-            20,
-            2,
-            TraceEv::TopicDelivered {
-                topic: 3,
-                origin: 1,
-                seq: 6,
-                bytes: 512,
-            },
-        ));
-        c.feed(&rec(
-            30,
-            4,
-            TraceEv::DeltaPublished {
-                topic: 3,
-                counter: 1,
-            },
-        ));
-        c.feed(&rec(35, 4, TraceEv::TopicSubscribed { topic: 3 }));
+        let delivered = |seq| GoCastEvent::TopicDelivered {
+            topic: 3,
+            id: MsgId::new(NodeId::new(1), seq),
+            bytes: 512,
+        };
+        record(&mut c, 10, 1, delivered(5));
+        record(&mut c, 20, 2, delivered(6));
+        let published = GoCastEvent::DeltaPublished {
+            topic: 3,
+            counter: 1,
+        };
+        record(&mut c, 30, 4, published);
+        record(&mut c, 35, 4, GoCastEvent::TopicSubscribed { topic: 3 });
         let r = c.report();
         assert_eq!(r.delivered_bytes, 1024);
         assert_eq!(r.topic_deliveries, 2);

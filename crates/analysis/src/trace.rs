@@ -8,7 +8,8 @@
 //!
 //! - [`parse_line`] / [`scan_trace`] — a dependency-free parser for the
 //!   flat JSONL schema (the vendored serde is a stub, so this is the real
-//!   decoder);
+//!   decoder); a [`TraceRecord`] carries the `GoCastEvent` the node
+//!   emitted, so online and offline consumers match on one vocabulary;
 //! - [`TraceAnalysis`] — reconstructs every message's dissemination tree
 //!   from the `from`/`hop` causal metadata on deliveries, and computes
 //!   hop-count histograms, a per-hop latency breakdown, and the
@@ -23,7 +24,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io::BufRead;
 
-use gocast::{DeliveryPath, DropReason, GoCastConfig, GoCastEvent, LinkKind};
+use gocast::{DeliveryPath, DropReason, GoCastConfig, GoCastEvent, LinkKind, MsgId};
 use gocast_sim::{NodeId, Recorder, SimTime, StackCaps};
 
 // ---------------------------------------------------------------------
@@ -89,250 +90,7 @@ pub struct TraceRecord {
     /// [`ProtoTag::GoCast`] when the line carries no `proto` field).
     pub proto: ProtoTag,
     /// The event itself.
-    pub ev: TraceEv,
-}
-
-/// A decoded trace event (the JSONL mirror of `GoCastEvent`, with ids
-/// flattened to `(origin, seq)` pairs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEv {
-    /// `{"ev":"injected",...}` — a node originated a message.
-    Injected {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-    },
-    /// `{"ev":"delivered",...}` — first reception of a message.
-    Delivered {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// The causal parent: the neighbor the payload came from.
-        from: u32,
-        /// Causal hop count from the origin (0 = unknown).
-        hop: u32,
-        /// Tree push or pull recovery.
-        via: DeliveryPath,
-    },
-    /// `{"ev":"redundant_data",...}` — a duplicate full payload arrived.
-    RedundantData {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// Sender of the duplicate.
-        from: u32,
-    },
-    /// `{"ev":"push_sent",...}` — a payload was pushed along a tree link.
-    PushSent {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// Push target.
-        to: u32,
-        /// Hop count stamped on the outgoing copy.
-        hop: u32,
-    },
-    /// `{"ev":"ihave_sent",...}` — a message id was gossiped.
-    IHaveSent {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// Gossip target.
-        to: u32,
-    },
-    /// `{"ev":"pull_requested",...}` — a missing payload was requested.
-    PullRequested {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// The neighbor asked.
-        to: u32,
-    },
-    /// `{"ev":"pull_served",...}` — a pull was answered with the payload.
-    PullServed {
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// The requester.
-        to: u32,
-        /// Hop count stamped on the outgoing copy.
-        hop: u32,
-    },
-    /// `{"ev":"link_added",...}` — an overlay link came up.
-    LinkAdded {
-        /// The new neighbor.
-        peer: u32,
-        /// Random or nearby.
-        kind: LinkKind,
-    },
-    /// `{"ev":"link_dropped",...}` — an overlay link went down.
-    LinkDropped {
-        /// The former neighbor.
-        peer: u32,
-        /// Random or nearby.
-        kind: LinkKind,
-        /// Why.
-        reason: DropReason,
-    },
-    /// `{"ev":"parent_changed",...}` — the node picked a new tree parent.
-    ParentChanged {
-        /// The new parent (`None` = root or detached).
-        parent: Option<u32>,
-    },
-    /// `{"ev":"became_root",...}` — the node started acting as root.
-    BecameRoot {
-        /// Root epoch.
-        epoch: u32,
-    },
-    /// `{"ev":"topic_delivered",...}` — a subscriber received a
-    /// topic-tagged payload (application tier; accompanies a plain
-    /// `delivered` record for the same id).
-    TopicDelivered {
-        /// The logical group.
-        topic: u32,
-        /// Message origin node.
-        origin: u32,
-        /// Origin-local sequence number.
-        seq: u32,
-        /// Delivered payload bytes.
-        bytes: u32,
-    },
-    /// `{"ev":"topic_subscribed",...}` — the node joined a topic.
-    TopicSubscribed {
-        /// The logical group.
-        topic: u32,
-    },
-    /// `{"ev":"topic_unsubscribed",...}` — the node left a topic.
-    TopicUnsubscribed {
-        /// The logical group.
-        topic: u32,
-    },
-    /// `{"ev":"delta_published",...}` — the node originated a CRDT
-    /// mutation on a topic.
-    DeltaPublished {
-        /// The topic whose replica mutated.
-        topic: u32,
-        /// Origin-local mutation counter.
-        counter: u32,
-    },
-    /// `{"ev":"delta_applied",...}` — the node applied a remote CRDT
-    /// mutation.
-    DeltaApplied {
-        /// The topic whose replica mutated.
-        topic: u32,
-        /// The mutation's origin node.
-        origin: u32,
-        /// Origin-local mutation counter.
-        counter: u32,
-    },
-}
-
-impl TraceRecord {
-    /// Builds the record a live `GoCastEvent` would parse back to — the
-    /// bridge that lets the [`InvariantOracle`] run online as a recorder.
-    /// The record is tagged [`ProtoTag::GoCast`]; use
-    /// [`TraceRecord::from_event_for`] for another stack emitting the
-    /// shared event vocabulary.
-    pub fn from_event(now: SimTime, node: NodeId, ev: &GoCastEvent) -> TraceRecord {
-        Self::from_event_for(ProtoTag::GoCast, now, node, ev)
-    }
-
-    /// [`TraceRecord::from_event`] with an explicit stack tag.
-    pub fn from_event_for(
-        proto: ProtoTag,
-        now: SimTime,
-        node: NodeId,
-        ev: &GoCastEvent,
-    ) -> TraceRecord {
-        let t_us = now.as_nanos() / 1_000;
-        let node = node.as_u32();
-        let ev = match *ev {
-            GoCastEvent::Injected { id } => TraceEv::Injected {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-            },
-            GoCastEvent::Delivered { id, via, from, hop } => TraceEv::Delivered {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                from: from.as_u32(),
-                hop,
-                via,
-            },
-            GoCastEvent::RedundantData { id, from } => TraceEv::RedundantData {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                from: from.as_u32(),
-            },
-            GoCastEvent::PushSent { id, to, hop } => TraceEv::PushSent {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                to: to.as_u32(),
-                hop,
-            },
-            GoCastEvent::IHaveSent { id, to } => TraceEv::IHaveSent {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                to: to.as_u32(),
-            },
-            GoCastEvent::PullRequested { id, to } => TraceEv::PullRequested {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                to: to.as_u32(),
-            },
-            GoCastEvent::PullServed { id, to, hop } => TraceEv::PullServed {
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                to: to.as_u32(),
-                hop,
-            },
-            GoCastEvent::LinkAdded { peer, kind } => TraceEv::LinkAdded {
-                peer: peer.as_u32(),
-                kind,
-            },
-            GoCastEvent::LinkDropped { peer, kind, reason } => TraceEv::LinkDropped {
-                peer: peer.as_u32(),
-                kind,
-                reason,
-            },
-            GoCastEvent::ParentChanged { parent } => TraceEv::ParentChanged {
-                parent: parent.map(|p| p.as_u32()),
-            },
-            GoCastEvent::BecameRoot { epoch } => TraceEv::BecameRoot { epoch },
-            GoCastEvent::TopicDelivered { topic, id, bytes } => TraceEv::TopicDelivered {
-                topic,
-                origin: id.origin.as_u32(),
-                seq: id.seq,
-                bytes,
-            },
-            GoCastEvent::TopicSubscribed { topic } => TraceEv::TopicSubscribed { topic },
-            GoCastEvent::TopicUnsubscribed { topic } => TraceEv::TopicUnsubscribed { topic },
-            GoCastEvent::DeltaPublished { topic, counter } => {
-                TraceEv::DeltaPublished { topic, counter }
-            }
-            GoCastEvent::DeltaApplied {
-                topic,
-                origin,
-                counter,
-            } => TraceEv::DeltaApplied {
-                topic,
-                origin: origin.as_u32(),
-                counter,
-            },
-        };
-        TraceRecord {
-            t_us,
-            node,
-            proto,
-            ev,
-        }
-    }
+    pub ev: GoCastEvent,
 }
 
 // ---------------------------------------------------------------------
@@ -482,6 +240,10 @@ fn num(fields: &[(&str, Val<'_>)], key: &str) -> Result<u32, String> {
     u32::try_from(num_u64(fields, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
 }
 
+fn node_id(fields: &[(&str, Val<'_>)], key: &str) -> Result<NodeId, String> {
+    num(fields, key).map(NodeId::new)
+}
+
 fn string<'a>(fields: &[(&str, Val<'a>)], key: &str) -> Result<&'a str, String> {
     match field(fields, key)? {
         Val::Str(s) => Ok(s),
@@ -511,118 +273,91 @@ fn parse_line_inner(line: &str) -> Result<TraceRecord, String> {
         Ok(other) => return Err(format!("field \"proto\" is not a string: {other:?}")),
     };
     let ev_name = string(&fields, "ev")?;
-    let msg = |fields: &[(&str, Val<'_>)]| -> Result<(u32, u32), String> {
-        Ok((num(fields, "origin")?, num(fields, "seq")?))
+    let msg_id = || -> Result<MsgId, String> {
+        Ok(MsgId::new(
+            node_id(&fields, "origin")?,
+            num(&fields, "seq")?,
+        ))
     };
     let ev = match ev_name {
-        "injected" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::Injected { origin, seq }
-        }
+        "injected" => GoCastEvent::Injected { id: msg_id()? },
         "delivered" => {
-            let (origin, seq) = msg(&fields)?;
+            let id = msg_id()?;
             let via = string(&fields, "via")?;
-            TraceEv::Delivered {
-                origin,
-                seq,
-                from: num(&fields, "from")?,
+            GoCastEvent::Delivered {
+                id,
+                from: node_id(&fields, "from")?,
                 hop: num(&fields, "hop")?,
                 via: DeliveryPath::parse(via).ok_or_else(|| format!("unknown via {via:?}"))?,
             }
         }
-        "redundant_data" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::RedundantData {
-                origin,
-                seq,
-                from: num(&fields, "from")?,
-            }
-        }
-        "push_sent" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::PushSent {
-                origin,
-                seq,
-                to: num(&fields, "to")?,
-                hop: num(&fields, "hop")?,
-            }
-        }
-        "ihave_sent" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::IHaveSent {
-                origin,
-                seq,
-                to: num(&fields, "to")?,
-            }
-        }
-        "pull_requested" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::PullRequested {
-                origin,
-                seq,
-                to: num(&fields, "to")?,
-            }
-        }
-        "pull_served" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::PullServed {
-                origin,
-                seq,
-                to: num(&fields, "to")?,
-                hop: num(&fields, "hop")?,
-            }
-        }
+        "redundant_data" => GoCastEvent::RedundantData {
+            id: msg_id()?,
+            from: node_id(&fields, "from")?,
+        },
+        "push_sent" => GoCastEvent::PushSent {
+            id: msg_id()?,
+            to: node_id(&fields, "to")?,
+            hop: num(&fields, "hop")?,
+        },
+        "ihave_sent" => GoCastEvent::IHaveSent {
+            id: msg_id()?,
+            to: node_id(&fields, "to")?,
+        },
+        "pull_requested" => GoCastEvent::PullRequested {
+            id: msg_id()?,
+            to: node_id(&fields, "to")?,
+        },
+        "pull_served" => GoCastEvent::PullServed {
+            id: msg_id()?,
+            to: node_id(&fields, "to")?,
+            hop: num(&fields, "hop")?,
+        },
         "link_added" => {
             let kind = string(&fields, "kind")?;
-            TraceEv::LinkAdded {
-                peer: num(&fields, "peer")?,
+            GoCastEvent::LinkAdded {
+                peer: node_id(&fields, "peer")?,
                 kind: LinkKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
             }
         }
         "link_dropped" => {
             let kind = string(&fields, "kind")?;
             let reason = string(&fields, "reason")?;
-            TraceEv::LinkDropped {
-                peer: num(&fields, "peer")?,
+            GoCastEvent::LinkDropped {
+                peer: node_id(&fields, "peer")?,
                 kind: LinkKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
                 reason: DropReason::parse(reason)
                     .ok_or_else(|| format!("unknown reason {reason:?}"))?,
             }
         }
-        "parent_changed" => TraceEv::ParentChanged {
+        "parent_changed" => GoCastEvent::ParentChanged {
             parent: match field(&fields, "parent")? {
                 Val::Null => None,
-                Val::Num(n) => {
-                    Some(u32::try_from(n).map_err(|_| "parent exceeds u32".to_string())?)
-                }
+                Val::Num(_) => Some(node_id(&fields, "parent")?),
                 other => return Err(format!("field \"parent\" is not a number: {other:?}")),
             },
         },
-        "became_root" => TraceEv::BecameRoot {
+        "became_root" => GoCastEvent::BecameRoot {
             epoch: num(&fields, "epoch")?,
         },
-        "topic_delivered" => {
-            let (origin, seq) = msg(&fields)?;
-            TraceEv::TopicDelivered {
-                topic: num(&fields, "topic")?,
-                origin,
-                seq,
-                bytes: num(&fields, "bytes")?,
-            }
-        }
-        "topic_subscribed" => TraceEv::TopicSubscribed {
+        "topic_delivered" => GoCastEvent::TopicDelivered {
+            id: msg_id()?,
+            topic: num(&fields, "topic")?,
+            bytes: num(&fields, "bytes")?,
+        },
+        "topic_subscribed" => GoCastEvent::TopicSubscribed {
             topic: num(&fields, "topic")?,
         },
-        "topic_unsubscribed" => TraceEv::TopicUnsubscribed {
+        "topic_unsubscribed" => GoCastEvent::TopicUnsubscribed {
             topic: num(&fields, "topic")?,
         },
-        "delta_published" => TraceEv::DeltaPublished {
+        "delta_published" => GoCastEvent::DeltaPublished {
             topic: num(&fields, "topic")?,
             counter: num(&fields, "counter")?,
         },
-        "delta_applied" => TraceEv::DeltaApplied {
+        "delta_applied" => GoCastEvent::DeltaApplied {
             topic: num(&fields, "topic")?,
-            origin: num(&fields, "origin")?,
+            origin: node_id(&fields, "origin")?,
             counter: num(&fields, "counter")?,
         },
         other => return Err(format!("unknown event kind {other:?}")),
@@ -688,7 +423,6 @@ pub struct Delivery {
 #[derive(Debug, Clone, Default)]
 struct MsgTrace {
     injected_at: Option<u64>,
-    origin: u32,
     /// node -> first delivery (later duplicates are the oracle's problem).
     deliveries: BTreeMap<u32, Delivery>,
 }
@@ -700,7 +434,7 @@ struct MsgTrace {
 /// trees themselves — and independent of gossip/push/pull event volume.
 #[derive(Debug, Default)]
 pub struct TraceAnalysis {
-    msgs: BTreeMap<(u32, u32), MsgTrace>,
+    msgs: BTreeMap<MsgId, MsgTrace>,
     records: u64,
 }
 
@@ -714,26 +448,18 @@ impl TraceAnalysis {
     pub fn feed(&mut self, rec: &TraceRecord) {
         self.records += 1;
         match rec.ev {
-            TraceEv::Injected { origin, seq } => {
-                let m = self.msgs.entry((origin, seq)).or_default();
-                m.origin = origin;
+            GoCastEvent::Injected { id } => {
+                let m = self.msgs.entry(id).or_default();
                 m.injected_at = Some(match m.injected_at {
                     Some(t) => t.min(rec.t_us),
                     None => rec.t_us,
                 });
             }
-            TraceEv::Delivered {
-                origin,
-                seq,
-                from,
-                hop,
-                via,
-            } => {
-                let m = self.msgs.entry((origin, seq)).or_default();
-                m.origin = origin;
+            GoCastEvent::Delivered { id, via, from, hop } => {
+                let m = self.msgs.entry(id).or_default();
                 m.deliveries.entry(rec.node).or_insert(Delivery {
                     t_us: rec.t_us,
-                    from,
+                    from: from.as_u32(),
                     hop,
                     via,
                 });
@@ -756,9 +482,10 @@ impl TraceAnalysis {
         };
         let mut hop_lat_sum_us: Vec<u64> = Vec::new();
         let mut hop_lat_n: Vec<u64> = Vec::new();
-        for m in self.msgs.values() {
+        for (id, m) in &self.msgs {
+            let origin = id.origin.as_u32();
             let mut ok = m.injected_at.is_some();
-            for (&node, d) in &m.deliveries {
+            for d in m.deliveries.values() {
                 r.deliveries += 1;
                 match d.via {
                     DeliveryPath::Pull => r.pull_deliveries += 1,
@@ -774,7 +501,7 @@ impl TraceAnalysis {
                 // (delivery time minus the parent's delivery time; hop 1
                 // measures against the injection).
                 let parent_t = if d.hop <= 1 {
-                    if d.from == m.origin {
+                    if d.from == origin {
                         m.injected_at
                     } else {
                         None
@@ -795,10 +522,7 @@ impl TraceAnalysis {
                         hop_lat_sum_us[hop] += d.t_us - t0;
                         hop_lat_n[hop] += 1;
                     }
-                    _ => {
-                        ok = false;
-                        let _ = node;
-                    }
+                    _ => ok = false,
                 }
             }
             if ok {
@@ -1038,16 +762,16 @@ impl Default for OracleConfig {
 #[derive(Debug, Default)]
 pub struct InvariantOracle {
     cfg: OracleConfig,
-    injected: HashMap<(u32, u32), u64>,
-    delivered: HashSet<(u32, u32, u32)>,
-    /// (node, origin, seq) for anything the node holds (delivery or own
-    /// injection) — the pull-after-delivery check.
-    held: HashSet<(u32, u32, u32)>,
+    injected: HashMap<MsgId, u64>,
+    delivered: HashSet<(NodeId, MsgId)>,
+    /// Anything a node holds (delivery or own injection) — the
+    /// pull-after-delivery check.
+    held: HashSet<(NodeId, MsgId)>,
     /// node -> [d_rand, d_near] reconstructed from link events.
-    degrees: HashMap<u32, [u32; 2]>,
+    degrees: HashMap<NodeId, [u32; 2]>,
     /// (node, kind index) -> violation pending from a degree overshoot,
     /// forgiven only if a drop at the same instant restores the bound.
-    overshoots: BTreeMap<(u32, u8), Violation>,
+    overshoots: BTreeMap<(NodeId, u8), Violation>,
     violations: Vec<Violation>,
     records: u64,
 }
@@ -1081,10 +805,10 @@ impl InvariantOracle {
         self.records
     }
 
-    fn violate(&mut self, rec: &TraceRecord, kind: ViolationKind, detail: String) {
+    fn violate(&mut self, t_us: u64, node: NodeId, kind: ViolationKind, detail: String) {
         self.violations.push(Violation {
-            t_us: rec.t_us,
-            node: rec.node,
+            t_us,
+            node: node.as_u32(),
             kind,
             detail,
         });
@@ -1109,105 +833,102 @@ impl InvariantOracle {
 
     /// Checks one record.
     pub fn check(&mut self, rec: &TraceRecord) {
+        self.check_event(rec.t_us, NodeId::new(rec.node), &rec.ev);
+    }
+
+    fn check_event(&mut self, t_us: u64, node: NodeId, ev: &GoCastEvent) {
         self.records += 1;
-        self.flush_overshoots(rec.t_us);
-        match rec.ev {
-            TraceEv::Injected { origin, seq } => {
-                let t = self.injected.entry((origin, seq)).or_insert(rec.t_us);
-                *t = (*t).min(rec.t_us);
-                self.held.insert((rec.node, origin, seq));
+        self.flush_overshoots(t_us);
+        match *ev {
+            GoCastEvent::Injected { id } => {
+                let t = self.injected.entry(id).or_insert(t_us);
+                *t = (*t).min(t_us);
+                self.held.insert((node, id));
             }
-            TraceEv::Delivered { origin, seq, .. } => {
-                match self.injected.get(&(origin, seq)) {
+            GoCastEvent::Delivered { id, .. } => {
+                match self.injected.get(&id) {
                     None => self.violate(
-                        rec,
+                        t_us,
+                        node,
                         ViolationKind::DeliveryBeforeSend,
-                        format!("delivered n{origin}#{seq} with no prior injection in the trace"),
+                        format!("delivered {id} with no prior injection in the trace"),
                     ),
-                    Some(&t0) if rec.t_us < t0 => self.violate(
-                        rec,
+                    Some(&t0) if t_us < t0 => self.violate(
+                        t_us,
+                        node,
                         ViolationKind::DeliveryBeforeSend,
-                        format!(
-                            "delivered n{origin}#{seq} at {}µs, injected at {t0}µs",
-                            rec.t_us
-                        ),
+                        format!("delivered {id} at {t_us}µs, injected at {t0}µs"),
                     ),
                     _ => {}
                 }
-                if !self.delivered.insert((rec.node, origin, seq)) {
+                if !self.delivered.insert((node, id)) {
                     self.violate(
-                        rec,
+                        t_us,
+                        node,
                         ViolationKind::DuplicateDelivery,
-                        format!("second delivery of n{origin}#{seq}"),
+                        format!("second delivery of {id}"),
                     );
                 }
-                self.held.insert((rec.node, origin, seq));
+                self.held.insert((node, id));
             }
-            TraceEv::PullRequested { origin, seq, to }
-                if self.cfg.check_pull_after_delivery
-                    && self.held.contains(&(rec.node, origin, seq)) =>
+            GoCastEvent::PullRequested { id, to }
+                if self.cfg.check_pull_after_delivery && self.held.contains(&(node, id)) =>
             {
                 self.violate(
-                    rec,
+                    t_us,
+                    node,
                     ViolationKind::PullAfterDelivery,
-                    format!("pulled n{origin}#{seq} from n{to} but already holds it"),
+                    format!("pulled {id} from {to} but already holds it"),
                 );
             }
-            TraceEv::LinkAdded { peer, kind } => {
-                let d = self.degrees.entry(rec.node).or_insert([0, 0]);
-                let idx = match kind {
-                    LinkKind::Random => 0,
-                    LinkKind::Nearby => 1,
-                };
+            GoCastEvent::LinkAdded { peer, kind } => {
+                let (idx, bound) = self.degree_slot(kind);
+                let d = self.degrees.entry(node).or_insert([0, 0]);
                 d[idx] += 1;
-                let bound = match kind {
-                    LinkKind::Random => self.cfg.max_rand,
-                    LinkKind::Nearby => self.cfg.max_near,
-                } as u32;
                 if self.cfg.check_degree_bounds
-                    && rec.t_us > self.cfg.degree_check_after_us
+                    && t_us > self.cfg.degree_check_after_us
                     && d[idx] > bound
                 {
                     // Pend, don't flag: a make-before-break replacement
                     // drops the victim at this same instant.
                     let count = d[idx];
                     self.overshoots
-                        .entry((rec.node, idx as u8))
+                        .entry((node, idx as u8))
                         .or_insert(Violation {
-                            t_us: rec.t_us,
-                            node: rec.node,
+                            t_us,
+                            node: node.as_u32(),
                             kind: ViolationKind::DegreeBound,
                             detail: format!(
-                                "{kind} link to n{peer} raises degree to {count} > bound {bound} \
+                                "{kind} link to {peer} raises degree to {count} > bound {bound} \
                                  with no same-instant drop restoring it"
                             ),
                         });
                 }
             }
-            TraceEv::LinkDropped { kind, .. } => {
-                let d = self.degrees.entry(rec.node).or_insert([0, 0]);
-                let idx = match kind {
-                    LinkKind::Random => 0,
-                    LinkKind::Nearby => 1,
-                };
+            GoCastEvent::LinkDropped { kind, .. } => {
+                let (idx, bound) = self.degree_slot(kind);
+                let d = self.degrees.entry(node).or_insert([0, 0]);
                 d[idx] = d[idx].saturating_sub(1);
-                let bound = match kind {
-                    LinkKind::Random => self.cfg.max_rand,
-                    LinkKind::Nearby => self.cfg.max_near,
-                } as u32;
                 if d[idx] <= bound {
-                    self.overshoots.remove(&(rec.node, idx as u8));
+                    self.overshoots.remove(&(node, idx as u8));
                 }
             }
             _ => {}
+        }
+    }
+
+    /// Index into a node's `[d_rand, d_near]` pair and the bound on it.
+    fn degree_slot(&self, kind: LinkKind) -> (usize, u32) {
+        match kind {
+            LinkKind::Random => (0, self.cfg.max_rand as u32),
+            LinkKind::Nearby => (1, self.cfg.max_near as u32),
         }
     }
 }
 
 impl Recorder<GoCastEvent> for InvariantOracle {
     fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        let rec = TraceRecord::from_event(now, node, &event);
-        self.check(&rec);
+        self.check_event(now.as_nanos() / 1_000, node, &event);
     }
 }
 
@@ -1216,7 +937,7 @@ mod tests {
     use super::*;
     use gocast::MsgId;
 
-    fn rec(t_us: u64, node: u32, ev: TraceEv) -> TraceRecord {
+    fn rec(t_us: u64, node: u32, ev: GoCastEvent) -> TraceRecord {
         TraceRecord {
             t_us,
             node,
@@ -1225,116 +946,122 @@ mod tests {
         }
     }
 
+    fn n(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
+
+    fn injected(origin: u32, seq: u32) -> GoCastEvent {
+        GoCastEvent::Injected {
+            id: MsgId::new(n(origin), seq),
+        }
+    }
+
+    fn delivered(origin: u32, seq: u32, from: u32, hop: u32, via: DeliveryPath) -> GoCastEvent {
+        GoCastEvent::Delivered {
+            id: MsgId::new(n(origin), seq),
+            via,
+            from: n(from),
+            hop,
+        }
+    }
+
+    fn pull_requested(origin: u32, seq: u32, to: u32) -> GoCastEvent {
+        GoCastEvent::PullRequested {
+            id: MsgId::new(n(origin), seq),
+            to: n(to),
+        }
+    }
+
+    fn link_added(peer: u32, kind: LinkKind) -> GoCastEvent {
+        GoCastEvent::LinkAdded {
+            peer: n(peer),
+            kind,
+        }
+    }
+
+    fn link_dropped(peer: u32, kind: LinkKind, reason: DropReason) -> GoCastEvent {
+        GoCastEvent::LinkDropped {
+            peer: n(peer),
+            kind,
+            reason,
+        }
+    }
+
+    /// The sample that follows `ev` in the round-trip list. The match has
+    /// no wildcard arm, so a new `GoCastEvent` variant does not compile
+    /// until it has a sample here — and the round trip then fails until
+    /// the variant is both traced and parsed.
+    fn next_sample(ev: &GoCastEvent) -> Option<GoCastEvent> {
+        let id = MsgId::new(n(0), 7);
+        Some(match ev {
+            GoCastEvent::Injected { .. } => GoCastEvent::Delivered {
+                id,
+                via: DeliveryPath::Tree,
+                from: n(0),
+                hop: 1,
+            },
+            GoCastEvent::Delivered { .. } => GoCastEvent::RedundantData { id, from: n(8) },
+            GoCastEvent::RedundantData { .. } => GoCastEvent::PushSent {
+                id,
+                to: n(9),
+                hop: 2,
+            },
+            GoCastEvent::PushSent { .. } => GoCastEvent::IHaveSent { id, to: n(4) },
+            GoCastEvent::IHaveSent { .. } => GoCastEvent::PullServed {
+                id,
+                to: n(4),
+                hop: 2,
+            },
+            GoCastEvent::PullServed { .. } => link_added(6, LinkKind::Random),
+            GoCastEvent::LinkAdded { .. } => {
+                link_dropped(6, LinkKind::Nearby, DropReason::Rebalanced)
+            }
+            GoCastEvent::LinkDropped { .. } => GoCastEvent::ParentChanged { parent: Some(n(1)) },
+            GoCastEvent::ParentChanged { parent: Some(_) } => {
+                GoCastEvent::ParentChanged { parent: None }
+            }
+            GoCastEvent::ParentChanged { parent: None } => GoCastEvent::BecameRoot { epoch: 3 },
+            GoCastEvent::BecameRoot { .. } => GoCastEvent::PullRequested { id, to: n(3) },
+            GoCastEvent::PullRequested { .. } => GoCastEvent::TopicDelivered {
+                topic: 5,
+                id,
+                bytes: 1024,
+            },
+            GoCastEvent::TopicDelivered { .. } => GoCastEvent::TopicSubscribed { topic: 5 },
+            GoCastEvent::TopicSubscribed { .. } => GoCastEvent::TopicUnsubscribed { topic: 5 },
+            GoCastEvent::TopicUnsubscribed { .. } => GoCastEvent::DeltaPublished {
+                topic: 5,
+                counter: 2,
+            },
+            GoCastEvent::DeltaPublished { .. } => GoCastEvent::DeltaApplied {
+                topic: 5,
+                origin: n(2),
+                counter: 2,
+            },
+            GoCastEvent::DeltaApplied { .. } => return None,
+        })
+    }
+
     #[test]
     fn jsonl_round_trips_through_trace_recorder() {
         use gocast_sim::TraceRecorder;
-        let events = vec![
-            (
-                SimTime::from_millis(1),
-                NodeId::new(0),
-                GoCastEvent::Injected {
-                    id: MsgId::new(NodeId::new(0), 7),
-                },
-            ),
-            (
-                SimTime::from_millis(12),
-                NodeId::new(3),
-                GoCastEvent::Delivered {
-                    id: MsgId::new(NodeId::new(0), 7),
-                    via: DeliveryPath::Tree,
-                    from: NodeId::new(0),
-                    hop: 1,
-                },
-            ),
-            (
-                SimTime::from_millis(13),
-                NodeId::new(3),
-                GoCastEvent::PushSent {
-                    id: MsgId::new(NodeId::new(0), 7),
-                    to: NodeId::new(9),
-                    hop: 2,
-                },
-            ),
-            (
-                SimTime::from_millis(14),
-                NodeId::new(3),
-                GoCastEvent::IHaveSent {
-                    id: MsgId::new(NodeId::new(0), 7),
-                    to: NodeId::new(4),
-                },
-            ),
-            (
-                SimTime::from_millis(15),
-                NodeId::new(4),
-                GoCastEvent::PullRequested {
-                    id: MsgId::new(NodeId::new(0), 7),
-                    to: NodeId::new(3),
-                },
-            ),
-            (
-                SimTime::from_millis(16),
-                NodeId::new(3),
-                GoCastEvent::PullServed {
-                    id: MsgId::new(NodeId::new(0), 7),
-                    to: NodeId::new(4),
-                    hop: 2,
-                },
-            ),
-            (
-                SimTime::from_millis(17),
-                NodeId::new(4),
-                GoCastEvent::RedundantData {
-                    id: MsgId::new(NodeId::new(0), 7),
-                    from: NodeId::new(8),
-                },
-            ),
-            (
-                SimTime::from_millis(18),
-                NodeId::new(5),
-                GoCastEvent::LinkAdded {
-                    peer: NodeId::new(6),
-                    kind: LinkKind::Random,
-                },
-            ),
-            (
-                SimTime::from_millis(19),
-                NodeId::new(5),
-                GoCastEvent::LinkDropped {
-                    peer: NodeId::new(6),
-                    kind: LinkKind::Nearby,
-                    reason: DropReason::Rebalanced,
-                },
-            ),
-            (
-                SimTime::from_millis(20),
-                NodeId::new(5),
-                GoCastEvent::ParentChanged {
-                    parent: Some(NodeId::new(1)),
-                },
-            ),
-            (
-                SimTime::from_millis(21),
-                NodeId::new(5),
-                GoCastEvent::ParentChanged { parent: None },
-            ),
-            (
-                SimTime::from_millis(22),
-                NodeId::new(5),
-                GoCastEvent::BecameRoot { epoch: 3 },
-            ),
-        ];
+        let events: Vec<GoCastEvent> =
+            std::iter::successors(Some(injected(0, 7)), next_sample).collect();
+        assert_eq!(events.len(), 17, "16 variants, ParentChanged both ways");
         let mut w = TraceRecorder::new(Vec::new());
-        for (t, n, ev) in &events {
-            w.record(*t, *n, ev.clone());
-        }
+        let written: Vec<TraceRecord> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, ev)| {
+                let (t_ms, node) = (i as u64 + 1, i as u32 % 5);
+                w.record(SimTime::from_millis(t_ms), n(node), ev.clone());
+                rec(t_ms * 1_000, node, ev)
+            })
+            .collect();
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let mut parsed = Vec::new();
         scan_trace(text.as_bytes(), |r| parsed.push(r)).unwrap();
-        let expected: Vec<TraceRecord> = events
-            .iter()
-            .map(|(t, n, ev)| TraceRecord::from_event(*t, *n, ev))
-            .collect();
-        assert_eq!(parsed, expected);
+        assert_eq!(parsed, written);
     }
 
     #[test]
@@ -1363,41 +1090,16 @@ mod tests {
     fn universal_oracle_skips_stack_specific_checks() {
         let mut o = InvariantOracle::new(OracleConfig::universal());
         // A pull of a held message: GoCast-specific, skipped here.
-        o.check(&rec(5, 0, TraceEv::Injected { origin: 0, seq: 0 }));
-        o.check(&rec(
-            9,
-            0,
-            TraceEv::PullRequested {
-                origin: 0,
-                seq: 0,
-                to: 1,
-            },
-        ));
+        o.check(&rec(5, 0, injected(0, 0)));
+        o.check(&rec(9, 0, pull_requested(0, 0, 1)));
         // Degree churn past any plausible bound: also skipped.
         for peer in 0..50 {
-            o.check(&rec(
-                20,
-                0,
-                TraceEv::LinkAdded {
-                    peer,
-                    kind: LinkKind::Random,
-                },
-            ));
+            o.check(&rec(20, 0, link_added(peer, LinkKind::Random)));
         }
         o.finish();
         assert!(o.is_clean(), "{:?}", o.violations());
         // The universal checks still fire.
-        o.check(&rec(
-            30,
-            1,
-            TraceEv::Delivered {
-                origin: 9,
-                seq: 9,
-                from: 0,
-                hop: 1,
-                via: DeliveryPath::Tree,
-            },
-        ));
+        o.check(&rec(30, 1, delivered(9, 9, 0, 1, DeliveryPath::Tree)));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, ViolationKind::DeliveryBeforeSend);
     }
@@ -1435,46 +1137,21 @@ mod tests {
     fn reconstructs_a_simple_tree() {
         let mut a = TraceAnalysis::new();
         let m = (0u32, 0u32);
-        a.feed(&rec(
-            1_000,
-            0,
-            TraceEv::Injected {
-                origin: m.0,
-                seq: m.1,
-            },
-        ));
+        a.feed(&rec(1_000, 0, injected(m.0, m.1)));
         a.feed(&rec(
             11_000,
             1,
-            TraceEv::Delivered {
-                origin: m.0,
-                seq: m.1,
-                from: 0,
-                hop: 1,
-                via: DeliveryPath::Tree,
-            },
+            delivered(m.0, m.1, 0, 1, DeliveryPath::Tree),
         ));
         a.feed(&rec(
             26_000,
             2,
-            TraceEv::Delivered {
-                origin: m.0,
-                seq: m.1,
-                from: 1,
-                hop: 2,
-                via: DeliveryPath::Tree,
-            },
+            delivered(m.0, m.1, 1, 2, DeliveryPath::Tree),
         ));
         a.feed(&rec(
             500_000,
             3,
-            TraceEv::Delivered {
-                origin: m.0,
-                seq: m.1,
-                from: 1,
-                hop: 2,
-                via: DeliveryPath::Pull,
-            },
+            delivered(m.0, m.1, 1, 2, DeliveryPath::Pull),
         ));
         let r = a.report();
         assert_eq!(r.messages, 1);
@@ -1497,19 +1174,9 @@ mod tests {
     #[test]
     fn broken_causal_chain_is_not_reconstructed() {
         let mut a = TraceAnalysis::new();
-        a.feed(&rec(0, 0, TraceEv::Injected { origin: 0, seq: 0 }));
+        a.feed(&rec(0, 0, injected(0, 0)));
         // Parent 7 never delivered.
-        a.feed(&rec(
-            10,
-            1,
-            TraceEv::Delivered {
-                origin: 0,
-                seq: 0,
-                from: 7,
-                hop: 2,
-                via: DeliveryPath::Tree,
-            },
-        ));
+        a.feed(&rec(10, 1, delivered(0, 0, 7, 2, DeliveryPath::Tree)));
         let r = a.report();
         assert_eq!(r.trees_reconstructed, 0);
         assert!(!r.all_trees_reconstructed());
@@ -1518,27 +1185,9 @@ mod tests {
     #[test]
     fn oracle_accepts_a_clean_sequence() {
         let mut o = InvariantOracle::new(OracleConfig::default());
-        o.check(&rec(5, 0, TraceEv::Injected { origin: 0, seq: 0 }));
-        o.check(&rec(
-            10,
-            1,
-            TraceEv::Delivered {
-                origin: 0,
-                seq: 0,
-                from: 0,
-                hop: 1,
-                via: DeliveryPath::Tree,
-            },
-        ));
-        o.check(&rec(
-            12,
-            2,
-            TraceEv::PullRequested {
-                origin: 0,
-                seq: 0,
-                to: 1,
-            },
-        ));
+        o.check(&rec(5, 0, injected(0, 0)));
+        o.check(&rec(10, 1, delivered(0, 0, 0, 1, DeliveryPath::Tree)));
+        o.check(&rec(12, 2, pull_requested(0, 0, 1)));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.records_checked(), 3);
     }
@@ -1547,40 +1196,12 @@ mod tests {
     fn oracle_flags_duplicate_and_early_delivery_and_bad_pull() {
         let mut o = InvariantOracle::new(OracleConfig::default());
         // Delivery before any injection.
-        o.check(&rec(
-            1,
-            1,
-            TraceEv::Delivered {
-                origin: 0,
-                seq: 0,
-                from: 0,
-                hop: 1,
-                via: DeliveryPath::Tree,
-            },
-        ));
-        o.check(&rec(5, 0, TraceEv::Injected { origin: 0, seq: 0 }));
+        o.check(&rec(1, 1, delivered(0, 0, 0, 1, DeliveryPath::Tree)));
+        o.check(&rec(5, 0, injected(0, 0)));
         // Duplicate delivery.
-        o.check(&rec(
-            9,
-            1,
-            TraceEv::Delivered {
-                origin: 0,
-                seq: 0,
-                from: 0,
-                hop: 1,
-                via: DeliveryPath::Pull,
-            },
-        ));
+        o.check(&rec(9, 1, delivered(0, 0, 0, 1, DeliveryPath::Pull)));
         // Pull for a message the node already holds.
-        o.check(&rec(
-            11,
-            1,
-            TraceEv::PullRequested {
-                origin: 0,
-                seq: 0,
-                to: 0,
-            },
-        ));
+        o.check(&rec(11, 1, pull_requested(0, 0, 0)));
         let kinds: Vec<ViolationKind> = o.violations().iter().map(|v| v.kind).collect();
         assert_eq!(
             kinds,
@@ -1589,6 +1210,11 @@ mod tests {
                 ViolationKind::DuplicateDelivery,
                 ViolationKind::PullAfterDelivery,
             ]
+        );
+        // The text names ids the way `MsgId`/`NodeId` display them.
+        assert_eq!(
+            o.violations()[2].to_string(),
+            "[t=11µs n1] pull_after_delivery: pulled n0#0 from n0 but already holds it"
         );
     }
 
@@ -1603,14 +1229,7 @@ mod tests {
         let mut o = InvariantOracle::new(cfg);
         // Bootstrap links at t=0 may exceed the bound freely.
         for peer in 0..5 {
-            o.check(&rec(
-                0,
-                1,
-                TraceEv::LinkAdded {
-                    peer,
-                    kind: LinkKind::Nearby,
-                },
-            ));
+            o.check(&rec(0, 1, link_added(peer, LinkKind::Nearby)));
         }
         assert!(o.is_clean());
         // Drops bring the degree back under the bound.
@@ -1618,34 +1237,16 @@ mod tests {
             o.check(&rec(
                 20,
                 1,
-                TraceEv::LinkDropped {
-                    peer,
-                    kind: LinkKind::Nearby,
-                    reason: DropReason::Surplus,
-                },
+                link_dropped(peer, LinkKind::Nearby, DropReason::Surplus),
             ));
         }
         // One more add is fine (2 ≤ 2) ...
-        o.check(&rec(
-            30,
-            1,
-            TraceEv::LinkAdded {
-                peer: 9,
-                kind: LinkKind::Nearby,
-            },
-        ));
+        o.check(&rec(30, 1, link_added(9, LinkKind::Nearby)));
         assert!(o.is_clean(), "{:?}", o.violations());
         // ... the next breaks the bound; it is only pending until the
         // clock moves past the instant (or the trace ends) with no
         // restoring drop.
-        o.check(&rec(
-            31,
-            1,
-            TraceEv::LinkAdded {
-                peer: 10,
-                kind: LinkKind::Nearby,
-            },
-        ));
+        o.check(&rec(31, 1, link_added(10, LinkKind::Nearby)));
         assert!(o.is_clean(), "same-instant drop could still arrive");
         o.finish();
         assert_eq!(o.violations().len(), 1);
@@ -1663,56 +1264,27 @@ mod tests {
         };
         let mut o = InvariantOracle::new(cfg);
         for peer in 0..2 {
-            o.check(&rec(
-                10,
-                1,
-                TraceEv::LinkAdded {
-                    peer,
-                    kind: LinkKind::Nearby,
-                },
-            ));
+            o.check(&rec(10, 1, link_added(peer, LinkKind::Nearby)));
         }
         // Replacement: the new link lands before the victim is dropped,
         // both at the same instant — the protocol's on_link_accept path.
+        o.check(&rec(20, 1, link_added(5, LinkKind::Nearby)));
         o.check(&rec(
             20,
             1,
-            TraceEv::LinkAdded {
-                peer: 5,
-                kind: LinkKind::Nearby,
-            },
-        ));
-        o.check(&rec(
-            20,
-            1,
-            TraceEv::LinkDropped {
-                peer: 0,
-                kind: LinkKind::Nearby,
-                reason: DropReason::Replaced,
-            },
+            link_dropped(0, LinkKind::Nearby, DropReason::Replaced),
         ));
         // Later activity moves the clock forward; nothing should flush.
-        o.check(&rec(99, 2, TraceEv::Injected { origin: 2, seq: 0 }));
+        o.check(&rec(99, 2, injected(2, 0)));
         o.finish();
         assert!(o.is_clean(), "{:?}", o.violations());
         // A drop *after* the instant does not forgive: overshoot at 30,
         // drop only at 40.
-        o.check(&rec(
-            30,
-            1,
-            TraceEv::LinkAdded {
-                peer: 6,
-                kind: LinkKind::Nearby,
-            },
-        ));
+        o.check(&rec(30, 1, link_added(6, LinkKind::Nearby)));
         o.check(&rec(
             40,
             1,
-            TraceEv::LinkDropped {
-                peer: 6,
-                kind: LinkKind::Nearby,
-                reason: DropReason::Surplus,
-            },
+            link_dropped(6, LinkKind::Nearby, DropReason::Surplus),
         ));
         o.finish();
         assert_eq!(o.violations().len(), 1);

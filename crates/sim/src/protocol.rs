@@ -80,7 +80,7 @@ pub trait Protocol: Sized {
 }
 
 /// The world a protocol instance talks to: a lane of the simulation
-/// engine, or a deployment host (e.g. the UDP host in `gocast-udp`) that
+/// engine, or a deployment host (the UDP fabric in `gocast-testnet`) that
 /// supplies real message transport, real timers, and an event sink. The
 /// protocol state machine cannot tell the difference.
 pub trait HostBackend<P: Protocol> {

@@ -1,9 +1,9 @@
 //! Seed-node bootstrap and dynamic peer discovery.
 //!
-//! The fabric replaces `gocast-udp`'s static `AddressBook` with a learned
-//! [`PeerTable`]: a node starts knowing only the *seed* nodes' socket
-//! addresses and discovers everyone else at runtime. Discovery rides on a
-//! 1-byte transport framing in front of every datagram:
+//! Addresses are learned, not configured: a node's [`PeerTable`] starts
+//! with only the *seed* nodes' socket addresses and discovers everyone
+//! else at runtime. Discovery rides on a 1-byte transport framing in
+//! front of every datagram:
 //!
 //! ```text
 //! DATA    [0xD0][sender: u32 LE][gocast-codec payload]
@@ -95,7 +95,7 @@ fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
 }
 
 /// Decodes a transport frame; `None` for anything truncated or unknown
-/// (malformed datagrams are dropped, mirroring the UDP host's policy).
+/// (malformed datagrams are counted and dropped).
 pub(crate) fn decode_frame(buf: &[u8]) -> Option<Frame<'_>> {
     let (&tag, rest) = buf.split_first()?;
     match tag {

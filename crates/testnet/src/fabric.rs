@@ -2,11 +2,10 @@
 //!
 //! Each node gets its own non-blocking [`UdpSocket`](std::net::UdpSocket)
 //! bound to an ephemeral `127.0.0.1` port, its own deterministic RNG, and
-//! its own `TimerWheel` (the scheduler shared with `gocast-udp`'s
-//! single-node host). Nodes are partitioned round-robin across
-//! [`TestnetConfig::shards`] event loops, each on its own OS thread (one
-//! shard runs inline on the caller's thread). Every shard runs the same
-//! synchronous loop over its slice:
+//! its own `TimerWheel` (`gocast-udp`'s wall-clock scheduler). Nodes are
+//! partitioned round-robin across [`TestnetConfig::shards`] event loops,
+//! each on its own OS thread (one shard runs inline on the caller's
+//! thread). Every shard runs the same synchronous loop over its slice:
 //!
 //! 1. replay due [`ScenarioPlan`] faults into the impairment shim /
 //!    protocol commands;

@@ -1,8 +1,8 @@
 //! `gocast-testnet`: a process-local deployment fabric for GoCast.
 //!
 //! The simulation kernel (`gocast-sim`) runs the protocol in virtual
-//! time; `gocast-udp` hosts a *single* node on a real socket. This crate
-//! closes the gap between them: it spins up N GoCast nodes inside one
+//! time; this crate is the socket host that runs the same sans-IO state
+//! machines in wall-clock time. It spins up N GoCast nodes inside one
 //! process, each on its own non-blocking loopback [`std::net::UdpSocket`],
 //! driven by a hand-rolled synchronous event loop (sockets + the
 //! [`gocast_udp::TimerWheel`] scheduler — no async runtime). On top of
@@ -10,8 +10,7 @@
 //!
 //! - **Seed bootstrap** ([`bootstrap`]): nodes start knowing only the
 //!   seed nodes' addresses and discover the rest at runtime through a
-//!   tiny WHOHAS/PEER side protocol, replacing `gocast-udp`'s static
-//!   `AddressBook`.
+//!   tiny WHOHAS/PEER side protocol.
 //! - **Chaos parity** ([`impair`]): the same compiled
 //!   [`gocast_sim::scenario::ScenarioPlan`]s the PR-4 chaos engine runs
 //!   in simulation replay against the real sockets — loss, jitter,
@@ -72,9 +71,9 @@ use std::time::Duration;
 
 use gocast::GoCastConfig;
 
-/// The protocol configuration testnet runs default to: the same
-/// wall-clock-friendly cadences `gocast-udp`'s deployment tests use, so a
-/// tree forms within a few seconds of real time.
+/// The protocol configuration testnet runs default to: wall-clock-friendly
+/// cadences (the paper's 15 s heartbeat is sized for WANs), so a tree
+/// forms within a few seconds of real time.
 pub fn deployment_config() -> GoCastConfig {
     GoCastConfig {
         gossip_period: Duration::from_millis(50),

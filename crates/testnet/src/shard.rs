@@ -84,7 +84,8 @@ pub struct FabricStats {
     pub peer_replies: u64,
     /// Protocol sends dropped because the peer address stayed unknown.
     pub unresolved_dropped: u64,
-    /// Datagrams that failed transport-frame or codec decoding.
+    /// Datagrams that failed transport-frame or codec decoding, or named
+    /// a node id the fabric does not host.
     pub malformed: u64,
 }
 
@@ -478,6 +479,19 @@ where
             self.stats.malformed += 1;
             return;
         };
+        // An id in a frame is self-declared, and downstream it indexes the
+        // impairment matrix and keys the peer table: an id this fabric
+        // does not host is a stranger's, whatever the rest of the frame
+        // says.
+        let max_id = match frame {
+            Frame::Data { sender, .. } => sender,
+            Frame::WhoHas { sender, target } => sender.max(target),
+            Frame::Peer { sender, peer, .. } => sender.max(peer),
+        };
+        if max_id.index() >= self.nodes_total {
+            self.stats.malformed += 1;
+            return;
+        }
         match frame {
             Frame::Data { sender, payload } => {
                 let msg = match decode(payload) {

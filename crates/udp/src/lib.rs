@@ -1,482 +1,19 @@
-//! # gocast-udp — GoCast over real UDP sockets
+//! # gocast-udp — wall-clock scheduling for a socket host
 //!
 //! The protocol core ([`gocast::GoCastNode`]) is a sans-IO state machine;
-//! the simulation kernel is only one way to drive it. This crate is the
-//! other: a deployment host that runs one node per [`UdpHost`], exchanging
-//! codec-encoded messages ([`gocast::encode`]/[`gocast::decode`]) over the
-//! operating system's UDP stack, firing timers from a monotonic clock, and
-//! accepting commands from other threads.
+//! the simulation kernel drives it in virtual time and the
+//! `gocast-testnet` fabric drives it over real UDP sockets. What a
+//! wall-clock host needs and the simulator's event queue does not give it
+//! lives here: [`TimerWheel`] (deadline-ordered, dedup-by-identity,
+//! cancellation-aware protocol timers) and [`DelayQueue`] (payloads held
+//! until an [`Instant`](std::time::Instant)). See [`sched`].
 //!
-//! The same binary state machine that the paper-scale simulations validate
-//! is what goes on the wire here — no reimplementation, no divergence.
-//!
-//! Timer scheduling lives in [`TimerWheel`], which is shared with the
-//! multi-node loopback fabric in `gocast-testnet`: deadline-ordered,
-//! dedup-by-identity, cancellation-aware (see [`sched`]). The event loop
-//! sleeps until the next timer deadline (or the run deadline) rather than
-//! polling; cross-thread commands wake it immediately through a loopback
-//! waker datagram.
-//!
-//! ```no_run
-//! use gocast::{GoCastCommand, GoCastConfig, GoCastNode};
-//! use gocast_sim::NodeId;
-//! use gocast_udp::{AddressBook, UdpHost};
-//! use std::time::Duration;
-//!
-//! # fn main() -> std::io::Result<()> {
-//! // Two nodes on loopback.
-//! let book = AddressBook::local(2, 9900);
-//! let n0 = GoCastNode::with_initial_links(
-//!     NodeId::new(0), GoCastConfig::default(), vec![NodeId::new(1)], vec![NodeId::new(1)]);
-//! let mut h0 = UdpHost::bind(n0, book.clone(), 1)?;
-//! let handle = h0.handle();
-//! std::thread::spawn(move || h0.run_for(Duration::from_secs(3)));
-//! handle.command(GoCastCommand::Multicast).unwrap();
-//! # Ok(())
-//! # }
-//! ```
+//! The crate binds no socket and runs no loop; `gocast-testnet` is the
+//! one socket host.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod sched;
 
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use gocast::{decode, encode, GoCastCommand, GoCastEvent, GoCastMsg, GoCastNode};
-use gocast_sim::{Ctx, HostBackend, NodeId, Protocol, SimTime, Timer};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 pub use sched::{DelayQueue, TimerWheel};
-
-/// Maps [`NodeId`]s to socket addresses. In a deployment this would come
-/// from configuration or a discovery service; the `gocast-testnet` fabric
-/// replaces it entirely with seed-node bootstrap and dynamic discovery.
-#[derive(Debug, Clone)]
-pub struct AddressBook {
-    addrs: Vec<SocketAddr>,
-}
-
-impl AddressBook {
-    /// A book over explicit addresses; `NodeId(i)` maps to `addrs[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addrs` is empty.
-    pub fn new(addrs: Vec<SocketAddr>) -> Self {
-        assert!(!addrs.is_empty(), "address book cannot be empty");
-        AddressBook { addrs }
-    }
-
-    /// `n` consecutive loopback ports starting at `base_port`.
-    pub fn local(n: usize, base_port: u16) -> Self {
-        AddressBook::new(
-            (0..n)
-                .map(|i| SocketAddr::from((Ipv4Addr::LOCALHOST, base_port + i as u16)))
-                .collect(),
-        )
-    }
-
-    /// The address of `node`.
-    pub fn addr(&self, node: NodeId) -> SocketAddr {
-        self.addrs[node.index()]
-    }
-
-    /// Number of nodes in the deployment.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Whether the book is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// Reverse lookup (linear; the books are small).
-    pub fn node_of(&self, addr: SocketAddr) -> Option<NodeId> {
-        self.addrs
-            .iter()
-            .position(|a| *a == addr)
-            .map(|i| NodeId::new(i as u32))
-    }
-}
-
-/// The world the state machine sees while a handler runs.
-struct Io<'a> {
-    socket: &'a UdpSocket,
-    book: &'a AddressBook,
-    start: Instant,
-    timers: &'a mut TimerWheel,
-    events: &'a mut Vec<(SimTime, GoCastEvent)>,
-    sent: &'a mut u64,
-}
-
-impl HostBackend<GoCastNode> for Io<'_> {
-    fn send(&mut self, to: NodeId, msg: GoCastMsg) {
-        let bytes = encode(&msg);
-        // Fire and forget — UDP semantics; the protocol tolerates loss.
-        if self.socket.send_to(&bytes, self.book.addr(to)).is_ok() {
-            *self.sent += 1;
-        }
-    }
-
-    fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        self.timers.schedule(Instant::now() + delay, timer);
-    }
-
-    fn emit(&mut self, event: GoCastEvent) {
-        let now = SimTime::from_nanos(self.start.elapsed().as_nanos() as u64);
-        self.events.push((now, event));
-    }
-
-    fn node_count(&self) -> usize {
-        self.book.len()
-    }
-}
-
-/// A cloneable handle for injecting commands into a running host from
-/// other threads. Each command is followed by a zero-length waker datagram
-/// to the host's own socket, so a host sleeping until its next timer
-/// deadline picks the command up immediately.
-#[derive(Debug, Clone)]
-pub struct HostHandle {
-    tx: mpsc::Sender<GoCastCommand>,
-    waker: Arc<UdpSocket>,
-    host: SocketAddr,
-}
-
-impl HostHandle {
-    /// Enqueues a command and wakes the host loop; the host processes it
-    /// on its next iteration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the command back if the host has shut down.
-    pub fn command(&self, cmd: GoCastCommand) -> Result<(), GoCastCommand> {
-        self.tx.send(cmd).map_err(|e| e.0)?;
-        // Best-effort wake; if it fails the host still sees the command at
-        // its next timer deadline.
-        let _ = self.waker.send_to(&[], self.host);
-        Ok(())
-    }
-}
-
-/// Runs one [`GoCastNode`] over a real UDP socket.
-///
-/// Single-threaded event loop: receive → decode → `on_message`; fire due
-/// timers; drain the command channel. Time is the host's monotonic clock,
-/// expressed to the protocol as [`SimTime`] since host start. Between
-/// packets the loop blocks until the next [`TimerWheel`] deadline — no
-/// fixed-interval polling.
-#[derive(Debug)]
-pub struct UdpHost {
-    node: GoCastNode,
-    socket: UdpSocket,
-    book: AddressBook,
-    start: Instant,
-    started: bool,
-    timers: TimerWheel,
-    rng: SmallRng,
-    events: Vec<(SimTime, GoCastEvent)>,
-    cmd_rx: mpsc::Receiver<GoCastCommand>,
-    cmd_tx: mpsc::Sender<GoCastCommand>,
-    waker: Arc<UdpSocket>,
-    sent: u64,
-    received: u64,
-}
-
-impl UdpHost {
-    /// Binds the socket for `node`'s address-book entry (plus an ephemeral
-    /// waker socket used by [`HostHandle::command`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind errors (e.g. the port is taken).
-    pub fn bind(node: GoCastNode, book: AddressBook, seed: u64) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(book.addr(node.id()))?;
-        let waker = Arc::new(UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?);
-        let (cmd_tx, cmd_rx) = mpsc::channel();
-        Ok(UdpHost {
-            node,
-            socket,
-            book,
-            start: Instant::now(),
-            started: false,
-            timers: TimerWheel::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            events: Vec::new(),
-            cmd_rx,
-            cmd_tx,
-            waker,
-            sent: 0,
-            received: 0,
-        })
-    }
-
-    /// A handle for injecting commands from other threads.
-    pub fn handle(&self) -> HostHandle {
-        HostHandle {
-            tx: self.cmd_tx.clone(),
-            waker: Arc::clone(&self.waker),
-            host: self
-                .socket
-                .local_addr()
-                .unwrap_or_else(|_| self.book.addr(self.node.id())),
-        }
-    }
-
-    /// The hosted node (inspect between runs).
-    pub fn node(&self) -> &GoCastNode {
-        &self.node
-    }
-
-    /// Protocol events recorded so far, stamped with host-monotonic time.
-    pub fn events(&self) -> &[(SimTime, GoCastEvent)] {
-        &self.events
-    }
-
-    /// Datagrams sent / received so far.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.sent, self.received)
-    }
-
-    /// Host-monotonic time since start, as the protocol sees it.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
-    }
-
-    fn with_ctx<F: FnOnce(&mut GoCastNode, &mut Ctx<'_, GoCastNode>)>(&mut self, f: F) {
-        let mut io = Io {
-            socket: &self.socket,
-            book: &self.book,
-            start: self.start,
-            timers: &mut self.timers,
-            events: &mut self.events,
-            sent: &mut self.sent,
-        };
-        let now = SimTime::from_nanos(io.start.elapsed().as_nanos() as u64);
-        let mut ctx = Ctx::for_host(self.node.id(), now, &mut self.rng, &mut io);
-        f(&mut self.node, &mut ctx);
-    }
-
-    /// Runs the event loop for `duration` of wall-clock time. Can be
-    /// called repeatedly; `on_start` fires on the first call.
-    pub fn run_for(&mut self, duration: Duration) {
-        let deadline = Instant::now() + duration;
-        if !self.started {
-            self.started = true;
-            self.with_ctx(|n, ctx| n.on_start(ctx));
-        }
-        let mut buf = [0u8; 65536];
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            // Commands first (non-blocking).
-            while let Ok(cmd) = self.cmd_rx.try_recv() {
-                self.with_ctx(|n, ctx| n.on_command(ctx, cmd));
-            }
-            // Fire due timers.
-            while let Some(timer) = self.timers.pop_due(now) {
-                self.with_ctx(|n, ctx| n.on_timer(ctx, timer));
-            }
-            // Block for the next packet until the next timer deadline (or
-            // the loop deadline). Commands interrupt the wait through the
-            // waker datagram, so no polling cap is needed; the floor only
-            // keeps the timeout nonzero, which `set_read_timeout` requires.
-            let next = self
-                .timers
-                .next_deadline()
-                .map_or(deadline, |t| t.min(deadline));
-            let wait = next
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_micros(100));
-            self.socket
-                .set_read_timeout(Some(wait))
-                .expect("set_read_timeout");
-            match self.socket.recv_from(&mut buf) {
-                Ok((len, from_addr)) => {
-                    let Some(from) = self.book.node_of(from_addr) else {
-                        continue; // stranger (or waker) datagram
-                    };
-                    match decode(&buf[..len]) {
-                        Ok(msg) => {
-                            self.received += 1;
-                            self.with_ctx(|n, ctx| n.on_message(ctx, from, msg));
-                        }
-                        Err(_) => continue, // malformed datagram — drop
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => {
-                    // Transient socket error (e.g. ICMP unreachable
-                    // surfaced); UDP semantics say carry on.
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gocast::GoCastConfig;
-
-    fn deployment_config() -> GoCastConfig {
-        // Faster cadences so the tree forms within a few wall-clock
-        // seconds of test time.
-        GoCastConfig {
-            gossip_period: Duration::from_millis(50),
-            maintenance_period: Duration::from_millis(50),
-            heartbeat_period: Duration::from_millis(500),
-            idle_gossip_interval: Duration::from_millis(300),
-            landmark_count: 2,
-            ..Default::default()
-        }
-    }
-
-    /// Builds `n` hosts on loopback with a ring + chord bootstrap overlay
-    /// and full member knowledge.
-    fn build_hosts(n: usize, base_port: u16) -> Vec<UdpHost> {
-        let book = AddressBook::local(n, base_port);
-        (0..n as u32)
-            .map(|i| {
-                let links = vec![
-                    NodeId::new((i + 1) % n as u32),
-                    NodeId::new((i + n as u32 - 1) % n as u32),
-                    NodeId::new((i + 2) % n as u32),
-                ];
-                let members: Vec<NodeId> =
-                    (0..n as u32).filter(|&j| j != i).map(NodeId::new).collect();
-                let node = GoCastNode::with_initial_links(
-                    NodeId::new(i),
-                    deployment_config(),
-                    links,
-                    members,
-                );
-                UdpHost::bind(node, book.clone(), 77 + i as u64).expect("bind")
-            })
-            .collect()
-    }
-
-    #[test]
-    fn address_book_lookups() {
-        let book = AddressBook::local(3, 9801);
-        assert_eq!(book.len(), 3);
-        assert!(!book.is_empty());
-        assert_eq!(book.addr(NodeId::new(1)).port(), 9802);
-        assert_eq!(
-            book.node_of(book.addr(NodeId::new(2))),
-            Some(NodeId::new(2))
-        );
-        assert_eq!(book.node_of("10.0.0.1:1".parse().unwrap()), None);
-    }
-
-    #[test]
-    fn multicast_over_real_udp_reaches_every_node() {
-        let n = 5;
-        let hosts = build_hosts(n, 19100);
-        let handles: Vec<HostHandle> = hosts.iter().map(|h| h.handle()).collect();
-        let threads: Vec<_> = hosts
-            .into_iter()
-            .map(|mut h| {
-                std::thread::spawn(move || {
-                    h.run_for(Duration::from_secs(5));
-                    h
-                })
-            })
-            .collect();
-        // Let the overlay and tree form, then multicast from node 2.
-        std::thread::sleep(Duration::from_millis(2500));
-        handles[2].command(GoCastCommand::Multicast).unwrap();
-        let hosts: Vec<UdpHost> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-
-        let id = gocast::MsgId::new(NodeId::new(2), 0);
-        for h in &hosts {
-            assert!(
-                h.node().has_message(id),
-                "node {} missed the multicast over UDP",
-                h.node().id()
-            );
-            let (sent, received) = h.io_counts();
-            assert!(sent > 0 && received > 0, "host exchanged no datagrams");
-        }
-        // The tree formed over real sockets: everyone follows root 0.
-        for h in &hosts {
-            assert_eq!(h.node().current_root(), NodeId::new(0));
-        }
-        let delivered: usize = hosts
-            .iter()
-            .flat_map(|h| h.events())
-            .filter(|(_, e)| matches!(e, GoCastEvent::Delivered { .. }))
-            .count();
-        assert_eq!(delivered, n - 1);
-    }
-
-    #[test]
-    fn host_survives_malformed_and_stranger_datagrams() {
-        let n = 2;
-        let book = AddressBook::local(n, 19200);
-        let node = GoCastNode::with_initial_links(
-            NodeId::new(0),
-            deployment_config(),
-            vec![NodeId::new(1)],
-            vec![NodeId::new(1)],
-        );
-        let mut host = UdpHost::bind(node, book.clone(), 5).unwrap();
-        // A stranger floods garbage at node 0's port.
-        let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
-        for _ in 0..50 {
-            attacker
-                .send_to(&[0xFF, 0x00, 0x13], book.addr(NodeId::new(0)))
-                .unwrap();
-        }
-        host.run_for(Duration::from_millis(300));
-        // Still alive and still schedules protocol work.
-        assert!(host.node().is_joined());
-    }
-
-    #[test]
-    fn command_wakes_a_sleeping_host() {
-        // With only long-deadline timers pending, the host sleeps until
-        // the next timer; a command must still be picked up promptly via
-        // the waker datagram, not at the next (multi-second) wake-up.
-        let book = AddressBook::local(1, 19300);
-        let cfg = GoCastConfig {
-            gossip_period: Duration::from_secs(10),
-            maintenance_period: Duration::from_secs(10),
-            heartbeat_period: Duration::from_secs(10),
-            idle_gossip_interval: Duration::from_secs(10),
-            tree_enabled: false,
-            landmark_count: 0,
-            ..GoCastConfig::default()
-        };
-        let node = GoCastNode::new(NodeId::new(0), cfg, Vec::new());
-        let mut host = UdpHost::bind(node, book, 9).unwrap();
-        let handle = host.handle();
-        let t = std::thread::spawn(move || {
-            host.run_for(Duration::from_secs(2));
-            host
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        handle.command(GoCastCommand::Multicast).unwrap();
-        let host = t.join().unwrap();
-        let injected_at = host
-            .events()
-            .iter()
-            .find(|(_, e)| matches!(e, GoCastEvent::Injected { .. }))
-            .map(|(t, _)| *t)
-            .expect("multicast command was never processed");
-        assert!(
-            injected_at < SimTime::from_millis(1_000),
-            "command took {injected_at:?} to be processed — waker did not interrupt the wait"
-        );
-    }
-}

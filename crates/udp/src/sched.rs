@@ -1,4 +1,4 @@
-//! Deadline scheduling shared by every deployment host.
+//! Deadline scheduling for a wall-clock deployment host.
 //!
 //! A [`TimerWheel`] orders pending [`Timer`]s by monotonic-clock deadline
 //! and adds the two facilities a real host needs that the simulation

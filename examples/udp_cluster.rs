@@ -1,95 +1,70 @@
 //! Real-network demo: an 8-node GoCast group over actual UDP sockets on
 //! loopback — the same state machine the simulations validate, driven by
-//! the `gocast-udp` deployment host instead of the simulator.
+//! the `gocast-testnet` fabric instead of the simulator. Every node binds
+//! an ephemeral port and learns its peers' addresses from three seeds.
 //!
 //! Run with: `cargo run --release -p gocast-examples --bin udp_cluster`
 
 use std::time::Duration;
 
-use gocast::{GoCastCommand, GoCastConfig, GoCastEvent, GoCastNode, MsgId};
-use gocast_sim::NodeId;
-use gocast_udp::{AddressBook, UdpHost};
+use gocast::{GoCastCommand, GoCastEvent, MsgId};
+use gocast_sim::{NodeId, SimTime};
+use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
 
 fn main() {
-    let n: u32 = 8;
-    let base_port: u16 = 21500;
+    if !loopback_available() {
+        println!("loopback UDP unavailable in this environment — nothing to demo.");
+        return;
+    }
+    let n = 8;
+    // `TestnetConfig::new` runs `deployment_config()`: the paper's 15 s
+    // heartbeat is sized for WANs, a loopback demo wants the tree within
+    // a second or two.
+    let cfg = TestnetConfig::new(n).with_seed(1000);
+    let mut net = Testnet::build_bootstrap(&cfg).expect("bind loopback sockets");
     println!(
-        "starting {n} GoCast nodes on 127.0.0.1:{base_port}..{}",
-        base_port + n as u16 - 1
+        "started {n} GoCast nodes on {} .. {}",
+        net.addr_of(NodeId::new(0)),
+        net.addr_of(NodeId::new(n as u32 - 1)),
     );
 
-    // Deployment-speed cadences (the paper's 15 s heartbeat is sized for
-    // WANs; loopback demos want the tree within a second or two).
-    let cfg = GoCastConfig {
-        gossip_period: Duration::from_millis(50),
-        maintenance_period: Duration::from_millis(50),
-        heartbeat_period: Duration::from_millis(500),
-        idle_gossip_interval: Duration::from_millis(250),
-        landmark_count: 2,
-        ..Default::default()
-    };
-
-    let book = AddressBook::local(n as usize, base_port);
-    let hosts: Vec<UdpHost> = (0..n)
-        .map(|i| {
-            let links = vec![NodeId::new((i + 1) % n), NodeId::new((i + 3) % n)];
-            let members: Vec<NodeId> = (0..n).filter(|&j| j != i).map(NodeId::new).collect();
-            let node = GoCastNode::with_initial_links(NodeId::new(i), cfg.clone(), links, members);
-            UdpHost::bind(node, book.clone(), 1000 + i as u64).expect("bind UDP port")
-        })
-        .collect();
-
-    let handles: Vec<_> = hosts.iter().map(|h| h.handle()).collect();
-    let threads: Vec<_> = hosts
-        .into_iter()
-        .map(|mut h| {
-            std::thread::spawn(move || {
-                h.run_for(Duration::from_secs(6));
-                h
-            })
-        })
-        .collect();
-
     // Overlay + tree formation, then three multicasts from different nodes.
-    std::thread::sleep(Duration::from_millis(2500));
-    println!("overlay formed; multicasting from nodes 2, 5, 7 ...");
-    for (k, src) in [2usize, 5, 7].into_iter().enumerate() {
-        handles[src].command(GoCastCommand::Multicast).unwrap();
-        std::thread::sleep(Duration::from_millis(200 * (k as u64 + 1)));
-    }
-
-    let hosts: Vec<UdpHost> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-
-    println!("\nper-node summary:");
-    for h in &hosts {
-        let (sent, received) = h.io_counts();
-        println!(
-            "  {}: degree {:?}, parent {:?}, root {}, {} datagrams out / {} in",
-            h.node().id(),
-            h.node().degrees().total(),
-            h.node().tree_parent(),
-            h.node().current_root(),
-            sent,
-            received,
+    let sources = [(2u32, 2000), (5, 2200), (7, 2500)];
+    for (src, at_ms) in sources {
+        net.schedule_command(
+            SimTime::from_millis(at_ms),
+            NodeId::new(src),
+            GoCastCommand::Multicast,
         );
     }
+    net.run_for(Duration::from_millis(3500));
+
+    println!("\nper-node summary:");
+    for node in net.iter_nodes() {
+        println!(
+            "  {}: degree {}, parent {:?}, root {}, {} peer addresses learned",
+            node.id(),
+            node.degrees().total(),
+            node.tree_parent(),
+            node.current_root(),
+            net.known_peers(node.id()),
+        );
+    }
+    println!("wire: {}", net.stats());
 
     let mut ok = true;
-    for (src, seq) in [(2u32, 0u32), (5, 0), (7, 0)] {
-        let id = MsgId::new(NodeId::new(src), seq);
-        let holders = hosts.iter().filter(|h| h.node().has_message(id)).count();
+    for (src, _) in sources {
+        let id = MsgId::new(NodeId::new(src), 0);
+        let holders = net.iter_nodes().filter(|h| h.has_message(id)).count();
         println!("message {id}: held by {holders}/{n} nodes");
-        ok &= holders == n as usize;
+        ok &= holders == n;
     }
-    let delays: Vec<f64> = hosts
+    let deliveries = net
+        .trace()
         .iter()
-        .flat_map(|h| h.events())
-        .filter_map(|(t, e)| match e {
-            GoCastEvent::Delivered { .. } => Some(t.as_secs_f64()),
-            _ => None,
-        })
-        .collect();
-    println!("deliveries observed: {}", delays.len());
+        .filter(|(_, _, e)| matches!(e, GoCastEvent::Delivered { .. }))
+        .count();
+    println!("deliveries observed: {deliveries}");
     assert!(ok, "some node missed a multicast over UDP");
     println!("\nall multicasts reached all nodes over real UDP — done.");
 }

@@ -31,6 +31,25 @@ for salt in 0x5EED 0xB007 0x4B494E47; do
     }
 done
 
+echo "==> structure gate: one socket host, one event vocabulary"
+# gocast-testnet is the only crate that binds a socket outside test code,
+# and a trace record carries GoCastEvent itself: a second host or a second
+# copy of the event enum would have to reintroduce one of these.
+stray=$(find crates examples -name '*.rs' -not -path '*/tests/*' \
+    -not -path '*/benches/*' -not -path 'crates/testnet/src/*' -print0 |
+    xargs -0 awk 'FNR == 1 { test = 0 }
+        /#\[cfg\(test\)\]/ { test = 1 }
+        !test && /UdpSocket::bind/ && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR }')
+[[ -z "$stray" ]] || {
+    echo "FAIL: UdpSocket::bind outside crates/testnet/src: $stray" >&2
+    exit 1
+}
+if grep -rnE --include='*.rs' 'enum TraceEv\b|struct UdpHost\b' \
+    crates tests examples benchmark; then
+    echo "FAIL: the TraceEv mirror or the UdpHost second host is back" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -136,6 +155,12 @@ cargo run --release -q -p gocast-experiments -- testnet --nodes 12 \
     --messages 100 --no-csv
 cargo run --release -q -p gocast-experiments -- testnet --nodes 12 \
     --messages 100 --scenario partition --no-csv
+
+echo "==> udp_cluster example: 8 nodes on ephemeral loopback ports"
+# Exits nonzero unless every node holds all three multicasts; prints a
+# note and exits 0 where loopback sockets cannot be bound. One 3.5 s
+# wall-clock window.
+cargo run --release -q -p gocast-examples --bin udp_cluster
 
 echo "==> batched sharded wire path (syscall batching live under conformance)"
 # Runs the conformance workload on two event-loop shards and asserts the

@@ -4,6 +4,7 @@
 //! with a note on stderr) when the sandbox forbids socket creation, so
 //! the suite stays green in network-less CI environments.
 
+use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;
 
 use gocast::{GoCastCommand, GoCastEvent};
@@ -106,6 +107,83 @@ fn sixteen_node_run_is_invariant_clean() {
         "delivery {}/{expected} below 99.9%",
         report.deliveries
     );
+}
+
+/// What a simulator never sends: a socket outside the group throws
+/// garbage, truncated frames and well-formed frames claiming node ids
+/// the group does not have at a live node. Every one must be counted
+/// and dropped before it reaches the peer table, the impairment matrix
+/// or the protocol — and the group must carry on delivering.
+#[test]
+fn host_survives_malformed_and_stranger_datagrams() {
+    if skip() {
+        return;
+    }
+    let nodes = 4;
+    let cfg = TestnetConfig::new(nodes).with_seed(13);
+    let mut net = Testnet::build_bootstrap(&cfg).expect("bind loopback");
+    net.run_for(Duration::from_millis(500));
+
+    // Transport frames as `gocast_testnet::bootstrap` documents them.
+    let frame = |tag: u8, ids: &[u32], tail: &[u8]| -> Vec<u8> {
+        let mut out = vec![tag];
+        for id in ids {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        out.extend_from_slice(tail);
+        out
+    };
+    let (data, whohas, peer) = (0xD0, 0xD1, 0xD2);
+    let nobody = u32::MAX;
+    let past_the_end = nodes as u32;
+    let join = gocast::encode(&gocast::GoCastMsg::JoinRequest);
+    let somewhere = [127, 0, 0, 1, 0x39, 0x30];
+    let frames = [
+        vec![0xFF, 0x00, 0x13],
+        frame(data, &[], &[1, 2]),
+        frame(data, &[1], &[]),
+        frame(whohas, &[nobody, 0], &[]),
+        frame(whohas, &[0, past_the_end], &[]),
+        frame(peer, &[nobody, 0], &somewhere),
+        frame(peer, &[0, past_the_end], &somewhere),
+        frame(data, &[nobody], &join),
+        frame(data, &[past_the_end], &join),
+    ];
+    let stranger = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind stranger");
+    let victim = net.addr_of(NodeId::new(0));
+    let rounds = 5;
+    for _ in 0..rounds {
+        for f in &frames {
+            stranger.send_to(f, victim).expect("send to loopback");
+        }
+    }
+
+    net.schedule_command(
+        SimTime::from_millis(2500),
+        NodeId::new(2),
+        GoCastCommand::Multicast,
+    );
+    net.run_for(Duration::from_millis(3500));
+
+    let stats = net.stats();
+    assert!(
+        stats.malformed >= (rounds * frames.len()) as u64,
+        "some hostile frame was not rejected: {stats}"
+    );
+    for i in 0..nodes {
+        let known = net.known_peers(NodeId::new(i as u32));
+        assert!(known <= nodes, "n{i} learned {known} peers of {nodes}");
+    }
+    let mut oracle = InvariantOracle::for_protocol(&cfg.protocol);
+    scan_trace(&net.trace_jsonl()[..], |rec| oracle.check(&rec)).expect("wire trace parses");
+    oracle.finish();
+    assert!(oracle.is_clean(), "{:?}", oracle.violations());
+    let deliveries = net
+        .trace()
+        .iter()
+        .filter(|(_, _, e)| matches!(e, GoCastEvent::Delivered { .. }))
+        .count();
+    assert_eq!(deliveries, nodes - 1, "multicast after the attack: {stats}");
 }
 
 /// The delivery manifest — which node delivered which message — must be
