@@ -8,7 +8,7 @@ use gocast_sim::{Ctx, NodeId, Timer};
 use crate::types::{age_on_arrival, DegreeInfo, DeliveryPath, GoCastEvent, MsgId};
 use crate::wire::{GoCastMsg, GossipEntry, MemberEntry};
 
-use super::{known, timers, GoCastNode, Pending, Stored};
+use super::{known, timers, GoCastNode, Neighbor, Pending, Stored};
 
 impl GoCastNode {
     /// Injects a new multicast message originated by this node and pushes
@@ -65,8 +65,8 @@ impl GoCastNode {
         // The copy we send is one causal hop further from the origin than
         // the copy we hold.
         let hop = stored.hop + 1;
-        let targets = self.tree_neighbors();
-        for peer in targets {
+        let children = self.neighbors.iter().filter(|n| n.is_child);
+        for peer in children.map(Neighbor::id).chain(self.tree.parent) {
             if Some(peer) == except {
                 continue;
             }
@@ -96,7 +96,7 @@ impl GoCastNode {
         size: u32,
     ) {
         let from_tree_link =
-            self.tree.parent == Some(from) || self.neighbors.get(&from).is_some_and(|n| n.is_child);
+            self.tree.parent == Some(from) || self.neighbors.get(from).is_some_and(|n| n.is_child);
         if from_tree_link {
             self.counters.pushes_received += 1;
         }
@@ -113,8 +113,8 @@ impl GoCastNode {
         }
         let link_rtt = self
             .neighbors
-            .get(&from)
-            .and_then(|n| n.rtt_us.map(std::time::Duration::from_micros));
+            .get(from)
+            .and_then(|n| n.rtt_us().map(std::time::Duration::from_micros));
         let age = age_on_arrival(std::time::Duration::from_micros(age_us), link_rtt);
         self.store_message(ctx, id, age.as_micros() as u64, hop, size);
         self.store
@@ -197,8 +197,11 @@ impl GoCastNode {
             self.arm_gossip(ctx);
             return;
         };
-        let nb = &self.neighbors[&peer];
-        let since = nb.last_gossip_sent;
+        let since = self
+            .neighbors
+            .get(peer)
+            .expect("the cursor steps onto table entries")
+            .last_gossip_sent;
         let now = ctx.now();
 
         // Collect IDs from the recent-reception window.
@@ -232,7 +235,7 @@ impl GoCastNode {
         let members = self.pick_gossip_members(ctx);
         let degrees = self.degrees();
         let coords = self.coords;
-        if let Some(n) = self.neighbors.get_mut(&peer) {
+        if let Some(n) = self.neighbors.get_mut(peer) {
             n.last_gossip_sent = now;
         }
         self.counters.gossip_rounds += 1;
@@ -253,20 +256,9 @@ impl GoCastNode {
 
     /// Advances the round-robin cursor over the neighbor table.
     fn next_gossip_peer(&mut self) -> Option<NodeId> {
-        if self.neighbors.is_empty() {
-            return None;
-        }
-        let next = match self.gossip_cursor {
-            Some(cur) => self
-                .neighbors
-                .range((std::ops::Bound::Excluded(cur), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(&p, _)| p)
-                .or_else(|| self.neighbors.keys().next().copied()),
-            None => self.neighbors.keys().next().copied(),
-        };
-        self.gossip_cursor = next;
-        next
+        let next = self.neighbors.next_after(self.gossip_cursor)?;
+        self.gossip_cursor = Some(next);
+        Some(next)
     }
 
     /// Samples member entries (with coordinates when known) to piggyback.
@@ -294,7 +286,7 @@ impl GoCastNode {
         degrees: DegreeInfo,
     ) {
         self.counters.gossips_received += 1;
-        if let Some(n) = self.neighbors.get_mut(&from) {
+        if let Some(n) = self.neighbors.get_mut(from) {
             n.degrees = degrees;
         }
         if let Some(coords) = known(coords) {
@@ -315,8 +307,8 @@ impl GoCastNode {
             }
             let link_rtt = self
                 .neighbors
-                .get(&from)
-                .and_then(|n| n.rtt_us.map(std::time::Duration::from_micros));
+                .get(from)
+                .and_then(|n| n.rtt_us().map(std::time::Duration::from_micros));
             let age = age_on_arrival(std::time::Duration::from_micros(age_us), link_rtt).as_micros()
                 as u64;
             if let Some(p) = self.pending_pulls.get_mut(&id) {

@@ -102,7 +102,7 @@ impl GoCastNode {
         // Random links first (connectivity insurance).
         if self.d_rand() < self.c_rand && self.pending_rand_link.is_none() {
             if let Some(cand) = self.view.sample(ctx.rng()) {
-                if cand != self.id && !self.neighbors.contains_key(&cand) {
+                if cand != self.id && !self.neighbors.contains(cand) {
                     self.request_link(ctx, cand, LinkKind::Random, None, None);
                 }
             }

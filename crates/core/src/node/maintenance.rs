@@ -16,7 +16,7 @@ use rand::Rng;
 use crate::types::{DegreeInfo, DropReason, LinkKind};
 use crate::wire::{GoCastMsg, ProbeKind};
 
-use super::{known, timers, GoCastNode};
+use super::{known, timers, GoCastNode, Neighbor};
 
 impl GoCastNode {
     /// The periodic maintenance tick.
@@ -68,7 +68,7 @@ impl GoCastNode {
                 let Some(cand) = self.view.sample(ctx.rng()) else {
                     return;
                 };
-                if cand != self.id && !self.neighbors.contains_key(&cand) {
+                if cand != self.id && !self.neighbors.contains(cand) {
                     self.request_link(ctx, cand, LinkKind::Random, None, None);
                     return;
                 }
@@ -80,8 +80,8 @@ impl GoCastNode {
             let randoms: Vec<NodeId> = self
                 .neighbors
                 .iter()
-                .filter(|(_, n)| n.kind == LinkKind::Random)
-                .map(|(&p, _)| p)
+                .filter(|n| n.kind == LinkKind::Random)
+                .map(Neighbor::id)
                 .collect();
             let i = ctx.rng().gen_range(0..randoms.len());
             let mut j = ctx.rng().gen_range(0..randoms.len() - 1);
@@ -99,9 +99,8 @@ impl GoCastNode {
             let victim = self
                 .neighbors
                 .iter()
-                .filter(|(_, n)| n.kind == LinkKind::Random && n.degrees.d_rand > n.degrees.t_rand)
-                .map(|(&p, _)| p)
-                .next();
+                .find(|n| n.kind == LinkKind::Random && n.degrees.d_rand > n.degrees.t_rand)
+                .map(Neighbor::id);
             if let Some(w) = victim {
                 self.drop_link(ctx, w, DropReason::Surplus, true);
             }
@@ -160,7 +159,7 @@ impl GoCastNode {
         while self.probe_cursor < self.probe_queue.len() {
             let cand = self.probe_queue[self.probe_cursor];
             self.probe_cursor += 1;
-            if cand != self.id && !self.neighbors.contains_key(&cand) && self.view.contains(cand) {
+            if cand != self.id && !self.neighbors.contains(cand) && self.view.contains(cand) {
                 return Some(cand);
             }
         }
@@ -171,7 +170,7 @@ impl GoCastNode {
         // Then round-robin over the (possibly grown) view.
         for _ in 0..self.view.len().min(8) {
             let cand = self.view.next_round_robin()?;
-            if cand != self.id && !self.neighbors.contains_key(&cand) {
+            if cand != self.id && !self.neighbors.contains(cand) {
                 return Some(cand);
             }
         }
@@ -192,8 +191,8 @@ impl GoCastNode {
         let mut droppable: Vec<(u64, NodeId)> = self
             .neighbors
             .iter()
-            .filter(|(_, n)| n.kind == LinkKind::Nearby && self.c1_allows(n.degrees))
-            .map(|(&p, n)| (n.rtt_us.unwrap_or(u64::MAX), p))
+            .filter(|n| n.kind == LinkKind::Nearby && self.c1_allows(n.degrees))
+            .map(|n| (n.rtt_us().unwrap_or(u64::MAX), n.id()))
             .collect();
         // Longest latency first; unmeasured links count as long.
         droppable.sort_unstable_by(|a, b| b.cmp(a));
@@ -235,8 +234,8 @@ impl GoCastNode {
                     .set(i as usize, std::time::Duration::from_micros(rtt_us));
             }
             ProbeKind::LinkMeasure => {
-                if let Some(n) = self.neighbors.get_mut(&from) {
-                    n.rtt_us = Some(rtt_us);
+                if let Some(n) = self.neighbors.get_mut(from) {
+                    n.set_rtt_us(rtt_us);
                     n.degrees = degrees;
                 }
             }
@@ -244,9 +243,9 @@ impl GoCastNode {
                 if self.frozen || !self.joined {
                     return;
                 }
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     // Became a neighbor while the probe was in flight.
-                    n.rtt_us = Some(rtt_us);
+                    n.set_rtt_us(rtt_us);
                     n.degrees = degrees;
                     return;
                 }
@@ -288,11 +287,9 @@ impl GoCastNode {
         let victim = self
             .neighbors
             .iter()
-            .filter(|(_, n)| {
-                n.kind == LinkKind::Nearby && n.rtt_us.is_some() && self.c1_allows(n.degrees)
-            })
-            .max_by_key(|(_, n)| n.rtt_us.unwrap_or(0))
-            .map(|(&p, n)| (p, n.rtt_us.unwrap_or(u64::MAX)));
+            .filter(|n| n.kind == LinkKind::Nearby && self.c1_allows(n.degrees))
+            .filter_map(|n| Some((n.id(), n.rtt_us()?)))
+            .max_by_key(|&(_, rtt_us)| rtt_us);
         let Some((u, u_rtt_us)) = victim else {
             return;
         };

@@ -17,6 +17,7 @@ mod tree;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::mem::size_of;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 use gocast_membership::MemberView;
@@ -28,7 +29,7 @@ use crate::config::GoCastConfig;
 use crate::types::{DegreeInfo, GoCastEvent, LinkKind, MsgId};
 use crate::wire::GoCastMsg;
 
-pub(crate) use neighbors::Neighbor;
+pub(crate) use neighbors::{Neighbor, NeighborTable};
 pub(crate) use tree::TreeState;
 
 /// Timer kinds (the `kind` field of [`Timer`]).
@@ -85,15 +86,54 @@ pub(crate) struct Pending {
     pub requested_from: Option<NodeId>,
 }
 
-/// An in-flight outgoing link request.
+/// An in-flight outgoing link request. The two optional fields keep their
+/// presence in a flag beside the value (32 bytes, and the flags give
+/// `Option<PendingLink>` its niche).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingLink {
     pub peer: NodeId,
     pub sent_at: SimTime,
+    rtt_us: u64,
+    replace: NodeId,
+    has_rtt: bool,
+    has_replace: bool,
+}
+
+impl PendingLink {
+    pub(crate) fn new(
+        peer: NodeId,
+        sent_at: SimTime,
+        rtt_us: Option<u64>,
+        replace: Option<NodeId>,
+    ) -> Self {
+        PendingLink {
+            peer,
+            sent_at,
+            rtt_us: rtt_us.unwrap_or(0),
+            replace: replace.unwrap_or(peer),
+            has_rtt: rtt_us.is_some(),
+            has_replace: replace.is_some(),
+        }
+    }
+
     /// RTT to `peer` measured by the preceding probe (nearby links).
-    pub rtt_us: Option<u64>,
+    pub(crate) fn rtt_us(&self) -> Option<u64> {
+        self.has_rtt.then_some(self.rtt_us)
+    }
+
     /// Nearby neighbor to drop if the request is accepted (replacement).
-    pub replace: Option<NodeId>,
+    pub(crate) fn replace(&self) -> Option<NodeId> {
+        self.has_replace.then_some(self.replace)
+    }
+}
+
+/// What a node is seeded with before it starts; consumed by `start`.
+#[derive(Debug)]
+struct Boot {
+    /// Links seeded before start (symmetric; typed nearby).
+    links: Vec<NodeId>,
+    /// Members seeded before start.
+    members: Vec<NodeId>,
 }
 
 /// The GoCast protocol state machine for one node.
@@ -101,54 +141,87 @@ pub(crate) struct PendingLink {
 /// Drive it with [`gocast_sim::Sim`]; interrogate it between runs through
 /// the read-only accessors ([`GoCastNode::degrees`],
 /// [`GoCastNode::tree_parent`], ...).
+///
+/// Fields are laid out in declaration order (`repr(C)`), in the order a
+/// dispatch reads them: at scale every event starts on a node that has
+/// left the cache, so what `on_message` and `on_timer` look at first —
+/// identity and flags, degree targets, the neighbor-table and view
+/// headers, cursors, tree state — fills the leading four cache lines, the
+/// dissemination containers follow, and the counters nobody reads during
+/// a run sit at the tail (the `layout` test pins the offsets).
 #[derive(Debug)]
+#[repr(C)]
 pub struct GoCastNode {
-    pub(crate) cfg: GoCastConfig,
+    /// One allocation per distinct configuration, shared by every node
+    /// built with an equal one ([`shared_config`]).
+    pub(crate) cfg: Arc<GoCastConfig>,
     pub(crate) id: NodeId,
+    pub(crate) joined: bool,
+    pub(crate) frozen: bool,
+    pub(crate) probe_queue_built: bool,
+    /// Adaptive-period state (future-work features): consecutive empty
+    /// gossip ticks, a generation counter to cancel slowed-down gossip
+    /// timers, and consecutive quiet maintenance cycles.
+    pub(crate) gossip_gen: u32,
+    pub(crate) gossip_backoff: u32,
+    pub(crate) maint_backoff: u32,
     /// This node's degree targets — `cfg.c_rand`/`cfg.c_near` scaled by
     /// the node's capacity factor (1 by default).
     pub(crate) c_rand: usize,
     pub(crate) c_near: usize,
-    pub(crate) joined: bool,
-    pub(crate) frozen: bool,
-    /// Links seeded before start (symmetric; typed nearby).
-    pub(crate) initial_links: Vec<NodeId>,
-    /// Members seeded before start.
-    pub(crate) initial_members: Vec<NodeId>,
+    pub(crate) neighbors: NeighborTable,
+    /// Round-robin cursor over `neighbors` for gossip.
+    pub(crate) gossip_cursor: Option<NodeId>,
+    pub(crate) tree: TreeState,
+    /// Total link additions + removals (also what adaptive maintenance
+    /// watches for a quiet cycle).
+    pub(crate) link_changes: u64,
     /// The partial member list, each member with its landmark
     /// coordinates: known iff some message carried them since the member
     /// entered the view, forgotten when it is evicted (§2.2.1 estimates
     /// latency "to nodes in S", the member list, and no further).
     pub(crate) view: MemberView<LandmarkVector>,
+    /// Position of the sorted walk in `probe_queue`.
+    pub(crate) probe_cursor: usize,
     pub(crate) coords: LandmarkVector,
-    pub(crate) neighbors: BTreeMap<NodeId, Neighbor>,
-    pub(crate) pending_link: Option<PendingLink>,
-    pub(crate) pending_rand_link: Option<PendingLink>,
     /// Next multicast sequence number.
     pub(crate) next_seq: u32,
-    pub(crate) store: FxHashMap<MsgId, Stored>,
     /// Reception order, for windowed gossip construction.
     pub(crate) recent: VecDeque<(MsgId, SimTime)>,
+    pub(crate) store: FxHashMap<MsgId, Stored>,
     pub(crate) pending_pulls: BTreeMap<MsgId, Pending>,
-    /// Round-robin cursor over `neighbors` for gossip.
-    pub(crate) gossip_cursor: Option<NodeId>,
-    /// Candidate probe order (estimated-latency ascending), then cursor.
+    /// Candidate probe order (estimated-latency ascending).
     pub(crate) probe_queue: Vec<NodeId>,
-    pub(crate) probe_cursor: usize,
-    pub(crate) probe_queue_built: bool,
-    pub(crate) tree: TreeState,
-    /// Adaptive-period state (future-work features): consecutive empty
-    /// gossip ticks, a generation counter to cancel slowed-down gossip
-    /// timers, and consecutive quiet maintenance cycles.
-    pub(crate) gossip_backoff: u32,
-    pub(crate) gossip_gen: u32,
-    pub(crate) maint_backoff: u32,
+    pub(crate) pending_link: Option<PendingLink>,
+    pub(crate) pending_rand_link: Option<PendingLink>,
+    boot: Option<Box<Boot>>,
     // Counters exposed to analysis.
     pub(crate) delivered: u64,
     pub(crate) redundant: u64,
-    pub(crate) link_changes: u64,
     /// Per-protocol activity counters (pushes, gossip, pulls, drops).
     pub(crate) counters: crate::types::ProtocolCounters,
+}
+
+/// `cfg` behind a pointer shared with every live node that was built with
+/// an equal configuration: a run has one configuration (a handful under
+/// ablations), and a private copy per node is a quarter of the node.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`GoCastConfig::validate`].
+fn shared_config(cfg: GoCastConfig) -> Arc<GoCastConfig> {
+    static LIVE: Mutex<Vec<Weak<GoCastConfig>>> = Mutex::new(Vec::new());
+    cfg.validate().expect("invalid GoCast configuration");
+    let mut live = LIVE.lock().expect("nothing panics under this lock");
+    // Newest first: a simulation builds its nodes back to back.
+    let mut held = live.iter().rev().filter_map(Weak::upgrade);
+    if let Some(shared) = held.find(|shared| **shared == cfg) {
+        return shared;
+    }
+    live.retain(|w| w.strong_count() > 0);
+    let shared = Arc::new(cfg);
+    live.push(Arc::downgrade(&shared));
+    shared
 }
 
 impl GoCastNode {
@@ -197,7 +270,7 @@ impl GoCastNode {
         members: Vec<NodeId>,
         capacity: usize,
     ) -> Self {
-        cfg.validate().expect("invalid GoCast configuration");
+        let cfg = shared_config(cfg);
         assert!(capacity > 0, "capacity must be positive");
         let view = MemberView::with_values(id, cfg.member_view_capacity);
         let tree = TreeState::new(cfg.root);
@@ -206,32 +279,31 @@ impl GoCastNode {
         GoCastNode {
             cfg,
             id,
-            c_rand,
-            c_near,
             joined: false,
             frozen: false,
-            initial_links: links,
-            initial_members: members,
+            probe_queue_built: false,
+            gossip_gen: 0,
+            gossip_backoff: 0,
+            maint_backoff: 0,
+            c_rand,
+            c_near,
+            neighbors: NeighborTable::default(),
+            gossip_cursor: None,
+            tree,
+            link_changes: 0,
             view,
+            probe_cursor: 0,
             coords: LandmarkVector::unknown(),
-            neighbors: BTreeMap::new(),
+            next_seq: 0,
+            recent: VecDeque::new(),
+            store: FxHashMap::default(),
+            pending_pulls: BTreeMap::new(),
+            probe_queue: Vec::new(),
             pending_link: None,
             pending_rand_link: None,
-            next_seq: 0,
-            store: FxHashMap::default(),
-            recent: VecDeque::new(),
-            pending_pulls: BTreeMap::new(),
-            gossip_cursor: None,
-            probe_queue: Vec::new(),
-            probe_cursor: 0,
-            probe_queue_built: false,
-            tree,
-            gossip_backoff: 0,
-            gossip_gen: 0,
-            maint_backoff: 0,
+            boot: Some(Box::new(Boot { links, members })),
             delivered: 0,
             redundant: 0,
-            link_changes: 0,
             counters: crate::types::ProtocolCounters::default(),
         }
     }
@@ -257,7 +329,7 @@ impl GoCastNode {
             t_near: self.c_near as u16,
             ..DegreeInfo::default()
         };
-        for n in self.neighbors.values() {
+        for n in self.neighbors.iter() {
             match n.kind {
                 LinkKind::Random => d.d_rand += 1,
                 LinkKind::Nearby => d.d_near += 1,
@@ -276,12 +348,12 @@ impl GoCastNode {
     pub fn overlay_links(&self) -> impl Iterator<Item = (NodeId, LinkKind, Option<Duration>)> + '_ {
         self.neighbors
             .iter()
-            .map(|(&p, n)| (p, n.kind, n.rtt_us.map(Duration::from_micros)))
+            .map(|n| (n.id(), n.kind, n.rtt_us().map(Duration::from_micros)))
     }
 
     /// Whether `peer` is an overlay neighbor.
     pub fn is_neighbor(&self, peer: NodeId) -> bool {
-        self.neighbors.contains_key(&peer)
+        self.neighbors.contains(peer)
     }
 
     /// The current tree parent (`None`: root or detached).
@@ -293,8 +365,8 @@ impl GoCastNode {
     pub fn tree_children(&self) -> Vec<NodeId> {
         self.neighbors
             .iter()
-            .filter(|(_, n)| n.is_child)
-            .map(|(&p, _)| p)
+            .filter(|n| n.is_child)
+            .map(Neighbor::id)
             .collect()
     }
 
@@ -367,9 +439,8 @@ impl GoCastNode {
 
     /// Bytes this node holds, by structure. Vectors and hash tables count
     /// their *capacity* (what the allocator handed out, buckets and control
-    /// bytes included). B-tree maps have no capacity to ask for: the
-    /// neighbor table counts whole leaves, which is what the allocator
-    /// holds, the short-lived pull table its entries.
+    /// bytes included). A B-tree map has no capacity to ask for: the
+    /// short-lived pull table counts its entries.
     pub fn mem_bytes(&self) -> NodeMem {
         fn table<K, V>(capacity: usize) -> usize {
             // hashbrown: capacity is 7/8 of the buckets, one control byte each.
@@ -378,7 +449,7 @@ impl GoCastNode {
         NodeMem {
             fixed: size_of::<Self>(),
             view: self.view.mem_bytes(),
-            neighbors: btree_leaf_bytes::<NodeId, Neighbor>(self.neighbors.len()),
+            neighbors: self.neighbors.mem_bytes(),
             store: table::<MsgId, Stored>(self.store.capacity())
                 + self
                     .store
@@ -459,20 +530,6 @@ impl NodeMem {
     }
 }
 
-/// What the allocator holds for a `BTreeMap<K, V>` of `len` entries, leaves
-/// only. Assumes std's layout: a leaf is allocated whole, with room for 11
-/// keys and 11 values beside a parent pointer and two `u16`s, whatever its
-/// fill. A degree-capped neighbor table sits in one leaf; past 11 entries
-/// this is a floor (leaves split to half fill, and internal nodes add 12
-/// edge pointers each).
-fn btree_leaf_bytes<K, V>(len: usize) -> usize {
-    const LEAF_ENTRIES: usize = 11;
-    let leaf = size_of::<usize>()
-        + 2 * size_of::<u16>()
-        + LEAF_ENTRIES * (size_of::<K>() + size_of::<V>());
-    len.div_ceil(LEAF_ENTRIES) * leaf.next_multiple_of(align_of::<usize>())
-}
-
 /// Coordinates as a message carried them: `None` when the sender had
 /// nothing measured, so an empty vector never overwrites a known one.
 pub(crate) fn known(coords: LandmarkVector) -> Option<LandmarkVector> {
@@ -507,7 +564,7 @@ impl Protocol for GoCastNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: GoCastMsg) {
-        if let Some(n) = self.neighbors.get_mut(&from) {
+        if let Some(n) = self.neighbors.get_mut(from) {
             n.last_seen = ctx.now();
         }
         match msg {
@@ -657,13 +714,13 @@ impl GoCastNode {
     /// on the same instant), and begin landmark probing.
     fn start(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.joined = true;
-        let members = std::mem::take(&mut self.initial_members);
-        for m in members {
-            self.view.insert(m, ctx.rng());
-        }
-        let links = std::mem::take(&mut self.initial_links);
-        for peer in links {
-            self.install_initial_link(ctx, peer);
+        if let Some(boot) = self.boot.take() {
+            for m in boot.members {
+                self.view.insert(m, ctx.rng());
+            }
+            for peer in boot.links {
+                self.install_initial_link(ctx, peer);
+            }
         }
 
         let jitter = |ctx: &mut Ctx<'_, Self>, max: Duration| {
@@ -697,8 +754,7 @@ impl GoCastNode {
 
     /// Graceful leave: tell every neighbor, then stop participating.
     fn leave(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let peers: Vec<NodeId> = self.neighbors.keys().copied().collect();
-        for p in peers {
+        while let Some(p) = self.neighbors.next_after(None) {
             self.drop_link(ctx, p, crate::types::DropReason::Surplus, true);
         }
         self.joined = false;
@@ -710,6 +766,50 @@ impl GoCastNode {
 mod tests {
     use super::*;
     use gocast_sim::{FixedLatency, SimBuilder};
+    use std::mem::offset_of;
+
+    /// The shape a dispatch depends on: what `on_message` and `on_timer`
+    /// read before anything else ends inside the node's first four cache
+    /// lines (the kernel prefetches exactly those one event ahead), the
+    /// counters come last, and a neighbor is one line.
+    #[test]
+    fn layout() {
+        assert!(
+            size_of::<GoCastNode>() <= 576,
+            "{}",
+            size_of::<GoCastNode>()
+        );
+        assert_eq!(size_of::<Neighbor>(), 64);
+        assert!(size_of::<Option<PendingLink>>() <= 32);
+        // `repr(C)`: declaration order. Everything declared before
+        // `next_seq` is the hot set; `counters` closes the struct.
+        assert!(offset_of!(GoCastNode, next_seq) <= 256);
+        assert_eq!(
+            offset_of!(GoCastNode, counters) + size_of::<crate::types::ProtocolCounters>(),
+            size_of::<GoCastNode>()
+        );
+    }
+
+    /// Nodes built with equal configurations share one; a different one
+    /// gets its own, and `config()` still reads as what was passed.
+    #[test]
+    fn equal_configs_are_shared() {
+        let odd = GoCastConfig {
+            payload_size: 777,
+            ..GoCastConfig::default()
+        };
+        let node =
+            |i: u32, cfg: &GoCastConfig| GoCastNode::new(NodeId::new(i), cfg.clone(), vec![]);
+        let (a, b, c) = (
+            node(0, &odd),
+            node(1, &odd),
+            node(2, &GoCastConfig::default()),
+        );
+        assert!(Arc::ptr_eq(&a.cfg, &b.cfg));
+        assert!(!Arc::ptr_eq(&a.cfg, &c.cfg));
+        assert_eq!(a.config(), &odd);
+        assert_eq!(c.config(), &GoCastConfig::default());
+    }
 
     /// What a node remembers about its peers is O(view + degree), however
     /// many peers the gossips mention and however long they keep coming.
@@ -745,7 +845,7 @@ mod tests {
         let bound = size_of::<GoCastNode>()
             + slots * (size_of::<NodeId>() + size_of::<LandmarkVector>())
             + slots * size_of::<NodeId>() // probe queue: one id per member
-            + btree_leaf_bytes::<NodeId, Neighbor>(max_degree);
+            + max_degree.next_multiple_of(neighbors::TABLE_GROWTH) * size_of::<Neighbor>();
         assert!(late <= bound, "{late} B held, bound {bound} B");
         assert!(
             late.abs_diff(early) * 20 <= early,

@@ -72,7 +72,7 @@ impl GoCastNode {
     }
 
     /// Sends our current tree advertisement to all neighbors but `except`.
-    fn flood_tree_ad(&mut self, ctx: &mut Ctx<'_, Self>, except: Option<NodeId>) {
+    fn flood_tree_ad(&self, ctx: &mut Ctx<'_, Self>, except: Option<NodeId>) {
         if self.tree.dist_us == DIST_INF {
             return;
         }
@@ -82,8 +82,7 @@ impl GoCastNode {
             seq: self.tree.seq,
             dist_us: self.tree.dist_us,
         };
-        let peers: Vec<NodeId> = self.neighbors.keys().copied().collect();
-        for p in peers {
+        for p in self.neighbors.ids() {
             if Some(p) != except {
                 ctx.send(p, ad.clone());
             }
@@ -124,7 +123,7 @@ impl GoCastNode {
         if self.frozen {
             return;
         }
-        if !self.neighbors.contains_key(&from) {
+        if !self.neighbors.contains(from) {
             // Advertisement raced a link drop.
             return;
         }
@@ -148,15 +147,12 @@ impl GoCastNode {
         }
 
         self.tree.last_heartbeat = ctx.now();
-        if let Some(n) = self.neighbors.get_mut(&from) {
-            n.route = Some((root, epoch, seq, dist_us));
+        let mut link_rtt = None;
+        if let Some(n) = self.neighbors.get_mut(from) {
+            n.set_route(root, epoch, seq, dist_us);
+            link_rtt = n.rtt_us();
         }
-
-        let link_rtt = self
-            .neighbors
-            .get(&from)
-            .and_then(|n| n.rtt_us)
-            .unwrap_or(100_000);
+        let link_rtt = link_rtt.unwrap_or(100_000);
         let cand = dist_us.saturating_add(link_rtt / 2);
 
         if seq > self.tree.seq {
@@ -192,7 +188,7 @@ impl GoCastNode {
             return;
         }
         if let Some(old) = self.tree.parent {
-            if self.neighbors.contains_key(&old) {
+            if self.neighbors.contains(old) {
                 ctx.send(old, GoCastMsg::ParentSelect { selected: false });
             }
         }
@@ -210,7 +206,7 @@ impl GoCastNode {
         from: NodeId,
         selected: bool,
     ) {
-        if let Some(n) = self.neighbors.get_mut(&from) {
+        if let Some(n) = self.neighbors.get_mut(from) {
             n.is_child = selected;
         }
     }
@@ -232,8 +228,8 @@ impl GoCastNode {
         let candidates = |require_seq: Option<u32>| {
             self.neighbors
                 .iter()
-                .filter_map(|(&p, n)| {
-                    let (root, epoch, seq, dist) = n.route?;
+                .filter_map(|n| {
+                    let (root, epoch, seq, dist) = n.route()?;
                     if root != self.tree.root || epoch != self.tree.epoch || dist == DIST_INF {
                         return None;
                     }
@@ -242,7 +238,10 @@ impl GoCastNode {
                             return None;
                         }
                     }
-                    Some((dist.saturating_add(n.rtt_us.unwrap_or(100_000) / 2), p))
+                    Some((
+                        dist.saturating_add(n.rtt_us().unwrap_or(100_000) / 2),
+                        n.id(),
+                    ))
                 })
                 .min()
         };

@@ -167,13 +167,13 @@ fn two_thousand_node_scale_run_stays_bounded() {
     run.drive(horizon(&opts, start, None));
     let (out, _) = run.finish_audited(0, |_, _| true);
 
-    // 12 KiB per node, everything included (protocol state, event
-    // queues, recorders, the latency model): a quarter above the 9.6 KiB
+    // 11 KiB per node, everything included (protocol state, event
+    // queues, recorders, the latency model): a quarter above the 8.9 KiB
     // the run peaks at. A 2000² latency table alone would be 16 MiB; a
     // per-node cache of every peer's coordinates (what the protocol kept
     // before the member view carried them) peaked at 38 KiB per node, and
     // queues and lane arenas that kept their start-up capacity at 16 KiB.
-    assert_clean_and_bounded(&out, opts.nodes, 2_000 * (12 << 10));
+    assert_clean_and_bounded(&out, opts.nodes, 2_000 * (11 << 10));
 
     // The ledger closes: what the nodes and the queues report holding is
     // most of what the allocator has handed out, and never more. A new

@@ -394,7 +394,8 @@ fn merge_barrier<P: Protocol>(
         });
         for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
             lanes.with(to.index() % count, |lane| {
-                lane.queue.schedule(at, Event::Deliver { from, to, msg });
+                let ev = Event::Deliver { from, to, msg };
+                lane.queue.schedule_hinted(at, to.as_u32(), ev);
             });
         }
         lanes.with(i, |lane| lane.outbox = outbox);

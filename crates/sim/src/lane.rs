@@ -26,7 +26,7 @@ use crate::id::NodeId;
 use crate::kernel::{EventClass, KernelStats};
 use crate::latency::LatencyModel;
 use crate::protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
-use crate::queue::{EventQueue, Scheduled};
+use crate::queue::{prefetch, EventQueue, Scheduled};
 use crate::recorder::{Recorder, VecRecorder};
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
@@ -342,6 +342,7 @@ impl<P: Protocol> Lane<P> {
         sink: &mut S,
     ) {
         self.kernel.events_processed += 1;
+        self.prefetch_next();
         if self.telemetry.enabled {
             self.telemetry.queue_depth.observe(self.queue.len() as u64);
             if self
@@ -358,6 +359,26 @@ impl<P: Protocol> Lane<P> {
             }
         }
         self.dispatch(ev.at, ev.payload, net, sink);
+    }
+
+    /// Starts fetching what the dispatch *after* this one reads first — the
+    /// new queue top's node (its leading lines), RNG and liveness flag —
+    /// so the misses overlap with the handler about to run. At scale every
+    /// event starts on a node that has left the cache (EXPERIMENTS.md
+    /// "Which share of an event grows with the population").
+    #[inline(always)]
+    fn prefetch_next(&self) {
+        let Some(hint) = self.queue.next_hint() else {
+            return;
+        };
+        let l = self.local(NodeId::new(hint));
+        if let (Some(p), Some(rng), Some(alive)) =
+            (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
+        {
+            prefetch(p);
+            prefetch(rng);
+            prefetch(alive);
+        }
     }
 
     #[inline(always)]
@@ -496,7 +517,8 @@ impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
         }
         let at = self.now + latency;
         if self.lanes == 1 || to.as_u32() % self.lanes == self.lane_index {
-            self.queue.schedule(at, Event::Deliver { from, to, msg });
+            self.queue
+                .schedule_hinted(at, to.as_u32(), Event::Deliver { from, to, msg });
         } else {
             self.outbox.push(CrossLaneMsg { at, from, to, msg });
         }
@@ -505,7 +527,7 @@ impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
         let node = self.from;
         self.queue
-            .schedule(self.now + delay, Event::Fire { node, timer });
+            .schedule_hinted(self.now + delay, node.as_u32(), Event::Fire { node, timer });
     }
 
     fn emit(&mut self, event: P::Event) {

@@ -15,7 +15,7 @@
 //! - **Payloads moved during sifting.** Kernel events embed whole protocol
 //!   messages (often close to a cache line each); a binary heap moves them
 //!   `O(log n)` times per operation. Here the heap orders small 24-byte
-//!   `(time, seq, slot)` entries and payloads sit still in a slab.
+//!   `(time, seq, slot, hint)` entries and payloads sit still in a slab.
 //! - **Binary heaps are tall.** A 4-ary layout halves the tree height, and
 //!   the four children of a node share at most two cache lines, so the
 //!   extra comparisons per level are cheaper than the levels they save.
@@ -46,6 +46,30 @@
 
 use crate::time::SimTime;
 
+/// Bytes of a value [`prefetch`] asks for: the four cache lines a protocol
+/// keeps its dispatch-time state in (`GoCastNode`'s `layout` test).
+const PREFETCH_BYTES: usize = 256;
+
+/// Hints the cache to load the leading [`PREFETCH_BYTES`] of `*t`. A
+/// prefetch has no architectural effect — it changes no register, memory
+/// or flag and cannot fault — so it cannot change what a run computes.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn prefetch<T>(t: &T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    let p = std::ptr::from_ref(t).cast::<i8>();
+    for line in 0..size_of::<T>().min(PREFETCH_BYTES).div_ceil(64) {
+        // SAFETY: `line * 64 < size_of::<T>()`, so the address stays inside
+        // the `T` that `t` borrows; the instruction itself accepts any
+        // address.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.add(line * 64)) };
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+pub(crate) fn prefetch<T>(_: &T) {}
+
 /// A scheduled entry: fires `payload` at `at`.
 ///
 /// `seq` is the queue-assigned insertion number; equal-`at` entries pop in
@@ -64,13 +88,21 @@ pub struct Scheduled<T> {
 /// halving the tree height of a binary heap.
 const ARITY: usize = 4;
 
-/// A heap entry: the ordering key plus the slab slot holding the payload.
+/// A heap entry: the ordering key plus the slab slot holding the payload,
+/// and the scheduler's hint in what would otherwise be padding.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     at: SimTime,
     seq: u64,
     slot: u32,
+    /// Never part of the key: see [`EventQueue::schedule_hinted`].
+    hint: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+
+/// The hint of an event scheduled without one.
+const NO_HINT: u32 = u32::MAX;
 
 impl Entry {
     #[inline]
@@ -161,6 +193,17 @@ impl<T> EventQueue<T> {
     /// Events scheduled for the same instant fire in insertion order.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, payload: T) {
+        self.schedule_hinted(at, NO_HINT, payload);
+    }
+
+    /// [`EventQueue::schedule`], with a word about the payload that
+    /// [`EventQueue::next_hint`] reports while the event is the earliest
+    /// pending one — without touching the payload's slot. The kernel puts
+    /// the target node there, to start fetching that node's state one event
+    /// ahead. A hint never takes part in ordering; `u32::MAX` reads back as
+    /// no hint.
+    #[inline]
+    pub fn schedule_hinted(&mut self, at: SimTime, hint: u32, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free_head {
@@ -178,7 +221,12 @@ impl<T> EventQueue<T> {
                 slot
             }
         };
-        self.heap.push(Entry { at, seq, slot });
+        self.heap.push(Entry {
+            at,
+            seq,
+            slot,
+            hint,
+        });
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -191,6 +239,9 @@ impl<T> EventQueue<T> {
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down(0);
+            // The next pop takes this slot, written a network latency ago:
+            // at scale it has left the cache since.
+            prefetch(&self.slab[self.heap[0].slot as usize]);
         }
         let next = self.free_head;
         let popped = std::mem::replace(&mut self.slab[top.slot as usize], Slot::Vacant { next });
@@ -275,6 +326,12 @@ impl<T> EventQueue<T> {
     /// The firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.at)
+    }
+
+    /// The hint the earliest pending event was scheduled with, if any.
+    #[inline]
+    pub fn next_hint(&self) -> Option<u32> {
+        self.heap.first().map(|e| e.hint).filter(|&h| h != NO_HINT)
     }
 
     /// Number of pending events.

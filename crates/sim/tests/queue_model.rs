@@ -134,7 +134,9 @@ proptest! {
                 // Schedule a burst of 1..4 events, often at equal times.
                 let at = now + Duration::from_nanos(rng.gen_range(0..50));
                 for _ in 0..rng.gen_range(1..4usize) {
-                    q.schedule(at, payload);
+                    // The model has never heard of hints: they must not
+                    // move a pop.
+                    q.schedule_hinted(at, rng.gen_range(0..=u32::MAX), payload);
                     model.schedule(at, payload);
                     payload += 1;
                 }
@@ -162,6 +164,26 @@ proptest! {
         }
         prop_assert!(q.is_empty());
     }
+}
+
+/// A hint rides beside the key and is never part of it: equal-time events
+/// scheduled with descending hints still pop in insertion order, each
+/// reporting its own hint while it is the earliest.
+#[test]
+fn hints_never_order_events() {
+    let mut q = EventQueue::new();
+    let at = SimTime::from_millis(3);
+    for i in 0..100u32 {
+        q.schedule_hinted(at, 99 - i, i);
+    }
+    q.schedule(at, 100);
+    for i in 0..100u32 {
+        assert_eq!(q.next_hint(), Some(99 - i));
+        assert_eq!(q.pop().map(|s| s.payload), Some(i));
+    }
+    assert_eq!(q.next_hint(), None, "scheduled without a hint");
+    assert_eq!(q.pop().map(|s| s.payload), Some(100));
+    assert_eq!(q.next_hint(), None, "empty");
 }
 
 /// Timers plus one message each in flight: `n` pending at the trough, `2n`
