@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use gocast::{snapshot, DeliveryPath, GoCastCommand, GoCastConfig, GoCastEvent, GoCastNode};
 use gocast_net::{synthetic_king, SyntheticKingConfig};
-use gocast_sim::{NodeId, Sim, SimBuilder, SimTime, VecRecorder};
+use gocast_sim::{NetFault, NodeId, Sim, SimBuilder, SimTime, VecRecorder};
 
 type Rec = VecRecorder<GoCastEvent>;
 
@@ -364,7 +364,7 @@ fn delivery_survives_link_failures_and_repairs() {
     let tree_peers = sim.node(victim).tree_neighbors();
     assert!(!tree_peers.is_empty());
     for p in &tree_peers {
-        sim.fail_link(victim, *p);
+        sim.apply_fault(NetFault::CutLink(victim, *p));
     }
     // A multicast still reaches the victim through gossip pulls over its
     // remaining overlay links.
@@ -388,7 +388,7 @@ fn delivery_survives_link_failures_and_repairs() {
     let parent = sim.node(victim).tree_parent();
     if let Some(p) = parent {
         assert!(
-            !sim.is_link_failed(victim, p),
+            !sim.faults().is_cut(victim, p),
             "victim must not keep a dead parent link"
         );
     }

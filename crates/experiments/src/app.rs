@@ -434,13 +434,17 @@ pub const WIRE_SCALE: Scale = Scale {
 ///
 /// # Errors
 ///
-/// Propagates socket binding errors.
+/// Propagates socket binding errors, and reports a scenario naming a node
+/// the wire population does not have.
 pub fn run_app_wire(
     opts: &ExpOptions,
     workload: Workload,
     label: &str,
     scenario: &Scenario,
 ) -> std::io::Result<AppOutcome> {
+    scenario
+        .check_nodes(opts.nodes)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let mut opts = opts.clone();
     if workload == Workload::Crdt {
         // When the plan's last event is a partition heal, the drain is

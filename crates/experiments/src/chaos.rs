@@ -441,11 +441,7 @@ pub fn parse_spec(spec: &str) -> Result<Scenario, String> {
         }
         let f = |key| arg::<f64>(&kv, name, key, None);
         let secs_or = |key: &str, default: Option<f64>| -> Result<Duration, String> {
-            let v = arg(&kv, name, key, default)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("`{key}` in `{name}` must be a non-negative time"));
-            }
-            Ok(Duration::from_secs_f64(v))
+            spec_time(arg(&kv, name, key, default)?).ok_or_else(|| bad_time(key, name))
         };
         let secs = |key| secs_or(key, None);
         let node = |key| arg::<u32>(&kv, name, key, None).map(NodeId::new);
@@ -493,14 +489,8 @@ pub fn parse_spec(spec: &str) -> Result<Scenario, String> {
                 s.loss_at(secs_or("at", Some(0.0))?, p)
             }
             "jitter" => {
-                let ms = f("ms")?;
-                if !(ms.is_finite() && ms >= 0.0) {
-                    return Err("jitter `ms` must be non-negative".into());
-                }
-                s.jitter_at(
-                    secs_or("at", Some(0.0))?,
-                    Duration::from_secs_f64(ms / 1000.0),
-                )
+                let jitter = spec_time(f("ms")? / 1000.0).ok_or_else(|| bad_time("ms", name))?;
+                s.jitter_at(secs_or("at", Some(0.0))?, jitter)
             }
             "protect" => s.protect(node("node")?),
             "floor" => s.min_present(count("n")?),
@@ -513,6 +503,23 @@ pub fn parse_spec(spec: &str) -> Result<Scenario, String> {
         };
     }
     Ok(s)
+}
+
+/// Longest time a spec may name: a quarter of what [`SimTime`] holds, so
+/// warm-up, offset, jitter and drain together cannot overflow the clock.
+const SPEC_TIME_MAX: Duration = Duration::from_nanos(u64::MAX / 4);
+
+/// `secs` as a duration, if it is a time a run can represent: finite,
+/// non-negative and at most [`SPEC_TIME_MAX`].
+fn spec_time(secs: f64) -> Option<Duration> {
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| *d <= SPEC_TIME_MAX)
+}
+
+fn bad_time(key: &str, name: &str) -> String {
+    let max = SPEC_TIME_MAX.as_secs();
+    format!("`{key}` in `{name}` must be a non-negative time of at most {max} s")
 }
 
 /// The clause argument `key=`, parsed as `T`; `default` stands in when the
@@ -534,8 +541,9 @@ where
 }
 
 /// Resolves `--spec STR` (which wins) or `--scenario NAME` to a label —
-/// `spec` or the preset name — and the scenario. The one place a bad
-/// spec or an unknown preset is reported; the binary owns the exit code.
+/// `spec` or the preset name — and the scenario, checked against
+/// `opts.nodes`. The one place a bad spec or an unknown preset is
+/// reported; the binary owns the exit code.
 pub fn resolve_scenario(
     opts: &ExpOptions,
     name: &str,
@@ -543,7 +551,7 @@ pub fn resolve_scenario(
 ) -> Result<(String, Scenario), String> {
     match spec {
         Some(spec) => parse_spec(spec)
-            .map(|s| ("spec".to_string(), s))
+            .and_then(|s| s.check_nodes(opts.nodes).map(|()| ("spec".to_string(), s)))
             .map_err(|e| format!("bad --spec: {e}")),
         None => builtin_scenario(name, opts)
             .map(|s| (name.to_string(), s))
@@ -673,6 +681,9 @@ mod tests {
             ("partition(at=1,heal=2,split=thirds)", "unknown split"),
             ("crash(at=1)", "node="),
             ("jitter(ms=-3)", "non-negative"),
+            ("jitter(ms=1e30)", "`ms` in `jitter` must be"),
+            ("crash(at=1e30,node=1)", "`at` in `crash` must be"),
+            ("loss(p=0.1,at=1e12)", "`at` in `loss`"),
             ("churn at=1", "name(k=v"),
             ("churn(at=1", "closing"),
             ("churn(at)", "k=v"),
@@ -710,6 +721,16 @@ mod tests {
         for (name, spec, needle) in [
             ("nope", None, "unknown scenario `nope`"),
             ("churn", Some("explode(at=1)"), "bad --spec"),
+            (
+                "churn",
+                Some("crash(at=1,node=99999)"),
+                "bad --spec: scenario references node 99999",
+            ),
+            (
+                "churn",
+                Some("cutlink(at=1,a=1,b=99999)"),
+                "bad --spec: scenario references node 99999",
+            ),
         ] {
             let errors = [
                 chaos(&opts, name, spec, 1).map(|_| ()).unwrap_err(),

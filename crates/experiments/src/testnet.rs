@@ -58,6 +58,9 @@ pub fn resolve(
     // An empty scenario (the `baseline` preset) keeps the strict delivery
     // gate; attaching it would relax it for nothing.
     let (_, sc) = resolve_scenario(opts, scenario, spec)?;
+    // The wire population can be smaller than the one the resolver checked.
+    sc.check_nodes(wire.nodes)
+        .map_err(|e| format!("bad --spec: {e}"))?;
     if spec.is_some() || sc.step_count() > 0 {
         conf = conf.with_scenario(sc);
     }

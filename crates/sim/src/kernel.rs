@@ -4,13 +4,14 @@
 //! [`Engine`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 use gocast_metrics::{Log2Histogram, Snapshot};
 
+use crate::fault::{FaultState, NetFault};
 use crate::id::NodeId;
-use crate::lane::{link_key, CrossLaneMsg, Event, Lane};
+use crate::lane::{CrossLaneMsg, Event, Lane};
 use crate::latency::LatencyModel;
 use crate::protocol::Protocol;
 use crate::recorder::{NullRecorder, Recorder};
@@ -39,7 +40,7 @@ pub struct KernelStats {
     /// sides of a network partition (a subset of `messages_dropped`).
     pub partition_drops: u64,
     /// Messages dropped at send time by the probabilistic-loss fault
-    /// injector ([`Engine::set_loss`]). Disjoint from `messages_dropped`.
+    /// injector ([`NetFault::SetLoss`]). Disjoint from `messages_dropped`.
     pub chaos_losses: u64,
     /// Timer firings dispatched.
     pub timers_fired: u64,
@@ -174,11 +175,12 @@ impl EventClass {
     }
 }
 
-/// Error returned by the `try_*` scheduling methods when the requested
+/// Error returned by [`Engine::try_schedule_command`] when the requested
 /// firing time is earlier than the simulation clock.
 ///
-/// The panicking variants ([`Engine::fail_node_at`], [`Engine::fail_link_at`],
-/// [`Engine::schedule_command`], ...) panic with this error's message.
+/// The panicking schedulers ([`Engine::schedule_command`],
+/// [`Engine::fail_node_at`], [`Engine::schedule_fault`]) panic with this
+/// error's message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PastScheduleError {
     /// The requested firing time.
@@ -465,7 +467,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         let mut lanes: Vec<Lane<P>> = (0..lane_count)
             .map(|i| {
                 let owned = (n - i).div_ceil(lane_count);
-                Lane::new(i as u32, lane_count as u32, seed, owned)
+                Lane::new(i as u32, lane_count as u32, seed, owned, n)
             })
             .collect();
         for g in 0..n {
@@ -689,20 +691,6 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         Ok(())
     }
 
-    /// Schedules a control event into every lane's queue (each lane holds
-    /// a replica of the global fault state).
-    fn try_broadcast(
-        &mut self,
-        at: SimTime,
-        make: impl Fn() -> Event<P::Msg, P::Command>,
-    ) -> Result<(), PastScheduleError> {
-        self.check_future(at)?;
-        for lane in &mut self.lanes {
-            lane.queue.schedule(at, make());
-        }
-        Ok(())
-    }
-
     /// Schedules command `cmd` for `node` at absolute time `at`.
     ///
     /// # Panics
@@ -763,17 +751,10 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past; use [`Engine::try_fail_node_at`] for a
-    /// fallible variant.
+    /// Panics if `at` is in the past.
     pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
-        self.try_fail_node_at(at, node)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a crash of `node` at absolute time `at`, or returns a
-    /// [`PastScheduleError`] if `at` has already passed.
-    pub fn try_fail_node_at(&mut self, at: SimTime, node: NodeId) -> Result<(), PastScheduleError> {
         self.try_schedule(at, node, Event::Fail { node })
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Crashes `node` immediately.
@@ -783,191 +764,47 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         lane.alive[l] = false;
     }
 
-    /// Cuts the (bidirectional) network path between `a` and `b`
-    /// immediately: messages in either direction are silently dropped
-    /// until [`Engine::heal_link`].
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
+    /// Applies a network fault immediately, to every lane's replica of the
+    /// fault state. Messages already in flight across a new cut or
+    /// partition are dropped on arrival (counted in
+    /// [`KernelStats::messages_dropped`] and, for a partition,
+    /// [`KernelStats::partition_drops`]); loss and jitter apply to every
+    /// subsequent send between distinct nodes, drawn from dedicated chaos
+    /// RNG streams (one per lane), so a run that never enables them is
+    /// byte-identical to one on a kernel without fault injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`FaultState::apply`] does: a node outside the
+    /// population, a partition that does not label every node, or a loss
+    /// probability outside `0.0..=1.0`.
+    pub fn apply_fault(&mut self, fault: NetFault) {
         for lane in &mut self.lanes {
-            lane.failed_links.set(link_key(a, b), true);
+            lane.faults.apply(&fault);
         }
     }
 
-    /// Restores a previously failed link.
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId) {
+    /// Schedules a network fault at absolute time `at` (see
+    /// [`Engine::apply_fault`]): a control event broadcast into every
+    /// lane's queue, counted once in [`KernelStats::control_events`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, or where [`Engine::apply_fault`]
+    /// would — at this call, not when the fault fires.
+    pub fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
+        self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
+        self.faults().validate(&fault);
         for lane in &mut self.lanes {
-            lane.failed_links.set(link_key(a, b), false);
+            lane.queue.schedule(at, Event::Control(fault.clone()));
         }
     }
 
-    /// Schedules a link cut at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past; use [`Engine::try_fail_link_at`] for a
-    /// fallible variant.
-    pub fn fail_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.try_fail_link_at(at, a, b)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a link cut at absolute time `at`, or returns a
-    /// [`PastScheduleError`] if `at` has already passed.
-    pub fn try_fail_link_at(
-        &mut self,
-        at: SimTime,
-        a: NodeId,
-        b: NodeId,
-    ) -> Result<(), PastScheduleError> {
-        self.try_broadcast(at, || Event::SetLink { a, b, up: false })
-    }
-
-    /// Schedules a link restore at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past; use [`Engine::try_heal_link_at`] for a
-    /// fallible variant.
-    pub fn heal_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.try_heal_link_at(at, a, b)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a link restore at absolute time `at`, or returns a
-    /// [`PastScheduleError`] if `at` has already passed.
-    pub fn try_heal_link_at(
-        &mut self,
-        at: SimTime,
-        a: NodeId,
-        b: NodeId,
-    ) -> Result<(), PastScheduleError> {
-        self.try_broadcast(at, || Event::SetLink { a, b, up: true })
-    }
-
-    /// Whether the path between `a` and `b` is currently cut.
-    pub fn is_link_failed(&self, a: NodeId, b: NodeId) -> bool {
-        self.lanes[0].failed_links.contains(link_key(a, b))
-    }
-
-    // ------------------------------------------------------------------
-    // Message-level fault injection (chaos engine).
-    // ------------------------------------------------------------------
-
-    /// Sets the per-message loss probability (`0.0..=1.0`) applied to every
-    /// subsequent send between distinct nodes. Lost messages count into
-    /// [`KernelStats::chaos_losses`], not `messages_dropped`.
-    ///
-    /// Loss draws come from dedicated chaos RNG streams (one per lane), so
-    /// runs with `p == 0.0` are byte-identical to runs on a kernel without
-    /// fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `0.0..=1.0`.
-    pub fn set_loss(&mut self, p: f64) {
-        let ppm = loss_ppm(p);
-        for lane in &mut self.lanes {
-            lane.faults.loss_ppm = ppm;
-        }
-    }
-
-    /// Current per-message loss probability.
-    pub fn loss(&self) -> f64 {
-        self.lanes[0].faults.loss_ppm as f64 / 1_000_000.0
-    }
-
-    /// Sets the maximum extra one-way latency added to every subsequent
-    /// send between distinct nodes; each message draws uniformly from
-    /// `[0, jitter]`. `Duration::ZERO` disables jitter.
-    pub fn set_jitter(&mut self, jitter: Duration) {
-        for lane in &mut self.lanes {
-            lane.faults.jitter_ns = saturating_nanos(jitter);
-        }
-    }
-
-    /// Current maximum latency jitter.
-    pub fn jitter(&self) -> Duration {
-        Duration::from_nanos(self.lanes[0].faults.jitter_ns)
-    }
-
-    /// Schedules a loss-probability change at absolute time `at` (see
-    /// [`Engine::set_loss`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past or `p` is not within `0.0..=1.0`.
-    pub fn set_loss_at(&mut self, at: SimTime, p: f64) {
-        let ppm = loss_ppm(p);
-        self.try_broadcast(at, || Event::SetLoss { ppm })
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules a jitter change at absolute time `at` (see
-    /// [`Engine::set_jitter`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn set_jitter_at(&mut self, at: SimTime, jitter: Duration) {
-        let nanos = saturating_nanos(jitter);
-        self.try_broadcast(at, || Event::SetJitter { nanos })
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn check_sides(&self, sides: Vec<u32>) -> Arc<Vec<u32>> {
-        assert_eq!(sides.len(), self.len(), "partition must label every node");
-        Arc::new(sides)
-    }
-
-    /// Installs a network partition immediately: `sides[i]` is node `i`'s
-    /// side label, and messages between nodes with different labels are
-    /// dropped in flight (counted in [`KernelStats::partition_drops`]).
-    /// Messages already in flight across the cut are dropped on arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sides.len()` differs from the node count.
-    pub fn set_partition(&mut self, sides: Vec<u32>) {
-        let sides = self.check_sides(sides);
-        for lane in &mut self.lanes {
-            lane.partition = Some(Arc::clone(&sides));
-        }
-    }
-
-    /// Removes the active partition (no-op when none is active).
-    pub fn clear_partition(&mut self) {
-        for lane in &mut self.lanes {
-            lane.partition = None;
-        }
-    }
-
-    /// Whether a partition is currently active.
-    pub fn is_partitioned(&self) -> bool {
-        self.lanes[0].partition.is_some()
-    }
-
-    /// Schedules a partition at absolute time `at` (see
-    /// [`Engine::set_partition`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past or `sides.len()` differs from the node
-    /// count.
-    pub fn partition_at(&mut self, at: SimTime, sides: Vec<u32>) {
-        let sides = Some(self.check_sides(sides));
-        self.try_broadcast(at, || Event::SetPartition {
-            sides: sides.clone(),
-        })
-        .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Schedules the removal of any active partition at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn heal_partition_at(&mut self, at: SimTime) {
-        self.try_broadcast(at, || Event::SetPartition { sides: None })
-            .unwrap_or_else(|e| panic!("{e}"));
+    /// The network's current fault state (every lane holds an identical
+    /// replica; the drop counters read here are lane 0's alone — the
+    /// all-lane totals are in [`Engine::kernel_stats`]).
+    pub fn faults(&self) -> &FaultState {
+        &self.lanes[0].faults
     }
 
     /// Calls `on_start` on every alive node, once (with more than one
@@ -1143,14 +980,6 @@ where
         self.fold_stats();
         self.now = deadline;
     }
-}
-
-fn loss_ppm(p: f64) -> u32 {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "loss probability {p} not in 0..=1"
-    );
-    (p * 1_000_000.0).round() as u32
 }
 
 fn saturating_nanos(d: Duration) -> u64 {
@@ -1454,9 +1283,9 @@ mod tests {
         sim.iter_nodes().map(|(_, p)| p.hops_seen).sum()
     }
 
-    /// Nodes `a..b` on side 1, everyone else on side 0.
-    fn sides(a: u32, b: u32) -> Vec<u32> {
-        (0..N).map(|i| u32::from((a..b).contains(&i))).collect()
+    /// A partition with nodes `a..b` on side 1, everyone else on side 0.
+    fn split(a: u32, b: u32) -> NetFault {
+        NetFault::partition((0..N).map(|i| u32::from((a..b).contains(&i))).collect())
     }
 
     fn assert_panics(expected: &str, f: impl FnOnce()) {
@@ -1567,9 +1396,9 @@ mod tests {
     fn failed_link_drops_traffic_both_ways_until_healed() {
         on_every_engine!(1, |sim| {
             // Cut 1 -> 2 from the start; the token dies on that hop.
-            sim.fail_link(NodeId::new(1), NodeId::new(2));
+            sim.apply_fault(NetFault::CutLink(NodeId::new(1), NodeId::new(2)));
             assert!(
-                sim.is_link_failed(NodeId::new(2), NodeId::new(1)),
+                sim.faults().is_cut(NodeId::new(2), NodeId::new(1)),
                 "undirected"
             );
             sim.run_until(ms(100));
@@ -1577,8 +1406,8 @@ mod tests {
             assert_eq!(sim.stats().dropped_to_dead(), 1);
             // Healing restores nothing retroactively (the message was lost),
             // but future traffic flows.
-            sim.heal_link(NodeId::new(1), NodeId::new(2));
-            assert!(!sim.is_link_failed(NodeId::new(1), NodeId::new(2)));
+            sim.apply_fault(NetFault::HealLink(NodeId::new(1), NodeId::new(2)));
+            assert!(!sim.faults().is_cut(NodeId::new(1), NodeId::new(2)));
         });
     }
 
@@ -1587,14 +1416,17 @@ mod tests {
         on_every_engine!(1, |sim| {
             // Cut 2 -> 3 at 25 ms: hops at 10 (0->1), 20 (1->2) deliver; the
             // 2->3 delivery at 30 ms is dropped.
-            sim.fail_link_at(ms(25), NodeId::new(2), NodeId::new(3));
+            sim.schedule_fault(ms(25), NetFault::CutLink(NodeId::new(2), NodeId::new(3)));
             sim.run_until(DONE);
             assert_eq!(hops(&sim), 2);
-            assert!(sim.is_link_failed(NodeId::new(2), NodeId::new(3)));
+            assert!(sim.faults().is_cut(NodeId::new(2), NodeId::new(3)));
             // Heal scheduling works too.
-            sim.heal_link_at(sim.now(), NodeId::new(2), NodeId::new(3));
+            sim.schedule_fault(
+                sim.now(),
+                NetFault::HealLink(NodeId::new(2), NodeId::new(3)),
+            );
             sim.run_for(Duration::from_millis(1));
-            assert!(!sim.is_link_failed(NodeId::new(2), NodeId::new(3)));
+            assert!(!sim.faults().is_cut(NodeId::new(2), NodeId::new(3)));
             // One cut and one heal, however many lanes replicate them.
             assert_eq!(sim.kernel_stats().control_events, 2);
         });
@@ -1663,14 +1495,21 @@ mod tests {
             sim.run_until(ms(50));
             assert_panics("in the past", || sim.schedule_command(ms(10), a, ()));
             assert_panics("in the past", || sim.fail_node_at(ms(10), a));
-            assert_panics("in the past", || sim.fail_link_at(ms(10), a, b));
-            assert_panics("in the past", || sim.heal_link_at(ms(10), a, b));
-            assert_panics("in the past", || sim.set_loss_at(ms(10), 0.5));
-            assert_panics("in the past", || {
-                sim.set_jitter_at(ms(10), Duration::from_millis(1))
-            });
-            assert_panics("in the past", || sim.partition_at(ms(10), sides(0, 2)));
-            assert_panics("in the past", || sim.heal_partition_at(ms(10)));
+            for fault in [
+                NetFault::CutLink(a, b),
+                NetFault::HealLink(a, b),
+                NetFault::SetLoss(0.5),
+                NetFault::SetJitter(Duration::from_millis(1)),
+                split(0, 2),
+                NetFault::HealPartition,
+            ] {
+                let text = PastScheduleError {
+                    at: ms(10),
+                    now: ms(50),
+                }
+                .to_string();
+                assert_panics(&text, || sim.schedule_fault(ms(10), fault));
+            }
         });
     }
 
@@ -1679,27 +1518,26 @@ mod tests {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         on_every_engine!(1, |sim| {
             sim.run_until(ms(50));
-            let err = sim.try_fail_node_at(ms(10), a).unwrap_err();
+            let err = sim.try_schedule_command(ms(10), a, ()).unwrap_err();
             assert_eq!(err.at, ms(10));
             assert_eq!(err.now, ms(50));
             assert!(err.to_string().contains("in the past"));
-            assert!(sim.try_fail_link_at(ms(10), a, b).is_err());
-            assert!(sim.try_heal_link_at(ms(10), a, b).is_err());
-            assert!(sim.try_schedule_command(ms(10), a, ()).is_err());
             // Present and future timestamps are fine.
-            sim.try_fail_node_at(ms(50), NodeId::new(2)).unwrap();
-            sim.try_fail_link_at(ms(60), a, b).unwrap();
+            sim.try_schedule_command(ms(50), a, ()).unwrap();
+            sim.fail_node_at(ms(50), NodeId::new(2));
+            sim.schedule_fault(ms(60), NetFault::CutLink(a, b));
             sim.run_until(ms(70));
+            assert_eq!(sim.kernel_stats().commands, 1);
             assert!(!sim.is_alive(NodeId::new(2)));
-            assert!(sim.is_link_failed(a, b));
+            assert!(sim.faults().is_cut(a, b));
         });
     }
 
     #[test]
     fn total_loss_kills_all_traffic_and_is_counted() {
         on_every_engine!(1, |sim| {
-            sim.set_loss(1.0);
-            assert_eq!(sim.loss(), 1.0);
+            sim.apply_fault(NetFault::SetLoss(1.0));
+            assert_eq!(sim.faults().loss(), 1.0);
             sim.run_until(DONE);
             assert_eq!(hops(&sim), 0, "every send is lost");
             let k = sim.kernel_stats();
@@ -1718,7 +1556,7 @@ mod tests {
         let mut sent = 0u64;
         for seed in 0..200 {
             let mut sim = serial(3, seed);
-            sim.set_loss(0.3);
+            sim.apply_fault(NetFault::SetLoss(0.3));
             sim.run_until_idle();
             let k = sim.kernel_stats();
             lost += k.chaos_losses;
@@ -1731,14 +1569,14 @@ mod tests {
     #[test]
     fn loss_is_deterministic_per_seed() {
         on_every_engine!(9, |a| {
-            a.set_loss(0.02);
+            a.apply_fault(NetFault::SetLoss(0.02));
             a.run_until(DONE);
             let lanes = a.lane_count();
             let first = (a.kernel_stats().chaos_losses, a.recorder().events.clone());
             assert!(!first.1.is_empty());
             on_every_engine!(9, |b| {
                 if b.lane_count() == lanes {
-                    b.set_loss(0.02);
+                    b.apply_fault(NetFault::SetLoss(0.02));
                     b.run_until(DONE);
                     let again = (b.kernel_stats().chaos_losses, b.recorder().events.clone());
                     assert_eq!(first, again);
@@ -1750,8 +1588,8 @@ mod tests {
     #[test]
     fn jitter_delays_but_preserves_delivery() {
         on_every_engine!(1, |sim| {
-            sim.set_jitter(Duration::from_millis(5));
-            assert_eq!(sim.jitter(), Duration::from_millis(5));
+            sim.apply_fault(NetFault::SetJitter(Duration::from_millis(5)));
+            assert_eq!(sim.faults().jitter(), Duration::from_millis(5));
             sim.run_until(DONE);
             assert_eq!(hops(&sim), HOPS, "jitter loses nothing");
             // 10ms of base latency per hop plus per-hop jitter in [0, 5ms].
@@ -1770,10 +1608,10 @@ mod tests {
             let lanes = plain.lane_count();
             on_every_engine!(3, |toggled| {
                 if toggled.lane_count() == lanes {
-                    toggled.set_loss(0.5);
-                    toggled.set_jitter(Duration::from_millis(2));
-                    toggled.set_loss(0.0);
-                    toggled.set_jitter(Duration::ZERO);
+                    toggled.apply_fault(NetFault::SetLoss(0.5));
+                    toggled.apply_fault(NetFault::SetJitter(Duration::from_millis(2)));
+                    toggled.apply_fault(NetFault::SetLoss(0.0));
+                    toggled.apply_fault(NetFault::SetJitter(Duration::ZERO));
                     toggled.run_until(DONE);
                     assert_eq!(plain.recorder().events, toggled.recorder().events);
                 }
@@ -1785,27 +1623,27 @@ mod tests {
     fn partition_blocks_cross_side_traffic_until_healed() {
         on_every_engine!(1, |sim| {
             // Nodes 0,1 vs the rest: the token dies on the 1 -> 2 hop.
-            sim.set_partition(sides(0, 2));
-            assert!(sim.is_partitioned());
+            sim.apply_fault(split(0, 2));
+            assert!(sim.faults().partition().is_some());
             sim.run_until(ms(100));
             assert_eq!(hops(&sim), 1);
             let k = sim.kernel_stats();
             assert_eq!(k.partition_drops, 1);
             assert_eq!(k.messages_dropped, 1);
-            sim.clear_partition();
-            assert!(!sim.is_partitioned());
+            sim.apply_fault(NetFault::HealPartition);
+            assert!(sim.faults().partition().is_none());
         });
     }
 
     #[test]
     fn scheduled_partition_and_heal_fire_at_time() {
         on_every_engine!(1, |sim| {
-            sim.partition_at(ms(25), sides(2, 4));
-            sim.heal_partition_at(ms(45));
+            sim.schedule_fault(ms(25), split(2, 4));
+            sim.schedule_fault(ms(45), NetFault::HealPartition);
             sim.run_until(ms(30));
-            assert!(sim.is_partitioned());
+            assert!(sim.faults().partition().is_some());
             sim.run_until(ms(50));
-            assert!(!sim.is_partitioned());
+            assert!(sim.faults().partition().is_none());
             // Hops at 10 (0->1), 20 (1->2, pre-partition) and 30 (2->3,
             // same side) delivered; 3->4 at 40 was dropped across the cut.
             assert_eq!(hops(&sim), 3);
@@ -1819,10 +1657,96 @@ mod tests {
     #[test]
     fn bad_fault_arguments_panic() {
         on_every_engine!(1, |sim| {
-            assert_panics("label every node", || sim.set_partition(vec![0, 1]));
-            assert_panics("label every node", || sim.partition_at(DONE, vec![0, 1]));
-            assert_panics("not in 0..=1", || sim.set_loss(1.5));
-            assert_panics("not in 0..=1", || sim.set_loss_at(DONE, -0.1));
+            let short = || NetFault::partition(vec![0, 1]);
+            let stranger = NetFault::CutLink(NodeId::new(0), NodeId::new(N));
+            assert_panics("label every node", || sim.apply_fault(short()));
+            assert_panics("label every node", || sim.schedule_fault(DONE, short()));
+            assert_panics("not in 0..=1", || sim.apply_fault(NetFault::SetLoss(1.5)));
+            assert_panics("not in 0..=1", || {
+                sim.schedule_fault(DONE, NetFault::SetLoss(-0.1))
+            });
+            assert_panics("outside the", || sim.schedule_fault(DONE, stranger));
+            // Rejected at the call: nothing was queued.
+            assert_eq!(sim.kernel_stats().queue_len, 0);
+        });
+    }
+
+    /// What a replica remembers, read through its public face.
+    fn settings(state: &FaultState) -> impl PartialEq + std::fmt::Debug {
+        let cut: Vec<(u32, u32)> = (0..N)
+            .flat_map(|a| (a..N).map(move |b| (a, b)))
+            .filter(|(a, b)| state.is_cut(NodeId::new(*a), NodeId::new(*b)))
+            .collect();
+        let sides = state.partition().map(<[u32]>::to_vec);
+        (state.loss(), state.jitter(), cut, sides)
+    }
+
+    #[test]
+    fn every_lane_replays_the_same_fault_sequence() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xFA17);
+        let faults: Vec<(SimTime, NetFault)> = (0..40)
+            .map(|i| {
+                let (a, b) = (rng.gen_range(0..N), rng.gen_range(0..N));
+                let fault = match rng.gen_range(0..6) {
+                    0 => NetFault::CutLink(NodeId::new(a), NodeId::new(b)),
+                    1 => NetFault::HealLink(NodeId::new(a), NodeId::new(b)),
+                    2 => split(a.min(b), a.max(b)),
+                    3 => NetFault::HealPartition,
+                    4 => NetFault::SetLoss(rng.gen_range(0..=1000u32) as f64 / 1000.0),
+                    _ => NetFault::SetJitter(Duration::from_micros(rng.gen_range(0..5_000))),
+                };
+                // Several faults share an instant: they apply in schedule order.
+                (ms(10 * (i / 3)), fault)
+            })
+            .collect();
+        let mut expected = FaultState::new(N as usize, 1, 0);
+        faults.iter().for_each(|(_, f)| expected.apply(f));
+
+        on_every_engine!(1, |sim| {
+            for (at, fault) in &faults {
+                sim.schedule_fault(*at, fault.clone());
+            }
+            sim.run_until(DONE);
+            assert_eq!(sim.kernel_stats().control_events, faults.len() as u64);
+            for lane in &sim.lanes {
+                assert_eq!(settings(&lane.faults), settings(&expected));
+            }
+        });
+    }
+
+    #[test]
+    fn apply_fault_mid_run_equals_scheduling_it_now() {
+        // With the token in flight, add loss and cut a link further round
+        // the ring: the same run whether applied in place or scheduled at
+        // `now`.
+        let cut = || NetFault::CutLink(NodeId::new(40), NodeId::new(41));
+        on_every_engine!(9, |applied| {
+            applied.run_until(ms(25));
+            applied.apply_fault(cut());
+            applied.apply_fault(NetFault::SetLoss(0.02));
+            applied.run_until(DONE);
+            let lanes = applied.lane_count();
+            on_every_engine!(9, |scheduled| {
+                if scheduled.lane_count() == lanes {
+                    scheduled.run_until(ms(25));
+                    scheduled.schedule_fault(scheduled.now(), cut());
+                    scheduled.schedule_fault(scheduled.now(), NetFault::SetLoss(0.02));
+                    scheduled.run_until(DONE);
+                    assert_eq!(applied.recorder().events, scheduled.recorder().events);
+                    assert!((3..=40).contains(&hops(&applied)), "lost or cut off");
+                    for (a, s) in applied.lanes.iter().zip(&scheduled.lanes) {
+                        assert_eq!(settings(&a.faults), settings(&s.faults));
+                    }
+                    // Only the scheduled ones are control events.
+                    let (a, s) = (applied.kernel_stats(), scheduled.kernel_stats());
+                    assert_eq!((a.control_events, s.control_events), (0, 2));
+                    assert_eq!(
+                        (a.messages_dropped, a.chaos_losses),
+                        (s.messages_dropped, s.chaos_losses)
+                    );
+                }
+            });
         });
     }
 

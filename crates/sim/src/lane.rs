@@ -10,18 +10,17 @@
 //!
 //! Link cuts, the loss/jitter state and the partition labelling are
 //! *global* facts applied at delivery (or send) time, so each lane holds a
-//! replica, updated by broadcasting the control event into every lane's
-//! queue; the partition side vector is shared behind an [`Arc`].
-//! Delivery-time checks are thus lane-local and the hot path takes no
-//! cross-lane locks.
+//! [`FaultState`] replica, updated by broadcasting the control event into
+//! every lane's queue. Delivery-time checks are thus lane-local and the
+//! hot path takes no cross-lane locks.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use gocast_metrics::Log2Histogram;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::fault::{FaultState, NetFault};
 use crate::id::NodeId;
 use crate::kernel::{EventClass, KernelStats};
 use crate::latency::LatencyModel;
@@ -32,7 +31,7 @@ use crate::stats::TrafficStats;
 use crate::time::SimTime;
 
 /// Odd 64-bit golden-ratio constant every seed derivation mixes with.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The engine's event representation.
 #[derive(Debug)]
@@ -45,14 +44,9 @@ pub(crate) enum Event<M, C> {
     Command { node: NodeId, cmd: C },
     /// The kernel marks `node` as crashed.
     Fail { node: NodeId },
-    /// The kernel changes the state of the link between two nodes.
-    SetLink { a: NodeId, b: NodeId, up: bool },
-    /// The kernel changes the injected message-loss probability (ppm).
-    SetLoss { ppm: u32 },
-    /// The kernel changes the injected latency jitter (max extra ns).
-    SetJitter { nanos: u64 },
-    /// The kernel installs (`Some`) or removes (`None`) a partition.
-    SetPartition { sides: Option<Arc<Vec<u32>>> },
+    /// The kernel changes the network's fault state (broadcast: every
+    /// lane's queue holds a copy).
+    Control(NetFault),
 }
 
 impl<M, C> Event<M, C> {
@@ -61,11 +55,7 @@ impl<M, C> Event<M, C> {
             Event::Deliver { .. } => EventClass::Deliver,
             Event::Fire { .. } => EventClass::Timer,
             Event::Command { .. } => EventClass::Command,
-            Event::Fail { .. }
-            | Event::SetLink { .. }
-            | Event::SetLoss { .. }
-            | Event::SetJitter { .. }
-            | Event::SetPartition { .. } => EventClass::Control,
+            Event::Fail { .. } | Event::Control(_) => EventClass::Control,
         }
     }
 }
@@ -76,89 +66,6 @@ pub(crate) struct CrossLaneMsg<M> {
     pub(crate) from: NodeId,
     pub(crate) to: NodeId,
     pub(crate) msg: M,
-}
-
-/// Message-level fault injection state: probabilistic loss and latency
-/// jitter, applied at send time.
-///
-/// Draws come from a dedicated RNG stream (derived from the master seed,
-/// separate from every per-node stream), so enabling chaos never perturbs
-/// protocol-level randomness, and a run without chaos makes zero draws —
-/// byte-identical to a build without this feature.
-#[derive(Debug)]
-pub(crate) struct NetFaults {
-    /// Per-message loss probability in parts per million (0 = off).
-    pub(crate) loss_ppm: u32,
-    /// Maximum extra one-way latency, drawn uniformly per message (0 = off).
-    pub(crate) jitter_ns: u64,
-    /// Dedicated chaos RNG stream.
-    rng: SmallRng,
-    /// Messages dropped by the loss injector.
-    losses: u64,
-}
-
-impl NetFaults {
-    /// Lane 0 draws from the stream a one-lane engine has always used, so
-    /// one lane behaves the same whichever builder made it; lane `i ≥ 1`
-    /// derives its own from the master seed and the lane index (stable
-    /// across thread counts).
-    fn for_lane(seed: u64, lane: u32) -> Self {
-        let seed = match lane {
-            0 => seed,
-            i => seed.wrapping_add(GOLDEN.wrapping_mul(i as u64 + 1)),
-        };
-        NetFaults {
-            loss_ppm: 0,
-            jitter_ns: 0,
-            // Distinct stream: per-node RNGs use seed * GOLDEN ^ node_index,
-            // so folding in a large constant cannot collide with any node.
-            rng: SmallRng::seed_from_u64(seed.wrapping_mul(GOLDEN) ^ 0xC4A0_5FA7_17E5_0123),
-            losses: 0,
-        }
-    }
-
-    /// Whether any send-time fault is enabled (single branch on the
-    /// no-chaos hot path).
-    #[inline]
-    fn active(&self) -> bool {
-        self.loss_ppm > 0 || self.jitter_ns > 0
-    }
-}
-
-pub(crate) fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// The set of currently failed links, as normalized `(min, max)` pairs.
-///
-/// Failure scenarios cut at most a handful of links, but the *membership
-/// check* sits on the per-delivery hot path, so the representation is a
-/// sorted `Vec` probed by binary search instead of a `HashSet`: the empty
-/// and tiny cases cost a length check plus at most a few comparisons, with
-/// none of SipHash's per-lookup hashing, and iteration order (hence any
-/// derived behaviour) is deterministic.
-#[derive(Debug, Default)]
-pub(crate) struct LinkSet(Vec<(NodeId, NodeId)>);
-
-impl LinkSet {
-    #[inline]
-    pub(crate) fn contains(&self, key: (NodeId, NodeId)) -> bool {
-        !self.0.is_empty() && self.0.binary_search(&key).is_ok()
-    }
-
-    pub(crate) fn set(&mut self, key: (NodeId, NodeId), failed: bool) {
-        match (self.0.binary_search(&key), failed) {
-            (Err(i), true) => self.0.insert(i, key),
-            (Ok(i), false) => {
-                self.0.remove(i);
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Deep kernel instrumentation, off by default
@@ -199,13 +106,8 @@ pub(crate) struct Lane<P: Protocol> {
     pub(crate) stats: TrafficStats,
     kernel: KernelStats,
     pub(crate) telemetry: KernelTelemetry,
-    /// Send-time fault injection (loss / jitter).
-    pub(crate) faults: NetFaults,
-    /// Currently failed links.
-    pub(crate) failed_links: LinkSet,
-    /// Active network partition: side label per (global) node. Messages
-    /// between nodes with different labels are dropped in flight.
-    pub(crate) partition: Option<Arc<Vec<u32>>>,
+    /// This lane's replica of the network's fault state.
+    pub(crate) faults: FaultState,
     /// Cross-lane sends made this window, in send order.
     pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
     /// Recorder events emitted this window, in emission order (unused
@@ -214,10 +116,11 @@ pub(crate) struct Lane<P: Protocol> {
 }
 
 impl<P: Protocol> Lane<P> {
-    /// An empty lane with room for exactly the `nodes` it will own: the
-    /// arenas are the simulation's largest allocations, and growing them
-    /// by doubling would leave up to half of each unused.
-    pub(crate) fn new(index: u32, lanes: u32, seed: u64, nodes: usize) -> Self {
+    /// An empty lane of a `population`-node simulation with room for
+    /// exactly the `nodes` it will own: the arenas are the simulation's
+    /// largest allocations, and growing them by doubling would leave up to
+    /// half of each unused.
+    pub(crate) fn new(index: u32, lanes: u32, seed: u64, nodes: usize, population: usize) -> Self {
         Lane {
             index,
             lanes,
@@ -232,9 +135,7 @@ impl<P: Protocol> Lane<P> {
                 queue_depth: Log2Histogram::new(),
                 dispatch_ns: [Log2Histogram::new(); EventClass::ALL.len()],
             },
-            faults: NetFaults::for_lane(seed, index),
-            failed_links: LinkSet::default(),
-            partition: None,
+            faults: FaultState::new(population, seed, index),
             outbox: Vec::new(),
             events_out: VecRecorder::new(),
         }
@@ -260,14 +161,6 @@ impl<P: Protocol> Lane<P> {
             node.index()
         } else {
             (node.as_u32() / self.lanes) as usize
-        }
-    }
-
-    #[inline]
-    fn partition_blocks(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            None => false,
-            Some(sides) => sides[a.index()] != sides[b.index()],
         }
     }
 
@@ -389,18 +282,10 @@ impl<P: Protocol> Lane<P> {
         net: &dyn LatencyModel,
         sink: &mut S,
     ) {
-        // A broadcast control event sits in every lane's queue; lane 0
-        // alone counts it, so `control_events` is per scheduled fault at
-        // any lane count.
-        let broadcast = u64::from(self.index == 0);
         match ev {
             Event::Deliver { from, to, msg } => {
-                let dead =
-                    !self.alive[self.local(to)] || self.failed_links.contains(link_key(from, to));
-                let cut = !dead && self.partition_blocks(from, to);
-                if dead || cut {
+                if !self.alive[self.local(to)] || self.faults.blocked(from, to) {
                     self.kernel.messages_dropped += 1;
-                    self.kernel.partition_drops += u64::from(cut);
                     self.stats.record_drop_to_dead();
                 } else {
                     self.kernel.deliveries += 1;
@@ -424,21 +309,11 @@ impl<P: Protocol> Lane<P> {
                 let l = self.local(node);
                 self.alive[l] = false;
             }
-            Event::SetLink { a, b, up } => {
-                self.kernel.control_events += broadcast;
-                self.failed_links.set(link_key(a, b), !up);
-            }
-            Event::SetLoss { ppm } => {
-                self.kernel.control_events += broadcast;
-                self.faults.loss_ppm = ppm;
-            }
-            Event::SetJitter { nanos } => {
-                self.kernel.control_events += broadcast;
-                self.faults.jitter_ns = nanos;
-            }
-            Event::SetPartition { sides } => {
-                self.kernel.control_events += broadcast;
-                self.partition = sides;
+            Event::Control(fault) => {
+                // Lane 0 alone counts the broadcast, so `control_events`
+                // is per scheduled fault at any lane count.
+                self.kernel.control_events += u64::from(self.index == 0);
+                self.faults.apply(&fault);
             }
         }
     }
@@ -477,7 +352,8 @@ impl<P: Protocol> Lane<P> {
         let mut k = self.kernel;
         k.queue_len = self.queue.len();
         k.events_scheduled = self.queue.scheduled_total();
-        k.chaos_losses = self.faults.losses;
+        k.chaos_losses = self.faults.losses();
+        k.partition_drops = self.faults.partition_drops();
         k.slab_slots = self.queue.slab_slots();
         k.queue_mem_bytes = self.queue.mem_bytes();
         k
@@ -495,7 +371,7 @@ struct Backend<'a, P: Protocol, S> {
     net: &'a dyn LatencyModel,
     queue: &'a mut EventQueue<Event<P::Msg, P::Command>>,
     stats: &'a mut TrafficStats,
-    faults: &'a mut NetFaults,
+    faults: &'a mut FaultState,
     outbox: &'a mut Vec<CrossLaneMsg<P::Msg>>,
     sink: &'a mut S,
 }
@@ -503,16 +379,13 @@ struct Backend<'a, P: Protocol, S> {
 impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
     fn send(&mut self, to: NodeId, msg: P::Msg) {
         // Send-path order: count the send, then the loss draw, then jitter.
-        let (from, faults) = (self.from, &mut *self.faults);
+        let from = self.from;
         let mut latency = self.net.one_way(from, to);
         self.stats.record(from, to, msg.wire_size(), msg.class());
-        if faults.active() && to != from {
-            if faults.loss_ppm > 0 && faults.rng.gen_range(0..1_000_000u32) < faults.loss_ppm {
-                faults.losses += 1;
-                return;
-            }
-            if faults.jitter_ns > 0 {
-                latency += Duration::from_nanos(faults.rng.gen_range(0..=faults.jitter_ns));
+        if self.faults.active() {
+            match self.faults.draw(from, to) {
+                Some(extra) => latency += extra,
+                None => return,
             }
         }
         let at = self.now + latency;

@@ -88,6 +88,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod fault;
 mod hash;
 mod id;
 mod kernel;
@@ -103,6 +104,7 @@ mod stats;
 mod time;
 mod trace;
 
+pub use fault::{FaultState, NetFault};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::NodeId;
 pub use kernel::{

@@ -14,10 +14,11 @@
 //! - compiling a scenario cannot perturb protocol behaviour: nodes draw
 //!   from their own streams exactly as they would without chaos.
 //!
-//! The plan is protocol-agnostic. Crashes, link state, partitions, loss,
-//! and jitter map directly onto kernel controls; graceful *leave* and
-//! *join* are expressed as protocol commands supplied by the caller when
-//! scheduling the plan (see [`ScenarioPlan::schedule_into`]).
+//! The plan is protocol-agnostic. Crashes are kernel controls, network
+//! faults ([`Fault::Net`]) go to the kernel's [`FaultState`](crate::FaultState)
+//! as they are; graceful *leave* and *join* are expressed as protocol
+//! commands supplied by the caller when scheduling the plan (see
+//! [`ScenarioPlan::schedule_into`]).
 //!
 //! ```
 //! use gocast_sim::{Scenario, ScenarioEnv, Split};
@@ -46,6 +47,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fault::NetFault;
 use crate::id::NodeId;
 use crate::kernel::{Engine, Mode};
 use crate::protocol::Protocol;
@@ -78,18 +80,9 @@ pub enum Fault {
         /// A node expected to be in the overlay at that time.
         contact: NodeId,
     },
-    /// Cut the network path between two nodes.
-    CutLink(NodeId, NodeId),
-    /// Restore a previously cut path.
-    HealLink(NodeId, NodeId),
-    /// Install a partition (side label per node).
-    Partition(Vec<u32>),
-    /// Remove the active partition.
-    HealPartition,
-    /// Set the per-message loss probability.
-    SetLoss(f64),
-    /// Set the maximum per-message latency jitter.
-    SetJitter(Duration),
+    /// Change the network's fault state: link cuts, partitions, loss,
+    /// jitter.
+    Net(NetFault),
 }
 
 /// A [`Fault`] with its absolute firing time.
@@ -440,10 +433,33 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if a step requires group information the environment does
-    /// not carry, references a node id outside `0..env.nodes()`, or a
-    /// [`Split::Custom`] label vector has the wrong length.
+    /// not carry, references a node id outside `0..env.nodes()` (see
+    /// [`Scenario::check_nodes`]), or a [`Split::Custom`] label vector has
+    /// the wrong length.
     pub fn compile(&self, env: &ScenarioEnv<'_>) -> ScenarioPlan {
+        self.check_nodes(env.nodes)
+            .unwrap_or_else(|e| panic!("{e}"));
         Compiler::new(self, env).run()
+    }
+
+    /// Checks that every node a step names exists in a population of
+    /// `nodes`: what [`Scenario::compile`] requires, as an error a caller
+    /// holding user input can report.
+    pub fn check_nodes(&self, nodes: usize) -> Result<(), String> {
+        for step in &self.steps {
+            // The largest id a step names is the one that can be out of range.
+            let node = match *step {
+                Step::Crash { node, .. } | Step::CrashGroupOf { node, .. } => node,
+                Step::CutLink { a, b, .. } | Step::HealLink { a, b, .. } => a.max(b),
+                _ => continue,
+            };
+            if node as usize >= nodes {
+                return Err(format!(
+                    "scenario references node {node} but the environment has {nodes} nodes"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -499,14 +515,6 @@ impl<'s, 'e> Compiler<'s, 'e> {
             .expect("scenario uses group-correlated faults but the environment has no groups")
     }
 
-    fn check_node(&self, node: u32) {
-        assert!(
-            (node as usize) < self.env.nodes,
-            "scenario references node {node} but the environment has {} nodes",
-            self.env.nodes
-        );
-    }
-
     fn run(mut self) -> ScenarioPlan {
         // Phase 1: collect membership-affecting operations with stable
         // ordering keys, expanding Poisson processes into arrivals.
@@ -533,13 +541,9 @@ impl<'s, 'e> Compiler<'s, 'e> {
                 }
                 Step::MassLeave { at, count } => push(&mut ops, *at, MemOp::MassLeave(*count)),
                 Step::FlashCrowd { at, count } => push(&mut ops, *at, MemOp::Flash(*count)),
-                Step::Crash { at, node } => {
-                    self.check_node(*node);
-                    push(&mut ops, *at, MemOp::Crash(*node));
-                }
+                Step::Crash { at, node } => push(&mut ops, *at, MemOp::Crash(*node)),
                 Step::CrashGroup { at, group } => push(&mut ops, *at, MemOp::CrashGroup(*group)),
                 Step::CrashGroupOf { at, node } => {
-                    self.check_node(*node);
                     push(&mut ops, *at, MemOp::CrashGroupOf(*node));
                 }
                 _ => {}
@@ -575,27 +579,22 @@ impl<'s, 'e> Compiler<'s, 'e> {
         for step in &self.scenario.steps {
             match step {
                 Step::CutLink { at, a, b } => {
-                    self.check_node(*a);
-                    self.check_node(*b);
-                    let f = Fault::CutLink(NodeId::new(*a), NodeId::new(*b));
-                    self.emit(self.at(*at), f);
+                    let f = NetFault::CutLink(NodeId::new(*a), NodeId::new(*b));
+                    self.emit_net(*at, f);
                 }
                 Step::HealLink { at, a, b } => {
-                    self.check_node(*a);
-                    self.check_node(*b);
-                    let f = Fault::HealLink(NodeId::new(*a), NodeId::new(*b));
-                    self.emit(self.at(*at), f);
+                    let f = NetFault::HealLink(NodeId::new(*a), NodeId::new(*b));
+                    self.emit_net(*at, f);
                 }
-                Step::Loss { at, p } => self.emit(self.at(*at), Fault::SetLoss(*p)),
-                Step::Jitter { at, jitter } => self.emit(self.at(*at), Fault::SetJitter(*jitter)),
+                Step::Loss { at, p } => self.emit_net(*at, NetFault::SetLoss(*p)),
+                Step::Jitter { at, jitter } => self.emit_net(*at, NetFault::SetJitter(*jitter)),
                 Step::Partition { at, heal_at, split } => {
                     let sides = self.resolve_split(split);
-                    let at = self.at(*at);
-                    let heal = self.at(*heal_at);
-                    self.bursts.push((at, "partition".to_string()));
-                    self.bursts.push((heal, "partition-heal".to_string()));
-                    self.emit(at, Fault::Partition(sides));
-                    self.emit(heal, Fault::HealPartition);
+                    self.bursts.push((self.at(*at), "partition".to_string()));
+                    self.bursts
+                        .push((self.at(*heal_at), "partition-heal".to_string()));
+                    self.emit_net(*at, NetFault::partition(sides));
+                    self.emit_net(*heal_at, NetFault::HealPartition);
                 }
                 _ => {}
             }
@@ -652,6 +651,10 @@ impl<'s, 'e> Compiler<'s, 'e> {
 
     fn emit(&mut self, at: SimTime, fault: Fault) {
         self.events.push(PlannedFault { at, fault });
+    }
+
+    fn emit_net(&mut self, offset: Duration, fault: NetFault) {
+        self.emit(self.at(offset), Fault::Net(fault));
     }
 
     fn present_count(&self) -> usize {
@@ -842,10 +845,10 @@ impl ScenarioPlan {
     }
 
     /// Schedules every planned fault onto `sim` — a [`Sim`](crate::Sim) or
-    /// a [`ShardedSim`](crate::ShardedSim) alike. Kernel faults (crashes,
-    /// link state, partitions, loss, jitter) are applied directly;
-    /// [`Fault::Leave`] and [`Fault::Join`] become protocol commands built
-    /// by `leave` / `join` (`join` receives the contact node).
+    /// a [`ShardedSim`](crate::ShardedSim) alike. Crashes and network
+    /// faults are the kernel's own; [`Fault::Leave`] and [`Fault::Join`]
+    /// become protocol commands built by `leave` / `join` (`join` receives
+    /// the contact node).
     ///
     /// # Panics
     ///
@@ -873,12 +876,7 @@ impl ScenarioPlan {
                 Fault::Join { node, contact } => {
                     sim.schedule_command(ev.at, *node, join(*contact));
                 }
-                Fault::CutLink(a, b) => sim.fail_link_at(ev.at, *a, *b),
-                Fault::HealLink(a, b) => sim.heal_link_at(ev.at, *a, *b),
-                Fault::Partition(sides) => sim.partition_at(ev.at, sides.clone()),
-                Fault::HealPartition => sim.heal_partition_at(ev.at),
-                Fault::SetLoss(p) => sim.set_loss_at(ev.at, *p),
-                Fault::SetJitter(j) => sim.set_jitter_at(ev.at, *j),
+                Fault::Net(fault) => sim.schedule_fault(ev.at, fault.clone()),
             }
         }
     }
@@ -1145,12 +1143,15 @@ mod tests {
             )
             .compile(&env);
         let sides = |plan: &ScenarioPlan| match &plan.events()[0].fault {
-            Fault::Partition(s) => s.clone(),
+            Fault::Net(NetFault::Partition(s)) => s.to_vec(),
             f => panic!("expected partition, got {f:?}"),
         };
         assert_eq!(sides(&halves), vec![0, 0, 1, 1]);
         assert_eq!(sides(&isolate), vec![0, 1, 1, 0]);
-        assert!(matches!(halves.events()[1].fault, Fault::HealPartition));
+        assert!(matches!(
+            halves.events()[1].fault,
+            Fault::Net(NetFault::HealPartition)
+        ));
     }
 
     #[test]
@@ -1182,12 +1183,15 @@ mod tests {
         plan.schedule_into(&mut sim, QuietCmd::Join, || QuietCmd::Leave);
         sim.run_until(SimTime::from_secs(5) + Duration::from_millis(1));
         assert!(!sim.is_alive(NodeId::new(5)));
-        assert!(sim.is_partitioned());
-        assert!(sim.is_link_failed(NodeId::new(0), NodeId::new(1)));
-        assert_eq!(sim.loss(), 0.25);
-        assert_eq!(sim.jitter(), Duration::from_millis(7));
+        assert!(sim.faults().partition().is_some());
+        assert!(sim.faults().is_cut(NodeId::new(0), NodeId::new(1)));
+        assert_eq!(sim.faults().loss(), 0.25);
+        assert_eq!(sim.faults().jitter(), Duration::from_millis(7));
         sim.run_until(SimTime::from_secs(7));
-        assert!(!sim.is_partitioned(), "partition healed on schedule");
+        assert!(
+            sim.faults().partition().is_none(),
+            "partition healed on schedule"
+        );
         // 1 crash + 2 leaves + 2 joins + cut + partition + heal + loss + jitter.
         assert_eq!(plan.len(), 10);
         let k = sim.kernel_stats();

@@ -7,11 +7,11 @@
 //! each on its own OS thread (one shard runs inline on the caller's
 //! thread). Every shard runs the same synchronous loop over its slice:
 //!
-//! 1. replay due [`ScenarioPlan`] faults into the impairment shim /
+//! 1. replay due [`ScenarioPlan`] faults into the fault state /
 //!    protocol commands;
 //! 2. fire due protocol commands scheduled by the harness;
 //! 3. fire due timers per node;
-//! 4. release impairment-delayed datagrams whose hold expired;
+//! 4. release jitter-delayed datagrams whose hold expired;
 //! 5. drain every socket in `recvmmsg` batches, decode the transport
 //!    frame, learn the sender's address, and dispatch;
 //! 6. flush gathered outbound datagrams in one `sendmmsg` batch; if the
@@ -56,7 +56,8 @@ pub struct TestnetConfig {
     /// The first `seed_count` nodes are bootstrap seeds: their addresses
     /// are the only ones every node is configured with.
     pub seed_count: usize,
-    /// Run seed (per-node RNGs and the impairment stream derive from it).
+    /// Run seed (per-node RNGs and the per-shard loss/jitter streams
+    /// derive from it).
     pub seed: u64,
     /// Event-loop shards: nodes are partitioned `id % shards` across
     /// this many OS threads. `1` (the default) runs everything inline on
@@ -107,7 +108,7 @@ impl TestnetConfig {
 ///
 /// Generic over the hosted [`Stack`] (defaulting to [`GoCastNode`]): any
 /// protocol speaking the GoCast message set — e.g. an application tier
-/// layered over it — runs on the same sockets, impairments, and batching
+/// layered over it — runs on the same sockets, fault state, and batching
 /// unchanged.
 #[derive(Debug)]
 pub struct Testnet<N: Stack<Msg = GoCastMsg, Event = GoCastEvent> = GoCastNode> {
@@ -245,7 +246,7 @@ where
     pub fn stats(&self) -> FabricStats {
         let mut total = FabricStats::default();
         for sh in &self.shards {
-            total.absorb(&sh.stats);
+            total.absorb(&sh.stats());
         }
         total
     }
@@ -374,7 +375,7 @@ where
     /// Attaches a compiled scenario: its faults replay against the real
     /// sockets at their planned (fabric-relative) times. Compile the plan
     /// with `ScenarioEnv::starting_at` to offset it into the run. Every
-    /// shard replays the full plan against its own impairment replica.
+    /// shard replays the full plan against its own fault-state replica.
     ///
     /// # Panics
     ///

@@ -11,10 +11,13 @@
 //! - **Seed bootstrap** ([`bootstrap`]): nodes start knowing only the
 //!   seed nodes' addresses and discover the rest at runtime through a
 //!   tiny WHOHAS/PEER side protocol.
-//! - **Chaos parity** ([`impair`]): the same compiled
+//! - **Chaos parity**: the same compiled
 //!   [`gocast_sim::scenario::ScenarioPlan`]s the PR-4 chaos engine runs
 //!   in simulation replay against the real sockets — loss, jitter,
-//!   partitions, link cuts, crash/leave/join.
+//!   partitions, link cuts, crash/leave/join — and each shard keeps the
+//!   network faults in the kernel's own [`gocast_sim::FaultState`],
+//!   consulted on the transmit path before `send_to`, so the two hosts
+//!   cannot disagree on what a fault means.
 //! - **Wire-side tracing**: every protocol event a node emits is captured
 //!   with fabric-monotonic time and rendered in the PR-2 JSONL trace
 //!   format, so `gocast_analysis::trace` (including the
@@ -57,14 +60,12 @@ pub mod batch;
 pub mod bootstrap;
 pub mod conformance;
 mod fabric;
-pub mod impair;
 mod shard;
 
 pub use batch::{BatchBuffer, BatchMode, RecvBatch};
 pub use bootstrap::PeerTable;
 pub use conformance::{ConformanceOptions, ConformanceReport, SideReport};
 pub use fabric::{FabricStats, Testnet, TestnetConfig};
-pub use impair::{Impairments, Verdict};
 
 use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;

@@ -12,9 +12,13 @@
 //! simulator's `parallel_map` uses.
 //!
 //! Each shard replays the *full* scenario plan against its own
-//! [`Impairments`] replica (network faults and crash marks are global
-//! state every shard must agree on), but dispatches `Leave`/`Join`
-//! protocol commands only for nodes it owns.
+//! [`FaultState`] replica and crash marks (global state every shard must
+//! agree on), but dispatches `Leave`/`Join` protocol commands only for
+//! nodes it owns. The fault state is the simulation kernel's own type, so
+//! loss, jitter, partitions and link cuts mean on real sockets exactly
+//! what they mean in simulation; where the kernel consults it as it moves
+//! a message, the shard consults it in [`Tx::transmit`], before the
+//! datagram reaches the operating system.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -22,7 +26,9 @@ use std::time::{Duration, Instant};
 use gocast::{decode, encode_into, GoCastEvent, GoCastMsg};
 use gocast_metrics::{Gauge, Log2Histogram};
 use gocast_sim::scenario::{Fault, PlannedFault};
-use gocast_sim::{Ctx, FxHashMap, HostBackend, NodeId, Protocol, SimTime, Stack, Timer};
+use gocast_sim::{
+    Ctx, FaultState, FxHashMap, HostBackend, NodeId, Protocol, SimTime, Stack, Timer,
+};
 use gocast_udp::{DelayQueue, TimerWheel};
 use rand::rngs::SmallRng;
 
@@ -30,7 +36,6 @@ use crate::batch::{BatchBuffer, BatchMode, RecvBatch, RECV_BATCH};
 use crate::bootstrap::{
     decode_frame, encode_peer, encode_whohas, frame_data_into, Frame, PeerTable,
 };
-use crate::impair::{Impairments, Verdict};
 
 /// Messages queued per unknown peer before the oldest is dropped.
 const PENDING_CAP: usize = 64;
@@ -190,7 +195,11 @@ pub(crate) struct Shard<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> {
     pub(crate) epoch: Instant,
     started: bool,
     pub(crate) slots: Vec<NodeSlot<N>>,
-    impair: Impairments,
+    /// This shard's replica of the network's fault state.
+    faults: FaultState,
+    /// Crash mark per (global) node: a crashed node neither sends nor
+    /// receives.
+    crashed: Vec<bool>,
     plan: Vec<PlannedFault>,
     plan_next: usize,
     cmds: Vec<(SimTime, NodeId, N::Command)>,
@@ -199,7 +208,9 @@ pub(crate) struct Shard<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> {
     /// This shard's slice of the event stream; drained by the merge.
     pub(crate) trace: Vec<(SimTime, NodeId, GoCastEvent)>,
     record_trace: bool,
-    pub(crate) stats: FabricStats,
+    /// Everything but the three drop counters the fault state keeps
+    /// (see [`Shard::stats`]).
+    stats: FabricStats,
     pub(crate) telemetry: FabricTelemetry,
     batch: BatchBuffer,
     /// Local slot index whose socket owns the gathered batch, if any.
@@ -238,7 +249,9 @@ where
             epoch: Instant::now(),
             started: false,
             slots: Vec::new(),
-            impair: Impairments::new(nodes_total, seed),
+            // One stream per shard, as the kernel has one per lane.
+            faults: FaultState::new(nodes_total, seed, index as u32),
+            crashed: vec![false; nodes_total],
             plan: Vec::new(),
             plan_next: 0,
             cmds: Vec::new(),
@@ -266,7 +279,18 @@ where
     }
 
     pub(crate) fn is_crashed(&self, id: NodeId) -> bool {
-        self.impair.is_crashed(id)
+        self.crashed[id.index()]
+    }
+
+    /// This shard's wire counters, with the drops its fault state counted
+    /// by cause.
+    pub(crate) fn stats(&self) -> FabricStats {
+        FabricStats {
+            dropped_loss: self.faults.losses(),
+            dropped_partition: self.faults.partition_drops(),
+            dropped_cut: self.faults.cut_drops(),
+            ..self.stats
+        }
     }
 
     pub(crate) fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
@@ -343,7 +367,7 @@ where
             while self.cmds_next < self.cmds.len() && self.cmds[self.cmds_next].0 <= now_s {
                 let (_, id, cmd) = self.cmds[self.cmds_next].clone();
                 self.cmds_next += 1;
-                if !self.impair.is_crashed(id) {
+                if !self.is_crashed(id) {
                     let local = id.index() / self.shard_count;
                     self.with_ctx(local, |n, ctx| n.on_command(ctx, cmd));
                 }
@@ -351,7 +375,7 @@ where
             }
             // 3. Due timers, per owned node.
             for local in 0..self.slots.len() {
-                if self.impair.is_crashed(self.global_id(local)) {
+                if self.is_crashed(self.global_id(local)) {
                     continue;
                 }
                 while let Some(t_deadline) = self.slots[local].timers.next_deadline() {
@@ -383,7 +407,7 @@ where
             let recv_before = self.stats.datagrams_received;
             let mut recv = std::mem::take(&mut self.recv);
             for local in 0..self.slots.len() {
-                if self.impair.is_crashed(self.global_id(local)) {
+                if self.is_crashed(self.global_id(local)) {
                     continue;
                 }
                 for _ in 0..DRAIN_BATCHES {
@@ -445,27 +469,25 @@ where
     }
 
     /// Replays one planned fault. Network faults and crash marks update
-    /// this shard's impairment replica (every shard replays them so all
-    /// replicas agree); `Leave`/`Join` protocol commands dispatch only on
-    /// the shard that owns the node.
+    /// this shard's replicas (every shard replays them so all replicas
+    /// agree); `Leave`/`Join` protocol commands dispatch only on the shard
+    /// that owns the node.
     fn apply_fault(&mut self, fault: Fault) {
         match fault {
-            Fault::Crash(id) => self.impair.set_crashed(id),
+            Fault::Crash(id) => self.crashed[id.index()] = true,
             Fault::Leave(id) => {
-                if self.owns(id) && !self.impair.is_crashed(id) {
+                if self.owns(id) && !self.is_crashed(id) {
                     let local = id.index() / self.shard_count;
                     self.with_ctx(local, |n, ctx| n.on_command(ctx, N::cmd_leave()));
                 }
             }
             Fault::Join { node, contact } => {
-                if self.owns(node) && !self.impair.is_crashed(node) {
+                if self.owns(node) && !self.is_crashed(node) {
                     let local = node.index() / self.shard_count;
                     self.with_ctx(local, |n, ctx| n.on_command(ctx, N::cmd_join(contact)));
                 }
             }
-            net => {
-                self.impair.apply(&net);
-            }
+            Fault::Net(fault) => self.faults.apply(&fault),
         }
     }
 
@@ -480,9 +502,9 @@ where
             return;
         };
         // An id in a frame is self-declared, and downstream it indexes the
-        // impairment matrix and keys the peer table: an id this fabric
-        // does not host is a stranger's, whatever the rest of the frame
-        // says.
+        // crash marks and the partition labels and keys the peer table: an
+        // id this fabric does not host is a stranger's, whatever the rest
+        // of the frame says.
         let max_id = match frame {
             Frame::Data { sender, .. } => sender,
             Frame::WhoHas { sender, target } => sender.max(target),
@@ -569,59 +591,52 @@ where
         }
     }
 
-    /// Sends pre-framed bytes from local slot `local` to `to`, through
-    /// the impairment shim and the batch path.
+    /// Sends pre-framed bytes from local slot `local` to `to`.
     fn transmit_local(&mut self, local: usize, to: NodeId, dest: SocketAddr, bytes: &[u8]) {
-        let from = self.global_id(local);
-        match self.impair.judge(from, to) {
-            Verdict::Deliver => {
-                if self.batch_owner != Some(local) {
-                    self.flush_batch();
-                    self.batch_owner = Some(local);
-                }
-                let full = self
-                    .batch
-                    .push_with(dest, |buf| buf.extend_from_slice(bytes));
-                if full {
-                    self.flush_batch();
-                    self.batch_owner = Some(local);
-                }
-            }
-            Verdict::DeliverAfter(extra) => {
-                self.stats.delayed += 1;
-                self.delayed.push(
-                    Instant::now() + extra,
-                    HeldDatagram {
-                        from_local: local,
-                        dest,
-                        bytes: bytes.to_vec(),
-                    },
-                );
-            }
-            Verdict::DropLoss => self.stats.dropped_loss += 1,
-            Verdict::DropPartition => self.stats.dropped_partition += 1,
-            Verdict::DropCut => self.stats.dropped_cut += 1,
-            Verdict::DropCrashed => self.stats.dropped_crashed += 1,
-        }
+        self.claim_batch(local);
+        self.tx(local)
+            .transmit(to, dest, |buf| buf.extend_from_slice(bytes));
     }
 
-    /// Runs a protocol handler for local slot `local` with a
-    /// fabric-backed context. Claims the batch for `local`'s socket
-    /// first, flushing anything a different sender gathered.
-    pub(crate) fn with_ctx<F>(&mut self, local: usize, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N>),
-    {
+    /// Makes `local`'s socket the owner of the gathered batch, flushing
+    /// anything a different sender gathered.
+    fn claim_batch(&mut self, local: usize) {
         if self.batch_owner != Some(local) {
             self.flush_batch();
             self.batch_owner = Some(local);
         }
+    }
+
+    /// The transmit path of local slot `local` (which must own the batch).
+    fn tx(&mut self, local: usize) -> Tx<'_> {
+        Tx {
+            from: self.global_id(local),
+            local,
+            socket: &self.slots[local].socket,
+            faults: &mut self.faults,
+            crashed: &self.crashed,
+            delayed: &mut self.delayed,
+            stats: &mut self.stats,
+            batch: &mut self.batch,
+            mode: &mut self.mode,
+        }
+    }
+
+    /// Runs a protocol handler for local slot `local` with a
+    /// fabric-backed context (claiming the batch for `local`'s socket
+    /// first).
+    pub(crate) fn with_ctx<F>(&mut self, local: usize, f: F)
+    where
+        F: FnOnce(&mut N, &mut Ctx<'_, N>),
+    {
+        self.claim_batch(local);
         let node_count = self.nodes_total;
         let now = self.now();
         let id = self.global_id(local);
         let Shard {
             slots,
-            impair,
+            faults,
+            crashed,
             delayed,
             trace,
             record_trace,
@@ -632,133 +647,128 @@ where
         } = self;
         let slot = &mut slots[local];
         let mut io = FabricIo {
-            id,
-            local,
             now,
             node_count,
-            socket: &slot.socket,
             peers: &mut slot.peers,
             pending: &mut slot.pending,
             timers: &mut slot.timers,
-            impair,
-            delayed,
             trace,
             record_trace: *record_trace,
-            stats,
-            batch,
-            mode,
+            tx: Tx {
+                from: id,
+                local,
+                socket: &slot.socket,
+                faults,
+                crashed,
+                delayed,
+                stats,
+                batch,
+                mode,
+            },
         };
         let mut ctx = Ctx::for_host(id, now, &mut slot.rng, &mut io);
         f(&mut slot.node, &mut ctx);
     }
 }
 
-/// The world a protocol handler sees on the fabric.
-struct FabricIo<'a> {
-    id: NodeId,
+/// What one local sender needs to put a datagram on the wire.
+struct Tx<'a> {
+    from: NodeId,
+    /// The sender's local slot; its socket owns the gathered batch.
     local: usize,
-    now: SimTime,
-    node_count: usize,
     socket: &'a UdpSocket,
-    peers: &'a mut PeerTable,
-    pending: &'a mut FxHashMap<NodeId, Vec<Vec<u8>>>,
-    timers: &'a mut TimerWheel,
-    impair: &'a mut Impairments,
+    faults: &'a mut FaultState,
+    crashed: &'a [bool],
     delayed: &'a mut DelayQueue<HeldDatagram>,
-    trace: &'a mut Vec<(SimTime, NodeId, GoCastEvent)>,
-    record_trace: bool,
     stats: &'a mut FabricStats,
     batch: &'a mut BatchBuffer,
     mode: &'a mut BatchMode,
 }
 
-impl FabricIo<'_> {
-    /// Gathers pre-judged bytes into the batch, flushing when full. The
-    /// caller (`with_ctx`) already claimed the batch for this sender.
-    fn push_batched(&mut self, dest: SocketAddr, bytes: &[u8]) {
-        let full = self
-            .batch
-            .push_with(dest, |buf| buf.extend_from_slice(bytes));
-        if full {
-            self.batch.flush(self.socket, self.mode, self.stats);
+impl Tx<'_> {
+    /// The one transmit path: judges `from → to` — crash marks, then the
+    /// structural faults, then the loss and jitter draws, the kernel's
+    /// order — and gathers the datagram `fill` writes into the batch,
+    /// holds it for its jitter delay, or counts the drop (here for a
+    /// crashed endpoint, in the fault state for the rest).
+    fn transmit(&mut self, to: NodeId, dest: SocketAddr, fill: impl FnOnce(&mut Vec<u8>)) {
+        if self.crashed[self.from.index()] || self.crashed[to.index()] {
+            self.stats.dropped_crashed += 1;
+            return;
+        }
+        if self.faults.blocked(self.from, to) {
+            return;
+        }
+        let mut hold = Duration::ZERO;
+        if self.faults.active() {
+            match self.faults.draw(self.from, to) {
+                Some(extra) => hold = extra,
+                None => return,
+            }
+        }
+        if hold.is_zero() {
+            // Steady-state fast path: `fill` writes straight into the
+            // reused batch slot.
+            if self.batch.push_with(dest, fill) {
+                self.batch.flush(self.socket, self.mode, self.stats);
+            }
+        } else {
+            self.stats.delayed += 1;
+            let mut bytes = Vec::new();
+            fill(&mut bytes);
+            let held = HeldDatagram {
+                from_local: self.local,
+                dest,
+                bytes,
+            };
+            self.delayed.push(Instant::now() + hold, held);
         }
     }
 }
 
+/// The world a protocol handler sees on the fabric.
+struct FabricIo<'a> {
+    now: SimTime,
+    node_count: usize,
+    peers: &'a mut PeerTable,
+    pending: &'a mut FxHashMap<NodeId, Vec<Vec<u8>>>,
+    timers: &'a mut TimerWheel,
+    trace: &'a mut Vec<(SimTime, NodeId, GoCastEvent)>,
+    record_trace: bool,
+    tx: Tx<'a>,
+}
+
 impl<P: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> HostBackend<P> for FabricIo<'_> {
     fn send(&mut self, to: NodeId, msg: GoCastMsg) {
-        let id = self.id;
+        let id = self.tx.from;
+        let framed = |buf: &mut Vec<u8>| {
+            frame_data_into(id, buf);
+            encode_into(&msg, buf);
+        };
         match self.peers.addr_of(to) {
-            Some(dest) => match self.impair.judge(id, to) {
-                Verdict::Deliver => {
-                    // Steady-state fast path: frame + codec bytes are
-                    // written straight into the reused batch slot.
-                    let full = self.batch.push_with(dest, |buf| {
-                        frame_data_into(id, buf);
-                        encode_into(&msg, buf);
-                    });
-                    if full {
-                        self.batch.flush(self.socket, self.mode, self.stats);
-                    }
-                }
-                Verdict::DeliverAfter(extra) => {
-                    self.stats.delayed += 1;
-                    let mut bytes = Vec::with_capacity(5 + gocast::encoded_len(&msg));
-                    frame_data_into(id, &mut bytes);
-                    encode_into(&msg, &mut bytes);
-                    self.delayed.push(
-                        Instant::now() + extra,
-                        HeldDatagram {
-                            from_local: self.local,
-                            dest,
-                            bytes,
-                        },
-                    );
-                }
-                Verdict::DropLoss => self.stats.dropped_loss += 1,
-                Verdict::DropPartition => self.stats.dropped_partition += 1,
-                Verdict::DropCut => self.stats.dropped_cut += 1,
-                Verdict::DropCrashed => self.stats.dropped_crashed += 1,
-            },
+            Some(dest) => self.tx.transmit(to, dest, framed),
             None => {
                 // Unknown peer: queue the datagram and ask the seeds.
                 // Bootstrap-only path — allocation here is fine.
-                let mut framed = Vec::with_capacity(5 + gocast::encoded_len(&msg));
-                frame_data_into(id, &mut framed);
-                encode_into(&msg, &mut framed);
+                let mut bytes = Vec::with_capacity(5 + gocast::encoded_len(&msg));
+                framed(&mut bytes);
                 let queue = self.pending.entry(to).or_default();
                 if queue.len() >= PENDING_CAP {
                     queue.remove(0);
-                    self.stats.unresolved_dropped += 1;
+                    self.tx.stats.unresolved_dropped += 1;
                 }
-                queue.push(framed);
+                queue.push(bytes);
                 // Query on the first enqueue, then every eighth, so a
                 // lost query is retried as protocol traffic keeps coming.
                 if queue.len() % 8 == 1 {
                     let query = encode_whohas(id, to);
-                    for (seed, seed_addr) in self.peers.seeds().to_vec() {
+                    for &(seed, seed_addr) in self.peers.seeds() {
                         if seed == id {
                             continue;
                         }
-                        self.stats.whohas_sent += 1;
-                        match self.impair.judge(id, seed) {
-                            Verdict::Deliver => self.push_batched(seed_addr, &query),
-                            Verdict::DeliverAfter(extra) => {
-                                self.stats.delayed += 1;
-                                self.delayed.push(
-                                    Instant::now() + extra,
-                                    HeldDatagram {
-                                        from_local: self.local,
-                                        dest: seed_addr,
-                                        bytes: query.clone(),
-                                    },
-                                );
-                            }
-                            Verdict::DropLoss => self.stats.dropped_loss += 1,
-                            Verdict::DropPartition => self.stats.dropped_partition += 1,
-                            Verdict::DropCut => self.stats.dropped_cut += 1,
-                            Verdict::DropCrashed => self.stats.dropped_crashed += 1,
-                        }
+                        self.tx.stats.whohas_sent += 1;
+                        self.tx
+                            .transmit(seed, seed_addr, |buf| buf.extend_from_slice(&query));
                     }
                 }
             }
@@ -771,11 +781,77 @@ impl<P: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> HostBackend<P> for Fabri
 
     fn emit(&mut self, event: GoCastEvent) {
         if self.record_trace {
-            self.trace.push((self.now, self.id, event));
+            self.trace.push((self.now, self.tx.from, event));
         }
     }
 
     fn node_count(&self) -> usize {
         self.node_count
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gocast_sim::NetFault;
+    use std::net::Ipv4Addr;
+
+    /// The state a [`Tx`] borrows, owned.
+    struct Wire {
+        socket: UdpSocket,
+        faults: FaultState,
+        crashed: Vec<bool>,
+        delayed: DelayQueue<HeldDatagram>,
+        stats: FabricStats,
+        batch: BatchBuffer,
+        mode: BatchMode,
+    }
+
+    impl Wire {
+        /// Transmits one byte `from → to`; whether it was gathered to go out.
+        fn send(&mut self, from: u32, to: u32) -> bool {
+            let before = self.batch.len();
+            let dest = self.socket.local_addr().expect("bound");
+            let mut tx = Tx {
+                from: NodeId::new(from),
+                local: 0,
+                socket: &self.socket,
+                faults: &mut self.faults,
+                crashed: &self.crashed,
+                delayed: &mut self.delayed,
+                stats: &mut self.stats,
+                batch: &mut self.batch,
+                mode: &mut self.mode,
+            };
+            tx.transmit(NodeId::new(to), dest, |buf| buf.push(0));
+            self.batch.len() > before
+        }
+    }
+
+    #[test]
+    fn crashed_nodes_are_silenced_and_self_sends_bypass_faults() {
+        let Ok(socket) = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)) else {
+            return; // no loopback sockets in this sandbox
+        };
+        let mut wire = Wire {
+            socket,
+            faults: FaultState::new(3, 1, 0),
+            crashed: vec![false; 3],
+            delayed: DelayQueue::new(),
+            stats: FabricStats::default(),
+            batch: BatchBuffer::new(),
+            mode: BatchMode::detect(),
+        };
+        wire.faults.apply(&NetFault::SetLoss(1.0));
+        assert!(wire.send(1, 1), "self-send exempt");
+        assert!(!wire.send(0, 1));
+        assert_eq!(wire.faults.losses(), 1);
+        wire.crashed[2] = true;
+        assert!(!wire.send(0, 2));
+        assert!(!wire.send(2, 0));
+        assert!(!wire.send(2, 2));
+        // Crash marks are judged first: those three never reached a draw.
+        assert_eq!((wire.stats.dropped_crashed, wire.faults.losses()), (3, 1));
+        assert_eq!(wire.stats.delayed, 0);
     }
 }

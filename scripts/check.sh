@@ -76,6 +76,20 @@ stray=$(nontest_lines '(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)' "${sources[@]}"
     exit 1
 }
 
+echo "==> structure gate: one fault vocabulary"
+# A network fault is a NetFault value and gocast_sim::FaultState is the
+# only holder of it, in the kernel and on the wire: neither the per-kind
+# engine setters nor a second fault state may come back.
+# (`Scenario::partition_at` is the builder DSL's step, not a setter.)
+mapfile -d '' fault_sources < <(find crates/sim crates/testnet -name '*.rs' -print0)
+stray=$(nontest_lines 'struct (Impairments|NetFaults)([^_[:alnum:]]|$)' "${fault_sources[@]}"
+    nontest_lines 'fn (fail_link_at|set_loss_at|partition_at)([^_[:alnum:]]|$)' \
+        "${fault_sources[@]}" | grep -v '^crates/sim/src/scenario\.rs:' || true)
+[[ -z "$stray" ]] || {
+    echo "FAIL: a per-kind fault setter or a second fault state is back: $stray" >&2
+    exit 1
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -110,6 +124,18 @@ echo "==> chaos smoke scenario (oracle-gated)"
 # online invariant oracle reports any violation.
 cargo run --release -q -p gocast-experiments -- chaos --quick --nodes 64 \
     --scenario churn --seeds 2 --no-csv
+
+echo "==> bad --spec smoke: a usage error (exit 2), not a panic (101)"
+for spec in 'crash(at=1,node=99999)' 'cutlink(at=1,a=1,b=99999)' \
+    'jitter(ms=1e30)' 'crash(at=1e30,node=1)'; do
+    status=0
+    cargo run --release -q -p gocast-experiments -- chaos --quick --nodes 32 \
+        --messages 5 --no-csv --spec "$spec" 2> /dev/null || status=$?
+    [[ $status -eq 2 ]] || {
+        echo "FAIL: --spec '$spec' exited $status, expected 2" >&2
+        exit 1
+    }
+done
 
 echo "==> compare smoke: gocast vs plumtree under the same chaos preset"
 # Both stacks through one preset with identical seeds and audit; the

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use gocast::{GoCastCommand, GoCastConfig, GoCastEvent, MsgId};
 use gocast_analysis::MetricsRecorder;
-use gocast_sim::{NodeId, SimTime};
+use gocast_sim::{NetFault, NodeId, SimTime};
 use gocast_tests::warmed_gocast;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -60,7 +60,7 @@ fn continuous_traffic_survives_randomized_chaos() {
                 if sim.is_alive(a) {
                     let first = sim.node(a).overlay_links().next().map(|(b, _, _)| b);
                     if let Some(b) = first {
-                        sim.fail_link(a, b);
+                        sim.apply_fault(NetFault::CutLink(a, b));
                         cut_links.push((a, b));
                     }
                 }
@@ -69,7 +69,7 @@ fn continuous_traffic_survives_randomized_chaos() {
             8 => {
                 if !cut_links.is_empty() {
                     let (a, b) = cut_links.remove(0);
-                    sim.heal_link(a, b);
+                    sim.apply_fault(NetFault::HealLink(a, b));
                 }
             }
             // 10%: graceful leave (keep at most 10% gone this way).
@@ -92,7 +92,7 @@ fn continuous_traffic_survives_randomized_chaos() {
     // Quiesce: heal everything, stop injecting, allow repairs and pulls to
     // finish.
     for (a, b) in cut_links.drain(..) {
-        sim.heal_link(a, b);
+        sim.apply_fault(NetFault::HealLink(a, b));
     }
     sim.run_for(Duration::from_secs(120));
 

@@ -120,9 +120,12 @@ fn partition_heals_and_delivery_recovers() {
 
     // Mid-partition: the split is installed and actually dropping traffic.
     sim.run_until(start + Duration::from_secs(12));
-    assert!(sim.is_partitioned());
+    assert!(sim.faults().partition().is_some());
     sim.run_until(start + Duration::from_secs(21));
-    assert!(!sim.is_partitioned(), "heal was scheduled at +20 s");
+    assert!(
+        sim.faults().partition().is_none(),
+        "heal was scheduled at +20 s"
+    );
     assert!(
         sim.kernel_stats().partition_drops > 0,
         "a halves split must drop cross-side messages"
