@@ -36,15 +36,17 @@ pub fn whole_ms(d: std::time::Duration) -> String {
 
 /// The deterministic `kernel[ev=... del=...]` digest embedded in chaos
 /// summary strings: every simulation-domain kernel counter, no wall-clock
-/// quantity.
+/// quantity. `drop` counts every message stopped in flight (dead, cut or
+/// partitioned), `part` the partitioned ones, `loss` the lost at send.
 pub fn kernel_digest(kernel: &KernelStats) -> String {
+    let fates = kernel.fates;
     format!(
         "kernel[ev={} del={} drop={} part={} loss={} tmr={} cmd={} ctl={}]",
         kernel.events_processed,
         kernel.deliveries,
-        kernel.messages_dropped,
-        kernel.partition_drops,
-        kernel.chaos_losses,
+        fates.total() - fates.lost,
+        fates.partitioned,
+        fates.lost,
         kernel.timers_fired,
         kernel.commands,
         kernel.control_events,

@@ -1,10 +1,11 @@
-//! The network fault vocabulary ([`NetFault`]) and the one place that
-//! remembers it ([`FaultState`]), shared by the simulation kernel and the
-//! testnet fabric.
+//! The network fault vocabulary ([`NetFault`]), the one place that
+//! remembers it ([`FaultState`]) and the one count of what it stopped
+//! ([`NetFates`]), shared by the simulation kernel and the testnet fabric.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use gocast_metrics::Snapshot;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,18 +41,57 @@ impl NetFault {
     }
 }
 
+/// What became of the messages the network did not deliver, one count per
+/// fate: every send is delivered or meets exactly one of these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetFates {
+    /// Lost to injected loss ([`NetFault::SetLoss`]), at send.
+    pub lost: u64,
+    /// Stopped on a cut link.
+    pub cut: u64,
+    /// Stopped at the active partition.
+    pub partitioned: u64,
+    /// Sent by or to a crashed node.
+    pub dead: u64,
+}
+
+impl NetFates {
+    /// Adds another replica's counts into this one.
+    pub fn merge(&mut self, other: &NetFates) {
+        self.lost += other.lost;
+        self.cut += other.cut;
+        self.partitioned += other.partitioned;
+        self.dead += other.dead;
+    }
+
+    /// Messages the network did not deliver, whatever the fate.
+    pub fn total(&self) -> u64 {
+        self.lost + self.cut + self.partitioned + self.dead
+    }
+
+    /// Appends the four counts to `snap` under the `net_*` names every
+    /// host exports.
+    pub fn snapshot_into(&self, snap: &mut Snapshot) {
+        snap.record_counter("net_lost", self.lost);
+        snap.record_counter("net_cut", self.cut);
+        snap.record_counter("net_partitioned", self.partitioned);
+        snap.record_counter("net_dead", self.dead);
+    }
+}
+
 /// One replica of the network's fault state over a fixed population:
 /// loss, jitter, the cut links, the active partition, the chaos RNG
-/// stream and the drop counters.
+/// stream and the [`NetFates`] of the messages it stopped.
 ///
 /// Link cuts, the partition labelling and the loss/jitter settings are
 /// *global* facts about the network, whoever moves the messages: the
 /// simulation kernel holds one replica per lane (updated by broadcasting
 /// a control event into every lane's queue), the testnet fabric one per
 /// shard (every shard replays the full plan). Both ask it the same two
-/// questions: [`FaultState::blocked`] — is the path cut or partitioned?
-/// (kernel: at delivery; wire: at transmit) — and [`FaultState::draw`] —
-/// is this send lost, and how much jitter does it carry? (both: at send).
+/// questions: [`FaultState::blocked`] — is an endpoint dead, or the path
+/// cut or partitioned? (kernel: at delivery; wire: at transmit) — and
+/// [`FaultState::draw`] — is this send lost, and how much jitter does it
+/// carry? (both: at send).
 /// Simulation and wire cannot drift in fault semantics because there is
 /// one body.
 ///
@@ -74,9 +114,7 @@ pub struct FaultState {
     cut: Vec<(NodeId, NodeId)>,
     partition: Option<Arc<Vec<u32>>>,
     rng: SmallRng,
-    losses: u64,
-    cut_drops: u64,
-    partition_drops: u64,
+    fates: NetFates,
 }
 
 impl FaultState {
@@ -98,9 +136,7 @@ impl FaultState {
             // Distinct stream: per-node RNGs use seed * GOLDEN ^ node_index,
             // so folding in a large constant cannot collide with any node.
             rng: SmallRng::seed_from_u64(seed.wrapping_mul(GOLDEN) ^ 0xC4A0_5FA7_17E5_0123),
-            losses: 0,
-            cut_drops: 0,
-            partition_drops: 0,
+            fates: NetFates::default(),
         }
     }
 
@@ -160,19 +196,25 @@ impl FaultState {
         FaultState::new(self.nodes, 0, 0).apply(fault);
     }
 
-    /// Whether the path between `a` and `b` is cut or crosses the active
-    /// partition, counting the drop by cause if so (a cut link wins). A
-    /// node's path to itself is never blocked. With no fault set this is a
-    /// length check and a `None` test.
+    /// Whether the network stops a message between `a` and `b`, counting
+    /// its fate if so, first match wins: `dead` (an endpoint has crashed —
+    /// the host's verdict, since only the host knows who is alive), then a
+    /// cut link, then the active partition. A node's path to itself is
+    /// never cut or partitioned. With no fault set this is a length check
+    /// and a `None` test.
     #[inline]
-    pub fn blocked(&mut self, a: NodeId, b: NodeId) -> bool {
+    pub fn blocked(&mut self, a: NodeId, b: NodeId, dead: bool) -> bool {
+        if dead {
+            self.fates.dead += 1;
+            return true;
+        }
         if self.is_cut(a, b) {
-            self.cut_drops += 1;
+            self.fates.cut += 1;
             return true;
         }
         match &self.partition {
             Some(sides) if sides[a.index()] != sides[b.index()] => {
-                self.partition_drops += 1;
+                self.fates.partitioned += 1;
                 true
             }
             _ => false,
@@ -196,7 +238,7 @@ impl FaultState {
             return Some(Duration::ZERO);
         }
         if self.loss_ppm > 0 && self.rng.gen_range(0..1_000_000u32) < self.loss_ppm {
-            self.losses += 1;
+            self.fates.lost += 1;
             return None;
         }
         let extra = match self.jitter_ns {
@@ -227,19 +269,11 @@ impl FaultState {
         self.partition.as_ref().map(|sides| &sides[..])
     }
 
-    /// Messages [`FaultState::draw`] has lost.
-    pub fn losses(&self) -> u64 {
-        self.losses
-    }
-
-    /// Messages [`FaultState::blocked`] has stopped on a cut link.
-    pub fn cut_drops(&self) -> u64 {
-        self.cut_drops
-    }
-
-    /// Messages [`FaultState::blocked`] has stopped at the partition.
-    pub fn partition_drops(&self) -> u64 {
-        self.partition_drops
+    /// The fates of the messages this replica has stopped:
+    /// [`FaultState::draw`] counts the lost, [`FaultState::blocked`] the
+    /// rest.
+    pub fn fates(&self) -> NetFates {
+        self.fates
     }
 }
 
@@ -253,7 +287,7 @@ mod tests {
 
     /// What a host does with one send: the structural check, then the draws.
     fn passes(state: &mut FaultState, a: u32, b: u32) -> bool {
-        !state.blocked(n(a), n(b)) && state.draw(n(a), n(b)).is_some()
+        !state.blocked(n(a), n(b), false) && state.draw(n(a), n(b)).is_some()
     }
 
     #[test]
@@ -262,7 +296,7 @@ mod tests {
         assert!(!state.active());
         for a in 0..4 {
             for b in 0..4 {
-                assert!(!state.blocked(n(a), n(b)));
+                assert!(!state.blocked(n(a), n(b), false));
                 assert_eq!(state.draw(n(a), n(b)), Some(Duration::ZERO));
             }
         }
@@ -275,7 +309,7 @@ mod tests {
         assert!(passes(&mut state, 0, 1));
         assert!(!passes(&mut state, 0, 2));
         assert!(!passes(&mut state, 3, 1));
-        assert_eq!((state.partition_drops(), state.cut_drops()), (2, 0));
+        assert_eq!((state.fates().partitioned, state.fates().cut), (2, 0));
         state.apply(&NetFault::HealPartition);
         assert!(passes(&mut state, 0, 2));
     }
@@ -287,7 +321,7 @@ mod tests {
         assert!(!passes(&mut state, 0, 2));
         assert!(!passes(&mut state, 2, 0));
         assert!(passes(&mut state, 0, 1));
-        assert_eq!((state.cut_drops(), state.partition_drops()), (2, 0));
+        assert_eq!((state.fates().cut, state.fates().partitioned), (2, 0));
         state.apply(&NetFault::HealLink(n(0), n(2)));
         assert!(passes(&mut state, 0, 2));
     }
@@ -299,7 +333,7 @@ mod tests {
         assert!(state.active());
         let drops = (0..10_000).filter(|_| !passes(&mut state, 0, 1)).count();
         assert!((4_000..6_000).contains(&drops), "drops = {drops}");
-        assert_eq!(state.losses(), drops as u64);
+        assert_eq!(state.fates().lost, drops as u64);
     }
 
     #[test]
@@ -323,6 +357,32 @@ mod tests {
         state.apply(&NetFault::partition(vec![0, 1, 2]));
         assert!(passes(&mut state, 1, 1));
         assert!(!passes(&mut state, 1, 2));
+        // A crashed endpoint is judged first and stops even a self-send.
+        assert!(state.blocked(n(1), n(2), true));
+        assert!(state.blocked(n(1), n(1), true));
+        let fates = state.fates();
+        assert_eq!((fates.dead, fates.cut, fates.lost), (2, 0, 0));
+    }
+
+    #[test]
+    fn fates_merge_total_and_export_under_net_names() {
+        let mut a = NetFates {
+            lost: 1,
+            cut: 2,
+            partitioned: 3,
+            dead: 4,
+        };
+        let b = a;
+        a.merge(&b);
+        assert_eq!(a.total(), 20);
+        let mut snap = Snapshot::new();
+        a.snapshot_into(&mut snap);
+        let mut out = String::new();
+        snap.write_json_fields(&mut out, true);
+        assert_eq!(
+            out,
+            "\"net_lost\":2,\"net_cut\":4,\"net_partitioned\":6,\"net_dead\":8"
+        );
     }
 
     #[test]

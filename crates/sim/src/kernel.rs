@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use gocast_metrics::{Log2Histogram, Snapshot};
 
-use crate::fault::{FaultState, NetFault};
+use crate::fault::{FaultState, NetFates, NetFault};
 use crate::id::NodeId;
 use crate::lane::{CrossLaneMsg, Event, Lane};
 use crate::latency::LatencyModel;
@@ -33,15 +33,9 @@ pub struct KernelStats {
     pub events_processed: u64,
     /// Message deliveries dispatched to a protocol handler.
     pub deliveries: u64,
-    /// Messages dropped in flight (dead destination, failed link, or
-    /// partition).
-    pub messages_dropped: u64,
-    /// Messages dropped in flight because the endpoints were on opposite
-    /// sides of a network partition (a subset of `messages_dropped`).
-    pub partition_drops: u64,
-    /// Messages dropped at send time by the probabilistic-loss fault
-    /// injector ([`NetFault::SetLoss`]). Disjoint from `messages_dropped`.
-    pub chaos_losses: u64,
+    /// The messages the network did not deliver, by fate (summed over the
+    /// lanes' [`FaultState`] replicas, which count them).
+    pub fates: NetFates,
     /// Timer firings dispatched.
     pub timers_fired: u64,
     /// Commands dispatched.
@@ -70,12 +64,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Messages handed to the network layer (delivered + dropped in
-    /// flight + lost to injected message loss).
-    pub fn messages_sent(&self) -> u64 {
-        self.deliveries + self.messages_dropped + self.chaos_losses
-    }
-
     /// Kernel throughput: events processed per wall-clock second.
     /// Zero until a run loop has accrued measurable wall time.
     pub fn events_per_sec(&self) -> f64 {
@@ -96,9 +84,7 @@ impl KernelStats {
     pub fn absorb(&mut self, other: &KernelStats) {
         self.events_processed += other.events_processed;
         self.deliveries += other.deliveries;
-        self.messages_dropped += other.messages_dropped;
-        self.partition_drops += other.partition_drops;
-        self.chaos_losses += other.chaos_losses;
+        self.fates.merge(&other.fates);
         self.timers_fired += other.timers_fired;
         self.commands += other.commands;
         self.control_events += other.control_events;
@@ -118,7 +104,7 @@ impl std::fmt::Display for KernelStats {
             "{} events ({} delivered, {} dropped, {} timers) in {:.3?}, {:.0} events/sec, queue high-water {}",
             self.events_processed,
             self.deliveries,
-            self.messages_dropped,
+            self.fates.total(),
             self.timers_fired,
             self.wall_time,
             self.events_per_sec(),
@@ -608,16 +594,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// payload-slab occupancy, `kernel_lanes` when there is more than one
     /// lane, and — when telemetry is enabled — the queue-depth histogram
     /// (sim-deterministic) plus per-class dispatch timings (wall-clock,
-    /// marked non-deterministic), each merged over the lanes.
+    /// marked non-deterministic), each merged over the lanes; then the
+    /// network fates under the `net_*` names the testnet exports too.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let k = self.kernel_stats();
         let mut s = Snapshot::new();
         s.record_counter("kernel_events", k.events_processed);
         s.record_counter("kernel_scheduled", k.events_scheduled);
         s.record_counter("kernel_deliveries", k.deliveries);
-        s.record_counter("kernel_drops", k.messages_dropped);
-        s.record_counter("kernel_partition_drops", k.partition_drops);
-        s.record_counter("kernel_chaos_losses", k.chaos_losses);
         s.record_counter("kernel_timers", k.timers_fired);
         s.record_counter("kernel_commands", k.commands);
         s.record_counter("kernel_control", k.control_events);
@@ -652,6 +636,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
                 s.record_wall_histogram(class.dispatch_metric_name(), &dispatch[class.index()]);
             }
         }
+        k.fates.snapshot_into(&mut s);
         s
     }
 
@@ -766,9 +751,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
 
     /// Applies a network fault immediately, to every lane's replica of the
     /// fault state. Messages already in flight across a new cut or
-    /// partition are dropped on arrival (counted in
-    /// [`KernelStats::messages_dropped`] and, for a partition,
-    /// [`KernelStats::partition_drops`]); loss and jitter apply to every
+    /// partition are dropped on arrival (counted `cut` or `partitioned` in
+    /// [`KernelStats::fates`]); loss and jitter apply to every
     /// subsequent send between distinct nodes, drawn from dedicated chaos
     /// RNG streams (one per lane), so a run that never enables them is
     /// byte-identical to one on a kernel without fault injection.
@@ -801,8 +785,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     }
 
     /// The network's current fault state (every lane holds an identical
-    /// replica; the drop counters read here are lane 0's alone — the
-    /// all-lane totals are in [`Engine::kernel_stats`]).
+    /// replica; the [`FaultState::fates`] read here are lane 0's alone —
+    /// the all-lane totals are [`KernelStats::fates`]).
     pub fn faults(&self) -> &FaultState {
         &self.lanes[0].faults
     }
@@ -1340,8 +1324,8 @@ mod tests {
             // Hop 0 reaches n1 at 10ms, hop 1 is in flight to n2, which dies at
             // 15ms; the message is dropped at 20ms and the ring stops.
             assert_eq!(hops(&sim), 1);
-            assert_eq!(sim.stats().dropped_to_dead(), 1);
-            assert_eq!(sim.kernel_stats().messages_dropped, 1);
+            assert_eq!(sim.kernel_stats().fates.dead, 1);
+            assert_eq!(sim.kernel_stats().fates.total(), 1);
             assert!(!sim.is_alive(NodeId::new(2)));
             assert_eq!(sim.alive_nodes().count(), N as usize - 1);
         });
@@ -1403,7 +1387,7 @@ mod tests {
             );
             sim.run_until(ms(100));
             assert_eq!(hops(&sim), 1, "only the first hop (0 -> 1) delivers");
-            assert_eq!(sim.stats().dropped_to_dead(), 1);
+            assert_eq!(sim.kernel_stats().fates.cut, 1);
             // Healing restores nothing retroactively (the message was lost),
             // but future traffic flows.
             sim.apply_fault(NetFault::HealLink(NodeId::new(1), NodeId::new(2)));
@@ -1442,10 +1426,10 @@ mod tests {
             // Hop 0 delivers to n1 at 10ms; hop 1 drops at the dead n2; the
             // Fail control event fires in between.
             assert_eq!(k.deliveries, 1);
-            assert_eq!(k.messages_dropped, 1);
+            assert_eq!(k.fates.dead, 1);
             assert_eq!(k.control_events, 1);
             assert_eq!(k.events_processed, 3);
-            assert_eq!(k.messages_sent(), 2);
+            assert_eq!(k.deliveries + k.fates.total(), 2);
             assert_eq!(k.events_scheduled, 3);
             assert_eq!(k.queue_len, 0);
             assert!(k.queue_high_water >= 1);
@@ -1541,9 +1525,9 @@ mod tests {
             sim.run_until(DONE);
             assert_eq!(hops(&sim), 0, "every send is lost");
             let k = sim.kernel_stats();
-            assert_eq!(k.chaos_losses, 1);
+            assert_eq!(k.fates.lost, 1);
             assert_eq!(k.deliveries, 0);
-            assert_eq!(k.messages_sent(), 1);
+            assert_eq!(k.fates.total(), 1);
         });
     }
 
@@ -1559,8 +1543,8 @@ mod tests {
             sim.apply_fault(NetFault::SetLoss(0.3));
             sim.run_until_idle();
             let k = sim.kernel_stats();
-            lost += k.chaos_losses;
-            sent += k.messages_sent();
+            lost += k.fates.lost;
+            sent += k.deliveries + k.fates.total();
         }
         let rate = lost as f64 / sent as f64;
         assert!((0.2..0.4).contains(&rate), "observed loss rate {rate}");
@@ -1572,13 +1556,13 @@ mod tests {
             a.apply_fault(NetFault::SetLoss(0.02));
             a.run_until(DONE);
             let lanes = a.lane_count();
-            let first = (a.kernel_stats().chaos_losses, a.recorder().events.clone());
+            let first = (a.kernel_stats().fates, a.recorder().events.clone());
             assert!(!first.1.is_empty());
             on_every_engine!(9, |b| {
                 if b.lane_count() == lanes {
                     b.apply_fault(NetFault::SetLoss(0.02));
                     b.run_until(DONE);
-                    let again = (b.kernel_stats().chaos_losses, b.recorder().events.clone());
+                    let again = (b.kernel_stats().fates, b.recorder().events.clone());
                     assert_eq!(first, again);
                 }
             });
@@ -1628,8 +1612,8 @@ mod tests {
             sim.run_until(ms(100));
             assert_eq!(hops(&sim), 1);
             let k = sim.kernel_stats();
-            assert_eq!(k.partition_drops, 1);
-            assert_eq!(k.messages_dropped, 1);
+            assert_eq!(k.fates.partitioned, 1);
+            assert_eq!(k.fates.total(), 1);
             sim.apply_fault(NetFault::HealPartition);
             assert!(sim.faults().partition().is_none());
         });
@@ -1648,7 +1632,7 @@ mod tests {
             // same side) delivered; 3->4 at 40 was dropped across the cut.
             assert_eq!(hops(&sim), 3);
             let k = sim.kernel_stats();
-            assert_eq!(k.partition_drops, 1);
+            assert_eq!(k.fates.partitioned, 1);
             // One partition and one heal, however many lanes replicate them.
             assert_eq!(k.control_events, 2);
         });
@@ -1741,10 +1725,7 @@ mod tests {
                     // Only the scheduled ones are control events.
                     let (a, s) = (applied.kernel_stats(), scheduled.kernel_stats());
                     assert_eq!((a.control_events, s.control_events), (0, 2));
-                    assert_eq!(
-                        (a.messages_dropped, a.chaos_losses),
-                        (s.messages_dropped, s.chaos_losses)
-                    );
+                    assert_eq!(a.fates, s.fates);
                 }
             });
         });

@@ -284,10 +284,8 @@ impl<P: Protocol> Lane<P> {
     ) {
         match ev {
             Event::Deliver { from, to, msg } => {
-                if !self.alive[self.local(to)] || self.faults.blocked(from, to) {
-                    self.kernel.messages_dropped += 1;
-                    self.stats.record_drop_to_dead();
-                } else {
+                let dead = !self.alive[self.local(to)];
+                if !self.faults.blocked(from, to, dead) {
                     self.kernel.deliveries += 1;
                     self.with_ctx(at, to, net, sink, |p, ctx| p.on_message(ctx, from, msg));
                 }
@@ -352,8 +350,7 @@ impl<P: Protocol> Lane<P> {
         let mut k = self.kernel;
         k.queue_len = self.queue.len();
         k.events_scheduled = self.queue.scheduled_total();
-        k.chaos_losses = self.faults.losses();
-        k.partition_drops = self.faults.partition_drops();
+        k.fates = self.faults.fates();
         k.slab_slots = self.queue.slab_slots();
         k.queue_mem_bytes = self.queue.mem_bytes();
         k

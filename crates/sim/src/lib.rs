@@ -104,7 +104,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use fault::{FaultState, NetFault};
+pub use fault::{FaultState, NetFates, NetFault};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::NodeId;
 pub use kernel::{

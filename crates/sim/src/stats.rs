@@ -79,7 +79,6 @@ pub struct ClassCounters {
 pub struct TrafficStats {
     per_class: [ClassCounters; 7],
     pair_counts: Option<HashMap<(NodeId, NodeId), u64>>,
-    dropped_to_dead: u64,
 }
 
 impl TrafficStats {
@@ -109,11 +108,6 @@ impl TrafficStats {
         }
     }
 
-    /// Records a message that arrived at a failed node and was dropped.
-    pub fn record_drop_to_dead(&mut self) {
-        self.dropped_to_dead += 1;
-    }
-
     /// Counters for one traffic class.
     pub fn class(&self, class: TrafficClass) -> ClassCounters {
         self.per_class[class.index()]
@@ -129,11 +123,6 @@ impl TrafficStats {
         t
     }
 
-    /// Number of messages dropped because the destination had failed.
-    pub fn dropped_to_dead(&self) -> u64 {
-        self.dropped_to_dead
-    }
-
     /// Per-unordered-pair byte counts, if enabled.
     pub fn pair_counts(&self) -> Option<&HashMap<(NodeId, NodeId), u64>> {
         self.pair_counts.as_ref()
@@ -146,7 +135,6 @@ impl TrafficStats {
             mine.messages += theirs.messages;
             mine.bytes += theirs.bytes;
         }
-        self.dropped_to_dead += other.dropped_to_dead;
         if let (Some(mine), Some(theirs)) = (&mut self.pair_counts, &other.pair_counts) {
             for (k, v) in theirs {
                 *mine.entry(*k).or_insert(0) += v;
@@ -157,7 +145,6 @@ impl TrafficStats {
     /// Resets all counters (pair tracking stays enabled if it was).
     pub fn reset(&mut self) {
         self.per_class = Default::default();
-        self.dropped_to_dead = 0;
         if let Some(p) = &mut self.pair_counts {
             p.clear();
         }
@@ -215,10 +202,8 @@ mod tests {
         let mut s = TrafficStats::new();
         s.enable_pair_counts();
         s.record(NodeId::new(0), NodeId::new(1), 1, TrafficClass::Data);
-        s.record_drop_to_dead();
         s.reset();
         assert_eq!(s.total().messages, 0);
-        assert_eq!(s.dropped_to_dead(), 0);
         assert_eq!(s.pair_counts().unwrap().len(), 0);
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use gocast_sim::{FaultState, NetFault, NodeId};
+use gocast_sim::{FaultState, NetFates, NetFault, NodeId};
 use proptest::prelude::*;
 
 const NODES: u32 = 8;
@@ -22,8 +22,7 @@ struct Model {
     sides: Option<Vec<u32>>,
     loss: f64,
     jitter: Duration,
-    cut_drops: u64,
-    partition_drops: u64,
+    fates: NetFates,
 }
 
 impl Model {
@@ -49,14 +48,14 @@ impl Model {
             return false;
         }
         if self.cut.contains(&(a.min(b), a.max(b))) {
-            self.cut_drops += 1;
+            self.fates.cut += 1;
             return true;
         }
         let crosses = self
             .sides
             .as_ref()
             .is_some_and(|s| s[a as usize] != s[b as usize]);
-        self.partition_drops += u64::from(crosses);
+        self.fates.partitioned += u64::from(crosses);
         crosses
     }
 }
@@ -98,7 +97,7 @@ proptest! {
                 }
                 Op::Check(a, b) => {
                     let (na, nb) = (NodeId::new(*a), NodeId::new(*b));
-                    prop_assert_eq!(state.blocked(na, nb), model.blocked(*a, *b), "{} -> {}", a, b);
+                    prop_assert_eq!(state.blocked(na, nb, false), model.blocked(*a, *b), "{} -> {}", a, b);
                     prop_assert_eq!(state.is_cut(na, nb), a != b && model.cut.contains(&(*a.min(b), *a.max(b))));
                     // A self-send makes no draw and carries no jitter, so
                     // it can be asked for at any time without moving the
@@ -111,9 +110,7 @@ proptest! {
             prop_assert_eq!(state.partition(), model.sides.as_deref());
             prop_assert_eq!(state.active(), model.loss > 0.0 || !model.jitter.is_zero());
         }
-        prop_assert_eq!(state.cut_drops(), model.cut_drops);
-        prop_assert_eq!(state.partition_drops(), model.partition_drops);
-        prop_assert_eq!(state.losses(), 0);
+        prop_assert_eq!(state.fates(), model.fates);
     }
 
     /// What `draw` hands back respects the settings: nothing is lost at
@@ -132,6 +129,6 @@ proptest! {
         for _ in 0..32 {
             prop_assert_eq!(state.draw(a, b), None);
         }
-        prop_assert_eq!(state.losses(), 32);
+        prop_assert_eq!(state.fates().lost, 32);
     }
 }

@@ -13,7 +13,8 @@
 //! 3. fire due timers per node;
 //! 4. release jitter-delayed datagrams whose hold expired;
 //! 5. drain every socket in `recvmmsg` batches, decode the transport
-//!    frame, learn the sender's address, and dispatch;
+//!    frame, learn the sender's address, and dispatch (a crashed node's
+//!    datagrams are counted dead instead);
 //! 6. flush gathered outbound datagrams in one `sendmmsg` batch; if the
 //!    iteration did no work, sleep until the earliest known deadline
 //!    (timer wheels *and* the jitter queue head, capped at 500 µs since
@@ -256,8 +257,9 @@ where
     /// economics: `fabric_sendmmsg_calls`, `fabric_recvmmsg_calls`,
     /// `fabric_syscalls_saved`), per-poll drain and timer-lateness
     /// distributions, and discovery queue depths — all aggregated across
-    /// shards. The histograms are wall-clock flavoured and flagged
-    /// accordingly.
+    /// shards — then the network fates under the `net_*` names the
+    /// simulation kernel exports too. The histograms are wall-clock
+    /// flavoured and flagged accordingly.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         let s = self.stats();
@@ -272,10 +274,6 @@ where
         snap.record_counter("fabric_bytes_received", s.bytes_received);
         snap.record_counter("fabric_wire_msgs", s.wire_msgs);
         snap.record_counter("fabric_delayed", s.delayed);
-        snap.record_counter("fabric_dropped_loss", s.dropped_loss);
-        snap.record_counter("fabric_dropped_partition", s.dropped_partition);
-        snap.record_counter("fabric_dropped_cut", s.dropped_cut);
-        snap.record_counter("fabric_dropped_crashed", s.dropped_crashed);
         snap.record_counter("fabric_whohas_sent", s.whohas_sent);
         snap.record_counter("fabric_peer_replies", s.peer_replies);
         snap.record_counter("fabric_unresolved_dropped", s.unresolved_dropped);
@@ -319,6 +317,7 @@ where
         }
         snap.record_wall_histogram("fabric_datagrams_per_poll", &per_poll);
         snap.record_wall_histogram("fabric_timer_fire_lateness_ns", &lateness);
+        s.fates.snapshot_into(&mut snap);
         snap
     }
 
@@ -477,6 +476,7 @@ mod tests {
     use super::*;
     use gocast::GoCastCommand;
     use gocast_sim::scenario::{Scenario, ScenarioEnv, Split};
+    use gocast_sim::{FixedLatency, NullRecorder, ShardedSimBuilder, SimBuilder};
 
     fn skip() -> bool {
         if crate::loopback_available() {
@@ -586,13 +586,13 @@ mod tests {
         let plan = scenario.compile(&ScenarioEnv::new(4, 5));
         net.attach_plan(&plan);
         net.run_for(Duration::from_millis(1500));
-        let mid = net.stats().dropped_partition;
+        let mid = net.stats().fates.partitioned;
         assert!(mid > 0, "partition never dropped a datagram on the wire");
         net.run_for(Duration::from_millis(1000));
-        let healed = net.stats().dropped_partition;
+        let healed = net.stats().fates.partitioned;
         net.run_for(Duration::from_millis(500));
         assert_eq!(
-            net.stats().dropped_partition,
+            net.stats().fates.partitioned,
             healed,
             "partition kept dropping after its heal time"
         );
@@ -610,10 +610,38 @@ mod tests {
         net.attach_plan(&plan);
         net.run_for(Duration::from_secs(2));
         assert!(net.is_crashed(NodeId::new(2)));
+        assert!(net.stats().fates.dead > 0, "no traffic hit the crash wall");
+    }
+
+    /// A datagram already on its way to a node when it crashes — in its
+    /// socket's buffer, or held back by jitter and released after — is
+    /// dead, as in the kernel: the crashed node's socket is drained and
+    /// what it held is counted, not left unread.
+    #[test]
+    fn datagrams_in_flight_to_a_crashed_node_are_counted_dead() {
+        if skip() {
+            return;
+        }
+        let cfg = TestnetConfig::new(4).with_seed(3);
+        let mut net = Testnet::build_bootstrap(&cfg).expect("bind loopback");
+        let victim = NodeId::new(2);
+        let scenario = Scenario::new()
+            .jitter_at(Duration::ZERO, Duration::from_millis(200))
+            .crash_at(Duration::from_millis(1500), victim);
+        net.attach_plan(&scenario.compile(&ScenarioEnv::new(4, 3)));
+        for i in 0..10 {
+            let at = SimTime::from_millis(1000 + 50 * i);
+            net.schedule_command(at, NodeId::new(0), GoCastCommand::Multicast);
+        }
+        net.run_for(Duration::from_millis(2500));
+        assert!(net.is_crashed(victim));
+        let mut buf = [0u8; 64];
+        let unread = net.slot(victim).socket.recv_from(&mut buf);
         assert!(
-            net.stats().dropped_crashed > 0,
-            "no traffic hit the crash wall"
+            unread.is_err(),
+            "a datagram sat unread in a crashed node's socket"
         );
+        assert!(net.stats().fates.dead > 0, "{}", net.stats());
     }
 
     /// Regression: with jitter holding datagrams back, the idle sleep
@@ -648,6 +676,37 @@ mod tests {
             deliveries, 3,
             "held datagrams failed to release in time: {stats}"
         );
+    }
+
+    /// The network fates are one schema on every host: `Sim`, a 64-lane
+    /// `ShardedSim` and the fabric export exactly the same four names.
+    #[test]
+    fn network_fates_export_one_schema_on_every_host() {
+        /// Fate metrics one host may export without the others: none.
+        const FATE_ALLOWLIST: [&str; 0] = [];
+        let fates = |snap: Snapshot| -> Vec<&'static str> {
+            let names = snap.entries().iter().map(|e| e.name);
+            names
+                .filter(|n| n.starts_with("net_") && !FATE_ALLOWLIST.contains(n))
+                .collect()
+        };
+        let expected = ["net_lost", "net_cut", "net_partitioned", "net_dead"];
+        let net = || FixedLatency::new(64, Duration::from_millis(10));
+        let make = |id| GoCastNode::new(id, GoCastConfig::default(), Vec::new());
+        let mut sim = SimBuilder::new(net()).build(make);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(fates(sim.metrics_snapshot()), expected);
+        let mut lanes = ShardedSimBuilder::new(net())
+            .lanes(64)
+            .build_with(NullRecorder, make);
+        lanes.run_until(SimTime::from_secs(1));
+        assert_eq!(lanes.lane_count(), 64);
+        assert_eq!(fates(lanes.metrics_snapshot()), expected);
+        if skip() {
+            return;
+        }
+        let wire = Testnet::build_bootstrap(&TestnetConfig::new(4)).expect("bind loopback");
+        assert_eq!(fates(wire.metrics_snapshot()), expected);
     }
 
     #[test]

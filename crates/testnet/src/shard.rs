@@ -16,9 +16,11 @@
 //! agree on), but dispatches `Leave`/`Join` protocol commands only for
 //! nodes it owns. The fault state is the simulation kernel's own type, so
 //! loss, jitter, partitions and link cuts mean on real sockets exactly
-//! what they mean in simulation; where the kernel consults it as it moves
-//! a message, the shard consults it in [`Tx::transmit`], before the
-//! datagram reaches the operating system.
+//! what they mean in simulation, and it counts every datagram the network
+//! does not deliver under the same [`NetFates`] the kernel exports; where
+//! the kernel consults it as it moves a message, the shard consults it in
+//! [`Tx::transmit`], before the datagram reaches the operating system,
+//! and once more for a datagram that reaches a crashed node's socket.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -27,7 +29,7 @@ use gocast::{decode, encode_into, GoCastEvent, GoCastMsg};
 use gocast_metrics::{Gauge, Log2Histogram};
 use gocast_sim::scenario::{Fault, PlannedFault};
 use gocast_sim::{
-    Ctx, FaultState, FxHashMap, HostBackend, NodeId, Protocol, SimTime, Stack, Timer,
+    Ctx, FaultState, FxHashMap, HostBackend, NetFates, NodeId, Protocol, SimTime, Stack, Timer,
 };
 use gocast_udp::{DelayQueue, TimerWheel};
 use rand::rngs::SmallRng;
@@ -73,14 +75,9 @@ pub struct FabricStats {
     pub bytes_sent: u64,
     /// Payload bytes read off sockets.
     pub bytes_received: u64,
-    /// Datagrams dropped by injected loss.
-    pub dropped_loss: u64,
-    /// Datagrams dropped crossing a partition.
-    pub dropped_partition: u64,
-    /// Datagrams dropped on a cut link.
-    pub dropped_cut: u64,
-    /// Datagrams dropped to/from crashed nodes.
-    pub dropped_crashed: u64,
+    /// The datagrams the network did not deliver, by fate (counted by the
+    /// shards' [`FaultState`] replicas).
+    pub fates: NetFates,
     /// Datagrams held back by injected jitter.
     pub delayed: u64,
     /// Address queries sent (bootstrap discovery).
@@ -108,10 +105,7 @@ impl FabricStats {
         self.syscalls_saved += other.syscalls_saved;
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
-        self.dropped_loss += other.dropped_loss;
-        self.dropped_partition += other.dropped_partition;
-        self.dropped_cut += other.dropped_cut;
-        self.dropped_crashed += other.dropped_crashed;
+        self.fates.merge(&other.fates);
         self.delayed += other.delayed;
         self.whohas_sent += other.whohas_sent;
         self.peer_replies += other.peer_replies;
@@ -124,17 +118,17 @@ impl std::fmt::Display for FabricStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "sent={} recv={} msgs={} saved={} delayed={} drops(loss/part/cut/crash)={}/{}/{}/{} \
+            "sent={} recv={} msgs={} saved={} delayed={} fates(lost/cut/part/dead)={}/{}/{}/{} \
              whohas={} replies={} unresolved={} malformed={}",
             self.datagrams_sent,
             self.datagrams_received,
             self.wire_msgs,
             self.syscalls_saved,
             self.delayed,
-            self.dropped_loss,
-            self.dropped_partition,
-            self.dropped_cut,
-            self.dropped_crashed,
+            self.fates.lost,
+            self.fates.cut,
+            self.fates.partitioned,
+            self.fates.dead,
             self.whohas_sent,
             self.peer_replies,
             self.unresolved_dropped,
@@ -209,8 +203,8 @@ pub(crate) struct Shard<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> {
     /// This shard's slice of the event stream; drained by the merge.
     pub(crate) trace: Vec<(SimTime, NodeId, GoCastEvent)>,
     record_trace: bool,
-    /// Everything but the three drop counters the fault state keeps
-    /// (see [`Shard::stats`]).
+    /// Everything but the fates, which the fault state counts (see
+    /// [`Shard::stats`]).
     stats: FabricStats,
     pub(crate) telemetry: FabricTelemetry,
     batch: BatchBuffer,
@@ -283,13 +277,10 @@ where
         self.crashed[id.index()]
     }
 
-    /// This shard's wire counters, with the drops its fault state counted
-    /// by cause.
+    /// This shard's wire counters, with the fates its fault state counted.
     pub(crate) fn stats(&self) -> FabricStats {
         FabricStats {
-            dropped_loss: self.faults.losses(),
-            dropped_partition: self.faults.partition_drops(),
-            dropped_cut: self.faults.cut_drops(),
+            fates: self.faults.fates(),
             ..self.stats
         }
     }
@@ -404,18 +395,24 @@ where
                 }
                 activity = true;
             }
-            // 5. Drain every owned socket in batches.
+            // 5. Drain every owned socket in batches. A crashed node's
+            //    socket is drained too: what was in flight to it when it
+            //    crashed (or was held back by jitter) is dead, as in the
+            //    kernel, not left unread and uncounted.
             let recv_before = self.stats.datagrams_received;
             let mut recv = std::mem::take(&mut self.recv);
             for local in 0..self.slots.len() {
-                if self.is_crashed(self.global_id(local)) {
-                    continue;
-                }
+                let id = self.global_id(local);
+                let dead = self.is_crashed(id);
                 for _ in 0..DRAIN_BATCHES {
                     let got = recv.recv(&self.slots[local].socket, &mut self.mode, &mut self.stats);
                     for j in 0..got {
-                        let (src, bytes) = recv.datagram(j);
-                        self.on_datagram(local, src, bytes);
+                        if dead {
+                            self.faults.blocked(id, id, true);
+                        } else {
+                            let (src, bytes) = recv.datagram(j);
+                            self.on_datagram(local, src, bytes);
+                        }
                     }
                     if got > 0 {
                         activity = true;
@@ -690,14 +687,11 @@ impl Tx<'_> {
     /// The one transmit path: judges `from → to` — crash marks, then the
     /// structural faults, then the loss and jitter draws, the kernel's
     /// order — and gathers the datagram `fill` writes into the batch,
-    /// holds it for its jitter delay, or counts the drop (here for a
-    /// crashed endpoint, in the fault state for the rest).
+    /// holds it for its jitter delay, or leaves it to the fault state,
+    /// which counts its fate.
     fn transmit(&mut self, to: NodeId, dest: SocketAddr, fill: impl FnOnce(&mut Vec<u8>)) {
-        if self.crashed[self.from.index()] || self.crashed[to.index()] {
-            self.stats.dropped_crashed += 1;
-            return;
-        }
-        if self.faults.blocked(self.from, to) {
+        let dead = self.crashed[self.from.index()] || self.crashed[to.index()];
+        if self.faults.blocked(self.from, to, dead) {
             return;
         }
         let mut hold = Duration::ZERO;
@@ -815,11 +809,36 @@ mod tests {
         mode: BatchMode,
     }
 
+    /// Where one transmit ended up.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Landed {
+        /// Gathered into the batch (or the flush it filled).
+        Batch,
+        /// Held back for its jitter delay.
+        Held,
+        /// Stopped, with its fate counted.
+        Fate,
+    }
+
     impl Wire {
-        /// Transmits one byte `from → to`; whether it was gathered to go out.
-        fn send(&mut self, from: u32, to: u32) -> bool {
-            let before = self.batch.len();
+        fn new(socket: UdpSocket, nodes: usize) -> Wire {
+            Wire {
+                socket,
+                faults: FaultState::new(nodes, 1, 0),
+                crashed: vec![false; nodes],
+                delayed: DelayQueue::new(),
+                stats: FabricStats::default(),
+                batch: BatchBuffer::new(),
+                mode: BatchMode::detect(),
+            }
+        }
+
+        /// Transmits one byte `from → to`, checking that it landed in
+        /// exactly one place.
+        fn send(&mut self, from: u32, to: u32) -> Landed {
+            let (held, fates) = (self.stats.delayed, self.faults.fates().total());
             let dest = self.socket.local_addr().expect("bound");
+            let mut filled = false;
             let mut tx = Tx {
                 from: NodeId::new(from),
                 local: 0,
@@ -831,35 +850,88 @@ mod tests {
                 batch: &mut self.batch,
                 mode: &mut self.mode,
             };
-            tx.transmit(NodeId::new(to), dest, |buf| buf.push(0));
-            self.batch.len() > before
+            tx.transmit(NodeId::new(to), dest, |buf| {
+                filled = true;
+                buf.push(0);
+            });
+            let held = self.stats.delayed - held;
+            let fated = self.faults.fates().total() - fates;
+            match (filled, held, fated) {
+                (true, 0, 0) => Landed::Batch,
+                (true, 1, 0) => Landed::Held,
+                (false, 0, 1) => Landed::Fate,
+                other => panic!("{from} -> {to} landed as {other:?}"),
+            }
         }
+    }
+
+    fn loopback() -> Option<UdpSocket> {
+        // None: no loopback sockets in this sandbox.
+        UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).ok()
     }
 
     #[test]
     fn crashed_nodes_are_silenced_and_self_sends_bypass_faults() {
-        let Ok(socket) = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)) else {
-            return; // no loopback sockets in this sandbox
+        let Some(socket) = loopback() else {
+            return;
         };
-        let mut wire = Wire {
-            socket,
-            faults: FaultState::new(3, 1, 0),
-            crashed: vec![false; 3],
-            delayed: DelayQueue::new(),
-            stats: FabricStats::default(),
-            batch: BatchBuffer::new(),
-            mode: BatchMode::detect(),
-        };
+        let mut wire = Wire::new(socket, 3);
         wire.faults.apply(&NetFault::SetLoss(1.0));
-        assert!(wire.send(1, 1), "self-send exempt");
-        assert!(!wire.send(0, 1));
-        assert_eq!(wire.faults.losses(), 1);
+        assert_eq!(wire.send(1, 1), Landed::Batch, "self-send exempt");
+        assert_eq!(wire.send(0, 1), Landed::Fate);
+        assert_eq!(wire.faults.fates().lost, 1);
         wire.crashed[2] = true;
-        assert!(!wire.send(0, 2));
-        assert!(!wire.send(2, 0));
-        assert!(!wire.send(2, 2));
+        assert_eq!(wire.send(0, 2), Landed::Fate);
+        assert_eq!(wire.send(2, 0), Landed::Fate);
+        assert_eq!(wire.send(2, 2), Landed::Fate);
         // Crash marks are judged first: those three never reached a draw.
-        assert_eq!((wire.stats.dropped_crashed, wire.faults.losses()), (3, 1));
+        let fates = wire.faults.fates();
+        assert_eq!((fates.dead, fates.lost), (3, 1));
         assert_eq!(wire.stats.delayed, 0);
+    }
+
+    /// Conservation on the transmit path: under a plan that exercises
+    /// every fate, each transmit is gathered, held or stopped — once — and
+    /// the wire counters add up to the number of transmits.
+    #[test]
+    fn every_transmit_is_gathered_held_or_fated_once() {
+        let Some(socket) = loopback() else {
+            return;
+        };
+        const NODES: u32 = 8;
+        let mut wire = Wire::new(socket, NODES as usize);
+        let mut landed = [0u64; 3];
+        let mut round = |wire: &mut Wire| {
+            for a in 0..NODES {
+                for b in 0..NODES {
+                    landed[wire.send(a, b) as usize] += 1;
+                }
+            }
+        };
+        wire.faults
+            .apply(&NetFault::CutLink(NodeId::new(0), NodeId::new(1)));
+        wire.faults
+            .apply(&NetFault::partition(vec![0, 0, 0, 0, 1, 1, 1, 1]));
+        wire.faults.apply(&NetFault::SetLoss(0.3));
+        wire.faults
+            .apply(&NetFault::SetJitter(Duration::from_millis(1)));
+        wire.crashed[7] = true;
+        round(&mut wire);
+        round(&mut wire);
+        wire.faults.apply(&NetFault::HealPartition);
+        wire.faults
+            .apply(&NetFault::HealLink(NodeId::new(0), NodeId::new(1)));
+        round(&mut wire);
+        let fates = wire.faults.fates();
+        assert!(
+            fates.lost > 0 && fates.cut > 0 && fates.partitioned > 0 && fates.dead > 0,
+            "the plan exercises every fate: {fates:?}"
+        );
+        let [batched, held, fated] = landed;
+        assert!(batched > 0 && held > 0);
+        assert_eq!(batched + held + fated, 3 * u64::from(NODES * NODES));
+        assert_eq!(held, wire.stats.delayed);
+        assert_eq!(fated, fates.total());
+        assert_eq!(batched, wire.stats.datagrams_sent + wire.batch.len() as u64);
     }
 }

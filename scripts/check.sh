@@ -90,6 +90,33 @@ stray=$(nontest_lines 'struct (Impairments|NetFaults)([^_[:alnum:]]|$)' "${fault
     exit 1
 }
 
+echo "==> structure gate: one network-fate vocabulary"
+# A message the network does not deliver is lost, cut, partitioned or
+# dead: gocast_sim::NetFates, kept by FaultState on both hosts, is the one
+# count, and NetFates::snapshot_into the one line per `net_*` name. The
+# per-host names it replaced must not come back.
+mapfile -d '' fate_sources < <(find crates tests examples -name '*.rs' \
+    -not -path '*/tests/*' -print0)
+stray=$(nontest_lines 'messages_dropped|partition_drops|chaos_losses|dropped_to_dead|dropped_(loss|partition|cut|crashed)|kernel_drops|fabric_dropped_' \
+    "${fate_sources[@]}")
+[[ -z "$stray" ]] || {
+    echo "FAIL: a per-host drop counter or metric name is back: $stray" >&2
+    exit 1
+}
+dupes=$(awk 'FNR == 1 { test = 0 }
+    /#\[cfg\(test\)\]/ { test = 1 }
+    !test && $0 !~ /^[[:space:]]*\/\// {
+        line = $0
+        while (match(line, /"net_[a-z_]+"/)) {
+            print substr(line, RSTART, RLENGTH)
+            line = substr(line, RSTART + RLENGTH)
+        }
+    }' "${fate_sources[@]}" | sort | uniq -d)
+[[ -z "$dupes" ]] || {
+    echo "FAIL: a net_* metric is recorded on more than one line: $dupes" >&2
+    exit 1
+}
+
 echo "==> structure gate: one performance ledger"
 # benchmark/ measures what the code costs and golden.rs + results/*.csv
 # lock what it computes; a second instrument with a committed baseline

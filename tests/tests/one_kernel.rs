@@ -69,7 +69,7 @@ fn outcome<M: Mode>(sim: Engine<GoCastNode, Rec, M>) -> Outcome {
         wall_time: Duration::ZERO,
         ..sim.kernel_stats()
     };
-    let (total, dropped) = (sim.stats().total(), sim.stats().dropped_to_dead());
+    let (total, dropped) = (sim.stats().total(), kernel.fates.total());
     (sim.into_recorder().events, kernel, total, dropped)
 }
 
@@ -99,7 +99,7 @@ fn assert_entry_points_agree(scenario: &Scenario) -> Outcome {
 #[test]
 fn fault_free() {
     let (_, kernel, _, _) = assert_entry_points_agree(&Scenario::new());
-    assert_eq!(kernel.control_events + kernel.messages_dropped, 0);
+    assert_eq!(kernel.control_events + kernel.fates.total(), 0);
 }
 
 #[test]
@@ -117,7 +117,10 @@ fn crashes_partition_and_link_cut() {
     }
     let (_, kernel, _, _) = assert_entry_points_agree(&scenario);
     assert_eq!(kernel.control_events, 8 + 2 + 2);
-    assert!(kernel.partition_drops > 0, "the partition cut live traffic");
+    assert!(
+        kernel.fates.partitioned > 0,
+        "the partition cut live traffic"
+    );
 }
 
 #[test]
@@ -126,5 +129,5 @@ fn loss_and_jitter() {
         .loss_at(Duration::ZERO, 0.02)
         .jitter_at(Duration::ZERO, Duration::from_millis(20));
     let (_, kernel, _, _) = assert_entry_points_agree(&scenario);
-    assert!(kernel.chaos_losses > 1_000, "loss was live");
+    assert!(kernel.fates.lost > 1_000, "loss was live");
 }

@@ -127,7 +127,7 @@ fn partition_heals_and_delivery_recovers() {
         "heal was scheduled at +20 s"
     );
     assert!(
-        sim.kernel_stats().partition_drops > 0,
+        sim.kernel_stats().fates.partitioned > 0,
         "a halves split must drop cross-side messages"
     );
 
@@ -180,7 +180,7 @@ fn partition_scenario_through_runner_recovers() {
     assert_eq!(o.violations, 0, "oracle violations across a partition");
     assert_eq!(o.repairs.len(), 2, "form + heal bursts");
     assert!(
-        o.kernel.partition_drops > 0,
+        o.kernel.fates.partitioned > 0,
         "partition was scheduled but dropped nothing"
     );
 
