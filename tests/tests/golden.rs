@@ -324,7 +324,7 @@ const COMPARE_CHURN: &str = concat!(
 );
 // The stream reports `kernel_queue_mem_bytes`, so this digest also pins
 // what a queued GoCast event occupies (120 B: 91,800 at every sample).
-const CHAOS_CHURN_METRICS_FNV: u64 = 0x1326da44882370e6;
+const CHAOS_CHURN_METRICS_FNV: u64 = 0xfe986a64f9aa0ab4;
 const FIG3A_TRACE_FNV: [u64; 5] = [
     0x4151c88554a144fe,
     0x920866c35dc39aba,
