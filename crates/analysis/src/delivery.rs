@@ -1,12 +1,15 @@
-//! Streaming delivery metrics.
+//! Streaming delivery metrics: the run's one delivery ledger.
 //!
 //! Two layers, both implementing [`Recorder<GoCastEvent>`] and both
 //! memory-bounded:
 //!
-//! - [`DeliveryTracker`] folds delivery events into per-node latency
-//!   aggregates, an all-delays [`DelayHistogram`], and redundancy / pull
-//!   counters as the simulation runs. State is O(nodes + messages)
-//!   (messages only for injection timestamps), never O(deliveries).
+//! - [`DeliveryTracker`] is the only place a run counts what happened to
+//!   its messages: injections, first deliveries (tree or pull, hop
+//!   counts, per-node latency aggregates and an all-delays
+//!   [`DelayHistogram`]), redundant payloads, pushes, IHAVE entries,
+//!   pulls requested and served, and per-message delivery counts in
+//!   injection order for windowed delivery ratios. State is
+//!   O(nodes + messages), never O(deliveries).
 //! - [`MetricsRecorder`] composes a `DeliveryTracker` with a 1-second
 //!   [`TimeSeriesRecorder`] for link churn — everything the paper's
 //!   figures need from one run, in one recorder.
@@ -19,27 +22,19 @@
 //!   message are reported separately — the reason the paper's gossip
 //!   curves saturate below 1.0);
 //! - redundancy (§2.1's 1.02 factor) and pull counts;
+//! - delivery ratio over injection time around faults (§4–§5);
 //! - link-churn and parent-change time series (Figure 5, §3 summary (1)).
 //!
-//! ## Migration from buffered recording
-//!
-//! `MetricsRecorder` used to keep every (node, message) delay in a
-//! `Vec<Duration>` to serve `delay_cdf()` — O(deliveries) memory, ~67 MB
-//! for the paper's 8,192-node x 1,000-message configuration. That method
-//! is replaced by [`MetricsRecorder::delay_histogram`], which answers the
-//! same percentile / mean / max queries from a fixed-size log-scale
-//! histogram (exact mean/min/max, ≈3% percentile error). The per-node
-//! averages behind the figure CSVs were always exact O(nodes) math and
-//! are unchanged — figure output is byte-identical. If a test needs the
-//! raw event stream, record into a `VecRecorder` (optionally `.tee(..)`'d
-//! with a tracker) — see `gocast_sim::recorder`.
+//! A test that needs the raw event stream records into a `VecRecorder`
+//! (optionally `.tee(..)`'d with a tracker) — see `gocast_sim::recorder`.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use gocast::{GoCastEvent, MsgId};
+use gocast::{DeliveryPath, GoCastEvent, MsgId};
 use gocast_sim::{NodeId, Recorder, SimTime};
 
+use crate::recovery::WindowRatio;
 use crate::stats::{Cdf, DelayHistogram};
 use crate::timeseries::TimeSeriesRecorder;
 
@@ -52,21 +47,51 @@ struct NodeAgg {
     max_delay: Duration,
 }
 
-/// Streaming per-node delivery aggregation.
+/// The run's delivery ledger: every count of what happened to its
+/// messages, folded in online via [`Recorder::record`].
 ///
 /// Holds O(nodes + messages) state regardless of how many deliveries the
-/// run produces; every statistic is folded in online via
-/// [`Recorder::record`].
+/// run produces. Per message it keeps `(id, injected_at, deliveries)` in
+/// injection order, which is what [`DeliveryTracker::windowed_ratios`]
+/// buckets after the run; expected counts are supplied then (they depend
+/// on which nodes were present, which the scenario plan knows).
+///
+/// ```
+/// use gocast::{DeliveryPath, GoCastEvent, MsgId};
+/// use gocast_analysis::DeliveryTracker;
+/// use gocast_sim::{NodeId, Recorder, SimTime};
+/// use std::time::Duration;
+///
+/// let mut tracker = DeliveryTracker::new();
+/// assert_eq!(tracker.injections().count(), 0);
+/// let id = MsgId::new(NodeId::new(0), 0);
+/// tracker.record(SimTime::ZERO, NodeId::new(0), GoCastEvent::Injected { id });
+/// let via = DeliveryPath::Tree;
+/// let delivered = GoCastEvent::Delivered { id, via, from: NodeId::new(0), hop: 1 };
+/// tracker.record(SimTime::from_millis(30), NodeId::new(1), delivered);
+/// let windows = tracker.windowed_ratios(Duration::from_secs(5), |_, _| 2);
+/// assert_eq!(windows.len(), 1);
+/// assert_eq!(windows[0].ratio(), 0.5);
+/// ```
 #[derive(Debug, Default)]
 pub struct DeliveryTracker {
-    inject_time: HashMap<MsgId, SimTime>,
+    /// `MsgId` → position in `msgs`; the first injection of an id wins.
+    index: HashMap<MsgId, usize>,
+    /// Per message, in injection order: `(id, injected_at, deliveries)`.
+    msgs: Vec<(MsgId, SimTime, u64)>,
     per_node: Vec<NodeAgg>,
     delays: DelayHistogram,
     injected: u64,
     delivered: u64,
     redundant: u64,
+    pushes: u64,
+    ihaves: u64,
     pulls: u64,
+    pulls_served: u64,
+    hop_sum: u64,
+    hops: u64,
     delivered_via_tree: u64,
+    pull_deliveries: u64,
     parent_changes: u64,
     root_takeovers: u64,
 }
@@ -85,7 +110,7 @@ impl DeliveryTracker {
         &mut self.per_node[i]
     }
 
-    /// Number of messages injected.
+    /// Number of `Injected` events.
     pub fn injected(&self) -> u64 {
         self.injected
     }
@@ -117,9 +142,39 @@ impl DeliveryTracker {
         self.delivered_via_tree as f64 / self.delivered as f64
     }
 
+    /// Full payloads pushed to tree (or eager) neighbors.
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// Message ids advertised in gossip (IHAVE) digests, one per entry.
+    pub fn ihaves(&self) -> u64 {
+        self.ihaves
+    }
+
     /// Pull requests issued.
     pub fn pulls(&self) -> u64 {
         self.pulls
+    }
+
+    /// Pull requests answered with the payload.
+    pub fn pulls_served(&self) -> u64 {
+        self.pulls_served
+    }
+
+    /// Sum of causal hop counts over deliveries that carried one.
+    pub fn hop_sum(&self) -> u64 {
+        self.hop_sum
+    }
+
+    /// Deliveries carrying a nonzero hop count.
+    pub fn hops(&self) -> u64 {
+        self.hops
+    }
+
+    /// Deliveries recovered via pull/graft (not the primary push path).
+    pub fn pull_deliveries(&self) -> u64 {
+        self.pull_deliveries
     }
 
     /// Tree parent changes observed.
@@ -172,6 +227,55 @@ impl DeliveryTracker {
             .map(|a| a.received)
             .unwrap_or(0)
     }
+
+    /// `(id, injection time)` for every distinct injected id, in order.
+    pub fn injections(&self) -> impl Iterator<Item = (MsgId, SimTime)> + '_ {
+        self.msgs.iter().map(|&(id, at, _)| (id, at))
+    }
+
+    /// Observed delivery count for `id` (0 if never injected).
+    pub fn deliveries_of(&self, id: MsgId) -> u64 {
+        self.index.get(&id).map_or(0, |&i| self.msgs[i].2)
+    }
+
+    /// Buckets messages into injection-time windows of width `window` and
+    /// returns one [`WindowRatio`] per non-empty span, in time order.
+    /// `expected` supplies the number of deliveries each message *should*
+    /// have seen (e.g. nodes present at injection and until the end of
+    /// the run, minus the origin); it is asked once per message, in
+    /// injection order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn windowed_ratios(
+        &self,
+        window: Duration,
+        mut expected: impl FnMut(MsgId, SimTime) -> u64,
+    ) -> Vec<WindowRatio> {
+        assert!(window > Duration::ZERO, "window must be positive");
+        let Some(&(_, first, _)) = self.msgs.first() else {
+            return Vec::new();
+        };
+        let mut out: Vec<WindowRatio> = Vec::new();
+        for &(id, at, delivered) in &self.msgs {
+            let bucket = (at.saturating_since(first).as_nanos() / window.as_nanos()) as u64;
+            let start = first + window * bucket as u32;
+            if out.last().map(|w| w.start) != Some(start) {
+                out.push(WindowRatio {
+                    start,
+                    injected: 0,
+                    expected: 0,
+                    delivered: 0,
+                });
+            }
+            let w = out.last_mut().expect("window pushed above");
+            w.injected += 1;
+            w.expected += expected(id, at);
+            w.delivered += delivered;
+        }
+        out
+    }
 }
 
 impl Recorder<GoCastEvent> for DeliveryTracker {
@@ -179,16 +283,27 @@ impl Recorder<GoCastEvent> for DeliveryTracker {
         match event {
             GoCastEvent::Injected { id } => {
                 self.injected += 1;
-                self.inject_time.insert(id, now);
+                self.index.entry(id).or_insert_with(|| {
+                    self.msgs.push((id, now, 0));
+                    self.msgs.len() - 1
+                });
                 self.node_mut(node).originated += 1;
             }
-            GoCastEvent::Delivered { id, via, .. } => {
+            GoCastEvent::Delivered { id, via, hop, .. } => {
                 self.delivered += 1;
-                if via == gocast::DeliveryPath::Tree {
-                    self.delivered_via_tree += 1;
+                match via {
+                    DeliveryPath::Tree => self.delivered_via_tree += 1,
+                    DeliveryPath::Pull => self.pull_deliveries += 1,
+                    DeliveryPath::Local => {}
                 }
-                if let Some(&t0) = self.inject_time.get(&id) {
-                    let delay = now.saturating_since(t0);
+                if hop > 0 {
+                    self.hop_sum += u64::from(hop);
+                    self.hops += 1;
+                }
+                if let Some(&i) = self.index.get(&id) {
+                    let (_, t0, deliveries) = &mut self.msgs[i];
+                    *deliveries += 1;
+                    let delay = now.saturating_since(*t0);
                     self.delays.add(delay);
                     let agg = self.node_mut(node);
                     agg.delay_sum += delay;
@@ -197,14 +312,14 @@ impl Recorder<GoCastEvent> for DeliveryTracker {
                 }
             }
             GoCastEvent::RedundantData { .. } => self.redundant += 1,
+            GoCastEvent::PushSent { .. } => self.pushes += 1,
+            GoCastEvent::IHaveSent { .. } => self.ihaves += 1,
             GoCastEvent::PullRequested { .. } => self.pulls += 1,
+            GoCastEvent::PullServed { .. } => self.pulls_served += 1,
             GoCastEvent::ParentChanged { .. } => self.parent_changes += 1,
             GoCastEvent::BecameRoot { .. } => self.root_takeovers += 1,
             GoCastEvent::LinkAdded { .. }
             | GoCastEvent::LinkDropped { .. }
-            | GoCastEvent::PushSent { .. }
-            | GoCastEvent::IHaveSent { .. }
-            | GoCastEvent::PullServed { .. }
             | GoCastEvent::TopicDelivered { .. }
             | GoCastEvent::TopicSubscribed { .. }
             | GoCastEvent::TopicUnsubscribed { .. }
@@ -260,65 +375,6 @@ impl MetricsRecorder {
         &self.link_churn
     }
 
-    /// Number of messages injected.
-    pub fn injected(&self) -> u64 {
-        self.delivery.injected()
-    }
-
-    /// Total first deliveries across nodes.
-    pub fn delivered(&self) -> u64 {
-        self.delivery.delivered()
-    }
-
-    /// Redundant full-payload receptions.
-    pub fn redundant(&self) -> u64 {
-        self.delivery.redundant()
-    }
-
-    /// Average number of times a node received each message
-    /// (`1 + redundant/delivered`; the paper reports 1.02).
-    pub fn redundancy_factor(&self) -> f64 {
-        self.delivery.redundancy_factor()
-    }
-
-    /// Fraction of deliveries that arrived over a tree link.
-    pub fn tree_fraction(&self) -> f64 {
-        self.delivery.tree_fraction()
-    }
-
-    /// Pull requests issued.
-    pub fn pulls(&self) -> u64 {
-        self.delivery.pulls()
-    }
-
-    /// Tree parent changes observed.
-    pub fn parent_changes(&self) -> u64 {
-        self.delivery.parent_changes()
-    }
-
-    /// Root takeovers observed (failovers; the initial root counts once).
-    pub fn root_takeovers(&self) -> u64 {
-        self.delivery.root_takeovers()
-    }
-
-    /// Streaming distribution over every (node, message) delivery delay
-    /// (replaces the former `delay_cdf()` — see the "migration from
-    /// buffered recording" notes at the top of this source file).
-    pub fn delay_histogram(&self) -> &DelayHistogram {
-        self.delivery.delay_histogram()
-    }
-
-    /// Per-node average delivery delay — see
-    /// [`DeliveryTracker::per_node_average_delays`].
-    pub fn per_node_average_delays(&self, expected: u64, nodes: &[NodeId]) -> (Cdf, usize) {
-        self.delivery.per_node_average_delays(expected, nodes)
-    }
-
-    /// Messages received by `node`.
-    pub fn received_by(&self, node: NodeId) -> u64 {
-        self.delivery.received_by(node)
-    }
-
     /// Link changes (adds + drops, summed over nodes — each endpoint
     /// counts) bucketed per second.
     pub fn link_changes_per_sec(&self) -> &[u64] {
@@ -336,7 +392,6 @@ impl Recorder<GoCastEvent> for MetricsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocast::DeliveryPath;
 
     fn id(seq: u32) -> MsgId {
         MsgId::new(NodeId::new(0), seq)
@@ -378,12 +433,15 @@ mod tests {
                 from: NodeId::new(0),
             },
         );
-        assert_eq!(m.injected(), 1);
-        assert_eq!(m.delivered(), 2);
-        assert_eq!(m.redundant(), 1);
-        assert!((m.redundancy_factor() - 1.5).abs() < 1e-12);
-        assert!((m.tree_fraction() - 0.5).abs() < 1e-12);
-        let h = m.delay_histogram();
+        let d = m.delivery();
+        assert_eq!(d.injected(), 1);
+        assert_eq!(d.delivered(), 2);
+        assert_eq!(d.redundant(), 1);
+        assert!((d.redundancy_factor() - 1.5).abs() < 1e-12);
+        assert!((d.tree_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!((d.hop_sum(), d.hops(), d.pull_deliveries()), (3, 2, 1));
+        assert_eq!(d.deliveries_of(id(1)), 2);
+        let h = d.delay_histogram();
         assert_eq!(h.len(), 2);
         assert_eq!(h.max(), Duration::from_millis(150));
     }
@@ -422,12 +480,12 @@ mod tests {
             },
         );
         let nodes = [NodeId::new(1), NodeId::new(2)];
-        let (cdf, incomplete) = m.per_node_average_delays(2, &nodes);
+        let (cdf, incomplete) = m.delivery().per_node_average_delays(2, &nodes);
         assert_eq!(incomplete, 1, "node 2 missed one message");
         assert_eq!(cdf.len(), 2, "both nodes contribute an average");
         assert_eq!(cdf.min(), Duration::from_millis(20)); // node 1: (10+30)/2
         assert_eq!(cdf.max(), Duration::from_millis(40)); // node 2: 40/1
-        assert_eq!(m.received_by(NodeId::new(2)), 1);
+        assert_eq!(m.delivery().received_by(NodeId::new(2)), 1);
     }
 
     #[test]
@@ -452,9 +510,9 @@ mod tests {
     #[test]
     fn empty_recorder_is_sane() {
         let m = MetricsRecorder::new();
-        assert_eq!(m.redundancy_factor(), 0.0);
-        assert_eq!(m.tree_fraction(), 0.0);
-        assert!(m.delay_histogram().is_empty());
+        assert_eq!(m.delivery().redundancy_factor(), 0.0);
+        assert_eq!(m.delivery().tree_fraction(), 0.0);
+        assert!(m.delivery().delay_histogram().is_empty());
     }
 
     #[test]
@@ -488,8 +546,75 @@ mod tests {
             t.record(SimTime::from_millis(ms), NodeId::new(node), ev.clone());
             m.record(SimTime::from_millis(ms), NodeId::new(node), ev);
         }
-        assert_eq!(t.delivered(), m.delivered());
-        assert_eq!(t.delay_histogram().mean(), m.delay_histogram().mean());
-        assert_eq!(t.tree_fraction(), m.tree_fraction());
+        let d = m.delivery();
+        assert_eq!(t.delivered(), d.delivered());
+        assert_eq!(t.delay_histogram().mean(), d.delay_histogram().mean());
+        assert_eq!(t.tree_fraction(), d.tree_fraction());
+    }
+
+    fn inject(t: &mut DeliveryTracker, now_s: u64, origin: u32, seq: u32) -> MsgId {
+        let id = MsgId::new(NodeId::new(origin), seq);
+        t.record(
+            SimTime::from_secs(now_s),
+            NodeId::new(origin),
+            GoCastEvent::Injected { id },
+        );
+        id
+    }
+
+    fn deliver(t: &mut DeliveryTracker, now_s: u64, node: u32, id: MsgId) {
+        t.record(
+            SimTime::from_secs(now_s),
+            NodeId::new(node),
+            GoCastEvent::Delivered {
+                id,
+                via: DeliveryPath::Tree,
+                from: id.origin,
+                hop: 1,
+            },
+        );
+    }
+
+    #[test]
+    fn windows_bucket_by_injection_time() {
+        let mut t = DeliveryTracker::new();
+        let a = inject(&mut t, 0, 0, 0);
+        let b = inject(&mut t, 3, 1, 0);
+        let c = inject(&mut t, 15, 2, 0);
+        // A repeated injection keeps the first injection time.
+        inject(&mut t, 40, 0, 0);
+        for n in 1..4 {
+            deliver(&mut t, 1, n, a);
+        }
+        deliver(&mut t, 4, 0, b);
+        deliver(&mut t, 16, 0, c);
+        deliver(&mut t, 16, 1, c);
+        assert_eq!(t.injections().count(), 3);
+        assert_eq!(t.injections().next(), Some((a, SimTime::ZERO)));
+        assert_eq!(t.deliveries_of(a), 3);
+        let windows = t.windowed_ratios(Duration::from_secs(10), |_, _| 3);
+        assert_eq!(windows.len(), 2);
+        assert_eq!(windows[0].start, SimTime::from_secs(0));
+        assert_eq!(windows[0].injected, 2);
+        assert_eq!(windows[0].expected, 6);
+        assert_eq!(windows[0].delivered, 4);
+        assert_eq!(windows[1].start, SimTime::from_secs(10));
+        assert_eq!(windows[1].delivered, 2);
+        assert!((windows[0].ratio() - 4.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unknown_deliveries_and_empty_tracker_are_harmless() {
+        let mut t = DeliveryTracker::new();
+        let stranger = MsgId::new(NodeId::new(9), 9);
+        deliver(&mut t, 1, 0, stranger);
+        assert_eq!(t.injections().count(), 0);
+        assert_eq!(t.deliveries_of(stranger), 0);
+        assert!(t
+            .windowed_ratios(Duration::from_secs(1), |_, _| 1)
+            .is_empty());
+        // The delivery is still counted; it just has no delay to report.
+        assert_eq!(t.delivered(), 1);
+        assert!(t.delay_histogram().is_empty());
     }
 }

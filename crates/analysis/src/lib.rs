@@ -3,14 +3,16 @@
 //! Turns raw simulation output into the quantities the paper's figures
 //! plot:
 //!
-//! - [`DeliveryTracker`] — a streaming [`gocast_sim::Recorder`] folding
-//!   delivery delays, redundancy and pulls into O(nodes) aggregates while
-//!   the simulation runs (no event buffering at paper scale);
+//! - [`DeliveryTracker`] — the run's one delivery ledger: a streaming
+//!   [`gocast_sim::Recorder`] counting injections, deliveries (tree or
+//!   pull, hops, delays), redundant payloads, pushes, IHAVEs and pulls in
+//!   O(nodes + messages) state, plus windowed delivery ratios (no event
+//!   buffering at paper scale);
 //! - [`TimeSeriesRecorder`] — windowed event rates (link churn, traffic)
 //!   in O(sim seconds / window) memory;
 //! - [`MetricsRecorder`] — the composite of the two that every experiment
 //!   runner uses;
-//! - [`RecoveryTracker`] / [`OrphanTracker`] — sliding-window delivery
+//! - [`WindowRatio`] / [`OrphanTracker`] — sliding-window delivery
 //!   ratios and orphaned-node durations for fault-scenario (chaos) runs;
 //! - [`Cdf`] / [`DelayHistogram`] / [`Histogram`] — distribution
 //!   statistics (delay CDFs of Figures 3–4, degree distributions of
@@ -43,7 +45,7 @@ pub use delivery::{DeliveryTracker, LinkChurnSelect, MetricsRecorder};
 pub use graph::{
     bfs_distances, component_sizes, diameter, largest_component_fraction, mean_path_length,
 };
-pub use recovery::{OrphanTracker, RecoveryTracker, WindowRatio};
+pub use recovery::{OrphanTracker, WindowRatio};
 pub use stats::{Cdf, DelayHistogram, Histogram, Summary};
 pub use table::{fmt_ms, fmt_secs, Table};
 pub use timeseries::TimeSeriesRecorder;

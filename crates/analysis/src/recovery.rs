@@ -1,28 +1,23 @@
 //! Recovery metrics for fault-scenario (chaos) runs.
 //!
 //! The paper's dependability results (§4–§5) are about how dissemination
-//! *degrades and recovers* around faults, which the steady-state trackers
-//! in [`crate::DeliveryTracker`] do not expose. Two more streaming
-//! recorders fill the gap, both O(small) in memory and composable with
-//! every other recorder via tuples / `tee`:
+//! *degrades and recovers* around faults. Two pieces serve them:
 //!
-//! - [`RecoveryTracker`] — per-message injection times and delivery
-//!   counts, folded into *sliding-window delivery ratios*: for each
-//!   window of injection time, the fraction of expected deliveries that
-//!   actually happened. Expected counts are supplied post-run (they
-//!   depend on which nodes were present, which the scenario plan knows).
+//! - [`WindowRatio`] — one injection-time window of delivery-ratio
+//!   accounting, produced by [`crate::DeliveryTracker::windowed_ratios`]
+//!   from the ledger's per-message delivery counts;
 //! - [`OrphanTracker`] — how long nodes spend *orphaned* (detached from
 //!   the dissemination tree) after faults: spell count, total, mean and
-//!   max duration.
+//!   max duration. O(nodes) memory, composable with every other recorder
+//!   via tuples / `tee`.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use gocast::{GoCastEvent, MsgId};
+use gocast::GoCastEvent;
 use gocast_sim::{NodeId, Recorder, SimTime};
 
 /// One injection-time window of delivery-ratio accounting (see
-/// [`RecoveryTracker::windowed_ratios`]).
+/// [`crate::DeliveryTracker::windowed_ratios`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRatio {
     /// Window start (absolute simulation time).
@@ -42,127 +37,6 @@ impl WindowRatio {
             1.0
         } else {
             self.delivered as f64 / self.expected as f64
-        }
-    }
-}
-
-/// Streaming per-message delivery counting for windowed delivery ratios.
-///
-/// Records `Injected` and `Delivered` events; memory is O(messages).
-/// After the run, [`RecoveryTracker::windowed_ratios`] buckets messages
-/// by injection time and divides observed deliveries by an
-/// expected-delivery count the caller derives per message (typically from
-/// a scenario plan's presence timeline).
-///
-/// ```
-/// use gocast_analysis::RecoveryTracker;
-/// use std::time::Duration;
-///
-/// let tracker = RecoveryTracker::new(Duration::from_secs(5));
-/// assert_eq!(tracker.injected_count(), 0);
-/// ```
-#[derive(Debug)]
-pub struct RecoveryTracker {
-    window: Duration,
-    index: HashMap<MsgId, usize>,
-    /// Per message, in injection order: `(id, injected_at, deliveries)`.
-    msgs: Vec<(MsgId, SimTime, u64)>,
-}
-
-impl RecoveryTracker {
-    /// A tracker bucketing injections into windows of width `window`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: Duration) -> Self {
-        assert!(window > Duration::ZERO, "window must be positive");
-        RecoveryTracker {
-            window,
-            index: HashMap::new(),
-            msgs: Vec::new(),
-        }
-    }
-
-    /// Number of injections observed.
-    pub fn injected_count(&self) -> u64 {
-        self.msgs.len() as u64
-    }
-
-    /// `(id, injection time)` for every observed injection, in order.
-    pub fn injections(&self) -> impl Iterator<Item = (MsgId, SimTime)> + '_ {
-        self.msgs.iter().map(|&(id, at, _)| (id, at))
-    }
-
-    /// Observed delivery count for `id` (0 if unknown).
-    pub fn deliveries_of(&self, id: MsgId) -> u64 {
-        self.index.get(&id).map_or(0, |&i| self.msgs[i].2)
-    }
-
-    /// Buckets messages into injection-time windows and returns one
-    /// [`WindowRatio`] per non-empty span, in time order. `expected`
-    /// supplies the number of deliveries each message *should* have seen
-    /// (e.g. nodes present at injection and until the end of the run,
-    /// minus the origin).
-    pub fn windowed_ratios(
-        &self,
-        mut expected: impl FnMut(MsgId, SimTime) -> u64,
-    ) -> Vec<WindowRatio> {
-        let Some(&(_, first, _)) = self.msgs.first() else {
-            return Vec::new();
-        };
-        let mut out: Vec<WindowRatio> = Vec::new();
-        for &(id, at, delivered) in &self.msgs {
-            let bucket = (at.saturating_since(first).as_nanos() / self.window.as_nanos()) as u64;
-            let start = first + self.window * bucket as u32;
-            if out.last().map(|w| w.start) != Some(start) {
-                out.push(WindowRatio {
-                    start,
-                    injected: 0,
-                    expected: 0,
-                    delivered: 0,
-                });
-            }
-            let w = out.last_mut().expect("window pushed above");
-            w.injected += 1;
-            w.expected += expected(id, at);
-            w.delivered += delivered;
-        }
-        out
-    }
-
-    /// Overall delivery ratio across every message (see
-    /// [`RecoveryTracker::windowed_ratios`] for the `expected` contract).
-    pub fn overall_ratio(&self, mut expected: impl FnMut(MsgId, SimTime) -> u64) -> f64 {
-        let mut exp = 0u64;
-        let mut got = 0u64;
-        for &(id, at, delivered) in &self.msgs {
-            exp += expected(id, at);
-            got += delivered;
-        }
-        if exp == 0 {
-            1.0
-        } else {
-            got as f64 / exp as f64
-        }
-    }
-}
-
-impl Recorder<GoCastEvent> for RecoveryTracker {
-    fn record(&mut self, now: SimTime, _node: NodeId, event: GoCastEvent) {
-        match event {
-            GoCastEvent::Injected { id } => {
-                self.index.entry(id).or_insert_with(|| {
-                    self.msgs.push((id, now, 0));
-                    self.msgs.len() - 1
-                });
-            }
-            GoCastEvent::Delivered { id, .. } => {
-                if let Some(&i) = self.index.get(&id) {
-                    self.msgs[i].2 += 1;
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -262,65 +136,6 @@ impl Recorder<GoCastEvent> for OrphanTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocast::DeliveryPath;
-
-    fn inject(t: &mut RecoveryTracker, now_s: u64, origin: u32, seq: u32) -> MsgId {
-        let id = MsgId::new(NodeId::new(origin), seq);
-        t.record(
-            SimTime::from_secs(now_s),
-            NodeId::new(origin),
-            GoCastEvent::Injected { id },
-        );
-        id
-    }
-
-    fn deliver(t: &mut RecoveryTracker, now_s: u64, node: u32, id: MsgId) {
-        t.record(
-            SimTime::from_secs(now_s),
-            NodeId::new(node),
-            GoCastEvent::Delivered {
-                id,
-                via: DeliveryPath::Tree,
-                from: id.origin,
-                hop: 1,
-            },
-        );
-    }
-
-    #[test]
-    fn windows_bucket_by_injection_time() {
-        let mut t = RecoveryTracker::new(Duration::from_secs(10));
-        let a = inject(&mut t, 0, 0, 0);
-        let b = inject(&mut t, 3, 1, 0);
-        let c = inject(&mut t, 15, 2, 0);
-        for n in 1..4 {
-            deliver(&mut t, 1, n, a);
-        }
-        deliver(&mut t, 4, 0, b);
-        deliver(&mut t, 16, 0, c);
-        deliver(&mut t, 16, 1, c);
-        assert_eq!(t.injected_count(), 3);
-        assert_eq!(t.deliveries_of(a), 3);
-        let windows = t.windowed_ratios(|_, _| 3);
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].start, SimTime::from_secs(0));
-        assert_eq!(windows[0].injected, 2);
-        assert_eq!(windows[0].expected, 6);
-        assert_eq!(windows[0].delivered, 4);
-        assert_eq!(windows[1].start, SimTime::from_secs(10));
-        assert_eq!(windows[1].delivered, 2);
-        assert!((windows[0].ratio() - 4.0 / 6.0).abs() < 1e-12);
-        assert!((t.overall_ratio(|_, _| 3) - 6.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unknown_deliveries_and_empty_tracker_are_harmless() {
-        let mut t = RecoveryTracker::new(Duration::from_secs(1));
-        deliver(&mut t, 1, 0, MsgId::new(NodeId::new(9), 9));
-        assert_eq!(t.injected_count(), 0);
-        assert!(t.windowed_ratios(|_, _| 1).is_empty());
-        assert_eq!(t.overall_ratio(|_, _| 1), 1.0);
-    }
 
     #[test]
     fn orphan_spells_open_and_close() {

@@ -74,7 +74,6 @@ pub use node::{GoCastCommand, GoCastNode, NodeMem};
 pub use snapshot::{snapshot, Snapshot};
 pub use types::{
     age_on_arrival, DegreeInfo, DeliveryPath, DropReason, GoCastEvent, LinkKind, MsgId,
-    ProtocolCounters,
 };
 pub use wire::{DeltaWire, GoCastMsg, GossipEntry, MemberEntry, ProbeKind, VvEntry, HEADER_BYTES};
 

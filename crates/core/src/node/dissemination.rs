@@ -70,7 +70,6 @@ impl GoCastNode {
             if Some(peer) == except {
                 continue;
             }
-            self.counters.pushes_sent += 1;
             ctx.emit(GoCastEvent::PushSent { id, to: peer, hop });
             ctx.send(
                 peer,
@@ -97,14 +96,10 @@ impl GoCastNode {
     ) {
         let from_tree_link =
             self.tree.parent == Some(from) || self.neighbors.get(from).is_some_and(|n| n.is_child);
-        if from_tree_link {
-            self.counters.pushes_received += 1;
-        }
         if let Some(stored) = self.store.get_mut(&id) {
             // Duplicate. (With the abort optimization of §2.1 the bytes
             // would mostly not cross the wire; we still count the event.)
             self.redundant += 1;
-            self.counters.redundant += 1;
             ctx.emit(GoCastEvent::RedundantData { id, from });
             if !stored.heard_from.contains(&from) {
                 stored.heard_from.push(from);
@@ -130,10 +125,6 @@ impl GoCastNode {
         } else {
             DeliveryPath::Pull
         };
-        match via {
-            DeliveryPath::Tree => self.counters.delivered_tree += 1,
-            _ => self.counters.delivered_pull += 1,
-        }
         ctx.emit(GoCastEvent::Delivered { id, via, from, hop });
         self.pending_pulls.remove(&id);
 
@@ -238,8 +229,6 @@ impl GoCastNode {
         if let Some(n) = self.neighbors.get_mut(peer) {
             n.last_gossip_sent = now;
         }
-        self.counters.gossip_rounds += 1;
-        self.counters.ihave_entries_sent += ids.len() as u64;
         for &(id, _) in &ids {
             ctx.emit(GoCastEvent::IHaveSent { id, to: peer });
         }
@@ -285,7 +274,6 @@ impl GoCastNode {
         coords: LandmarkVector,
         degrees: DegreeInfo,
     ) {
-        self.counters.gossips_received += 1;
         if let Some(n) = self.neighbors.get_mut(from) {
             n.degrees = degrees;
         }
@@ -355,7 +343,6 @@ impl GoCastNode {
             return;
         };
         p.requested_from = Some(target);
-        self.counters.pulls_issued += 1;
         ctx.emit(GoCastEvent::PullRequested { id, to: target });
         ctx.send(target, GoCastMsg::PullRequest { ids: vec![id] });
         ctx.set_timer(
@@ -384,17 +371,12 @@ impl GoCastNode {
         let Some(failed) = p.requested_from.take() else {
             return;
         };
-        self.counters.retransmits += 1;
         // Demote the unresponsive candidate to the back of the list.
         p.candidates.retain(|&c| c != failed);
         p.candidates.push(failed);
-        if p.candidates.len() > 1 || p.candidates.first() != Some(&failed) {
-            self.send_pull(ctx, id);
-        } else {
-            // Only the failed candidate is known; wait for another gossip
-            // and try it again anyway (it may just be slow).
-            self.send_pull(ctx, id);
-        }
+        // When the failed candidate is the only one known, it is retried
+        // anyway (it may just be slow) until another gossip names a second.
+        self.send_pull(ctx, id);
     }
 
     /// Answers a pull request with the stored payloads.
@@ -410,7 +392,6 @@ impl GoCastNode {
                 let age_us = stored.age_at(now);
                 let size = stored.size;
                 let hop = stored.hop + 1;
-                self.counters.pulls_served += 1;
                 ctx.emit(GoCastEvent::PullServed { id, to: from, hop });
                 ctx.send(
                     from,

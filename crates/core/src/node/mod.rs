@@ -147,8 +147,8 @@ struct Boot {
 /// left the cache, so what `on_message` and `on_timer` look at first —
 /// identity and flags, degree targets, the neighbor-table and view
 /// headers, cursors, tree state — fills the leading four cache lines, the
-/// dissemination containers follow, and the counters nobody reads during
-/// a run sit at the tail (the `layout` test pins the offsets).
+/// dissemination containers follow, and the two delivery counters sit at
+/// the tail (the `layout` test pins the offsets).
 #[derive(Debug)]
 #[repr(C)]
 pub struct GoCastNode {
@@ -198,8 +198,6 @@ pub struct GoCastNode {
     // Counters exposed to analysis.
     pub(crate) delivered: u64,
     pub(crate) redundant: u64,
-    /// Per-protocol activity counters (pushes, gossip, pulls, drops).
-    pub(crate) counters: crate::types::ProtocolCounters,
 }
 
 /// `cfg` behind a pointer shared with every live node that was built with
@@ -304,7 +302,6 @@ impl GoCastNode {
             boot: Some(Box::new(Boot { links, members })),
             delivered: 0,
             redundant: 0,
-            counters: crate::types::ProtocolCounters::default(),
         }
     }
 
@@ -418,12 +415,6 @@ impl GoCastNode {
     /// Total link additions + removals this node performed.
     pub fn link_change_count(&self) -> u64 {
         self.link_changes
-    }
-
-    /// Per-node protocol activity counters (pushes sent/received, gossip
-    /// rounds, pulls issued/served, retransmits, drops by reason).
-    pub fn counters(&self) -> &crate::types::ProtocolCounters {
-        &self.counters
     }
 
     /// The membership view; each member carries its landmark coordinates
@@ -771,21 +762,21 @@ mod tests {
     /// The shape a dispatch depends on: what `on_message` and `on_timer`
     /// read before anything else ends inside the node's first four cache
     /// lines (the kernel prefetches exactly those one event ahead), the
-    /// counters come last, and a neighbor is one line.
+    /// delivery counters come last, and a neighbor is one line.
     #[test]
     fn layout() {
         assert!(
-            size_of::<GoCastNode>() <= 576,
+            size_of::<GoCastNode>() <= 448,
             "{}",
             size_of::<GoCastNode>()
         );
         assert_eq!(size_of::<Neighbor>(), 64);
         assert!(size_of::<Option<PendingLink>>() <= 32);
         // `repr(C)`: declaration order. Everything declared before
-        // `next_seq` is the hot set; `counters` closes the struct.
+        // `next_seq` is the hot set; `redundant` closes the struct.
         assert!(offset_of!(GoCastNode, next_seq) <= 256);
         assert_eq!(
-            offset_of!(GoCastNode, counters) + size_of::<crate::types::ProtocolCounters>(),
+            offset_of!(GoCastNode, redundant) + size_of::<u64>(),
             size_of::<GoCastNode>()
         );
     }

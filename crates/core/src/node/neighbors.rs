@@ -310,7 +310,6 @@ impl GoCastNode {
         };
         self.link_changes += 1;
         self.maint_backoff = 0;
-        self.counters.count_drop(reason);
         ctx.emit(GoCastEvent::LinkDropped {
             peer,
             kind: n.kind,

@@ -10,7 +10,7 @@ use std::time::Duration;
 use gocast_sim::{LatencyModel, NodeId, Recorder, Sim};
 
 use crate::node::GoCastNode;
-use crate::types::{GoCastEvent, LinkKind, ProtocolCounters};
+use crate::types::{GoCastEvent, LinkKind};
 
 /// A point-in-time view of the overlay and tree.
 #[derive(Debug, Clone)]
@@ -25,8 +25,6 @@ pub struct Snapshot {
     pub overlay_edges: Vec<(u32, u32, LinkKind)>,
     /// Undirected tree edges `(child, parent)` from parent pointers.
     pub tree_edges: Vec<(u32, u32)>,
-    /// Per-node protocol activity counters, indexed by node id.
-    pub counters: Vec<ProtocolCounters>,
 }
 
 /// Captures a [`Snapshot`] from a simulation of GoCast nodes.
@@ -38,9 +36,7 @@ pub fn snapshot<R: Recorder<GoCastEvent>>(sim: &Sim<GoCastNode, R>) -> Snapshot 
 
     let mut overlay = std::collections::BTreeMap::new();
     let mut tree_edges = Vec::new();
-    let mut counters = vec![ProtocolCounters::default(); n];
     for (id, node) in sim.iter_nodes() {
-        counters[id.index()] = *node.counters();
         for (peer, kind, _) in node.overlay_links() {
             let key = if id < peer {
                 (id.as_u32(), peer.as_u32())
@@ -58,7 +54,6 @@ pub fn snapshot<R: Recorder<GoCastEvent>>(sim: &Sim<GoCastNode, R>) -> Snapshot 
         alive,
         overlay_edges: overlay.into_iter().map(|((a, b), k)| (a, b, k)).collect(),
         tree_edges,
-        counters,
     }
 }
 
@@ -136,15 +131,6 @@ impl Snapshot {
     pub fn tree_edge_count(&self) -> usize {
         self.tree_edges.len()
     }
-
-    /// Sums every node's [`ProtocolCounters`] into one cluster-wide total.
-    pub fn total_counters(&self) -> ProtocolCounters {
-        let mut total = ProtocolCounters::default();
-        for c in &self.counters {
-            total.merge(c);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -164,10 +150,8 @@ mod tests {
                 (2, 3, LinkKind::Nearby),
             ],
             tree_edges: vec![(1, 0), (2, 1)],
-            counters: vec![ProtocolCounters::default(); 4],
         };
         assert_eq!(s.degrees(), vec![1, 2, 2, 1]);
-        assert_eq!(s.total_counters(), ProtocolCounters::default());
         let live = s.live_overlay_adjacency();
         assert_eq!(live[0], vec![1]);
         assert!(live[2].is_empty(), "dead node keeps no live edges");
@@ -190,7 +174,6 @@ mod tests {
             alive: vec![true, true],
             overlay_edges: vec![],
             tree_edges: vec![],
-            counters: vec![],
         };
         let net = FixedLatency::new(2, Duration::from_millis(10));
         assert_eq!(s.mean_overlay_latency(&net), Duration::ZERO);

@@ -167,7 +167,7 @@ impl DropReason {
         DropReason::PeerFailed,
     ];
 
-    /// Dense index into per-reason counter arrays (`0..ALL.len()`).
+    /// Dense index (`0..ALL.len()`), also the reason's wire tag.
     pub const fn index(self) -> usize {
         match self {
             DropReason::Replaced => 0,
@@ -198,123 +198,6 @@ impl DropReason {
 impl fmt::Display for DropReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Per-node protocol activity counters, maintained inline by the node and
-/// exposed through [`crate::GoCastNode::counters`] and the overlay
-/// [`crate::Snapshot`].
-///
-/// These are the node-wise message-complexity numbers the paper's
-/// evaluation reasons about (tree pushes vs. gossip vs. pull recovery),
-/// kept O(1) per node regardless of run length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ProtocolCounters {
-    /// DATA messages pushed along tree links (one per link per message).
-    pub pushes_sent: u64,
-    /// DATA messages received over a tree link from the sender's view of
-    /// the tree (first copies and redundant copies alike).
-    pub pushes_received: u64,
-    /// Gossip rounds in which this node actually sent an IHAVE message.
-    pub gossip_rounds: u64,
-    /// IHAVE message-id entries sent across all gossip rounds.
-    pub ihave_entries_sent: u64,
-    /// Gossip (IHAVE) messages received.
-    pub gossips_received: u64,
-    /// Pull requests this node issued (initial requests and retries).
-    pub pulls_issued: u64,
-    /// Pull requests this node served with full payloads.
-    pub pulls_served: u64,
-    /// Pull retries after a pull timeout (subset of `pulls_issued`).
-    pub retransmits: u64,
-    /// Messages first delivered via a tree push.
-    pub delivered_tree: u64,
-    /// Messages first delivered via gossip-triggered pull recovery.
-    pub delivered_pull: u64,
-    /// Redundant full payloads received (message already held).
-    pub redundant: u64,
-    /// Overlay links dropped, indexed by [`DropReason::index`].
-    pub drops: [u64; DropReason::ALL.len()],
-}
-
-impl ProtocolCounters {
-    /// Records one dropped link under its reason.
-    pub fn count_drop(&mut self, reason: DropReason) {
-        self.drops[reason.index()] += 1;
-    }
-
-    /// Links dropped for `reason`.
-    pub fn drops_for(&self, reason: DropReason) -> u64 {
-        self.drops[reason.index()]
-    }
-
-    /// Links dropped for any reason.
-    pub fn drops_total(&self) -> u64 {
-        self.drops.iter().sum()
-    }
-
-    /// Messages first delivered via any path.
-    pub fn delivered_total(&self) -> u64 {
-        self.delivered_tree + self.delivered_pull
-    }
-
-    /// Adds every counter from `other` into `self` (for cluster-wide
-    /// aggregation over a snapshot).
-    pub fn merge(&mut self, other: &ProtocolCounters) {
-        self.pushes_sent += other.pushes_sent;
-        self.pushes_received += other.pushes_received;
-        self.gossip_rounds += other.gossip_rounds;
-        self.ihave_entries_sent += other.ihave_entries_sent;
-        self.gossips_received += other.gossips_received;
-        self.pulls_issued += other.pulls_issued;
-        self.pulls_served += other.pulls_served;
-        self.retransmits += other.retransmits;
-        self.delivered_tree += other.delivered_tree;
-        self.delivered_pull += other.delivered_pull;
-        self.redundant += other.redundant;
-        for (d, o) in self.drops.iter_mut().zip(other.drops.iter()) {
-            *d += o;
-        }
-    }
-}
-
-impl fmt::Display for ProtocolCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "push {}/{} (sent/recv)  gossip {} rounds ({} ids sent, {} recv)  \
-             pull {}/{} (issued/served, {} retries)  delivered {}+{} (tree+pull)  \
-             redundant {}  drops {}",
-            self.pushes_sent,
-            self.pushes_received,
-            self.gossip_rounds,
-            self.ihave_entries_sent,
-            self.gossips_received,
-            self.pulls_issued,
-            self.pulls_served,
-            self.retransmits,
-            self.delivered_tree,
-            self.delivered_pull,
-            self.redundant,
-            self.drops_total(),
-        )?;
-        let mut any = false;
-        for r in DropReason::ALL {
-            if self.drops_for(r) > 0 {
-                write!(
-                    f,
-                    "{}{}={}",
-                    if any { " " } else { " (" },
-                    r.as_str(),
-                    self.drops_for(r)
-                )?;
-                any = true;
-            }
-        }
-        if any {
-            write!(f, ")")?;
-        }
-        Ok(())
     }
 }
 
@@ -449,37 +332,6 @@ pub enum GoCastEvent {
         /// Origin-local mutation counter.
         counter: u32,
     },
-}
-
-impl GoCastEvent {
-    /// Folds this event into live [`ProtocolMetrics`](gocast_metrics::ProtocolMetrics) counters.
-    ///
-    /// `GoCastEvent` is the common event currency of every stack (GoCast,
-    /// Plumtree, the gossip baselines), which makes this fold
-    /// capability-neutral: a stack without a capability simply never emits
-    /// the corresponding event, leaving its counter at zero. Overlay and
-    /// tree maintenance events (`LinkAdded`, `ParentChanged`, ...) are
-    /// structural rather than per-message and are not counted.
-    pub fn observe_into(&self, m: &mut gocast_metrics::ProtocolMetrics) {
-        match self {
-            GoCastEvent::Injected { .. } => m.injected.inc(),
-            GoCastEvent::Delivered { .. } => m.deliveries.inc(),
-            GoCastEvent::PushSent { .. } => m.pushes.inc(),
-            GoCastEvent::IHaveSent { .. } => m.ihaves.inc(),
-            GoCastEvent::PullRequested { .. } => m.pull_requests.inc(),
-            GoCastEvent::PullServed { .. } => m.pulls_served.inc(),
-            GoCastEvent::RedundantData { .. } => m.redundant_drops.inc(),
-            GoCastEvent::LinkAdded { .. }
-            | GoCastEvent::LinkDropped { .. }
-            | GoCastEvent::ParentChanged { .. }
-            | GoCastEvent::BecameRoot { .. }
-            | GoCastEvent::TopicDelivered { .. }
-            | GoCastEvent::TopicSubscribed { .. }
-            | GoCastEvent::TopicUnsubscribed { .. }
-            | GoCastEvent::DeltaPublished { .. }
-            | GoCastEvent::DeltaApplied { .. } => {}
-        }
-    }
 }
 
 impl gocast_sim::TraceEvent for GoCastEvent {
@@ -680,19 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_cover_every_drop_reason() {
-        let mut c = ProtocolCounters::default();
-        for r in DropReason::ALL {
-            c.count_drop(r);
-            c.count_drop(r);
-        }
-        for r in DropReason::ALL {
-            assert_eq!(c.drops_for(r), 2);
-        }
-        assert_eq!(c.drops_total(), 2 * DropReason::ALL.len() as u64);
-    }
-
-    #[test]
     fn trace_fields_use_stable_snake_case_schema() {
         use gocast_sim::TraceEvent as _;
         let cases: Vec<(GoCastEvent, &str)> = vec![
@@ -771,24 +610,5 @@ mod tests {
             ev.trace_fields(&mut out);
             assert_eq!(out, expect, "schema drift for {ev:?}");
         }
-    }
-
-    #[test]
-    fn counters_merge_adds_fieldwise() {
-        let mut a = ProtocolCounters {
-            pushes_sent: 1,
-            delivered_tree: 2,
-            ..Default::default()
-        };
-        let mut b = ProtocolCounters {
-            pushes_sent: 10,
-            delivered_pull: 5,
-            ..Default::default()
-        };
-        b.count_drop(DropReason::Surplus);
-        a.merge(&b);
-        assert_eq!(a.pushes_sent, 11);
-        assert_eq!(a.delivered_total(), 7);
-        assert_eq!(a.drops_for(DropReason::Surplus), 1);
     }
 }

@@ -34,7 +34,7 @@ use gocast_analysis::{
     fmt_ms, fmt_secs, InvariantOracle, OracleConfig, OrphanTracker, WindowRatio,
 };
 use gocast_plumtree::{PlumtreeConfig, PlumtreeNode};
-use gocast_sim::{NodeId, OneLane, Recorder, Scenario, SimTime, Split, Stack};
+use gocast_sim::{NodeId, OneLane, Scenario, SimTime, Split, Stack};
 
 use crate::options::{ExpOptions, StackKind};
 use crate::pipeline::{
@@ -50,46 +50,6 @@ pub const SLICE: Duration = Duration::from_millis(500);
 /// A fault burst counts as repaired once this fraction of the nodes that
 /// should be present are attached to the tree (parent set, or root).
 pub const REPAIR_FRAC: f64 = 0.99;
-
-/// What chaos runs add to the recorder: orphan (tree-detachment) spells
-/// and how deliveries arrived.
-#[derive(Debug)]
-pub struct TreeHealth {
-    /// Orphan spell accounting.
-    pub orphans: OrphanTracker,
-    /// Sum of causal hop counts over all deliveries.
-    pub hop_sum: u64,
-    /// Deliveries carrying a nonzero hop count.
-    pub hops: u64,
-    /// Deliveries recovered via pull/graft (not the primary push path).
-    pub pull_deliveries: u64,
-}
-
-impl Default for TreeHealth {
-    fn default() -> Self {
-        TreeHealth {
-            orphans: OrphanTracker::new(),
-            hop_sum: 0,
-            hops: 0,
-            pull_deliveries: 0,
-        }
-    }
-}
-
-impl Recorder<GoCastEvent> for TreeHealth {
-    fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        if let GoCastEvent::Delivered { via, hop, .. } = &event {
-            if *hop > 0 {
-                self.hop_sum += u64::from(*hop);
-                self.hops += 1;
-            }
-            if matches!(via, gocast::DeliveryPath::Pull) {
-                self.pull_deliveries += 1;
-            }
-        }
-        self.orphans.record(now, node, event);
-    }
-}
 
 /// Repair measurement for one labelled fault burst.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,9 +241,9 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
         opts,
         &opts.manifest(None),
         Some(oracle),
-        TreeHealth::default(),
+        OrphanTracker::new(),
     );
-    let mut run: Run<S, TreeHealth, OneLane> = Run::serial(opts, net, false, recorder, make);
+    let mut run: Run<S, OrphanTracker, OneLane> = Run::serial(opts, net, false, recorder, make);
     run.warm(opts.warmup);
     run.schedule(&plan);
     let start = run.inject_multicasts(opts, &Sources::Present(&presence));
@@ -308,7 +268,7 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
     });
 
     let final_now = run.sim.now();
-    run.sim.recorder_mut().ext.orphans.finish(final_now);
+    run.sim.recorder_mut().ext.finish(final_now);
     // A node owes a delivery of message `m` iff the plan says it was
     // present when `m` was injected and never departed afterwards.
     let (core, windows) = run.finish_audited(plan.len(), |n, at| presence.present_from(n, at));
@@ -326,20 +286,20 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
                 .map(|(t, _)| t.saturating_since(*at)),
         })
         .collect();
-    let health = &rec.ext;
+    let (orphans, ledger) = (&rec.ext, rec.metrics.delivery());
     ChaosOutcome {
         core,
         stack: S::NAME,
         seed: opts.seed,
         windows,
         repairs,
-        orphan_spells: health.orphans.spells(),
-        orphan_mean: health.orphans.mean_spell(),
-        orphan_max: health.orphans.max_spell(),
-        hop_sum: health.hop_sum,
-        hops: health.hops,
-        pull_deliveries: health.pull_deliveries,
-        event_deliveries: rec.proto.deliveries.get(),
+        orphan_spells: orphans.spells(),
+        orphan_mean: orphans.mean_spell(),
+        orphan_max: orphans.max_spell(),
+        hop_sum: ledger.hop_sum(),
+        hops: ledger.hops(),
+        pull_deliveries: ledger.pull_deliveries(),
+        event_deliveries: ledger.delivered(),
     }
 }
 

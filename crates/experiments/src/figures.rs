@@ -99,7 +99,7 @@ pub fn fig1(opts: &ExpOptions) -> Vec<Table> {
     log_kernel(&sim.kernel_stats());
 
     // Misses: every injected message should reach the other n-1 nodes.
-    let delivered = sim.recorder().metrics.delivered();
+    let delivered = sim.recorder().metrics.delivery().delivered();
     let expected = msgs as u64 * (opts.nodes as u64 - 1);
     let missing = expected.saturating_sub(delivered);
     let max_hears = sim

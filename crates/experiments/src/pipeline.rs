@@ -41,8 +41,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use gocast::{bootstrap_random_graph, GoCastConfig, GoCastEvent, GoCastNode};
-use gocast_analysis::{Cdf, InvariantOracle, MetricsRecorder, RecoveryTracker, WindowRatio};
-use gocast_metrics::{ProtocolMetrics, RunManifest, Snapshot};
+use gocast_analysis::{Cdf, DeliveryTracker, InvariantOracle, MetricsRecorder, WindowRatio};
+use gocast_metrics::{RunManifest, Snapshot};
 use gocast_net::{synthetic_king, OnDemandKing, SiteLatencyMatrix, SyntheticKingConfig};
 use gocast_sim::{
     Engine, KernelStats, Lanes, LatencyModel, Mode, NodeId, NullRecorder, OneLane,
@@ -129,32 +129,21 @@ impl MetricsStream {
     }
 }
 
-/// The online invariant oracle plus the per-message injection bookkeeping
-/// the end-of-run store audit reads.
-#[derive(Debug)]
-struct Audit {
-    oracle: InvariantOracle,
-    /// Injection times and per-message delivery counts.
-    recovery: RecoveryTracker,
-}
-
-/// The recorder every run installs: capability-neutral protocol counters
-/// and the aggregating [`MetricsRecorder`] always, a JSONL causal-trace
-/// sink under `--trace-out`, the snapshot stream under `--metrics-out`,
-/// the oracle and injection bookkeeping for audited runs, and a typed slot `X` for what
-/// the configuration adds (orphan spells and hop counts for chaos,
+/// The recorder every run installs: the aggregating [`MetricsRecorder`]
+/// (whose [`DeliveryTracker`] is the run's one delivery ledger) always, a
+/// JSONL causal-trace sink under `--trace-out`, the snapshot stream under
+/// `--metrics-out`, the invariant oracle for audited runs, and a typed
+/// slot `X` for what the configuration adds (orphan spells for chaos,
 /// convergence and per-topic counters for the application tier), fed the
 /// same event stream.
 #[derive(Debug)]
 pub struct RunRecorder<X = NullRecorder> {
-    /// Capability-neutral protocol counters (pushes, IHAVEs, pulls, ...).
-    pub proto: ProtocolMetrics,
-    /// Delivery aggregates (per-node delays, redundancy, link churn).
+    /// The delivery ledger plus link churn.
     pub metrics: MetricsRecorder,
     trace: Option<JsonlSink>,
     stream: Option<MetricsStream>,
     /// `None`: the run is not audited.
-    audit: Option<Audit>,
+    audit: Option<InvariantOracle>,
     /// The configuration's extension slot.
     pub ext: X,
 }
@@ -164,14 +153,10 @@ impl<X: Recorder<GoCastEvent>> RunRecorder<X> {
     /// captured trace).
     pub fn detached(oracle: Option<InvariantOracle>, ext: X) -> Self {
         RunRecorder {
-            proto: ProtocolMetrics::default(),
             metrics: MetricsRecorder::new(),
             trace: None,
             stream: None,
-            audit: oracle.map(|oracle| Audit {
-                oracle,
-                recovery: RecoveryTracker::new(WINDOW),
-            }),
+            audit: oracle,
             ext,
         }
     }
@@ -204,13 +189,11 @@ impl<X: Recorder<GoCastEvent>> RunRecorder<X> {
 
 impl<X: Recorder<GoCastEvent>> Recorder<GoCastEvent> for RunRecorder<X> {
     fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        event.observe_into(&mut self.proto);
         if let Some(trace) = &mut self.trace {
             trace.record(now, node, event.clone());
         }
-        if let Some(audit) = &mut self.audit {
-            audit.recovery.record(now, node, event.clone());
-            audit.oracle.record(now, node, event.clone());
+        if let Some(oracle) = &mut self.audit {
+            oracle.record(now, node, event.clone());
         }
         self.ext.record(now, node, event.clone());
         self.metrics.record(now, node, event);
@@ -254,7 +237,7 @@ impl RunCore {
         kernel: KernelStats,
         mut metrics: Snapshot,
     ) -> RunCore {
-        rec.proto.snapshot_into(&mut metrics);
+        proto_snapshot_into(rec.metrics.delivery(), &mut metrics);
         let mut core = RunCore {
             injected,
             plan_len,
@@ -262,10 +245,10 @@ impl RunCore {
             metrics,
             ..RunCore::default()
         };
-        if let Some(audit) = &mut rec.audit {
-            audit.oracle.finish();
-            let found = audit.oracle.violations();
-            core.oracle_records = audit.oracle.records_checked();
+        if let Some(oracle) = &mut rec.audit {
+            oracle.finish();
+            let found = oracle.violations();
+            core.oracle_records = oracle.records_checked();
             core.violations = found.len();
             core.violation_lines = found.iter().take(8).map(|v| v.to_string()).collect();
         }
@@ -432,8 +415,20 @@ where
     }
 }
 
+/// Appends the ledger's per-message counts to `snap` under the stable
+/// `proto_*` names, the same on every kernel and on the wire.
+fn proto_snapshot_into(ledger: &DeliveryTracker, snap: &mut Snapshot) {
+    snap.record_counter("proto_injected", ledger.injected());
+    snap.record_counter("proto_deliveries", ledger.delivered());
+    snap.record_counter("proto_pushes", ledger.pushes());
+    snap.record_counter("proto_ihaves", ledger.ihaves());
+    snap.record_counter("proto_pull_requests", ledger.pulls());
+    snap.record_counter("proto_pulls_served", ledger.pulls_served());
+    snap.record_counter("proto_redundant_drops", ledger.redundant());
+}
+
 /// One combined snapshot of everything the simulation knows: kernel
-/// counters/telemetry plus the recorder's protocol metrics.
+/// counters/telemetry plus the ledger's `proto_*` counts.
 pub fn combined_snapshot<S, X, M>(sim: &Engine<S, RunRecorder<X>, M>) -> Snapshot
 where
     S: Stack<Event = GoCastEvent>,
@@ -441,7 +436,7 @@ where
     M: Mode,
 {
     let mut snap = sim.metrics_snapshot();
-    sim.recorder().proto.snapshot_into(&mut snap);
+    proto_snapshot_into(sim.recorder().metrics.delivery(), &mut snap);
     snap
 }
 
@@ -618,9 +613,8 @@ where
         plan_len: usize,
         owes: impl Fn(NodeId, SimTime) -> bool,
     ) -> (RunCore, Vec<WindowRatio>) {
-        let audit = self.sim.recorder().audit.as_ref();
-        let recovery = &audit.expect("the run was built audited").recovery;
-        let injections: Vec<_> = recovery.injections().collect();
+        let ledger = self.sim.recorder().metrics.delivery();
+        let injections: Vec<_> = ledger.injections().collect();
         let mut owed = vec![0u64; injections.len()];
         let mut delivered = 0;
         for (n, node) in self.sim.iter_nodes() {
@@ -634,7 +628,7 @@ where
         // `windowed_ratios` asks in injection order, the order of `owed`.
         let mut per_message = owed.iter();
         let windows =
-            recovery.windowed_ratios(|_, _| *per_message.next().expect("one per message"));
+            ledger.windowed_ratios(WINDOW, |_, _| *per_message.next().expect("one per message"));
         let core = self.finish(injections.len() as u64, plan_len);
         let core = RunCore {
             expected: owed.iter().sum(),
@@ -649,8 +643,8 @@ where
     /// live count.
     pub fn delays(&self, opts: &ExpOptions) -> (Cdf, usize, usize) {
         let live: Vec<NodeId> = self.sim.alive_nodes().collect();
-        let metrics = &self.sim.recorder().metrics;
-        let (avg, incomplete) = metrics.per_node_average_delays(u64::from(opts.messages), &live);
+        let ledger = self.sim.recorder().metrics.delivery();
+        let (avg, incomplete) = ledger.per_node_average_delays(u64::from(opts.messages), &live);
         (avg, incomplete, live.len())
     }
 

@@ -143,7 +143,7 @@ fn delay_phases<S: Stack<Event = GoCastEvent>>(
     run.drive(horizon(opts, start, None));
     let (per_node_avg, incomplete_nodes, live_nodes) = run.delays(opts);
     let core = run.finish(u64::from(opts.messages), crashed);
-    let rec = &run.sim.recorder().metrics;
+    let rec = run.sim.recorder().metrics.delivery();
     DelayStats {
         core,
         protocol,

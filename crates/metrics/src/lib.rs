@@ -277,66 +277,6 @@ impl Log2Histogram {
     }
 }
 
-/// Per-message protocol dissemination counters, capability-neutral: each
-/// field maps to an event every stack (GoCast, Plumtree, the gossip
-/// baselines) already emits, so the same struct instruments all of them.
-/// Stacks without a capability simply leave its counter at zero.
-///
-/// ```
-/// use gocast_metrics::{ProtocolMetrics, Snapshot};
-///
-/// let mut m = ProtocolMetrics::default();
-/// m.pushes.inc();
-/// m.deliveries.inc();
-/// let mut s = Snapshot::new();
-/// m.snapshot_into(&mut s);
-/// let mut out = String::new();
-/// s.write_json_fields(&mut out, true);
-/// assert!(out.contains("\"proto_pushes\":1"));
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ProtocolMetrics {
-    /// Multicasts injected by the application.
-    pub injected: Counter,
-    /// First receptions delivered to the application.
-    pub deliveries: Counter,
-    /// Full payloads pushed to tree/eager neighbors.
-    pub pushes: Counter,
-    /// Message ids advertised in gossip/IHAVE digests (one per id entry).
-    pub ihaves: Counter,
-    /// Pull/graft requests issued for missing payloads.
-    pub pull_requests: Counter,
-    /// Pull/graft requests answered with the payload.
-    pub pulls_served: Counter,
-    /// Redundant payload receptions discarded as duplicates.
-    pub redundant_drops: Counter,
-}
-
-impl ProtocolMetrics {
-    /// Appends this struct's counters to `snap` under stable
-    /// `proto_*` names.
-    pub fn snapshot_into(&self, snap: &mut Snapshot) {
-        snap.record_counter("proto_injected", self.injected.get());
-        snap.record_counter("proto_deliveries", self.deliveries.get());
-        snap.record_counter("proto_pushes", self.pushes.get());
-        snap.record_counter("proto_ihaves", self.ihaves.get());
-        snap.record_counter("proto_pull_requests", self.pull_requests.get());
-        snap.record_counter("proto_pulls_served", self.pulls_served.get());
-        snap.record_counter("proto_redundant_drops", self.redundant_drops.get());
-    }
-
-    /// Adds another instance's counts into this one.
-    pub fn merge(&mut self, other: &ProtocolMetrics) {
-        self.injected.add(other.injected.get());
-        self.deliveries.add(other.deliveries.get());
-        self.pushes.add(other.pushes.get());
-        self.ihaves.add(other.ihaves.get());
-        self.pull_requests.add(other.pull_requests.get());
-        self.pulls_served.add(other.pulls_served.get());
-        self.redundant_drops.add(other.redundant_drops.get());
-    }
-}
-
 /// Topics granted an individual label in [`TopicMetrics`] snapshots;
 /// everything above this rank aggregates into the `app_topic_other_*`
 /// bucket. Topic ids are popularity ranks under the Zipf subscription
@@ -779,23 +719,5 @@ mod tests {
         let mut s = Snapshot::new();
         TopicMetrics::default().snapshot_into(&mut s);
         assert!(s.entries().is_empty());
-    }
-
-    #[test]
-    fn protocol_metrics_fold_and_merge() {
-        let mut a = ProtocolMetrics::default();
-        a.pushes.add(3);
-        a.ihaves.inc();
-        let mut b = ProtocolMetrics::default();
-        b.pushes.inc();
-        b.pull_requests.inc();
-        a.merge(&b);
-        assert_eq!(a.pushes.get(), 4);
-        assert_eq!(a.ihaves.get(), 1);
-        assert_eq!(a.pull_requests.get(), 1);
-        let mut s = Snapshot::new();
-        a.snapshot_into(&mut s);
-        assert_eq!(s.entries().len(), 7);
-        assert!(s.entries().iter().all(|e| !e.wall));
     }
 }

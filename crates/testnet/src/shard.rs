@@ -50,8 +50,9 @@ const IDLE_POLL: Duration = Duration::from_micros(500);
 /// so one chatty node cannot starve its shard-mates.
 const DRAIN_BATCHES: usize = 4;
 
-/// Wire-side counters, separate from the protocol's own
-/// [`gocast::ProtocolCounters`].
+/// Wire-side counters, separate from what happened to each message, which
+/// the event stream's delivery ledger (`gocast_analysis::DeliveryTracker`)
+/// counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FabricStats {
     /// Datagrams handed to the OS (sends that did not error).

@@ -99,7 +99,7 @@ fn collect<P>(name: &'static str, sim: &Sim<P, MetricsRecorder>) -> Outcome
 where
     P: gocast_sim::Protocol<Command = GoCastCommand, Event = gocast::GoCastEvent>,
 {
-    let rec = sim.recorder();
+    let rec = sim.recorder().delivery();
     let nodes: Vec<NodeId> = sim.alive_nodes().collect();
     let (_, incomplete) = rec.per_node_average_delays(WRITES as u64, &nodes);
     let hist = rec.delay_histogram();

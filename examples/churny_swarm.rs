@@ -90,7 +90,7 @@ fn main() {
         .alive_nodes()
         .filter(|&id| sim.node(id).is_joined() && sim.node(id).degrees().total() > 0)
         .collect();
-    let before = sim.recorder().delivered();
+    let before = sim.recorder().delivery().delivered();
     let msgs = 20u32;
     for i in 0..msgs {
         let src = members[rng.gen_range(0..members.len())];
@@ -101,7 +101,7 @@ fn main() {
         );
     }
     sim.run_for(Duration::from_secs(20));
-    let delivered = sim.recorder().delivered() - before;
+    let delivered = sim.recorder().delivery().delivered() - before;
     let expected = msgs as u64 * (members.len() as u64 - 1);
 
     println!(

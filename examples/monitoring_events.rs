@@ -11,17 +11,17 @@
 //!
 //! The run doubles as a tour of the observability stack: the windowed
 //! `FnRecorder` aggregate is composed (via the tuple recorder) with a
-//! JSONL `TraceRecorder` streaming every causal event to disk and an
-//! online `InvariantOracle` checking protocol invariants as they happen;
-//! at the end the per-node `ProtocolCounters` are aggregated next to the
-//! kernel counters.
+//! JSONL `TraceRecorder` streaming every causal event to disk, an online
+//! `InvariantOracle` checking protocol invariants as they happen, and a
+//! `DeliveryTracker` whose run totals are printed next to the kernel
+//! counters at the end.
 //!
 //! Run with: `cargo run --release -p gocast-examples --bin monitoring_events`
 
 use std::time::Duration;
 
 use gocast::{GoCastCommand, GoCastConfig, GoCastEvent, GoCastNode, MsgId};
-use gocast_analysis::InvariantOracle;
+use gocast_analysis::{DeliveryTracker, InvariantOracle};
 use gocast_net::{synthetic_king, SyntheticKingConfig};
 use gocast_sim::{FnRecorder, NodeId, SimBuilder, SimTime, TraceRecorder};
 use rand::rngs::SmallRng;
@@ -70,19 +70,21 @@ fn main() {
         _ => {}
     });
 
-    // Compose the windowed aggregate with a causal trace sink and the
-    // online invariant oracle — the tuple recorder fans every event out.
+    // Compose the windowed aggregate and the delivery ledger with a causal
+    // trace sink and the online invariant oracle — the tuple recorder fans
+    // every event out.
     let trace_path = std::env::temp_dir().join("monitoring_events_trace.jsonl");
     let trace = TraceRecorder::create(&trace_path).expect("trace file");
     let oracle = InvariantOracle::for_protocol(&GoCastConfig::default());
 
     let mut boot = gocast::bootstrap_random_graph(n, 3, 11);
-    let mut sim = SimBuilder::new(net)
-        .seed(11)
-        .build_with((recorder, (trace, oracle)), |id| {
+    let mut sim = SimBuilder::new(net).seed(11).build_with(
+        ((recorder, DeliveryTracker::new()), (trace, oracle)),
+        |id| {
             let (links, members) = boot(id);
             GoCastNode::with_initial_links(id, GoCastConfig::default(), links, members)
-        });
+        },
+    );
 
     // Warm up the overlay before the stream starts.
     sim.run_until(SimTime::from_secs(60));
@@ -154,8 +156,20 @@ fn main() {
     println!("tree repaired: {} live agents currently detached", detached);
 
     // The observability stack's view of the same run.
-    let totals = gocast::snapshot(&sim).total_counters();
-    println!("\nprotocol counters (fabric total): {totals}");
+    let ledger = &sim.recorder().0 .1;
+    println!(
+        "\ndelivery ledger: {} injected, {} delivered ({:.1}% via tree, {} pulled), \
+         {} pushes, {} ihaves, {}/{} pulls (requested/served), {} redundant",
+        ledger.injected(),
+        ledger.delivered(),
+        ledger.tree_fraction() * 100.0,
+        ledger.pull_deliveries(),
+        ledger.pushes(),
+        ledger.ihaves(),
+        ledger.pulls(),
+        ledger.pulls_served(),
+        ledger.redundant(),
+    );
     println!("kernel: {}", sim.kernel_stats());
     let rec = sim.recorder_mut();
     rec.1 .1.finish();

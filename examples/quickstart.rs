@@ -59,7 +59,7 @@ fn main() {
 
     // 5. Report. The delay distribution comes from the streaming
     //    histogram — bounded memory no matter how many deliveries ran.
-    let rec = sim.recorder();
+    let rec = sim.recorder().delivery();
     let hist = rec.delay_histogram();
     println!(
         "\n{} messages, {} deliveries:",

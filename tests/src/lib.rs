@@ -41,7 +41,7 @@ pub fn warmed_gocast(
 
 /// Counts recorded deliveries.
 pub fn delivered(sim: &Sim<GoCastNode, MetricsRecorder>) -> u64 {
-    sim.recorder().delivered()
+    sim.recorder().delivery().delivered()
 }
 
 /// Re-exported event type for test assertions.

@@ -7,7 +7,6 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use gocast::{GoCastCommand, GoCastConfig, GoCastEvent, MsgId};
-use gocast_analysis::MetricsRecorder;
 use gocast_sim::{NetFault, NodeId, SimTime};
 use gocast_tests::warmed_gocast;
 use rand::rngs::SmallRng;
@@ -163,7 +162,7 @@ fn repeated_chaos_seeds_are_deterministic() {
             sim.run_for(Duration::from_millis(300));
         }
         sim.run_for(Duration::from_secs(10));
-        let rec: &MetricsRecorder = sim.recorder();
+        let rec = sim.recorder().delivery();
         (rec.delivered(), rec.pulls(), rec.redundant())
     };
     assert_eq!(run(31), run(31));
@@ -255,7 +254,7 @@ fn chaos_emits_link_and_delivery_events() {
     sim.command_now(NodeId::new(1), GoCastCommand::Multicast);
     sim.run_for(Duration::from_secs(30));
     let rec = sim.recorder();
-    assert!(rec.delivered() >= 46);
+    assert!(rec.delivery().delivered() >= 46);
     let _ = rec.link_changes_per_sec().iter().sum::<u64>();
     let _: &Vec<(GoCastEvent, ())> = &Vec::new(); // type anchor, no-op
 }

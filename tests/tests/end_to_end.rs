@@ -130,7 +130,7 @@ fn empirical_gossip_misses_track_the_analytic_model() {
     }
     sim.run_until(SimTime::from_secs(40));
     let expected = msgs as u64 * (n as u64 - 1);
-    let missed = expected - sim.recorder().delivered();
+    let missed = expected - sim.recorder().delivery().delivered();
     let miss_rate = missed as f64 / expected as f64;
     let analytic = expected_miss_fraction(5.0);
     assert!(

@@ -256,7 +256,7 @@ proptest! {
     #[test]
     fn streaming_tracker_matches_post_hoc_pipeline(seed in 0u64..6, messages in 1u32..4) {
         use gocast::{GoCastCommand, GoCastConfig, GoCastEvent, GoCastNode};
-        use gocast_analysis::{DeliveryTracker};
+        use gocast_analysis::DeliveryTracker;
         use gocast_sim::{Recorder, SimBuilder, VecRecorder};
         use std::collections::HashMap;
 
@@ -300,6 +300,22 @@ proptest! {
         prop_assert_eq!(tracker.redundant(), replayed.redundant());
         prop_assert_eq!(tracker.pulls(), replayed.pulls());
         prop_assert_eq!(tracker.tree_fraction(), replayed.tree_fraction());
+        prop_assert_eq!(tracker.pushes(), replayed.pushes());
+        prop_assert_eq!(tracker.ihaves(), replayed.ihaves());
+        prop_assert_eq!(tracker.pulls_served(), replayed.pulls_served());
+        prop_assert_eq!(tracker.hop_sum(), replayed.hop_sum());
+        prop_assert_eq!(tracker.hops(), replayed.hops());
+        prop_assert_eq!(tracker.pull_deliveries(), replayed.pull_deliveries());
+        let per_message = |t: &DeliveryTracker| {
+            t.injections().map(|(id, at)| (id, at, t.deliveries_of(id))).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(per_message(&tracker), per_message(&replayed));
+        let window = Duration::from_millis(300);
+        let owed = |_, _| n as u64 - 1;
+        prop_assert_eq!(
+            tracker.windowed_ratios(window, owed),
+            replayed.windowed_ratios(window, owed)
+        );
         let (live_cdf, live_inc) = tracker.per_node_average_delays(messages as u64, &live);
         let (rep_cdf, rep_inc) = replayed.per_node_average_delays(messages as u64, &live);
         prop_assert_eq!(live_inc, rep_inc);
@@ -348,6 +364,87 @@ proptest! {
                     "p{} diverged: streaming {h}, exact {e}", p
                 );
             }
+        }
+
+        // Post-hoc pipeline 3: a direct fold over the buffer is the
+        // reference for every other count the ledger keeps.
+        #[derive(Debug, Default, PartialEq)]
+        struct Fold {
+            injected: u64,
+            delivered: u64,
+            pull_deliveries: u64,
+            hop_sum: u64,
+            hops: u64,
+            redundant: u64,
+            pushes: u64,
+            ihaves: u64,
+            pulls: u64,
+            pulls_served: u64,
+        }
+        let (mut fold, mut via_tree) = (Fold::default(), 0u64);
+        // Per message in injection order; the first injection of an id wins.
+        let mut msgs: Vec<(gocast::MsgId, SimTime, u64)> = Vec::new();
+        for (t, _, ev) in &buffer.events {
+            match ev {
+                GoCastEvent::Injected { id } => {
+                    fold.injected += 1;
+                    if msgs.iter().all(|m| m.0 != *id) {
+                        msgs.push((*id, *t, 0));
+                    }
+                }
+                GoCastEvent::Delivered { id, via, hop, .. } => {
+                    fold.delivered += 1;
+                    via_tree += u64::from(*via == gocast::DeliveryPath::Tree);
+                    fold.pull_deliveries += u64::from(*via == gocast::DeliveryPath::Pull);
+                    if *hop > 0 {
+                        fold.hop_sum += u64::from(*hop);
+                        fold.hops += 1;
+                    }
+                    if let Some(m) = msgs.iter_mut().find(|m| m.0 == *id) {
+                        m.2 += 1;
+                    }
+                }
+                GoCastEvent::RedundantData { .. } => fold.redundant += 1,
+                GoCastEvent::PushSent { .. } => fold.pushes += 1,
+                GoCastEvent::IHaveSent { .. } => fold.ihaves += 1,
+                GoCastEvent::PullRequested { .. } => fold.pulls += 1,
+                GoCastEvent::PullServed { .. } => fold.pulls_served += 1,
+                _ => {}
+            }
+        }
+        let ledger = Fold {
+            injected: tracker.injected(),
+            delivered: tracker.delivered(),
+            pull_deliveries: tracker.pull_deliveries(),
+            hop_sum: tracker.hop_sum(),
+            hops: tracker.hops(),
+            redundant: tracker.redundant(),
+            pushes: tracker.pushes(),
+            ihaves: tracker.ihaves(),
+            pulls: tracker.pulls(),
+            pulls_served: tracker.pulls_served(),
+        };
+        prop_assert_eq!(&ledger, &fold);
+        let tree_fraction = if fold.delivered == 0 {
+            0.0
+        } else {
+            via_tree as f64 / fold.delivered as f64
+        };
+        prop_assert_eq!(tracker.tree_fraction(), tree_fraction);
+        prop_assert_eq!(&per_message(&tracker), &msgs);
+        // Windows: messages grouped by whole `window`s since the first
+        // injection, each owed n - 1 deliveries.
+        let mut by_window: std::collections::BTreeMap<u128, (u64, u64, u64)> = Default::default();
+        for &(id, at, got) in &msgs {
+            let k = at.saturating_since(msgs[0].1).as_nanos() / window.as_nanos();
+            let w = by_window.entry(k).or_default();
+            *w = (w.0 + 1, w.1 + owed(id, at), w.2 + got);
+        }
+        let windows = tracker.windowed_ratios(window, owed);
+        prop_assert_eq!(windows.len(), by_window.len());
+        for (w, (&k, &(injected, expected, delivered))) in windows.iter().zip(&by_window) {
+            prop_assert_eq!(w.start, msgs[0].1 + window * k as u32);
+            prop_assert_eq!((w.injected, w.expected, w.delivered), (injected, expected, delivered));
         }
     }
 
