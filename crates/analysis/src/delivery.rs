@@ -47,6 +47,21 @@ struct NodeAgg {
     max_delay: Duration,
 }
 
+/// Causal hop depths the ledger counts separately; deeper deliveries share
+/// the last bucket.
+pub const HOP_BUCKETS: usize = 64;
+
+/// Deliveries per causal hop, indexed by `hop.min(HOP_BUCKETS - 1)` (a
+/// newtype only because `Default` is not derived for arrays past 32).
+#[derive(Debug, Clone, Copy)]
+struct HopCounts([u64; HOP_BUCKETS]);
+
+impl Default for HopCounts {
+    fn default() -> Self {
+        HopCounts([0; HOP_BUCKETS])
+    }
+}
+
 /// The run's delivery ledger: every count of what happened to its
 /// messages, folded in online via [`Recorder::record`].
 ///
@@ -89,7 +104,7 @@ pub struct DeliveryTracker {
     pulls: u64,
     pulls_served: u64,
     hop_sum: u64,
-    hops: u64,
+    hop_counts: HopCounts,
     delivered_via_tree: u64,
     pull_deliveries: u64,
     parent_changes: u64,
@@ -169,7 +184,13 @@ impl DeliveryTracker {
 
     /// Deliveries carrying a nonzero hop count.
     pub fn hops(&self) -> u64 {
-        self.hops
+        self.hop_counts.0[1..].iter().sum()
+    }
+
+    /// Deliveries per causal hop: entry `h` counts hop `h`, the last entry
+    /// every hop from `HOP_BUCKETS - 1` on.
+    pub fn hop_counts(&self) -> &[u64; HOP_BUCKETS] {
+        &self.hop_counts.0
     }
 
     /// Deliveries recovered via pull/graft (not the primary push path).
@@ -296,10 +317,8 @@ impl Recorder<GoCastEvent> for DeliveryTracker {
                     DeliveryPath::Pull => self.pull_deliveries += 1,
                     DeliveryPath::Local => {}
                 }
-                if hop > 0 {
-                    self.hop_sum += u64::from(hop);
-                    self.hops += 1;
-                }
+                self.hop_sum += u64::from(hop);
+                self.hop_counts.0[(hop as usize).min(HOP_BUCKETS - 1)] += 1;
                 if let Some(&i) = self.index.get(&id) {
                     let (_, t0, deliveries) = &mut self.msgs[i];
                     *deliveries += 1;
@@ -440,6 +459,7 @@ mod tests {
         assert!((d.redundancy_factor() - 1.5).abs() < 1e-12);
         assert!((d.tree_fraction() - 0.5).abs() < 1e-12);
         assert_eq!((d.hop_sum(), d.hops(), d.pull_deliveries()), (3, 2, 1));
+        assert_eq!(d.hop_counts()[..3], [0, 1, 1]);
         assert_eq!(d.deliveries_of(id(1)), 2);
         let h = d.delay_histogram();
         assert_eq!(h.len(), 2);
@@ -616,5 +636,20 @@ mod tests {
         // The delivery is still counted; it just has no delay to report.
         assert_eq!(t.delivered(), 1);
         assert!(t.delay_histogram().is_empty());
+    }
+
+    #[test]
+    fn a_hostile_hop_lands_in_the_last_bucket() {
+        let mut t = DeliveryTracker::new();
+        let hostile = GoCastEvent::Delivered {
+            id: id(0),
+            via: DeliveryPath::Tree,
+            from: NodeId::new(0),
+            hop: u32::MAX,
+        };
+        t.record(SimTime::ZERO, NodeId::new(1), hostile);
+        assert_eq!(t.hop_counts()[HOP_BUCKETS - 1], 1);
+        assert_eq!(t.hop_counts().iter().sum::<u64>(), 1);
+        assert_eq!((t.hops(), t.hop_sum()), (1, u64::from(u32::MAX)));
     }
 }

@@ -41,7 +41,7 @@ mod timeseries;
 pub mod trace;
 
 pub use convergence::{ConvergenceReport, ConvergenceTracker};
-pub use delivery::{DeliveryTracker, LinkChurnSelect, MetricsRecorder};
+pub use delivery::{DeliveryTracker, LinkChurnSelect, MetricsRecorder, HOP_BUCKETS};
 pub use graph::{
     bfs_distances, component_sizes, diameter, largest_component_fraction, mean_path_length,
 };

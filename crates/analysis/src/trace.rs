@@ -27,6 +27,8 @@ use std::io::BufRead;
 use gocast::{DeliveryPath, DropReason, GoCastConfig, GoCastEvent, LinkKind, MsgId};
 use gocast_sim::{NodeId, Recorder, SimTime, StackCaps};
 
+use crate::delivery::HOP_BUCKETS;
+
 // ---------------------------------------------------------------------
 // Records.
 // ---------------------------------------------------------------------
@@ -491,7 +493,7 @@ impl TraceAnalysis {
                     DeliveryPath::Pull => r.pull_deliveries += 1,
                     _ => r.tree_deliveries += 1,
                 }
-                let hop = d.hop as usize;
+                let hop = hop_bucket(d.hop);
                 if r.hop_histogram.len() <= hop {
                     r.hop_histogram.resize(hop + 1, 0);
                 }
@@ -507,14 +509,15 @@ impl TraceAnalysis {
                         None
                     }
                 } else {
+                    // `d.hop >= 2` here; `p.hop + 1` could overflow on a
+                    // hostile trace.
                     m.deliveries
                         .get(&d.from)
-                        .filter(|p| p.hop + 1 == d.hop)
+                        .filter(|p| p.hop == d.hop - 1)
                         .map(|p| p.t_us)
                 };
                 match parent_t {
                     Some(t0) if t0 <= d.t_us && d.hop >= 1 => {
-                        let hop = d.hop as usize;
                         if hop_lat_sum_us.len() <= hop {
                             hop_lat_sum_us.resize(hop + 1, 0);
                             hop_lat_n.resize(hop + 1, 0);
@@ -544,6 +547,13 @@ impl TraceAnalysis {
     }
 }
 
+/// The report's index for causal hop `hop`: a trace is outside input, so
+/// hops past the delivery ledger's [`HOP_BUCKETS`] share its last bucket
+/// rather than sizing a vector.
+fn hop_bucket(hop: u32) -> usize {
+    (hop as usize).min(HOP_BUCKETS - 1)
+}
+
 /// Mean link latency at one causal depth of the dissemination trees.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerHopLatency {
@@ -571,7 +581,8 @@ pub struct TraceReport {
     /// Messages whose every delivery chains back to the injection through
     /// valid `(from, hop)` causal edges.
     pub trees_reconstructed: usize,
-    /// Delivery count by causal hop (index = hop).
+    /// Delivery count by causal hop (index = hop; hops from
+    /// `HOP_BUCKETS - 1` on share the last index).
     pub hop_histogram: Vec<u64>,
     /// Per-hop latency breakdown.
     pub per_hop_latency: Vec<PerHopLatency>,
@@ -1131,6 +1142,27 @@ mod tests {
         .is_err());
         // Trailing garbage after the object.
         assert!(parse_line("{\"t_us\":1,\"node\":0,\"ev\":\"became_root\",\"epoch\":0}x").is_err());
+    }
+
+    #[test]
+    fn a_hostile_hop_cannot_size_the_report() {
+        let line = "{\"t_us\":1,\"node\":1,\"ev\":\"delivered\",\"origin\":0,\"seq\":0,\
+                    \"from\":0,\"hop\":4294967295,\"via\":\"tree\"}";
+        let mut a = TraceAnalysis::new();
+        a.feed(&rec(0, 0, injected(0, 0)));
+        a.feed(&parse_line(line).expect("a well-formed record"));
+        a.feed(&rec(2, 2, delivered(0, 0, 1, u32::MAX, DeliveryPath::Pull)));
+        let r = a.report();
+        assert!(
+            r.hop_histogram.len() <= HOP_BUCKETS,
+            "{}",
+            r.hop_histogram.len()
+        );
+        assert_eq!(r.hop_histogram[HOP_BUCKETS - 1], 2);
+        assert!(r
+            .per_hop_latency
+            .iter()
+            .all(|p| (p.hop as usize) < HOP_BUCKETS));
     }
 
     #[test]

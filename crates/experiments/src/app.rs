@@ -39,9 +39,7 @@ use gocast::{GoCastConfig, GoCastEvent, GoCastNode};
 use gocast_analysis::{ConvergenceReport, ConvergenceTracker, InvariantOracle, Table};
 use gocast_app::{AppCommand, AppConfig, CrdtAudit, SubscriptionTable, TopicDirectory, TopicMux};
 use gocast_metrics::TopicMetrics;
-use gocast_sim::{
-    KernelStats, Lanes, NodeId, PresenceTimeline, Recorder, Scenario, ScenarioPlan, SimTime,
-};
+use gocast_sim::{Lanes, NodeId, PresenceTimeline, Recorder, Scenario, ScenarioPlan, SimTime};
 use gocast_testnet::{deployment_config, loopback_available, Testnet, TestnetConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -49,8 +47,8 @@ use rand::Rng;
 use crate::chaos::{builtin_scenario, resolve_scenario};
 use crate::options::{ExpOptions, GivenFlags, Scale};
 use crate::pipeline::{
-    audited_gocast, compile_plan, gocast_nodes, horizon, inject, scale_network, Run, RunCore,
-    RunRecorder, Sources, WORKLOAD,
+    audit_wire, audited_gocast, compile_plan, gocast_nodes, horizon, inject, scale_network,
+    wire_groups, Run, RunCore, RunRecorder, Sources, WORKLOAD,
 };
 use crate::report::{kernel_digest, table_of, Column};
 use crate::sweep::per_seed;
@@ -455,10 +453,7 @@ pub fn run_app_wire(
         opts.drain = opts.drain.max(Duration::from_secs(12));
     }
     let proto = deployment_config();
-    // Wire nodes have no latency-derived site map; synthetic quartet
-    // groups keep group-targeted faults meaningful.
-    let groups: Vec<u32> = (0..opts.nodes as u32).map(|i| i % 4).collect();
-    let staged = Staged::new(&opts, workload, scenario, &groups, &proto);
+    let staged = Staged::new(&opts, workload, scenario, &wire_groups(opts.nodes), &proto);
 
     // Faster application cadences for short wall-clock runs: several
     // anti-entropy rounds must fit inside the drain.
@@ -481,17 +476,12 @@ pub fn run_app_wire(
     let end = horizon(&opts, start, Some(&staged.plan));
     net.run_for(Duration::from_nanos(end.as_nanos()));
 
-    let oracle = InvariantOracle::for_protocol(&proto);
-    let mut rec = RunRecorder::detached(Some(oracle), AppTier::default());
-    for (t, n, ev) in net.trace() {
-        rec.record(*t, *n, ev.clone());
-    }
-    let core = RunCore::distil(
-        &mut rec,
+    let (core, rec) = audit_wire(
+        &net,
+        &proto,
+        AppTier::default(),
         u64::from(opts.messages),
         staged.plan.len(),
-        KernelStats::default(),
-        net.metrics_snapshot(),
     );
     let phase = format!("wire:{label}");
     Ok(staged.outcome(phase, 0, (start, end), core, &rec.ext, |n| {

@@ -22,6 +22,11 @@
 //!    [`Run::finish_audited`] (the presence-aware store audit), which
 //!    distil the [`RunCore`] every outcome embeds.
 //!
+//! The wire host (`gocast_testnet::Testnet`) runs the same phases: the
+//! same node constructor, a plan compiled over [`wire_groups`], the same
+//! [`inject`] loop and [`horizon`], and [`audit_wire`] in place of
+//! [`Run::finish`].
+//!
 //! # Determinism and `--jobs`
 //!
 //! Every topology, bootstrap graph, failure draw, scenario plan and
@@ -40,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use gocast::{bootstrap_random_graph, GoCastConfig, GoCastEvent, GoCastNode};
+use gocast::{bootstrap_random_graph, GoCastConfig, GoCastEvent, GoCastMsg, GoCastNode};
 use gocast_analysis::{Cdf, DeliveryTracker, InvariantOracle, MetricsRecorder, WindowRatio};
 use gocast_metrics::{RunManifest, Snapshot};
 use gocast_net::{synthetic_king, OnDemandKing, SiteLatencyMatrix, SyntheticKingConfig};
@@ -49,6 +54,7 @@ use gocast_sim::{
     PresenceTimeline, Protocol, Recorder, Scenario, ScenarioEnv, ScenarioPlan, ShardedSimBuilder,
     SimBuilder, SimTime, Stack, TraceRecorder,
 };
+use gocast_testnet::Testnet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -340,6 +346,13 @@ pub fn compile_plan(opts: &ExpOptions, scenario: &Scenario, groups: &[u32]) -> S
     scenario.compile(&env)
 }
 
+/// The wire host's fault-correlation groups: a socket fabric has no
+/// latency-derived site map, so synthetic quartets keep group-targeted
+/// faults meaningful.
+pub fn wire_groups(nodes: usize) -> Vec<u32> {
+    (0..nodes as u32).map(|i| i % 4).collect()
+}
+
 /// Where the workload's sources are drawn from.
 #[derive(Debug)]
 pub enum Sources<'a> {
@@ -425,6 +438,36 @@ fn proto_snapshot_into(ledger: &DeliveryTracker, snap: &mut Snapshot) {
     snap.record_counter("proto_pull_requests", ledger.pulls());
     snap.record_counter("proto_pulls_served", ledger.pulls_served());
     snap.record_counter("proto_redundant_drops", ledger.redundant());
+}
+
+/// The wire host's audit phase: replays the fabric's captured event trace
+/// into a detached [`RunRecorder`] (the delivery ledger, the invariant
+/// oracle for `proto`, and `ext`) and distils the run's core over the
+/// fabric's metrics. Returns the recorder for what the caller reads next.
+pub fn audit_wire<N, X>(
+    net: &Testnet<N>,
+    proto: &GoCastConfig,
+    ext: X,
+    injected: u64,
+    plan_len: usize,
+) -> (RunCore, RunRecorder<X>)
+where
+    N: Stack<Msg = GoCastMsg, Event = GoCastEvent>,
+    N::Command: Clone,
+    X: Recorder<GoCastEvent>,
+{
+    let mut rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)), ext);
+    for (t, n, ev) in net.trace() {
+        rec.record(*t, *n, ev.clone());
+    }
+    let core = RunCore::distil(
+        &mut rec,
+        injected,
+        plan_len,
+        KernelStats::default(),
+        net.metrics_snapshot(),
+    );
+    (core, rec)
 }
 
 /// One combined snapshot of everything the simulation knows: kernel
@@ -718,5 +761,36 @@ mod tests {
         };
         let live = Sources::Live((0..40).map(NodeId::new).collect());
         assert_eq!(draw(&live), draw(&Sources::Present(&presence)));
+    }
+
+    #[test]
+    fn injection_schedule_is_deterministic_and_paced() {
+        let mut opts = ExpOptions::quick();
+        opts.nodes = 8;
+        opts.messages = 10;
+        opts.rate = 100.0;
+        let start = SimTime::from_secs(3);
+        let everyone = Sources::Live((0..8).map(NodeId::new).collect());
+        let draw = || {
+            let mut out = Vec::new();
+            inject(
+                &opts,
+                WORKLOAD,
+                start,
+                &everyone,
+                |_, _, src, _| (src, ()),
+                |at, node, ()| out.push((at, node)),
+            );
+            out
+        };
+        let a = draw();
+        assert_eq!(a, draw());
+        assert_eq!(a.len(), 10);
+        assert_eq!(a[0].0, start);
+        // One command every 1/rate: 10 ms apart at 100/s.
+        for (k, (at, _)) in a.iter().enumerate() {
+            assert_eq!(*at, start + Duration::from_millis(10 * k as u64));
+        }
+        assert!(a.iter().all(|(_, n)| n.index() < 8));
     }
 }

@@ -22,10 +22,6 @@
 //!   with fabric-monotonic time and rendered in the PR-2 JSONL trace
 //!   format, so `gocast_analysis::trace` (including the
 //!   `InvariantOracle`) audits real-socket runs unchanged.
-//! - **Sim-vs-wire conformance** ([`conformance`]): a differential
-//!   harness that runs the same workload through the simulator and the
-//!   testnet and compares delivery ratio, hop histograms, and
-//!   tree-vs-pull recovery fractions within stated tolerances.
 //! - **A batched, sharded wire path** ([`batch`]): outbound datagrams
 //!   gather into `sendmmsg` batches and inbound traffic drains through
 //!   `recvmmsg` (portable one-at-a-time fallback at runtime), while
@@ -58,13 +54,11 @@
 
 pub mod batch;
 pub mod bootstrap;
-pub mod conformance;
 mod fabric;
 mod shard;
 
 pub use batch::{BatchBuffer, BatchMode, RecvBatch};
 pub use bootstrap::PeerTable;
-pub use conformance::{ConformanceOptions, ConformanceReport, SideReport};
 pub use fabric::{FabricStats, Testnet, TestnetConfig};
 
 use std::net::{Ipv4Addr, UdpSocket};

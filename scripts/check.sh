@@ -19,17 +19,38 @@ cargo clippy --workspace --all-targets -- -W clippy::perf -D warnings
 echo "==> structure gate: each experiment phase is written once"
 # The workload, bootstrap and network seed salts mark the injection loop,
 # the bootstrap-graph site and the network constructor; a second non-test
-# occurrence under crates/experiments/src is a copied run-loop.
+# occurrence under crates/experiments/src is a copied run-loop. The wire
+# host runs the same workload loop, so the workload salt is counted over
+# crates/testnet/src as well.
 for salt in 0x5EED 0xB007 0x4B494E47; do
+    dirs=(crates/experiments/src)
+    if [[ "$salt" == 0x5EED ]]; then
+        dirs+=(crates/testnet/src)
+    fi
+    files=()
+    for dir in "${dirs[@]}"; do
+        files+=("$dir"/*.rs)
+    done
     hits=$(awk -v salt="$salt" 'FNR == 1 { test = 0 }
         /#\[cfg\(test\)\]/ { test = 1 }
         !test && index($0, salt) && $0 !~ /^[[:space:]]*\/\// { n++ }
-        END { print n + 0 }' crates/experiments/src/*.rs)
+        END { print n + 0 }' "${files[@]}")
     [[ "$hits" -eq 1 ]] || {
-        echo "FAIL: $salt occurs on $hits non-test lines of crates/experiments/src (want 1)" >&2
+        echo "FAIL: $salt occurs on $hits non-test lines of ${dirs[*]} (want 1)" >&2
         exit 1
     }
 done
+
+echo "==> structure gate: one pipeline on both hosts"
+# The sim-vs-wire comparison is a configuration of the experiment
+# pipeline (crates/experiments/src/testnet.rs); the second copy of the
+# pipeline it replaced, with its own options and tolerances, must not
+# come back.
+if grep -rnE --include='*.rs' 'mod conformance\b|struct (ConformanceOptions|Tolerances|SideReport)\b' \
+    crates tests examples; then
+    echo "FAIL: a second sim-vs-wire pipeline is back" >&2
+    exit 1
+fi
 
 # nontest_lines PATTERN FILE...: FILE:LINE of every non-test, non-comment
 # line matching PATTERN.

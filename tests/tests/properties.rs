@@ -305,6 +305,7 @@ proptest! {
         prop_assert_eq!(tracker.pulls_served(), replayed.pulls_served());
         prop_assert_eq!(tracker.hop_sum(), replayed.hop_sum());
         prop_assert_eq!(tracker.hops(), replayed.hops());
+        prop_assert_eq!(tracker.hop_counts(), replayed.hop_counts());
         prop_assert_eq!(tracker.pull_deliveries(), replayed.pull_deliveries());
         let per_message = |t: &DeliveryTracker| {
             t.injections().map(|(id, at)| (id, at, t.deliveries_of(id))).collect::<Vec<_>>()
