@@ -677,7 +677,12 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Bounds, grace settings, and the per-stack capability switches for the
+/// Degree-bound checks ignore link additions at or before this time (µs):
+/// the bootstrap graph installs links of arbitrary degree at t=0, and the
+/// degree rules only bound *protocol* additions.
+const DEGREE_CHECK_AFTER_US: u64 = 1;
+
+/// Bounds and the per-stack capability switches for the
 /// [`InvariantOracle`].
 ///
 /// The universal invariants (no delivery before send, no duplicate
@@ -688,15 +693,11 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleConfig {
     /// Maximum random degree after any link addition
-    /// (`C_rand + degree_slack`).
+    /// ([`GoCastConfig::degree_cap`] of `C_rand`).
     pub max_rand: usize,
     /// Maximum nearby degree after any link addition
-    /// (`C_near + degree_slack`).
+    /// ([`GoCastConfig::degree_cap`] of `C_near`).
     pub max_near: usize,
-    /// Ignore degree-bound checks at or before this time (µs). The
-    /// bootstrap graph installs links of arbitrary degree at t=0; the
-    /// degree rules only bound *protocol* additions.
-    pub degree_check_after_us: u64,
     /// Enforce the degree bounds (GoCast's accept-rule ceiling). Off for
     /// stacks whose views are unbounded or evict reactively.
     pub check_degree_bounds: bool,
@@ -709,22 +710,10 @@ impl OracleConfig {
     /// every check enabled.
     pub fn for_protocol(cfg: &GoCastConfig) -> Self {
         OracleConfig {
-            max_rand: cfg.c_rand + cfg.degree_slack,
-            max_near: cfg.c_near + cfg.degree_slack,
-            degree_check_after_us: 1,
+            max_rand: GoCastConfig::degree_cap(cfg.c_rand),
+            max_near: GoCastConfig::degree_cap(cfg.c_near),
             check_degree_bounds: true,
             check_pull_after_delivery: true,
-        }
-    }
-
-    /// Only the universal checks: no stack-specific invariant enforced.
-    pub fn universal() -> Self {
-        OracleConfig {
-            max_rand: usize::MAX,
-            max_near: usize::MAX,
-            degree_check_after_us: 0,
-            check_degree_bounds: false,
-            check_pull_after_delivery: false,
         }
     }
 
@@ -896,10 +885,7 @@ impl InvariantOracle {
                 let (idx, bound) = self.degree_slot(kind);
                 let d = self.degrees.entry(node).or_insert([0, 0]);
                 d[idx] += 1;
-                if self.cfg.check_degree_bounds
-                    && t_us > self.cfg.degree_check_after_us
-                    && d[idx] > bound
-                {
+                if self.cfg.check_degree_bounds && t_us > DEGREE_CHECK_AFTER_US && d[idx] > bound {
                     // Pend, don't flag: a make-before-break replacement
                     // drops the victim at this same instant.
                     let count = d[idx];
@@ -1099,7 +1085,8 @@ mod tests {
 
     #[test]
     fn universal_oracle_skips_stack_specific_checks() {
-        let mut o = InvariantOracle::new(OracleConfig::universal());
+        let cfg = OracleConfig::default().with_caps(&StackCaps::universal());
+        let mut o = InvariantOracle::new(cfg);
         // A pull of a held message: GoCast-specific, skipped here.
         o.check(&rec(5, 0, injected(0, 0)));
         o.check(&rec(9, 0, pull_requested(0, 0, 1)));
@@ -1117,16 +1104,16 @@ mod tests {
 
     #[test]
     fn with_caps_restricts_but_never_enables() {
-        use gocast_sim::StackCaps;
         let base = OracleConfig::default();
         let capped = base.with_caps(&StackCaps {
             degree_bounds: false,
             pull_after_delivery: true,
-            tree: false,
         });
         assert!(!capped.check_degree_bounds);
         assert!(capped.check_pull_after_delivery);
-        let u = OracleConfig::universal().with_caps(&StackCaps::all());
+        let u = base
+            .with_caps(&StackCaps::universal())
+            .with_caps(&StackCaps::all());
         assert!(!u.check_degree_bounds && !u.check_pull_after_delivery);
     }
 
@@ -1255,7 +1242,6 @@ mod tests {
         let cfg = OracleConfig {
             max_rand: 1,
             max_near: 2,
-            degree_check_after_us: 10,
             ..OracleConfig::default()
         };
         let mut o = InvariantOracle::new(cfg);
@@ -1291,7 +1277,6 @@ mod tests {
         let cfg = OracleConfig {
             max_rand: 1,
             max_near: 2,
-            degree_check_after_us: 1,
             ..OracleConfig::default()
         };
         let mut o = InvariantOracle::new(cfg);

@@ -50,39 +50,36 @@ pub mod timers {
     pub const PULL_RETRY: u32 = 0x102;
 }
 
-/// Tuning knobs for the application tier.
+/// Payload bytes per published topic message.
+const PAYLOAD_BYTES: u32 = 1024;
+/// IHAVE targets per topic per gossip round.
+const GOSSIP_FANOUT: usize = 2;
+/// Recent message ids advertised per IHAVE.
+const IHAVE_WINDOW: usize = 32;
+/// Maximum deltas shipped per anti-entropy reply.
+const DELTAS_CAP: usize = 64;
+/// Pull attempts per missing message before giving up to anti-entropy
+/// (CRDT) or accounting the loss (plain pub/sub).
+const MAX_PULL_ATTEMPTS: u8 = 3;
+
+/// The application tier's cadences: the defaults suit simulated runs,
+/// and short wall-clock runs on the wire use faster ones.
 #[derive(Debug, Clone)]
 pub struct AppConfig {
-    /// Payload bytes per published topic message.
-    pub payload_bytes: u32,
     /// Period of topic IHAVE gossip.
     pub gossip_every: Duration,
     /// Period of CRDT digest anti-entropy.
     pub anti_entropy_every: Duration,
     /// How long to wait before re-pulling a still-missing message.
     pub pull_retry_after: Duration,
-    /// IHAVE targets per topic per gossip round.
-    pub gossip_fanout: usize,
-    /// Recent message ids advertised per IHAVE.
-    pub ihave_window: usize,
-    /// Maximum deltas shipped per anti-entropy reply.
-    pub deltas_cap: usize,
-    /// Pull attempts per missing message before giving up to
-    /// anti-entropy (CRDT) or accounting the loss (plain pub/sub).
-    pub max_pull_attempts: u8,
 }
 
 impl Default for AppConfig {
     fn default() -> Self {
         AppConfig {
-            payload_bytes: 1024,
             gossip_every: Duration::from_millis(500),
             anti_entropy_every: Duration::from_secs(2),
             pull_retry_after: Duration::from_millis(400),
-            gossip_fanout: 2,
-            ihave_window: 32,
-            deltas_cap: 64,
-            max_pull_attempts: 3,
         }
     }
 }
@@ -323,15 +320,14 @@ where
         self.publishes += 1;
         ctx.emit(GoCastEvent::Injected { id });
         let stored = Stored {
-            size: self.cfg.payload_bytes,
+            size: PAYLOAD_BYTES,
             hop: 0,
             delta: delta.clone(),
         };
-        let window = self.cfg.ihave_window;
         let state = self.state(topic);
         state.seen.insert(id, stored);
         state.recent.push_back(id);
-        if state.recent.len() > window {
+        if state.recent.len() > IHAVE_WINDOW {
             state.recent.pop_front();
         }
         let epoch = self.dir.epoch_at(ctx.now());
@@ -349,7 +345,7 @@ where
                     id,
                     age_us: 0,
                     hop: 1,
-                    size: self.cfg.payload_bytes,
+                    size: PAYLOAD_BYTES,
                     delta: delta.clone(),
                 },
             );
@@ -372,7 +368,6 @@ where
         if !self.subs.contains(&topic) {
             return; // late traffic from a previous epoch's tree
         }
-        let window = self.cfg.ihave_window;
         let state = self.state(topic);
         if state.seen.contains_key(&id) {
             return;
@@ -386,7 +381,7 @@ where
             },
         );
         state.recent.push_back(id);
-        if state.recent.len() > window {
+        if state.recent.len() > IHAVE_WINDOW {
             state.recent.pop_front();
         }
         state.missing.remove(&id);
@@ -499,7 +494,7 @@ where
         let Some(state) = self.states.get(&topic) else {
             return;
         };
-        let deltas = state.orset.missing_for(&vv, self.cfg.deltas_cap);
+        let deltas = state.orset.missing_for(&vv, DELTAS_CAP);
         if !deltas.is_empty() {
             ctx.send(from, GoCastMsg::TopicDeltas { topic, deltas });
         }
@@ -534,7 +529,7 @@ where
             if ids.is_empty() {
                 continue;
             }
-            for _ in 0..self.cfg.gossip_fanout {
+            for _ in 0..GOSSIP_FANOUT {
                 if let Some(to) = self.rand_subscriber(ctx.rng(), epoch, topic) {
                     ctx.send(
                         to,
@@ -568,14 +563,13 @@ where
             return;
         }
         let epoch = self.dir.epoch_at(ctx.now());
-        let max = self.cfg.max_pull_attempts;
         let state = self
             .states
             .get_mut(&topic)
             .expect("subscribed topic has state");
         let mut retry: Vec<MsgId> = Vec::new();
         state.missing.retain(|&id, attempts| {
-            if *attempts >= max {
+            if *attempts >= MAX_PULL_ATTEMPTS {
                 return false; // give up; anti-entropy may still repair CRDTs
             }
             *attempts += 1;

@@ -28,20 +28,23 @@ mod timers {
     pub const PULL_TIMEOUT: u32 = 3;
 }
 
+/// Gossip period `t` (ignored in no-wait mode).
+const GOSSIP_PERIOD: Duration = Duration::from_millis(100);
+
+/// Retry interval for unanswered pulls.
+const PULL_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Message retention.
+const GC_WAIT: Duration = Duration::from_secs(120);
+
 /// Configuration for the push-gossip baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PushGossipConfig {
     /// Gossip fanout `F`: how many random nodes hear each message ID.
     pub fanout: usize,
-    /// Gossip period `t` (ignored in no-wait mode).
-    pub gossip_period: Duration,
     /// No-wait mode: gossip immediately on reception instead of batching
     /// per period.
     pub no_wait: bool,
-    /// Retry interval for unanswered pulls.
-    pub pull_timeout: Duration,
-    /// Message retention.
-    pub gc_wait: Duration,
     /// Multicast payload size (bytes, accounting only).
     pub payload_size: u32,
 }
@@ -50,10 +53,7 @@ impl Default for PushGossipConfig {
     fn default() -> Self {
         PushGossipConfig {
             fanout: 5,
-            gossip_period: Duration::from_millis(100),
             no_wait: false,
-            pull_timeout: Duration::from_secs(2),
-            gc_wait: Duration::from_secs(120),
             payload_size: 1024,
         }
     }
@@ -66,12 +66,6 @@ impl PushGossipConfig {
             no_wait: true,
             ..Default::default()
         }
-    }
-
-    /// Sets the fanout (builder style).
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.fanout = fanout;
-        self
     }
 }
 
@@ -254,7 +248,7 @@ impl PushGossipNode {
         ctx.emit(GoCastEvent::PullRequested { id, to: target });
         ctx.send(target, PushGossipMsg::Pull { ids: vec![id] });
         ctx.set_timer(
-            self.cfg.pull_timeout,
+            PULL_TIMEOUT,
             Timer::with_payload(timers::PULL_TIMEOUT, id.origin.as_u32(), id.seq as u64),
         );
     }
@@ -264,8 +258,8 @@ impl Stack for PushGossipNode {
     const NAME: &'static str = "push-gossip";
 
     /// The baseline only promises the universal invariants: it keeps no
-    /// overlay (no degree bounds), it may re-request an ID whose pull
-    /// timed out, and it builds no tree.
+    /// overlay (no degree bounds), and it may re-request an ID whose pull
+    /// timed out.
     fn capabilities() -> StackCaps {
         StackCaps::universal()
     }
@@ -321,9 +315,7 @@ impl Protocol for PushGossipNode {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         if !self.cfg.no_wait {
-            let us = ctx
-                .rng()
-                .gen_range(0..self.cfg.gossip_period.as_micros() as u64);
+            let us = ctx.rng().gen_range(0..GOSSIP_PERIOD.as_micros() as u64);
             ctx.set_timer(Duration::from_micros(us), Timer::of_kind(timers::GOSSIP));
         }
         ctx.set_timer(Duration::from_secs(5), Timer::of_kind(timers::GC));
@@ -394,7 +386,7 @@ impl Protocol for PushGossipNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
         match timer.kind {
             timers::GOSSIP => {
-                ctx.set_timer(self.cfg.gossip_period, Timer::of_kind(timers::GOSSIP));
+                ctx.set_timer(GOSSIP_PERIOD, Timer::of_kind(timers::GOSSIP));
                 // Summarize every message with gossip budget left; each
                 // inclusion spends one unit of its budget.
                 let now = ctx.now();
@@ -430,9 +422,8 @@ impl Protocol for PushGossipNode {
             timers::GC => {
                 ctx.set_timer(Duration::from_secs(5), Timer::of_kind(timers::GC));
                 let now = ctx.now();
-                let b = self.cfg.gc_wait;
                 self.store
-                    .retain(|_, s| now.saturating_since(s.received_at) <= b);
+                    .retain(|_, s| now.saturating_since(s.received_at) <= GC_WAIT);
             }
             _ => debug_assert!(false, "unknown timer {}", timer.kind),
         }
@@ -481,7 +472,15 @@ mod tests {
 
     #[test]
     fn high_fanout_reaches_nearly_everyone() {
-        let (delivered, _) = run(128, PushGossipConfig::default().with_fanout(10), 3, 30);
+        let (delivered, _) = run(
+            128,
+            PushGossipConfig {
+                fanout: 10,
+                ..Default::default()
+            },
+            3,
+            30,
+        );
         assert!(
             delivered >= 126,
             "fanout 10 should reach ~all of 127, got {delivered}"
@@ -524,8 +523,14 @@ mod tests {
                 .max()
                 .unwrap()
         };
-        let periodic = time_to_full(PushGossipConfig::default().with_fanout(8));
-        let no_wait = time_to_full(PushGossipConfig::no_wait().with_fanout(8));
+        let periodic = time_to_full(PushGossipConfig {
+            fanout: 8,
+            ..Default::default()
+        });
+        let no_wait = time_to_full(PushGossipConfig {
+            fanout: 8,
+            ..PushGossipConfig::no_wait()
+        });
         assert!(
             no_wait < periodic,
             "no-wait {no_wait} should beat periodic {periodic}"
@@ -562,6 +567,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "fanout")]
     fn zero_fanout_rejected() {
-        let _ = PushGossipNode::new(NodeId::new(0), PushGossipConfig::default().with_fanout(0));
+        let cfg = PushGossipConfig {
+            fanout: 0,
+            ..Default::default()
+        };
+        let _ = PushGossipNode::new(NodeId::new(0), cfg);
     }
 }

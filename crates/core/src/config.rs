@@ -3,34 +3,46 @@
 //! Defaults follow Section 3 of the paper: gossip period `t` = 0.1 s,
 //! maintenance period `r` = 0.1 s, target degrees `C_rand` = 1 and
 //! `C_near` = 5, GC wait `b` = 2 min, root heartbeat every 15 s.
+//!
+//! A field exists here only where some caller runs the protocol with a
+//! value other than the default (DESIGN.md "Parameters" names each one);
+//! a value every run shares is a constant of the module that reads it.
 
 use std::time::Duration;
 
-use gocast_sim::NodeId;
 use serde::{Deserialize, Serialize};
+
+/// Acceptance slack: a node accepts a new link of a kind while its degree
+/// of that kind is below `target + DEGREE_SLACK` (paper: 5).
+const DEGREE_SLACK: usize = 5;
 
 /// Configuration for a GoCast node.
 ///
-/// Build one with [`GoCastConfig::builder`], which validates the field
-/// combination before handing out a config, or start from
-/// [`GoCastConfig::default`] and adjust fields through the builder-style
-/// setters. The presets [`GoCastConfig::proximity_overlay`] and
-/// [`GoCastConfig::random_overlay`] reproduce the paper's simplified
-/// comparison protocols.
+/// Start from [`GoCastConfig::default`] and change fields with struct
+/// update syntax; [`GoCastConfig::validate`] is the one check, and every
+/// `GoCastNode` constructor runs it. The presets
+/// [`GoCastConfig::proximity_overlay`] and [`GoCastConfig::random_overlay`]
+/// reproduce the paper's simplified comparison protocols.
 ///
 /// ```
-/// use gocast::GoCastConfig;
+/// use gocast::{ConfigError, GoCastConfig};
 /// use std::time::Duration;
 ///
-/// let cfg = GoCastConfig::builder()
-///     .pull_delay(Duration::from_millis(300))
-///     .payload_size(512)
-///     .build()
-///     .unwrap();
+/// let cfg = GoCastConfig {
+///     pull_delay: Duration::from_millis(300),
+///     payload_size: 512,
+///     ..GoCastConfig::default()
+/// };
 /// assert_eq!(cfg.c_rand + cfg.c_near, 6);
+/// assert_eq!(cfg.validate(), Ok(()));
 ///
-/// // Invalid combinations are rejected at build time:
-/// assert!(GoCastConfig::builder().degrees(0, 0).build().is_err());
+/// // Combinations the protocol cannot run with are rejected:
+/// let bad = GoCastConfig {
+///     c_rand: 0,
+///     c_near: 0,
+///     ..GoCastConfig::default()
+/// };
+/// assert_eq!(bad.validate(), Err(ConfigError::ZeroDegree));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GoCastConfig {
@@ -38,9 +50,6 @@ pub struct GoCastConfig {
     pub c_rand: usize,
     /// Target number of nearby neighbors (`C_near`, paper default 5).
     pub c_near: usize,
-    /// Acceptance slack: a node accepts a new link while its degree is
-    /// below `target + degree_slack` (paper: 5).
-    pub degree_slack: usize,
     /// Gossip period `t` (paper: 0.1 s).
     pub gossip_period: Duration,
     /// Overlay maintenance period `r` (paper: 0.1 s).
@@ -52,22 +61,11 @@ pub struct GoCastConfig {
     /// `Duration::ZERO` disables the optimization (paper evaluates both 0
     /// and 0.3 s).
     pub pull_delay: Duration,
-    /// Retry interval when a pull request goes unanswered.
-    pub pull_timeout: Duration,
     /// Root heartbeat / tree refresh period (paper: 15 s).
     pub heartbeat_period: Duration,
-    /// Heartbeats missed before suspecting the root.
-    pub heartbeat_timeout_factor: u32,
     /// Whether to build and use the embedded tree. Disabled for the
     /// paper's "proximity overlay" / "random overlay" comparison variants.
     pub tree_enabled: bool,
-    /// Idle neighbor timeout: a neighbor silent this long is considered
-    /// failed and its link dropped (only while maintenance is active).
-    pub neighbor_timeout: Duration,
-    /// Capacity of the partial membership view.
-    pub member_view_capacity: usize,
-    /// Random member addresses piggybacked per gossip.
-    pub members_per_gossip: usize,
     /// Maximum interval between gossips to a neighbor even when there are
     /// no message IDs to report (keeps membership and liveness flowing).
     pub idle_gossip_interval: Duration,
@@ -78,8 +76,6 @@ pub struct GoCastConfig {
     pub landmark_count: usize,
     /// Wire size of a multicast payload in bytes (accounting only).
     pub payload_size: u32,
-    /// The initial tree root ("the first node in the overlay").
-    pub root: NodeId,
     /// Ablation: enforce condition C4 (`RTT(X,Q) <= RTT(X,U)/2`) when
     /// replacing nearby neighbors (paper: on).
     pub c4_enabled: bool,
@@ -97,11 +93,8 @@ pub struct GoCastConfig {
     pub adaptive_gossip: bool,
     /// Future-work feature (§2.2.3): adapt the maintenance period to the
     /// stability of the overlay — back off exponentially while no link
-    /// changes and no degree deficit are observed, up to
-    /// `max_maintenance_period`.
+    /// changes and no degree deficit are observed, up to 2 s.
     pub adaptive_maintenance: bool,
-    /// Upper bound for the adaptive maintenance period.
-    pub max_maintenance_period: Duration,
 }
 
 impl Default for GoCastConfig {
@@ -109,63 +102,45 @@ impl Default for GoCastConfig {
         GoCastConfig {
             c_rand: 1,
             c_near: 5,
-            degree_slack: 5,
             gossip_period: Duration::from_millis(100),
             maintenance_period: Duration::from_millis(100),
             gc_wait: Duration::from_secs(120),
             pull_delay: Duration::ZERO,
-            pull_timeout: Duration::from_secs(2),
             heartbeat_period: Duration::from_secs(15),
-            heartbeat_timeout_factor: 3,
             tree_enabled: true,
-            neighbor_timeout: Duration::from_secs(10),
-            member_view_capacity: 128,
-            members_per_gossip: 3,
             idle_gossip_interval: Duration::from_secs(1),
             landmark_count: 8,
             payload_size: 1024,
-            root: NodeId::new(0),
             c4_enabled: true,
             c1_offset: 1,
             aggressive_drop: false,
             adaptive_gossip: false,
             adaptive_maintenance: false,
-            max_maintenance_period: Duration::from_secs(2),
         }
     }
 }
 
 impl GoCastConfig {
-    /// Starts a validating builder from the paper's defaults.
-    ///
-    /// Unlike mutating fields directly, [`GoCastConfigBuilder::build`]
-    /// refuses combinations the protocol cannot run with (zero degree,
-    /// zero periods, empty membership view).
-    pub fn builder() -> GoCastConfigBuilder {
-        GoCastConfigBuilder {
-            cfg: GoCastConfig::default(),
-        }
-    }
-
     /// The paper's "proximity overlay" comparison protocol: the GoCast
     /// overlay (1 random + 5 nearby) but dissemination through gossip only,
     /// no tree.
     pub fn proximity_overlay() -> Self {
-        GoCastConfig::builder()
-            .tree_enabled(false)
-            .build()
-            .expect("preset is valid")
+        GoCastConfig {
+            tree_enabled: false,
+            ..GoCastConfig::default()
+        }
     }
 
     /// The paper's "random overlay" comparison protocol: 6 random
     /// neighbors, gossip-only dissemination, no proximity adaptation,
     /// no tree.
     pub fn random_overlay() -> Self {
-        GoCastConfig::builder()
-            .degrees(6, 0)
-            .tree_enabled(false)
-            .build()
-            .expect("preset is valid")
+        GoCastConfig {
+            c_rand: 6,
+            c_near: 0,
+            tree_enabled: false,
+            ..GoCastConfig::default()
+        }
     }
 
     /// Target total node degree (`C_degree = C_rand + C_near`).
@@ -173,29 +148,12 @@ impl GoCastConfig {
         self.c_rand + self.c_near
     }
 
-    /// Sets the pull delay `f` (builder style).
-    pub fn with_pull_delay(mut self, f: Duration) -> Self {
-        self.pull_delay = f;
-        self
-    }
-
-    /// Sets the target degrees (builder style).
-    pub fn with_degrees(mut self, c_rand: usize, c_near: usize) -> Self {
-        self.c_rand = c_rand;
-        self.c_near = c_near;
-        self
-    }
-
-    /// Sets the payload size (builder style).
-    pub fn with_payload_size(mut self, bytes: u32) -> Self {
-        self.payload_size = bytes;
-        self
-    }
-
-    /// Sets the tree root (builder style).
-    pub fn with_root(mut self, root: NodeId) -> Self {
-        self.root = root;
-        self
+    /// The accept rules' ceiling on links of one kind for a node whose
+    /// target for that kind is `target`: it takes a new link only while
+    /// below `target + 5` (paper §2.2), and the invariant oracle holds
+    /// every node to the same bound.
+    pub const fn degree_cap(target: usize) -> usize {
+        target + DEGREE_SLACK
     }
 
     /// Checks internal consistency.
@@ -203,134 +161,18 @@ impl GoCastConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when a field combination cannot work (zero
-    /// total degree, zero periods, or a zero view capacity).
+    /// total degree or a zero period).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.c_degree() == 0 {
             return Err(ConfigError::ZeroDegree);
         }
-        if self.gossip_period.is_zero() || self.maintenance_period.is_zero() {
+        if self.gossip_period.is_zero()
+            || self.maintenance_period.is_zero()
+            || self.heartbeat_period.is_zero()
+        {
             return Err(ConfigError::ZeroPeriod);
         }
-        if self.member_view_capacity == 0 {
-            return Err(ConfigError::ZeroViewCapacity);
-        }
-        if self.heartbeat_timeout_factor == 0 {
-            return Err(ConfigError::ZeroHeartbeatFactor);
-        }
         Ok(())
-    }
-}
-
-/// Validating builder for [`GoCastConfig`], started with
-/// [`GoCastConfig::builder`].
-///
-/// Every setter takes and returns the builder by value so calls chain;
-/// [`GoCastConfigBuilder::build`] runs [`GoCastConfig::validate`] and
-/// only hands out configs the protocol can actually run with.
-///
-/// ```
-/// use gocast::{ConfigError, GoCastConfig};
-/// use std::time::Duration;
-///
-/// let cfg = GoCastConfig::builder()
-///     .gossip_period(Duration::from_millis(50))
-///     .c_rand(2)
-///     .c_near(4)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.c_degree(), 6);
-///
-/// let err = GoCastConfig::builder()
-///     .gossip_period(Duration::ZERO)
-///     .build()
-///     .unwrap_err();
-/// assert_eq!(err, ConfigError::ZeroPeriod);
-/// ```
-#[derive(Debug, Clone)]
-pub struct GoCastConfigBuilder {
-    cfg: GoCastConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.cfg.$name = value;
-                self
-            }
-        )+
-    };
-}
-
-impl GoCastConfigBuilder {
-    builder_setters! {
-        /// Target number of random neighbors (`C_rand`).
-        c_rand: usize,
-        /// Target number of nearby neighbors (`C_near`).
-        c_near: usize,
-        /// Acceptance slack above the target degree.
-        degree_slack: usize,
-        /// Gossip period `t`.
-        gossip_period: Duration,
-        /// Overlay maintenance period `r`.
-        maintenance_period: Duration,
-        /// Message retention after the last gossip mentioning it (`b`).
-        gc_wait: Duration,
-        /// Delay before pulling a message first heard via gossip (`f`).
-        pull_delay: Duration,
-        /// Retry interval for unanswered pulls.
-        pull_timeout: Duration,
-        /// Root heartbeat / tree refresh period.
-        heartbeat_period: Duration,
-        /// Heartbeats missed before suspecting the root.
-        heartbeat_timeout_factor: u32,
-        /// Whether to build and use the embedded tree.
-        tree_enabled: bool,
-        /// Idle neighbor timeout.
-        neighbor_timeout: Duration,
-        /// Capacity of the partial membership view.
-        member_view_capacity: usize,
-        /// Random member addresses piggybacked per gossip.
-        members_per_gossip: usize,
-        /// Maximum interval between gossips to an idle neighbor.
-        idle_gossip_interval: Duration,
-        /// Number of landmark nodes for latency estimation.
-        landmark_count: usize,
-        /// Wire size of a multicast payload in bytes.
-        payload_size: u32,
-        /// The initial tree root.
-        root: NodeId,
-        /// Ablation: enforce condition C4 on nearby replacements.
-        c4_enabled: bool,
-        /// Ablation: C1 lower bound offset.
-        c1_offset: usize,
-        /// Ablation: drop surplus nearby links at `C_near + 1`.
-        aggressive_drop: bool,
-        /// Future work: adapt the gossip period to the message rate.
-        adaptive_gossip: bool,
-        /// Future work: adapt the maintenance period to overlay stability.
-        adaptive_maintenance: bool,
-        /// Upper bound for the adaptive maintenance period.
-        max_maintenance_period: Duration,
-    }
-
-    /// Sets both target degrees at once (`C_rand`, `C_near`).
-    pub fn degrees(mut self, c_rand: usize, c_near: usize) -> Self {
-        self.cfg.c_rand = c_rand;
-        self.cfg.c_near = c_near;
-        self
-    }
-
-    /// Validates the accumulated configuration and returns it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] [`GoCastConfig::validate`]
-    /// reports.
-    pub fn build(self) -> Result<GoCastConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -339,22 +181,17 @@ impl GoCastConfigBuilder {
 pub enum ConfigError {
     /// `c_rand + c_near == 0`: the node could never have a neighbor.
     ZeroDegree,
-    /// A protocol period is zero; timers would spin forever.
+    /// A protocol period (gossip, maintenance or heartbeat) is zero;
+    /// timers would spin forever.
     ZeroPeriod,
-    /// The membership view cannot hold any entry.
-    ZeroViewCapacity,
-    /// The root would be suspected immediately.
-    ZeroHeartbeatFactor,
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroDegree => write!(f, "target node degree is zero"),
-            ConfigError::ZeroPeriod => write!(f, "gossip or maintenance period is zero"),
-            ConfigError::ZeroViewCapacity => write!(f, "member view capacity is zero"),
-            ConfigError::ZeroHeartbeatFactor => {
-                write!(f, "heartbeat timeout factor is zero")
+            ConfigError::ZeroPeriod => {
+                write!(f, "gossip, maintenance or heartbeat period is zero")
             }
         }
     }
@@ -372,6 +209,7 @@ mod tests {
         assert_eq!(c.c_rand, 1);
         assert_eq!(c.c_near, 5);
         assert_eq!(c.c_degree(), 6);
+        assert_eq!(GoCastConfig::degree_cap(c.c_near), 10);
         assert_eq!(c.gossip_period, Duration::from_millis(100));
         assert_eq!(c.maintenance_period, Duration::from_millis(100));
         assert_eq!(c.gc_wait, Duration::from_secs(120));
@@ -398,7 +236,11 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let c = GoCastConfig::default().with_degrees(0, 0);
+        let c = GoCastConfig {
+            c_rand: 0,
+            c_near: 0,
+            ..Default::default()
+        };
         assert_eq!(c.validate(), Err(ConfigError::ZeroDegree));
 
         let c = GoCastConfig {
@@ -408,16 +250,21 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::ZeroPeriod));
 
         let c = GoCastConfig {
-            member_view_capacity: 0,
+            maintenance_period: Duration::ZERO,
             ..Default::default()
         };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroViewCapacity));
+        assert_eq!(c.validate(), Err(ConfigError::ZeroPeriod));
+    }
 
+    /// A tree-enabled node re-arms its heartbeat and root-check timers one
+    /// heartbeat period ahead: at zero the run never leaves that instant.
+    #[test]
+    fn zero_heartbeat_period_is_rejected() {
         let c = GoCastConfig {
-            heartbeat_timeout_factor: 0,
+            heartbeat_period: Duration::ZERO,
             ..Default::default()
         };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroHeartbeatFactor));
+        assert_eq!(c.validate(), Err(ConfigError::ZeroPeriod));
     }
 
     #[test]
@@ -426,63 +273,5 @@ mod tests {
             ConfigError::ZeroDegree.to_string(),
             "target node degree is zero"
         );
-    }
-
-    #[test]
-    fn builder_validates_and_builds() {
-        let cfg = GoCastConfig::builder()
-            .gossip_period(Duration::from_millis(50))
-            .maintenance_period(Duration::from_millis(200))
-            .degrees(2, 4)
-            .payload_size(64)
-            .root(NodeId::new(3))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.gossip_period, Duration::from_millis(50));
-        assert_eq!(cfg.maintenance_period, Duration::from_millis(200));
-        assert_eq!((cfg.c_rand, cfg.c_near), (2, 4));
-        assert_eq!(cfg.payload_size, 64);
-        assert_eq!(cfg.root, NodeId::new(3));
-
-        assert_eq!(
-            GoCastConfig::builder().degrees(0, 0).build(),
-            Err(ConfigError::ZeroDegree)
-        );
-        assert_eq!(
-            GoCastConfig::builder()
-                .maintenance_period(Duration::ZERO)
-                .build(),
-            Err(ConfigError::ZeroPeriod)
-        );
-        assert_eq!(
-            GoCastConfig::builder().member_view_capacity(0).build(),
-            Err(ConfigError::ZeroViewCapacity)
-        );
-        assert_eq!(
-            GoCastConfig::builder().heartbeat_timeout_factor(0).build(),
-            Err(ConfigError::ZeroHeartbeatFactor)
-        );
-    }
-
-    #[test]
-    fn builder_defaults_match_default_config() {
-        assert_eq!(
-            GoCastConfig::builder().build().unwrap(),
-            GoCastConfig::default()
-        );
-    }
-
-    #[test]
-    fn builder_setters_chain() {
-        let c = GoCastConfig::default()
-            .with_degrees(2, 4)
-            .with_payload_size(9)
-            .with_root(NodeId::new(5))
-            .with_pull_delay(Duration::from_millis(1));
-        assert_eq!(c.c_rand, 2);
-        assert_eq!(c.c_near, 4);
-        assert_eq!(c.payload_size, 9);
-        assert_eq!(c.root, NodeId::new(5));
-        assert_eq!(c.pull_delay, Duration::from_millis(1));
     }
 }

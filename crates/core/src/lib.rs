@@ -51,8 +51,8 @@
 //!
 //! ## Crate layout
 //!
-//! - [`GoCastConfig`] — all protocol parameters (paper defaults), plus the
-//!   "proximity overlay" / "random overlay" comparison presets.
+//! - [`GoCastConfig`] — the protocol parameters runs vary (paper defaults),
+//!   plus the "proximity overlay" / "random overlay" comparison presets.
 //! - [`GoCastNode`] — the protocol state machine (dissemination §2.1,
 //!   overlay maintenance §2.2, tree §2.3).
 //! - [`GoCastEvent`] — metric events consumed by recorders.
@@ -69,7 +69,7 @@ mod types;
 mod wire;
 
 pub use codec::{decode, encode, encode_into, encoded_len, DecodeError};
-pub use config::{ConfigError, GoCastConfig, GoCastConfigBuilder};
+pub use config::{ConfigError, GoCastConfig};
 pub use node::{GoCastCommand, GoCastNode, NodeMem};
 pub use snapshot::{snapshot, Snapshot};
 pub use types::{

@@ -10,6 +10,12 @@ use crate::wire::{GoCastMsg, GossipEntry, MemberEntry};
 
 use super::{known, timers, GoCastNode, Neighbor, Pending, Stored};
 
+/// Random member addresses piggybacked per gossip.
+const MEMBERS_PER_GOSSIP: usize = 3;
+
+/// Retry interval when a pull request goes unanswered.
+const PULL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 impl GoCastNode {
     /// Injects a new multicast message originated by this node and pushes
     /// it into the tree.
@@ -252,13 +258,9 @@ impl GoCastNode {
 
     /// Samples member entries (with coordinates when known) to piggyback.
     fn pick_gossip_members(&mut self, ctx: &mut Ctx<'_, Self>) -> Vec<MemberEntry> {
-        let k = self.cfg.members_per_gossip;
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut out: Vec<MemberEntry> = self
-            .view
-            .sample_k_map(k, ctx.rng(), |id, &coords| (id, coords));
+        let mut out: Vec<MemberEntry> =
+            self.view
+                .sample_k_map(MEMBERS_PER_GOSSIP, ctx.rng(), |id, &coords| (id, coords));
         // Introduce ourselves too (address + coordinates).
         out.push((self.id, self.coords));
         out
@@ -346,7 +348,7 @@ impl GoCastNode {
         ctx.emit(GoCastEvent::PullRequested { id, to: target });
         ctx.send(target, GoCastMsg::PullRequest { ids: vec![id] });
         ctx.set_timer(
-            self.cfg.pull_timeout,
+            PULL_TIMEOUT,
             Timer::with_payload(timers::PULL_TIMEOUT, id.origin.as_u32(), id.seq as u64),
         );
     }

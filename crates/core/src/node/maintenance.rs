@@ -9,14 +9,20 @@
 //!   (estimated-latency order first, round-robin afterwards) and apply the
 //!   replace/add/drop rules with conditions C1–C4.
 
+use std::time::Duration;
+
 use gocast_net::LandmarkVector;
 use gocast_sim::{Ctx, NodeId};
 use rand::Rng;
 
+use crate::config::GoCastConfig;
 use crate::types::{DegreeInfo, DropReason, LinkKind};
 use crate::wire::{GoCastMsg, ProbeKind};
 
 use super::{known, timers, GoCastNode, Neighbor};
+
+/// Upper bound for the adaptive maintenance period.
+const MAX_MAINTENANCE_PERIOD: Duration = Duration::from_secs(2);
 
 impl GoCastNode {
     /// The periodic maintenance tick.
@@ -42,7 +48,7 @@ impl GoCastNode {
                 self.maint_backoff = self.maint_backoff.saturating_add(1);
             }
             (self.cfg.maintenance_period * 2u32.pow(self.maint_backoff.min(5)))
-                .min(self.cfg.max_maintenance_period)
+                .min(MAX_MAINTENANCE_PERIOD)
         } else {
             self.cfg.maintenance_period
         };
@@ -268,7 +274,7 @@ impl GoCastNode {
             return;
         }
         // C2: the candidate's nearby degree is not too high.
-        let c2 = (q_degrees.d_near as usize) < q_degrees.t_near as usize + self.cfg.degree_slack;
+        let c2 = (q_degrees.d_near as usize) < GoCastConfig::degree_cap(q_degrees.t_near as usize);
         // C3: if the candidate is at/above target degree, our link must
         // beat its current worst nearby link.
         let c3 = !q_degrees.near_saturated() || rtt_us < q_max_nearby_rtt_us;

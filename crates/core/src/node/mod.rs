@@ -52,6 +52,9 @@ pub(crate) mod timers {
     pub const ROOT_CHECK: u32 = 8;
 }
 
+/// Capacity of the partial membership view.
+const MEMBER_VIEW_CAPACITY: usize = 128;
+
 /// A multicast message held in the store.
 #[derive(Debug, Clone)]
 pub(crate) struct Stored {
@@ -270,8 +273,8 @@ impl GoCastNode {
     ) -> Self {
         let cfg = shared_config(cfg);
         assert!(capacity > 0, "capacity must be positive");
-        let view = MemberView::with_values(id, cfg.member_view_capacity);
-        let tree = TreeState::new(cfg.root);
+        let view = MemberView::with_values(id, MEMBER_VIEW_CAPACITY);
+        let tree = TreeState::new();
         let c_rand = cfg.c_rand * capacity;
         let c_near = cfg.c_near * capacity;
         GoCastNode {
@@ -653,7 +656,7 @@ impl Stack for GoCastNode {
     const NAME: &'static str = "gocast";
 
     /// GoCast promises every optional invariant: bounded degrees (the
-    /// accept rules), pull-only-when-missing, and an explicit tree.
+    /// accept rules) and pull-only-when-missing.
     fn capabilities() -> StackCaps {
         StackCaps::all()
     }
@@ -805,14 +808,11 @@ mod tests {
     /// What a node remembers about its peers is O(view + degree), however
     /// many peers the gossips mention and however long they keep coming.
     /// (The per-node coordinate cache this replaces grew toward one entry
-    /// per peer in the system: 255 here, against a 16-member view.)
+    /// per peer in the system: 511 here, against a 128-member view.)
     #[test]
     fn idle_node_memory_is_bounded_by_view_and_degree_not_population() {
-        const N: usize = 256;
-        let cfg = GoCastConfig {
-            member_view_capacity: 16,
-            ..GoCastConfig::default()
-        };
+        const N: usize = 4 * MEMBER_VIEW_CAPACITY;
+        let cfg = GoCastConfig::default();
         let mut boot = crate::bootstrap_random_graph(N, cfg.c_degree() / 2, 3);
         let mut sim = SimBuilder::new(FixedLatency::new(N, Duration::from_millis(20)))
             .seed(3)
@@ -831,8 +831,9 @@ mod tests {
         let late = largest_after(150);
 
         // Vectors grow by doubling, so a full view sits in this many slots.
-        let slots = cfg.member_view_capacity.next_power_of_two();
-        let max_degree = cfg.c_rand + cfg.c_near + 2 * cfg.degree_slack;
+        let slots = MEMBER_VIEW_CAPACITY.next_power_of_two();
+        let max_degree =
+            GoCastConfig::degree_cap(cfg.c_rand) + GoCastConfig::degree_cap(cfg.c_near);
         let bound = size_of::<GoCastNode>()
             + slots * (size_of::<NodeId>() + size_of::<LandmarkVector>())
             + slots * size_of::<NodeId>() // probe queue: one id per member

@@ -5,12 +5,19 @@
 //! and gossip messages, so the maintenance rules can read a neighbor's
 //! degree without extra round trips.
 
+use std::time::Duration;
+
 use gocast_sim::{Ctx, NodeId, SimTime};
 
+use crate::config::GoCastConfig;
 use crate::types::{DegreeInfo, DropReason, GoCastEvent, LinkKind};
 use crate::wire::GoCastMsg;
 
 use super::{GoCastNode, PendingLink};
+
+/// Idle neighbor timeout: a neighbor silent this long is considered failed
+/// and its link dropped (only while maintenance is active).
+const NEIGHBOR_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-neighbor state: one 64-byte entry of the [`NeighborTable`].
 ///
@@ -358,9 +365,9 @@ impl GoCastNode {
             return;
         }
         let ok = match kind {
-            LinkKind::Random => self.d_rand() < self.c_rand + self.cfg.degree_slack,
+            LinkKind::Random => self.d_rand() < GoCastConfig::degree_cap(self.c_rand),
             LinkKind::Nearby => {
-                let cap = self.d_near() < self.c_near + self.cfg.degree_slack;
+                let cap = self.d_near() < GoCastConfig::degree_cap(self.c_near);
                 let c3 = if self.d_near() >= self.c_near {
                     match rtt_us {
                         Some(r) => r < self.max_nearby_rtt_us(),
@@ -431,10 +438,10 @@ impl GoCastNode {
     /// ceiling, drop the worst link of that kind — highest RTT, an
     /// unmeasured link worst of all — within the same instant.
     pub(crate) fn enforce_degree_cap(&mut self, ctx: &mut Ctx<'_, Self>, kind: LinkKind) {
-        let cap = match kind {
+        let cap = GoCastConfig::degree_cap(match kind {
             LinkKind::Random => self.c_rand,
             LinkKind::Nearby => self.c_near,
-        } + self.cfg.degree_slack;
+        });
         loop {
             let d = match kind {
                 LinkKind::Random => self.d_rand(),
@@ -542,7 +549,7 @@ impl GoCastNode {
         // `last_seen`, so the walk stays at `i` after a drop.
         let mut i = 0;
         while let Some(n) = self.neighbors.iter().nth(i) {
-            if now.saturating_since(n.last_seen) > self.cfg.neighbor_timeout {
+            if now.saturating_since(n.last_seen) > NEIGHBOR_TIMEOUT {
                 let p = n.id();
                 self.view.remove(p);
                 self.drop_link(ctx, p, DropReason::PeerFailed, false);
@@ -592,7 +599,7 @@ mod tests {
 
     proptest! {
         /// The table against the `BTreeMap<NodeId, Neighbor>` it replaced,
-        /// up to degree 16 (`c_rand + c_near + 2 * degree_slack`): same
+        /// up to degree 16 (both default degree caps together): same
         /// contents, same iteration order, and the same round-robin walk —
         /// across the wrap, and when the cursor's own peer is removed.
         #[test]

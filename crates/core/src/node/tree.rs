@@ -18,6 +18,12 @@ use super::{timers, GoCastNode};
 /// "Not connected to the root."
 pub(crate) const DIST_INF: u64 = u64::MAX;
 
+/// The initial tree root ("the first node in the overlay").
+const INITIAL_ROOT: NodeId = NodeId::new(0);
+
+/// Heartbeat periods a node waits without one before suspecting the root.
+const HEARTBEAT_TIMEOUT_FACTOR: u32 = 3;
+
 /// This node's view of the tree.
 #[derive(Debug, Clone)]
 pub(crate) struct TreeState {
@@ -37,9 +43,9 @@ pub(crate) struct TreeState {
 }
 
 impl TreeState {
-    pub(crate) fn new(root: NodeId) -> Self {
+    pub(crate) fn new() -> Self {
         TreeState {
-            root,
+            root: INITIAL_ROOT,
             epoch: 0,
             seq: 0,
             dist_us: DIST_INF,
@@ -262,7 +268,7 @@ impl GoCastNode {
     }
 
     /// Periodic root liveness check: if no heartbeat for
-    /// `heartbeat_timeout_factor` periods, take over as root with a higher
+    /// [`HEARTBEAT_TIMEOUT_FACTOR`] periods, take over as root with a higher
     /// epoch. Concurrent takeovers converge because higher epochs win and
     /// ties break toward the smaller node id.
     pub(crate) fn on_root_check(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -274,7 +280,7 @@ impl GoCastNode {
             return;
         }
         let silence = ctx.now().saturating_since(self.tree.last_heartbeat);
-        let timeout = self.cfg.heartbeat_period * self.cfg.heartbeat_timeout_factor;
+        let timeout = self.cfg.heartbeat_period * HEARTBEAT_TIMEOUT_FACTOR;
         if silence <= timeout {
             return;
         }

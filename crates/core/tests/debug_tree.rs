@@ -14,7 +14,6 @@ fn dump_tree_state() {
         &SyntheticKingConfig {
             sites: n.max(16),
             seed: seed ^ 0xFEED,
-            ..Default::default()
         },
     );
     let mut boot = gocast::bootstrap_random_graph(n, 3, seed);

@@ -153,8 +153,12 @@ fn leave_then_messages_do_not_resurrect_links() {
 #[test]
 fn two_node_system_works_end_to_end() {
     // Degenerate scale: the smallest possible group.
-    let mut cfg = GoCastConfig::default().with_degrees(0, 1);
-    cfg.landmark_count = 1;
+    let cfg = GoCastConfig {
+        c_rand: 0,
+        c_near: 1,
+        landmark_count: 1,
+        ..Default::default()
+    };
     let mut sim = controlled(2, &[(0, 1)], cfg, 5);
     sim.run_until(SimTime::from_secs(5));
     sim.command_now(NodeId::new(1), GoCastCommand::Multicast);
@@ -173,7 +177,10 @@ fn two_node_system_works_end_to_end() {
 #[test]
 fn store_sizes_track_payload_configuration() {
     // Payload size flows through the data path into traffic accounting.
-    let cfg = GoCastConfig::default().with_payload_size(4096);
+    let cfg = GoCastConfig {
+        payload_size: 4096,
+        ..Default::default()
+    };
     let links = [(0u32, 1), (1, 2), (2, 0)];
     let mut sim = controlled(3, &links, cfg, 6);
     sim.run_until(SimTime::from_secs(5));
@@ -221,7 +228,11 @@ fn redundant_data_does_not_refire_delivery() {
 fn degree_targets_accessor_reflects_config() {
     let node = GoCastNode::new(
         NodeId::new(9),
-        GoCastConfig::default().with_degrees(2, 7),
+        GoCastConfig {
+            c_rand: 2,
+            c_near: 7,
+            ..Default::default()
+        },
         vec![],
     );
     assert_eq!(node.degree_targets(), (2, 7));

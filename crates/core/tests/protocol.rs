@@ -15,7 +15,6 @@ fn build(n: usize, seed: u64, cfg: GoCastConfig) -> Sim<GoCastNode, Rec> {
         &SyntheticKingConfig {
             sites: n.max(16),
             seed: seed ^ 0xFEED,
-            ..Default::default()
         },
     );
     let mut boot = gocast::bootstrap_random_graph(n, cfg.c_degree() / 2, seed);
@@ -208,7 +207,7 @@ fn root_failover_elects_new_root_and_tree_recovers() {
     let old_root = NodeId::new(0);
     assert!(sim.node(old_root).is_root());
     sim.fail_node(old_root);
-    // Failover needs heartbeat_timeout_factor (3) missed heartbeats (15 s)
+    // Failover needs three missed heartbeats (15 s each)
     // plus re-flood time.
     sim.run_for(Duration::from_secs(120));
     let roots: Vec<NodeId> = sim
@@ -413,7 +412,10 @@ fn pull_delay_reduces_redundancy() {
         redundant
     };
     let without = run(GoCastConfig::default());
-    let with = run(GoCastConfig::default().with_pull_delay(Duration::from_millis(300)));
+    let with = run(GoCastConfig {
+        pull_delay: Duration::from_millis(300),
+        ..Default::default()
+    });
     assert!(
         with <= without,
         "f-delay must not increase redundancy: with={with} without={without}"

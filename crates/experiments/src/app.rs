@@ -461,13 +461,11 @@ pub fn run_app_wire(
         gossip_every: Duration::from_millis(250),
         anti_entropy_every: Duration::from_millis(800),
         pull_retry_after: Duration::from_millis(200),
-        ..AppConfig::default()
     };
-    let mut cfg = TestnetConfig::new(opts.nodes)
+    let cfg = TestnetConfig::new(opts.nodes)
         .with_seed(opts.seed)
         .with_shards(opts.shards.max(1))
         .with_record_trace(true);
-    cfg.protocol = proto.clone();
     let mut net: Testnet<AppNode> = Testnet::build(&cfg, staged.nodes(&proto, app_cfg))?;
 
     net.attach_plan(&staged.plan);

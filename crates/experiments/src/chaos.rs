@@ -29,17 +29,17 @@ use std::fmt::Write as _;
 use std::ops::Deref;
 use std::time::Duration;
 
-use gocast::GoCastEvent;
+use gocast::{GoCastConfig, GoCastEvent};
 use gocast_analysis::{
     fmt_ms, fmt_secs, InvariantOracle, OracleConfig, OrphanTracker, WindowRatio,
 };
-use gocast_plumtree::{PlumtreeConfig, PlumtreeNode};
+use gocast_plumtree::PlumtreeNode;
 use gocast_sim::{NodeId, OneLane, Scenario, SimTime, Split, Stack};
 
 use crate::options::{ExpOptions, StackKind};
 use crate::pipeline::{
     audited_gocast, bootstrapped, build_network, compile_plan, gocast_nodes, horizon, Run, RunCore,
-    RunRecorder, Sources, AUDIT_GC_WAIT,
+    RunRecorder, Sources,
 };
 use crate::report::{kernel_digest, table_of, whole_ms, Column};
 use crate::sweep::per_seed;
@@ -205,19 +205,11 @@ pub fn run_chaos(opts: &ExpOptions, scenario: &Scenario) -> ChaosOutcome {
             chaos_phases(opts, scenario, oracle, gocast_nodes(opts, &cfg))
         }
         StackKind::Plumtree => {
-            let cfg = PlumtreeConfig {
-                gc_wait: AUDIT_GC_WAIT,
-                ..PlumtreeConfig::default()
-            };
-            let ocfg = OracleConfig {
-                check_degree_bounds: true,
-                check_pull_after_delivery: true,
-                ..OracleConfig::universal()
-            }
-            .with_caps(&PlumtreeNode::capabilities());
-            let make = bootstrapped(opts, cfg.active_view / 2, |id, links, members| {
-                PlumtreeNode::with_initial_links(id, cfg.clone(), links, members)
-            });
+            // Plumtree's active view matches GoCast's total degree, so both
+            // stacks boot from the same bootstrap graph shape.
+            let cfg = GoCastConfig::default();
+            let ocfg = OracleConfig::for_protocol(&cfg).with_caps(&PlumtreeNode::capabilities());
+            let make = bootstrapped(opts, cfg.c_degree() / 2, PlumtreeNode::with_initial_links);
             chaos_phases(opts, scenario, InvariantOracle::new(ocfg), make)
         }
     }

@@ -288,7 +288,11 @@ pub fn fig6(opts: &ExpOptions) -> Vec<Table> {
     let mut t = Table::new(headers);
     let mut snaps = Vec::new();
     for &c in &c_rands {
-        let cfg = GoCastConfig::default().with_degrees(c, 6 - c);
+        let cfg = GoCastConfig {
+            c_rand: c,
+            c_near: 6 - c,
+            ..Default::default()
+        };
         eprintln!("  adapting overlay with C_rand = {c} ...");
         let res = run_adaptation(opts, &cfg, &[], 0);
         snaps.push(res.final_snapshot);
@@ -343,7 +347,11 @@ pub fn ext2(opts: &ExpOptions) -> Vec<Table> {
         "nearby links (ms)",
     ]);
     for c in 0..=4usize {
-        let cfg = GoCastConfig::default().with_degrees(c, 6 - c);
+        let cfg = GoCastConfig {
+            c_rand: c,
+            c_near: 6 - c,
+            ..Default::default()
+        };
         eprintln!("  adapting overlay with C_rand = {c} ...");
         let res = run_adaptation(opts, &cfg, &[], 0);
         let net = build_network(opts);
@@ -450,7 +458,10 @@ pub fn ext4(opts: &ExpOptions) -> Vec<Table> {
     };
     for &payload in &[1024u32, 64] {
         eprintln!("  running GoCast stress (payload {payload} B) ...");
-        let cfg = GoCastConfig::default().with_payload_size(payload);
+        let cfg = GoCastConfig {
+            payload_size: payload,
+            ..Default::default()
+        };
         let run = stress_phases(gocast_run(opts, &cfg, true), opts, opts.warmup);
         let pairs = run
             .sim
@@ -500,7 +511,10 @@ pub fn ext5(opts: &ExpOptions) -> Vec<Table> {
         eprintln!("  running gossip with fanout {fanout} ...");
         let stats = run_delay(
             opts,
-            Proto::PushGossip(PushGossipConfig::default().with_fanout(fanout)),
+            Proto::PushGossip(PushGossipConfig {
+                fanout,
+                ..Default::default()
+            }),
             0.0,
         );
         if !stats.per_node_avg.is_empty() {
@@ -529,7 +543,10 @@ pub fn ext5(opts: &ExpOptions) -> Vec<Table> {
 pub fn txt1(opts: &ExpOptions) -> Vec<Table> {
     let mut t = Table::new(["pull delay f", "redundancy", "mean delay (s)", "pulls"]);
     for f_ms in [0u64, 300] {
-        let cfg = GoCastConfig::default().with_pull_delay(Duration::from_millis(f_ms));
+        let cfg = GoCastConfig {
+            pull_delay: Duration::from_millis(f_ms),
+            ..Default::default()
+        };
         eprintln!("  running GoCast with f = {f_ms} ms ...");
         let stats = run_delay(opts, Proto::GoCast(cfg), 0.0);
         t.row([
@@ -586,7 +603,11 @@ pub fn txt4(opts: &ExpOptions) -> Vec<Table> {
         "cross-continent links",
     ]);
     for c_rand in [0usize, 1] {
-        let cfg = GoCastConfig::default().with_degrees(c_rand, 6 - c_rand);
+        let cfg = GoCastConfig {
+            c_rand,
+            c_near: 6 - c_rand,
+            ..Default::default()
+        };
         eprintln!("  adapting two-continent overlay with C_rand = {c_rand} ...");
         let net = gocast_net::two_continents(opts.nodes, opts.seed ^ 0x2C);
         let mut run = plain_run(opts, net, false, gocast_nodes(opts, &cfg));

@@ -285,7 +285,6 @@ fn king_config(opts: &ExpOptions) -> SyntheticKingConfig {
     SyntheticKingConfig {
         sites: opts.sites.min(opts.nodes.max(16)),
         seed: opts.seed ^ 0x4B494E47, // "KING"
-        ..Default::default()
     }
 }
 

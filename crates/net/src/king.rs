@@ -68,6 +68,15 @@ const CLUSTERS: [Cluster; 6] = [
     },
 ];
 
+/// Target mean one-way latency across site pairs (paper: 91 ms).
+pub(crate) const TARGET_MEAN: Duration = Duration::from_millis(91);
+/// Hard cap on one-way latency (paper max: 399 ms).
+pub(crate) const MAX_CAP: Duration = Duration::from_millis(399);
+/// Minimum one-way latency between distinct sites.
+pub(crate) const MIN_FLOOR: Duration = Duration::from_millis(1);
+/// One-way latency between co-located nodes (same site).
+pub(crate) const INTRA_SITE: Duration = Duration::from_micros(500);
+
 /// Configuration for [`synthetic_king`].
 #[derive(Debug, Clone)]
 pub struct SyntheticKingConfig {
@@ -75,14 +84,6 @@ pub struct SyntheticKingConfig {
     pub sites: usize,
     /// RNG seed for the matrix (independent of the simulation seed).
     pub seed: u64,
-    /// Target mean one-way latency across site pairs (paper: 91 ms).
-    pub target_mean: Duration,
-    /// Hard cap on one-way latency (paper max: 399 ms).
-    pub max_cap: Duration,
-    /// Minimum one-way latency between distinct sites.
-    pub min_floor: Duration,
-    /// One-way latency between co-located nodes (same site).
-    pub intra_site: Duration,
 }
 
 impl Default for SyntheticKingConfig {
@@ -90,10 +91,6 @@ impl Default for SyntheticKingConfig {
         SyntheticKingConfig {
             sites: 1740,
             seed: 0x90CA57,
-            target_mean: Duration::from_millis(91),
-            max_cap: Duration::from_millis(399),
-            min_floor: Duration::from_millis(1),
-            intra_site: Duration::from_micros(500),
         }
     }
 }
@@ -182,9 +179,9 @@ pub fn synthetic_king(nodes: usize, cfg: &SyntheticKingConfig) -> SiteLatencyMat
 
     // Calibrate the mean, then clamp into [floor, cap].
     let mean = sum / pairs as f64;
-    let scale = cfg.target_mean.as_secs_f64() * 1e3 / mean;
-    let floor_us = cfg.min_floor.as_micros() as u32;
-    let cap_us = cfg.max_cap.as_micros() as u32;
+    let scale = TARGET_MEAN.as_secs_f64() * 1e3 / mean;
+    let floor_us = MIN_FLOOR.as_micros() as u32;
+    let cap_us = MAX_CAP.as_micros() as u32;
     let lat_us: Vec<u32> = raw
         .iter()
         .enumerate()
@@ -204,7 +201,7 @@ pub fn synthetic_king(nodes: usize, cfg: &SyntheticKingConfig) -> SiteLatencyMat
     }
     let node_site = (0..nodes).map(|i| order[i % sites]).collect();
 
-    SiteLatencyMatrix::new(sites, lat_us, node_site, cfg.intra_site)
+    SiteLatencyMatrix::new(sites, lat_us, node_site, INTRA_SITE)
 }
 
 /// Builds the paper-default network: 1,740 sites calibrated to the King
@@ -261,11 +258,7 @@ mod tests {
     use gocast_sim::{LatencyModel, NodeId};
 
     fn small_cfg(seed: u64) -> SyntheticKingConfig {
-        SyntheticKingConfig {
-            sites: 120,
-            seed,
-            ..Default::default()
-        }
+        SyntheticKingConfig { sites: 120, seed }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - **site pair latency**: euclidean distance in the synthetic
 //!   coordinate space, times a deterministic per-pair jitter drawn by
 //!   hashing the unordered site pair, times a calibration scale, clamped
-//!   into `[min_floor, max_cap]`;
+//!   into the matrix generator's `[1 ms, 399 ms]`;
 //! - **calibration**: the scale that maps the raw mean onto the paper's
 //!   91 ms target is fitted at construction from a deterministic sample
 //!   of site pairs (the full pair set is quadratic in sites, and the
@@ -34,7 +34,7 @@ use rand::{Rng, SeedableRng};
 
 use gocast_sim::{LatencyModel, NodeId};
 
-use crate::king::{place_sites, SyntheticKingConfig};
+use crate::king::{place_sites, SyntheticKingConfig, INTRA_SITE, MAX_CAP, MIN_FLOOR, TARGET_MEAN};
 
 /// Number of site pairs sampled to fit the calibration scale.
 const CALIBRATION_SAMPLES: usize = 4096;
@@ -78,9 +78,6 @@ pub struct OnDemandKing {
     coords: Vec<(f64, f64)>,
     /// Raw-latency → microseconds calibration factor.
     scale_us: f64,
-    floor_us: u32,
-    cap_us: u32,
-    intra_site_us: u32,
 }
 
 impl OnDemandKing {
@@ -112,16 +109,13 @@ impl OnDemandKing {
             samples += 1;
         }
         let mean = sum / samples.max(1) as f64;
-        let scale_us = cfg.target_mean.as_secs_f64() * 1e6 / mean;
+        let scale_us = TARGET_MEAN.as_secs_f64() * 1e6 / mean;
 
         OnDemandKing {
             nodes,
             seed: cfg.seed,
             coords,
             scale_us,
-            floor_us: cfg.min_floor.as_micros() as u32,
-            cap_us: cfg.max_cap.as_micros() as u32,
-            intra_site_us: cfg.intra_site.as_micros() as u32,
         }
     }
 
@@ -164,7 +158,8 @@ impl OnDemandKing {
             return Duration::ZERO;
         }
         let us = (raw_ms(&self.coords, self.seed, a, b) * self.scale_us) as u32;
-        Duration::from_micros(us.clamp(self.floor_us, self.cap_us) as u64)
+        let (floor_us, cap_us) = (MIN_FLOOR.as_micros() as u32, MAX_CAP.as_micros() as u32);
+        Duration::from_micros(us.clamp(floor_us, cap_us) as u64)
     }
 
     /// Mean one-way latency over a deterministic sample of distinct site
@@ -210,7 +205,7 @@ impl LatencyModel for OnDemandKing {
         }
         let (sa, sb) = (self.site_of(a), self.site_of(b));
         if sa == sb {
-            Duration::from_micros(self.intra_site_us as u64)
+            INTRA_SITE
         } else {
             self.site_latency(sa, sb)
         }
@@ -221,8 +216,8 @@ impl LatencyModel for OnDemandKing {
     }
 
     fn lookahead(&self) -> Option<Duration> {
-        let bound = self.intra_site_us.min(self.floor_us);
-        (bound > 0).then(|| Duration::from_micros(bound as u64))
+        let bound = INTRA_SITE.min(MIN_FLOOR);
+        (!bound.is_zero()).then_some(bound)
     }
 }
 
@@ -231,14 +226,7 @@ mod tests {
     use super::*;
 
     fn model(nodes: usize, seed: u64) -> OnDemandKing {
-        OnDemandKing::new(
-            nodes,
-            &SyntheticKingConfig {
-                sites: 256,
-                seed,
-                ..Default::default()
-            },
-        )
+        OnDemandKing::new(nodes, &SyntheticKingConfig { sites: 256, seed })
     }
 
     #[test]

@@ -38,8 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod config;
 mod node;
 
-pub use config::PlumtreeConfig;
 pub use node::{PlumtreeMsg, PlumtreeNode};

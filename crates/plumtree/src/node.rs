@@ -11,7 +11,40 @@ use gocast_sim::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::PlumtreeConfig;
+/// Active-view size: the node's overlay degree target. 6 matches GoCast's
+/// `C_near + C_rand`, so head-to-head runs compare equal-degree overlays.
+const ACTIVE_VIEW: usize = 6;
+/// Passive-view capacity (the repair reservoir).
+const PASSIVE_VIEW: usize = 24;
+/// Active random-walk length for `ForwardJoin` placement.
+const ARWL: u32 = 6;
+/// Passive random-walk length: the `ForwardJoin` TTL at which the joiner
+/// is also recorded in the passive view.
+const PRWL: u32 = 3;
+/// Period of the shuffle that refreshes the passive view.
+const SHUFFLE_PERIOD: Duration = Duration::from_secs(10);
+/// Members carried per shuffle (self + passive sample).
+const SHUFFLE_LEN: usize = 8;
+/// Shuffle random-walk TTL.
+const SHUFFLE_TTL: u32 = 4;
+/// Period of the maintenance tick (heartbeats, failure detection,
+/// active-view refill).
+const MAINTENANCE_PERIOD: Duration = Duration::from_secs(1);
+/// Silence threshold after which an active peer is declared failed.
+const NEIGHBOR_TIMEOUT: Duration = Duration::from_secs(3);
+/// How long to wait for the eager payload after an IHAVE before grafting
+/// the announcer's edge.
+const IHAVE_TIMEOUT: Duration = Duration::from_millis(120);
+/// Retry interval between graft attempts (rotating announcers).
+const GRAFT_RETRY: Duration = Duration::from_millis(300);
+/// Give up grafting a message after this many attempts (a later IHAVE
+/// restarts recovery).
+const MAX_GRAFT_ROUNDS: u32 = 8;
+/// Message retention before garbage collection: past any run, so an
+/// end-of-run store audit still reads every message.
+const GC_WAIT: Duration = Duration::from_secs(3600);
+/// Multicast payload size (bytes, accounting only).
+const PAYLOAD_SIZE: u32 = 1024;
 
 /// Timer kinds.
 mod timers {
@@ -164,9 +197,16 @@ struct Missing {
 /// and active-view membership changes are `LinkAdded`/`LinkDropped` with
 /// kind [`LinkKind::Random`] (HyParView neighbors are uniformly random;
 /// there is no latency-aware "nearby" class).
+///
+/// Membership follows HyParView (Leitão et al., DSN 2007): a small
+/// symmetric *active* view carries all protocol traffic, a larger
+/// *passive* view is a repair reservoir refreshed by periodic shuffles.
+/// Dissemination follows Plumtree (Leitão et al., SRDS 2007): payloads are
+/// eagerly pushed along a spanning subtree of the active view, IHAVE
+/// announcements cover the remaining (lazy) edges, and GRAFT/PRUNE move
+/// edges between the two sets.
 #[derive(Debug)]
 pub struct PlumtreeNode {
-    cfg: PlumtreeConfig,
     id: NodeId,
     /// Active view: `BTreeMap` so iteration (forwarding fan-out, eviction
     /// sampling) is in deterministic key order.
@@ -189,8 +229,8 @@ pub struct PlumtreeNode {
 impl PlumtreeNode {
     /// Creates an isolated node (it must be sent a
     /// [`GoCastCommand::Join`] or contacted by a peer to participate).
-    pub fn new(id: NodeId, cfg: PlumtreeConfig) -> Self {
-        Self::with_initial_links(id, cfg, Vec::new(), Vec::new())
+    pub fn new(id: NodeId) -> Self {
+        Self::with_initial_links(id, Vec::new(), Vec::new())
     }
 
     /// Creates a node with bootstrap state: `links` become the initial
@@ -198,19 +238,11 @@ impl PlumtreeNode {
     ///
     /// The shape matches [`gocast::bootstrap_random_graph`] so both stacks
     /// can be booted from the identical overlay.
-    pub fn with_initial_links(
-        id: NodeId,
-        cfg: PlumtreeConfig,
-        links: Vec<NodeId>,
-        members: Vec<NodeId>,
-    ) -> Self {
-        assert!(cfg.active_view > 0, "active view must be positive");
-        let passive = MemberView::new(id, cfg.passive_view);
+    pub fn with_initial_links(id: NodeId, links: Vec<NodeId>, members: Vec<NodeId>) -> Self {
         PlumtreeNode {
-            cfg,
             id,
             active: BTreeMap::new(),
-            passive,
+            passive: MemberView::new(id, PASSIVE_VIEW),
             store: FxHashMap::default(),
             recent: VecDeque::new(),
             missing: FxHashMap::default(),
@@ -281,7 +313,7 @@ impl PlumtreeNode {
             p.last_seen = now;
             return;
         }
-        if self.active.len() >= self.cfg.active_view {
+        if self.active.len() >= ACTIVE_VIEW {
             let idx = ctx.rng().gen_range(0..self.active.len());
             let victim = *self.active.keys().nth(idx).expect("active view nonempty");
             self.active.remove(&victim);
@@ -441,7 +473,7 @@ impl PlumtreeNode {
                         },
                     );
                     ctx.set_timer(
-                        self.cfg.ihave_timeout,
+                        IHAVE_TIMEOUT,
                         Timer::with_payload(timers::MISSING, id.origin.as_u32(), id.seq as u64),
                     );
                 }
@@ -457,7 +489,7 @@ impl PlumtreeNode {
         let Some(m) = self.missing.get_mut(&id) else {
             return;
         };
-        if m.rounds >= self.cfg.max_graft_rounds {
+        if m.rounds >= MAX_GRAFT_ROUNDS {
             // Give up; a later IHAVE restarts recovery from scratch.
             self.missing.remove(&id);
             return;
@@ -472,7 +504,7 @@ impl PlumtreeNode {
             p.eager = true;
         }
         ctx.set_timer(
-            self.cfg.graft_retry,
+            GRAFT_RETRY,
             Timer::with_payload(timers::MISSING, id.origin.as_u32(), id.seq as u64),
         );
     }
@@ -482,7 +514,7 @@ impl PlumtreeNode {
         let stale: Vec<NodeId> = self
             .active
             .iter()
-            .filter(|(_, p)| now.saturating_since(p.last_seen) > self.cfg.neighbor_timeout)
+            .filter(|(_, p)| now.saturating_since(p.last_seen) > NEIGHBOR_TIMEOUT)
             .map(|(&n, _)| n)
             .collect();
         for n in stale {
@@ -494,7 +526,7 @@ impl PlumtreeNode {
         for p in peers {
             ctx.send(p, PlumtreeMsg::Heartbeat);
         }
-        if self.active.len() < self.cfg.active_view {
+        if self.active.len() < ACTIVE_VIEW {
             if let Some(cand) = self.passive.sample(ctx.rng()) {
                 if cand != self.id && !self.active.contains_key(&cand) {
                     // Spend the candidate: if it is alive and rejects, the
@@ -520,13 +552,13 @@ impl PlumtreeNode {
         let mut members = vec![self.id];
         members.extend(
             self.passive
-                .sample_k(self.cfg.shuffle_len.saturating_sub(1), ctx.rng()),
+                .sample_k(SHUFFLE_LEN.saturating_sub(1), ctx.rng()),
         );
         ctx.send(
             target,
             PlumtreeMsg::Shuffle {
                 origin: self.id,
-                ttl: self.cfg.shuffle_ttl,
+                ttl: SHUFFLE_TTL,
                 members,
             },
         );
@@ -541,13 +573,11 @@ impl Stack for PlumtreeNode {
     /// active view *near* its bound but join/forward-join acceptance can
     /// transiently exceed it before eviction settles, and GoCast's
     /// random/nearby degree split does not exist, so degree bounds are
-    /// not checkable. There is no per-node parent pointer (the "tree" is
-    /// per-message), so tree checks are off.
+    /// not checkable.
     fn capabilities() -> StackCaps {
         StackCaps {
             degree_bounds: false,
             pull_after_delivery: true,
-            tree: false,
         }
     }
 
@@ -613,11 +643,11 @@ impl Protocol for PlumtreeNode {
             let contacts = self.passive.to_vec();
             if let Some(contact) = self.choose(ctx, &contacts) {
                 self.add_active(ctx, contact, true);
-                ctx.send(contact, PlumtreeMsg::Join { ttl: self.cfg.arwl });
+                ctx.send(contact, PlumtreeMsg::Join { ttl: ARWL });
             }
         }
         // Deterministic per-node jitter desynchronizes the periodic work.
-        let maint_us = self.cfg.maintenance_period.as_micros() as u64;
+        let maint_us = MAINTENANCE_PERIOD.as_micros() as u64;
         let maint_jitter = ctx.rng().gen_range(0..maint_us.max(1));
         ctx.set_timer(
             Duration::from_micros(maint_jitter),
@@ -625,7 +655,7 @@ impl Protocol for PlumtreeNode {
         );
         let shuffle_jitter = ctx.rng().gen_range(0..maint_us.max(1));
         ctx.set_timer(
-            self.cfg.shuffle_period + Duration::from_micros(shuffle_jitter),
+            SHUFFLE_PERIOD + Duration::from_micros(shuffle_jitter),
             Timer::of_kind(timers::SHUFFLE),
         );
         let gc_jitter = ctx.rng().gen_range(0..1_000_000);
@@ -660,7 +690,7 @@ impl Protocol for PlumtreeNode {
                     self.accept_neighbor(ctx, joiner);
                     return;
                 }
-                if ttl == self.cfg.prwl {
+                if ttl == PRWL {
                     self.passive.insert(joiner, ctx.rng());
                 }
                 let candidates: Vec<NodeId> = self
@@ -681,7 +711,7 @@ impl Protocol for PlumtreeNode {
                 }
             }
             PlumtreeMsg::NeighborRequest { high } => {
-                if high || self.active.len() < self.cfg.active_view {
+                if high || self.active.len() < ACTIVE_VIEW {
                     self.accept_neighbor(ctx, from);
                 } else {
                     ctx.send(from, PlumtreeMsg::NeighborReject);
@@ -723,7 +753,7 @@ impl Protocol for PlumtreeNode {
                 }
                 let reply = self
                     .passive
-                    .sample_k(members.len().min(self.cfg.shuffle_len), ctx.rng());
+                    .sample_k(members.len().min(SHUFFLE_LEN), ctx.rng());
                 if origin != self.id {
                     ctx.send(origin, PlumtreeMsg::ShuffleReply { members: reply });
                 }
@@ -769,13 +799,13 @@ impl Protocol for PlumtreeNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
         match timer.kind {
             timers::MAINT => {
-                ctx.set_timer(self.cfg.maintenance_period, Timer::of_kind(timers::MAINT));
+                ctx.set_timer(MAINTENANCE_PERIOD, Timer::of_kind(timers::MAINT));
                 if self.joined && !self.frozen {
                     self.on_maintenance(ctx);
                 }
             }
             timers::SHUFFLE => {
-                ctx.set_timer(self.cfg.shuffle_period, Timer::of_kind(timers::SHUFFLE));
+                ctx.set_timer(SHUFFLE_PERIOD, Timer::of_kind(timers::SHUFFLE));
                 if self.joined && !self.frozen {
                     self.on_shuffle_tick(ctx);
                 }
@@ -788,7 +818,7 @@ impl Protocol for PlumtreeNode {
                 ctx.set_timer(Duration::from_secs(5), Timer::of_kind(timers::GC));
                 let now = ctx.now();
                 while let Some(&(at, id)) = self.recent.front() {
-                    if now.saturating_since(at) <= self.cfg.gc_wait {
+                    if now.saturating_since(at) <= GC_WAIT {
                         break;
                     }
                     self.recent.pop_front();
@@ -807,7 +837,7 @@ impl Protocol for PlumtreeNode {
                 }
                 let id = MsgId::new(self.id, self.next_seq);
                 self.next_seq += 1;
-                let size = self.cfg.payload_size;
+                let size = PAYLOAD_SIZE;
                 self.admit(ctx, id, 0, size);
                 ctx.emit(GoCastEvent::Injected { id });
                 self.forward(ctx, id, 1, size, None);
@@ -816,7 +846,7 @@ impl Protocol for PlumtreeNode {
                 self.joined = true;
                 self.frozen = false;
                 self.add_active(ctx, contact, true);
-                ctx.send(contact, PlumtreeMsg::Join { ttl: self.cfg.arwl });
+                ctx.send(contact, PlumtreeMsg::Join { ttl: ARWL });
             }
             GoCastCommand::Leave => {
                 if !self.joined {
@@ -852,18 +882,14 @@ mod tests {
     use gocast::bootstrap_random_graph;
     use gocast_sim::{FixedLatency, SimBuilder, SimTime, VecRecorder};
 
-    fn build(
-        n: usize,
-        seed: u64,
-        cfg: PlumtreeConfig,
-    ) -> gocast_sim::Sim<PlumtreeNode, VecRecorder<GoCastEvent>> {
+    fn build(n: usize, seed: u64) -> gocast_sim::Sim<PlumtreeNode, VecRecorder<GoCastEvent>> {
         let mut boot = bootstrap_random_graph(n, 3, seed ^ 0xB007);
         let net = FixedLatency::new(n, Duration::from_millis(20));
         SimBuilder::new(net)
             .seed(seed)
             .build_with(VecRecorder::<GoCastEvent>::new(), |id| {
                 let (links, members) = boot(id);
-                PlumtreeNode::with_initial_links(id, cfg.clone(), links, members)
+                PlumtreeNode::with_initial_links(id, links, members)
             })
     }
 
@@ -878,9 +904,16 @@ mod tests {
     }
 
     #[test]
+    fn default_degree_matches_gocast_total() {
+        assert_eq!(ACTIVE_VIEW, gocast::GoCastConfig::default().c_degree());
+        const { assert!(PASSIVE_VIEW > ACTIVE_VIEW) };
+        assert!(IHAVE_TIMEOUT < GRAFT_RETRY);
+    }
+
+    #[test]
     fn multicast_reaches_every_node() {
         let n = 64;
-        let mut sim = build(n, 7, PlumtreeConfig::default());
+        let mut sim = build(n, 7);
         sim.run_until(SimTime::from_secs(5));
         sim.command_now(NodeId::new(0), GoCastCommand::Multicast);
         sim.run_until(SimTime::from_secs(15));
@@ -895,7 +928,7 @@ mod tests {
     #[test]
     fn repeated_multicasts_prune_redundant_edges() {
         let n = 32;
-        let mut sim = build(n, 11, PlumtreeConfig::default());
+        let mut sim = build(n, 11);
         sim.run_until(SimTime::from_secs(5));
         for i in 0..8 {
             sim.command_now(NodeId::new(0), GoCastCommand::Multicast);
@@ -922,7 +955,7 @@ mod tests {
     #[test]
     fn graft_recovers_deliveries_after_crashes() {
         let n = 48;
-        let mut sim = build(n, 3, PlumtreeConfig::default());
+        let mut sim = build(n, 3);
         sim.run_until(SimTime::from_secs(6));
         // Warm the tree so pruning creates lazy edges, then crash a slice
         // of nodes and multicast: survivors behind dead eager edges must
@@ -947,7 +980,7 @@ mod tests {
     #[test]
     fn leave_and_rejoin_never_duplicates_deliveries() {
         let n = 24;
-        let mut sim = build(n, 5, PlumtreeConfig::default());
+        let mut sim = build(n, 5);
         sim.run_until(SimTime::from_secs(5));
         sim.command_now(NodeId::new(0), GoCastCommand::Multicast);
         sim.run_until(SimTime::from_secs(8));
@@ -976,7 +1009,7 @@ mod tests {
     #[test]
     fn runs_replay_byte_identically() {
         let summarize = |seed| {
-            let mut sim = build(40, seed, PlumtreeConfig::default());
+            let mut sim = build(40, seed);
             sim.run_until(SimTime::from_secs(4));
             for src in [0u32, 5, 9] {
                 sim.command_now(NodeId::new(src), GoCastCommand::Multicast);
@@ -991,7 +1024,7 @@ mod tests {
     #[test]
     fn stack_surface_reports_state() {
         let n = 16;
-        let mut sim = build(n, 2, PlumtreeConfig::default());
+        let mut sim = build(n, 2);
         sim.run_until(SimTime::from_secs(5));
         sim.command_now(NodeId::new(1), GoCastCommand::Multicast);
         sim.run_until(SimTime::from_secs(10));
@@ -1002,7 +1035,7 @@ mod tests {
         assert_eq!(node.delivered_count(), 1);
         assert!(node.holds(NodeId::new(1), 0));
         let caps = PlumtreeNode::capabilities();
-        assert!(!caps.degree_bounds && caps.pull_after_delivery && !caps.tree);
+        assert!(!caps.degree_bounds && caps.pull_after_delivery);
         assert_eq!(PlumtreeNode::NAME, "plumtree");
     }
 }

@@ -33,10 +33,6 @@ pub struct StackCaps {
     /// The stack never requests a payload it already holds (GoCast's pull
     /// rule; Plumtree's graft-only-when-missing rule).
     pub pull_after_delivery: bool,
-    /// The stack maintains an explicit dissemination tree with
-    /// parent/orphan semantics, so `ParentChanged`-style events and
-    /// orphan-spell metrics are meaningful.
-    pub tree: bool,
 }
 
 impl StackCaps {
@@ -45,7 +41,6 @@ impl StackCaps {
         StackCaps {
             degree_bounds: false,
             pull_after_delivery: false,
-            tree: false,
         }
     }
 
@@ -54,7 +49,6 @@ impl StackCaps {
         StackCaps {
             degree_bounds: true,
             pull_after_delivery: true,
-            tree: true,
         }
     }
 }
@@ -124,8 +118,8 @@ mod tests {
     #[test]
     fn caps_presets() {
         let u = StackCaps::universal();
-        assert!(!u.degree_bounds && !u.pull_after_delivery && !u.tree);
+        assert!(!u.degree_bounds && !u.pull_after_delivery);
         let a = StackCaps::all();
-        assert!(a.degree_bounds && a.pull_after_delivery && a.tree);
+        assert!(a.degree_bounds && a.pull_after_delivery);
     }
 }

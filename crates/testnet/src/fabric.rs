@@ -48,15 +48,16 @@ use gocast_udp::TimerWheel;
 
 pub use crate::shard::FabricStats;
 
-/// How a fabric is laid out: node count, how many of them are bootstrap
-/// seeds, the run seed, shard count, and the protocol configuration.
+/// Bootstrap seeds: the first `min(SEED_COUNT, nodes)` nodes, whose
+/// addresses are the only ones every node is configured with.
+const SEED_COUNT: usize = 3;
+
+/// How a fabric is laid out: node count, the run seed, shard count, and
+/// the protocol configuration.
 #[derive(Debug, Clone)]
 pub struct TestnetConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// The first `seed_count` nodes are bootstrap seeds: their addresses
-    /// are the only ones every node is configured with.
-    pub seed_count: usize,
     /// Run seed (per-node RNGs and the per-shard loss/jitter streams
     /// derive from it).
     pub seed: u64,
@@ -72,12 +73,11 @@ pub struct TestnetConfig {
 }
 
 impl TestnetConfig {
-    /// A fabric of `nodes` nodes with deployment cadences, seed 42, one
-    /// shard, and `min(3, nodes)` bootstrap seeds.
+    /// A fabric of `nodes` nodes with deployment cadences, seed 42 and
+    /// one shard.
     pub fn new(nodes: usize) -> Self {
         TestnetConfig {
             nodes,
-            seed_count: nodes.min(3),
             seed: 42,
             shards: 1,
             record_trace: true,
@@ -134,10 +134,6 @@ where
     /// Propagates socket binding errors (e.g. no loopback available).
     pub fn build(cfg: &TestnetConfig, mut make: impl FnMut(NodeId) -> N) -> std::io::Result<Self> {
         assert!(cfg.nodes > 0, "a testnet needs at least one node");
-        assert!(
-            (1..=cfg.nodes).contains(&cfg.seed_count),
-            "seed_count must be in 1..=nodes"
-        );
         assert!(cfg.shards > 0, "shard count must be at least 1");
         let shard_count = cfg.shards.min(cfg.nodes);
         let sockets: Vec<(UdpSocket, SocketAddr)> = (0..cfg.nodes)
@@ -148,7 +144,7 @@ where
                 Ok((s, a))
             })
             .collect::<std::io::Result<_>>()?;
-        let seeds: Vec<(NodeId, SocketAddr)> = sockets[..cfg.seed_count]
+        let seeds: Vec<(NodeId, SocketAddr)> = sockets[..SEED_COUNT.min(cfg.nodes)]
             .iter()
             .enumerate()
             .map(|(i, (_, a))| (NodeId::new(i as u32), *a))

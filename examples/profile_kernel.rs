@@ -24,7 +24,6 @@ fn main() {
         &SyntheticKingConfig {
             sites: 128,
             seed: 9,
-            ..Default::default()
         },
     );
     let mut sim = SimBuilder::new(net).seed(9).build(|id| {

@@ -158,6 +158,27 @@ for name in injected deliveries pushes ihaves pull_requests pulls_served redunda
     }
 done
 
+echo "==> structure gate: one value, one constant"
+# A configuration field exists only where a non-test caller sets a second
+# value (DESIGN.md "Parameters"); every other value is a constant of the
+# module that reads it, and struct-update syntax is the one way to set a
+# field. The builder, the setters and the fields they carried must not
+# come back.
+mapfile -d '' setter_sources < <(find crates/core/src crates/baselines/src \
+    crates/plumtree/src -name '*.rs' -print0)
+config_files=(crates/core/src/config.rs crates/plumtree/src/node.rs
+    crates/baselines/src/push_gossip.rs crates/app/src/mux.rs crates/net/src/king.rs
+    crates/testnet/src/fabric.rs crates/sim/src/stack.rs)
+stray=$(nontest_lines 'struct (GoCastConfigBuilder|PlumtreeConfig)([^_[:alnum:]]|$)' "${sources[@]}"
+    nontest_lines 'fn (builder|with_degrees|with_pull_delay|with_payload_size|with_root|with_fanout)([^_[:alnum:]]|$)' \
+        "${setter_sources[@]}"
+    nontest_lines '^[[:space:]]*pub (degree_slack|pull_timeout|heartbeat_timeout_factor|neighbor_timeout|member_view_capacity|members_per_gossip|max_maintenance_period|root|seed_count|tree):' \
+        "${config_files[@]}")
+[[ -z "$stray" ]] || {
+    echo "FAIL: a configuration value no second caller sets is settable again: $stray" >&2
+    exit 1
+}
+
 echo "==> structure gate: one performance ledger"
 # benchmark/ measures what the code costs and golden.rs + results/*.csv
 # lock what it computes; a second instrument with a committed baseline

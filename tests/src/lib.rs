@@ -25,7 +25,6 @@ pub fn warmed_gocast(
         &SyntheticKingConfig {
             sites: n.max(32),
             seed: seed ^ 0xABCD,
-            ..Default::default()
         },
     );
     let mut boot = gocast::bootstrap_random_graph(n, cfg.c_degree() / 2, seed);

@@ -217,7 +217,6 @@ fn clean_runs_produce_zero_violations() {
             &SyntheticKingConfig {
                 sites: n,
                 seed: seed ^ 0xABCD,
-                ..Default::default()
             },
         );
         let mut boot = gocast::bootstrap_random_graph(n, cfg.c_degree() / 2, seed);

@@ -111,7 +111,6 @@ fn empirical_gossip_misses_track_the_analytic_model() {
         &gocast_net::SyntheticKingConfig {
             sites: 256,
             seed: 75,
-            ..Default::default()
         },
     );
     let cfg = PushGossipConfig::default();

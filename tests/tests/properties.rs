@@ -139,7 +139,7 @@ proptest! {
 
     #[test]
     fn synthetic_king_is_a_valid_latency_model(seed in 0u64..50, nodes in 2usize..40) {
-        let cfg = SyntheticKingConfig { sites: 48, seed, ..Default::default() };
+        let cfg = SyntheticKingConfig { sites: 48, seed };
         let net = synthetic_king(nodes, &cfg);
         prop_assert_eq!(net.len(), nodes);
         for i in 0..nodes as u32 {
@@ -265,7 +265,7 @@ proptest! {
         let n = 16usize;
         let net = synthetic_king(
             n,
-            &SyntheticKingConfig { sites: 32, seed: seed ^ 0xABCD, ..Default::default() },
+            &SyntheticKingConfig { sites: 32, seed: seed ^ 0xABCD },
         );
         let mut boot = gocast::bootstrap_random_graph(n, 3, seed);
         let mut sim = SimBuilder::new(net)
