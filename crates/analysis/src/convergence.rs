@@ -5,16 +5,16 @@
 //! subscribers actually received (goodput), how stale a replica is when a
 //! mutation reaches it (staleness = publish → apply delay), and how long
 //! until *every* replica reflects a mutation (convergence = publish →
-//! last-apply delay). [`ConvergenceTracker`] folds the topic-tier events
-//! (`TopicDelivered`, `DeltaPublished`, `DeltaApplied`) into those three
-//! numbers in O(topics + mutations) memory. It is a [`Recorder`]: attach
-//! it to a run, or replay a parsed trace's events into `record`.
+//! last-apply delay). [`ConvergenceTracker`] holds the topic-tier events
+//! (`TopicDelivered`, `DeltaPublished`, `DeltaApplied`, subscription
+//! changes) as those three numbers need them, in O(topics + mutations)
+//! memory. [`crate::MetricsRecorder`] folds it: attach that to a run, or
+//! replay a parsed trace's events into its `record`.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use gocast::GoCastEvent;
-use gocast_sim::{NodeId, Recorder, SimTime};
+use gocast_sim::{NodeId, SimTime};
 
 /// Per-mutation apply aggregate. Times are stored raw and compared with
 /// the publish time at report time, so feeding order never matters.
@@ -35,8 +35,8 @@ pub struct ConvergenceTracker {
     applies: BTreeMap<(u32, u32, u32), ApplyAgg>,
     /// topic -> (deliveries, payload bytes).
     topics: BTreeMap<u32, (u64, u64)>,
-    subscribes: u64,
-    unsubscribes: u64,
+    pub(crate) subscribes: u64,
+    pub(crate) unsubscribes: u64,
 }
 
 /// What [`ConvergenceTracker::report`] distills.
@@ -68,25 +68,23 @@ pub struct ConvergenceReport {
 }
 
 impl ConvergenceTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn on_publish(&mut self, now: SimTime, topic: u32, origin: NodeId, counter: u32) {
+        let key = (topic, origin.as_u32(), counter);
+        self.published.entry(key).or_insert(now.as_nanos() / 1_000);
     }
 
-    fn on_publish(&mut self, t_us: u64, topic: u32, origin: u32, counter: u32) {
-        self.published
-            .entry((topic, origin, counter))
-            .or_insert(t_us);
-    }
-
-    fn on_apply(&mut self, t_us: u64, topic: u32, origin: u32, counter: u32) {
-        let agg = self.applies.entry((topic, origin, counter)).or_default();
+    pub(crate) fn on_apply(&mut self, now: SimTime, topic: u32, origin: NodeId, counter: u32) {
+        let t_us = now.as_nanos() / 1_000;
+        let agg = self
+            .applies
+            .entry((topic, origin.as_u32(), counter))
+            .or_default();
         agg.count += 1;
         agg.sum_t_us += t_us;
         agg.last_t_us = agg.last_t_us.max(t_us);
     }
 
-    fn on_topic_delivery(&mut self, topic: u32, bytes: u32) {
+    pub(crate) fn on_topic_delivery(&mut self, topic: u32, bytes: u32) {
         let e = self.topics.entry(topic).or_insert((0, 0));
         e.0 += 1;
         e.1 += bytes as u64;
@@ -145,34 +143,14 @@ impl ConvergenceTracker {
     }
 }
 
-impl Recorder<GoCastEvent> for ConvergenceTracker {
-    fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        let t_us = now.as_nanos() / 1_000;
-        match event {
-            GoCastEvent::TopicDelivered { topic, bytes, .. } => {
-                self.on_topic_delivery(topic, bytes)
-            }
-            GoCastEvent::DeltaPublished { topic, counter } => {
-                self.on_publish(t_us, topic, node.as_u32(), counter)
-            }
-            GoCastEvent::DeltaApplied {
-                topic,
-                origin,
-                counter,
-            } => self.on_apply(t_us, topic, origin.as_u32(), counter),
-            GoCastEvent::TopicSubscribed { .. } => self.subscribes += 1,
-            GoCastEvent::TopicUnsubscribed { .. } => self.unsubscribes += 1,
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocast::MsgId;
+    use crate::MetricsRecorder;
+    use gocast::{GoCastEvent, MsgId};
+    use gocast_sim::Recorder;
 
-    fn record(c: &mut ConvergenceTracker, t_us: u64, node: u32, ev: GoCastEvent) {
+    fn record(c: &mut MetricsRecorder, t_us: u64, node: u32, ev: GoCastEvent) {
         c.record(SimTime::from_nanos(t_us * 1_000), NodeId::new(node), ev);
     }
 
@@ -186,7 +164,7 @@ mod tests {
 
     #[test]
     fn staleness_and_convergence_from_trace_records() {
-        let mut c = ConvergenceTracker::new();
+        let mut c = MetricsRecorder::new();
         let published = GoCastEvent::DeltaPublished {
             topic: 1,
             counter: 1,
@@ -195,7 +173,7 @@ mod tests {
         // Two remote applies at +1ms and +3ms.
         record(&mut c, 2_000, 8, applied(1, 7, 1));
         record(&mut c, 4_000, 9, applied(1, 7, 1));
-        let r = c.report();
+        let r = c.app().report();
         assert_eq!(r.mutations, 1);
         assert_eq!(r.applies, 2);
         assert_eq!(r.unapplied, 0);
@@ -206,26 +184,26 @@ mod tests {
 
     #[test]
     fn out_of_order_feeding_gives_the_same_report() {
-        let publish = |c: &mut ConvergenceTracker| {
+        let publish = |c: &mut MetricsRecorder| {
             let ev = GoCastEvent::DeltaPublished {
                 topic: 0,
                 counter: 1,
             };
             record(c, 1_000, 7, ev)
         };
-        let apply = |c: &mut ConvergenceTracker| record(c, 5_000, 8, applied(0, 7, 1));
-        let mut fwd = ConvergenceTracker::new();
+        let apply = |c: &mut MetricsRecorder| record(c, 5_000, 8, applied(0, 7, 1));
+        let mut fwd = MetricsRecorder::new();
         publish(&mut fwd);
         apply(&mut fwd);
-        let mut rev = ConvergenceTracker::new();
+        let mut rev = MetricsRecorder::new();
         apply(&mut rev);
         publish(&mut rev);
-        assert_eq!(fwd.report(), rev.report());
+        assert_eq!(fwd.app().report(), rev.app().report());
     }
 
     #[test]
     fn goodput_and_unapplied_accounting() {
-        let mut c = ConvergenceTracker::new();
+        let mut c = MetricsRecorder::new();
         let delivered = |seq| GoCastEvent::TopicDelivered {
             topic: 3,
             id: MsgId::new(NodeId::new(1), seq),
@@ -239,13 +217,13 @@ mod tests {
         };
         record(&mut c, 30, 4, published);
         record(&mut c, 35, 4, GoCastEvent::TopicSubscribed { topic: 3 });
-        let r = c.report();
+        let r = c.app().report();
         assert_eq!(r.delivered_bytes, 1024);
         assert_eq!(r.topic_deliveries, 2);
         assert_eq!(r.mutations, 1);
         assert_eq!(r.unapplied, 1);
         assert_eq!(r.subscribes, 1);
-        let per: Vec<_> = c.per_topic().collect();
+        let per: Vec<_> = c.app().per_topic().collect();
         assert_eq!(per, vec![(3, 2, 1024)]);
     }
 }

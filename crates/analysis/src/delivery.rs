@@ -1,4 +1,4 @@
-//! Streaming delivery metrics: the run's one delivery ledger.
+//! Streaming run metrics: the run's one ledger.
 //!
 //! Two layers, both implementing [`Recorder<GoCastEvent>`] and both
 //! memory-bounded:
@@ -10,9 +10,10 @@
 //!   pulls requested and served, and per-message delivery counts in
 //!   injection order for windowed delivery ratios. State is
 //!   O(nodes + messages), never O(deliveries).
-//! - [`MetricsRecorder`] composes a `DeliveryTracker` with a 1-second
-//!   [`TimeSeriesRecorder`] for link churn — everything the paper's
-//!   figures need from one run, in one recorder.
+//! - [`MetricsRecorder`] is the run's one counting recorder: a
+//!   `DeliveryTracker` plus link churn per second, [`OrphanTracker`]
+//!   spells and the application ledger ([`ConvergenceTracker`]), all fed
+//!   by one fold.
 //!
 //! They produce exactly the quantities the paper's figures plot:
 //!
@@ -22,11 +23,12 @@
 //!   message are reported separately — the reason the paper's gossip
 //!   curves saturate below 1.0);
 //! - redundancy (§2.1's 1.02 factor) and pull counts;
-//! - delivery ratio over injection time around faults (§4–§5);
-//! - link-churn and parent-change time series (Figure 5, §3 summary (1)).
+//! - delivery ratio over injection time and tree detachment around
+//!   faults (§4–§5);
+//! - the link-churn time series (Figure 5, §3 summary (1)).
 //!
 //! A test that needs the raw event stream records into a `VecRecorder`
-//! (optionally `.tee(..)`'d with a tracker) — see `gocast_sim::recorder`.
+//! (or a `(tracker, VecRecorder)` tuple) — see `gocast_sim::recorder`.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -34,9 +36,8 @@ use std::time::Duration;
 use gocast::{DeliveryPath, GoCastEvent, MsgId};
 use gocast_sim::{NodeId, Recorder, SimTime};
 
-use crate::recovery::WindowRatio;
+use crate::convergence::ConvergenceTracker;
 use crate::stats::{Cdf, DelayHistogram};
-use crate::timeseries::TimeSeriesRecorder;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeAgg {
@@ -107,8 +108,6 @@ pub struct DeliveryTracker {
     hop_counts: HopCounts,
     delivered_via_tree: u64,
     pull_deliveries: u64,
-    parent_changes: u64,
-    root_takeovers: u64,
 }
 
 impl DeliveryTracker {
@@ -196,16 +195,6 @@ impl DeliveryTracker {
     /// Deliveries recovered via pull/graft (not the primary push path).
     pub fn pull_deliveries(&self) -> u64 {
         self.pull_deliveries
-    }
-
-    /// Tree parent changes observed.
-    pub fn parent_changes(&self) -> u64 {
-        self.parent_changes
-    }
-
-    /// Root takeovers observed (failovers; the initial root counts once).
-    pub fn root_takeovers(&self) -> u64 {
-        self.root_takeovers
     }
 
     /// Streaming distribution over every (node, message) delivery delay.
@@ -335,9 +324,9 @@ impl Recorder<GoCastEvent> for DeliveryTracker {
             GoCastEvent::IHaveSent { .. } => self.ihaves += 1,
             GoCastEvent::PullRequested { .. } => self.pulls += 1,
             GoCastEvent::PullServed { .. } => self.pulls_served += 1,
-            GoCastEvent::ParentChanged { .. } => self.parent_changes += 1,
-            GoCastEvent::BecameRoot { .. } => self.root_takeovers += 1,
-            GoCastEvent::LinkAdded { .. }
+            GoCastEvent::ParentChanged { .. }
+            | GoCastEvent::BecameRoot { .. }
+            | GoCastEvent::LinkAdded { .. }
             | GoCastEvent::LinkDropped { .. }
             | GoCastEvent::TopicDelivered { .. }
             | GoCastEvent::TopicSubscribed { .. }
@@ -348,34 +337,109 @@ impl Recorder<GoCastEvent> for DeliveryTracker {
     }
 }
 
-fn is_link_change(_now: SimTime, _node: NodeId, event: &GoCastEvent) -> bool {
-    matches!(
-        event,
-        GoCastEvent::LinkAdded { .. } | GoCastEvent::LinkDropped { .. }
-    )
+/// One injection-time window of delivery-ratio accounting (see
+/// [`DeliveryTracker::windowed_ratios`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRatio {
+    /// Window start (absolute simulation time).
+    pub start: SimTime,
+    /// Messages injected in this window.
+    pub injected: u64,
+    /// Deliveries expected for those messages (caller-supplied).
+    pub expected: u64,
+    /// Deliveries observed for those messages.
+    pub delivered: u64,
 }
 
-/// The selector type behind [`MetricsRecorder`]'s link-churn series.
-pub type LinkChurnSelect = fn(SimTime, NodeId, &GoCastEvent) -> bool;
-
-/// Everything the paper's figures need from one run: a
-/// [`DeliveryTracker`] composed with a 1-second link-churn
-/// [`TimeSeriesRecorder`].
-///
-/// Peak recorder state is O(nodes + messages + seconds of sim time).
-#[derive(Debug)]
-pub struct MetricsRecorder {
-    delivery: DeliveryTracker,
-    link_churn: TimeSeriesRecorder<LinkChurnSelect>,
-}
-
-impl Default for MetricsRecorder {
-    fn default() -> Self {
-        MetricsRecorder {
-            delivery: DeliveryTracker::new(),
-            link_churn: TimeSeriesRecorder::new(Duration::from_secs(1), is_link_change),
+impl WindowRatio {
+    /// Observed / expected deliveries (1.0 when nothing was expected).
+    pub fn ratio(&self) -> f64 {
+        if self.expected == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / self.expected as f64
         }
     }
+}
+
+/// Orphaned-node accounting: how long nodes spend detached from the
+/// dissemination tree, as [`MetricsRecorder`] folds it.
+///
+/// A spell opens when a node reports `ParentChanged { parent: None }`
+/// (detached) and closes when it adopts a parent or becomes root. Spells
+/// still open at the end of a run are closed by
+/// [`MetricsRecorder::finish`]. Memory is O(nodes).
+#[derive(Debug, Default)]
+pub struct OrphanTracker {
+    /// Per node: when the current orphan spell began, if any.
+    since: Vec<Option<SimTime>>,
+    spells: u64,
+    total: Duration,
+    max_spell: Duration,
+}
+
+impl OrphanTracker {
+    fn detach(&mut self, node: NodeId, now: SimTime) {
+        let i = node.index();
+        if self.since.len() <= i {
+            self.since.resize(i + 1, None);
+        }
+        self.since[i].get_or_insert(now);
+    }
+
+    fn attach(&mut self, node: NodeId, now: SimTime) {
+        if let Some(start) = self.since.get_mut(node.index()).and_then(Option::take) {
+            let d = now.saturating_since(start);
+            self.spells += 1;
+            self.total += d;
+            self.max_spell = self.max_spell.max(d);
+        }
+    }
+
+    /// Number of orphan spells observed (closed spells only).
+    pub fn spells(&self) -> u64 {
+        self.spells
+    }
+
+    /// Sum of all closed spell durations.
+    pub fn total_orphan_time(&self) -> Duration {
+        self.total
+    }
+
+    /// Longest closed spell.
+    pub fn max_spell(&self) -> Duration {
+        self.max_spell
+    }
+
+    /// Mean closed spell duration (zero when no spells closed).
+    pub fn mean_spell(&self) -> Duration {
+        if self.spells == 0 {
+            Duration::ZERO
+        } else {
+            self.total / self.spells as u32
+        }
+    }
+
+    /// Nodes currently inside an orphan spell.
+    pub fn open_orphans(&self) -> usize {
+        self.since.iter().filter(|s| s.is_some()).count()
+    }
+}
+
+/// The run's one counting recorder: the [`DeliveryTracker`], link
+/// changes per second of simulated time, [`OrphanTracker`] spells and
+/// the application ledger ([`ConvergenceTracker`]), all folded by one
+/// [`Recorder::record`].
+///
+/// Peak recorder state is O(nodes + messages + mutations + seconds of
+/// sim time).
+#[derive(Debug, Default)]
+pub struct MetricsRecorder {
+    delivery: DeliveryTracker,
+    /// Link adds + drops per second, up to the last second that had one.
+    link_changes: Vec<u64>,
+    orphans: OrphanTracker,
+    app: ConvergenceTracker,
 }
 
 impl MetricsRecorder {
@@ -389,21 +453,60 @@ impl MetricsRecorder {
         &self.delivery
     }
 
-    /// The link-churn time series (1-second windows).
-    pub fn link_churn(&self) -> &TimeSeriesRecorder<LinkChurnSelect> {
-        &self.link_churn
+    /// Link changes (adds + drops, summed over nodes — each endpoint
+    /// counts) bucketed per second from sim time zero. Trailing seconds
+    /// with no change are absent, not zero.
+    pub fn link_changes_per_sec(&self) -> &[u64] {
+        &self.link_changes
     }
 
-    /// Link changes (adds + drops, summed over nodes — each endpoint
-    /// counts) bucketed per second.
-    pub fn link_changes_per_sec(&self) -> &[u64] {
-        self.link_churn.series()
+    /// Tree-detachment spells.
+    pub fn orphans(&self) -> &OrphanTracker {
+        &self.orphans
+    }
+
+    /// The application tier's goodput, staleness and convergence ledger.
+    pub fn app(&self) -> &ConvergenceTracker {
+        &self.app
+    }
+
+    /// Closes every still-open orphan spell at `now`, the end of the run.
+    pub fn finish(&mut self, now: SimTime) {
+        for i in 0..self.orphans.since.len() {
+            self.orphans.attach(NodeId::new(i as u32), now);
+        }
     }
 }
 
 impl Recorder<GoCastEvent> for MetricsRecorder {
     fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        self.link_churn.record(now, node, event.clone());
+        match event {
+            GoCastEvent::LinkAdded { .. } | GoCastEvent::LinkDropped { .. } => {
+                let second = (now.as_nanos() / 1_000_000_000) as usize;
+                if self.link_changes.len() <= second {
+                    self.link_changes.resize(second + 1, 0);
+                }
+                self.link_changes[second] += 1;
+            }
+            GoCastEvent::ParentChanged { parent: None } => self.orphans.detach(node, now),
+            GoCastEvent::ParentChanged { parent: Some(_) } | GoCastEvent::BecameRoot { .. } => {
+                self.orphans.attach(node, now)
+            }
+            GoCastEvent::TopicDelivered { topic, bytes, .. } => {
+                self.app.on_topic_delivery(topic, bytes)
+            }
+            GoCastEvent::DeltaPublished { topic, counter } => {
+                self.app.on_publish(now, topic, node, counter)
+            }
+            GoCastEvent::DeltaApplied {
+                topic,
+                origin,
+                counter,
+            } => self.app.on_apply(now, topic, origin, counter),
+            GoCastEvent::TopicSubscribed { .. } => self.app.subscribes += 1,
+            GoCastEvent::TopicUnsubscribed { .. } => self.app.unsubscribes += 1,
+            _ => {}
+        }
         self.delivery.record(now, node, event);
     }
 }
@@ -511,20 +614,80 @@ mod tests {
     #[test]
     fn link_churn_buckets_by_second() {
         let mut m = MetricsRecorder::new();
-        for t in [0u64, 300, 1700] {
+        // Other events open no bucket: the series starts empty.
+        m.record(
+            SimTime::from_secs(9),
+            NodeId::new(0),
+            GoCastEvent::Injected { id: id(0) },
+        );
+        assert!(m.link_changes_per_sec().is_empty());
+        let peer = NodeId::new(1);
+        let kind = gocast::LinkKind::Random;
+        for t in [0u64, 300, 999, 3400] {
             m.record(
                 SimTime::from_millis(t),
                 NodeId::new(0),
-                GoCastEvent::LinkAdded {
-                    peer: NodeId::new(1),
-                    kind: gocast::LinkKind::Random,
-                },
+                GoCastEvent::LinkAdded { peer, kind },
             );
         }
-        assert_eq!(m.link_changes_per_sec(), &[2, 1]);
-        assert_eq!(m.link_churn().total(), 3);
+        let reason = gocast::DropReason::Surplus;
+        let dropped = GoCastEvent::LinkDropped { peer, kind, reason };
+        m.record(SimTime::from_millis(1000), NodeId::new(1), dropped);
+        // Empty seconds inside the series are zero; trailing ones absent.
+        assert_eq!(m.link_changes_per_sec(), &[3, 1, 0, 1]);
         // Link events don't leak into the delivery tracker.
-        assert_eq!(m.delivery().injected(), 0);
+        assert_eq!(m.delivery().injected(), 1);
+    }
+
+    #[test]
+    fn orphan_spells_open_and_close() {
+        let mut m = MetricsRecorder::new();
+        let n = NodeId::new(4);
+        let detach = |m: &mut MetricsRecorder, s| {
+            m.record(
+                SimTime::from_secs(s),
+                n,
+                GoCastEvent::ParentChanged { parent: None },
+            )
+        };
+        let attach = |m: &mut MetricsRecorder, s| {
+            m.record(
+                SimTime::from_secs(s),
+                n,
+                GoCastEvent::ParentChanged {
+                    parent: Some(NodeId::new(0)),
+                },
+            )
+        };
+        detach(&mut m, 10);
+        detach(&mut m, 12); // redundant detach does not restart the spell
+        assert_eq!(m.orphans().open_orphans(), 1);
+        attach(&mut m, 15);
+        assert_eq!(m.orphans().spells(), 1);
+        assert_eq!(m.orphans().total_orphan_time(), Duration::from_secs(5));
+        detach(&mut m, 20);
+        m.record(
+            SimTime::from_secs(21),
+            n,
+            GoCastEvent::BecameRoot { epoch: 1 },
+        );
+        assert_eq!(m.orphans().spells(), 2);
+        assert_eq!(m.orphans().max_spell(), Duration::from_secs(5));
+        assert_eq!(m.orphans().mean_spell(), Duration::from_secs(3));
+        // An attach with no open spell, even past every known node, is
+        // ignored; finish() closes open spells.
+        attach(&mut m, 25);
+        m.record(
+            SimTime::from_secs(25),
+            NodeId::new(99),
+            GoCastEvent::BecameRoot { epoch: 2 },
+        );
+        assert_eq!(m.orphans().spells(), 2);
+        detach(&mut m, 30);
+        m.finish(SimTime::from_secs(40));
+        assert_eq!(m.orphans().spells(), 3);
+        assert_eq!(m.orphans().max_spell(), Duration::from_secs(10));
+        assert_eq!(m.orphans().open_orphans(), 0);
     }
 
     #[test]

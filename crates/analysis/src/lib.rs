@@ -8,12 +8,11 @@
 //!   pull, hops, delays), redundant payloads, pushes, IHAVEs and pulls in
 //!   O(nodes + messages) state, plus windowed delivery ratios (no event
 //!   buffering at paper scale);
-//! - [`TimeSeriesRecorder`] — windowed event rates (link churn, traffic)
-//!   in O(sim seconds / window) memory;
-//! - [`MetricsRecorder`] — the composite of the two that every experiment
-//!   runner uses;
-//! - [`WindowRatio`] / [`OrphanTracker`] — sliding-window delivery
-//!   ratios and orphaned-node durations for fault-scenario (chaos) runs;
+//! - [`MetricsRecorder`] — the run's one counting recorder, which every
+//!   experiment runner installs: the delivery ledger plus link churn per
+//!   second, [`OrphanTracker`] spells (tree detachment in fault-scenario
+//!   runs) and the application tier's [`ConvergenceTracker`];
+//! - [`WindowRatio`] — sliding-window delivery ratios around faults;
 //! - [`Cdf`] / [`DelayHistogram`] / [`Histogram`] — distribution
 //!   statistics (delay CDFs of Figures 3–4, degree distributions of
 //!   Figure 5(a)); `DelayHistogram` is the bounded-memory streaming
@@ -34,21 +33,17 @@
 mod convergence;
 mod delivery;
 mod graph;
-mod recovery;
 mod stats;
 mod table;
-mod timeseries;
 pub mod trace;
 
 pub use convergence::{ConvergenceReport, ConvergenceTracker};
-pub use delivery::{DeliveryTracker, LinkChurnSelect, MetricsRecorder, HOP_BUCKETS};
+pub use delivery::{DeliveryTracker, MetricsRecorder, OrphanTracker, WindowRatio, HOP_BUCKETS};
 pub use graph::{
     bfs_distances, component_sizes, diameter, largest_component_fraction, mean_path_length,
 };
-pub use recovery::{OrphanTracker, WindowRatio};
 pub use stats::{Cdf, DelayHistogram, Histogram, Summary};
 pub use table::{fmt_ms, fmt_secs, Table};
-pub use timeseries::TimeSeriesRecorder;
 pub use trace::{
     parse_line, scan_trace, InvariantOracle, OracleConfig, ProtoTag, TraceAnalysis, TraceError,
     TraceRecord, TraceReport, Violation, ViolationKind,

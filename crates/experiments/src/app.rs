@@ -35,11 +35,10 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gocast::{GoCastConfig, GoCastEvent, GoCastNode};
-use gocast_analysis::{ConvergenceReport, ConvergenceTracker, InvariantOracle, Table};
+use gocast::{GoCastConfig, GoCastNode};
+use gocast_analysis::{ConvergenceReport, InvariantOracle, MetricsRecorder, Table};
 use gocast_app::{AppCommand, AppConfig, CrdtAudit, SubscriptionTable, TopicDirectory, TopicMux};
-use gocast_metrics::TopicMetrics;
-use gocast_sim::{Lanes, NodeId, PresenceTimeline, Recorder, Scenario, ScenarioPlan, SimTime};
+use gocast_sim::{Lanes, NodeId, PresenceTimeline, Scenario, ScenarioPlan, SimTime};
 use gocast_testnet::{deployment_config, loopback_available, Testnet, TestnetConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -76,40 +75,13 @@ impl Workload {
     }
 }
 
-/// What application runs add to the recorder: the convergence / goodput
-/// tracker and per-topic delivery counters. (Application `MsgId`s live
-/// above `APP_SEQ_BASE`, so the one invariant oracle covers both tiers.)
-#[derive(Debug, Default)]
-pub struct AppTier {
-    /// Goodput, staleness, and convergence aggregation.
-    pub conv: ConvergenceTracker,
-    /// Per-topic delivery/byte counters for metrics snapshots.
-    pub topics: TopicMetrics,
-}
-
-impl Recorder<GoCastEvent> for AppTier {
-    fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        match &event {
-            GoCastEvent::TopicDelivered { topic, bytes, .. } => {
-                self.topics.observe_delivery(*topic, *bytes)
-            }
-            GoCastEvent::DeltaPublished { .. } => self.topics.deltas_published.inc(),
-            GoCastEvent::DeltaApplied { .. } => self.topics.deltas_applied.inc(),
-            GoCastEvent::TopicSubscribed { .. } => self.topics.subscribes.inc(),
-            GoCastEvent::TopicUnsubscribed { .. } => self.topics.unsubscribes.inc(),
-            _ => {}
-        }
-        self.conv.record(now, node, event);
-    }
-}
-
 /// Everything one application run produces.
 #[derive(Debug)]
 pub struct AppOutcome {
     /// Application commands injected (publishes or CRDT mutations),
     /// planned faults, the oracle's verdict, kernel counters (zeroed
     /// default on the wire side) and the final combined metrics snapshot
-    /// (kernel or fabric + protocol + topics).
+    /// (kernel or fabric + `proto_*` + `app_*`).
     pub core: RunCore,
     /// Which workload ran.
     pub workload: Workload,
@@ -321,17 +293,17 @@ impl<'a> Staged<'a> {
     /// The end-of-run replica audit and the outcome — the same for both
     /// hosts. Convergence is owed only by replicas present for the whole
     /// measured window (churned-out nodes legitimately diverge); `node`
-    /// returns `None` for any other replica the host rules out.
+    /// returns `None` for any other replica the host rules out. The
+    /// application numbers are read off the run's `ledger`.
     fn outcome<'n>(
         &self,
         phase: String,
         lanes: usize,
         (start, end): (SimTime, SimTime),
-        mut core: RunCore,
-        tier: &AppTier,
+        core: RunCore,
+        ledger: &MetricsRecorder,
         node: impl Fn(NodeId) -> Option<&'n AppNode>,
     ) -> AppOutcome {
-        tier.topics.snapshot_into(&mut core.metrics);
         let ids = || (0..self.opts.nodes as u32).map(NodeId::new);
         let mut audit = CrdtAudit::new();
         for n in ids().filter(|&n| self.presence.present_from(n, start)) {
@@ -351,8 +323,8 @@ impl<'a> Staged<'a> {
             sub_events: self.plan.sub_events().len(),
             base_subscriptions: ids().map(|n| self.table.topics_of(n).len() as u64).sum(),
             window: end.saturating_since(start),
-            report: tier.conv.report(),
-            per_topic: tier.conv.per_topic().collect(),
+            report: ledger.app().report(),
+            per_topic: ledger.app().per_topic().collect(),
             audited_replicas: audit.replica_count(),
             audited_topics: audit.topic_count(),
             divergent: audit.divergent_topics(),
@@ -378,10 +350,9 @@ pub fn run_app(
         opts,
         &opts.manifest_for_workload(workload.name(), Some(label)),
         Some(InvariantOracle::for_protocol(&cfg)),
-        AppTier::default(),
     );
     let nodes = staged.nodes(&cfg, AppConfig::default());
-    let mut run: Run<AppNode, AppTier, Lanes> = Run::sharded(opts, net, recorder, nodes);
+    let mut run: Run<AppNode, Lanes> = Run::sharded(opts, net, recorder, nodes);
     run.warm(opts.warmup);
     run.schedule(&staged.plan);
     let start = run.sim.now() + Duration::from_millis(100);
@@ -396,8 +367,8 @@ pub fn run_app(
         format!("chaos:{label}")
     };
     let sim = &run.sim;
-    let tier = &sim.recorder().ext;
-    staged.outcome(phase, sim.lane_count(), (start, end), core, tier, |n| {
+    let ledger = &sim.recorder().metrics;
+    staged.outcome(phase, sim.lane_count(), (start, end), core, ledger, |n| {
         Some(sim.node(n))
     })
 }
@@ -474,17 +445,13 @@ pub fn run_app_wire(
     let end = horizon(&opts, start, Some(&staged.plan));
     net.run_for(Duration::from_nanos(end.as_nanos()));
 
-    let (core, rec) = audit_wire(
-        &net,
-        &proto,
-        AppTier::default(),
-        u64::from(opts.messages),
-        staged.plan.len(),
-    );
+    let (core, rec) = audit_wire(&net, &proto, u64::from(opts.messages), staged.plan.len());
     let phase = format!("wire:{label}");
-    Ok(staged.outcome(phase, 0, (start, end), core, &rec.ext, |n| {
-        (!net.is_crashed(n)).then(|| net.node(n))
-    }))
+    Ok(
+        staged.outcome(phase, 0, (start, end), core, &rec.metrics, |n| {
+            (!net.is_crashed(n)).then(|| net.node(n))
+        }),
+    )
 }
 
 /// Scenario presets the subcommands run when `--scenario`/`--spec` is

@@ -30,9 +30,7 @@ use std::ops::Deref;
 use std::time::Duration;
 
 use gocast::{GoCastConfig, GoCastEvent};
-use gocast_analysis::{
-    fmt_ms, fmt_secs, InvariantOracle, OracleConfig, OrphanTracker, WindowRatio,
-};
+use gocast_analysis::{fmt_ms, fmt_secs, InvariantOracle, OracleConfig, WindowRatio};
 use gocast_plumtree::PlumtreeNode;
 use gocast_sim::{NodeId, OneLane, Scenario, SimTime, Split, Stack};
 
@@ -229,13 +227,8 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
     let net = build_network(opts);
     let plan = compile_plan(opts, scenario, net.site_assignment());
     let presence = plan.presence();
-    let recorder = RunRecorder::for_opts(
-        opts,
-        &opts.manifest(None),
-        Some(oracle),
-        OrphanTracker::new(),
-    );
-    let mut run: Run<S, OrphanTracker, OneLane> = Run::serial(opts, net, false, recorder, make);
+    let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), Some(oracle));
+    let mut run: Run<S, OneLane> = Run::serial(opts, net, false, recorder, make);
     run.warm(opts.warmup);
     run.schedule(&plan);
     let start = run.inject_multicasts(opts, &Sources::Present(&presence));
@@ -259,8 +252,6 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
         samples.push((t, frac));
     });
 
-    let final_now = run.sim.now();
-    run.sim.recorder_mut().ext.finish(final_now);
     // A node owes a delivery of message `m` iff the plan says it was
     // present when `m` was injected and never departed afterwards.
     let (core, windows) = run.finish_audited(plan.len(), |n, at| presence.present_from(n, at));
@@ -278,7 +269,7 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
                 .map(|(t, _)| t.saturating_since(*at)),
         })
         .collect();
-    let (orphans, ledger) = (&rec.ext, rec.metrics.delivery());
+    let (orphans, ledger) = (rec.metrics.orphans(), rec.metrics.delivery());
     ChaosOutcome {
         core,
         stack: S::NAME,
@@ -520,7 +511,7 @@ pub fn resolve_scenario(
 /// consecutive seeds, print the per-seed recovery table plus (for a single
 /// seed) the windowed delivery-ratio series, and write `chaos.csv` /
 /// `chaos_windows.csv`. Returns the outcomes for programmatic use
-/// (benches, tests), or the resolver's error.
+/// (tests), or the resolver's error.
 pub fn chaos(
     opts: &ExpOptions,
     scenario_name: &str,

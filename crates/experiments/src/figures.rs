@@ -1,6 +1,6 @@
 //! One function per paper figure / reported claim. Each returns the
-//! [`Table`]s it printed, so the CLI, benches, and tests share one code
-//! path. See DESIGN.md for the experiment index.
+//! [`Table`]s it printed, so the CLI and the tests share one code path.
+//! See DESIGN.md for the experiment index.
 
 use std::time::Duration;
 

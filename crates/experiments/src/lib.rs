@@ -8,7 +8,7 @@
 //! simulations, prints the series/rows the paper reports, and writes CSV
 //! under `results/`; [`chaos`], [`compare`], [`scale`] and [`app`] drive
 //! the same phases under fault scenarios. The `gocast-experiments` binary
-//! exposes them as subcommands; the Criterion benches call the same
+//! exposes them as subcommands, and the integration tests call the same
 //! functions at reduced scale.
 //!
 //! ```no_run

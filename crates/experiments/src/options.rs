@@ -1,4 +1,4 @@
-//! Experiment options shared by the CLI and the benchmark harness.
+//! Experiment options shared by the CLI, the library and the tests.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -162,7 +162,7 @@ impl Default for ExpOptions {
 
 impl ExpOptions {
     /// A reduced-scale preset that exercises every code path in seconds —
-    /// used by `--quick`, the benches, and the integration tests. The
+    /// used by `--quick` and the integration tests. The
     /// *shape* of the results (who wins, roughly by how much) already
     /// shows at this scale; absolute numbers belong to the full runs.
     pub fn quick() -> Self {

@@ -46,13 +46,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use gocast::{bootstrap_random_graph, GoCastConfig, GoCastEvent, GoCastMsg, GoCastNode};
-use gocast_analysis::{Cdf, DeliveryTracker, InvariantOracle, MetricsRecorder, WindowRatio};
+use gocast_analysis::{Cdf, InvariantOracle, MetricsRecorder, WindowRatio};
 use gocast_metrics::{RunManifest, Snapshot};
 use gocast_net::{synthetic_king, OnDemandKing, SiteLatencyMatrix, SyntheticKingConfig};
 use gocast_sim::{
-    Engine, KernelStats, Lanes, LatencyModel, Mode, NodeId, NullRecorder, OneLane,
-    PresenceTimeline, Protocol, Recorder, Scenario, ScenarioEnv, ScenarioPlan, ShardedSimBuilder,
-    SimBuilder, SimTime, Stack, TraceRecorder,
+    Engine, KernelStats, Lanes, LatencyModel, Mode, NodeId, OneLane, PresenceTimeline, Protocol,
+    Recorder, Scenario, ScenarioEnv, ScenarioPlan, ShardedSimBuilder, SimBuilder, SimTime, Stack,
+    TraceRecorder,
 };
 use gocast_testnet::Testnet;
 use rand::rngs::SmallRng;
@@ -135,35 +135,30 @@ impl MetricsStream {
     }
 }
 
-/// The recorder every run installs: the aggregating [`MetricsRecorder`]
-/// (whose [`DeliveryTracker`] is the run's one delivery ledger) always, a
-/// JSONL causal-trace sink under `--trace-out`, the snapshot stream under
-/// `--metrics-out`, the invariant oracle for audited runs, and a typed
-/// slot `X` for what the configuration adds (orphan spells for chaos,
-/// convergence and per-topic counters for the application tier), fed the
-/// same event stream.
+/// The recorder every run installs: the run's one counting recorder, the
+/// [`MetricsRecorder`] ledger (deliveries, link churn, orphan spells and
+/// the application tier), always; a JSONL causal-trace sink under
+/// `--trace-out`, the snapshot stream under `--metrics-out`, and the
+/// invariant oracle for audited runs, fed the same event stream.
 #[derive(Debug)]
-pub struct RunRecorder<X = NullRecorder> {
-    /// The delivery ledger plus link churn.
+pub struct RunRecorder {
+    /// The run's ledger.
     pub metrics: MetricsRecorder,
     trace: Option<JsonlSink>,
     stream: Option<MetricsStream>,
     /// `None`: the run is not audited.
     audit: Option<InvariantOracle>,
-    /// The configuration's extension slot.
-    pub ext: X,
 }
 
-impl<X: Recorder<GoCastEvent>> RunRecorder<X> {
+impl RunRecorder {
     /// A recorder with no JSONL sinks (wire replays, which feed it a
     /// captured trace).
-    pub fn detached(oracle: Option<InvariantOracle>, ext: X) -> Self {
+    pub fn detached(oracle: Option<InvariantOracle>) -> Self {
         RunRecorder {
             metrics: MetricsRecorder::new(),
             trace: None,
             stream: None,
             audit: oracle,
-            ext,
         }
     }
 
@@ -173,7 +168,6 @@ impl<X: Recorder<GoCastEvent>> RunRecorder<X> {
         opts: &ExpOptions,
         manifest: &RunManifest,
         oracle: Option<InvariantOracle>,
-        ext: X,
     ) -> Self {
         let trace = opts.trace_out.as_ref().and_then(|base| {
             let sink = open_numbered(base, &TRACE_RUN, "tracing", manifest)?;
@@ -188,12 +182,12 @@ impl<X: Recorder<GoCastEvent>> RunRecorder<X> {
         RunRecorder {
             trace,
             stream: MetricsStream::open(opts, manifest),
-            ..Self::detached(oracle, ext)
+            ..Self::detached(oracle)
         }
     }
 }
 
-impl<X: Recorder<GoCastEvent>> Recorder<GoCastEvent> for RunRecorder<X> {
+impl Recorder<GoCastEvent> for RunRecorder {
     fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
         if let Some(trace) = &mut self.trace {
             trace.record(now, node, event.clone());
@@ -201,7 +195,6 @@ impl<X: Recorder<GoCastEvent>> Recorder<GoCastEvent> for RunRecorder<X> {
         if let Some(oracle) = &mut self.audit {
             oracle.record(now, node, event.clone());
         }
-        self.ext.record(now, node, event.clone());
         self.metrics.record(now, node, event);
     }
 }
@@ -236,14 +229,14 @@ pub struct RunCore {
 impl RunCore {
     /// Closes the oracle and distils the core from a finished recorder;
     /// `metrics` arrives holding the host's (kernel or fabric) entries.
-    pub fn distil<X: Recorder<GoCastEvent>>(
-        rec: &mut RunRecorder<X>,
+    pub fn distil(
+        rec: &mut RunRecorder,
         injected: u64,
         plan_len: usize,
         kernel: KernelStats,
         mut metrics: Snapshot,
     ) -> RunCore {
-        proto_snapshot_into(rec.metrics.delivery(), &mut metrics);
+        ledger_snapshot_into(&rec.metrics, &mut metrics);
         let mut core = RunCore {
             injected,
             plan_len,
@@ -427,35 +420,75 @@ where
     }
 }
 
-/// Appends the ledger's per-message counts to `snap` under the stable
-/// `proto_*` names, the same on every kernel and on the wire.
-fn proto_snapshot_into(ledger: &DeliveryTracker, snap: &mut Snapshot) {
-    snap.record_counter("proto_injected", ledger.injected());
-    snap.record_counter("proto_deliveries", ledger.delivered());
-    snap.record_counter("proto_pushes", ledger.pushes());
-    snap.record_counter("proto_ihaves", ledger.ihaves());
-    snap.record_counter("proto_pull_requests", ledger.pulls());
-    snap.record_counter("proto_pulls_served", ledger.pulls_served());
-    snap.record_counter("proto_redundant_drops", ledger.redundant());
+/// The labelled topics' `(deliveries, bytes)` counter names. Topic ids
+/// are popularity ranks under the Zipf subscription model, so these are
+/// the most popular topics; every other topic folds into
+/// `app_topic_other_*`, keeping a snapshot O(1) however many topics a run
+/// hosts.
+const APP_TOPIC_NAMES: [(&str, &str); 8] = [
+    ("app_topic0_deliveries", "app_topic0_bytes"),
+    ("app_topic1_deliveries", "app_topic1_bytes"),
+    ("app_topic2_deliveries", "app_topic2_bytes"),
+    ("app_topic3_deliveries", "app_topic3_bytes"),
+    ("app_topic4_deliveries", "app_topic4_bytes"),
+    ("app_topic5_deliveries", "app_topic5_bytes"),
+    ("app_topic6_deliveries", "app_topic6_bytes"),
+    ("app_topic7_deliveries", "app_topic7_bytes"),
+];
+
+/// Appends the ledger's counts to `snap` under stable names, the same on
+/// every kernel and on the wire: the per-message `proto_*` counts, then —
+/// once the application tier delivered a topic payload or published a
+/// mutation — the `app_*` counts (labelled topics with deliveries, the
+/// aggregate bucket, totals, mutations and subscription changes).
+fn ledger_snapshot_into(ledger: &MetricsRecorder, snap: &mut Snapshot) {
+    let d = ledger.delivery();
+    snap.record_counter("proto_injected", d.injected());
+    snap.record_counter("proto_deliveries", d.delivered());
+    snap.record_counter("proto_pushes", d.pushes());
+    snap.record_counter("proto_ihaves", d.ihaves());
+    snap.record_counter("proto_pull_requests", d.pulls());
+    snap.record_counter("proto_pulls_served", d.pulls_served());
+    snap.record_counter("proto_redundant_drops", d.redundant());
+    let app = ledger.app().report();
+    if app.topic_deliveries == 0 && app.mutations == 0 {
+        return;
+    }
+    let mut other = (0, 0);
+    for (topic, deliveries, bytes) in ledger.app().per_topic() {
+        match APP_TOPIC_NAMES.get(topic as usize) {
+            Some(&(d_name, b_name)) => {
+                snap.record_counter(d_name, deliveries);
+                snap.record_counter(b_name, bytes);
+            }
+            None => other = (other.0 + deliveries, other.1 + bytes),
+        }
+    }
+    snap.record_counter("app_topic_other_deliveries", other.0);
+    snap.record_counter("app_topic_other_bytes", other.1);
+    snap.record_counter("app_deliveries_total", app.topic_deliveries);
+    snap.record_counter("app_bytes_total", app.delivered_bytes);
+    snap.record_counter("app_deltas_published", app.mutations);
+    snap.record_counter("app_deltas_applied", app.applies);
+    snap.record_counter("app_subscribes", app.subscribes);
+    snap.record_counter("app_unsubscribes", app.unsubscribes);
 }
 
 /// The wire host's audit phase: replays the fabric's captured event trace
-/// into a detached [`RunRecorder`] (the delivery ledger, the invariant
-/// oracle for `proto`, and `ext`) and distils the run's core over the
-/// fabric's metrics. Returns the recorder for what the caller reads next.
-pub fn audit_wire<N, X>(
+/// into a detached [`RunRecorder`] (the ledger and the invariant oracle
+/// for `proto`) and distils the run's core over the fabric's metrics.
+/// Returns the recorder for what the caller reads next.
+pub fn audit_wire<N>(
     net: &Testnet<N>,
     proto: &GoCastConfig,
-    ext: X,
     injected: u64,
     plan_len: usize,
-) -> (RunCore, RunRecorder<X>)
+) -> (RunCore, RunRecorder)
 where
     N: Stack<Msg = GoCastMsg, Event = GoCastEvent>,
     N::Command: Clone,
-    X: Recorder<GoCastEvent>,
 {
-    let mut rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)), ext);
+    let mut rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)));
     for (t, n, ev) in net.trace() {
         rec.record(*t, *n, ev.clone());
     }
@@ -470,39 +503,37 @@ where
 }
 
 /// One combined snapshot of everything the simulation knows: kernel
-/// counters/telemetry plus the ledger's `proto_*` counts.
-pub fn combined_snapshot<S, X, M>(sim: &Engine<S, RunRecorder<X>, M>) -> Snapshot
+/// counters/telemetry plus the ledger's `proto_*` and `app_*` counts.
+pub fn combined_snapshot<S, M>(sim: &Engine<S, RunRecorder, M>) -> Snapshot
 where
     S: Stack<Event = GoCastEvent>,
-    X: Recorder<GoCastEvent>,
     M: Mode,
 {
     let mut snap = sim.metrics_snapshot();
-    proto_snapshot_into(sim.recorder().metrics.delivery(), &mut snap);
+    ledger_snapshot_into(&sim.recorder().metrics, &mut snap);
     snap
 }
 
 /// One simulation moving through the pipeline's phases.
 #[derive(Debug)]
-pub struct Run<S, X, M>
+pub struct Run<S, M>
 where
     S: Stack<Event = GoCastEvent>,
-    X: Recorder<GoCastEvent>,
     M: Mode,
 {
     /// The simulation (configurations read nodes, statistics and the
     /// recorder through it).
-    pub sim: Engine<S, RunRecorder<X>, M>,
+    pub sim: Engine<S, RunRecorder, M>,
 }
 
-impl<S: Stack<Event = GoCastEvent>, X: Recorder<GoCastEvent>> Run<S, X, OneLane> {
+impl<S: Stack<Event = GoCastEvent>> Run<S, OneLane> {
     /// Builds the run on the one-lane kernel. `pair_counts` turns on
     /// per-endpoint-pair traffic counting (link stress).
     pub fn serial(
         opts: &ExpOptions,
         net: impl LatencyModel + 'static,
         pair_counts: bool,
-        recorder: RunRecorder<X>,
+        recorder: RunRecorder,
         make: impl FnMut(NodeId) -> S,
     ) -> Self {
         let mut builder = SimBuilder::new(net).seed(opts.seed);
@@ -513,13 +544,13 @@ impl<S: Stack<Event = GoCastEvent>, X: Recorder<GoCastEvent>> Run<S, X, OneLane>
     }
 }
 
-impl<S: Stack<Event = GoCastEvent>, X: Recorder<GoCastEvent>> Run<S, X, Lanes> {
+impl<S: Stack<Event = GoCastEvent>> Run<S, Lanes> {
     /// Builds the run on the lane kernel: 64 lanes spread over
     /// `opts.sim_shards` worker threads.
     pub fn sharded(
         opts: &ExpOptions,
         net: impl LatencyModel + Send + Sync + 'static,
-        recorder: RunRecorder<X>,
+        recorder: RunRecorder,
         make: impl FnMut(NodeId) -> S,
     ) -> Self {
         let builder = ShardedSimBuilder::new(net)
@@ -529,10 +560,10 @@ impl<S: Stack<Event = GoCastEvent>, X: Recorder<GoCastEvent>> Run<S, X, Lanes> {
     }
 }
 
-impl<S: Stack<Event = GoCastEvent>, X: Recorder<GoCastEvent>, M: Mode> Run<S, X, M> {
+impl<S: Stack<Event = GoCastEvent>, M: Mode> Run<S, M> {
     /// Wraps a built simulation; a `--metrics-out` stream also reports
     /// the kernel's deep telemetry, so that is turned on with it.
-    fn over(opts: &ExpOptions, mut sim: Engine<S, RunRecorder<X>, M>) -> Self {
+    fn over(opts: &ExpOptions, mut sim: Engine<S, RunRecorder, M>) -> Self {
         if opts.metrics_out.is_some() {
             sim.enable_telemetry();
         }
@@ -540,12 +571,11 @@ impl<S: Stack<Event = GoCastEvent>, X: Recorder<GoCastEvent>, M: Mode> Run<S, X,
     }
 }
 
-impl<S, X, M> Run<S, X, M>
+impl<S, M> Run<S, M>
 where
     S: Stack<Event = GoCastEvent>,
-    X: Recorder<GoCastEvent>,
     M: Mode,
-    Engine<S, RunRecorder<X>, M>: Advance,
+    Engine<S, RunRecorder, M>: Advance,
 {
     /// Warm-up: adapts the overlay for `d` of simulated time, unobserved.
     pub fn warm(&mut self, d: Duration) {
@@ -606,7 +636,7 @@ where
     pub fn step_to(
         &mut self,
         t: SimTime,
-        observe: &mut impl FnMut(&Engine<S, RunRecorder<X>, M>, SimTime),
+        observe: &mut impl FnMut(&Engine<S, RunRecorder, M>, SimTime),
     ) {
         self.sim.advance(t);
         if self.sim.recorder().stream.is_some() {
@@ -624,7 +654,7 @@ where
         &mut self,
         until: SimTime,
         every: Duration,
-        mut observe: impl FnMut(&Engine<S, RunRecorder<X>, M>, SimTime),
+        mut observe: impl FnMut(&Engine<S, RunRecorder, M>, SimTime),
     ) {
         let mut t = self.sim.now();
         while t < until {
@@ -690,12 +720,16 @@ where
         (avg, incomplete, live.len())
     }
 
-    /// Closes the oracle, distils the run's [`RunCore`] and reports the
-    /// kernel counters on stderr — every run prints its event throughput.
+    /// Closes the orphan spells still open and the oracle, distils the
+    /// run's [`RunCore`] and reports the kernel counters on stderr — every
+    /// run prints its event throughput.
     pub fn finish(&mut self, injected: u64, plan_len: usize) -> RunCore {
         let (kernel, metrics) = (self.sim.kernel_stats(), self.sim.metrics_snapshot());
         log_kernel(&kernel);
-        RunCore::distil(self.sim.recorder_mut(), injected, plan_len, kernel, metrics)
+        let now = self.sim.now();
+        let rec = self.sim.recorder_mut();
+        rec.metrics.finish(now);
+        RunCore::distil(rec, injected, plan_len, kernel, metrics)
     }
 }
 
@@ -714,6 +748,77 @@ fn failure_set(opts: &ExpOptions, fail_frac: f64) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ledger_snapshot(ledger: &MetricsRecorder) -> String {
+        let mut snap = Snapshot::new();
+        ledger_snapshot_into(ledger, &mut snap);
+        let mut out = String::new();
+        snap.write_json_fields(&mut out, true);
+        out
+    }
+
+    #[test]
+    fn app_metrics_bound_cardinality_at_top_k() {
+        let mut ledger = MetricsRecorder::new();
+        let (t, n) = (SimTime::ZERO, NodeId::new(1));
+        for topic in 0..1000u32 {
+            let id = gocast::MsgId::new(NodeId::new(0), topic);
+            let bytes = 10;
+            ledger.record(t, n, GoCastEvent::TopicDelivered { topic, id, bytes });
+        }
+        ledger.record(
+            t,
+            n,
+            GoCastEvent::DeltaPublished {
+                topic: 0,
+                counter: 1,
+            },
+        );
+        for k in 2..5 {
+            let applied = GoCastEvent::DeltaApplied {
+                topic: 0,
+                origin: n,
+                counter: 1,
+            };
+            ledger.record(t, NodeId::new(k), applied);
+        }
+        let out = ledger_snapshot(&ledger);
+        // 7 proto_* entries, 2 per labelled topic and 8 aggregates —
+        // independent of the 1000 topics observed.
+        assert_eq!(out.matches(':').count(), 7 + 2 * APP_TOPIC_NAMES.len() + 8);
+        let other = 1000 - APP_TOPIC_NAMES.len();
+        for field in [
+            "\"app_topic0_bytes\":10".to_string(),
+            format!("\"app_topic_other_deliveries\":{other}"),
+            "\"app_deliveries_total\":1000".to_string(),
+            "\"app_bytes_total\":10000".to_string(),
+            "\"app_deltas_published\":1".to_string(),
+            "\"app_deltas_applied\":3".to_string(),
+        ] {
+            assert!(out.contains(&field), "{field} missing from {out}");
+        }
+    }
+
+    #[test]
+    fn app_metrics_stay_silent_with_no_activity() {
+        let mut ledger = MetricsRecorder::new();
+        let n = NodeId::new(0);
+        ledger.record(SimTime::ZERO, n, GoCastEvent::TopicSubscribed { topic: 3 });
+        assert!(!ledger_snapshot(&ledger).contains("app_"));
+        // A published mutation is topic activity, even before any delivery.
+        ledger.record(
+            SimTime::ZERO,
+            n,
+            GoCastEvent::DeltaPublished {
+                topic: 3,
+                counter: 1,
+            },
+        );
+        let out = ledger_snapshot(&ledger);
+        assert!(out.contains("\"app_deltas_published\":1,"), "{out}");
+        assert!(out.contains("\"app_subscribes\":1,"), "{out}");
+        assert!(!out.contains("app_topic3"), "{out}");
+    }
 
     #[test]
     fn failure_set_is_deterministic_and_sized() {

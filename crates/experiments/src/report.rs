@@ -2,7 +2,7 @@
 //! experiment uses, and table rendering for metrics snapshots.
 //!
 
-use gocast_metrics::{HistogramSnapshot, MetricValue, Snapshot};
+use gocast_metrics::{MetricValue, Snapshot};
 use gocast_sim::KernelStats;
 
 use gocast_analysis::Table;
@@ -51,25 +51,6 @@ pub fn kernel_digest(kernel: &KernelStats) -> String {
         kernel.commands,
         kernel.control_events,
     )
-}
-
-/// Upper bound of the smallest bucket prefix covering quantile `q` of a
-/// snapshotted log₂ histogram (0 when empty).
-fn quantile_upper_bound(h: &HistogramSnapshot, q: f64) -> u64 {
-    if h.count == 0 {
-        return 0;
-    }
-    let target = (q * h.count as f64).ceil() as u64;
-    let mut seen = 0u64;
-    for &(i, c) in &h.buckets {
-        seen += c;
-        if seen >= target {
-            // Bucket 0 holds exact zeros; bucket i >= 1 covers
-            // [2^(i-1), 2^i).
-            return if i == 0 { 0 } else { 1u64 << i };
-        }
-    }
-    h.max
 }
 
 /// Splits a metric name into its subsystem prefix (`kernel`, `proto`,
@@ -128,7 +109,7 @@ pub fn snapshot_tables(snap: &Snapshot) -> Vec<(String, Table)> {
                     &h.count.to_string(),
                     "-",
                     &mean,
-                    &quantile_upper_bound(h, 0.99).to_string(),
+                    &h.quantile_upper_bound(0.99).to_string(),
                     &h.max.to_string(),
                 ]);
             }
@@ -178,21 +159,18 @@ mod tests {
 
     #[test]
     fn quantile_bound_reads_buckets() {
+        // The p99 column is the live histogram's log₂ bound: 99 × 1 plus
+        // one 1000 puts p99 in bucket [1, 2), capped at 1.
         let mut h = Log2Histogram::new();
         for _ in 0..99 {
             h.observe(1);
         }
         h.observe(1000);
-        let snap = {
-            let mut s = Snapshot::new();
-            s.record_histogram("x", &h);
-            s
-        };
-        let MetricValue::Histogram(hs) = &snap.entries()[0].value else {
-            panic!("not a histogram");
-        };
-        assert_eq!(quantile_upper_bound(hs, 0.5), 2);
-        assert_eq!(quantile_upper_bound(hs, 1.0), 1024);
-        assert_eq!(quantile_upper_bound(hs, 0.99), 2);
+        let mut snap = Snapshot::new();
+        snap.record_histogram("proto_x", &h);
+        let table = snapshot_tables(&snap)[0].1.to_string();
+        let row = table.lines().last().expect("one row");
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells, ["proto_x", "hist", "100", "-", "11.0", "1", "1000"]);
     }
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 use gocast::{snapshot, GoCastConfig, GoCastEvent, GoCastNode, LinkKind, Snapshot};
 use gocast_analysis::{Cdf, DelayHistogram, Histogram};
 use gocast_baselines::{PushGossipConfig, PushGossipNode};
-use gocast_sim::{KernelStats, LatencyModel, NodeId, NullRecorder, OneLane, SimTime, Stack};
+use gocast_sim::{KernelStats, LatencyModel, NodeId, OneLane, SimTime, Stack};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,7 +73,7 @@ impl Deref for DelayStats {
 }
 
 /// An unaudited run on the one-lane kernel.
-pub(crate) type PlainRun<S> = Run<S, NullRecorder, OneLane>;
+pub(crate) type PlainRun<S> = Run<S, OneLane>;
 
 /// Builds the unaudited one-lane run the figure experiments use, over
 /// `net`, honoring `--trace-out`/`--metrics-out`.
@@ -83,7 +83,7 @@ pub(crate) fn plain_run<S: Stack<Event = GoCastEvent>>(
     pair_counts: bool,
     make: impl FnMut(NodeId) -> S,
 ) -> PlainRun<S> {
-    let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), None, NullRecorder);
+    let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), None);
     Run::serial(opts, net, pair_counts, recorder, make)
 }
 

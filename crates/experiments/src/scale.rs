@@ -27,7 +27,7 @@ use std::ops::Deref;
 
 use gocast::GoCastNode;
 use gocast_analysis::{Cdf, InvariantOracle, Table};
-use gocast_sim::{Lanes, NullRecorder, Scenario};
+use gocast_sim::{Lanes, Scenario};
 
 use crate::chaos::resolve_scenario;
 use crate::options::ExpOptions;
@@ -156,9 +156,8 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
         opts,
         &opts.manifest(scenario.map(|(label, _)| label)),
         Some(InvariantOracle::for_protocol(&cfg)),
-        NullRecorder,
     );
-    let mut run: Run<GoCastNode, NullRecorder, Lanes> =
+    let mut run: Run<GoCastNode, Lanes> =
         Run::sharded(opts, net, recorder, gocast_nodes(opts, &cfg));
     run.warm(opts.warmup);
     if let Some(plan) = &plan {

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use gocast::GoCastCommand;
 use gocast_analysis::{DeliveryTracker, InvariantOracle, MetricsRecorder};
 use gocast_metrics::MetricValue;
-use gocast_sim::{HashedLatency, NodeId, NullRecorder, ScenarioPlan, SimTime};
+use gocast_sim::{HashedLatency, NodeId, ScenarioPlan, SimTime};
 use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
 
 use crate::chaos::resolve_scenario;
@@ -285,7 +285,7 @@ pub fn conform(opts: &ExpOptions, plan: &ScenarioPlan) -> io::Result<Conformance
         Duration::from_micros(900),
         opts.seed,
     );
-    let rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)), NullRecorder);
+    let rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)));
     let mut run = Run::serial(opts, latency, false, rec, gocast_nodes(opts, proto));
     run.schedule(plan);
     multicasts(opts, |at, n, cmd| run.sim.schedule_command(at, n, cmd));
@@ -305,7 +305,7 @@ pub fn conform(opts: &ExpOptions, plan: &ScenarioPlan) -> io::Result<Conformance
     let started = Instant::now();
     net.run_for(Duration::from_nanos(end.as_nanos()));
     let elapsed = started.elapsed();
-    let (core, rec) = audit_wire(&net, proto, NullRecorder, injected, plan.len());
+    let (core, rec) = audit_wire(&net, proto, injected, plan.len());
     let wire = Side {
         core,
         metrics: rec.metrics,

@@ -28,7 +28,7 @@ use gocast_experiments::pipeline::{
 };
 use gocast_experiments::scale::run_scale_delivery;
 use gocast_experiments::ExpOptions;
-use gocast_sim::{Lanes, NullRecorder};
+use gocast_sim::Lanes;
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
@@ -153,9 +153,8 @@ fn two_thousand_node_scale_run_stays_bounded() {
         &opts,
         &opts.manifest(None),
         Some(InvariantOracle::for_protocol(&cfg)),
-        NullRecorder,
     );
-    let mut run: Run<GoCastNode, NullRecorder, Lanes> = Run::sharded(
+    let mut run: Run<GoCastNode, Lanes> = Run::sharded(
         &opts,
         scale_network(&opts),
         recorder,

@@ -246,22 +246,11 @@ impl Log2Histogram {
     }
 
     /// Upper bound of the bucket containing quantile `q` (`0.0..=1.0`) —
-    /// a conservative streaming quantile at power-of-two resolution.
-    /// Returns 0 when empty.
+    /// a conservative streaming quantile at power-of-two resolution, the
+    /// same number [`HistogramSnapshot::quantile_upper_bound`] reads off a
+    /// copy. Returns 0 when empty.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if c > 0 && seen >= target.max(1) {
-                let (_, hi) = Self::bucket_bounds(i);
-                return hi.saturating_sub(1).min(self.max);
-            }
-        }
-        self.max
+        quantile_upper_bound(self.nonzero_buckets(), self.count, self.max, q)
     }
 
     /// Merges another histogram into this one.
@@ -277,132 +266,6 @@ impl Log2Histogram {
     }
 }
 
-/// Topics granted an individual label in [`TopicMetrics`] snapshots;
-/// everything above this rank aggregates into the `app_topic_other_*`
-/// bucket. Topic ids are popularity ranks under the Zipf subscription
-/// model, so the labelled topics are exactly the most popular ones.
-pub const TOPIC_TOP_K: usize = 8;
-
-const TOPIC_DELIVERY_NAMES: [&str; TOPIC_TOP_K] = [
-    "app_topic0_deliveries",
-    "app_topic1_deliveries",
-    "app_topic2_deliveries",
-    "app_topic3_deliveries",
-    "app_topic4_deliveries",
-    "app_topic5_deliveries",
-    "app_topic6_deliveries",
-    "app_topic7_deliveries",
-];
-
-const TOPIC_BYTE_NAMES: [&str; TOPIC_TOP_K] = [
-    "app_topic0_bytes",
-    "app_topic1_bytes",
-    "app_topic2_bytes",
-    "app_topic3_bytes",
-    "app_topic4_bytes",
-    "app_topic5_bytes",
-    "app_topic6_bytes",
-    "app_topic7_bytes",
-];
-
-/// Application-tier per-topic counters with bounded cardinality: the
-/// [`TOPIC_TOP_K`] most popular topics get individual labels, every other
-/// topic folds into one aggregate bucket, so snapshot size stays O(1)
-/// however many topics a run hosts.
-///
-/// ```
-/// use gocast_metrics::{Snapshot, TopicMetrics};
-///
-/// let mut t = TopicMetrics::default();
-/// t.observe_delivery(0, 512);
-/// t.observe_delivery(1000, 64); // beyond top-K: aggregate bucket
-/// let mut s = Snapshot::new();
-/// t.snapshot_into(&mut s);
-/// let mut out = String::new();
-/// s.write_json_fields(&mut out, true);
-/// assert!(out.contains("\"app_topic0_bytes\":512"));
-/// assert!(out.contains("\"app_topic_other_bytes\":64"));
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TopicMetrics {
-    deliveries: [Counter; TOPIC_TOP_K],
-    bytes: [Counter; TOPIC_TOP_K],
-    other_deliveries: Counter,
-    other_bytes: Counter,
-    /// CRDT mutations published (origin side).
-    pub deltas_published: Counter,
-    /// CRDT mutations applied to remote replicas.
-    pub deltas_applied: Counter,
-    /// Runtime topic subscribes.
-    pub subscribes: Counter,
-    /// Runtime topic unsubscribes.
-    pub unsubscribes: Counter,
-}
-
-impl TopicMetrics {
-    /// Records one topic payload delivery of `bytes` bytes.
-    #[inline]
-    pub fn observe_delivery(&mut self, topic: u32, bytes: u32) {
-        match self.deliveries.get_mut(topic as usize) {
-            Some(c) => {
-                c.inc();
-                self.bytes[topic as usize].add(bytes as u64);
-            }
-            None => {
-                self.other_deliveries.inc();
-                self.other_bytes.add(bytes as u64);
-            }
-        }
-    }
-
-    /// Topic payload deliveries across every topic.
-    pub fn deliveries_total(&self) -> u64 {
-        self.deliveries.iter().map(|c| c.get()).sum::<u64>() + self.other_deliveries.get()
-    }
-
-    /// Delivered topic payload bytes across every topic.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes.iter().map(|c| c.get()).sum::<u64>() + self.other_bytes.get()
-    }
-
-    /// Appends per-topic and aggregate counters to `snap` under stable
-    /// `app_*` names. Zero-valued labelled topics are skipped to keep
-    /// tables compact; the aggregate bucket and CRDT counters always
-    /// appear once any topic activity was observed.
-    pub fn snapshot_into(&self, snap: &mut Snapshot) {
-        for i in 0..TOPIC_TOP_K {
-            if self.deliveries[i].get() > 0 {
-                snap.record_counter(TOPIC_DELIVERY_NAMES[i], self.deliveries[i].get());
-                snap.record_counter(TOPIC_BYTE_NAMES[i], self.bytes[i].get());
-            }
-        }
-        if self.deliveries_total() > 0 || self.deltas_published.get() > 0 {
-            snap.record_counter("app_topic_other_deliveries", self.other_deliveries.get());
-            snap.record_counter("app_topic_other_bytes", self.other_bytes.get());
-            snap.record_counter("app_deliveries_total", self.deliveries_total());
-            snap.record_counter("app_bytes_total", self.bytes_total());
-            snap.record_counter("app_deltas_published", self.deltas_published.get());
-            snap.record_counter("app_deltas_applied", self.deltas_applied.get());
-            snap.record_counter("app_subscribes", self.subscribes.get());
-            snap.record_counter("app_unsubscribes", self.unsubscribes.get());
-        }
-    }
-
-    /// Adds another instance's counts into this one.
-    pub fn merge(&mut self, other: &TopicMetrics) {
-        for i in 0..TOPIC_TOP_K {
-            self.deliveries[i].add(other.deliveries[i].get());
-            self.bytes[i].add(other.bytes[i].get());
-        }
-        self.other_deliveries.add(other.other_deliveries.get());
-        self.other_bytes.add(other.other_bytes.get());
-        self.deltas_published.add(other.deltas_published.get());
-        self.deltas_applied.add(other.deltas_applied.get());
-        self.subscribes.add(other.subscribes.get());
-        self.unsubscribes.add(other.unsubscribes.get());
-    }
-}
-
 /// A point-in-time copy of a histogram, detached from its fixed buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -414,6 +277,39 @@ pub struct HistogramSnapshot {
     pub max: u64,
     /// `(bucket index, count)` for non-empty buckets, ascending.
     pub buckets: Vec<(u32, u64)>,
+}
+
+impl HistogramSnapshot {
+    /// Upper bound of the bucket containing quantile `q` (`0.0..=1.0`),
+    /// capped at the largest value — [`Log2Histogram::quantile_upper_bound`]
+    /// of the histogram this copies. Returns 0 when empty.
+    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
+        let buckets = self.buckets.iter().map(|&(i, c)| (i as usize, c));
+        quantile_upper_bound(buckets, self.count, self.max, q)
+    }
+}
+
+/// The one log₂ quantile: walks non-empty `(bucket, count)` pairs in
+/// ascending order to the first that covers `q` of `count` values.
+fn quantile_upper_bound(
+    buckets: impl Iterator<Item = (usize, u64)>,
+    count: u64,
+    max: u64,
+    q: f64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, c) in buckets {
+        seen += c;
+        if seen >= target {
+            let (_, hi) = Log2Histogram::bucket_bounds(i);
+            return hi.saturating_sub(1).min(max);
+        }
+    }
+    max
 }
 
 /// One snapshotted metric value.
@@ -685,39 +581,42 @@ mod tests {
     }
 
     #[test]
-    fn topic_metrics_bound_cardinality_at_top_k() {
-        let mut t = TopicMetrics::default();
-        for topic in 0..1000u32 {
-            t.observe_delivery(topic, 10);
+    fn snapshot_quantile_equals_the_live_histograms() {
+        // 99 × 1 plus one 1000: p99 falls in bucket [1, 2) on both views.
+        let mut h = Log2Histogram::new();
+        for _ in 0..99 {
+            h.observe(1);
         }
-        t.deltas_published.inc();
-        t.deltas_applied.add(3);
-        assert_eq!(t.deliveries_total(), 1000);
-        assert_eq!(t.bytes_total(), 10_000);
-        let mut s = Snapshot::new();
-        t.snapshot_into(&mut s);
-        // 2 entries per labelled topic + 8 fixed aggregates — independent
-        // of the 1000 topics observed.
-        assert_eq!(s.entries().len(), 2 * TOPIC_TOP_K + 8);
-        let mut out = String::new();
-        s.write_json_fields(&mut out, true);
-        assert!(out.contains(&format!(
-            "\"app_topic_other_deliveries\":{}",
-            1000 - TOPIC_TOP_K
-        )));
-        assert!(out.contains("\"app_deltas_applied\":3"));
-
-        let mut merged = TopicMetrics::default();
-        merged.merge(&t);
-        merged.merge(&t);
-        assert_eq!(merged.deliveries_total(), 2000);
-        assert_eq!(merged.deltas_published.get(), 2);
-    }
-
-    #[test]
-    fn topic_metrics_stay_silent_with_no_activity() {
-        let mut s = Snapshot::new();
-        TopicMetrics::default().snapshot_into(&mut s);
-        assert!(s.entries().is_empty());
+        h.observe(1000);
+        let copy = |h: &Log2Histogram| {
+            let mut s = Snapshot::new();
+            s.record_histogram("x", h);
+            match &s.entries()[0].value {
+                MetricValue::Histogram(hs) => hs.clone(),
+                other => panic!("not a histogram: {other:?}"),
+            }
+        };
+        assert_eq!(copy(&h).quantile_upper_bound(0.99), 1);
+        assert_eq!(copy(&h).quantile_upper_bound(1.0), 1000);
+        // Random observations (xorshift, magnitudes spread over 40 bits).
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..50 {
+            let mut h = Log2Histogram::new();
+            for _ in 0..=round * 7 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                h.observe(x >> (24 + x % 40));
+            }
+            let snap = copy(&h);
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(
+                    snap.quantile_upper_bound(q),
+                    h.quantile_upper_bound(q),
+                    "q={q} round={round}"
+                );
+            }
+        }
+        assert_eq!(copy(&Log2Histogram::new()).quantile_upper_bound(0.5), 0);
     }
 }

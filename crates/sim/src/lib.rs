@@ -115,7 +115,7 @@ pub use latency::{FixedLatency, HashedLatency, LatencyModel};
 pub use parallel::parallel_map;
 pub use protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
 pub use queue::{EventQueue, Scheduled};
-pub use recorder::{FilterRecorder, FnRecorder, NullRecorder, Recorder, TeeRecorder, VecRecorder};
+pub use recorder::{FnRecorder, NullRecorder, Recorder, VecRecorder};
 pub use scenario::{
     Fault, PlannedFault, PlannedSub, PresenceTimeline, Scenario, ScenarioEnv, ScenarioPlan, Split,
 };

@@ -7,52 +7,29 @@
 //!
 //! # Composing recorders
 //!
-//! Recorders are values, and they compose like iterator adapters:
-//!
-//! - [`Recorder::tee`] / [`TeeRecorder`] fan one event stream out to two
-//!   consumers (events are cloned once per extra consumer);
-//! - tuples `(A, B)` of recorders are themselves recorders, for ad-hoc
-//!   fan-out without naming a type;
-//! - [`Recorder::filter`] / [`FilterRecorder`] keep only the events a
-//!   predicate selects, so a downstream aggregator sees a pre-narrowed
-//!   stream;
-//! - [`FnRecorder`] lifts any closure into a recorder.
+//! A tuple `(A, B)` of recorders is itself a recorder that fans each
+//! event out to both (cloned once), and [`FnRecorder`] lifts any closure
+//! into a recorder:
 //!
 //! ```
 //! use gocast_sim::{FnRecorder, NodeId, Recorder, SimTime, VecRecorder};
 //!
 //! let mut count = 0u32;
 //! {
-//!     // Keep even events in a buffer AND count every event, in one pass.
-//!     let buffered = VecRecorder::new().filter(|_, _, e: &u32| e % 2 == 0);
-//!     let mut r = buffered.tee(FnRecorder(|_, _, _e: u32| count += 1));
+//!     // Buffer every event AND count them, in one pass.
+//!     let mut r = (VecRecorder::new(), FnRecorder(|_, _, _e: u32| count += 1));
 //!     for v in 0..4u32 {
 //!         r.record(SimTime::ZERO, NodeId::new(0), v);
 //!     }
-//!     assert_eq!(r.first.inner.events.len(), 2); // 0 and 2
+//!     assert_eq!(r.0.events.len(), 4);
 //! }
 //! assert_eq!(count, 4);
 //! ```
 //!
-//! # Migrating from buffer-everything recording
-//!
-//! Early versions of this crate had one idiom: record everything into a
-//! [`VecRecorder`], then post-process `recorder().events` after the run.
-//! That is O(total events) memory — at experiment scale (thousands of
-//! nodes, thousands of messages) the buffer dwarfs the simulation state
-//! itself. The streaming API replaces the pattern without removing
-//! anything; `VecRecorder` remains available and is still the right tool
-//! for small tests that assert on exact event sequences.
-//!
-//! | before (post-hoc) | after (streaming) |
-//! |---|---|
-//! | `build_with(VecRecorder::new(), ..)` then scan `.events` for one variant | `build_with(VecRecorder::new().filter(..), ..)` — buffer only that variant |
-//! | `VecRecorder` + hand-rolled fold over `.events` | `FnRecorder(..)` folding online, or a purpose-built aggregator implementing [`Recorder`] |
-//! | two analysis passes over one buffered run | one aggregator`.tee(`other`)` (or a `(A, B)` tuple) |
-//!
-//! Aggregating recorders for delivery metrics live in `gocast-analysis`
-//! (`DeliveryTracker`, `TimeSeriesRecorder`, `MetricsRecorder`), which
-//! hold O(nodes + windows) state regardless of run length.
+//! A [`VecRecorder`] holds O(total events) — the right tool for small
+//! tests asserting on exact event sequences. Experiment-scale runs fold
+//! online instead: `gocast-analysis`'s `MetricsRecorder` holds
+//! O(nodes + messages + seconds) state regardless of run length.
 
 use crate::id::NodeId;
 use crate::time::SimTime;
@@ -64,31 +41,6 @@ use crate::time::SimTime;
 pub trait Recorder<E> {
     /// Called once per emitted event, in simulation order.
     fn record(&mut self, now: SimTime, node: NodeId, event: E);
-
-    /// Fans events out to `self` and `other`.
-    ///
-    /// Each event is delivered to both recorders (cloned once); `self`
-    /// sees it first.
-    fn tee<R2>(self, other: R2) -> TeeRecorder<Self, R2>
-    where
-        Self: Sized,
-        R2: Recorder<E>,
-        E: Clone,
-    {
-        TeeRecorder {
-            first: self,
-            second: other,
-        }
-    }
-
-    /// Forwards only the events for which `pred` returns `true`.
-    fn filter<F>(self, pred: F) -> FilterRecorder<Self, F>
-    where
-        Self: Sized,
-        F: FnMut(SimTime, NodeId, &E) -> bool,
-    {
-        FilterRecorder { inner: self, pred }
-    }
 }
 
 /// Discards all events. The default recorder.
@@ -102,9 +54,8 @@ impl<E> Recorder<E> for NullRecorder {
 /// Buffers every event in memory.
 ///
 /// O(total events) memory: fine for unit tests asserting on exact event
-/// sequences, wrong for experiment-scale runs — see the
-/// [module docs](self#migrating-from-buffer-everything-recording) for the
-/// streaming alternatives.
+/// sequences, wrong for experiment-scale runs (see the
+/// [module docs](self)).
 ///
 /// ```
 /// use gocast_sim::{NodeId, Recorder, SimTime, VecRecorder};
@@ -149,72 +100,13 @@ impl<E, F: FnMut(SimTime, NodeId, E)> Recorder<E> for FnRecorder<F> {
     }
 }
 
-/// Fans one event stream out to two recorders (see [`Recorder::tee`]).
-///
-/// Both halves are public so aggregates can be read back after the run;
-/// [`TeeRecorder::into_parts`] recovers ownership.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TeeRecorder<A, B> {
-    /// Receives each event first.
-    pub first: A,
-    /// Receives each event second.
-    pub second: B,
-}
-
-impl<A, B> TeeRecorder<A, B> {
-    /// Builds the fan-out explicitly (equivalent to `a.tee(b)`).
-    pub fn new(first: A, second: B) -> Self {
-        TeeRecorder { first, second }
-    }
-
-    /// Consumes the tee, returning both recorders.
-    pub fn into_parts(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<E: Clone, A: Recorder<E>, B: Recorder<E>> Recorder<E> for TeeRecorder<A, B> {
-    fn record(&mut self, now: SimTime, node: NodeId, event: E) {
-        self.first.record(now, node, event.clone());
-        self.second.record(now, node, event);
-    }
-}
-
-/// Ad-hoc fan-out: a tuple of recorders is a recorder.
-///
-/// Equivalent to [`TeeRecorder`] but keeps tuple ergonomics
-/// (`sim.recorder().0`, destructuring via `into_recorder()`).
+/// Fan-out: a tuple of recorders is a recorder. `self.0` sees each event
+/// first; read the halves back as `sim.recorder().0`, or destructure
+/// `into_recorder()`.
 impl<E: Clone, A: Recorder<E>, B: Recorder<E>> Recorder<E> for (A, B) {
     fn record(&mut self, now: SimTime, node: NodeId, event: E) {
         self.0.record(now, node, event.clone());
         self.1.record(now, node, event);
-    }
-}
-
-/// Forwards only events selected by a predicate (see [`Recorder::filter`]).
-#[derive(Debug, Clone, Copy)]
-pub struct FilterRecorder<R, F> {
-    /// The downstream recorder; public so aggregates can be read back.
-    pub inner: R,
-    pred: F,
-}
-
-impl<R, F> FilterRecorder<R, F> {
-    /// Consumes the filter, returning the downstream recorder.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<E, R, F> Recorder<E> for FilterRecorder<R, F>
-where
-    R: Recorder<E>,
-    F: FnMut(SimTime, NodeId, &E) -> bool,
-{
-    fn record(&mut self, now: SimTime, node: NodeId, event: E) {
-        if (self.pred)(now, node, &event) {
-            self.inner.record(now, node, event);
-        }
     }
 }
 
@@ -254,47 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn tee_delivers_to_both_in_order() {
-        let mut r = VecRecorder::new().tee(VecRecorder::new());
-        r.record(SimTime::from_nanos(1), NodeId::new(0), 7u32);
-        r.record(SimTime::from_nanos(2), NodeId::new(1), 8);
-        let (a, b) = r.into_parts();
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.events.len(), 2);
-    }
-
-    #[test]
     fn tuple_of_recorders_is_a_recorder() {
         let mut r = (VecRecorder::new(), VecRecorder::new());
         r.record(SimTime::ZERO, NodeId::new(0), 1u8);
         assert_eq!(r.0.events, r.1.events);
         assert_eq!(r.0.events.len(), 1);
-    }
-
-    #[test]
-    fn filter_narrows_the_stream() {
-        let mut r =
-            VecRecorder::new().filter(|_, node: NodeId, v: &u32| node == NodeId::new(1) && *v > 10);
-        r.record(SimTime::ZERO, NodeId::new(0), 99u32); // wrong node
-        r.record(SimTime::ZERO, NodeId::new(1), 5); // too small
-        r.record(SimTime::ZERO, NodeId::new(1), 42);
-        assert_eq!(r.inner.events, vec![(SimTime::ZERO, NodeId::new(1), 42)]);
-        assert_eq!(r.into_inner().events.len(), 1);
-    }
-
-    #[test]
-    fn combinators_nest() {
-        let mut total = 0u32;
-        let mut kept = 0u32;
-        {
-            let count_all = FnRecorder(|_, _, _: u32| total += 1);
-            let count_big = FnRecorder(|_, _, _: u32| kept += 1).filter(|_, _, v: &u32| *v >= 5);
-            let mut r = count_all.tee(count_big);
-            for v in 0..10u32 {
-                r.record(SimTime::ZERO, NodeId::new(0), v);
-            }
-        }
-        assert_eq!(total, 10);
-        assert_eq!(kept, 5);
     }
 }

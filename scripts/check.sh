@@ -158,6 +158,28 @@ for name in injected deliveries pushes ihaves pull_requests pulls_served redunda
     }
 done
 
+echo "==> structure gate: one run ledger"
+# gocast_analysis::MetricsRecorder is the run's one counting recorder and
+# its record the one fold: the second application counter, the generic
+# time series, the recorder combinators, the pipeline's extension slot and
+# the trackers' own folds it replaced must not come back, and one line per
+# `app_*` name exports it, like `proto_*` above.
+stray=$(nontest_lines 'struct (TopicMetrics|AppTier|TimeSeriesRecorder|TeeRecorder|FilterRecorder)([^_[:alnum:]]|$)|type LinkChurnSelect([^_[:alnum:]]|$)|struct RunRecorder<|impl Recorder<GoCastEvent> for (OrphanTracker|ConvergenceTracker)([^_[:alnum:]]|$)' \
+    "${fate_sources[@]}")
+[[ -z "$stray" ]] || {
+    echo "FAIL: a second counting recorder is back: $stray" >&2
+    exit 1
+}
+for name in topic{0..7}_deliveries topic{0..7}_bytes topic_other_deliveries \
+    topic_other_bytes deliveries_total bytes_total deltas_published deltas_applied \
+    subscribes unsubscribes; do
+    hits=$(nontest_lines "\"app_$name\"" "${fate_sources[@]}" | wc -l)
+    [[ "$hits" -eq 1 ]] || {
+        echo "FAIL: \"app_$name\" occurs on $hits non-test lines (want 1)" >&2
+        exit 1
+    }
+done
+
 echo "==> structure gate: one value, one constant"
 # A configuration field exists only where a non-test caller sets a second
 # value (DESIGN.md "Parameters"); every other value is a constant of the

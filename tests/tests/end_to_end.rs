@@ -189,3 +189,53 @@ fn frozen_system_does_not_churn_links() {
     let churn: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     assert_eq!(churn, 0, "frozen overlay must not change links");
 }
+
+/// The one file a run wrote under `dir` (a process numbers its later
+/// streams, so each run gets a directory of its own).
+fn only_stream(dir: &std::path::Path) -> String {
+    let mut files = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    let path = files.next().expect("one stream");
+    assert!(files.next().is_none(), "one stream per directory");
+    std::fs::read_to_string(path).unwrap()
+}
+
+#[test]
+fn app_metrics_reach_the_stream_of_application_runs_only() {
+    use gocast_experiments::app::{run_app, Workload};
+    use gocast_experiments::chaos::{parse_spec, run_chaos};
+
+    let root = std::env::temp_dir().join(format!("gocast_e2e_app_stream_{}", std::process::id()));
+    let mut o = tiny_opts(5);
+    o.topics = 4;
+    o.warmup = Duration::from_secs(20);
+    o.messages = 8;
+    o.rate = 2.0;
+    o.drain = Duration::from_secs(10);
+    let (pubsub, chaos) = (root.join("pubsub"), root.join("chaos"));
+    for dir in [&pubsub, &chaos] {
+        std::fs::create_dir_all(dir).unwrap();
+    }
+
+    o.metrics_out = Some(pubsub.join("metrics.jsonl"));
+    let out = run_app(
+        &o,
+        Workload::PubSub,
+        "baseline",
+        &gocast_sim::Scenario::new(),
+    );
+    let stream = only_stream(&pubsub);
+    let last = stream.lines().last().expect("samples");
+    let total = format!("\"app_deliveries_total\":{},", out.report.topic_deliveries);
+    assert!(last.contains(&total), "last sample lacks {total}: {last}");
+
+    o.metrics_out = Some(chaos.join("metrics.jsonl"));
+    let spec = parse_spec("massleave(at=1,count=6); flashcrowd(at=8,count=6)").unwrap();
+    run_chaos(&o, &spec);
+    let stream = only_stream(&chaos);
+    assert!(stream.lines().count() > 2, "chaos samples");
+    assert!(
+        !stream.contains("\"app_"),
+        "a GoCast-only stream carries app_*"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -249,19 +249,20 @@ proptest! {
     // ------------------------------------------------------------------
 
     // ------------------------------------------------------------------
-    // Streaming observability: the online DeliveryTracker must agree with
-    // the post-hoc VecRecorder + analysis pipeline on the same seeded run.
+    // Streaming observability: the online MetricsRecorder ledger must
+    // agree with the post-hoc VecRecorder + analysis pipeline on the same
+    // seeded run.
     // ------------------------------------------------------------------
 
     #[test]
     fn streaming_tracker_matches_post_hoc_pipeline(seed in 0u64..6, messages in 1u32..4) {
         use gocast::{GoCastCommand, GoCastConfig, GoCastEvent, GoCastNode};
-        use gocast_analysis::DeliveryTracker;
+        use gocast_analysis::{DeliveryTracker, MetricsRecorder};
         use gocast_sim::{Recorder, SimBuilder, VecRecorder};
         use std::collections::HashMap;
 
         // One run, two recorders fed the identical event stream via the
-        // tuple combinator: a streaming tracker and a full buffer.
+        // tuple combinator: the streaming ledger and a full buffer.
         let n = 16usize;
         let net = synthetic_king(
             n,
@@ -271,13 +272,16 @@ proptest! {
         let mut sim = SimBuilder::new(net)
             .seed(seed)
             .build_with(
-                (DeliveryTracker::new(), VecRecorder::<GoCastEvent>::new()),
+                (MetricsRecorder::new(), VecRecorder::<GoCastEvent>::new()),
                 |id| {
                     let (links, members) = boot(id);
                     GoCastNode::with_initial_links(id, GoCastConfig::default(), links, members)
                 },
             );
         sim.run_until(SimTime::from_secs(6));
+        // A crash (of a node no message comes from) detaches its tree
+        // children: orphan spells to fold.
+        sim.fail_node(NodeId::new(3));
         for i in 0..messages {
             sim.schedule_command(
                 sim.now() + Duration::from_millis(200 * i as u64),
@@ -287,14 +291,25 @@ proptest! {
         }
         sim.run_for(Duration::from_secs(5));
         let live: Vec<NodeId> = sim.alive_nodes().collect();
-        let (tracker, buffer) = sim.into_recorder();
+        let end = sim.now();
+        let (mut metrics, buffer) = sim.into_recorder();
+        metrics.finish(end);
 
         // Post-hoc pipeline 1: replay the buffered stream into a fresh
-        // tracker — every aggregate must match the live one exactly.
-        let mut replayed = DeliveryTracker::new();
+        // ledger — every aggregate must match the live one exactly.
+        let mut replayed_all = MetricsRecorder::new();
         for (t, node, ev) in &buffer.events {
-            replayed.record(*t, *node, ev.clone());
+            replayed_all.record(*t, *node, ev.clone());
         }
+        replayed_all.finish(end);
+        let spells = |m: &MetricsRecorder| {
+            let o = m.orphans();
+            (o.spells(), o.total_orphan_time(), o.max_spell(), o.open_orphans())
+        };
+        prop_assert_eq!(spells(&metrics), spells(&replayed_all));
+        prop_assert_eq!(metrics.link_changes_per_sec(), replayed_all.link_changes_per_sec());
+        prop_assert_eq!(metrics.app().report(), replayed_all.app().report());
+        let (tracker, replayed) = (metrics.delivery(), replayed_all.delivery());
         prop_assert_eq!(tracker.injected(), replayed.injected());
         prop_assert_eq!(tracker.delivered(), replayed.delivered());
         prop_assert_eq!(tracker.redundant(), replayed.redundant());
@@ -310,7 +325,7 @@ proptest! {
         let per_message = |t: &DeliveryTracker| {
             t.injections().map(|(id, at)| (id, at, t.deliveries_of(id))).collect::<Vec<_>>()
         };
-        prop_assert_eq!(per_message(&tracker), per_message(&replayed));
+        prop_assert_eq!(per_message(tracker), per_message(replayed));
         let window = Duration::from_millis(300);
         let owed = |_, _| n as u64 - 1;
         prop_assert_eq!(
@@ -432,7 +447,7 @@ proptest! {
             via_tree as f64 / fold.delivered as f64
         };
         prop_assert_eq!(tracker.tree_fraction(), tree_fraction);
-        prop_assert_eq!(&per_message(&tracker), &msgs);
+        prop_assert_eq!(&per_message(tracker), &msgs);
         // Windows: messages grouped by whole `window`s since the first
         // injection, each owed n - 1 deliveries.
         let mut by_window: std::collections::BTreeMap<u128, (u64, u64, u64)> = Default::default();
@@ -468,4 +483,60 @@ proptest! {
             }
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// The application ledger agrees live and replayed: a small pub/sub and
+// CRDT run reports what its own `--trace-out` stream folds to afresh.
+// ----------------------------------------------------------------------
+
+#[test]
+fn application_ledger_matches_a_replay_of_its_trace() {
+    use gocast_analysis::{scan_trace, MetricsRecorder};
+    use gocast_experiments::app::{run_app, Workload};
+    use gocast_experiments::chaos::parse_spec;
+    use gocast_experiments::ExpOptions;
+    use gocast_sim::Recorder;
+
+    let mut o = ExpOptions::quick();
+    o.nodes = 64;
+    o.sites = 64;
+    o.topics = 12;
+    o.warmup = Duration::from_secs(20);
+    o.messages = 40;
+    o.rate = 4.0;
+    o.drain = Duration::from_secs(20);
+    // Faults, a subscribe flood, and more topics than get their own label.
+    let scenario = parse_spec("massleave(at=1,count=4); flashcrowd(at=6,count=4)")
+        .unwrap()
+        .subscribe_flood(Duration::from_secs(2), 6, 12);
+    let root = std::env::temp_dir().join(format!("gocast_app_ledger_{}", std::process::id()));
+    for workload in [Workload::PubSub, Workload::Crdt] {
+        // One directory per run: a process numbers its later traces.
+        let dir = root.join(workload.name());
+        std::fs::create_dir_all(&dir).unwrap();
+        o.trace_out = Some(dir.join("trace.jsonl"));
+        let out = run_app(&o, workload, "spec", &scenario);
+        let mut trace = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
+        let file = std::fs::File::open(trace.next().expect("one trace")).unwrap();
+        let mut replayed = MetricsRecorder::new();
+        scan_trace(std::io::BufReader::new(file), |r| {
+            let at = SimTime::from_nanos(r.t_us * 1_000);
+            replayed.record(at, NodeId::new(r.node), r.ev);
+        })
+        .unwrap();
+        let name = workload.name();
+        assert_eq!(out.report, replayed.app().report(), "{name}");
+        let per_topic: Vec<_> = replayed.app().per_topic().collect();
+        assert_eq!(out.per_topic, per_topic, "{name}");
+        assert!(
+            per_topic.iter().any(|&(topic, _, _)| topic >= 8),
+            "{name}: no topic past the eight labelled ones: {per_topic:?}"
+        );
+        assert!(out.report.subscribes > 0, "{name}: {}", out.manifest());
+        if workload == Workload::Crdt {
+            assert!(out.report.applies > 0, "{}", out.manifest());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
