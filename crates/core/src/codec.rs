@@ -682,6 +682,10 @@ mod tests {
                 kind: ProbeKind::Landmark(3),
                 sent_at_us: 42,
             },
+            GoCastMsg::Ping {
+                kind: ProbeKind::LinkMeasure,
+                sent_at_us: 7,
+            },
             GoCastMsg::Pong {
                 kind: ProbeKind::Candidate,
                 sent_at_us: 42,
@@ -952,6 +956,63 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// The exact bytes and `encoded_len` of every sample, in `samples()`
+    /// order. The round-trip tests cannot see a field order changed the
+    /// same way in encode and decode; these literals can.
+    #[test]
+    fn samples_encode_to_pinned_bytes() {
+        const PINNED: [(&str, usize); 23] = [
+            ("00030000000700000040e20100000000000400000000040000", 25),
+            (
+                "010200000001000000020000000a000000000000000400000000000000000000000000000002\
+                 00000009000000020000001027000050c300000200000000000000020000001027000050c300\
+                 000100050001000500",
+                85,
+            ),
+            ("02010000000100000002000000", 13),
+            ("03", 1),
+            ("040100000005000000020000001027000050c30000", 21),
+            ("050003002a00000000000000", 12),
+            ("050200000700000000000000", 12),
+            (
+                "060100002a000000000000000100050001000500ffffffffffffffff020000001027000050c30000",
+                40,
+            ),
+            ("07010188130000000000000100050001000500", 19),
+            ("07000000000000000000000100050001000500", 19),
+            ("08010100050001000500", 10),
+            ("0900", 2),
+            ("0a0100", 3),
+            ("0b11000000", 5),
+            ("0c0000000002000000630000003930000000000000", 21),
+            ("0d01", 2),
+            ("0d00", 2),
+            (
+                "0e0700000003000000010000013700000000000000020000000001000000",
+                30,
+            ),
+            (
+                "0e000000000800000000000001000000000000000001000000000000000103000000002a0000\
+                 00000000000200000008000000010000000900000002000000",
+                63,
+            ),
+            ("0f02000000010000000100000009000000", 17),
+            ("10020000000200000001000000090000000200000004000000", 25),
+            ("110100000002000000000000000c0000000500000000000000", 25),
+            (
+                "120100000001000000050000000100000001070000000000000000000000",
+                30,
+            ),
+        ];
+        let samples = samples();
+        assert_eq!(samples.len(), PINNED.len());
+        for (msg, (hex, len)) in samples.iter().zip(PINNED) {
+            let bytes: String = encode(msg).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(bytes, hex, "{msg:?}");
+            assert_eq!(encoded_len(msg), len, "{msg:?}");
+        }
     }
 
     #[test]
