@@ -1,17 +1,31 @@
 //! Binary wire codec for [`GoCastMsg`].
 //!
-//! The simulator never serializes messages, but a production deployment
-//! of the same state machines would; this module defines the wire format
-//! and guarantees that [`gocast_sim::Wire::wire_size`] is *exact*: the
-//! traffic statistics every experiment reports are the sizes this codec
-//! produces (plus the fixed per-packet header), enforced by round-trip
-//! property tests.
+//! The simulator never serializes messages; the deployment host
+//! (`gocast-testnet`) does, and [`gocast_sim::Wire::wire_size`] is exactly
+//! the size this codec produces plus the fixed per-packet header, so the
+//! traffic every experiment reports is the traffic a socket carries.
 //!
 //! Format: one tag byte, then fixed-width little-endian fields;
 //! variable-length sequences are prefixed with a `u32` count. No varints —
 //! sizes stay computable without encoding.
+//!
+//! The format is written once. Each field type has one `Field` impl, which
+//! puts a value, takes it back and sizes it, and the `messages!` table
+//! names every variant once, as `tag => Variant { fields in wire order }`.
+//! The table generates the encoder, [`encoded_len`] and the decoder, so the
+//! three cannot disagree: a struct literal evaluates its fields in source
+//! order, so the decoder reads them in the order the encoder wrote them. A
+//! fixed-size field is sized by a constant, and a `Vec` of them in closed
+//! form (`4 + n·size`).
+//!
+//! Decoding accepts only what encoding writes: a flag is 0 or 1, and an
+//! unused argument or an absent value is 0; anything else is a
+//! [`DecodeError::BadTag`]. The one exception is an RTT word too large for
+//! a landmark slot, which saturates (see [`LandmarkVector::set`]).
 
-use gocast_net::LandmarkVector;
+use std::time::Duration;
+
+use gocast_net::{LandmarkVector, MAX_LANDMARKS};
 use gocast_sim::NodeId;
 
 use crate::types::{DegreeInfo, DropReason, LinkKind, MsgId};
@@ -40,191 +54,347 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-struct Writer<'a>(&'a mut Vec<u8>);
-
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn node(&mut self, n: NodeId) {
-        self.u32(n.as_u32());
-    }
-    fn msg_id(&mut self, id: MsgId) {
-        self.node(id.origin);
-        self.u32(id.seq);
-    }
-    fn degrees(&mut self, d: DegreeInfo) {
-        for v in [d.d_rand, d.d_near, d.t_rand, d.t_near] {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    fn coords(&mut self, c: &LandmarkVector) {
-        // One RTT word per landmark slot: microseconds, or `u32::MAX` for a
-        // slot not measured (the reader maps it back).
-        self.u32(c.len() as u32);
-        for i in 0..c.len() {
-            self.u32(c.rtt_us_at(i));
-        }
+/// One wire field type: how a value is written, read back and sized.
+trait Field: Sized {
+    /// The encoded size, when every value of the type has the same one.
+    const FIXED: Option<usize>;
+    /// Appends the encoding of `self` to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads the next value off `r`, accepting only what `put` writes.
+    /// Every impl is `#[inline]`: out of line, each field's `Result` went
+    /// through memory and a gossip decoded up to a fifth slower.
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    /// The encoded size of `self`; variable-size types override it.
+    fn size(&self) -> usize {
+        Self::FIXED.expect("a variable-size field overrides `size`")
     }
 }
 
+/// A decode cursor: the buffer and the offset of its next unread byte.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
+impl Reader<'_> {
+    /// Takes the next `N` bytes.
+    #[inline]
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let end = self.pos + N;
+        let Some(next) = self.buf.get(self.pos..end) else {
             return Err(DecodeError::Truncated);
+        };
+        self.pos = end;
+        Ok(next.try_into().expect("the range is N bytes long"))
+    }
+}
+
+/// The sum of fixed sizes, or `None` when any of them varies.
+const fn fixed_sum(sizes: &[Option<usize>]) -> Option<usize> {
+    let (mut total, mut i) = (0, 0);
+    while i < sizes.len() {
+        let Some(n) = sizes[i] else { return None };
+        total += n;
+        i += 1;
+    }
+    Some(total)
+}
+
+macro_rules! int_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const FIXED: Option<usize> = Some(size_of::<$t>());
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                r.bytes().map(<$t>::from_le_bytes)
+            }
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    )*};
+}
+int_fields!(u8, u16, u32, u64);
+
+/// `Field` for each struct, from its fields in wire order.
+macro_rules! record_fields {
+    ($($ty:ident { $($f:ident: $t:ty),* })*) => {$(
+        impl Field for $ty {
+            const FIXED: Option<usize> = fixed_sum(&[$(<$t>::FIXED),*]);
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            #[inline]
+            fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($ty { $($f: <$t>::take(r)?),* })
+            }
+            fn size(&self) -> usize {
+                0 $(+ self.$f.size())*
+            }
+        }
+    )*};
+}
+record_fields! {
+    MsgId { origin: NodeId, seq: u32 }
+    DegreeInfo { d_rand: u16, d_near: u16, t_rand: u16, t_near: u16 }
+    DeltaWire { counter: u32, add: bool, elem: u64, observed: Vec<(NodeId, u32)> }
+}
+
+/// A flag: 0 or 1.
+impl Field for bool {
+    const FIXED: Option<usize> = u8::FIXED;
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
     }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::take(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(DecodeError::BadTag(t)),
+        }
     }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+}
+
+impl Field for NodeId {
+    const FIXED: Option<usize> = u32::FIXED;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_u32().put(out);
     }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        u32::take(r).map(NodeId::new)
     }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+}
+
+impl Field for LinkKind {
+    const FIXED: Option<usize> = u8::FIXED;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            LinkKind::Random => 0u8,
+            LinkKind::Nearby => 1,
+        }
+        .put(out);
     }
-    fn node(&mut self) -> Result<NodeId, DecodeError> {
-        Ok(NodeId::new(self.u32()?))
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::take(r)? {
+            0 => Ok(LinkKind::Random),
+            1 => Ok(LinkKind::Nearby),
+            t => Err(DecodeError::BadTag(t)),
+        }
     }
-    fn msg_id(&mut self) -> Result<MsgId, DecodeError> {
-        Ok(MsgId::new(self.node()?, self.u32()?))
+}
+
+/// The tag is [`DropReason::index`], which is exhaustive by construction.
+impl Field for DropReason {
+    const FIXED: Option<usize> = u8::FIXED;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.index() as u8).put(out);
     }
-    fn degrees(&mut self) -> Result<DegreeInfo, DecodeError> {
-        Ok(DegreeInfo {
-            d_rand: self.u16()?,
-            d_near: self.u16()?,
-            t_rand: self.u16()?,
-            t_near: self.u16()?,
-        })
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let t = u8::take(r)?;
+        DropReason::ALL
+            .get(usize::from(t))
+            .copied()
+            .ok_or(DecodeError::BadTag(t))
     }
-    fn coords(&mut self) -> Result<LandmarkVector, DecodeError> {
-        let n = self.u32()? as usize;
-        if n > gocast_net::MAX_LANDMARKS {
+}
+
+/// A kind tag, then a `u16` argument: the landmark index, 0 otherwise.
+impl Field for ProbeKind {
+    const FIXED: Option<usize> = <(u8, u16)>::FIXED;
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            ProbeKind::Landmark(i) => (0u8, i),
+            ProbeKind::Candidate => (1, 0),
+            ProbeKind::LinkMeasure => (2, 0),
+        }
+        .put(out);
+    }
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match <(u8, u16)>::take(r)? {
+            (0, i) => Ok(ProbeKind::Landmark(i)),
+            (1, 0) => Ok(ProbeKind::Candidate),
+            (2, 0) => Ok(ProbeKind::LinkMeasure),
+            (t, _) => Err(DecodeError::BadTag(t)),
+        }
+    }
+}
+
+/// A `u32` slot count, then one RTT word per slot: microseconds, or
+/// `u32::MAX` for a slot not measured.
+impl Field for LandmarkVector {
+    const FIXED: Option<usize> = None;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for i in 0..self.len() {
+            self.rtt_us_at(i).put(out);
+        }
+    }
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = u32::take(r)? as usize;
+        if n > MAX_LANDMARKS {
             return Err(DecodeError::BadTag(255)); // implausible landmark count
         }
         let mut v = LandmarkVector::unknown();
         for i in 0..n {
-            match self.u32()? {
+            match u32::take(r)? {
                 u32::MAX => v.set_unmeasured(i),
-                us => v.set(i, std::time::Duration::from_micros(us as u64)),
+                us => v.set(i, Duration::from_micros(u64::from(us))),
             }
         }
         Ok(v)
     }
-}
-
-fn link_kind_tag(k: LinkKind) -> u8 {
-    match k {
-        LinkKind::Random => 0,
-        LinkKind::Nearby => 1,
+    fn size(&self) -> usize {
+        4 * (1 + self.len())
     }
 }
 
-fn link_kind_from(t: u8) -> Result<LinkKind, DecodeError> {
-    match t {
-        0 => Ok(LinkKind::Random),
-        1 => Ok(LinkKind::Nearby),
-        other => Err(DecodeError::BadTag(other)),
+/// A flag, then the value; an absent value is written, and must read, 0.
+impl Field for Option<u64> {
+    const FIXED: Option<usize> = <(bool, u64)>::FIXED;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.is_some(), self.unwrap_or(0)).put(out);
     }
-}
-
-fn drop_reason_tag(r: DropReason) -> u8 {
-    // `DropReason::index` is exhaustive by construction, so every variant
-    // (present and future) gets a stable tag automatically.
-    r.index() as u8
-}
-
-fn drop_reason_from(t: u8) -> Result<DropReason, DecodeError> {
-    DropReason::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag(t))
-}
-
-fn probe_kind(w: &mut Writer<'_>, k: ProbeKind) {
-    match k {
-        ProbeKind::Landmark(i) => {
-            w.u8(0);
-            w.0.extend_from_slice(&i.to_le_bytes());
-        }
-        ProbeKind::Candidate => {
-            w.u8(1);
-            w.0.extend_from_slice(&0u16.to_le_bytes());
-        }
-        ProbeKind::LinkMeasure => {
-            w.u8(2);
-            w.0.extend_from_slice(&0u16.to_le_bytes());
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match <(bool, u64)>::take(r)? {
+            (true, v) => Ok(Some(v)),
+            (false, 0) => Ok(None),
+            (false, _) => Err(DecodeError::BadTag(0)),
         }
     }
 }
 
-fn probe_kind_from(r: &mut Reader<'_>) -> Result<ProbeKind, DecodeError> {
-    let tag = r.u8()?;
-    let arg = r.u16()?;
-    Ok(match tag {
-        0 => ProbeKind::Landmark(arg),
-        1 => ProbeKind::Candidate,
-        2 => ProbeKind::LinkMeasure,
-        other => return Err(DecodeError::BadTag(other)),
-    })
-}
-
-fn delta(w: &mut Writer<'_>, d: &DeltaWire) {
-    w.u32(d.counter);
-    w.u8(u8::from(d.add));
-    w.u64(d.elem);
-    w.u32(d.observed.len() as u32);
-    for (origin, counter) in &d.observed {
-        w.node(*origin);
-        w.u32(*counter);
+/// A flag, then the delta when there is one.
+impl Field for Option<DeltaWire> {
+    const FIXED: Option<usize> = None;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(d) = self {
+            d.put(out);
+        }
+    }
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(if bool::take(r)? {
+            Some(DeltaWire::take(r)?)
+        } else {
+            None
+        })
+    }
+    fn size(&self) -> usize {
+        self.is_some().size() + self.as_ref().map_or(0, Field::size)
     }
 }
 
-/// Encoded size of a [`DeltaWire`]: counter + flag + element + dot count
-/// + one `(NodeId, u32)` pair per observed dot.
-fn delta_len(d: &DeltaWire) -> usize {
-    4 + 1 + 8 + 4 + 8 * d.observed.len()
+impl<A: Field, B: Field> Field for (A, B) {
+    const FIXED: Option<usize> = fixed_sum(&[A::FIXED, B::FIXED]);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::take(r)?, B::take(r)?))
+    }
+    fn size(&self) -> usize {
+        self.0.size() + self.1.size()
+    }
 }
 
-fn delta_from(r: &mut Reader<'_>) -> Result<DeltaWire, DecodeError> {
-    let counter = r.u32()?;
-    let add = r.u8()? == 1;
-    let elem = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut observed = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        observed.push((r.node()?, r.u32()?));
+/// A `u32` count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    const FIXED: Option<usize> = None;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for x in self {
+            x.put(out);
+        }
     }
-    Ok(DeltaWire {
-        counter,
-        add,
-        elem,
-        observed,
-    })
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = u32::take(r)? as usize;
+        // A hostile count reserves at most 4096 elements up front.
+        let mut v = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            v.push(T::take(r)?);
+        }
+        Ok(v)
+    }
+    fn size(&self) -> usize {
+        4 + match T::FIXED {
+            Some(each) => each * self.len(),
+            None => self.iter().map(Field::size).sum(),
+        }
+    }
+}
+
+/// The message table: every variant once, as `tag => Variant { fields in
+/// wire order }`. It generates `Field for GoCastMsg`, the one encoder,
+/// length and decoder behind the public functions below.
+macro_rules! messages {
+    ($($tag:literal => $v:ident { $($f:ident),* },)*) => {
+        impl Field for GoCastMsg {
+            const FIXED: Option<usize> = None;
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(GoCastMsg::$v { $($f),* } => {
+                        u8::put(&$tag, out);
+                        $($f.put(out);)*
+                    })*
+                }
+            }
+            #[inline]
+            fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                // Each arm wraps its own `Ok`: with one `Ok` around the
+                // match, the optimizer assembled the message from byte-wide
+                // pieces and decoding ran up to twice as long.
+                match u8::take(r)? {
+                    $($tag => Ok(GoCastMsg::$v { $($f: Field::take(r)?),* }),)*
+                    t => Err(DecodeError::BadTag(t)),
+                }
+            }
+            fn size(&self) -> usize {
+                match self {
+                    $(GoCastMsg::$v { $($f),* } => 1 $(+ $f.size())*,)*
+                }
+            }
+        }
+    };
+}
+
+// `Data` and `TopicData` carry their payload's length, not the payload:
+// that is application data, which `Wire::wire_size` adds on top.
+messages! {
+    0 => Data { id, age_us, hop, size },
+    1 => Gossip { ids, members, coords, degrees },
+    2 => PullRequest { ids },
+    3 => JoinRequest {},
+    4 => JoinReply { members },
+    5 => Ping { kind, sent_at_us },
+    6 => Pong { kind, sent_at_us, degrees, max_nearby_rtt_us, coords },
+    7 => LinkRequest { kind, rtt_us, degrees },
+    8 => LinkAccept { kind, degrees },
+    9 => LinkReject { kind },
+    10 => LinkDrop { kind, reason },
+    11 => ConnectTo { target },
+    12 => TreeAd { root, epoch, seq, dist_us },
+    13 => ParentSelect { selected },
+    14 => TopicData { topic, id, age_us, hop, size, delta },
+    15 => TopicIHave { topic, ids },
+    16 => TopicPull { topic, ids },
+    17 => TopicDigest { topic, vv },
+    18 => TopicDeltas { topic, deltas },
 }
 
 /// Encodes a message body (header not included — the transport adds it).
 ///
-/// The returned buffer's length always equals
-/// `msg.wire_size() - HEADER_BYTES + 1` (the `+ 1` is the tag byte, which
-/// the accounting folds into the header).
+/// The returned buffer's length always equals [`encoded_len`]`(msg)`.
 pub fn encode(msg: &GoCastMsg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     encode_into(msg, &mut out);
@@ -237,192 +407,7 @@ pub fn encode(msg: &GoCastMsg) -> Vec<u8> {
 /// buffer has grown to the largest message seen (`encoded_len` bounds it
 /// exactly).
 pub fn encode_into(msg: &GoCastMsg, out: &mut Vec<u8>) {
-    let mut w = Writer(out);
-    match msg {
-        GoCastMsg::Data {
-            id,
-            age_us,
-            hop,
-            size,
-        } => {
-            w.u8(0);
-            w.msg_id(*id);
-            w.u64(*age_us);
-            w.u32(*hop);
-            // The payload itself is application data; encode its length.
-            w.u32(*size);
-        }
-        GoCastMsg::Gossip {
-            ids,
-            members,
-            coords,
-            degrees,
-        } => {
-            w.u8(1);
-            w.u32(ids.len() as u32);
-            for (id, age) in ids {
-                w.msg_id(*id);
-                w.u64(*age);
-            }
-            w.u32(members.len() as u32);
-            for (m, c) in members {
-                w.node(*m);
-                w.coords(c);
-            }
-            w.coords(coords);
-            w.degrees(*degrees);
-        }
-        GoCastMsg::PullRequest { ids } => {
-            w.u8(2);
-            w.u32(ids.len() as u32);
-            for id in ids {
-                w.msg_id(*id);
-            }
-        }
-        GoCastMsg::JoinRequest => w.u8(3),
-        GoCastMsg::JoinReply { members } => {
-            w.u8(4);
-            w.u32(members.len() as u32);
-            for (m, c) in members {
-                w.node(*m);
-                w.coords(c);
-            }
-        }
-        GoCastMsg::Ping { kind, sent_at_us } => {
-            w.u8(5);
-            probe_kind(&mut w, *kind);
-            w.u64(*sent_at_us);
-        }
-        GoCastMsg::Pong {
-            kind,
-            sent_at_us,
-            degrees,
-            max_nearby_rtt_us,
-            coords,
-        } => {
-            w.u8(6);
-            probe_kind(&mut w, *kind);
-            w.u64(*sent_at_us);
-            w.degrees(*degrees);
-            w.u64(*max_nearby_rtt_us);
-            w.coords(coords);
-        }
-        GoCastMsg::LinkRequest {
-            kind,
-            rtt_us,
-            degrees,
-        } => {
-            w.u8(7);
-            w.u8(link_kind_tag(*kind));
-            match rtt_us {
-                Some(v) => {
-                    w.u8(1);
-                    w.u64(*v);
-                }
-                None => {
-                    w.u8(0);
-                    w.u64(0);
-                }
-            }
-            w.degrees(*degrees);
-        }
-        GoCastMsg::LinkAccept { kind, degrees } => {
-            w.u8(8);
-            w.u8(link_kind_tag(*kind));
-            w.degrees(*degrees);
-        }
-        GoCastMsg::LinkReject { kind } => {
-            w.u8(9);
-            w.u8(link_kind_tag(*kind));
-        }
-        GoCastMsg::LinkDrop { kind, reason } => {
-            w.u8(10);
-            w.u8(link_kind_tag(*kind));
-            w.u8(drop_reason_tag(*reason));
-        }
-        GoCastMsg::ConnectTo { target } => {
-            w.u8(11);
-            w.node(*target);
-        }
-        GoCastMsg::TreeAd {
-            root,
-            epoch,
-            seq,
-            dist_us,
-        } => {
-            w.u8(12);
-            w.node(*root);
-            w.u32(*epoch);
-            w.u32(*seq);
-            w.u64(*dist_us);
-        }
-        GoCastMsg::ParentSelect { selected } => {
-            w.u8(13);
-            w.u8(u8::from(*selected));
-        }
-        GoCastMsg::TopicData {
-            topic,
-            id,
-            age_us,
-            hop,
-            size,
-            delta: d,
-        } => {
-            w.u8(14);
-            w.u32(*topic);
-            w.msg_id(*id);
-            w.u64(*age_us);
-            w.u32(*hop);
-            w.u32(*size);
-            match d {
-                Some(d) => {
-                    w.u8(1);
-                    delta(&mut w, d);
-                }
-                None => w.u8(0),
-            }
-        }
-        GoCastMsg::TopicIHave { topic, ids } => {
-            w.u8(15);
-            w.u32(*topic);
-            w.u32(ids.len() as u32);
-            for id in ids {
-                w.msg_id(*id);
-            }
-        }
-        GoCastMsg::TopicPull { topic, ids } => {
-            w.u8(16);
-            w.u32(*topic);
-            w.u32(ids.len() as u32);
-            for id in ids {
-                w.msg_id(*id);
-            }
-        }
-        GoCastMsg::TopicDigest { topic, vv } => {
-            w.u8(17);
-            w.u32(*topic);
-            w.u32(vv.len() as u32);
-            for (origin, counter) in vv {
-                w.node(*origin);
-                w.u32(*counter);
-            }
-        }
-        GoCastMsg::TopicDeltas { topic, deltas } => {
-            w.u8(18);
-            w.u32(*topic);
-            w.u32(deltas.len() as u32);
-            for (origin, d) in deltas {
-                w.node(*origin);
-                delta(&mut w, d);
-            }
-        }
-    }
-}
-
-/// Encoded size of a landmark vector: count word + one `u32` per slot.
-#[inline]
-fn coords_len(c: &LandmarkVector) -> usize {
-    4 + 4 * c.len()
+    msg.put(out);
 }
 
 /// Exact length of [`encode`]`(msg)` computed arithmetically, without
@@ -431,210 +416,27 @@ fn coords_len(c: &LandmarkVector) -> usize {
 /// This is the hot-path companion to [`encode`]: traffic accounting needs
 /// the wire size of every message sent, and calling `encode(msg).len()`
 /// there would heap-allocate a `Vec<u8>` per send. The format uses no
-/// varints precisely so this stays a closed-form sum; the
-/// `encoded_len_matches_encode_for_every_variant` property test pins the
-/// two functions together.
+/// varints, so the length is a sum of per-field sizes: constants for
+/// fixed-size fields and closed forms for sequences of them. It comes
+/// from the same field list as the encoder.
 pub fn encoded_len(msg: &GoCastMsg) -> usize {
-    // Field sizes: tag 1, NodeId 4, MsgId 8, u64 8, u32 4, DegreeInfo 8
-    // (four u16s), ProbeKind 3 (tag + u16 argument).
-    match msg {
-        GoCastMsg::Data { .. } => 25,
-        GoCastMsg::Gossip {
-            ids,
-            members,
-            coords,
-            ..
-        } => {
-            1 + 4
-                + 16 * ids.len()
-                + 4
-                + members
-                    .iter()
-                    .map(|(_, c)| 4 + coords_len(c))
-                    .sum::<usize>()
-                + coords_len(coords)
-                + 8
-        }
-        GoCastMsg::PullRequest { ids } => 1 + 4 + 8 * ids.len(),
-        GoCastMsg::JoinRequest => 1,
-        GoCastMsg::JoinReply { members } => {
-            1 + 4
-                + members
-                    .iter()
-                    .map(|(_, c)| 4 + coords_len(c))
-                    .sum::<usize>()
-        }
-        GoCastMsg::Ping { .. } => 12,
-        GoCastMsg::Pong { coords, .. } => 28 + coords_len(coords),
-        GoCastMsg::LinkRequest { .. } => 19,
-        GoCastMsg::LinkAccept { .. } => 10,
-        GoCastMsg::LinkReject { .. } => 2,
-        GoCastMsg::LinkDrop { .. } => 3,
-        GoCastMsg::ConnectTo { .. } => 5,
-        GoCastMsg::TreeAd { .. } => 21,
-        GoCastMsg::ParentSelect { .. } => 2,
-        GoCastMsg::TopicData { delta: d, .. } => 30 + d.as_ref().map_or(0, delta_len),
-        GoCastMsg::TopicIHave { ids, .. } | GoCastMsg::TopicPull { ids, .. } => 9 + 8 * ids.len(),
-        GoCastMsg::TopicDigest { vv, .. } => 9 + 8 * vv.len(),
-        GoCastMsg::TopicDeltas { deltas, .. } => {
-            9 + deltas.iter().map(|(_, d)| 4 + delta_len(d)).sum::<usize>()
-        }
-    }
+    msg.size()
 }
 
 /// Decodes a message body produced by [`encode`].
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncation, unknown tags, or trailing bytes.
+/// Returns [`DecodeError`] on truncation, trailing bytes, an unknown tag,
+/// or any byte [`encode`] would not have written there.
 pub fn decode(buf: &[u8]) -> Result<GoCastMsg, DecodeError> {
     let mut r = Reader { buf, pos: 0 };
-    let msg = match r.u8()? {
-        0 => GoCastMsg::Data {
-            id: r.msg_id()?,
-            age_us: r.u64()?,
-            hop: r.u32()?,
-            size: r.u32()?,
-        },
-        1 => {
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push((r.msg_id()?, r.u64()?));
-            }
-            let m = r.u32()? as usize;
-            let mut members = Vec::with_capacity(m.min(4096));
-            for _ in 0..m {
-                members.push((r.node()?, r.coords()?));
-            }
-            GoCastMsg::Gossip {
-                ids,
-                members,
-                coords: r.coords()?,
-                degrees: r.degrees()?,
-            }
-        }
-        2 => {
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push(r.msg_id()?);
-            }
-            GoCastMsg::PullRequest { ids }
-        }
-        3 => GoCastMsg::JoinRequest,
-        4 => {
-            let m = r.u32()? as usize;
-            let mut members = Vec::with_capacity(m.min(4096));
-            for _ in 0..m {
-                members.push((r.node()?, r.coords()?));
-            }
-            GoCastMsg::JoinReply { members }
-        }
-        5 => GoCastMsg::Ping {
-            kind: probe_kind_from(&mut r)?,
-            sent_at_us: r.u64()?,
-        },
-        6 => GoCastMsg::Pong {
-            kind: probe_kind_from(&mut r)?,
-            sent_at_us: r.u64()?,
-            degrees: r.degrees()?,
-            max_nearby_rtt_us: r.u64()?,
-            coords: r.coords()?,
-        },
-        7 => {
-            let kind = link_kind_from(r.u8()?)?;
-            let has = r.u8()? == 1;
-            let v = r.u64()?;
-            GoCastMsg::LinkRequest {
-                kind,
-                rtt_us: has.then_some(v),
-                degrees: r.degrees()?,
-            }
-        }
-        8 => GoCastMsg::LinkAccept {
-            kind: link_kind_from(r.u8()?)?,
-            degrees: r.degrees()?,
-        },
-        9 => GoCastMsg::LinkReject {
-            kind: link_kind_from(r.u8()?)?,
-        },
-        10 => GoCastMsg::LinkDrop {
-            kind: link_kind_from(r.u8()?)?,
-            reason: drop_reason_from(r.u8()?)?,
-        },
-        11 => GoCastMsg::ConnectTo { target: r.node()? },
-        12 => GoCastMsg::TreeAd {
-            root: r.node()?,
-            epoch: r.u32()?,
-            seq: r.u32()?,
-            dist_us: r.u64()?,
-        },
-        13 => GoCastMsg::ParentSelect {
-            selected: r.u8()? == 1,
-        },
-        14 => {
-            let topic = r.u32()?;
-            let id = r.msg_id()?;
-            let age_us = r.u64()?;
-            let hop = r.u32()?;
-            let size = r.u32()?;
-            let delta = match r.u8()? {
-                0 => None,
-                1 => Some(delta_from(&mut r)?),
-                other => return Err(DecodeError::BadTag(other)),
-            };
-            GoCastMsg::TopicData {
-                topic,
-                id,
-                age_us,
-                hop,
-                size,
-                delta,
-            }
-        }
-        15 => {
-            let topic = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push(r.msg_id()?);
-            }
-            GoCastMsg::TopicIHave { topic, ids }
-        }
-        16 => {
-            let topic = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push(r.msg_id()?);
-            }
-            GoCastMsg::TopicPull { topic, ids }
-        }
-        17 => {
-            let topic = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut vv = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                vv.push((r.node()?, r.u32()?));
-            }
-            GoCastMsg::TopicDigest { topic, vv }
-        }
-        18 => {
-            let topic = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut deltas = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                deltas.push((r.node()?, delta_from(&mut r)?));
-            }
-            GoCastMsg::TopicDeltas { topic, deltas }
-        }
-        other => return Err(DecodeError::BadTag(other)),
-    };
-    if r.pos != buf.len() {
-        return Err(DecodeError::TrailingBytes(buf.len() - r.pos));
+    // No `?`: unwrapping and re-wrapping the message here would copy it.
+    let msg = GoCastMsg::take(&mut r);
+    match buf.len() - r.pos {
+        0 => msg,
+        n => msg.and(Err(DecodeError::TrailingBytes(n))),
     }
-    Ok(msg)
 }
 
 #[cfg(test)]
@@ -1012,6 +814,45 @@ mod tests {
             let bytes: String = encode(msg).iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(bytes, hex, "{msg:?}");
             assert_eq!(encoded_len(msg), len, "{msg:?}");
+        }
+    }
+
+    /// Decode accepts only what encode writes: every single-byte mutation
+    /// of every sample either fails to decode or re-encodes to exactly the
+    /// mutated bytes. The one exception is an RTT word too large for a
+    /// landmark slot, which decodes saturated by design.
+    #[test]
+    fn whatever_decodes_re_encodes_to_the_same_bytes() {
+        const SLOT_MAX_US: u32 = (1 << 24) - 2;
+        for msg in samples() {
+            let bytes = encode(&msg);
+            for at in 0..bytes.len() {
+                for flip in 1..=u8::MAX {
+                    let mut mutated = bytes.clone();
+                    mutated[at] ^= flip;
+                    let Ok(back) = decode(&mutated) else { continue };
+                    let again = encode(&back);
+                    if again == mutated {
+                        continue;
+                    }
+                    let len = mutated.len();
+                    let saturated_rtt = again.len() == len
+                        && len >= 4
+                        && (at.saturating_sub(3)..=at.min(len - 4)).any(|s| {
+                            let word = u32::from_le_bytes(mutated[s..s + 4].try_into().unwrap());
+                            word > SLOT_MAX_US
+                                && word != u32::MAX
+                                && again[s..s + 4] == SLOT_MAX_US.to_le_bytes()
+                                && again[..s] == mutated[..s]
+                                && again[s + 4..] == mutated[s + 4..]
+                        });
+                    assert!(
+                        saturated_rtt,
+                        "{msg:?}: byte {at} ^ {flip:#04x} decodes to {back:?}, \
+                         which re-encodes to other bytes"
+                    );
+                }
+            }
         }
     }
 

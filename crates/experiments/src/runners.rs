@@ -7,7 +7,7 @@ use std::ops::Deref;
 use std::time::Duration;
 
 use gocast::{snapshot, GoCastConfig, GoCastEvent, GoCastNode, LinkKind, Snapshot};
-use gocast_analysis::{Cdf, DelayHistogram, Histogram};
+use gocast_analysis::{Cdf, Histogram};
 use gocast_baselines::{PushGossipConfig, PushGossipNode};
 use gocast_sim::{KernelStats, LatencyModel, NodeId, OneLane, SimTime, Stack};
 use rand::rngs::SmallRng;
@@ -53,9 +53,6 @@ pub struct DelayStats {
     /// Nodes that missed at least one message (the paper's gossip curves
     /// saturate below 1.0 because of these).
     pub incomplete_nodes: usize,
-    /// Streaming histogram over all (node, message) delays — bounded
-    /// memory regardless of how many deliveries the run produced.
-    pub all_delays: DelayHistogram,
     /// Mean receptions per delivered message (1.0 = no duplicates).
     pub redundancy: f64,
     /// Fraction of deliveries over tree links.
@@ -150,7 +147,6 @@ fn delay_phases<S: Stack<Event = GoCastEvent>>(
         live_nodes,
         per_node_avg,
         incomplete_nodes,
-        all_delays: rec.delay_histogram().clone(),
         redundancy: rec.redundancy_factor(),
         tree_fraction: rec.tree_fraction(),
         pulls: rec.pulls(),

@@ -16,206 +16,157 @@ echo "==> cargo clippy (perf lints, -D warnings)"
 # the gate.
 cargo clippy --workspace --all-targets -- -W clippy::perf -D warnings
 
-echo "==> structure gate: each experiment phase is written once"
-# The workload, bootstrap and network seed salts mark the injection loop,
-# the bootstrap-graph site and the network constructor; a second non-test
-# occurrence under crates/experiments/src is a copied run-loop. The wire
-# host runs the same workload loop, so the workload salt is counted over
-# crates/testnet/src as well.
-for salt in 0x5EED 0xB007 0x4B494E47; do
-    dirs=(crates/experiments/src)
-    if [[ "$salt" == 0x5EED ]]; then
-        dirs+=(crates/testnet/src)
-    fi
-    files=()
-    for dir in "${dirs[@]}"; do
-        files+=("$dir"/*.rs)
-    done
-    hits=$(awk -v salt="$salt" 'FNR == 1 { test = 0 }
-        /#\[cfg\(test\)\]/ { test = 1 }
-        !test && index($0, salt) && $0 !~ /^[[:space:]]*\/\// { n++ }
-        END { print n + 0 }' "${files[@]}")
-    [[ "$hits" -eq 1 ]] || {
-        echo "FAIL: $salt occurs on $hits non-test lines of ${dirs[*]} (want 1)" >&2
-        exit 1
-    }
-done
-
-echo "==> structure gate: one pipeline on both hosts"
-# The sim-vs-wire comparison is a configuration of the experiment
-# pipeline (crates/experiments/src/testnet.rs); the second copy of the
-# pipeline it replaced, with its own options and tolerances, must not
-# come back.
-if grep -rnE --include='*.rs' 'mod conformance\b|struct (ConformanceOptions|Tolerances|SideReport)\b' \
-    crates tests examples; then
-    echo "FAIL: a second sim-vs-wire pipeline is back" >&2
-    exit 1
-fi
+echo "==> structure gates"
+# Each row of the table below says where one deleted design must not come
+# back, or where one thing must be written exactly once. Columns:
+#   kind        absent: no non-test line of SCOPE matches PATTERN, except
+#                 lines of files matching the EXCEPT prefix regex;
+#               once: each name PATTERN expands to ({a,b} lists) matches
+#                 exactly one non-test line of SCOPE;
+#               path-absent: none of the paths PATTERN globs exists.
+#   scope       comma-separated files, globs or directories (a directory
+#               stands for its *.rs files outside tests/ directories).
+#   except      a prefix regex over FILE:LINE, or `-` for none.
+#   pattern     an extended regex: the rest of the line.
 
 # nontest_lines PATTERN FILE...: FILE:LINE of every non-test, non-comment
-# line matching PATTERN.
+# line matching PATTERN (passed through the environment, so backslashes
+# reach the regex unchanged).
 nontest_lines() {
-    local pattern=$1
-    shift
-    awk -v pattern="$pattern" 'FNR == 1 { test = 0 }
+    pattern=$1 awk 'FNR == 1 { test = 0 }
         /#\[cfg\(test\)\]/ { test = 1 }
-        !test && $0 ~ pattern && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR }' "$@"
-}
-mapfile -d '' sources < <(find crates examples -name '*.rs' \
-    -not -path '*/tests/*' -print0)
-
-echo "==> structure gate: one socket host, one event vocabulary"
-# gocast-testnet is the only crate that binds a socket outside test code,
-# and a trace record carries GoCastEvent itself: a second host or a second
-# copy of the event enum would have to reintroduce one of these.
-stray=$(nontest_lines 'UdpSocket::bind' "${sources[@]}" |
-    grep -v '^crates/testnet/src/' || true)
-[[ -z "$stray" ]] || {
-    echo "FAIL: UdpSocket::bind outside crates/testnet/src: $stray" >&2
-    exit 1
-}
-if grep -rnE --include='*.rs' 'enum TraceEv\b|struct UdpHost\b' \
-    crates tests examples benchmark; then
-    echo "FAIL: the TraceEv mirror or the UdpHost second host is back" >&2
-    exit 1
-fi
-
-echo "==> structure gate: one neighbor table, unsafe in two places"
-# The neighbor table is the sorted 64-byte-entry array in
-# crates/core/src/node/neighbors.rs, and non-test code says `unsafe` only
-# in the mmsg FFI (crates/testnet/src/batch.rs) and on the one line of the
-# kernel's prefetch function (crates/sim/src/queue.rs).
-stray=$(nontest_lines 'BTreeMap<NodeId, *Neighbor>' "${sources[@]}")
-[[ -z "$stray" ]] || {
-    echo "FAIL: the BTreeMap neighbor table is back: $stray" >&2
-    exit 1
-}
-stray=$(nontest_lines '(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)' "${sources[@]}" |
-    grep -v '^crates/testnet/src/batch\.rs:' || true)
-[[ "$stray" =~ ^crates/sim/src/queue\.rs:[0-9]+$ ]] || {
-    echo "FAIL: unsafe outside batch.rs and the one prefetch line: $stray" >&2
-    exit 1
+        !test && $0 ~ ENVIRON["pattern"] && $0 !~ /^[[:space:]]*\/\// { print FILENAME ":" FNR }' \
+        "${@:2}" < /dev/null
 }
 
-echo "==> structure gate: one fault vocabulary"
-# A network fault is a NetFault value and gocast_sim::FaultState is the
-# only holder of it, in the kernel and on the wire: neither the per-kind
-# engine setters nor a second fault state may come back.
-# (`Scenario::partition_at` is the builder DSL's step, not a setter.)
-mapfile -d '' fault_sources < <(find crates/sim crates/testnet -name '*.rs' -print0)
-stray=$(nontest_lines 'struct (Impairments|NetFaults)([^_[:alnum:]]|$)' "${fault_sources[@]}"
-    nontest_lines 'fn (fail_link_at|set_loss_at|partition_at)([^_[:alnum:]]|$)' \
-        "${fault_sources[@]}" | grep -v '^crates/sim/src/scenario\.rs:' || true)
-[[ -z "$stray" ]] || {
-    echo "FAIL: a per-kind fault setter or a second fault state is back: $stray" >&2
-    exit 1
+# scope_files SCOPE: the files SCOPE names, one per line.
+scope_files() {
+    local path
+    for path in ${1//,/ }; do
+        if [[ -d "$path" ]]; then
+            find "$path" -name '*.rs' -not -path '*/tests/*'
+        else
+            echo "$path"
+        fi
+    done
 }
 
-echo "==> structure gate: one network-fate vocabulary"
-# A message the network does not deliver is lost, cut, partitioned or
-# dead: gocast_sim::NetFates, kept by FaultState on both hosts, is the one
-# count, and NetFates::snapshot_into the one line per `net_*` name. The
-# per-host names it replaced must not come back.
-mapfile -d '' fate_sources < <(find crates tests examples -name '*.rs' \
-    -not -path '*/tests/*' -print0)
-stray=$(nontest_lines 'messages_dropped|partition_drops|chaos_losses|dropped_to_dead|dropped_(loss|partition|cut|crashed)|kernel_drops|fabric_dropped_' \
-    "${fate_sources[@]}")
-[[ -z "$stray" ]] || {
-    echo "FAIL: a per-host drop counter or metric name is back: $stray" >&2
-    exit 1
+# expand_braces WORD: WORD once per alternative of each {a,b,...} list.
+expand_braces() {
+    local re='^(.*)\{([^{}]*)\}(.*)$'
+    if [[ $1 =~ $re ]]; then
+        local pre=${BASH_REMATCH[1]} post=${BASH_REMATCH[3]} alt
+        local -a alts
+        IFS=, read -ra alts <<< "${BASH_REMATCH[2]}"
+        for alt in "${alts[@]}"; do
+            expand_braces "$pre$alt$post"
+        done
+    else
+        printf '%s\n' "$1"
+    fi
 }
-dupes=$(awk 'FNR == 1 { test = 0 }
-    /#\[cfg\(test\)\]/ { test = 1 }
-    !test && $0 !~ /^[[:space:]]*\/\// {
-        line = $0
-        while (match(line, /"net_[a-z_]+"/)) {
-            print substr(line, RSTART, RLENGTH)
-            line = substr(line, RSTART + RLENGTH)
+
+gate_failed=0
+while read -r kind scope except pattern; do
+    [[ -z "$kind" || "$kind" == \#* ]] && continue
+    case "$kind" in
+    path-absent)
+        for path in $pattern; do
+            [[ ! -e "$path" ]] || {
+                echo "FAIL: $path is back" >&2
+                gate_failed=1
+            }
+        done
+        ;;
+    absent)
+        mapfile -t files < <(scope_files "$scope")
+        stray=$(nontest_lines "$pattern" "${files[@]}")
+        if [[ "$except" != - ]]; then
+            stray=$(grep -Ev "^($except)" <<< "$stray" || true)
+        fi
+        [[ -z "$stray" ]] || {
+            echo "FAIL: /$pattern/ is back in $scope:" $stray >&2
+            gate_failed=1
         }
-    }' "${fate_sources[@]}" | sort | uniq -d)
-[[ -z "$dupes" ]] || {
-    echo "FAIL: a net_* metric is recorded on more than one line: $dupes" >&2
-    exit 1
-}
+        ;;
+    once)
+        mapfile -t files < <(scope_files "$scope")
+        while read -r name; do
+            hits=$(nontest_lines "$name" "${files[@]}" | wc -l)
+            [[ "$hits" -eq 1 ]] || {
+                echo "FAIL: /$name/ is on $hits non-test lines of $scope (want 1)" >&2
+                gate_failed=1
+            }
+        done < <(expand_braces "$pattern")
+        ;;
+    *)
+        echo "FAIL: unknown gate kind $kind" >&2
+        gate_failed=1
+        ;;
+    esac
+done << 'GATES'
+# One experiment pipeline: the workload, bootstrap and network seed salts
+# mark the injection loop, the bootstrap-graph site and the network
+# constructor. The wire host runs the same workload loop, and the
+# sim-vs-wire comparison is a configuration of the pipeline, not a second
+# copy with its own options and tolerances.
+once    crates/experiments/src,crates/testnet/src  -  0x5EED
+once    crates/experiments/src  -  {0xB007,0x4B494E47}
+absent  crates,tests,examples  -  mod conformance([^_[:alnum:]]|$)|struct (ConformanceOptions|Tolerances|SideReport)([^_[:alnum:]]|$)
 
-echo "==> structure gate: one delivery ledger"
-# What happened to each message is counted once per run, by
-# gocast_analysis::DeliveryTracker: the per-node counters, the second
-# protocol-metrics fold, the second injection-time map and chaos' own hop
-# counts it replaced must not come back, and one line per `proto_*` name
-# exports it (over the same files as the fate gate).
-stray=$(nontest_lines 'struct (ProtocolCounters|ProtocolMetrics|RecoveryTracker|TreeHealth)([^_[:alnum:]]|$)|fn (observe_into|total_counters)([^_[:alnum:]]|$)' \
-    "${fate_sources[@]}")
-[[ -z "$stray" ]] || {
-    echo "FAIL: a second delivery count is back: $stray" >&2
-    exit 1
-}
-for name in injected deliveries pushes ihaves pull_requests pulls_served redundant_drops; do
-    hits=$(nontest_lines "\"proto_$name\"" "${fate_sources[@]}" | wc -l)
-    [[ "$hits" -eq 1 ]] || {
-        echo "FAIL: \"proto_$name\" occurs on $hits non-test lines (want 1)" >&2
-        exit 1
-    }
-done
+# One socket host and one event vocabulary: gocast-testnet alone binds a
+# socket, and a trace record carries GoCastEvent itself.
+absent  crates,examples  crates/testnet/src/  UdpSocket::bind
+absent  crates,tests,examples,benchmark  -  enum TraceEv([^_[:alnum:]]|$)|struct UdpHost([^_[:alnum:]]|$)
 
-echo "==> structure gate: one run ledger"
-# gocast_analysis::MetricsRecorder is the run's one counting recorder and
-# its record the one fold: the second application counter, the generic
-# time series, the recorder combinators, the pipeline's extension slot and
-# the trackers' own folds it replaced must not come back, and one line per
-# `app_*` name exports it, like `proto_*` above.
-stray=$(nontest_lines 'struct (TopicMetrics|AppTier|TimeSeriesRecorder|TeeRecorder|FilterRecorder)([^_[:alnum:]]|$)|type LinkChurnSelect([^_[:alnum:]]|$)|struct RunRecorder<|impl Recorder<GoCastEvent> for (OrphanTracker|ConvergenceTracker)([^_[:alnum:]]|$)' \
-    "${fate_sources[@]}")
-[[ -z "$stray" ]] || {
-    echo "FAIL: a second counting recorder is back: $stray" >&2
-    exit 1
-}
-for name in topic{0..7}_deliveries topic{0..7}_bytes topic_other_deliveries \
-    topic_other_bytes deliveries_total bytes_total deltas_published deltas_applied \
-    subscribes unsubscribes; do
-    hits=$(nontest_lines "\"app_$name\"" "${fate_sources[@]}" | wc -l)
-    [[ "$hits" -eq 1 ]] || {
-        echo "FAIL: \"app_$name\" occurs on $hits non-test lines (want 1)" >&2
-        exit 1
-    }
-done
+# One neighbor table (the sorted 64-byte-entry array in
+# crates/core/src/node/neighbors.rs); `unsafe` only in the mmsg FFI and on
+# the one line of the kernel's prefetch function.
+absent  crates,examples  -  BTreeMap<NodeId, *Neighbor>
+absent  crates,examples  crates/testnet/src/batch\.rs:|crates/sim/src/queue\.rs:  (^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)
+once    crates/sim/src/queue.rs  -  (^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)
 
-echo "==> structure gate: one value, one constant"
-# A configuration field exists only where a non-test caller sets a second
-# value (DESIGN.md "Parameters"); every other value is a constant of the
-# module that reads it, and struct-update syntax is the one way to set a
-# field. The builder, the setters and the fields they carried must not
-# come back.
-mapfile -d '' setter_sources < <(find crates/core/src crates/baselines/src \
-    crates/plumtree/src -name '*.rs' -print0)
-config_files=(crates/core/src/config.rs crates/plumtree/src/node.rs
-    crates/baselines/src/push_gossip.rs crates/app/src/mux.rs crates/net/src/king.rs
-    crates/testnet/src/fabric.rs crates/sim/src/stack.rs)
-stray=$(nontest_lines 'struct (GoCastConfigBuilder|PlumtreeConfig)([^_[:alnum:]]|$)' "${sources[@]}"
-    nontest_lines 'fn (builder|with_degrees|with_pull_delay|with_payload_size|with_root|with_fanout)([^_[:alnum:]]|$)' \
-        "${setter_sources[@]}"
-    nontest_lines '^[[:space:]]*pub (degree_slack|pull_timeout|heartbeat_timeout_factor|neighbor_timeout|member_view_capacity|members_per_gossip|max_maintenance_period|root|seed_count|tree):' \
-        "${config_files[@]}")
-[[ -z "$stray" ]] || {
-    echo "FAIL: a configuration value no second caller sets is settable again: $stray" >&2
-    exit 1
-}
+# One fault vocabulary: a network fault is a NetFault value held by
+# gocast_sim::FaultState, in the kernel and on the wire; the per-kind
+# setters and a second fault state stay gone (`Scenario::partition_at` is
+# the builder DSL's step, not a setter).
+absent  crates/sim,crates/testnet  -  struct (Impairments|NetFaults)([^_[:alnum:]]|$)
+absent  crates/sim,crates/testnet  crates/sim/src/scenario\.rs:  fn (fail_link_at|set_loss_at|partition_at)([^_[:alnum:]]|$)
 
-echo "==> structure gate: one performance ledger"
-# benchmark/ measures what the code costs and golden.rs + results/*.csv
-# lock what it computes; a second instrument with a committed baseline
-# went stale unnoticed once and must not come back.
-for path in crates/bench vendor/criterion scripts/bench_compare.sh BENCH_*.json; do
-    [[ ! -e "$path" ]] || {
-        echo "FAIL: $path is back; benchmark/ is the one performance ledger" >&2
-        exit 1
-    }
-done
-if grep -nE '^\[\[bench\]\]|criterion' Cargo.toml crates/*/Cargo.toml \
-    tests/Cargo.toml examples/Cargo.toml vendor/*/Cargo.toml; then
-    echo "FAIL: a workspace Cargo.toml declares a [[bench]] or depends on criterion" >&2
-    exit 1
-fi
+# One network-fate vocabulary: what the network does not deliver is
+# counted once, as gocast_sim::NetFates, and exported on one line per name.
+absent  crates,tests,examples  -  messages_dropped|partition_drops|chaos_losses|dropped_to_dead|dropped_(loss|partition|cut|crashed)|kernel_drops|fabric_dropped_
+once    crates,tests,examples  -  "net_{lost,cut,partitioned,dead}"
+
+# One delivery ledger: gocast_analysis::DeliveryTracker counts what
+# happened to each message, and one line per `proto_*` name exports it.
+absent  crates,tests,examples  -  struct (ProtocolCounters|ProtocolMetrics|RecoveryTracker|TreeHealth)([^_[:alnum:]]|$)|fn (observe_into|total_counters)([^_[:alnum:]]|$)
+once    crates,tests,examples  -  "proto_{injected,deliveries,pushes,ihaves,pull_requests,pulls_served,redundant_drops}"
+
+# One run ledger: gocast_analysis::MetricsRecorder is the one counting
+# recorder and its record the one fold; one line per `app_*` name exports
+# it.
+absent  crates,tests,examples  -  struct (TopicMetrics|AppTier|TimeSeriesRecorder|TeeRecorder|FilterRecorder)([^_[:alnum:]]|$)|type LinkChurnSelect([^_[:alnum:]]|$)|struct RunRecorder<|impl Recorder<GoCastEvent> for (OrphanTracker|ConvergenceTracker)([^_[:alnum:]]|$)
+once    crates,tests,examples  -  "app_topic{0,1,2,3,4,5,6,7}_{deliveries,bytes}"
+once    crates,tests,examples  -  "app_{topic_other_deliveries,topic_other_bytes,deliveries_total,bytes_total,deltas_published,deltas_applied,subscribes,unsubscribes}"
+
+# One value, one constant: a configuration field exists only where a
+# non-test caller sets a second value (DESIGN.md "Parameters"), and
+# struct-update syntax is the one way to set it.
+absent  crates,examples  -  struct (GoCastConfigBuilder|PlumtreeConfig)([^_[:alnum:]]|$)
+absent  crates/core/src,crates/baselines/src,crates/plumtree/src  -  fn (builder|with_degrees|with_pull_delay|with_payload_size|with_root|with_fanout)([^_[:alnum:]]|$)
+absent  crates/core/src/config.rs,crates/plumtree/src/node.rs,crates/baselines/src/push_gossip.rs,crates/app/src/mux.rs,crates/net/src/king.rs,crates/testnet/src/fabric.rs,crates/sim/src/stack.rs  -  ^[[:space:]]*pub (degree_slack|pull_timeout|heartbeat_timeout_factor|neighbor_timeout|member_view_capacity|members_per_gossip|max_maintenance_period|root|seed_count|tree):
+
+# One performance ledger: benchmark/ measures what the code costs, and
+# golden.rs + results/*.csv lock what it computes; no second instrument.
+path-absent  -  -  crates/bench vendor/criterion scripts/bench_compare.sh BENCH_*.json
+absent  Cargo.toml,crates/*/Cargo.toml,tests/Cargo.toml,examples/Cargo.toml,vendor/*/Cargo.toml  -  ^\[\[bench\]\]|criterion
+
+# One wire format: the codec's variant table names each GoCastMsg variant
+# once, and encode, encoded_len and decode are generated from it.
+once    crates/core/src/codec.rs  -  (^|[^[:alnum:]_]){Data,Gossip,PullRequest,JoinRequest,JoinReply,Ping,Pong,LinkRequest,LinkAccept,LinkReject,LinkDrop,ConnectTo,TreeAd,ParentSelect,TopicData,TopicIHave,TopicPull,TopicDigest,TopicDeltas}([^[:alnum:]_]|$)
+GATES
+[[ "$gate_failed" -eq 0 ]] || exit 1
 
 echo "==> cargo build --release"
 cargo build --release

@@ -140,7 +140,12 @@ fn host_survives_malformed_and_stranger_datagrams() {
     let past_the_end = nodes as u32;
     let join = gocast::encode(&gocast::GoCastMsg::JoinRequest);
     let somewhere = [127, 0, 0, 1, 0x39, 0x30];
+    // A ParentSelect whose flag byte is 2, from an in-range sender: the
+    // codec writes only 0 or 1, so this is malformed, not `selected:
+    // false`, and must never reach the node.
+    let non_canonical = [13, 2];
     let frames = [
+        frame(data, &[1], &non_canonical),
         vec![0xFF, 0x00, 0x13],
         frame(data, &[], &[1, 2]),
         frame(data, &[1], &[]),
