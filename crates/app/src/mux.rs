@@ -685,6 +685,11 @@ where
             AppCommand::Unsubscribe { topic } => self.unsubscribe(ctx, topic),
         }
     }
+
+    #[inline(always)]
+    fn prefetch(&self) {
+        self.inner.prefetch();
+    }
 }
 
 impl<S> Stack for TopicMux<S>

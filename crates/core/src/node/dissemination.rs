@@ -282,9 +282,7 @@ impl GoCastNode {
         if let Some(coords) = known(coords) {
             self.view.set(from, coords);
         }
-        for (id, c) in members {
-            self.view.upsert(id, known(c), ctx.rng());
-        }
+        self.merge_members(ctx, members);
 
         let now = ctx.now();
         let mut to_request: Vec<MsgId> = Vec::new();

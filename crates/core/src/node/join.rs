@@ -96,9 +96,7 @@ impl GoCastNode {
         _from: NodeId,
         members: Vec<MemberEntry>,
     ) {
-        for (id, coords) in members {
-            self.view.upsert(id, known(coords), ctx.rng());
-        }
+        self.merge_members(ctx, members);
         // Random links first (connectivity insurance).
         if self.d_rand() < self.c_rand && self.pending_rand_link.is_none() {
             if let Some(cand) = self.view.sample(ctx.rng()) {
@@ -109,5 +107,17 @@ impl GoCastNode {
         }
         // Rebuild the probe queue so nearby selection uses the fresh list.
         self.probe_queue_built = false;
+    }
+
+    /// Puts the members a gossip or join reply carried into the view. The
+    /// ids come off the wire, so any outside the deployment
+    /// (`>= ctx.node_count()`) are skipped: no node can answer them.
+    pub(crate) fn merge_members(&mut self, ctx: &mut Ctx<'_, Self>, members: Vec<MemberEntry>) {
+        let nodes = ctx.node_count();
+        for (id, coords) in members {
+            if id.index() < nodes {
+                self.view.upsert(id, known(coords), ctx.rng());
+            }
+        }
     }
 }

@@ -22,7 +22,9 @@ use std::time::Duration;
 
 use gocast_membership::MemberView;
 use gocast_net::LandmarkVector;
-use gocast_sim::{Ctx, FxHashMap, NodeId, Protocol, SimTime, Stack, StackCaps, Timer};
+use gocast_sim::{
+    prefetch_slice, Ctx, FxHashMap, NodeId, Protocol, SimTime, Stack, StackCaps, Timer,
+};
 use rand::Rng;
 
 use crate::config::GoCastConfig;
@@ -650,6 +652,15 @@ impl Protocol for GoCastNode {
             GoCastCommand::FreezeMaintenance => self.frozen = true,
         }
     }
+
+    /// The working set one pointer beyond the node that gossip, probes
+    /// and maintenance walk on every call: the neighbor entries (a line
+    /// each) and the member view's id array.
+    #[inline(always)]
+    fn prefetch(&self) {
+        prefetch_slice(self.neighbors.as_slice());
+        prefetch_slice(self.view.as_slice());
+    }
 }
 
 impl Stack for GoCastNode {
@@ -759,13 +770,15 @@ impl GoCastNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocast_sim::{FixedLatency, SimBuilder};
+    use gocast_sim::{FixedLatency, HostBackend, SimBuilder, PREFETCH_BYTES};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use std::mem::offset_of;
 
     /// The shape a dispatch depends on: what `on_message` and `on_timer`
-    /// read before anything else ends inside the node's first four cache
-    /// lines (the kernel prefetches exactly those one event ahead), the
-    /// delivery counters come last, and a neighbor is one line.
+    /// read before anything else ends inside the node's leading
+    /// `PREFETCH_BYTES` (the kernel prefetches exactly those two events
+    /// ahead), the delivery counters come last, and a neighbor is one line.
     #[test]
     fn layout() {
         assert!(
@@ -777,7 +790,24 @@ mod tests {
         assert!(size_of::<Option<PendingLink>>() <= 32);
         // `repr(C)`: declaration order. Everything declared before
         // `next_seq` is the hot set; `redundant` closes the struct.
-        assert!(offset_of!(GoCastNode, next_seq) <= 256);
+        assert!(offset_of!(GoCastNode, next_seq) <= PREFETCH_BYTES);
+        // `Protocol::prefetch` reads these containers' pointers one event
+        // after the kernel requested the leading lines: four lines from
+        // the node's start, which need not be a line's, so from any
+        // aligned start they cover this much.
+        let covered = PREFETCH_BYTES - (64 - align_of::<GoCastNode>());
+        for (field, end) in [
+            (
+                "neighbors",
+                offset_of!(GoCastNode, neighbors) + size_of::<NeighborTable>(),
+            ),
+            (
+                "view",
+                offset_of!(GoCastNode, view) + size_of::<MemberView<LandmarkVector>>(),
+            ),
+        ] {
+            assert!(end <= covered, "{field} ends at byte {end} > {covered}");
+        }
         assert_eq!(
             offset_of!(GoCastNode, redundant) + size_of::<u64>(),
             size_of::<GoCastNode>()
@@ -803,6 +833,62 @@ mod tests {
         assert!(!Arc::ptr_eq(&a.cfg, &c.cfg));
         assert_eq!(a.config(), &odd);
         assert_eq!(c.config(), &GoCastConfig::default());
+    }
+
+    /// A deployment of `nodes` that swallows whatever a handler does.
+    struct Sink {
+        nodes: usize,
+    }
+
+    impl HostBackend<GoCastNode> for Sink {
+        fn send(&mut self, _: NodeId, _: GoCastMsg) {}
+        fn set_timer(&mut self, _: Duration, _: Timer) {}
+        fn emit(&mut self, _: GoCastEvent) {}
+        fn node_count(&self) -> usize {
+            self.nodes
+        }
+    }
+
+    /// Member ids off the wire that name no node of the deployment never
+    /// enter the view, from a gossip or a join reply; in-range ones do.
+    #[test]
+    fn members_outside_the_deployment_stay_out_of_the_view() {
+        const N: usize = 16;
+        let outside = [N as u32, N as u32 + 1, u32::MAX - 1]
+            .map(|i| (NodeId::new(i), LandmarkVector::unknown()));
+        let mut node = GoCastNode::new(NodeId::new(0), GoCastConfig::default(), vec![]);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut sink = Sink { nodes: N };
+        let from = NodeId::new(1);
+        let mut deliver = |node: &mut GoCastNode, msg| {
+            let mut ctx = Ctx::for_host(node.id, SimTime::ZERO, &mut rng, &mut sink);
+            node.on_message(&mut ctx, from, msg);
+        };
+        deliver(
+            &mut node,
+            GoCastMsg::Gossip {
+                ids: vec![],
+                members: outside.to_vec(),
+                coords: LandmarkVector::unknown(),
+                degrees: DegreeInfo::default(),
+            },
+        );
+        assert_eq!(node.view.as_slice(), &[], "gossip");
+        deliver(
+            &mut node,
+            GoCastMsg::JoinReply {
+                members: outside.to_vec(),
+            },
+        );
+        assert_eq!(node.view.as_slice(), &[], "join reply");
+        let inside = (NodeId::new(N as u32 - 1), LandmarkVector::unknown());
+        deliver(
+            &mut node,
+            GoCastMsg::JoinReply {
+                members: [outside.to_vec(), vec![inside]].concat(),
+            },
+        );
+        assert_eq!(node.view.as_slice(), &[inside.0]);
     }
 
     /// What a node remembers about its peers is O(view + degree), however

@@ -179,6 +179,11 @@ impl NeighborTable {
         self.entries.iter()
     }
 
+    /// Entries in ascending id order, as the one array they live in.
+    pub(crate) fn as_slice(&self) -> &[Neighbor] {
+        &self.entries
+    }
+
     /// Neighbor ids in ascending order.
     pub(crate) fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.entries.iter().map(|n| n.id)

@@ -242,14 +242,15 @@ impl<T> MemberView<T> {
         self.members.iter().copied()
     }
 
+    /// The members in storage order: the one contiguous id array every
+    /// membership test scans.
+    pub fn as_slice(&self) -> &[NodeId] {
+        &self.members
+    }
+
     /// Iterates over `(member, value)` in storage order.
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, &T)> + '_ {
         self.members.iter().copied().zip(&self.values)
-    }
-
-    /// A snapshot of the members (used when answering a join request).
-    pub fn to_vec(&self) -> Vec<NodeId> {
-        self.members.clone()
     }
 
     /// Heap bytes held by the view (ids plus values, by capacity).

@@ -640,7 +640,7 @@ impl Protocol for PlumtreeNode {
             self.add_active(ctx, p, true);
         }
         if self.active.is_empty() {
-            let contacts = self.passive.to_vec();
+            let contacts = self.passive.as_slice().to_vec();
             if let Some(contact) = self.choose(ctx, &contacts) {
                 self.add_active(ctx, contact, true);
                 ctx.send(contact, PlumtreeMsg::Join { ttl: ARWL });

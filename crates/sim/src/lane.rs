@@ -254,23 +254,38 @@ impl<P: Protocol> Lane<P> {
         self.dispatch(ev.at, ev.payload, net, sink);
     }
 
-    /// Starts fetching what the dispatch *after* this one reads first — the
-    /// new queue top's node (its leading lines), RNG and liveness flag —
-    /// so the misses overlap with the handler about to run. At scale every
-    /// event starts on a node that has left the cache (EXPERIMENTS.md
-    /// "Which share of an event grows with the population").
+    /// Starts fetching what the next two dispatches read, so the misses
+    /// overlap with the handler about to run. At scale every event starts
+    /// on a node that has left the cache (EXPERIMENTS.md "Which share of
+    /// an event grows with the population"), and its handler then follows
+    /// the node's pointers to its containers. Two stages:
+    ///
+    /// 1. the node whose event pops *second*: its leading lines, RNG and
+    ///    liveness flag;
+    /// 2. the node whose event pops *next*: [`Protocol::prefetch`], which
+    ///    reads the container pointers from lines stage 1 requested one
+    ///    event earlier. The leading lines are asked for again first: in
+    ///    cache that costs next to nothing, and when an event scheduled
+    ///    since has overtaken stage 1's guess it puts all four lines in
+    ///    flight at once, not one by one as the hook and handler reach
+    ///    them.
     #[inline(always)]
     fn prefetch_next(&self) {
-        let Some(hint) = self.queue.next_hint() else {
-            return;
-        };
-        let l = self.local(NodeId::new(hint));
-        if let (Some(p), Some(rng), Some(alive)) =
-            (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
-        {
-            prefetch(p);
-            prefetch(rng);
-            prefetch(alive);
+        if let Some(hint) = self.queue.second_hint() {
+            let l = self.local(NodeId::new(hint));
+            if let (Some(p), Some(rng), Some(alive)) =
+                (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
+            {
+                prefetch(p);
+                prefetch(rng);
+                prefetch(alive);
+            }
+        }
+        if let Some(hint) = self.queue.next_hint() {
+            if let Some(p) = self.nodes.get(self.local(NodeId::new(hint))) {
+                prefetch(p);
+                p.prefetch();
+            }
         }
     }
 

@@ -114,7 +114,7 @@ pub use kernel::{
 pub use latency::{FixedLatency, HashedLatency, LatencyModel};
 pub use parallel::parallel_map;
 pub use protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
-pub use queue::{EventQueue, Scheduled};
+pub use queue::{prefetch_slice, EventQueue, Scheduled, PREFETCH_BYTES};
 pub use recorder::{FnRecorder, NullRecorder, Recorder, VecRecorder};
 pub use scenario::{
     Fault, PlannedFault, PlannedSub, PresenceTimeline, Scenario, ScenarioEnv, ScenarioPlan, Split,

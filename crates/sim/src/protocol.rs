@@ -77,6 +77,16 @@ pub trait Protocol: Sized {
     fn on_command(&mut self, ctx: &mut Ctx<'_, Self>, cmd: Self::Command) {
         let _ = (ctx, cmd);
     }
+
+    /// Starts fetching the out-of-line state this node's next handler
+    /// reads — container contents one pointer beyond the node — with
+    /// [`prefetch_slice`](crate::prefetch_slice). The kernel calls it one
+    /// event before dispatching to this node, after requesting the node's
+    /// leading [`PREFETCH_BYTES`](crate::PREFETCH_BYTES), so the pointers
+    /// it reads should end inside those. It only reads `self` and changes
+    /// nothing, so it cannot change what a run computes. Default: nothing.
+    #[inline(always)]
+    fn prefetch(&self) {}
 }
 
 /// The world a protocol instance talks to: a lane of the simulation

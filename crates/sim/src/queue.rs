@@ -46,29 +46,50 @@
 
 use crate::time::SimTime;
 
-/// Bytes of a value [`prefetch`] asks for: the four cache lines a protocol
-/// keeps its dispatch-time state in (`GoCastNode`'s `layout` test).
-const PREFETCH_BYTES: usize = 256;
+/// Bytes of a node the kernel prefetches two events ahead: the four cache
+/// lines a protocol keeps its dispatch-time state in (`GoCastNode`'s
+/// `layout` test). A
+/// [`Protocol::prefetch`](crate::Protocol::prefetch) hook may read only
+/// pointers that end inside them: the kernel requested these lines one
+/// event before it calls the hook.
+pub const PREFETCH_BYTES: usize = 256;
 
-/// Hints the cache to load the leading [`PREFETCH_BYTES`] of `*t`. A
+/// Hints the cache to load the `lines` cache lines from `p` on. A
 /// prefetch has no architectural effect — it changes no register, memory
 /// or flag and cannot fault — so it cannot change what a run computes.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) fn prefetch<T>(t: &T) {
+fn prefetch_lines(p: *const u8, lines: usize) {
     use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-    let p = std::ptr::from_ref(t).cast::<i8>();
-    for line in 0..size_of::<T>().min(PREFETCH_BYTES).div_ceil(64) {
-        // SAFETY: `line * 64 < size_of::<T>()`, so the address stays inside
-        // the `T` that `t` borrows; the instruction itself accepts any
-        // address.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.add(line * 64)) };
+    for line in 0..lines {
+        // SAFETY: the instruction accepts any address, `wrapping_add` any
+        // offset, and neither dereferences it.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(line * 64).cast()) };
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
-pub(crate) fn prefetch<T>(_: &T) {}
+fn prefetch_lines(_: *const u8, _: usize) {}
+
+/// Hints the cache to load the leading [`PREFETCH_BYTES`] of `*t`: as many
+/// lines from `t` on, a constant count the loop unrolls to.
+#[inline(always)]
+pub(crate) fn prefetch<T>(t: &T) {
+    let lines = size_of::<T>().min(PREFETCH_BYTES).div_ceil(64);
+    prefetch_lines(std::ptr::from_ref(t).cast(), lines);
+}
+
+/// Hints the cache to load every line `items` touches — the out-of-line
+/// containers a [`Protocol::prefetch`](crate::Protocol::prefetch) hook
+/// names. Like every prefetch it cannot change what a run computes.
+#[inline(always)]
+pub fn prefetch_slice<T>(items: &[T]) {
+    let p = items.as_ptr().cast::<u8>();
+    let skew = p as usize % 64;
+    let lines = (skew + size_of_val(items)).div_ceil(64);
+    prefetch_lines(p.wrapping_sub(skew), lines);
+}
 
 /// A scheduled entry: fires `payload` at `at`.
 ///
@@ -105,9 +126,11 @@ const _: () = assert!(std::mem::size_of::<Entry>() == 24);
 const NO_HINT: u32 = u32::MAX;
 
 impl Entry {
+    /// `(at, seq)` as one integer, so a comparison is one wide subtract
+    /// the compiler can turn into a conditional move.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn key(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
@@ -332,6 +355,26 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn next_hint(&self) -> Option<u32> {
         self.heap.first().map(|e| e.hint).filter(|&h| h != NO_HINT)
+    }
+
+    /// The hint of the event that pops *second* — the least of the heap
+    /// root's children — if at least two are pending and it has one. It
+    /// names the second pop's hint unless an earlier event is scheduled
+    /// before then.
+    #[inline]
+    pub fn second_hint(&self) -> Option<u32> {
+        let least = match self.heap.get(1..1 + ARITY) {
+            // A full set of children, as at any depth worth prefetching
+            // for: a two-round tournament of index selects, no branches.
+            Some(kids) => {
+                let key = |i: usize| kids[i].key();
+                let a = usize::from(key(1) < key(0));
+                let b = 2 + usize::from(key(3) < key(2));
+                &kids[if key(b) < key(a) { b } else { a }]
+            }
+            None => self.heap.get(1..)?.iter().min_by_key(|e| e.key())?,
+        };
+        Some(least.hint).filter(|&h| h != NO_HINT)
     }
 
     /// Number of pending events.

@@ -6,7 +6,9 @@
 //! of schedules and pops — including bursts of equal timestamps, which
 //! must pop in insertion order — the two must agree on every observable:
 //! pop results (time, sequence, payload), `peek_time`, `len`, and
-//! `scheduled_total`.
+//! `scheduled_total` — and on the hints the kernel prefetches by: the
+//! first and second pops' (`next_hint`, `second_hint`), which never move a
+//! pop.
 //!
 //! The queue also gives memory back (it compacts its slab when an epoch of
 //! pops never needed half of it), which the model knows nothing about: the
@@ -45,6 +47,19 @@ impl ModelQueue {
     fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
+
+    /// Payloads of the next two pops, earliest first.
+    fn first_two(&self) -> (Option<u64>, Option<u64>) {
+        let mut keys: Vec<_> = self.heap.iter().map(|Reverse(e)| *e).collect();
+        keys.sort_unstable();
+        let payload = |i: usize| keys.get(i).map(|&(_, _, p)| p);
+        (payload(0), payload(1))
+    }
+}
+
+/// The hint `EventQueue` reports for an event: `u32::MAX` means none.
+fn reported(hint: u32) -> Option<u32> {
+    (hint != u32::MAX).then_some(hint)
 }
 
 /// Bytes one pending event reserves: its payload slot and its heap entry.
@@ -129,14 +144,25 @@ proptest! {
         // FIFO tie-break.
         let mut now = SimTime::ZERO;
         let mut payload = 0u64;
+        // `hints[payload]`: what the queue should report for the event.
+        let mut hints: Vec<Option<u32>> = Vec::new();
         for _ in 0..ops {
+            // What the kernel's first prefetch stage reads: the second pop.
+            let ahead = q.second_hint();
             if rng.gen_bool(0.6) {
                 // Schedule a burst of 1..4 events, often at equal times.
                 let at = now + Duration::from_nanos(rng.gen_range(0..50));
                 for _ in 0..rng.gen_range(1..4usize) {
                     // The model has never heard of hints: they must not
-                    // move a pop.
-                    q.schedule_hinted(at, rng.gen_range(0..=u32::MAX), payload);
+                    // move a pop. A quarter of events carry none.
+                    if rng.gen_bool(0.25) {
+                        q.schedule(at, payload);
+                        hints.push(None);
+                    } else {
+                        let hint = rng.gen_range(0..=u32::MAX);
+                        q.schedule_hinted(at, hint, payload);
+                        hints.push(reported(hint));
+                    }
                     model.schedule(at, payload);
                     payload += 1;
                 }
@@ -147,7 +173,13 @@ proptest! {
                 if let Some((at, _, _)) = want {
                     now = now.max(at);
                 }
+                // Nothing was scheduled since: the look-ahead named this
+                // pop's successor.
+                prop_assert_eq!(q.next_hint(), ahead, "look-ahead missed the next pop");
             }
+            let (first, second) = model.first_two();
+            prop_assert_eq!(q.next_hint(), first.and_then(|p| hints[p as usize]));
+            prop_assert_eq!(q.second_hint(), second.and_then(|p| hints[p as usize]));
             prop_assert_eq!(q.peek_time(), model.peek_time());
             prop_assert_eq!(q.len(), model.heap.len());
             prop_assert_eq!(q.scheduled_total(), model.next_seq);
@@ -168,20 +200,25 @@ proptest! {
 
 /// A hint rides beside the key and is never part of it: equal-time events
 /// scheduled with descending hints still pop in insertion order, each
-/// reporting its own hint while it is the earliest.
+/// reporting its own hint while it is the earliest and, one pop before,
+/// while it is the second.
 #[test]
 fn hints_never_order_events() {
     let mut q = EventQueue::new();
     let at = SimTime::from_millis(3);
+    assert_eq!(q.second_hint(), None, "empty");
     for i in 0..100u32 {
         q.schedule_hinted(at, 99 - i, i);
     }
     q.schedule(at, 100);
     for i in 0..100u32 {
         assert_eq!(q.next_hint(), Some(99 - i));
+        let second = (i < 99).then(|| 98 - i);
+        assert_eq!(q.second_hint(), second, "pop {i}");
         assert_eq!(q.pop().map(|s| s.payload), Some(i));
     }
     assert_eq!(q.next_hint(), None, "scheduled without a hint");
+    assert_eq!(q.second_hint(), None, "one pending");
     assert_eq!(q.pop().map(|s| s.payload), Some(100));
     assert_eq!(q.next_hint(), None, "empty");
 }

@@ -121,10 +121,12 @@ absent  crates,tests,examples,benchmark  -  enum TraceEv([^_[:alnum:]]|$)|struct
 
 # One neighbor table (the sorted 64-byte-entry array in
 # crates/core/src/node/neighbors.rs); `unsafe` only in the mmsg FFI and on
-# the one line of the kernel's prefetch function.
+# the one line of the kernel's prefetch primitive, which alone issues the
+# prefetch instruction (protocols ask through gocast_sim::prefetch_slice).
 absent  crates,examples  -  BTreeMap<NodeId, *Neighbor>
 absent  crates,examples  crates/testnet/src/batch\.rs:|crates/sim/src/queue\.rs:  (^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)
 once    crates/sim/src/queue.rs  -  (^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)
+absent  crates,tests,examples  crates/sim/src/queue\.rs:  _mm_prefetch
 
 # One fault vocabulary: a network fault is a NetFault value held by
 # gocast_sim::FaultState, in the kernel and on the wire; the per-kind
