@@ -9,7 +9,7 @@
 //! (`TopicDelivered`, `DeltaPublished`, `DeltaApplied`, subscription
 //! changes) as those three numbers need them, in O(topics + mutations)
 //! memory. [`crate::MetricsRecorder`] folds it: attach that to a run, or
-//! replay a parsed trace's events into its `record`.
+//! replay a trace into it with [`gocast_sim::replay`].
 
 use std::collections::BTreeMap;
 use std::time::Duration;

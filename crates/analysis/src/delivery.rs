@@ -197,6 +197,30 @@ impl DeliveryTracker {
         self.pull_deliveries
     }
 
+    /// Mean causal hop count over deliveries that carried one
+    /// (`hop_sum / hops`; 0 with none).
+    pub fn mean_hops(&self) -> f64 {
+        match self.hops() {
+            0 => 0.0,
+            n => self.hop_sum as f64 / n as f64,
+        }
+    }
+
+    /// The deepest hop bucket holding a delivery (0 with none).
+    pub fn max_hop(&self) -> usize {
+        self.hop_counts.0.iter().rposition(|&n| n > 0).unwrap_or(0)
+    }
+
+    /// Fraction of deliveries that needed the recovery path (gossip pull
+    /// for GoCast, IHAVE-triggered graft for Plumtree) rather than the
+    /// primary push — the paper's tree-vs-gossip split (0 with none).
+    pub fn recovery_fraction(&self) -> f64 {
+        match self.delivered {
+            0 => 0.0,
+            d => self.pull_deliveries as f64 / d as f64,
+        }
+    }
+
     /// Streaming distribution over every (node, message) delivery delay.
     ///
     /// Exact `len`/`mean`/`min`/`max`; percentiles within ≈3% (see
@@ -563,6 +587,10 @@ mod tests {
         assert!((d.tree_fraction() - 0.5).abs() < 1e-12);
         assert_eq!((d.hop_sum(), d.hops(), d.pull_deliveries()), (3, 2, 1));
         assert_eq!(d.hop_counts()[..3], [0, 1, 1]);
+        assert_eq!(
+            (d.mean_hops(), d.max_hop(), d.recovery_fraction()),
+            (1.5, 2, 0.5)
+        );
         assert_eq!(d.deliveries_of(id(1)), 2);
         let h = d.delay_histogram();
         assert_eq!(h.len(), 2);
@@ -695,6 +723,9 @@ mod tests {
         let m = MetricsRecorder::new();
         assert_eq!(m.delivery().redundancy_factor(), 0.0);
         assert_eq!(m.delivery().tree_fraction(), 0.0);
+        assert_eq!(m.delivery().mean_hops(), 0.0);
+        assert_eq!(m.delivery().max_hop(), 0);
+        assert_eq!(m.delivery().recovery_fraction(), 0.0);
         assert!(m.delivery().delay_histogram().is_empty());
     }
 
@@ -814,5 +845,6 @@ mod tests {
         assert_eq!(t.hop_counts()[HOP_BUCKETS - 1], 1);
         assert_eq!(t.hop_counts().iter().sum::<u64>(), 1);
         assert_eq!((t.hops(), t.hop_sum()), (1, u64::from(u32::MAX)));
+        assert_eq!(t.max_hop(), HOP_BUCKETS - 1);
     }
 }

@@ -22,10 +22,10 @@
 //!   scalability results (Figure 6, §3 summaries);
 //! - [`Table`] — aligned terminal tables plus CSV output for every
 //!   experiment;
-//! - the [`mod@trace`] module — JSONL causal-trace parsing
-//!   ([`scan_trace`]), per-message dissemination-tree reconstruction
-//!   ([`TraceAnalysis`]), and the online [`InvariantOracle`] protocol
-//!   checker.
+//! - [`TraceAnalysis`] — per-message dissemination-tree reconstruction
+//!   and per-hop latency, and [`InvariantOracle`] — the protocol invariant
+//!   checker. Like the ledgers, both are recorders: a live run feeds them
+//!   directly, and [`gocast_sim::replay`] feeds them a JSONL trace.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,18 +33,17 @@
 mod convergence;
 mod delivery;
 mod graph;
+mod oracle;
 mod stats;
 mod table;
-pub mod trace;
+mod trace;
 
 pub use convergence::{ConvergenceReport, ConvergenceTracker};
 pub use delivery::{DeliveryTracker, MetricsRecorder, OrphanTracker, WindowRatio, HOP_BUCKETS};
 pub use graph::{
     bfs_distances, component_sizes, diameter, largest_component_fraction, mean_path_length,
 };
+pub use oracle::{InvariantOracle, OracleConfig, Violation, ViolationKind};
 pub use stats::{Cdf, DelayHistogram, Histogram, Summary};
 pub use table::{fmt_ms, fmt_secs, Table};
-pub use trace::{
-    parse_line, scan_trace, InvariantOracle, OracleConfig, ProtoTag, TraceAnalysis, TraceError,
-    TraceRecord, TraceReport, Violation, ViolationKind,
-};
+pub use trace::{PerHopLatency, TraceAnalysis, TraceReport};

@@ -4,8 +4,45 @@
 use std::fmt;
 use std::time::Duration;
 
-use gocast_sim::NodeId;
+use gocast_sim::{NodeId, ReplayEvent, TraceEvent, TraceLine};
 use serde::{Deserialize, Serialize};
+
+/// `as_str` and `parse` for a field-less enum, and its trace field, from
+/// one list of `Variant => "name"` pairs.
+macro_rules! names {
+    ($ty:ident { $($v:ident => $name:literal,)* }) => {
+        impl $ty {
+            /// Stable snake_case name, used by the JSONL trace schema.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $($ty::$v => $name,)*
+                }
+            }
+
+            /// Parses the name produced by `as_str`.
+            pub fn parse(s: &str) -> Option<Self> {
+                match s {
+                    $($name => Some($ty::$v),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl TraceField for $ty {
+            fn put(&self, prefix: &str, out: &mut String) {
+                out.push_str(prefix);
+                out.push('"');
+                out.push_str(self.as_str());
+                out.push('"');
+            }
+
+            fn take(line: &TraceLine<'_>, key: &str) -> Result<Self, String> {
+                let s = line.str(key)?;
+                $ty::parse(s).ok_or_else(|| format!("unknown {key} {s:?}"))
+            }
+        }
+    };
+}
 
 /// Globally unique multicast message identifier.
 ///
@@ -42,22 +79,10 @@ pub enum LinkKind {
     Nearby,
 }
 
-impl LinkKind {
-    /// Stable snake_case name, used by the JSONL trace schema.
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            LinkKind::Random => "random",
-            LinkKind::Nearby => "nearby",
-        }
-    }
-
-    /// Parses the name produced by [`LinkKind::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "random" => Some(LinkKind::Random),
-            "nearby" => Some(LinkKind::Nearby),
-            _ => None,
-        }
+names! {
+    LinkKind {
+        Random => "random",
+        Nearby => "nearby",
     }
 }
 
@@ -118,24 +143,11 @@ pub enum DeliveryPath {
     Local,
 }
 
-impl DeliveryPath {
-    /// Stable snake_case name, used by the JSONL trace schema.
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            DeliveryPath::Tree => "tree",
-            DeliveryPath::Pull => "pull",
-            DeliveryPath::Local => "local",
-        }
-    }
-
-    /// Parses the name produced by [`DeliveryPath::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "tree" => Some(DeliveryPath::Tree),
-            "pull" => Some(DeliveryPath::Pull),
-            "local" => Some(DeliveryPath::Local),
-            _ => None,
-        }
+names! {
+    DeliveryPath {
+        Tree => "tree",
+        Pull => "pull",
+        Local => "local",
     }
 }
 
@@ -157,8 +169,8 @@ pub enum DropReason {
 impl DropReason {
     /// Every variant, in [`DropReason::index`] order.
     ///
-    /// Exhaustiveness is enforced by `index`/`as_str`: adding a variant
-    /// without extending this table is a compile error there.
+    /// Exhaustiveness is enforced by `index` and the name list: adding a
+    /// variant without extending this table is a compile error there.
     pub const ALL: [DropReason; 5] = [
         DropReason::Replaced,
         DropReason::Surplus,
@@ -177,21 +189,15 @@ impl DropReason {
             DropReason::PeerFailed => 4,
         }
     }
+}
 
-    /// Stable snake_case name, used by the JSONL trace schema.
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            DropReason::Replaced => "replaced",
-            DropReason::Surplus => "surplus",
-            DropReason::Rebalanced => "rebalanced",
-            DropReason::PeerRequest => "peer_request",
-            DropReason::PeerFailed => "peer_failed",
-        }
-    }
-
-    /// Parses the name produced by [`DropReason::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        DropReason::ALL.into_iter().find(|r| r.as_str() == s)
+names! {
+    DropReason {
+        Replaced => "replaced",
+        Surplus => "surplus",
+        Rebalanced => "rebalanced",
+        PeerRequest => "peer_request",
+        PeerFailed => "peer_failed",
     }
 }
 
@@ -334,109 +340,118 @@ pub enum GoCastEvent {
     },
 }
 
-impl gocast_sim::TraceEvent for GoCastEvent {
-    /// The JSONL trace schema: one flat object per event with stable
-    /// snake_case keys. `ev` names the kind; message ids are split into
-    /// `origin`/`seq`; enum values use the `as_str` names.
-    fn trace_fields(&self, out: &mut String) {
+/// One JSONL field type: how a value is written after its key and read
+/// back from a parsed line.
+trait TraceField: Sized {
+    /// Appends `,"key":` (passed in whole as `prefix`) and the value.
+    fn put(&self, prefix: &str, out: &mut String);
+    /// Reads the value under `key`.
+    fn take(line: &TraceLine<'_>, key: &str) -> Result<Self, String>;
+}
+
+impl TraceField for u32 {
+    fn put(&self, prefix: &str, out: &mut String) {
         use std::fmt::Write as _;
+        out.push_str(prefix);
+        let _ = write!(out, "{self}");
+    }
 
-        fn msg(out: &mut String, ev: &str, id: MsgId) {
-            let _ = write!(
-                out,
-                "\"ev\":\"{ev}\",\"origin\":{},\"seq\":{}",
-                id.origin.as_u32(),
-                id.seq
-            );
-        }
+    fn take(line: &TraceLine<'_>, key: &str) -> Result<Self, String> {
+        line.num(key)
+    }
+}
 
+impl TraceField for NodeId {
+    fn put(&self, prefix: &str, out: &mut String) {
+        self.as_u32().put(prefix, out);
+    }
+
+    fn take(line: &TraceLine<'_>, key: &str) -> Result<Self, String> {
+        line.node(key)
+    }
+}
+
+/// A node id, or `null`.
+impl TraceField for Option<NodeId> {
+    fn put(&self, prefix: &str, out: &mut String) {
         match self {
-            GoCastEvent::Injected { id } => msg(out, "injected", *id),
-            GoCastEvent::Delivered { id, via, from, hop } => {
-                msg(out, "delivered", *id);
-                let _ = write!(
-                    out,
-                    ",\"from\":{},\"hop\":{},\"via\":\"{}\"",
-                    from.as_u32(),
-                    hop,
-                    via.as_str()
-                );
-            }
-            GoCastEvent::RedundantData { id, from } => {
-                msg(out, "redundant_data", *id);
-                let _ = write!(out, ",\"from\":{}", from.as_u32());
-            }
-            GoCastEvent::PushSent { id, to, hop } => {
-                msg(out, "push_sent", *id);
-                let _ = write!(out, ",\"to\":{},\"hop\":{}", to.as_u32(), hop);
-            }
-            GoCastEvent::IHaveSent { id, to } => {
-                msg(out, "ihave_sent", *id);
-                let _ = write!(out, ",\"to\":{}", to.as_u32());
-            }
-            GoCastEvent::PullRequested { id, to } => {
-                msg(out, "pull_requested", *id);
-                let _ = write!(out, ",\"to\":{}", to.as_u32());
-            }
-            GoCastEvent::PullServed { id, to, hop } => {
-                msg(out, "pull_served", *id);
-                let _ = write!(out, ",\"to\":{},\"hop\":{}", to.as_u32(), hop);
-            }
-            GoCastEvent::LinkAdded { peer, kind } => {
-                let _ = write!(
-                    out,
-                    "\"ev\":\"link_added\",\"peer\":{},\"kind\":\"{}\"",
-                    peer.as_u32(),
-                    kind.as_str()
-                );
-            }
-            GoCastEvent::LinkDropped { peer, kind, reason } => {
-                let _ = write!(
-                    out,
-                    "\"ev\":\"link_dropped\",\"peer\":{},\"kind\":\"{}\",\"reason\":\"{}\"",
-                    peer.as_u32(),
-                    kind.as_str(),
-                    reason.as_str()
-                );
-            }
-            GoCastEvent::ParentChanged { parent } => match parent {
-                Some(p) => {
-                    let _ = write!(out, "\"ev\":\"parent_changed\",\"parent\":{}", p.as_u32());
-                }
-                None => out.push_str("\"ev\":\"parent_changed\",\"parent\":null"),
-            },
-            GoCastEvent::BecameRoot { epoch } => {
-                let _ = write!(out, "\"ev\":\"became_root\",\"epoch\":{epoch}");
-            }
-            GoCastEvent::TopicDelivered { topic, id, bytes } => {
-                msg(out, "topic_delivered", *id);
-                let _ = write!(out, ",\"topic\":{topic},\"bytes\":{bytes}");
-            }
-            GoCastEvent::TopicSubscribed { topic } => {
-                let _ = write!(out, "\"ev\":\"topic_subscribed\",\"topic\":{topic}");
-            }
-            GoCastEvent::TopicUnsubscribed { topic } => {
-                let _ = write!(out, "\"ev\":\"topic_unsubscribed\",\"topic\":{topic}");
-            }
-            GoCastEvent::DeltaPublished { topic, counter } => {
-                let _ = write!(
-                    out,
-                    "\"ev\":\"delta_published\",\"topic\":{topic},\"counter\":{counter}"
-                );
-            }
-            GoCastEvent::DeltaApplied {
-                topic,
-                origin,
-                counter,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"ev\":\"delta_applied\",\"topic\":{topic},\"origin\":{},\"counter\":{counter}",
-                    origin.as_u32()
-                );
+            Some(n) => n.put(prefix, out),
+            None => {
+                out.push_str(prefix);
+                out.push_str("null");
             }
         }
     }
+
+    fn take(line: &TraceLine<'_>, key: &str) -> Result<Self, String> {
+        if line.is_null(key)? {
+            Ok(None)
+        } else {
+            line.node(key).map(Some)
+        }
+    }
+}
+
+/// A message id is split into `origin` and `seq`; the field's own key is
+/// not written.
+impl TraceField for MsgId {
+    fn put(&self, _prefix: &str, out: &mut String) {
+        self.origin.put(",\"origin\":", out);
+        self.seq.put(",\"seq\":", out);
+    }
+
+    fn take(line: &TraceLine<'_>, _key: &str) -> Result<Self, String> {
+        Ok(MsgId::new(line.node("origin")?, line.num("seq")?))
+    }
+}
+
+/// The JSONL trace schema: every [`GoCastEvent`] variant once, as
+/// `Variant "ev name" { fields in line order }`, each field written under
+/// its own name. It generates the writer ([`TraceEvent`]) and the reader
+/// ([`ReplayEvent`]), so the two cannot disagree.
+macro_rules! trace_schema {
+    ($($v:ident $name:literal { $($f:ident),* },)*) => {
+        impl TraceEvent for GoCastEvent {
+            fn trace_fields(&self, out: &mut String) {
+                match self {
+                    $(GoCastEvent::$v { $($f),* } => {
+                        out.push_str(concat!("\"ev\":\"", $name, "\""));
+                        $(TraceField::put($f, concat!(",\"", stringify!($f), "\":"), out);)*
+                    })*
+                }
+            }
+        }
+
+        impl ReplayEvent for GoCastEvent {
+            fn from_line(line: &TraceLine<'_>) -> Result<Self, String> {
+                match line.str("ev")? {
+                    $($name => Ok(GoCastEvent::$v {
+                        $($f: TraceField::take(line, stringify!($f))?),*
+                    }),)*
+                    other => Err(format!("unknown event kind {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+trace_schema! {
+    Injected "injected" { id },
+    Delivered "delivered" { id, from, hop, via },
+    RedundantData "redundant_data" { id, from },
+    PushSent "push_sent" { id, to, hop },
+    IHaveSent "ihave_sent" { id, to },
+    PullRequested "pull_requested" { id, to },
+    PullServed "pull_served" { id, to, hop },
+    LinkAdded "link_added" { peer, kind },
+    LinkDropped "link_dropped" { peer, kind, reason },
+    ParentChanged "parent_changed" { parent },
+    BecameRoot "became_root" { epoch },
+    TopicDelivered "topic_delivered" { id, topic, bytes },
+    TopicSubscribed "topic_subscribed" { topic },
+    TopicUnsubscribed "topic_unsubscribed" { topic },
+    DeltaPublished "delta_published" { topic, counter },
+    DeltaApplied "delta_applied" { topic, origin, counter },
 }
 
 /// Computes the age of a message at reception: the age stamped on the wire
@@ -609,6 +624,132 @@ mod tests {
             let mut out = String::new();
             ev.trace_fields(&mut out);
             assert_eq!(out, expect, "schema drift for {ev:?}");
+        }
+    }
+
+    fn n(i: u32) -> NodeId {
+        NodeId::new(i)
+    }
+
+    /// The sample that follows `ev` in the round-trip list. The match has
+    /// no wildcard arm, so a new `GoCastEvent` variant does not compile
+    /// until it has a sample here — and the round trip then fails until
+    /// the variant has a row in `trace_schema!`.
+    fn next_sample(ev: &GoCastEvent) -> Option<GoCastEvent> {
+        let id = MsgId::new(n(0), 7);
+        Some(match ev {
+            GoCastEvent::Injected { .. } => GoCastEvent::Delivered {
+                id,
+                via: DeliveryPath::Tree,
+                from: n(0),
+                hop: 1,
+            },
+            GoCastEvent::Delivered { .. } => GoCastEvent::RedundantData { id, from: n(8) },
+            GoCastEvent::RedundantData { .. } => GoCastEvent::PushSent {
+                id,
+                to: n(9),
+                hop: 2,
+            },
+            GoCastEvent::PushSent { .. } => GoCastEvent::IHaveSent { id, to: n(4) },
+            GoCastEvent::IHaveSent { .. } => GoCastEvent::PullServed {
+                id,
+                to: n(4),
+                hop: 2,
+            },
+            GoCastEvent::PullServed { .. } => GoCastEvent::LinkAdded {
+                peer: n(6),
+                kind: LinkKind::Random,
+            },
+            GoCastEvent::LinkAdded { .. } => GoCastEvent::LinkDropped {
+                peer: n(6),
+                kind: LinkKind::Nearby,
+                reason: DropReason::Rebalanced,
+            },
+            GoCastEvent::LinkDropped { .. } => GoCastEvent::ParentChanged { parent: Some(n(1)) },
+            GoCastEvent::ParentChanged { parent: Some(_) } => {
+                GoCastEvent::ParentChanged { parent: None }
+            }
+            GoCastEvent::ParentChanged { parent: None } => GoCastEvent::BecameRoot { epoch: 3 },
+            GoCastEvent::BecameRoot { .. } => GoCastEvent::PullRequested { id, to: n(3) },
+            GoCastEvent::PullRequested { .. } => GoCastEvent::TopicDelivered {
+                topic: 5,
+                id,
+                bytes: 1024,
+            },
+            GoCastEvent::TopicDelivered { .. } => GoCastEvent::TopicSubscribed { topic: 5 },
+            GoCastEvent::TopicSubscribed { .. } => GoCastEvent::TopicUnsubscribed { topic: 5 },
+            GoCastEvent::TopicUnsubscribed { .. } => GoCastEvent::DeltaPublished {
+                topic: 5,
+                counter: 2,
+            },
+            GoCastEvent::DeltaPublished { .. } => GoCastEvent::DeltaApplied {
+                topic: 5,
+                origin: n(2),
+                counter: 2,
+            },
+            GoCastEvent::DeltaApplied { .. } => return None,
+        })
+    }
+
+    #[test]
+    fn every_variant_replays_as_written() {
+        use gocast_sim::{Recorder, SimTime, TraceRecorder, VecRecorder};
+        let first = GoCastEvent::Injected {
+            id: MsgId::new(n(0), 7),
+        };
+        let events: Vec<GoCastEvent> = std::iter::successors(Some(first), next_sample).collect();
+        assert_eq!(events.len(), 17, "16 variants, ParentChanged both ways");
+        let mut w = TraceRecorder::new(Vec::new());
+        let written: Vec<_> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, ev)| {
+                let (at, node) = (SimTime::from_millis(i as u64 + 1), n(i as u32 % 5));
+                w.record(at, node, ev.clone());
+                (at, node, ev)
+            })
+            .collect();
+        let text = w.finish().unwrap();
+        let mut read = VecRecorder::new();
+        let end = SimTime::from_millis(17);
+        let lines = gocast_sim::replay(&text[..], 10, end, &mut read).unwrap();
+        assert_eq!(lines, 17);
+        assert_eq!(read.events, written);
+    }
+
+    #[test]
+    fn replay_rejects_unknown_names_and_outside_ids() {
+        use gocast_sim::{replay, SimTime, TraceError, VecRecorder};
+        let delivered = |tail: &str| {
+            format!("{{\"t_us\":1,\"node\":1,\"ev\":\"delivered\",\"origin\":0,\"seq\":0,{tail}}}")
+        };
+        for (line, why) in [
+            (
+                delivered("\"from\":0,\"hop\":1,\"via\":\"teleport\""),
+                "unknown via",
+            ),
+            (
+                delivered("\"from\":9,\"hop\":1,\"via\":\"tree\""),
+                "\"from\" names node 9",
+            ),
+            (
+                delivered("\"hop\":1,\"via\":\"tree\""),
+                "missing field \"from\"",
+            ),
+            (
+                "{\"t_us\":1,\"node\":1,\"ev\":\"parent_changed\",\"parent\":9}".into(),
+                "\"parent\" names node 9",
+            ),
+            (
+                "{\"t_us\":1,\"node\":1,\"ev\":\"link_added\",\"peer\":0,\"kind\":\"far\"}".into(),
+                "unknown kind",
+            ),
+        ] {
+            let mut out = VecRecorder::<GoCastEvent>::new();
+            match replay(line.as_bytes(), 9, SimTime::from_secs(1), &mut out) {
+                Err(TraceError::Parse { line: 1, msg }) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{line}: {other:?}"),
+            }
         }
     }
 }

@@ -30,7 +30,9 @@ use std::ops::Deref;
 use std::time::Duration;
 
 use gocast::{GoCastConfig, GoCastEvent};
-use gocast_analysis::{fmt_ms, fmt_secs, InvariantOracle, OracleConfig, WindowRatio};
+use gocast_analysis::{
+    fmt_ms, fmt_secs, DeliveryTracker, InvariantOracle, MetricsRecorder, OracleConfig, WindowRatio,
+};
 use gocast_plumtree::PlumtreeNode;
 use gocast_sim::{NodeId, OneLane, Scenario, SimTime, Split, Stack};
 
@@ -75,20 +77,8 @@ pub struct ChaosOutcome {
     pub windows: Vec<WindowRatio>,
     /// Tree-repair time after each labelled burst.
     pub repairs: Vec<BurstRepair>,
-    /// Orphan spells closed during the run.
-    pub orphan_spells: u64,
-    /// Mean orphan spell duration.
-    pub orphan_mean: Duration,
-    /// Longest orphan spell.
-    pub orphan_max: Duration,
-    /// Sum of causal hop counts over event-stream deliveries.
-    pub hop_sum: u64,
-    /// Event-stream deliveries carrying a nonzero hop count.
-    pub hops: u64,
-    /// Event-stream deliveries recovered via pull/graft.
-    pub pull_deliveries: u64,
-    /// All event-stream deliveries.
-    pub event_deliveries: u64,
+    /// The run's ledger: deliveries, hops, pulls and orphan spells.
+    pub metrics: MetricsRecorder,
 }
 
 impl Deref for ChaosOutcome {
@@ -100,24 +90,9 @@ impl Deref for ChaosOutcome {
 }
 
 impl ChaosOutcome {
-    /// Mean causal hop count over deliveries that carried one.
-    pub fn mean_hops(&self) -> f64 {
-        if self.hops == 0 {
-            0.0
-        } else {
-            self.hop_sum as f64 / self.hops as f64
-        }
-    }
-
-    /// Fraction of deliveries that needed the recovery path (gossip pull
-    /// for GoCast, IHAVE-triggered graft for Plumtree) rather than the
-    /// primary push.
-    pub fn recovery_fraction(&self) -> f64 {
-        if self.event_deliveries == 0 {
-            0.0
-        } else {
-            self.pull_deliveries as f64 / self.event_deliveries as f64
-        }
+    /// The run's delivery ledger.
+    pub fn ledger(&self) -> &DeliveryTracker {
+        self.metrics.delivery()
     }
 
     /// [`ChaosOutcome::mean_repair`] in whole milliseconds (`-`: none).
@@ -151,10 +126,10 @@ impl ChaosOutcome {
             self.expected,
             self.delivered,
             self.delivery_ratio(),
-            self.hop_sum,
-            self.hops,
-            self.pull_deliveries,
-            self.event_deliveries,
+            self.ledger().hop_sum(),
+            self.ledger().hops(),
+            self.ledger().pull_deliveries(),
+            self.ledger().delivered(),
         );
         for w in &self.windows {
             let _ = write!(
@@ -175,9 +150,9 @@ impl ChaosOutcome {
         let _ = write!(
             s,
             " orphans={} mean={}ms max={}ms oracle={}/{} {}",
-            self.orphan_spells,
-            self.orphan_mean.as_millis(),
-            self.orphan_max.as_millis(),
+            self.metrics.orphans().spells(),
+            self.metrics.orphans().mean_spell().as_millis(),
+            self.metrics.orphans().max_spell().as_millis(),
             self.violations,
             self.oracle_records,
             kernel_digest(&self.kernel),
@@ -256,7 +231,6 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
     // present when `m` was injected and never departed afterwards.
     let (core, windows) = run.finish_audited(plan.len(), |n, at| presence.present_from(n, at));
 
-    let rec = run.sim.recorder();
     let repairs: Vec<BurstRepair> = plan
         .bursts()
         .iter()
@@ -269,20 +243,13 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
                 .map(|(t, _)| t.saturating_since(*at)),
         })
         .collect();
-    let (orphans, ledger) = (rec.metrics.orphans(), rec.metrics.delivery());
     ChaosOutcome {
         core,
         stack: S::NAME,
         seed: opts.seed,
         windows,
         repairs,
-        orphan_spells: orphans.spells(),
-        orphan_mean: orphans.mean_spell(),
-        orphan_max: orphans.max_spell(),
-        hop_sum: ledger.hop_sum(),
-        hops: ledger.hops(),
-        pull_deliveries: ledger.pull_deliveries(),
-        event_deliveries: ledger.delivered(),
+        metrics: std::mem::take(&mut run.sim.recorder_mut().metrics),
     }
 }
 
@@ -537,13 +504,17 @@ pub fn chaos(
         ("expected", &|o| o.expected.to_string()),
         ("delivered", &|o| o.delivered.to_string()),
         ("ratio", &|o| format!("{:.4}", o.delivery_ratio())),
-        ("mean_hops", &|o| format!("{:.2}", o.mean_hops())),
+        ("mean_hops", &|o| format!("{:.2}", o.ledger().mean_hops())),
         ("recovery_frac", &|o| {
-            format!("{:.4}", o.recovery_fraction())
+            format!("{:.4}", o.ledger().recovery_fraction())
         }),
         ("mean_repair_ms", &|o| o.mean_repair_ms()),
-        ("orphan_mean_ms", &|o| whole_ms(o.orphan_mean)),
-        ("orphan_max_ms", &|o| whole_ms(o.orphan_max)),
+        ("orphan_mean_ms", &|o| {
+            whole_ms(o.metrics.orphans().mean_spell())
+        }),
+        ("orphan_max_ms", &|o| {
+            whole_ms(o.metrics.orphans().max_spell())
+        }),
         ("violations", &|o| o.violations.to_string()),
     ];
     let table = table_of(&columns, &outcomes);

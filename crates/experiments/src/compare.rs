@@ -104,15 +104,17 @@ pub fn compare_table(rows: &[CompareRow]) -> Table {
         ("pt_ratio", &|r| {
             format!("{:.4}", r.plumtree.delivery_ratio())
         }),
-        ("go_mean_hops", &|r| format!("{:.2}", r.gocast.mean_hops())),
+        ("go_mean_hops", &|r| {
+            format!("{:.2}", r.gocast.ledger().mean_hops())
+        }),
         ("pt_mean_hops", &|r| {
-            format!("{:.2}", r.plumtree.mean_hops())
+            format!("{:.2}", r.plumtree.ledger().mean_hops())
         }),
         ("go_recovery_frac", &|r| {
-            format!("{:.4}", r.gocast.recovery_fraction())
+            format!("{:.4}", r.gocast.ledger().recovery_fraction())
         }),
         ("pt_recovery_frac", &|r| {
-            format!("{:.4}", r.plumtree.recovery_fraction())
+            format!("{:.4}", r.plumtree.ledger().recovery_fraction())
         }),
         ("go_repair_ms", &|r| r.gocast.mean_repair_ms()),
         ("pt_repair_ms", &|r| r.plumtree.mean_repair_ms()),

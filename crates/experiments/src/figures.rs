@@ -767,17 +767,18 @@ pub fn adaptive(opts: &ExpOptions) -> Vec<Table> {
 }
 
 /// `trace` subcommand: a Figure 3-style GoCast dissemination run with the
-/// causal JSONL trace enabled, then offline analysis of the trace it just
-/// wrote — per-message dissemination-tree reconstruction, hop-count and
-/// per-hop latency breakdowns, the tree-vs-pull recovery fraction, and the
-/// protocol invariant oracle. Returns the violations found so the CLI can
-/// exit nonzero on a broken invariant.
+/// causal JSONL trace enabled, then a replay of the trace it just wrote
+/// into the run's ledger, the protocol invariant oracle and the
+/// dissemination-tree reconstruction — the tree-vs-pull recovery
+/// fraction, hop counts, per-hop latency and causal-tree validation.
+/// Returns the violations found so the CLI can exit nonzero on a broken
+/// invariant.
 ///
 /// With `fail_frac = 0` this is the paper's no-failure run (recovery
 /// fraction near zero); with `fail_frac = 0.2` it measures how much of
 /// Figure 3(b)'s coverage the gossip/pull path supplies.
 pub fn trace_run(opts: &ExpOptions, fail_frac: f64) -> Vec<gocast_analysis::Violation> {
-    use gocast_analysis::trace::{scan_trace, InvariantOracle, TraceAnalysis};
+    use gocast_analysis::{InvariantOracle, MetricsRecorder, TraceAnalysis};
 
     let mut opts = opts.clone();
     if opts.trace_out.is_none() {
@@ -799,42 +800,50 @@ pub fn trace_run(opts: &ExpOptions, fail_frac: f64) -> Vec<gocast_analysis::Viol
         opts.messages,
         fail_frac * 100.0
     );
-    run_delay(&opts, Proto::GoCast(cfg.clone()), fail_frac);
+    let run = run_delay(&opts, Proto::GoCast(cfg.clone()), fail_frac);
 
     let file = std::fs::File::open(&trace_path)
         .unwrap_or_else(|e| panic!("cannot reopen trace {}: {e}", trace_path.display()));
-    let mut analysis = TraceAnalysis::new();
-    let mut oracle = InvariantOracle::for_protocol(&cfg);
-    let records = scan_trace(std::io::BufReader::new(file), |r| {
-        oracle.check(&r);
-        analysis.feed(&r);
-    })
+    let mut replayed = (
+        MetricsRecorder::new(),
+        (InvariantOracle::for_protocol(&cfg), TraceAnalysis::new()),
+    );
+    let records = gocast_sim::replay(
+        std::io::BufReader::new(file),
+        opts.nodes,
+        run.end,
+        &mut replayed,
+    )
     .unwrap_or_else(|e| panic!("trace {} is malformed: {e}", trace_path.display()));
+    let (metrics, (mut oracle, analysis)) = replayed;
     oracle.finish();
-    let report = analysis.report();
+    let (ledger, report) = (metrics.delivery(), analysis.report());
+    let messages = ledger.injections().count();
 
     println!(
-        "trace {}: {records} records, {} messages",
-        trace_path.display(),
-        report.messages
+        "trace {}: {records} records, {messages} messages",
+        trace_path.display()
     );
     println!(
         "deliveries: {} ({} tree, {} pull) — recovery fraction {:.4}",
-        report.deliveries,
-        report.tree_deliveries,
-        report.pull_deliveries,
-        report.recovery_fraction()
+        ledger.delivered(),
+        ledger.delivered() - ledger.pull_deliveries(),
+        ledger.pull_deliveries(),
+        ledger.recovery_fraction()
     );
     println!(
-        "dissemination trees reconstructed: {}/{} (mean hops {:.2}, max hop {})",
+        "dissemination trees reconstructed: {}/{messages} (mean hops {:.2}, max hop {})",
         report.trees_reconstructed,
-        report.messages,
-        report.mean_hops(),
-        report.max_hop()
+        ledger.mean_hops(),
+        ledger.max_hop()
     );
 
     let mut hops = Table::new(["hop", "deliveries", "mean_hop_latency_ms"]);
-    for (hop, &n) in report.hop_histogram.iter().enumerate().skip(1) {
+    for (hop, &n) in ledger.hop_counts()[..=ledger.max_hop()]
+        .iter()
+        .enumerate()
+        .skip(1)
+    {
         let lat = report
             .per_hop_latency
             .iter()

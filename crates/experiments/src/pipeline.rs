@@ -58,7 +58,7 @@ use gocast_testnet::Testnet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::options::{ExpOptions, StackKind};
+use crate::options::ExpOptions;
 use crate::report::log_kernel;
 
 /// Width of the sliding delivery-ratio windows audited runs report.
@@ -169,18 +169,11 @@ impl RunRecorder {
         manifest: &RunManifest,
         oracle: Option<InvariantOracle>,
     ) -> Self {
-        let trace = opts.trace_out.as_ref().and_then(|base| {
-            let sink = open_numbered(base, &TRACE_RUN, "tracing", manifest)?;
-            // GoCast traces keep the historic untagged schema (readers
-            // default a missing `proto` to gocast); other stacks are
-            // tagged explicitly.
-            Some(match opts.stack {
-                StackKind::GoCast => sink,
-                other => sink.with_proto(other.name()),
-            })
-        });
         RunRecorder {
-            trace,
+            trace: opts
+                .trace_out
+                .as_ref()
+                .and_then(|base| open_numbered(base, &TRACE_RUN, "tracing", manifest)),
             stream: MetricsStream::open(opts, manifest),
             ..Self::detached(oracle)
         }
@@ -204,6 +197,9 @@ impl Recorder<GoCastEvent> for RunRecorder {
 pub struct RunCore {
     /// Workload commands injected.
     pub injected: u64,
+    /// The host's clock when the run finished: no event of the run, and
+    /// no line of its trace, is later.
+    pub end: SimTime,
     /// Concrete faults in the compiled plan (crashed nodes, for a
     /// failure set).
     pub plan_len: usize,
@@ -499,7 +495,13 @@ where
         KernelStats::default(),
         net.metrics_snapshot(),
     );
-    (core, rec)
+    (
+        RunCore {
+            end: net.now(),
+            ..core
+        },
+        rec,
+    )
 }
 
 /// One combined snapshot of everything the simulation knows: kernel
@@ -729,7 +731,10 @@ where
         let now = self.sim.now();
         let rec = self.sim.recorder_mut();
         rec.metrics.finish(now);
-        RunCore::distil(rec, injected, plan_len, kernel, metrics)
+        RunCore {
+            end: now,
+            ..RunCore::distil(rec, injected, plan_len, kernel, metrics)
+        }
     }
 }
 

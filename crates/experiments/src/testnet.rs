@@ -104,29 +104,6 @@ impl Side {
         self.metrics.delivery()
     }
 
-    fn per_delivery(&self, n: u64) -> f64 {
-        match self.ledger().delivered() {
-            0 => 0.0,
-            d => n as f64 / d as f64,
-        }
-    }
-
-    /// Mean causal hop count over all deliveries.
-    pub fn mean_hops(&self) -> f64 {
-        self.per_delivery(self.ledger().hop_sum())
-    }
-
-    /// Deepest hop bucket holding a delivery.
-    pub fn max_hop(&self) -> usize {
-        let counts = self.ledger().hop_counts();
-        counts.iter().rposition(|&n| n > 0).unwrap_or(0)
-    }
-
-    /// Fraction of deliveries that arrived via gossip pull recovery.
-    pub fn recovery_fraction(&self) -> f64 {
-        self.per_delivery(self.ledger().pull_deliveries())
-    }
-
     fn msgs_per_sec(&self) -> f64 {
         if self.elapsed.is_zero() {
             0.0
@@ -179,12 +156,12 @@ impl Conformance {
 
     /// |sim − wire| mean hop count.
     pub fn mean_hops_gap(&self) -> f64 {
-        (self.sim.mean_hops() - self.wire.mean_hops()).abs()
+        (self.sim.ledger().mean_hops() - self.wire.ledger().mean_hops()).abs()
     }
 
     /// |sim − wire| pull-recovery fraction.
     pub fn recovery_gap(&self) -> f64 {
-        (self.sim.recovery_fraction() - self.wire.recovery_fraction()).abs()
+        (self.sim.ledger().recovery_fraction() - self.wire.ledger().recovery_fraction()).abs()
     }
 
     /// Total-variation distance between the two hop histograms.
@@ -236,10 +213,10 @@ impl Conformance {
         row("delivery ratio", &|x| {
             format!("{:.4}", self.delivery_ratio(x))
         });
-        row("mean hops", &|x| format!("{:.2}", x.mean_hops()));
-        row("max hop", &|x| x.max_hop().to_string());
+        row("mean hops", &|x| format!("{:.2}", x.ledger().mean_hops()));
+        row("max hop", &|x| x.ledger().max_hop().to_string());
         row("recovery frac", &|x| {
-            format!("{:.3}", x.recovery_fraction())
+            format!("{:.3}", x.ledger().recovery_fraction())
         });
         row("oracle violations", &|x| x.core.violations.to_string());
         row("trace records", &|x| x.core.oracle_records.to_string());

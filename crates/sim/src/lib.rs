@@ -122,4 +122,4 @@ pub use scenario::{
 pub use stack::{Stack, StackCaps};
 pub use stats::{ClassCounters, TrafficClass, TrafficStats};
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceRecorder};
+pub use trace::{replay, ReplayEvent, TraceError, TraceEvent, TraceLine, TraceRecorder};

@@ -56,8 +56,8 @@ impl StackCaps {
 /// A pluggable dissemination stack: a [`Protocol`] plus the snapshot and
 /// command surface the experiment machinery needs.
 ///
-/// What a new stack **must** provide: a stable [`Stack::NAME`] (used as
-/// the `proto` tag in JSONL traces and CSV rows), honest [`StackCaps`],
+/// What a new stack **must** provide: a stable [`Stack::NAME`] (stamped
+/// once in each run's manifest and used in CSV rows), honest [`StackCaps`],
 /// the snapshot queries, and the `Multicast`/`Join`/`Leave` command
 /// constructors. What it **need not** provide: a freeze command
 /// ([`Stack::cmd_freeze`] defaults to `None`), a tree (report

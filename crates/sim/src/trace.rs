@@ -1,4 +1,5 @@
-//! Streaming JSONL trace sink.
+//! The JSONL trace: the sink that writes it and the replay that reads it
+//! back.
 //!
 //! [`TraceRecorder`] is a [`Recorder`] that serializes every event as one
 //! JSON object per line and writes it to any [`io::Write`] sink. It is the
@@ -16,13 +17,19 @@
 //! {"t_us":1200300,"node":17,"ev":"delivered","origin":3,"seq":9,"from":5,"hop":2,"via":"tree"}
 //! ```
 //!
+//! This module writes the frame (`t_us`, `node` and the braces), so it
+//! also reads it: [`replay`] tokenizes each line, checks the frame against
+//! the run that wrote it, and hands the event's fields to
+//! [`ReplayEvent::from_line`], then feeds `(time, node, event)` to any
+//! [`Recorder`] — the same recorders a live run installs.
+//!
 //! Tracing is strictly opt-in: simulations built without a
 //! `TraceRecorder` (the default [`NullRecorder`](crate::NullRecorder)
 //! path, or any aggregate-only recorder) pay nothing.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
-use std::io;
+use std::io::{self, BufRead};
 use std::path::Path;
 
 use crate::id::NodeId;
@@ -78,9 +85,6 @@ pub struct TraceRecorder<W: io::Write> {
     buf: String,
     lines: u64,
     error: Option<io::Error>,
-    /// Stack name stamped as a `"proto"` field on every line (`None` =
-    /// untagged; readers default untagged lines to `gocast`).
-    proto: Option<&'static str>,
 }
 
 impl TraceRecorder<io::BufWriter<File>> {
@@ -102,36 +106,7 @@ impl<W: io::Write> TraceRecorder<W> {
             buf: String::with_capacity(FLUSH_THRESHOLD + 256),
             lines: 0,
             error: None,
-            proto: None,
         }
-    }
-
-    /// Tags every subsequent line with `"proto":"<name>"` (builder
-    /// style). Use the stack's stable name; readers treat untagged lines
-    /// as `gocast`, so GoCast traces may stay untagged for backward
-    /// compatibility.
-    ///
-    /// ```
-    /// use gocast_sim::{NodeId, Recorder, SimTime, TraceEvent, TraceRecorder};
-    ///
-    /// struct Tick;
-    /// impl TraceEvent for Tick {
-    ///     fn trace_fields(&self, out: &mut String) {
-    ///         out.push_str("\"ev\":\"tick\"");
-    ///     }
-    /// }
-    ///
-    /// let mut rec = TraceRecorder::new(Vec::new()).with_proto("plumtree");
-    /// rec.record(SimTime::from_secs(1), NodeId::new(7), Tick);
-    /// let bytes = rec.finish().unwrap();
-    /// assert_eq!(
-    ///     String::from_utf8(bytes).unwrap(),
-    ///     "{\"t_us\":1000000,\"node\":7,\"proto\":\"plumtree\",\"ev\":\"tick\"}\n"
-    /// );
-    /// ```
-    pub fn with_proto(mut self, proto: &'static str) -> Self {
-        self.proto = Some(proto);
-        self
     }
 
     /// Lines written (including any still in the buffer).
@@ -204,9 +179,6 @@ impl<W: io::Write, E: TraceEvent> Recorder<E> for TraceRecorder<W> {
     fn record(&mut self, now: SimTime, node: NodeId, event: E) {
         let t_us = now.as_nanos() / 1_000;
         let _ = write!(self.buf, "{{\"t_us\":{},\"node\":{},", t_us, node.as_u32());
-        if let Some(proto) = self.proto {
-            let _ = write!(self.buf, "\"proto\":\"{proto}\",");
-        }
         event.trace_fields(&mut self.buf);
         self.buf.push_str("}\n");
         self.lines += 1;
@@ -225,6 +197,276 @@ impl<W: io::Write> Drop for TraceRecorder<W> {
     }
 }
 
+/// An event that can be read back from the fields its
+/// [`TraceEvent::trace_fields`] wrote.
+pub trait ReplayEvent: TraceEvent + Sized {
+    /// Rebuilds the event from one parsed line (its `ev` field included).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first field that is missing, mistyped, out of
+    /// range or unknown.
+    fn from_line(line: &TraceLine<'_>) -> Result<Self, String>;
+}
+
+/// One value of a flat trace line: a non-negative integer, a string
+/// without escapes, or `null`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TraceValue<'a> {
+    Num(u64),
+    Str(&'a str),
+    Null,
+}
+
+/// One tokenized trace line, with the node-id bound of the run that
+/// wrote it: every node id read through [`TraceLine::node`] is below it.
+#[derive(Debug)]
+pub struct TraceLine<'a> {
+    fields: Vec<(&'a str, TraceValue<'a>)>,
+    nodes: u64,
+}
+
+impl<'a> TraceLine<'a> {
+    /// Tokenizes one flat JSON object into key/value pairs.
+    fn parse(line: &'a str, nodes: usize) -> Result<Self, String> {
+        let b = line.as_bytes();
+        let mut i = 0usize;
+        let skip_ws = |i: &mut usize| {
+            while *i < b.len() && b[*i].is_ascii_whitespace() {
+                *i += 1;
+            }
+        };
+        let quoted = |i: &mut usize| -> Result<&'a str, String> {
+            if *i >= b.len() || b[*i] != b'"' {
+                return Err(format!("expected '\"' at byte {i}", i = *i));
+            }
+            *i += 1;
+            let start = *i;
+            while *i < b.len() && b[*i] != b'"' {
+                if b[*i] == b'\\' {
+                    return Err("escapes are not part of the trace schema".into());
+                }
+                *i += 1;
+            }
+            if *i >= b.len() {
+                return Err("unterminated string".into());
+            }
+            let s = &line[start..*i];
+            *i += 1;
+            Ok(s)
+        };
+
+        skip_ws(&mut i);
+        if i >= b.len() || b[i] != b'{' {
+            return Err("expected '{'".into());
+        }
+        i += 1;
+        let mut fields = Vec::with_capacity(8);
+        skip_ws(&mut i);
+        if i < b.len() && b[i] == b'}' {
+            i += 1;
+        } else {
+            loop {
+                skip_ws(&mut i);
+                let key = quoted(&mut i)?;
+                skip_ws(&mut i);
+                if i >= b.len() || b[i] != b':' {
+                    return Err(format!("expected ':' after key {key:?}"));
+                }
+                i += 1;
+                skip_ws(&mut i);
+                let val = if i < b.len() && b[i] == b'"' {
+                    TraceValue::Str(quoted(&mut i)?)
+                } else if line[i..].starts_with("null") {
+                    i += 4;
+                    TraceValue::Null
+                } else {
+                    let start = i;
+                    while i < b.len() && b[i].is_ascii_digit() {
+                        i += 1;
+                    }
+                    if i == start {
+                        return Err(format!("expected a value for key {key:?}"));
+                    }
+                    let n: u64 = line[start..i]
+                        .parse()
+                        .map_err(|e| format!("bad number for key {key:?}: {e}"))?;
+                    TraceValue::Num(n)
+                };
+                fields.push((key, val));
+                skip_ws(&mut i);
+                match b.get(i) {
+                    Some(b',') => i += 1,
+                    Some(b'}') => {
+                        i += 1;
+                        break;
+                    }
+                    _ => return Err("expected ',' or '}'".into()),
+                }
+            }
+        }
+        skip_ws(&mut i);
+        if i != b.len() {
+            return Err(format!("trailing bytes after object: {:?}", &line[i..]));
+        }
+        Ok(TraceLine {
+            fields,
+            nodes: nodes as u64,
+        })
+    }
+
+    fn get(&self, key: &str) -> Result<TraceValue<'a>, String> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    fn num_u64(&self, key: &str) -> Result<u64, String> {
+        match self.get(key)? {
+            TraceValue::Num(n) => Ok(n),
+            other => Err(format!("field {key:?} is not a number: {other:?}")),
+        }
+    }
+
+    /// The `u32` under `key`.
+    ///
+    /// # Errors
+    ///
+    /// The key is missing, not a number, or past `u32::MAX`.
+    pub fn num(&self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.num_u64(key)?).map_err(|_| format!("field {key:?} exceeds u32"))
+    }
+
+    /// The node id under `key`, below the run's node count.
+    ///
+    /// # Errors
+    ///
+    /// The key is missing, not a number, or names a node the run did not
+    /// have.
+    pub fn node(&self, key: &str) -> Result<NodeId, String> {
+        let n = self.num_u64(key)?;
+        match u32::try_from(n) {
+            Ok(id) if n < self.nodes => Ok(NodeId::new(id)),
+            _ => Err(format!(
+                "field {key:?} names node {n}, past the run's {} nodes",
+                self.nodes
+            )),
+        }
+    }
+
+    /// Whether the value under `key` is `null`.
+    ///
+    /// # Errors
+    ///
+    /// The key is missing.
+    pub fn is_null(&self, key: &str) -> Result<bool, String> {
+        Ok(self.get(key)? == TraceValue::Null)
+    }
+
+    /// The string under `key`.
+    ///
+    /// # Errors
+    ///
+    /// The key is missing or not a string.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        match self.get(key)? {
+            TraceValue::Str(s) => Ok(s),
+            other => Err(format!("field {key:?} is not a string: {other:?}")),
+        }
+    }
+}
+
+/// A malformed trace line or an IO failure while replaying a trace.
+#[derive(Debug)]
+pub enum TraceError {
+    /// Reading the underlying stream failed.
+    Io(io::Error),
+    /// A line did not match the schema or the run that wrote it.
+    Parse {
+        /// 1-based line number.
+        line: u64,
+        /// What went wrong.
+        msg: String,
+    },
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Io(e) => write!(f, "trace read error: {e}"),
+            TraceError::Parse { line, msg } => write!(f, "trace line {line}: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+impl From<io::Error> for TraceError {
+    fn from(e: io::Error) -> Self {
+        TraceError::Io(e)
+    }
+}
+
+/// Reads back one frame: the time, the node and the event.
+fn replay_line<E: ReplayEvent>(
+    text: &str,
+    nodes: usize,
+    end_us: u64,
+) -> Result<(SimTime, NodeId, E), String> {
+    let line = TraceLine::parse(text, nodes)?;
+    let t_us = line.num_u64("t_us")?;
+    if t_us > end_us {
+        return Err(format!("t_us {t_us} is past the run's end at {end_us}"));
+    }
+    let node = line.node("node")?;
+    Ok((
+        SimTime::from_nanos(t_us * 1_000),
+        node,
+        E::from_line(&line)?,
+    ))
+}
+
+/// Replays a JSONL trace into `rec`, one record per line, and returns the
+/// number of records.
+///
+/// `nodes` and `end` describe the run that wrote the trace: a trace is
+/// outside input, so a line naming a node id `>= nodes` in any field, or
+/// stamped after `end`, is an error rather than a record a ledger would
+/// size itself by. Empty lines and run-manifest lines are skipped. O(1)
+/// memory in the trace length.
+///
+/// # Errors
+///
+/// The first IO error, or the first line that does not parse
+/// ([`TraceError::Parse`] carries its 1-based number).
+pub fn replay<E: ReplayEvent, R: BufRead>(
+    reader: R,
+    nodes: usize,
+    end: SimTime,
+    rec: &mut impl Recorder<E>,
+) -> Result<u64, TraceError> {
+    let end_us = end.as_nanos() / 1_000;
+    let mut count = 0u64;
+    for (idx, text) in reader.lines().enumerate() {
+        let text = text?;
+        // Run-manifest header lines stamp provenance on the artifact; they
+        // carry no record.
+        if text.trim().is_empty() || text.starts_with("{\"manifest\":") {
+            continue;
+        }
+        let (now, node, ev) =
+            replay_line(&text, nodes, end_us).map_err(|msg| TraceError::Parse {
+                line: idx as u64 + 1,
+                msg,
+            })?;
+        rec.record(now, node, ev);
+        count += 1;
+    }
+    Ok(count)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +477,97 @@ mod tests {
         fn trace_fields(&self, out: &mut String) {
             let _ = write!(out, "\"ev\":\"ev\",\"v\":{}", self.0);
         }
+    }
+
+    impl ReplayEvent for Ev {
+        fn from_line(line: &TraceLine<'_>) -> Result<Self, String> {
+            match line.str("ev")? {
+                "ev" => line.num("v").map(Ev),
+                other => Err(format!("unknown event kind {other:?}")),
+            }
+        }
+    }
+
+    /// Replays `text` into a list, at 8 nodes and a 10 s run.
+    fn replayed(text: &str) -> Result<Vec<(SimTime, NodeId, u32)>, TraceError> {
+        let mut out = crate::VecRecorder::new();
+        replay::<Ev, _>(text.as_bytes(), 8, SimTime::from_secs(10), &mut out)?;
+        Ok(out
+            .events
+            .into_iter()
+            .map(|(t, n, Ev(v))| (t, n, v))
+            .collect())
+    }
+
+    fn line_error(text: &str) -> (u64, String) {
+        match replayed(text) {
+            Err(TraceError::Parse { line, msg }) => (line, msg),
+            other => panic!("{text:?} replayed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jsonl_round_trips_through_trace_recorder() {
+        let mut rec = TraceRecorder::new(b"{\"manifest\":1}\n".to_vec());
+        rec.record(SimTime::from_nanos(1_500), NodeId::new(3), Ev(9));
+        rec.record(SimTime::from_secs(2), NodeId::new(7), Ev(u32::MAX));
+        let text = String::from_utf8(rec.finish().unwrap()).unwrap();
+        assert_eq!(
+            replayed(&format!("{text}\n")).unwrap(),
+            [
+                (SimTime::from_nanos(1_000), NodeId::new(3), 9),
+                (SimTime::from_secs(2), NodeId::new(7), u32::MAX),
+            ],
+            "the manifest and blank lines carry no record; time is in µs"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_malformed_lines() {
+        let ok = "{\"t_us\":1,\"node\":0,\"ev\":\"ev\",\"v\":1}";
+        for (bad, why) in [
+            ("not json", "expected '{'"),
+            ("{\"t_us\":1}", "missing field \"node\""),
+            (
+                "{\"t_us\":1,\"node\":0,\"ev\":\"nope\"}",
+                "unknown event kind",
+            ),
+            (
+                "{\"t_us\":1,\"node\":0,\"ev\":\"ev\",\"v\":\"x\"}",
+                "not a number",
+            ),
+            (
+                "{\"t_us\":1,\"node\":0,\"ev\":\"ev\",\"v\":4294967296}",
+                "exceeds u32",
+            ),
+            ("{\"t_us\":1,\"node\":0,\"ev\":\"e\\\"v\"}", "escapes"),
+            (
+                "{\"t_us\":1,\"node\":0,\"ev\":\"ev\",\"v\":1}x",
+                "trailing bytes",
+            ),
+        ] {
+            let (line, msg) = line_error(&format!("{ok}\n{bad}\n{ok}"));
+            assert_eq!(line, 2, "{bad}");
+            assert!(msg.contains(why), "{bad}: {msg}");
+        }
+    }
+
+    #[test]
+    fn replay_rejects_a_frame_past_the_run() {
+        let (_, msg) = line_error("{\"t_us\":1,\"node\":8,\"ev\":\"ev\",\"v\":1}");
+        assert!(msg.contains("past the run's 8 nodes"), "{msg}");
+        let (_, msg) = line_error("{\"t_us\":1,\"node\":4294967296,\"ev\":\"ev\",\"v\":1}");
+        assert!(msg.contains("past the run's 8 nodes"), "{msg}");
+        let (_, msg) = line_error("{\"t_us\":10000001,\"node\":0,\"ev\":\"ev\",\"v\":1}");
+        assert!(msg.contains("past the run's end"), "{msg}");
+        let (_, msg) =
+            line_error("{\"t_us\":18446744073709551615,\"node\":0,\"ev\":\"ev\",\"v\":1}");
+        assert!(msg.contains("past the run's end"), "{msg}");
+        // The last instant of the run is still inside it.
+        assert_eq!(
+            replayed("{\"t_us\":10000000,\"node\":7,\"ev\":\"ev\",\"v\":1}").unwrap(),
+            [(SimTime::from_secs(10), NodeId::new(7), 1)]
+        );
     }
 
     #[test]
@@ -248,17 +581,6 @@ mod tests {
             out,
             "{\"t_us\":1,\"node\":3,\"ev\":\"ev\",\"v\":9}\n\
              {\"t_us\":2000000,\"node\":0,\"ev\":\"ev\",\"v\":1}\n"
-        );
-    }
-
-    #[test]
-    fn proto_tag_lands_between_node_and_event_fields() {
-        let mut rec = TraceRecorder::new(Vec::new()).with_proto("plumtree");
-        rec.record(SimTime::from_nanos(2_000), NodeId::new(1), Ev(4));
-        let out = String::from_utf8(rec.finish().unwrap()).unwrap();
-        assert_eq!(
-            out,
-            "{\"t_us\":2,\"node\":1,\"proto\":\"plumtree\",\"ev\":\"ev\",\"v\":4}\n"
         );
     }
 

@@ -29,7 +29,7 @@
 //!
 //! The protocol sees fabric-monotonic [`SimTime`] (zero at the first
 //! `run_for` call), which makes the wire-side trace directly consumable
-//! by the PR-2 analysis pipeline.
+//! by the recorders a simulated run installs.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use gocast::{GoCastConfig, GoCastEvent, GoCastMsg, GoCastNode};
 use gocast_metrics::{Gauge, Snapshot};
 use gocast_sim::scenario::ScenarioPlan;
-use gocast_sim::{FxHashMap, NodeId, Recorder, SimTime, Stack, TraceRecorder};
+use gocast_sim::{FxHashMap, NodeId, SimTime, Stack};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -322,18 +322,6 @@ where
     /// `record_trace` off).
     pub fn trace(&self) -> &[(SimTime, NodeId, GoCastEvent)] {
         &self.trace
-    }
-
-    /// Renders the captured trace as PR-2 JSONL bytes — byte-compatible
-    /// with what `gocast_sim::TraceRecorder` writes for simulated runs, so
-    /// `gocast_analysis::trace::{scan_trace, InvariantOracle}` consume it
-    /// unchanged.
-    pub fn trace_jsonl(&self) -> Vec<u8> {
-        let mut rec = TraceRecorder::new(Vec::new());
-        for (t, n, e) in &self.trace {
-            rec.record(*t, *n, e.clone());
-        }
-        rec.finish().expect("in-memory sink cannot fail")
     }
 
     /// A canonical digest of *which node delivered which message*: one

@@ -19,9 +19,9 @@
 //!   consulted on the transmit path before `send_to`, so the two hosts
 //!   cannot disagree on what a fault means.
 //! - **Wire-side tracing**: every protocol event a node emits is captured
-//!   with fabric-monotonic time and rendered in the PR-2 JSONL trace
-//!   format, so `gocast_analysis::trace` (including the
-//!   `InvariantOracle`) audits real-socket runs unchanged.
+//!   with fabric-monotonic time ([`Testnet::trace`]), so the recorders a
+//!   simulated run installs — `gocast_analysis`'s ledger and
+//!   `InvariantOracle` — audit real-socket runs unchanged.
 //! - **A batched, sharded wire path** ([`batch`]): outbound datagrams
 //!   gather into `sendmmsg` batches and inbound traffic drains through
 //!   `recvmmsg` (portable one-at-a-time fallback at runtime), while
@@ -46,7 +46,8 @@
 //!     GoCastCommand::Multicast,
 //! );
 //! net.run_for(Duration::from_secs(5));
-//! let jsonl = net.trace_jsonl(); // feed to gocast-analysis
+//! // `(time, node, event)` triples, to record into any `Recorder`.
+//! let events = net.trace();
 //! ```
 
 #![warn(missing_docs)]

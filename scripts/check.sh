@@ -167,6 +167,14 @@ absent  Cargo.toml,crates/*/Cargo.toml,tests/Cargo.toml,examples/Cargo.toml,vend
 # One wire format: the codec's variant table names each GoCastMsg variant
 # once, and encode, encoded_len and decode are generated from it.
 once    crates/core/src/codec.rs  -  (^|[^[:alnum:]_]){Data,Gossip,PullRequest,JoinRequest,JoinReply,Ping,Pong,LinkRequest,LinkAccept,LinkReject,LinkDrop,ConnectTo,TreeAd,ParentSelect,TopicData,TopicIHave,TopicPull,TopicDigest,TopicDeltas}([^[:alnum:]_]|$)
+
+# One trace schema: core's `trace_schema!` table names each GoCastEvent's
+# JSONL `ev` name once (bounded by its quotes, escaped or not, so the
+# ledger's `delivered()` is not a hit), and generates both the writer and
+# the reader. The per-line stack tag, the record type that mirrored the
+# event and the hand-written decoder stay gone.
+once    crates/core/src,crates/analysis/src,crates/sim/src  -  \\?"{injected,delivered,redundant_data,push_sent,ihave_sent,pull_requested,pull_served,link_added,link_dropped,parent_changed,became_root,topic_delivered,topic_subscribed,topic_unsubscribed,delta_published,delta_applied}\\?"
+absent  crates,tests,examples  -  struct TraceRecord([^_[:alnum:]]|$)|enum ProtoTag([^_[:alnum:]]|$)|fn (parse_line|with_proto|trace_jsonl)([^_[:alnum:]]|$)
 GATES
 [[ "$gate_failed" -eq 0 ]] || exit 1
 

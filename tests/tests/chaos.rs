@@ -173,7 +173,7 @@ fn repeated_chaos_seeds_are_deterministic() {
 /// an otherwise valid synthetic JSONL trace.
 #[test]
 fn oracle_flags_injected_trace_violations() {
-    use gocast_analysis::trace::{scan_trace, InvariantOracle, ViolationKind};
+    use gocast_analysis::{InvariantOracle, ViolationKind};
 
     let trace = "\
 {\"t_us\":500,\"node\":3,\"ev\":\"delivered\",\"origin\":0,\"seq\":1,\"from\":0,\"hop\":1,\"via\":\"tree\"}\n\
@@ -184,7 +184,8 @@ fn oracle_flags_injected_trace_violations() {
 {\"t_us\":1500,\"node\":2,\"ev\":\"pull_requested\",\"origin\":0,\"seq\":1,\"to\":1}\n";
 
     let mut oracle = InvariantOracle::default();
-    let records = scan_trace(trace.as_bytes(), |r| oracle.check(&r)).unwrap();
+    let records =
+        gocast_sim::replay(trace.as_bytes(), 4, SimTime::from_millis(2), &mut oracle).unwrap();
     oracle.finish();
     assert_eq!(records, 6);
     let kinds: Vec<ViolationKind> = oracle.violations().iter().map(|v| v.kind).collect();

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use gocast::{DegreeInfo, GoCastMsg, LinkKind, MsgId, ProbeKind, HEADER_BYTES};
+use gocast::{DegreeInfo, GoCastEvent, GoCastMsg, LinkKind, MsgId, ProbeKind, HEADER_BYTES};
 use gocast_analysis::{component_sizes, largest_component_fraction, Cdf, Histogram};
 use gocast_membership::MemberView;
 use gocast_net::{synthetic_king, LandmarkVector, SyntheticKingConfig};
@@ -216,6 +216,39 @@ proptest! {
             HEADER_BYTES + bytes.len() as u32 + payload,
             "accounted size must equal encoded size"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // JSONL trace: arbitrary `(time, node, event)` streams replay as
+    // written, ids and counters up to `u32::MAX` included.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn trace_replays_arbitrary_streams_as_written(
+        records in proptest::collection::vec(
+            (0u8..17, 0u64..u64::MAX / 1_000, any::<u32>(), (any::<u32>(), any::<u32>()), (any::<u32>(), any::<u32>())),
+            0..40,
+        ),
+    ) {
+        use gocast_sim::{Recorder, TraceRecorder, VecRecorder};
+        let written: Vec<(SimTime, NodeId, GoCastEvent)> = records
+            .iter()
+            .map(|&(variant, t_us, node, ids, more)| {
+                let ev = trace_sample(variant, ids, more);
+                (SimTime::from_nanos(t_us * 1_000), NodeId::new(node), ev)
+            })
+            .collect();
+        let mut w = TraceRecorder::new(Vec::new());
+        for (t, n, ev) in &written {
+            w.record(*t, *n, ev.clone());
+        }
+        let text = w.finish().unwrap();
+        let end = written.iter().map(|r| r.0).max().unwrap_or(SimTime::ZERO);
+        let mut read = VecRecorder::new();
+        // Every u32 is a node id of a run with 2^32 nodes.
+        let lines = gocast_sim::replay(&text[..], 1 << 32, end, &mut read).unwrap();
+        prop_assert_eq!(lines, written.len() as u64);
+        prop_assert_eq!(read.events, written);
     }
 
     #[test]
@@ -485,6 +518,103 @@ proptest! {
     }
 }
 
+/// Variant `v` of `GoCastEvent` (`ParentChanged` twice, with and without
+/// a parent) over drawn ids and counters.
+fn trace_sample(v: u8, (a, b): (u32, u32), (c, d): (u32, u32)) -> GoCastEvent {
+    use gocast::{DeliveryPath, DropReason};
+    let (id, n) = (MsgId::new(NodeId::new(a), b), NodeId::new(c));
+    let kind = [LinkKind::Random, LinkKind::Nearby][d as usize % 2];
+    match v {
+        0 => GoCastEvent::Injected { id },
+        1 => GoCastEvent::Delivered {
+            id,
+            via: [DeliveryPath::Tree, DeliveryPath::Pull, DeliveryPath::Local][d as usize % 3],
+            from: n,
+            hop: d,
+        },
+        2 => GoCastEvent::RedundantData { id, from: n },
+        3 => GoCastEvent::PushSent { id, to: n, hop: d },
+        4 => GoCastEvent::IHaveSent { id, to: n },
+        5 => GoCastEvent::PullRequested { id, to: n },
+        6 => GoCastEvent::PullServed { id, to: n, hop: d },
+        7 => GoCastEvent::LinkAdded { peer: n, kind },
+        8 => GoCastEvent::LinkDropped {
+            peer: n,
+            kind,
+            reason: DropReason::ALL[d as usize % DropReason::ALL.len()],
+        },
+        9 => GoCastEvent::ParentChanged { parent: Some(n) },
+        10 => GoCastEvent::ParentChanged { parent: None },
+        11 => GoCastEvent::BecameRoot { epoch: d },
+        12 => GoCastEvent::TopicDelivered {
+            topic: c,
+            id,
+            bytes: d,
+        },
+        13 => GoCastEvent::TopicSubscribed { topic: c },
+        14 => GoCastEvent::TopicUnsubscribed { topic: d },
+        15 => GoCastEvent::DeltaPublished {
+            topic: c,
+            counter: d,
+        },
+        _ => GoCastEvent::DeltaApplied {
+            topic: a,
+            origin: n,
+            counter: d,
+        },
+    }
+}
+
+// ----------------------------------------------------------------------
+// A trace is outside input: a line naming a node or an instant the run
+// did not have is an error, never a record a ledger sizes itself by.
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_hostile_trace_cannot_size_the_ledger() {
+    use gocast_analysis::MetricsRecorder;
+    use gocast_sim::TraceError;
+
+    let (nodes, end) = (16, SimTime::from_secs(60));
+    for (line, why) in [
+        (
+            "{\"t_us\":1,\"node\":4294967295,\"ev\":\"injected\",\"origin\":0,\"seq\":0}",
+            "\"node\" names node 4294967295",
+        ),
+        (
+            "{\"t_us\":18446744073709551615,\"node\":0,\"ev\":\"link_added\",\"peer\":1,\"kind\":\"random\"}",
+            "past the run's end",
+        ),
+        (
+            "{\"t_us\":1,\"node\":1,\"ev\":\"delivered\",\"origin\":0,\"seq\":0,\"from\":4294967295,\"hop\":1,\"via\":\"tree\"}",
+            "\"from\" names node 4294967295",
+        ),
+        (
+            "{\"t_us\":1,\"node\":1,\"ev\":\"link_dropped\",\"peer\":16,\"kind\":\"nearby\",\"reason\":\"surplus\"}",
+            "\"peer\" names node 16",
+        ),
+        (
+            "{\"t_us\":1,\"node\":1,\"ev\":\"delta_applied\",\"topic\":0,\"origin\":99,\"counter\":0}",
+            "\"origin\" names node 99",
+        ),
+    ] {
+        // A clean first line, so the error names the hostile one.
+        let trace = format!(
+            "{{\"t_us\":0,\"node\":0,\"ev\":\"parent_changed\",\"parent\":null}}\n{line}\n"
+        );
+        let mut ledger = MetricsRecorder::new();
+        match gocast_sim::replay(trace.as_bytes(), nodes, end, &mut ledger) {
+            Err(TraceError::Parse { line: 2, msg }) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("{line} replayed as {other:?}"),
+        }
+        // Only the clean line reached the ledger.
+        assert_eq!(ledger.orphans().open_orphans(), 1);
+        assert!(ledger.link_changes_per_sec().is_empty());
+        assert_eq!(ledger.delivery().injected(), 0);
+        assert_eq!(ledger.delivery().delivered(), 0);
+    }
+}
+
 // ----------------------------------------------------------------------
 // The application ledger agrees live and replayed: a small pub/sub and
 // CRDT run reports what its own `--trace-out` stream folds to afresh.
@@ -492,11 +622,10 @@ proptest! {
 
 #[test]
 fn application_ledger_matches_a_replay_of_its_trace() {
-    use gocast_analysis::{scan_trace, MetricsRecorder};
+    use gocast_analysis::MetricsRecorder;
     use gocast_experiments::app::{run_app, Workload};
     use gocast_experiments::chaos::parse_spec;
     use gocast_experiments::ExpOptions;
-    use gocast_sim::Recorder;
 
     let mut o = ExpOptions::quick();
     o.nodes = 64;
@@ -520,11 +649,8 @@ fn application_ledger_matches_a_replay_of_its_trace() {
         let mut trace = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
         let file = std::fs::File::open(trace.next().expect("one trace")).unwrap();
         let mut replayed = MetricsRecorder::new();
-        scan_trace(std::io::BufReader::new(file), |r| {
-            let at = SimTime::from_nanos(r.t_us * 1_000);
-            replayed.record(at, NodeId::new(r.node), r.ev);
-        })
-        .unwrap();
+        let reader = std::io::BufReader::new(file);
+        gocast_sim::replay(reader, o.nodes, out.end, &mut replayed).unwrap();
         let name = workload.name();
         assert_eq!(out.report, replayed.app().report(), "{name}");
         let per_topic: Vec<_> = replayed.app().per_topic().collect();

@@ -8,10 +8,10 @@ use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;
 
 use gocast::{DegreeInfo, GoCastCommand, GoCastEvent, GoCastMsg};
-use gocast_analysis::trace::{scan_trace, InvariantOracle, TraceAnalysis};
+use gocast_analysis::{InvariantOracle, MetricsRecorder};
 use gocast_experiments::{testnet, ExpOptions, GivenFlags};
 use gocast_net::LandmarkVector;
-use gocast_sim::{NodeId, SimTime};
+use gocast_sim::{NodeId, Recorder, SimTime};
 use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
 
 fn skip() -> bool {
@@ -65,7 +65,7 @@ fn two_node_loopback_smoke() {
     assert_eq!(stats.malformed, 0, "fabric produced malformed datagrams");
 }
 
-/// Sixteen nodes, a burst of multicasts, full drain: the wire-side JSONL
+/// Sixteen nodes, a burst of multicasts, full drain: the wire-side event
 /// trace must satisfy every protocol invariant the oracle knows, and all
 /// messages must reach all peers.
 #[test]
@@ -86,28 +86,32 @@ fn sixteen_node_run_is_invariant_clean() {
     }
     net.run_for(Duration::from_secs(7));
 
-    let jsonl = net.trace_jsonl();
-    let mut oracle = InvariantOracle::for_protocol(&cfg.protocol);
-    let mut analysis = TraceAnalysis::new();
-    let records = scan_trace(&jsonl[..], |rec| {
-        oracle.check(&rec);
-        analysis.feed(&rec);
-    })
-    .expect("wire trace parses with the PR-2 pipeline");
+    let mut rec = (
+        InvariantOracle::for_protocol(&cfg.protocol),
+        MetricsRecorder::new(),
+    );
+    for (t, n, ev) in net.trace() {
+        rec.record(*t, *n, ev.clone());
+    }
+    let (mut oracle, metrics) = rec;
     oracle.finish();
-    assert!(records > 0, "empty wire trace");
+    assert!(oracle.records_checked() > 0, "empty wire trace");
     assert!(
         oracle.is_clean(),
         "oracle violations on wire trace: {:?}",
         oracle.violations()
     );
-    let report = analysis.report();
-    assert_eq!(report.messages, messages, "trace lost injected messages");
+    let ledger = metrics.delivery();
+    assert_eq!(
+        ledger.injections().count(),
+        messages,
+        "trace lost injected messages"
+    );
     let expected = (messages * (nodes - 1)) as u64;
     assert!(
-        report.deliveries >= expected * 999 / 1000,
+        ledger.delivered() >= expected * 999 / 1000,
         "delivery {}/{expected} below 99.9%",
-        report.deliveries
+        ledger.delivered()
     );
 }
 
@@ -182,7 +186,9 @@ fn host_survives_malformed_and_stranger_datagrams() {
         assert!(known <= nodes, "n{i} learned {known} peers of {nodes}");
     }
     let mut oracle = InvariantOracle::for_protocol(&cfg.protocol);
-    scan_trace(&net.trace_jsonl()[..], |rec| oracle.check(&rec)).expect("wire trace parses");
+    for (t, n, ev) in net.trace() {
+        oracle.record(*t, *n, ev.clone());
+    }
     oracle.finish();
     assert!(oracle.is_clean(), "{:?}", oracle.violations());
     let deliveries = net
