@@ -55,9 +55,10 @@ pub struct KernelStats {
     /// since it last shrank, not since the run began — see
     /// [`EventQueue`](crate::EventQueue).
     pub slab_slots: usize,
-    /// Bytes of backing storage the event queue currently reserves (heap
-    /// entries + payload slab). Self-reported, so scaling tables need no
-    /// external process inspection.
+    /// Bytes of backing storage the event queue currently reserves
+    /// (payload slab and keys, plus the slot numbers of its tiers).
+    /// Self-reported, so scaling tables need no external process
+    /// inspection.
     pub queue_mem_bytes: u64,
     /// Wall-clock time spent inside the run loops.
     pub wall_time: std::time::Duration,

@@ -198,7 +198,7 @@ impl<P: Protocol> Lane<P> {
     ) {
         loop {
             self.note_depth();
-            // Deadline test and pop share a single heap-top probe.
+            // Deadline test and pop share a single probe of the front.
             let Some(ev) = self.queue.pop_at_or_before(end_inclusive) else {
                 break;
             };

@@ -1,24 +1,46 @@
 //! The pending-event queue.
 //!
-//! A 4-ary min-heap keyed on `(time, sequence)`. The monotonically
-//! increasing sequence number breaks ties between events scheduled for the
-//! same instant in insertion order, which makes simulation runs fully
-//! deterministic for a given seed.
+//! A calendar queue (R. Brown, "Calendar queues", CACM 31(10), 1988) keyed
+//! on `(time, sequence)`. The monotonically increasing sequence number
+//! breaks ties between events scheduled for the same instant in insertion
+//! order, which makes simulation runs fully deterministic for a given seed.
 //!
-//! ## Why not `BinaryHeap<Scheduled<T>>`?
+//! ## Three tiers
 //!
 //! This queue is the simulator's single hottest data structure: every
 //! message, timer, and command passes through one `schedule` and one `pop`.
-//! Two properties of the previous `BinaryHeap` implementation cost real
-//! throughput at that call rate:
+//! Time is cut into buckets ("days") of 2²⁰ ns ≈ 1 ms, and every pending
+//! event sits in one of three tiers by its day, relative to the last day
+//! the front holds:
 //!
-//! - **Payloads moved during sifting.** Kernel events embed whole protocol
-//!   messages (often close to a cache line each); a binary heap moves them
-//!   `O(log n)` times per operation. Here the heap orders small 24-byte
-//!   `(time, seq, slot, hint)` entries and payloads sit still in a slab.
-//! - **Binary heaps are tall.** A 4-ary layout halves the tree height, and
-//!   the four children of a node share at most two cache lines, so the
-//!   extra comparisons per level are cheaper than the levels they save.
+//! - **The front**: every event up to that day, its slots sorted by
+//!   descending key, so a pop is `Vec::pop` and the next two pops are the
+//!   last two entries — [`EventQueue::next_hint`] and
+//!   [`EventQueue::second_hint`] are exact reads. A schedule into it (a
+//!   delay shorter than what is left of the front's day) is a binary
+//!   search and an insert.
+//! - **The ring**: 512 buckets for the days after it, a horizon of ≈ 0.54 s
+//!   past the 100 ms protocol periods and the 399 ms latency cap. A
+//!   bucket is a list threaded through a per-slot key array, so a schedule
+//!   is a push onto its list and no bucket owns an allocation. When a pop
+//!   leaves the front fewer than two events, the front moves on through
+//!   the next buckets that hold any, sorting each in behind what it
+//!   still has, until it holds eight.
+//!   A list is a chain of dependent loads, and at scale a lane's keys
+//!   leave the cache between its windows, so every pop that does not
+//!   refill takes one step along the next bucket's list, asking the cache
+//!   for the key after it: the refill finds those slots in hand.
+//! - **The far heap**: a 4-ary min-heap of the slots of the events past
+//!   the horizon — garbage collection, heartbeats, pull timeouts and
+//!   pre-scheduled commands. When the front moves on, the events the
+//!   horizon now reaches move into their buckets; an empty ring moves the
+//!   front straight to the far heap's earliest day.
+//!
+//! So a schedule and a pop cost O(1) plus a share of sorting one bucket,
+//! where the 4-ary heap this replaced sifted through a tree as deep as the
+//! pending count. Payloads never move: each sits in its slab slot from
+//! schedule to pop, and the tiers order 4-byte slot numbers by the
+//! 24-byte `(time, seq, hint, link)` key at the same index.
 //!
 //! The slab recycles vacated slots through a free list threaded through
 //! the vacant slots themselves, so once the backing vectors have grown to
@@ -33,16 +55,17 @@
 //! the queue has the dynamic array's shrink rule. Pops are counted in
 //! *epochs* of as many pops as there are slots; when the deepest the queue
 //! got over a whole epoch would fit twice over in what is reserved, the
-//! queue compacts: payloads in the slab's tail move into the vacant slots
-//! before them, their heap entries are pointed at the new slots — pop
-//! order is `(at, seq)` and never looks at a slot number — and the slab is
-//! cut down in place to that peak plus a quarter. A compaction scans no
-//! more slots than its epoch had pops, so the rule is amortised O(1) per
-//! pop, and a queue that oscillates between `n` and `2n` pending — timers
-//! plus one message each in flight — never compacts at all. Judging
-//! vacancy at a single pop instead would shrink at every trough of such
-//! an oscillation and regrow at every crest. [`EventQueue::trim`] is the
-//! rule for a caller that knows the queue is at rest.
+//! queue compacts: payloads and keys in the slab's tail move into the
+//! vacant slots before them, the front, the bucket lists and the far heap
+//! are pointed at the new slots — pop order is `(at, seq)` and never looks
+//! at a slot number — and the slab is cut down in place to that peak plus
+//! a quarter. A compaction scans no more slots than its epoch had pops, so
+//! the rule is amortised O(1) per pop, and a queue that oscillates between
+//! `n` and `2n` pending — timers plus one message each in flight — never
+//! compacts at all. Judging vacancy at a single pop instead would shrink
+//! at every trough of such an oscillation and regrow at every crest.
+//! [`EventQueue::trim`] is the rule for a caller that knows the queue is
+//! at rest.
 
 use crate::time::SimTime;
 
@@ -105,27 +128,52 @@ pub struct Scheduled<T> {
     pub payload: T,
 }
 
-/// Heap arity. Four keeps sibling scans within two cache lines while
+/// Bucket width as a shift of the firing time in nanoseconds: 2²⁰ ns ≈
+/// 1.05 ms, so a bucket's number is a shift, not a division.
+const BUCKET_SHIFT: u32 = 20;
+
+/// Buckets in the ring: a horizon of 2²⁹ ns ≈ 537 ms, past the 100 ms
+/// gossip and maintenance periods and the 399 ms latency cap, for 2 KiB
+/// of list heads.
+const BUCKETS: u64 = 512;
+
+/// Fewest events a refill leaves in the front, if as many are pending.
+/// Two make both hints exact reads; eight spread a refill's fixed cost
+/// over more pops where buckets hold one or two events (a lane of 16
+/// nodes), and cost a lane with full buckets nothing.
+const FRONT_MIN: usize = 8;
+
+/// Most slots a walk stages ahead of a refill: several times what a
+/// bucket holds on a lane at 10⁴ nodes, and a fixed 256 B however deep
+/// the start-up storm's buckets are; a refill chases the rest.
+const WALK_MAX: usize = 64;
+
+/// The bucket ("day") an event falls in.
+#[inline]
+fn day_of(at: SimTime) -> u64 {
+    at.as_nanos() >> BUCKET_SHIFT
+}
+
+/// Far-heap arity. Four keeps sibling scans within two cache lines while
 /// halving the tree height of a binary heap.
 const ARITY: usize = 4;
 
-/// A heap entry: the ordering key plus the slab slot holding the payload,
-/// and the scheduler's hint in what would otherwise be padding.
+/// A pending event's ordering key and the scheduler's hint, stored at its
+/// slab slot, with the link to the next event of its ring bucket in what
+/// would otherwise be padding.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Key {
     at: SimTime,
     seq: u64,
-    slot: u32,
     /// Never part of the key: see [`EventQueue::schedule_hinted`].
     hint: u32,
+    /// Next slot of the same ring bucket, or [`NIL`].
+    next: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
 
-/// The hint of an event scheduled without one.
-const NO_HINT: u32 = u32::MAX;
-
-impl Entry {
+impl Key {
     /// `(at, seq)` as one integer, so a comparison is one wide subtract
     /// the compiler can turn into a conditional move.
     #[inline]
@@ -134,6 +182,9 @@ impl Entry {
     }
 }
 
+/// The hint of an event scheduled without one.
+const NO_HINT: u32 = u32::MAX;
+
 /// A payload slot: an event awaiting its pop, or a link of the free list.
 #[derive(Debug)]
 enum Slot<T> {
@@ -141,7 +192,7 @@ enum Slot<T> {
     Vacant { next: u32 },
 }
 
-/// End of the free list.
+/// End of the free list and of a bucket's list.
 const NIL: u32 = u32::MAX;
 
 /// No shrink goes below this many slots: under it the slab is a few KiB,
@@ -172,9 +223,36 @@ fn shrunk_capacity(pending: usize) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// 4-ary min-heap of small fixed-size entries.
-    heap: Vec<Entry>,
-    /// Payload storage; `heap` entries index into it.
+    /// The slots of every event in a bucket up to `day`, by descending
+    /// key: the last one pops next.
+    front: Vec<u32>,
+    /// The last bucket the front holds.
+    day: u64,
+    /// Per ring bucket, the first slot of its list, or [`NIL`]; empty
+    /// until the first event lands in the ring. Bucket `b` holds the day
+    /// after `day` that is `b` modulo [`BUCKETS`].
+    heads: Vec<u32>,
+    /// Events in the ring.
+    ring_len: usize,
+    /// A stretch of bucket `walk_day`'s list, in list order, from
+    /// `walk_first` on: the slots the pops since the last refill have
+    /// walked, one each ([`EventQueue::walk_next_bucket`]).
+    walked: Vec<u32>,
+    /// The bucket after the front's when the walk began.
+    walk_day: u64,
+    /// Its list's head when the walk began, or [`NIL`] if it was empty:
+    /// everything scheduled into it since sits before this slot.
+    walk_first: u32,
+    /// The next slot to walk, its key already asked of the cache, or
+    /// [`NIL`] at the end of the list. A refill chases the list from
+    /// here.
+    walk_next: u32,
+    /// The slots of the events past the ring's horizon: a 4-ary min-heap
+    /// on their keys.
+    far: Vec<u32>,
+    /// Per slab slot, the key of the event in it.
+    keys: Vec<Key>,
+    /// Payload storage.
     slab: Vec<Slot<T>>,
     /// First vacant slot (each links to the next), or [`NIL`].
     free_head: u32,
@@ -199,10 +277,19 @@ impl<T> EventQueue<T> {
     }
 
     /// Creates an empty queue with room for `cap` pending events before
-    /// any backing vector reallocates.
+    /// any backing vector reallocates, whichever tier they fall in.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
+            front: Vec::with_capacity(cap),
+            day: 0,
+            heads: Vec::new(),
+            ring_len: 0,
+            walked: Vec::new(),
+            walk_day: 0,
+            walk_first: NIL,
+            walk_next: NIL,
+            far: Vec::with_capacity(cap),
+            keys: Vec::with_capacity(cap),
             slab: Vec::with_capacity(cap),
             free_head: NIL,
             next_seq: 0,
@@ -227,11 +314,17 @@ impl<T> EventQueue<T> {
     /// no hint.
     #[inline]
     pub fn schedule_hinted(&mut self, at: SimTime, hint: u32, payload: T) {
-        let seq = self.next_seq;
+        let key = Key {
+            at,
+            seq: self.next_seq,
+            hint,
+            next: NIL,
+        };
         self.next_seq += 1;
         let slot = match self.free_head {
             NIL => {
                 self.slab.push(Slot::Occupied(payload));
+                self.keys.push(key);
                 self.slab.len() as u32 - 1
             }
             slot => {
@@ -241,46 +334,176 @@ impl<T> EventQueue<T> {
                     unreachable!("the free list links vacant slots only")
                 };
                 self.free_head = next;
+                self.keys[slot as usize] = key;
                 slot
             }
         };
-        self.heap.push(Entry {
-            at,
-            seq,
-            slot,
-            hint,
-        });
-        self.sift_up(self.heap.len() - 1);
+        let day = day_of(at);
+        if day <= self.day {
+            // Within the front's buckets: in place among them.
+            let keys = &self.keys;
+            let i = self
+                .front
+                .partition_point(|&s| keys[s as usize].key() > key.key());
+            self.front.insert(i, slot);
+        } else if day < self.day + BUCKETS {
+            self.link(slot, day);
+        } else {
+            self.far.push(slot);
+            let last = self.far.len() - 1;
+            sift_up(&mut self.far, &self.keys, last);
+        }
+    }
+
+    /// Pushes `slot` onto the list of its ring bucket.
+    #[inline]
+    fn link(&mut self, slot: u32, day: u64) {
+        if self.heads.is_empty() {
+            // The first ring event: a queue that never looks past its
+            // front's bucket reserves no heads.
+            self.heads = vec![NIL; BUCKETS as usize];
+        }
+        let head = &mut self.heads[(day % BUCKETS) as usize];
+        self.keys[slot as usize].next = *head;
+        *head = slot;
+        self.ring_len += 1;
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        let top = *self.heap.first()?;
-        self.epoch_peak = self.epoch_peak.max(self.heap.len());
-        let last = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        if self.front.is_empty() {
+            // Every schedule since the last pop went past the front.
+            self.refill();
+        }
+        self.epoch_peak = self.epoch_peak.max(self.len());
+        let top = self.front.pop()?;
+        let key = self.keys[top as usize];
+        if self.front.len() < 2 {
+            self.refill();
+        } else {
+            self.walk_next_bucket();
+        }
+        if let Some(&next) = self.front.last() {
             // The next pop takes this slot, written a network latency ago:
             // at scale it has left the cache since.
-            prefetch(&self.slab[self.heap[0].slot as usize]);
+            prefetch(&self.slab[next as usize]);
         }
         let next = self.free_head;
-        let popped = std::mem::replace(&mut self.slab[top.slot as usize], Slot::Vacant { next });
+        let popped = std::mem::replace(&mut self.slab[top as usize], Slot::Vacant { next });
         let Slot::Occupied(payload) = popped else {
-            unreachable!("a heap entry points at an occupied slot")
+            unreachable!("the front holds occupied slots")
         };
-        self.free_head = top.slot;
+        self.free_head = top;
         self.epoch_pops += 1;
         if self.epoch_pops >= self.slab.len() {
             self.end_epoch();
         }
         Some(Scheduled {
-            at: top.at,
-            seq: top.seq,
+            at: key.at,
+            seq: key.seq,
             payload,
         })
+    }
+
+    /// Brings the front up to [`FRONT_MIN`] events, or as many as are
+    /// pending: moves it on to the next bucket that holds any, sorts that
+    /// bucket in behind what the front still holds, and lets the far
+    /// events the moved horizon now reaches into the ring. An empty ring
+    /// first jumps to the far heap's earliest bucket.
+    #[inline(never)]
+    fn refill(&mut self) {
+        while self.front.len() < FRONT_MIN {
+            if self.ring_len == 0 {
+                let Some(&first) = self.far.first() else {
+                    break;
+                };
+                // Every far bucket is past the ring's, so this never goes
+                // back.
+                self.day = day_of(self.keys[first as usize].at) - 1;
+                self.admit_far();
+            }
+            // A non-empty ring holds a bucket within `BUCKETS` of `day`.
+            loop {
+                self.day += 1;
+                if self.heads[(self.day % BUCKETS) as usize] != NIL {
+                    break;
+                }
+            }
+            self.admit_far();
+            let held = self.front.len();
+            let mut slot = std::mem::replace(&mut self.heads[(self.day % BUCKETS) as usize], NIL);
+            // What the walk staged needs no chasing: take the slots
+            // scheduled since it began, then its suffix, then what it
+            // had not reached.
+            let walked = self.walk_day == self.day && self.walk_first != NIL;
+            let stop = if walked { self.walk_first } else { NIL };
+            while slot != stop {
+                self.front.push(slot);
+                slot = self.keys[slot as usize].next;
+            }
+            if walked {
+                self.front.extend_from_slice(&self.walked);
+                slot = self.walk_next;
+                while slot != NIL {
+                    self.front.push(slot);
+                    slot = self.keys[slot as usize].next;
+                }
+            }
+            self.ring_len -= self.front.len() - held;
+            // The bucket is later than all the front held: sorted, it
+            // goes before it.
+            let keys = &self.keys;
+            self.front[held..].sort_unstable_by_key(|&s| std::cmp::Reverse(keys[s as usize].key()));
+            let taken = self.front.len() - held;
+            self.front.rotate_right(taken);
+        }
+        // Walk the next bucket while the front drains.
+        self.walked.clear();
+        self.walk_day = self.day + 1;
+        self.walk_first = match self.heads.get((self.walk_day % BUCKETS) as usize) {
+            Some(&head) if self.ring_len > 0 => head,
+            _ => NIL,
+        };
+        self.walk_next = self.walk_first;
+        if let Some(k) = self.keys.get(self.walk_next as usize) {
+            prefetch(k);
+        }
+    }
+
+    /// One step along the list of the bucket after the front's: stages the
+    /// slot whose key the last pop asked the cache for, and asks for the
+    /// next one. A refill then finds a bucket's slots in hand and its keys
+    /// fetched in parallel, not behind a chain of dependent misses — at
+    /// scale, a lane's keys leave the cache between its windows.
+    #[inline(always)]
+    fn walk_next_bucket(&mut self) {
+        let slot = self.walk_next;
+        if slot != NIL && self.walked.len() < WALK_MAX {
+            self.walked.push(slot);
+            self.walk_next = self.keys[slot as usize].next;
+            if let Some(k) = self.keys.get(self.walk_next as usize) {
+                prefetch(k);
+            }
+        }
+    }
+
+    /// Moves the far events that fall within the ring's horizon into their
+    /// buckets.
+    fn admit_far(&mut self) {
+        let horizon = self.day + BUCKETS;
+        while let Some(&slot) = self.far.first() {
+            let day = day_of(self.keys[slot as usize].at);
+            if day >= horizon {
+                break;
+            }
+            let last = self.far.pop().expect("non-empty heap");
+            if !self.far.is_empty() {
+                self.far[0] = last;
+                sift_down(&mut self.far, &self.keys, 0);
+            }
+            self.link(slot, day);
+        }
     }
 
     /// Closes an epoch of `slab.len()` pops — as many as the slots a
@@ -291,7 +514,7 @@ impl<T> EventQueue<T> {
             self.compact(shrunk_capacity(self.epoch_peak));
         }
         self.epoch_pops = 0;
-        self.epoch_peak = self.heap.len();
+        self.epoch_peak = self.len();
     }
 
     /// Releases capacity the pending events do not need, for a caller that
@@ -302,45 +525,76 @@ impl<T> EventQueue<T> {
     /// array's quarter rule: under it, returning at the trough of an
     /// `n`/`2n` oscillation never shrinks what the crest will need again.
     pub fn trim(&mut self) {
-        let pending = self.heap.len();
+        let pending = self.len();
         if self.slab.capacity() > 4 * pending.max(MIN_SLOTS) {
             self.compact(shrunk_capacity(pending));
         }
     }
 
-    /// Packs the pending payloads into the first `len()` slots — those
-    /// beyond move into the vacant slots before, and their heap entries are
-    /// pointed at the new slot — then cuts the slab and the heap down to
-    /// capacity `cap` in place.
+    /// Packs the pending payloads into the first `len()` slots — each one
+    /// beyond moves, key and all, into a vacant slot before and leaves that
+    /// slot's number behind in its own, by which the front, the bucket
+    /// lists and the far heap are re-pointed — then cuts the slab and the
+    /// keys down to capacity `cap` in place, and the front and the far
+    /// heap to a quarter above what they hold.
     fn compact(&mut self, cap: usize) {
-        let pending = self.heap.len();
+        let pending = self.len();
         let mut hole = 0;
-        for entry in &mut self.heap {
-            let slot = entry.slot as usize;
-            if slot >= pending {
+        for slot in pending..self.slab.len() {
+            if matches!(self.slab[slot], Slot::Occupied(_)) {
                 // As many slots before `pending` are vacant as there are
                 // payloads beyond it.
                 while matches!(self.slab[hole], Slot::Occupied(_)) {
                     hole += 1;
                 }
                 self.slab.swap(slot, hole);
-                entry.slot = hole as u32;
+                self.slab[slot] = Slot::Vacant { next: hole as u32 };
+                self.keys[hole] = self.keys[slot];
             }
         }
+        let slab = &self.slab;
+        let moved = |slot: u32| match slab.get(slot as usize) {
+            Some(&Slot::Vacant { next }) if slot as usize >= pending => next,
+            _ => slot,
+        };
+        for slot in self.front.iter_mut().chain(&mut self.far) {
+            *slot = moved(*slot);
+        }
+        for head in &mut self.heads {
+            *head = moved(*head);
+            let mut slot = *head;
+            while slot != NIL {
+                let next = &mut self.keys[slot as usize].next;
+                *next = moved(*next);
+                slot = *next;
+            }
+        }
+        // The walk starts again with the next refill.
+        self.walked.clear();
+        self.walk_first = NIL;
+        self.walk_next = NIL;
         self.slab.truncate(pending);
+        self.keys.truncate(pending);
         self.slab.shrink_to(cap);
-        self.heap.shrink_to(cap);
+        self.keys.shrink_to(cap);
+        // The front and the far heap hold a share of the events that
+        // moves with the clock, not with the pending count.
+        self.front.shrink_to(shrunk_capacity(self.front.len()));
+        self.far.shrink_to(shrunk_capacity(self.far.len()));
         self.free_head = NIL;
     }
 
     /// Pops the earliest event only if it fires at or before `deadline`.
     ///
     /// Equivalent to checking [`EventQueue::peek_time`] and then calling
-    /// [`EventQueue::pop`], but probes the heap top once — this is the
+    /// [`EventQueue::pop`], but probes the front once — this is the
     /// kernel run loop's per-event fast path.
     #[inline]
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<Scheduled<T>> {
-        if self.heap.first()?.at > deadline {
+        if self.front.is_empty() {
+            self.refill();
+        }
+        if self.keys[*self.front.last()? as usize].at > deadline {
             return None;
         }
         self.pop()
@@ -348,43 +602,81 @@ impl<T> EventQueue<T> {
 
     /// The firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.earliest(0).map(|k| k.at)
     }
 
     /// The hint the earliest pending event was scheduled with, if any.
     #[inline]
     pub fn next_hint(&self) -> Option<u32> {
-        self.heap.first().map(|e| e.hint).filter(|&h| h != NO_HINT)
+        self.earliest(0).map(|k| k.hint).filter(|&h| h != NO_HINT)
     }
 
-    /// The hint of the event that pops *second* — the least of the heap
-    /// root's children — if at least two are pending and it has one. It
-    /// names the second pop's hint unless an earlier event is scheduled
-    /// before then.
+    /// The hint of the event that pops *second*, if at least two are
+    /// pending and it has one. It names the second pop's hint unless an
+    /// earlier event is scheduled before then.
     #[inline]
     pub fn second_hint(&self) -> Option<u32> {
-        let least = match self.heap.get(1..1 + ARITY) {
-            // A full set of children, as at any depth worth prefetching
-            // for: a two-round tournament of index selects, no branches.
-            Some(kids) => {
-                let key = |i: usize| kids[i].key();
-                let a = usize::from(key(1) < key(0));
-                let b = 2 + usize::from(key(3) < key(2));
-                &kids[if key(b) < key(a) { b } else { a }]
+        self.earliest(1).map(|k| k.hint).filter(|&h| h != NO_HINT)
+    }
+
+    /// The key of the event that pops `rank`-th, 0 or 1: a front entry,
+    /// as a pop leaves two there whenever two are pending. Only schedules
+    /// since the last pop can have left the front short.
+    #[inline(always)]
+    fn earliest(&self, rank: usize) -> Option<Key> {
+        let n = self.front.len();
+        if n > rank {
+            return Some(self.keys[self.front[n - 1 - rank] as usize]);
+        }
+        self.earliest_past_front(rank)
+    }
+
+    /// [`EventQueue::earliest`] for a short front, read without moving it:
+    /// the front's events come first, then the ring's buckets in day order
+    /// (each wholly before the next), then the far heap, whose second
+    /// least key is one of the root's children.
+    #[cold]
+    fn earliest_past_front(&self, rank: usize) -> Option<Key> {
+        let mut least: [Option<Key>; 2] = [None, None];
+        let mut offer = |slot: u32| {
+            let k = self.keys[slot as usize];
+            if least[0].is_none_or(|l| k.key() < l.key()) {
+                least = [Some(k), least[0]];
+            } else if least[1].is_none_or(|l| k.key() < l.key()) {
+                least[1] = Some(k);
             }
-            None => self.heap.get(1..)?.iter().min_by_key(|e| e.key())?,
+            least[rank].is_some()
         };
-        Some(least.hint).filter(|&h| h != NO_HINT)
+        let mut found = false;
+        for &slot in &self.front {
+            found = offer(slot);
+        }
+        let (mut day, mut ring_left) = (self.day, self.ring_len);
+        while !found && ring_left > 0 {
+            day += 1;
+            let mut slot = self.heads[(day % BUCKETS) as usize];
+            while slot != NIL {
+                found = offer(slot);
+                ring_left -= 1;
+                slot = self.keys[slot as usize].next;
+            }
+        }
+        if !found {
+            for &slot in self.far.iter().take(1 + ARITY) {
+                offer(slot);
+            }
+        }
+        least[rank]
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.front.len() + self.ring_len + self.far.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -392,10 +684,10 @@ impl<T> EventQueue<T> {
         self.next_seq
     }
 
-    /// Pending-event capacity currently reserved (diagnostics: once this
-    /// stops growing, steady-state scheduling no longer allocates).
+    /// Payload slots currently reserved (diagnostics: once this stops
+    /// growing, steady-state scheduling no longer allocates).
     pub fn capacity(&self) -> usize {
-        self.heap.capacity().min(self.slab.capacity())
+        self.slab.capacity()
     }
 
     /// Payload slots currently allocated: occupied ones plus the vacant
@@ -405,57 +697,66 @@ impl<T> EventQueue<T> {
         self.slab.len()
     }
 
-    /// Bytes of backing storage currently reserved by the queue: the heap
-    /// entries and the payload slab (whose vacant slots are the free
-    /// list). Self-reported memory accounting for the scaling experiments
+    /// Bytes of backing storage currently reserved by the queue: the
+    /// payload slab (whose vacant slots are the free list) and its keys,
+    /// and the slot numbers of the front, the ring's heads and the far
+    /// heap. Self-reported memory accounting for the scaling experiments
     /// — no `ps` required.
     pub fn mem_bytes(&self) -> u64 {
-        (self.heap.capacity() * std::mem::size_of::<Entry>()
-            + self.slab.capacity() * std::mem::size_of::<Slot<T>>()) as u64
+        let slot_numbers = self.front.capacity()
+            + self.walked.capacity()
+            + self.heads.capacity()
+            + self.far.capacity();
+        (self.slab.capacity() * size_of::<Slot<T>>()
+            + self.keys.capacity() * size_of::<Key>()
+            + slot_numbers * size_of::<u32>()) as u64
     }
+}
 
-    fn sift_up(&mut self, mut i: usize) {
-        let moved = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= moved.key() {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
+/// Moves the far heap's entry at `i` up past every parent with a greater
+/// key.
+fn sift_up(heap: &mut [u32], keys: &[Key], mut i: usize) {
+    let moved = heap[i];
+    let moved_key = keys[moved as usize].key();
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if keys[heap[parent] as usize].key() <= moved_key {
+            break;
         }
-        self.heap[i] = moved;
+        heap[i] = heap[parent];
+        i = parent;
     }
+    heap[i] = moved;
+}
 
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        let moved = self.heap[i];
-        let moved_key = moved.key();
-        loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            // Scanning the children as a subslice lets the compiler hoist
-            // the bounds check out of the loop.
-            let end = (first_child + ARITY).min(n);
-            let mut best = first_child;
-            let mut best_key = self.heap[first_child].key();
-            for (off, e) in self.heap[first_child..end].iter().enumerate().skip(1) {
-                let k = e.key();
-                if k < best_key {
-                    best = first_child + off;
-                    best_key = k;
-                }
-            }
-            if best_key >= moved_key {
-                break;
-            }
-            self.heap[i] = self.heap[best];
-            i = best;
+/// Moves the far heap's entry at `i` down past every least child with a
+/// smaller key.
+fn sift_down(heap: &mut [u32], keys: &[Key], mut i: usize) {
+    let n = heap.len();
+    let moved = heap[i];
+    let moved_key = keys[moved as usize].key();
+    loop {
+        let first_child = i * ARITY + 1;
+        if first_child >= n {
+            break;
         }
-        self.heap[i] = moved;
+        let end = (first_child + ARITY).min(n);
+        let mut best = first_child;
+        let mut best_key = keys[heap[first_child] as usize].key();
+        for (off, &slot) in heap[first_child..end].iter().enumerate().skip(1) {
+            let k = keys[slot as usize].key();
+            if k < best_key {
+                best = first_child + off;
+                best_key = k;
+            }
+        }
+        if best_key >= moved_key {
+            break;
+        }
+        heap[i] = heap[best];
+        i = best;
     }
+    heap[i] = moved;
 }
 
 #[cfg(test)]
@@ -533,6 +834,31 @@ mod tests {
         // initial capacity, so no backing vector has grown.
         assert!(q.capacity() >= 4);
         assert!(q.slab.len() <= 4, "slab grew to {}", q.slab.len());
+    }
+
+    #[test]
+    fn refill_takes_what_the_walk_staged_and_what_it_did_not() {
+        // Bucket 2 holds more than a walk stages, and gains events while
+        // bucket 1 drains and the walk runs along it.
+        let day = 1u64 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(SimTime::from_nanos(day + i), i);
+        }
+        for i in 0..200 {
+            q.schedule(SimTime::from_nanos(2 * day + 1_000 - i), 1_000 + i);
+        }
+        let mut popped = Vec::new();
+        for i in 0..80 {
+            popped.push(q.pop().expect("pending"));
+            q.schedule(SimTime::from_nanos(2 * day + 7 * i), 2_000 + i);
+        }
+        assert_eq!(q.walked.len(), WALK_MAX, "the walk stops at its cap");
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        assert_eq!(popped.len(), 380);
+        for pair in popped.windows(2) {
+            assert!((pair[0].at, pair[0].seq) < (pair[1].at, pair[1].seq));
+        }
     }
 
     #[test]

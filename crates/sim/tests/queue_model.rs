@@ -10,6 +10,14 @@
 //! first and second pops' (`next_hint`, `second_hint`), which never move a
 //! pop.
 //!
+//! The queue keeps its events in three tiers — a sorted front, a ring of
+//! ≈ 1 ms buckets over the next ≈ 0.54 s, and a heap beyond — which the
+//! model knows nothing about either: the simulator-shaped property drives
+//! every tier and every move between them (the start-up storm, equal-time
+//! bursts, delays from 0 ns to 20 s, far events entering the ring, an
+//! empty ring jumping to the far minimum, compaction with all three
+//! tiers occupied) and checks each observable after every operation.
+//!
 //! The queue also gives memory back (it compacts its slab when an epoch of
 //! pops never needed half of it), which the model knows nothing about: the
 //! burst-and-drain property checks that compaction changes no pop and that
@@ -195,6 +203,115 @@ proptest! {
             }
         }
         prop_assert!(q.is_empty());
+    }
+}
+
+/// A delay shaped like the simulator's: mostly network latencies and the
+/// 100 ms protocol periods, some shorter than what is left of the front's
+/// bucket (zero included), some into the next few buckets — the ones a
+/// refill may already be walking — and some past the ring's horizon:
+/// pull timeouts, garbage collection, heartbeats, and anything up to 20 s.
+fn sim_delay(rng: &mut impl Rng) -> Duration {
+    let ms = Duration::from_millis;
+    match rng.gen_range(0..100u32) {
+        0..=4 => Duration::ZERO,
+        5..=14 => Duration::from_nanos(rng.gen_range(0..1_000_000)),
+        15..=29 => Duration::from_nanos(rng.gen_range(1_000_000..3_000_000)),
+        30..=54 => Duration::from_nanos(rng.gen_range(3_000_000..400_000_000)),
+        55..=74 => ms(100),
+        75..=79 => ms(2_000),
+        80..=84 => ms(5_000),
+        85..=89 => ms(15_000),
+        _ => Duration::from_nanos(rng.gen_range(0..20_000_000_000)),
+    }
+}
+
+proptest! {
+    #[test]
+    fn simulator_shaped_schedules_match_model_in_every_tier(seed in 0u64..1_000_000) {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut q = EventQueue::new();
+        let mut model = ModelQueue::default();
+        let mut now = SimTime::ZERO;
+        let mut payload = 0u64;
+        let mut hints: Vec<Option<u32>> = Vec::new();
+        macro_rules! schedule {
+            ($at:expr) => {{
+                let at = $at;
+                if rng.gen_bool(0.25) {
+                    q.schedule(at, payload);
+                    hints.push(None);
+                } else {
+                    let hint = rng.gen_range(0..u32::MAX);
+                    q.schedule_hinted(at, hint, payload);
+                    hints.push(Some(hint));
+                }
+                model.schedule(at, payload);
+                payload += 1;
+            }};
+        }
+        macro_rules! check {
+            () => {{
+                let (first, second) = model.first_two();
+                prop_assert_eq!(q.next_hint(), first.and_then(|p| hints[p as usize]));
+                prop_assert_eq!(q.second_hint(), second.and_then(|p| hints[p as usize]));
+                prop_assert_eq!(q.peek_time(), model.peek_time());
+                prop_assert_eq!(q.len(), model.heap.len());
+                prop_assert_eq!(q.is_empty(), model.heap.is_empty());
+            }};
+        }
+        macro_rules! pop {
+            () => {{
+                let got = q.pop().map(|s| (s.at, s.seq, s.payload));
+                let want = model.pop();
+                prop_assert_eq!(got, want, "pop diverged from model");
+                now = want.map_or(now, |(at, _, _)| at);
+                check!();
+            }};
+        }
+        // The start-up storm, ten to twenty times as deep as what follows:
+        // half of it at exactly t = 0, checked as it arrives.
+        let level = rng.gen_range(16..40usize);
+        for _ in 0..rng.gen_range(10..20usize) * level {
+            let delay = if rng.gen_bool(0.5) { Duration::ZERO } else { sim_delay(&mut rng) };
+            schedule!(SimTime::ZERO + delay);
+            check!();
+        }
+        let storm_slots = q.slab_slots();
+        for round in 0..6 {
+            // Steady state at about `level` pending, some of it scheduled
+            // in equal-time bursts; six rounds pop the storm's slots twice.
+            for _ in 0..storm_slots / 2 {
+                if q.len() > level || rng.gen_bool(0.5) {
+                    pop!();
+                } else {
+                    let at = now + sim_delay(&mut rng);
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        schedule!(at);
+                    }
+                    check!();
+                }
+            }
+            if round % 2 == 1 {
+                // Quiet: pop all but what lies past the horizon, so the
+                // next pop finds the ring empty and jumps to the far heap.
+                let quiet = now + Duration::from_millis(600);
+                while q.peek_time().is_some_and(|t| t < quiet) {
+                    pop!();
+                }
+                pop!();
+            }
+        }
+        // The storm's slots are gone again: a compaction ran with events
+        // in the front, the ring and the far heap.
+        prop_assert!(
+            q.slab_slots() < storm_slots,
+            "no compaction: {} slots after a storm of {}", q.slab_slots(), storm_slots
+        );
+        while !q.is_empty() {
+            pop!();
+        }
+        prop_assert_eq!(model.pop(), None);
     }
 }
 

@@ -9,15 +9,16 @@
 //! is an (empty) vector probed by a length check, and traffic accounting
 //! writes fixed-size counters.
 //!
-//! This file is its own test binary (one test, run on one thread) so the
-//! counter sees only the workload under measurement.
+//! The counter is per thread, so each test sees only the workload it
+//! drives: every one runs its simulation on the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
 use gocast_sim::{
-    Ctx, FixedLatency, NodeId, Protocol, SimBuilder, SimTime, Timer, TrafficClass, Wire,
+    Ctx, FixedLatency, NodeId, NullRecorder, Protocol, ShardedSimBuilder, SimBuilder, SimTime,
+    Timer, TrafficClass, Wire,
 };
 
 thread_local! {
@@ -164,4 +165,35 @@ fn telemetry_enabled_kernel_path_does_not_allocate() {
         }
         other => panic!("unexpected value {other:?}"),
     }
+}
+
+#[test]
+fn sixty_four_lane_window_loop_does_not_allocate() {
+    // The sharded kernel's shape at scale: 64 lanes, four nodes each, one
+    // driving thread. Every token crosses to the next lane, so each window
+    // also runs the outbox and the barrier merge; the lane queues, outboxes
+    // and merge buffers must all be at their high-water marks after the
+    // warm-up.
+    let n = 256u32;
+    let mut sim = ShardedSimBuilder::new(FixedLatency::new(n as usize, Duration::from_millis(3)))
+        .seed(7)
+        .lanes(64)
+        .threads(1)
+        .build_with(NullRecorder, |id| Ticker { id, n, received: 0 });
+
+    sim.run_until(SimTime::from_secs(2));
+
+    let events_before = sim.kernel_stats().events_processed;
+    let allocs_before = allocations();
+    sim.run_until(SimTime::from_secs(12));
+    let allocs = allocations() - allocs_before;
+    let events = sim.kernel_stats().events_processed - events_before;
+
+    assert!(events > 400_000, "workload too small: {events} events");
+    assert_eq!(
+        allocs, 0,
+        "64-lane window loop allocated {allocs} times over {events} events"
+    );
+    let received: u64 = sim.iter_nodes().map(|(_, p)| p.received).sum();
+    assert!(received > 0);
 }

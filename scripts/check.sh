@@ -178,6 +178,27 @@ absent  crates,tests,examples  -  struct TraceRecord([^_[:alnum:]]|$)|enum Proto
 GATES
 [[ "$gate_failed" -eq 0 ]] || exit 1
 
+echo "==> CHANGES.md entry cap"
+# A CHANGES.md entry numbered 26 or later is one line of at most 1,536
+# bytes: what changed, net lines, and where the numbers live
+# (EXPERIMENTS.md holds the numbers, DESIGN.md the reasons). A non-blank
+# line that opens no entry continues the one before it.
+CHANGES_ENTRY_MAX=1536
+CHANGES_CAPPED_FROM=26
+LC_ALL=C awk -v max="$CHANGES_ENTRY_MAX" -v from="$CHANGES_CAPPED_FROM" '
+    /^- / { pr = 0 }
+    /^- PR [0-9]+/ { pr = $3 + 0
+        if (pr >= from && length($0) > max) {
+            printf "FAIL: CHANGES.md:%d: the PR %d entry is %d bytes, over the %d cap\n", NR, pr, length($0), max > "/dev/stderr"
+            bad = 1
+        }
+        next }
+    /^#/ || /^[[:space:]]*$/ { pr = 0; next }
+    pr && pr >= from {
+        printf "FAIL: CHANGES.md:%d: the PR %d entry spans more than one line\n", NR, pr > "/dev/stderr"
+        bad = 1 }
+    END { exit bad }' CHANGES.md
+
 echo "==> cargo build --release"
 cargo build --release
 
