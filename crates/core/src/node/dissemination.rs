@@ -11,7 +11,7 @@ use crate::wire::{GoCastMsg, GossipEntry, MemberEntry};
 use super::{known, timers, GoCastNode, Neighbor, Pending, Stored};
 
 /// Random member addresses piggybacked per gossip.
-const MEMBERS_PER_GOSSIP: usize = 3;
+pub(super) const MEMBERS_PER_GOSSIP: usize = 3;
 
 /// Retry interval when a pull request goes unanswered.
 const PULL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
@@ -256,11 +256,14 @@ impl GoCastNode {
         Some(next)
     }
 
-    /// Samples member entries (with coordinates when known) to piggyback.
-    fn pick_gossip_members(&mut self, ctx: &mut Ctx<'_, Self>) -> Vec<MemberEntry> {
-        let mut out: Vec<MemberEntry> =
-            self.view
-                .sample_k_map(MEMBERS_PER_GOSSIP, ctx.rng(), |id, &coords| (id, coords));
+    /// Samples member entries (with coordinates when known) to piggyback,
+    /// in one allocation sized for the samples and our own entry.
+    pub(super) fn pick_gossip_members(&mut self, ctx: &mut Ctx<'_, Self>) -> Vec<MemberEntry> {
+        let mut out = Vec::with_capacity(MEMBERS_PER_GOSSIP.min(self.view.len()) + 1);
+        self.view
+            .sample_k_into(MEMBERS_PER_GOSSIP, ctx.rng(), &mut out, |id, &coords| {
+                (id, coords)
+            });
         // Introduce ourselves too (address + coordinates).
         out.push((self.id, self.coords));
         out

@@ -891,6 +891,26 @@ mod tests {
         assert_eq!(node.view.as_slice(), &[inside.0]);
     }
 
+    /// A gossip's member list is one allocation holding exactly its
+    /// entries: the view's samples, drawn as `sample_k` draws them, then
+    /// the sender's own.
+    #[test]
+    fn gossip_members_are_allocated_once() {
+        let mut node = GoCastNode::new(NodeId::new(0), GoCastConfig::default(), vec![]);
+        let mut rng = SmallRng::seed_from_u64(9);
+        node.view.merge((1..=8).map(NodeId::new), &mut rng);
+        let want = node
+            .view
+            .sample_k(dissemination::MEMBERS_PER_GOSSIP, &mut rng.clone());
+        let mut sink = Sink { nodes: 9 };
+        let mut ctx = Ctx::for_host(node.id, SimTime::ZERO, &mut rng, &mut sink);
+        let members = node.pick_gossip_members(&mut ctx);
+        assert_eq!(members.capacity(), members.len());
+        let ids: Vec<NodeId> = members.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [want, vec![node.id]].concat());
+        assert_eq!(ids.len(), dissemination::MEMBERS_PER_GOSSIP + 1);
+    }
+
     /// What a node remembers about its peers is O(view + degree), however
     /// many peers the gossips mention and however long they keep coming.
     /// (The per-node coordinate cache this replaces grew toward one entry

@@ -15,7 +15,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::matrix::SiteLatencyMatrix;
+use crate::matrix::{pair_count, pair_index, SiteLatencyMatrix};
 
 /// A continent-like cluster of sites.
 #[derive(Debug, Clone, Copy)]
@@ -159,20 +159,22 @@ pub fn synthetic_king(nodes: usize, cfg: &SyntheticKingConfig) -> SiteLatencyMat
     // Place sites in clusters.
     let positions = place_sites(&mut rng, sites);
 
-    // Raw latencies: last-mile base + propagation + multiplicative jitter.
-    let mut raw = vec![0f64; sites * sites];
+    // Raw latencies: last-mile base + propagation + multiplicative jitter,
+    // one draw per pair `(i, j > i)`. The first pass only sums them; the
+    // second replays the same draws from a copy of the generator and
+    // writes each scaled pair into the triangle's row `j`.
+    let raw = |rng: &mut SmallRng, i: usize, j: usize| {
+        let (xi, yi) = positions[i];
+        let (xj, yj) = positions[j];
+        let dist = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
+        (4.0 + dist) * rng.gen_range(0.75..1.65)
+    };
+    let mut replay = rng.clone();
     let mut sum = 0f64;
     let mut pairs = 0u64;
     for i in 0..sites {
         for j in (i + 1)..sites {
-            let (xi, yi) = positions[i];
-            let (xj, yj) = positions[j];
-            let dist = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
-            let jitter = rng.gen_range(0.75..1.65);
-            let l = (4.0 + dist) * jitter;
-            raw[i * sites + j] = l;
-            raw[j * sites + i] = l;
-            sum += l;
+            sum += raw(&mut rng, i, j);
             pairs += 1;
         }
     }
@@ -182,17 +184,13 @@ pub fn synthetic_king(nodes: usize, cfg: &SyntheticKingConfig) -> SiteLatencyMat
     let scale = TARGET_MEAN.as_secs_f64() * 1e3 / mean;
     let floor_us = MIN_FLOOR.as_micros() as u32;
     let cap_us = MAX_CAP.as_micros() as u32;
-    let lat_us: Vec<u32> = raw
-        .iter()
-        .enumerate()
-        .map(|(k, &l)| {
-            if k / sites == k % sites {
-                0
-            } else {
-                (((l * scale) * 1000.0) as u32).clamp(floor_us, cap_us)
-            }
-        })
-        .collect();
+    let mut lower_us = vec![0u32; pairs as usize];
+    for i in 0..sites {
+        for j in (i + 1)..sites {
+            let l = raw(&mut replay, i, j);
+            lower_us[pair_index(j, i)] = (((l * scale) * 1000.0) as u32).clamp(floor_us, cap_us);
+        }
+    }
 
     // Assign nodes to a seeded shuffle of sites, wrapping for n > sites.
     let mut order: Vec<u32> = (0..sites as u32).collect();
@@ -201,7 +199,7 @@ pub fn synthetic_king(nodes: usize, cfg: &SyntheticKingConfig) -> SiteLatencyMat
     }
     let node_site = (0..nodes).map(|i| order[i % sites]).collect();
 
-    SiteLatencyMatrix::new(sites, lat_us, node_site, INTRA_SITE)
+    SiteLatencyMatrix::new(sites, &lower_us, node_site, INTRA_SITE)
 }
 
 /// Builds the paper-default network: 1,740 sites calibrated to the King
@@ -234,7 +232,7 @@ pub fn two_continents(nodes: usize, seed: u64) -> SiteLatencyMatrix {
     let sites = nodes;
     let mut rng = SmallRng::seed_from_u64(seed);
     let half = sites / 2;
-    let mut lat_us = vec![0u32; sites * sites];
+    let mut lower_us = vec![0u32; pair_count(sites)];
     for i in 0..sites {
         for j in (i + 1)..sites {
             let same = (i < half) == (j < half);
@@ -243,13 +241,11 @@ pub fn two_continents(nodes: usize, seed: u64) -> SiteLatencyMatrix {
             } else {
                 rng.gen_range(150.0..200.0)
             };
-            let us = (ms * 1000.0) as u32;
-            lat_us[i * sites + j] = us;
-            lat_us[j * sites + i] = us;
+            lower_us[pair_index(j, i)] = (ms * 1000.0) as u32;
         }
     }
     let node_site = (0..nodes).map(|i| i as u32).collect();
-    SiteLatencyMatrix::new(sites, lat_us, node_site, Duration::from_micros(500))
+    SiteLatencyMatrix::new(sites, &lower_us, node_site, Duration::from_micros(500))
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! Everything the protocols need to know about "the Internet":
 //!
 //! - [`SiteLatencyMatrix`]: site-based one-way latency tables implementing
-//!   [`gocast_sim::LatencyModel`], mirroring the King dataset's structure.
+//!   [`gocast_sim::LatencyModel`], mirroring the King dataset's structure:
+//!   one 24-bit entry per unordered site pair, in a lower triangle.
 //! - [`synthetic_king`] / [`king_like`]: a calibrated synthetic replacement
 //!   for the King dataset (mean one-way latency ≈ 91 ms, max ≤ 399 ms,
 //!   continent-like clustering). See DESIGN.md for the substitution

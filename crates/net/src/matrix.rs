@@ -4,58 +4,98 @@
 //! *sites*. Simulated nodes map onto sites ("When the number of simulated
 //! nodes is larger than the number of measured DNS servers, we simulate
 //! multiple nodes at a single DNS server site"). [`SiteLatencyMatrix`]
-//! reproduces that structure: an explicit symmetric site x site one-way
-//! latency table plus a node -> site map.
+//! reproduces that structure: a symmetric site-to-site one-way latency
+//! table, stored once per unordered pair as a packed lower triangle, plus a
+//! node -> site map.
 
 use std::time::Duration;
 
 use gocast_sim::{LatencyModel, NodeId};
 
+/// One past the largest entry a 24-bit slot holds, in microseconds
+/// (16.78 s; the King cap is 399 ms).
+const ENTRY_LIMIT_US: u32 = 1 << 24;
+
+/// Number of unordered pairs of `sites` distinct sites: the length of the
+/// lower triangle.
+pub(crate) fn pair_count(sites: usize) -> usize {
+    sites.saturating_sub(1) * sites / 2
+}
+
+/// Where the pair `(hi, lo)`, `hi > lo`, sits in the lower triangle: row
+/// `hi` holds its `hi` pairs with the sites below it.
+#[inline]
+pub(crate) fn pair_index(hi: usize, lo: usize) -> usize {
+    hi * (hi - 1) / 2 + lo
+}
+
 /// One-way latencies between sites, with nodes assigned to sites.
 ///
-/// Latencies are stored in microseconds (`u32`), which comfortably covers
-/// the paper's 399 ms maximum while keeping an 1,740 x 1,740 matrix at
-/// ~12 MB.
+/// The table is the lower triangle of the site x site latencies in site
+/// order (row `i` holds the pairs `(i, j < i)`), one little-endian 24-bit
+/// microsecond entry per unordered pair: the diagonal is zero and the
+/// table symmetric by construction, and the paper's 1,740 sites take
+/// 1,512,930 pairs x 3 B = 4.5 MB.
 #[derive(Debug, Clone)]
 pub struct SiteLatencyMatrix {
     sites: usize,
-    /// Row-major `sites x sites` one-way latencies in microseconds.
-    lat_us: Vec<u32>,
+    /// Lower-triangle one-way latencies in microseconds, 24 bits each.
+    lat_us: Vec<[u8; 3]>,
     /// `node -> site` assignment.
     node_site: Vec<u32>,
     /// One-way latency between two distinct nodes at the same site.
     intra_site: Duration,
+    /// [`LatencyModel::lookahead`], fixed at construction.
+    lookahead: Option<Duration>,
 }
 
 impl SiteLatencyMatrix {
-    /// Builds a matrix from a row-major `sites x sites` table of one-way
-    /// latencies in microseconds and a node-to-site assignment.
+    /// Builds a matrix from the lower triangle of a site x site table of
+    /// one-way latencies in microseconds, in site order (the pairs
+    /// `(1, 0)`, `(2, 0)`, `(2, 1)`, `(3, 0)`, ...; pair `(i, j < i)` at
+    /// `i·(i−1)/2 + j`), and a node-to-site assignment.
     ///
     /// # Panics
     ///
-    /// Panics if `lat_us.len() != sites * sites`, if the table is not
-    /// symmetric with a zero diagonal, or if any node maps to a site out of
-    /// range.
-    pub fn new(sites: usize, lat_us: Vec<u32>, node_site: Vec<u32>, intra_site: Duration) -> Self {
-        assert_eq!(lat_us.len(), sites * sites, "latency table has wrong size");
-        for i in 0..sites {
-            assert_eq!(lat_us[i * sites + i], 0, "diagonal must be zero");
-            for j in (i + 1)..sites {
-                assert_eq!(
-                    lat_us[i * sites + j],
-                    lat_us[j * sites + i],
-                    "latency table must be symmetric"
+    /// Panics if `lower_us` does not hold `sites·(sites−1)/2` entries, if an
+    /// entry is 2²⁴ µs or more, or if any node maps to a site out of range.
+    pub fn new(sites: usize, lower_us: &[u32], node_site: Vec<u32>, intra_site: Duration) -> Self {
+        assert_eq!(
+            lower_us.len(),
+            pair_count(sites),
+            "latency triangle of {sites} sites needs {} entries",
+            pair_count(sites)
+        );
+        let mut min_pair = u32::MAX;
+        let lat_us = lower_us
+            .iter()
+            .map(|&us| {
+                assert!(
+                    us < ENTRY_LIMIT_US,
+                    "latency {us} us does not fit a 24-bit entry"
                 );
-            }
-        }
+                if us > 0 {
+                    min_pair = min_pair.min(us);
+                }
+                let [a, b, c, _] = us.to_le_bytes();
+                [a, b, c]
+            })
+            .collect();
         for &s in &node_site {
             assert!((s as usize) < sites, "node assigned to unknown site {s}");
         }
+        // The smallest latency any two distinct nodes can see: co-located
+        // nodes pay `intra_site`, everyone else some nonzero table entry.
+        let bound = match min_pair {
+            u32::MAX => intra_site,
+            us => Duration::from_micros(us as u64).min(intra_site),
+        };
         SiteLatencyMatrix {
             sites,
             lat_us,
             node_site,
             intra_site,
+            lookahead: (bound > Duration::ZERO).then_some(bound),
         }
     }
 
@@ -78,21 +118,43 @@ impl SiteLatencyMatrix {
     }
 
     /// One-way latency between two sites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either site id is out of range.
     pub fn site_latency(&self, a: u32, b: u32) -> Duration {
-        Duration::from_micros(self.lat_us[a as usize * self.sites + b as usize] as u64)
+        for s in [a, b] {
+            assert!(
+                (s as usize) < self.sites,
+                "site {s} out of range for {} sites",
+                self.sites
+            );
+        }
+        self.pair_latency(a, b)
+    }
+
+    /// One-way latency between two in-range sites.
+    #[inline]
+    fn pair_latency(&self, a: u32, b: u32) -> Duration {
+        let (hi, lo) = if a > b { (a, b) } else { (b, a) };
+        if hi == lo {
+            return Duration::ZERO;
+        }
+        let [x, y, z] = self.lat_us[pair_index(hi as usize, lo as usize)];
+        Duration::from_micros(u32::from_le_bytes([x, y, z, 0]) as u64)
+    }
+
+    /// The stored entries, in microseconds.
+    fn entries_us(&self) -> impl Iterator<Item = u32> + '_ {
+        self.lat_us
+            .iter()
+            .map(|&[a, b, c]| u32::from_le_bytes([a, b, c, 0]))
     }
 
     /// Mean one-way latency over all distinct site pairs.
     pub fn mean_site_latency(&self) -> Duration {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for i in 0..self.sites {
-            for j in (i + 1)..self.sites {
-                sum += self.lat_us[i * self.sites + j] as u64;
-                count += 1;
-            }
-        }
-        match sum.checked_div(count) {
+        let sum: u64 = self.entries_us().map(u64::from).sum();
+        match sum.checked_div(self.lat_us.len() as u64) {
             Some(v) => Duration::from_micros(v),
             None => Duration::ZERO,
         }
@@ -100,7 +162,7 @@ impl SiteLatencyMatrix {
 
     /// Maximum one-way latency over all site pairs.
     pub fn max_site_latency(&self) -> Duration {
-        Duration::from_micros(self.lat_us.iter().copied().max().unwrap_or(0) as u64)
+        Duration::from_micros(self.entries_us().max().unwrap_or(0) as u64)
     }
 }
 
@@ -113,7 +175,7 @@ impl LatencyModel for SiteLatencyMatrix {
         if sa == sb {
             self.intra_site
         } else {
-            self.site_latency(sa, sb)
+            self.pair_latency(sa, sb)
         }
     }
 
@@ -122,35 +184,21 @@ impl LatencyModel for SiteLatencyMatrix {
     }
 
     fn lookahead(&self) -> Option<Duration> {
-        // The smallest latency any two distinct nodes can see: co-located
-        // nodes pay `intra_site`, everyone else some nonzero table entry.
-        let min_pair = self
-            .lat_us
-            .iter()
-            .copied()
-            .filter(|&us| us > 0)
-            .min()
-            .map(|us| Duration::from_micros(us as u64))
-            .unwrap_or(self.intra_site);
-        let bound = min_pair.min(self.intra_site);
-        (bound > Duration::ZERO).then_some(bound)
+        self.lookahead
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny() -> SiteLatencyMatrix {
         // 3 sites: 0-1 = 10ms, 0-2 = 20ms, 1-2 = 30ms. 4 nodes, two at site 0.
         let ms = |v: u32| v * 1000;
-        #[rustfmt::skip]
-        let lat = vec![
-            0,        ms(10), ms(20),
-            ms(10),   0,      ms(30),
-            ms(20),   ms(30), 0,
-        ];
-        SiteLatencyMatrix::new(3, lat, vec![0, 0, 1, 2], Duration::from_micros(500))
+        let lower = [ms(10), ms(20), ms(30)];
+        SiteLatencyMatrix::new(3, &lower, vec![0, 0, 1, 2], Duration::from_micros(500))
     }
 
     #[test]
@@ -191,23 +239,130 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "symmetric")]
-    fn rejects_asymmetric_table() {
-        let lat = vec![0, 1, 2, 0];
-        let _ = SiteLatencyMatrix::new(2, lat, vec![0, 1], Duration::ZERO);
+    #[should_panic(expected = "site 3 out of range for 3 sites")]
+    fn rejects_out_of_range_site() {
+        // An id past the last site must not read another pair's entry.
+        let _ = tiny().site_latency(0, 3);
     }
 
     #[test]
-    #[should_panic(expected = "diagonal")]
-    fn rejects_nonzero_diagonal() {
-        let lat = vec![5, 1, 1, 0];
-        let _ = SiteLatencyMatrix::new(2, lat, vec![0, 1], Duration::ZERO);
+    #[should_panic(expected = "needs 3 entries")]
+    fn rejects_wrong_triangle_length() {
+        let _ = SiteLatencyMatrix::new(3, &[1, 2], vec![0, 1], Duration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "24-bit")]
+    fn rejects_entry_past_24_bits() {
+        let _ = SiteLatencyMatrix::new(2, &[1 << 24], vec![0, 1], Duration::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "unknown site")]
     fn rejects_bad_assignment() {
-        let lat = vec![0, 1, 1, 0];
-        let _ = SiteLatencyMatrix::new(2, lat, vec![0, 9], Duration::ZERO);
+        let _ = SiteLatencyMatrix::new(2, &[1], vec![0, 9], Duration::ZERO);
+    }
+
+    /// A row-major `sites x sites` table holding every pair twice: what
+    /// each method of the packed matrix must reproduce.
+    struct Square {
+        sites: usize,
+        lat_us: Vec<u32>,
+        node_site: Vec<u32>,
+        intra_site: Duration,
+    }
+
+    impl Square {
+        fn site_latency(&self, a: u32, b: u32) -> Duration {
+            Duration::from_micros(self.lat_us[a as usize * self.sites + b as usize] as u64)
+        }
+
+        fn one_way(&self, a: NodeId, b: NodeId) -> Duration {
+            let (sa, sb) = (self.node_site[a.index()], self.node_site[b.index()]);
+            match (a == b, sa == sb) {
+                (true, _) => Duration::ZERO,
+                (false, true) => self.intra_site,
+                (false, false) => self.site_latency(sa, sb),
+            }
+        }
+
+        fn mean(&self) -> Duration {
+            let (mut sum, mut count) = (0u64, 0u64);
+            for i in 0..self.sites {
+                for j in (i + 1)..self.sites {
+                    sum += self.lat_us[i * self.sites + j] as u64;
+                    count += 1;
+                }
+            }
+            Duration::from_micros(sum / count)
+        }
+
+        fn max(&self) -> Duration {
+            Duration::from_micros(*self.lat_us.iter().max().unwrap() as u64)
+        }
+
+        fn lookahead(&self) -> Option<Duration> {
+            let min_pair = self
+                .lat_us
+                .iter()
+                .copied()
+                .filter(|&us| us > 0)
+                .min()
+                .map(|us| Duration::from_micros(us as u64))
+                .unwrap_or(self.intra_site);
+            let bound = min_pair.min(self.intra_site);
+            (bound > Duration::ZERO).then_some(bound)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_method_matches_a_square_reference(
+            sites in 2usize..70,
+            nodes in 1usize..200,
+            intra_us in 0u64..2_000,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut r = SmallRng::seed_from_u64(seed);
+            // Zeros, small entries, the whole 24-bit range and its top.
+            let entry = |r: &mut SmallRng| match r.gen_range(0..8u32) {
+                0 => 0,
+                1 => ENTRY_LIMIT_US - 1,
+                2 | 3 => r.gen_range(1..2_000),
+                _ => r.gen_range(0..ENTRY_LIMIT_US),
+            };
+            let mut square = vec![0u32; sites * sites];
+            let mut lower = vec![0u32; pair_count(sites)];
+            for i in 0..sites {
+                for j in 0..i {
+                    let us = entry(&mut r);
+                    square[i * sites + j] = us;
+                    square[j * sites + i] = us;
+                    lower[pair_index(i, j)] = us;
+                }
+            }
+            let node_site: Vec<u32> = (0..nodes).map(|_| r.gen_range(0..sites as u32)).collect();
+            let intra_site = Duration::from_micros(intra_us);
+            let m = SiteLatencyMatrix::new(sites, &lower, node_site.clone(), intra_site);
+            let want = Square { sites, lat_us: square, node_site, intra_site };
+
+            proptest::prop_assert_eq!(m.site_count(), sites);
+            proptest::prop_assert_eq!(m.len(), nodes);
+            proptest::prop_assert_eq!(m.site_assignment(), &want.node_site[..]);
+            for a in 0..sites as u32 {
+                for b in 0..sites as u32 {
+                    proptest::prop_assert_eq!(m.site_latency(a, b), want.site_latency(a, b));
+                }
+            }
+            for a in (0..nodes as u32).map(NodeId::new) {
+                proptest::prop_assert_eq!(m.site_of(a), want.node_site[a.index()]);
+                for b in (0..nodes as u32).map(NodeId::new) {
+                    proptest::prop_assert_eq!(m.one_way(a, b), want.one_way(a, b));
+                }
+            }
+            proptest::prop_assert_eq!(m.mean_site_latency(), want.mean());
+            proptest::prop_assert_eq!(m.max_site_latency(), want.max());
+            proptest::prop_assert_eq!(m.lookahead(), want.lookahead());
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Constant-memory synthetic King model for million-node simulations.
 //!
-//! [`synthetic_king`](crate::synthetic_king) materializes a full
-//! `sites × sites` microsecond table (~12 MB at the paper's 1,740 sites)
-//! plus an O(N) node→site vector. Both are fine at experiment scale, but
+//! [`synthetic_king`](crate::synthetic_king) materializes a microsecond
+//! entry for every site pair (a packed 24-bit lower triangle: 4.5 MB at
+//! the paper's 1,740 sites) plus an O(N) node→site vector. Both are fine at experiment scale, but
 //! the sharded kernel targets 10⁵–10⁶ nodes where the principle is
 //! **no per-pair state and no per-node state**: everything a latency
 //! query needs must be computable from O(sites) data.

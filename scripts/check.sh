@@ -175,6 +175,11 @@ once    crates/core/src/codec.rs  -  (^|[^[:alnum:]_]){Data,Gossip,PullRequest,J
 # event and the hand-written decoder stay gone.
 once    crates/core/src,crates/analysis/src,crates/sim/src  -  \\?"{injected,delivered,redundant_data,push_sent,ihave_sent,pull_requested,pull_served,link_added,link_dropped,parent_changed,became_root,topic_delivered,topic_subscribed,topic_unsubscribed,delta_published,delta_applied}\\?"
 absent  crates,tests,examples  -  struct TraceRecord([^_[:alnum:]]|$)|enum ProtoTag([^_[:alnum:]]|$)|fn (parse_line|with_proto|trace_jsonl)([^_[:alnum:]]|$)
+
+# One latency table layout: SiteLatencyMatrix stores each unordered site
+# pair once, in a packed 24-bit lower triangle; a square table (every pair
+# twice, plus a zero diagonal) stays gone from the generators too.
+absent  crates/net/src  -  sites \* sites
 GATES
 [[ "$gate_failed" -eq 0 ]] || exit 1
 
