@@ -66,7 +66,6 @@ impl SiteLatencyMatrix {
             "latency triangle of {sites} sites needs {} entries",
             pair_count(sites)
         );
-        let mut min_pair = u32::MAX;
         let lat_us = lower_us
             .iter()
             .map(|&us| {
@@ -74,9 +73,6 @@ impl SiteLatencyMatrix {
                     us < ENTRY_LIMIT_US,
                     "latency {us} us does not fit a 24-bit entry"
                 );
-                if us > 0 {
-                    min_pair = min_pair.min(us);
-                }
                 let [a, b, c, _] = us.to_le_bytes();
                 [a, b, c]
             })
@@ -86,10 +82,13 @@ impl SiteLatencyMatrix {
         }
         // The smallest latency any two distinct nodes can see: co-located
         // nodes pay `intra_site`, everyone else some nonzero table entry.
-        let bound = match min_pair {
-            u32::MAX => intra_site,
-            us => Duration::from_micros(us as u64).min(intra_site),
-        };
+        let bound = lower_us
+            .iter()
+            .filter(|&&us| us > 0)
+            .min()
+            .map_or(intra_site, |&us| {
+                Duration::from_micros(us as u64).min(intra_site)
+            });
         SiteLatencyMatrix {
             sites,
             lat_us,
