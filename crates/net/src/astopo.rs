@@ -2,12 +2,12 @@
 //!
 //! **Substitution note (see DESIGN.md):** the paper's bottleneck-stress
 //! experiment uses "large-scale snapshots of the Internet Autonomous
-//! Systems". Offline, we synthesize an AS graph with the property that
-//! experiment exercises — a power-law-ish degree distribution where a few
-//! transit hubs carry most cross-traffic — using preferential attachment.
-//! Sites attach to stub ASes; overlay traffic between two sites is routed on
-//! the shortest AS path, and *link stress* counts how many overlay messages
-//! traverse each physical (AS-AS) link.
+//! Systems". Offline, we synthesize a two-level transit–stub AS graph
+//! aligned with the latency matrix, where a few transit links carry most
+//! cross-traffic ([`AsTopology::transit_stub`]). Sites attach to stub
+//! ASes; overlay traffic between two sites is routed on the shortest AS
+//! path, and *link stress* counts how many overlay messages traverse each
+//! physical (AS-AS) link.
 
 use std::collections::HashMap;
 
@@ -18,29 +18,11 @@ use gocast_sim::NodeId;
 
 use crate::matrix::SiteLatencyMatrix;
 
-/// How sites attach to stub ASes.
-#[derive(Debug, Clone)]
-enum SiteAttachment {
-    /// `n` sites, each on a uniformly random stub.
-    Random(usize),
-    /// Explicit group index per site; equal groups share a stub.
-    Grouped(Vec<u32>),
-}
-
-impl SiteAttachment {
-    fn site_count(&self) -> usize {
-        match self {
-            SiteAttachment::Random(n) => *n,
-            SiteAttachment::Grouped(g) => g.len(),
-        }
-    }
-}
-
 /// Groups sites by latency proximity: a greedy clustering that repeatedly
 /// takes an unassigned site and groups the nearest unassigned sites with
 /// it. Sites in the same group get the same group index, which
-/// [`AsTopology::with_site_groups`] maps onto the same stub AS — modelling
-/// the fact that low-latency site pairs are usually topologically close.
+/// [`AsTopology::transit_stub`] maps onto the same stub AS — modelling the
+/// fact that low-latency site pairs are usually topologically close.
 pub fn geographic_site_assignment(net: &SiteLatencyMatrix, groups: usize, seed: u64) -> Vec<u32> {
     let sites = net.site_count();
     assert!(groups > 0, "need at least one group");
@@ -82,49 +64,6 @@ pub struct AsTopology {
 }
 
 impl AsTopology {
-    /// Builds a preferential-attachment AS graph of `as_count` ASes, each
-    /// new AS attaching to `links_per_new` existing ones, and attaches
-    /// `sites` sites to stub ASes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `as_count < links_per_new + 2`, or `links_per_new == 0`,
-    /// or `sites == 0`.
-    pub fn preferential_attachment(
-        as_count: usize,
-        links_per_new: usize,
-        sites: usize,
-        seed: u64,
-    ) -> Self {
-        Self::build(as_count, links_per_new, SiteAttachment::Random(sites), seed)
-    }
-
-    /// Like [`AsTopology::preferential_attachment`] but with an explicit
-    /// site-to-stub-group assignment: sites with the same group index
-    /// attach to the same stub AS. Use
-    /// [`geographic_site_assignment`] to derive groups from a latency
-    /// matrix, which models the reality that topological proximity and
-    /// latency proximity correlate.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as `preferential_attachment`, or
-    /// if `groups` is empty.
-    pub fn with_site_groups(
-        as_count: usize,
-        links_per_new: usize,
-        groups: Vec<u32>,
-        seed: u64,
-    ) -> Self {
-        assert!(!groups.is_empty(), "need at least one site");
-        Self::build(
-            as_count,
-            links_per_new,
-            SiteAttachment::Grouped(groups),
-            seed,
-        )
-    }
-
     /// Builds a two-level **transit–stub** topology (the classic GT-ITM
     /// shape) aligned with a latency matrix:
     ///
@@ -140,7 +79,7 @@ impl AsTopology {
     ///
     /// This is the topology where proximity-aware overlays pay off: it
     /// encodes the real-Internet correlation between latency and AS-path
-    /// locality that a flat random attachment destroys.
+    /// locality.
     ///
     /// # Panics
     ///
@@ -254,89 +193,9 @@ impl AsTopology {
             .collect()
     }
 
-    fn build(as_count: usize, links_per_new: usize, attachment: SiteAttachment, seed: u64) -> Self {
-        assert!(links_per_new > 0, "links_per_new must be positive");
-        assert!(
-            as_count >= links_per_new + 2,
-            "need at least links_per_new + 2 ASes"
-        );
-        let sites = attachment.site_count();
-        assert!(sites > 0, "need at least one site");
-        let mut rng = SmallRng::seed_from_u64(seed);
-
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); as_count];
-        // Endpoint multiset for degree-proportional sampling.
-        let mut endpoints: Vec<u32> = Vec::new();
-        let m0 = links_per_new + 1;
-        // Seed clique.
-        for i in 0..m0 {
-            for j in (i + 1)..m0 {
-                adj[i].push(j as u32);
-                adj[j].push(i as u32);
-                endpoints.push(i as u32);
-                endpoints.push(j as u32);
-            }
-        }
-        // Attach the rest preferentially.
-        for v in m0..as_count {
-            let mut chosen: Vec<u32> = Vec::with_capacity(links_per_new);
-            while chosen.len() < links_per_new {
-                let t = endpoints[rng.gen_range(0..endpoints.len())];
-                if t != v as u32 && !chosen.contains(&t) {
-                    chosen.push(t);
-                }
-            }
-            for t in chosen {
-                adj[v].push(t);
-                adj[t as usize].push(v as u32);
-                endpoints.push(v as u32);
-                endpoints.push(t);
-            }
-        }
-        for l in &mut adj {
-            l.sort_unstable();
-        }
-
-        // Stubs: the attachment-degree ASes (exclude the seed clique and
-        // anything that accumulated extra links).
-        let stubs: Vec<u32> = (0..as_count)
-            .filter(|&v| adj[v].len() <= links_per_new + 1 && v >= m0)
-            .map(|v| v as u32)
-            .collect();
-        let pool: Vec<u32> = if stubs.is_empty() {
-            // Degenerate tiny graphs: fall back to all ASes.
-            (0..as_count as u32).collect()
-        } else {
-            stubs
-        };
-        let site_as = match attachment {
-            SiteAttachment::Random(n) => {
-                (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
-            }
-            SiteAttachment::Grouped(groups) => groups
-                .into_iter()
-                .map(|g| pool[g as usize % pool.len()])
-                .collect(),
-        };
-
-        // All-pairs BFS parents (deterministic: adjacency is sorted).
-        let parents = Self::all_pairs_bfs(&adj);
-
-        AsTopology {
-            adj,
-            site_as,
-            parents,
-        }
-    }
-
     /// Number of ASes.
     pub fn as_count(&self) -> usize {
         self.adj.len()
-    }
-
-    /// Number of physical (AS-AS) links.
-    pub fn link_count(&self) -> usize {
-        self.adj.iter().map(|l| l.len()).sum::<usize>() / 2
     }
 
     /// Degree of AS `v`.
@@ -443,8 +302,9 @@ impl LinkStress {
 mod tests {
     use super::*;
 
+    /// 100 sites on 4 regions of 15 stubs each: 64 ASes.
     fn topo() -> AsTopology {
-        AsTopology::preferential_attachment(64, 2, 100, 5)
+        AsTopology::transit_stub(&crate::two_continents(100, 5), 4, 15, 5)
     }
 
     #[test]
@@ -458,17 +318,6 @@ mod tests {
                 "AS {v} unreachable from 0"
             );
         }
-    }
-
-    #[test]
-    fn degrees_are_skewed() {
-        let t = topo();
-        let max_deg = (0..64u32).map(|v| t.degree(v)).max().unwrap();
-        let min_deg = (0..64u32).map(|v| t.degree(v)).min().unwrap();
-        assert!(
-            max_deg >= 3 * min_deg,
-            "expected hubs, got max {max_deg} min {min_deg}"
-        );
     }
 
     #[test]
@@ -520,27 +369,11 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = AsTopology::preferential_attachment(32, 2, 10, 9);
-        let b = AsTopology::preferential_attachment(32, 2, 10, 9);
+        let net = crate::two_continents(40, 9);
+        let a = AsTopology::transit_stub(&net, 4, 3, 9);
+        let b = AsTopology::transit_stub(&net, 4, 3, 9);
         assert_eq!(a.site_as, b.site_as);
         assert_eq!(a.adj, b.adj);
-    }
-
-    #[test]
-    #[should_panic(expected = "links_per_new")]
-    fn rejects_zero_links() {
-        let _ = AsTopology::preferential_attachment(10, 0, 5, 1);
-    }
-
-    #[test]
-    fn grouped_sites_share_stubs() {
-        let groups = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-        let t = AsTopology::with_site_groups(32, 2, groups, 3);
-        assert_eq!(t.as_of_site(0), t.as_of_site(1));
-        assert_eq!(t.as_of_site(0), t.as_of_site(2));
-        assert_eq!(t.as_of_site(3), t.as_of_site(5));
-        // Same-stub sites have empty physical paths.
-        assert!(t.path_links(0, 2).is_empty());
     }
 
     #[test]

@@ -96,7 +96,9 @@ pub trait Protocol: Sized {
 pub trait HostBackend<P: Protocol> {
     /// Transmit `msg` to `to`.
     fn send(&mut self, to: NodeId, msg: P::Msg);
-    /// Arm a one-shot timer.
+    /// Arm a one-shot timer: it fires once, `delay` from now, and is
+    /// neither replaced nor cancelled, so two arms of one `(kind, a, b)`
+    /// fire twice. Every host keeps this contract (see [`Ctx::set_timer`]).
     fn set_timer(&mut self, delay: Duration, timer: Timer);
     /// Record a protocol event.
     fn emit(&mut self, event: P::Event);
@@ -174,7 +176,10 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     }
 
     /// Arms `timer` to fire after `delay`. Timers are one-shot and cannot be
-    /// cancelled; re-arm from the handler for periodic behaviour.
+    /// cancelled; re-arm from the handler for periodic behaviour. On
+    /// every host each arm fires once, a second arm of a pending identity
+    /// included: a kernel lane and a testnet shard both schedule on an
+    /// [`EventQueue`](crate::EventQueue).
     pub fn set_timer(&mut self, delay: Duration, timer: Timer) {
         self.backend.set_timer(delay, timer);
     }

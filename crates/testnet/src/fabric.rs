@@ -1,24 +1,23 @@
 //! The deployment fabric: N GoCast nodes on loopback UDP.
 //!
 //! Each node gets its own non-blocking [`UdpSocket`](std::net::UdpSocket)
-//! bound to an ephemeral `127.0.0.1` port, its own deterministic RNG, and
-//! its own `TimerWheel` (`gocast-udp`'s wall-clock scheduler). Nodes are
-//! partitioned round-robin across [`TestnetConfig::shards`] event loops,
-//! each on its own OS thread (one shard runs inline on the caller's
-//! thread). Every shard runs the same synchronous loop over its slice:
+//! bound to an ephemeral `127.0.0.1` port and its own deterministic RNG.
+//! Nodes are partitioned round-robin across [`TestnetConfig::shards`]
+//! event loops, each on its own OS thread (one shard runs inline on the
+//! caller's thread). Every shard keeps one `gocast_sim::EventQueue`
+//! keyed by fabric time — planned [`ScenarioPlan`] faults, harness
+//! commands, its nodes' protocol timers and jitter-held datagrams — and
+//! runs the same synchronous loop over its slice:
 //!
-//! 1. replay due [`ScenarioPlan`] faults into the fault state /
-//!    protocol commands;
-//! 2. fire due protocol commands scheduled by the harness;
-//! 3. fire due timers per node;
-//! 4. release jitter-delayed datagrams whose hold expired;
-//! 5. drain every socket in `recvmmsg` batches, decode the transport
+//! 1. pop everything due, in the kernel's `(time, scheduling order)`:
+//!    replay a fault into the fault state / protocol commands, fire a
+//!    command or a timer, or send a held datagram;
+//! 2. drain every socket in `recvmmsg` batches, decode the transport
 //!    frame, learn the sender's address, and dispatch (a crashed node's
 //!    datagrams are counted dead instead);
-//! 6. flush gathered outbound datagrams in one `sendmmsg` batch; if the
-//!    iteration did no work, sleep until the earliest known deadline
-//!    (timer wheels *and* the jitter queue head, capped at 500 µs since
-//!    loopback arrivals cannot interrupt a sleep).
+//! 3. flush gathered outbound datagrams in one `sendmmsg` batch; if the
+//!    iteration did no work, sleep until the queue's next entry (capped
+//!    at 500 µs, since loopback arrivals cannot interrupt a sleep).
 //!
 //! Cross-shard traffic travels over real loopback UDP like any other
 //! datagram — shards share no mutable state. Recorded [`GoCastEvent`]s
@@ -44,7 +43,6 @@ use rand::SeedableRng;
 use crate::batch::BatchMode;
 use crate::bootstrap::PeerTable;
 use crate::shard::{NodeSlot, Shard};
-use gocast_udp::TimerWheel;
 
 pub use crate::shard::FabricStats;
 
@@ -121,10 +119,7 @@ pub struct Testnet<N: Stack<Msg = GoCastMsg, Event = GoCastEvent> = GoCastNode> 
     trace: Vec<(SimTime, NodeId, GoCastEvent)>,
 }
 
-impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N>
-where
-    N::Command: Clone,
-{
+impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
     /// Binds `cfg.nodes` loopback sockets and builds one node per slot
     /// via `make` (which receives the node's id and must apply
     /// `cfg.protocol` itself, mirroring `SimBuilder::build_with`).
@@ -164,7 +159,6 @@ where
                 rng: SmallRng::seed_from_u64(
                     cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i as u64,
                 ),
-                timers: TimerWheel::new(),
                 peers,
                 pending: FxHashMap::default(),
                 wanted: FxHashMap::default(),
@@ -629,9 +623,8 @@ mod tests {
     }
 
     /// Regression: with jitter holding datagrams back, the idle sleep
-    /// must wake for the jitter-queue head (not only timer wheels), so
-    /// held datagrams release on time and deliveries still happen
-    /// promptly.
+    /// must wake for a held datagram as for a timer, so held datagrams
+    /// release on time and deliveries still happen promptly.
     #[test]
     fn jittered_datagrams_release_on_time() {
         if skip() {
@@ -691,6 +684,30 @@ mod tests {
         }
         let wire = Testnet::build_bootstrap(&TestnetConfig::new(4)).expect("bind loopback");
         assert_eq!(fates(wire.metrics_snapshot()), expected);
+    }
+
+    /// Commands due at one fabric time fire in scheduling order, as
+    /// they do in the kernel, not in node-id order.
+    #[test]
+    fn same_instant_commands_fire_in_scheduling_order() {
+        if skip() {
+            return;
+        }
+        let cfg = TestnetConfig::new(2).with_seed(6);
+        let mut net = Testnet::build_bootstrap(&cfg).expect("bind loopback");
+        let at = SimTime::from_millis(100);
+        net.schedule_command(at, NodeId::new(1), GoCastCommand::Multicast);
+        net.schedule_command(at, NodeId::new(0), GoCastCommand::Multicast);
+        net.run_for(Duration::from_millis(300));
+        let origins: Vec<u32> = net
+            .trace()
+            .iter()
+            .filter_map(|(_, _, e)| match e {
+                GoCastEvent::Injected { id } => Some(id.origin.as_u32()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(origins, [1, 0]);
     }
 
     #[test]

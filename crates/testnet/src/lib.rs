@@ -4,8 +4,9 @@
 //! time; this crate is the socket host that runs the same sans-IO state
 //! machines in wall-clock time. It spins up N GoCast nodes inside one
 //! process, each on its own non-blocking loopback [`std::net::UdpSocket`],
-//! driven by a hand-rolled synchronous event loop (sockets + the
-//! [`gocast_udp::TimerWheel`] scheduler — no async runtime). On top of
+//! driven by a hand-rolled synchronous event loop (sockets + one
+//! [`gocast_sim::EventQueue`] per shard, keyed by fabric time, the
+//! kernel's own queue and timer contract — no async runtime). On top of
 //! that fabric it layers the pieces a real deployment study needs:
 //!
 //! - **Seed bootstrap** ([`bootstrap`]): nodes start knowing only the
@@ -26,7 +27,7 @@
 //!   gather into `sendmmsg` batches and inbound traffic drains through
 //!   `recvmmsg` (portable one-at-a-time fallback at runtime), while
 //!   [`TestnetConfig::shards`] partitions nodes across OS threads, each
-//!   owning its slice's sockets and timers. Steady-state framing
+//!   owning its slice's sockets and event queue. Steady-state framing
 //!   allocates nothing.
 //!
 //! # Quick start

@@ -2,10 +2,10 @@
 //!
 //! The fabric partitions its nodes round-robin across `shards` event
 //! loops (`global_id % shards` names the owning shard), each owning its
-//! slice's sockets, timer wheels, jitter queue, batch buffers, and
-//! telemetry. Cross-shard traffic needs no special handoff: datagrams
-//! travel over real loopback UDP exactly like intra-shard traffic, so a
-//! shard never touches another shard's state. Recorded [`GoCastEvent`]s
+//! slice's sockets, its event queue, batch buffers, and telemetry.
+//! Cross-shard traffic needs no special handoff: datagrams travel over
+//! real loopback UDP exactly like intra-shard traffic, so a shard never
+//! touches another shard's state. Recorded [`GoCastEvent`]s
 //! stay in per-shard streams (each stream is time-sorted by
 //! construction) and the coordinator merges them deterministically after
 //! every run window — the same submission-order merge discipline the
@@ -21,6 +21,13 @@
 //! the kernel consults it as it moves a message, the shard consults it in
 //! [`Tx::transmit`], before the datagram reaches the operating system,
 //! and once more for a datagram that reaches a crashed node's socket.
+//!
+//! A shard schedules as a kernel lane does: one [`EventQueue`] keyed by
+//! fabric time holds the planned faults, the harness commands, the
+//! protocol timers of its nodes and the jitter-held datagrams, and pops
+//! them in `(time, scheduling order)`. So the one timer contract holds on
+//! both hosts: every armed timer fires once (a crashed node's are popped
+//! and dropped), and nothing is replaced or cancelled.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -29,9 +36,9 @@ use gocast::{decode, encode_into, GoCastEvent, GoCastMsg};
 use gocast_metrics::{Gauge, Log2Histogram};
 use gocast_sim::scenario::{Fault, PlannedFault};
 use gocast_sim::{
-    Ctx, FaultState, FxHashMap, HostBackend, NetFates, NodeId, Protocol, SimTime, Stack, Timer,
+    Ctx, EventQueue, FaultState, FxHashMap, HostBackend, NetFates, NodeId, Protocol, Scheduled,
+    SimTime, Stack, Timer,
 };
-use gocast_udp::{DelayQueue, TimerWheel};
 use rand::rngs::SmallRng;
 
 use crate::batch::{BatchBuffer, BatchMode, RecvBatch, RECV_BATCH};
@@ -161,6 +168,21 @@ pub(crate) struct HeldDatagram {
     bytes: Vec<u8>,
 }
 
+/// What a shard's event queue holds: everything that falls due at a
+/// fabric time.
+#[derive(Debug)]
+pub(crate) enum Due<C> {
+    /// A planned scenario fault.
+    Fault(Fault),
+    /// A harness command for an owned node.
+    Command(NodeId, C),
+    /// A protocol timer of the node in local slot `local`.
+    Timer { local: u32, timer: Timer },
+    /// A jitter-held datagram, sent when it pops. Boxed: holding is the
+    /// rare path, and the box keeps every other entry small.
+    Held(Box<HeldDatagram>),
+}
+
 /// One hosted node: protocol state machine plus its transport state.
 /// Generic over the hosted [`Stack`] so application tiers layered on the
 /// GoCast message set (e.g. `gocast-app`'s `TopicMux`) run on the same
@@ -171,7 +193,6 @@ pub(crate) struct NodeSlot<N> {
     pub(crate) socket: UdpSocket,
     pub(crate) addr: SocketAddr,
     pub(crate) rng: SmallRng,
-    pub(crate) timers: TimerWheel,
     pub(crate) peers: PeerTable,
     /// Framed datagrams awaiting address resolution, per unknown peer.
     pub(crate) pending: FxHashMap<NodeId, Vec<Vec<u8>>>,
@@ -196,11 +217,11 @@ pub(crate) struct Shard<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> {
     /// Crash mark per (global) node: a crashed node neither sends nor
     /// receives.
     crashed: Vec<bool>,
-    plan: Vec<PlannedFault>,
-    plan_next: usize,
-    cmds: Vec<(SimTime, NodeId, N::Command)>,
-    cmds_next: usize,
-    delayed: DelayQueue<HeldDatagram>,
+    /// Everything due at a fabric time, in the kernel's pop order.
+    queue: EventQueue<Due<N::Command>>,
+    /// The time of the last command that fired: none may be scheduled
+    /// before it.
+    last_command: SimTime,
     /// This shard's slice of the event stream; drained by the merge.
     pub(crate) trace: Vec<(SimTime, NodeId, GoCastEvent)>,
     record_trace: bool,
@@ -227,10 +248,7 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> std::fmt::Debug for Shard<N
     }
 }
 
-impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N>
-where
-    N::Command: Clone,
-{
+impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
     pub(crate) fn new(
         index: usize,
         shard_count: usize,
@@ -248,11 +266,8 @@ where
             // One stream per shard, as the kernel has one per lane.
             faults: FaultState::new(nodes_total, seed, index as u32),
             crashed: vec![false; nodes_total],
-            plan: Vec::new(),
-            plan_next: 0,
-            cmds: Vec::new(),
-            cmds_next: 0,
-            delayed: DelayQueue::new(),
+            queue: EventQueue::new(),
+            last_command: SimTime::ZERO,
             trace: Vec::new(),
             record_trace,
             stats: FabricStats::default(),
@@ -288,16 +303,16 @@ where
 
     pub(crate) fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
         assert!(
-            self.cmds_next == 0 || at >= self.cmds[self.cmds_next - 1].0,
+            at >= self.last_command,
             "cannot schedule a command before already-fired ones"
         );
-        self.cmds.push((at, node, cmd));
-        self.cmds[self.cmds_next..].sort_by_key(|(t, n, _)| (*t, n.as_u32()));
+        self.queue.schedule(at, Due::Command(node, cmd));
     }
 
     pub(crate) fn attach_plan(&mut self, events: &[PlannedFault]) {
-        self.plan.extend(events.iter().cloned());
-        self.plan[self.plan_next..].sort_by_key(|f| f.at);
+        for f in events {
+            self.queue.schedule(f.at, Due::Fault(f.fault.clone()));
+        }
     }
 
     /// Pending-resolution and remembered-question depths (for gauges).
@@ -313,10 +328,6 @@ where
 
     fn now(&self) -> SimTime {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn instant_of(&self, t: SimTime) -> Instant {
-        self.epoch + Duration::from_nanos(t.as_nanos())
     }
 
     /// Flushes the gathered batch through its owner's socket.
@@ -337,66 +348,24 @@ where
                 self.with_ctx(local, |n, ctx| n.on_start(ctx));
             }
         }
+        let until =
+            SimTime::from_nanos(deadline.saturating_duration_since(self.epoch).as_nanos() as u64);
         loop {
-            let now_i = Instant::now();
-            if now_i >= deadline {
+            let now = self.now();
+            if now >= until {
                 self.flush_batch();
                 return;
             }
-            let now_s = self.now();
             let sent_before =
                 self.stats.datagrams_sent + self.stats.delayed + self.batch.len() as u64;
             let mut activity = false;
 
-            // 1. Planned scenario faults.
-            while self.plan_next < self.plan.len() && self.plan[self.plan_next].at <= now_s {
-                let fault = self.plan[self.plan_next].fault.clone();
-                self.plan_next += 1;
-                self.apply_fault(fault);
+            // 1. Everything due, in the kernel's (time, scheduling order).
+            while let Some(due) = self.queue.pop_at_or_before(now) {
+                self.fire(now, due);
                 activity = true;
             }
-            // 2. Scheduled protocol commands (owned nodes only; the
-            //    coordinator routes each command to its owner shard).
-            while self.cmds_next < self.cmds.len() && self.cmds[self.cmds_next].0 <= now_s {
-                let (_, id, cmd) = self.cmds[self.cmds_next].clone();
-                self.cmds_next += 1;
-                if !self.is_crashed(id) {
-                    let local = id.index() / self.shard_count;
-                    self.with_ctx(local, |n, ctx| n.on_command(ctx, cmd));
-                }
-                activity = true;
-            }
-            // 3. Due timers, per owned node.
-            for local in 0..self.slots.len() {
-                if self.is_crashed(self.global_id(local)) {
-                    continue;
-                }
-                while let Some(t_deadline) = self.slots[local].timers.next_deadline() {
-                    let Some(timer) = self.slots[local].timers.pop_due(now_i) else {
-                        break;
-                    };
-                    self.telemetry
-                        .timer_lateness_ns
-                        .observe(now_i.saturating_duration_since(t_deadline).as_nanos() as u64);
-                    self.with_ctx(local, |n, ctx| n.on_timer(ctx, timer));
-                    activity = true;
-                }
-            }
-            // 4. Jitter-delayed datagrams whose hold expired. These
-            //    bypass the batch (rare path, arbitrary sender).
-            while let Some(d) = self.delayed.pop_due(now_i) {
-                self.stats.sendto_calls += 1;
-                if self.slots[d.from_local]
-                    .socket
-                    .send_to(&d.bytes, d.dest)
-                    .is_ok()
-                {
-                    self.stats.datagrams_sent += 1;
-                    self.stats.bytes_sent += d.bytes.len() as u64;
-                }
-                activity = true;
-            }
-            // 5. Drain every owned socket in batches. A crashed node's
+            // 2. Drain every owned socket in batches. A crashed node's
             //    socket is drained too: what was in flight to it when it
             //    crashed (or was held back by jitter) is dead, as in the
             //    kernel, not left unread and uncounted.
@@ -440,29 +409,50 @@ where
                 self.telemetry.wanted_depth.set(wanted);
                 continue;
             }
-            // 6. Idle: sleep until the earliest deadline we know about —
-            //    timer wheels AND the jitter queue head (a delayed
-            //    datagram must not wait for an unrelated timer).
-            let mut next = deadline;
-            if let Some(f) = self.plan.get(self.plan_next) {
-                next = next.min(self.instant_of(f.at));
-            }
-            if let Some((t, _, _)) = self.cmds.get(self.cmds_next) {
-                next = next.min(self.instant_of(*t));
-            }
-            if let Some(t) = self.delayed.next_deadline() {
-                next = next.min(t);
-            }
-            for slot in &mut self.slots {
-                if let Some(t) = slot.timers.next_deadline() {
-                    next = next.min(t);
-                }
-            }
-            let wait = next
-                .saturating_duration_since(Instant::now())
-                .min(IDLE_POLL);
+            // 3. Idle: sleep until the queue's next entry.
+            let next = self.queue.peek_time().map_or(until, |t| t.min(until));
+            let wait = next.saturating_since(self.now()).min(IDLE_POLL);
             if !wait.is_zero() {
                 std::thread::sleep(wait);
+            }
+        }
+    }
+
+    /// Fires one popped entry at fabric time `now`.
+    fn fire(&mut self, now: SimTime, due: Scheduled<Due<N::Command>>) {
+        match due.payload {
+            Due::Fault(fault) => self.apply_fault(fault),
+            // Owned nodes only: the coordinator routes each command to
+            // its owner shard.
+            Due::Command(id, cmd) => {
+                self.last_command = due.at;
+                if !self.is_crashed(id) {
+                    let local = id.index() / self.shard_count;
+                    self.with_ctx(local, |n, ctx| n.on_command(ctx, cmd));
+                }
+            }
+            Due::Timer { local, timer } => {
+                let local = local as usize;
+                if self.is_crashed(self.global_id(local)) {
+                    return;
+                }
+                self.telemetry
+                    .timer_lateness_ns
+                    .observe(now.saturating_since(due.at).as_nanos() as u64);
+                self.with_ctx(local, |n, ctx| n.on_timer(ctx, timer));
+            }
+            // Released holds bypass the batch (rare path, arbitrary
+            // sender).
+            Due::Held(d) => {
+                self.stats.sendto_calls += 1;
+                if self.slots[d.from_local]
+                    .socket
+                    .send_to(&d.bytes, d.dest)
+                    .is_ok()
+                {
+                    self.stats.datagrams_sent += 1;
+                    self.stats.bytes_sent += d.bytes.len() as u64;
+                }
             }
         }
     }
@@ -607,14 +597,15 @@ where
     }
 
     /// The transmit path of local slot `local` (which must own the batch).
-    fn tx(&mut self, local: usize) -> Tx<'_> {
+    fn tx(&mut self, local: usize) -> Tx<'_, N::Command> {
         Tx {
             from: self.global_id(local),
             local,
+            now: self.now(),
             socket: &self.slots[local].socket,
             faults: &mut self.faults,
             crashed: &self.crashed,
-            delayed: &mut self.delayed,
+            queue: &mut self.queue,
             stats: &mut self.stats,
             batch: &mut self.batch,
             mode: &mut self.mode,
@@ -636,7 +627,7 @@ where
             slots,
             faults,
             crashed,
-            delayed,
+            queue,
             trace,
             record_trace,
             stats,
@@ -646,20 +637,19 @@ where
         } = self;
         let slot = &mut slots[local];
         let mut io = FabricIo {
-            now,
             node_count,
             peers: &mut slot.peers,
             pending: &mut slot.pending,
-            timers: &mut slot.timers,
             trace,
             record_trace: *record_trace,
             tx: Tx {
                 from: id,
                 local,
+                now,
                 socket: &slot.socket,
                 faults,
                 crashed,
-                delayed,
+                queue,
                 stats,
                 batch,
                 mode,
@@ -670,21 +660,24 @@ where
     }
 }
 
-/// What one local sender needs to put a datagram on the wire.
-struct Tx<'a> {
+/// What one local sender needs to put a datagram on the wire, and to
+/// schedule on its shard's queue.
+struct Tx<'a, C> {
     from: NodeId,
     /// The sender's local slot; its socket owns the gathered batch.
     local: usize,
+    /// Fabric time of the handler (or release) that sends.
+    now: SimTime,
     socket: &'a UdpSocket,
     faults: &'a mut FaultState,
     crashed: &'a [bool],
-    delayed: &'a mut DelayQueue<HeldDatagram>,
+    queue: &'a mut EventQueue<Due<C>>,
     stats: &'a mut FabricStats,
     batch: &'a mut BatchBuffer,
     mode: &'a mut BatchMode,
 }
 
-impl Tx<'_> {
+impl<C> Tx<'_, C> {
     /// The one transmit path: judges `from → to` — crash marks, then the
     /// structural faults, then the loss and jitter draws, the kernel's
     /// order — and gathers the datagram `fill` writes into the batch,
@@ -717,24 +710,23 @@ impl Tx<'_> {
                 dest,
                 bytes,
             };
-            self.delayed.push(Instant::now() + hold, held);
+            self.queue
+                .schedule(self.now + hold, Due::Held(Box::new(held)));
         }
     }
 }
 
 /// The world a protocol handler sees on the fabric.
-struct FabricIo<'a> {
-    now: SimTime,
+struct FabricIo<'a, C> {
     node_count: usize,
     peers: &'a mut PeerTable,
     pending: &'a mut FxHashMap<NodeId, Vec<Vec<u8>>>,
-    timers: &'a mut TimerWheel,
     trace: &'a mut Vec<(SimTime, NodeId, GoCastEvent)>,
     record_trace: bool,
-    tx: Tx<'a>,
+    tx: Tx<'a, C>,
 }
 
-impl<P: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> HostBackend<P> for FabricIo<'_> {
+impl<C, P: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> HostBackend<P> for FabricIo<'_, C> {
     fn send(&mut self, to: NodeId, msg: GoCastMsg) {
         // A decoded message can name any id (a gossip's member list is
         // not range-checked); one this fabric does not host never
@@ -779,12 +771,15 @@ impl<P: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> HostBackend<P> for Fabri
     }
 
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        self.timers.schedule(Instant::now() + delay, timer);
+        let local = self.tx.local as u32;
+        self.tx
+            .queue
+            .schedule(self.tx.now + delay, Due::Timer { local, timer });
     }
 
     fn emit(&mut self, event: GoCastEvent) {
         if self.record_trace {
-            self.trace.push((self.now, self.tx.from, event));
+            self.trace.push((self.tx.now, self.tx.from, event));
         }
     }
 
@@ -804,7 +799,7 @@ mod tests {
         socket: UdpSocket,
         faults: FaultState,
         crashed: Vec<bool>,
-        delayed: DelayQueue<HeldDatagram>,
+        queue: EventQueue<Due<()>>,
         stats: FabricStats,
         batch: BatchBuffer,
         mode: BatchMode,
@@ -827,7 +822,7 @@ mod tests {
                 socket,
                 faults: FaultState::new(nodes, 1, 0),
                 crashed: vec![false; nodes],
-                delayed: DelayQueue::new(),
+                queue: EventQueue::new(),
                 stats: FabricStats::default(),
                 batch: BatchBuffer::new(),
                 mode: BatchMode::detect(),
@@ -843,10 +838,11 @@ mod tests {
             let mut tx = Tx {
                 from: NodeId::new(from),
                 local: 0,
+                now: SimTime::ZERO,
                 socket: &self.socket,
                 faults: &mut self.faults,
                 crashed: &self.crashed,
-                delayed: &mut self.delayed,
+                queue: &mut self.queue,
                 stats: &mut self.stats,
                 batch: &mut self.batch,
                 mode: &mut self.mode,
@@ -864,6 +860,14 @@ mod tests {
                 other => panic!("{from} -> {to} landed as {other:?}"),
             }
         }
+    }
+
+    /// A queue entry stays within four words: the held datagram, 64 B,
+    /// is boxed.
+    #[test]
+    fn a_due_entry_fits_in_32_bytes() {
+        assert_eq!(size_of::<HeldDatagram>(), 64);
+        assert!(size_of::<Due<gocast::GoCastCommand>>() <= 32);
     }
 
     fn loopback() -> Option<UdpSocket> {
@@ -932,6 +936,7 @@ mod tests {
         assert!(batched > 0 && held > 0);
         assert_eq!(batched + held + fated, 3 * u64::from(NODES * NODES));
         assert_eq!(held, wire.stats.delayed);
+        assert_eq!(held, wire.queue.len() as u64);
         assert_eq!(fated, fates.total());
         assert_eq!(batched, wire.stats.datagrams_sent + wire.batch.len() as u64);
     }

@@ -1,15 +1,12 @@
-//! # gocast-udp — wall-clock scheduling for a socket host
+//! # gocast-udp — monotonic-clock deadline queues
 //!
-//! The protocol core ([`gocast::GoCastNode`]) is a sans-IO state machine;
-//! the simulation kernel drives it in virtual time and the
-//! `gocast-testnet` fabric drives it over real UDP sockets. What a
-//! wall-clock host needs and the simulator's event queue does not give it
-//! lives here: [`TimerWheel`] (deadline-ordered, dedup-by-identity,
-//! cancellation-aware protocol timers) and [`DelayQueue`] (payloads held
-//! until an [`Instant`](std::time::Instant)). See [`sched`].
+//! [`TimerWheel`] (protocol timers, each schedule fired once — the timer
+//! contract the simulation kernel keeps) and [`DelayQueue`] (payloads
+//! held until an [`Instant`](std::time::Instant)). See [`sched`].
 //!
-//! The crate binds no socket and runs no loop; `gocast-testnet` is the
-//! one socket host.
+//! No host schedules on these: each `gocast-testnet` shard keeps one
+//! `gocast_sim::EventQueue` keyed by fabric time. The crate binds no
+//! socket and runs no loop.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -11,7 +11,9 @@ use gocast::{DegreeInfo, GoCastCommand, GoCastEvent, GoCastMsg};
 use gocast_analysis::{InvariantOracle, MetricsRecorder};
 use gocast_experiments::{testnet, ExpOptions, GivenFlags};
 use gocast_net::LandmarkVector;
-use gocast_sim::{NodeId, Recorder, SimTime};
+use gocast_sim::{
+    Ctx, FixedLatency, NodeId, Protocol, Recorder, SimBuilder, SimTime, Stack, StackCaps, Timer,
+};
 use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
 
 fn skip() -> bool {
@@ -358,4 +360,81 @@ fn sixty_four_node_sharded_conformance_gate() {
     assert!(report.mean_hops_gap() <= 4.0, "{table}");
     assert!(report.hist_tv() <= 0.55, "{table}");
     assert!(report.recovery_gap() <= 0.25, "{table}");
+}
+
+/// Arms one timer identity twice at start and counts how often it fires.
+#[derive(Debug, Default)]
+struct TwoArms {
+    fired: u32,
+}
+
+impl Protocol for TwoArms {
+    type Msg = GoCastMsg;
+    type Command = GoCastCommand;
+    type Event = GoCastEvent;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
+        let timer = Timer::with_payload(1, 2, 3);
+        ctx.set_timer(Duration::from_millis(10), timer);
+        ctx.set_timer(Duration::from_millis(20), timer);
+    }
+
+    fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: GoCastMsg) {}
+
+    fn on_timer(&mut self, _: &mut Ctx<'_, Self>, _: Timer) {
+        self.fired += 1;
+    }
+}
+
+impl Stack for TwoArms {
+    const NAME: &'static str = "two-arms";
+
+    fn capabilities() -> StackCaps {
+        StackCaps::universal()
+    }
+    fn joined(&self) -> bool {
+        true
+    }
+    fn attached(&self) -> bool {
+        false
+    }
+    fn overlay_degree(&self) -> usize {
+        0
+    }
+    fn member_count(&self) -> usize {
+        0
+    }
+    fn delivered_count(&self) -> u64 {
+        0
+    }
+    fn holds(&self, _: NodeId, _: u32) -> bool {
+        false
+    }
+    fn cmd_multicast() -> GoCastCommand {
+        GoCastCommand::Multicast
+    }
+    fn cmd_join(contact: NodeId) -> GoCastCommand {
+        GoCastCommand::Join { contact }
+    }
+    fn cmd_leave() -> GoCastCommand {
+        GoCastCommand::Leave
+    }
+}
+
+/// One timer contract on both hosts: a timer is one-shot and cannot be
+/// replaced, so two arms of one identity fire twice on `Sim` and on the
+/// wire alike.
+#[test]
+fn every_arm_of_one_timer_identity_fires_on_both_hosts() {
+    let mut sim = SimBuilder::new(FixedLatency::new(1, Duration::from_millis(1)))
+        .build(|_| TwoArms::default());
+    sim.run_until(SimTime::from_millis(100));
+    assert_eq!(sim.node(NodeId::new(0)).fired, 2, "on Sim");
+    if skip() {
+        return;
+    }
+    let mut net =
+        Testnet::build(&TestnetConfig::new(1), |_| TwoArms::default()).expect("bind loopback");
+    net.run_for(Duration::from_millis(100));
+    assert_eq!(net.node(NodeId::new(0)).fired, 2, "on the wire");
 }
