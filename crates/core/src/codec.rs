@@ -23,8 +23,6 @@
 //! [`DecodeError::BadTag`]. The one exception is an RTT word too large for
 //! a landmark slot, which saturates (see [`LandmarkVector::set`]).
 
-use std::time::Duration;
-
 use gocast_net::{LandmarkVector, MAX_LANDMARKS};
 use gocast_sim::NodeId;
 
@@ -240,14 +238,11 @@ impl Field for LandmarkVector {
         if n > MAX_LANDMARKS {
             return Err(DecodeError::BadTag(255)); // implausible landmark count
         }
-        let mut v = LandmarkVector::unknown();
-        for i in 0..n {
-            match u32::take(r)? {
-                u32::MAX => v.set_unmeasured(i),
-                us => v.set(i, Duration::from_micros(u64::from(us))),
-            }
+        let mut words = [0; MAX_LANDMARKS];
+        for word in &mut words[..n] {
+            *word = u32::take(r)?;
         }
-        Ok(v)
+        Ok(LandmarkVector::from_rtt_words(words[..n].iter().copied()))
     }
     fn size(&self) -> usize {
         4 * (1 + self.len())
@@ -467,10 +462,10 @@ mod tests {
                     (MsgId::new(NodeId::new(4), 0), 0),
                 ],
                 members: vec![
-                    (NodeId::new(9), coords),
+                    (NodeId::new(9), coords.clone()),
                     (NodeId::new(2), LandmarkVector::unknown()),
                 ],
-                coords,
+                coords: coords.clone(),
                 degrees: deg,
             },
             GoCastMsg::PullRequest {
@@ -478,7 +473,7 @@ mod tests {
             },
             GoCastMsg::JoinRequest,
             GoCastMsg::JoinReply {
-                members: vec![(NodeId::new(5), coords)],
+                members: vec![(NodeId::new(5), coords.clone())],
             },
             GoCastMsg::Ping {
                 kind: ProbeKind::Landmark(3),
@@ -865,6 +860,40 @@ mod tests {
         }
     }
 
+    /// A vector shared between entries encodes as the values it holds:
+    /// the same bytes as vectors built apart, and a decode gives each
+    /// entry a block of its own.
+    #[test]
+    fn a_shared_vector_round_trips_byte_for_byte() {
+        let ms = std::time::Duration::from_millis;
+        let gossip = |members: [LandmarkVector; 2], coords| GoCastMsg::Gossip {
+            ids: vec![],
+            members: vec![
+                (NodeId::new(4), members[0].clone()),
+                (NodeId::new(6), members[1].clone()),
+            ],
+            coords,
+            degrees: DegreeInfo::default(),
+        };
+        let fresh = || LandmarkVector::from_rtts([ms(12), ms(30)]);
+        let shared = fresh();
+        let together = gossip([shared.clone(), shared.clone()], shared.clone());
+        let apart = gossip([fresh(), fresh()], fresh());
+        let bytes = encode(&together);
+        assert_eq!(bytes, encode(&apart));
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back, together);
+        assert_eq!(encode(&back), bytes);
+        let GoCastMsg::Gossip {
+            members, coords, ..
+        } = back
+        else {
+            panic!("{back:?}")
+        };
+        assert!(!members[0].1.shares_storage(&members[1].1));
+        assert!(!coords.shares_storage(&shared));
+    }
+
     /// The wire carries 32-bit RTT words; a slot holds 24 bits. A word too
     /// large for a slot is a (very slow) measurement, `u32::MAX` alone
     /// means "not measured", and what decodes re-encodes at its own length.
@@ -882,7 +911,7 @@ mod tests {
             bytes
         };
         let coords_of = |bytes: &[u8]| match decode(bytes) {
-            Ok(GoCastMsg::JoinReply { members }) => members[0].1,
+            Ok(GoCastMsg::JoinReply { mut members }) => members.remove(0).1,
             other => panic!("{other:?}"),
         };
         for word in [

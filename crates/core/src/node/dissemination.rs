@@ -231,7 +231,7 @@ impl GoCastNode {
 
         let members = self.pick_gossip_members(ctx);
         let degrees = self.degrees();
-        let coords = self.coords;
+        let coords = self.coords.clone();
         if let Some(n) = self.neighbors.get_mut(peer) {
             n.last_gossip_sent = now;
         }
@@ -261,11 +261,11 @@ impl GoCastNode {
     pub(super) fn pick_gossip_members(&mut self, ctx: &mut Ctx<'_, Self>) -> Vec<MemberEntry> {
         let mut out = Vec::with_capacity(MEMBERS_PER_GOSSIP.min(self.view.len()) + 1);
         self.view
-            .sample_k_into(MEMBERS_PER_GOSSIP, ctx.rng(), &mut out, |id, &coords| {
-                (id, coords)
+            .sample_k_into(MEMBERS_PER_GOSSIP, ctx.rng(), &mut out, |id, coords| {
+                (id, coords.clone())
             });
         // Introduce ourselves too (address + coordinates).
-        out.push((self.id, self.coords));
+        out.push((self.id, self.coords.clone()));
         out
     }
 

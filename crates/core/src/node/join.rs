@@ -78,9 +78,9 @@ impl GoCastNode {
             .view
             .entries()
             .filter(|&(m, _)| m != from)
-            .map(|(m, &coords)| (m, coords))
+            .map(|(m, coords)| (m, coords.clone()))
             .collect();
-        members.push((self.id, self.coords));
+        members.push((self.id, self.coords.clone()));
         ctx.send(from, GoCastMsg::JoinReply { members });
         // Learn about the joiner too.
         self.view.insert(from, ctx.rng());

@@ -144,7 +144,7 @@ impl GoCastNode {
     /// fashion").
     fn next_probe_candidate(&mut self, ctx: &mut Ctx<'_, Self>) -> Option<NodeId> {
         if !self.probe_queue_built && !self.coords.is_empty() && !self.view.is_empty() {
-            let my = self.coords;
+            let my = &self.coords;
             let mut q: Vec<(u64, NodeId)> = self
                 .view
                 .entries()
@@ -319,7 +319,7 @@ impl GoCastNode {
     ) {
         let degrees = self.degrees();
         let max_nearby_rtt_us = self.max_nearby_rtt_us();
-        let coords = self.coords;
+        let coords = self.coords.clone();
         ctx.send(
             from,
             GoCastMsg::Pong {

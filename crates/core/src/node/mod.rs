@@ -436,7 +436,12 @@ impl GoCastNode {
     /// Bytes this node holds, by structure. Vectors and hash tables count
     /// their *capacity* (what the allocator handed out, buckets and control
     /// bytes included). A B-tree map has no capacity to ask for: the
-    /// short-lived pull table counts its entries.
+    /// short-lived pull table counts its entries. Landmark coordinates are
+    /// shared handles: the node's own block is counted here, once, and the
+    /// view counts only its 8-byte handles on peers' blocks. A block no
+    /// node owns any more — a peer's coordinates from before it re-measured,
+    /// or a copy a wire decode made — is held only by views and goes
+    /// unattributed.
     pub fn mem_bytes(&self) -> NodeMem {
         fn table<K, V>(capacity: usize) -> usize {
             // hashbrown: capacity is 7/8 of the buckets, one control byte each.
@@ -445,6 +450,7 @@ impl GoCastNode {
         NodeMem {
             fixed: size_of::<Self>(),
             view: self.view.mem_bytes(),
+            coords: self.coords.block_bytes(),
             neighbors: self.neighbors.mem_bytes(),
             store: table::<MsgId, Stored>(self.store.capacity())
                 + self
@@ -499,8 +505,12 @@ impl GoCastNode {
 pub struct NodeMem {
     /// The node struct itself (inline fields, counters, tree state).
     pub fixed: usize,
-    /// Member view: ids plus each member's landmark coordinates.
+    /// Member view: ids plus a handle on each member's landmark
+    /// coordinates (12 B a slot).
     pub view: usize,
+    /// This node's own landmark coordinate block, which every copy of its
+    /// coordinates in other nodes' views and in messages shares.
+    pub coords: usize,
     /// Overlay neighbor table.
     pub neighbors: usize,
     /// Message store, including every message's `heard_from` list.
@@ -518,6 +528,7 @@ impl NodeMem {
     pub fn total(&self) -> usize {
         self.fixed
             + self.view
+            + self.coords
             + self.neighbors
             + self.store
             + self.recent
@@ -885,7 +896,7 @@ mod tests {
         deliver(
             &mut node,
             GoCastMsg::JoinReply {
-                members: [outside.to_vec(), vec![inside]].concat(),
+                members: [outside.to_vec(), vec![inside.clone()]].concat(),
             },
         );
         assert_eq!(node.view.as_slice(), &[inside.0]);
@@ -909,6 +920,43 @@ mod tests {
         let ids: Vec<NodeId> = members.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, [want, vec![node.id]].concat());
         assert_eq!(ids.len(), dissemination::MEMBERS_PER_GOSSIP + 1);
+    }
+
+    /// Coordinates travel by `clone`, so what a node's view holds for a
+    /// neighbour is a handle on that neighbour's own block, not a copy of
+    /// it: the property that makes a view slot 12 bytes instead of 29 plus
+    /// a private copy.
+    #[test]
+    fn view_entries_share_the_neighbours_own_coordinates() {
+        const N: usize = 32;
+        let cfg = GoCastConfig::default();
+        let mut boot = crate::bootstrap_random_graph(N, cfg.c_degree() / 2, 4);
+        let mut sim = SimBuilder::new(FixedLatency::new(N, Duration::from_millis(20)))
+            .seed(4)
+            .build(|id| {
+                let (links, members) = boot(id);
+                GoCastNode::with_initial_links(id, cfg.clone(), links, members)
+            });
+        sim.run_until(SimTime::from_secs(20));
+        let (mut neighbours, mut known, mut current) = (0, 0, 0);
+        for i in 0..N as u32 {
+            let node = sim.node(NodeId::new(i));
+            for (peer, coords) in node.member_view().entries() {
+                let own = sim.node(peer).coords();
+                assert!(!own.is_empty(), "{peer:?} has measured by now");
+                known += usize::from(!coords.is_empty());
+                current += usize::from(coords.shares_storage(own));
+                if node.is_neighbor(peer) {
+                    neighbours += 1;
+                    assert!(coords.shares_storage(own), "{i} → {peer:?}");
+                }
+            }
+        }
+        assert!(neighbours >= N, "{neighbours} neighbour entries");
+        assert!(
+            current * 10 >= known * 9,
+            "{current} of {known} known entries share"
+        );
     }
 
     /// What a node remembers about its peers is O(view + degree), however
@@ -940,7 +988,9 @@ mod tests {
         let slots = MEMBER_VIEW_CAPACITY.next_power_of_two();
         let max_degree =
             GoCastConfig::degree_cap(cfg.c_rand) + GoCastConfig::degree_cap(cfg.c_near);
+        let own_coords = LandmarkVector::from_rtts([Duration::ZERO]).block_bytes();
         let bound = size_of::<GoCastNode>()
+            + own_coords
             + slots * (size_of::<NodeId>() + size_of::<LandmarkVector>())
             + slots * size_of::<NodeId>() // probe queue: one id per member
             + max_degree.next_multiple_of(neighbors::TABLE_GROWTH) * size_of::<Neighbor>();

@@ -275,8 +275,8 @@ mod tests {
     /// Every queued event and cross-lane outbox entry is one `GoCastMsg`
     /// wide, so a field that widens the enum widens all of them.
     #[test]
-    fn message_stays_within_88_bytes() {
-        assert!(size_of::<GoCastMsg>() <= 88, "{}", size_of::<GoCastMsg>());
+    fn message_stays_within_72_bytes() {
+        assert!(size_of::<GoCastMsg>() <= 72, "{}", size_of::<GoCastMsg>());
     }
 
     #[test]

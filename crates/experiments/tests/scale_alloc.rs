@@ -9,7 +9,11 @@
 //! and degree caps) — so peak memory must not bend toward the O(nodes²)
 //! a latency matrix or per-node caches of every peer would cost. The
 //! same allocator closes the ledger: what nodes and queues report about
-//! themselves must be most of the bytes live when the run ends.
+//! themselves must be most of the bytes live when the run ends. Landmark
+//! coordinates are shared blocks: each node reports its own block once
+//! and its view's 8-byte handles on its peers' blocks, so a block no node
+//! owns any more (a peer's coordinates from before it re-measured, held
+//! only by other nodes' views) goes unattributed.
 //!
 //! This file is its own test binary so the global allocator sees only
 //! the workload under measurement. The 10⁵-node smoke is `#[ignore]`d —
@@ -100,10 +104,10 @@ fn scale_opts(nodes: usize) -> ExpOptions {
     o
 }
 
-/// What one pending GoCast event occupies in a lane queue: a 96-byte
-/// payload slot (the 88-byte message beside its addressing) and a 24-byte
+/// What one pending GoCast event occupies in a lane queue: an 80-byte
+/// payload slot (the 72-byte message beside its addressing) and a 24-byte
 /// heap entry.
-const EVENT_BYTES: u64 = 120;
+const EVENT_BYTES: u64 = 104;
 
 fn assert_clean_and_bounded(out: &RunCore, nodes: usize, cap_bytes: u64) {
     assert_eq!(

@@ -12,6 +12,7 @@
 //! Landmark vectors travel inside membership entries, so any node can rank
 //! any candidate it has heard of.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -21,11 +22,12 @@ pub const DEFAULT_LANDMARKS: usize = 8;
 
 /// Maximum number of landmark slots a [`LandmarkVector`] can hold.
 ///
-/// Landmark vectors ride inside every gossip, pong, and membership entry,
-/// so they are stored inline (no heap indirection): cloning one is a plain
-/// memcpy and hot-path message construction performs no allocation for
-/// coordinates. The cap bounds the inline size; configurations requesting
-/// more landmarks are clamped to it.
+/// Landmark vectors ride inside every gossip, pong, and membership entry.
+/// A vector is a handle on one shared block of this many packed slots, so
+/// passing one on is a reference-count increment and hot-path message
+/// construction performs no allocation for coordinates. The cap bounds the
+/// block's size; configurations requesting more landmarks are clamped to
+/// it.
 pub const MAX_LANDMARKS: usize = DEFAULT_LANDMARKS;
 
 /// A slot's 24 bits all set: not measured. Presented as `u32::MAX` by
@@ -36,77 +38,28 @@ const UNMEASURED: u32 = 0xFF_FFFF;
 /// [`UNMEASURED`], so a measured slot never aliases it.
 const MAX_RTT_US: u32 = UNMEASURED - 1;
 
-/// A node's measured RTTs to the landmark set, in microseconds.
-///
-/// An empty vector means "not yet measured"; estimation then fails and the
-/// caller falls back to an arbitrary ordering (exactly the cold-start
-/// behaviour of the paper's protocol, which refines by real RTT probes
-/// anyway).
-///
-/// Storage is a fixed inline array of [`MAX_LANDMARKS`] slots plus a
-/// length, so the type is `Copy` and never touches the heap. Every member
-/// view keeps one vector per known peer and every gossip, pong and queued
-/// event carries some, so a slot is as wide as the data: 24 bits of
-/// little-endian microseconds (25 bytes for the whole vector, alignment 1).
-/// Simulated one-way latency is capped at 399 ms and a neighbour silent for
-/// 10 s is dropped, so no RTT the protocol can act on comes near the 16.7 s
-/// a slot holds; [`set`](Self::set) stores anything below that exactly and
-/// saturates a larger RTT to the largest *measured* value. Unused slots
-/// hold the all-ones pattern ("unmeasured"), which keeps derived equality
-/// honest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LandmarkVector {
+/// The packed slots behind a measured [`LandmarkVector`]: 24 bits of
+/// little-endian microseconds each (25 bytes for the whole vector,
+/// alignment 1). Unused slots hold the all-ones pattern ("unmeasured"),
+/// which keeps derived equality honest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Slots {
     rtt_us: [[u8; 3]; MAX_LANDMARKS],
     len: u8,
 }
 
-const _: () = assert!(size_of::<LandmarkVector>() == 25);
-const _: () = assert!(align_of::<LandmarkVector>() == 1);
+const _: () = assert!(size_of::<Slots>() == 25);
 
-impl Default for LandmarkVector {
+impl Default for Slots {
     fn default() -> Self {
-        LandmarkVector {
+        Slots {
             rtt_us: [[0xFF; 3]; MAX_LANDMARKS],
             len: 0,
         }
     }
 }
 
-impl LandmarkVector {
-    /// An unmeasured (empty) vector.
-    pub fn unknown() -> Self {
-        LandmarkVector::default()
-    }
-
-    /// Builds a vector from measured landmark RTTs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator yields more than [`MAX_LANDMARKS`] values.
-    pub fn from_rtts<I: IntoIterator<Item = Duration>>(rtts: I) -> Self {
-        let mut v = LandmarkVector::default();
-        for (i, d) in rtts.into_iter().enumerate() {
-            v.set(i, d);
-        }
-        v
-    }
-
-    /// Number of landmarks measured.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no landmarks have been measured yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Slot `i` as stored: microseconds, or [`UNMEASURED`].
-    fn slot(&self, i: usize) -> u32 {
-        let [a, b, c] = self.rtt_us[i];
-        u32::from_le_bytes([a, b, c, 0])
-    }
-
+impl Slots {
     /// Writes slot `i` as stored, growing the length to cover it.
     fn store(&mut self, i: usize, slot: u32) {
         assert!(
@@ -117,22 +70,166 @@ impl LandmarkVector {
         self.rtt_us[i] = [a, b, c];
         self.len = self.len.max(i as u8 + 1);
     }
+}
+
+/// A slot's stored value: microseconds, or [`UNMEASURED`].
+fn slot_value([a, b, c]: [u8; 3]) -> u32 {
+    u32::from_le_bytes([a, b, c, 0])
+}
+
+/// What [`LandmarkVector::set`] stores for `rtt`.
+fn measured(rtt: Duration) -> u32 {
+    rtt.as_micros().min(MAX_RTT_US as u128) as u32
+}
+
+/// A node's measured RTTs to the landmark set, in microseconds.
+///
+/// An empty vector means "not yet measured"; estimation then fails and the
+/// caller falls back to an arbitrary ordering (exactly the cold-start
+/// behaviour of the paper's protocol, which refines by real RTT probes
+/// anyway).
+///
+/// The vector is a shared, immutable handle: `None` while unknown (no
+/// heap), else a reference-counted block of [`MAX_LANDMARKS`] packed
+/// slots. Every member view keeps one vector per known peer and every
+/// gossip, pong and queued event carries some, and nearly all of them are
+/// some peer's *current* coordinates, so every copy of a node's vector
+/// made by `clone` points at that node's one block: a handle is 8 bytes
+/// and a clone increments a count. [`set`](Self::set) copies on write, so
+/// other holders keep the value they were given; a node's own vector
+/// changes at most [`MAX_LANDMARKS`] times, while it probes. Equality,
+/// estimates and [`rtt_us_at`](Self::rtt_us_at) read the values, never the
+/// sharing.
+///
+/// A slot is 24 bits of microseconds. Simulated one-way latency is capped
+/// at 399 ms and a neighbour silent for 10 s is dropped, so no RTT the
+/// protocol can act on comes near the 16.7 s a slot holds;
+/// [`set`](Self::set) stores anything below that exactly and saturates a
+/// larger RTT to the largest *measured* value.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct LandmarkVector(Option<Arc<Slots>>);
+
+const _: () = assert!(size_of::<LandmarkVector>() == 8);
+
+impl PartialEq for LandmarkVector {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
+impl Eq for LandmarkVector {}
+
+impl LandmarkVector {
+    /// An unmeasured (empty) vector. Allocates nothing.
+    pub fn unknown() -> Self {
+        LandmarkVector(None)
+    }
+
+    /// Builds a vector from measured landmark RTTs, in one allocation (none
+    /// for an empty iterator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the iterator yields more than [`MAX_LANDMARKS`] values.
+    pub fn from_rtts<I: IntoIterator<Item = Duration>>(rtts: I) -> Self {
+        Self::from_rtt_words(rtts.into_iter().map(measured))
+    }
+
+    /// Builds a vector from raw slot words as [`rtt_us_at`](Self::rtt_us_at)
+    /// presents them — microseconds, or `u32::MAX` for a slot not measured
+    /// — in one allocation (none for an empty iterator): how a wire codec
+    /// restores a vector. A word of 2²⁴ − 1 µs or more other than
+    /// `u32::MAX` saturates as [`set`](Self::set) does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the iterator yields more than [`MAX_LANDMARKS`] values.
+    pub fn from_rtt_words<I: IntoIterator<Item = u32>>(words: I) -> Self {
+        let mut slots = Slots::default();
+        for (i, word) in words.into_iter().enumerate() {
+            slots.store(
+                i,
+                match word {
+                    u32::MAX => UNMEASURED,
+                    us => us.min(MAX_RTT_US),
+                },
+            );
+        }
+        LandmarkVector((slots.len > 0).then(|| Arc::new(slots)))
+    }
+
+    /// The measured prefix of the slots.
+    fn slots(&self) -> &[[u8; 3]] {
+        match &self.0 {
+            Some(s) => &s.rtt_us[..s.len as usize],
+            None => &[],
+        }
+    }
+
+    /// Number of landmarks measured.
+    pub fn len(&self) -> usize {
+        self.slots().len()
+    }
+
+    /// Whether no landmarks have been measured yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// Whether `self` and `other` are handles on one block: `other` is a
+    /// clone of `self` (or both of one vector) that no
+    /// [`set`](Self::set) has separated since. Unknown vectors hold no
+    /// block and share nothing. Equal values built apart compare equal but
+    /// do not share.
+    pub fn shares_storage(&self, other: &LandmarkVector) -> bool {
+        matches!((&self.0, &other.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Heap bytes of the block this handle points at (0 while unknown).
+    /// Every clone points at the same block, so a ledger counts it once,
+    /// at the vector's owner.
+    pub fn block_bytes(&self) -> usize {
+        // `Arc`'s allocation: strong and weak counts, then the slots.
+        const BLOCK: usize =
+            (2 * size_of::<usize>() + size_of::<Slots>()).next_multiple_of(align_of::<usize>());
+        if self.0.is_some() {
+            BLOCK
+        } else {
+            0
+        }
+    }
+
+    /// Writes slot `i` as stored, copying the block first if another
+    /// handle shares it. A handle holds a block only once a slot is
+    /// stored in it, so `is_empty` is "no block".
+    fn store(&mut self, i: usize, slot: u32) {
+        match &mut self.0 {
+            Some(block) => Arc::make_mut(block).store(i, slot),
+            None => {
+                let mut block = Slots::default();
+                block.store(i, slot);
+                self.0 = Some(Arc::new(block));
+            }
+        }
+    }
 
     /// Records the RTT to landmark `i`, growing the length as needed
     /// (intervening slots stay unmeasured). An RTT of 2²⁴ − 1 µs or more is
     /// stored as 2²⁴ − 2 µs: a probed slot stays measured however slow the
-    /// probe was.
+    /// probe was. Copies on write: clones taken before keep their value.
     ///
     /// # Panics
     ///
     /// Panics if `i >= MAX_LANDMARKS`.
     pub fn set(&mut self, i: usize, rtt: Duration) {
-        self.store(i, rtt.as_micros().min(MAX_RTT_US as u128) as u32);
+        self.store(i, measured(rtt));
     }
 
-    /// Marks landmark `i` as not measured, growing the length as needed:
-    /// how a wire codec restores a slot that [`rtt_us_at`](Self::rtt_us_at)
-    /// presented as `u32::MAX`.
+    /// Marks landmark `i` as not measured, growing the length as needed.
+    /// Copies on write, as [`set`](Self::set) does.
     ///
     /// # Panics
     ///
@@ -143,7 +240,8 @@ impl LandmarkVector {
 
     /// Whether every landmark slot up to `n` has been measured.
     pub fn is_complete(&self, n: usize) -> bool {
-        self.len() >= n && (0..n).all(|i| self.slot(i) != UNMEASURED)
+        let slots = self.slots();
+        slots.len() >= n && slots[..n].iter().all(|&s| slot_value(s) != UNMEASURED)
     }
 
     /// Raw RTT of landmark slot `i` in microseconds (`u32::MAX` =
@@ -158,7 +256,7 @@ impl LandmarkVector {
             "landmark slot {i} beyond len {}",
             self.len()
         );
-        match self.slot(i) {
+        match slot_value(self.slots()[i]) {
             UNMEASURED => u32::MAX,
             us => us,
         }
@@ -183,8 +281,8 @@ impl LandmarkVector {
         let mut lower = 0u64;
         let mut upper = u64::MAX;
         let mut shared = false;
-        for i in 0..self.len().min(other.len()) {
-            let (a, b) = (self.slot(i), other.slot(i));
+        for (&a, &b) in self.slots().iter().zip(other.slots()) {
+            let (a, b) = (slot_value(a), slot_value(b));
             if a == UNMEASURED || b == UNMEASURED {
                 continue;
             }
@@ -309,6 +407,84 @@ mod tests {
             assert_eq!(v, exact);
             assert_eq!(v.estimate_rtt(&v), Some(top));
         }
+    }
+
+    #[test]
+    fn a_clone_shares_the_block() {
+        let a = LandmarkVector::from_rtts([ms(10), ms(40)]);
+        let b = a.clone();
+        assert!(a.shares_storage(&b) && b.shares_storage(&a));
+        assert_eq!(a, b);
+        assert_eq!(a.block_bytes(), b.block_bytes());
+        assert_eq!(a.block_bytes(), 48);
+    }
+
+    #[test]
+    fn set_on_a_shared_vector_leaves_the_other_holder_alone() {
+        let mut mine = LandmarkVector::from_rtts([ms(10), ms(40)]);
+        let theirs = mine.clone();
+        mine.set(1, ms(41));
+        assert!(!mine.shares_storage(&theirs));
+        assert_eq!(theirs.rtt_us_at(1), 40_000);
+        assert_eq!(mine.rtt_us_at(1), 41_000);
+        assert_eq!(mine.rtt_us_at(0), theirs.rtt_us_at(0));
+        let before = mine.clone();
+        mine.set_unmeasured(2);
+        assert_eq!((before.len(), mine.len()), (2, 3));
+        assert_ne!(before, mine);
+    }
+
+    #[test]
+    fn unknown_vectors_hold_no_block_and_compare_equal() {
+        let empty = LandmarkVector::from_rtts([]);
+        let words = LandmarkVector::from_rtt_words([]);
+        for v in [
+            LandmarkVector::unknown(),
+            LandmarkVector::default(),
+            empty,
+            words,
+        ] {
+            assert_eq!(v, LandmarkVector::unknown());
+            assert!(v.is_empty());
+            assert_eq!(v.block_bytes(), 0);
+            assert!(!v.shares_storage(&v.clone()), "no block to share");
+        }
+        assert_ne!(
+            LandmarkVector::unknown(),
+            LandmarkVector::from_rtts([ms(1)])
+        );
+    }
+
+    #[test]
+    fn vectors_built_apart_with_equal_rtts_are_equal_and_estimate_alike() {
+        let a = LandmarkVector::from_rtts([ms(10), ms(40), ms(70)]);
+        let mut b = LandmarkVector::unknown();
+        for (i, rtt) in [ms(10), ms(40), ms(70)].into_iter().enumerate() {
+            b.set(i, rtt);
+        }
+        let c = LandmarkVector::from_rtt_words([10_000, 40_000, 70_000]);
+        let probe = LandmarkVector::from_rtts([ms(25), ms(5)]);
+        for v in [&b, &c] {
+            assert!(!a.shares_storage(v));
+            assert_eq!(&a, v);
+            assert_eq!(a.estimate_rtt(&probe), v.estimate_rtt(&probe));
+            assert_eq!(probe.estimate_rtt(&a), probe.estimate_rtt(v));
+        }
+    }
+
+    #[test]
+    fn rtt_words_restore_what_rtt_us_at_presents() {
+        let mut v = LandmarkVector::unknown();
+        v.set(0, ms(3));
+        v.set(2, Duration::MAX);
+        v.set_unmeasured(3);
+        let words: Vec<u32> = (0..v.len()).map(|i| v.rtt_us_at(i)).collect();
+        assert_eq!(words, [3_000, u32::MAX, MAX_RTT_US, u32::MAX]);
+        assert_eq!(LandmarkVector::from_rtt_words(words), v);
+        // A word too wide for a slot saturates to the largest measurement.
+        let wide = LandmarkVector::from_rtt_words([UNMEASURED, u32::MAX - 1]);
+        assert_eq!(wide.rtt_us_at(0), MAX_RTT_US);
+        assert_eq!(wide.rtt_us_at(1), MAX_RTT_US);
     }
 
     /// The representation [`LandmarkVector`] replaced, as the reference

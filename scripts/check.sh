@@ -371,17 +371,18 @@ echo "==> scale smoke: 10^4 nodes on the sharded kernel (oracle-gated)"
 # exits nonzero on any oracle violation or delivery collapse; `timeout`
 # enforces the wall-clock budget so a scaling regression fails loudly.
 # The printed `node_kb` (mean self-reported protocol state per node,
-# `GoCastNode::mem_bytes`) is held to about 2 % above the 6.0 KB this
+# `GoCastNode::mem_bytes`) is held to about 2 % above the 3.9 KB this
 # workload measures: per-node state that grows with the population or
 # the run length (the old per-node coordinate cache: 44.3 KB here) fails,
-# and so does a slide back toward the 6.2 KB of the per-node protocol
+# and so does a slide back toward the 6.0 KB of a private 25-byte
+# coordinate copy in every view slot, the 6.2 KB of the per-node protocol
 # counters or the 6.7 KB of the B-tree neighbor table and the per-node
 # configuration copy.
 # `queue_mem_mb` (what the lane queues reserve when the run ends) is held
-# to a quarter above its 12.9 MB the same way: queues that keep their
+# to a quarter above its 11.5 MB the same way: queues that keep their
 # start-up storm's capacity (44.9 MB here, before they shrank) fail.
-NODE_KB_MAX=6.1
-QUEUE_MB_MAX=16.1
+NODE_KB_MAX=4.0
+QUEUE_MB_MAX=14.4
 SCALE_OUT=$(timeout 600 cargo run --release -q -p gocast-experiments -- scale \
     --nodes 10000 --sim-shards 2 --warmup 30 --messages 10 --rate 2 \
     --drain 20 --no-csv)

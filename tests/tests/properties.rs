@@ -179,7 +179,7 @@ proptest! {
             0 => GoCastMsg::Data { id, age_us: age, hop: seq % 64, size },
             1 => GoCastMsg::Gossip {
                 ids: ids.iter().map(|&(o, s, a)| (MsgId::new(NodeId::new(o), s), a)).collect(),
-                members: vec![(NodeId::new(origin), coords)],
+                members: vec![(NodeId::new(origin), coords.clone())],
                 coords,
                 degrees,
             },
