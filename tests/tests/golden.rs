@@ -323,9 +323,9 @@ const COMPARE_CHURN: &str = concat!(
     "   churn     8       8    1.0000    1.0000          5.58          4.59            0.0603            0.1587             -             -              0              0\n",
 );
 // The stream reports `kernel_queue_mem_bytes`, so this digest also pins
-// what a queued GoCast event occupies (120 B a slot, 91,800 B) and what
-// the calendar queue's tiers add (3,648 B): 95,448 at every sample.
-const CHAOS_CHURN_METRICS_FNV: u64 = 0x6e99e7cccd3d9808;
+// what a queued GoCast event occupies (104 B a slot, 79,560 B) and what
+// the calendar queue's tiers add (3,648 B): 83,208 at every sample.
+const CHAOS_CHURN_METRICS_FNV: u64 = 0x41d3723348647b29;
 const FIG3A_TRACE_FNV: [u64; 5] = [
     0x4151c88554a144fe,
     0x920866c35dc39aba,
