@@ -866,12 +866,9 @@ mod tests {
     #[test]
     fn a_shared_vector_round_trips_byte_for_byte() {
         let ms = std::time::Duration::from_millis;
-        let gossip = |members: [LandmarkVector; 2], coords| GoCastMsg::Gossip {
+        let gossip = |[a, b]: [LandmarkVector; 2], coords| GoCastMsg::Gossip {
             ids: vec![],
-            members: vec![
-                (NodeId::new(4), members[0].clone()),
-                (NodeId::new(6), members[1].clone()),
-            ],
+            members: vec![(NodeId::new(4), a), (NodeId::new(6), b)],
             coords,
             degrees: DegreeInfo::default(),
         };
