@@ -200,7 +200,8 @@ impl Field for DropReason {
     }
 }
 
-/// A kind tag, then a `u16` argument: the landmark index, 0 otherwise.
+/// A kind tag, then a `u16` argument: the landmark index, below
+/// [`MAX_LANDMARKS`], and 0 otherwise.
 impl Field for ProbeKind {
     const FIXED: Option<usize> = <(u8, u16)>::FIXED;
     fn put(&self, out: &mut Vec<u8>) {
@@ -214,7 +215,7 @@ impl Field for ProbeKind {
     #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match <(u8, u16)>::take(r)? {
-            (0, i) => Ok(ProbeKind::Landmark(i)),
+            (0, i) if usize::from(i) < MAX_LANDMARKS => Ok(ProbeKind::Landmark(i)),
             (1, 0) => Ok(ProbeKind::Candidate),
             (2, 0) => Ok(ProbeKind::LinkMeasure),
             (t, _) => Err(DecodeError::BadTag(t)),
@@ -608,7 +609,8 @@ mod tests {
         }
         fn probe(rng: &mut proptest::TestRng) -> ProbeKind {
             match rng.gen_range(0..3u8) {
-                0 => ProbeKind::Landmark(rng.next_u64() as u16),
+                // Only a storable landmark index is well-formed.
+                0 => ProbeKind::Landmark((rng.next_u64() % MAX_LANDMARKS as u64) as u16),
                 1 => ProbeKind::Candidate,
                 _ => ProbeKind::LinkMeasure,
             }
@@ -1007,6 +1009,30 @@ mod tests {
         let mut bytes = encode(&GoCastMsg::JoinRequest);
         bytes.push(0);
         assert_eq!(decode(&bytes), Err(DecodeError::TrailingBytes(1)));
+    }
+
+    /// A landmark index a node cannot store is malformed, in a ping and
+    /// in the pong that echoes it; the last storable one round-trips.
+    #[test]
+    fn landmark_index_past_the_slots_is_rejected() {
+        let pong = |i: usize| GoCastMsg::Pong {
+            kind: ProbeKind::Landmark(i as u16),
+            sent_at_us: 1,
+            degrees: DegreeInfo::default(),
+            max_nearby_rtt_us: 0,
+            coords: LandmarkVector::unknown(),
+        };
+        let ping = |i: usize| GoCastMsg::Ping {
+            kind: ProbeKind::Landmark(i as u16),
+            sent_at_us: 1,
+        };
+        for last in [pong(MAX_LANDMARKS - 1), ping(MAX_LANDMARKS - 1)] {
+            assert_eq!(decode(&encode(&last)), Ok(last));
+        }
+        for i in [MAX_LANDMARKS, MAX_LANDMARKS + 1, usize::from(u16::MAX)] {
+            assert_eq!(decode(&encode(&pong(i))), Err(DecodeError::BadTag(0)));
+            assert_eq!(decode(&encode(&ping(i))), Err(DecodeError::BadTag(0)));
+        }
     }
 
     #[test]

@@ -19,14 +19,7 @@ impl GoCastNode {
     /// `landmark_count` ids), staggered a little to avoid a thundering
     /// herd at t = 0.
     pub(crate) fn start_landmark_probing(&mut self, ctx: &mut Ctx<'_, Self>) {
-        // Coordinates store at most MAX_LANDMARKS slots inline; larger
-        // configured counts are clamped rather than overflowing.
-        let count = self
-            .cfg
-            .landmark_count
-            .min(gocast_net::MAX_LANDMARKS)
-            .min(ctx.node_count());
-        for i in 0..count {
+        for i in 0..self.landmark_count(ctx) {
             if NodeId::new(i as u32) == self.id {
                 self.coords.set(i, std::time::Duration::ZERO);
                 continue;
@@ -37,6 +30,16 @@ impl GoCastNode {
                 Timer::with_payload(timers::LANDMARK, i as u32, 0),
             );
         }
+    }
+
+    /// How many landmarks this node measures. Coordinates store at most
+    /// `MAX_LANDMARKS` slots inline; larger configured counts are clamped
+    /// rather than overflowing.
+    pub(crate) fn landmark_count(&self, ctx: &Ctx<'_, Self>) -> usize {
+        self.cfg
+            .landmark_count
+            .min(gocast_net::MAX_LANDMARKS)
+            .min(ctx.node_count())
     }
 
     /// Sends one landmark probe.

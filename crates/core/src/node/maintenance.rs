@@ -235,10 +235,13 @@ impl GoCastNode {
             self.view.set(from, coords);
         }
         match kind {
-            ProbeKind::Landmark(i) => {
+            // A pong names the probe it echoes: a landmark this node never
+            // probed is a peer's mistake or a forgery, not a measurement.
+            ProbeKind::Landmark(i) if usize::from(i) < self.landmark_count(ctx) => {
                 self.coords
-                    .set(i as usize, std::time::Duration::from_micros(rtt_us));
+                    .set(usize::from(i), std::time::Duration::from_micros(rtt_us));
             }
+            ProbeKind::Landmark(_) => {}
             ProbeKind::LinkMeasure => {
                 if let Some(n) = self.neighbors.get_mut(from) {
                     n.set_rtt_us(rtt_us);

@@ -902,6 +902,38 @@ mod tests {
         assert_eq!(node.view.as_slice(), &[inside.0]);
     }
 
+    /// A pong for a landmark the node never probed measures nothing: past
+    /// the slots a vector stores (which used to panic the node) or past
+    /// the node's own landmark count, it leaves the coordinates alone.
+    #[test]
+    fn pong_for_an_unprobed_landmark_is_ignored() {
+        let cfg = GoCastConfig {
+            landmark_count: 4,
+            ..GoCastConfig::default()
+        };
+        let mut node = GoCastNode::new(NodeId::new(0), cfg, vec![]);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut sink = Sink { nodes: 16 };
+        let mut pong = |node: &mut GoCastNode, i: u16| {
+            let mut ctx = Ctx::for_host(node.id, SimTime::from_millis(5), &mut rng, &mut sink);
+            let msg = GoCastMsg::Pong {
+                kind: crate::wire::ProbeKind::Landmark(i),
+                sent_at_us: 0,
+                degrees: DegreeInfo::default(),
+                max_nearby_rtt_us: 0,
+                coords: LandmarkVector::unknown(),
+            };
+            node.on_message(&mut ctx, NodeId::new(1), msg);
+        };
+        for i in [4, 7, gocast_net::MAX_LANDMARKS as u16, 9, u16::MAX] {
+            pong(&mut node, i);
+            assert!(node.coords().is_empty(), "landmark {i} was stored");
+        }
+        pong(&mut node, 2);
+        assert_eq!(node.coords().len(), 3);
+        assert_eq!(node.coords().rtt_us_at(2), 5_000);
+    }
+
     /// A gossip's member list is one allocation holding exactly its
     /// entries: the view's samples, drawn as `sample_k` draws them, then
     /// the sender's own.

@@ -7,7 +7,7 @@ use std::time::Duration;
 use gocast::{DegreeInfo, GoCastEvent, GoCastMsg, LinkKind, MsgId, ProbeKind, HEADER_BYTES};
 use gocast_analysis::{component_sizes, largest_component_fraction, Cdf, Histogram};
 use gocast_membership::MemberView;
-use gocast_net::{synthetic_king, LandmarkVector, SyntheticKingConfig};
+use gocast_net::{synthetic_king, LandmarkVector, SyntheticKingConfig, MAX_LANDMARKS};
 use gocast_sim::Wire as _;
 use gocast_sim::{EventQueue, LatencyModel, NodeId, SimTime};
 use proptest::prelude::*;
@@ -187,7 +187,8 @@ proptest! {
                 ids: ids.iter().map(|&(o, s, _)| MsgId::new(NodeId::new(o), s)).collect(),
             },
             3 => GoCastMsg::Pong {
-                kind: ProbeKind::Landmark((seq % 16) as u16),
+                // Only a storable landmark index is well-formed.
+                kind: ProbeKind::Landmark((seq % MAX_LANDMARKS as u32) as u16),
                 sent_at_us: age,
                 degrees,
                 max_nearby_rtt_us: age * 2,
