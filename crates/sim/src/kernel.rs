@@ -1,20 +1,22 @@
 //! The discrete-event simulation engine: one kernel ([`Engine`]), two
-//! entry points ([`Sim`], [`ShardedSim`]), built over the lanes of
-//! [`crate::lane`]. The execution and determinism model is documented on
-//! [`Engine`].
+//! entry points ([`Sim`], [`ShardedSim`]), built over the lanes and
+//! workers of [`crate::lane`]: one event queue per worker thread, each
+//! over a contiguous chunk of lanes. The execution and determinism model
+//! is documented on [`Engine`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::borrow::{Borrow, BorrowMut};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use gocast_metrics::{Log2Histogram, Snapshot};
 
 use crate::fault::{FaultState, NetFates, NetFault};
 use crate::id::NodeId;
-use crate::lane::{CrossLaneMsg, Event, Lane};
+use crate::lane::{CrossLaneMsg, Event, Lane, Worker, MAX_LANES};
 use crate::latency::LatencyModel;
 use crate::protocol::Protocol;
-use crate::recorder::{NullRecorder, Recorder};
+use crate::queue::EventQueue;
+use crate::recorder::{NullRecorder, Recorder, VecRecorder};
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
 
@@ -50,13 +52,14 @@ pub struct KernelStats {
     /// over all lanes at every window boundary on more (so the mark is
     /// comparable with `queue_len` at any lane count).
     pub queue_high_water: usize,
-    /// Payload slots currently allocated in the event-queue slab (occupied
-    /// plus the vacant ones awaiting reuse): the deepest the queue has been
-    /// since it last shrank, not since the run began — see
-    /// [`EventQueue`](crate::EventQueue).
+    /// Payload slots currently allocated in the event-queue slabs (occupied
+    /// plus the vacant ones awaiting reuse): the deepest the queues have
+    /// been since they last shrank, not since the run began — see
+    /// [`EventQueue`](crate::EventQueue). One queue per worker thread, so
+    /// this and `queue_mem_bytes` depend on the thread count.
     pub slab_slots: usize,
-    /// Bytes of backing storage the event queue currently reserves
-    /// (payload slab and keys, plus the slot numbers of its tiers).
+    /// Bytes of backing storage the event queues currently reserve
+    /// (payload slab and keys, plus the slot numbers of their tiers).
     /// Self-reported, so scaling tables need no external process
     /// inspection.
     pub queue_mem_bytes: u64,
@@ -78,7 +81,8 @@ impl KernelStats {
 
     /// Folds another kernel's counters into this one — the engine's
     /// per-lane aggregation. Monotonic counters and memory sizes
-    /// add; the high-water mark takes the per-lane maximum (a lane-local
+    /// add (a lane reports no queue memory: its worker's queue holds its
+    /// events); the high-water mark takes the per-lane maximum (a lane-local
     /// depth — [`Engine::kernel_stats`] raises it to the all-lane count it
     /// samples itself); wall time takes the maximum because lanes run
     /// concurrently.
@@ -242,8 +246,8 @@ pub type ShardedSim<P, R> = Engine<P, R, Lanes>;
 
 /// What the window loop keeps from one barrier to the next.
 struct WindowLoop<P: Protocol> {
-    /// The recorder events of the window being merged, `(at, lane, pos,
-    /// node, event)`; empty between barriers.
+    /// With several workers, the recorder events of the window being
+    /// merged, `(at, worker, pos, node, event)`; empty between barriers.
     events: Vec<(SimTime, u32, u32, NodeId, P::Event)>,
     /// Most events pending over all lanes at any window boundary.
     pending_high_water: usize,
@@ -261,9 +265,11 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 ///
 /// The engine owns the protocol instances (split over one or more
 /// *lanes*: node `g` lives in lane `g % lanes`, each lane with its own
-/// event queue, per-node RNG streams, counters and fault-state replicas),
-/// the latency model, and the event recorder. Within a lane, events at
-/// equal timestamps fire in scheduling order.
+/// per-node RNG streams, counters and fault-state replicas), one event
+/// queue per worker thread over a contiguous chunk of lanes, the latency
+/// model, and the event recorder. A queue orders by `(time, lane,
+/// per-lane sequence)`, so within a lane events at equal timestamps fire
+/// in scheduling order whichever lanes share its queue.
 ///
 /// - [`Sim`] is the engine at **one lane**. The run loop is a single
 ///   window covering the whole `run_until` deadline, so the latency model
@@ -278,20 +284,22 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 ///      latency ([`LatencyModel::lookahead`]). A message sent at any time
 ///      `t` inside a window `[w, w + Δ)` arrives at `t + latency ≥ w + Δ`,
 ///      i.e. **never inside the window** at another lane.
-///   2. Each lane therefore processes its local events for one window with
-///      no synchronization at all; sends to other lanes buffer in a
+///   2. Each worker therefore processes its lanes' events for one window
+///      with no synchronization at all; sends to other lanes buffer in a
 ///      per-lane outbox.
-///   3. At the window barrier the coordinator schedules every outbox
-///      into the destination lanes' queues in `(source lane, send order)`
-///      — the queue sorts by arrival time and breaks ties by insertion,
-///      so deliveries happen in the canonical `(arrival time, source
-///      lane, send order)` without the messages ever being copied or
-///      sorted — then drains every lane's buffered recorder events into
-///      the single global recorder, sorted by `(time, lane, emission
-///      order)`.
+///   3. At the window barrier the coordinator schedules every outbox for
+///      the destination lanes in `(source lane, send order)` — each lane
+///      numbers its events in the order they reach it, so deliveries
+///      happen in the canonical `(arrival time, source lane, send order)`
+///      without the messages ever being copied or sorted.
 ///
-///   At one lane nothing crosses lanes, so a one-lane `ShardedSim` runs
-///   the one-lane loop and is indistinguishable from a `Sim`.
+///   A worker pops its lanes' events in `(time, lane, sequence)` order, so
+///   with one worker its recorder events come out merged and go straight
+///   to the recorder. Several workers each buffer theirs, and the barrier
+///   merges the buffers by `(time, worker, emission order)` — the same
+///   order, as workers hold ascending chunks of lanes. At one lane nothing
+///   crosses lanes, so a one-lane `ShardedSim` runs one window to the
+///   deadline and is indistinguishable from a `Sim`.
 ///
 /// # Determinism contract
 ///
@@ -312,10 +320,13 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 /// with loss or jitter are deterministic per `(seed, lane count)`.
 pub struct Engine<P: Protocol, R: Recorder<P::Event>, M: Mode> {
     now: SimTime,
-    lanes: Vec<Lane<P>>,
+    /// One per worker thread, each over `chunk` lanes (the last may hold
+    /// fewer).
+    workers: Vec<Worker<P>>,
+    lane_count: usize,
+    chunk: usize,
     net: Box<M::Net>,
     recorder: R,
-    threads: usize,
     wall_time: Duration,
     started: bool,
     window_loop: WindowLoop<P>,
@@ -326,110 +337,58 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
         f.debug_struct("Engine")
             .field("now", &self.now)
             .field("nodes", &self.len())
-            .field("lanes", &self.lanes.len())
-            .field("threads", &self.threads)
+            .field("lanes", &self.lane_count)
+            .field("threads", &self.workers.len())
             .field("pending_events", &self.kernel_stats().queue_len)
             .finish()
     }
 }
 
-/// The lanes as the window loop and the barrier merge reach them:
-/// exclusively (one thread), or through the per-lane mutexes the
-/// coordinator shares with its worker threads.
-trait LaneSet<P: Protocol> {
-    fn count(&self) -> usize;
-    fn with<T>(&mut self, i: usize, f: impl FnOnce(&mut Lane<P>) -> T) -> T;
-}
-
-impl<P: Protocol> LaneSet<P> for Vec<Lane<P>> {
-    fn count(&self) -> usize {
-        self.len()
-    }
-    fn with<T>(&mut self, i: usize, f: impl FnOnce(&mut Lane<P>) -> T) -> T {
-        f(&mut self[i])
-    }
-}
-
-impl<P: Protocol> LaneSet<P> for &[Mutex<&mut Lane<P>>] {
-    fn count(&self) -> usize {
-        self.len()
-    }
-    fn with<T>(&mut self, i: usize, f: impl FnOnce(&mut Lane<P>) -> T) -> T {
-        f(&mut self[i].lock().expect("a lane worker panicked"))
-    }
-}
-
-/// Drains every lane's outbox and recorder buffer in canonical order.
-/// Cross-lane messages go straight into their destination queues, lane by
-/// lane in send order: the queue orders by arrival time and breaks ties
-/// by insertion, so they pop in `(arrival, source lane, send order)`.
-/// Recorder events sort by `(time, lane, emission order)` and feed the
-/// global recorder. Both orders are independent of the thread count.
-fn merge_barrier<P: Protocol>(
-    lanes: &mut impl LaneSet<P>,
-    recorder: &mut dyn Recorder<P::Event>,
-    state: &mut WindowLoop<P>,
-) {
-    let count = lanes.count();
-    for i in 0..count {
-        // A lane never sends to itself through its outbox, so nothing
-        // misses the buffer while it is out.
-        let mut outbox = lanes.with(i, |lane| {
-            let events = lane.events_out.events.drain(..).enumerate();
-            state
-                .events
-                .extend(events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)));
-            std::mem::take(&mut lane.outbox)
-        });
-        for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
-            lanes.with(to.index() % count, |lane| {
+/// Schedules every lane's cross-lane sends for their destination lanes,
+/// lane by lane in send order: each lane numbers what reaches it in that
+/// order, so the messages pop in `(arrival, source lane, send order)` at
+/// any thread count.
+fn flush<P: Protocol>(workers: &mut [impl BorrowMut<Worker<P>>], chunk: usize, lanes: usize) {
+    for w in 0..workers.len() {
+        for l in 0..workers[w].borrow().lanes.len() {
+            // A lane never sends to itself through its outbox, so nothing
+            // misses the buffer while it is out.
+            let mut outbox = std::mem::take(&mut workers[w].borrow_mut().lanes[l].outbox);
+            for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
+                let lane = to.index() % lanes;
                 let ev = Event::Deliver { from, to, msg };
-                lane.queue.schedule_hinted(at, to.as_u32(), ev);
-            });
+                workers[lane / chunk]
+                    .borrow_mut()
+                    .schedule(lane, at, to.as_u32(), ev);
+            }
+            workers[w].borrow_mut().lanes[l].outbox = outbox;
         }
-        lanes.with(i, |lane| lane.outbox = outbox);
-    }
-    // The keys are unique, so the unstable sort is the stable one without
-    // its allocation.
-    state
-        .events
-        .sort_unstable_by_key(|(at, lane, pos, _, _)| (*at, *lane, *pos));
-    for (at, _, _, node, ev) in state.events.drain(..) {
-        recorder.record(at, node, ev);
     }
 }
 
-/// The window loop: while an event is due by `deadline`, `run_window`
-/// makes every lane process its local events up to the window end (at
-/// most Δ = `delta` ns past the earliest pending event), then the lanes'
-/// output is merged at the barrier.
-fn run_windows<P: Protocol, L: LaneSet<P>>(
-    lanes: &mut L,
+/// The end of the next window, if an event is due by `deadline`: the
+/// deadline itself without a lookahead `delta` (one lane), else at most Δ
+/// past the earliest pending event. The scan also counts the pending
+/// events: the only instants at which an all-lane count exists, and the
+/// same ones at any thread count.
+fn next_window<P: Protocol>(
+    workers: &[impl Borrow<Worker<P>>],
     deadline: SimTime,
-    delta: u64,
-    mut run_window: impl FnMut(&mut L, SimTime),
-    recorder: &mut dyn Recorder<P::Event>,
-    state: &mut WindowLoop<P>,
-) {
-    loop {
-        // One scan of the lanes finds the next event and counts the
-        // pending ones: the only instants at which an all-lane count
-        // exists, and the same ones at any thread count.
-        let (mut next, mut pending) = (None, 0);
-        for i in 0..lanes.count() {
-            lanes.with(i, |lane| {
-                next = [next, lane.queue.peek_time()].into_iter().flatten().min();
-                pending += lane.queue.len();
-            });
-        }
-        state.pending_high_water = state.pending_high_water.max(pending);
-        let Some(next) = next.filter(|t| *t <= deadline) else {
-            break;
-        };
-        let end = next.as_nanos().saturating_add(delta - 1);
-        run_window(lanes, SimTime::from_nanos(end.min(deadline.as_nanos())));
-        merge_barrier(lanes, recorder, state);
+    delta: Option<u64>,
+    high_water: &mut usize,
+) -> Option<SimTime> {
+    let (mut next, mut pending) = (None, 0);
+    for w in workers {
+        let queue = &w.borrow().queue;
+        next = [next, queue.peek_time()].into_iter().flatten().min();
+        pending += queue.len();
     }
+    *high_water = (*high_water).max(pending);
+    let next = next.filter(|t| *t <= deadline)?;
+    Some(delta.map_or(deadline, |d| {
+        let end = next.as_nanos().saturating_add(d - 1);
+        SimTime::from_nanos(end.min(deadline.as_nanos()))
+    }))
 }
 
 impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
@@ -446,27 +405,40 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         let model = M::model(&net);
         let n = model.len();
         let lane_count = lanes.min(n.max(1));
+        assert!(lane_count < MAX_LANES, "at most {MAX_LANES} lanes");
         assert!(
             lane_count == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
             "more than one lane requires a latency model with positive lookahead"
         );
-        // Lane `i` owns the ids congruent to `i`: `(n - i) / lanes`, rounded up.
-        let mut lanes: Vec<Lane<P>> = (0..lane_count)
-            .map(|i| {
-                let owned = (n - i).div_ceil(lane_count);
-                Lane::new(i as u32, lane_count as u32, seed, owned, n)
+        // Worker `w` runs lanes `w * chunk..`; lane `i` owns the ids
+        // congruent to `i`: `(n - i) / lanes`, rounded up.
+        let chunk = lane_count.div_ceil(threads.clamp(1, lane_count));
+        let mut workers: Vec<Worker<P>> = (0..lane_count)
+            .step_by(chunk)
+            .map(|first| Worker {
+                first,
+                lanes: (first..lane_count.min(first + chunk))
+                    .map(|i| {
+                        let owned = (n - i).div_ceil(lane_count);
+                        Lane::new(i as u32, lane_count as u32, seed, owned, n)
+                    })
+                    .collect(),
+                queue: EventQueue::new(),
+                events_out: VecRecorder::new(),
             })
             .collect();
         for g in 0..n {
             let id = NodeId::new(g as u32);
-            lanes[g % lane_count].push_node(id, make(id), seed);
+            let lane = g % lane_count;
+            workers[lane / chunk].lanes[lane % chunk].push_node(id, make(id), seed);
         }
         Engine {
             now: SimTime::ZERO,
-            lanes,
+            workers,
+            lane_count,
+            chunk,
             net,
             recorder,
-            threads,
             wall_time: Duration::ZERO,
             started: false,
             window_loop: WindowLoop {
@@ -478,7 +450,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
 
     /// Number of nodes (alive or failed).
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.nodes.len()).sum()
+        self.lanes().map(|l| l.nodes.len()).sum()
     }
 
     /// Whether the simulation has zero nodes.
@@ -494,7 +466,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// The lane count — a **semantic** parameter (see the determinism
     /// contract above); always 1 on [`Sim`].
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+        self.lane_count
     }
 
     /// The latency model driving this simulation.
@@ -502,15 +474,25 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         M::model(&self.net)
     }
 
+    /// Every lane, in index order.
+    fn lanes(&self) -> impl Iterator<Item = &Lane<P>> {
+        self.workers.iter().flat_map(|w| &w.lanes)
+    }
+
+    fn lanes_mut(&mut self) -> impl Iterator<Item = &mut Lane<P>> {
+        self.workers.iter_mut().flat_map(|w| &mut w.lanes)
+    }
+
     #[inline]
     fn lane_of(&self, node: NodeId) -> &Lane<P> {
-        &self.lanes[node.index() % self.lanes.len()]
+        let lane = node.index() % self.lane_count;
+        &self.workers[lane / self.chunk].lanes[lane % self.chunk]
     }
 
     #[inline]
     fn lane_of_mut(&mut self, node: NodeId) -> &mut Lane<P> {
-        let owner = node.index() % self.lanes.len();
-        &mut self.lanes[owner]
+        let lane = node.index() % self.lane_count;
+        &mut self.workers[lane / self.chunk].lanes[lane % self.chunk]
     }
 
     /// Whether `node` is currently alive.
@@ -551,24 +533,27 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// run call ends by folding the counts into lane 0, so this is the
     /// total at any lane count.
     pub fn stats(&self) -> &TrafficStats {
-        &self.lanes[0].stats
+        &self.workers[0].lanes[0].stats
     }
 
     /// Resets traffic counters (e.g. to exclude warm-up traffic).
     pub fn reset_stats(&mut self) {
-        for lane in &mut self.lanes {
-            lane.stats.reset();
-        }
+        self.lanes_mut().for_each(|lane| lane.stats.reset());
     }
 
     /// Snapshot of the kernel execution counters (see [`KernelStats`]),
-    /// summed over all lanes: `queue_high_water` is the most pending over
-    /// all lanes at a window boundary (lanes run a window unobserved, so no
-    /// finer all-lane count exists); `wall_time` is the run loops' time.
+    /// summed over all lanes and the workers' queues: `queue_high_water`
+    /// is the most pending over all lanes at a window boundary (lanes run
+    /// a window unobserved, so no finer all-lane count exists);
+    /// `wall_time` is the run loops' time.
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = KernelStats::default();
-        for lane in &self.lanes {
-            total.absorb(&lane.kernel_stats());
+        for w in &self.workers {
+            w.lanes
+                .iter()
+                .for_each(|lane| total.absorb(&lane.kernel_stats()));
+            total.slab_slots += w.queue.slab_slots();
+            total.queue_mem_bytes += w.queue.mem_bytes();
         }
         total.queue_high_water = total
             .queue_high_water
@@ -580,14 +565,13 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Turns on deep kernel telemetry for an already-built simulation
     /// (equivalent to [`SimBuilder::telemetry`]).
     pub fn enable_telemetry(&mut self) {
-        for lane in &mut self.lanes {
-            lane.telemetry.enabled = true;
-        }
+        self.lanes_mut()
+            .for_each(|lane| lane.telemetry.enabled = true);
     }
 
     /// Whether deep kernel telemetry is on.
     pub fn telemetry_enabled(&self) -> bool {
-        self.lanes[0].telemetry.enabled
+        self.workers[0].lanes[0].telemetry.enabled
     }
 
     /// A named [`Snapshot`] of every kernel metric under stable `kernel_*`
@@ -620,13 +604,13 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             k.slab_slots as i64,
         );
         s.record_counter("kernel_queue_mem_bytes", k.queue_mem_bytes);
-        if self.lanes.len() > 1 {
-            s.record_counter("kernel_lanes", self.lanes.len() as u64);
+        if self.lane_count > 1 {
+            s.record_counter("kernel_lanes", self.lane_count as u64);
         }
         if self.telemetry_enabled() {
             let mut depth = Log2Histogram::new();
             let mut dispatch = [Log2Histogram::new(); EventClass::ALL.len()];
-            for lane in &self.lanes {
+            for lane in self.lanes() {
                 depth.merge(&lane.telemetry.queue_depth);
                 for (total, h) in dispatch.iter_mut().zip(&lane.telemetry.dispatch_ns) {
                     total.merge(h);
@@ -665,7 +649,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         }
     }
 
-    /// Schedules `ev` into the queue of the lane that owns `node`.
+    /// Schedules `ev` for the lane that owns `node`.
     fn try_schedule(
         &mut self,
         at: SimTime,
@@ -673,7 +657,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         ev: Event<P::Msg, P::Command>,
     ) -> Result<(), PastScheduleError> {
         self.check_future(at)?;
-        self.lane_of_mut(node).queue.schedule(at, ev);
+        let lane = node.index() % self.lane_count;
+        self.workers[lane / self.chunk].schedule(lane, at, node.as_u32(), ev);
         Ok(())
     }
 
@@ -764,14 +749,12 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// population, a partition that does not label every node, or a loss
     /// probability outside `0.0..=1.0`.
     pub fn apply_fault(&mut self, fault: NetFault) {
-        for lane in &mut self.lanes {
-            lane.faults.apply(&fault);
-        }
+        self.lanes_mut().for_each(|lane| lane.faults.apply(&fault));
     }
 
     /// Schedules a network fault at absolute time `at` (see
-    /// [`Engine::apply_fault`]): a control event broadcast into every
-    /// lane's queue, counted once in [`KernelStats::control_events`].
+    /// [`Engine::apply_fault`]): a control event broadcast to every lane,
+    /// counted once in [`KernelStats::control_events`].
     ///
     /// # Panics
     ///
@@ -780,8 +763,11 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     pub fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
         self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
         self.faults().validate(&fault);
-        for lane in &mut self.lanes {
-            lane.queue.schedule(at, Event::Control(fault.clone()));
+        for w in &mut self.workers {
+            for lane in &mut w.lanes {
+                let ev = Event::Control(fault.clone());
+                lane.ties.schedule(&mut w.queue, at, u32::MAX, ev);
+            }
         }
     }
 
@@ -789,57 +775,70 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// replica; the [`FaultState::fates`] read here are lane 0's alone —
     /// the all-lane totals are [`KernelStats::fates`]).
     pub fn faults(&self) -> &FaultState {
-        &self.lanes[0].faults
+        &self.workers[0].lanes[0].faults
     }
 
     /// Calls `on_start` on every alive node, once (with more than one
     /// lane, also merges the resulting cross-lane traffic). Run methods
-    /// call this implicitly.
+    /// call this implicitly. Every start-up event is at time zero, so
+    /// lane order is the merged order at any thread count.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         let net = M::model(&self.net);
-        if let [lane] = &mut self.lanes[..] {
-            lane.start(net, &mut self.recorder);
-        } else {
-            for lane in &mut self.lanes {
-                lane.buffered(|lane, out| lane.start(net, out));
-            }
-            merge_barrier(&mut self.lanes, &mut self.recorder, &mut self.window_loop);
-            self.fold_stats();
+        for w in &mut self.workers {
+            w.start(net, &mut self.recorder);
         }
+        flush(&mut self.workers, self.chunk, self.lane_count);
+        self.fold_stats();
     }
 
     /// Lanes count traffic locally; this folds the counts into lane 0,
     /// the one [`Engine::stats`] reads.
     fn fold_stats(&mut self) {
-        let (home, rest) = self.lanes.split_first_mut().expect("at least one lane");
-        for lane in rest {
+        let mut lanes = self.workers.iter_mut().flat_map(|w| &mut w.lanes);
+        let home = lanes.next().expect("at least one lane");
+        for lane in lanes {
             home.stats.absorb(&lane.stats);
             lane.stats.reset();
         }
     }
 
-    /// The one-lane run loop: a single window covering the whole deadline,
-    /// with events going straight to the recorder.
-    fn run_one_lane(&mut self, deadline: SimTime) {
-        let [lane] = &mut self.lanes[..] else {
-            unreachable!("the one-lane loop runs one lane")
-        };
-        lane.run_window(deadline, M::model(&self.net), &mut self.recorder);
-        self.now = deadline;
+    /// The lookahead Δ in nanoseconds, with more than one lane.
+    fn delta(&self) -> Option<u64> {
+        let net = M::model(&self.net);
+        (self.lane_count > 1)
+            .then(|| saturating_nanos(net.lookahead().expect("checked when built")))
     }
 
-    /// Where a run call returns the queues are at rest and the window
-    /// buffers empty: gives back what the start-up storm, or any burst
-    /// since, made them reserve beyond what is pending now.
-    fn release_slack(&mut self) {
-        for lane in &mut self.lanes {
-            lane.queue.trim();
-            lane.outbox.shrink_to(WINDOW_BUFFER_KEEP);
-            lane.events_out.events.shrink_to(WINDOW_BUFFER_KEEP);
+    /// The window loop on the caller's thread, for one worker: its events
+    /// pop merged, so they go straight to the recorder. With one lane it
+    /// is a single window covering the whole deadline.
+    fn run_one_worker(&mut self, deadline: SimTime) {
+        let delta = self.delta();
+        let net = M::model(&self.net);
+        let high_water = &mut self.window_loop.pending_high_water;
+        while let Some(end) = next_window(&self.workers, deadline, delta, high_water) {
+            self.workers[0].run_window(end, net, &mut self.recorder);
+            flush(&mut self.workers, self.chunk, self.lane_count);
+        }
+    }
+
+    /// Ends a run call: lane 0 holds the traffic totals, the clock stands
+    /// at `deadline`, and the queues and window buffers, at rest, give back
+    /// what the start-up storm, or any burst since, made them reserve
+    /// beyond what is pending now.
+    fn finish_run(&mut self, deadline: SimTime) {
+        self.fold_stats();
+        self.now = deadline;
+        for w in &mut self.workers {
+            w.queue.trim();
+            w.events_out.events.shrink_to(WINDOW_BUFFER_KEEP);
+            w.lanes
+                .iter_mut()
+                .for_each(|l| l.outbox.shrink_to(WINDOW_BUFFER_KEEP));
         }
         self.window_loop.events.shrink_to(WINDOW_BUFFER_KEEP);
     }
@@ -851,8 +850,8 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = std::time::Instant::now();
         self.start();
-        self.run_one_lane(deadline);
-        self.release_slack();
+        self.run_one_worker(deadline);
+        self.finish_run(deadline);
         self.wall_time += t0.elapsed();
     }
 
@@ -869,7 +868,7 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
         let t0 = std::time::Instant::now();
         self.start();
         while self.step() {}
-        self.release_slack();
+        self.finish_run(self.now);
         self.wall_time += t0.elapsed();
     }
 
@@ -877,7 +876,7 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
     /// Stepping manually advances the event counters but not
     /// [`KernelStats::wall_time`].
     pub fn step(&mut self) -> bool {
-        let stepped = self.lanes[0].step(&*self.net, &mut self.recorder);
+        let stepped = self.workers[0].step(&*self.net, &mut self.recorder);
         self.now = stepped.unwrap_or(self.now);
         stepped.is_some()
     }
@@ -893,17 +892,17 @@ where
 {
     /// Processes all events scheduled at or before `deadline`, then
     /// advances the clock to `deadline`. Windows of length Δ execute
-    /// lane-parallel across the configured worker threads; output is
+    /// worker-parallel across the configured threads; output is
     /// byte-identical at any thread count.
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = std::time::Instant::now();
         self.start();
-        if self.lanes.len() == 1 {
-            self.run_one_lane(deadline);
+        if self.workers.len() == 1 {
+            self.run_one_worker(deadline);
         } else {
-            self.run_lanes(deadline);
+            self.run_workers(deadline);
         }
-        self.release_slack();
+        self.finish_run(deadline);
         self.wall_time += t0.elapsed();
     }
 
@@ -912,58 +911,61 @@ where
         self.run_until(self.now + d);
     }
 
-    /// Drives the window loop: inline with one thread, else on persistent
-    /// workers (two barrier waits per window: start work / work done)
-    /// with the coordinator merging in between.
-    fn run_lanes(&mut self, deadline: SimTime) {
-        let net = &*self.net;
-        let delta = saturating_nanos(net.lookahead().expect("checked when built"));
-        let run = |lane: &mut Lane<P>, end| lane.buffered(|l, out| l.run_window(end, net, out));
+    /// The window loop on one persistent thread per worker. Each window
+    /// the coordinator hands every worker its own chunk and takes them all
+    /// back, then merges their recorder buffers and flushes the outboxes:
+    /// a worker holds a chunk only while it runs it.
+    fn run_workers(&mut self, deadline: SimTime) {
+        let delta = self.delta();
+        let (net, chunk, lanes) = (&*self.net, self.chunk, self.lane_count);
         let (recorder, state) = (&mut self.recorder, &mut self.window_loop);
-        let workers = self.threads.min(self.lanes.len());
-        if workers <= 1 {
-            let run_all = |lanes: &mut Vec<Lane<P>>, end| {
-                lanes.iter_mut().for_each(|lane| run(lane, end));
-            };
-            run_windows(&mut self.lanes, deadline, delta, run_all, recorder, state);
-        } else {
-            let barrier = Barrier::new(workers + 1);
-            // Window end, as nanos; u64::MAX doubles as the shutdown signal.
-            let window_end = AtomicU64::new(0);
-            let next_lane = AtomicUsize::new(0);
-            // Workers claim lanes by atomic index, so each lane has exactly
-            // one owner per window; the per-lane mutexes hand them back to
-            // the coordinator, which keeps recorder + scratch.
-            let cells: Vec<_> = self.lanes.iter_mut().map(Mutex::new).collect();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        barrier.wait();
-                        let end = window_end.load(Ordering::Acquire);
-                        if end == u64::MAX {
-                            break;
+        let mut workers: Vec<&mut Worker<P>> = self.workers.iter_mut().collect();
+        std::thread::scope(|s| {
+            // Per worker, a channel that hands it its chunk and the window
+            // end, and one that hands the chunk back: a panicking worker
+            // closes the second, and the coordinator's `recv` fails with it.
+            let channels: Vec<_> = (0..workers.len())
+                .map(|_| {
+                    let (start, windows) = mpsc::sync_channel::<(&mut Worker<P>, SimTime)>(1);
+                    let (done, back) = mpsc::sync_channel::<&mut Worker<P>>(1);
+                    s.spawn(move || {
+                        for (w, end) in windows {
+                            let mut out = std::mem::take(&mut w.events_out);
+                            w.run_window(end, net, &mut out);
+                            w.events_out = out;
+                            done.send(w)
+                                .expect("the coordinator waits for every worker");
                         }
-                        let end = SimTime::from_nanos(end);
-                        while let Some(cell) = cells.get(next_lane.fetch_add(1, Ordering::Relaxed))
-                        {
-                            run(&mut cell.lock().expect("a lane worker panicked"), end);
-                        }
-                        barrier.wait();
                     });
+                    (start, back)
+                })
+                .collect();
+            let high_water = &mut state.pending_high_water;
+            while let Some(end) = next_window(&workers, deadline, delta, high_water) {
+                for ((start, _), w) in channels.iter().zip(workers.drain(..)) {
+                    start.send((w, end)).expect("a worker thread panicked");
                 }
-                let run_all = |_: &mut &[_], end: SimTime| {
-                    window_end.store(end.as_nanos(), Ordering::Release);
-                    next_lane.store(0, Ordering::Relaxed);
-                    barrier.wait(); // workers start
-                    barrier.wait(); // workers done
-                };
-                run_windows(&mut &cells[..], deadline, delta, run_all, recorder, state);
-                window_end.store(u64::MAX, Ordering::Release);
-                barrier.wait();
-            });
-        }
-        self.fold_stats();
-        self.now = deadline;
+                for (_, back) in &channels {
+                    workers.push(back.recv().expect("a worker thread panicked"));
+                }
+                for (i, w) in workers.iter_mut().enumerate() {
+                    let events = w.events_out.events.drain(..).enumerate();
+                    state.events.extend(
+                        events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)),
+                    );
+                }
+                // The keys are unique, so the unstable sort is the stable
+                // one without its allocation.
+                state
+                    .events
+                    .sort_unstable_by_key(|(at, w, pos, _, _)| (*at, *w, *pos));
+                for (at, _, _, node, ev) in state.events.drain(..) {
+                    recorder.record(at, node, ev);
+                }
+                flush(&mut workers, chunk, lanes);
+            }
+            // Returning drops the senders, which ends every worker's loop.
+        });
     }
 }
 
@@ -1041,7 +1043,7 @@ impl SimBuilder {
     {
         let mut sim = Engine::assemble(self.net, self.seed, 1, 1, recorder, make);
         if self.pair_counts {
-            sim.lanes[0].stats.enable_pair_counts();
+            sim.workers[0].lanes[0].stats.enable_pair_counts();
         }
         if self.telemetry {
             sim.enable_telemetry();
@@ -1123,7 +1125,10 @@ impl ShardedSimBuilder {
     }
 
     /// Sets the worker-thread count — pure execution policy; output is
-    /// byte-identical at any value. Clamped to at least 1.
+    /// byte-identical at any value. Clamped to at least 1 and at most the
+    /// lane count. The engine builds one event queue per worker, each over
+    /// a contiguous chunk of `lanes / threads` lanes, rounded up (so fewer
+    /// workers where that leaves the last chunks empty).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -1353,8 +1358,12 @@ mod tests {
                 let mut sim = sharded(N, 1, lanes, threads);
                 sim.fail_node_at(ms(1500), NodeId::new(7));
                 sim.run_until(DONE);
+                // A queue per thread: how the pending events are stored
+                // depends on the thread count, which events they are not.
                 let k = KernelStats {
                     wall_time: Duration::ZERO,
+                    slab_slots: 0,
+                    queue_mem_bytes: 0,
                     ..sim.kernel_stats()
                 };
                 (sim.recorder().events.clone(), k, sim.stats().total())
@@ -1694,7 +1703,7 @@ mod tests {
             }
             sim.run_until(DONE);
             assert_eq!(sim.kernel_stats().control_events, faults.len() as u64);
-            for lane in &sim.lanes {
+            for lane in sim.lanes() {
                 assert_eq!(settings(&lane.faults), settings(&expected));
             }
         });
@@ -1720,7 +1729,7 @@ mod tests {
                     scheduled.run_until(DONE);
                     assert_eq!(applied.recorder().events, scheduled.recorder().events);
                     assert!((3..=40).contains(&hops(&applied)), "lost or cut off");
-                    for (a, s) in applied.lanes.iter().zip(&scheduled.lanes) {
+                    for (a, s) in applied.lanes().zip(scheduled.lanes()) {
                         assert_eq!(settings(&a.faults), settings(&s.faults));
                     }
                     // Only the scheduled ones are control events.

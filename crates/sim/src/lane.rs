@@ -1,18 +1,25 @@
 //! One lane of the simulation engine: a self-contained slice of the node
-//! population with its own event queue, per-node RNG streams, counters,
-//! telemetry and fault-state replicas — and the **only** dispatch table
-//! and send path in the crate.
+//! population with its own per-node RNG streams, counters, telemetry and
+//! fault-state replica — and the **only** dispatch table and send path in
+//! the crate — and the [`Worker`] that runs a contiguous chunk of lanes
+//! off one event queue.
 //!
 //! Node `g` lives in lane `g % lanes` at local index `g / lanes`. With one
 //! lane that is the whole population and nothing ever crosses lanes; with
 //! more, sends to other lanes buffer in the lane's outbox until the
 //! engine's window barrier (see [`crate::Engine`]).
 //!
+//! A lane owns no queue. Its events wait in its worker's, keyed by
+//! `(time, lane, per-lane sequence)`: the lane numbers its own schedules,
+//! so what a lane does is the same whichever worker, and whichever other
+//! lanes, share the queue with it, and one worker pops its lanes' events
+//! in the order the engine's recorder wants them.
+//!
 //! Link cuts, the loss/jitter state and the partition labelling are
 //! *global* facts applied at delivery (or send) time, so each lane holds a
-//! [`FaultState`] replica, updated by broadcasting the control event into
-//! every lane's queue. Delivery-time checks are thus lane-local and the
-//! hot path takes no cross-lane locks.
+//! [`FaultState`] replica, updated by scheduling the control event for
+//! every lane. Delivery-time checks are thus lane-local and the hot path
+//! takes no cross-lane locks.
 
 use std::time::Duration;
 
@@ -45,7 +52,7 @@ pub(crate) enum Event<M, C> {
     /// The kernel marks `node` as crashed.
     Fail { node: NodeId },
     /// The kernel changes the network's fault state (broadcast: every
-    /// lane's queue holds a copy).
+    /// lane has a copy scheduled).
     Control(NetFault),
 }
 
@@ -90,6 +97,38 @@ pub(crate) struct KernelTelemetry {
 /// nanosecond per event.
 const TELEMETRY_SAMPLE: u64 = 64;
 
+/// Bits of a queue tie below the lane index: the lane's own sequence.
+const SEQ_BITS: u32 = 40;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
+/// Lanes an engine may have at most: the lane index fills the rest of a
+/// tie.
+pub(crate) const MAX_LANES: usize = 1 << (64 - SEQ_BITS);
+
+/// An engine event, and a queue of them.
+pub(crate) type Ev<P> = Event<<P as Protocol>::Msg, <P as Protocol>::Command>;
+pub(crate) type Queue<P> = EventQueue<Ev<P>>;
+
+/// A lane's place in its worker's queue: the tie of its next event — the
+/// lane index above the lane's own sequence number — and how many of its
+/// events are pending.
+#[derive(Debug)]
+pub(crate) struct Ties {
+    next: u64,
+    pending: usize,
+}
+
+impl Ties {
+    /// Schedules `ev` for this lane.
+    #[inline]
+    pub(crate) fn schedule<T>(&mut self, q: &mut EventQueue<T>, at: SimTime, hint: u32, ev: T) {
+        debug_assert_ne!(self.next & SEQ_MASK, SEQ_MASK, "lane sequence overflow");
+        q.schedule_keyed(at, self.next, hint, ev);
+        self.next += 1;
+        self.pending += 1;
+    }
+}
+
 /// One lane: a self-contained slice of the node population.
 pub(crate) struct Lane<P: Protocol> {
     /// This lane's index in `0..lanes`.
@@ -102,7 +141,7 @@ pub(crate) struct Lane<P: Protocol> {
     pub(crate) nodes: Vec<P>,
     pub(crate) alive: Vec<bool>,
     rngs: Vec<SmallRng>,
-    pub(crate) queue: EventQueue<Event<P::Msg, P::Command>>,
+    pub(crate) ties: Ties,
     pub(crate) stats: TrafficStats,
     kernel: KernelStats,
     pub(crate) telemetry: KernelTelemetry,
@@ -110,9 +149,6 @@ pub(crate) struct Lane<P: Protocol> {
     pub(crate) faults: FaultState,
     /// Cross-lane sends made this window, in send order.
     pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
-    /// Recorder events emitted this window, in emission order (unused
-    /// when the engine hands the lane its recorder directly).
-    pub(crate) events_out: VecRecorder<P::Event>,
 }
 
 impl<P: Protocol> Lane<P> {
@@ -127,7 +163,10 @@ impl<P: Protocol> Lane<P> {
             nodes: Vec::with_capacity(nodes),
             alive: Vec::with_capacity(nodes),
             rngs: Vec::with_capacity(nodes),
-            queue: EventQueue::new(),
+            ties: Ties {
+                next: u64::from(index) << SEQ_BITS,
+                pending: 0,
+            },
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),
             telemetry: KernelTelemetry {
@@ -137,7 +176,6 @@ impl<P: Protocol> Lane<P> {
             },
             faults: FaultState::new(population, seed, index),
             outbox: Vec::new(),
-            events_out: VecRecorder::new(),
         }
     }
 
@@ -164,80 +202,39 @@ impl<P: Protocol> Lane<P> {
         }
     }
 
-    /// Runs `f` with this lane's own event buffer as the recorder: the
-    /// many-lane mode, where the engine merges the buffers at the barrier.
-    pub(crate) fn buffered(&mut self, f: impl FnOnce(&mut Self, &mut VecRecorder<P::Event>)) {
-        let mut out = std::mem::take(&mut self.events_out);
-        f(self, &mut out);
-        self.events_out = out;
-    }
-
-    /// Calls `on_start` on every alive owned node.
-    pub(crate) fn start<S: Recorder<P::Event>>(&mut self, net: &dyn LatencyModel, sink: &mut S) {
-        for l in 0..self.nodes.len() {
-            if self.alive[l] {
-                let id = NodeId::new(l as u32 * self.lanes + self.index);
-                self.with_ctx(SimTime::ZERO, id, net, sink, |p, ctx| p.on_start(ctx));
+    /// Starts fetching what a dispatch to `node` reads first — its leading
+    /// lines, RNG and liveness flag — or, at `hook`, what
+    /// [`Protocol::prefetch`] names. See [`Worker::prefetch_next`].
+    #[inline(always)]
+    fn prefetch_node(&self, node: u32, hook: bool) {
+        let l = self.local(NodeId::new(node));
+        if let (Some(p), Some(rng), Some(alive)) =
+            (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
+        {
+            prefetch(p);
+            if hook {
+                p.prefetch();
+            } else {
+                prefetch(rng);
+                prefetch(alive);
             }
-        }
-    }
-
-    /// Runs every local event with `at <= end_inclusive`.
-    ///
-    /// The event sink is a type parameter — the engine's own recorder at
-    /// one lane, this lane's buffer otherwise — and the execute → dispatch
-    /// → handler chain below is forced inline: with a `dyn` sink and the
-    /// chain left to the inliner the one-lane loop ran ≈ 6 % slower than
-    /// the serial kernel it replaced on a 128-node, cache-resident run
-    /// (EXPERIMENTS.md "One kernel").
-    pub(crate) fn run_window<S: Recorder<P::Event>>(
-        &mut self,
-        end_inclusive: SimTime,
-        net: &dyn LatencyModel,
-        sink: &mut S,
-    ) {
-        loop {
-            self.note_depth();
-            // Deadline test and pop share a single probe of the front.
-            let Some(ev) = self.queue.pop_at_or_before(end_inclusive) else {
-                break;
-            };
-            self.execute(ev, net, sink);
-        }
-    }
-
-    /// Runs the earliest local event, returning its timestamp.
-    pub(crate) fn step<S: Recorder<P::Event>>(
-        &mut self,
-        net: &dyn LatencyModel,
-        sink: &mut S,
-    ) -> Option<SimTime> {
-        self.note_depth();
-        let ev = self.queue.pop()?;
-        let at = ev.at;
-        self.execute(ev, net, sink);
-        Some(at)
-    }
-
-    #[inline]
-    fn note_depth(&mut self) {
-        let depth = self.queue.len();
-        if depth > self.kernel.queue_high_water {
-            self.kernel.queue_high_water = depth;
         }
     }
 
     #[inline(always)]
     fn execute<S: Recorder<P::Event>>(
         &mut self,
-        ev: Scheduled<Event<P::Msg, P::Command>>,
+        ev: Scheduled<Ev<P>>,
+        queue: &mut Queue<P>,
         net: &dyn LatencyModel,
         sink: &mut S,
     ) {
+        // The depth this lane had with the event still pending, then without.
+        self.kernel.queue_high_water = self.kernel.queue_high_water.max(self.ties.pending);
+        self.ties.pending -= 1;
         self.kernel.events_processed += 1;
-        self.prefetch_next();
         if self.telemetry.enabled {
-            self.telemetry.queue_depth.observe(self.queue.len() as u64);
+            self.telemetry.queue_depth.observe(self.ties.pending as u64);
             if self
                 .kernel
                 .events_processed
@@ -245,55 +242,21 @@ impl<P: Protocol> Lane<P> {
             {
                 let class = ev.payload.class();
                 let t0 = std::time::Instant::now();
-                self.dispatch(ev.at, ev.payload, net, sink);
+                self.dispatch(ev.at, ev.payload, queue, net, sink);
                 let ns = t0.elapsed().as_nanos() as u64;
                 self.telemetry.dispatch_ns[class.index()].observe(ns);
                 return;
             }
         }
-        self.dispatch(ev.at, ev.payload, net, sink);
-    }
-
-    /// Starts fetching what the next two dispatches read, so the misses
-    /// overlap with the handler about to run. At scale every event starts
-    /// on a node that has left the cache (EXPERIMENTS.md "Which share of
-    /// an event grows with the population"), and its handler then follows
-    /// the node's pointers to its containers. Two stages:
-    ///
-    /// 1. the node whose event pops *second*: its leading lines, RNG and
-    ///    liveness flag;
-    /// 2. the node whose event pops *next*: [`Protocol::prefetch`], which
-    ///    reads the container pointers from lines stage 1 requested one
-    ///    event earlier. The leading lines are asked for again first: in
-    ///    cache that costs next to nothing, and when an event scheduled
-    ///    since has overtaken stage 1's guess it puts all four lines in
-    ///    flight at once, not one by one as the hook and handler reach
-    ///    them.
-    #[inline(always)]
-    fn prefetch_next(&self) {
-        if let Some(hint) = self.queue.second_hint() {
-            let l = self.local(NodeId::new(hint));
-            if let (Some(p), Some(rng), Some(alive)) =
-                (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
-            {
-                prefetch(p);
-                prefetch(rng);
-                prefetch(alive);
-            }
-        }
-        if let Some(hint) = self.queue.next_hint() {
-            if let Some(p) = self.nodes.get(self.local(NodeId::new(hint))) {
-                prefetch(p);
-                p.prefetch();
-            }
-        }
+        self.dispatch(ev.at, ev.payload, queue, net, sink);
     }
 
     #[inline(always)]
     fn dispatch<S: Recorder<P::Event>>(
         &mut self,
         at: SimTime,
-        ev: Event<P::Msg, P::Command>,
+        ev: Ev<P>,
+        queue: &mut Queue<P>,
         net: &dyn LatencyModel,
         sink: &mut S,
     ) {
@@ -302,19 +265,21 @@ impl<P: Protocol> Lane<P> {
                 let dead = !self.alive[self.local(to)];
                 if !self.faults.blocked(from, to, dead) {
                     self.kernel.deliveries += 1;
-                    self.with_ctx(at, to, net, sink, |p, ctx| p.on_message(ctx, from, msg));
+                    self.with_ctx(at, to, queue, net, sink, |p, ctx| {
+                        p.on_message(ctx, from, msg)
+                    });
                 }
             }
             Event::Fire { node, timer } => {
                 if self.alive[self.local(node)] {
                     self.kernel.timers_fired += 1;
-                    self.with_ctx(at, node, net, sink, |p, ctx| p.on_timer(ctx, timer));
+                    self.with_ctx(at, node, queue, net, sink, |p, ctx| p.on_timer(ctx, timer));
                 }
             }
             Event::Command { node, cmd } => {
                 if self.alive[self.local(node)] {
                     self.kernel.commands += 1;
-                    self.with_ctx(at, node, net, sink, |p, ctx| p.on_command(ctx, cmd));
+                    self.with_ctx(at, node, queue, net, sink, |p, ctx| p.on_command(ctx, cmd));
                 }
             }
             Event::Fail { node } => {
@@ -336,6 +301,7 @@ impl<P: Protocol> Lane<P> {
         &mut self,
         at: SimTime,
         node: NodeId,
+        queue: &mut Queue<P>,
         net: &dyn LatencyModel,
         sink: &mut S,
         f: F,
@@ -351,7 +317,8 @@ impl<P: Protocol> Lane<P> {
             from: node,
             now: at,
             net,
-            queue: &mut self.queue,
+            queue,
+            ties: &mut self.ties,
             stats: &mut self.stats,
             faults: &mut self.faults,
             outbox: &mut self.outbox,
@@ -361,14 +328,130 @@ impl<P: Protocol> Lane<P> {
         f(p, &mut ctx);
     }
 
+    /// This lane's counters; the queue's storage is its worker's to add.
     pub(crate) fn kernel_stats(&self) -> KernelStats {
         let mut k = self.kernel;
-        k.queue_len = self.queue.len();
-        k.events_scheduled = self.queue.scheduled_total();
+        k.queue_len = self.ties.pending;
+        k.events_scheduled = self.ties.next & SEQ_MASK;
         k.fates = self.faults.fates();
-        k.slab_slots = self.queue.slab_slots();
-        k.queue_mem_bytes = self.queue.mem_bytes();
         k
+    }
+}
+
+/// A contiguous chunk of lanes, from lane `first` on, whose events all
+/// wait in one queue: what one thread runs. A queue costs its fixed tiers
+/// and a slab as deep as its start-up storm, so the engine builds one per
+/// thread, not one per lane.
+pub(crate) struct Worker<P: Protocol> {
+    pub(crate) first: usize,
+    pub(crate) lanes: Vec<Lane<P>>,
+    pub(crate) queue: Queue<P>,
+    /// Recorder events of the window, in pop order: filled only where
+    /// several workers share one recorder, which merges them at the
+    /// barrier.
+    pub(crate) events_out: VecRecorder<P::Event>,
+}
+
+impl<P: Protocol> Worker<P> {
+    /// Schedules `ev` for lane `lane` (a global index, in this chunk).
+    #[inline]
+    pub(crate) fn schedule(&mut self, lane: usize, at: SimTime, hint: u32, ev: Ev<P>) {
+        let ties = &mut self.lanes[lane - self.first].ties;
+        ties.schedule(&mut self.queue, at, hint, ev);
+    }
+
+    /// Calls `on_start` on every alive node, lane by lane.
+    pub(crate) fn start<S: Recorder<P::Event>>(&mut self, net: &dyn LatencyModel, sink: &mut S) {
+        for lane in &mut self.lanes {
+            for l in 0..lane.nodes.len() {
+                let id = NodeId::new(l as u32 * lane.lanes + lane.index);
+                let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
+                if lane.alive[l] {
+                    lane.with_ctx(SimTime::ZERO, id, &mut self.queue, net, sink, on_start);
+                }
+            }
+        }
+    }
+
+    /// Runs every event with `at <= end_inclusive`, in `(time, lane,
+    /// sequence)` order: each lane's own order, and for the chunk the
+    /// order the engine's recorder merges lanes in.
+    ///
+    /// The event sink is a type parameter — the engine's own recorder with
+    /// one worker, this worker's buffer otherwise — and the execute →
+    /// dispatch → handler chain is forced inline: with a `dyn` sink and
+    /// the chain left to the inliner the one-lane loop ran ≈ 6 % slower
+    /// than the serial kernel it replaced on a 128-node, cache-resident
+    /// run (EXPERIMENTS.md "One kernel").
+    pub(crate) fn run_window<S: Recorder<P::Event>>(
+        &mut self,
+        end_inclusive: SimTime,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) {
+        // Deadline test and pop share a single probe of the front.
+        while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
+            self.execute(ev, net, sink);
+        }
+    }
+
+    /// Runs the earliest event, returning its timestamp.
+    pub(crate) fn step<S: Recorder<P::Event>>(
+        &mut self,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) -> Option<SimTime> {
+        let ev = self.queue.pop()?;
+        let at = ev.at;
+        self.execute(ev, net, sink);
+        Some(at)
+    }
+
+    #[inline(always)]
+    fn execute<S: Recorder<P::Event>>(
+        &mut self,
+        ev: Scheduled<Ev<P>>,
+        net: &dyn LatencyModel,
+        sink: &mut S,
+    ) {
+        self.prefetch_next();
+        let lane = (ev.seq >> SEQ_BITS) as usize - self.first;
+        self.lanes[lane].execute(ev, &mut self.queue, net, sink);
+    }
+
+    /// Starts fetching what the next two dispatches read, so the misses
+    /// overlap with the handler about to run. At scale every event starts
+    /// on a node that has left the cache (EXPERIMENTS.md "Which share of
+    /// an event grows with the population"), and its handler then follows
+    /// the node's pointers to its containers. Two stages:
+    ///
+    /// 1. the node whose event pops *second*: its leading lines, RNG and
+    ///    liveness flag;
+    /// 2. the node whose event pops *next*: [`Protocol::prefetch`], which
+    ///    reads the container pointers from lines stage 1 requested one
+    ///    event earlier. The leading lines are asked for again first: in
+    ///    cache that costs next to nothing, and when an event scheduled
+    ///    since has overtaken stage 1's guess it puts all four lines in
+    ///    flight at once, not one by one as the hook and handler reach
+    ///    them.
+    #[inline(always)]
+    fn prefetch_next(&self) {
+        for (hint, hook) in [
+            (self.queue.second_hint(), false),
+            (self.queue.next_hint(), true),
+        ] {
+            if let Some(node) = hint {
+                let lanes = self.lanes[0].lanes;
+                let lane = if lanes == 1 {
+                    0
+                } else {
+                    (node % lanes) as usize
+                };
+                if let Some(lane) = self.lanes.get(lane.wrapping_sub(self.first)) {
+                    lane.prefetch_node(node, hook);
+                }
+            }
+        }
     }
 }
 
@@ -381,7 +464,8 @@ struct Backend<'a, P: Protocol, S> {
     from: NodeId,
     now: SimTime,
     net: &'a dyn LatencyModel,
-    queue: &'a mut EventQueue<Event<P::Msg, P::Command>>,
+    queue: &'a mut Queue<P>,
+    ties: &'a mut Ties,
     stats: &'a mut TrafficStats,
     faults: &'a mut FaultState,
     outbox: &'a mut Vec<CrossLaneMsg<P::Msg>>,
@@ -402,8 +486,8 @@ impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
         }
         let at = self.now + latency;
         if self.lanes == 1 || to.as_u32() % self.lanes == self.lane_index {
-            self.queue
-                .schedule_hinted(at, to.as_u32(), Event::Deliver { from, to, msg });
+            let ev = Event::Deliver { from, to, msg };
+            self.ties.schedule(self.queue, at, to.as_u32(), ev);
         } else {
             self.outbox.push(CrossLaneMsg { at, from, to, msg });
         }
@@ -411,8 +495,9 @@ impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
 
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
         let node = self.from;
-        self.queue
-            .schedule_hinted(self.now + delay, node.as_u32(), Event::Fire { node, timer });
+        let ev = Event::Fire { node, timer };
+        self.ties
+            .schedule(self.queue, self.now + delay, node.as_u32(), ev);
     }
 
     fn emit(&mut self, event: P::Event) {

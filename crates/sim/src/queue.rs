@@ -1,9 +1,11 @@
 //! The pending-event queue.
 //!
 //! A calendar queue (R. Brown, "Calendar queues", CACM 31(10), 1988) keyed
-//! on `(time, sequence)`. The monotonically increasing sequence number
-//! breaks ties between events scheduled for the same instant in insertion
-//! order, which makes simulation runs fully deterministic for a given seed.
+//! on `(time, tie)`. The tie is a monotonically increasing sequence number,
+//! which breaks ties between events scheduled for the same instant in
+//! insertion order, or a key the caller assigns
+//! ([`EventQueue::schedule_keyed`]); either way simulation runs are fully
+//! deterministic for a given seed.
 //!
 //! ## Three tiers
 //!
@@ -26,8 +28,8 @@
 //!   leaves the front fewer than two events, the front moves on through
 //!   the next buckets that hold any, sorting each in behind what it
 //!   still has, until it holds eight.
-//!   A list is a chain of dependent loads, and at scale a lane's keys
-//!   leave the cache between its windows, so every pop that does not
+//!   A list is a chain of dependent loads, and at scale a key leaves the
+//!   cache between its schedule and its bucket's turn, so every pop that does not
 //!   refill takes one step along the next bucket's list, asking the cache
 //!   for the key after it: the refill finds those slots in hand.
 //! - **The far heap**: a 4-ary min-heap of the slots of the events past
@@ -116,8 +118,8 @@ pub fn prefetch_slice<T>(items: &[T]) {
 
 /// A scheduled entry: fires `payload` at `at`.
 ///
-/// `seq` is the queue-assigned insertion number; equal-`at` entries pop in
-/// increasing `seq` order.
+/// `seq` is the tie: the queue-assigned insertion number, or the caller's
+/// key; equal-`at` entries pop in increasing `seq` order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scheduled<T> {
     /// When the event fires.
@@ -139,13 +141,13 @@ const BUCKETS: u64 = 512;
 
 /// Fewest events a refill leaves in the front, if as many are pending.
 /// Two make both hints exact reads; eight spread a refill's fixed cost
-/// over more pops where buckets hold one or two events (a lane of 16
-/// nodes), and cost a lane with full buckets nothing.
+/// over more pops where buckets hold one or two events (a simulation of a
+/// few dozen nodes), and cost a queue with full buckets nothing.
 const FRONT_MIN: usize = 8;
 
-/// Most slots a walk stages ahead of a refill: several times what a
-/// bucket holds on a lane at 10⁴ nodes, and a fixed 256 B however deep
-/// the start-up storm's buckets are; a refill chases the rest.
+/// Most slots a walk stages ahead of a refill: a fixed 256 B however deep
+/// a bucket is — a few hundred events at 10³ nodes, more in the start-up
+/// storm; a refill chases the rest.
 const WALK_MAX: usize = 64;
 
 /// The bucket ("day") an event falls in.
@@ -314,9 +316,20 @@ impl<T> EventQueue<T> {
     /// no hint.
     #[inline]
     pub fn schedule_hinted(&mut self, at: SimTime, hint: u32, payload: T) {
+        self.schedule_keyed(at, self.next_seq, hint, payload);
+    }
+
+    /// [`EventQueue::schedule_hinted`] with the caller's own tie-break:
+    /// events at one instant pop in increasing `tie`, which the caller keeps
+    /// unique among pending events (a queue is scheduled by keys or
+    /// without, not both). The kernel's worker queues key each event by its
+    /// lane and the lane's own sequence, so lanes sharing a queue pop as
+    /// if each had its own.
+    #[inline]
+    pub fn schedule_keyed(&mut self, at: SimTime, tie: u64, hint: u32, payload: T) {
         let key = Key {
             at,
-            seq: self.next_seq,
+            seq: tie,
             hint,
             next: NIL,
         };
@@ -475,7 +488,7 @@ impl<T> EventQueue<T> {
     /// slot whose key the last pop asked the cache for, and asks for the
     /// next one. A refill then finds a bucket's slots in hand and its keys
     /// fetched in parallel, not behind a chain of dependent misses — at
-    /// scale, a lane's keys leave the cache between its windows.
+    /// scale, a key leaves the cache between its schedule and its pop.
     #[inline(always)]
     fn walk_next_bucket(&mut self) {
         let slot = self.walk_next;
@@ -679,7 +692,7 @@ impl<T> EventQueue<T> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
+    /// Total number of events ever scheduled on this queue, keyed or not.
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
