@@ -81,8 +81,7 @@ impl KernelStats {
 
     /// Folds another kernel's counters into this one — the engine's
     /// per-lane aggregation. Monotonic counters and memory sizes
-    /// add (a lane reports no queue memory: its worker's queue holds its
-    /// events); the high-water mark takes the per-lane maximum (a lane-local
+    /// add; the high-water mark takes the per-lane maximum (a lane-local
     /// depth — [`Engine::kernel_stats`] raises it to the all-lane count it
     /// samples itself); wall time takes the maximum because lanes run
     /// concurrently.
@@ -826,10 +825,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         }
     }
 
-    /// Ends a run call: lane 0 holds the traffic totals, the clock stands
-    /// at `deadline`, and the queues and window buffers, at rest, give back
-    /// what the start-up storm, or any burst since, made them reserve
-    /// beyond what is pending now.
+    /// Ends a run call at `deadline`: lane 0 takes the traffic totals, and
+    /// the queues and buffers, at rest, give back what the start-up storm,
+    /// or any burst since, made them reserve beyond what is pending now.
     fn finish_run(&mut self, deadline: SimTime) {
         self.fold_stats();
         self.now = deadline;
@@ -911,10 +909,9 @@ where
         self.run_until(self.now + d);
     }
 
-    /// The window loop on one persistent thread per worker. Each window
-    /// the coordinator hands every worker its own chunk and takes them all
-    /// back, then merges their recorder buffers and flushes the outboxes:
-    /// a worker holds a chunk only while it runs it.
+    /// The window loop on one thread per worker: each window a worker
+    /// takes its chunk, runs it and hands it back, and the coordinator
+    /// merges the recorder buffers and flushes the outboxes.
     fn run_workers(&mut self, deadline: SimTime) {
         let delta = self.delta();
         let (net, chunk, lanes) = (&*self.net, self.chunk, self.lane_count);

@@ -1,19 +1,14 @@
 //! One lane of the simulation engine: a self-contained slice of the node
 //! population with its own per-node RNG streams, counters, telemetry and
 //! fault-state replica — and the **only** dispatch table and send path in
-//! the crate — and the [`Worker`] that runs a contiguous chunk of lanes
-//! off one event queue.
+//! the crate. A lane owns no queue: a [`Worker`] runs a contiguous chunk
+//! of lanes off one, keyed by `(time, lane, per-lane sequence)`, so a
+//! lane pops in its own order whichever lanes share the queue.
 //!
 //! Node `g` lives in lane `g % lanes` at local index `g / lanes`. With one
 //! lane that is the whole population and nothing ever crosses lanes; with
 //! more, sends to other lanes buffer in the lane's outbox until the
 //! engine's window barrier (see [`crate::Engine`]).
-//!
-//! A lane owns no queue. Its events wait in its worker's, keyed by
-//! `(time, lane, per-lane sequence)`: the lane numbers its own schedules,
-//! so what a lane does is the same whichever worker, and whichever other
-//! lanes, share the queue with it, and one worker pops its lanes' events
-//! in the order the engine's recorder wants them.
 //!
 //! Link cuts, the loss/jitter state and the partition labelling are
 //! *global* facts applied at delivery (or send) time, so each lane holds a
@@ -339,16 +334,13 @@ impl<P: Protocol> Lane<P> {
 }
 
 /// A contiguous chunk of lanes, from lane `first` on, whose events all
-/// wait in one queue: what one thread runs. A queue costs its fixed tiers
-/// and a slab as deep as its start-up storm, so the engine builds one per
-/// thread, not one per lane.
+/// wait in one queue: what one thread runs.
 pub(crate) struct Worker<P: Protocol> {
     pub(crate) first: usize,
     pub(crate) lanes: Vec<Lane<P>>,
     pub(crate) queue: Queue<P>,
-    /// Recorder events of the window, in pop order: filled only where
-    /// several workers share one recorder, which merges them at the
-    /// barrier.
+    /// Recorder events of the window, in pop order, where several workers
+    /// share one recorder.
     pub(crate) events_out: VecRecorder<P::Event>,
 }
 

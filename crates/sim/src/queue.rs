@@ -145,10 +145,11 @@ const BUCKETS: u64 = 512;
 /// few dozen nodes), and cost a queue with full buckets nothing.
 const FRONT_MIN: usize = 8;
 
-/// Most slots a walk stages ahead of a refill: a fixed 256 B however deep
-/// a bucket is — a few hundred events at 10³ nodes, more in the start-up
-/// storm; a refill chases the rest.
-const WALK_MAX: usize = 64;
+/// Most slots a walk stages ahead of a refill: more than a bucket holds in
+/// the one queue of a 10⁴-node run (≈ 570 events), and a fixed 4 KiB
+/// however deep the start-up storm's buckets are; a refill chases the
+/// rest, a dependent miss a slot.
+const WALK_MAX: usize = 1024;
 
 /// The bucket ("day") an event falls in.
 #[inline]
@@ -853,22 +854,22 @@ mod tests {
     fn refill_takes_what_the_walk_staged_and_what_it_did_not() {
         // Bucket 2 holds more than a walk stages, and gains events while
         // bucket 1 drains and the walk runs along it.
-        let day = 1u64 << BUCKET_SHIFT;
+        let (day, cap) = (1u64 << BUCKET_SHIFT, WALK_MAX as u64);
         let mut q = EventQueue::new();
-        for i in 0..100 {
+        for i in 0..cap + 40 {
             q.schedule(SimTime::from_nanos(day + i), i);
         }
-        for i in 0..200 {
-            q.schedule(SimTime::from_nanos(2 * day + 1_000 - i), 1_000 + i);
+        for i in 0..2 * cap {
+            q.schedule(SimTime::from_nanos(2 * day + 3 * cap - i), 10 * cap + i);
         }
         let mut popped = Vec::new();
-        for i in 0..80 {
+        for i in 0..cap + 20 {
             popped.push(q.pop().expect("pending"));
-            q.schedule(SimTime::from_nanos(2 * day + 7 * i), 2_000 + i);
+            q.schedule(SimTime::from_nanos(2 * day + 2 * i), 20 * cap + i);
         }
         assert_eq!(q.walked.len(), WALK_MAX, "the walk stops at its cap");
         popped.extend(std::iter::from_fn(|| q.pop()));
-        assert_eq!(popped.len(), 380);
+        assert_eq!(popped.len() as u64, 4 * cap + 60);
         for pair in popped.windows(2) {
             assert!((pair[0].at, pair[0].seq) < (pair[1].at, pair[1].seq));
         }

@@ -183,10 +183,17 @@ absent  crates/net/src  -  sites \* sites
 
 # One event queue per host, one timer contract: each testnet shard
 # schedules faults, commands, timers and jitter holds on one
-# gocast_sim::EventQueue, as a kernel lane does, and every armed timer
+# gocast_sim::EventQueue, as a kernel worker does, and every armed timer
 # fires once on every host: no timer is replaced by identity or cancelled.
 absent  crates/testnet/src  -  TimerWheel|DelayQueue
 absent  crates  -  FxHashMap<Timer|fn cancel\(
+
+# One event queue per worker thread: a kernel lane owns no queue (its
+# events wait in its worker's, keyed by lane and per-lane sequence), and
+# threads take disjoint chunks of lanes over channels, not lanes behind
+# locks.
+once    crates/sim/src/lane.rs  -  (^|[^[:alnum:]_])queue: (Queue|EventQueue)<
+absent  crates/sim/src  crates/sim/src/parallel\.rs:  Mutex<|trait LaneSet([^_[:alnum:]]|$)
 GATES
 [[ "$gate_failed" -eq 0 ]] || exit 1
 
