@@ -4,7 +4,6 @@
 //! over a contiguous chunk of lanes. The execution and determinism model
 //! is documented on [`Engine`].
 
-use std::borrow::{Borrow, BorrowMut};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -347,20 +346,18 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
 /// lane by lane in send order: each lane numbers what reaches it in that
 /// order, so the messages pop in `(arrival, source lane, send order)` at
 /// any thread count.
-fn flush<P: Protocol>(workers: &mut [impl BorrowMut<Worker<P>>], chunk: usize, lanes: usize) {
+fn flush<P: Protocol>(workers: &mut [&mut Worker<P>], chunk: usize, lanes: usize) {
     for w in 0..workers.len() {
-        for l in 0..workers[w].borrow().lanes.len() {
+        for l in 0..workers[w].lanes.len() {
             // A lane never sends to itself through its outbox, so nothing
             // misses the buffer while it is out.
-            let mut outbox = std::mem::take(&mut workers[w].borrow_mut().lanes[l].outbox);
+            let mut outbox = std::mem::take(&mut workers[w].lanes[l].outbox);
             for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
                 let lane = to.index() % lanes;
                 let ev = Event::Deliver { from, to, msg };
-                workers[lane / chunk]
-                    .borrow_mut()
-                    .schedule(lane, at, to.as_u32(), ev);
+                workers[lane / chunk].schedule(lane, at, to.as_u32(), ev);
             }
-            workers[w].borrow_mut().lanes[l].outbox = outbox;
+            workers[w].lanes[l].outbox = outbox;
         }
     }
 }
@@ -371,14 +368,14 @@ fn flush<P: Protocol>(workers: &mut [impl BorrowMut<Worker<P>>], chunk: usize, l
 /// events: the only instants at which an all-lane count exists, and the
 /// same ones at any thread count.
 fn next_window<P: Protocol>(
-    workers: &[impl Borrow<Worker<P>>],
+    workers: &[&mut Worker<P>],
     deadline: SimTime,
     delta: Option<u64>,
     high_water: &mut usize,
 ) -> Option<SimTime> {
     let (mut next, mut pending) = (None, 0);
     for w in workers {
-        let queue = &w.borrow().queue;
+        let queue = &w.queue;
         next = [next, queue.peek_time()].into_iter().flatten().min();
         pending += queue.len();
     }
@@ -787,10 +784,11 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         }
         self.started = true;
         let net = M::model(&self.net);
-        for w in &mut self.workers {
+        let mut workers: Vec<_> = self.workers.iter_mut().collect();
+        for w in &mut workers {
             w.start(net, &mut self.recorder);
         }
-        flush(&mut self.workers, self.chunk, self.lane_count);
+        flush(&mut workers, self.chunk, self.lane_count);
         self.fold_stats();
     }
 
@@ -819,9 +817,10 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         let delta = self.delta();
         let net = M::model(&self.net);
         let high_water = &mut self.window_loop.pending_high_water;
-        while let Some(end) = next_window(&self.workers, deadline, delta, high_water) {
-            self.workers[0].run_window(end, net, &mut self.recorder);
-            flush(&mut self.workers, self.chunk, self.lane_count);
+        let mut one = [&mut self.workers[0]];
+        while let Some(end) = next_window(&one, deadline, delta, high_water) {
+            one[0].run_window(end, net, &mut self.recorder);
+            flush(&mut one, self.chunk, self.lane_count);
         }
     }
 
@@ -924,13 +923,15 @@ where
             let channels: Vec<_> = (0..workers.len())
                 .map(|_| {
                     let (start, windows) = mpsc::sync_channel::<(&mut Worker<P>, SimTime)>(1);
-                    let (done, back) = mpsc::sync_channel::<&mut Worker<P>>(1);
+                    // The same message type both ways: one channel type to
+                    // compile, not two.
+                    let (done, back) = mpsc::sync_channel(1);
                     s.spawn(move || {
                         for (w, end) in windows {
                             let mut out = std::mem::take(&mut w.events_out);
                             w.run_window(end, net, &mut out);
                             w.events_out = out;
-                            done.send(w)
+                            done.send((w, end))
                                 .expect("the coordinator waits for every worker");
                         }
                     });
@@ -943,7 +944,7 @@ where
                     start.send((w, end)).expect("a worker thread panicked");
                 }
                 for (_, back) in &channels {
-                    workers.push(back.recv().expect("a worker thread panicked"));
+                    workers.push(back.recv().expect("a worker thread panicked").0);
                 }
                 for (i, w) in workers.iter_mut().enumerate() {
                     let events = w.events_out.events.drain(..).enumerate();
