@@ -104,7 +104,7 @@ fn scale_opts(nodes: usize) -> ExpOptions {
     o
 }
 
-/// What one pending GoCast event occupies in a lane queue: an 80-byte
+/// What one pending GoCast event occupies in an event queue: an 80-byte
 /// payload slot (the 72-byte message beside its addressing) and a 24-byte
 /// heap entry.
 const EVENT_BYTES: u64 = 104;

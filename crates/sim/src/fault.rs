@@ -85,8 +85,8 @@ impl NetFates {
 ///
 /// Link cuts, the partition labelling and the loss/jitter settings are
 /// *global* facts about the network, whoever moves the messages: the
-/// simulation kernel holds one replica per lane (updated by broadcasting
-/// a control event into every lane's queue), the testnet fabric one per
+/// simulation kernel holds one replica per lane (updated by scheduling a
+/// control event for every lane), the testnet fabric one per
 /// shard (every shard replays the full plan). Both ask it the same two
 /// questions: [`FaultState::blocked`] — is an endpoint dead, or the path
 /// cut or partitioned? (kernel: at delivery; wire: at transmit) — and

@@ -357,8 +357,8 @@ impl<P: Protocol> Worker<P> {
         for lane in &mut self.lanes {
             for l in 0..lane.nodes.len() {
                 let id = NodeId::new(l as u32 * lane.lanes + lane.index);
-                let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
                 if lane.alive[l] {
+                    let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
                     lane.with_ctx(SimTime::ZERO, id, &mut self.queue, net, sink, on_start);
                 }
             }

@@ -76,8 +76,9 @@
 //!   random draws *other* nodes made.
 //! - Protocol code has no access to wall-clock time or IO.
 //! - With more than one lane, node → lane assignment is a pure function
-//!   of the node id and the lane count (never the thread count), and
-//!   cross-lane messages enter their destination queues at window barriers
+//!   of the node id and the lane count (never the thread count), each
+//!   lane numbers its own events whichever worker's queue holds them, and
+//!   cross-lane messages reach their destination lanes at window barriers
 //!   in a canonical order — so parallelism cannot reorder anything
 //!   observable.
 //!

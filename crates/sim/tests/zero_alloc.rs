@@ -171,9 +171,8 @@ fn telemetry_enabled_kernel_path_does_not_allocate() {
 fn sixty_four_lane_window_loop_does_not_allocate() {
     // The sharded kernel's shape at scale: 64 lanes, four nodes each, one
     // driving thread. Every token crosses to the next lane, so each window
-    // also runs the outbox and the barrier merge; the lane queues, outboxes
-    // and merge buffers must all be at their high-water marks after the
-    // warm-up.
+    // also runs the outboxes and the barrier flush; the one queue and the
+    // outboxes must all be at their high-water marks after the warm-up.
     let n = 256u32;
     let mut sim = ShardedSimBuilder::new(FixedLatency::new(n as usize, Duration::from_millis(3)))
         .seed(7)
