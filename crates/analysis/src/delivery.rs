@@ -6,7 +6,7 @@
 //! - [`DeliveryTracker`] is the only place a run counts what happened to
 //!   its messages: injections, first deliveries (tree or pull, hop
 //!   counts, per-node latency aggregates and an all-delays
-//!   [`DelayHistogram`]), redundant payloads, pushes, IHAVE entries,
+//!   [`Log2Histogram`]), redundant payloads, pushes, IHAVE entries,
 //!   pulls requested and served, and per-message delivery counts in
 //!   injection order for windowed delivery ratios. State is
 //!   O(nodes + messages), never O(deliveries).
@@ -34,10 +34,10 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use gocast::{DeliveryPath, GoCastEvent, MsgId};
-use gocast_sim::{NodeId, Recorder, SimTime};
+use gocast_sim::{Log2Histogram, NodeId, Recorder, SimTime};
 
 use crate::convergence::ConvergenceTracker;
-use crate::stats::{Cdf, DelayHistogram};
+use crate::stats::Cdf;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeAgg {
@@ -96,7 +96,8 @@ pub struct DeliveryTracker {
     /// Per message, in injection order: `(id, injected_at, deliveries)`.
     msgs: Vec<(MsgId, SimTime, u64)>,
     per_node: Vec<NodeAgg>,
-    delays: DelayHistogram,
+    /// Every delivery delay, in nanoseconds.
+    delays: Log2Histogram,
     injected: u64,
     delivered: u64,
     redundant: u64,
@@ -221,11 +222,11 @@ impl DeliveryTracker {
         }
     }
 
-    /// Streaming distribution over every (node, message) delivery delay.
-    ///
-    /// Exact `len`/`mean`/`min`/`max`; percentiles within ≈3% (see
-    /// [`DelayHistogram`]).
-    pub fn delay_histogram(&self) -> &DelayHistogram {
+    /// Streaming distribution over every (node, message) delivery delay,
+    /// in nanoseconds: exact count, sum, min and max, and quantiles at
+    /// most 1/32 high (see [`Log2Histogram`]). Exported as
+    /// `proto_delay_ns`.
+    pub fn delay_histogram(&self) -> &Log2Histogram {
         &self.delays
     }
 
@@ -336,7 +337,8 @@ impl Recorder<GoCastEvent> for DeliveryTracker {
                     let (_, t0, deliveries) = &mut self.msgs[i];
                     *deliveries += 1;
                     let delay = now.saturating_since(*t0);
-                    self.delays.add(delay);
+                    self.delays
+                        .observe(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
                     let agg = self.node_mut(node);
                     agg.delay_sum += delay;
                     agg.received += 1;
@@ -593,8 +595,8 @@ mod tests {
         );
         assert_eq!(d.deliveries_of(id(1)), 2);
         let h = d.delay_histogram();
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.max(), Duration::from_millis(150));
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.max(), 150_000_000);
     }
 
     #[test]
@@ -726,7 +728,7 @@ mod tests {
         assert_eq!(m.delivery().mean_hops(), 0.0);
         assert_eq!(m.delivery().max_hop(), 0);
         assert_eq!(m.delivery().recovery_fraction(), 0.0);
-        assert!(m.delivery().delay_histogram().is_empty());
+        assert_eq!(m.delivery().delay_histogram().count(), 0);
     }
 
     #[test]
@@ -829,7 +831,7 @@ mod tests {
             .is_empty());
         // The delivery is still counted; it just has no delay to report.
         assert_eq!(t.delivered(), 1);
-        assert!(t.delay_histogram().is_empty());
+        assert_eq!(t.delay_histogram().count(), 0);
     }
 
     #[test]

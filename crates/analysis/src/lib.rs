@@ -13,10 +13,10 @@
 //!   second, [`OrphanTracker`] spells (tree detachment in fault-scenario
 //!   runs) and the application tier's [`ConvergenceTracker`];
 //! - [`WindowRatio`] — sliding-window delivery ratios around faults;
-//! - [`Cdf`] / [`DelayHistogram`] / [`Histogram`] — distribution
-//!   statistics (delay CDFs of Figures 3–4, degree distributions of
-//!   Figure 5(a)); `DelayHistogram` is the bounded-memory streaming
-//!   counterpart of `Cdf`;
+//! - [`Cdf`] / [`Histogram`] — exact distribution statistics (delay CDFs
+//!   of Figures 3–4, degree distributions of Figure 5(a)); the ledger's
+//!   streaming, fixed-size counterpart of `Cdf` is
+//!   [`gocast_sim::Log2Histogram`] (`DeliveryTracker::delay_histogram`);
 //! - graph analysis ([`largest_component_fraction`], [`diameter`],
 //!   [`component_sizes`], [`mean_path_length`]) for the resilience and
 //!   scalability results (Figure 6, §3 summaries);
@@ -44,6 +44,6 @@ pub use graph::{
     bfs_distances, component_sizes, diameter, largest_component_fraction, mean_path_length,
 };
 pub use oracle::{InvariantOracle, OracleConfig, Violation, ViolationKind};
-pub use stats::{Cdf, DelayHistogram, Histogram, Summary};
+pub use stats::{Cdf, Histogram, Summary};
 pub use table::{fmt_ms, fmt_secs, Table};
 pub use trace::{PerHopLatency, TraceAnalysis, TraceReport};

@@ -104,162 +104,6 @@ impl Cdf {
     }
 }
 
-/// A streaming duration distribution with bounded memory.
-///
-/// Replaces "collect every delay into a [`Cdf`]" for experiment-scale
-/// runs: instead of O(samples) storage it keeps exact count / sum / min /
-/// max plus a fixed-size log-scale histogram (32 sub-buckets per octave,
-/// at most 1,920 buckets total — a few KiB regardless of run length).
-///
-/// Exactness contract:
-///
-/// - [`len`](Self::len), [`mean`](Self::mean), [`min`](Self::min) and
-///   [`max`](Self::max) are **exact** (mean uses the same `sum / n`
-///   rounding as [`Cdf::mean`]);
-/// - [`percentile`](Self::percentile) is nearest-rank over the histogram:
-///   values below 64 ns are exact, larger values are off by at most one
-///   sub-bucket (≈ 3% relative error), and the result is clamped to the
-///   exact `[min, max]` range so `percentile(0.0)` / `percentile(1.0)`
-///   are exact.
-///
-/// ```
-/// use gocast_analysis::DelayHistogram;
-/// use std::time::Duration;
-///
-/// let mut h = DelayHistogram::new();
-/// for ms in 1..=100u64 {
-///     h.add(Duration::from_millis(ms));
-/// }
-/// assert_eq!(h.len(), 100);
-/// assert_eq!(h.max(), Duration::from_millis(100));
-/// let p50 = h.percentile(0.5).as_secs_f64();
-/// assert!((p50 - 0.050).abs() / 0.050 < 0.04);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DelayHistogram {
-    counts: Vec<u64>,
-    len: u64,
-    sum: Duration,
-    min: Duration,
-    max: Duration,
-}
-
-/// Sub-bucket resolution: 2^5 = 32 buckets per octave.
-const SUB_BITS: u32 = 5;
-
-fn bucket_of(nanos: u64) -> usize {
-    if nanos < (1 << (SUB_BITS + 1)) {
-        return nanos as usize; // exact below 64 ns
-    }
-    let exp = 63 - nanos.leading_zeros();
-    let sub = ((nanos >> (exp - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
-    (((exp - SUB_BITS + 1) as usize) << SUB_BITS) | sub
-}
-
-fn bucket_midpoint(bucket: usize) -> u64 {
-    if bucket < (1 << (SUB_BITS + 1)) {
-        return bucket as u64;
-    }
-    let block = (bucket >> SUB_BITS) as u32;
-    let sub = (bucket & ((1 << SUB_BITS) - 1)) as u64;
-    let exp = block + SUB_BITS - 1;
-    let lo = (1u64 << exp) | (sub << (exp - SUB_BITS));
-    lo + (1u64 << (exp - SUB_BITS)) / 2
-}
-
-impl DelayHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        DelayHistogram::default()
-    }
-
-    /// Folds one sample in. O(1); never allocates beyond the fixed bucket
-    /// table.
-    pub fn add(&mut self, d: Duration) {
-        let bucket = bucket_of(d.as_nanos().min(u64::MAX as u128) as u64);
-        if self.counts.len() <= bucket {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-        self.sum += d;
-        if self.len == 0 {
-            self.min = d;
-            self.max = d;
-        } else {
-            self.min = self.min.min(d);
-            self.max = self.max.max(d);
-        }
-        self.len += 1;
-    }
-
-    /// Number of samples folded in.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no samples were folded in.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exact arithmetic mean (same rounding as [`Cdf::mean`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn mean(&self) -> Duration {
-        assert!(self.len > 0, "empty distribution");
-        self.sum / self.len as u32
-    }
-
-    /// Exact largest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn max(&self) -> Duration {
-        assert!(self.len > 0, "empty distribution");
-        self.max
-    }
-
-    /// Exact smallest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn min(&self) -> Duration {
-        assert!(self.len > 0, "empty distribution");
-        self.min
-    }
-
-    /// The `p`-quantile (`0.0 ..= 1.0`), nearest-rank over the histogram
-    /// buckets (≈ 3% relative error; see the type docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distribution is empty or `p` is outside `[0, 1]`.
-    pub fn percentile(&self, p: f64) -> Duration {
-        assert!(self.len > 0, "empty distribution");
-        assert!((0.0..=1.0).contains(&p), "quantile out of range");
-        if p == 0.0 {
-            return self.min;
-        }
-        if p == 1.0 {
-            return self.max;
-        }
-        let target = ((self.len as f64 * p).ceil() as u64).clamp(1, self.len);
-        let mut cum = 0u64;
-        for (bucket, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                let approx = Duration::from_nanos(bucket_midpoint(bucket));
-                return approx.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// Summary statistics over scalar samples (used by multi-seed sweeps).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -451,67 +295,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn summary_rejects_empty() {
         let _ = Summary::from_values(&[]);
-    }
-
-    #[test]
-    fn delay_histogram_tracks_exact_moments() {
-        let mut h = DelayHistogram::new();
-        assert!(h.is_empty());
-        for v in [ms(10), ms(20), ms(30), ms(40)] {
-            h.add(v);
-        }
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.mean(), ms(25));
-        assert_eq!(h.min(), ms(10));
-        assert_eq!(h.max(), ms(40));
-        assert_eq!(h.percentile(0.0), ms(10));
-        assert_eq!(h.percentile(1.0), ms(40));
-    }
-
-    #[test]
-    fn delay_histogram_percentiles_match_cdf_within_bucket_error() {
-        let vals: Vec<Duration> = (0..10_000u64).map(|i| ms(i * 13 % 997 + 1)).collect();
-        let cdf = Cdf::from_durations(vals.iter().copied());
-        let mut h = DelayHistogram::new();
-        for &v in &vals {
-            h.add(v);
-        }
-        assert_eq!(h.mean(), cdf.mean());
-        assert_eq!(h.max(), cdf.max());
-        assert_eq!(h.min(), cdf.min());
-        for p in [0.1, 0.5, 0.9, 0.99] {
-            let exact = cdf.percentile(p).as_secs_f64();
-            let approx = h.percentile(p).as_secs_f64();
-            assert!(
-                (approx - exact).abs() / exact < 0.04,
-                "p{p}: approx {approx} vs exact {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn delay_histogram_small_values_are_exact() {
-        let mut h = DelayHistogram::new();
-        for n in 0..64u64 {
-            h.add(Duration::from_nanos(n));
-        }
-        for p in [0.25, 0.5, 0.75, 1.0] {
-            let exact = Cdf::from_durations((0..64).map(Duration::from_nanos)).percentile(p);
-            assert_eq!(h.percentile(p), exact, "p = {p}");
-        }
-    }
-
-    #[test]
-    fn delay_histogram_memory_is_bounded() {
-        let mut h = DelayHistogram::new();
-        h.add(Duration::from_secs(3600)); // one huge sample
-        assert!(h.counts.len() <= 1920, "bucket table stays fixed-size");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn delay_histogram_empty_percentile_panics() {
-        let _ = DelayHistogram::new().percentile(0.5);
     }
 
     #[test]

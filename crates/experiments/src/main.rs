@@ -215,6 +215,7 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
         opts = opts.with_jobs(j);
     }
     for (flag, value) in [
+        ("--nodes", opts.nodes as u64),
         ("--seeds", seeds),
         ("--shards", opts.shards as u64),
         ("--sim-shards", opts.sim_shards as u64),
@@ -224,6 +225,17 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
             eprintln!("{flag} must be at least 1");
             usage()
         }
+    }
+    // `inject_duration` is `messages / rate` as a `Duration`.
+    let rate_ok = opts.rate.is_finite()
+        && opts.rate > 0.0
+        && Duration::try_from_secs_f64(f64::from(opts.messages) / opts.rate).is_ok();
+    if !rate_ok {
+        eprintln!(
+            "--rate must be finite and positive, and {} messages at it must take a representable time (got {})",
+            opts.messages, opts.rate
+        );
+        usage()
     }
     CliArgs {
         opts,

@@ -433,7 +433,8 @@ const APP_TOPIC_NAMES: [(&str, &str); 8] = [
 ];
 
 /// Appends the ledger's counts to `snap` under stable names, the same on
-/// every kernel and on the wire: the per-message `proto_*` counts, then —
+/// every kernel and on the wire: the per-message `proto_*` counts and the
+/// delivery-delay distribution `proto_delay_ns`, then —
 /// once the application tier delivered a topic payload or published a
 /// mutation — the `app_*` counts (labelled topics with deliveries, the
 /// aggregate bucket, totals, mutations and subscription changes).
@@ -446,6 +447,7 @@ fn ledger_snapshot_into(ledger: &MetricsRecorder, snap: &mut Snapshot) {
     snap.record_counter("proto_pull_requests", d.pulls());
     snap.record_counter("proto_pulls_served", d.pulls_served());
     snap.record_counter("proto_redundant_drops", d.redundant());
+    snap.record_histogram("proto_delay_ns", d.delay_histogram());
     let app = ledger.app().report();
     if app.topic_deliveries == 0 && app.mutations == 0 {
         return;
@@ -788,9 +790,13 @@ mod tests {
             ledger.record(t, NodeId::new(k), applied);
         }
         let out = ledger_snapshot(&ledger);
-        // 7 proto_* entries, 2 per labelled topic and 8 aggregates —
+        // 7 proto_* counters, the empty proto_delay_ns histogram (its name
+        // and 4 fields), 2 per labelled topic and 8 aggregates —
         // independent of the 1000 topics observed.
-        assert_eq!(out.matches(':').count(), 7 + 2 * APP_TOPIC_NAMES.len() + 8);
+        assert_eq!(
+            out.matches(':').count(),
+            7 + 5 + 2 * APP_TOPIC_NAMES.len() + 8
+        );
         let other = 1000 - APP_TOPIC_NAMES.len();
         for field in [
             "\"app_topic0_bytes\":10".to_string(),

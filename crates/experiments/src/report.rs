@@ -159,11 +159,12 @@ mod tests {
 
     #[test]
     fn quantile_bound_reads_buckets() {
-        // The p99 column is the live histogram's log₂ bound: 99 × 1 plus
-        // one 1000 puts p99 in bucket [1, 2), capped at 1.
+        // The p99 column is the live histogram's bound: 99 × 100 plus one
+        // 1000 puts p99 in bucket [100, 102) of the octave [64, 128), so
+        // the column reads that bucket's last value.
         let mut h = Log2Histogram::new();
         for _ in 0..99 {
-            h.observe(1);
+            h.observe(100);
         }
         h.observe(1000);
         let mut snap = Snapshot::new();
@@ -171,6 +172,9 @@ mod tests {
         let table = snapshot_tables(&snap)[0].1.to_string();
         let row = table.lines().last().expect("one row");
         let cells: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(cells, ["proto_x", "hist", "100", "-", "11.0", "1", "1000"]);
+        assert_eq!(
+            cells,
+            ["proto_x", "hist", "100", "-", "109.0", "101", "1000"]
+        );
     }
 }

@@ -9,9 +9,10 @@
 //!
 //! - [`Counter`] — a monotonic `u64`;
 //! - [`Gauge`] — a signed level with a high-water mark;
-//! - [`Log2Histogram`] — a fixed-bucket power-of-two histogram
-//!   (bucket *i* ≥ 1 holds values in `[2^(i-1), 2^i)`, bucket 0 holds
-//!   exactly zero, the top bucket saturates).
+//! - [`Log2Histogram`] — a fixed-size log-linear histogram (exact below
+//!   64, 32 sub-buckets an octave above, exact count/sum/min/max): the
+//!   one streaming distribution, from kernel queue depths to the delivery
+//!   ledger's delays.
 //!
 //! None of them allocate, lock, or hash — ever. Updating a metric is an
 //! array index plus an integer add, so the hot paths of a simulation
@@ -123,39 +124,54 @@ impl Gauge {
     }
 }
 
-/// Number of buckets in a [`Log2Histogram`]: bucket 0 plus one bucket per
-/// power of two up to `2^(BUCKETS-2)`; the last bucket saturates.
-pub const BUCKETS: usize = 44;
+/// Sub-bucket bits: every octave from 64 up splits into `2^SUB_BITS` = 32
+/// equal-width buckets.
+const SUB_BITS: u32 = 5;
 
-/// A fixed-bucket power-of-two histogram.
+/// Number of buckets in a [`Log2Histogram`]: one per value below 64, then
+/// 32 per octave `[2^k, 2^(k+1))` for `k` in `6..=63`.
+pub const BUCKETS: usize = 64 + (63 - SUB_BITS as usize) * (1 << SUB_BITS);
+
+/// A fixed-size log-linear histogram: exact below 64, 32 sub-buckets an
+/// octave above, so a bucket is never wider than 1/32 of its lower edge.
 ///
-/// Bucket 0 counts exact zeros; bucket `i >= 1` counts values in
-/// `[2^(i-1), 2^i)`; the top bucket absorbs everything at or above
-/// `2^(BUCKETS-2)`. With [`BUCKETS`] = 44 the top bucket starts at
-/// `2^42` ≈ 4.4 × 10¹² — over an hour in nanoseconds — so saturation is
-/// a pathology signal, not an expected state.
+/// Values below 64 each have their own bucket. A value `v ≥ 64` in octave
+/// `[2^k, 2^(k+1))` falls into one of 32 buckets `2^(k-5)` wide; the top
+/// bucket ends at (and includes) `u64::MAX`, so every `u64` has a bucket
+/// and nothing is clamped. `count`, `sum`, `min` and `max` are exact;
+/// [`quantile_upper_bound`](Self::quantile_upper_bound) is the
+/// nearest-rank quantile rounded up to its bucket's last value, at most
+/// 1/32 above the exact one (exact below 64).
 ///
-/// `observe` is an integer log2 (one `leading_zeros`) plus three adds:
-/// no allocation, no branching on magnitude, suitable for paths running
+/// The whole histogram is one inline array of [`BUCKETS`] counts (15 KiB):
+/// `observe` is a `leading_zeros`, a shift and four adds — no
+/// allocation, no branching on magnitude, suitable for paths running
 /// millions of times per second.
 ///
 /// ```
 /// use gocast_metrics::Log2Histogram;
 ///
 /// let mut h = Log2Histogram::new();
-/// h.observe(0); // bucket 0
-/// h.observe(1); // bucket 1: [1, 2)
-/// h.observe(7); // bucket 3: [4, 8)
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 1);
-/// assert_eq!(h.bucket_count(3), 1);
-/// assert_eq!(Log2Histogram::bucket_bounds(3), (4, 8));
+/// h.observe(7); // bucket 7: exact
+/// h.observe(1000); // [992, 1008): 16 wide in the octave [512, 1024)
+/// assert_eq!(h.bucket_count(7), 1);
+/// assert_eq!(Log2Histogram::bucket_bounds(Log2Histogram::bucket_index(1000)), (992, 1008));
+/// assert_eq!((h.min(), h.max()), (7, 1000));
+///
+/// let mut delays = Log2Histogram::new();
+/// for ms in 1..=100u64 {
+///     delays.observe(ms * 1_000_000);
+/// }
+/// let p50 = delays.quantile_upper_bound(0.5);
+/// assert!((50_000_000..=50_000_000 + 50_000_000 / 32).contains(&p50));
+/// assert_eq!(delays.quantile_upper_bound(1.0), 100_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
+    min: u64,
     max: u64,
 }
 
@@ -172,6 +188,7 @@ impl Log2Histogram {
             buckets: [0; BUCKETS],
             count: 0,
             sum: 0,
+            min: u64::MAX,
             max: 0,
         }
     }
@@ -179,21 +196,25 @@ impl Log2Histogram {
     /// The bucket index `v` falls into.
     #[inline]
     pub fn bucket_index(v: u64) -> usize {
-        // Bit length: 0 for 0, k for 2^(k-1) <= v < 2^k; saturate at top.
-        ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
+        // `shift` is 0 below 64 (the value is its own index); above, `v`'s
+        // top six bits (32..64) pick the sub-bucket of octave `shift + 5`.
+        let shift = 58 - (v | 32).leading_zeros();
+        ((shift as usize) << SUB_BITS) + (v >> shift) as usize
     }
 
     /// The half-open value range `[lo, hi)` of bucket `i`. The top
-    /// bucket's `hi` is `u64::MAX` (it saturates).
+    /// bucket's `hi` is `u64::MAX`, which it also holds.
     pub fn bucket_bounds(i: usize) -> (u64, u64) {
+        let (lo, last) = Self::bucket_range(i);
+        (lo, last.saturating_add(1))
+    }
+
+    /// The inclusive value range `[lo, last]` of bucket `i`.
+    fn bucket_range(i: usize) -> (u64, u64) {
         assert!(i < BUCKETS, "bucket {i} out of range");
-        if i == 0 {
-            (0, 1)
-        } else if i == BUCKETS - 1 {
-            (1u64 << (i - 1), u64::MAX)
-        } else {
-            (1u64 << (i - 1), 1u64 << i)
-        }
+        let shift = ((i >> SUB_BITS) as u32).saturating_sub(1);
+        let lo = ((i - ((shift as usize) << SUB_BITS)) as u64) << shift;
+        (lo, lo + ((1u64 << shift) - 1))
     }
 
     /// Records one value.
@@ -202,9 +223,8 @@ impl Log2Histogram {
         self.buckets[Self::bucket_index(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        if v > self.max {
-            self.max = v;
-        }
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Number of recorded values.
@@ -215,6 +235,15 @@ impl Log2Histogram {
     /// Sum of recorded values (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
+    }
+
+    /// Smallest recorded value (0 when empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
     }
 
     /// Largest recorded value.
@@ -245,10 +274,11 @@ impl Log2Histogram {
             .map(|(i, &c)| (i, c))
     }
 
-    /// Upper bound of the bucket containing quantile `q` (`0.0..=1.0`) —
-    /// a conservative streaming quantile at power-of-two resolution, the
-    /// same number [`HistogramSnapshot::quantile_upper_bound`] reads off a
-    /// copy. Returns 0 when empty.
+    /// The nearest-rank quantile `q` (`0.0..=1.0`) rounded up to the last
+    /// value of its bucket and capped at the largest value: at most 1/32
+    /// above the exact quantile, exact below 64. The same number
+    /// [`HistogramSnapshot::quantile_upper_bound`] reads off a copy.
+    /// Returns 0 when empty.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         quantile_upper_bound(self.nonzero_buckets(), self.count, self.max, q)
     }
@@ -260,9 +290,8 @@ impl Log2Histogram {
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        if other.max > self.max {
-            self.max = other.max;
-        }
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -280,17 +309,17 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Upper bound of the bucket containing quantile `q` (`0.0..=1.0`),
-    /// capped at the largest value — [`Log2Histogram::quantile_upper_bound`]
-    /// of the histogram this copies. Returns 0 when empty.
+    /// [`Log2Histogram::quantile_upper_bound`] of the histogram this
+    /// copies. Returns 0 when empty.
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         let buckets = self.buckets.iter().map(|&(i, c)| (i as usize, c));
         quantile_upper_bound(buckets, self.count, self.max, q)
     }
 }
 
-/// The one log₂ quantile: walks non-empty `(bucket, count)` pairs in
-/// ascending order to the first that covers `q` of `count` values.
+/// The one quantile: walks non-empty `(bucket, count)` pairs in ascending
+/// order to the first that covers the nearest rank of `q` among `count`
+/// values, and returns that bucket's last value capped at `max`.
 fn quantile_upper_bound(
     buckets: impl Iterator<Item = (usize, u64)>,
     count: u64,
@@ -305,8 +334,7 @@ fn quantile_upper_bound(
     for (i, c) in buckets {
         seen += c;
         if seen >= target {
-            let (_, hi) = Log2Histogram::bucket_bounds(i);
-            return hi.saturating_sub(1).min(max);
+            return Log2Histogram::bucket_range(i).1.min(max);
         }
     }
     max
@@ -483,20 +511,19 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_are_powers_of_two() {
-        // Exactly at each power of two a value moves up one bucket.
-        assert_eq!(Log2Histogram::bucket_index(0), 0);
-        assert_eq!(Log2Histogram::bucket_index(1), 1);
-        assert_eq!(Log2Histogram::bucket_index(2), 2);
-        assert_eq!(Log2Histogram::bucket_index(3), 2);
-        assert_eq!(Log2Histogram::bucket_index(4), 3);
-        assert_eq!(Log2Histogram::bucket_index(7), 3);
-        assert_eq!(Log2Histogram::bucket_index(8), 4);
-        for i in 1..BUCKETS - 1 {
-            let (lo, hi) = Log2Histogram::bucket_bounds(i);
-            assert_eq!(Log2Histogram::bucket_index(lo), i, "low edge of {i}");
-            assert_eq!(Log2Histogram::bucket_index(hi - 1), i, "high edge of {i}");
-            assert_eq!(Log2Histogram::bucket_index(hi), i + 1, "next bucket");
+        // Below 64 every value is its own bucket; from there on every
+        // power of two opens a new bucket run of 32.
+        for v in 0..64u64 {
+            assert_eq!(Log2Histogram::bucket_index(v), v as usize);
         }
+        for k in 6..64 {
+            let i = Log2Histogram::bucket_index(1 << k);
+            assert_eq!(i, 64 + (k - 6) * 32, "2^{k}");
+            assert_eq!(Log2Histogram::bucket_bounds(i).0, 1 << k);
+            assert_eq!(Log2Histogram::bucket_index((1 << k) - 1), i - 1);
+        }
+        assert_eq!(Log2Histogram::bucket_bounds(64), (64, 66));
+        assert_eq!(Log2Histogram::bucket_bounds(96), (128, 132));
     }
 
     #[test]
@@ -508,6 +535,7 @@ mod tests {
         h.observe(u64::MAX);
         assert_eq!(h.bucket_count(BUCKETS - 1), 2);
         assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.quantile_upper_bound(1.0), u64::MAX);
         // Sum saturates instead of wrapping.
         assert_eq!(h.sum(), u64::MAX);
     }
@@ -520,12 +548,12 @@ mod tests {
         }
         assert_eq!(h.count(), 1000);
         assert_eq!(h.sum(), 500_500);
-        assert_eq!(h.max(), 1000);
+        assert_eq!((h.min(), h.max()), (1, 1000));
         assert!((h.mean() - 500.5).abs() < 1e-9);
-        // Median of 1..=1000 lies in bucket [256, 512); the conservative
-        // estimate is that bucket's upper bound.
-        let med = h.quantile_upper_bound(0.5);
-        assert!((256..=511).contains(&med), "median bound {med}");
+        // The median 500 lies in bucket [496, 504) of the octave
+        // [256, 512); the estimate is that bucket's last value.
+        assert_eq!(h.quantile_upper_bound(0.5), 503);
+        assert_eq!(h.quantile_upper_bound(0.05), 50);
         assert_eq!(h.quantile_upper_bound(1.0), 1000);
         assert_eq!(Log2Histogram::new().quantile_upper_bound(0.5), 0);
     }
@@ -540,8 +568,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 103);
-        assert_eq!(a.max(), 100);
+        assert_eq!((a.min(), a.max()), (0, 100));
         assert_eq!(a.bucket_count(0), 1);
+        a.merge(&Log2Histogram::new());
+        assert_eq!(a.min(), 0);
     }
 
     #[test]
@@ -560,7 +590,7 @@ mod tests {
         assert_eq!(
             out,
             "\"events\":12,\"queue\":2,\"queue_hw\":4,\
-             \"depth\":{\"count\":1,\"sum\":5,\"max\":5,\"buckets\":[[3,1]]}"
+             \"depth\":{\"count\":1,\"sum\":5,\"max\":5,\"buckets\":[[5,1]]}"
         );
     }
 
@@ -582,7 +612,7 @@ mod tests {
 
     #[test]
     fn snapshot_quantile_equals_the_live_histograms() {
-        // 99 × 1 plus one 1000: p99 falls in bucket [1, 2) on both views.
+        // 99 × 1 plus one 1000: p99 falls in bucket 1 on both views.
         let mut h = Log2Histogram::new();
         for _ in 0..99 {
             h.observe(1);

@@ -7,11 +7,11 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use gocast_metrics::{Log2Histogram, Snapshot};
+use gocast_metrics::Snapshot;
 
 use crate::fault::{FaultState, NetFates, NetFault};
 use crate::id::NodeId;
-use crate::lane::{CrossLaneMsg, Event, Lane, Worker, MAX_LANES};
+use crate::lane::{CrossLaneMsg, Event, KernelTelemetry, Lane, Worker, MAX_LANES};
 use crate::latency::LatencyModel;
 use crate::protocol::Protocol;
 use crate::queue::EventQueue;
@@ -561,13 +561,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Turns on deep kernel telemetry for an already-built simulation
     /// (equivalent to [`SimBuilder::telemetry`]).
     pub fn enable_telemetry(&mut self) {
-        self.lanes_mut()
-            .for_each(|lane| lane.telemetry.enabled = true);
+        self.lanes_mut().for_each(|lane| {
+            lane.telemetry.get_or_insert_with(Box::default);
+        });
     }
 
     /// Whether deep kernel telemetry is on.
     pub fn telemetry_enabled(&self) -> bool {
-        self.workers[0].lanes[0].telemetry.enabled
+        self.workers[0].lanes[0].telemetry.is_some()
     }
 
     /// A named [`Snapshot`] of every kernel metric under stable `kernel_*`
@@ -604,17 +605,16 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             s.record_counter("kernel_lanes", self.lane_count as u64);
         }
         if self.telemetry_enabled() {
-            let mut depth = Log2Histogram::new();
-            let mut dispatch = [Log2Histogram::new(); EventClass::ALL.len()];
-            for lane in self.lanes() {
-                depth.merge(&lane.telemetry.queue_depth);
-                for (total, h) in dispatch.iter_mut().zip(&lane.telemetry.dispatch_ns) {
-                    total.merge(h);
-                }
+            let mut total = Box::<KernelTelemetry>::default();
+            for telemetry in self.lanes().filter_map(|lane| lane.telemetry.as_deref()) {
+                total.merge(telemetry);
             }
-            s.record_histogram("kernel_queue_depth", &depth);
+            s.record_histogram("kernel_queue_depth", &total.queue_depth);
             for class in EventClass::ALL {
-                s.record_wall_histogram(class.dispatch_metric_name(), &dispatch[class.index()]);
+                s.record_wall_histogram(
+                    class.dispatch_metric_name(),
+                    &total.dispatch_time[class.index()],
+                );
             }
         }
         k.fates.snapshot_into(&mut s);

@@ -70,8 +70,10 @@ pub(crate) struct CrossLaneMsg<M> {
     pub(crate) msg: M,
 }
 
-/// Deep kernel instrumentation, off by default
-/// ([`Engine::enable_telemetry`](crate::Engine::enable_telemetry)).
+/// Deep kernel instrumentation, off by default and allocated only when
+/// turned on ([`Engine::enable_telemetry`](crate::Engine::enable_telemetry)):
+/// its five histograms take 75 KiB, which a lane without telemetry does not
+/// carry.
 ///
 /// The always-on [`KernelStats`] counters cover event totals; this adds a
 /// queue-depth histogram observed at every pop (sim-deterministic) and
@@ -80,11 +82,22 @@ pub(crate) struct CrossLaneMsg<M> {
 /// in snapshots). Sampling keeps the `Instant` reads off most events:
 /// measured overhead stays within the ≤5% budget the wire-path work
 /// requires (see DESIGN.md "Telemetry").
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct KernelTelemetry {
-    pub(crate) enabled: bool,
+    /// The popping lane's pending events, at every pop.
     pub(crate) queue_depth: Log2Histogram,
-    pub(crate) dispatch_ns: [Log2Histogram; EventClass::ALL.len()],
+    /// Sampled dispatch nanoseconds, per [`EventClass`].
+    pub(crate) dispatch_time: [Log2Histogram; EventClass::ALL.len()],
+}
+
+impl KernelTelemetry {
+    /// Adds another lane's histograms to these.
+    pub(crate) fn merge(&mut self, other: &KernelTelemetry) {
+        self.queue_depth.merge(&other.queue_depth);
+        for (total, h) in self.dispatch_time.iter_mut().zip(&other.dispatch_time) {
+            total.merge(h);
+        }
+    }
 }
 
 /// Dispatch timing samples every 64th event: two `Instant` reads cost
@@ -139,7 +152,8 @@ pub(crate) struct Lane<P: Protocol> {
     pub(crate) ties: Ties,
     pub(crate) stats: TrafficStats,
     kernel: KernelStats,
-    pub(crate) telemetry: KernelTelemetry,
+    /// `Some` once telemetry is turned on.
+    pub(crate) telemetry: Option<Box<KernelTelemetry>>,
     /// This lane's replica of the network's fault state.
     pub(crate) faults: FaultState,
     /// Cross-lane sends made this window, in send order.
@@ -164,11 +178,7 @@ impl<P: Protocol> Lane<P> {
             },
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),
-            telemetry: KernelTelemetry {
-                enabled: false,
-                queue_depth: Log2Histogram::new(),
-                dispatch_ns: [Log2Histogram::new(); EventClass::ALL.len()],
-            },
+            telemetry: None,
             faults: FaultState::new(population, seed, index),
             outbox: Vec::new(),
         }
@@ -228,8 +238,8 @@ impl<P: Protocol> Lane<P> {
         self.kernel.queue_high_water = self.kernel.queue_high_water.max(self.ties.pending);
         self.ties.pending -= 1;
         self.kernel.events_processed += 1;
-        if self.telemetry.enabled {
-            self.telemetry.queue_depth.observe(self.ties.pending as u64);
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.queue_depth.observe(self.ties.pending as u64);
             if self
                 .kernel
                 .events_processed
@@ -239,7 +249,9 @@ impl<P: Protocol> Lane<P> {
                 let t0 = std::time::Instant::now();
                 self.dispatch(ev.at, ev.payload, queue, net, sink);
                 let ns = t0.elapsed().as_nanos() as u64;
-                self.telemetry.dispatch_ns[class.index()].observe(ns);
+                if let Some(telemetry) = &mut self.telemetry {
+                    telemetry.dispatch_time[class.index()].observe(ns);
+                }
                 return;
             }
         }

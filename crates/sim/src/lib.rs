@@ -106,6 +106,9 @@ mod time;
 mod trace;
 
 pub use fault::{FaultState, NetFates, NetFault};
+/// The one streaming histogram, re-exported for crates that reach the
+/// metrics registry only through the kernel (the delivery ledger).
+pub use gocast_metrics::Log2Histogram;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::NodeId;
 pub use kernel::{

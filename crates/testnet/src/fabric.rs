@@ -299,8 +299,8 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
         );
         snap.record_gauge("fabric_pending_depth", pending);
         snap.record_gauge("fabric_wanted_depth", wanted);
-        let mut per_poll = self.shards[0].telemetry.datagrams_per_poll;
-        let mut lateness = self.shards[0].telemetry.timer_lateness_ns;
+        let mut per_poll = self.shards[0].telemetry.datagrams_per_poll.clone();
+        let mut lateness = self.shards[0].telemetry.timer_lateness_ns.clone();
         for sh in &self.shards[1..] {
             per_poll.merge(&sh.telemetry.datagrams_per_poll);
             lateness.merge(&sh.telemetry.timer_lateness_ns);

@@ -194,6 +194,15 @@ absent  crates  -  FxHashMap<Timer|fn cancel\(
 # locks.
 once    crates/sim/src/lane.rs  -  (^|[^[:alnum:]_])queue: (Queue|EventQueue)<
 absent  crates/sim/src  crates/sim/src/parallel\.rs:  Mutex<|trait LaneSet([^_[:alnum:]]|$)
+
+# One streaming distribution: gocast_metrics::Log2Histogram (exact below
+# 64, 32 sub-buckets an octave) is the only one, the delivery ledger's
+# delays leave on one `proto_delay_ns` line, and a lane holds its kernel
+# telemetry boxed (the histograms are 15 KiB each), not inline.
+absent  crates,tests,examples  -  struct DelayHistogram([^_[:alnum:]]|$)
+absent  crates,tests,examples  -  fn bucket_midpoint([^_[:alnum:]]|$)
+once    crates,tests,examples  -  "proto_delay_ns"
+absent  crates/sim/src  -  dispatch_ns: \[Log2Histogram|telemetry: KernelTelemetry([^_[:alnum:]]|$)
 GATES
 [[ "$gate_failed" -eq 0 ]] || exit 1
 

@@ -398,17 +398,18 @@ proptest! {
             }
         }
         let hist = tracker.delay_histogram();
-        prop_assert_eq!(hist.len(), delays.len());
+        prop_assert_eq!(hist.count(), delays.len() as u64);
         if delays.is_empty() {
-            prop_assert!(hist.is_empty());
+            prop_assert_eq!(hist.count(), 0);
         } else {
             let exact = Cdf::from_durations(delays);
-            prop_assert_eq!(hist.mean(), exact.mean());
-            prop_assert_eq!(hist.min(), exact.min());
-            prop_assert_eq!(hist.max(), exact.max());
+            let ns = Duration::from_nanos;
+            prop_assert_eq!(ns(hist.sum()) / hist.count() as u32, exact.mean());
+            prop_assert_eq!(ns(hist.min()), exact.min());
+            prop_assert_eq!(ns(hist.max()), exact.max());
             for p in [0.1, 0.5, 0.9, 0.99] {
                 let e = exact.percentile(p).as_secs_f64();
-                let h = hist.percentile(p).as_secs_f64();
+                let h = ns(hist.quantile_upper_bound(p)).as_secs_f64();
                 prop_assert!(
                     (h - e).abs() <= e * 0.04 + 1e-7,
                     "p{} diverged: streaming {h}, exact {e}", p
