@@ -324,8 +324,10 @@ const COMPARE_CHURN: &str = concat!(
 );
 // The stream reports `kernel_queue_mem_bytes`, so this digest also pins
 // what a queued GoCast event occupies (104 B a slot, 79,560 B) and what
-// the calendar queue's tiers add (3,648 B): 83,208 at every sample.
-const CHAOS_CHURN_METRICS_FNV: u64 = 0x41d3723348647b29;
+// the calendar queue's tiers add (3,648 B): 83,208 at every sample. It
+// also pins the histogram layout: `kernel_queue_depth` and
+// `proto_delay_ns` list their non-empty buckets by index.
+const CHAOS_CHURN_METRICS_FNV: u64 = 0x553613245352deb5;
 const FIG3A_TRACE_FNV: [u64; 5] = [
     0x4151c88554a144fe,
     0x920866c35dc39aba,
