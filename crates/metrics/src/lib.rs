@@ -157,14 +157,6 @@ pub const BUCKETS: usize = 64 + (63 - SUB_BITS as usize) * (1 << SUB_BITS);
 /// assert_eq!(h.bucket_count(7), 1);
 /// assert_eq!(Log2Histogram::bucket_bounds(Log2Histogram::bucket_index(1000)), (992, 1008));
 /// assert_eq!((h.min(), h.max()), (7, 1000));
-///
-/// let mut delays = Log2Histogram::new();
-/// for ms in 1..=100u64 {
-///     delays.observe(ms * 1_000_000);
-/// }
-/// let p50 = delays.quantile_upper_bound(0.5);
-/// assert!((50_000_000..=50_000_000 + 50_000_000 / 32).contains(&p50));
-/// assert_eq!(delays.quantile_upper_bound(1.0), 100_000_000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
@@ -279,6 +271,20 @@ impl Log2Histogram {
     /// above the exact quantile, exact below 64. The same number
     /// [`HistogramSnapshot::quantile_upper_bound`] reads off a copy.
     /// Returns 0 when empty.
+    ///
+    /// ```
+    /// use gocast_metrics::Log2Histogram;
+    ///
+    /// let mut delays = Log2Histogram::new();
+    /// for ms in 1..=100u64 {
+    ///     delays.observe(ms * 1_000_000);
+    /// }
+    /// assert_eq!(delays.count(), 100);
+    /// assert_eq!(delays.max(), 100_000_000);
+    /// let p50 = delays.quantile_upper_bound(0.5);
+    /// assert!((50_000_000..=50_000_000 + 50_000_000 / 32).contains(&p50));
+    /// assert_eq!(delays.quantile_upper_bound(1.0), 100_000_000);
+    /// ```
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         quantile_upper_bound(self.nonzero_buckets(), self.count, self.max, q)
     }
