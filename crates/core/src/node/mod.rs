@@ -437,11 +437,12 @@ impl GoCastNode {
     /// their *capacity* (what the allocator handed out, buckets and control
     /// bytes included). A B-tree map has no capacity to ask for: the
     /// short-lived pull table counts its entries. Landmark coordinates are
-    /// shared handles: the node's own block is counted here, once, and the
-    /// view counts only its 8-byte handles on peers' blocks. A block no
-    /// node owns any more — a peer's coordinates from before it re-measured,
-    /// or a copy a wire decode made — is held only by views and goes
-    /// unattributed.
+    /// 4-byte handles on blocks of one process-wide slab: the node's own
+    /// 32-byte block is counted here, once, and the view counts only its
+    /// handles on peers' blocks. A block no node owns any more — a peer's
+    /// coordinates from before it re-measured, or a copy a wire decode made
+    /// — is held only by views, and a free block by no one: both go
+    /// unattributed here ([`LandmarkVector::slab_bytes`] counts the slab).
     pub fn mem_bytes(&self) -> NodeMem {
         fn table<K, V>(capacity: usize) -> usize {
             // hashbrown: capacity is 7/8 of the buckets, one control byte each.
@@ -505,11 +506,12 @@ impl GoCastNode {
 pub struct NodeMem {
     /// The node struct itself (inline fields, counters, tree state).
     pub fixed: usize,
-    /// Member view: ids plus a handle on each member's landmark
-    /// coordinates (12 B a slot).
+    /// Member view: ids plus a 4-byte handle on each member's landmark
+    /// coordinates (8 B a slot).
     pub view: usize,
-    /// This node's own landmark coordinate block, which every copy of its
-    /// coordinates in other nodes' views and in messages shares.
+    /// This node's own landmark coordinate block (32 B of the slab), which
+    /// every copy of its coordinates in other nodes' views and in messages
+    /// shares.
     pub coords: usize,
     /// Overlay neighbor table.
     pub neighbors: usize,
@@ -956,7 +958,7 @@ mod tests {
 
     /// Coordinates travel by `clone`, so what a node's view holds for a
     /// neighbour is a handle on that neighbour's own block, not a copy of
-    /// it: the property that makes a view slot 12 bytes instead of 29 plus
+    /// it: the property that makes a view slot 8 bytes instead of 29 plus
     /// a private copy.
     #[test]
     fn view_entries_share_the_neighbours_own_coordinates() {

@@ -34,6 +34,10 @@ pub type GossipEntry = (MsgId, u64);
 /// coordinates when known.
 pub type MemberEntry = (NodeId, LandmarkVector);
 
+// An id and a 4-byte handle: what a gossip's member list and a member
+// view's slot hold per peer.
+const _: () = assert!(size_of::<MemberEntry>() == 8);
+
 /// One delta-CRDT mutation carried inside topic messages.
 ///
 /// The application tier (`gocast-app`) replicates a delta-state

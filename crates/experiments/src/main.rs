@@ -118,6 +118,15 @@ fn or_usage_error<T>(result: Result<T, String>) -> T {
     })
 }
 
+/// `raw` as `flag`'s value, or usage and exit 2 when it does not parse
+/// as one.
+fn parse_value<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value `{raw}` for {flag}");
+        usage()
+    })
+}
+
 fn parse_opts(args: &[String], scale: bool) -> CliArgs {
     // `scale` starts from its own full-scale preset (10⁵ nodes, a
     // minutes-not-hours workload); every explicit flag still overrides.
@@ -140,11 +149,11 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
-        let mut take = |name: &str| -> String {
+        let mut take = || -> String {
             i += 1;
             args.get(i)
                 .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
+                    eprintln!("missing value for {arg}");
                     usage()
                 })
                 .clone()
@@ -161,40 +170,40 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
                 };
             }
             "--nodes" => {
-                explicit_nodes = Some(take("--nodes").parse().expect("--nodes"));
+                explicit_nodes = Some(parse_value(arg, &take()));
                 given.nodes = true;
             }
-            "--seed" => opts.seed = take("--seed").parse().expect("--seed"),
+            "--seed" => opts.seed = parse_value(arg, &take()),
             "--warmup" => {
-                opts.warmup = Duration::from_secs(take("--warmup").parse().expect("--warmup"));
+                opts.warmup = Duration::from_secs(parse_value(arg, &take()));
                 given.warmup = true;
             }
             "--messages" => {
-                opts.messages = take("--messages").parse().expect("--messages");
+                opts.messages = parse_value(arg, &take());
                 given.messages = true;
             }
             "--rate" => {
-                opts.rate = take("--rate").parse().expect("--rate");
+                opts.rate = parse_value(arg, &take());
                 given.rate = true;
             }
             "--drain" => {
-                opts.drain = Duration::from_secs(take("--drain").parse().expect("--drain"));
+                opts.drain = Duration::from_secs(parse_value(arg, &take()));
                 given.drain = true;
             }
-            "--out" => opts.out_dir = Some(take("--out").into()),
+            "--out" => opts.out_dir = Some(take().into()),
             "--no-csv" => opts.out_dir = None,
-            "--trace-out" => opts.trace_out = Some(take("--trace-out").into()),
-            "--metrics-out" => opts.metrics_out = Some(take("--metrics-out").into()),
+            "--trace-out" => opts.trace_out = Some(take().into()),
+            "--metrics-out" => opts.metrics_out = Some(take().into()),
             "--overhead" => overhead = true,
-            "--jobs" => explicit_jobs = Some(take("--jobs").parse().expect("--jobs")),
-            "--shards" => opts.shards = take("--shards").parse().expect("--shards"),
-            "--sim-shards" => opts.sim_shards = take("--sim-shards").parse().expect("--sim-shards"),
-            "--topics" => opts.topics = take("--topics").parse().expect("--topics"),
-            "--scenario" => scenario = take("--scenario"),
-            "--spec" => spec = Some(take("--spec")),
-            "--seeds" => seeds = take("--seeds").parse().expect("--seeds"),
+            "--jobs" => explicit_jobs = Some(parse_value(arg, &take())),
+            "--shards" => opts.shards = parse_value(arg, &take()),
+            "--sim-shards" => opts.sim_shards = parse_value(arg, &take()),
+            "--topics" => opts.topics = parse_value(arg, &take()),
+            "--scenario" => scenario = take(),
+            "--spec" => spec = Some(take()),
+            "--seeds" => seeds = parse_value(arg, &take()),
             "--stack" => {
-                let name = take("--stack");
+                let name = take();
                 opts.stack = StackKind::parse(&name).unwrap_or_else(|| {
                     let all: Vec<&str> = StackKind::ALL.iter().map(|k| k.name()).collect();
                     eprintln!("unknown stack `{name}` (one of: {})", all.join(", "));
@@ -234,6 +243,19 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
         eprintln!(
             "--rate must be finite and positive, and {} messages at it must take a representable time (got {})",
             opts.messages, opts.rate
+        );
+        usage()
+    }
+    // A run's horizon, warm-up + injection + drain, is a `SimTime`: u64
+    // nanoseconds.
+    let horizon = [opts.warmup, opts.inject_duration(), opts.drain]
+        .into_iter()
+        .try_fold(Duration::ZERO, Duration::checked_add)
+        .filter(|total| u64::try_from(total.as_nanos()).is_ok());
+    if horizon.is_none() {
+        eprintln!(
+            "--warmup, the injection time and --drain must sum to at most {} s",
+            u64::MAX / 1_000_000_000
         );
         usage()
     }

@@ -10,10 +10,12 @@
 //! a latency matrix or per-node caches of every peer would cost. The
 //! same allocator closes the ledger: what nodes and queues report about
 //! themselves must be most of the bytes live when the run ends. Landmark
-//! coordinates are shared blocks: each node reports its own block once
-//! and its view's 8-byte handles on its peers' blocks, so a block no node
-//! owns any more (a peer's coordinates from before it re-measured, held
-//! only by other nodes' views) goes unattributed.
+//! coordinates are 32-byte blocks of one process-wide slab, built a
+//! 32 KiB chunk at a time and never returned. Each node reports its
+//! view's 4-byte handles on its peers' blocks, and the slab reports its
+//! chunks: every node's own block, the blocks no node owns any more (a
+//! peer's coordinates from before it re-measured, held only by other
+//! nodes' views) and the free ones it keeps for the next vector.
 //!
 //! This file is its own test binary so the global allocator sees only
 //! the workload under measurement. The 10⁵-node smoke is `#[ignore]`d —
@@ -32,6 +34,7 @@ use gocast_experiments::pipeline::{
 };
 use gocast_experiments::scale::run_scale_delivery;
 use gocast_experiments::ExpOptions;
+use gocast_net::LandmarkVector;
 use gocast_sim::Lanes;
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -178,19 +181,24 @@ fn two_thousand_node_scale_run_stays_bounded() {
     // queues and lane arenas that kept their start-up capacity at 16 KiB.
     assert_clean_and_bounded(&out, opts.nodes, 2_000 * (11 << 10));
 
-    // The ledger closes: what the nodes and the queues report holding is
-    // most of what the allocator has handed out, and never more. A new
-    // owner of bytes that reports nothing drops the ratio under the floor.
+    // The ledger closes: what the nodes, the queues and the coordinate
+    // slab report holding is most of what the allocator has handed out,
+    // and never more. A new owner of bytes that reports nothing drops the
+    // ratio under the floor. The slab's chunks hold each node's own block,
+    // so the nodes' reports leave it out.
     let live = live_heap_bytes();
     let nodes: u64 = run
         .sim
         .iter_nodes()
-        .map(|(_, node)| node.mem_bytes().total() as u64)
+        .map(|(_, node)| {
+            let mem = node.mem_bytes();
+            (mem.total() - mem.coords) as u64
+        })
         .sum();
-    let reported = nodes + out.kernel.queue_mem_bytes;
+    let reported = nodes + LandmarkVector::slab_bytes() as u64 + out.kernel.queue_mem_bytes;
     assert!(
         reported * 10 >= live * 8 && reported <= live,
-        "nodes and queues report {reported} B of {live} B live heap"
+        "nodes, queues and the coordinate slab report {reported} B of {live} B live heap"
     );
 }
 

@@ -54,8 +54,8 @@ const SCAN_CHUNK: usize = 16;
 /// and dies with the peer's membership; the default `()` costs nothing).
 /// A member inserted without a value holds `T::default()`. Values are
 /// stored inline, so a slot is 4 bytes plus `size_of::<T>()`: GoCast's
-/// coordinates are an 8-byte handle on the peer's shared block, 12 bytes
-/// a slot (29 while each slot held a 25-byte copy).
+/// coordinates are a 4-byte handle on the peer's shared block, 8 bytes a
+/// slot.
 ///
 /// Ids and values are two vectors in lock-step (struct-of-arrays), so
 /// membership tests scan 4-byte ids only. The scan is linear, 16 ids at a

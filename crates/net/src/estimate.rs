@@ -11,11 +11,21 @@
 //!
 //! Landmark vectors travel inside membership entries, so any node can rank
 //! any candidate it has heard of.
+//!
+//! A vector is a 4-byte handle on a block of one process-wide slab: a
+//! growable array of 32-byte blocks in chunks of 1,024, each
+//! block a reference count and the packed slots. Handles keep shared
+//! ownership's rules — a clone bumps the count, a write copies unless the
+//! count is 1, the last drop puts the block on the slab's free list — with
+//! counts and slots held in atomics, so the slab needs no `unsafe`. Chunks
+//! are never returned: the slab keeps its high-water for the life of the
+//! process, and a free block is reused by the next vector built.
 
-use std::sync::Arc;
+use std::fmt;
+use std::num::NonZeroU32;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
-
-use serde::{Deserialize, Serialize};
 
 /// Default number of landmark nodes.
 pub const DEFAULT_LANDMARKS: usize = 8;
@@ -38,43 +48,229 @@ const UNMEASURED: u32 = 0xFF_FFFF;
 /// [`UNMEASURED`], so a measured slot never aliases it.
 const MAX_RTT_US: u32 = UNMEASURED - 1;
 
-/// The packed slots behind a measured [`LandmarkVector`]: 24 bits of
-/// little-endian microseconds each (25 bytes for the whole vector,
-/// alignment 1). Unused slots hold the all-ones pattern ("unmeasured"),
-/// which keeps derived equality honest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Words the packed slots fill: [`MAX_LANDMARKS`] slots of 24 bits.
+const SLOT_WORDS: usize = 3;
+
+const _: () = assert!(SLOT_WORDS * 64 == MAX_LANDMARKS * 24);
+
+/// Blocks per slab chunk (32 KiB). A chunk is built whole, so small
+/// chunks keep a small run's slab small.
+const CHUNK_BLOCKS: usize = 1024;
+
+/// Chunks the process-wide slab can build: 2²⁴ blocks (512 MiB) live at
+/// once, sixteen per node of a 10⁶-node run.
+const SLAB_CHUNKS: usize = 1 << 14;
+
+/// Largest count a block takes. A handle is 4 bytes, so reaching it takes
+/// 8 GiB of handles, or leaked ones; past it the process aborts, as a
+/// shared pointer's count does.
+const MAX_COUNT: u32 = i32::MAX as u32;
+
+/// A vector's value as a block holds it: slot `i` is bits `24 i ..
+/// 24 i + 24` of the little-endian words, unused slots all ones
+/// ("unmeasured"), so equal values are equal words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slots {
-    rtt_us: [[u8; 3]; MAX_LANDMARKS],
+    words: [u64; SLOT_WORDS],
     len: u8,
 }
 
-const _: () = assert!(size_of::<Slots>() == 25);
-
-impl Default for Slots {
-    fn default() -> Self {
-        Slots {
-            rtt_us: [[0xFF; 3]; MAX_LANDMARKS],
-            len: 0,
-        }
-    }
-}
-
 impl Slots {
+    /// No slot measured.
+    const EMPTY: Slots = Slots {
+        words: [u64::MAX; SLOT_WORDS],
+        len: 0,
+    };
+
+    /// Slot `i` as stored: microseconds, or [`UNMEASURED`].
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        let (w, shift) = (24 * i / 64, 24 * i % 64);
+        let mut bits = self.words[w] >> shift;
+        if shift > 40 {
+            bits |= self.words[w + 1] << (64 - shift);
+        }
+        (bits & u64::from(UNMEASURED)) as u32
+    }
+
     /// Writes slot `i` as stored, growing the length to cover it.
     fn store(&mut self, i: usize, slot: u32) {
         assert!(
             i < MAX_LANDMARKS,
             "landmark index {i} exceeds MAX_LANDMARKS ({MAX_LANDMARKS})"
         );
-        let [a, b, c, _] = slot.to_le_bytes();
-        self.rtt_us[i] = [a, b, c];
+        let (w, shift) = (24 * i / 64, 24 * i % 64);
+        let (mask, slot) = (u64::from(UNMEASURED), u64::from(slot));
+        self.words[w] = self.words[w] & !(mask << shift) | slot << shift;
+        if shift > 40 {
+            let spill = 64 - shift;
+            self.words[w + 1] = self.words[w + 1] & !(mask >> spill) | slot >> spill;
+        }
         self.len = self.len.max(i as u8 + 1);
+    }
+
+    /// The measured prefix, slot by slot.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len as usize).map(|i| self.get(i))
     }
 }
 
-/// A slot's stored value: microseconds, or [`UNMEASURED`].
-fn slot_value([a, b, c]: [u8; 3]) -> u32 {
-    u32::from_le_bytes([a, b, c, 0])
+/// One slab block: a count of the handles on it and the value they share,
+/// in one aligned 32-byte piece of a line.
+#[derive(Default)]
+#[repr(C, align(32))]
+struct Block {
+    /// Handles on this block; 0 while the block is free.
+    count: AtomicU32,
+    /// The measured length while live; while free, the next free block's
+    /// handle (0: none).
+    len: AtomicU32,
+    words: [AtomicU64; SLOT_WORDS],
+}
+
+const _: () = assert!(size_of::<Block>() == 32);
+
+impl Block {
+    #[inline]
+    fn load(&self) -> Slots {
+        Slots {
+            words: self.words.each_ref().map(|w| w.load(Ordering::Relaxed)),
+            len: self.len.load(Ordering::Relaxed) as u8,
+        }
+    }
+
+    fn write(&self, value: &Slots) {
+        for (word, &v) in self.words.iter().zip(&value.words) {
+            word.store(v, Ordering::Relaxed);
+        }
+        self.len.store(u32::from(value.len), Ordering::Relaxed);
+    }
+}
+
+/// What the slab's lock guards: its free list and its counts.
+struct FreeList {
+    /// The first free block's handle (0: none free); each free block holds
+    /// the next one's in `len`.
+    head: u32,
+    /// Blocks ever built: the high-water, since chunks are never returned.
+    built: u32,
+    /// Blocks some handle holds.
+    live: u32,
+}
+
+/// A growable array of [`Block`]s in chunks built on demand, up to
+/// `CHUNKS` of them.
+struct Slab<const CHUNKS: usize> {
+    chunks: [OnceLock<Box<[Block; CHUNK_BLOCKS]>>; CHUNKS],
+    free: Mutex<FreeList>,
+}
+
+/// The slab every [`LandmarkVector`] of the process points into.
+static SLAB: Slab<SLAB_CHUNKS> = Slab::new();
+
+impl<const CHUNKS: usize> Slab<CHUNKS> {
+    /// Blocks live at once, at most.
+    const CAPACITY: usize = CHUNKS * CHUNK_BLOCKS;
+
+    const fn new() -> Self {
+        assert!(Self::CAPACITY < u32::MAX as usize);
+        Slab {
+            chunks: [const { OnceLock::new() }; CHUNKS],
+            free: Mutex::new(FreeList {
+                head: 0,
+                built: 0,
+                live: 0,
+            }),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, FreeList> {
+        // Nothing panics while the list is half updated.
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The block `handle` names. A handle exists only once its block was
+    /// built.
+    #[inline]
+    fn block(&self, handle: NonZeroU32) -> &Block {
+        let i = handle.get() as usize - 1;
+        let chunk = self.chunks[i / CHUNK_BLOCKS].get();
+        &chunk.expect("a handle's chunk is built")[i % CHUNK_BLOCKS]
+    }
+
+    /// A block holding `value` with one handle on it: the last block
+    /// freed, else the next one never used, building its chunk first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if all [`CAPACITY`](Self::CAPACITY) blocks are live.
+    fn alloc(&self, value: &Slots) -> NonZeroU32 {
+        let handle = {
+            let mut free = self.lock();
+            let handle = match NonZeroU32::new(free.head) {
+                Some(handle) => {
+                    free.head = self.block(handle).len.load(Ordering::Relaxed);
+                    handle
+                }
+                None => {
+                    let i = free.built as usize;
+                    assert!(
+                        i < Self::CAPACITY,
+                        "landmark slab exhausted: all {} blocks are live",
+                        Self::CAPACITY
+                    );
+                    self.chunks[i / CHUNK_BLOCKS].get_or_init(|| {
+                        (0..CHUNK_BLOCKS)
+                            .map(|_| Block::default())
+                            .collect::<Box<[Block]>>()
+                            .try_into()
+                            .unwrap_or_else(|_| unreachable!("a chunk is CHUNK_BLOCKS blocks"))
+                    });
+                    free.built += 1;
+                    NonZeroU32::MIN.saturating_add(i as u32)
+                }
+            };
+            free.live += 1;
+            handle
+        };
+        let block = self.block(handle);
+        block.write(value);
+        block.count.store(1, Ordering::Relaxed);
+        handle
+    }
+
+    /// Adds a handle on `handle`'s block.
+    #[inline]
+    fn acquire(&self, handle: NonZeroU32) {
+        // A new handle comes from an existing one, so nothing it orders
+        // can be pending: relaxed, as a shared pointer's clone.
+        if self.block(handle).count.fetch_add(1, Ordering::Relaxed) >= MAX_COUNT {
+            std::process::abort();
+        }
+    }
+
+    /// Drops one handle on `handle`'s block, freeing the block with the
+    /// last one.
+    #[inline]
+    fn release(&self, handle: NonZeroU32) {
+        let block = self.block(handle);
+        if block.count.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        // Every other holder's reads happen before the block is reused.
+        fence(Ordering::Acquire);
+        let mut free = self.lock();
+        block.len.store(free.head, Ordering::Relaxed);
+        free.head = handle.get();
+        free.live -= 1;
+    }
+
+    /// Whether `handle` is the only handle on its block.
+    #[inline]
+    fn is_unique(&self, handle: NonZeroU32) -> bool {
+        // Acquire: dropped holders' reads happen before this one's writes.
+        self.block(handle).count.load(Ordering::Acquire) == 1
+    }
 }
 
 /// What [`LandmarkVector::set`] stores for `rtt`.
@@ -90,31 +286,56 @@ fn measured(rtt: Duration) -> u32 {
 /// anyway).
 ///
 /// The vector is a shared, immutable handle: `None` while unknown (no
-/// heap), else a reference-counted block of [`MAX_LANDMARKS`] packed
-/// slots. Every member view keeps one vector per known peer and every
-/// gossip, pong and queued event carries some, and nearly all of them are
-/// some peer's *current* coordinates, so every copy of a node's vector
-/// made by `clone` points at that node's one block: a handle is 8 bytes
-/// and a clone increments a count. [`set`](Self::set) copies on write, so
-/// other holders keep the value they were given; a node's own vector
-/// changes at most [`MAX_LANDMARKS`] times, while it probes. Equality,
-/// estimates and [`rtt_us_at`](Self::rtt_us_at) read the values, never the
-/// sharing.
+/// block), else a 4-byte index of a reference-counted block of
+/// [`MAX_LANDMARKS`] packed slots in the process-wide slab (module docs).
+/// Every member view keeps one vector per known peer and every gossip,
+/// pong and queued event carries some, and nearly all of them are some
+/// peer's *current* coordinates, so every copy of a node's vector made by
+/// `clone` points at that node's one block: a clone increments a count.
+/// [`set`](Self::set) copies on write, so other holders keep the value
+/// they were given; a node's own vector changes at most [`MAX_LANDMARKS`]
+/// times, while it probes. Equality, estimates and
+/// [`rtt_us_at`](Self::rtt_us_at) read the values, never the sharing.
+/// Building a vector takes a block off the slab's free list and allocates
+/// only when none is free.
 ///
 /// A slot is 24 bits of microseconds. Simulated one-way latency is capped
 /// at 399 ms and a neighbour silent for 10 s is dropped, so no RTT the
 /// protocol can act on comes near the 16.7 s a slot holds;
 /// [`set`](Self::set) stores anything below that exactly and saturates a
 /// larger RTT to the largest *measured* value.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LandmarkVector(Option<Arc<Slots>>);
+///
+/// # Panics
+///
+/// Building a vector panics if 2²⁴ blocks are live already.
+#[derive(Default)]
+pub struct LandmarkVector(Option<NonZeroU32>);
 
-const _: () = assert!(size_of::<LandmarkVector>() == 8);
+const _: () = assert!(size_of::<LandmarkVector>() == 4);
+
+impl Clone for LandmarkVector {
+    #[inline]
+    fn clone(&self) -> Self {
+        if let Some(handle) = self.0 {
+            SLAB.acquire(handle);
+        }
+        LandmarkVector(self.0)
+    }
+}
+
+impl Drop for LandmarkVector {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(handle) = self.0 {
+            SLAB.release(handle);
+        }
+    }
+}
 
 impl PartialEq for LandmarkVector {
     fn eq(&self, other: &Self) -> bool {
-        match (&self.0, &other.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+        match (self.0, other.0) {
+            (Some(a), Some(b)) => a == b || SLAB.block(a).load() == SLAB.block(b).load(),
             (a, b) => a.is_none() && b.is_none(),
         }
     }
@@ -122,14 +343,25 @@ impl PartialEq for LandmarkVector {
 
 impl Eq for LandmarkVector {}
 
+/// The measured slots as [`rtt_us_at`](LandmarkVector::rtt_us_at) presents
+/// them; equal vectors print alike, however they share.
+impl fmt::Debug for LandmarkVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("LandmarkVector")?;
+        f.debug_list()
+            .entries((0..self.len()).map(|i| self.rtt_us_at(i)))
+            .finish()
+    }
+}
+
 impl LandmarkVector {
-    /// An unmeasured (empty) vector. Allocates nothing.
+    /// An unmeasured (empty) vector. Holds no block.
     pub fn unknown() -> Self {
         LandmarkVector(None)
     }
 
-    /// Builds a vector from measured landmark RTTs, in one allocation (none
-    /// for an empty iterator).
+    /// Builds a vector from measured landmark RTTs, in one block (none for
+    /// an empty iterator).
     ///
     /// # Panics
     ///
@@ -140,7 +372,7 @@ impl LandmarkVector {
 
     /// Builds a vector from raw slot words as [`rtt_us_at`](Self::rtt_us_at)
     /// presents them — microseconds, or `u32::MAX` for a slot not measured
-    /// — in one allocation (none for an empty iterator): how a wire codec
+    /// — in one block (none for an empty iterator): how a wire codec
     /// restores a vector. A word of 2²⁴ − 1 µs or more other than
     /// `u32::MAX` saturates as [`set`](Self::set) does.
     ///
@@ -148,7 +380,7 @@ impl LandmarkVector {
     ///
     /// Panics if the iterator yields more than [`MAX_LANDMARKS`] values.
     pub fn from_rtt_words<I: IntoIterator<Item = u32>>(words: I) -> Self {
-        let mut slots = Slots::default();
+        let mut slots = Slots::EMPTY;
         for (i, word) in words.into_iter().enumerate() {
             slots.store(
                 i,
@@ -158,20 +390,22 @@ impl LandmarkVector {
                 },
             );
         }
-        LandmarkVector((slots.len > 0).then(|| Arc::new(slots)))
+        LandmarkVector((slots.len > 0).then(|| SLAB.alloc(&slots)))
     }
 
-    /// The measured prefix of the slots.
-    fn slots(&self) -> &[[u8; 3]] {
-        match &self.0 {
-            Some(s) => &s.rtt_us[..s.len as usize],
-            None => &[],
-        }
+    /// The value, read from the block in one piece.
+    #[inline]
+    fn slots(&self) -> Slots {
+        self.0
+            .map_or(Slots::EMPTY, |handle| SLAB.block(handle).load())
     }
 
     /// Number of landmarks measured.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.slots().len()
+        self.0.map_or(0, |handle| {
+            SLAB.block(handle).len.load(Ordering::Relaxed) as usize
+        })
     }
 
     /// Whether no landmarks have been measured yet.
@@ -185,34 +419,41 @@ impl LandmarkVector {
     /// block and share nothing. Equal values built apart compare equal but
     /// do not share.
     pub fn shares_storage(&self, other: &LandmarkVector) -> bool {
-        matches!((&self.0, &other.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+        self.0.is_some() && self.0 == other.0
     }
 
-    /// Heap bytes of the block this handle points at (0 while unknown).
-    /// Every clone points at the same block, so a ledger counts it once,
-    /// at the vector's owner.
+    /// Bytes of the block this handle points at (0 while unknown). Every
+    /// clone points at the same block, so a ledger counts it once, at the
+    /// vector's owner.
     pub fn block_bytes(&self) -> usize {
-        // `Arc`'s allocation: strong and weak counts, then the slots.
-        const BLOCK: usize =
-            (2 * size_of::<usize>() + size_of::<Slots>()).next_multiple_of(align_of::<usize>());
         if self.0.is_some() {
-            BLOCK
+            size_of::<Block>()
         } else {
             0
         }
+    }
+
+    /// Blocks of the process-wide slab that some vector holds now.
+    pub fn live_blocks() -> usize {
+        SLAB.lock().live as usize
+    }
+
+    /// Heap bytes of the process-wide slab: every chunk built so far, live
+    /// blocks and free ones. Chunks are never returned, so this is the
+    /// high-water of the process.
+    pub fn slab_bytes() -> usize {
+        (SLAB.lock().built as usize).next_multiple_of(CHUNK_BLOCKS) * size_of::<Block>()
     }
 
     /// Writes slot `i` as stored, copying the block first if another
     /// handle shares it. A handle holds a block only once a slot is
     /// stored in it, so `is_empty` is "no block".
     fn store(&mut self, i: usize, slot: u32) {
-        match &mut self.0 {
-            Some(block) => Arc::make_mut(block).store(i, slot),
-            None => {
-                let mut block = Slots::default();
-                block.store(i, slot);
-                self.0 = Some(Arc::new(block));
-            }
+        let mut value = self.slots();
+        value.store(i, slot);
+        match self.0 {
+            Some(handle) if SLAB.is_unique(handle) => SLAB.block(handle).write(&value),
+            _ => *self = LandmarkVector(Some(SLAB.alloc(&value))),
         }
     }
 
@@ -241,7 +482,7 @@ impl LandmarkVector {
     /// Whether every landmark slot up to `n` has been measured.
     pub fn is_complete(&self, n: usize) -> bool {
         let slots = self.slots();
-        slots.len() >= n && slots[..n].iter().all(|&s| slot_value(s) != UNMEASURED)
+        slots.len as usize >= n && (0..n).all(|i| slots.get(i) != UNMEASURED)
     }
 
     /// Raw RTT of landmark slot `i` in microseconds (`u32::MAX` =
@@ -250,13 +491,15 @@ impl LandmarkVector {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn rtt_us_at(&self, i: usize) -> u32 {
+        let slots = self.slots();
         assert!(
-            i < self.len(),
+            i < slots.len as usize,
             "landmark slot {i} beyond len {}",
-            self.len()
+            slots.len
         );
-        match slot_value(self.slots()[i]) {
+        match slots.get(i) {
             UNMEASURED => u32::MAX,
             us => us,
         }
@@ -278,11 +521,11 @@ impl LandmarkVector {
     /// assert_eq!(est, ms(90));
     /// ```
     pub fn estimate_rtt(&self, other: &LandmarkVector) -> Option<Duration> {
+        let (mine, theirs) = (self.slots(), other.slots());
         let mut lower = 0u64;
         let mut upper = u64::MAX;
         let mut shared = false;
-        for (&a, &b) in self.slots().iter().zip(other.slots()) {
-            let (a, b) = (slot_value(a), slot_value(b));
+        for (a, b) in mine.iter().zip(theirs.iter()) {
             if a == UNMEASURED || b == UNMEASURED {
                 continue;
             }
@@ -416,7 +659,7 @@ mod tests {
         assert!(a.shares_storage(&b) && b.shares_storage(&a));
         assert_eq!(a, b);
         assert_eq!(a.block_bytes(), b.block_bytes());
-        assert_eq!(a.block_bytes(), 48);
+        assert_eq!(a.block_bytes(), 32);
     }
 
     #[test]
@@ -432,6 +675,43 @@ mod tests {
         mine.set_unmeasured(2);
         assert_eq!((before.len(), mine.len()), (2, 3));
         assert_ne!(before, mine);
+    }
+
+    #[test]
+    fn a_freed_block_is_the_next_one_built() {
+        let slab = Slab::<1>::new();
+        let value = Slots {
+            len: 1,
+            ..Slots::EMPTY
+        };
+        let a = slab.alloc(&value);
+        let b = slab.alloc(&value);
+        assert_ne!(a, b);
+        slab.acquire(a);
+        slab.release(a);
+        assert_eq!(slab.lock().live, 2, "a still has a handle");
+        slab.release(a);
+        let counts = |slab: &Slab<1>| {
+            let free = slab.lock();
+            (free.live, free.built)
+        };
+        assert_eq!(counts(&slab), (1, 2));
+        assert_eq!(slab.alloc(&value), a, "the free list hands a back");
+        assert_eq!(counts(&slab), (2, 2));
+        assert_eq!(slab.block(b).load(), value);
+    }
+
+    /// The process-wide slab holds 2²⁴ blocks; the same code on a
+    /// one-chunk slab shows what happens past the last one.
+    #[test]
+    #[should_panic(expected = "landmark slab exhausted: all 1024 blocks are live")]
+    fn exhausting_the_slab_panics_naming_its_capacity() {
+        assert_eq!(Slab::<SLAB_CHUNKS>::CAPACITY, 1 << 24);
+        let slab = Slab::<1>::new();
+        for _ in 0..CHUNK_BLOCKS {
+            slab.alloc(&Slots::EMPTY);
+        }
+        slab.alloc(&Slots::EMPTY);
     }
 
     #[test]
