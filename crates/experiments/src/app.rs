@@ -17,8 +17,8 @@
 //! [`crate::pipeline`] with a [`TopicMux`] around every node, so 10⁴–10⁵
 //! -node runs work and every simulation-domain number in
 //! [`AppOutcome::manifest`] is byte-identical at any `--sim-shards`
-//! count. The wire side replays the same compiled plan and the same
-//! workload loop against real loopback-UDP sockets via
+//! count. The wire side schedules the same compiled plan and runs the
+//! same workload loop against real loopback-UDP sockets via
 //! `Testnet<TopicMux<GoCastNode>>`.
 //!
 //! One ordering subtlety makes deterministic subscription churn work:

@@ -89,11 +89,17 @@ use gocast_experiments::runners::run_delay;
 use gocast_experiments::sweep::sweep_seeds;
 use gocast_experiments::{figures, ExpOptions, GivenFlags, Proto, StackKind};
 
+/// The most multicasts one run injects: 10⁴ times the paper's 1,000. A
+/// run schedules every injection up front, so a larger count is memory
+/// no run needs.
+const MAX_MESSAGES: u32 = 10_000_000;
+
 fn usage() -> ! {
     eprintln!(
         "usage: gocast-experiments <fig1|fig3a|fig3b|fig4|fig5a|fig5b|fig6|ext1|ext2|ext3|ext4|ext5|txt1|txt2|txt4|ablate|adaptive|sweep|trace|trace-fail|chaos|compare|testnet|scale|metrics|pubsub|crdt|all> \
          [--quick] [--nodes N] [--seed S] [--warmup SECS] [--messages M] [--rate R] [--drain SECS] [--out DIR] [--no-csv] [--trace-out PATH] [--metrics-out PATH] [--jobs N] \
-         [--scenario NAME] [--spec STR] [--seeds K] [--stack gocast|plumtree] [--shards N] [--sim-shards N] [--topics N] [--overhead]"
+         [--scenario NAME] [--spec STR] [--seeds K] [--stack gocast|plumtree] [--shards N] [--sim-shards N] [--topics N] [--overhead]\n\
+         --messages is at most {MAX_MESSAGES}"
     );
     std::process::exit(2);
 }
@@ -234,6 +240,13 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
             eprintln!("{flag} must be at least 1");
             usage()
         }
+    }
+    if opts.messages > MAX_MESSAGES {
+        eprintln!(
+            "--messages must be at most {MAX_MESSAGES} (got {})",
+            opts.messages
+        );
+        usage()
     }
     // `inject_duration` is `messages / rate` as a `Duration`.
     let rate_ok = opts.rate.is_finite()

@@ -216,7 +216,8 @@ pub struct RunCore {
     /// The first few violations, formatted (empty on a clean run) — so a
     /// failing gate says *what* broke, not just that something did.
     pub violation_lines: Vec<String>,
-    /// Kernel counters at the end of the run (zeroed default on the wire).
+    /// Kernel counters at the end of the run (on the wire: the shards'
+    /// lanes, summed).
     pub kernel: KernelStats,
     /// Final combined metrics snapshot (kernel or fabric + protocol).
     pub metrics: Snapshot,
@@ -494,7 +495,7 @@ where
         &mut rec,
         injected,
         plan_len,
-        KernelStats::default(),
+        net.kernel_stats(),
         net.metrics_snapshot(),
     );
     (

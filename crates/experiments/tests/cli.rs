@@ -3,7 +3,8 @@
 //! generator; a zero, negative or overflowing rate reached
 //! `Duration::from_secs_f64`; a drain past `SimTime`'s range overflowed
 //! the run's horizon) or in the flag parser (a value that is not a number
-//! of the flag's type).
+//! of the flag's type), or in the injection schedule a message count past
+//! the CLI's bound would build (4.3 G commands were killed for memory).
 
 use std::process::{Command, Output};
 
@@ -36,6 +37,8 @@ fn bad_rate_and_node_counts_print_usage_and_exit_2() {
         ["--rate", "1e-300"],
         ["--nodes", "0"],
         ["--drain", "18446744073709551615"],
+        ["--messages", "10000001"],
+        ["--messages", "4294967295"],
     ] {
         assert_usage_error(&fig3a(&bad), bad[0], &bad);
     }

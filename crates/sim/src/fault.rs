@@ -84,14 +84,13 @@ impl NetFates {
 /// stream and the [`NetFates`] of the messages it stopped.
 ///
 /// Link cuts, the partition labelling and the loss/jitter settings are
-/// *global* facts about the network, whoever moves the messages: the
-/// simulation kernel holds one replica per lane (updated by scheduling a
-/// control event for every lane), the testnet fabric one per
-/// shard (every shard replays the full plan). Both ask it the same two
-/// questions: [`FaultState::blocked`] — is an endpoint dead, or the path
-/// cut or partitioned? (kernel: at delivery; wire: at transmit) — and
-/// [`FaultState::draw`] — is this send lost, and how much jitter does it
-/// carry? (both: at send).
+/// *global* facts about the network, whoever moves the messages: every
+/// lane holds one replica (updated by scheduling a control event for
+/// every lane), an engine's lanes and a testnet fabric's shard lanes
+/// alike. The lane asks it the same two questions on both hosts:
+/// [`FaultState::blocked`] — is the receiver dead, or the path cut or
+/// partitioned? (at arrival) — and [`FaultState::draw`] — is this send
+/// lost, and how much jitter does it carry? (at send).
 /// Simulation and wire cannot drift in fault semantics because there is
 /// one body.
 ///

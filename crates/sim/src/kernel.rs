@@ -11,11 +11,12 @@ use gocast_metrics::Snapshot;
 
 use crate::fault::{FaultState, NetFates, NetFault};
 use crate::id::NodeId;
-use crate::lane::{CrossLaneMsg, Event, KernelTelemetry, Lane, Worker, MAX_LANES};
+use crate::lane::{
+    CrossLaneMsg, Event, KernelTelemetry, Lane, SimLane, SimLink, SimWorker, MAX_LANES,
+};
 use crate::latency::LatencyModel;
 use crate::protocol::Protocol;
-use crate::queue::EventQueue;
-use crate::recorder::{NullRecorder, Recorder, VecRecorder};
+use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
 
@@ -97,6 +98,32 @@ impl KernelStats {
         self.slab_slots += other.slab_slots;
         self.queue_mem_bytes += other.queue_mem_bytes;
         self.wall_time = self.wall_time.max(other.wall_time);
+    }
+
+    /// Records the always-on counters into `snap` under the `kernel_*`
+    /// names every host exports: events, scheduling, dispatch by class,
+    /// and the queue's depth, slab and memory.
+    pub fn snapshot_into(&self, snap: &mut Snapshot) {
+        snap.record_counter("kernel_events", self.events_processed);
+        snap.record_counter("kernel_scheduled", self.events_scheduled);
+        snap.record_counter("kernel_deliveries", self.deliveries);
+        snap.record_counter("kernel_timers", self.timers_fired);
+        snap.record_counter("kernel_commands", self.commands);
+        snap.record_counter("kernel_control", self.control_events);
+        snap.record_level(
+            "kernel_queue_len",
+            self.queue_len as i64,
+            self.queue_high_water as i64,
+        );
+        // Every pending event occupies one slot; the slots currently
+        // allocated are the most the level has been since the queues last
+        // shrank.
+        snap.record_level(
+            "kernel_slab_occupied",
+            self.queue_len as i64,
+            self.slab_slots as i64,
+        );
+        snap.record_counter("kernel_queue_mem_bytes", self.queue_mem_bytes);
     }
 }
 
@@ -205,7 +232,7 @@ pub trait Mode: sealed::Sealed {
     /// The latency model as this mode holds it.
     type Net: ?Sized;
     #[doc(hidden)]
-    fn model(net: &Self::Net) -> &dyn LatencyModel;
+    fn model(net: &Self::Net) -> &(dyn LatencyModel + 'static);
 }
 
 /// The mode of [`Sim`]: exactly one lane, run on the caller's thread.
@@ -219,14 +246,14 @@ pub struct Lanes;
 
 impl Mode for OneLane {
     type Net = dyn LatencyModel;
-    fn model(net: &Self::Net) -> &dyn LatencyModel {
+    fn model(net: &Self::Net) -> &(dyn LatencyModel + 'static) {
         net
     }
 }
 
 impl Mode for Lanes {
     type Net = dyn LatencyModel + Send + Sync;
-    fn model(net: &Self::Net) -> &dyn LatencyModel {
+    fn model(net: &Self::Net) -> &(dyn LatencyModel + 'static) {
         net
     }
 }
@@ -320,7 +347,7 @@ pub struct Engine<P: Protocol, R: Recorder<P::Event>, M: Mode> {
     now: SimTime,
     /// One per worker thread, each over `chunk` lanes (the last may hold
     /// fewer).
-    workers: Vec<Worker<P>>,
+    workers: Vec<SimWorker<P>>,
     lane_count: usize,
     chunk: usize,
     net: Box<M::Net>,
@@ -346,18 +373,18 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
 /// lane by lane in send order: each lane numbers what reaches it in that
 /// order, so the messages pop in `(arrival, source lane, send order)` at
 /// any thread count.
-fn flush<P: Protocol>(workers: &mut [&mut Worker<P>], chunk: usize, lanes: usize) {
+fn flush<P: Protocol>(workers: &mut [&mut SimWorker<P>], chunk: usize, lanes: usize) {
     for w in 0..workers.len() {
         for l in 0..workers[w].lanes.len() {
             // A lane never sends to itself through its outbox, so nothing
             // misses the buffer while it is out.
-            let mut outbox = std::mem::take(&mut workers[w].lanes[l].outbox);
+            let mut outbox = std::mem::take(&mut workers[w].lanes[l].link.outbox);
             for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
                 let lane = to.index() % lanes;
                 let ev = Event::Deliver { from, to, msg };
                 workers[lane / chunk].schedule(lane, at, to.as_u32(), ev);
             }
-            workers[w].lanes[l].outbox = outbox;
+            workers[w].lanes[l].link.outbox = outbox;
         }
     }
 }
@@ -368,7 +395,7 @@ fn flush<P: Protocol>(workers: &mut [&mut Worker<P>], chunk: usize, lanes: usize
 /// events: the only instants at which an all-lane count exists, and the
 /// same ones at any thread count.
 fn next_window<P: Protocol>(
-    workers: &[&mut Worker<P>],
+    workers: &[&mut SimWorker<P>],
     deadline: SimTime,
     delta: Option<u64>,
     high_water: &mut usize,
@@ -409,18 +436,15 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         // Worker `w` runs lanes `w * chunk..`; lane `i` owns the ids
         // congruent to `i`: `(n - i) / lanes`, rounded up.
         let chunk = lane_count.div_ceil(threads.clamp(1, lane_count));
-        let mut workers: Vec<Worker<P>> = (0..lane_count)
+        let mut workers: Vec<SimWorker<P>> = (0..lane_count)
             .step_by(chunk)
-            .map(|first| Worker {
-                first,
-                lanes: (first..lane_count.min(first + chunk))
-                    .map(|i| {
-                        let owned = (n - i).div_ceil(lane_count);
-                        Lane::new(i as u32, lane_count as u32, seed, owned, n)
-                    })
-                    .collect(),
-                queue: EventQueue::new(),
-                events_out: VecRecorder::new(),
+            .map(|first| {
+                let lanes = (first..lane_count.min(first + chunk)).map(|i| {
+                    let (i, owned) = (i as u32, (n - i).div_ceil(lane_count));
+                    let link = SimLink::new(i, lane_count as u32);
+                    Lane::new(i, lane_count as u32, seed, owned, n, link)
+                });
+                SimWorker::new(first, lanes.collect())
             })
             .collect();
         for g in 0..n {
@@ -471,30 +495,28 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     }
 
     /// Every lane, in index order.
-    fn lanes(&self) -> impl Iterator<Item = &Lane<P>> {
+    fn lanes(&self) -> impl Iterator<Item = &SimLane<P>> {
         self.workers.iter().flat_map(|w| &w.lanes)
     }
 
-    fn lanes_mut(&mut self) -> impl Iterator<Item = &mut Lane<P>> {
+    fn lanes_mut(&mut self) -> impl Iterator<Item = &mut SimLane<P>> {
         self.workers.iter_mut().flat_map(|w| &mut w.lanes)
     }
 
     #[inline]
-    fn lane_of(&self, node: NodeId) -> &Lane<P> {
-        let lane = node.index() % self.lane_count;
-        &self.workers[lane / self.chunk].lanes[lane % self.chunk]
+    fn worker_of(&self, node: NodeId) -> &SimWorker<P> {
+        &self.workers[node.index() % self.lane_count / self.chunk]
     }
 
     #[inline]
-    fn lane_of_mut(&mut self, node: NodeId) -> &mut Lane<P> {
+    fn lane_of_mut(&mut self, node: NodeId) -> &mut SimLane<P> {
         let lane = node.index() % self.lane_count;
         &mut self.workers[lane / self.chunk].lanes[lane % self.chunk]
     }
 
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        let lane = self.lane_of(node);
-        lane.alive[lane.local(node)]
+        self.worker_of(node).is_alive(node)
     }
 
     /// Ids of all currently alive nodes, in increasing id order.
@@ -507,8 +529,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Immutable access to a node's protocol state (available even after the
     /// node failed — useful for post-mortem analysis).
     pub fn node(&self, node: NodeId) -> &P {
-        let lane = self.lane_of(node);
-        &lane.nodes[lane.local(node)]
+        self.worker_of(node).node(node)
     }
 
     /// Mutable access to a node's protocol state (test/harness use).
@@ -545,11 +566,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = KernelStats::default();
         for w in &self.workers {
-            w.lanes
-                .iter()
-                .for_each(|lane| total.absorb(&lane.kernel_stats()));
-            total.slab_slots += w.queue.slab_slots();
-            total.queue_mem_bytes += w.queue.mem_bytes();
+            total.absorb(&w.kernel_stats());
         }
         total.queue_high_water = total
             .queue_high_water
@@ -581,26 +598,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     pub fn metrics_snapshot(&self) -> Snapshot {
         let k = self.kernel_stats();
         let mut s = Snapshot::new();
-        s.record_counter("kernel_events", k.events_processed);
-        s.record_counter("kernel_scheduled", k.events_scheduled);
-        s.record_counter("kernel_deliveries", k.deliveries);
-        s.record_counter("kernel_timers", k.timers_fired);
-        s.record_counter("kernel_commands", k.commands);
-        s.record_counter("kernel_control", k.control_events);
-        s.record_level(
-            "kernel_queue_len",
-            k.queue_len as i64,
-            k.queue_high_water as i64,
-        );
-        // Every pending event occupies one slot; the slots currently
-        // allocated are the most the level has been since the queues last
-        // shrank.
-        s.record_level(
-            "kernel_slab_occupied",
-            k.queue_len as i64,
-            k.slab_slots as i64,
-        );
-        s.record_counter("kernel_queue_mem_bytes", k.queue_mem_bytes);
+        k.snapshot_into(&mut s);
         if self.lane_count > 1 {
             s.record_counter("kernel_lanes", self.lane_count as u64);
         }
@@ -645,17 +643,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         }
     }
 
-    /// Schedules `ev` for the lane that owns `node`.
-    fn try_schedule(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        ev: Event<P::Msg, P::Command>,
-    ) -> Result<(), PastScheduleError> {
-        self.check_future(at)?;
-        let lane = node.index() % self.lane_count;
-        self.workers[lane / self.chunk].schedule(lane, at, node.as_u32(), ev);
-        Ok(())
+    /// The worker whose chunk holds the lane that owns `node`.
+    fn worker_of_mut(&mut self, node: NodeId) -> &mut SimWorker<P> {
+        &mut self.workers[node.index() % self.lane_count / self.chunk]
     }
 
     /// Schedules command `cmd` for `node` at absolute time `at`.
@@ -677,7 +667,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         node: NodeId,
         cmd: P::Command,
     ) -> Result<(), PastScheduleError> {
-        self.try_schedule(at, node, Event::Command { node, cmd })
+        self.check_future(at)?;
+        self.worker_of_mut(node).schedule_command(at, node, cmd);
+        Ok(())
     }
 
     /// Injects a command for `node` at the current time.
@@ -720,8 +712,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     ///
     /// Panics if `at` is in the past.
     pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
-        self.try_schedule(at, node, Event::Fail { node })
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
+        self.worker_of_mut(node).fail_node_at(at, node);
     }
 
     /// Crashes `node` immediately.
@@ -758,12 +750,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// would — at this call, not when the fault fires.
     pub fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
         self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        self.faults().validate(&fault);
         for w in &mut self.workers {
-            for lane in &mut w.lanes {
-                let ev = Event::Control(fault.clone());
-                lane.ties.schedule(&mut w.queue, at, u32::MAX, ev);
-            }
+            w.schedule_fault(at, &fault);
         }
     }
 
@@ -835,7 +823,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             w.events_out.events.shrink_to(WINDOW_BUFFER_KEEP);
             w.lanes
                 .iter_mut()
-                .for_each(|l| l.outbox.shrink_to(WINDOW_BUFFER_KEEP));
+                .for_each(|l| l.link.outbox.shrink_to(WINDOW_BUFFER_KEEP));
         }
         self.window_loop.events.shrink_to(WINDOW_BUFFER_KEEP);
     }
@@ -915,14 +903,14 @@ where
         let delta = self.delta();
         let (net, chunk, lanes) = (&*self.net, self.chunk, self.lane_count);
         let (recorder, state) = (&mut self.recorder, &mut self.window_loop);
-        let mut workers: Vec<&mut Worker<P>> = self.workers.iter_mut().collect();
+        let mut workers: Vec<&mut SimWorker<P>> = self.workers.iter_mut().collect();
         std::thread::scope(|s| {
             // Per worker, a channel that hands it its chunk and the window
             // end, and one that hands the chunk back: a panicking worker
             // closes the second, and the coordinator's `recv` fails with it.
             let channels: Vec<_> = (0..workers.len())
                 .map(|_| {
-                    let (start, windows) = mpsc::sync_channel::<(&mut Worker<P>, SimTime)>(1);
+                    let (start, windows) = mpsc::sync_channel::<(&mut SimWorker<P>, SimTime)>(1);
                     // The same message type both ways: one channel type to
                     // compile, not two.
                     let (done, back) = mpsc::sync_channel(1);

@@ -1,7 +1,7 @@
 //! One lane of the simulation engine: a self-contained slice of the node
 //! population with its own per-node RNG streams, counters, telemetry and
-//! fault-state replica — and the **only** dispatch table and send path in
-//! the crate. A lane owns no queue: a [`Worker`] runs a contiguous chunk
+//! fault-state replica — and the **only** dispatch table and send path on
+//! either host. A lane owns no queue: a [`Worker`] runs a contiguous chunk
 //! of lanes off one, keyed by `(time, lane, per-lane sequence)`, so a
 //! lane pops in its own order whichever lanes share the queue.
 //!
@@ -10,11 +10,18 @@
 //! more, sends to other lanes buffer in the lane's outbox until the
 //! engine's window barrier (see [`crate::Engine`]).
 //!
+//! What leaves a lane goes through its [`Link`], the one part of the send
+//! path a host supplies: the simulator's link adds the latency model's
+//! delay, and a `gocast-testnet` shard — a worker over one lane, fired in
+//! wall-clock time — frames datagrams onto sockets. Everything else a
+//! crash, a timer or a fault means is this file's, on both hosts.
+//!
 //! Link cuts, the loss/jitter state and the partition labelling are
-//! *global* facts applied at delivery (or send) time, so each lane holds a
-//! [`FaultState`] replica, updated by scheduling the control event for
-//! every lane. Delivery-time checks are thus lane-local and the hot path
-//! takes no cross-lane locks.
+//! *global* facts: each lane holds a [`FaultState`] replica, updated by
+//! scheduling the control event for every lane. A send draws its loss and
+//! jitter as it leaves the lane; a message meets a dead endpoint, a cut
+//! link or the partition as it arrives. Both checks are lane-local, and
+//! the hot path takes no cross-lane locks.
 
 use std::time::Duration;
 
@@ -137,12 +144,99 @@ impl Ties {
     }
 }
 
+/// Where a lane's sends leave it: the one part of the send path a host
+/// supplies. The lane has counted the send and drawn its loss and jitter
+/// first (a lost message never reaches the link), and judges whether the
+/// network stops it when it arrives; the link carries it between.
+pub trait Link<P: Protocol> {
+    /// What the link reads from its host on every send: the latency model
+    /// in the simulator, nothing on the wire.
+    type Env: ?Sized;
+
+    /// Carries `msg` from `sender.from` to `to`, `extra` (the drawn
+    /// jitter) later than the path alone would.
+    fn send(
+        &mut self,
+        env: &Self::Env,
+        sender: &mut Sender<'_, P>,
+        to: NodeId,
+        msg: P::Msg,
+        extra: Duration,
+    );
+}
+
+/// One send as its [`Link`] sees it: who sends, and when.
+pub struct Sender<'a, P: Protocol> {
+    /// The sending node.
+    pub from: NodeId,
+    /// The time of the handler that sends.
+    pub now: SimTime,
+    queue: &'a mut Queue<P>,
+    ties: &'a mut Ties,
+}
+
+impl<P: Protocol> std::fmt::Debug for Sender<'_, P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Sender({} at {:?})", self.from, self.now)
+    }
+}
+
+/// The simulator's link: a message arrives the latency model's delay plus
+/// its jitter after it is sent, scheduled on the sending lane's queue when
+/// that lane owns the receiver, else held in the outbox until the window
+/// barrier.
+pub(crate) struct SimLink<P: Protocol> {
+    index: u32,
+    lanes: u32,
+    /// Cross-lane sends made this window, in send order.
+    pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
+}
+
+impl<P: Protocol> Link<P> for SimLink<P> {
+    type Env = dyn LatencyModel;
+
+    #[inline(always)]
+    fn send(
+        &mut self,
+        net: &dyn LatencyModel,
+        sender: &mut Sender<'_, P>,
+        to: NodeId,
+        msg: P::Msg,
+        extra: Duration,
+    ) {
+        let from = sender.from;
+        let at = sender.now + (net.one_way(from, to) + extra);
+        if self.lanes == 1 || to.as_u32() % self.lanes == self.index {
+            let ev = Event::Deliver { from, to, msg };
+            sender.ties.schedule(sender.queue, at, to.as_u32(), ev);
+        } else {
+            self.outbox.push(CrossLaneMsg { at, from, to, msg });
+        }
+    }
+}
+
+impl<P: Protocol> SimLink<P> {
+    pub(crate) fn new(index: u32, lanes: u32) -> Self {
+        SimLink {
+            index,
+            lanes,
+            outbox: Vec::new(),
+        }
+    }
+}
+
+/// A kernel lane and a kernel worker: the simulator's link.
+pub(crate) type SimLane<P> = Lane<P, SimLink<P>>;
+pub(crate) type SimWorker<P> = Worker<P, SimLink<P>>;
+
 /// One lane: a self-contained slice of the node population.
-pub(crate) struct Lane<P: Protocol> {
+pub(crate) struct Lane<P: Protocol, L> {
     /// This lane's index in `0..lanes`.
     index: u32,
     /// Total lane count (for ownership tests on the send path).
     lanes: u32,
+    /// Nodes across all lanes (what a protocol's `node_count` reads).
+    population: usize,
     /// Protocol state for owned nodes, arena-style: dense by local index
     /// (`global = local * lanes + index`), never moved after construction
     /// (dispatch split-borrows the slot in place).
@@ -156,19 +250,27 @@ pub(crate) struct Lane<P: Protocol> {
     pub(crate) telemetry: Option<Box<KernelTelemetry>>,
     /// This lane's replica of the network's fault state.
     pub(crate) faults: FaultState,
-    /// Cross-lane sends made this window, in send order.
-    pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
+    /// Where this lane's sends leave it.
+    pub(crate) link: L,
 }
 
-impl<P: Protocol> Lane<P> {
-    /// An empty lane of a `population`-node simulation with room for
+impl<P: Protocol, L: Link<P>> Lane<P, L> {
+    /// An empty lane of a `population`-node deployment with room for
     /// exactly the `nodes` it will own: the arenas are the simulation's
     /// largest allocations, and growing them by doubling would leave up to
     /// half of each unused.
-    pub(crate) fn new(index: u32, lanes: u32, seed: u64, nodes: usize, population: usize) -> Self {
+    pub(crate) fn new(
+        index: u32,
+        lanes: u32,
+        seed: u64,
+        nodes: usize,
+        population: usize,
+        link: L,
+    ) -> Self {
         Lane {
             index,
             lanes,
+            population,
             nodes: Vec::with_capacity(nodes),
             alive: Vec::with_capacity(nodes),
             rngs: Vec::with_capacity(nodes),
@@ -180,7 +282,7 @@ impl<P: Protocol> Lane<P> {
             kernel: KernelStats::default(),
             telemetry: None,
             faults: FaultState::new(population, seed, index),
-            outbox: Vec::new(),
+            link,
         }
     }
 
@@ -226,12 +328,15 @@ impl<P: Protocol> Lane<P> {
         }
     }
 
+    /// Runs one popped event at `at`: its own time in the kernel, the time
+    /// it fires at on the wire.
     #[inline(always)]
     fn execute<S: Recorder<P::Event>>(
         &mut self,
-        ev: Scheduled<Ev<P>>,
+        at: SimTime,
+        ev: Ev<P>,
         queue: &mut Queue<P>,
-        net: &dyn LatencyModel,
+        env: &L::Env,
         sink: &mut S,
     ) {
         // The depth this lane had with the event still pending, then without.
@@ -245,9 +350,9 @@ impl<P: Protocol> Lane<P> {
                 .events_processed
                 .is_multiple_of(TELEMETRY_SAMPLE)
             {
-                let class = ev.payload.class();
+                let class = ev.class();
                 let t0 = std::time::Instant::now();
-                self.dispatch(ev.at, ev.payload, queue, net, sink);
+                self.dispatch(at, ev, queue, env, sink);
                 let ns = t0.elapsed().as_nanos() as u64;
                 if let Some(telemetry) = &mut self.telemetry {
                     telemetry.dispatch_time[class.index()].observe(ns);
@@ -255,7 +360,7 @@ impl<P: Protocol> Lane<P> {
                 return;
             }
         }
-        self.dispatch(ev.at, ev.payload, queue, net, sink);
+        self.dispatch(at, ev, queue, env, sink);
     }
 
     #[inline(always)]
@@ -264,7 +369,7 @@ impl<P: Protocol> Lane<P> {
         at: SimTime,
         ev: Ev<P>,
         queue: &mut Queue<P>,
-        net: &dyn LatencyModel,
+        env: &L::Env,
         sink: &mut S,
     ) {
         match ev {
@@ -272,7 +377,7 @@ impl<P: Protocol> Lane<P> {
                 let dead = !self.alive[self.local(to)];
                 if !self.faults.blocked(from, to, dead) {
                     self.kernel.deliveries += 1;
-                    self.with_ctx(at, to, queue, net, sink, |p, ctx| {
+                    self.with_ctx(at, to, queue, env, sink, |p, ctx| {
                         p.on_message(ctx, from, msg)
                     });
                 }
@@ -280,13 +385,13 @@ impl<P: Protocol> Lane<P> {
             Event::Fire { node, timer } => {
                 if self.alive[self.local(node)] {
                     self.kernel.timers_fired += 1;
-                    self.with_ctx(at, node, queue, net, sink, |p, ctx| p.on_timer(ctx, timer));
+                    self.with_ctx(at, node, queue, env, sink, |p, ctx| p.on_timer(ctx, timer));
                 }
             }
             Event::Command { node, cmd } => {
                 if self.alive[self.local(node)] {
                     self.kernel.commands += 1;
-                    self.with_ctx(at, node, queue, net, sink, |p, ctx| p.on_command(ctx, cmd));
+                    self.with_ctx(at, node, queue, env, sink, |p, ctx| p.on_command(ctx, cmd));
                 }
             }
             Event::Fail { node } => {
@@ -309,7 +414,7 @@ impl<P: Protocol> Lane<P> {
         at: SimTime,
         node: NodeId,
         queue: &mut Queue<P>,
-        net: &dyn LatencyModel,
+        env: &L::Env,
         sink: &mut S,
         f: F,
     ) {
@@ -318,17 +423,18 @@ impl<P: Protocol> Lane<P> {
         // whole-struct move in and out of the slot per dispatched event.
         let l = self.local(node);
         let p = &mut self.nodes[l];
-        let mut backend = Backend::<P, S> {
-            lane_index: self.index,
-            lanes: self.lanes,
-            from: node,
-            now: at,
-            net,
-            queue,
-            ties: &mut self.ties,
+        let mut backend = Backend::<P, L, S> {
+            sender: Sender {
+                from: node,
+                now: at,
+                queue,
+                ties: &mut self.ties,
+            },
+            population: self.population,
+            env,
+            link: &mut self.link,
             stats: &mut self.stats,
             faults: &mut self.faults,
-            outbox: &mut self.outbox,
             sink,
         };
         let mut ctx = Ctx::for_host(node, at, &mut self.rngs[l], &mut backend);
@@ -345,18 +451,98 @@ impl<P: Protocol> Lane<P> {
     }
 }
 
-/// A contiguous chunk of lanes, from lane `first` on, whose events all
-/// wait in one queue: what one thread runs.
-pub(crate) struct Worker<P: Protocol> {
+/// A contiguous chunk of lanes whose events all wait in one queue: what
+/// one thread runs. The engine builds one per worker thread over the
+/// simulator's link; a `gocast-testnet` shard is a worker over one lane of
+/// `shards`, fired in wall-clock time ([`Worker::fire_due`]) and handed
+/// each arriving message ([`Worker::arrive`]).
+pub struct Worker<P: Protocol, L> {
+    /// The global index of the first lane.
     pub(crate) first: usize,
-    pub(crate) lanes: Vec<Lane<P>>,
+    pub(crate) lanes: Vec<Lane<P, L>>,
     pub(crate) queue: Queue<P>,
     /// Recorder events of the window, in pop order, where several workers
     /// share one recorder.
     pub(crate) events_out: VecRecorder<P::Event>,
 }
 
-impl<P: Protocol> Worker<P> {
+impl<P: Protocol, L> std::fmt::Debug for Worker<P, L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Worker({} lanes from {})", self.lanes.len(), self.first)
+    }
+}
+
+impl<P: Protocol, L: Link<P>> Worker<P, L> {
+    /// The worker over `lanes`, from lane `first` on.
+    pub(crate) fn new(first: usize, lanes: Vec<Lane<P, L>>) -> Self {
+        Worker {
+            first,
+            lanes,
+            queue: EventQueue::new(),
+            events_out: VecRecorder::new(),
+        }
+    }
+
+    /// A worker over lane `lane` alone of `lanes`, in a
+    /// `population`-node deployment whose run seed is `seed`: node `g`
+    /// lives in lane `g % lanes`, and the lane's RNG and chaos streams are
+    /// the ones the engine gives lane `lane`.
+    pub fn one_lane(lane: u32, lanes: u32, seed: u64, population: usize, link: L) -> Self {
+        let owned = (population - lane as usize).div_ceil(lanes as usize);
+        let lane = Lane::new(lane, lanes, seed, owned, population, link);
+        Worker::new(lane.index as usize, vec![lane])
+    }
+
+    /// Position in `self.lanes` of the lane that owns `node`.
+    fn lane_of(&self, node: NodeId) -> usize {
+        node.index() % self.lanes[0].lanes as usize - self.first
+    }
+
+    /// Adds the lane's next node, `id` (push in increasing id order);
+    /// `seed` is the run seed.
+    pub fn push_node(&mut self, id: NodeId, node: P, seed: u64) {
+        let lane = self.lane_of(id);
+        self.lanes[lane].push_node(id, node, seed);
+    }
+
+    /// The protocol state of the owned node `node`.
+    pub fn node(&self, node: NodeId) -> &P {
+        let lane = &self.lanes[self.lane_of(node)];
+        &lane.nodes[lane.local(node)]
+    }
+
+    /// Whether the owned node `node` is alive.
+    pub fn is_alive(&self, node: NodeId) -> bool {
+        let lane = &self.lanes[self.lane_of(node)];
+        lane.alive[lane.local(node)]
+    }
+
+    /// The first lane's link: a one-lane worker's only one.
+    pub fn link(&self) -> &L {
+        &self.lanes[0].link
+    }
+
+    /// The first lane's link, mutably.
+    pub fn link_mut(&mut self) -> &mut L {
+        &mut self.lanes[0].link
+    }
+
+    /// The counters of this worker's lanes, with what its queue holds.
+    pub fn kernel_stats(&self) -> KernelStats {
+        let mut total = KernelStats::default();
+        self.lanes
+            .iter()
+            .for_each(|lane| total.absorb(&lane.kernel_stats()));
+        total.slab_slots += self.queue.slab_slots();
+        total.queue_mem_bytes += self.queue.mem_bytes();
+        total
+    }
+
+    /// When the earliest pending event is due.
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Schedules `ev` for lane `lane` (a global index, in this chunk).
     #[inline]
     pub(crate) fn schedule(&mut self, lane: usize, at: SimTime, hint: u32, ev: Ev<P>) {
@@ -364,14 +550,47 @@ impl<P: Protocol> Worker<P> {
         ties.schedule(&mut self.queue, at, hint, ev);
     }
 
+    /// Schedules `ev` for the lane that owns `node`.
+    fn schedule_for(&mut self, at: SimTime, node: NodeId, ev: Ev<P>) {
+        let lane = self.lane_of(node);
+        self.lanes[lane]
+            .ties
+            .schedule(&mut self.queue, at, node.as_u32(), ev);
+    }
+
+    /// Schedules command `cmd` for the owned node `node` at `at`.
+    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
+        self.schedule_for(at, node, Event::Command { node, cmd });
+    }
+
+    /// Schedules a crash of the owned node `node` at `at`: from then on
+    /// it runs no handler, and what arrives for it is dead.
+    pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
+        self.schedule_for(at, node, Event::Fail { node });
+    }
+
+    /// Schedules `fault` at `at` for every lane of this worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`FaultState::apply`] would — at this call, not when
+    /// the fault fires.
+    pub fn schedule_fault(&mut self, at: SimTime, fault: &NetFault) {
+        self.lanes[0].faults.validate(fault);
+        for lane in &mut self.lanes {
+            let ev = Event::Control(fault.clone());
+            lane.ties.schedule(&mut self.queue, at, u32::MAX, ev);
+        }
+    }
+
     /// Calls `on_start` on every alive node, lane by lane.
-    pub(crate) fn start<S: Recorder<P::Event>>(&mut self, net: &dyn LatencyModel, sink: &mut S) {
+    pub fn start<S: Recorder<P::Event>>(&mut self, env: &L::Env, sink: &mut S) {
         for lane in &mut self.lanes {
             for l in 0..lane.nodes.len() {
                 let id = NodeId::new(l as u32 * lane.lanes + lane.index);
                 if lane.alive[l] {
                     let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
-                    lane.with_ctx(SimTime::ZERO, id, &mut self.queue, net, sink, on_start);
+                    lane.with_ctx(SimTime::ZERO, id, &mut self.queue, env, sink, on_start);
                 }
             }
         }
@@ -390,37 +609,74 @@ impl<P: Protocol> Worker<P> {
     pub(crate) fn run_window<S: Recorder<P::Event>>(
         &mut self,
         end_inclusive: SimTime,
-        net: &dyn LatencyModel,
+        env: &L::Env,
         sink: &mut S,
     ) {
         // Deadline test and pop share a single probe of the front.
         while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
-            self.execute(ev, net, sink);
+            self.execute(ev.at, ev, env, sink);
         }
     }
 
     /// Runs the earliest event, returning its timestamp.
     pub(crate) fn step<S: Recorder<P::Event>>(
         &mut self,
-        net: &dyn LatencyModel,
+        env: &L::Env,
         sink: &mut S,
     ) -> Option<SimTime> {
         let ev = self.queue.pop()?;
         let at = ev.at;
-        self.execute(ev, net, sink);
+        self.execute(at, ev, env, sink);
         Some(at)
+    }
+
+    /// Runs the earliest event due at or before `now`, at `now`: a host on
+    /// the wall clock reaches an event when it gets to it, and its nodes
+    /// must not see time run backwards. Returns when the event was due,
+    /// and its class.
+    pub fn fire_due<S: Recorder<P::Event>>(
+        &mut self,
+        now: SimTime,
+        env: &L::Env,
+        sink: &mut S,
+    ) -> Option<(SimTime, EventClass)> {
+        let ev = self.queue.pop_at_or_before(now)?;
+        let due = (ev.at, ev.payload.class());
+        self.execute(now, ev, env, sink);
+        Some(due)
+    }
+
+    /// Delivers `msg`, arriving from `from` at `now`, to the owned node
+    /// `to`, judged as the kernel judges a delivery it scheduled: it meets
+    /// its fate if `to` is dead or the path is cut or partitioned, and
+    /// reaches `on_message` otherwise.
+    pub fn arrive<S: Recorder<P::Event>>(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        msg: P::Msg,
+        env: &L::Env,
+        sink: &mut S,
+    ) {
+        let lane = self.lane_of(to);
+        let lane = &mut self.lanes[lane];
+        lane.kernel.events_processed += 1;
+        let ev = Event::Deliver { from, to, msg };
+        lane.dispatch(now, ev, &mut self.queue, env, sink);
     }
 
     #[inline(always)]
     fn execute<S: Recorder<P::Event>>(
         &mut self,
+        at: SimTime,
         ev: Scheduled<Ev<P>>,
-        net: &dyn LatencyModel,
+        env: &L::Env,
         sink: &mut S,
     ) {
         self.prefetch_next();
         let lane = (ev.seq >> SEQ_BITS) as usize - self.first;
-        self.lanes[lane].execute(ev, &mut self.queue, net, sink);
+        self.lanes[lane].execute(at, ev.payload, &mut self.queue, env, sink);
     }
 
     /// Starts fetching what the next two dispatches read, so the misses
@@ -462,53 +718,45 @@ impl<P: Protocol> Worker<P> {
 /// The [`HostBackend`] a lane presents to its protocol instances. The
 /// state machines run unchanged: they cannot tell a lane from a real
 /// deployment host.
-struct Backend<'a, P: Protocol, S> {
-    lane_index: u32,
-    lanes: u32,
-    from: NodeId,
-    now: SimTime,
-    net: &'a dyn LatencyModel,
-    queue: &'a mut Queue<P>,
-    ties: &'a mut Ties,
+struct Backend<'a, P: Protocol, L: Link<P>, S> {
+    sender: Sender<'a, P>,
+    population: usize,
+    env: &'a L::Env,
+    link: &'a mut L,
     stats: &'a mut TrafficStats,
     faults: &'a mut FaultState,
-    outbox: &'a mut Vec<CrossLaneMsg<P::Msg>>,
     sink: &'a mut S,
 }
 
-impl<P: Protocol, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, S> {
+impl<P: Protocol, L: Link<P>, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, L, S> {
     fn send(&mut self, to: NodeId, msg: P::Msg) {
         // Send-path order: count the send, then the loss draw, then jitter.
-        let from = self.from;
-        let mut latency = self.net.one_way(from, to);
+        let from = self.sender.from;
         self.stats.record(from, to, msg.wire_size(), msg.class());
+        let mut extra = Duration::ZERO;
         if self.faults.active() {
             match self.faults.draw(from, to) {
-                Some(extra) => latency += extra,
+                Some(jitter) => extra = jitter,
                 None => return,
             }
         }
-        let at = self.now + latency;
-        if self.lanes == 1 || to.as_u32() % self.lanes == self.lane_index {
-            let ev = Event::Deliver { from, to, msg };
-            self.ties.schedule(self.queue, at, to.as_u32(), ev);
-        } else {
-            self.outbox.push(CrossLaneMsg { at, from, to, msg });
-        }
+        self.link.send(self.env, &mut self.sender, to, msg, extra);
     }
 
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        let node = self.from;
+        let sender = &mut self.sender;
+        let node = sender.from;
         let ev = Event::Fire { node, timer };
-        self.ties
-            .schedule(self.queue, self.now + delay, node.as_u32(), ev);
+        sender
+            .ties
+            .schedule(sender.queue, sender.now + delay, node.as_u32(), ev);
     }
 
     fn emit(&mut self, event: P::Event) {
-        self.sink.record(self.now, self.from, event);
+        self.sink.record(self.sender.now, self.sender.from, event);
     }
 
     fn node_count(&self) -> usize {
-        self.net.len()
+        self.population
     }
 }

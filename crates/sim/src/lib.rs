@@ -19,7 +19,10 @@
 //! The paper evaluates GoCast with exactly this style of simulator ("We
 //! built an event-driven simulator ... We do not simulate the network-level
 //! packet details"); this crate is that simulator, generalized so the same
-//! protocol state machines could be rehosted on a real transport.
+//! protocol state machines could be rehosted on a real transport — and
+//! they are: a [`Worker`] over one lane, whose [`Link`] is a set of
+//! sockets, is one `gocast-testnet` shard, running the engine's own
+//! dispatch in wall-clock time.
 //!
 //! ## Quick example
 //!
@@ -115,13 +118,15 @@ pub use kernel::{
     Engine, EventClass, KernelStats, Lanes, Mode, OneLane, PastScheduleError, ShardedSim,
     ShardedSimBuilder, Sim, SimBuilder, DEFAULT_LANES,
 };
+pub use lane::{Link, Sender, Worker};
 pub use latency::{FixedLatency, HashedLatency, LatencyModel};
 pub use parallel::parallel_map;
 pub use protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
 pub use queue::{prefetch_slice, EventQueue, Scheduled, PREFETCH_BYTES};
 pub use recorder::{FnRecorder, NullRecorder, Recorder, VecRecorder};
 pub use scenario::{
-    Fault, PlannedFault, PlannedSub, PresenceTimeline, Scenario, ScenarioEnv, ScenarioPlan, Split,
+    Fault, FaultHost, PlannedFault, PlannedSub, PresenceTimeline, Scenario, ScenarioEnv,
+    ScenarioPlan, Split,
 };
 pub use stack::{Stack, StackCaps};
 pub use stats::{ClassCounters, TrafficClass, TrafficStats};

@@ -844,41 +844,75 @@ impl ScenarioPlan {
         PresenceTimeline { per_node }
     }
 
-    /// Schedules every planned fault onto `sim` — a [`Sim`](crate::Sim) or
-    /// a [`ShardedSim`](crate::ShardedSim) alike. Crashes and network
-    /// faults are the kernel's own; [`Fault::Leave`] and [`Fault::Join`]
-    /// become protocol commands built by `leave` / `join` (`join` receives
-    /// the contact node).
+    /// Schedules every planned fault onto `host` — a [`Sim`](crate::Sim),
+    /// a [`ShardedSim`](crate::ShardedSim) or a `gocast-testnet` fabric
+    /// alike: this match is the one place a planned fault becomes kernel
+    /// events. Crashes and network faults are the kernel's own;
+    /// [`Fault::Leave`] and [`Fault::Join`] become protocol commands built
+    /// by `leave` / `join` (`join` receives the contact node).
     ///
     /// # Panics
     ///
-    /// Panics if `sim` has a different node count than the plan was
-    /// compiled for, or if any fault time is already in the past.
-    pub fn schedule_into<P, R, M>(
+    /// Panics if `host` has a different node count than the plan was
+    /// compiled for, or where `host` refuses an event (the engine: a fault
+    /// time already in the past).
+    pub fn schedule_into<H: FaultHost>(
         &self,
-        sim: &mut Engine<P, R, M>,
-        mut join: impl FnMut(NodeId) -> P::Command,
-        mut leave: impl FnMut() -> P::Command,
-    ) where
-        P: Protocol,
-        R: Recorder<P::Event>,
-        M: Mode,
-    {
+        host: &mut H,
+        mut join: impl FnMut(NodeId) -> H::Command,
+        mut leave: impl FnMut() -> H::Command,
+    ) {
         assert_eq!(
-            sim.len(),
+            host.nodes(),
             self.nodes,
             "plan was compiled for a different node count"
         );
         for ev in &self.events {
             match &ev.fault {
-                Fault::Crash(n) => sim.fail_node_at(ev.at, *n),
-                Fault::Leave(n) => sim.schedule_command(ev.at, *n, leave()),
+                Fault::Crash(n) => host.fail_node_at(ev.at, *n),
+                Fault::Leave(n) => host.schedule_command(ev.at, *n, leave()),
                 Fault::Join { node, contact } => {
-                    sim.schedule_command(ev.at, *node, join(*contact));
+                    host.schedule_command(ev.at, *node, join(*contact));
                 }
-                Fault::Net(fault) => sim.schedule_fault(ev.at, fault.clone()),
+                Fault::Net(fault) => host.schedule_fault(ev.at, fault.clone()),
             }
         }
+    }
+}
+
+/// A host a [`ScenarioPlan`] schedules into ([`ScenarioPlan::schedule_into`]):
+/// the engine, or a wire fabric whose shards are kernel workers. Either
+/// routes each kernel event to the lanes it concerns.
+pub trait FaultHost {
+    /// The hosted protocol's command type.
+    type Command;
+    /// Nodes hosted (alive or failed).
+    fn nodes(&self) -> usize;
+    /// Schedules command `cmd` for `node` at `at`.
+    fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: Self::Command);
+    /// Schedules a crash of `node` at `at`.
+    fn fail_node_at(&mut self, at: SimTime, node: NodeId);
+    /// Schedules network fault `fault` for every lane at `at`.
+    fn schedule_fault(&mut self, at: SimTime, fault: NetFault);
+}
+
+impl<P: Protocol, R: Recorder<P::Event>, M: Mode> FaultHost for Engine<P, R, M> {
+    type Command = P::Command;
+
+    fn nodes(&self) -> usize {
+        self.len()
+    }
+
+    fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
+        Engine::schedule_command(self, at, node, cmd);
+    }
+
+    fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
+        Engine::fail_node_at(self, at, node);
+    }
+
+    fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
+        Engine::schedule_fault(self, at, fault);
     }
 }
 

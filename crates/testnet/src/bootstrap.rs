@@ -15,7 +15,8 @@
 //! [`gocast::encode`] produces — the framing is transport identity (the
 //! role an IP header plays in a real deployment), not a protocol change.
 //! Every received frame teaches the receiver the sender's `NodeId ↔
-//! SocketAddr` mapping; a send to an unknown `NodeId` is queued while a
+//! SocketAddr` mapping, once: a frame that contradicts a mapping already
+//! learned is dropped as malformed. A send to an unknown `NodeId` is queued while a
 //! `WHOHAS` query goes to the seeds (and any peer already learned), which
 //! answer with `PEER` if they know the target. This is the same shape as
 //! the membership piggybacking that real gossip deployments use (cf.
@@ -120,8 +121,23 @@ pub(crate) fn decode_frame(buf: &[u8]) -> Option<Frame<'_>> {
     }
 }
 
+/// What [`PeerTable::learn`] made of a claimed binding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Learned {
+    /// The table did not know it, and now does.
+    New,
+    /// The table already held exactly this binding.
+    Known,
+    /// The id or the address is already bound to another; the table keeps
+    /// what it had.
+    Conflict,
+}
+
 /// A node's learned view of where peers live: pre-loaded with the seed
 /// set, extended by every frame the node receives and every `PEER` answer.
+/// A binding is one-to-one and permanent — no testnet socket ever moves —
+/// so the first one wins, and a frame that claims another is a lie: one
+/// spoofed frame cannot redirect a node's sends to a peer.
 #[derive(Debug, Clone)]
 pub struct PeerTable {
     addrs: FxHashMap<NodeId, SocketAddr>,
@@ -144,20 +160,17 @@ impl PeerTable {
         t
     }
 
-    /// Records that `id` lives at `addr`. Returns `true` when this taught
-    /// the table a previously unknown (or changed) mapping.
-    pub fn learn(&mut self, id: NodeId, addr: SocketAddr) -> bool {
-        match self.addrs.insert(id, addr) {
-            Some(prev) if prev == addr => false,
-            Some(prev) => {
-                self.by_addr.remove(&prev);
+    /// Binds `id` to `addr` unless either is bound already (see
+    /// [`Learned`]).
+    pub fn learn(&mut self, id: NodeId, addr: SocketAddr) -> Learned {
+        match (self.addrs.get(&id), self.by_addr.get(&addr)) {
+            (None, None) => {
+                self.addrs.insert(id, addr);
                 self.by_addr.insert(addr, id);
-                true
+                Learned::New
             }
-            None => {
-                self.by_addr.insert(addr, id);
-                true
-            }
+            (Some(&bound), _) if bound == addr => Learned::Known,
+            _ => Learned::Conflict,
         }
     }
 
@@ -239,11 +252,14 @@ mod tests {
         let mut t = PeerTable::new(vec![(NodeId::new(0), addr(9000))]);
         assert_eq!(t.known(), 1);
         assert_eq!(t.addr_of(NodeId::new(0)), Some(addr(9000)));
-        assert!(t.learn(NodeId::new(1), addr(9001)));
-        assert!(!t.learn(NodeId::new(1), addr(9001))); // already known
-        assert!(t.learn(NodeId::new(1), addr(9002))); // rebind
-        assert_eq!(t.node_of(addr(9002)), Some(NodeId::new(1)));
-        assert_eq!(t.node_of(addr(9001)), None);
+        assert_eq!(t.learn(NodeId::new(1), addr(9001)), Learned::New);
+        assert_eq!(t.learn(NodeId::new(1), addr(9001)), Learned::Known);
+        // The first binding wins, both ways round.
+        assert_eq!(t.learn(NodeId::new(1), addr(9002)), Learned::Conflict);
+        assert_eq!(t.learn(NodeId::new(2), addr(9001)), Learned::Conflict);
+        assert_eq!(t.addr_of(NodeId::new(1)), Some(addr(9001)));
+        assert_eq!(t.node_of(addr(9001)), Some(NodeId::new(1)));
+        assert_eq!(t.node_of(addr(9002)), None);
         assert_eq!(t.seeds().len(), 1);
     }
 }

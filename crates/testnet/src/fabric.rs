@@ -1,23 +1,17 @@
 //! The deployment fabric: N GoCast nodes on loopback UDP.
 //!
 //! Each node gets its own non-blocking [`UdpSocket`](std::net::UdpSocket)
-//! bound to an ephemeral `127.0.0.1` port and its own deterministic RNG.
-//! Nodes are partitioned round-robin across [`TestnetConfig::shards`]
-//! event loops, each on its own OS thread (one shard runs inline on the
-//! caller's thread). Every shard keeps one `gocast_sim::EventQueue`
-//! keyed by fabric time — planned [`ScenarioPlan`] faults, harness
-//! commands, its nodes' protocol timers and jitter-held datagrams — and
-//! runs the same synchronous loop over its slice:
-//!
-//! 1. pop everything due, in the kernel's `(time, scheduling order)`:
-//!    replay a fault into the fault state / protocol commands, fire a
-//!    command or a timer, or send a held datagram;
-//! 2. drain every socket in `recvmmsg` batches, decode the transport
-//!    frame, learn the sender's address, and dispatch (a crashed node's
-//!    datagrams are counted dead instead);
-//! 3. flush gathered outbound datagrams in one `sendmmsg` batch; if the
-//!    iteration did no work, sleep until the queue's next entry (capped
-//!    at 500 µs, since loopback arrivals cannot interrupt a sleep).
+//! bound to an ephemeral `127.0.0.1` port. Nodes are partitioned
+//! round-robin across [`TestnetConfig::shards`] event loops, each on its
+//! own OS thread (one shard runs inline on the caller's thread). A shard
+//! is a kernel lane — a one-lane `gocast_sim::Worker`, lane `k` of
+//! `shards` — whose link is the shard's sockets: its nodes draw from the
+//! RNG streams the engine gives them, and planned faults, harness
+//! commands, timers and arriving messages run through the kernel's one
+//! dispatch, in wall-clock time (see the `shard` module docs for the
+//! loop). A [`ScenarioPlan`] reaches the shards through the mapping the
+//! engine uses, `ScenarioPlan::schedule_into`: a crash and a leave or
+//! join go to the owning shard, a network fault to every shard's replica.
 //!
 //! Cross-shard traffic travels over real loopback UDP like any other
 //! datagram — shards share no mutable state. Recorded [`GoCastEvent`]s
@@ -36,13 +30,11 @@ use std::time::{Duration, Instant};
 use gocast::{GoCastConfig, GoCastEvent, GoCastMsg, GoCastNode};
 use gocast_metrics::{Gauge, Snapshot};
 use gocast_sim::scenario::ScenarioPlan;
-use gocast_sim::{FxHashMap, NodeId, SimTime, Stack};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use gocast_sim::{FaultHost, KernelStats, NetFault, NodeId, SimTime, Stack};
 
 use crate::batch::BatchMode;
 use crate::bootstrap::PeerTable;
-use crate::shard::{NodeSlot, Shard};
+use crate::shard::{Port, Shard};
 
 pub use crate::shard::FabricStats;
 
@@ -57,7 +49,7 @@ pub struct TestnetConfig {
     /// Number of nodes.
     pub nodes: usize,
     /// Run seed (per-node RNGs and the per-shard loss/jitter streams
-    /// derive from it).
+    /// derive from it, as the engine's per-lane ones do).
     pub seed: u64,
     /// Event-loop shards: nodes are partitioned `id % shards` across
     /// this many OS threads. `1` (the default) runs everything inline on
@@ -151,19 +143,8 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
             let id = NodeId::new(i as u32);
             let mut peers = PeerTable::new(seeds.clone());
             peers.learn(id, addr); // a node always knows itself
-            shards[i % shard_count].slots.push(NodeSlot {
-                node: make(id),
-                socket,
-                addr,
-                // Same per-node stream derivation as `SimBuilder`.
-                rng: SmallRng::seed_from_u64(
-                    cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i as u64,
-                ),
-                peers,
-                pending: FxHashMap::default(),
-                wanted: FxHashMap::default(),
-                wanted_len: 0,
-            });
+            let port = Port::new(socket, addr, peers);
+            shards[i % shard_count].push_node(id, make(id), port, cfg.seed);
         }
         Ok(Testnet {
             epoch: Instant::now(),
@@ -175,9 +156,13 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
         })
     }
 
-    fn slot(&self, id: NodeId) -> &NodeSlot<N> {
-        let i = id.index();
-        &self.shards[i % self.shard_count].slots[i / self.shard_count]
+    fn shard_of(&self, id: NodeId) -> &Shard<N> {
+        &self.shards[id.index() % self.shard_count]
+    }
+
+    /// The transport of `id`: its socket and peer table.
+    fn slot(&self, id: NodeId) -> &Port {
+        &self.shard_of(id).worker.link().ports[id.index() / self.shard_count]
     }
 
     /// Number of nodes.
@@ -209,12 +194,12 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
 
     /// The hosted protocol state machine of `id` (inspect between runs).
     pub fn node(&self, id: NodeId) -> &N {
-        &self.slot(id).node
+        self.shard_of(id).worker.node(id)
     }
 
     /// Iterates over all hosted nodes in id order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = &N> {
-        (0..self.nodes_total).map(move |i| &self.slot(NodeId::new(i as u32)).node)
+        (0..self.nodes_total).map(move |i| self.node(NodeId::new(i as u32)))
     }
 
     /// The socket address `id` is bound to.
@@ -227,10 +212,9 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
         self.slot(id).peers.known()
     }
 
-    /// Whether `id` was crashed by a scenario fault. (Every shard
-    /// replays the full plan, so any shard's replica can answer.)
+    /// Whether `id` was crashed by a scenario fault.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.shards[0].is_crashed(id)
+        !self.shard_of(id).worker.is_alive(id)
     }
 
     /// Wire-side counters, aggregated across shards.
@@ -242,14 +226,25 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
         total
     }
 
+    /// The kernel counters of the shards' lanes and queues, summed as the
+    /// engine sums its lanes' (`wall_time` stays zero: the fabric runs
+    /// in wall-clock time).
+    pub fn kernel_stats(&self) -> KernelStats {
+        let mut total = KernelStats::default();
+        for sh in &self.shards {
+            total.absorb(&sh.worker.kernel_stats());
+        }
+        total
+    }
+
     /// A [`Snapshot`] of the fabric's wire-side metrics under `fabric_*`
     /// names: syscall/datagram/byte counters (including the batching
     /// economics: `fabric_sendmmsg_calls`, `fabric_recvmmsg_calls`,
     /// `fabric_syscalls_saved`), per-poll drain and timer-lateness
     /// distributions, and discovery queue depths — all aggregated across
-    /// shards — then the network fates under the `net_*` names the
-    /// simulation kernel exports too. The histograms are wall-clock
-    /// flavoured and flagged accordingly.
+    /// shards — then the lanes' counters and the network fates under the
+    /// `kernel_*` and `net_*` names the simulation engine exports too. The
+    /// histograms are wall-clock flavoured and flagged accordingly.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         let s = self.stats();
@@ -307,6 +302,7 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
         }
         snap.record_wall_histogram("fabric_datagrams_per_poll", &per_poll);
         snap.record_wall_histogram("fabric_timer_fire_lateness_ns", &lateness);
+        self.kernel_stats().snapshot_into(&mut snap);
         s.fates.snapshot_into(&mut snap);
         snap
     }
@@ -346,26 +342,19 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
     /// to the shard that owns `node`.
     pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
         let k = node.index() % self.shard_count;
-        self.shards[k].schedule_command(at, node, cmd);
+        self.shards[k].worker.schedule_command(at, node, cmd);
     }
 
     /// Attaches a compiled scenario: its faults replay against the real
-    /// sockets at their planned (fabric-relative) times. Compile the plan
-    /// with `ScenarioEnv::starting_at` to offset it into the run. Every
-    /// shard replays the full plan against its own fault-state replica.
+    /// sockets at their planned (fabric-relative) times, through
+    /// `ScenarioPlan::schedule_into` as on the engine. Compile the plan
+    /// with `ScenarioEnv::starting_at` to offset it into the run.
     ///
     /// # Panics
     ///
     /// Panics if the plan was compiled for a different node count.
     pub fn attach_plan(&mut self, plan: &ScenarioPlan) {
-        assert_eq!(
-            plan.nodes(),
-            self.nodes_total,
-            "plan was compiled for a different node count"
-        );
-        for sh in &mut self.shards {
-            sh.attach_plan(plan.events());
-        }
+        plan.schedule_into(self, N::cmd_join, N::cmd_leave);
     }
 
     /// Resets shared fabric time and arms every shard; fabric time zero
@@ -402,8 +391,38 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
                 }
             });
         }
-        let streams: Vec<_> = self.shards.iter_mut().map(|sh| &mut sh.trace).collect();
+        let streams: Vec<_> = self
+            .shards
+            .iter_mut()
+            .map(|sh| &mut sh.trace.events)
+            .collect();
         merge_event_streams(&mut self.trace, streams);
+    }
+}
+
+/// A plan reaches the shards as it reaches the engine's lanes: a crash or
+/// a command to the shard that owns the node, a network fault to every
+/// shard.
+impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> FaultHost for Testnet<N> {
+    type Command = N::Command;
+
+    fn nodes(&self) -> usize {
+        self.nodes_total
+    }
+
+    fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
+        Testnet::schedule_command(self, at, node, cmd);
+    }
+
+    fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
+        let k = node.index() % self.shard_count;
+        self.shards[k].worker.fail_node_at(at, node);
+    }
+
+    fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
+        for sh in &mut self.shards {
+            sh.worker.schedule_fault(at, &fault);
+        }
     }
 }
 
@@ -655,35 +674,43 @@ mod tests {
         );
     }
 
-    /// The network fates are one schema on every host: `Sim`, a 64-lane
-    /// `ShardedSim` and the fabric export exactly the same four names.
+    /// The network fates and the kernel counters are one schema on every
+    /// host: `Sim`, a 64-lane `ShardedSim` and the fabric export exactly
+    /// the same `net_*` and `kernel_*` names, but for the allowlist's.
     #[test]
     fn network_fates_export_one_schema_on_every_host() {
-        /// Fate metrics one host may export without the others: none.
-        const FATE_ALLOWLIST: [&str; 0] = [];
-        let fates = |snap: Snapshot| -> Vec<&'static str> {
+        /// Names one host may export without the others, each with why.
+        const ALLOWLIST: [(&str, &str); 1] = [(
+            "kernel_lanes",
+            "an engine's lane count, exported above one lane; a fabric's \
+             shard count is its configuration",
+        )];
+        let names = |snap: Snapshot| -> Vec<&'static str> {
             let names = snap.entries().iter().map(|e| e.name);
             names
-                .filter(|n| n.starts_with("net_") && !FATE_ALLOWLIST.contains(n))
+                .filter(|n| n.starts_with("net_") || n.starts_with("kernel_"))
+                .filter(|n| ALLOWLIST.iter().all(|(name, _)| name != n))
                 .collect()
         };
-        let expected = ["net_lost", "net_cut", "net_partitioned", "net_dead"];
         let net = || FixedLatency::new(64, Duration::from_millis(10));
         let make = |id| GoCastNode::new(id, GoCastConfig::default(), Vec::new());
         let mut sim = SimBuilder::new(net()).build(make);
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(fates(sim.metrics_snapshot()), expected);
+        let expected = names(sim.metrics_snapshot());
+        let fates = ["net_lost", "net_cut", "net_partitioned", "net_dead"];
+        assert_eq!(expected[expected.len() - 4..], fates);
+        assert!(expected.contains(&"kernel_events"), "{expected:?}");
         let mut lanes = ShardedSimBuilder::new(net())
             .lanes(64)
             .build_with(NullRecorder, make);
         lanes.run_until(SimTime::from_secs(1));
         assert_eq!(lanes.lane_count(), 64);
-        assert_eq!(fates(lanes.metrics_snapshot()), expected);
+        assert_eq!(names(lanes.metrics_snapshot()), expected);
         if skip() {
             return;
         }
         let wire = Testnet::build_bootstrap(&TestnetConfig::new(4)).expect("bind loopback");
-        assert_eq!(fates(wire.metrics_snapshot()), expected);
+        assert_eq!(names(wire.metrics_snapshot()), expected);
     }
 
     /// Commands due at one fabric time fire in scheduling order, as

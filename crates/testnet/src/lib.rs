@@ -4,21 +4,23 @@
 //! time; this crate is the socket host that runs the same sans-IO state
 //! machines in wall-clock time. It spins up N GoCast nodes inside one
 //! process, each on its own non-blocking loopback [`std::net::UdpSocket`],
-//! driven by a hand-rolled synchronous event loop (sockets + one
-//! [`gocast_sim::EventQueue`] per shard, keyed by fabric time, the
-//! kernel's own queue and timer contract — no async runtime). On top of
-//! that fabric it layers the pieces a real deployment study needs:
+//! driven by a hand-rolled synchronous event loop per shard — no async
+//! runtime. A shard is a kernel lane: a [`gocast_sim::Worker`] over one
+//! lane whose [`gocast_sim::Link`] is the shard's sockets, so its nodes
+//! run through the kernel's own dispatch, queue, timer contract and fault
+//! state, fired at fabric time. On top of that it layers the pieces a
+//! real deployment study needs:
 //!
 //! - **Seed bootstrap** ([`bootstrap`]): nodes start knowing only the
 //!   seed nodes' addresses and discover the rest at runtime through a
 //!   tiny WHOHAS/PEER side protocol.
 //! - **Chaos parity**: the same compiled
 //!   [`gocast_sim::scenario::ScenarioPlan`]s the PR-4 chaos engine runs
-//!   in simulation replay against the real sockets — loss, jitter,
-//!   partitions, link cuts, crash/leave/join — and each shard keeps the
-//!   network faults in the kernel's own [`gocast_sim::FaultState`],
-//!   consulted on the transmit path before `send_to`, so the two hosts
-//!   cannot disagree on what a fault means.
+//!   in simulation reach the shards' lanes through the same mapping —
+//!   loss, jitter, partitions, link cuts, crash/leave/join — and the
+//!   lanes judge them as the engine's do: loss and jitter as a message is
+//!   sent, a dead receiver, cut or partition as it arrives, so the two
+//!   hosts cannot disagree on what a fault means.
 //! - **Wire-side tracing**: every protocol event a node emits is captured
 //!   with fabric-monotonic time ([`Testnet::trace`]), so the recorders a
 //!   simulated run installs — `gocast_analysis`'s ledger and

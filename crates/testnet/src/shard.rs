@@ -1,49 +1,57 @@
 //! One shard of the fabric: a slice of nodes driven by one OS thread.
 //!
 //! The fabric partitions its nodes round-robin across `shards` event
-//! loops (`global_id % shards` names the owning shard), each owning its
-//! slice's sockets, its event queue, batch buffers, and telemetry.
+//! loops (`global_id % shards` names the owning shard). A shard is a
+//! kernel lane: it holds a one-lane [`Worker`], lane `index` of
+//! `shard_count` — so its nodes' RNG streams, its chaos stream and its
+//! tie keys are the ones the engine gives that lane — and the lane's
+//! [`Link`] is a [`WireLink`] over the shard's sockets. Dispatch, the
+//! timer contract, liveness and the fault state are therefore the
+//! kernel's own code on both hosts. A send draws its loss and jitter in
+//! the lane's send path; the link frames it into the sending socket's
+//! batch, queues it while the peer's address is unknown, or holds it for
+//! its jitter. What the wire alone has stays here: sockets, syscall
+//! batching, address discovery ([`PeerTable`], WHOHAS/PEER), the
+//! [`FabricStats`] and the jitter holds.
+//!
+//! Each loop iteration:
+//!
+//! 1. fires everything due, in the kernel's `(time, scheduling order)`,
+//!    at the fabric time it fires ([`Worker::fire_due`]): planned faults
+//!    (mapped by `ScenarioPlan::schedule_into`, as in the engine),
+//!    harness commands and timers — a crashed node's are popped and
+//!    dropped, and nothing is replaced or cancelled;
+//! 2. sends the jitter-held datagrams now due;
+//! 3. drains every socket in batches and hands each decoded DATA frame to
+//!    the lane as an arriving message ([`Worker::arrive`]), which judges
+//!    — once, as the kernel judges a delivery — whether the receiver is
+//!    dead or the path cut or partitioned. A crashed node's socket is
+//!    drained too, so what was in flight to it is counted dead, not left
+//!    unread;
+//! 4. flushes the gathered batch, and sleeps until the next due time if
+//!    it did nothing.
+//!
 //! Cross-shard traffic needs no special handoff: datagrams travel over
 //! real loopback UDP exactly like intra-shard traffic, so a shard never
-//! touches another shard's state. Recorded [`GoCastEvent`]s
-//! stay in per-shard streams (each stream is time-sorted by
-//! construction) and the coordinator merges them deterministically after
-//! every run window — the same submission-order merge discipline the
-//! simulator's `parallel_map` uses.
-//!
-//! Each shard replays the *full* scenario plan against its own
-//! [`FaultState`] replica and crash marks (global state every shard must
-//! agree on), but dispatches `Leave`/`Join` protocol commands only for
-//! nodes it owns. The fault state is the simulation kernel's own type, so
-//! loss, jitter, partitions and link cuts mean on real sockets exactly
-//! what they mean in simulation, and it counts every datagram the network
-//! does not deliver under the same [`NetFates`] the kernel exports; where
-//! the kernel consults it as it moves a message, the shard consults it in
-//! [`Tx::transmit`], before the datagram reaches the operating system,
-//! and once more for a datagram that reaches a crashed node's socket.
-//!
-//! A shard schedules as a kernel lane does: one [`EventQueue`] keyed by
-//! fabric time holds the planned faults, the harness commands, the
-//! protocol timers of its nodes and the jitter-held datagrams, and pops
-//! them in `(time, scheduling order)`. So the one timer contract holds on
-//! both hosts: every armed timer fires once (a crashed node's are popped
-//! and dropped), and nothing is replaced or cancelled.
+//! touches another shard's state. Recorded [`GoCastEvent`]s stay in
+//! per-shard streams (each stream is time-sorted by construction) and the
+//! coordinator merges them deterministically after every run window — the
+//! same submission-order merge discipline the simulator's `parallel_map`
+//! uses.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use gocast::{decode, encode_into, GoCastEvent, GoCastMsg};
 use gocast_metrics::{Gauge, Log2Histogram};
-use gocast_sim::scenario::{Fault, PlannedFault};
 use gocast_sim::{
-    Ctx, EventQueue, FaultState, FxHashMap, HostBackend, NetFates, NodeId, Protocol, Scheduled,
-    SimTime, Stack, Timer,
+    EventClass, EventQueue, FxHashMap, Link, NetFates, NodeId, Protocol, Recorder, Sender, SimTime,
+    Worker,
 };
-use rand::rngs::SmallRng;
 
 use crate::batch::{BatchBuffer, BatchMode, RecvBatch, RECV_BATCH};
 use crate::bootstrap::{
-    decode_frame, encode_peer, encode_whohas, frame_data_into, Frame, PeerTable,
+    decode_frame, encode_peer, encode_whohas, frame_data_into, Frame, Learned, PeerTable,
 };
 
 /// Messages queued per unknown peer before the oldest is dropped.
@@ -84,7 +92,7 @@ pub struct FabricStats {
     /// Payload bytes read off sockets.
     pub bytes_received: u64,
     /// The datagrams the network did not deliver, by fate (counted by the
-    /// shards' [`FaultState`] replicas).
+    /// shards' lanes, in their [`gocast_sim::FaultState`] replicas).
     pub fates: NetFates,
     /// Datagrams held back by injected jitter.
     pub delayed: u64,
@@ -162,120 +170,124 @@ pub(crate) struct FabricTelemetry {
 
 /// A datagram held back by the jitter impairment.
 #[derive(Debug)]
-pub(crate) struct HeldDatagram {
+struct HeldDatagram {
     from_local: usize,
     dest: SocketAddr,
     bytes: Vec<u8>,
 }
 
-/// What a shard's event queue holds: everything that falls due at a
-/// fabric time.
+/// One hosted node's transport: its socket and what it knows of where its
+/// peers live.
 #[derive(Debug)]
-pub(crate) enum Due<C> {
-    /// A planned scenario fault.
-    Fault(Fault),
-    /// A harness command for an owned node.
-    Command(NodeId, C),
-    /// A protocol timer of the node in local slot `local`.
-    Timer { local: u32, timer: Timer },
-    /// A jitter-held datagram, sent when it pops. Boxed: holding is the
-    /// rare path, and the box keeps every other entry small.
-    Held(Box<HeldDatagram>),
-}
-
-/// One hosted node: protocol state machine plus its transport state.
-/// Generic over the hosted [`Stack`] so application tiers layered on the
-/// GoCast message set (e.g. `gocast-app`'s `TopicMux`) run on the same
-/// wire path unchanged.
-#[derive(Debug)]
-pub(crate) struct NodeSlot<N> {
-    pub(crate) node: N,
+pub(crate) struct Port {
     pub(crate) socket: UdpSocket,
     pub(crate) addr: SocketAddr,
-    pub(crate) rng: SmallRng,
     pub(crate) peers: PeerTable,
     /// Framed datagrams awaiting address resolution, per unknown peer.
-    pub(crate) pending: FxHashMap<NodeId, Vec<Vec<u8>>>,
-    /// Questions this node could not answer yet: target → askers.
-    pub(crate) wanted: FxHashMap<NodeId, Vec<(NodeId, SocketAddr)>>,
-    pub(crate) wanted_len: usize,
+    pending: FxHashMap<NodeId, Vec<Vec<u8>>>,
+    /// Questions this node could not answer yet: target → where the
+    /// askers live.
+    wanted: FxHashMap<NodeId, Vec<SocketAddr>>,
+    wanted_len: usize,
 }
 
-/// One event loop's worth of fabric state. See the [module docs](self).
-pub(crate) struct Shard<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> {
-    /// This shard's index in `0..shard_count`.
-    pub(crate) index: usize,
-    /// Total number of shards (the round-robin stride).
-    pub(crate) shard_count: usize,
-    /// Global node count across all shards (what the protocol sees).
-    nodes_total: usize,
-    pub(crate) epoch: Instant,
-    started: bool,
-    pub(crate) slots: Vec<NodeSlot<N>>,
-    /// This shard's replica of the network's fault state.
-    faults: FaultState,
-    /// Crash mark per (global) node: a crashed node neither sends nor
-    /// receives.
-    crashed: Vec<bool>,
-    /// Everything due at a fabric time, in the kernel's pop order.
-    queue: EventQueue<Due<N::Command>>,
-    /// The time of the last command that fired: none may be scheduled
-    /// before it.
-    last_command: SimTime,
-    /// This shard's slice of the event stream; drained by the merge.
-    pub(crate) trace: Vec<(SimTime, NodeId, GoCastEvent)>,
-    record_trace: bool,
-    /// Everything but the fates, which the fault state counts (see
-    /// [`Shard::stats`]).
-    stats: FabricStats,
-    pub(crate) telemetry: FabricTelemetry,
-    batch: BatchBuffer,
-    /// Local slot index whose socket owns the gathered batch, if any.
-    batch_owner: Option<usize>,
-    recv: RecvBatch,
-    mode: BatchMode,
-}
-
-impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> std::fmt::Debug for Shard<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("index", &self.index)
-            .field("shard_count", &self.shard_count)
-            .field("nodes_total", &self.nodes_total)
-            .field("slots", &self.slots.len())
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
+impl Port {
+    pub(crate) fn new(socket: UdpSocket, addr: SocketAddr, peers: PeerTable) -> Port {
+        Port {
+            socket,
+            addr,
+            peers,
+            pending: FxHashMap::default(),
+            wanted: FxHashMap::default(),
+            wanted_len: 0,
+        }
     }
 }
 
-impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
-    pub(crate) fn new(
-        index: usize,
-        shard_count: usize,
-        nodes_total: usize,
-        seed: u64,
-        record_trace: bool,
-    ) -> Shard<N> {
-        Shard {
+/// A shard lane's [`Link`]: each send leaves through the sending node's
+/// socket, gathered into the batch, queued for a peer whose address is
+/// unknown, or held for its jitter.
+#[derive(Debug)]
+pub(crate) struct WireLink {
+    index: usize,
+    shard_count: usize,
+    nodes_total: usize,
+    /// By local slot: node `local * shard_count + index`.
+    pub(crate) ports: Vec<Port>,
+    /// Everything but the fates, which the lane's fault state counts (see
+    /// [`Shard::stats`]).
+    stats: FabricStats,
+    batch: BatchBuffer,
+    /// Local slot whose socket owns the gathered batch, if any.
+    batch_owner: Option<usize>,
+    mode: BatchMode,
+    /// Jitter-held datagrams, by release time.
+    held: EventQueue<HeldDatagram>,
+}
+
+impl<P: Protocol<Msg = GoCastMsg>> Link<P> for WireLink {
+    type Env = ();
+
+    fn send(
+        &mut self,
+        _: &(),
+        sender: &mut Sender<'_, P>,
+        to: NodeId,
+        msg: GoCastMsg,
+        extra: Duration,
+    ) {
+        // A decoded message can name any id (a gossip's member list is
+        // not range-checked); one this fabric does not host never
+        // resolves, so it must not open a pending queue or ask the seeds.
+        if to.index() >= self.nodes_total {
+            self.stats.unresolved_dropped += 1;
+            return;
+        }
+        let from = sender.from;
+        let local = from.index() / self.shard_count;
+        let framed = |buf: &mut Vec<u8>| {
+            frame_data_into(from, buf);
+            encode_into(&msg, buf);
+        };
+        match self.ports[local].peers.addr_of(to) {
+            // Steady-state fast path: the frame is written straight into
+            // the reused batch slot.
+            Some(dest) if extra.is_zero() => self.gather(local, dest, framed),
+            Some(dest) => {
+                self.stats.delayed += 1;
+                let mut bytes = Vec::new();
+                framed(&mut bytes);
+                let held = HeldDatagram {
+                    from_local: local,
+                    dest,
+                    bytes,
+                };
+                self.held.schedule(sender.now + extra, held);
+            }
+            None => {
+                // Unknown peer: queue the datagram and ask the seeds; it
+                // leaves when the address does, its jitter spent waiting.
+                // Bootstrap-only path — allocation here is fine.
+                let mut bytes = Vec::with_capacity(5 + gocast::encoded_len(&msg));
+                framed(&mut bytes);
+                self.queue_unresolved(local, to, bytes);
+            }
+        }
+    }
+}
+
+impl WireLink {
+    fn new(index: usize, shard_count: usize, nodes_total: usize) -> WireLink {
+        WireLink {
             index,
             shard_count,
             nodes_total,
-            epoch: Instant::now(),
-            started: false,
-            slots: Vec::new(),
-            // One stream per shard, as the kernel has one per lane.
-            faults: FaultState::new(nodes_total, seed, index as u32),
-            crashed: vec![false; nodes_total],
-            queue: EventQueue::new(),
-            last_command: SimTime::ZERO,
-            trace: Vec::new(),
-            record_trace,
+            ports: Vec::new(),
             stats: FabricStats::default(),
-            telemetry: FabricTelemetry::default(),
             batch: BatchBuffer::new(),
             batch_owner: None,
-            recv: RecvBatch::new(),
             mode: BatchMode::detect(),
+            held: EventQueue::new(),
         }
     }
 
@@ -284,283 +296,115 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
         NodeId::new((local * self.shard_count + self.index) as u32)
     }
 
-    /// The batching mode this shard is currently running in.
-    pub(crate) fn mode(&self) -> BatchMode {
-        self.mode
-    }
-
-    pub(crate) fn is_crashed(&self, id: NodeId) -> bool {
-        self.crashed[id.index()]
-    }
-
-    /// This shard's wire counters, with the fates its fault state counted.
-    pub(crate) fn stats(&self) -> FabricStats {
-        FabricStats {
-            fates: self.faults.fates(),
-            ..self.stats
+    /// Gathers the datagram `fill` writes, from local slot `local` to
+    /// `dest`, into the batch, first flushing anything another sender
+    /// gathered.
+    fn gather(&mut self, local: usize, dest: SocketAddr, fill: impl FnOnce(&mut Vec<u8>)) {
+        if self.batch_owner != Some(local) {
+            self.flush();
+            self.batch_owner = Some(local);
         }
-    }
-
-    pub(crate) fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
-        assert!(
-            at >= self.last_command,
-            "cannot schedule a command before already-fired ones"
-        );
-        self.queue.schedule(at, Due::Command(node, cmd));
-    }
-
-    pub(crate) fn attach_plan(&mut self, events: &[PlannedFault]) {
-        for f in events {
-            self.queue.schedule(f.at, Due::Fault(f.fault.clone()));
+        if self.batch.push_with(dest, fill) {
+            let socket = &self.ports[local].socket;
+            self.batch.flush(socket, &mut self.mode, &mut self.stats);
         }
-    }
-
-    /// Pending-resolution and remembered-question depths (for gauges).
-    pub(crate) fn queue_depths(&self) -> (i64, i64) {
-        let pending = self
-            .slots
-            .iter()
-            .map(|s| s.pending.values().map(Vec::len).sum::<usize>())
-            .sum::<usize>() as i64;
-        let wanted = self.slots.iter().map(|s| s.wanted_len as i64).sum();
-        (pending, wanted)
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
     /// Flushes the gathered batch through its owner's socket.
-    fn flush_batch(&mut self) {
-        if let Some(owner) = self.batch_owner {
-            self.batch
-                .flush(&self.slots[owner].socket, &mut self.mode, &mut self.stats);
-        }
-        self.batch_owner = None;
-    }
-
-    /// Runs this shard's event loop until `deadline`. The first call
-    /// fires `on_start` for every owned node.
-    pub(crate) fn run_until(&mut self, deadline: Instant) {
-        if !self.started {
-            self.started = true;
-            for local in 0..self.slots.len() {
-                self.with_ctx(local, |n, ctx| n.on_start(ctx));
-            }
-        }
-        let until =
-            SimTime::from_nanos(deadline.saturating_duration_since(self.epoch).as_nanos() as u64);
-        loop {
-            let now = self.now();
-            if now >= until {
-                self.flush_batch();
-                return;
-            }
-            let sent_before =
-                self.stats.datagrams_sent + self.stats.delayed + self.batch.len() as u64;
-            let mut activity = false;
-
-            // 1. Everything due, in the kernel's (time, scheduling order).
-            while let Some(due) = self.queue.pop_at_or_before(now) {
-                self.fire(now, due);
-                activity = true;
-            }
-            // 2. Drain every owned socket in batches. A crashed node's
-            //    socket is drained too: what was in flight to it when it
-            //    crashed (or was held back by jitter) is dead, as in the
-            //    kernel, not left unread and uncounted.
-            let recv_before = self.stats.datagrams_received;
-            let mut recv = std::mem::take(&mut self.recv);
-            for local in 0..self.slots.len() {
-                let id = self.global_id(local);
-                let dead = self.is_crashed(id);
-                for _ in 0..DRAIN_BATCHES {
-                    let got = recv.recv(&self.slots[local].socket, &mut self.mode, &mut self.stats);
-                    for j in 0..got {
-                        if dead {
-                            self.faults.blocked(id, id, true);
-                        } else {
-                            let (src, bytes) = recv.datagram(j);
-                            self.on_datagram(local, src, bytes);
-                        }
-                    }
-                    if got > 0 {
-                        activity = true;
-                    }
-                    if got < RECV_BATCH {
-                        break;
-                    }
-                }
-            }
-            self.recv = recv;
-
-            // Everything gathered this iteration leaves before we sleep
-            // or poll again, so batching never holds a datagram back
-            // longer than one loop iteration.
-            self.flush_batch();
-
-            activity |= (self.stats.datagrams_sent + self.stats.delayed) != sent_before;
-            if activity {
-                self.telemetry
-                    .datagrams_per_poll
-                    .observe(self.stats.datagrams_received - recv_before);
-                let (pending, wanted) = self.queue_depths();
-                self.telemetry.pending_depth.set(pending);
-                self.telemetry.wanted_depth.set(wanted);
-                continue;
-            }
-            // 3. Idle: sleep until the queue's next entry.
-            let next = self.queue.peek_time().map_or(until, |t| t.min(until));
-            let wait = next.saturating_since(self.now()).min(IDLE_POLL);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
+    fn flush(&mut self) {
+        if let Some(owner) = self.batch_owner.take() {
+            let socket = &self.ports[owner].socket;
+            self.batch.flush(socket, &mut self.mode, &mut self.stats);
         }
     }
 
-    /// Fires one popped entry at fabric time `now`.
-    fn fire(&mut self, now: SimTime, due: Scheduled<Due<N::Command>>) {
-        match due.payload {
-            Due::Fault(fault) => self.apply_fault(fault),
-            // Owned nodes only: the coordinator routes each command to
-            // its owner shard.
-            Due::Command(id, cmd) => {
-                self.last_command = due.at;
-                if !self.is_crashed(id) {
-                    let local = id.index() / self.shard_count;
-                    self.with_ctx(local, |n, ctx| n.on_command(ctx, cmd));
-                }
-            }
-            Due::Timer { local, timer } => {
-                let local = local as usize;
-                if self.is_crashed(self.global_id(local)) {
-                    return;
-                }
-                self.telemetry
-                    .timer_lateness_ns
-                    .observe(now.saturating_since(due.at).as_nanos() as u64);
-                self.with_ctx(local, |n, ctx| n.on_timer(ctx, timer));
-            }
-            // Released holds bypass the batch (rare path, arbitrary
-            // sender).
-            Due::Held(d) => {
-                self.stats.sendto_calls += 1;
-                if self.slots[d.from_local]
-                    .socket
-                    .send_to(&d.bytes, d.dest)
-                    .is_ok()
-                {
-                    self.stats.datagrams_sent += 1;
-                    self.stats.bytes_sent += d.bytes.len() as u64;
-                }
+    /// Sends every held datagram due by `now` (bypassing the batch: rare
+    /// path, arbitrary sender); whether there was one.
+    fn release_held(&mut self, now: SimTime) -> bool {
+        let mut released = false;
+        while let Some(due) = self.held.pop_at_or_before(now) {
+            let d = due.payload;
+            released = true;
+            self.stats.sendto_calls += 1;
+            if self.ports[d.from_local]
+                .socket
+                .send_to(&d.bytes, d.dest)
+                .is_ok()
+            {
+                self.stats.datagrams_sent += 1;
+                self.stats.bytes_sent += d.bytes.len() as u64;
             }
         }
+        released
     }
 
-    /// Replays one planned fault. Network faults and crash marks update
-    /// this shard's replicas (every shard replays them so all replicas
-    /// agree); `Leave`/`Join` protocol commands dispatch only on the shard
-    /// that owns the node.
-    fn apply_fault(&mut self, fault: Fault) {
-        match fault {
-            Fault::Crash(id) => self.crashed[id.index()] = true,
-            Fault::Leave(id) => {
-                if self.owns(id) && !self.is_crashed(id) {
-                    let local = id.index() / self.shard_count;
-                    self.with_ctx(local, |n, ctx| n.on_command(ctx, N::cmd_leave()));
-                }
-            }
-            Fault::Join { node, contact } => {
-                if self.owns(node) && !self.is_crashed(node) {
-                    let local = node.index() / self.shard_count;
-                    self.with_ctx(local, |n, ctx| n.on_command(ctx, N::cmd_join(contact)));
-                }
-            }
-            Fault::Net(fault) => self.faults.apply(&fault),
+    /// Queues framed `bytes` from local slot `local` for `to`, whose
+    /// address it does not know yet, asking the seeds on the first
+    /// datagram and every eighth after, so a lost query is retried as
+    /// protocol traffic keeps coming.
+    fn queue_unresolved(&mut self, local: usize, to: NodeId, bytes: Vec<u8>) {
+        let queue = self.ports[local].pending.entry(to).or_default();
+        if queue.len() >= PENDING_CAP {
+            queue.remove(0);
+            self.stats.unresolved_dropped += 1;
         }
-    }
-
-    fn owns(&self, id: NodeId) -> bool {
-        id.index() % self.shard_count == self.index
-    }
-
-    /// Handles one received datagram for local slot `local`.
-    fn on_datagram(&mut self, local: usize, src: SocketAddr, data: &[u8]) {
-        let Some(frame) = decode_frame(data) else {
-            self.stats.malformed += 1;
-            return;
-        };
-        // An id in a frame is self-declared, and downstream it indexes the
-        // crash marks and the partition labels and keys the peer table: an
-        // id this fabric does not host is a stranger's, whatever the rest
-        // of the frame says.
-        let max_id = match frame {
-            Frame::Data { sender, .. } => sender,
-            Frame::WhoHas { sender, target } => sender.max(target),
-            Frame::Peer { sender, peer, .. } => sender.max(peer),
-        };
-        if max_id.index() >= self.nodes_total {
-            self.stats.malformed += 1;
+        queue.push(bytes);
+        if queue.len() % 8 != 1 {
             return;
         }
-        match frame {
-            Frame::Data { sender, payload } => {
-                let msg = match decode(payload) {
-                    Ok(m) => m,
-                    Err(_) => {
-                        self.stats.malformed += 1;
-                        return;
-                    }
-                };
-                if self.slots[local].peers.learn(sender, src) {
-                    self.on_learned(local, sender);
-                }
-                self.stats.wire_msgs += 1;
-                self.with_ctx(local, |n, ctx| n.on_message(ctx, sender, msg));
-            }
-            Frame::WhoHas { sender, target } => {
-                if self.slots[local].peers.learn(sender, src) {
-                    self.on_learned(local, sender);
-                }
-                match self.slots[local].peers.addr_of(target) {
-                    Some(addr) => self.answer_whohas(local, sender, src, target, addr),
-                    None => {
-                        // Remember the question; answer when the target
-                        // first contacts us (bounded memory).
-                        let slot = &mut self.slots[local];
-                        if slot.wanted_len < WANTED_CAP {
-                            slot.wanted.entry(target).or_default().push((sender, src));
-                            slot.wanted_len += 1;
-                        }
-                    }
-                }
-            }
-            Frame::Peer { sender, peer, addr } => {
-                if self.slots[local].peers.learn(sender, src) {
-                    self.on_learned(local, sender);
-                }
-                if self.slots[local].peers.learn(peer, addr) {
-                    self.on_learned(local, peer);
-                }
+        let me = self.global_id(local);
+        let query = encode_whohas(me, to);
+        for k in 0..self.ports[local].peers.seeds().len() {
+            let (seed, seed_addr) = self.ports[local].peers.seeds()[k];
+            if seed != me {
+                self.stats.whohas_sent += 1;
+                self.gather(local, seed_addr, |buf| buf.extend_from_slice(&query));
             }
         }
     }
 
-    /// Local node `local` just learned `peer`'s address: flush datagrams
-    /// queued for it and answer anyone who asked where it lives.
-    fn on_learned(&mut self, local: usize, peer: NodeId) {
-        let Some(addr) = self.slots[local].peers.addr_of(peer) else {
-            return;
-        };
-        if let Some(queue) = self.slots[local].pending.remove(&peer) {
-            for bytes in queue {
-                self.transmit_local(local, peer, addr, &bytes);
+    /// Binds `peer` to `addr` in local slot `local`'s table. A new binding
+    /// flushes what waited for it and answers whoever asked; a conflicting
+    /// one means the frame lies, so it counts malformed and `false` tells
+    /// the caller to drop the frame.
+    fn learn(&mut self, local: usize, peer: NodeId, addr: SocketAddr) -> bool {
+        match self.ports[local].peers.learn(peer, addr) {
+            Learned::Known => true,
+            Learned::Conflict => {
+                self.stats.malformed += 1;
+                false
+            }
+            Learned::New => {
+                let port = &mut self.ports[local];
+                let queued = port.pending.remove(&peer).unwrap_or_default();
+                let askers = port.wanted.remove(&peer).unwrap_or_default();
+                port.wanted_len -= askers.len();
+                for bytes in queued {
+                    self.gather(local, addr, |buf| buf.extend_from_slice(&bytes));
+                }
+                for asker in askers {
+                    self.answer_whohas(local, asker, peer, addr);
+                }
+                true
             }
         }
-        if let Some(askers) = self.slots[local].wanted.remove(&peer) {
-            self.slots[local].wanted_len -= askers.len();
-            for (asker, asker_addr) in askers {
-                self.answer_whohas(local, asker, asker_addr, peer, addr);
+    }
+
+    /// `sender`, at `src`, asks local slot `local` where `target` lives:
+    /// answer now, or remember the question (bounded) until `target`
+    /// first makes contact.
+    fn on_whohas(&mut self, local: usize, sender: NodeId, src: SocketAddr, target: NodeId) {
+        if !self.learn(local, sender, src) {
+            return;
+        }
+        match self.ports[local].peers.addr_of(target) {
+            Some(addr) => self.answer_whohas(local, src, target, addr),
+            None => {
+                let port = &mut self.ports[local];
+                if port.wanted_len < WANTED_CAP {
+                    port.wanted.entry(target).or_default().push(src);
+                    port.wanted_len += 1;
+                }
             }
         }
     }
@@ -568,376 +412,362 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
     fn answer_whohas(
         &mut self,
         local: usize,
-        asker: NodeId,
         asker_addr: SocketAddr,
         target: NodeId,
         target_addr: SocketAddr,
     ) {
-        let me = self.global_id(local);
-        if let Some(bytes) = encode_peer(me, target, target_addr) {
+        if let Some(bytes) = encode_peer(self.global_id(local), target, target_addr) {
             self.stats.peer_replies += 1;
-            self.transmit_local(local, asker, asker_addr, &bytes);
+            self.gather(local, asker_addr, |buf| buf.extend_from_slice(&bytes));
         }
     }
+}
 
-    /// Sends pre-framed bytes from local slot `local` to `to`.
-    fn transmit_local(&mut self, local: usize, to: NodeId, dest: SocketAddr, bytes: &[u8]) {
-        self.claim_batch(local);
-        self.tx(local)
-            .transmit(to, dest, |buf| buf.extend_from_slice(bytes));
-    }
+/// A shard's slice of the event stream: every event, or none when the
+/// fabric was built with `record_trace` off.
+#[derive(Debug, Default)]
+pub(crate) struct Trace {
+    on: bool,
+    pub(crate) events: Vec<(SimTime, NodeId, GoCastEvent)>,
+}
 
-    /// Makes `local`'s socket the owner of the gathered batch, flushing
-    /// anything a different sender gathered.
-    fn claim_batch(&mut self, local: usize) {
-        if self.batch_owner != Some(local) {
-            self.flush_batch();
-            self.batch_owner = Some(local);
+impl Recorder<GoCastEvent> for Trace {
+    fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
+        if self.on {
+            self.events.push((now, node, event));
         }
     }
+}
 
-    /// The transmit path of local slot `local` (which must own the batch).
-    fn tx(&mut self, local: usize) -> Tx<'_, N::Command> {
-        Tx {
-            from: self.global_id(local),
-            local,
-            now: self.now(),
-            socket: &self.slots[local].socket,
-            faults: &mut self.faults,
-            crashed: &self.crashed,
-            queue: &mut self.queue,
-            stats: &mut self.stats,
-            batch: &mut self.batch,
-            mode: &mut self.mode,
-        }
+/// One event loop's worth of fabric state. See the [module docs](self).
+pub(crate) struct Shard<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> {
+    pub(crate) epoch: Instant,
+    started: bool,
+    /// Lane `index` of `shard_count`: this shard's nodes, their queue and
+    /// fault state, and (its link) their sockets.
+    pub(crate) worker: Worker<N, WireLink>,
+    pub(crate) trace: Trace,
+    pub(crate) telemetry: FabricTelemetry,
+    recv: RecvBatch,
+}
+
+impl<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> std::fmt::Debug for Shard<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shard")
+            .field("worker", &self.worker)
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
     }
+}
 
-    /// Runs a protocol handler for local slot `local` with a
-    /// fabric-backed context (claiming the batch for `local`'s socket
-    /// first).
-    pub(crate) fn with_ctx<F>(&mut self, local: usize, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N>),
-    {
-        self.claim_batch(local);
-        let node_count = self.nodes_total;
-        let now = self.now();
-        let id = self.global_id(local);
-        let Shard {
-            slots,
-            faults,
-            crashed,
-            queue,
-            trace,
-            record_trace,
-            stats,
-            batch,
-            mode,
-            ..
-        } = self;
-        let slot = &mut slots[local];
-        let mut io = FabricIo {
-            node_count,
-            peers: &mut slot.peers,
-            pending: &mut slot.pending,
-            trace,
-            record_trace: *record_trace,
-            tx: Tx {
-                from: id,
-                local,
-                now,
-                socket: &slot.socket,
-                faults,
-                crashed,
-                queue,
-                stats,
-                batch,
-                mode,
+impl<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
+    pub(crate) fn new(
+        index: usize,
+        shard_count: usize,
+        nodes_total: usize,
+        seed: u64,
+        record_trace: bool,
+    ) -> Shard<N> {
+        let link = WireLink::new(index, shard_count, nodes_total);
+        Shard {
+            epoch: Instant::now(),
+            started: false,
+            worker: Worker::one_lane(index as u32, shard_count as u32, seed, nodes_total, link),
+            trace: Trace {
+                on: record_trace,
+                events: Vec::new(),
             },
-        };
-        let mut ctx = Ctx::for_host(id, now, &mut slot.rng, &mut io);
-        f(&mut slot.node, &mut ctx);
+            telemetry: FabricTelemetry::default(),
+            recv: RecvBatch::new(),
+        }
     }
-}
 
-/// What one local sender needs to put a datagram on the wire, and to
-/// schedule on its shard's queue.
-struct Tx<'a, C> {
-    from: NodeId,
-    /// The sender's local slot; its socket owns the gathered batch.
-    local: usize,
-    /// Fabric time of the handler (or release) that sends.
-    now: SimTime,
-    socket: &'a UdpSocket,
-    faults: &'a mut FaultState,
-    crashed: &'a [bool],
-    queue: &'a mut EventQueue<Due<C>>,
-    stats: &'a mut FabricStats,
-    batch: &'a mut BatchBuffer,
-    mode: &'a mut BatchMode,
-}
+    /// Adds the shard's next node, `id`, on `port` (push in increasing id
+    /// order); `seed` is the run seed.
+    pub(crate) fn push_node(&mut self, id: NodeId, node: N, port: Port, seed: u64) {
+        self.worker.push_node(id, node, seed);
+        self.worker.link_mut().ports.push(port);
+    }
 
-impl<C> Tx<'_, C> {
-    /// The one transmit path: judges `from → to` — crash marks, then the
-    /// structural faults, then the loss and jitter draws, the kernel's
-    /// order — and gathers the datagram `fill` writes into the batch,
-    /// holds it for its jitter delay, or leaves it to the fault state,
-    /// which counts its fate.
-    fn transmit(&mut self, to: NodeId, dest: SocketAddr, fill: impl FnOnce(&mut Vec<u8>)) {
-        let dead = self.crashed[self.from.index()] || self.crashed[to.index()];
-        if self.faults.blocked(self.from, to, dead) {
-            return;
+    /// The batching mode this shard is currently running in.
+    pub(crate) fn mode(&self) -> BatchMode {
+        self.worker.link().mode
+    }
+
+    /// This shard's wire counters, with the fates its fault state counted.
+    pub(crate) fn stats(&self) -> FabricStats {
+        FabricStats {
+            fates: self.worker.kernel_stats().fates,
+            ..self.worker.link().stats
         }
-        let mut hold = Duration::ZERO;
-        if self.faults.active() {
-            match self.faults.draw(self.from, to) {
-                Some(extra) => hold = extra,
-                None => return,
-            }
+    }
+
+    /// Pending-resolution and remembered-question depths (for gauges).
+    pub(crate) fn queue_depths(&self) -> (i64, i64) {
+        let ports = &self.worker.link().ports;
+        let pending = ports
+            .iter()
+            .map(|p| p.pending.values().map(Vec::len).sum::<usize>())
+            .sum::<usize>() as i64;
+        let wanted = ports.iter().map(|p| p.wanted_len as i64).sum();
+        (pending, wanted)
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+    }
+
+    /// Runs this shard's event loop until `deadline`. The first call
+    /// fires `on_start` for every owned node.
+    pub(crate) fn run_until(&mut self, deadline: Instant) {
+        if !self.started {
+            self.started = true;
+            self.worker.start(&(), &mut self.trace);
         }
-        if hold.is_zero() {
-            // Steady-state fast path: `fill` writes straight into the
-            // reused batch slot.
-            if self.batch.push_with(dest, fill) {
-                self.batch.flush(self.socket, self.mode, self.stats);
+        let until =
+            SimTime::from_nanos(deadline.saturating_duration_since(self.epoch).as_nanos() as u64);
+        loop {
+            let now = self.now();
+            if now >= until {
+                self.worker.link_mut().flush();
+                return;
             }
-        } else {
-            self.stats.delayed += 1;
-            let mut bytes = Vec::new();
-            fill(&mut bytes);
-            let held = HeldDatagram {
-                from_local: self.local,
-                dest,
-                bytes,
+            let sent = |sh: &Self| {
+                let s = &sh.worker.link().stats;
+                s.datagrams_sent + s.delayed + sh.worker.link().batch.len() as u64
             };
-            self.queue
-                .schedule(self.now + hold, Due::Held(Box::new(held)));
-        }
-    }
-}
+            let sent_before = sent(self);
+            let mut activity = false;
 
-/// The world a protocol handler sees on the fabric.
-struct FabricIo<'a, C> {
-    node_count: usize,
-    peers: &'a mut PeerTable,
-    pending: &'a mut FxHashMap<NodeId, Vec<Vec<u8>>>,
-    trace: &'a mut Vec<(SimTime, NodeId, GoCastEvent)>,
-    record_trace: bool,
-    tx: Tx<'a, C>,
-}
-
-impl<C, P: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> HostBackend<P> for FabricIo<'_, C> {
-    fn send(&mut self, to: NodeId, msg: GoCastMsg) {
-        // A decoded message can name any id (a gossip's member list is
-        // not range-checked); one this fabric does not host never
-        // resolves, so it must not open a pending queue or ask the seeds.
-        if to.index() >= self.node_count {
-            self.tx.stats.unresolved_dropped += 1;
-            return;
-        }
-        let id = self.tx.from;
-        let framed = |buf: &mut Vec<u8>| {
-            frame_data_into(id, buf);
-            encode_into(&msg, buf);
-        };
-        match self.peers.addr_of(to) {
-            Some(dest) => self.tx.transmit(to, dest, framed),
-            None => {
-                // Unknown peer: queue the datagram and ask the seeds.
-                // Bootstrap-only path — allocation here is fine.
-                let mut bytes = Vec::with_capacity(5 + gocast::encoded_len(&msg));
-                framed(&mut bytes);
-                let queue = self.pending.entry(to).or_default();
-                if queue.len() >= PENDING_CAP {
-                    queue.remove(0);
-                    self.tx.stats.unresolved_dropped += 1;
+            // 1. Everything due, in the kernel's (time, scheduling order).
+            while let Some((due, class)) = self.worker.fire_due(now, &(), &mut self.trace) {
+                if class == EventClass::Timer {
+                    let late = now.saturating_since(due).as_nanos() as u64;
+                    self.telemetry.timer_lateness_ns.observe(late);
                 }
-                queue.push(bytes);
-                // Query on the first enqueue, then every eighth, so a
-                // lost query is retried as protocol traffic keeps coming.
-                if queue.len() % 8 == 1 {
-                    let query = encode_whohas(id, to);
-                    for &(seed, seed_addr) in self.peers.seeds() {
-                        if seed == id {
-                            continue;
-                        }
-                        self.tx.stats.whohas_sent += 1;
-                        self.tx
-                            .transmit(seed, seed_addr, |buf| buf.extend_from_slice(&query));
+                activity = true;
+            }
+            // 2. Jitter holds now due.
+            activity |= self.worker.link_mut().release_held(now);
+            // 3. Drain every owned socket in batches.
+            let recv_before = self.worker.link().stats.datagrams_received;
+            let mut recv = std::mem::take(&mut self.recv);
+            for local in 0..self.worker.link().ports.len() {
+                for _ in 0..DRAIN_BATCHES {
+                    let link = self.worker.link_mut();
+                    let socket = &link.ports[local].socket;
+                    let got = recv.recv(socket, &mut link.mode, &mut link.stats);
+                    for j in 0..got {
+                        let (src, bytes) = recv.datagram(j);
+                        self.on_datagram(local, src, bytes);
+                    }
+                    activity |= got > 0;
+                    if got < RECV_BATCH {
+                        break;
                     }
                 }
             }
+            self.recv = recv;
+
+            // 4. Everything gathered this iteration leaves before we sleep
+            //    or poll again, so batching never holds a datagram back
+            //    longer than one loop iteration.
+            self.worker.link_mut().flush();
+
+            activity |= sent(self) != sent_before;
+            if activity {
+                let received = self.worker.link().stats.datagrams_received;
+                self.telemetry
+                    .datagrams_per_poll
+                    .observe(received - recv_before);
+                let (pending, wanted) = self.queue_depths();
+                self.telemetry.pending_depth.set(pending);
+                self.telemetry.wanted_depth.set(wanted);
+                continue;
+            }
+            // Idle: sleep until the next due event or held datagram.
+            let held = self.worker.link().held.peek_time();
+            let next = [self.worker.next_due(), held, Some(until)]
+                .into_iter()
+                .flatten()
+                .min()
+                .unwrap_or(until);
+            let wait = next.saturating_since(self.now()).min(IDLE_POLL);
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
+            }
         }
     }
 
-    fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        let local = self.tx.local as u32;
-        self.tx
-            .queue
-            .schedule(self.tx.now + delay, Due::Timer { local, timer });
-    }
-
-    fn emit(&mut self, event: GoCastEvent) {
-        if self.record_trace {
-            self.trace.push((self.tx.now, self.tx.from, event));
+    /// Handles one received datagram for local slot `local`.
+    fn on_datagram(&mut self, local: usize, src: SocketAddr, data: &[u8]) {
+        let link = self.worker.link_mut();
+        let Some(frame) = decode_frame(data) else {
+            link.stats.malformed += 1;
+            return;
+        };
+        // An id in a frame is self-declared, and downstream it indexes the
+        // liveness flags and the partition labels and keys the peer table:
+        // an id this fabric does not host is a stranger's, whatever the
+        // rest of the frame says.
+        let max_id = match frame {
+            Frame::Data { sender, .. } => sender,
+            Frame::WhoHas { sender, target } => sender.max(target),
+            Frame::Peer { sender, peer, .. } => sender.max(peer),
+        };
+        if max_id.index() >= link.nodes_total {
+            link.stats.malformed += 1;
+            return;
         }
-    }
-
-    fn node_count(&self) -> usize {
-        self.node_count
+        match frame {
+            Frame::Data { sender, payload } => {
+                let Ok(msg) = decode(payload) else {
+                    link.stats.malformed += 1;
+                    return;
+                };
+                if !link.learn(local, sender, src) {
+                    return;
+                }
+                link.stats.wire_msgs += 1;
+                let to = link.global_id(local);
+                let now = self.now();
+                self.worker
+                    .arrive(now, sender, to, msg, &(), &mut self.trace);
+            }
+            Frame::WhoHas { sender, target } => link.on_whohas(local, sender, src, target),
+            Frame::Peer { sender, peer, addr } => {
+                if link.learn(local, sender, src) {
+                    link.learn(local, peer, addr);
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocast_sim::NetFault;
+    use gocast_sim::{Ctx, NetFault, Timer};
     use std::net::Ipv4Addr;
 
-    /// The state a [`Tx`] borrows, owned.
-    struct Wire {
-        socket: UdpSocket,
-        faults: FaultState,
-        crashed: Vec<bool>,
-        queue: EventQueue<Due<()>>,
-        stats: FabricStats,
-        batch: BatchBuffer,
-        mode: BatchMode,
-    }
+    /// Sends one message to the node each command names; nothing else.
+    struct Sends;
 
-    /// Where one transmit ended up.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Landed {
-        /// Gathered into the batch (or the flush it filled).
-        Batch,
-        /// Held back for its jitter delay.
-        Held,
-        /// Stopped, with its fate counted.
-        Fate,
-    }
-
-    impl Wire {
-        fn new(socket: UdpSocket, nodes: usize) -> Wire {
-            Wire {
-                socket,
-                faults: FaultState::new(nodes, 1, 0),
-                crashed: vec![false; nodes],
-                queue: EventQueue::new(),
-                stats: FabricStats::default(),
-                batch: BatchBuffer::new(),
-                mode: BatchMode::detect(),
-            }
+    impl Protocol for Sends {
+        type Msg = GoCastMsg;
+        type Command = NodeId;
+        type Event = GoCastEvent;
+        fn on_start(&mut self, _: &mut Ctx<'_, Self>) {}
+        fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: GoCastMsg) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, Self>, _: Timer) {}
+        fn on_command(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId) {
+            ctx.send(to, GoCastMsg::JoinRequest);
         }
+    }
 
-        /// Transmits one byte `from → to`, checking that it landed in
-        /// exactly one place.
-        fn send(&mut self, from: u32, to: u32) -> Landed {
-            let (held, fates) = (self.stats.delayed, self.faults.fates().total());
-            let dest = self.socket.local_addr().expect("bound");
-            let mut filled = false;
-            let mut tx = Tx {
-                from: NodeId::new(from),
-                local: 0,
-                now: SimTime::ZERO,
-                socket: &self.socket,
-                faults: &mut self.faults,
-                crashed: &self.crashed,
-                queue: &mut self.queue,
-                stats: &mut self.stats,
-                batch: &mut self.batch,
-                mode: &mut self.mode,
-            };
-            tx.transmit(NodeId::new(to), dest, |buf| {
-                filled = true;
-                buf.push(0);
-            });
-            let held = self.stats.delayed - held;
-            let fated = self.faults.fates().total() - fates;
-            match (filled, held, fated) {
-                (true, 0, 0) => Landed::Batch,
-                (true, 1, 0) => Landed::Held,
-                (false, 0, 1) => Landed::Fate,
-                other => panic!("{from} -> {to} landed as {other:?}"),
+    /// A one-shard fabric of `nodes` [`Sends`] nodes that know every
+    /// address; `None` without loopback sockets.
+    fn shard(nodes: u32) -> Option<Shard<Sends>> {
+        let bound: Vec<_> = (0..nodes)
+            .map(|_| {
+                let s = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).ok()?;
+                s.set_nonblocking(true).ok()?;
+                let a = s.local_addr().ok()?;
+                Some((s, a))
+            })
+            .collect::<Option<_>>()?;
+        let book: Vec<_> = (0..nodes)
+            .map(|i| (NodeId::new(i), bound[i as usize].1))
+            .collect();
+        let mut sh = Shard::new(0, 1, nodes as usize, 1, false);
+        for (i, (socket, addr)) in bound.into_iter().enumerate() {
+            let port = Port::new(socket, addr, PeerTable::new(book.clone()));
+            sh.push_node(NodeId::new(i as u32), Sends, port, 1);
+        }
+        Some(sh)
+    }
+
+    /// Every pair `a -> b` of `nodes`, at `at`.
+    fn round(sh: &mut Shard<Sends>, nodes: u32, at: SimTime) {
+        for a in 0..nodes {
+            for b in 0..nodes {
+                sh.worker
+                    .schedule_command(at, NodeId::new(a), NodeId::new(b));
             }
         }
     }
 
-    /// A queue entry stays within four words: the held datagram, 64 B,
-    /// is boxed.
-    #[test]
-    fn a_due_entry_fits_in_32_bytes() {
-        assert_eq!(size_of::<HeldDatagram>(), 64);
-        assert!(size_of::<Due<gocast::GoCastCommand>>() <= 32);
+    fn run(sh: &mut Shard<Sends>, ms: u64) {
+        sh.run_until(Instant::now() + Duration::from_millis(ms));
     }
 
-    fn loopback() -> Option<UdpSocket> {
-        // None: no loopback sockets in this sandbox.
-        UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).ok()
-    }
-
+    /// A crash silences a node — it sends nothing, and what arrives for it
+    /// is dead — while a node's sends to itself never meet a fault.
     #[test]
     fn crashed_nodes_are_silenced_and_self_sends_bypass_faults() {
-        let Some(socket) = loopback() else {
+        let Some(mut sh) = shard(3) else {
             return;
         };
-        let mut wire = Wire::new(socket, 3);
-        wire.faults.apply(&NetFault::SetLoss(1.0));
-        assert_eq!(wire.send(1, 1), Landed::Batch, "self-send exempt");
-        assert_eq!(wire.send(0, 1), Landed::Fate);
-        assert_eq!(wire.faults.fates().lost, 1);
-        wire.crashed[2] = true;
-        assert_eq!(wire.send(0, 2), Landed::Fate);
-        assert_eq!(wire.send(2, 0), Landed::Fate);
-        assert_eq!(wire.send(2, 2), Landed::Fate);
-        // Crash marks are judged first: those three never reached a draw.
-        let fates = wire.faults.fates();
-        assert_eq!((fates.dead, fates.lost), (3, 1));
-        assert_eq!(wire.stats.delayed, 0);
+        let (ms, n) = (SimTime::from_millis, NodeId::new);
+        sh.worker.schedule_fault(ms(5), &NetFault::SetLoss(1.0));
+        sh.worker.schedule_command(ms(10), n(1), n(1));
+        sh.worker.schedule_command(ms(10), n(0), n(1));
+        sh.worker.schedule_fault(ms(20), &NetFault::SetLoss(0.0));
+        sh.worker.fail_node_at(ms(20), n(2));
+        for (from, to) in [(0, 2), (2, 0), (2, 2)] {
+            sh.worker.schedule_command(ms(30), n(from), n(to));
+        }
+        run(&mut sh, 120);
+        let k = sh.worker.kernel_stats();
+        // Two sends from node 2 never ran: three commands of five did.
+        assert_eq!(k.commands, 3);
+        assert_eq!((k.fates.lost, k.fates.dead), (1, 1), "{:?}", k.fates);
+        assert_eq!(k.deliveries, 1, "the self-send arrives despite the loss");
+        assert_eq!(sh.stats().datagrams_received, 2);
     }
 
-    /// Conservation on the transmit path: under a plan that exercises
-    /// every fate, each transmit is gathered, held or stopped — once — and
-    /// the wire counters add up to the number of transmits.
+    /// Conservation on the wire, under a plan that exercises every fate:
+    /// each protocol send is gathered, held or lost, once; each datagram
+    /// that arrives is dispatched or meets one fate.
     #[test]
     fn every_transmit_is_gathered_held_or_fated_once() {
-        let Some(socket) = loopback() else {
+        const NODES: u32 = 8;
+        let Some(mut sh) = shard(NODES) else {
             return;
         };
-        const NODES: u32 = 8;
-        let mut wire = Wire::new(socket, NODES as usize);
-        let mut landed = [0u64; 3];
-        let mut round = |wire: &mut Wire| {
-            for a in 0..NODES {
-                for b in 0..NODES {
-                    landed[wire.send(a, b) as usize] += 1;
-                }
-            }
-        };
-        wire.faults
-            .apply(&NetFault::CutLink(NodeId::new(0), NodeId::new(1)));
-        wire.faults
-            .apply(&NetFault::partition(vec![0, 0, 0, 0, 1, 1, 1, 1]));
-        wire.faults.apply(&NetFault::SetLoss(0.3));
-        wire.faults
-            .apply(&NetFault::SetJitter(Duration::from_millis(1)));
-        wire.crashed[7] = true;
-        round(&mut wire);
-        round(&mut wire);
-        wire.faults.apply(&NetFault::HealPartition);
-        wire.faults
-            .apply(&NetFault::HealLink(NodeId::new(0), NodeId::new(1)));
-        round(&mut wire);
-        let fates = wire.faults.fates();
+        let ms = SimTime::from_millis;
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
+        let w = &mut sh.worker;
+        w.schedule_fault(ms(1), &NetFault::CutLink(zero, one));
+        w.schedule_fault(ms(1), &NetFault::partition(vec![0, 0, 0, 0, 1, 1, 1, 1]));
+        w.schedule_fault(ms(1), &NetFault::SetLoss(0.3));
+        w.schedule_fault(ms(1), &NetFault::SetJitter(Duration::from_millis(1)));
+        w.fail_node_at(ms(1), NodeId::new(NODES - 1));
+        round(&mut sh, NODES, ms(10));
+        round(&mut sh, NODES, ms(20));
+        sh.worker.schedule_fault(ms(25), &NetFault::HealPartition);
+        sh.worker
+            .schedule_fault(ms(25), &NetFault::HealLink(zero, one));
+        round(&mut sh, NODES, ms(30));
+        run(&mut sh, 200);
+
+        let (k, s) = (sh.worker.kernel_stats(), sh.stats());
+        let fates = k.fates;
         assert!(
             fates.lost > 0 && fates.cut > 0 && fates.partitioned > 0 && fates.dead > 0,
             "the plan exercises every fate: {fates:?}"
         );
-        let [batched, held, fated] = landed;
-        assert!(batched > 0 && held > 0);
-        assert_eq!(batched + held + fated, 3 * u64::from(NODES * NODES));
-        assert_eq!(held, wire.stats.delayed);
-        assert_eq!(held, wire.queue.len() as u64);
-        assert_eq!(fated, fates.total());
-        assert_eq!(batched, wire.stats.datagrams_sent + wire.batch.len() as u64);
+        // The crashed node's 3 rounds of sends never ran.
+        let sends = 3 * u64::from(NODES * (NODES - 1));
+        assert_eq!(k.commands, sends);
+        let held = s.delayed;
+        let gathered = s.datagrams_sent - held;
+        assert!(gathered > 0 && held > 0, "{s}");
+        assert_eq!(gathered + held + fates.lost, sends, "{s}");
+        assert_eq!(sh.worker.link().held.len(), 0, "every hold released");
+        assert_eq!(s.datagrams_received, s.datagrams_sent, "{s}");
+        assert_eq!(s.wire_msgs, s.datagrams_received);
+        let stopped = fates.cut + fates.partitioned + fates.dead;
+        assert_eq!(s.datagrams_received, k.deliveries + stopped, "{s}");
     }
 }

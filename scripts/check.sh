@@ -187,11 +187,19 @@ absent  crates,tests,examples  -  struct TraceRecord([^_[:alnum:]]|$)|enum Proto
 absent  crates/net/src  -  sites \* sites
 
 # One event queue per host, one timer contract: each testnet shard
-# schedules faults, commands, timers and jitter holds on one
-# gocast_sim::EventQueue, as a kernel worker does, and every armed timer
-# fires once on every host: no timer is replaced by identity or cancelled.
+# schedules faults, commands and timers on its kernel worker's
+# gocast_sim::EventQueue (jitter holds on its link's), and every armed
+# timer fires once on every host: no timer is replaced by identity or
+# cancelled.
 absent  crates/testnet/src  -  TimerWheel|DelayQueue
 absent  crates  -  FxHashMap<Timer|fn cancel\(
+
+# One host loop: a testnet shard is a kernel Worker over one lane whose
+# Link is its sockets, so the wire's second dispatch (its event enum, its
+# fire/apply_fault and its global crash marks) stays gone, and one match
+# maps a planned fault onto kernel events for the engine and the fabric.
+absent  crates/testnet/src  -  enum Due([^_[:alnum:]]|$)|fn (apply_fault|fire)\(|crashed: Vec<bool>
+once    crates/sim/src,crates/testnet/src  -  Fault::Crash\([^)]*\) =>
 
 # One event queue per worker thread: a kernel lane owns no queue (its
 # events wait in its worker's, keyed by lane and per-lane sequence), and

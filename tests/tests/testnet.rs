@@ -201,6 +201,62 @@ fn host_survives_malformed_and_stranger_datagrams() {
     assert_eq!(deliveries, nodes - 1, "multicast after the attack: {stats}");
 }
 
+/// An in-range sender is self-declared too: a stranger's frames claiming
+/// to come from node 1, whose address every node starts with, must not
+/// rebind it. Each DATA and PEER frame is counted malformed and dropped,
+/// the victim never sends to the stranger, and the group carries on.
+#[test]
+fn a_spoofed_sender_cannot_move_a_bound_peer() {
+    if skip() {
+        return;
+    }
+    let nodes = 4;
+    let cfg = TestnetConfig::new(nodes).with_seed(19);
+    let mut net = Testnet::build_bootstrap(&cfg).expect("bind loopback");
+    net.run_for(Duration::from_millis(500));
+    let before = net.stats().malformed;
+
+    let stranger = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind stranger");
+    stranger.set_nonblocking(true).expect("nonblocking");
+    let here = stranger.local_addr().expect("bound");
+    let mut data = vec![0xD0];
+    data.extend_from_slice(&1u32.to_le_bytes());
+    data.extend_from_slice(&gocast::encode(&GoCastMsg::JoinRequest));
+    // "Node 1 says node 2 lives here."
+    let mut peer = vec![0xD2];
+    for id in [1u32, 2] {
+        peer.extend_from_slice(&id.to_le_bytes());
+    }
+    peer.extend_from_slice(&[127, 0, 0, 1]);
+    peer.extend_from_slice(&here.port().to_le_bytes());
+    let victim = net.addr_of(NodeId::new(0));
+    let rounds = 5;
+    for _ in 0..rounds {
+        stranger.send_to(&data, victim).expect("send to loopback");
+        stranger.send_to(&peer, victim).expect("send to loopback");
+    }
+    net.schedule_command(
+        SimTime::from_millis(2500),
+        NodeId::new(0),
+        GoCastCommand::Multicast,
+    );
+    net.run_for(Duration::from_millis(3000));
+
+    let stats = net.stats();
+    assert_eq!(stats.malformed - before, 2 * rounds, "{stats}");
+    let mut buf = [0u8; 2048];
+    assert!(
+        stranger.recv_from(&mut buf).is_err(),
+        "a node sent to the spoofer's address"
+    );
+    let deliveries = net
+        .trace()
+        .iter()
+        .filter(|(_, _, e)| matches!(e, GoCastEvent::Delivered { .. }))
+        .count();
+    assert_eq!(deliveries, nodes - 1, "multicast after the spoof: {stats}");
+}
+
 /// The same stranger, now with well-formed frames from an in-range
 /// sender whose gossip names thousands of node ids the group does not
 /// have. They land in the victim's member view, and maintenance probes
