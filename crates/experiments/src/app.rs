@@ -435,9 +435,9 @@ pub fn run_app_wire(
     };
     let cfg = TestnetConfig::new(opts.nodes)
         .with_seed(opts.seed)
-        .with_shards(opts.shards.max(1))
-        .with_record_trace(true);
-    let mut net: Testnet<AppNode> = Testnet::build(&cfg, staged.nodes(&proto, app_cfg))?;
+        .with_shards(opts.shards.max(1));
+    let rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(&proto)));
+    let mut net = Testnet::build_with(&cfg, rec, staged.nodes(&proto, app_cfg))?;
 
     net.attach_plan(&staged.plan);
     let start = SimTime::ZERO + opts.warmup;
@@ -445,10 +445,10 @@ pub fn run_app_wire(
     let end = horizon(&opts, start, Some(&staged.plan));
     net.run_for(Duration::from_nanos(end.as_nanos()));
 
-    let (core, rec) = audit_wire(&net, &proto, u64::from(opts.messages), staged.plan.len());
+    let core = audit_wire(&mut net, u64::from(opts.messages), staged.plan.len());
     let phase = format!("wire:{label}");
     Ok(
-        staged.outcome(phase, 0, (start, end), core, &rec.metrics, |n| {
+        staged.outcome(phase, 0, (start, end), core, &net.recorder().metrics, |n| {
             (!net.is_crashed(n)).then(|| net.node(n))
         }),
     )

@@ -35,5 +35,5 @@ pub mod scale;
 pub mod sweep;
 pub mod testnet;
 
-pub use options::{ExpOptions, GivenFlags, Scale, StackKind};
+pub use options::{ExpOptions, GivenFlags, Scale, StackKind, MAX_JOBS};
 pub use runners::{DelayStats, Proto};

@@ -85,9 +85,10 @@
 
 use std::time::Duration;
 
+use gocast_experiments::app::MAX_WIRE_NODES;
 use gocast_experiments::runners::run_delay;
 use gocast_experiments::sweep::sweep_seeds;
-use gocast_experiments::{figures, ExpOptions, GivenFlags, Proto, StackKind};
+use gocast_experiments::{figures, ExpOptions, GivenFlags, Proto, StackKind, MAX_JOBS};
 
 /// The most multicasts one run injects: 10⁴ times the paper's 1,000. A
 /// run schedules every injection up front, so a larger count is memory
@@ -99,7 +100,7 @@ fn usage() -> ! {
         "usage: gocast-experiments <fig1|fig3a|fig3b|fig4|fig5a|fig5b|fig6|ext1|ext2|ext3|ext4|ext5|txt1|txt2|txt4|ablate|adaptive|sweep|trace|trace-fail|chaos|compare|testnet|scale|metrics|pubsub|crdt|all> \
          [--quick] [--nodes N] [--seed S] [--warmup SECS] [--messages M] [--rate R] [--drain SECS] [--out DIR] [--no-csv] [--trace-out PATH] [--metrics-out PATH] [--jobs N] \
          [--scenario NAME] [--spec STR] [--seeds K] [--stack gocast|plumtree] [--shards N] [--sim-shards N] [--topics N] [--overhead]\n\
-         --messages is at most {MAX_MESSAGES}"
+         --messages is at most {MAX_MESSAGES}, --jobs at most {MAX_JOBS}, testnet's --nodes at most {MAX_WIRE_NODES}"
     );
     std::process::exit(2);
 }
@@ -115,12 +116,13 @@ struct CliArgs {
     overhead: bool,
 }
 
-/// A subcommand's bad `--spec`/`--scenario`: the library reports it, the
-/// binary owns the exit code (2, like every other usage error).
+/// A subcommand's bad `--spec`/`--scenario` or out-of-range flag: the
+/// library reports it, the binary prints usage and exits 2, like every
+/// other usage error.
 fn or_usage_error<T>(result: Result<T, String>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(2)
+        usage()
     })
 }
 
@@ -227,6 +229,10 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
         opts.nodes = n;
     }
     if let Some(j) = explicit_jobs {
+        if j > MAX_JOBS {
+            eprintln!("--jobs must be at most {MAX_JOBS} (got {j})");
+            usage()
+        }
         opts = opts.with_jobs(j);
     }
     for (flag, value) in [

@@ -42,6 +42,11 @@ impl fmt::Display for StackKind {
     }
 }
 
+/// The most worker threads `--jobs` may ask for: each runs a whole
+/// simulation at once, so a larger count buys no speed on any host this
+/// runs on and multiplies the memory in use.
+pub const MAX_JOBS: usize = 256;
+
 /// Scale and output parameters for a run.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
@@ -212,7 +217,8 @@ impl ExpOptions {
         self
     }
 
-    /// Sets the worker-thread count (builder style).
+    /// Sets the worker-thread count (builder style); the CLI refuses more
+    /// than [`MAX_JOBS`].
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self

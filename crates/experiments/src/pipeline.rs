@@ -24,7 +24,8 @@
 //!
 //! The wire host (`gocast_testnet::Testnet`) runs the same phases: the
 //! same node constructor, a plan compiled over [`wire_groups`], the same
-//! [`inject`] loop and [`horizon`], and [`audit_wire`] in place of
+//! [`inject`] loop and [`horizon`], a [`RunRecorder`] it feeds as the
+//! engine does (`Testnet::build_with`), and [`audit_wire`] in place of
 //! [`Run::finish`].
 //!
 //! # Determinism and `--jobs`
@@ -151,8 +152,8 @@ pub struct RunRecorder {
 }
 
 impl RunRecorder {
-    /// A recorder with no JSONL sinks (wire replays, which feed it a
-    /// captured trace).
+    /// A recorder with no JSONL sinks (the wire's, and the simulated side
+    /// of the `testnet` comparison).
     pub fn detached(oracle: Option<InvariantOracle>) -> Self {
         RunRecorder {
             metrics: MetricsRecorder::new(),
@@ -473,38 +474,17 @@ fn ledger_snapshot_into(ledger: &MetricsRecorder, snap: &mut Snapshot) {
     snap.record_counter("app_unsubscribes", app.unsubscribes);
 }
 
-/// The wire host's audit phase: replays the fabric's captured event trace
-/// into a detached [`RunRecorder`] (the ledger and the invariant oracle
-/// for `proto`) and distils the run's core over the fabric's metrics.
-/// Returns the recorder for what the caller reads next.
-pub fn audit_wire<N>(
-    net: &Testnet<N>,
-    proto: &GoCastConfig,
-    injected: u64,
-    plan_len: usize,
-) -> (RunCore, RunRecorder)
+/// The wire host's audit phase: distils the run's core from the
+/// [`RunRecorder`] the fabric fed (built with [`Testnet::build_with`], as
+/// an engine is built with its recorder) over the fabric's metrics. Read
+/// the ledger from `net.recorder()` next.
+pub fn audit_wire<N>(net: &mut Testnet<N, RunRecorder>, injected: u64, plan_len: usize) -> RunCore
 where
     N: Stack<Msg = GoCastMsg, Event = GoCastEvent>,
-    N::Command: Clone,
 {
-    let mut rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)));
-    for (t, n, ev) in net.trace() {
-        rec.record(*t, *n, ev.clone());
-    }
-    let core = RunCore::distil(
-        &mut rec,
-        injected,
-        plan_len,
-        net.kernel_stats(),
-        net.metrics_snapshot(),
-    );
-    (
-        RunCore {
-            end: net.now(),
-            ..core
-        },
-        rec,
-    )
+    let (kernel, metrics, end) = (net.kernel_stats(), net.metrics_snapshot(), net.now());
+    let core = RunCore::distil(net.recorder_mut(), injected, plan_len, kernel, metrics);
+    RunCore { end, ..core }
 }
 
 /// One combined snapshot of everything the simulation knows: kernel

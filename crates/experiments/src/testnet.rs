@@ -39,6 +39,7 @@ use gocast_metrics::MetricValue;
 use gocast_sim::{HashedLatency, NodeId, ScenarioPlan, SimTime};
 use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
 
+use crate::app::MAX_WIRE_NODES;
 use crate::chaos::resolve_scenario;
 use crate::options::{GivenFlags, Scale};
 use crate::pipeline::{
@@ -68,7 +69,8 @@ const RECOVERY_GAP: f64 = 0.25;
 const HIST_TV: f64 = 0.35;
 
 /// Resolves the CLI flags to the options both sides run (see the module
-/// docs for the defaulting rule) and the one plan both replay.
+/// docs for the defaulting rule) and the one plan both replay; refuses a
+/// population past [`MAX_WIRE_NODES`] before either side runs.
 pub fn resolve(
     opts: &ExpOptions,
     given: &GivenFlags,
@@ -79,6 +81,12 @@ pub fn resolve(
         return Err("--shards must be at least 1".into());
     }
     let wire = opts.scaled_to(given, &TESTNET_SCALE);
+    if wire.nodes > MAX_WIRE_NODES {
+        return Err(format!(
+            "--nodes must be at most {MAX_WIRE_NODES} on the wire (got {})",
+            wire.nodes
+        ));
+    }
     let (_, sc) = resolve_scenario(&wire, scenario, spec)?;
     // A preset can name a node the wire population does not have.
     sc.check_nodes(wire.nodes)
@@ -276,16 +284,17 @@ pub fn conform(opts: &ExpOptions, plan: &ScenarioPlan) -> io::Result<Conformance
         elapsed,
     };
 
-    let mut net = Testnet::build(&cfg, gocast_nodes(opts, proto))?;
+    let rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)));
+    let mut net = Testnet::build_with(&cfg, rec, gocast_nodes(opts, proto))?;
     net.attach_plan(plan);
     multicasts(opts, |at, n, cmd| net.schedule_command(at, n, cmd));
     let started = Instant::now();
     net.run_for(Duration::from_nanos(end.as_nanos()));
     let elapsed = started.elapsed();
-    let (core, rec) = audit_wire(&net, proto, injected, plan.len());
+    let core = audit_wire(&mut net, injected, plan.len());
     let wire = Side {
         core,
-        metrics: rec.metrics,
+        metrics: net.into_recorder().metrics,
         elapsed,
     };
     Ok(Conformance {

@@ -4,18 +4,29 @@
 //! `Duration::from_secs_f64`; a drain past `SimTime`'s range overflowed
 //! the run's horizon) or in the flag parser (a value that is not a number
 //! of the flag's type), or in the injection schedule a message count past
-//! the CLI's bound would build (4.3 G commands were killed for memory).
+//! the CLI's bound would build (4.3 G commands were killed for memory), or
+//! in a run sized past what the host can hold: a `testnet` population past
+//! the wire bound (which binds a socket a node) or more `--jobs` threads
+//! than the bound.
 
 use std::process::{Command, Output};
 
-/// `fig3a --quick` with `flags`, no CSV.
-fn fig3a(flags: &[&str]) -> Output {
+use gocast_experiments::app::MAX_WIRE_NODES;
+use gocast_experiments::MAX_JOBS;
+
+/// `subcommand` with `flags`, no CSV.
+fn run(subcommand: &[&str], flags: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gocast-experiments"))
-        .args(["fig3a", "--quick"])
+        .args(subcommand)
         .args(flags)
         .arg("--no-csv")
         .output()
         .expect("the experiments binary runs")
+}
+
+/// `fig3a --quick` with `flags`, no CSV.
+fn fig3a(flags: &[&str]) -> Output {
+    run(&["fig3a", "--quick"], flags)
 }
 
 /// `out` is a usage error that names `flag`: exit 2, no panic.
@@ -62,4 +73,17 @@ fn malformed_numeric_flags_print_usage_and_exit_2() {
     ] {
         assert_usage_error(&fig3a(&bad), bad[0], &bad);
     }
+}
+
+/// One past each bound is refused before anything runs: a `testnet`
+/// population past the wire bound would first simulate, then bind a
+/// socket a node; `--jobs` past its bound would start that many threads.
+#[test]
+fn wire_population_and_job_count_past_their_bounds_exit_2() {
+    let nodes = (MAX_WIRE_NODES + 1).to_string();
+    let case = ["--nodes", nodes.as_str(), "--messages", "10"];
+    assert_usage_error(&run(&["testnet"], &case), "--nodes", &case);
+    let jobs = (MAX_JOBS + 1).to_string();
+    let case = ["--jobs", jobs.as_str()];
+    assert_usage_error(&fig3a(&case), "--jobs", &case);
 }

@@ -12,9 +12,10 @@ use gocast_metrics::Snapshot;
 use crate::fault::{FaultState, NetFates, NetFault};
 use crate::id::NodeId;
 use crate::lane::{
-    CrossLaneMsg, Event, KernelTelemetry, Lane, SimLane, SimLink, SimWorker, MAX_LANES,
+    merge_buffers, CrossLaneMsg, Event, KernelTelemetry, SimLane, SimLink, SimWorker, WorkerSet,
 };
 use crate::latency::LatencyModel;
+use crate::placement::Placement;
 use crate::protocol::Protocol;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::TrafficStats;
@@ -269,15 +270,6 @@ pub type Sim<P, R = NullRecorder> = Engine<P, R, OneLane>;
 /// [`ShardedSimBuilder`].
 pub type ShardedSim<P, R> = Engine<P, R, Lanes>;
 
-/// What the window loop keeps from one barrier to the next.
-struct WindowLoop<P: Protocol> {
-    /// With several workers, the recorder events of the window being
-    /// merged, `(at, worker, pos, node, event)`; empty between barriers.
-    events: Vec<(SimTime, u32, u32, NodeId, P::Event)>,
-    /// Most events pending over all lanes at any window boundary.
-    pending_high_water: usize,
-}
-
 /// Capacity (in entries) a window buffer keeps where a run call returns:
 /// enough that small simulations stepped in short run calls do not
 /// reallocate every call, nothing next to a start-up storm's worth.
@@ -289,8 +281,8 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 /// same methods on both; only the run loop differs.
 ///
 /// The engine owns the protocol instances (split over one or more
-/// *lanes*: node `g` lives in lane `g % lanes`, each lane with its own
-/// per-node RNG streams, counters and fault-state replicas), one event
+/// *lanes* by a [`Placement`], each lane with its own per-node RNG
+/// streams, counters and fault-state replicas), one event
 /// queue per worker thread over a contiguous chunk of lanes, the latency
 /// model, and the event recorder. A queue orders by `(time, lane,
 /// per-lane sequence)`, so within a lane events at equal timestamps fire
@@ -322,9 +314,11 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 ///   with one worker its recorder events come out merged and go straight
 ///   to the recorder. Several workers each buffer theirs, and the barrier
 ///   merges the buffers by `(time, worker, emission order)` — the same
-///   order, as workers hold ascending chunks of lanes. At one lane nothing
-///   crosses lanes, so a one-lane `ShardedSim` runs one window to the
-///   deadline and is indistinguishable from a `Sim`.
+///   order, as workers hold ascending chunks of lanes; a `gocast-testnet`
+///   fabric merges its shards' buffers through the same merge
+///   ([`WorkerSet::merge_into`]). At one lane nothing crosses lanes, so a
+///   one-lane `ShardedSim` runs one window to the deadline and is
+///   indistinguishable from a `Sim`.
 ///
 /// # Determinism contract
 ///
@@ -334,9 +328,7 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 /// ([`ShardedSimBuilder::threads`], the CLI's `--sim-shards`) is pure
 /// execution policy: lanes are data-independent within a window, so any
 /// thread count produces identical output by construction — the property
-/// the cross-shard determinism tests assert. This mirrors the testnet
-/// fabric's shard-merge proof (`gocast-testnet::shard`): sharded loops,
-/// stable time-sorted merge, canonical manifest.
+/// the cross-shard determinism tests assert.
 ///
 /// RNG streams do not depend on the lane count: node `g` draws from
 /// `seed * GOLDEN ^ g` whichever lane owns it. The chaos (loss/jitter)
@@ -345,16 +337,14 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 /// with loss or jitter are deterministic per `(seed, lane count)`.
 pub struct Engine<P: Protocol, R: Recorder<P::Event>, M: Mode> {
     now: SimTime,
-    /// One per worker thread, each over `chunk` lanes (the last may hold
-    /// fewer).
-    workers: Vec<SimWorker<P>>,
-    lane_count: usize,
-    chunk: usize,
+    /// One per worker thread, each over a contiguous chunk of lanes.
+    workers: WorkerSet<P, SimLink<P>>,
     net: Box<M::Net>,
     recorder: R,
     wall_time: Duration,
     started: bool,
-    window_loop: WindowLoop<P>,
+    /// Most events pending over all lanes at any window boundary.
+    pending_high_water: usize,
 }
 
 impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, R, M> {
@@ -362,8 +352,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
         f.debug_struct("Engine")
             .field("now", &self.now)
             .field("nodes", &self.len())
-            .field("lanes", &self.lane_count)
-            .field("threads", &self.workers.len())
+            .field("placement", &self.workers.placement())
             .field("pending_events", &self.kernel_stats().queue_len)
             .finish()
     }
@@ -373,16 +362,16 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
 /// lane by lane in send order: each lane numbers what reaches it in that
 /// order, so the messages pop in `(arrival, source lane, send order)` at
 /// any thread count.
-fn flush<P: Protocol>(workers: &mut [&mut SimWorker<P>], chunk: usize, lanes: usize) {
+fn flush<P: Protocol>(workers: &mut [&mut SimWorker<P>], placement: Placement) {
     for w in 0..workers.len() {
         for l in 0..workers[w].lanes.len() {
             // A lane never sends to itself through its outbox, so nothing
             // misses the buffer while it is out.
             let mut outbox = std::mem::take(&mut workers[w].lanes[l].link.outbox);
             for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
-                let lane = to.index() % lanes;
+                let lane = placement.lane(to);
                 let ev = Event::Deliver { from, to, msg };
-                workers[lane / chunk].schedule(lane, at, to.as_u32(), ev);
+                workers[placement.worker(lane)].schedule(lane, at, to.as_u32(), ev);
             }
             workers[w].lanes[l].link.outbox = outbox;
         }
@@ -426,51 +415,26 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         mut make: F,
     ) -> Self {
         let model = M::model(&net);
-        let n = model.len();
-        let lane_count = lanes.min(n.max(1));
-        assert!(lane_count < MAX_LANES, "at most {MAX_LANES} lanes");
+        let placement = Placement::new(model.len(), lanes, threads);
         assert!(
-            lane_count == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
+            placement.lanes() == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
             "more than one lane requires a latency model with positive lookahead"
         );
-        // Worker `w` runs lanes `w * chunk..`; lane `i` owns the ids
-        // congruent to `i`: `(n - i) / lanes`, rounded up.
-        let chunk = lane_count.div_ceil(threads.clamp(1, lane_count));
-        let mut workers: Vec<SimWorker<P>> = (0..lane_count)
-            .step_by(chunk)
-            .map(|first| {
-                let lanes = (first..lane_count.min(first + chunk)).map(|i| {
-                    let (i, owned) = (i as u32, (n - i).div_ceil(lane_count));
-                    let link = SimLink::new(i, lane_count as u32);
-                    Lane::new(i, lane_count as u32, seed, owned, n, link)
-                });
-                SimWorker::new(first, lanes.collect())
-            })
-            .collect();
-        for g in 0..n {
-            let id = NodeId::new(g as u32);
-            let lane = g % lane_count;
-            workers[lane / chunk].lanes[lane % chunk].push_node(id, make(id), seed);
-        }
+        let link = |i| SimLink::new(i, placement);
         Engine {
             now: SimTime::ZERO,
-            workers,
-            lane_count,
-            chunk,
+            workers: WorkerSet::new(placement, seed, link, |id, _| make(id)),
             net,
             recorder,
             wall_time: Duration::ZERO,
             started: false,
-            window_loop: WindowLoop {
-                events: Vec::new(),
-                pending_high_water: 0,
-            },
+            pending_high_water: 0,
         }
     }
 
     /// Number of nodes (alive or failed).
     pub fn len(&self) -> usize {
-        self.lanes().map(|l| l.nodes.len()).sum()
+        self.workers.placement().population()
     }
 
     /// Whether the simulation has zero nodes.
@@ -486,7 +450,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// The lane count — a **semantic** parameter (see the determinism
     /// contract above); always 1 on [`Sim`].
     pub fn lane_count(&self) -> usize {
-        self.lane_count
+        self.workers.placement().lanes()
     }
 
     /// The latency model driving this simulation.
@@ -494,29 +458,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         M::model(&self.net)
     }
 
-    /// Every lane, in index order.
-    fn lanes(&self) -> impl Iterator<Item = &SimLane<P>> {
-        self.workers.iter().flat_map(|w| &w.lanes)
-    }
-
-    fn lanes_mut(&mut self) -> impl Iterator<Item = &mut SimLane<P>> {
-        self.workers.iter_mut().flat_map(|w| &mut w.lanes)
-    }
-
-    #[inline]
-    fn worker_of(&self, node: NodeId) -> &SimWorker<P> {
-        &self.workers[node.index() % self.lane_count / self.chunk]
-    }
-
-    #[inline]
-    fn lane_of_mut(&mut self, node: NodeId) -> &mut SimLane<P> {
-        let lane = node.index() % self.lane_count;
-        &mut self.workers[lane / self.chunk].lanes[lane % self.chunk]
-    }
-
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.worker_of(node).is_alive(node)
+        self.workers.is_alive(node)
     }
 
     /// Ids of all currently alive nodes, in increasing id order.
@@ -529,14 +473,12 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Immutable access to a node's protocol state (available even after the
     /// node failed — useful for post-mortem analysis).
     pub fn node(&self, node: NodeId) -> &P {
-        self.worker_of(node).node(node)
+        self.workers.node(node)
     }
 
     /// Mutable access to a node's protocol state (test/harness use).
     pub fn node_mut(&mut self, node: NodeId) -> &mut P {
-        let lane = self.lane_of_mut(node);
-        let l = lane.local(node);
-        &mut lane.nodes[l]
+        self.workers.node_mut(node)
     }
 
     /// Iterates over `(id, state)` for every node in increasing id order.
@@ -550,12 +492,18 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// run call ends by folding the counts into lane 0, so this is the
     /// total at any lane count.
     pub fn stats(&self) -> &TrafficStats {
-        &self.workers[0].lanes[0].stats
+        &self.home().stats
+    }
+
+    /// Lane 0: it holds the traffic totals and the fault state others
+    /// read.
+    fn home(&self) -> &SimLane<P> {
+        self.workers.lanes().next().expect("at least one lane")
     }
 
     /// Resets traffic counters (e.g. to exclude warm-up traffic).
     pub fn reset_stats(&mut self) {
-        self.lanes_mut().for_each(|lane| lane.stats.reset());
+        self.workers.lanes_mut().for_each(|lane| lane.stats.reset());
     }
 
     /// Snapshot of the kernel execution counters (see [`KernelStats`]),
@@ -564,13 +512,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// a window unobserved, so no finer all-lane count exists);
     /// `wall_time` is the run loops' time.
     pub fn kernel_stats(&self) -> KernelStats {
-        let mut total = KernelStats::default();
-        for w in &self.workers {
-            total.absorb(&w.kernel_stats());
-        }
-        total.queue_high_water = total
-            .queue_high_water
-            .max(self.window_loop.pending_high_water);
+        let mut total = self.workers.kernel_stats();
+        total.queue_high_water = total.queue_high_water.max(self.pending_high_water);
         total.wall_time = self.wall_time;
         total
     }
@@ -578,14 +521,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Turns on deep kernel telemetry for an already-built simulation
     /// (equivalent to [`SimBuilder::telemetry`]).
     pub fn enable_telemetry(&mut self) {
-        self.lanes_mut().for_each(|lane| {
+        self.workers.lanes_mut().for_each(|lane| {
             lane.telemetry.get_or_insert_with(Box::default);
         });
     }
 
     /// Whether deep kernel telemetry is on.
     pub fn telemetry_enabled(&self) -> bool {
-        self.workers[0].lanes[0].telemetry.is_some()
+        self.home().telemetry.is_some()
     }
 
     /// A named [`Snapshot`] of every kernel metric under stable `kernel_*`
@@ -599,12 +542,16 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         let k = self.kernel_stats();
         let mut s = Snapshot::new();
         k.snapshot_into(&mut s);
-        if self.lane_count > 1 {
-            s.record_counter("kernel_lanes", self.lane_count as u64);
+        if self.lane_count() > 1 {
+            s.record_counter("kernel_lanes", self.lane_count() as u64);
         }
         if self.telemetry_enabled() {
             let mut total = Box::<KernelTelemetry>::default();
-            for telemetry in self.lanes().filter_map(|lane| lane.telemetry.as_deref()) {
+            for telemetry in self
+                .workers
+                .lanes()
+                .filter_map(|lane| lane.telemetry.as_deref())
+            {
                 total.merge(telemetry);
             }
             s.record_histogram("kernel_queue_depth", &total.queue_depth);
@@ -643,11 +590,6 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         }
     }
 
-    /// The worker whose chunk holds the lane that owns `node`.
-    fn worker_of_mut(&mut self, node: NodeId) -> &mut SimWorker<P> {
-        &mut self.workers[node.index() % self.lane_count / self.chunk]
-    }
-
     /// Schedules command `cmd` for `node` at absolute time `at`.
     ///
     /// # Panics
@@ -668,7 +610,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         cmd: P::Command,
     ) -> Result<(), PastScheduleError> {
         self.check_future(at)?;
-        self.worker_of_mut(node).schedule_command(at, node, cmd);
+        self.workers.schedule_command(at, node, cmd);
         Ok(())
     }
 
@@ -713,14 +655,12 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Panics if `at` is in the past.
     pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
         self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        self.worker_of_mut(node).fail_node_at(at, node);
+        self.workers.fail_node_at(at, node);
     }
 
     /// Crashes `node` immediately.
     pub fn fail_node(&mut self, node: NodeId) {
-        let lane = self.lane_of_mut(node);
-        let l = lane.local(node);
-        lane.alive[l] = false;
+        self.workers.fail_node(node);
     }
 
     /// Applies a network fault immediately, to every lane's replica of the
@@ -737,7 +677,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// population, a partition that does not label every node, or a loss
     /// probability outside `0.0..=1.0`.
     pub fn apply_fault(&mut self, fault: NetFault) {
-        self.lanes_mut().for_each(|lane| lane.faults.apply(&fault));
+        self.workers
+            .lanes_mut()
+            .for_each(|lane| lane.faults.apply(&fault));
     }
 
     /// Schedules a network fault at absolute time `at` (see
@@ -750,16 +692,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// would — at this call, not when the fault fires.
     pub fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
         self.check_future(at).unwrap_or_else(|e| panic!("{e}"));
-        for w in &mut self.workers {
-            w.schedule_fault(at, &fault);
-        }
+        self.workers.schedule_fault(at, &fault);
     }
 
     /// The network's current fault state (every lane holds an identical
     /// replica; the [`FaultState::fates`] read here are lane 0's alone —
     /// the all-lane totals are [`KernelStats::fates`]).
     pub fn faults(&self) -> &FaultState {
-        &self.workers[0].lanes[0].faults
+        &self.home().faults
     }
 
     /// Calls `on_start` on every alive node, once (with more than one
@@ -772,18 +712,19 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         }
         self.started = true;
         let net = M::model(&self.net);
-        let mut workers: Vec<_> = self.workers.iter_mut().collect();
+        let placement = self.workers.placement();
+        let mut workers: Vec<_> = self.workers.list.iter_mut().collect();
         for w in &mut workers {
             w.start(net, &mut self.recorder);
         }
-        flush(&mut workers, self.chunk, self.lane_count);
+        flush(&mut workers, placement);
         self.fold_stats();
     }
 
     /// Lanes count traffic locally; this folds the counts into lane 0,
     /// the one [`Engine::stats`] reads.
     fn fold_stats(&mut self) {
-        let mut lanes = self.workers.iter_mut().flat_map(|w| &mut w.lanes);
+        let mut lanes = self.workers.lanes_mut();
         let home = lanes.next().expect("at least one lane");
         for lane in lanes {
             home.stats.absorb(&lane.stats);
@@ -794,7 +735,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// The lookahead Δ in nanoseconds, with more than one lane.
     fn delta(&self) -> Option<u64> {
         let net = M::model(&self.net);
-        (self.lane_count > 1)
+        (self.lane_count() > 1)
             .then(|| saturating_nanos(net.lookahead().expect("checked when built")))
     }
 
@@ -804,11 +745,11 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     fn run_one_worker(&mut self, deadline: SimTime) {
         let delta = self.delta();
         let net = M::model(&self.net);
-        let high_water = &mut self.window_loop.pending_high_water;
-        let mut one = [&mut self.workers[0]];
-        while let Some(end) = next_window(&one, deadline, delta, high_water) {
+        let placement = self.workers.placement();
+        let mut one = [&mut self.workers.list[0]];
+        while let Some(end) = next_window(&one, deadline, delta, &mut self.pending_high_water) {
             one[0].run_window(end, net, &mut self.recorder);
-            flush(&mut one, self.chunk, self.lane_count);
+            flush(&mut one, placement);
         }
     }
 
@@ -818,14 +759,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     fn finish_run(&mut self, deadline: SimTime) {
         self.fold_stats();
         self.now = deadline;
-        for w in &mut self.workers {
+        for w in &mut self.workers.list {
             w.queue.trim();
             w.events_out.events.shrink_to(WINDOW_BUFFER_KEEP);
             w.lanes
                 .iter_mut()
                 .for_each(|l| l.link.outbox.shrink_to(WINDOW_BUFFER_KEEP));
         }
-        self.window_loop.events.shrink_to(WINDOW_BUFFER_KEEP);
+        self.workers.merging.shrink_to(WINDOW_BUFFER_KEEP);
     }
 }
 
@@ -861,7 +802,7 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
     /// Stepping manually advances the event counters but not
     /// [`KernelStats::wall_time`].
     pub fn step(&mut self) -> bool {
-        let stepped = self.workers[0].step(&*self.net, &mut self.recorder);
+        let stepped = self.workers.list[0].step(&*self.net, &mut self.recorder);
         self.now = stepped.unwrap_or(self.now);
         stepped.is_some()
     }
@@ -882,7 +823,7 @@ where
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = std::time::Instant::now();
         self.start();
-        if self.workers.len() == 1 {
+        if self.workers.list.len() == 1 {
             self.run_one_worker(deadline);
         } else {
             self.run_workers(deadline);
@@ -901,9 +842,10 @@ where
     /// merges the recorder buffers and flushes the outboxes.
     fn run_workers(&mut self, deadline: SimTime) {
         let delta = self.delta();
-        let (net, chunk, lanes) = (&*self.net, self.chunk, self.lane_count);
-        let (recorder, state) = (&mut self.recorder, &mut self.window_loop);
-        let mut workers: Vec<&mut SimWorker<P>> = self.workers.iter_mut().collect();
+        let (net, placement) = (&*self.net, self.workers.placement());
+        let (recorder, high_water) = (&mut self.recorder, &mut self.pending_high_water);
+        let WorkerSet { list, merging, .. } = &mut self.workers;
+        let mut workers: Vec<&mut SimWorker<P>> = list.iter_mut().collect();
         std::thread::scope(|s| {
             // Per worker, a channel that hands it its chunk and the window
             // end, and one that hands the chunk back: a panicking worker
@@ -916,9 +858,7 @@ where
                     let (done, back) = mpsc::sync_channel(1);
                     s.spawn(move || {
                         for (w, end) in windows {
-                            let mut out = std::mem::take(&mut w.events_out);
-                            w.run_window(end, net, &mut out);
-                            w.events_out = out;
+                            w.buffered(|w, out| w.run_window(end, net, out));
                             done.send((w, end))
                                 .expect("the coordinator waits for every worker");
                         }
@@ -926,7 +866,6 @@ where
                     (start, back)
                 })
                 .collect();
-            let high_water = &mut state.pending_high_water;
             while let Some(end) = next_window(&workers, deadline, delta, high_water) {
                 for ((start, _), w) in channels.iter().zip(workers.drain(..)) {
                     start.send((w, end)).expect("a worker thread panicked");
@@ -934,21 +873,8 @@ where
                 for (_, back) in &channels {
                     workers.push(back.recv().expect("a worker thread panicked").0);
                 }
-                for (i, w) in workers.iter_mut().enumerate() {
-                    let events = w.events_out.events.drain(..).enumerate();
-                    state.events.extend(
-                        events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)),
-                    );
-                }
-                // The keys are unique, so the unstable sort is the stable
-                // one without its allocation.
-                state
-                    .events
-                    .sort_unstable_by_key(|(at, w, pos, _, _)| (*at, *w, *pos));
-                for (at, _, _, node, ev) in state.events.drain(..) {
-                    recorder.record(at, node, ev);
-                }
-                flush(&mut workers, chunk, lanes);
+                merge_buffers(workers.iter_mut().map(|w| &mut **w), merging, recorder);
+                flush(&mut workers, placement);
             }
             // Returning drops the senders, which ends every worker's loop.
         });
@@ -1029,7 +955,9 @@ impl SimBuilder {
     {
         let mut sim = Engine::assemble(self.net, self.seed, 1, 1, recorder, make);
         if self.pair_counts {
-            sim.workers[0].lanes[0].stats.enable_pair_counts();
+            sim.workers
+                .lanes_mut()
+                .for_each(|l| l.stats.enable_pair_counts());
         }
         if self.telemetry {
             sim.enable_telemetry();
@@ -1220,6 +1148,44 @@ mod tests {
             n,
             hops_seen: 0,
         }
+    }
+
+    /// The one merge of several workers' window buffers, the engine's
+    /// and a wire fabric's: time-sorted, equal times in worker order, each
+    /// worker's events in emission order, and every buffer drained.
+    #[test]
+    fn merged_trace_is_time_sorted_with_stable_ties() {
+        let placement = Placement::new(4, 2, 2);
+        let link = |i| SimLink::new(i, placement);
+        let mut set = WorkerSet::new(placement, 1, link, |id, _| member(4)(id));
+        let (t, n) = (SimTime::from_nanos, NodeId::new);
+        // Two workers' windows with an equal-time collision at 5; the
+        // second worker's two events at 5 keep their emission order.
+        let buffers = [
+            vec![(t(1), n(0), 0), (t(5), n(2), 1), (t(9), n(0), 2)],
+            vec![(t(2), n(1), 3), (t(5), n(3), 4), (t(5), n(1), 5)],
+        ];
+        for (w, events) in set.workers_mut().iter_mut().zip(buffers) {
+            for (at, node, tag) in events {
+                w.events_out.record(at, node, (at, tag));
+            }
+        }
+        let mut rec = Rec::new();
+        set.merge_into(&mut rec);
+        let order: Vec<(u64, u32)> = rec
+            .events
+            .iter()
+            .map(|(at, node, _)| (at.as_nanos(), node.as_u32()))
+            .collect();
+        assert_eq!(order, [(1, 0), (2, 1), (5, 2), (5, 3), (5, 1), (9, 0)]);
+        assert!(set.workers().iter().all(|w| w.events_out.events.is_empty()));
+        // The next window's merge appends after what is recorded.
+        set.workers_mut()[1]
+            .events_out
+            .record(t(11), n(1), (t(11), 6));
+        set.merge_into(&mut rec);
+        assert_eq!(rec.events.len(), 7);
+        assert_eq!(rec.events[6].0, t(11));
     }
 
     fn serial(n: u32, seed: u64) -> Sim<Ring, Rec> {
@@ -1689,7 +1655,7 @@ mod tests {
             }
             sim.run_until(DONE);
             assert_eq!(sim.kernel_stats().control_events, faults.len() as u64);
-            for lane in sim.lanes() {
+            for lane in sim.workers.lanes() {
                 assert_eq!(settings(&lane.faults), settings(&expected));
             }
         });
@@ -1715,7 +1681,7 @@ mod tests {
                     scheduled.run_until(DONE);
                     assert_eq!(applied.recorder().events, scheduled.recorder().events);
                     assert!((3..=40).contains(&hops(&applied)), "lost or cut off");
-                    for (a, s) in applied.lanes().zip(scheduled.lanes()) {
+                    for (a, s) in applied.workers.lanes().zip(scheduled.workers.lanes()) {
                         assert_eq!(settings(&a.faults), settings(&s.faults));
                     }
                     // Only the scheduled ones are control events.

@@ -5,10 +5,12 @@
 //! of lanes off one, keyed by `(time, lane, per-lane sequence)`, so a
 //! lane pops in its own order whichever lanes share the queue.
 //!
-//! Node `g` lives in lane `g % lanes` at local index `g / lanes`. With one
-//! lane that is the whole population and nothing ever crosses lanes; with
-//! more, sends to other lanes buffer in the lane's outbox until the
-//! engine's window barrier (see [`crate::Engine`]).
+//! Which lane owns a node, at which slot, is the [`Placement`]'s to say.
+//! With one lane that is the whole population and nothing ever crosses
+//! lanes; with more, sends to other lanes buffer in the lane's outbox
+//! until the engine's window barrier (see [`crate::Engine`]). A
+//! [`WorkerSet`] holds every worker of a placement and routes a node id
+//! to its lane, the same way on both hosts.
 //!
 //! What leaves a lane goes through its [`Link`], the one part of the send
 //! path a host supplies: the simulator's link adds the latency model's
@@ -33,9 +35,11 @@ use crate::fault::{FaultState, NetFault};
 use crate::id::NodeId;
 use crate::kernel::{EventClass, KernelStats};
 use crate::latency::LatencyModel;
+use crate::placement::Placement;
 use crate::protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
 use crate::queue::{prefetch, EventQueue, Scheduled};
 use crate::recorder::{Recorder, VecRecorder};
+use crate::scenario::FaultHost;
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
 
@@ -186,8 +190,8 @@ impl<P: Protocol> std::fmt::Debug for Sender<'_, P> {
 /// that lane owns the receiver, else held in the outbox until the window
 /// barrier.
 pub(crate) struct SimLink<P: Protocol> {
-    index: u32,
-    lanes: u32,
+    index: usize,
+    placement: Placement,
     /// Cross-lane sends made this window, in send order.
     pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
 }
@@ -206,7 +210,7 @@ impl<P: Protocol> Link<P> for SimLink<P> {
     ) {
         let from = sender.from;
         let at = sender.now + (net.one_way(from, to) + extra);
-        if self.lanes == 1 || to.as_u32() % self.lanes == self.index {
+        if self.placement.lane(to) == self.index {
             let ev = Event::Deliver { from, to, msg };
             sender.ties.schedule(sender.queue, at, to.as_u32(), ev);
         } else {
@@ -216,10 +220,10 @@ impl<P: Protocol> Link<P> for SimLink<P> {
 }
 
 impl<P: Protocol> SimLink<P> {
-    pub(crate) fn new(index: u32, lanes: u32) -> Self {
+    pub(crate) fn new(index: usize, placement: Placement) -> Self {
         SimLink {
             index,
-            lanes,
+            placement,
             outbox: Vec::new(),
         }
     }
@@ -233,13 +237,11 @@ pub(crate) type SimWorker<P> = Worker<P, SimLink<P>>;
 pub(crate) struct Lane<P: Protocol, L> {
     /// This lane's index in `0..lanes`.
     index: u32,
-    /// Total lane count (for ownership tests on the send path).
-    lanes: u32,
-    /// Nodes across all lanes (what a protocol's `node_count` reads).
-    population: usize,
-    /// Protocol state for owned nodes, arena-style: dense by local index
-    /// (`global = local * lanes + index`), never moved after construction
-    /// (dispatch split-borrows the slot in place).
+    /// Where every node lives (what a protocol's `node_count` reads).
+    placement: Placement,
+    /// Protocol state for owned nodes, arena-style: dense by slot, never
+    /// moved after construction (dispatch split-borrows the slot in
+    /// place).
     pub(crate) nodes: Vec<P>,
     pub(crate) alive: Vec<bool>,
     rngs: Vec<SmallRng>,
@@ -255,22 +257,16 @@ pub(crate) struct Lane<P: Protocol, L> {
 }
 
 impl<P: Protocol, L: Link<P>> Lane<P, L> {
-    /// An empty lane of a `population`-node deployment with room for
-    /// exactly the `nodes` it will own: the arenas are the simulation's
-    /// largest allocations, and growing them by doubling would leave up to
-    /// half of each unused.
-    pub(crate) fn new(
-        index: u32,
-        lanes: u32,
-        seed: u64,
-        nodes: usize,
-        population: usize,
-        link: L,
-    ) -> Self {
+    /// Lane `index` of `placement`, empty, with room for exactly the
+    /// nodes it will own: the arenas are the simulation's largest
+    /// allocations, and growing them by doubling would leave up to half of
+    /// each unused.
+    fn new(index: usize, placement: Placement, seed: u64, link: L) -> Self {
+        let nodes = placement.owned(index);
+        let index = index as u32;
         Lane {
             index,
-            lanes,
-            population,
+            placement,
             nodes: Vec::with_capacity(nodes),
             alive: Vec::with_capacity(nodes),
             rngs: Vec::with_capacity(nodes),
@@ -281,7 +277,7 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),
             telemetry: None,
-            faults: FaultState::new(population, seed, index),
+            faults: FaultState::new(placement.population(), seed, index),
             link,
         }
     }
@@ -289,8 +285,8 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
     /// Adds the next owned node (callers push in increasing global id
     /// order). Node `g` draws from `seed * GOLDEN ^ g` whichever lane
     /// owns it.
-    pub(crate) fn push_node(&mut self, id: NodeId, node: P, seed: u64) {
-        debug_assert_eq!(self.local(id), self.nodes.len());
+    fn push_node(&mut self, id: NodeId, node: P, seed: u64) {
+        debug_assert_eq!(self.placement.slot(id), self.nodes.len());
         self.nodes.push(node);
         self.alive.push(true);
         self.rngs.push(SmallRng::seed_from_u64(
@@ -298,23 +294,12 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
         ));
     }
 
-    /// Local index of an owned node. The one-lane case skips the division:
-    /// it sits on every dispatch.
-    #[inline]
-    pub(crate) fn local(&self, node: NodeId) -> usize {
-        if self.lanes == 1 {
-            node.index()
-        } else {
-            (node.as_u32() / self.lanes) as usize
-        }
-    }
-
     /// Starts fetching what a dispatch to `node` reads first — its leading
     /// lines, RNG and liveness flag — or, at `hook`, what
     /// [`Protocol::prefetch`] names. See [`Worker::prefetch_next`].
     #[inline(always)]
     fn prefetch_node(&self, node: u32, hook: bool) {
-        let l = self.local(NodeId::new(node));
+        let l = self.placement.slot(NodeId::new(node));
         if let (Some(p), Some(rng), Some(alive)) =
             (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
         {
@@ -374,7 +359,7 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
     ) {
         match ev {
             Event::Deliver { from, to, msg } => {
-                let dead = !self.alive[self.local(to)];
+                let dead = !self.alive[self.placement.slot(to)];
                 if !self.faults.blocked(from, to, dead) {
                     self.kernel.deliveries += 1;
                     self.with_ctx(at, to, queue, env, sink, |p, ctx| {
@@ -383,20 +368,20 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
                 }
             }
             Event::Fire { node, timer } => {
-                if self.alive[self.local(node)] {
+                if self.alive[self.placement.slot(node)] {
                     self.kernel.timers_fired += 1;
                     self.with_ctx(at, node, queue, env, sink, |p, ctx| p.on_timer(ctx, timer));
                 }
             }
             Event::Command { node, cmd } => {
-                if self.alive[self.local(node)] {
+                if self.alive[self.placement.slot(node)] {
                     self.kernel.commands += 1;
                     self.with_ctx(at, node, queue, env, sink, |p, ctx| p.on_command(ctx, cmd));
                 }
             }
             Event::Fail { node } => {
                 self.kernel.control_events += 1;
-                let l = self.local(node);
+                let l = self.placement.slot(node);
                 self.alive[l] = false;
             }
             Event::Control(fault) => {
@@ -421,7 +406,7 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
         // Split borrows: the protocol instance and the backend borrow
         // disjoint fields of `self`, so the node stays in place — no
         // whole-struct move in and out of the slot per dispatched event.
-        let l = self.local(node);
+        let l = self.placement.slot(node);
         let p = &mut self.nodes[l];
         let mut backend = Backend::<P, L, S> {
             sender: Sender {
@@ -430,7 +415,7 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
                 queue,
                 ties: &mut self.ties,
             },
-            population: self.population,
+            population: self.placement.population(),
             env,
             link: &mut self.link,
             stats: &mut self.stats,
@@ -452,17 +437,18 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
 }
 
 /// A contiguous chunk of lanes whose events all wait in one queue: what
-/// one thread runs. The engine builds one per worker thread over the
-/// simulator's link; a `gocast-testnet` shard is a worker over one lane of
-/// `shards`, fired in wall-clock time ([`Worker::fire_due`]) and handed
-/// each arriving message ([`Worker::arrive`]).
+/// one thread runs. The engine runs one per worker thread over the
+/// simulator's link; a `gocast-testnet` shard is a worker over one lane,
+/// fired in wall-clock time ([`Worker::fire_due`]) and handed each
+/// arriving message ([`Worker::arrive`]). A [`WorkerSet`] holds them.
 pub struct Worker<P: Protocol, L> {
     /// The global index of the first lane.
     pub(crate) first: usize,
+    placement: Placement,
     pub(crate) lanes: Vec<Lane<P, L>>,
     pub(crate) queue: Queue<P>,
     /// Recorder events of the window, in pop order, where several workers
-    /// share one recorder.
+    /// share one recorder ([`Worker::buffered`]).
     pub(crate) events_out: VecRecorder<P::Event>,
 }
 
@@ -473,50 +459,6 @@ impl<P: Protocol, L> std::fmt::Debug for Worker<P, L> {
 }
 
 impl<P: Protocol, L: Link<P>> Worker<P, L> {
-    /// The worker over `lanes`, from lane `first` on.
-    pub(crate) fn new(first: usize, lanes: Vec<Lane<P, L>>) -> Self {
-        Worker {
-            first,
-            lanes,
-            queue: EventQueue::new(),
-            events_out: VecRecorder::new(),
-        }
-    }
-
-    /// A worker over lane `lane` alone of `lanes`, in a
-    /// `population`-node deployment whose run seed is `seed`: node `g`
-    /// lives in lane `g % lanes`, and the lane's RNG and chaos streams are
-    /// the ones the engine gives lane `lane`.
-    pub fn one_lane(lane: u32, lanes: u32, seed: u64, population: usize, link: L) -> Self {
-        let owned = (population - lane as usize).div_ceil(lanes as usize);
-        let lane = Lane::new(lane, lanes, seed, owned, population, link);
-        Worker::new(lane.index as usize, vec![lane])
-    }
-
-    /// Position in `self.lanes` of the lane that owns `node`.
-    fn lane_of(&self, node: NodeId) -> usize {
-        node.index() % self.lanes[0].lanes as usize - self.first
-    }
-
-    /// Adds the lane's next node, `id` (push in increasing id order);
-    /// `seed` is the run seed.
-    pub fn push_node(&mut self, id: NodeId, node: P, seed: u64) {
-        let lane = self.lane_of(id);
-        self.lanes[lane].push_node(id, node, seed);
-    }
-
-    /// The protocol state of the owned node `node`.
-    pub fn node(&self, node: NodeId) -> &P {
-        let lane = &self.lanes[self.lane_of(node)];
-        &lane.nodes[lane.local(node)]
-    }
-
-    /// Whether the owned node `node` is alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        let lane = &self.lanes[self.lane_of(node)];
-        lane.alive[lane.local(node)]
-    }
-
     /// The first lane's link: a one-lane worker's only one.
     pub fn link(&self) -> &L {
         &self.lanes[0].link
@@ -527,20 +469,19 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         &mut self.lanes[0].link
     }
 
-    /// The counters of this worker's lanes, with what its queue holds.
-    pub fn kernel_stats(&self) -> KernelStats {
-        let mut total = KernelStats::default();
-        self.lanes
-            .iter()
-            .for_each(|lane| total.absorb(&lane.kernel_stats()));
-        total.slab_slots += self.queue.slab_slots();
-        total.queue_mem_bytes += self.queue.mem_bytes();
-        total
-    }
-
     /// When the earliest pending event is due.
     pub fn next_due(&self) -> Option<SimTime> {
         self.queue.peek_time()
+    }
+
+    /// Runs `f` with this worker's window buffer as the recorder: where
+    /// several workers share one recorder, each records into its own, and
+    /// [`WorkerSet::merge_into`] merges them.
+    pub fn buffered<T>(&mut self, f: impl FnOnce(&mut Self, &mut VecRecorder<P::Event>) -> T) -> T {
+        let mut out = std::mem::take(&mut self.events_out);
+        let t = f(self, &mut out);
+        self.events_out = out;
+        t
     }
 
     /// Schedules `ev` for lane `lane` (a global index, in this chunk).
@@ -550,44 +491,11 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         ties.schedule(&mut self.queue, at, hint, ev);
     }
 
-    /// Schedules `ev` for the lane that owns `node`.
-    fn schedule_for(&mut self, at: SimTime, node: NodeId, ev: Ev<P>) {
-        let lane = self.lane_of(node);
-        self.lanes[lane]
-            .ties
-            .schedule(&mut self.queue, at, node.as_u32(), ev);
-    }
-
-    /// Schedules command `cmd` for the owned node `node` at `at`.
-    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
-        self.schedule_for(at, node, Event::Command { node, cmd });
-    }
-
-    /// Schedules a crash of the owned node `node` at `at`: from then on
-    /// it runs no handler, and what arrives for it is dead.
-    pub fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_for(at, node, Event::Fail { node });
-    }
-
-    /// Schedules `fault` at `at` for every lane of this worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`FaultState::apply`] would — at this call, not when
-    /// the fault fires.
-    pub fn schedule_fault(&mut self, at: SimTime, fault: &NetFault) {
-        self.lanes[0].faults.validate(fault);
-        for lane in &mut self.lanes {
-            let ev = Event::Control(fault.clone());
-            lane.ties.schedule(&mut self.queue, at, u32::MAX, ev);
-        }
-    }
-
     /// Calls `on_start` on every alive node, lane by lane.
     pub fn start<S: Recorder<P::Event>>(&mut self, env: &L::Env, sink: &mut S) {
         for lane in &mut self.lanes {
             for l in 0..lane.nodes.len() {
-                let id = NodeId::new(l as u32 * lane.lanes + lane.index);
+                let id = lane.placement.node(lane.index as usize, l);
                 if lane.alive[l] {
                     let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
                     lane.with_ctx(SimTime::ZERO, id, &mut self.queue, env, sink, on_start);
@@ -659,8 +567,7 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         env: &L::Env,
         sink: &mut S,
     ) {
-        let lane = self.lane_of(to);
-        let lane = &mut self.lanes[lane];
+        let lane = &mut self.lanes[self.placement.lane(to) - self.first];
         lane.kernel.events_processed += 1;
         let ev = Event::Deliver { from, to, msg };
         lane.dispatch(now, ev, &mut self.queue, env, sink);
@@ -701,17 +608,230 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
             (self.queue.next_hint(), true),
         ] {
             if let Some(node) = hint {
-                let lanes = self.lanes[0].lanes;
-                let lane = if lanes == 1 {
-                    0
-                } else {
-                    (node % lanes) as usize
-                };
+                let lane = self.placement.lane(NodeId::new(node));
                 if let Some(lane) = self.lanes.get(lane.wrapping_sub(self.first)) {
                     lane.prefetch_node(node, hook);
                 }
             }
         }
+    }
+}
+
+/// A window's buffered event on its way to the recorder: `(at, worker,
+/// emission order, node, event)`.
+type Buffered<E> = (SimTime, u32, u32, NodeId, E);
+
+/// Merges the workers' window buffers into `recorder` by `(time, worker,
+/// emission order)`: each worker's own order, and for a set of ascending
+/// chunks of lanes the order one worker over them all would pop in.
+pub(crate) fn merge_buffers<'a, P: Protocol + 'a, L: 'a, R: Recorder<P::Event>>(
+    workers: impl Iterator<Item = &'a mut Worker<P, L>>,
+    merging: &mut Vec<Buffered<P::Event>>,
+    recorder: &mut R,
+) {
+    for (i, w) in workers.enumerate() {
+        let events = w.events_out.events.drain(..).enumerate();
+        merging.extend(events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)));
+    }
+    // The keys are unique, so the unstable sort is the stable one without
+    // its allocation.
+    merging.sort_unstable_by_key(|(at, w, pos, _, _)| (*at, *w, *pos));
+    for (at, _, _, node, ev) in merging.drain(..) {
+        recorder.record(at, node, ev);
+    }
+}
+
+/// Every worker of a [`Placement`]: the population as both hosts hold it,
+/// and the one routing from a node id to the lane that owns it — node
+/// access, liveness, command, crash and fault scheduling, the summed
+/// counters, and the merge of the workers' recorder buffers.
+#[derive(Debug)]
+pub struct WorkerSet<P: Protocol, L> {
+    placement: Placement,
+    pub(crate) list: Vec<Worker<P, L>>,
+    /// Events being merged ([`merge_buffers`]); empty between merges.
+    pub(crate) merging: Vec<Buffered<P::Event>>,
+}
+
+impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
+    /// Lays `placement` out: lane `i` sends through `link(i)`, and `make`
+    /// builds each node in global id order (so bootstrap draws do not
+    /// depend on the layout), handed the link of the lane that owns it.
+    /// Node `g` draws from `seed * GOLDEN ^ g` whichever lane owns it, and
+    /// lane `i`'s chaos stream is the engine's lane `i`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics at 2²⁴ lanes or more: a lane's index fills the top of its
+    /// events' tie keys.
+    pub fn new(
+        placement: Placement,
+        seed: u64,
+        mut link: impl FnMut(usize) -> L,
+        mut make: impl FnMut(NodeId, &mut L) -> P,
+    ) -> Self {
+        assert!(placement.lanes() < MAX_LANES, "at most {MAX_LANES} lanes");
+        let list = (0..placement.workers())
+            .map(|w| {
+                let lanes = placement.lanes_of(w);
+                Worker {
+                    first: lanes.start,
+                    placement,
+                    lanes: lanes
+                        .map(|i| Lane::new(i, placement, seed, link(i)))
+                        .collect(),
+                    queue: EventQueue::new(),
+                    events_out: VecRecorder::new(),
+                }
+            })
+            .collect();
+        let mut set = WorkerSet {
+            placement,
+            list,
+            merging: Vec::new(),
+        };
+        for id in (0..placement.population() as u32).map(NodeId::new) {
+            let lane = set.lane_mut(id);
+            let node = make(id, &mut lane.link);
+            lane.push_node(id, node, seed);
+        }
+        set
+    }
+
+    /// Where every node lives.
+    pub fn placement(&self) -> Placement {
+        self.placement
+    }
+
+    /// The workers, in lane order.
+    pub fn workers(&self) -> &[Worker<P, L>] {
+        &self.list
+    }
+
+    /// The workers, mutably (each is one thread's to run).
+    pub fn workers_mut(&mut self) -> &mut [Worker<P, L>] {
+        &mut self.list
+    }
+
+    /// Every lane, in index order.
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = &Lane<P, L>> {
+        self.list.iter().flat_map(|w| &w.lanes)
+    }
+
+    pub(crate) fn lanes_mut(&mut self) -> impl Iterator<Item = &mut Lane<P, L>> {
+        self.list.iter_mut().flat_map(|w| &mut w.lanes)
+    }
+
+    /// The lane that owns `g`: the one routing from an id to its lane.
+    fn lane(&self, g: NodeId) -> &Lane<P, L> {
+        let lane = self.placement.lane(g);
+        let w = &self.list[self.placement.worker(lane)];
+        &w.lanes[lane - w.first]
+    }
+
+    fn lane_mut(&mut self, g: NodeId) -> &mut Lane<P, L> {
+        let lane = self.placement.lane(g);
+        let w = &mut self.list[self.placement.worker(lane)];
+        &mut w.lanes[lane - w.first]
+    }
+
+    /// The link of the lane that owns `g`.
+    pub fn link(&self, g: NodeId) -> &L {
+        &self.lane(g).link
+    }
+
+    /// The protocol state of `g` (alive or not).
+    pub fn node(&self, g: NodeId) -> &P {
+        &self.lane(g).nodes[self.placement.slot(g)]
+    }
+
+    /// The protocol state of `g`, mutably.
+    pub(crate) fn node_mut(&mut self, g: NodeId) -> &mut P {
+        let slot = self.placement.slot(g);
+        &mut self.lane_mut(g).nodes[slot]
+    }
+
+    /// Whether `g` is alive.
+    pub fn is_alive(&self, g: NodeId) -> bool {
+        self.lane(g).alive[self.placement.slot(g)]
+    }
+
+    /// Crashes `g` now.
+    pub(crate) fn fail_node(&mut self, g: NodeId) {
+        let slot = self.placement.slot(g);
+        self.lane_mut(g).alive[slot] = false;
+    }
+
+    /// Schedules `ev` for `g`'s lane.
+    fn schedule_for(&mut self, at: SimTime, g: NodeId, ev: Ev<P>) {
+        let lane = self.placement.lane(g);
+        self.list[self.placement.worker(lane)].schedule(lane, at, g.as_u32(), ev);
+    }
+
+    /// Schedules command `cmd` for `g` at `at`.
+    pub fn schedule_command(&mut self, at: SimTime, g: NodeId, cmd: P::Command) {
+        self.schedule_for(at, g, Event::Command { node: g, cmd });
+    }
+
+    /// Schedules a crash of `g` at `at`: from then on it runs no handler,
+    /// and what arrives for it is dead.
+    pub fn fail_node_at(&mut self, at: SimTime, g: NodeId) {
+        self.schedule_for(at, g, Event::Fail { node: g });
+    }
+
+    /// Schedules `fault` at `at` for every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`FaultState::apply`] would — at this call, not when
+    /// the fault fires.
+    pub fn schedule_fault(&mut self, at: SimTime, fault: &NetFault) {
+        self.list[0].lanes[0].faults.validate(fault);
+        for w in &mut self.list {
+            for lane in &mut w.lanes {
+                let ev = Event::Control(fault.clone());
+                lane.ties.schedule(&mut w.queue, at, u32::MAX, ev);
+            }
+        }
+    }
+
+    /// The counters of every lane, with what the queues hold.
+    pub fn kernel_stats(&self) -> KernelStats {
+        let mut total = KernelStats::default();
+        for w in &self.list {
+            w.lanes.iter().for_each(|l| total.absorb(&l.kernel_stats()));
+            total.slab_slots += w.queue.slab_slots();
+            total.queue_mem_bytes += w.queue.mem_bytes();
+        }
+        total
+    }
+
+    /// Merges what the workers buffered ([`Worker::buffered`]) into
+    /// `recorder`, by `(time, worker, emission order)`.
+    pub fn merge_into<R: Recorder<P::Event>>(&mut self, recorder: &mut R) {
+        merge_buffers(self.list.iter_mut(), &mut self.merging, recorder);
+    }
+}
+
+/// A plan reaches a worker set as it reaches the engine: a crash or a
+/// command to the lane that owns the node, a network fault to every lane.
+impl<P: Protocol, L: Link<P>> FaultHost for WorkerSet<P, L> {
+    type Command = P::Command;
+
+    fn nodes(&self) -> usize {
+        self.placement.population()
+    }
+
+    fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Command) {
+        WorkerSet::schedule_command(self, at, node, cmd);
+    }
+
+    fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
+        WorkerSet::fail_node_at(self, at, node);
+    }
+
+    fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
+        WorkerSet::schedule_fault(self, at, &fault);
     }
 }
 

@@ -79,7 +79,8 @@
 //!   random draws *other* nodes made.
 //! - Protocol code has no access to wall-clock time or IO.
 //! - With more than one lane, node → lane assignment is a pure function
-//!   of the node id and the lane count (never the thread count), each
+//!   of the node id and the lane count (never the thread count), made in
+//!   one place on both hosts ([`Placement`]), each
 //!   lane numbers its own events whichever worker's queue holds them, and
 //!   cross-lane messages reach their destination lanes at window barriers
 //!   in a canonical order — so parallelism cannot reorder anything
@@ -99,6 +100,7 @@ mod kernel;
 mod lane;
 mod latency;
 mod parallel;
+mod placement;
 mod protocol;
 mod queue;
 pub mod recorder;
@@ -118,9 +120,10 @@ pub use kernel::{
     Engine, EventClass, KernelStats, Lanes, Mode, OneLane, PastScheduleError, ShardedSim,
     ShardedSimBuilder, Sim, SimBuilder, DEFAULT_LANES,
 };
-pub use lane::{Link, Sender, Worker};
+pub use lane::{Link, Sender, Worker, WorkerSet};
 pub use latency::{FixedLatency, HashedLatency, LatencyModel};
 pub use parallel::parallel_map;
+pub use placement::Placement;
 pub use protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
 pub use queue::{prefetch_slice, EventQueue, Scheduled, PREFETCH_BYTES};
 pub use recorder::{FnRecorder, NullRecorder, Recorder, VecRecorder};

@@ -100,6 +100,14 @@ impl<E, F: FnMut(SimTime, NodeId, E)> Recorder<E> for FnRecorder<F> {
     }
 }
 
+/// A borrowed recorder is a recorder, so a host can hand its loop a
+/// `&mut dyn Recorder` chosen at run time.
+impl<E, R: Recorder<E> + ?Sized> Recorder<E> for &mut R {
+    fn record(&mut self, now: SimTime, node: NodeId, event: E) {
+        (**self).record(now, node, event);
+    }
+}
+
 /// Fan-out: a tuple of recorders is a recorder. `self.0` sees each event
 /// first; read the halves back as `sim.recorder().0`, or destructure
 /// `into_recorder()`.

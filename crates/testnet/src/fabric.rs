@@ -1,40 +1,43 @@
 //! The deployment fabric: N GoCast nodes on loopback UDP.
 //!
 //! Each node gets its own non-blocking [`UdpSocket`](std::net::UdpSocket)
-//! bound to an ephemeral `127.0.0.1` port. Nodes are partitioned
-//! round-robin across [`TestnetConfig::shards`] event loops, each on its
-//! own OS thread (one shard runs inline on the caller's thread). A shard
-//! is a kernel lane — a one-lane `gocast_sim::Worker`, lane `k` of
-//! `shards` — whose link is the shard's sockets: its nodes draw from the
-//! RNG streams the engine gives them, and planned faults, harness
-//! commands, timers and arriving messages run through the kernel's one
-//! dispatch, in wall-clock time (see the `shard` module docs for the
-//! loop). A [`ScenarioPlan`] reaches the shards through the mapping the
-//! engine uses, `ScenarioPlan::schedule_into`: a crash and a leave or
-//! join go to the owning shard, a network fault to every shard's replica.
+//! bound to an ephemeral `127.0.0.1` port. Nodes are laid out over
+//! [`TestnetConfig::shards`] event loops by a [`Placement`] — the
+//! engine's, at one lane a worker — each on its own OS thread (one shard
+//! runs inline on the caller's thread). A shard is a bare kernel
+//! [`Worker`] whose link is its sockets: its nodes draw from the RNG
+//! streams the engine gives them, and planned faults, harness commands,
+//! timers and arriving messages run through the kernel's one dispatch, in
+//! wall-clock time (see the `shard` module docs for the loop). The shards
+//! are a [`WorkerSet`], so node access, liveness, scheduling and a
+//! [`ScenarioPlan`] (`ScenarioPlan::schedule_into`) route exactly as on the
+//! engine: a crash and a leave or join to the owning shard, a network
+//! fault to every shard's replica.
 //!
 //! Cross-shard traffic travels over real loopback UDP like any other
-//! datagram — shards share no mutable state. Recorded [`GoCastEvent`]s
-//! accumulate in per-shard streams (time-sorted by construction) and are
-//! merged into one trace with a deterministic stable merge after every
-//! run window, the same submission-order discipline the simulator's
-//! `parallel_map` uses for its shards.
+//! datagram — shards share no mutable state. Each shard records its
+//! [`GoCastEvent`]s into its worker's window buffer, and after every run
+//! the fabric merges the buffers into its [`Recorder`] through the
+//! engine's own `(time, worker, emission order)` merge.
 //!
 //! The protocol sees fabric-monotonic [`SimTime`] (zero at the first
-//! `run_for` call), which makes the wire-side trace directly consumable
-//! by the recorders a simulated run installs.
+//! `run_for` call), which makes the wire-side event stream directly
+//! consumable by the recorders a simulated run installs.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use gocast::{GoCastConfig, GoCastEvent, GoCastMsg, GoCastNode};
-use gocast_metrics::{Gauge, Snapshot};
+use gocast_metrics::Snapshot;
 use gocast_sim::scenario::ScenarioPlan;
-use gocast_sim::{FaultHost, KernelStats, NetFault, NodeId, SimTime, Stack};
+use gocast_sim::{
+    KernelStats, NodeId, NullRecorder, Placement, Recorder, SimTime, Stack, VecRecorder, Worker,
+    WorkerSet,
+};
 
 use crate::batch::BatchMode;
 use crate::bootstrap::PeerTable;
-use crate::shard::{Port, Shard};
+use crate::shard::{self, FabricTelemetry, Port, WireLink};
 
 pub use crate::shard::FabricStats;
 
@@ -51,12 +54,12 @@ pub struct TestnetConfig {
     /// Run seed (per-node RNGs and the per-shard loss/jitter streams
     /// derive from it, as the engine's per-lane ones do).
     pub seed: u64,
-    /// Event-loop shards: nodes are partitioned `id % shards` across
-    /// this many OS threads. `1` (the default) runs everything inline on
-    /// the calling thread, byte-identical to the pre-shard fabric.
+    /// Event-loop shards, one OS thread each, over which a [`Placement`]
+    /// lays the nodes out as the engine lays them over its lanes. `1`
+    /// (the default) runs everything inline on the calling thread.
     pub shards: usize,
-    /// Whether to record the protocol event trace (default `true`;
-    /// saturation benchmarks turn it off to keep memory flat).
+    /// Whether the fabric feeds its recorder the protocol events (default
+    /// `true`; saturation benchmarks turn it off to keep memory flat).
     pub record_trace: bool,
     /// Protocol configuration (defaults to [`crate::deployment_config`]).
     pub protocol: GoCastConfig,
@@ -88,7 +91,7 @@ impl TestnetConfig {
         self
     }
 
-    /// Enables or disables protocol-event trace recording.
+    /// Enables or disables feeding the recorder (builder style).
     pub fn with_record_trace(mut self, record: bool) -> Self {
         self.record_trace = record;
         self
@@ -100,29 +103,79 @@ impl TestnetConfig {
 /// Generic over the hosted [`Stack`] (defaulting to [`GoCastNode`]): any
 /// protocol speaking the GoCast message set — e.g. an application tier
 /// layered over it — runs on the same sockets, fault state, and batching
-/// unchanged.
+/// unchanged. The protocol events go to a [`Recorder`] `R`, as on the
+/// engine: by default a [`VecRecorder`], read back as [`Testnet::trace`].
 #[derive(Debug)]
-pub struct Testnet<N: Stack<Msg = GoCastMsg, Event = GoCastEvent> = GoCastNode> {
+pub struct Testnet<
+    N: Stack<Msg = GoCastMsg, Event = GoCastEvent> = GoCastNode,
+    R = VecRecorder<GoCastEvent>,
+> {
     epoch: Instant,
     started: bool,
-    shard_count: usize,
-    nodes_total: usize,
-    shards: Vec<Shard<N>>,
-    trace: Vec<(SimTime, NodeId, GoCastEvent)>,
+    record: bool,
+    /// One worker a shard, over one lane each.
+    shards: WorkerSet<N, WireLink>,
+    recorder: R,
 }
 
 impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
     /// Binds `cfg.nodes` loopback sockets and builds one node per slot
     /// via `make` (which receives the node's id and must apply
-    /// `cfg.protocol` itself, mirroring `SimBuilder::build_with`).
+    /// `cfg.protocol` itself, mirroring `SimBuilder::build`); the events
+    /// go to a [`VecRecorder`] ([`Testnet::trace`]).
     ///
     /// # Errors
     ///
     /// Propagates socket binding errors (e.g. no loopback available).
-    pub fn build(cfg: &TestnetConfig, mut make: impl FnMut(NodeId) -> N) -> std::io::Result<Self> {
+    pub fn build(cfg: &TestnetConfig, make: impl FnMut(NodeId) -> N) -> std::io::Result<Self> {
+        Testnet::build_with(cfg, VecRecorder::new(), make)
+    }
+
+    /// The captured protocol event trace, stamped with fabric time and
+    /// merged across shards (empty when the fabric was built with
+    /// `record_trace` off).
+    pub fn trace(&self) -> &[(SimTime, NodeId, GoCastEvent)] {
+        &self.recorder.events
+    }
+
+    /// A canonical digest of *which node delivered which message*: one
+    /// `origin,seq,receiver` line per delivery, sorted. Wall-clock
+    /// timestamps differ run to run (and shard to shard), but once every
+    /// injected message has drained, this digest is byte-identical for
+    /// any shard count — the shard-conformance tests gate on it.
+    pub fn delivery_manifest(&self) -> String {
+        let mut lines: Vec<String> = self
+            .trace()
+            .iter()
+            .filter_map(|(_, node, e)| match e {
+                GoCastEvent::Delivered { id, .. } => Some(format!(
+                    "{},{},{}",
+                    id.origin.as_u32(),
+                    id.seq,
+                    node.as_u32()
+                )),
+                _ => None,
+            })
+            .collect();
+        lines.sort_unstable();
+        lines.join("\n")
+    }
+}
+
+impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> Testnet<N, R> {
+    /// [`Testnet::build`], recording into `recorder` (as
+    /// `SimBuilder::build_with` does on the engine).
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket binding errors (e.g. no loopback available).
+    pub fn build_with(
+        cfg: &TestnetConfig,
+        recorder: R,
+        mut make: impl FnMut(NodeId) -> N,
+    ) -> std::io::Result<Self> {
         assert!(cfg.nodes > 0, "a testnet needs at least one node");
         assert!(cfg.shards > 0, "shard count must be at least 1");
-        let shard_count = cfg.shards.min(cfg.nodes);
         let sockets: Vec<(UdpSocket, SocketAddr)> = (0..cfg.nodes)
             .map(|_| {
                 let s = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
@@ -136,92 +189,86 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
             .enumerate()
             .map(|(i, (_, a))| (NodeId::new(i as u32), *a))
             .collect();
-        let mut shards: Vec<Shard<N>> = (0..shard_count)
-            .map(|k| Shard::new(k, shard_count, cfg.nodes, cfg.seed, cfg.record_trace))
-            .collect();
-        for (i, (socket, addr)) in sockets.into_iter().enumerate() {
-            let id = NodeId::new(i as u32);
+        let placement = Placement::new(cfg.nodes, cfg.shards, cfg.shards);
+        let mut sockets = sockets.into_iter();
+        let link = |k| WireLink::new(k, placement);
+        let shards = WorkerSet::new(placement, cfg.seed, link, |id, link| {
+            let (socket, addr) = sockets.next().expect("a socket per node");
             let mut peers = PeerTable::new(seeds.clone());
             peers.learn(id, addr); // a node always knows itself
-            let port = Port::new(socket, addr, peers);
-            shards[i % shard_count].push_node(id, make(id), port, cfg.seed);
-        }
+            link.ports.push(Port::new(socket, addr, peers));
+            make(id)
+        });
         Ok(Testnet {
             epoch: Instant::now(),
             started: false,
-            shard_count,
-            nodes_total: cfg.nodes,
+            record: cfg.record_trace,
             shards,
-            trace: Vec::new(),
+            recorder,
         })
-    }
-
-    fn shard_of(&self, id: NodeId) -> &Shard<N> {
-        &self.shards[id.index() % self.shard_count]
-    }
-
-    /// The transport of `id`: its socket and peer table.
-    fn slot(&self, id: NodeId) -> &Port {
-        &self.shard_of(id).worker.link().ports[id.index() / self.shard_count]
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes_total
+        self.shards.placement().population()
     }
 
     /// Whether the fabric is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.nodes_total == 0
+        self.len() == 0
     }
 
     /// Number of event-loop shards driving the fabric.
     pub fn shard_count(&self) -> usize {
-        self.shard_count
+        self.shards.placement().lanes()
     }
 
     /// The syscall batching mode the fabric selected at startup. Shards
     /// demote themselves to [`BatchMode::Portable`] independently on
     /// `ENOSYS`; this reports shard 0's current mode.
     pub fn batch_mode(&self) -> BatchMode {
-        self.shards[0].mode()
+        self.shards.workers()[0].link().mode
     }
 
     /// Fabric-monotonic time: zero at the first [`Testnet::run_for`].
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        shard::fabric_time(self.epoch)
     }
 
     /// The hosted protocol state machine of `id` (inspect between runs).
     pub fn node(&self, id: NodeId) -> &N {
-        self.shard_of(id).worker.node(id)
+        self.shards.node(id)
     }
 
     /// Iterates over all hosted nodes in id order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = &N> {
-        (0..self.nodes_total).map(move |i| self.node(NodeId::new(i as u32)))
+        (0..self.len()).map(move |i| self.node(NodeId::new(i as u32)))
     }
 
     /// The socket address `id` is bound to.
     pub fn addr_of(&self, id: NodeId) -> SocketAddr {
-        self.slot(id).addr
+        self.shards.link(id).port(id).addr
     }
 
     /// How many peer addresses `id` has learned so far.
     pub fn known_peers(&self, id: NodeId) -> usize {
-        self.slot(id).peers.known()
+        self.shards.link(id).port(id).peers.known()
     }
 
     /// Whether `id` was crashed by a scenario fault.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        !self.shard_of(id).worker.is_alive(id)
+        !self.shards.is_alive(id)
     }
 
-    /// Wire-side counters, aggregated across shards.
+    /// Wire-side counters, aggregated across shards, with the fates the
+    /// shards' lanes counted.
     pub fn stats(&self) -> FabricStats {
-        let mut total = FabricStats::default();
-        for sh in &self.shards {
-            total.absorb(&sh.stats());
+        let mut total = FabricStats {
+            fates: self.kernel_stats().fates,
+            ..FabricStats::default()
+        };
+        for w in self.shards.workers() {
+            total.absorb(&w.link().stats);
         }
         total
     }
@@ -230,11 +277,7 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
     /// engine sums its lanes' (`wall_time` stays zero: the fabric runs
     /// in wall-clock time).
     pub fn kernel_stats(&self) -> KernelStats {
-        let mut total = KernelStats::default();
-        for sh in &self.shards {
-            total.absorb(&sh.worker.kernel_stats());
-        }
-        total
+        self.shards.kernel_stats()
     }
 
     /// A [`Snapshot`] of the fabric's wire-side metrics under `fabric_*`
@@ -263,86 +306,39 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
         snap.record_counter("fabric_peer_replies", s.peer_replies);
         snap.record_counter("fabric_unresolved_dropped", s.unresolved_dropped);
         snap.record_counter("fabric_malformed", s.malformed);
-        // Gauges: sum the per-shard depths. Setting the summed high
-        // water first makes the merged gauge's own high-water mark
-        // cover it, then the summed current level lands on top.
-        let mut pending = Gauge::default();
-        let mut wanted = Gauge::default();
-        pending.set(
-            self.shards
-                .iter()
-                .map(|s| s.telemetry.pending_depth.high_water())
-                .sum(),
-        );
-        pending.set(
-            self.shards
-                .iter()
-                .map(|s| s.telemetry.pending_depth.get())
-                .sum(),
-        );
-        wanted.set(
-            self.shards
-                .iter()
-                .map(|s| s.telemetry.wanted_depth.high_water())
-                .sum(),
-        );
-        wanted.set(
-            self.shards
-                .iter()
-                .map(|s| s.telemetry.wanted_depth.get())
-                .sum(),
-        );
-        snap.record_gauge("fabric_pending_depth", pending);
-        snap.record_gauge("fabric_wanted_depth", wanted);
-        let mut per_poll = self.shards[0].telemetry.datagrams_per_poll.clone();
-        let mut lateness = self.shards[0].telemetry.timer_lateness_ns.clone();
-        for sh in &self.shards[1..] {
-            per_poll.merge(&sh.telemetry.datagrams_per_poll);
-            lateness.merge(&sh.telemetry.timer_lateness_ns);
+        let mut health = FabricTelemetry::default();
+        for w in self.shards.workers() {
+            health.absorb(&w.link().telemetry);
         }
-        snap.record_wall_histogram("fabric_datagrams_per_poll", &per_poll);
-        snap.record_wall_histogram("fabric_timer_fire_lateness_ns", &lateness);
+        snap.record_gauge("fabric_pending_depth", health.pending_depth);
+        snap.record_gauge("fabric_wanted_depth", health.wanted_depth);
+        snap.record_wall_histogram("fabric_datagrams_per_poll", &health.datagrams_per_poll);
+        snap.record_wall_histogram("fabric_timer_fire_lateness_ns", &health.timer_lateness_ns);
         self.kernel_stats().snapshot_into(&mut snap);
         s.fates.snapshot_into(&mut snap);
         snap
     }
 
-    /// The captured protocol event trace, stamped with fabric time and
-    /// merged across shards (empty when the fabric was built with
-    /// `record_trace` off).
-    pub fn trace(&self) -> &[(SimTime, NodeId, GoCastEvent)] {
-        &self.trace
+    /// The recorder the fabric feeds.
+    pub fn recorder(&self) -> &R {
+        &self.recorder
     }
 
-    /// A canonical digest of *which node delivered which message*: one
-    /// `origin,seq,receiver` line per delivery, sorted. Wall-clock
-    /// timestamps differ run to run (and shard to shard), but once every
-    /// injected message has drained, this digest is byte-identical for
-    /// any shard count — the shard-conformance tests gate on it.
-    pub fn delivery_manifest(&self) -> String {
-        let mut lines: Vec<String> = self
-            .trace
-            .iter()
-            .filter_map(|(_, node, e)| match e {
-                GoCastEvent::Delivered { id, .. } => Some(format!(
-                    "{},{},{}",
-                    id.origin.as_u32(),
-                    id.seq,
-                    node.as_u32()
-                )),
-                _ => None,
-            })
-            .collect();
-        lines.sort_unstable();
-        lines.join("\n")
+    /// Mutable access to the recorder.
+    pub fn recorder_mut(&mut self) -> &mut R {
+        &mut self.recorder
+    }
+
+    /// Consumes the fabric, returning the recorder.
+    pub fn into_recorder(self) -> R {
+        self.recorder
     }
 
     /// Schedules a protocol command at fabric time `at` (commands due in
     /// the past fire on the next loop iteration). The command is routed
     /// to the shard that owns `node`.
     pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
-        let k = node.index() % self.shard_count;
-        self.shards[k].worker.schedule_command(at, node, cmd);
+        self.shards.schedule_command(at, node, cmd);
     }
 
     /// Attaches a compiled scenario: its faults replay against the real
@@ -354,75 +350,63 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> Testnet<N> {
     ///
     /// Panics if the plan was compiled for a different node count.
     pub fn attach_plan(&mut self, plan: &ScenarioPlan) {
-        plan.schedule_into(self, N::cmd_join, N::cmd_leave);
+        plan.schedule_into(&mut self.shards, N::cmd_join, N::cmd_leave);
     }
 
-    /// Resets shared fabric time and arms every shard; fabric time zero
-    /// is here.
+    /// Resets shared fabric time and calls `on_start` on every node;
+    /// fabric time zero is here.
     fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         self.epoch = Instant::now();
-        for sh in &mut self.shards {
-            sh.epoch = self.epoch;
+        let record = self.record;
+        for w in self.shards.workers_mut() {
+            recording(w, record, |w, mut sink| w.start(&(), &mut sink));
         }
     }
 
     /// Runs the fabric for `duration` of wall-clock time. Callable
     /// repeatedly; `on_start` fires on the first call. With one shard
     /// everything runs inline on the calling thread; with more, each
-    /// shard gets a scoped OS thread and the per-shard event streams are
-    /// merged deterministically when all of them return.
+    /// shard gets a scoped OS thread. When all of them return, their
+    /// events reach the recorder in `(time, shard, emission order)`.
     pub fn run_for(&mut self, duration: Duration)
     where
         N: Send,
         N::Command: Send,
     {
         self.start();
-        let deadline = Instant::now() + duration;
-        if self.shards.len() == 1 {
-            self.shards[0].run_until(deadline);
-        } else {
-            std::thread::scope(|s| {
-                for shard in &mut self.shards {
-                    s.spawn(move || shard.run_until(deadline));
-                }
+        let (epoch, deadline, record) = (self.epoch, Instant::now() + duration, self.record);
+        let run = move |w: &mut Worker<N, WireLink>| {
+            recording(w, record, |w, sink| {
+                shard::run_until(w, epoch, deadline, sink)
             });
+        };
+        match self.shards.workers_mut() {
+            [one] => run(one),
+            all => std::thread::scope(|s| {
+                for w in all {
+                    s.spawn(move || run(w));
+                }
+            }),
         }
-        let streams: Vec<_> = self
-            .shards
-            .iter_mut()
-            .map(|sh| &mut sh.trace.events)
-            .collect();
-        merge_event_streams(&mut self.trace, streams);
+        self.shards.merge_into(&mut self.recorder);
     }
 }
 
-/// A plan reaches the shards as it reaches the engine's lanes: a crash or
-/// a command to the shard that owns the node, a network fault to every
-/// shard.
-impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>> FaultHost for Testnet<N> {
-    type Command = N::Command;
-
-    fn nodes(&self) -> usize {
-        self.nodes_total
-    }
-
-    fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: N::Command) {
-        Testnet::schedule_command(self, at, node, cmd);
-    }
-
-    fn fail_node_at(&mut self, at: SimTime, node: NodeId) {
-        let k = node.index() % self.shard_count;
-        self.shards[k].worker.fail_node_at(at, node);
-    }
-
-    fn schedule_fault(&mut self, at: SimTime, fault: NetFault) {
-        for sh in &mut self.shards {
-            sh.worker.schedule_fault(at, &fault);
-        }
+/// Runs `f` on shard `w` with what the fabric records into: the worker's
+/// window buffer, or nothing with `record` off.
+fn recording<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>>(
+    w: &mut Worker<N, WireLink>,
+    record: bool,
+    f: impl FnOnce(&mut Worker<N, WireLink>, &mut dyn Recorder<GoCastEvent>),
+) {
+    if record {
+        w.buffered(|w, out| f(w, out));
+    } else {
+        f(w, &mut NullRecorder);
     }
 }
 
@@ -445,27 +429,6 @@ impl Testnet<GoCastNode> {
             GoCastNode::with_initial_links(id, protocol.clone(), links, members)
         })
     }
-}
-
-/// Drains per-shard event streams into `dst` with a deterministic merge:
-/// streams are appended in shard order, then the new tail is stable-sorted
-/// by timestamp — so equal-time events keep shard-index order, and events
-/// within one shard keep their submission order. This is the same merge
-/// discipline `gocast_sim`'s `parallel_map` uses for simulator shards.
-fn merge_event_streams(
-    dst: &mut Vec<(SimTime, NodeId, GoCastEvent)>,
-    streams: Vec<&mut Vec<(SimTime, NodeId, GoCastEvent)>>,
-) {
-    let start = dst.len();
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    if total == 0 {
-        return;
-    }
-    dst.reserve(total);
-    for stream in streams {
-        dst.append(stream);
-    }
-    dst[start..].sort_by_key(|(t, _, _)| *t);
 }
 
 #[cfg(test)]
@@ -537,38 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_trace_is_time_sorted_with_stable_ties() {
-        let ev = || GoCastEvent::Injected {
-            id: gocast::MsgId {
-                origin: NodeId::new(0),
-                seq: 0,
-            },
-        };
-        let t = SimTime::from_nanos;
-        // Two synthetic shard streams with an equal-time collision at 5.
-        let mut a = vec![
-            (t(1), NodeId::new(0), ev()),
-            (t(5), NodeId::new(0), ev()),
-            (t(9), NodeId::new(2), ev()),
-        ];
-        let mut b = vec![(t(2), NodeId::new(1), ev()), (t(5), NodeId::new(1), ev())];
-        let mut merged = Vec::new();
-        merge_event_streams(&mut merged, vec![&mut a, &mut b]);
-        let order: Vec<(u64, u32)> = merged
-            .iter()
-            .map(|(t, n, _)| (t.as_nanos(), n.as_u32()))
-            .collect();
-        // Time-sorted; the tie at t=5 keeps shard order (shard 0 first).
-        assert_eq!(order, vec![(1, 0), (2, 1), (5, 0), (5, 1), (9, 2)]);
-        assert!(a.is_empty() && b.is_empty(), "streams must be drained");
-        // Merging the next window appends after the existing tail.
-        let mut c = vec![(t(11), NodeId::new(1), ev())];
-        merge_event_streams(&mut merged, vec![&mut c]);
-        assert_eq!(merged.len(), 6);
-        assert_eq!(merged[5].0, t(11));
-    }
-
-    #[test]
     fn partition_plan_drops_real_datagrams_then_heals() {
         if skip() {
             return;
@@ -633,7 +564,12 @@ mod tests {
         net.run_for(Duration::from_millis(2500));
         assert!(net.is_crashed(victim));
         let mut buf = [0u8; 64];
-        let unread = net.slot(victim).socket.recv_from(&mut buf);
+        let unread = net
+            .shards
+            .link(victim)
+            .port(victim)
+            .socket
+            .recv_from(&mut buf);
         assert!(
             unread.is_err(),
             "a datagram sat unread in a crashed node's socket"

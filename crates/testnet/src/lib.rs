@@ -21,15 +21,18 @@
 //!   lanes judge them as the engine's do: loss and jitter as a message is
 //!   sent, a dead receiver, cut or partition as it arrives, so the two
 //!   hosts cannot disagree on what a fault means.
-//! - **Wire-side tracing**: every protocol event a node emits is captured
-//!   with fabric-monotonic time ([`Testnet::trace`]), so the recorders a
+//! - **Wire-side recording**: every protocol event a node emits reaches
+//!   the fabric's recorder with fabric-monotonic time, merged across
+//!   shards by the engine's own merge ([`Testnet::build_with`];
+//!   [`Testnet::trace`] with the default buffer), so the recorders a
 //!   simulated run installs — `gocast_analysis`'s ledger and
 //!   `InvariantOracle` — audit real-socket runs unchanged.
 //! - **A batched, sharded wire path** ([`batch`]): outbound datagrams
 //!   gather into `sendmmsg` batches and inbound traffic drains through
 //!   `recvmmsg` (portable one-at-a-time fallback at runtime), while
-//!   [`TestnetConfig::shards`] partitions nodes across OS threads, each
-//!   owning its slice's sockets and event queue. Steady-state framing
+//!   [`TestnetConfig::shards`] lays nodes out across OS threads by the
+//!   engine's [`gocast_sim::Placement`], each shard owning its slice's
+//!   sockets and event queue. Steady-state framing
 //!   allocates nothing.
 //!
 //! # Quick start

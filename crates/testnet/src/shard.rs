@@ -1,24 +1,24 @@
 //! One shard of the fabric: a slice of nodes driven by one OS thread.
 //!
-//! The fabric partitions its nodes round-robin across `shards` event
-//! loops (`global_id % shards` names the owning shard). A shard is a
-//! kernel lane: it holds a one-lane [`Worker`], lane `index` of
-//! `shard_count` — so its nodes' RNG streams, its chaos stream and its
-//! tie keys are the ones the engine gives that lane — and the lane's
-//! [`Link`] is a [`WireLink`] over the shard's sockets. Dispatch, the
-//! timer contract, liveness and the fault state are therefore the
-//! kernel's own code on both hosts. A send draws its loss and jitter in
-//! the lane's send path; the link frames it into the sending socket's
-//! batch, queues it while the peer's address is unknown, or holds it for
-//! its jitter. What the wire alone has stays here: sockets, syscall
-//! batching, address discovery ([`PeerTable`], WHOHAS/PEER), the
-//! [`FabricStats`] and the jitter holds.
+//! A shard is a bare kernel [`Worker`] over one lane of the fabric's
+//! [`Placement`] (one lane a worker), so which shard owns a node, its
+//! nodes' RNG streams, its chaos stream and its tie keys are the ones the
+//! engine gives that lane; the lane's [`Link`] is a [`WireLink`] over the
+//! shard's sockets. Dispatch, the timer contract, liveness and the fault
+//! state are therefore the kernel's own code on both hosts. A send draws
+//! its loss and jitter in the lane's send path; the link frames it into
+//! the sending socket's batch, queues it while the peer's address is
+//! unknown, or holds it for its jitter. What the wire alone has stays in
+//! the link: sockets, syscall batching, address discovery
+//! ([`PeerTable`], WHOHAS/PEER), the [`FabricStats`], the jitter holds,
+//! the loop's receive buffers and its [`FabricTelemetry`].
 //!
 //! Each loop iteration:
 //!
 //! 1. fires everything due, in the kernel's `(time, scheduling order)`,
 //!    at the fabric time it fires ([`Worker::fire_due`]): planned faults
-//!    (mapped by `ScenarioPlan::schedule_into`, as in the engine),
+//!    (mapped by `ScenarioPlan::schedule_into` onto the fabric's
+//!    [`gocast_sim::WorkerSet`], as onto the engine's),
 //!    harness commands and timers — a crashed node's are popped and
 //!    dropped, and nothing is replaced or cancelled;
 //! 2. sends the jitter-held datagrams now due;
@@ -33,11 +33,10 @@
 //!
 //! Cross-shard traffic needs no special handoff: datagrams travel over
 //! real loopback UDP exactly like intra-shard traffic, so a shard never
-//! touches another shard's state. Recorded [`GoCastEvent`]s stay in
-//! per-shard streams (each stream is time-sorted by construction) and the
-//! coordinator merges them deterministically after every run window — the
-//! same submission-order merge discipline the simulator's `parallel_map`
-//! uses.
+//! touches another shard's state. A shard records its [`GoCastEvent`]s
+//! into its worker's window buffer ([`Worker::buffered`]), and the fabric
+//! merges the buffers into its recorder after every run, through the
+//! engine's own merge ([`gocast_sim::WorkerSet::merge_into`]).
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -45,8 +44,8 @@ use std::time::{Duration, Instant};
 use gocast::{decode, encode_into, GoCastEvent, GoCastMsg};
 use gocast_metrics::{Gauge, Log2Histogram};
 use gocast_sim::{
-    EventClass, EventQueue, FxHashMap, Link, NetFates, NodeId, Protocol, Recorder, Sender, SimTime,
-    Worker,
+    EventClass, EventQueue, FxHashMap, Link, NetFates, NodeId, Placement, Protocol, Recorder,
+    Sender, SimTime, Worker,
 };
 
 use crate::batch::{BatchBuffer, BatchMode, RecvBatch, RECV_BATCH};
@@ -153,9 +152,9 @@ impl std::fmt::Display for FabricStats {
     }
 }
 
-/// Event-loop health beyond raw counters: distribution shapes and queue
-/// depths. All of it is wall-clock flavoured (the fabric runs in real
-/// time), so the histograms are flagged `wall` in snapshots.
+/// A shard's event-loop health beyond raw counters: distribution shapes
+/// and queue depths. All of it is wall-clock flavoured (the fabric runs in
+/// real time), so the histograms are flagged `wall` in snapshots.
 #[derive(Debug, Default)]
 pub(crate) struct FabricTelemetry {
     /// Datagrams drained across the shard's sockets per loop iteration.
@@ -166,6 +165,25 @@ pub(crate) struct FabricTelemetry {
     pub(crate) pending_depth: Gauge,
     /// Outstanding who-has questions remembered shard-wide.
     pub(crate) wanted_depth: Gauge,
+}
+
+impl FabricTelemetry {
+    /// Adds another shard's health to this one: distributions merge,
+    /// gauge levels and high-water marks sum.
+    pub(crate) fn absorb(&mut self, other: &FabricTelemetry) {
+        self.datagrams_per_poll.merge(&other.datagrams_per_poll);
+        self.timer_lateness_ns.merge(&other.timer_lateness_ns);
+        for (total, g) in [
+            (&mut self.pending_depth, &other.pending_depth),
+            (&mut self.wanted_depth, &other.wanted_depth),
+        ] {
+            // The summed high water first, so the total's own mark
+            // covers it; then the summed level lands on top.
+            let level = total.get() + g.get();
+            total.set(total.high_water() + g.high_water());
+            total.set(level);
+        }
+    }
 }
 
 /// A datagram held back by the jitter impairment.
@@ -206,23 +224,26 @@ impl Port {
 
 /// A shard lane's [`Link`]: each send leaves through the sending node's
 /// socket, gathered into the batch, queued for a peer whose address is
-/// unknown, or held for its jitter.
+/// unknown, or held for its jitter. It also holds what the shard's loop
+/// keeps between iterations.
 #[derive(Debug)]
 pub(crate) struct WireLink {
+    /// This shard's lane.
     index: usize,
-    shard_count: usize,
-    nodes_total: usize,
-    /// By local slot: node `local * shard_count + index`.
+    placement: Placement,
+    /// By slot ([`Placement::slot`]).
     pub(crate) ports: Vec<Port>,
-    /// Everything but the fates, which the lane's fault state counts (see
-    /// [`Shard::stats`]).
-    stats: FabricStats,
+    /// Everything but the fates, which the lane's fault state counts.
+    pub(crate) stats: FabricStats,
     batch: BatchBuffer,
     /// Local slot whose socket owns the gathered batch, if any.
     batch_owner: Option<usize>,
-    mode: BatchMode,
+    pub(crate) mode: BatchMode,
     /// Jitter-held datagrams, by release time.
     held: EventQueue<HeldDatagram>,
+    pub(crate) telemetry: FabricTelemetry,
+    /// What the loop drains sockets into.
+    recv: RecvBatch,
 }
 
 impl<P: Protocol<Msg = GoCastMsg>> Link<P> for WireLink {
@@ -239,12 +260,12 @@ impl<P: Protocol<Msg = GoCastMsg>> Link<P> for WireLink {
         // A decoded message can name any id (a gossip's member list is
         // not range-checked); one this fabric does not host never
         // resolves, so it must not open a pending queue or ask the seeds.
-        if to.index() >= self.nodes_total {
+        if to.index() >= self.placement.population() {
             self.stats.unresolved_dropped += 1;
             return;
         }
         let from = sender.from;
-        let local = from.index() / self.shard_count;
+        let local = self.placement.slot(from);
         let framed = |buf: &mut Vec<u8>| {
             frame_data_into(from, buf);
             encode_into(&msg, buf);
@@ -277,23 +298,25 @@ impl<P: Protocol<Msg = GoCastMsg>> Link<P> for WireLink {
 }
 
 impl WireLink {
-    fn new(index: usize, shard_count: usize, nodes_total: usize) -> WireLink {
+    /// The link of lane `index` of `placement`, with no port yet.
+    pub(crate) fn new(index: usize, placement: Placement) -> WireLink {
         WireLink {
             index,
-            shard_count,
-            nodes_total,
+            placement,
             ports: Vec::new(),
             stats: FabricStats::default(),
             batch: BatchBuffer::new(),
             batch_owner: None,
             mode: BatchMode::detect(),
             held: EventQueue::new(),
+            telemetry: FabricTelemetry::default(),
+            recv: RecvBatch::new(),
         }
     }
 
-    /// The global node id of local slot `local`.
-    fn global_id(&self, local: usize) -> NodeId {
-        NodeId::new((local * self.shard_count + self.index) as u32)
+    /// The transport of the owned node `g`.
+    pub(crate) fn port(&self, g: NodeId) -> &Port {
+        &self.ports[self.placement.slot(g)]
     }
 
     /// Gathers the datagram `fill` writes, from local slot `local` to
@@ -352,7 +375,7 @@ impl WireLink {
         if queue.len() % 8 != 1 {
             return;
         }
-        let me = self.global_id(local);
+        let me = self.placement.node(self.index, local);
         let query = encode_whohas(me, to);
         for k in 0..self.ports[local].peers.seeds().len() {
             let (seed, seed_addr) = self.ports[local].peers.seeds()[k];
@@ -416,229 +439,154 @@ impl WireLink {
         target: NodeId,
         target_addr: SocketAddr,
     ) {
-        if let Some(bytes) = encode_peer(self.global_id(local), target, target_addr) {
+        if let Some(bytes) =
+            encode_peer(self.placement.node(self.index, local), target, target_addr)
+        {
             self.stats.peer_replies += 1;
             self.gather(local, asker_addr, |buf| buf.extend_from_slice(&bytes));
         }
     }
-}
-
-/// A shard's slice of the event stream: every event, or none when the
-/// fabric was built with `record_trace` off.
-#[derive(Debug, Default)]
-pub(crate) struct Trace {
-    on: bool,
-    pub(crate) events: Vec<(SimTime, NodeId, GoCastEvent)>,
-}
-
-impl Recorder<GoCastEvent> for Trace {
-    fn record(&mut self, now: SimTime, node: NodeId, event: GoCastEvent) {
-        if self.on {
-            self.events.push((now, node, event));
-        }
-    }
-}
-
-/// One event loop's worth of fabric state. See the [module docs](self).
-pub(crate) struct Shard<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> {
-    pub(crate) epoch: Instant,
-    started: bool,
-    /// Lane `index` of `shard_count`: this shard's nodes, their queue and
-    /// fault state, and (its link) their sockets.
-    pub(crate) worker: Worker<N, WireLink>,
-    pub(crate) trace: Trace,
-    pub(crate) telemetry: FabricTelemetry,
-    recv: RecvBatch,
-}
-
-impl<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> std::fmt::Debug for Shard<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("worker", &self.worker)
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
-    pub(crate) fn new(
-        index: usize,
-        shard_count: usize,
-        nodes_total: usize,
-        seed: u64,
-        record_trace: bool,
-    ) -> Shard<N> {
-        let link = WireLink::new(index, shard_count, nodes_total);
-        Shard {
-            epoch: Instant::now(),
-            started: false,
-            worker: Worker::one_lane(index as u32, shard_count as u32, seed, nodes_total, link),
-            trace: Trace {
-                on: record_trace,
-                events: Vec::new(),
-            },
-            telemetry: FabricTelemetry::default(),
-            recv: RecvBatch::new(),
-        }
-    }
-
-    /// Adds the shard's next node, `id`, on `port` (push in increasing id
-    /// order); `seed` is the run seed.
-    pub(crate) fn push_node(&mut self, id: NodeId, node: N, port: Port, seed: u64) {
-        self.worker.push_node(id, node, seed);
-        self.worker.link_mut().ports.push(port);
-    }
-
-    /// The batching mode this shard is currently running in.
-    pub(crate) fn mode(&self) -> BatchMode {
-        self.worker.link().mode
-    }
-
-    /// This shard's wire counters, with the fates its fault state counted.
-    pub(crate) fn stats(&self) -> FabricStats {
-        FabricStats {
-            fates: self.worker.kernel_stats().fates,
-            ..self.worker.link().stats
-        }
-    }
 
     /// Pending-resolution and remembered-question depths (for gauges).
-    pub(crate) fn queue_depths(&self) -> (i64, i64) {
-        let ports = &self.worker.link().ports;
-        let pending = ports
+    fn queue_depths(&self) -> (i64, i64) {
+        let pending = self
+            .ports
             .iter()
             .map(|p| p.pending.values().map(Vec::len).sum::<usize>())
             .sum::<usize>() as i64;
-        let wanted = ports.iter().map(|p| p.wanted_len as i64).sum();
+        let wanted = self.ports.iter().map(|p| p.wanted_len as i64).sum();
         (pending, wanted)
     }
+}
 
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
+/// Fabric time at `epoch`'s offset: what the shards' nodes see.
+pub(crate) fn fabric_time(epoch: Instant) -> SimTime {
+    SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
+}
 
-    /// Runs this shard's event loop until `deadline`. The first call
-    /// fires `on_start` for every owned node.
-    pub(crate) fn run_until(&mut self, deadline: Instant) {
-        if !self.started {
-            self.started = true;
-            self.worker.start(&(), &mut self.trace);
+/// Runs the event loop of shard `worker` until `deadline`, at fabric time
+/// since `epoch`, recording into `sink`. See the [module docs](self).
+pub(crate) fn run_until<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>>(
+    worker: &mut Worker<N, WireLink>,
+    epoch: Instant,
+    deadline: Instant,
+    mut sink: &mut dyn Recorder<GoCastEvent>,
+) {
+    let until = SimTime::from_nanos(deadline.saturating_duration_since(epoch).as_nanos() as u64);
+    let sent =
+        |link: &WireLink| link.stats.datagrams_sent + link.stats.delayed + link.batch.len() as u64;
+    loop {
+        let now = fabric_time(epoch);
+        if now >= until {
+            worker.link_mut().flush();
+            return;
         }
-        let until =
-            SimTime::from_nanos(deadline.saturating_duration_since(self.epoch).as_nanos() as u64);
-        loop {
-            let now = self.now();
-            if now >= until {
-                self.worker.link_mut().flush();
+        let sent_before = sent(worker.link());
+        let mut activity = false;
+
+        // 1. Everything due, in the kernel's (time, scheduling order).
+        while let Some((due, class)) = worker.fire_due(now, &(), &mut sink) {
+            if class == EventClass::Timer {
+                let late = now.saturating_since(due).as_nanos() as u64;
+                worker.link_mut().telemetry.timer_lateness_ns.observe(late);
+            }
+            activity = true;
+        }
+        // 2. Jitter holds now due.
+        activity |= worker.link_mut().release_held(now);
+        // 3. Drain every owned socket in batches.
+        let recv_before = worker.link().stats.datagrams_received;
+        let mut recv = std::mem::take(&mut worker.link_mut().recv);
+        for local in 0..worker.link().ports.len() {
+            for _ in 0..DRAIN_BATCHES {
+                let link = worker.link_mut();
+                let socket = &link.ports[local].socket;
+                let got = recv.recv(socket, &mut link.mode, &mut link.stats);
+                for j in 0..got {
+                    let (src, bytes) = recv.datagram(j);
+                    on_datagram(worker, epoch, local, src, bytes, &mut sink);
+                }
+                activity |= got > 0;
+                if got < RECV_BATCH {
+                    break;
+                }
+            }
+        }
+        let link = worker.link_mut();
+        link.recv = recv;
+
+        // 4. Everything gathered this iteration leaves before we sleep
+        //    or poll again, so batching never holds a datagram back
+        //    longer than one loop iteration.
+        link.flush();
+
+        activity |= sent(link) != sent_before;
+        if activity {
+            let received = link.stats.datagrams_received - recv_before;
+            link.telemetry.datagrams_per_poll.observe(received);
+            let (pending, wanted) = link.queue_depths();
+            link.telemetry.pending_depth.set(pending);
+            link.telemetry.wanted_depth.set(wanted);
+            continue;
+        }
+        // Idle: sleep until the next due event or held datagram.
+        let held = link.held.peek_time();
+        let next = [worker.next_due(), held, Some(until)]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(until);
+        let wait = next.saturating_since(fabric_time(epoch)).min(IDLE_POLL);
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+    }
+}
+
+/// Handles one datagram received by the node in slot `local`.
+fn on_datagram<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>>(
+    worker: &mut Worker<N, WireLink>,
+    epoch: Instant,
+    local: usize,
+    src: SocketAddr,
+    data: &[u8],
+    sink: &mut &mut dyn Recorder<GoCastEvent>,
+) {
+    let link = worker.link_mut();
+    let Some(frame) = decode_frame(data) else {
+        link.stats.malformed += 1;
+        return;
+    };
+    // An id in a frame is self-declared, and downstream it indexes the
+    // liveness flags and the partition labels and keys the peer table: an
+    // id this fabric does not host is a stranger's, whatever the rest of
+    // the frame says.
+    let max_id = match frame {
+        Frame::Data { sender, .. } => sender,
+        Frame::WhoHas { sender, target } => sender.max(target),
+        Frame::Peer { sender, peer, .. } => sender.max(peer),
+    };
+    if max_id.index() >= link.placement.population() {
+        link.stats.malformed += 1;
+        return;
+    }
+    match frame {
+        Frame::Data { sender, payload } => {
+            let Ok(msg) = decode(payload) else {
+                link.stats.malformed += 1;
+                return;
+            };
+            if !link.learn(local, sender, src) {
                 return;
             }
-            let sent = |sh: &Self| {
-                let s = &sh.worker.link().stats;
-                s.datagrams_sent + s.delayed + sh.worker.link().batch.len() as u64
-            };
-            let sent_before = sent(self);
-            let mut activity = false;
-
-            // 1. Everything due, in the kernel's (time, scheduling order).
-            while let Some((due, class)) = self.worker.fire_due(now, &(), &mut self.trace) {
-                if class == EventClass::Timer {
-                    let late = now.saturating_since(due).as_nanos() as u64;
-                    self.telemetry.timer_lateness_ns.observe(late);
-                }
-                activity = true;
-            }
-            // 2. Jitter holds now due.
-            activity |= self.worker.link_mut().release_held(now);
-            // 3. Drain every owned socket in batches.
-            let recv_before = self.worker.link().stats.datagrams_received;
-            let mut recv = std::mem::take(&mut self.recv);
-            for local in 0..self.worker.link().ports.len() {
-                for _ in 0..DRAIN_BATCHES {
-                    let link = self.worker.link_mut();
-                    let socket = &link.ports[local].socket;
-                    let got = recv.recv(socket, &mut link.mode, &mut link.stats);
-                    for j in 0..got {
-                        let (src, bytes) = recv.datagram(j);
-                        self.on_datagram(local, src, bytes);
-                    }
-                    activity |= got > 0;
-                    if got < RECV_BATCH {
-                        break;
-                    }
-                }
-            }
-            self.recv = recv;
-
-            // 4. Everything gathered this iteration leaves before we sleep
-            //    or poll again, so batching never holds a datagram back
-            //    longer than one loop iteration.
-            self.worker.link_mut().flush();
-
-            activity |= sent(self) != sent_before;
-            if activity {
-                let received = self.worker.link().stats.datagrams_received;
-                self.telemetry
-                    .datagrams_per_poll
-                    .observe(received - recv_before);
-                let (pending, wanted) = self.queue_depths();
-                self.telemetry.pending_depth.set(pending);
-                self.telemetry.wanted_depth.set(wanted);
-                continue;
-            }
-            // Idle: sleep until the next due event or held datagram.
-            let held = self.worker.link().held.peek_time();
-            let next = [self.worker.next_due(), held, Some(until)]
-                .into_iter()
-                .flatten()
-                .min()
-                .unwrap_or(until);
-            let wait = next.saturating_since(self.now()).min(IDLE_POLL);
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
+            link.stats.wire_msgs += 1;
+            let to = link.placement.node(link.index, local);
+            worker.arrive(fabric_time(epoch), sender, to, msg, &(), sink);
         }
-    }
-
-    /// Handles one received datagram for local slot `local`.
-    fn on_datagram(&mut self, local: usize, src: SocketAddr, data: &[u8]) {
-        let link = self.worker.link_mut();
-        let Some(frame) = decode_frame(data) else {
-            link.stats.malformed += 1;
-            return;
-        };
-        // An id in a frame is self-declared, and downstream it indexes the
-        // liveness flags and the partition labels and keys the peer table:
-        // an id this fabric does not host is a stranger's, whatever the
-        // rest of the frame says.
-        let max_id = match frame {
-            Frame::Data { sender, .. } => sender,
-            Frame::WhoHas { sender, target } => sender.max(target),
-            Frame::Peer { sender, peer, .. } => sender.max(peer),
-        };
-        if max_id.index() >= link.nodes_total {
-            link.stats.malformed += 1;
-            return;
-        }
-        match frame {
-            Frame::Data { sender, payload } => {
-                let Ok(msg) = decode(payload) else {
-                    link.stats.malformed += 1;
-                    return;
-                };
-                if !link.learn(local, sender, src) {
-                    return;
-                }
-                link.stats.wire_msgs += 1;
-                let to = link.global_id(local);
-                let now = self.now();
-                self.worker
-                    .arrive(now, sender, to, msg, &(), &mut self.trace);
-            }
-            Frame::WhoHas { sender, target } => link.on_whohas(local, sender, src, target),
-            Frame::Peer { sender, peer, addr } => {
-                if link.learn(local, sender, src) {
-                    link.learn(local, peer, addr);
-                }
+        Frame::WhoHas { sender, target } => link.on_whohas(local, sender, src, target),
+        Frame::Peer { sender, peer, addr } => {
+            if link.learn(local, sender, src) {
+                link.learn(local, peer, addr);
             }
         }
     }
@@ -647,7 +595,7 @@ impl<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>> Shard<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gocast_sim::{Ctx, NetFault, Timer};
+    use gocast_sim::{Ctx, NetFault, NullRecorder, Timer, WorkerSet};
     use std::net::Ipv4Addr;
 
     /// Sends one message to the node each command names; nothing else.
@@ -667,7 +615,7 @@ mod tests {
 
     /// A one-shard fabric of `nodes` [`Sends`] nodes that know every
     /// address; `None` without loopback sockets.
-    fn shard(nodes: u32) -> Option<Shard<Sends>> {
+    fn shard(nodes: u32) -> Option<WorkerSet<Sends, WireLink>> {
         let bound: Vec<_> = (0..nodes)
             .map(|_| {
                 let s = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).ok()?;
@@ -679,26 +627,33 @@ mod tests {
         let book: Vec<_> = (0..nodes)
             .map(|i| (NodeId::new(i), bound[i as usize].1))
             .collect();
-        let mut sh = Shard::new(0, 1, nodes as usize, 1, false);
-        for (i, (socket, addr)) in bound.into_iter().enumerate() {
-            let port = Port::new(socket, addr, PeerTable::new(book.clone()));
-            sh.push_node(NodeId::new(i as u32), Sends, port, 1);
-        }
-        Some(sh)
+        let placement = Placement::new(nodes as usize, 1, 1);
+        let mut bound = bound.into_iter();
+        let link = |lane| WireLink::new(lane, placement);
+        Some(WorkerSet::new(placement, 1, link, |_, link| {
+            let (socket, addr) = bound.next().expect("a socket per node");
+            link.ports
+                .push(Port::new(socket, addr, PeerTable::new(book.clone())));
+            Sends
+        }))
     }
 
     /// Every pair `a -> b` of `nodes`, at `at`.
-    fn round(sh: &mut Shard<Sends>, nodes: u32, at: SimTime) {
+    fn round(sh: &mut WorkerSet<Sends, WireLink>, nodes: u32, at: SimTime) {
         for a in 0..nodes {
             for b in 0..nodes {
-                sh.worker
-                    .schedule_command(at, NodeId::new(a), NodeId::new(b));
+                sh.schedule_command(at, NodeId::new(a), NodeId::new(b));
             }
         }
     }
 
-    fn run(sh: &mut Shard<Sends>, ms: u64) {
-        sh.run_until(Instant::now() + Duration::from_millis(ms));
+    /// Runs the shard `ms` milliseconds from fabric time zero, now.
+    fn run(sh: &mut WorkerSet<Sends, WireLink>, ms: u64) -> FabricStats {
+        let epoch = Instant::now();
+        let deadline = epoch + Duration::from_millis(ms);
+        let worker = &mut sh.workers_mut()[0];
+        run_until(worker, epoch, deadline, &mut NullRecorder);
+        worker.link().stats
     }
 
     /// A crash silences a node — it sends nothing, and what arrives for it
@@ -709,21 +664,21 @@ mod tests {
             return;
         };
         let (ms, n) = (SimTime::from_millis, NodeId::new);
-        sh.worker.schedule_fault(ms(5), &NetFault::SetLoss(1.0));
-        sh.worker.schedule_command(ms(10), n(1), n(1));
-        sh.worker.schedule_command(ms(10), n(0), n(1));
-        sh.worker.schedule_fault(ms(20), &NetFault::SetLoss(0.0));
-        sh.worker.fail_node_at(ms(20), n(2));
+        sh.schedule_fault(ms(5), &NetFault::SetLoss(1.0));
+        sh.schedule_command(ms(10), n(1), n(1));
+        sh.schedule_command(ms(10), n(0), n(1));
+        sh.schedule_fault(ms(20), &NetFault::SetLoss(0.0));
+        sh.fail_node_at(ms(20), n(2));
         for (from, to) in [(0, 2), (2, 0), (2, 2)] {
-            sh.worker.schedule_command(ms(30), n(from), n(to));
+            sh.schedule_command(ms(30), n(from), n(to));
         }
-        run(&mut sh, 120);
-        let k = sh.worker.kernel_stats();
+        let s = run(&mut sh, 120);
+        let k = sh.kernel_stats();
         // Two sends from node 2 never ran: three commands of five did.
         assert_eq!(k.commands, 3);
         assert_eq!((k.fates.lost, k.fates.dead), (1, 1), "{:?}", k.fates);
         assert_eq!(k.deliveries, 1, "the self-send arrives despite the loss");
-        assert_eq!(sh.stats().datagrams_received, 2);
+        assert_eq!(s.datagrams_received, 2);
     }
 
     /// Conservation on the wire, under a plan that exercises every fate:
@@ -737,21 +692,18 @@ mod tests {
         };
         let ms = SimTime::from_millis;
         let (zero, one) = (NodeId::new(0), NodeId::new(1));
-        let w = &mut sh.worker;
-        w.schedule_fault(ms(1), &NetFault::CutLink(zero, one));
-        w.schedule_fault(ms(1), &NetFault::partition(vec![0, 0, 0, 0, 1, 1, 1, 1]));
-        w.schedule_fault(ms(1), &NetFault::SetLoss(0.3));
-        w.schedule_fault(ms(1), &NetFault::SetJitter(Duration::from_millis(1)));
-        w.fail_node_at(ms(1), NodeId::new(NODES - 1));
+        sh.schedule_fault(ms(1), &NetFault::CutLink(zero, one));
+        sh.schedule_fault(ms(1), &NetFault::partition(vec![0, 0, 0, 0, 1, 1, 1, 1]));
+        sh.schedule_fault(ms(1), &NetFault::SetLoss(0.3));
+        sh.schedule_fault(ms(1), &NetFault::SetJitter(Duration::from_millis(1)));
+        sh.fail_node_at(ms(1), NodeId::new(NODES - 1));
         round(&mut sh, NODES, ms(10));
         round(&mut sh, NODES, ms(20));
-        sh.worker.schedule_fault(ms(25), &NetFault::HealPartition);
-        sh.worker
-            .schedule_fault(ms(25), &NetFault::HealLink(zero, one));
+        sh.schedule_fault(ms(25), &NetFault::HealPartition);
+        sh.schedule_fault(ms(25), &NetFault::HealLink(zero, one));
         round(&mut sh, NODES, ms(30));
-        run(&mut sh, 200);
-
-        let (k, s) = (sh.worker.kernel_stats(), sh.stats());
+        let s = run(&mut sh, 200);
+        let k = sh.kernel_stats();
         let fates = k.fates;
         assert!(
             fates.lost > 0 && fates.cut > 0 && fates.partitioned > 0 && fates.dead > 0,
@@ -764,7 +716,7 @@ mod tests {
         let gathered = s.datagrams_sent - held;
         assert!(gathered > 0 && held > 0, "{s}");
         assert_eq!(gathered + held + fates.lost, sends, "{s}");
-        assert_eq!(sh.worker.link().held.len(), 0, "every hold released");
+        assert_eq!(sh.workers()[0].link().held.len(), 0, "every hold released");
         assert_eq!(s.datagrams_received, s.datagrams_sent, "{s}");
         assert_eq!(s.wire_msgs, s.datagrams_received);
         let stopped = fates.cut + fates.partitioned + fates.dead;

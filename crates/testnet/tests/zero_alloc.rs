@@ -79,8 +79,8 @@ fn pump_round(
     stats: &mut FabricStats,
     per_round: usize,
 ) -> u64 {
-    // The same framing discipline `FabricIo::send` uses: a 5-byte
-    // transport header plus the codec bytes, written in place.
+    // The same framing discipline a shard's link uses on a send: a
+    // 5-byte transport header plus the codec bytes, written in place.
     let msg = GoCastMsg::JoinRequest;
     for _ in 0..per_round {
         let full = batch.push_with(dest, |buf| {

@@ -201,6 +201,16 @@ absent  crates  -  FxHashMap<Timer|fn cancel\(
 absent  crates/testnet/src  -  enum Due([^_[:alnum:]]|$)|fn (apply_fault|fire)\(|crashed: Vec<bool>
 once    crates/sim/src,crates/testnet/src  -  Fault::Crash\([^)]*\) =>
 
+# One placement on both hosts: gocast_sim::Placement alone maps a node id
+# to its lane, slot and worker (no other non-test line takes `%`, `/` or
+# `*` by a lane, shard or chunk count); a wire shard is a bare kernel
+# Worker, so the fabric's shard wrapper, its trace buffer and its second
+# stream merge stay gone; and the wire's recorder is fed as the engine's
+# is, so the experiments never replay a captured trace.
+absent  crates/sim/src,crates/testnet/src  crates/sim/src/placement\.rs:  [%/*][[:space:]]*[(]?[[:alnum:]_.]*(lanes|lane_count|shards|shard_count|chunk)([^[:alnum:]_(]|[(][)]|$)|(lanes|lane_count|shards|shard_count|chunk)([(][)])?[[:space:]]*[%/*]|div_ceil[(][[:alnum:]_.]*(lanes|lane_count|shards|shard_count|chunk)
+absent  crates/testnet/src  -  struct (Shard|Trace)([^_[:alnum:]]|$)|fn merge_event_streams([^_[:alnum:]]|$)
+absent  crates/experiments/src  -  \.trace\(\)
+
 # One event queue per worker thread: a kernel lane owns no queue (its
 # events wait in its worker's, keyed by lane and per-lane sequence), and
 # threads take disjoint chunks of lanes over channels, not lanes behind

@@ -7,12 +7,13 @@
 use std::net::{Ipv4Addr, UdpSocket};
 use std::time::Duration;
 
-use gocast::{DegreeInfo, GoCastCommand, GoCastEvent, GoCastMsg};
+use gocast::{DegreeInfo, GoCastCommand, GoCastEvent, GoCastMsg, GoCastNode};
 use gocast_analysis::{InvariantOracle, MetricsRecorder};
 use gocast_experiments::{testnet, ExpOptions, GivenFlags};
 use gocast_net::LandmarkVector;
 use gocast_sim::{
     Ctx, FixedLatency, NodeId, Protocol, Recorder, SimBuilder, SimTime, Stack, StackCaps, Timer,
+    VecRecorder,
 };
 use gocast_testnet::{loopback_available, Testnet, TestnetConfig};
 
@@ -114,6 +115,49 @@ fn sixteen_node_run_is_invariant_clean() {
         ledger.delivered() >= expected * 999 / 1000,
         "delivery {}/{expected} below 99.9%",
         ledger.delivered()
+    );
+}
+
+/// The fabric feeds the recorder it was built with, as an engine does:
+/// a buffer and the invariant oracle side by side see the same stream,
+/// merged over two shards in time order, and it is clean.
+#[test]
+fn the_fabric_feeds_the_recorder_it_is_built_with() {
+    if skip() {
+        return;
+    }
+    let nodes = 8;
+    let cfg = TestnetConfig::new(nodes).with_seed(5).with_shards(2);
+    let mut boot = gocast::bootstrap_random_graph(nodes, 2, 5 ^ 0xB007);
+    let protocol = cfg.protocol.clone();
+    let recorder = (
+        VecRecorder::new(),
+        InvariantOracle::for_protocol(&cfg.protocol),
+    );
+    let mut net = Testnet::build_with(&cfg, recorder, |id| {
+        let (links, members) = boot(id);
+        GoCastNode::with_initial_links(id, protocol.clone(), links, members)
+    })
+    .expect("bind loopback");
+    for k in 0..4 {
+        let at = SimTime::from_millis(1500 + 100 * k);
+        net.schedule_command(at, NodeId::new(k as u32), GoCastCommand::Multicast);
+    }
+    // Two runs: the second run's merge appends after the first's.
+    net.run_for(Duration::from_millis(1500));
+    net.run_for(Duration::from_millis(1500));
+    let (buffer, mut oracle) = net.into_recorder();
+    oracle.finish();
+    assert!(!buffer.events.is_empty(), "the fabric recorded nothing");
+    assert_eq!(oracle.records_checked(), buffer.events.len() as u64);
+    assert!(
+        buffer.events.windows(2).all(|w| w[0].0 <= w[1].0),
+        "the merged stream is not time-sorted"
+    );
+    assert!(
+        oracle.violations().is_empty(),
+        "oracle violations on the wire: {:?}",
+        oracle.violations()
     );
 }
 
