@@ -89,8 +89,9 @@ pub struct AppOutcome {
     pub phase: String,
     /// Nodes simulated.
     pub nodes: usize,
-    /// Lanes the population was decomposed into (0 on the wire).
-    pub lanes: usize,
+    /// Whether the run was on the wire, whose kernel counters follow the
+    /// wall clock and stay out of [`AppOutcome::manifest`].
+    pub wire: bool,
     /// Concurrent logical topics.
     pub topics: u32,
     /// Directory epochs (1 + distinct subscription-event times).
@@ -172,7 +173,7 @@ impl AppOutcome {
             self.violations,
             self.oracle_records,
         );
-        if self.lanes > 0 {
+        if !self.wire {
             let _ = write!(s, " {}", kernel_digest(&self.kernel));
         }
         s
@@ -298,7 +299,7 @@ impl<'a> Staged<'a> {
     fn outcome<'n>(
         &self,
         phase: String,
-        lanes: usize,
+        wire: bool,
         (start, end): (SimTime, SimTime),
         core: RunCore,
         ledger: &MetricsRecorder,
@@ -316,7 +317,7 @@ impl<'a> Staged<'a> {
             workload: self.workload,
             phase,
             nodes: self.opts.nodes,
-            lanes,
+            wire,
             topics: self.opts.topics.max(1),
             epochs: self.dir.epoch_count(),
             overflow_edges: self.dir.overflow_edges(),
@@ -368,7 +369,7 @@ pub fn run_app(
     };
     let sim = &run.sim;
     let ledger = &sim.recorder().metrics;
-    staged.outcome(phase, sim.lane_count(), (start, end), core, ledger, |n| {
+    staged.outcome(phase, false, (start, end), core, ledger, |n| {
         Some(sim.node(n))
     })
 }
@@ -447,11 +448,14 @@ pub fn run_app_wire(
 
     let core = audit_wire(&mut net, u64::from(opts.messages), staged.plan.len());
     let phase = format!("wire:{label}");
-    Ok(
-        staged.outcome(phase, 0, (start, end), core, &net.recorder().metrics, |n| {
-            (!net.is_crashed(n)).then(|| net.node(n))
-        }),
-    )
+    Ok(staged.outcome(
+        phase,
+        true,
+        (start, end),
+        core,
+        &net.recorder().metrics,
+        |n| (!net.is_crashed(n)).then(|| net.node(n)),
+    ))
 }
 
 /// Scenario presets the subcommands run when `--scenario`/`--spec` is

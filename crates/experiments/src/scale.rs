@@ -50,8 +50,6 @@ pub struct ScaleOutcome {
     pub phase: String,
     /// Nodes simulated.
     pub nodes: usize,
-    /// Lanes the population was decomposed into.
-    pub lanes: usize,
     /// Worker threads (`--sim-shards`).
     pub sim_shards: usize,
     /// Per-node average delivery delay distribution (fig3's metric).
@@ -84,11 +82,10 @@ impl ScaleOutcome {
         let mut s = String::new();
         let _ = write!(
             s,
-            "phase={} nodes={} lanes={} faults={} injected={} expected={} delivered={} ratio={:.6} \
+            "phase={} nodes={} faults={} injected={} expected={} delivered={} ratio={:.6} \
              incomplete={} oracle={}/{}",
             self.phase,
             self.nodes,
-            self.lanes,
             self.plan_len,
             self.injected,
             self.expected,
@@ -183,7 +180,6 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
         core,
         phase: scenario.map_or("delivery".into(), |(label, _)| format!("chaos:{label}")),
         nodes: opts.nodes,
-        lanes: sim.lane_count(),
         sim_shards: opts.sim_shards,
         per_node_avg,
         incomplete,
@@ -208,10 +204,9 @@ pub fn run_scale_chaos(opts: &ExpOptions, label: &str, scenario: &Scenario) -> S
 /// The scaling table this subcommand prints and writes, one row per run.
 fn scaling_table(runs: [&ScaleOutcome; 2]) -> Table {
     let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-    let columns: [Column<'_, ScaleOutcome>; 17] = [
+    let columns: [Column<'_, ScaleOutcome>; 16] = [
         ("phase", &|o| o.phase.clone()),
         ("nodes", &|o| o.nodes.to_string()),
-        ("lanes", &|o| o.lanes.to_string()),
         ("sim_shards", &|o| o.sim_shards.to_string()),
         ("faults", &|o| o.plan_len.to_string()),
         ("injected", &|o| o.injected.to_string()),

@@ -6,9 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gocast_metrics::Snapshot;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
+use crate::hash::mix;
 use crate::id::NodeId;
 use crate::lane::GOLDEN;
 
@@ -80,8 +79,8 @@ impl NetFates {
 }
 
 /// One replica of the network's fault state over a fixed population:
-/// loss, jitter, the cut links, the active partition, the chaos RNG
-/// stream and the [`NetFates`] of the messages it stopped.
+/// loss, jitter, the cut links, the active partition, the run's chaos key
+/// and the [`NetFates`] of the messages it stopped.
 ///
 /// Link cuts, the partition labelling and the loss/jitter settings are
 /// *global* facts about the network, whoever moves the messages: every
@@ -94,10 +93,13 @@ impl NetFates {
 /// Simulation and wire cannot drift in fault semantics because there is
 /// one body.
 ///
-/// Draws come from a dedicated RNG stream (derived from the master seed
-/// and the replica index, separate from every per-node stream), so
-/// enabling chaos never perturbs protocol-level randomness, and a run
-/// without loss or jitter makes zero draws.
+/// A draw carries no state: it hashes the run's chaos key (derived from
+/// the master seed, apart from every per-node stream) with the sender and
+/// that send's number among what the sender has scheduled. So every
+/// replica decides a send alike whatever it has drawn before, a draw
+/// cannot depend on which worker makes it, enabling chaos never perturbs
+/// protocol-level randomness, and a run without loss or jitter makes
+/// zero draws.
 #[derive(Debug)]
 pub struct FaultState {
     nodes: usize,
@@ -112,29 +114,22 @@ pub struct FaultState {
     /// per-lookup hashing.
     cut: Vec<(NodeId, NodeId)>,
     partition: Option<Arc<Vec<u32>>>,
-    rng: SmallRng,
+    /// What every draw hashes in: the master seed, mixed apart from the
+    /// per-node streams (`seed * GOLDEN ^ node`).
+    key: u64,
     fates: NetFates,
 }
 
 impl FaultState {
-    /// The fault-free state over `nodes` nodes. Replica 0 draws from the
-    /// stream a one-lane engine has always used; replica `i ≥ 1` derives
-    /// its own from the master seed and `i`, so replicas of one run never
-    /// make correlated draws.
-    pub fn new(nodes: usize, seed: u64, replica: u32) -> Self {
-        let seed = match replica {
-            0 => seed,
-            i => seed.wrapping_add(GOLDEN.wrapping_mul(i as u64 + 1)),
-        };
+    /// The fault-free state over `nodes` nodes of the run seeded `seed`.
+    pub fn new(nodes: usize, seed: u64) -> Self {
         FaultState {
             nodes,
             loss_ppm: 0,
             jitter_ns: 0,
             cut: Vec::new(),
             partition: None,
-            // Distinct stream: per-node RNGs use seed * GOLDEN ^ node_index,
-            // so folding in a large constant cannot collide with any node.
-            rng: SmallRng::seed_from_u64(seed.wrapping_mul(GOLDEN) ^ 0xC4A0_5FA7_17E5_0123),
+            key: mix(seed.wrapping_mul(GOLDEN) ^ 0xC4A0_5FA7_17E5_0123),
             fates: NetFates::default(),
         }
     }
@@ -192,7 +187,7 @@ impl FaultState {
     /// a dry run on a scratch state, so a fault scheduled for later is
     /// rejected at the call and not inside the run loop.
     pub(crate) fn validate(&self, fault: &NetFault) {
-        FaultState::new(self.nodes, 0, 0).apply(fault);
+        FaultState::new(self.nodes, 0).apply(fault);
     }
 
     /// Whether the network stops a message between `a` and `b`, counting
@@ -227,22 +222,28 @@ impl FaultState {
         self.loss_ppm > 0 || self.jitter_ns > 0
     }
 
-    /// The loss and jitter draws for one send: `None` if the message is
-    /// lost (counted), else the extra latency it carries. Order: the loss
-    /// draw, then the jitter draw; a disabled fault makes no draw, and a
-    /// node's sends to itself are never drawn for.
+    /// The loss and jitter draws for `from`'s send numbered `count` (its
+    /// place among everything `from` has scheduled): `None` if the message
+    /// is lost (counted), else the extra latency it carries. One counter
+    /// hash of `(seed, from, count)` decides both, so the answer is the
+    /// same on every replica, whatever each has drawn before; a disabled
+    /// fault decides nothing, and a node's sends to itself are never drawn
+    /// for.
     #[inline]
-    pub fn draw(&mut self, from: NodeId, to: NodeId) -> Option<Duration> {
+    pub fn draw(&mut self, from: NodeId, to: NodeId, count: u64) -> Option<Duration> {
         if from == to {
             return Some(Duration::ZERO);
         }
-        if self.loss_ppm > 0 && self.rng.gen_range(0..1_000_000u32) < self.loss_ppm {
+        let send = u64::from(from.as_u32()) << 40 | count;
+        let h = mix(self.key.wrapping_add(send.wrapping_mul(GOLDEN)));
+        // The high half as a fraction of 2^32, scaled to parts per million.
+        if self.loss_ppm > 0 && ((h >> 32) * 1_000_000) >> 32 < u64::from(self.loss_ppm) {
             self.fates.lost += 1;
             return None;
         }
         let extra = match self.jitter_ns {
             0 => 0,
-            max => self.rng.gen_range(0..=max),
+            max => ((u128::from(mix(h)) * (u128::from(max) + 1)) >> 64) as u64,
         };
         Some(Duration::from_nanos(extra))
     }
@@ -284,78 +285,131 @@ mod tests {
         NodeId::new(i)
     }
 
-    /// What a host does with one send: the structural check, then the draws.
-    fn passes(state: &mut FaultState, a: u32, b: u32) -> bool {
-        !state.blocked(n(a), n(b), false) && state.draw(n(a), n(b)).is_some()
+    /// What a host does with one send: the structural check, then the
+    /// draws, for the send `count`.
+    fn passes(state: &mut FaultState, a: u32, b: u32, count: u64) -> bool {
+        !state.blocked(n(a), n(b), false) && state.draw(n(a), n(b), count).is_some()
     }
 
     #[test]
     fn fault_free_state_delivers_everything() {
-        let mut state = FaultState::new(4, 1, 0);
+        let mut state = FaultState::new(4, 1);
         assert!(!state.active());
         for a in 0..4 {
             for b in 0..4 {
                 assert!(!state.blocked(n(a), n(b), false));
-                assert_eq!(state.draw(n(a), n(b)), Some(Duration::ZERO));
+                assert_eq!(state.draw(n(a), n(b), 0), Some(Duration::ZERO));
             }
         }
     }
 
     #[test]
     fn partition_drops_cross_side_only() {
-        let mut state = FaultState::new(4, 1, 0);
+        let mut state = FaultState::new(4, 1);
         state.apply(&NetFault::partition(vec![0, 0, 1, 1]));
-        assert!(passes(&mut state, 0, 1));
-        assert!(!passes(&mut state, 0, 2));
-        assert!(!passes(&mut state, 3, 1));
+        assert!(passes(&mut state, 0, 1, 0));
+        assert!(!passes(&mut state, 0, 2, 1));
+        assert!(!passes(&mut state, 3, 1, 0));
         assert_eq!((state.fates().partitioned, state.fates().cut), (2, 0));
         state.apply(&NetFault::HealPartition);
-        assert!(passes(&mut state, 0, 2));
+        assert!(passes(&mut state, 0, 2, 2));
     }
 
     #[test]
     fn cut_links_drop_both_directions_until_healed() {
-        let mut state = FaultState::new(3, 1, 0);
+        let mut state = FaultState::new(3, 1);
         state.apply(&NetFault::CutLink(n(2), n(0)));
-        assert!(!passes(&mut state, 0, 2));
-        assert!(!passes(&mut state, 2, 0));
-        assert!(passes(&mut state, 0, 1));
+        assert!(!passes(&mut state, 0, 2, 0));
+        assert!(!passes(&mut state, 2, 0, 0));
+        assert!(passes(&mut state, 0, 1, 1));
         assert_eq!((state.fates().cut, state.fates().partitioned), (2, 0));
         state.apply(&NetFault::HealLink(n(0), n(2)));
-        assert!(passes(&mut state, 0, 2));
+        assert!(passes(&mut state, 0, 2, 2));
     }
 
+    /// Two replicas that have drawn different histories decide every
+    /// send alike: a draw is a function of `(seed, from, count)` alone.
     #[test]
-    fn loss_fires_with_the_configured_probability() {
-        let mut state = FaultState::new(2, 7, 0);
-        state.apply(&NetFault::SetLoss(0.5));
-        assert!(state.active());
-        let drops = (0..10_000).filter(|_| !passes(&mut state, 0, 1)).count();
-        assert!((4_000..6_000).contains(&drops), "drops = {drops}");
-        assert_eq!(state.fates().lost, drops as u64);
-    }
-
-    #[test]
-    fn jitter_delays_but_never_drops() {
-        let mut state = FaultState::new(2, 7, 0);
-        state.apply(&NetFault::SetJitter(Duration::from_millis(5)));
-        let mut delayed = 0;
-        for _ in 0..100 {
-            let extra = state.draw(n(0), n(1)).expect("jitter loses nothing");
-            assert!(extra <= Duration::from_millis(5));
-            delayed += u32::from(!extra.is_zero());
+    fn a_draw_depends_on_the_send_not_the_replica_history() {
+        let faults = [
+            NetFault::SetLoss(0.3),
+            NetFault::SetJitter(Duration::from_millis(7)),
+        ];
+        let (mut a, mut b) = (FaultState::new(8, 42), FaultState::new(8, 42));
+        faults.iter().for_each(|f| a.apply(f));
+        faults.iter().for_each(|f| b.apply(f));
+        for count in 0..500 {
+            a.draw(n(3), n(4), count);
         }
-        assert!(delayed > 0, "no send drew any jitter");
+        let decide = |s: &mut FaultState| -> Vec<_> {
+            (0..8)
+                .flat_map(|from| (1_000..1_050).map(move |count| (from, count)))
+                .map(|(from, count)| s.draw(n(from), n((from + 1) % 8), count))
+                .collect()
+        };
+        let (da, db) = (decide(&mut a), decide(&mut b));
+        assert_eq!(da, db);
+        assert!(da.iter().any(Option::is_none) && da.iter().any(Option::is_some));
+        // A different seed decides differently.
+        let mut c = FaultState::new(8, 43);
+        faults.iter().for_each(|f| c.apply(f));
+        assert_ne!(decide(&mut c), da);
+    }
+
+    /// At p = 0.03 over 10^5 sends the lost count is binomial with mean
+    /// 3,000 and standard deviation √(10^5 · 0.03 · 0.97) ≈ 53.9; the bound
+    /// is five deviations either side.
+    #[test]
+    fn loss_fraction_is_binomial_at_the_configured_probability() {
+        const SENDS: u64 = 100_000;
+        let mut state = FaultState::new(64, 7);
+        state.apply(&NetFault::SetLoss(0.03));
+        assert!(state.active());
+        let lost = (0..SENDS)
+            .filter(|&i| {
+                state
+                    .draw(n((i % 64) as u32), n(63 - (i % 64) as u32), i / 64)
+                    .is_none()
+            })
+            .count() as u64;
+        let (mean, sd) = (3_000.0, (SENDS as f64 * 0.03 * 0.97).sqrt());
+        assert!(
+            (lost as f64 - mean).abs() <= 5.0 * sd,
+            "{lost} of {SENDS} lost, expected {mean} ± {:.0}",
+            5.0 * sd
+        );
+        assert_eq!(state.fates().lost, lost);
     }
 
     #[test]
-    fn self_sends_bypass_faults() {
-        let mut state = FaultState::new(3, 1, 0);
+    fn jitter_stays_inside_its_bound_and_drops_nothing() {
+        let max = Duration::from_millis(5);
+        let mut state = FaultState::new(2, 7);
+        state.apply(&NetFault::SetJitter(max));
+        let draws: Vec<Duration> = (0..10_000)
+            .map(|count| state.draw(n(0), n(1), count).expect("jitter loses nothing"))
+            .collect();
+        assert!(draws.iter().all(|d| *d <= max));
+        // Spread over the whole range, not stuck at one end.
+        assert!(draws.iter().any(|d| *d < max / 10));
+        assert!(draws.iter().any(|d| *d > max * 9 / 10));
+        // The widest bound a duration allows does not overflow.
+        state.apply(&NetFault::SetJitter(Duration::MAX));
+        assert!(state.draw(n(0), n(1), 0).is_some());
+    }
+
+    #[test]
+    fn self_sends_never_draw_and_bypass_faults() {
+        let mut state = FaultState::new(3, 1);
         state.apply(&NetFault::SetLoss(1.0));
+        state.apply(&NetFault::SetJitter(Duration::from_secs(1)));
         state.apply(&NetFault::CutLink(n(1), n(1)));
         state.apply(&NetFault::partition(vec![0, 1, 2]));
-        assert!(passes(&mut state, 1, 1));
-        assert!(!passes(&mut state, 1, 2));
+        for count in 0..100 {
+            assert_eq!(state.draw(n(1), n(1), count), Some(Duration::ZERO));
+        }
+        assert!(passes(&mut state, 1, 1, 0));
+        assert!(!passes(&mut state, 1, 2, 0));
         // A crashed endpoint is judged first and stops even a self-send.
         assert!(state.blocked(n(1), n(2), true));
         assert!(state.blocked(n(1), n(1), true));
@@ -382,26 +436,5 @@ mod tests {
             out,
             "\"net_lost\":2,\"net_cut\":4,\"net_partitioned\":6,\"net_dead\":8"
         );
-    }
-
-    #[test]
-    fn replicas_draw_distinct_streams_and_replica_zero_is_the_one_lane_stream() {
-        const SEED: u64 = 42;
-        let draws = |replica| {
-            let mut state = FaultState::new(2, SEED, replica);
-            state.apply(&NetFault::SetLoss(0.5));
-            let lost: Vec<bool> = (0..64).map(|_| !passes(&mut state, 0, 1)).collect();
-            lost
-        };
-        // The stream every one-lane run since the chaos engine has drawn
-        // from (the `lossy` literals in `tests/tests/golden.rs` pin it end
-        // to end).
-        let mut rng = SmallRng::seed_from_u64(SEED.wrapping_mul(GOLDEN) ^ 0xC4A0_5FA7_17E5_0123);
-        let one_lane: Vec<bool> = (0..64)
-            .map(|_| rng.gen_range(0..1_000_000u32) < 500_000)
-            .collect();
-        assert_eq!(draws(0), one_lane);
-        assert_ne!(draws(1), draws(0));
-        assert_ne!(draws(2), draws(1));
     }
 }

@@ -81,6 +81,18 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The splitmix64 finalizer: the one counter hash, which turns a key the
+/// simulation minted (a node pair, a seeded send count) into well-mixed
+/// bits with no state to carry.
+#[inline]
+pub(crate) fn mix(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
+
 /// `BuildHasher` for [`FxHasher`]; stateless, so every map starts from the
 /// same table layout on every run.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;

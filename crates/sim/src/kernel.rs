@@ -359,19 +359,25 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
 }
 
 /// Schedules every lane's cross-lane sends for their destination lanes,
-/// lane by lane in send order: each lane numbers what reaches it in that
-/// order, so the messages pop in `(arrival, source lane, send order)` at
-/// any thread count.
+/// each under the tie its sender gave it, so the messages pop exactly
+/// where they would have had the sender's lane owned the receiver.
 fn flush<P: Protocol>(workers: &mut [&mut SimWorker<P>], placement: Placement) {
     for w in 0..workers.len() {
         for l in 0..workers[w].lanes.len() {
             // A lane never sends to itself through its outbox, so nothing
             // misses the buffer while it is out.
             let mut outbox = std::mem::take(&mut workers[w].lanes[l].link.outbox);
-            for CrossLaneMsg { at, from, to, msg } in outbox.drain(..) {
+            for CrossLaneMsg {
+                at,
+                tie,
+                from,
+                to,
+                msg,
+            } in outbox.drain(..)
+            {
                 let lane = placement.lane(to);
                 let ev = Event::Deliver { from, to, msg };
-                workers[placement.worker(lane)].schedule(lane, at, to.as_u32(), ev);
+                workers[placement.worker(lane)].schedule(lane, at, tie, to.as_u32(), ev);
             }
             workers[w].lanes[l].link.outbox = outbox;
         }
@@ -713,10 +719,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         self.started = true;
         let net = M::model(&self.net);
         let placement = self.workers.placement();
+        self.workers.start(net, &mut self.recorder);
         let mut workers: Vec<_> = self.workers.list.iter_mut().collect();
-        for w in &mut workers {
-            w.start(net, &mut self.recorder);
-        }
         flush(&mut workers, placement);
         self.fold_stats();
     }
@@ -858,7 +862,7 @@ where
                     let (done, back) = mpsc::sync_channel(1);
                     s.spawn(move || {
                         for (w, end) in windows {
-                            w.buffered(|w, out| w.run_window(end, net, out));
+                            w.run_window_buffered(end, net);
                             done.send((w, end))
                                 .expect("the coordinator waits for every worker");
                         }
@@ -1646,7 +1650,7 @@ mod tests {
                 (ms(10 * (i / 3)), fault)
             })
             .collect();
-        let mut expected = FaultState::new(N as usize, 1, 0);
+        let mut expected = FaultState::new(N as usize, 1);
         faults.iter().for_each(|(_, f)| expected.apply(f));
 
         on_every_engine!(1, |sim| {

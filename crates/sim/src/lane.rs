@@ -2,8 +2,10 @@
 //! population with its own per-node RNG streams, counters, telemetry and
 //! fault-state replica — and the **only** dispatch table and send path on
 //! either host. A lane owns no queue: a [`Worker`] runs a contiguous chunk
-//! of lanes off one, keyed by `(time, lane, per-lane sequence)`, so a
-//! lane pops in its own order whichever lanes share the queue.
+//! of lanes off one. Every event is keyed by `(time, tie)`, the tie
+//! belonging to whoever scheduled it — the sending or timer-setting node,
+//! with its own schedule count, or the harness — so events pop in one
+//! order whichever lanes share a queue.
 //!
 //! Which lane owns a node, at which slot, is the [`Placement`]'s to say.
 //! With one lane that is the whole population and nothing ever crosses
@@ -38,7 +40,7 @@ use crate::latency::LatencyModel;
 use crate::placement::Placement;
 use crate::protocol::{Ctx, HostBackend, Protocol, Timer, Wire};
 use crate::queue::{prefetch, EventQueue, Scheduled};
-use crate::recorder::{Recorder, VecRecorder};
+use crate::recorder::Recorder;
 use crate::scenario::FaultHost;
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
@@ -63,6 +65,17 @@ pub(crate) enum Event<M, C> {
 }
 
 impl<M, C> Event<M, C> {
+    /// The node the event happens at; `None` for a broadcast fault.
+    fn node(&self) -> Option<NodeId> {
+        match self {
+            Event::Deliver { to: node, .. }
+            | Event::Fire { node, .. }
+            | Event::Command { node, .. }
+            | Event::Fail { node } => Some(*node),
+            Event::Control(_) => None,
+        }
+    }
+
     fn class(&self) -> EventClass {
         match self {
             Event::Deliver { .. } => EventClass::Deliver,
@@ -73,9 +86,11 @@ impl<M, C> Event<M, C> {
     }
 }
 
-/// A message crossing lanes, buffered until the window barrier.
+/// A message crossing lanes, buffered until the window barrier under the
+/// tie its sender gave it.
 pub(crate) struct CrossLaneMsg<M> {
     pub(crate) at: SimTime,
+    pub(crate) tie: u64,
     pub(crate) from: NodeId,
     pub(crate) to: NodeId,
     pub(crate) msg: M,
@@ -116,34 +131,41 @@ impl KernelTelemetry {
 /// nanosecond per event.
 const TELEMETRY_SAMPLE: u64 = 64;
 
-/// Bits of a queue tie below the lane index: the lane's own sequence.
-const SEQ_BITS: u32 = 40;
-const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+/// Bits of a queue tie below its scheduler: the scheduler's own count.
+const COUNT_BITS: u32 = 40;
 
-/// Lanes an engine may have at most: the lane index fills the rest of a
-/// tie.
-pub(crate) const MAX_LANES: usize = 1 << (64 - SEQ_BITS);
+/// Nodes a population may have at most: node `g` schedules under `g + 1`
+/// in the rest of a tie, and the harness under 0.
+pub(crate) const MAX_NODES: usize = (1 << (64 - COUNT_BITS)) - 1;
+
+/// The tie of the event `count` its scheduler makes: node `g` schedules
+/// as `g + 1`, the harness (commands, crashes and faults) as 0. Equal
+/// instants pop in increasing tie, so in each scheduler's own order, and
+/// the key says nothing of where the event waits.
+#[inline(always)]
+fn tie(scheduler: u64, count: u64) -> u64 {
+    debug_assert!(count < 1 << COUNT_BITS, "schedule count overflow");
+    scheduler << COUNT_BITS | count
+}
 
 /// An engine event, and a queue of them.
 pub(crate) type Ev<P> = Event<<P as Protocol>::Msg, <P as Protocol>::Command>;
 pub(crate) type Queue<P> = EventQueue<Ev<P>>;
 
-/// A lane's place in its worker's queue: the tie of its next event — the
-/// lane index above the lane's own sequence number — and how many of its
-/// events are pending.
-#[derive(Debug)]
-pub(crate) struct Ties {
-    next: u64,
+/// What a lane has scheduled into its worker's queue, and how much of it
+/// is pending.
+#[derive(Debug, Default)]
+pub(crate) struct Backlog {
+    scheduled: u64,
     pending: usize,
 }
 
-impl Ties {
-    /// Schedules `ev` for this lane.
+impl Backlog {
+    /// Schedules `ev` at `(at, tie)`.
     #[inline]
-    pub(crate) fn schedule<T>(&mut self, q: &mut EventQueue<T>, at: SimTime, hint: u32, ev: T) {
-        debug_assert_ne!(self.next & SEQ_MASK, SEQ_MASK, "lane sequence overflow");
-        q.schedule_keyed(at, self.next, hint, ev);
-        self.next += 1;
+    fn schedule<T>(&mut self, q: &mut EventQueue<T>, at: SimTime, tie: u64, hint: u32, ev: T) {
+        q.schedule_keyed(at, tie, hint, ev);
+        self.scheduled += 1;
         self.pending += 1;
     }
 }
@@ -175,8 +197,22 @@ pub struct Sender<'a, P: Protocol> {
     pub from: NodeId,
     /// The time of the handler that sends.
     pub now: SimTime,
+    /// The tie of the send being made.
+    tie: u64,
+    /// How many events `from` has scheduled: the count of its next tie.
+    count: &'a mut u64,
     queue: &'a mut Queue<P>,
-    ties: &'a mut Ties,
+    backlog: &'a mut Backlog,
+}
+
+impl<P: Protocol> Sender<'_, P> {
+    /// Takes `from`'s next schedule count.
+    #[inline(always)]
+    fn next_count(&mut self) -> u64 {
+        let count = *self.count;
+        *self.count += 1;
+        count
+    }
 }
 
 impl<P: Protocol> std::fmt::Debug for Sender<'_, P> {
@@ -210,11 +246,20 @@ impl<P: Protocol> Link<P> for SimLink<P> {
     ) {
         let from = sender.from;
         let at = sender.now + (net.one_way(from, to) + extra);
+        let tie = sender.tie;
         if self.placement.lane(to) == self.index {
             let ev = Event::Deliver { from, to, msg };
-            sender.ties.schedule(sender.queue, at, to.as_u32(), ev);
+            sender
+                .backlog
+                .schedule(sender.queue, at, tie, to.as_u32(), ev);
         } else {
-            self.outbox.push(CrossLaneMsg { at, from, to, msg });
+            self.outbox.push(CrossLaneMsg {
+                at,
+                tie,
+                from,
+                to,
+                msg,
+            });
         }
     }
 }
@@ -235,8 +280,6 @@ pub(crate) type SimWorker<P> = Worker<P, SimLink<P>>;
 
 /// One lane: a self-contained slice of the node population.
 pub(crate) struct Lane<P: Protocol, L> {
-    /// This lane's index in `0..lanes`.
-    index: u32,
     /// Where every node lives (what a protocol's `node_count` reads).
     placement: Placement,
     /// Protocol state for owned nodes, arena-style: dense by slot, never
@@ -245,7 +288,9 @@ pub(crate) struct Lane<P: Protocol, L> {
     pub(crate) nodes: Vec<P>,
     pub(crate) alive: Vec<bool>,
     rngs: Vec<SmallRng>,
-    pub(crate) ties: Ties,
+    /// How many events each node has scheduled: the count of its next tie.
+    counts: Vec<u64>,
+    pub(crate) backlog: Backlog,
     pub(crate) stats: TrafficStats,
     kernel: KernelStats,
     /// `Some` once telemetry is turned on.
@@ -263,21 +308,17 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
     /// each unused.
     fn new(index: usize, placement: Placement, seed: u64, link: L) -> Self {
         let nodes = placement.owned(index);
-        let index = index as u32;
         Lane {
-            index,
             placement,
             nodes: Vec::with_capacity(nodes),
             alive: Vec::with_capacity(nodes),
             rngs: Vec::with_capacity(nodes),
-            ties: Ties {
-                next: u64::from(index) << SEQ_BITS,
-                pending: 0,
-            },
+            counts: Vec::with_capacity(nodes),
+            backlog: Backlog::default(),
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),
             telemetry: None,
-            faults: FaultState::new(placement.population(), seed, index),
+            faults: FaultState::new(placement.population(), seed),
             link,
         }
     }
@@ -289,6 +330,7 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
         debug_assert_eq!(self.placement.slot(id), self.nodes.len());
         self.nodes.push(node);
         self.alive.push(true);
+        self.counts.push(0);
         self.rngs.push(SmallRng::seed_from_u64(
             seed.wrapping_mul(GOLDEN) ^ id.index() as u64,
         ));
@@ -313,6 +355,19 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
         }
     }
 
+    /// Counts one event popped off this lane's backlog.
+    #[inline(always)]
+    fn popped(&mut self) {
+        // The depth this lane had with the event still pending, then without.
+        let backlog = &mut self.backlog;
+        self.kernel.queue_high_water = self.kernel.queue_high_water.max(backlog.pending);
+        backlog.pending -= 1;
+        self.kernel.events_processed += 1;
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.queue_depth.observe(backlog.pending as u64);
+        }
+    }
+
     /// Runs one popped event at `at`: its own time in the kernel, the time
     /// it fires at on the wire.
     #[inline(always)]
@@ -324,26 +379,17 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
         env: &L::Env,
         sink: &mut S,
     ) {
-        // The depth this lane had with the event still pending, then without.
-        self.kernel.queue_high_water = self.kernel.queue_high_water.max(self.ties.pending);
-        self.ties.pending -= 1;
-        self.kernel.events_processed += 1;
-        if let Some(telemetry) = &mut self.telemetry {
-            telemetry.queue_depth.observe(self.ties.pending as u64);
-            if self
-                .kernel
-                .events_processed
-                .is_multiple_of(TELEMETRY_SAMPLE)
-            {
-                let class = ev.class();
-                let t0 = std::time::Instant::now();
-                self.dispatch(at, ev, queue, env, sink);
-                let ns = t0.elapsed().as_nanos() as u64;
-                if let Some(telemetry) = &mut self.telemetry {
-                    telemetry.dispatch_time[class.index()].observe(ns);
-                }
-                return;
+        self.popped();
+        let events = self.kernel.events_processed;
+        if self.telemetry.is_some() && events.is_multiple_of(TELEMETRY_SAMPLE) {
+            let class = ev.class();
+            let t0 = std::time::Instant::now();
+            self.dispatch(at, ev, queue, env, sink);
+            let ns = t0.elapsed().as_nanos() as u64;
+            if let Some(telemetry) = &mut self.telemetry {
+                telemetry.dispatch_time[class.index()].observe(ns);
             }
+            return;
         }
         self.dispatch(at, ev, queue, env, sink);
     }
@@ -385,9 +431,7 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
                 self.alive[l] = false;
             }
             Event::Control(fault) => {
-                // Lane 0 alone counts the broadcast, so `control_events`
-                // is per scheduled fault at any lane count.
-                self.kernel.control_events += u64::from(self.index == 0);
+                self.kernel.control_events += 1;
                 self.faults.apply(&fault);
             }
         }
@@ -412,8 +456,10 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
             sender: Sender {
                 from: node,
                 now: at,
+                tie: 0,
+                count: &mut self.counts[l],
                 queue,
-                ties: &mut self.ties,
+                backlog: &mut self.backlog,
             },
             population: self.placement.population(),
             env,
@@ -429,8 +475,8 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
     /// This lane's counters; the queue's storage is its worker's to add.
     pub(crate) fn kernel_stats(&self) -> KernelStats {
         let mut k = self.kernel;
-        k.queue_len = self.ties.pending;
-        k.events_scheduled = self.ties.next & SEQ_MASK;
+        k.queue_len = self.backlog.pending;
+        k.events_scheduled = self.backlog.scheduled;
         k.fates = self.faults.fates();
         k
     }
@@ -449,7 +495,31 @@ pub struct Worker<P: Protocol, L> {
     pub(crate) queue: Queue<P>,
     /// Recorder events of the window, in pop order, where several workers
     /// share one recorder ([`Worker::buffered`]).
-    pub(crate) events_out: VecRecorder<P::Event>,
+    pub(crate) events_out: WindowBuffer<P::Event>,
+}
+
+/// A worker's recorder events of one window, each under the tie of the
+/// event whose handler emitted it, for [`WorkerSet::merge_into`].
+#[derive(Debug)]
+pub(crate) struct WindowBuffer<E> {
+    /// The tie of the event being run.
+    tie: u64,
+    pub(crate) events: Vec<(SimTime, u64, NodeId, E)>,
+}
+
+impl<E> Default for WindowBuffer<E> {
+    fn default() -> Self {
+        WindowBuffer {
+            tie: 0,
+            events: Vec::new(),
+        }
+    }
+}
+
+impl<E> Recorder<E> for WindowBuffer<E> {
+    fn record(&mut self, now: SimTime, node: NodeId, event: E) {
+        self.events.push((now, self.tie, node, event));
+    }
 }
 
 impl<P: Protocol, L> std::fmt::Debug for Worker<P, L> {
@@ -477,36 +547,35 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
     /// Runs `f` with this worker's window buffer as the recorder: where
     /// several workers share one recorder, each records into its own, and
     /// [`WorkerSet::merge_into`] merges them.
-    pub fn buffered<T>(&mut self, f: impl FnOnce(&mut Self, &mut VecRecorder<P::Event>) -> T) -> T {
+    pub fn buffered<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut dyn Recorder<P::Event>) -> T,
+    ) -> T {
         let mut out = std::mem::take(&mut self.events_out);
         let t = f(self, &mut out);
         self.events_out = out;
         t
     }
 
-    /// Schedules `ev` for lane `lane` (a global index, in this chunk).
+    /// Schedules `ev` at `(at, tie)` for lane `lane` (a global index, in
+    /// this chunk).
     #[inline]
-    pub(crate) fn schedule(&mut self, lane: usize, at: SimTime, hint: u32, ev: Ev<P>) {
-        let ties = &mut self.lanes[lane - self.first].ties;
-        ties.schedule(&mut self.queue, at, hint, ev);
+    pub(crate) fn schedule(&mut self, lane: usize, at: SimTime, tie: u64, hint: u32, ev: Ev<P>) {
+        let backlog = &mut self.lanes[lane - self.first].backlog;
+        backlog.schedule(&mut self.queue, at, tie, hint, ev);
     }
 
-    /// Calls `on_start` on every alive node, lane by lane.
-    pub fn start<S: Recorder<P::Event>>(&mut self, env: &L::Env, sink: &mut S) {
-        for lane in &mut self.lanes {
-            for l in 0..lane.nodes.len() {
-                let id = lane.placement.node(lane.index as usize, l);
-                if lane.alive[l] {
-                    let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
-                    lane.with_ctx(SimTime::ZERO, id, &mut self.queue, env, sink, on_start);
-                }
-            }
+    /// Calls `on_start` on `g`, an owned node, if it is alive.
+    fn start_node<S: Recorder<P::Event>>(&mut self, g: NodeId, env: &L::Env, sink: &mut S) {
+        let lane = &mut self.lanes[self.placement.lane(g) - self.first];
+        if lane.alive[self.placement.slot(g)] {
+            let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
+            lane.with_ctx(SimTime::ZERO, g, &mut self.queue, env, sink, on_start);
         }
     }
 
-    /// Runs every event with `at <= end_inclusive`, in `(time, lane,
-    /// sequence)` order: each lane's own order, and for the chunk the
-    /// order the engine's recorder merges lanes in.
+    /// Runs every event with `at <= end_inclusive`, in `(time, tie)`
+    /// order.
     ///
     /// The event sink is a type parameter — the engine's own recorder with
     /// one worker, this worker's buffer otherwise — and the execute →
@@ -524,6 +593,17 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
             self.execute(ev.at, ev, env, sink);
         }
+    }
+
+    /// [`Worker::run_window`] into this worker's window buffer, each
+    /// recorder event under the tie of the event that emitted it.
+    pub(crate) fn run_window_buffered(&mut self, end_inclusive: SimTime, env: &L::Env) {
+        let mut out = std::mem::take(&mut self.events_out);
+        while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
+            out.tie = ev.seq;
+            self.execute(ev.at, ev, env, &mut out);
+        }
+        self.events_out = out;
     }
 
     /// Runs the earliest event, returning its timestamp.
@@ -582,8 +662,22 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         sink: &mut S,
     ) {
         self.prefetch_next();
-        let lane = (ev.seq >> SEQ_BITS) as usize - self.first;
-        self.lanes[lane].execute(at, ev.payload, &mut self.queue, env, sink);
+        let Some(node) = ev.payload.node() else {
+            // A broadcast fault: one copy a worker, which applies it to
+            // each of its lanes' replicas. Worker 0's copy alone is
+            // counted, so a fault is one event at any layout.
+            if let Event::Control(fault) = &ev.payload {
+                self.lanes.iter_mut().for_each(|l| l.faults.apply(fault));
+            }
+            if self.first == 0 {
+                let home = &mut self.lanes[0];
+                home.popped();
+                home.kernel.control_events += 1;
+            }
+            return;
+        };
+        let lane = &mut self.lanes[self.placement.lane(node) - self.first];
+        lane.execute(at, ev.payload, &mut self.queue, env, sink);
     }
 
     /// Starts fetching what the next two dispatches read, so the misses
@@ -617,13 +711,14 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
     }
 }
 
-/// A window's buffered event on its way to the recorder: `(at, worker,
-/// emission order, node, event)`.
-type Buffered<E> = (SimTime, u32, u32, NodeId, E);
+/// A window's buffered event on its way to the recorder: `(at, tie,
+/// worker, emission order, node, event)`.
+type Buffered<E> = (SimTime, u64, u32, u32, NodeId, E);
 
-/// Merges the workers' window buffers into `recorder` by `(time, worker,
-/// emission order)`: each worker's own order, and for a set of ascending
-/// chunks of lanes the order one worker over them all would pop in.
+/// Merges the workers' window buffers into `recorder` by `(time, tie,
+/// emission order)`: the order one worker over every node pops and emits
+/// in, whatever the layout. (Only a wire shard, which fires in wall-clock
+/// time, records under equal ties; the worker index orders those.)
 pub(crate) fn merge_buffers<'a, P: Protocol + 'a, L: 'a, R: Recorder<P::Event>>(
     workers: impl Iterator<Item = &'a mut Worker<P, L>>,
     merging: &mut Vec<Buffered<P::Event>>,
@@ -631,12 +726,14 @@ pub(crate) fn merge_buffers<'a, P: Protocol + 'a, L: 'a, R: Recorder<P::Event>>(
 ) {
     for (i, w) in workers.enumerate() {
         let events = w.events_out.events.drain(..).enumerate();
-        merging.extend(events.map(|(pos, (at, node, ev))| (at, i as u32, pos as u32, node, ev)));
+        merging.extend(
+            events.map(|(pos, (at, tie, node, ev))| (at, tie, i as u32, pos as u32, node, ev)),
+        );
     }
     // The keys are unique, so the unstable sort is the stable one without
     // its allocation.
-    merging.sort_unstable_by_key(|(at, w, pos, _, _)| (*at, *w, *pos));
-    for (at, _, _, node, ev) in merging.drain(..) {
+    merging.sort_unstable_by_key(|(at, tie, w, pos, _, _)| (*at, *tie, *w, *pos));
+    for (at, _, _, _, node, ev) in merging.drain(..) {
         recorder.record(at, node, ev);
     }
 }
@@ -649,6 +746,9 @@ pub(crate) fn merge_buffers<'a, P: Protocol + 'a, L: 'a, R: Recorder<P::Event>>(
 pub struct WorkerSet<P: Protocol, L> {
     placement: Placement,
     pub(crate) list: Vec<Worker<P, L>>,
+    /// How many events the harness has scheduled: the count of its next
+    /// tie.
+    harness: u64,
     /// Events being merged ([`merge_buffers`]); empty between merges.
     pub(crate) merging: Vec<Buffered<P::Event>>,
 }
@@ -658,19 +758,20 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
     /// builds each node in global id order (so bootstrap draws do not
     /// depend on the layout), handed the link of the lane that owns it.
     /// Node `g` draws from `seed * GOLDEN ^ g` whichever lane owns it, and
-    /// lane `i`'s chaos stream is the engine's lane `i`'s.
+    /// every lane decides loss and jitter from the same seed.
     ///
     /// # Panics
     ///
-    /// Panics at 2²⁴ lanes or more: a lane's index fills the top of its
-    /// events' tie keys.
+    /// Panics at 2²⁴ − 1 nodes or more: a node's id fills the top of the
+    /// tie keys of the events it schedules.
     pub fn new(
         placement: Placement,
         seed: u64,
         mut link: impl FnMut(usize) -> L,
         mut make: impl FnMut(NodeId, &mut L) -> P,
     ) -> Self {
-        assert!(placement.lanes() < MAX_LANES, "at most {MAX_LANES} lanes");
+        let population = placement.population();
+        assert!(population < MAX_NODES, "at most {MAX_NODES} nodes");
         let list = (0..placement.workers())
             .map(|w| {
                 let lanes = placement.lanes_of(w);
@@ -681,16 +782,17 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
                         .map(|i| Lane::new(i, placement, seed, link(i)))
                         .collect(),
                     queue: EventQueue::new(),
-                    events_out: VecRecorder::new(),
+                    events_out: WindowBuffer::default(),
                 }
             })
             .collect();
         let mut set = WorkerSet {
             placement,
             list,
+            harness: 0,
             merging: Vec::new(),
         };
-        for id in (0..placement.population() as u32).map(NodeId::new) {
+        for id in (0..population as u32).map(NodeId::new) {
             let lane = set.lane_mut(id);
             let node = make(id, &mut lane.link);
             lane.push_node(id, node, seed);
@@ -762,10 +864,25 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
         self.lane_mut(g).alive[slot] = false;
     }
 
-    /// Schedules `ev` for `g`'s lane.
+    /// Calls `on_start` on every alive node, in global id order whatever
+    /// the layout.
+    pub fn start<S: Recorder<P::Event>>(&mut self, env: &L::Env, sink: &mut S) {
+        for g in (0..self.placement.population() as u32).map(NodeId::new) {
+            let lane = self.placement.lane(g);
+            self.list[self.placement.worker(lane)].start_node(g, env, sink);
+        }
+    }
+
+    /// The harness's next tie.
+    fn harness_tie(&mut self) -> u64 {
+        self.harness += 1;
+        tie(0, self.harness - 1)
+    }
+
+    /// Schedules `ev` for `g`'s lane, under the harness's next tie.
     fn schedule_for(&mut self, at: SimTime, g: NodeId, ev: Ev<P>) {
-        let lane = self.placement.lane(g);
-        self.list[self.placement.worker(lane)].schedule(lane, at, g.as_u32(), ev);
+        let (lane, tie) = (self.placement.lane(g), self.harness_tie());
+        self.list[self.placement.worker(lane)].schedule(lane, at, tie, g.as_u32(), ev);
     }
 
     /// Schedules command `cmd` for `g` at `at`.
@@ -779,7 +896,8 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
         self.schedule_for(at, g, Event::Fail { node: g });
     }
 
-    /// Schedules `fault` at `at` for every lane.
+    /// Schedules `fault` at `at` for every worker, under one harness tie:
+    /// one event, of which worker 0 holds the counted copy.
     ///
     /// # Panics
     ///
@@ -787,10 +905,14 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
     /// the fault fires.
     pub fn schedule_fault(&mut self, at: SimTime, fault: &NetFault) {
         self.list[0].lanes[0].faults.validate(fault);
+        let tie = self.harness_tie();
         for w in &mut self.list {
-            for lane in &mut w.lanes {
-                let ev = Event::Control(fault.clone());
-                lane.ties.schedule(&mut w.queue, at, u32::MAX, ev);
+            let ev = Event::Control(fault.clone());
+            if w.first == 0 {
+                let home = &mut w.lanes[0].backlog;
+                home.schedule(&mut w.queue, at, tie, u32::MAX, ev);
+            } else {
+                w.queue.schedule_keyed(at, tie, u32::MAX, ev);
             }
         }
     }
@@ -850,12 +972,15 @@ struct Backend<'a, P: Protocol, L: Link<P>, S> {
 
 impl<P: Protocol, L: Link<P>, S: Recorder<P::Event>> HostBackend<P> for Backend<'_, P, L, S> {
     fn send(&mut self, to: NodeId, msg: P::Msg) {
-        // Send-path order: count the send, then the loss draw, then jitter.
+        // Send-path order: count the send, take its tie, then the loss
+        // and jitter draws for it.
         let from = self.sender.from;
         self.stats.record(from, to, msg.wire_size(), msg.class());
+        let count = self.sender.next_count();
+        self.sender.tie = tie(u64::from(from.as_u32()) + 1, count);
         let mut extra = Duration::ZERO;
         if self.faults.active() {
-            match self.faults.draw(from, to) {
+            match self.faults.draw(from, to, count) {
                 Some(jitter) => extra = jitter,
                 None => return,
             }
@@ -866,10 +991,12 @@ impl<P: Protocol, L: Link<P>, S: Recorder<P::Event>> HostBackend<P> for Backend<
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
         let sender = &mut self.sender;
         let node = sender.from;
+        let tie = tie(u64::from(node.as_u32()) + 1, sender.next_count());
         let ev = Event::Fire { node, timer };
+        let at = sender.now + delay;
         sender
-            .ties
-            .schedule(sender.queue, sender.now + delay, node.as_u32(), ev);
+            .backlog
+            .schedule(sender.queue, at, tie, node.as_u32(), ev);
     }
 
     fn emit(&mut self, event: P::Event) {

@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use crate::hash::mix;
 use crate::id::NodeId;
 
 /// Provides one-way network latency between pairs of nodes.
@@ -114,15 +115,6 @@ impl HashedLatency {
             seed,
         }
     }
-}
-
-/// A small fast mixing function (splitmix64 finalizer).
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 impl LatencyModel for HashedLatency {

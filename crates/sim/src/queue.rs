@@ -323,9 +323,9 @@ impl<T> EventQueue<T> {
     /// [`EventQueue::schedule_hinted`] with the caller's own tie-break:
     /// events at one instant pop in increasing `tie`, which the caller keeps
     /// unique among pending events (a queue is scheduled by keys or
-    /// without, not both). The kernel's worker queues key each event by its
-    /// lane and the lane's own sequence, so lanes sharing a queue pop as
-    /// if each had its own.
+    /// without, not both). The kernel keys each event by whoever scheduled
+    /// it and that scheduler's own count, so events pop in one order
+    /// whichever queue holds them.
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, tie: u64, hint: u32, payload: T) {
         let key = Key {

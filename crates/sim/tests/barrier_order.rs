@@ -1,15 +1,13 @@
 //! The window barrier's delivery order, pinned.
 //!
-//! Cross-lane messages enter the destination queue in `(source lane, send
-//! order)` and the queue sorts by arrival time, breaking ties by insertion.
-//! That must pop exactly like the explicit `(arrival, source lane, send
-//! order)` sort the barrier used to run over a copy of every message. On
+//! A cross-lane message waits in its sender's outbox until the barrier,
+//! then enters the destination queue under the tie its sender gave it, so
+//! it pops exactly where it would have had one queue held every node. On
 //! [`FixedLatency`] every cross-lane arrival of a tick ties on its arrival
 //! time, so the tie-break *is* the delivery order, and each node folds what
 //! it receives into the payloads it sends next — one swapped pair changes
-//! the rest of the stream. The digests below were captured from the
-//! sorted-merge barrier; the lane count is semantic (one digest each), the
-//! thread count is not.
+//! the rest of the stream. One digest holds at every lane and thread
+//! count.
 
 use std::hash::Hasher;
 use std::time::Duration;
@@ -90,19 +88,17 @@ fn stream_digest(lanes: usize, threads: usize) -> (usize, u64) {
 }
 
 #[test]
-fn tied_cross_lane_arrivals_deliver_in_sorted_merge_order() {
-    for (lanes, want) in [(4, PARENT_4_LANES), (64, PARENT_64_LANES)] {
+fn tied_cross_lane_arrivals_deliver_in_tie_order() {
+    for lanes in [1, 4, 64] {
         for threads in [1, 2, 4] {
             assert_eq!(
                 stream_digest(lanes, threads),
-                want,
+                PINNED,
                 "lanes {lanes}, threads {threads}"
             );
         }
     }
 }
 
-/// `(events, digest)` of the recorder stream under the parent's
-/// copy-and-sort barrier.
-const PARENT_4_LANES: (usize, u64) = (27_652, 12_153_039_899_583_310_794);
-const PARENT_64_LANES: (usize, u64) = (27_652, 6_249_584_293_560_062_774);
+/// `(events, digest)` of the recorder stream.
+const PINNED: (usize, u64) = (27_652, 123_190_694_769_965_482);

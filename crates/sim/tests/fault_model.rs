@@ -87,7 +87,7 @@ proptest! {
         seed in any::<u64>(),
         raw in proptest::collection::vec((0..9u32, 0..NODES, 0..NODES, any::<u32>()), 1..200),
     ) {
-        let mut state = FaultState::new(NODES as usize, seed, 0);
+        let mut state = FaultState::new(NODES as usize, seed);
         let mut model = Model::default();
         for op in raw.into_iter().map(op) {
             match &op {
@@ -99,10 +99,8 @@ proptest! {
                     let (na, nb) = (NodeId::new(*a), NodeId::new(*b));
                     prop_assert_eq!(state.blocked(na, nb, false), model.blocked(*a, *b), "{} -> {}", a, b);
                     prop_assert_eq!(state.is_cut(na, nb), a != b && model.cut.contains(&(*a.min(b), *a.max(b))));
-                    // A self-send makes no draw and carries no jitter, so
-                    // it can be asked for at any time without moving the
-                    // stream.
-                    prop_assert_eq!(state.draw(na, na), Some(Duration::ZERO));
+                    // A self-send makes no draw and carries no jitter.
+                    prop_assert_eq!(state.draw(na, na, u64::from(*b)), Some(Duration::ZERO));
                 }
             }
             prop_assert_eq!(state.loss(), model.loss);
@@ -116,18 +114,18 @@ proptest! {
     /// What `draw` hands back respects the settings: nothing is lost at
     /// zero loss, everything at one, and jitter stays inside its bound.
     #[test]
-    fn draws_respect_the_settings(seed in any::<u64>(), replica in 0..4u32, jitter_us in 0..5_000u64) {
+    fn draws_respect_the_settings(seed in any::<u64>(), first in any::<u32>(), jitter_us in 0..5_000u64) {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let bound = Duration::from_micros(jitter_us);
-        let mut state = FaultState::new(2, seed, replica);
+        let mut state = FaultState::new(2, seed);
         state.apply(&NetFault::SetJitter(bound));
-        for _ in 0..32 {
-            let extra = state.draw(a, b);
+        for count in (0..32).map(|i| u64::from(first) + i) {
+            let extra = state.draw(a, b, count);
             prop_assert!(extra.is_some_and(|d| d <= bound));
         }
         state.apply(&NetFault::SetLoss(1.0));
-        for _ in 0..32 {
-            prop_assert_eq!(state.draw(a, b), None);
+        for count in 0..32 {
+            prop_assert_eq!(state.draw(a, b, count), None);
         }
         prop_assert_eq!(state.fates().lost, 32);
     }

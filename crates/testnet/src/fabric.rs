@@ -361,9 +361,10 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> T
         }
         self.started = true;
         self.epoch = Instant::now();
-        let record = self.record;
-        for w in self.shards.workers_mut() {
-            recording(w, record, |w, mut sink| w.start(&(), &mut sink));
+        if self.record {
+            self.shards.start(&(), &mut self.recorder);
+        } else {
+            self.shards.start(&(), &mut NullRecorder);
         }
     }
 

@@ -248,11 +248,11 @@ const CHAOS_CHURN_GOCAST: &str = "stack=gocast seed=7 plan=8 injected=10 expecte
 const CHAOS_CHURN_PLUMTREE: &str = "stack=plumtree seed=7 plan=8 injected=10 expected=581 delivered=581 ratio=1.000000 hops=3116/624 pulls=105/624 w[15100ms]=624/581 orphans=0 mean=0ms max=0ms oracle=0/5186 kernel[ev=34713 del=29249 drop=0 part=0 loss=0 tmr=5446 cmd=18 ctl=0]";
 const CHAOS_PARTITION_GOCAST: &str = "stack=gocast seed=7 plan=2 injected=10 expected=630 delivered=630 ratio=1.000000 hops=3516/630 pulls=29/630 w[15100ms]=630/630 repair[partition@22500ms]=0ms repair[partition-heal@30000ms]=0ms orphans=4 mean=2ms max=5ms oracle=0/6793 kernel[ev=152631 del=83518 drop=3571 part=3571 loss=0 tmr=65530 cmd=10 ctl=2]";
 const CHAOS_PARTITION_PLUMTREE: &str = "stack=plumtree seed=7 plan=2 injected=10 expected=630 delivered=630 ratio=1.000000 hops=3169/630 pulls=109/630 w[15100ms]=630/630 repair[partition@22500ms]=0ms repair[partition-heal@30000ms]=0ms orphans=2 mean=278ms max=448ms oracle=0/5524 kernel[ev=28982 del=23867 drop=678 part=678 loss=0 tmr=4425 cmd=10 ctl=2]";
-const CHAOS_LOSSY_GOCAST: &str = "stack=gocast seed=7 plan=6 injected=10 expected=602 delivered=602 ratio=1.000000 hops=3356/630 pulls=45/630 w[15100ms]=630/602 orphans=7 mean=8120ms max=27686ms oracle=0/7144 kernel[ev=176695 del=100425 drop=0 part=0 loss=671 tmr=76254 cmd=14 ctl=2]";
-const SCALE_DELIVERY: &str = "phase=delivery nodes=2000 lanes=64 faults=0 injected=4 expected=7996 delivered=7996 ratio=1.000000 incomplete=0 oracle=0/173386 delay[mean=223978us p50=209685us p99=365544us max=510795us] kernel[ev=4211732 del=2488148 drop=0 part=0 loss=0 tmr=1723580 cmd=4 ctl=0]";
-const SCALE_CATASTROPHE: &str = "phase=chaos:catastrophe nodes=2000 lanes=64 faults=3 injected=4 expected=7984 delivered=7984 ratio=1.000000 incomplete=0 oracle=0/175168 delay[mean=223999us p50=209697us p99=370688us max=510795us] kernel[ev=4715091 del=2769975 drop=552 part=0 loss=0 tmr=1944542 cmd=4 ctl=3]";
+const CHAOS_LOSSY_GOCAST: &str = "stack=gocast seed=7 plan=6 injected=10 expected=602 delivered=602 ratio=1.000000 hops=3472/630 pulls=55/630 w[15100ms]=630/602 orphans=7 mean=8139ms max=27686ms oracle=0/7158 kernel[ev=176691 del=100416 drop=0 part=0 loss=691 tmr=76259 cmd=14 ctl=2]";
+const SCALE_DELIVERY: &str = "phase=delivery nodes=2000 faults=0 injected=4 expected=7996 delivered=7996 ratio=1.000000 incomplete=0 oracle=0/172575 delay[mean=215738us p50=208955us p99=360400us max=484181us] kernel[ev=4207080 del=2483593 drop=0 part=0 loss=0 tmr=1723483 cmd=4 ctl=0]";
+const SCALE_CATASTROPHE: &str = "phase=chaos:catastrophe nodes=2000 faults=3 injected=4 expected=7984 delivered=7984 ratio=1.000000 incomplete=0 oracle=0/175153 delay[mean=215720us p50=208928us p99=360400us max=484181us] kernel[ev=4717349 del=2772236 drop=646 part=0 loss=0 tmr=1944445 cmd=4 ctl=3]";
 const APP_PUBSUB: &str = "workload=pubsub phase=baseline nodes=96 topics=6 epochs=1 faults=0 subevents=0 injected=12 deliveries=857 bytes=877568 goodput=137.4 mutations=0 applies=0 unapplied=0 stale_us=0 conv[p50=0us p99=0us max=0us] subs=0/0 audit[replicas=206 topics=6 divergent=0] oracle=0/6768 kernel[ev=271499 del=158853 drop=0 part=0 loss=0 tmr=112634 cmd=12 ctl=0]";
-const APP_CRDT: &str = "workload=crdt phase=chaos:spec nodes=96 topics=6 epochs=1 faults=12 subevents=0 injected=12 deliveries=625 bytes=640000 goodput=94.4 mutations=12 applies=625 unapplied=0 stale_us=484296 conv[p50=825335us p99=1026616us max=1026616us] subs=0/0 audit[replicas=193 topics=6 divergent=0] oracle=0/7494 kernel[ev=285528 del=168796 drop=0 part=0 loss=0 tmr=116708 cmd=24 ctl=0]";
+const APP_CRDT: &str = "workload=crdt phase=chaos:spec nodes=96 topics=6 epochs=1 faults=12 subevents=0 injected=12 deliveries=625 bytes=640000 goodput=94.4 mutations=12 applies=625 unapplied=0 stale_us=484296 conv[p50=825335us p99=1026616us max=1026616us] subs=0/0 audit[replicas=193 topics=6 divergent=0] oracle=0/7492 kernel[ev=285524 del=168792 drop=0 part=0 loss=0 tmr=116708 cmd=24 ctl=0]";
 const FIG3A: &str = concat!(
     "              protocol  complete  p10(s)  p50(s)  p90(s)  p99(s)  max(s)  mean(s)  redundancy  pulls\n",
     "  --------------------------------------------------------------------------------------------------\n",
@@ -327,11 +327,11 @@ const COMPARE_CHURN: &str = concat!(
 // the calendar queue's tiers add (3,648 B): 83,208 at every sample. It
 // also pins the histogram layout: `kernel_queue_depth` and
 // `proto_delay_ns` list their non-empty buckets by index.
-const CHAOS_CHURN_METRICS_FNV: u64 = 0x553613245352deb5;
+const CHAOS_CHURN_METRICS_FNV: u64 = 0xf0988dac80074471;
 const FIG3A_TRACE_FNV: [u64; 5] = [
-    0x4151c88554a144fe,
-    0x920866c35dc39aba,
-    0x26846a1c9377824b,
+    0xfa43fa47a2d48446,
+    0x1f518e426db9a516,
+    0x546fe5560186cb37,
     0xf0e7bf8f1492ee7b,
-    0xea14a501eaf2c309,
+    0x4c1ae18776669a25,
 ];

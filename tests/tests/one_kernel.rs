@@ -1,10 +1,9 @@
-//! Differential test of the one simulation engine's two entry points:
-//! `Sim` and a one-lane `ShardedSim` run the same program. 256 GoCast
-//! nodes, identical seed and schedule; the full recorder stream, the
-//! kernel counters (wall time aside) and the traffic totals must agree
-//! under every kind of fault the kernel injects — including loss and
-//! jitter, whose random stream a one-lane engine draws identically
-//! whichever builder made it.
+//! The engine's one determinism contract, tested: a run is a function of
+//! its seed and nothing else. 256 GoCast nodes, identical seed and
+//! schedule, on `Sim` and on `ShardedSim` at 1, 2 and 4 threads: the full
+//! recorder stream, every kernel counter that says what ran and the
+//! traffic totals must agree under every kind of fault the kernel injects
+//! — including loss and jitter, which every layout draws alike.
 
 use std::time::Duration;
 
@@ -64,9 +63,16 @@ type Outcome = (
     u64,
 );
 
+/// What a run did. Left out: `wall_time`, and the fields that say how
+/// the pending events were stored (`slab_slots`, `queue_mem_bytes` and
+/// `queue_high_water`, the deepest one queue got), which depend on the
+/// thread count.
 fn outcome<M: Mode>(sim: Engine<GoCastNode, Rec, M>) -> Outcome {
     let kernel = KernelStats {
         wall_time: Duration::ZERO,
+        slab_slots: 0,
+        queue_mem_bytes: 0,
+        queue_high_water: 0,
         ..sim.kernel_stats()
     };
     let (total, dropped) = (sim.stats().total(), kernel.fates.total());
@@ -79,20 +85,29 @@ fn assert_entry_points_agree(scenario: &Scenario) -> Outcome {
         .build_with(Rec::new(), member());
     schedule(&mut serial, scenario);
     serial.run_until(END);
-
-    let mut one_lane = ShardedSimBuilder::new(net())
-        .seed(SEED)
-        .lanes(1)
-        .build_with(Rec::new(), member());
-    schedule(&mut one_lane, scenario);
-    one_lane.run_until(END);
-
-    let (serial, one_lane) = (outcome(serial), outcome(one_lane));
+    let serial = outcome(serial);
     assert!(serial.0.len() > 100_000, "run too quiet to compare");
-    // Counters first: a mismatch there reads better than a stream diff.
-    assert_eq!(serial.1, one_lane.1, "kernel counters");
-    assert_eq!((serial.2, serial.3), (one_lane.2, one_lane.3), "traffic");
-    assert!(serial.0 == one_lane.0, "recorder streams differ");
+
+    for threads in [1, 2, 4] {
+        let mut sharded = ShardedSimBuilder::new(net())
+            .seed(SEED)
+            .threads(threads)
+            .build_with(Rec::new(), member());
+        schedule(&mut sharded, scenario);
+        sharded.run_until(END);
+        let sharded = outcome(sharded);
+        // Counters first: a mismatch there reads better than a stream diff.
+        assert_eq!(serial.1, sharded.1, "kernel counters, {threads} threads");
+        assert_eq!(
+            (serial.2, serial.3),
+            (sharded.2, sharded.3),
+            "traffic, {threads} threads"
+        );
+        assert!(
+            serial.0 == sharded.0,
+            "recorder streams differ at {threads} threads"
+        );
+    }
     serial
 }
 
