@@ -38,7 +38,7 @@ use std::time::Duration;
 use gocast::{GoCastConfig, GoCastNode};
 use gocast_analysis::{ConvergenceReport, InvariantOracle, MetricsRecorder, Table};
 use gocast_app::{AppCommand, AppConfig, CrdtAudit, SubscriptionTable, TopicDirectory, TopicMux};
-use gocast_sim::{Lanes, NodeId, PresenceTimeline, Scenario, ScenarioPlan, SimTime};
+use gocast_sim::{NodeId, PresenceTimeline, Scenario, ScenarioPlan, SimTime, Threaded};
 use gocast_testnet::{deployment_config, loopback_available, Testnet, TestnetConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -353,7 +353,7 @@ pub fn run_app(
         Some(InvariantOracle::for_protocol(&cfg)),
     );
     let nodes = staged.nodes(&cfg, AppConfig::default());
-    let mut run: Run<AppNode, Lanes> = Run::sharded(opts, net, recorder, nodes);
+    let mut run: Run<AppNode, Threaded> = Run::sharded(opts, net, recorder, nodes);
     run.warm(opts.warmup);
     run.schedule(&staged.plan);
     let start = run.sim.now() + Duration::from_millis(100);
@@ -447,15 +447,9 @@ pub fn run_app_wire(
     net.run_for(Duration::from_nanos(end.as_nanos()));
 
     let core = audit_wire(&mut net, u64::from(opts.messages), staged.plan.len());
-    let phase = format!("wire:{label}");
-    Ok(staged.outcome(
-        phase,
-        true,
-        (start, end),
-        core,
-        &net.recorder().metrics,
-        |n| (!net.is_crashed(n)).then(|| net.node(n)),
-    ))
+    let (phase, ledger) = (format!("wire:{label}"), &net.recorder().metrics);
+    let node = |n: NodeId| (!net.is_crashed(n)).then(|| net.node(n));
+    Ok(staged.outcome(phase, true, (start, end), core, ledger, node))
 }
 
 /// Scenario presets the subcommands run when `--scenario`/`--spec` is

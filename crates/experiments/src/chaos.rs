@@ -34,7 +34,7 @@ use gocast_analysis::{
     fmt_ms, fmt_secs, DeliveryTracker, InvariantOracle, MetricsRecorder, OracleConfig, WindowRatio,
 };
 use gocast_plumtree::PlumtreeNode;
-use gocast_sim::{NodeId, OneLane, Scenario, SimTime, Split, Stack};
+use gocast_sim::{NodeId, Scenario, Serial, SimTime, Split, Stack};
 
 use crate::options::{ExpOptions, StackKind};
 use crate::pipeline::{
@@ -189,7 +189,7 @@ pub fn run_chaos(opts: &ExpOptions, scenario: &Scenario) -> ChaosOutcome {
 }
 
 /// The chaos configuration of the pipeline, generic over the stack: the
-/// one-lane kernel over the synthetic-King matrix (site groups make group
+/// serial kernel over the synthetic-King matrix (site groups make group
 /// faults correlated site failures), the scenario compiled and scheduled
 /// after warm-up, presence-gated sources, tree attachment sampled every
 /// [`SLICE`], and a presence-aware store audit.
@@ -203,7 +203,7 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
     let plan = compile_plan(opts, scenario, net.site_assignment());
     let presence = plan.presence();
     let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), Some(oracle));
-    let mut run: Run<S, OneLane> = Run::serial(opts, net, false, recorder, make);
+    let mut run: Run<S, Serial> = Run::serial(opts, net, false, recorder, make);
     run.warm(opts.warmup);
     run.schedule(&plan);
     let start = run.inject_multicasts(opts, &Sources::Present(&presence));

@@ -90,8 +90,8 @@ pub struct ExpOptions {
     /// Worker threads *inside one simulation* for the sharded kernel
     /// (`--sim-shards N` on the `scale` subcommand). Unlike `jobs`
     /// (which fans independent runs out) this parallelizes a single run;
-    /// the sharded kernel's fixed-lane design keeps results byte-identical
-    /// at any value. 1 (the default) is the fully serial window loop.
+    /// results are byte-identical at any value, and to the serial
+    /// kernel's. 1 (the default) runs the serial kernel's loop.
     pub sim_shards: usize,
     /// Concurrent logical topics for the application-tier subcommands
     /// (`pubsub`, `crdt`; `--topics N`). Protocol-level experiments

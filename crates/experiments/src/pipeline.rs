@@ -7,8 +7,8 @@
 //! (DESIGN.md's experiment index lists which kernel, stack, scenario,
 //! source rule and observers each one picks):
 //!
-//! 1. **build** — a network ([`build_network`] on the one-lane kernel,
-//!    [`scale_network`] on the 64-lane one), the standard bootstrap graph
+//! 1. **build** — a network ([`build_network`] for the serial kernel,
+//!    [`scale_network`] for the threaded one), the standard bootstrap graph
 //!    ([`bootstrapped`]), one [`RunRecorder`], and [`Run::serial`] or
 //!    [`Run::sharded`];
 //! 2. **warm** — [`Run::warm`], unobserved;
@@ -34,8 +34,8 @@
 //! workload stream is seeded from [`ExpOptions::seed`]; a run is a
 //! function of its options. Independent runs therefore fan across
 //! `--jobs` worker threads ([`crate::sweep::per_seed`]) and merge in
-//! submission order, and `--sim-shards` only spreads the fixed lanes of one
-//! run over threads: every manifest, summary string and CSV is
+//! submission order, and `--sim-shards` only spreads one run's nodes over
+//! threads: every manifest, summary string and CSV is
 //! byte-identical at any value of either. `--trace-out` and
 //! `--metrics-out` number their files in run-start order, so they force
 //! `--jobs 1` ([`ExpOptions::effective_jobs`]); neither changes a run.
@@ -51,9 +51,9 @@ use gocast_analysis::{Cdf, InvariantOracle, MetricsRecorder, WindowRatio};
 use gocast_metrics::{RunManifest, Snapshot};
 use gocast_net::{synthetic_king, OnDemandKing, SiteLatencyMatrix, SyntheticKingConfig};
 use gocast_sim::{
-    Engine, KernelStats, Lanes, LatencyModel, Mode, NodeId, OneLane, PresenceTimeline, Protocol,
-    Recorder, Scenario, ScenarioEnv, ScenarioPlan, ShardedSimBuilder, SimBuilder, SimTime, Stack,
-    TraceRecorder,
+    Engine, KernelStats, LatencyModel, Mode, NodeId, PresenceTimeline, Protocol, Recorder,
+    Scenario, ScenarioEnv, ScenarioPlan, Serial, ShardedSimBuilder, SimBuilder, SimTime, Stack,
+    Threaded, TraceRecorder,
 };
 use gocast_testnet::Testnet;
 use rand::rngs::SmallRng;
@@ -217,8 +217,8 @@ pub struct RunCore {
     /// The first few violations, formatted (empty on a clean run) — so a
     /// failing gate says *what* broke, not just that something did.
     pub violation_lines: Vec<String>,
-    /// Kernel counters at the end of the run (on the wire: the shards'
-    /// lanes, summed).
+    /// Kernel counters at the end of the run (on the wire: summed over
+    /// the shards).
     pub kernel: KernelStats,
     /// Final combined metrics snapshot (kernel or fabric + protocol).
     pub metrics: Snapshot,
@@ -279,12 +279,12 @@ fn king_config(opts: &ExpOptions) -> SyntheticKingConfig {
     }
 }
 
-/// The one-lane kernel's network: the synthetic-King site latency matrix.
+/// The serial kernel's network: the synthetic-King site latency matrix.
 pub fn build_network(opts: &ExpOptions) -> SiteLatencyMatrix {
     synthetic_king(opts.nodes, &king_config(opts))
 }
 
-/// The 64-lane kernel's network: the same synthetic-King sites with
+/// The threaded kernel's network: the same synthetic-King sites with
 /// O(sites) memory, every pairwise latency synthesized on demand.
 pub fn scale_network(opts: &ExpOptions) -> OnDemandKing {
     OnDemandKing::new(opts.nodes, &king_config(opts))
@@ -393,19 +393,19 @@ pub fn horizon(opts: &ExpOptions, start: SimTime, plan: Option<&ScenarioPlan>) -
 }
 
 /// The one method the two engine modes do not share: `run_until` needs
-/// `Send` nodes and messages on [`Lanes`] only.
+/// `Send` nodes and messages on [`Threaded`] only.
 pub trait Advance {
     /// Processes every event due by `deadline`, then moves the clock there.
     fn advance(&mut self, deadline: SimTime);
 }
 
-impl<P: Protocol, R: Recorder<P::Event>> Advance for Engine<P, R, OneLane> {
+impl<P: Protocol, R: Recorder<P::Event>> Advance for Engine<P, R, Serial> {
     fn advance(&mut self, deadline: SimTime) {
         self.run_until(deadline);
     }
 }
 
-impl<P, R> Advance for Engine<P, R, Lanes>
+impl<P, R> Advance for Engine<P, R, Threaded>
 where
     P: Protocol + Send,
     P::Msg: Send,
@@ -511,8 +511,8 @@ where
     pub sim: Engine<S, RunRecorder, M>,
 }
 
-impl<S: Stack<Event = GoCastEvent>> Run<S, OneLane> {
-    /// Builds the run on the one-lane kernel. `pair_counts` turns on
+impl<S: Stack<Event = GoCastEvent>> Run<S, Serial> {
+    /// Builds the run on the serial kernel. `pair_counts` turns on
     /// per-endpoint-pair traffic counting (link stress).
     pub fn serial(
         opts: &ExpOptions,
@@ -529,9 +529,9 @@ impl<S: Stack<Event = GoCastEvent>> Run<S, OneLane> {
     }
 }
 
-impl<S: Stack<Event = GoCastEvent>> Run<S, Lanes> {
-    /// Builds the run on the lane kernel: 64 lanes spread over
-    /// `opts.sim_shards` worker threads.
+impl<S: Stack<Event = GoCastEvent>> Run<S, Threaded> {
+    /// Builds the run on the threaded kernel: one worker for each of
+    /// `opts.sim_shards` threads, the same run at any count.
     pub fn sharded(
         opts: &ExpOptions,
         net: impl LatencyModel + Send + Sync + 'static,

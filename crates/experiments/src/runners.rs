@@ -1,5 +1,5 @@
 //! The dissemination and adaptation experiments (Figures 3–6 and the §3
-//! summaries) as configurations of [`crate::pipeline`]: the one-lane
+//! summaries) as configurations of [`crate::pipeline`]: the serial
 //! kernel over the synthetic-King matrix, unaudited, sources drawn from
 //! the live nodes.
 
@@ -9,7 +9,7 @@ use std::time::Duration;
 use gocast::{snapshot, GoCastConfig, GoCastEvent, GoCastNode, LinkKind, Snapshot};
 use gocast_analysis::{Cdf, Histogram};
 use gocast_baselines::{PushGossipConfig, PushGossipNode};
-use gocast_sim::{KernelStats, LatencyModel, NodeId, OneLane, SimTime, Stack};
+use gocast_sim::{KernelStats, LatencyModel, NodeId, Serial, SimTime, Stack};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,10 +69,10 @@ impl Deref for DelayStats {
     }
 }
 
-/// An unaudited run on the one-lane kernel.
-pub(crate) type PlainRun<S> = Run<S, OneLane>;
+/// An unaudited run on the serial kernel.
+pub(crate) type PlainRun<S> = Run<S, Serial>;
 
-/// Builds the unaudited one-lane run the figure experiments use, over
+/// Builds the unaudited serial run the figure experiments use, over
 /// `net`, honoring `--trace-out`/`--metrics-out`.
 pub(crate) fn plain_run<S: Stack<Event = GoCastEvent>>(
     opts: &ExpOptions,

@@ -5,8 +5,8 @@
 //! - the latency model is [`gocast_net::OnDemandKing`] — O(sites)
 //!   coordinates, every pairwise latency synthesized on demand (no N×N
 //!   table);
-//! - the simulation runs on the fixed-lane conservative parallel kernel
-//!   ([`Run::sharded`]): `--sim-shards N` spreads the lanes across N
+//! - the simulation runs on the conservative parallel kernel
+//!   ([`Run::sharded`]): `--sim-shards N` spreads the nodes across N
 //!   worker threads and changes no artifact (see [`crate::pipeline`]);
 //! - delay statistics use the same per-node aggregates as the fig3
 //!   runners (O(nodes), not O(deliveries)).
@@ -27,7 +27,7 @@ use std::ops::Deref;
 
 use gocast::GoCastNode;
 use gocast_analysis::{Cdf, InvariantOracle, Table};
-use gocast_sim::{Lanes, Scenario};
+use gocast_sim::{Scenario, Threaded};
 
 use crate::chaos::resolve_scenario;
 use crate::options::ExpOptions;
@@ -139,7 +139,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// The scale configuration of the pipeline: GoCast (stores kept for the
-/// audit) on the lane kernel over [`scale_network`], oracle-audited. With
+/// audit) on the threaded kernel over [`scale_network`], oracle-audited. With
 /// a scenario, its plan is scheduled after warm-up (site groups make group
 /// faults correlated site failures), sources are presence-gated and the
 /// store audit is presence-aware; without one, sources are the live nodes
@@ -154,7 +154,7 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
         &opts.manifest(scenario.map(|(label, _)| label)),
         Some(InvariantOracle::for_protocol(&cfg)),
     );
-    let mut run: Run<GoCastNode, Lanes> =
+    let mut run: Run<GoCastNode, Threaded> =
         Run::sharded(opts, net, recorder, gocast_nodes(opts, &cfg));
     run.warm(opts.warmup);
     if let Some(plan) = &plan {
@@ -196,7 +196,7 @@ pub fn run_scale_delivery(opts: &ExpOptions) -> ScaleOutcome {
 }
 
 /// The chaos run: the same build plus a compiled fault scenario — the
-/// lane-kernel analogue of the `chaos` subcommand's driver.
+/// threaded-kernel analogue of the `chaos` subcommand.
 pub fn run_scale_chaos(opts: &ExpOptions, label: &str, scenario: &Scenario) -> ScaleOutcome {
     scale_phases(opts, Some((label, scenario)))
 }

@@ -12,7 +12,7 @@ use gocast_analysis::Summary;
 
 use crate::options::ExpOptions;
 
-// Shared with the lane kernel's intra-run parallelism: one audited
+// Shared with the threaded kernel's intra-run parallelism: one audited
 // implementation, merging results in submission order.
 pub use gocast_sim::parallel_map;
 

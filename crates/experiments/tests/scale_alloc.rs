@@ -35,7 +35,7 @@ use gocast_experiments::pipeline::{
 use gocast_experiments::scale::run_scale_delivery;
 use gocast_experiments::ExpOptions;
 use gocast_net::LandmarkVector;
-use gocast_sim::Lanes;
+use gocast_sim::Threaded;
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
@@ -161,7 +161,7 @@ fn two_thousand_node_scale_run_stays_bounded() {
         &opts.manifest(None),
         Some(InvariantOracle::for_protocol(&cfg)),
     );
-    let mut run: Run<GoCastNode, Lanes> = Run::sharded(
+    let mut run: Run<GoCastNode, Threaded> = Run::sharded(
         &opts,
         scale_network(&opts),
         recorder,

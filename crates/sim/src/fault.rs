@@ -9,7 +9,7 @@ use gocast_metrics::Snapshot;
 
 use crate::hash::mix;
 use crate::id::NodeId;
-use crate::lane::GOLDEN;
+use crate::worker::GOLDEN;
 
 /// One change to the network's fault state.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,9 +84,9 @@ impl NetFates {
 ///
 /// Link cuts, the partition labelling and the loss/jitter settings are
 /// *global* facts about the network, whoever moves the messages: every
-/// lane holds one replica (updated by scheduling a control event for
-/// every lane), an engine's lanes and a testnet fabric's shard lanes
-/// alike. The lane asks it the same two questions on both hosts:
+/// worker holds one replica (updated by scheduling a control event for
+/// every worker), an engine's workers and a testnet fabric's shards
+/// alike. The worker asks it the same two questions on both hosts:
 /// [`FaultState::blocked`] — is the receiver dead, or the path cut or
 /// partitioned? (at arrival) — and [`FaultState::draw`] — is this send
 /// lost, and how much jitter does it carry? (at send).
@@ -360,7 +360,7 @@ mod tests {
     /// 3,000 and standard deviation √(10^5 · 0.03 · 0.97) ≈ 53.9; the bound
     /// is five deviations either side.
     #[test]
-    fn loss_fraction_is_binomial_at_the_configured_probability() {
+    fn loss_fires_with_the_configured_probability() {
         const SENDS: u64 = 100_000;
         let mut state = FaultState::new(64, 7);
         state.apply(&NetFault::SetLoss(0.03));
@@ -382,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn jitter_stays_inside_its_bound_and_drops_nothing() {
+    fn jitter_delays_but_never_drops() {
         let max = Duration::from_millis(5);
         let mut state = FaultState::new(2, 7);
         state.apply(&NetFault::SetJitter(max));
@@ -399,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn self_sends_never_draw_and_bypass_faults() {
+    fn self_sends_bypass_faults() {
         let mut state = FaultState::new(3, 1);
         state.apply(&NetFault::SetLoss(1.0));
         state.apply(&NetFault::SetJitter(Duration::from_secs(1)));

@@ -1,8 +1,7 @@
 //! The discrete-event simulation engine: one kernel ([`Engine`]), two
-//! entry points ([`Sim`], [`ShardedSim`]), built over the lanes and
-//! workers of [`crate::lane`]: one event queue per worker thread, each
-//! over a contiguous chunk of lanes. The execution and determinism model
-//! is documented on [`Engine`].
+//! entry points ([`Sim`], [`ShardedSim`]), built over the workers of
+//! [`crate::worker`], one a thread, each with its own event queue. The
+//! execution and determinism model is documented on [`Engine`].
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -11,15 +10,13 @@ use gocast_metrics::Snapshot;
 
 use crate::fault::{FaultState, NetFates, NetFault};
 use crate::id::NodeId;
-use crate::lane::{
-    merge_buffers, CrossLaneMsg, Event, KernelTelemetry, SimLane, SimLink, SimWorker, WorkerSet,
-};
 use crate::latency::LatencyModel;
 use crate::placement::Placement;
 use crate::protocol::Protocol;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::TrafficStats;
 use crate::time::SimTime;
+use crate::worker::{merge_buffers, Event, KernelTelemetry, SimLink, SimWorker, WorkerSet};
 
 /// Kernel-level execution counters, snapshot via [`Engine::kernel_stats`].
 ///
@@ -28,8 +25,7 @@ use crate::time::SimTime;
 /// protocol's traffic. All counters are cumulative since construction.
 ///
 /// Wall-clock time is accrued by the run loops ([`Engine::run_until`],
-/// [`Engine::run_until_idle`], [`Engine::run_for`]); stepping manually with
-/// [`Engine::step`] advances the event counters but not `wall_time`.
+/// [`Engine::run_for`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelStats {
     /// Total events popped from the queue and executed.
@@ -37,27 +33,30 @@ pub struct KernelStats {
     /// Message deliveries dispatched to a protocol handler.
     pub deliveries: u64,
     /// The messages the network did not deliver, by fate (summed over the
-    /// lanes' [`FaultState`] replicas, which count them).
+    /// workers' [`FaultState`] replicas, which count them).
     pub fates: NetFates,
     /// Timer firings dispatched.
     pub timers_fired: u64,
     /// Commands dispatched.
     pub commands: u64,
-    /// Kernel control events executed (node failures, link up/down).
+    /// Kernel control events executed (node failures, link up/down; a
+    /// fault every worker applies counts once).
     pub control_events: u64,
-    /// Total events ever scheduled (including still-pending ones).
+    /// Total events ever scheduled (including still-pending ones; a fault
+    /// every worker applies counts once).
     pub events_scheduled: u64,
     /// Events pending at snapshot time.
     pub queue_len: usize,
-    /// Most events pending at once: sampled at every step on one lane, and
-    /// over all lanes at every window boundary on more (so the mark is
-    /// comparable with `queue_len` at any lane count).
+    /// Most events one worker's queue has held at once: with one worker,
+    /// the whole run's most pending. One queue per worker
+    /// thread, so this, `slab_slots` and `queue_mem_bytes` say how the
+    /// events were stored, depend on the thread count, and are the only
+    /// counters that do.
     pub queue_high_water: usize,
     /// Payload slots currently allocated in the event-queue slabs (occupied
     /// plus the vacant ones awaiting reuse): the deepest the queues have
     /// been since they last shrank, not since the run began — see
-    /// [`EventQueue`](crate::EventQueue). One queue per worker thread, so
-    /// this and `queue_mem_bytes` depend on the thread count.
+    /// [`EventQueue`](crate::EventQueue).
     pub slab_slots: usize,
     /// Bytes of backing storage the event queues currently reserve
     /// (payload slab and keys, plus the slot numbers of their tiers).
@@ -81,11 +80,9 @@ impl KernelStats {
     }
 
     /// Folds another kernel's counters into this one — the engine's
-    /// per-lane aggregation. Monotonic counters and memory sizes
-    /// add; the high-water mark takes the per-lane maximum (a lane-local
-    /// depth — [`Engine::kernel_stats`] raises it to the all-lane count it
-    /// samples itself); wall time takes the maximum because lanes run
-    /// concurrently.
+    /// per-worker aggregation. Monotonic counters and memory sizes add;
+    /// the high-water mark takes the per-queue maximum; wall time takes
+    /// the maximum because workers run concurrently.
     pub fn absorb(&mut self, other: &KernelStats) {
         self.events_processed += other.events_processed;
         self.deliveries += other.deliveries;
@@ -220,15 +217,14 @@ impl std::error::Error for PastScheduleError {}
 
 mod sealed {
     pub trait Sealed {}
-    impl Sealed for super::OneLane {}
-    impl Sealed for super::Lanes {}
+    impl Sealed for super::Serial {}
+    impl Sealed for super::Threaded {}
 }
 
-/// How an [`Engine`] is driven: by one run loop over one lane
-/// ([`OneLane`]) or by the window loop over any number of lanes
-/// ([`Lanes`]). The mode decides which `run_until` the engine has and
-/// whether its latency model must be shareable across threads; everything
-/// else is common.
+/// How an [`Engine`] is driven: on the caller's thread alone
+/// ([`Serial`]) or across worker threads ([`Threaded`]). The mode decides
+/// which `run_until` the engine has and whether its latency model must be
+/// shareable across threads; everything else is common.
 pub trait Mode: sealed::Sealed {
     /// The latency model as this mode holds it.
     type Net: ?Sized;
@@ -236,39 +232,38 @@ pub trait Mode: sealed::Sealed {
     fn model(net: &Self::Net) -> &(dyn LatencyModel + 'static);
 }
 
-/// The mode of [`Sim`]: exactly one lane, run on the caller's thread.
+/// The mode of [`Sim`]: one worker, run on the caller's thread.
 #[derive(Debug, Clone, Copy)]
-pub struct OneLane;
+pub struct Serial;
 
-/// The mode of [`ShardedSim`]: `lanes ≥ 1`, run in lookahead windows that
-/// fan across worker threads.
+/// The mode of [`ShardedSim`]: any number of workers, more than one run
+/// in lookahead windows across threads.
 #[derive(Debug, Clone, Copy)]
-pub struct Lanes;
+pub struct Threaded;
 
-impl Mode for OneLane {
+impl Mode for Serial {
     type Net = dyn LatencyModel;
     fn model(net: &Self::Net) -> &(dyn LatencyModel + 'static) {
         net
     }
 }
 
-impl Mode for Lanes {
+impl Mode for Threaded {
     type Net = dyn LatencyModel + Send + Sync;
     fn model(net: &Self::Net) -> &(dyn LatencyModel + 'static) {
         net
     }
 }
 
-/// The engine at one lane: the single-threaded, fully deterministic
-/// discrete-event loop. Built by [`SimBuilder`]. One run loop covers the
-/// whole deadline, events reach the recorder as they happen, and
-/// [`Engine::step`] / [`Engine::run_until_idle`] are available.
-pub type Sim<P, R = NullRecorder> = Engine<P, R, OneLane>;
+/// The engine on the caller's thread: the single-threaded discrete-event
+/// loop, with no lookahead bound needed and events reaching the recorder
+/// as they happen. Built by [`SimBuilder`].
+pub type Sim<P, R = NullRecorder> = Engine<P, R, Serial>;
 
-/// The engine at any lane count, run in conservative-lookahead windows
-/// that fan across worker threads (see [`Engine`]). Built by
-/// [`ShardedSimBuilder`].
-pub type ShardedSim<P, R> = Engine<P, R, Lanes>;
+/// The engine at any worker count, more than one run in
+/// conservative-lookahead windows across threads (see [`Engine`]). Built
+/// by [`ShardedSimBuilder`]; at one thread it runs [`Sim`]'s loop.
+pub type ShardedSim<P, R> = Engine<P, R, Threaded>;
 
 /// Capacity (in entries) a window buffer keeps where a run call returns:
 /// enough that small simulations stepped in short run calls do not
@@ -280,71 +275,68 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 /// access, scheduling, fault injection, statistics and telemetry are the
 /// same methods on both; only the run loop differs.
 ///
-/// The engine owns the protocol instances (split over one or more
-/// *lanes* by a [`Placement`], each lane with its own per-node RNG
-/// streams, counters and fault-state replicas), one event
-/// queue per worker thread over a contiguous chunk of lanes, the latency
-/// model, and the event recorder. A queue orders by `(time, lane,
-/// per-lane sequence)`, so within a lane events at equal timestamps fire
-/// in scheduling order whichever lanes share its queue.
+/// The engine owns the protocol instances, split over one or more
+/// *workers* by a [`Placement`] (each worker with its own event queue,
+/// per-node RNG streams and schedule counts, counters and fault-state
+/// replica), the latency model, and the event recorder. A queue orders by
+/// `(time, tie)`, and an event's tie belongs to whoever scheduled it: node
+/// `g` schedules as `(g + 1) << 40 | g's own schedule count`, the harness
+/// (commands, crashes, faults) as its own count. So events at equal
+/// timestamps fire in one order whichever queue holds them.
 ///
-/// - [`Sim`] is the engine at **one lane**. The run loop is a single
-///   window covering the whole `run_until` deadline, so the latency model
-///   needs no lookahead bound, events reach the recorder as they happen
-///   (nothing is buffered), and `step` / `run_until_idle` are available.
-/// - [`ShardedSim`] is the same engine at **`lanes ≥ 1`**, executed under
-///   the classic conservative-lookahead scheme, because at 10⁵–10⁶ nodes
-///   one event loop becomes the wall-clock bottleneck long before memory
-///   does:
+/// - With **one worker** — [`Sim`], or [`ShardedSim`] at one thread —
+///   the run loop pops the one queue to the `run_until` deadline: the
+///   latency model needs no lookahead bound, and events reach the
+///   recorder as they happen.
+/// - With **more**, [`ShardedSim`] runs the classic conservative-lookahead
+///   scheme, because at 10⁵–10⁶ nodes one event loop becomes the
+///   wall-clock bottleneck long before memory does:
 ///
 ///   1. The latency model promises a positive lower bound Δ on cross-node
 ///      latency ([`LatencyModel::lookahead`]). A message sent at any time
 ///      `t` inside a window `[w, w + Δ)` arrives at `t + latency ≥ w + Δ`,
-///      i.e. **never inside the window** at another lane.
-///   2. Each worker therefore processes its lanes' events for one window
-///      with no synchronization at all; sends to other lanes buffer in a
-///      per-lane outbox.
+///      i.e. **never inside the window** at another worker.
+///   2. Each worker therefore processes its events for one window with no
+///      synchronization at all; sends to other workers buffer in its
+///      outbox.
 ///   3. At the window barrier the coordinator schedules every outbox for
-///      the destination lanes in `(source lane, send order)` — each lane
-///      numbers its events in the order they reach it, so deliveries
-///      happen in the canonical `(arrival time, source lane, send order)`
-///      without the messages ever being copied or sorted.
+///      the destination workers, each message under the tie its sender
+///      gave it, so it pops where it would have had one queue held every
+///      node.
 ///
-///   A worker pops its lanes' events in `(time, lane, sequence)` order, so
-///   with one worker its recorder events come out merged and go straight
-///   to the recorder. Several workers each buffer theirs, and the barrier
-///   merges the buffers by `(time, worker, emission order)` — the same
-///   order, as workers hold ascending chunks of lanes; a `gocast-testnet`
-///   fabric merges its shards' buffers through the same merge
-///   ([`WorkerSet::merge_into`]). At one lane nothing crosses lanes, so a
-///   one-lane `ShardedSim` runs one window to the deadline and is
-///   indistinguishable from a `Sim`.
+///   Each worker buffers its recorder events under the tie of the event
+///   that emitted them, and the barrier merges the buffers by `(time,
+///   tie, emission order)`: the order one worker would have emitted them
+///   in. A `gocast-testnet` fabric merges its shards' buffers through the
+///   same merge ([`WorkerSet::merge_into`]).
 ///
 /// # Determinism contract
 ///
-/// The *lane count* is part of the simulation's semantics: it decides the
-/// cross-lane merge order, so two runs agree byte-for-byte iff they use
-/// the same seed and lane count. The *thread count*
-/// ([`ShardedSimBuilder::threads`], the CLI's `--sim-shards`) is pure
-/// execution policy: lanes are data-independent within a window, so any
-/// thread count produces identical output by construction — the property
-/// the cross-shard determinism tests assert.
+/// A run is a function of its seed, its inputs and nothing else: the
+/// recorder stream, every [`KernelStats`] counter that says what ran and
+/// the traffic totals are byte-identical on [`Sim`] and on [`ShardedSim`]
+/// at any thread count ([`ShardedSimBuilder::threads`], the CLI's
+/// `--sim-shards`). Only `wall_time` and the three storage fields —
+/// `queue_high_water`, `slab_slots` and `queue_mem_bytes`, which say how
+/// the pending events were spread over the queues — depend on the
+/// layout. By construction:
 ///
-/// RNG streams do not depend on the lane count: node `g` draws from
-/// `seed * GOLDEN ^ g` whichever lane owns it. The chaos (loss/jitter)
-/// stream is per lane — lane 0 draws from the stream a one-lane engine
-/// uses, lane `i ≥ 1` from one derived from the seed and `i` — so runs
-/// with loss or jitter are deterministic per `(seed, lane count)`.
+/// - a node's state depends only on the events it receives, which pop in
+///   `(time, tie)` order in whichever queue holds them;
+/// - node `g` draws from `seed * GOLDEN ^ g` whichever worker owns it;
+/// - a send's loss and jitter are one counter hash of the seed, the sender
+///   and that send's count ([`FaultState::draw`]), so every worker's
+///   replica decides it alike;
+/// - `on_start` runs in global id order, and a fault every worker applies
+///   counts once.
 pub struct Engine<P: Protocol, R: Recorder<P::Event>, M: Mode> {
     now: SimTime,
-    /// One per worker thread, each over a contiguous chunk of lanes.
+    /// One a worker thread.
     workers: WorkerSet<P, SimLink<P>>,
     net: Box<M::Net>,
     recorder: R,
     wall_time: Duration,
     started: bool,
-    /// Most events pending over all lanes at any window boundary.
-    pending_high_water: usize,
 }
 
 impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, R, M> {
@@ -358,75 +350,55 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> std::fmt::Debug for Engine<P, 
     }
 }
 
-/// Schedules every lane's cross-lane sends for their destination lanes,
-/// each under the tie its sender gave it, so the messages pop exactly
-/// where they would have had the sender's lane owned the receiver.
+/// Schedules every worker's outbox for the destination workers, each
+/// message under the tie its sender gave it.
 fn flush<P: Protocol>(workers: &mut [&mut SimWorker<P>], placement: Placement) {
     for w in 0..workers.len() {
-        for l in 0..workers[w].lanes.len() {
-            // A lane never sends to itself through its outbox, so nothing
-            // misses the buffer while it is out.
-            let mut outbox = std::mem::take(&mut workers[w].lanes[l].link.outbox);
-            for CrossLaneMsg {
-                at,
-                tie,
-                from,
-                to,
-                msg,
-            } in outbox.drain(..)
-            {
-                let lane = placement.lane(to);
-                let ev = Event::Deliver { from, to, msg };
-                workers[placement.worker(lane)].schedule(lane, at, tie, to.as_u32(), ev);
-            }
-            workers[w].lanes[l].link.outbox = outbox;
+        // A worker never sends to itself through its outbox, so nothing
+        // misses the buffer while it is out.
+        let mut outbox = std::mem::take(&mut workers[w].link.outbox);
+        for (at, tie, from, to, msg) in outbox.drain(..) {
+            let ev = Event::Deliver { from, to, msg };
+            workers[placement.owner(to)].schedule(at, tie, to.as_u32(), ev);
         }
+        workers[w].link.outbox = outbox;
     }
 }
 
-/// The end of the next window, if an event is due by `deadline`: the
-/// deadline itself without a lookahead `delta` (one lane), else at most Δ
-/// past the earliest pending event. The scan also counts the pending
-/// events: the only instants at which an all-lane count exists, and the
-/// same ones at any thread count.
+/// The end of the next window, if an event is due by `deadline`: at most
+/// Δ (`delta`, in nanoseconds) past the earliest pending event.
 fn next_window<P: Protocol>(
     workers: &[&mut SimWorker<P>],
     deadline: SimTime,
-    delta: Option<u64>,
-    high_water: &mut usize,
+    delta: u64,
 ) -> Option<SimTime> {
-    let (mut next, mut pending) = (None, 0);
-    for w in workers {
-        let queue = &w.queue;
-        next = [next, queue.peek_time()].into_iter().flatten().min();
-        pending += queue.len();
-    }
-    *high_water = (*high_water).max(pending);
+    let next = workers.iter().filter_map(|w| w.queue.peek_time()).min();
     let next = next.filter(|t| *t <= deadline)?;
-    Some(delta.map_or(deadline, |d| {
-        let end = next.as_nanos().saturating_add(d - 1);
-        SimTime::from_nanos(end.min(deadline.as_nanos()))
-    }))
+    let end = next.as_nanos().saturating_add(delta - 1);
+    Some(SimTime::from_nanos(end.min(deadline.as_nanos())))
 }
 
 impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Builds the engine: `make` is called once per node in global id
-    /// order (so bootstrap-graph draws are the same at any lane count).
+    /// order (so bootstrap-graph draws are the same at any thread count).
     fn assemble<F: FnMut(NodeId) -> P>(
         net: Box<M::Net>,
         seed: u64,
-        lanes: usize,
         threads: usize,
         recorder: R,
         mut make: F,
     ) -> Self {
         let model = M::model(&net);
-        let placement = Placement::new(model.len(), lanes, threads);
+        let placement = Placement::new(model.len(), threads);
         assert!(
-            placement.lanes() == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
-            "more than one lane requires a latency model with positive lookahead"
+            placement.workers() == 1 || model.lookahead().is_some_and(|d| d > Duration::ZERO),
+            "more than one worker requires a latency model with positive lookahead"
         );
-        let link = |i| SimLink::new(i, placement);
+        let link = |index| SimLink {
+            index,
+            placement,
+            outbox: Vec::new(),
+        };
         Engine {
             now: SimTime::ZERO,
             workers: WorkerSet::new(placement, seed, link, |id, _| make(id)),
@@ -434,7 +406,6 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             recorder,
             wall_time: Duration::ZERO,
             started: false,
-            pending_high_water: 0,
         }
     }
 
@@ -448,15 +419,9 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         self.len() == 0
     }
 
-    /// Current simulated time (the frontier every lane has reached).
+    /// Current simulated time (the frontier every worker has reached).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The lane count — a **semantic** parameter (see the determinism
-    /// contract above); always 1 on [`Sim`].
-    pub fn lane_count(&self) -> usize {
-        self.workers.placement().lanes()
     }
 
     /// The latency model driving this simulation.
@@ -494,32 +459,28 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
             .map(|id| (id, self.node(id)))
     }
 
-    /// Traffic counters accumulated so far. Lanes count locally and every
-    /// run call ends by folding the counts into lane 0, so this is the
-    /// total at any lane count.
+    /// Traffic counters accumulated so far. Workers count locally and
+    /// every run call ends by folding the counts into worker 0, so this is
+    /// the total at any thread count.
     pub fn stats(&self) -> &TrafficStats {
         &self.home().stats
     }
 
-    /// Lane 0: it holds the traffic totals and the fault state others
+    /// Worker 0: it holds the traffic totals and the fault state others
     /// read.
-    fn home(&self) -> &SimLane<P> {
-        self.workers.lanes().next().expect("at least one lane")
+    fn home(&self) -> &SimWorker<P> {
+        &self.workers.workers()[0]
     }
 
     /// Resets traffic counters (e.g. to exclude warm-up traffic).
     pub fn reset_stats(&mut self) {
-        self.workers.lanes_mut().for_each(|lane| lane.stats.reset());
+        self.workers.list.iter_mut().for_each(|w| w.stats.reset());
     }
 
     /// Snapshot of the kernel execution counters (see [`KernelStats`]),
-    /// summed over all lanes and the workers' queues: `queue_high_water`
-    /// is the most pending over all lanes at a window boundary (lanes run
-    /// a window unobserved, so no finer all-lane count exists);
-    /// `wall_time` is the run loops' time.
+    /// summed over the workers; `wall_time` is the run loops' time.
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = self.workers.kernel_stats();
-        total.queue_high_water = total.queue_high_water.max(self.pending_high_water);
         total.wall_time = self.wall_time;
         total
     }
@@ -527,8 +488,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// Turns on deep kernel telemetry for an already-built simulation
     /// (equivalent to [`SimBuilder::telemetry`]).
     pub fn enable_telemetry(&mut self) {
-        self.workers.lanes_mut().for_each(|lane| {
-            lane.telemetry.get_or_insert_with(Box::default);
+        self.workers.list.iter_mut().for_each(|w| {
+            w.telemetry.get_or_insert_with(Box::default);
         });
     }
 
@@ -539,24 +500,22 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
 
     /// A named [`Snapshot`] of every kernel metric under stable `kernel_*`
     /// names: the always-on [`KernelStats`] counters, event-queue and
-    /// payload-slab occupancy, `kernel_lanes` when there is more than one
-    /// lane, and — when telemetry is enabled — the queue-depth histogram
-    /// (sim-deterministic) plus per-class dispatch timings (wall-clock,
-    /// marked non-deterministic), each merged over the lanes; then the
-    /// network fates under the `net_*` names the testnet exports too.
+    /// payload-slab occupancy, and — when telemetry is enabled — the
+    /// queue-depth histogram (sim-deterministic) plus per-class dispatch
+    /// timings (wall-clock, marked non-deterministic), each merged over
+    /// the workers; then the network fates under the `net_*` names the
+    /// testnet exports too.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let k = self.kernel_stats();
         let mut s = Snapshot::new();
         k.snapshot_into(&mut s);
-        if self.lane_count() > 1 {
-            s.record_counter("kernel_lanes", self.lane_count() as u64);
-        }
         if self.telemetry_enabled() {
             let mut total = Box::<KernelTelemetry>::default();
             for telemetry in self
                 .workers
-                .lanes()
-                .filter_map(|lane| lane.telemetry.as_deref())
+                .workers()
+                .iter()
+                .filter_map(|w| w.telemetry.as_deref())
             {
                 total.merge(telemetry);
             }
@@ -572,11 +531,10 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         s
     }
 
-    /// The recorder (with more than one lane: the merged event stream).
+    /// The recorder (with more than one worker: the merged event stream).
     pub fn recorder(&self) -> &R {
         &self.recorder
     }
-
     /// Mutable access to the recorder.
     pub fn recorder_mut(&mut self) -> &mut R {
         &mut self.recorder
@@ -669,13 +627,13 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         self.workers.fail_node(node);
     }
 
-    /// Applies a network fault immediately, to every lane's replica of the
-    /// fault state. Messages already in flight across a new cut or
+    /// Applies a network fault immediately, to every worker's replica of
+    /// the fault state. Messages already in flight across a new cut or
     /// partition are dropped on arrival (counted `cut` or `partitioned` in
-    /// [`KernelStats::fates`]); loss and jitter apply to every
-    /// subsequent send between distinct nodes, drawn from dedicated chaos
-    /// RNG streams (one per lane), so a run that never enables them is
-    /// byte-identical to one on a kernel without fault injection.
+    /// [`KernelStats::fates`]); loss and jitter apply to every subsequent
+    /// send between distinct nodes, each decided by a counter hash of the
+    /// seed, the sender and its send count, so a run that never enables
+    /// them is byte-identical to one on a kernel without fault injection.
     ///
     /// # Panics
     ///
@@ -684,13 +642,14 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
     /// probability outside `0.0..=1.0`.
     pub fn apply_fault(&mut self, fault: NetFault) {
         self.workers
-            .lanes_mut()
-            .for_each(|lane| lane.faults.apply(&fault));
+            .list
+            .iter_mut()
+            .for_each(|w| w.faults.apply(&fault));
     }
 
     /// Schedules a network fault at absolute time `at` (see
-    /// [`Engine::apply_fault`]): a control event broadcast to every lane,
-    /// counted once in [`KernelStats::control_events`].
+    /// [`Engine::apply_fault`]): a control event every worker applies,
+    /// counted once in [`KernelStats`].
     ///
     /// # Panics
     ///
@@ -701,17 +660,16 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         self.workers.schedule_fault(at, &fault);
     }
 
-    /// The network's current fault state (every lane holds an identical
-    /// replica; the [`FaultState::fates`] read here are lane 0's alone —
-    /// the all-lane totals are [`KernelStats::fates`]).
+    /// The network's current fault state (every worker holds an identical
+    /// replica; the [`FaultState::fates`] read here are worker 0's alone —
+    /// the all-worker totals are [`KernelStats::fates`]).
     pub fn faults(&self) -> &FaultState {
         &self.home().faults
     }
 
-    /// Calls `on_start` on every alive node, once (with more than one
-    /// lane, also merges the resulting cross-lane traffic). Run methods
-    /// call this implicitly. Every start-up event is at time zero, so
-    /// lane order is the merged order at any thread count.
+    /// Calls `on_start` on every alive node, once, in global id order
+    /// (with more than one worker, also schedules the resulting
+    /// cross-worker traffic). Run methods call this implicitly.
     pub fn start(&mut self) {
         if self.started {
             return;
@@ -720,61 +678,51 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         let net = M::model(&self.net);
         let placement = self.workers.placement();
         self.workers.start(net, &mut self.recorder);
-        let mut workers: Vec<_> = self.workers.list.iter_mut().collect();
-        flush(&mut workers, placement);
+        flush(
+            &mut self.workers.list.iter_mut().collect::<Vec<_>>(),
+            placement,
+        );
         self.fold_stats();
     }
 
-    /// Lanes count traffic locally; this folds the counts into lane 0,
-    /// the one [`Engine::stats`] reads.
+    /// Workers count traffic locally; this folds the counts into worker
+    /// 0, the one [`Engine::stats`] reads.
     fn fold_stats(&mut self) {
-        let mut lanes = self.workers.lanes_mut();
-        let home = lanes.next().expect("at least one lane");
-        for lane in lanes {
-            home.stats.absorb(&lane.stats);
-            lane.stats.reset();
+        let (home, rest) = self
+            .workers
+            .list
+            .split_first_mut()
+            .expect("at least one worker");
+        for w in rest {
+            home.stats.absorb(&w.stats);
+            w.stats.reset();
         }
     }
 
-    /// The lookahead Δ in nanoseconds, with more than one lane.
-    fn delta(&self) -> Option<u64> {
-        let net = M::model(&self.net);
-        (self.lane_count() > 1)
-            .then(|| saturating_nanos(net.lookahead().expect("checked when built")))
-    }
-
-    /// The window loop on the caller's thread, for one worker: its events
-    /// pop merged, so they go straight to the recorder. With one lane it
-    /// is a single window covering the whole deadline.
+    /// Runs the one worker's events to `deadline` on the caller's thread,
+    /// straight into the recorder: no windows, no barrier.
     fn run_one_worker(&mut self, deadline: SimTime) {
-        let delta = self.delta();
         let net = M::model(&self.net);
-        let placement = self.workers.placement();
-        let mut one = [&mut self.workers.list[0]];
-        while let Some(end) = next_window(&one, deadline, delta, &mut self.pending_high_water) {
-            one[0].run_window(end, net, &mut self.recorder);
-            flush(&mut one, placement);
-        }
+        self.workers.list[0].run_window(deadline, net, &mut self.recorder);
     }
 
-    /// Ends a run call at `deadline`: lane 0 takes the traffic totals, and
-    /// the queues and buffers, at rest, give back what the start-up storm,
-    /// or any burst since, made them reserve beyond what is pending now.
+    /// Ends a run call at `deadline`: worker 0 takes the traffic totals,
+    /// and the queues and buffers, at rest, give back what the start-up
+    /// storm, or any burst since, made them reserve beyond what is pending
+    /// now.
     fn finish_run(&mut self, deadline: SimTime) {
         self.fold_stats();
         self.now = deadline;
         for w in &mut self.workers.list {
             w.queue.trim();
-            w.events_out.events.shrink_to(WINDOW_BUFFER_KEEP);
-            w.lanes
-                .iter_mut()
-                .for_each(|l| l.link.outbox.shrink_to(WINDOW_BUFFER_KEEP));
+            w.events_out.shrink_to(WINDOW_BUFFER_KEEP);
+            w.link.outbox.shrink_to(WINDOW_BUFFER_KEEP);
         }
         self.workers.merging.shrink_to(WINDOW_BUFFER_KEEP);
     }
 }
 
-impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
+impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, Serial> {
     /// Processes all events scheduled at or before `deadline`, then advances
     /// the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
@@ -789,30 +737,9 @@ impl<P: Protocol, R: Recorder<P::Event>> Engine<P, R, OneLane> {
     pub fn run_for(&mut self, d: Duration) {
         self.run_until(self.now + d);
     }
-
-    /// Processes events until the queue is exhausted.
-    ///
-    /// Periodic protocols never go idle; prefer [`Engine::run_until`] for
-    /// them.
-    pub fn run_until_idle(&mut self) {
-        let t0 = std::time::Instant::now();
-        self.start();
-        while self.step() {}
-        self.finish_run(self.now);
-        self.wall_time += t0.elapsed();
-    }
-
-    /// Processes a single event. Returns `false` when the queue is empty.
-    /// Stepping manually advances the event counters but not
-    /// [`KernelStats::wall_time`].
-    pub fn step(&mut self) -> bool {
-        let stepped = self.workers.list[0].step(&*self.net, &mut self.recorder);
-        self.now = stepped.unwrap_or(self.now);
-        stepped.is_some()
-    }
 }
 
-impl<P, R> Engine<P, R, Lanes>
+impl<P, R> Engine<P, R, Threaded>
 where
     P: Protocol + Send,
     P::Msg: Send,
@@ -821,9 +748,9 @@ where
     R: Recorder<P::Event>,
 {
     /// Processes all events scheduled at or before `deadline`, then
-    /// advances the clock to `deadline`. Windows of length Δ execute
-    /// worker-parallel across the configured threads; output is
-    /// byte-identical at any thread count.
+    /// advances the clock to `deadline`. With more than one worker,
+    /// windows of length Δ execute worker-parallel across the configured
+    /// threads; output is byte-identical at any thread count.
     pub fn run_until(&mut self, deadline: SimTime) {
         let t0 = std::time::Instant::now();
         self.start();
@@ -842,18 +769,19 @@ where
     }
 
     /// The window loop on one thread per worker: each window a worker
-    /// takes its chunk, runs it and hands it back, and the coordinator
+    /// runs on its thread and hands itself back, and the coordinator
     /// merges the recorder buffers and flushes the outboxes.
     fn run_workers(&mut self, deadline: SimTime) {
-        let delta = self.delta();
+        let lookahead = self.net.lookahead().expect("checked when built");
         let (net, placement) = (&*self.net, self.workers.placement());
-        let (recorder, high_water) = (&mut self.recorder, &mut self.pending_high_water);
+        let delta = saturating_nanos(lookahead);
+        let recorder = &mut self.recorder;
         let WorkerSet { list, merging, .. } = &mut self.workers;
         let mut workers: Vec<&mut SimWorker<P>> = list.iter_mut().collect();
         std::thread::scope(|s| {
-            // Per worker, a channel that hands it its chunk and the window
-            // end, and one that hands the chunk back: a panicking worker
-            // closes the second, and the coordinator's `recv` fails with it.
+            // Per worker, a channel that hands it itself and the window
+            // end, and one that hands it back: a panicking worker closes
+            // the second, and the coordinator's `recv` fails with it.
             let channels: Vec<_> = (0..workers.len())
                 .map(|_| {
                     let (start, windows) = mpsc::sync_channel::<(&mut SimWorker<P>, SimTime)>(1);
@@ -870,7 +798,7 @@ where
                     (start, back)
                 })
                 .collect();
-            while let Some(end) = next_window(&workers, deadline, delta, high_water) {
+            while let Some(end) = next_window(&workers, deadline, delta) {
                 for ((start, _), w) in channels.iter().zip(workers.drain(..)) {
                     start.send((w, end)).expect("a worker thread panicked");
                 }
@@ -957,11 +885,9 @@ impl SimBuilder {
         R: Recorder<P::Event>,
         F: FnMut(NodeId) -> P,
     {
-        let mut sim = Engine::assemble(self.net, self.seed, 1, 1, recorder, make);
+        let mut sim = Engine::assemble(self.net, self.seed, 1, recorder, make);
         if self.pair_counts {
-            sim.workers
-                .lanes_mut()
-                .for_each(|l| l.stats.enable_pair_counts());
+            sim.workers.list[0].stats.enable_pair_counts();
         }
         if self.telemetry {
             sim.enable_telemetry();
@@ -987,14 +913,12 @@ impl SimBuilder {
 ///
 /// let builder = ShardedSimBuilder::new(FixedLatency::new(256, Duration::from_millis(10)))
 ///     .seed(42)
-///     .lanes(16)
 ///     .threads(2);
 /// # let _ = builder;
 /// ```
 pub struct ShardedSimBuilder {
     net: Box<dyn LatencyModel + Send + Sync>,
     seed: u64,
-    lanes: usize,
     threads: usize,
 }
 
@@ -1003,27 +927,20 @@ impl std::fmt::Debug for ShardedSimBuilder {
         f.debug_struct("ShardedSimBuilder")
             .field("nodes", &self.net.len())
             .field("seed", &self.seed)
-            .field("lanes", &self.lanes)
             .field("threads", &self.threads)
             .finish()
     }
 }
 
-/// Default lane count: enough lanes that any plausible `--sim-shards`
-/// divides the population usefully, few enough that per-window barrier
-/// bookkeeping stays negligible.
-pub const DEFAULT_LANES: usize = 64;
-
 impl ShardedSimBuilder {
     /// Starts a builder over `net`, whose node count determines the
-    /// simulation's node count. With more than one lane the model must
+    /// simulation's node count. With more than one thread the model must
     /// promise a positive [`LatencyModel::lookahead`];
     /// [`ShardedSimBuilder::build_with`] panics otherwise.
     pub fn new(net: impl LatencyModel + Send + Sync + 'static) -> Self {
         ShardedSimBuilder {
             net: Box::new(net),
             seed: 0,
-            lanes: DEFAULT_LANES,
             threads: 1,
         }
     }
@@ -1035,18 +952,11 @@ impl ShardedSimBuilder {
         self
     }
 
-    /// Sets the lane count — a **semantic** parameter (see [`Engine`]).
-    /// Clamped to at least 1 and at most the node count.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Sets the worker-thread count — pure execution policy; output is
-    /// byte-identical at any value. Clamped to at least 1 and at most the
-    /// lane count. The engine builds one event queue per worker, each over
-    /// a contiguous chunk of `lanes / threads` lanes, rounded up (so fewer
-    /// workers where that leaves the last chunks empty).
+    /// Sets the worker-thread count, the engine's only layout setting:
+    /// output is byte-identical at any value (see [`Engine`]). Clamped to
+    /// at least 1 and at most the node count; the engine builds one
+    /// worker, with its own event queue, a thread, and node `g` lives on
+    /// worker `g % threads` ([`Placement`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -1058,7 +968,7 @@ impl ShardedSimBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if there is more than one lane and the latency model does
+    /// Panics if there is more than one thread and the latency model does
     /// not promise a positive lookahead.
     pub fn build_with<P, R, F>(self, recorder: R, make: F) -> ShardedSim<P, R>
     where
@@ -1066,14 +976,7 @@ impl ShardedSimBuilder {
         R: Recorder<P::Event>,
         F: FnMut(NodeId) -> P,
     {
-        Engine::assemble(
-            self.net,
-            self.seed,
-            self.lanes,
-            self.threads,
-            recorder,
-            make,
-        )
+        Engine::assemble(self.net, self.seed, self.threads, recorder, make)
     }
 }
 
@@ -1131,7 +1034,7 @@ mod tests {
 
     type Rec = VecRecorder<(SimTime, u32)>;
 
-    /// Ring size of the table-driven checks: enough nodes for 64 lanes.
+    /// Ring size of the table-driven checks.
     const N: u32 = 96;
     /// Hops a token makes before it retires: `3n + 1`, 10 ms each.
     const HOPS: u32 = 3 * N + 1;
@@ -1155,23 +1058,28 @@ mod tests {
     }
 
     /// The one merge of several workers' window buffers, the engine's
-    /// and a wire fabric's: time-sorted, equal times in worker order, each
-    /// worker's events in emission order, and every buffer drained.
+    /// and a wire fabric's: time-sorted, equal times in tie order, each
+    /// event's emissions in emission order, and every buffer drained.
     #[test]
     fn merged_trace_is_time_sorted_with_stable_ties() {
-        let placement = Placement::new(4, 2, 2);
-        let link = |i| SimLink::new(i, placement);
+        let placement = Placement::new(4, 2);
+        let link = |index| SimLink {
+            index,
+            placement,
+            outbox: Vec::new(),
+        };
         let mut set = WorkerSet::new(placement, 1, link, |id, _| member(4)(id));
         let (t, n) = (SimTime::from_nanos, NodeId::new);
-        // Two workers' windows with an equal-time collision at 5; the
-        // second worker's two events at 5 keep their emission order.
+        // Two workers' windows with equal-time collisions at 5: the tie
+        // orders events across workers, and the second worker's two
+        // emissions under one tie keep their order.
         let buffers = [
-            vec![(t(1), n(0), 0), (t(5), n(2), 1), (t(9), n(0), 2)],
-            vec![(t(2), n(1), 3), (t(5), n(3), 4), (t(5), n(1), 5)],
+            vec![(t(1), 0, n(0), 0), (t(5), 7, n(2), 1), (t(9), 0, n(0), 2)],
+            vec![(t(2), 0, n(1), 3), (t(5), 3, n(3), 4), (t(5), 3, n(1), 5)],
         ];
         for (w, events) in set.workers_mut().iter_mut().zip(buffers) {
-            for (at, node, tag) in events {
-                w.events_out.record(at, node, (at, tag));
+            for (at, tie, node, tag) in events {
+                w.events_out.push((at, tie, node, (at, tag)));
             }
         }
         let mut rec = Rec::new();
@@ -1181,12 +1089,11 @@ mod tests {
             .iter()
             .map(|(at, node, _)| (at.as_nanos(), node.as_u32()))
             .collect();
-        assert_eq!(order, [(1, 0), (2, 1), (5, 2), (5, 3), (5, 1), (9, 0)]);
-        assert!(set.workers().iter().all(|w| w.events_out.events.is_empty()));
+        assert_eq!(order, [(1, 0), (2, 1), (5, 3), (5, 1), (5, 2), (9, 0)]);
+        assert!(set.workers().iter().all(|w| w.events_out.is_empty()));
         // The next window's merge appends after what is recorded.
-        set.workers_mut()[1]
-            .events_out
-            .record(t(11), n(1), (t(11), 6));
+        let next = (t(11), 0, n(1), (t(11), 6));
+        set.workers_mut()[1].events_out.push(next);
         set.merge_into(&mut rec);
         assert_eq!(rec.events.len(), 7);
         assert_eq!(rec.events[6].0, t(11));
@@ -1198,17 +1105,16 @@ mod tests {
             .build_with(Rec::new(), member(n))
     }
 
-    fn sharded(n: u32, seed: u64, lanes: usize, threads: usize) -> ShardedSim<Ring, Rec> {
+    fn sharded(n: u32, seed: u64, threads: usize) -> ShardedSim<Ring, Rec> {
         ShardedSimBuilder::new(net(n))
             .seed(seed)
-            .lanes(lanes)
             .threads(threads)
             .build_with(Rec::new(), member(n))
     }
 
     /// Runs `$body` with `$sim` bound to a fresh `N`-node ring on every
-    /// row of the table: `Sim`, then `ShardedSim` at 1, 4 and 64 lanes on
-    /// one thread and at 4 lanes on two. `$seed` is the master seed.
+    /// row of the table: `Sim`, then `ShardedSim` at 1, 2 and 4 threads.
+    /// `$seed` is the master seed.
     macro_rules! on_every_engine {
         ($seed:expr, |$sim:ident| $body:block) => {{
             {
@@ -1216,10 +1122,9 @@ mod tests {
                 let mut $sim = serial(N, $seed);
                 $body
             }
-            for (lanes, threads) in [(1, 1), (4, 1), (64, 1), (4, 2)] {
+            for threads in [1, 2, 4] {
                 #[allow(unused_mut)]
-                let mut $sim = sharded(N, $seed, lanes, threads);
-                assert_eq!($sim.lane_count(), lanes);
+                let mut $sim = sharded(N, $seed, threads);
                 $body
             }
         }};
@@ -1257,13 +1162,20 @@ mod tests {
         });
     }
 
+    /// A fresh engine's first run call starts every node, and runs what
+    /// is due at its deadline; only run calls accrue wall time.
     #[test]
-    fn run_until_idle_stops_the_clock_at_the_last_event() {
+    fn run_until_starts_the_nodes_and_runs_what_is_due_at_the_deadline() {
         let mut sim = serial(4, 1);
-        sim.run_until_idle();
-        // 3n + 1 = 13 hops, each 10ms.
+        assert_eq!(sim.kernel_stats().wall_time, Duration::ZERO);
+        assert_eq!(sim.kernel_stats().events_per_sec(), 0.0);
+        // 3n + 1 = 13 hops, each 10ms: the last is due at the deadline.
+        sim.run_until(ms(130));
         assert_eq!(sim.now(), ms(130));
         assert_eq!(hops(&sim), 13);
+        let k = sim.kernel_stats();
+        assert_eq!((k.deliveries, k.queue_len), (13, 0));
+        assert!(k.wall_time > Duration::ZERO);
     }
 
     #[test]
@@ -1300,34 +1212,77 @@ mod tests {
             let first = a.recorder().events.clone();
             on_every_engine!(7, |b| {
                 b.run_until(DONE);
-                // The ring has one event in flight at a time, so the trace
-                // does not even depend on the lane count.
                 assert_eq!(first, b.recorder().events);
             });
         });
     }
 
+    /// Answers every message with a zero-delay timer, and every first
+    /// timer with a message on: node `g` hears from `g - 1`, so node 0's
+    /// timers answer node `N - 1`, a higher scheduler, and sort below
+    /// their cause's tie at the same instant.
+    struct Echo;
+
+    impl Protocol for Echo {
+        type Msg = Hop;
+        type Command = ();
+        type Event = (NodeId, u32);
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
+            let next = NodeId::new((ctx.id().as_u32() + 1) % N);
+            ctx.send(next, Hop(0));
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: Hop) {
+            ctx.emit((from, msg.0));
+            ctx.set_timer(Duration::ZERO, Timer::with_payload(0, msg.0, 0));
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Timer) {
+            ctx.emit((ctx.id(), timer.a));
+            if timer.a < 5 {
+                let next = NodeId::new((ctx.id().as_u32() + 1) % N);
+                ctx.send(next, Hop(timer.a + 1));
+            }
+        }
+    }
+
+    /// Zero-delay answers to higher schedulers reach the recorder where
+    /// one queue pops them, at every thread count.
+    #[test]
+    fn same_instant_answers_merge_in_pop_order() {
+        let mut sim = SimBuilder::new(net(N)).build_with(VecRecorder::new(), |_| Echo);
+        sim.run_until(DONE);
+        let want = sim.recorder().events.clone();
+        assert_eq!(want.len(), 2 * 6 * N as usize);
+        for threads in [2, 4] {
+            let mut sharded = ShardedSimBuilder::new(net(N))
+                .threads(threads)
+                .build_with(VecRecorder::new(), |_| Echo);
+            sharded.run_until(DONE);
+            assert_eq!(sharded.recorder().events, want, "{threads} threads");
+        }
+    }
+
     #[test]
     fn output_identical_across_thread_counts() {
-        for lanes in [1, 4, 64] {
-            let run = |threads| {
-                let mut sim = sharded(N, 1, lanes, threads);
-                sim.fail_node_at(ms(1500), NodeId::new(7));
-                sim.run_until(DONE);
-                // A queue per thread: how the pending events are stored
-                // depends on the thread count, which events they are not.
-                let k = KernelStats {
-                    wall_time: Duration::ZERO,
-                    slab_slots: 0,
-                    queue_mem_bytes: 0,
-                    ..sim.kernel_stats()
-                };
-                (sim.recorder().events.clone(), k, sim.stats().total())
+        // Everything but how the pending events are stored: that depends
+        // on the thread count, which events they are does not.
+        let mut outcomes = Vec::new();
+        on_every_engine!(1, |sim| {
+            sim.fail_node_at(ms(1500), NodeId::new(7));
+            sim.schedule_fault(ms(900), NetFault::SetJitter(Duration::from_millis(3)));
+            sim.run_until(DONE);
+            let k = KernelStats {
+                wall_time: Duration::ZERO,
+                slab_slots: 0,
+                queue_mem_bytes: 0,
+                queue_high_water: 0,
+                ..sim.kernel_stats()
             };
-            let serial = run(1);
-            assert_eq!(serial, run(2));
-            assert_eq!(serial, run(4));
-        }
+            outcomes.push((sim.recorder().events.clone(), k, sim.stats().total()));
+        });
+        assert!(outcomes.windows(2).all(|pair| pair[0] == pair[1]));
     }
 
     #[test]
@@ -1377,7 +1332,7 @@ mod tests {
             );
             sim.run_for(Duration::from_millis(1));
             assert!(!sim.faults().is_cut(NodeId::new(2), NodeId::new(3)));
-            // One cut and one heal, however many lanes replicate them.
+            // One cut and one heal, however many workers replicate them.
             assert_eq!(sim.kernel_stats().control_events, 2);
         });
     }
@@ -1418,24 +1373,15 @@ mod tests {
                 sim.schedule_command(DONE, NodeId::new(i), ());
             }
             sim.run_until(ms(5));
-            // A command per node and the token in flight; no single lane
-            // of 64 holds more than two of the commands.
+            // A command per node and the token in flight, over every
+            // worker; the high-water mark is the deepest one queue got,
+            // which holds at least its share.
             let k = sim.kernel_stats();
             assert_eq!(k.queue_len, N as usize + 1);
-            assert!(k.queue_high_water >= k.queue_len);
+            let workers = sim.workers.workers().len();
+            assert!(k.queue_high_water * workers >= k.queue_len);
+            assert_eq!(workers > 1, k.queue_high_water < k.queue_len);
         });
-    }
-
-    #[test]
-    fn manual_stepping_counts_events_without_wall_time() {
-        let mut sim = serial(4, 1);
-        sim.start();
-        while sim.step() {}
-        let k = sim.kernel_stats();
-        assert_eq!(k.deliveries, 13);
-        assert_eq!(sim.now(), ms(130));
-        assert_eq!(k.wall_time, Duration::ZERO);
-        assert_eq!(k.events_per_sec(), 0.0);
     }
 
     #[test]
@@ -1507,7 +1453,7 @@ mod tests {
         for seed in 0..200 {
             let mut sim = serial(3, seed);
             sim.apply_fault(NetFault::SetLoss(0.3));
-            sim.run_until_idle();
+            sim.run_until(DONE);
             let k = sim.kernel_stats();
             lost += k.fates.lost;
             sent += k.deliveries + k.fates.total();
@@ -1518,20 +1464,16 @@ mod tests {
 
     #[test]
     fn loss_is_deterministic_per_seed() {
-        on_every_engine!(9, |a| {
-            a.apply_fault(NetFault::SetLoss(0.02));
-            a.run_until(DONE);
-            let lanes = a.lane_count();
-            let first = (a.kernel_stats().fates, a.recorder().events.clone());
-            assert!(!first.1.is_empty());
-            on_every_engine!(9, |b| {
-                if b.lane_count() == lanes {
-                    b.apply_fault(NetFault::SetLoss(0.02));
-                    b.run_until(DONE);
-                    let again = (b.kernel_stats().fates, b.recorder().events.clone());
-                    assert_eq!(first, again);
-                }
-            });
+        let mut sim = serial(N, 9);
+        sim.apply_fault(NetFault::SetLoss(0.02));
+        sim.run_until(DONE);
+        let first = (sim.kernel_stats().fates, sim.recorder().events.clone());
+        assert!(!first.1.is_empty());
+        on_every_engine!(9, |b| {
+            b.apply_fault(NetFault::SetLoss(0.02));
+            b.run_until(DONE);
+            let again = (b.kernel_stats().fates, b.recorder().events.clone());
+            assert_eq!(first, again);
         });
     }
 
@@ -1553,19 +1495,15 @@ mod tests {
     fn chaos_disabled_makes_no_rng_draws() {
         // A run with loss/jitter never enabled must be byte-identical to
         // one where they were enabled and disabled again before start.
-        on_every_engine!(3, |plain| {
-            plain.run_until(DONE);
-            let lanes = plain.lane_count();
-            on_every_engine!(3, |toggled| {
-                if toggled.lane_count() == lanes {
-                    toggled.apply_fault(NetFault::SetLoss(0.5));
-                    toggled.apply_fault(NetFault::SetJitter(Duration::from_millis(2)));
-                    toggled.apply_fault(NetFault::SetLoss(0.0));
-                    toggled.apply_fault(NetFault::SetJitter(Duration::ZERO));
-                    toggled.run_until(DONE);
-                    assert_eq!(plain.recorder().events, toggled.recorder().events);
-                }
-            });
+        let mut plain = serial(N, 3);
+        plain.run_until(DONE);
+        on_every_engine!(3, |toggled| {
+            toggled.apply_fault(NetFault::SetLoss(0.5));
+            toggled.apply_fault(NetFault::SetJitter(Duration::from_millis(2)));
+            toggled.apply_fault(NetFault::SetLoss(0.0));
+            toggled.apply_fault(NetFault::SetJitter(Duration::ZERO));
+            toggled.run_until(DONE);
+            assert_eq!(plain.recorder().events, toggled.recorder().events);
         });
     }
 
@@ -1599,7 +1537,8 @@ mod tests {
             assert_eq!(hops(&sim), 3);
             let k = sim.kernel_stats();
             assert_eq!(k.fates.partitioned, 1);
-            // One partition and one heal, however many lanes replicate them.
+            // One partition and one heal, however many workers replicate
+            // them.
             assert_eq!(k.control_events, 2);
         });
     }
@@ -1659,8 +1598,8 @@ mod tests {
             }
             sim.run_until(DONE);
             assert_eq!(sim.kernel_stats().control_events, faults.len() as u64);
-            for lane in sim.workers.lanes() {
-                assert_eq!(settings(&lane.faults), settings(&expected));
+            for w in sim.workers.workers() {
+                assert_eq!(settings(&w.faults), settings(&expected));
             }
         });
     }
@@ -1671,29 +1610,25 @@ mod tests {
         // the ring: the same run whether applied in place or scheduled at
         // `now`.
         let cut = || NetFault::CutLink(NodeId::new(40), NodeId::new(41));
-        on_every_engine!(9, |applied| {
-            applied.run_until(ms(25));
-            applied.apply_fault(cut());
-            applied.apply_fault(NetFault::SetLoss(0.02));
-            applied.run_until(DONE);
-            let lanes = applied.lane_count();
-            on_every_engine!(9, |scheduled| {
-                if scheduled.lane_count() == lanes {
-                    scheduled.run_until(ms(25));
-                    scheduled.schedule_fault(scheduled.now(), cut());
-                    scheduled.schedule_fault(scheduled.now(), NetFault::SetLoss(0.02));
-                    scheduled.run_until(DONE);
-                    assert_eq!(applied.recorder().events, scheduled.recorder().events);
-                    assert!((3..=40).contains(&hops(&applied)), "lost or cut off");
-                    for (a, s) in applied.workers.lanes().zip(scheduled.workers.lanes()) {
-                        assert_eq!(settings(&a.faults), settings(&s.faults));
-                    }
-                    // Only the scheduled ones are control events.
-                    let (a, s) = (applied.kernel_stats(), scheduled.kernel_stats());
-                    assert_eq!((a.control_events, s.control_events), (0, 2));
-                    assert_eq!(a.fates, s.fates);
-                }
-            });
+        let mut applied = serial(N, 9);
+        applied.run_until(ms(25));
+        applied.apply_fault(cut());
+        applied.apply_fault(NetFault::SetLoss(0.02));
+        applied.run_until(DONE);
+        assert!((3..=40).contains(&hops(&applied)), "lost or cut off");
+        on_every_engine!(9, |scheduled| {
+            scheduled.run_until(ms(25));
+            scheduled.schedule_fault(scheduled.now(), cut());
+            scheduled.schedule_fault(scheduled.now(), NetFault::SetLoss(0.02));
+            scheduled.run_until(DONE);
+            assert_eq!(applied.recorder().events, scheduled.recorder().events);
+            for w in scheduled.workers.workers() {
+                assert_eq!(settings(applied.faults()), settings(&w.faults));
+            }
+            // Only the scheduled ones are control events.
+            let (a, s) = (applied.kernel_stats(), scheduled.kernel_stats());
+            assert_eq!((a.control_events, s.control_events), (0, 2));
+            assert_eq!(a.fates, s.fates);
         });
     }
 
@@ -1710,38 +1645,32 @@ mod tests {
         }
         assert_panics("positive lookahead", || {
             ShardedSimBuilder::new(NoBound)
-                .lanes(4)
+                .threads(2)
                 .build_with(Rec::new(), member(4));
         });
-        let mut one_lane = ShardedSimBuilder::new(NoBound)
-            .lanes(1)
-            .build_with(Rec::new(), member(4));
-        one_lane.run_until(DONE);
+        let mut one = ShardedSimBuilder::new(NoBound).build_with(Rec::new(), member(4));
+        one.run_until(DONE);
         let mut sim = SimBuilder::new(NoBound).build_with(Rec::new(), member(4));
         sim.run_until(DONE);
-        assert_eq!(hops(&one_lane), 13);
-        assert_eq!(one_lane.recorder().events, sim.recorder().events);
+        assert_eq!(hops(&one), 13);
+        assert_eq!(one.recorder().events, sim.recorder().events);
     }
 
     #[test]
     fn metric_names_agree_across_entry_points_and_telemetry_merges_lanes() {
-        let names = |s: &Snapshot| -> Vec<&'static str> {
-            let mut names: Vec<_> = s.entries().iter().map(|e| e.name).collect();
-            names.retain(|n| *n != "kernel_lanes");
-            names
-        };
+        let names =
+            |s: &Snapshot| -> Vec<&'static str> { s.entries().iter().map(|e| e.name).collect() };
         let mut sim = SimBuilder::new(net(N))
             .telemetry()
             .build_with(Rec::new(), member(N));
-        let mut lanes = sharded(N, 0, 64, 1);
-        lanes.enable_telemetry();
-        assert!(lanes.telemetry_enabled());
+        let mut workers = sharded(N, 0, 4);
+        workers.enable_telemetry();
+        assert!(workers.telemetry_enabled());
         sim.run_until(DONE);
-        lanes.run_until(DONE);
-        let (a, b) = (sim.metrics_snapshot(), lanes.metrics_snapshot());
+        workers.run_until(DONE);
+        let (a, b) = (sim.metrics_snapshot(), workers.metrics_snapshot());
         assert_eq!(names(&a), names(&b));
         assert!(names(&a).contains(&"kernel_dispatch_ns_deliver"));
-        assert!(a.entries().iter().all(|e| e.name != "kernel_lanes"));
         let depth = |s: &Snapshot| {
             let entry = s.entries().iter().find(|e| e.name == "kernel_queue_depth");
             match &entry.expect("queue-depth histogram present").value {
@@ -1750,6 +1679,6 @@ mod tests {
             }
         };
         assert_eq!(depth(&a), sim.kernel_stats().events_processed);
-        assert_eq!(depth(&b), lanes.kernel_stats().events_processed);
+        assert_eq!(depth(&b), workers.kernel_stats().events_processed);
     }
 }

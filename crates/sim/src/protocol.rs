@@ -89,7 +89,7 @@ pub trait Protocol: Sized {
     fn prefetch(&self) {}
 }
 
-/// The world a protocol instance talks to: a lane of the simulation
+/// The world a protocol instance talks to: a worker of the simulation
 /// engine, or a deployment host (the UDP fabric in `gocast-testnet`) that
 /// supplies real message transport, real timers, and an event sink. The
 /// protocol state machine cannot tell the difference.
@@ -178,7 +178,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// Arms `timer` to fire after `delay`. Timers are one-shot and cannot be
     /// cancelled; re-arm from the handler for periodic behaviour. On
     /// every host each arm fires once, a second arm of a pending identity
-    /// included: a kernel lane and a testnet shard both schedule on an
+    /// included: a kernel worker and a testnet shard both schedule on an
     /// [`EventQueue`](crate::EventQueue).
     pub fn set_timer(&mut self, delay: Duration, timer: Timer) {
         self.backend.set_timer(delay, timer);

@@ -882,7 +882,7 @@ impl ScenarioPlan {
 
 /// A host a [`ScenarioPlan`] schedules into ([`ScenarioPlan::schedule_into`]):
 /// the engine, or a wire fabric whose shards are kernel workers. Either
-/// routes each kernel event to the lanes it concerns.
+/// routes each kernel event to the workers it concerns.
 pub trait FaultHost {
     /// The hosted protocol's command type.
     type Command;
@@ -892,7 +892,7 @@ pub trait FaultHost {
     fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: Self::Command);
     /// Schedules a crash of `node` at `at`.
     fn fail_node_at(&mut self, at: SimTime, node: NodeId);
-    /// Schedules network fault `fault` for every lane at `at`.
+    /// Schedules network fault `fault` for every worker at `at`.
     fn schedule_fault(&mut self, at: SimTime, fault: NetFault);
 }
 

@@ -129,7 +129,7 @@ impl TrafficStats {
     }
 
     /// Folds another run's counters into this one — the sharded kernel's
-    /// per-lane aggregation. Pair counts merge when both sides track them.
+    /// per-worker aggregation. Pair counts merge when both sides track them.
     pub fn absorb(&mut self, other: &TrafficStats) {
         for (mine, theirs) in self.per_class.iter_mut().zip(&other.per_class) {
             mine.messages += theirs.messages;

@@ -1,31 +1,30 @@
-//! One lane of the simulation engine: a self-contained slice of the node
-//! population with its own per-node RNG streams, counters, telemetry and
-//! fault-state replica — and the **only** dispatch table and send path on
-//! either host. A lane owns no queue: a [`Worker`] runs a contiguous chunk
-//! of lanes off one. Every event is keyed by `(time, tie)`, the tie
-//! belonging to whoever scheduled it — the sending or timer-setting node,
-//! with its own schedule count, or the harness — so events pop in one
-//! order whichever lanes share a queue.
+//! One worker of the simulation engine: a self-contained slice of the node
+//! population with its own per-node RNG streams and schedule counts, event
+//! queue, counters, telemetry and fault-state replica — and the **only**
+//! dispatch table and send path on either host. Every event is keyed by
+//! `(time, tie)`, the tie belonging to whoever scheduled it — the sending
+//! or timer-setting node, with its own schedule count, or the harness — so
+//! events pop in one order however the nodes are spread over workers.
 //!
-//! Which lane owns a node, at which slot, is the [`Placement`]'s to say.
-//! With one lane that is the whole population and nothing ever crosses
-//! lanes; with more, sends to other lanes buffer in the lane's outbox
-//! until the engine's window barrier (see [`crate::Engine`]). A
+//! Which worker owns a node, at which slot, is the [`Placement`]'s to say.
+//! With one worker that is the whole population and nothing ever crosses
+//! workers; with more, sends to other workers buffer in the worker's
+//! outbox until the engine's window barrier (see [`crate::Engine`]). A
 //! [`WorkerSet`] holds every worker of a placement and routes a node id
-//! to its lane, the same way on both hosts.
+//! to its worker, the same way on both hosts.
 //!
-//! What leaves a lane goes through its [`Link`], the one part of the send
-//! path a host supplies: the simulator's link adds the latency model's
-//! delay, and a `gocast-testnet` shard — a worker over one lane, fired in
+//! What leaves a worker goes through its [`Link`], the one part of the
+//! send path a host supplies: the simulator's link adds the latency
+//! model's delay, and a `gocast-testnet` shard — a worker fired in
 //! wall-clock time — frames datagrams onto sockets. Everything else a
 //! crash, a timer or a fault means is this file's, on both hosts.
 //!
 //! Link cuts, the loss/jitter state and the partition labelling are
-//! *global* facts: each lane holds a [`FaultState`] replica, updated by
-//! scheduling the control event for every lane. A send draws its loss and
-//! jitter as it leaves the lane; a message meets a dead endpoint, a cut
-//! link or the partition as it arrives. Both checks are lane-local, and
-//! the hot path takes no cross-lane locks.
+//! *global* facts: each worker holds a [`FaultState`] replica, updated by
+//! scheduling the control event for every worker. A send draws its loss
+//! and jitter as it leaves the worker; a message meets a dead endpoint, a
+//! cut link or the partition as it arrives. Both checks are local, and the
+//! hot path takes no locks.
 
 use std::time::Duration;
 
@@ -60,22 +59,11 @@ pub(crate) enum Event<M, C> {
     /// The kernel marks `node` as crashed.
     Fail { node: NodeId },
     /// The kernel changes the network's fault state (broadcast: every
-    /// lane has a copy scheduled).
+    /// worker has a copy scheduled).
     Control(NetFault),
 }
 
 impl<M, C> Event<M, C> {
-    /// The node the event happens at; `None` for a broadcast fault.
-    fn node(&self) -> Option<NodeId> {
-        match self {
-            Event::Deliver { to: node, .. }
-            | Event::Fire { node, .. }
-            | Event::Command { node, .. }
-            | Event::Fail { node } => Some(*node),
-            Event::Control(_) => None,
-        }
-    }
-
     fn class(&self) -> EventClass {
         match self {
             Event::Deliver { .. } => EventClass::Deliver,
@@ -86,20 +74,14 @@ impl<M, C> Event<M, C> {
     }
 }
 
-/// A message crossing lanes, buffered until the window barrier under the
-/// tie its sender gave it.
-pub(crate) struct CrossLaneMsg<M> {
-    pub(crate) at: SimTime,
-    pub(crate) tie: u64,
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) msg: M,
-}
+/// A message to another worker, `(at, tie, from, to, msg)`: buffered
+/// until the window barrier under the tie its sender gave it.
+pub(crate) type Outgoing<M> = (SimTime, u64, NodeId, NodeId, M);
 
 /// Deep kernel instrumentation, off by default and allocated only when
 /// turned on ([`Engine::enable_telemetry`](crate::Engine::enable_telemetry)):
-/// its five histograms take 75 KiB, which a lane without telemetry does not
-/// carry.
+/// its five histograms take 75 KiB, which a worker without telemetry does
+/// not carry.
 ///
 /// The always-on [`KernelStats`] counters cover event totals; this adds a
 /// queue-depth histogram observed at every pop (sim-deterministic) and
@@ -110,14 +92,14 @@ pub(crate) struct CrossLaneMsg<M> {
 /// requires (see DESIGN.md "Telemetry").
 #[derive(Debug, Default)]
 pub(crate) struct KernelTelemetry {
-    /// The popping lane's pending events, at every pop.
+    /// The popping worker's pending events, at every pop.
     pub(crate) queue_depth: Log2Histogram,
     /// Sampled dispatch nanoseconds, per [`EventClass`].
     pub(crate) dispatch_time: [Log2Histogram; EventClass::ALL.len()],
 }
 
 impl KernelTelemetry {
-    /// Adds another lane's histograms to these.
+    /// Adds another worker's histograms to these.
     pub(crate) fn merge(&mut self, other: &KernelTelemetry) {
         self.queue_depth.merge(&other.queue_depth);
         for (total, h) in self.dispatch_time.iter_mut().zip(&other.dispatch_time) {
@@ -152,28 +134,28 @@ fn tie(scheduler: u64, count: u64) -> u64 {
 pub(crate) type Ev<P> = Event<<P as Protocol>::Msg, <P as Protocol>::Command>;
 pub(crate) type Queue<P> = EventQueue<Ev<P>>;
 
-/// What a lane has scheduled into its worker's queue, and how much of it
-/// is pending.
-#[derive(Debug, Default)]
-pub(crate) struct Backlog {
-    scheduled: u64,
-    pending: usize,
+/// Schedules `ev` at `(at, tie)` on `queue`, counted in `kernel` (with
+/// the queue's high-water mark).
+#[inline(always)]
+fn schedule<T>(
+    queue: &mut EventQueue<T>,
+    kernel: &mut KernelStats,
+    at: SimTime,
+    tie: u64,
+    hint: u32,
+    ev: T,
+) {
+    queue.schedule_keyed(at, tie, hint, ev);
+    kernel.events_scheduled += 1;
+    kernel.queue_len += 1;
+    kernel.queue_high_water = kernel.queue_high_water.max(kernel.queue_len);
 }
 
-impl Backlog {
-    /// Schedules `ev` at `(at, tie)`.
-    #[inline]
-    fn schedule<T>(&mut self, q: &mut EventQueue<T>, at: SimTime, tie: u64, hint: u32, ev: T) {
-        q.schedule_keyed(at, tie, hint, ev);
-        self.scheduled += 1;
-        self.pending += 1;
-    }
-}
-
-/// Where a lane's sends leave it: the one part of the send path a host
-/// supplies. The lane has counted the send and drawn its loss and jitter
-/// first (a lost message never reaches the link), and judges whether the
-/// network stops it when it arrives; the link carries it between.
+/// Where a worker's sends leave it: the one part of the send path a host
+/// supplies. The worker has counted the send and drawn its loss and
+/// jitter first (a lost message never reaches the link), and judges
+/// whether the network stops it when it arrives; the link carries it
+/// between.
 pub trait Link<P: Protocol> {
     /// What the link reads from its host on every send: the latency model
     /// in the simulator, nothing on the wire.
@@ -202,15 +184,16 @@ pub struct Sender<'a, P: Protocol> {
     /// How many events `from` has scheduled: the count of its next tie.
     count: &'a mut u64,
     queue: &'a mut Queue<P>,
-    backlog: &'a mut Backlog,
+    kernel: &'a mut KernelStats,
 }
 
 impl<P: Protocol> Sender<'_, P> {
-    /// Takes `from`'s next schedule count.
+    /// Takes `from`'s next tie, returning its count.
     #[inline(always)]
-    fn next_count(&mut self) -> u64 {
+    fn next_tie(&mut self) -> u64 {
         let count = *self.count;
         *self.count += 1;
+        self.tie = tie(u64::from(self.from.as_u32()) + 1, count);
         count
     }
 }
@@ -222,14 +205,15 @@ impl<P: Protocol> std::fmt::Debug for Sender<'_, P> {
 }
 
 /// The simulator's link: a message arrives the latency model's delay plus
-/// its jitter after it is sent, scheduled on the sending lane's queue when
-/// that lane owns the receiver, else held in the outbox until the window
-/// barrier.
+/// its jitter after it is sent, scheduled on the sending worker's queue
+/// when that worker owns the receiver, else held in the outbox until the
+/// window barrier.
 pub(crate) struct SimLink<P: Protocol> {
-    index: usize,
-    placement: Placement,
-    /// Cross-lane sends made this window, in send order.
-    pub(crate) outbox: Vec<CrossLaneMsg<P::Msg>>,
+    /// The sending worker's index.
+    pub(crate) index: usize,
+    pub(crate) placement: Placement,
+    /// Sends to other workers made this window, in send order.
+    pub(crate) outbox: Vec<Outgoing<P::Msg>>,
 }
 
 impl<P: Protocol> Link<P> for SimLink<P> {
@@ -244,87 +228,102 @@ impl<P: Protocol> Link<P> for SimLink<P> {
         msg: P::Msg,
         extra: Duration,
     ) {
-        let from = sender.from;
+        let (from, tie) = (sender.from, sender.tie);
         let at = sender.now + (net.one_way(from, to) + extra);
-        let tie = sender.tie;
-        if self.placement.lane(to) == self.index {
+        if self.placement.owner(to) == self.index {
             let ev = Event::Deliver { from, to, msg };
-            sender
-                .backlog
-                .schedule(sender.queue, at, tie, to.as_u32(), ev);
+            schedule(sender.queue, sender.kernel, at, tie, to.as_u32(), ev);
         } else {
-            self.outbox.push(CrossLaneMsg {
-                at,
-                tie,
-                from,
-                to,
-                msg,
-            });
+            self.outbox.push((at, tie, from, to, msg));
         }
     }
 }
 
-impl<P: Protocol> SimLink<P> {
-    pub(crate) fn new(index: usize, placement: Placement) -> Self {
-        SimLink {
-            index,
-            placement,
-            outbox: Vec::new(),
-        }
-    }
-}
-
-/// A kernel lane and a kernel worker: the simulator's link.
-pub(crate) type SimLane<P> = Lane<P, SimLink<P>>;
+/// A kernel worker: the simulator's link.
 pub(crate) type SimWorker<P> = Worker<P, SimLink<P>>;
 
-/// One lane: a self-contained slice of the node population.
-pub(crate) struct Lane<P: Protocol, L> {
+/// A window's recorder events, each `(at, tie, node, event)`.
+pub(crate) type Window<E> = Vec<(SimTime, u64, NodeId, E)>;
+
+/// Records into a worker's window under the merge tie of the event being
+/// run ([`Worker::run_window_buffered`]), for [`WorkerSet::merge_into`].
+struct Tagged<'a, E> {
+    tie: u64,
+    out: &'a mut Window<E>,
+}
+
+impl<E> Recorder<E> for Tagged<'_, E> {
+    fn record(&mut self, now: SimTime, node: NodeId, event: E) {
+        self.out.push((now, self.tie, node, event));
+    }
+}
+
+/// One worker: a self-contained slice of the node population, and what
+/// one thread runs. The engine runs one per worker thread over the
+/// simulator's link; a `gocast-testnet` shard is a worker fired in
+/// wall-clock time ([`Worker::fire_due`]) and handed each arriving message
+/// ([`Worker::arrive`]). A [`WorkerSet`] holds them.
+pub struct Worker<P: Protocol, L> {
+    /// This worker's index in its placement.
+    index: usize,
     /// Where every node lives (what a protocol's `node_count` reads).
     placement: Placement,
     /// Protocol state for owned nodes, arena-style: dense by slot, never
     /// moved after construction (dispatch split-borrows the slot in
     /// place).
-    pub(crate) nodes: Vec<P>,
-    pub(crate) alive: Vec<bool>,
+    nodes: Vec<P>,
+    alive: Vec<bool>,
     rngs: Vec<SmallRng>,
     /// How many events each node has scheduled: the count of its next tie.
     counts: Vec<u64>,
-    pub(crate) backlog: Backlog,
+    pub(crate) queue: Queue<P>,
     pub(crate) stats: TrafficStats,
+    /// Counters, with `events_scheduled` and `queue_len` kept as events
+    /// enter and leave the queue.
     kernel: KernelStats,
     /// `Some` once telemetry is turned on.
     pub(crate) telemetry: Option<Box<KernelTelemetry>>,
-    /// This lane's replica of the network's fault state.
+    /// This worker's replica of the network's fault state.
     pub(crate) faults: FaultState,
-    /// Where this lane's sends leave it.
-    pub(crate) link: L,
+    /// Where this worker's sends leave it: the host's.
+    pub link: L,
+    /// Recorder events of the window, in pop order, where several workers
+    /// share one recorder ([`Worker::buffered`]).
+    pub(crate) events_out: Window<P::Event>,
 }
 
-impl<P: Protocol, L: Link<P>> Lane<P, L> {
-    /// Lane `index` of `placement`, empty, with room for exactly the
+impl<P: Protocol, L> std::fmt::Debug for Worker<P, L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Worker {} ({} nodes)", self.index, self.nodes.len())
+    }
+}
+
+impl<P: Protocol, L: Link<P>> Worker<P, L> {
+    /// Worker `index` of `placement`, empty, with room for exactly the
     /// nodes it will own: the arenas are the simulation's largest
     /// allocations, and growing them by doubling would leave up to half of
     /// each unused.
     fn new(index: usize, placement: Placement, seed: u64, link: L) -> Self {
         let nodes = placement.owned(index);
-        Lane {
+        Worker {
+            index,
             placement,
             nodes: Vec::with_capacity(nodes),
             alive: Vec::with_capacity(nodes),
             rngs: Vec::with_capacity(nodes),
             counts: Vec::with_capacity(nodes),
-            backlog: Backlog::default(),
+            queue: EventQueue::new(),
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),
             telemetry: None,
             faults: FaultState::new(placement.population(), seed),
             link,
+            events_out: Vec::new(),
         }
     }
 
     /// Adds the next owned node (callers push in increasing global id
-    /// order). Node `g` draws from `seed * GOLDEN ^ g` whichever lane
+    /// order). Node `g` draws from `seed * GOLDEN ^ g` whichever worker
     /// owns it.
     fn push_node(&mut self, id: NodeId, node: P, seed: u64) {
         debug_assert_eq!(self.placement.slot(id), self.nodes.len());
@@ -334,209 +333,6 @@ impl<P: Protocol, L: Link<P>> Lane<P, L> {
         self.rngs.push(SmallRng::seed_from_u64(
             seed.wrapping_mul(GOLDEN) ^ id.index() as u64,
         ));
-    }
-
-    /// Starts fetching what a dispatch to `node` reads first — its leading
-    /// lines, RNG and liveness flag — or, at `hook`, what
-    /// [`Protocol::prefetch`] names. See [`Worker::prefetch_next`].
-    #[inline(always)]
-    fn prefetch_node(&self, node: u32, hook: bool) {
-        let l = self.placement.slot(NodeId::new(node));
-        if let (Some(p), Some(rng), Some(alive)) =
-            (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
-        {
-            prefetch(p);
-            if hook {
-                p.prefetch();
-            } else {
-                prefetch(rng);
-                prefetch(alive);
-            }
-        }
-    }
-
-    /// Counts one event popped off this lane's backlog.
-    #[inline(always)]
-    fn popped(&mut self) {
-        // The depth this lane had with the event still pending, then without.
-        let backlog = &mut self.backlog;
-        self.kernel.queue_high_water = self.kernel.queue_high_water.max(backlog.pending);
-        backlog.pending -= 1;
-        self.kernel.events_processed += 1;
-        if let Some(telemetry) = &mut self.telemetry {
-            telemetry.queue_depth.observe(backlog.pending as u64);
-        }
-    }
-
-    /// Runs one popped event at `at`: its own time in the kernel, the time
-    /// it fires at on the wire.
-    #[inline(always)]
-    fn execute<S: Recorder<P::Event>>(
-        &mut self,
-        at: SimTime,
-        ev: Ev<P>,
-        queue: &mut Queue<P>,
-        env: &L::Env,
-        sink: &mut S,
-    ) {
-        self.popped();
-        let events = self.kernel.events_processed;
-        if self.telemetry.is_some() && events.is_multiple_of(TELEMETRY_SAMPLE) {
-            let class = ev.class();
-            let t0 = std::time::Instant::now();
-            self.dispatch(at, ev, queue, env, sink);
-            let ns = t0.elapsed().as_nanos() as u64;
-            if let Some(telemetry) = &mut self.telemetry {
-                telemetry.dispatch_time[class.index()].observe(ns);
-            }
-            return;
-        }
-        self.dispatch(at, ev, queue, env, sink);
-    }
-
-    #[inline(always)]
-    fn dispatch<S: Recorder<P::Event>>(
-        &mut self,
-        at: SimTime,
-        ev: Ev<P>,
-        queue: &mut Queue<P>,
-        env: &L::Env,
-        sink: &mut S,
-    ) {
-        match ev {
-            Event::Deliver { from, to, msg } => {
-                let dead = !self.alive[self.placement.slot(to)];
-                if !self.faults.blocked(from, to, dead) {
-                    self.kernel.deliveries += 1;
-                    self.with_ctx(at, to, queue, env, sink, |p, ctx| {
-                        p.on_message(ctx, from, msg)
-                    });
-                }
-            }
-            Event::Fire { node, timer } => {
-                if self.alive[self.placement.slot(node)] {
-                    self.kernel.timers_fired += 1;
-                    self.with_ctx(at, node, queue, env, sink, |p, ctx| p.on_timer(ctx, timer));
-                }
-            }
-            Event::Command { node, cmd } => {
-                if self.alive[self.placement.slot(node)] {
-                    self.kernel.commands += 1;
-                    self.with_ctx(at, node, queue, env, sink, |p, ctx| p.on_command(ctx, cmd));
-                }
-            }
-            Event::Fail { node } => {
-                self.kernel.control_events += 1;
-                let l = self.placement.slot(node);
-                self.alive[l] = false;
-            }
-            Event::Control(fault) => {
-                self.kernel.control_events += 1;
-                self.faults.apply(&fault);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn with_ctx<S: Recorder<P::Event>, F: FnOnce(&mut P, &mut Ctx<'_, P>)>(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        queue: &mut Queue<P>,
-        env: &L::Env,
-        sink: &mut S,
-        f: F,
-    ) {
-        // Split borrows: the protocol instance and the backend borrow
-        // disjoint fields of `self`, so the node stays in place — no
-        // whole-struct move in and out of the slot per dispatched event.
-        let l = self.placement.slot(node);
-        let p = &mut self.nodes[l];
-        let mut backend = Backend::<P, L, S> {
-            sender: Sender {
-                from: node,
-                now: at,
-                tie: 0,
-                count: &mut self.counts[l],
-                queue,
-                backlog: &mut self.backlog,
-            },
-            population: self.placement.population(),
-            env,
-            link: &mut self.link,
-            stats: &mut self.stats,
-            faults: &mut self.faults,
-            sink,
-        };
-        let mut ctx = Ctx::for_host(node, at, &mut self.rngs[l], &mut backend);
-        f(p, &mut ctx);
-    }
-
-    /// This lane's counters; the queue's storage is its worker's to add.
-    pub(crate) fn kernel_stats(&self) -> KernelStats {
-        let mut k = self.kernel;
-        k.queue_len = self.backlog.pending;
-        k.events_scheduled = self.backlog.scheduled;
-        k.fates = self.faults.fates();
-        k
-    }
-}
-
-/// A contiguous chunk of lanes whose events all wait in one queue: what
-/// one thread runs. The engine runs one per worker thread over the
-/// simulator's link; a `gocast-testnet` shard is a worker over one lane,
-/// fired in wall-clock time ([`Worker::fire_due`]) and handed each
-/// arriving message ([`Worker::arrive`]). A [`WorkerSet`] holds them.
-pub struct Worker<P: Protocol, L> {
-    /// The global index of the first lane.
-    pub(crate) first: usize,
-    placement: Placement,
-    pub(crate) lanes: Vec<Lane<P, L>>,
-    pub(crate) queue: Queue<P>,
-    /// Recorder events of the window, in pop order, where several workers
-    /// share one recorder ([`Worker::buffered`]).
-    pub(crate) events_out: WindowBuffer<P::Event>,
-}
-
-/// A worker's recorder events of one window, each under the tie of the
-/// event whose handler emitted it, for [`WorkerSet::merge_into`].
-#[derive(Debug)]
-pub(crate) struct WindowBuffer<E> {
-    /// The tie of the event being run.
-    tie: u64,
-    pub(crate) events: Vec<(SimTime, u64, NodeId, E)>,
-}
-
-impl<E> Default for WindowBuffer<E> {
-    fn default() -> Self {
-        WindowBuffer {
-            tie: 0,
-            events: Vec::new(),
-        }
-    }
-}
-
-impl<E> Recorder<E> for WindowBuffer<E> {
-    fn record(&mut self, now: SimTime, node: NodeId, event: E) {
-        self.events.push((now, self.tie, node, event));
-    }
-}
-
-impl<P: Protocol, L> std::fmt::Debug for Worker<P, L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Worker({} lanes from {})", self.lanes.len(), self.first)
-    }
-}
-
-impl<P: Protocol, L: Link<P>> Worker<P, L> {
-    /// The first lane's link: a one-lane worker's only one.
-    pub fn link(&self) -> &L {
-        &self.lanes[0].link
-    }
-
-    /// The first lane's link, mutably.
-    pub fn link_mut(&mut self) -> &mut L {
-        &mut self.lanes[0].link
     }
 
     /// When the earliest pending event is due.
@@ -552,25 +348,28 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         f: impl FnOnce(&mut Self, &mut dyn Recorder<P::Event>) -> T,
     ) -> T {
         let mut out = std::mem::take(&mut self.events_out);
-        let t = f(self, &mut out);
+        let t = f(
+            self,
+            &mut Tagged {
+                tie: 0,
+                out: &mut out,
+            },
+        );
         self.events_out = out;
         t
     }
 
-    /// Schedules `ev` at `(at, tie)` for lane `lane` (a global index, in
-    /// this chunk).
+    /// Schedules `ev` at `(at, tie)`.
     #[inline]
-    pub(crate) fn schedule(&mut self, lane: usize, at: SimTime, tie: u64, hint: u32, ev: Ev<P>) {
-        let backlog = &mut self.lanes[lane - self.first].backlog;
-        backlog.schedule(&mut self.queue, at, tie, hint, ev);
+    pub(crate) fn schedule(&mut self, at: SimTime, tie: u64, hint: u32, ev: Ev<P>) {
+        schedule(&mut self.queue, &mut self.kernel, at, tie, hint, ev);
     }
 
     /// Calls `on_start` on `g`, an owned node, if it is alive.
     fn start_node<S: Recorder<P::Event>>(&mut self, g: NodeId, env: &L::Env, sink: &mut S) {
-        let lane = &mut self.lanes[self.placement.lane(g) - self.first];
-        if lane.alive[self.placement.slot(g)] {
+        if self.alive[self.placement.slot(g)] {
             let on_start = |p: &mut P, ctx: &mut Ctx<'_, P>| p.on_start(ctx);
-            lane.with_ctx(SimTime::ZERO, g, &mut self.queue, env, sink, on_start);
+            self.with_ctx(SimTime::ZERO, g, env, sink, on_start);
         }
     }
 
@@ -596,26 +395,20 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
     }
 
     /// [`Worker::run_window`] into this worker's window buffer, each
-    /// recorder event under the tie of the event that emitted it.
+    /// recorder event under the highest tie popped at its instant so far.
+    /// That is the emitting event's own tie but for an event a handler
+    /// schedules for its own instant under a lower tie (a zero-delay timer
+    /// or self-send answering a higher scheduler): one queue over every
+    /// node pops that right after its cause, and so it sorts.
     pub(crate) fn run_window_buffered(&mut self, end_inclusive: SimTime, env: &L::Env) {
         let mut out = std::mem::take(&mut self.events_out);
+        let (mut at, mut tie) = (SimTime::ZERO, 0);
         while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
-            out.tie = ev.seq;
-            self.execute(ev.at, ev, env, &mut out);
+            tie = if ev.at == at { tie.max(ev.seq) } else { ev.seq };
+            at = ev.at;
+            self.execute(at, ev, env, &mut Tagged { tie, out: &mut out });
         }
         self.events_out = out;
-    }
-
-    /// Runs the earliest event, returning its timestamp.
-    pub(crate) fn step<S: Recorder<P::Event>>(
-        &mut self,
-        env: &L::Env,
-        sink: &mut S,
-    ) -> Option<SimTime> {
-        let ev = self.queue.pop()?;
-        let at = ev.at;
-        self.execute(at, ev, env, sink);
-        Some(at)
     }
 
     /// Runs the earliest event due at or before `now`, at `now`: a host on
@@ -647,12 +440,12 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         env: &L::Env,
         sink: &mut S,
     ) {
-        let lane = &mut self.lanes[self.placement.lane(to) - self.first];
-        lane.kernel.events_processed += 1;
-        let ev = Event::Deliver { from, to, msg };
-        lane.dispatch(now, ev, &mut self.queue, env, sink);
+        self.kernel.events_processed += 1;
+        self.dispatch(now, Event::Deliver { from, to, msg }, env, sink);
     }
 
+    /// Runs one popped event at `at`: its own time in the kernel, the time
+    /// it fires at on the wire.
     #[inline(always)]
     fn execute<S: Recorder<P::Event>>(
         &mut self,
@@ -662,22 +455,114 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         sink: &mut S,
     ) {
         self.prefetch_next();
-        let Some(node) = ev.payload.node() else {
-            // A broadcast fault: one copy a worker, which applies it to
-            // each of its lanes' replicas. Worker 0's copy alone is
-            // counted, so a fault is one event at any layout.
-            if let Event::Control(fault) = &ev.payload {
-                self.lanes.iter_mut().for_each(|l| l.faults.apply(fault));
-            }
-            if self.first == 0 {
-                let home = &mut self.lanes[0];
-                home.popped();
-                home.kernel.control_events += 1;
-            }
+        let ev = ev.payload;
+        if let (Event::Control(fault), 1..) = (&ev, self.index) {
+            // Another worker's copy of a broadcast fault: worker 0's is
+            // the one counted, so a fault is one event at any layout.
+            self.faults.apply(fault);
             return;
+        }
+        let k = &mut self.kernel;
+        k.queue_len -= 1;
+        k.events_processed += 1;
+        let (pending, events) = (k.queue_len, k.events_processed);
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.queue_depth.observe(pending as u64);
+            if events.is_multiple_of(TELEMETRY_SAMPLE) {
+                let class = ev.class();
+                let t0 = std::time::Instant::now();
+                self.dispatch(at, ev, env, sink);
+                let ns = t0.elapsed().as_nanos() as u64;
+                if let Some(telemetry) = &mut self.telemetry {
+                    telemetry.dispatch_time[class.index()].observe(ns);
+                }
+                return;
+            }
+        }
+        self.dispatch(at, ev, env, sink);
+    }
+
+    #[inline(always)]
+    fn dispatch<S: Recorder<P::Event>>(
+        &mut self,
+        at: SimTime,
+        ev: Ev<P>,
+        env: &L::Env,
+        sink: &mut S,
+    ) {
+        match ev {
+            Event::Deliver { from, to, msg } => {
+                let dead = !self.alive[self.placement.slot(to)];
+                if !self.faults.blocked(from, to, dead) {
+                    self.kernel.deliveries += 1;
+                    self.with_ctx(at, to, env, sink, |p, ctx| p.on_message(ctx, from, msg));
+                }
+            }
+            Event::Fire { node, timer } => {
+                if self.alive[self.placement.slot(node)] {
+                    self.kernel.timers_fired += 1;
+                    self.with_ctx(at, node, env, sink, |p, ctx| p.on_timer(ctx, timer));
+                }
+            }
+            Event::Command { node, cmd } => {
+                if self.alive[self.placement.slot(node)] {
+                    self.kernel.commands += 1;
+                    self.with_ctx(at, node, env, sink, |p, ctx| p.on_command(ctx, cmd));
+                }
+            }
+            Event::Fail { node } => {
+                self.kernel.control_events += 1;
+                let l = self.placement.slot(node);
+                self.alive[l] = false;
+            }
+            Event::Control(fault) => {
+                self.kernel.control_events += 1;
+                self.faults.apply(&fault);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn with_ctx<S: Recorder<P::Event>, F: FnOnce(&mut P, &mut Ctx<'_, P>)>(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        env: &L::Env,
+        sink: &mut S,
+        f: F,
+    ) {
+        // Split borrows: the protocol instance and the backend borrow
+        // disjoint fields of `self`, so the node stays in place — no
+        // whole-struct move in and out of the slot per dispatched event.
+        let l = self.placement.slot(node);
+        let p = &mut self.nodes[l];
+        let mut backend = Backend::<P, L, S> {
+            sender: Sender {
+                from: node,
+                now: at,
+                tie: 0,
+                count: &mut self.counts[l],
+                queue: &mut self.queue,
+                kernel: &mut self.kernel,
+            },
+            population: self.placement.population(),
+            env,
+            link: &mut self.link,
+            stats: &mut self.stats,
+            faults: &mut self.faults,
+            sink,
         };
-        let lane = &mut self.lanes[self.placement.lane(node) - self.first];
-        lane.execute(at, ev.payload, &mut self.queue, env, sink);
+        let mut ctx = Ctx::for_host(node, at, &mut self.rngs[l], &mut backend);
+        f(p, &mut ctx);
+    }
+
+    /// This worker's counters, with what its queue stores.
+    pub(crate) fn kernel_stats(&self) -> KernelStats {
+        let mut k = self.kernel;
+        k.fates = self.faults.fates();
+        k.slab_slots = self.queue.slab_slots();
+        k.queue_mem_bytes = self.queue.mem_bytes();
+        k
     }
 
     /// Starts fetching what the next two dispatches read, so the misses
@@ -701,10 +586,19 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
             (self.queue.second_hint(), false),
             (self.queue.next_hint(), true),
         ] {
-            if let Some(node) = hint {
-                let lane = self.placement.lane(NodeId::new(node));
-                if let Some(lane) = self.lanes.get(lane.wrapping_sub(self.first)) {
-                    lane.prefetch_node(node, hook);
+            // A broadcast fault's hint is no node, and every other event's
+            // node is this worker's.
+            let Some(node) = hint else { continue };
+            let l = self.placement.slot(NodeId::new(node));
+            if let (Some(p), Some(rng), Some(alive)) =
+                (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
+            {
+                prefetch(p);
+                if hook {
+                    p.prefetch();
+                } else {
+                    prefetch(rng);
+                    prefetch(alive);
                 }
             }
         }
@@ -717,15 +611,15 @@ type Buffered<E> = (SimTime, u64, u32, u32, NodeId, E);
 
 /// Merges the workers' window buffers into `recorder` by `(time, tie,
 /// emission order)`: the order one worker over every node pops and emits
-/// in, whatever the layout. (Only a wire shard, which fires in wall-clock
-/// time, records under equal ties; the worker index orders those.)
+/// in, whatever the layout. (Only wire shards, which fire in wall-clock
+/// time, record under equal ties; the worker index orders those.)
 pub(crate) fn merge_buffers<'a, P: Protocol + 'a, L: 'a, R: Recorder<P::Event>>(
     workers: impl Iterator<Item = &'a mut Worker<P, L>>,
     merging: &mut Vec<Buffered<P::Event>>,
     recorder: &mut R,
 ) {
     for (i, w) in workers.enumerate() {
-        let events = w.events_out.events.drain(..).enumerate();
+        let events = w.events_out.drain(..).enumerate();
         merging.extend(
             events.map(|(pos, (at, tie, node, ev))| (at, tie, i as u32, pos as u32, node, ev)),
         );
@@ -739,9 +633,9 @@ pub(crate) fn merge_buffers<'a, P: Protocol + 'a, L: 'a, R: Recorder<P::Event>>(
 }
 
 /// Every worker of a [`Placement`]: the population as both hosts hold it,
-/// and the one routing from a node id to the lane that owns it — node
-/// access, liveness, command, crash and fault scheduling, the summed
-/// counters, and the merge of the workers' recorder buffers.
+/// and the one routing from a node id to the worker that owns it — node
+/// access, liveness, start-up, command, crash and fault scheduling, the
+/// summed counters, and the merge of the workers' recorder buffers.
 #[derive(Debug)]
 pub struct WorkerSet<P: Protocol, L> {
     placement: Placement,
@@ -754,11 +648,11 @@ pub struct WorkerSet<P: Protocol, L> {
 }
 
 impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
-    /// Lays `placement` out: lane `i` sends through `link(i)`, and `make`
-    /// builds each node in global id order (so bootstrap draws do not
-    /// depend on the layout), handed the link of the lane that owns it.
-    /// Node `g` draws from `seed * GOLDEN ^ g` whichever lane owns it, and
-    /// every lane decides loss and jitter from the same seed.
+    /// Lays `placement` out: worker `i` sends through `link(i)`, and
+    /// `make` builds each node in global id order (so bootstrap draws do
+    /// not depend on the layout), handed the link of the worker that owns
+    /// it. Node `g` draws from `seed * GOLDEN ^ g` whichever worker owns
+    /// it, and every worker decides loss and jitter from the same seed.
     ///
     /// # Panics
     ///
@@ -773,18 +667,7 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
         let population = placement.population();
         assert!(population < MAX_NODES, "at most {MAX_NODES} nodes");
         let list = (0..placement.workers())
-            .map(|w| {
-                let lanes = placement.lanes_of(w);
-                Worker {
-                    first: lanes.start,
-                    placement,
-                    lanes: lanes
-                        .map(|i| Lane::new(i, placement, seed, link(i)))
-                        .collect(),
-                    queue: EventQueue::new(),
-                    events_out: WindowBuffer::default(),
-                }
-            })
+            .map(|i| Worker::new(i, placement, seed, link(i)))
             .collect();
         let mut set = WorkerSet {
             placement,
@@ -793,9 +676,9 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
             merging: Vec::new(),
         };
         for id in (0..population as u32).map(NodeId::new) {
-            let lane = set.lane_mut(id);
-            let node = make(id, &mut lane.link);
-            lane.push_node(id, node, seed);
+            let w = set.owner_mut(id);
+            let node = make(id, &mut w.link);
+            w.push_node(id, node, seed);
         }
         set
     }
@@ -805,7 +688,7 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
         self.placement
     }
 
-    /// The workers, in lane order.
+    /// The workers, in index order.
     pub fn workers(&self) -> &[Worker<P, L>] {
         &self.list
     }
@@ -815,61 +698,47 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
         &mut self.list
     }
 
-    /// Every lane, in index order.
-    pub(crate) fn lanes(&self) -> impl Iterator<Item = &Lane<P, L>> {
-        self.list.iter().flat_map(|w| &w.lanes)
+    /// The worker that owns `g`: the one routing from an id to its worker.
+    fn owner(&self, g: NodeId) -> &Worker<P, L> {
+        &self.list[self.placement.owner(g)]
     }
 
-    pub(crate) fn lanes_mut(&mut self) -> impl Iterator<Item = &mut Lane<P, L>> {
-        self.list.iter_mut().flat_map(|w| &mut w.lanes)
+    fn owner_mut(&mut self, g: NodeId) -> &mut Worker<P, L> {
+        &mut self.list[self.placement.owner(g)]
     }
 
-    /// The lane that owns `g`: the one routing from an id to its lane.
-    fn lane(&self, g: NodeId) -> &Lane<P, L> {
-        let lane = self.placement.lane(g);
-        let w = &self.list[self.placement.worker(lane)];
-        &w.lanes[lane - w.first]
-    }
-
-    fn lane_mut(&mut self, g: NodeId) -> &mut Lane<P, L> {
-        let lane = self.placement.lane(g);
-        let w = &mut self.list[self.placement.worker(lane)];
-        &mut w.lanes[lane - w.first]
-    }
-
-    /// The link of the lane that owns `g`.
+    /// The link of the worker that owns `g`.
     pub fn link(&self, g: NodeId) -> &L {
-        &self.lane(g).link
+        &self.owner(g).link
     }
 
     /// The protocol state of `g` (alive or not).
     pub fn node(&self, g: NodeId) -> &P {
-        &self.lane(g).nodes[self.placement.slot(g)]
+        &self.owner(g).nodes[self.placement.slot(g)]
     }
 
     /// The protocol state of `g`, mutably.
     pub(crate) fn node_mut(&mut self, g: NodeId) -> &mut P {
         let slot = self.placement.slot(g);
-        &mut self.lane_mut(g).nodes[slot]
+        &mut self.owner_mut(g).nodes[slot]
     }
 
     /// Whether `g` is alive.
     pub fn is_alive(&self, g: NodeId) -> bool {
-        self.lane(g).alive[self.placement.slot(g)]
+        self.owner(g).alive[self.placement.slot(g)]
     }
 
     /// Crashes `g` now.
     pub(crate) fn fail_node(&mut self, g: NodeId) {
         let slot = self.placement.slot(g);
-        self.lane_mut(g).alive[slot] = false;
+        self.owner_mut(g).alive[slot] = false;
     }
 
     /// Calls `on_start` on every alive node, in global id order whatever
     /// the layout.
     pub fn start<S: Recorder<P::Event>>(&mut self, env: &L::Env, sink: &mut S) {
         for g in (0..self.placement.population() as u32).map(NodeId::new) {
-            let lane = self.placement.lane(g);
-            self.list[self.placement.worker(lane)].start_node(g, env, sink);
+            self.owner_mut(g).start_node(g, env, sink);
         }
     }
 
@@ -879,10 +748,10 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
         tie(0, self.harness - 1)
     }
 
-    /// Schedules `ev` for `g`'s lane, under the harness's next tie.
+    /// Schedules `ev` for `g`'s worker, under the harness's next tie.
     fn schedule_for(&mut self, at: SimTime, g: NodeId, ev: Ev<P>) {
-        let (lane, tie) = (self.placement.lane(g), self.harness_tie());
-        self.list[self.placement.worker(lane)].schedule(lane, at, tie, g.as_u32(), ev);
+        let tie = self.harness_tie();
+        self.owner_mut(g).schedule(at, tie, g.as_u32(), ev);
     }
 
     /// Schedules command `cmd` for `g` at `at`.
@@ -904,39 +773,35 @@ impl<P: Protocol, L: Link<P>> WorkerSet<P, L> {
     /// Panics where [`FaultState::apply`] would — at this call, not when
     /// the fault fires.
     pub fn schedule_fault(&mut self, at: SimTime, fault: &NetFault) {
-        self.list[0].lanes[0].faults.validate(fault);
+        self.list[0].faults.validate(fault);
         let tie = self.harness_tie();
-        for w in &mut self.list {
+        let (home, rest) = self.list.split_first_mut().expect("at least one worker");
+        home.schedule(at, tie, u32::MAX, Event::Control(fault.clone()));
+        for w in rest {
             let ev = Event::Control(fault.clone());
-            if w.first == 0 {
-                let home = &mut w.lanes[0].backlog;
-                home.schedule(&mut w.queue, at, tie, u32::MAX, ev);
-            } else {
-                w.queue.schedule_keyed(at, tie, u32::MAX, ev);
-            }
+            w.queue.schedule_keyed(at, tie, u32::MAX, ev);
         }
     }
 
-    /// The counters of every lane, with what the queues hold.
+    /// The counters of every worker, with what the queues store.
     pub fn kernel_stats(&self) -> KernelStats {
         let mut total = KernelStats::default();
-        for w in &self.list {
-            w.lanes.iter().for_each(|l| total.absorb(&l.kernel_stats()));
-            total.slab_slots += w.queue.slab_slots();
-            total.queue_mem_bytes += w.queue.mem_bytes();
-        }
+        self.list
+            .iter()
+            .for_each(|w| total.absorb(&w.kernel_stats()));
         total
     }
 
     /// Merges what the workers buffered ([`Worker::buffered`]) into
-    /// `recorder`, by `(time, worker, emission order)`.
+    /// `recorder`, by `(time, tie, emission order)`.
     pub fn merge_into<R: Recorder<P::Event>>(&mut self, recorder: &mut R) {
         merge_buffers(self.list.iter_mut(), &mut self.merging, recorder);
     }
 }
 
 /// A plan reaches a worker set as it reaches the engine: a crash or a
-/// command to the lane that owns the node, a network fault to every lane.
+/// command to the worker that owns the node, a network fault to every
+/// worker.
 impl<P: Protocol, L: Link<P>> FaultHost for WorkerSet<P, L> {
     type Command = P::Command;
 
@@ -957,8 +822,8 @@ impl<P: Protocol, L: Link<P>> FaultHost for WorkerSet<P, L> {
     }
 }
 
-/// The [`HostBackend`] a lane presents to its protocol instances. The
-/// state machines run unchanged: they cannot tell a lane from a real
+/// The [`HostBackend`] a worker presents to its protocol instances. The
+/// state machines run unchanged: they cannot tell a worker from a real
 /// deployment host.
 struct Backend<'a, P: Protocol, L: Link<P>, S> {
     sender: Sender<'a, P>,
@@ -976,8 +841,7 @@ impl<P: Protocol, L: Link<P>, S: Recorder<P::Event>> HostBackend<P> for Backend<
         // and jitter draws for it.
         let from = self.sender.from;
         self.stats.record(from, to, msg.wire_size(), msg.class());
-        let count = self.sender.next_count();
-        self.sender.tie = tie(u64::from(from.as_u32()) + 1, count);
+        let count = self.sender.next_tie();
         let mut extra = Duration::ZERO;
         if self.faults.active() {
             match self.faults.draw(from, to, count) {
@@ -990,13 +854,11 @@ impl<P: Protocol, L: Link<P>, S: Recorder<P::Event>> HostBackend<P> for Backend<
 
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
         let sender = &mut self.sender;
+        sender.next_tie();
         let node = sender.from;
-        let tie = tie(u64::from(node.as_u32()) + 1, sender.next_count());
-        let ev = Event::Fire { node, timer };
-        let at = sender.now + delay;
-        sender
-            .backlog
-            .schedule(sender.queue, at, tie, node.as_u32(), ev);
+        let (at, ev) = (sender.now + delay, Event::Fire { node, timer });
+        let hint = node.as_u32();
+        schedule(sender.queue, sender.kernel, at, sender.tie, hint, ev);
     }
 
     fn emit(&mut self, event: P::Event) {

@@ -1,20 +1,20 @@
 //! The window barrier's delivery order, pinned.
 //!
-//! A cross-lane message waits in its sender's outbox until the barrier,
-//! then enters the destination queue under the tie its sender gave it, so
-//! it pops exactly where it would have had one queue held every node. On
-//! [`FixedLatency`] every cross-lane arrival of a tick ties on its arrival
-//! time, so the tie-break *is* the delivery order, and each node folds what
-//! it receives into the payloads it sends next — one swapped pair changes
-//! the rest of the stream. One digest holds at every lane and thread
-//! count.
+//! A message to another worker waits in its sender's outbox until the
+//! barrier, then enters the destination queue under the tie its sender
+//! gave it, so it pops exactly where it would have had one queue held
+//! every node. On [`FixedLatency`] every arrival of a tick ties on its
+//! arrival time, so the tie-break *is* the delivery order, and each node
+//! folds what it receives into the payloads it sends next — one swapped
+//! pair changes the rest of the stream. One digest holds on `Sim` and at
+//! every thread count.
 
 use std::hash::Hasher;
 use std::time::Duration;
 
 use gocast_sim::{
-    Ctx, FixedLatency, FxHasher, NodeId, Protocol, ShardedSimBuilder, SimTime, Timer, TrafficClass,
-    VecRecorder, Wire,
+    Ctx, FixedLatency, FxHasher, NodeId, Protocol, ShardedSimBuilder, SimBuilder, SimTime, Timer,
+    TrafficClass, VecRecorder, Wire,
 };
 use rand::Rng;
 
@@ -66,37 +66,47 @@ impl Protocol for Mixer {
     }
 }
 
-fn stream_digest(lanes: usize, threads: usize) -> (usize, u64) {
-    let mut sim = ShardedSimBuilder::new(FixedLatency::new(NODES as usize, LATENCY))
-        .seed(11)
-        .lanes(lanes)
-        .threads(threads)
-        .build_with(VecRecorder::new(), |id| Mixer {
-            state: u64::from(id.as_u32()) + 1,
-        });
-    // Two run calls: the barrier state must carry across a return.
-    sim.run_until(SimTime::from_millis(120));
-    sim.run_until(SimTime::from_millis(250));
+fn digest(events: &[(SimTime, NodeId, (NodeId, u64))]) -> (usize, u64) {
     let mut h = FxHasher::default();
-    for (at, node, (from, state)) in &sim.recorder().events {
+    for (at, node, (from, state)) in events {
         h.write_u64(at.as_nanos());
         h.write_u32(node.as_u32());
         h.write_u32(from.as_u32());
         h.write_u64(*state);
     }
-    (sim.recorder().events.len(), h.finish())
+    (events.len(), h.finish())
 }
 
+fn mixer(id: NodeId) -> Mixer {
+    Mixer {
+        state: u64::from(id.as_u32()) + 1,
+    }
+}
+
+fn net() -> FixedLatency {
+    FixedLatency::new(NODES as usize, LATENCY)
+}
+
+/// Two run calls: the barrier state must carry across a return.
+const FIRST: SimTime = SimTime::from_millis(120);
+const END: SimTime = SimTime::from_millis(250);
+
 #[test]
-fn tied_cross_lane_arrivals_deliver_in_tie_order() {
-    for lanes in [1, 4, 64] {
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                stream_digest(lanes, threads),
-                PINNED,
-                "lanes {lanes}, threads {threads}"
-            );
-        }
+fn tied_cross_lane_arrivals_deliver_in_sorted_merge_order() {
+    let mut sim = SimBuilder::new(net())
+        .seed(11)
+        .build_with(VecRecorder::new(), mixer);
+    sim.run_until(FIRST);
+    sim.run_until(END);
+    assert_eq!(digest(&sim.recorder().events), PINNED, "Sim");
+    for threads in [1, 2, 4] {
+        let mut sim = ShardedSimBuilder::new(net())
+            .seed(11)
+            .threads(threads)
+            .build_with(VecRecorder::new(), mixer);
+        sim.run_until(FIRST);
+        sim.run_until(END);
+        assert_eq!(digest(&sim.recorder().events), PINNED, "{threads} threads");
     }
 }
 

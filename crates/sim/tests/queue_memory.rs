@@ -1,10 +1,10 @@
-//! What the event queues reserve does not grow with the lane count.
+//! What the event queues reserve does not grow with the thread count.
 //!
-//! One thread runs every lane off one queue, so a 64-lane engine holds
-//! the same pending events in the same kind of queue as a one-lane
-//! engine: its reservation may differ only by what the shrink rule's
-//! timing leaves (a quarter). A queue per lane paid the calendar's fixed
-//! tiers and a start-up slab 64 times over.
+//! Each worker thread keeps its own queue over its share of the nodes, so
+//! four workers hold the same pending events as one, a quarter each: their
+//! reservation may exceed one queue's only by three more sets of the
+//! calendar's fixed tiers and what the shrink rule's timing leaves (a
+//! quarter in all).
 
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ use gocast_sim::{
 };
 
 /// Every node ticks every 10 ms and sends a token to a node `stride` ids
-/// on, so each tick crosses lanes at any lane count above one.
+/// on, so each tick crosses workers at any thread count above one.
 struct Ticker {
     id: NodeId,
     n: u32,
@@ -51,15 +51,13 @@ impl Protocol for Ticker {
     }
 }
 
-fn queue_mem_bytes(lanes: usize) -> u64 {
+fn queue_mem_bytes(threads: usize) -> u64 {
     const N: u32 = 1024;
     let mut sim = ShardedSimBuilder::new(FixedLatency::new(N as usize, Duration::from_millis(3)))
         .seed(3)
-        .lanes(lanes)
-        .threads(1)
+        .threads(threads)
         .build_with(NullRecorder, |id| Ticker { id, n: N });
     sim.run_until(SimTime::from_secs(2));
-    assert_eq!(sim.lane_count(), lanes);
     let k = sim.kernel_stats();
     assert!(
         k.events_processed > 300_000,
@@ -70,10 +68,10 @@ fn queue_mem_bytes(lanes: usize) -> u64 {
 }
 
 #[test]
-fn sixty_four_lanes_on_one_thread_reserve_what_one_lane_does() {
-    let (one, many) = (queue_mem_bytes(1), queue_mem_bytes(64));
+fn four_worker_queues_reserve_what_one_queue_does() {
+    let (one, many) = (queue_mem_bytes(1), queue_mem_bytes(4));
     assert!(
         many * 4 <= one * 5,
-        "64 lanes reserve {many} B of queue, one lane {one} B"
+        "four workers reserve {many} B of queue, one {one} B"
     );
 }

@@ -168,16 +168,17 @@ fn telemetry_enabled_kernel_path_does_not_allocate() {
 }
 
 #[test]
-fn sixty_four_lane_window_loop_does_not_allocate() {
-    // The sharded kernel's shape at scale: 64 lanes, four nodes each, one
-    // driving thread. Every token crosses to the next lane, so each window
-    // also runs the outboxes and the barrier flush; the one queue and the
-    // outboxes must all be at their high-water marks after the warm-up.
+fn threaded_window_loop_allocates_nothing_per_window() {
+    // The sharded kernel's shape at scale: two workers on their own
+    // threads, so every other token crosses workers and each 3 ms window
+    // ends in the barrier's merge and outbox flush on this thread. A run
+    // call spawns the worker threads and their channels once; past that,
+    // nothing this thread runs may allocate per window or per event. (The
+    // workers' own loop is the one-worker path the tests above count.)
     let n = 256u32;
     let mut sim = ShardedSimBuilder::new(FixedLatency::new(n as usize, Duration::from_millis(3)))
         .seed(7)
-        .lanes(64)
-        .threads(1)
+        .threads(2)
         .build_with(NullRecorder, |id| Ticker { id, n, received: 0 });
 
     sim.run_until(SimTime::from_secs(2));
@@ -189,9 +190,10 @@ fn sixty_four_lane_window_loop_does_not_allocate() {
     let events = sim.kernel_stats().events_processed - events_before;
 
     assert!(events > 400_000, "workload too small: {events} events");
-    assert_eq!(
-        allocs, 0,
-        "64-lane window loop allocated {allocs} times over {events} events"
+    // Ten seconds are 3,334 windows.
+    assert!(
+        allocs < 200,
+        "the window loop allocated {allocs} times over {events} events"
     );
     let received: u64 = sim.iter_nodes().map(|(_, p)| p.received).sum();
     assert!(received > 0);

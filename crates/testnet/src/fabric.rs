@@ -3,7 +3,7 @@
 //! Each node gets its own non-blocking [`UdpSocket`](std::net::UdpSocket)
 //! bound to an ephemeral `127.0.0.1` port. Nodes are laid out over
 //! [`TestnetConfig::shards`] event loops by a [`Placement`] — the
-//! engine's, at one lane a worker — each on its own OS thread (one shard
+//! engine's, one worker a shard — each on its own OS thread (one shard
 //! runs inline on the caller's thread). A shard is a bare kernel
 //! [`Worker`] whose link is its sockets: its nodes draw from the RNG
 //! streams the engine gives them, and planned faults, harness commands,
@@ -51,11 +51,11 @@ const SEED_COUNT: usize = 3;
 pub struct TestnetConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Run seed (per-node RNGs and the per-shard loss/jitter streams
-    /// derive from it, as the engine's per-lane ones do).
+    /// Run seed (per-node RNGs and the loss/jitter draws derive from it,
+    /// as the engine's do).
     pub seed: u64,
     /// Event-loop shards, one OS thread each, over which a [`Placement`]
-    /// lays the nodes out as the engine lays them over its lanes. `1`
+    /// lays the nodes out as the engine lays them over its workers. `1`
     /// (the default) runs everything inline on the calling thread.
     pub shards: usize,
     /// Whether the fabric feeds its recorder the protocol events (default
@@ -113,7 +113,7 @@ pub struct Testnet<
     epoch: Instant,
     started: bool,
     record: bool,
-    /// One worker a shard, over one lane each.
+    /// One worker a shard.
     shards: WorkerSet<N, WireLink>,
     recorder: R,
 }
@@ -189,7 +189,7 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> T
             .enumerate()
             .map(|(i, (_, a))| (NodeId::new(i as u32), *a))
             .collect();
-        let placement = Placement::new(cfg.nodes, cfg.shards, cfg.shards);
+        let placement = Placement::new(cfg.nodes, cfg.shards);
         let mut sockets = sockets.into_iter();
         let link = |k| WireLink::new(k, placement);
         let shards = WorkerSet::new(placement, cfg.seed, link, |id, link| {
@@ -220,14 +220,14 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> T
 
     /// Number of event-loop shards driving the fabric.
     pub fn shard_count(&self) -> usize {
-        self.shards.placement().lanes()
+        self.shards.placement().workers()
     }
 
     /// The syscall batching mode the fabric selected at startup. Shards
     /// demote themselves to [`BatchMode::Portable`] independently on
     /// `ENOSYS`; this reports shard 0's current mode.
     pub fn batch_mode(&self) -> BatchMode {
-        self.shards.workers()[0].link().mode
+        self.shards.workers()[0].link.mode
     }
 
     /// Fabric-monotonic time: zero at the first [`Testnet::run_for`].
@@ -261,20 +261,20 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> T
     }
 
     /// Wire-side counters, aggregated across shards, with the fates the
-    /// shards' lanes counted.
+    /// shards counted.
     pub fn stats(&self) -> FabricStats {
         let mut total = FabricStats {
             fates: self.kernel_stats().fates,
             ..FabricStats::default()
         };
         for w in self.shards.workers() {
-            total.absorb(&w.link().stats);
+            total.absorb(&w.link.stats);
         }
         total
     }
 
-    /// The kernel counters of the shards' lanes and queues, summed as the
-    /// engine sums its lanes' (`wall_time` stays zero: the fabric runs
+    /// The kernel counters of the shards and their queues, summed as the
+    /// engine sums its workers' (`wall_time` stays zero: the fabric runs
     /// in wall-clock time).
     pub fn kernel_stats(&self) -> KernelStats {
         self.shards.kernel_stats()
@@ -285,7 +285,7 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> T
     /// economics: `fabric_sendmmsg_calls`, `fabric_recvmmsg_calls`,
     /// `fabric_syscalls_saved`), per-poll drain and timer-lateness
     /// distributions, and discovery queue depths — all aggregated across
-    /// shards — then the lanes' counters and the network fates under the
+    /// shards — then the shards' kernel counters and the network fates under the
     /// `kernel_*` and `net_*` names the simulation engine exports too. The
     /// histograms are wall-clock flavoured and flagged accordingly.
     pub fn metrics_snapshot(&self) -> Snapshot {
@@ -308,7 +308,7 @@ impl<N: Stack<Msg = GoCastMsg, Event = GoCastEvent>, R: Recorder<GoCastEvent>> T
         snap.record_counter("fabric_malformed", s.malformed);
         let mut health = FabricTelemetry::default();
         for w in self.shards.workers() {
-            health.absorb(&w.link().telemetry);
+            health.absorb(&w.link.telemetry);
         }
         snap.record_gauge("fabric_pending_depth", health.pending_depth);
         snap.record_gauge("fabric_wanted_depth", health.wanted_depth);
@@ -612,21 +612,14 @@ mod tests {
     }
 
     /// The network fates and the kernel counters are one schema on every
-    /// host: `Sim`, a 64-lane `ShardedSim` and the fabric export exactly
-    /// the same `net_*` and `kernel_*` names, but for the allowlist's.
+    /// host: `Sim`, a two-thread `ShardedSim` and the fabric export
+    /// exactly the same `net_*` and `kernel_*` names, with no exceptions.
     #[test]
     fn network_fates_export_one_schema_on_every_host() {
-        /// Names one host may export without the others, each with why.
-        const ALLOWLIST: [(&str, &str); 1] = [(
-            "kernel_lanes",
-            "an engine's lane count, exported above one lane; a fabric's \
-             shard count is its configuration",
-        )];
         let names = |snap: Snapshot| -> Vec<&'static str> {
             let names = snap.entries().iter().map(|e| e.name);
             names
                 .filter(|n| n.starts_with("net_") || n.starts_with("kernel_"))
-                .filter(|n| ALLOWLIST.iter().all(|(name, _)| name != n))
                 .collect()
         };
         let net = || FixedLatency::new(64, Duration::from_millis(10));
@@ -637,12 +630,11 @@ mod tests {
         let fates = ["net_lost", "net_cut", "net_partitioned", "net_dead"];
         assert_eq!(expected[expected.len() - 4..], fates);
         assert!(expected.contains(&"kernel_events"), "{expected:?}");
-        let mut lanes = ShardedSimBuilder::new(net())
-            .lanes(64)
+        let mut threaded = ShardedSimBuilder::new(net())
+            .threads(2)
             .build_with(NullRecorder, make);
-        lanes.run_until(SimTime::from_secs(1));
-        assert_eq!(lanes.lane_count(), 64);
-        assert_eq!(names(lanes.metrics_snapshot()), expected);
+        threaded.run_until(SimTime::from_secs(1));
+        assert_eq!(names(threaded.metrics_snapshot()), expected);
         if skip() {
             return;
         }

@@ -5,8 +5,8 @@
 //! machines in wall-clock time. It spins up N GoCast nodes inside one
 //! process, each on its own non-blocking loopback [`std::net::UdpSocket`],
 //! driven by a hand-rolled synchronous event loop per shard — no async
-//! runtime. A shard is a kernel lane: a [`gocast_sim::Worker`] over one
-//! lane whose [`gocast_sim::Link`] is the shard's sockets, so its nodes
+//! runtime. A shard is a kernel worker: a [`gocast_sim::Worker`] whose
+//! [`gocast_sim::Link`] is the shard's sockets, so its nodes
 //! run through the kernel's own dispatch, queue, timer contract and fault
 //! state, fired at fabric time. On top of that it layers the pieces a
 //! real deployment study needs:
@@ -16,9 +16,9 @@
 //!   tiny WHOHAS/PEER side protocol.
 //! - **Chaos parity**: the same compiled
 //!   [`gocast_sim::scenario::ScenarioPlan`]s the PR-4 chaos engine runs
-//!   in simulation reach the shards' lanes through the same mapping —
-//!   loss, jitter, partitions, link cuts, crash/leave/join — and the
-//!   lanes judge them as the engine's do: loss and jitter as a message is
+//!   in simulation reach the shards through the same mapping — loss,
+//!   jitter, partitions, link cuts, crash/leave/join — and the shards
+//!   judge them as the engine's workers do: loss and jitter as a message is
 //!   sent, a dead receiver, cut or partition as it arrives, so the two
 //!   hosts cannot disagree on what a fault means.
 //! - **Wire-side recording**: every protocol event a node emits reaches

@@ -1,12 +1,12 @@
 //! One shard of the fabric: a slice of nodes driven by one OS thread.
 //!
-//! A shard is a bare kernel [`Worker`] over one lane of the fabric's
-//! [`Placement`] (one lane a worker), so which shard owns a node, its
-//! nodes' RNG streams, its chaos stream and its tie keys are the ones the
-//! engine gives that lane; the lane's [`Link`] is a [`WireLink`] over the
-//! shard's sockets. Dispatch, the timer contract, liveness and the fault
-//! state are therefore the kernel's own code on both hosts. A send draws
-//! its loss and jitter in the lane's send path; the link frames it into
+//! A shard is a bare kernel [`Worker`] of the fabric's [`Placement`], so
+//! which shard owns a node, its nodes' RNG streams, their loss/jitter
+//! draws and their tie keys are the ones the engine gives them; the
+//! worker's [`Link`] is a [`WireLink`] over the shard's sockets. Dispatch,
+//! the timer contract, liveness and the fault state are therefore the
+//! kernel's own code on both hosts. A send draws its loss and jitter in
+//! the worker's send path; the link frames it into
 //! the sending socket's batch, queues it while the peer's address is
 //! unknown, or holds it for its jitter. What the wire alone has stays in
 //! the link: sockets, syscall batching, address discovery
@@ -23,7 +23,7 @@
 //!    dropped, and nothing is replaced or cancelled;
 //! 2. sends the jitter-held datagrams now due;
 //! 3. drains every socket in batches and hands each decoded DATA frame to
-//!    the lane as an arriving message ([`Worker::arrive`]), which judges
+//!    the worker as an arriving message ([`Worker::arrive`]), which judges
 //!    — once, as the kernel judges a delivery — whether the receiver is
 //!    dead or the path cut or partitioned. A crashed node's socket is
 //!    drained too, so what was in flight to it is counted dead, not left
@@ -91,7 +91,7 @@ pub struct FabricStats {
     /// Payload bytes read off sockets.
     pub bytes_received: u64,
     /// The datagrams the network did not deliver, by fate (counted by the
-    /// shards' lanes, in their [`gocast_sim::FaultState`] replicas).
+    /// shards, in their [`gocast_sim::FaultState`] replicas).
     pub fates: NetFates,
     /// Datagrams held back by injected jitter.
     pub delayed: u64,
@@ -222,18 +222,18 @@ impl Port {
     }
 }
 
-/// A shard lane's [`Link`]: each send leaves through the sending node's
+/// A shard's [`Link`]: each send leaves through the sending node's
 /// socket, gathered into the batch, queued for a peer whose address is
 /// unknown, or held for its jitter. It also holds what the shard's loop
 /// keeps between iterations.
 #[derive(Debug)]
 pub(crate) struct WireLink {
-    /// This shard's lane.
+    /// This shard's worker index.
     index: usize,
     placement: Placement,
     /// By slot ([`Placement::slot`]).
     pub(crate) ports: Vec<Port>,
-    /// Everything but the fates, which the lane's fault state counts.
+    /// Everything but the fates, which the worker's fault state counts.
     pub(crate) stats: FabricStats,
     batch: BatchBuffer,
     /// Local slot whose socket owns the gathered batch, if any.
@@ -298,7 +298,7 @@ impl<P: Protocol<Msg = GoCastMsg>> Link<P> for WireLink {
 }
 
 impl WireLink {
-    /// The link of lane `index` of `placement`, with no port yet.
+    /// The link of worker `index` of `placement`, with no port yet.
     pub(crate) fn new(index: usize, placement: Placement) -> WireLink {
         WireLink {
             index,
@@ -478,28 +478,28 @@ pub(crate) fn run_until<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>>(
     loop {
         let now = fabric_time(epoch);
         if now >= until {
-            worker.link_mut().flush();
+            worker.link.flush();
             return;
         }
-        let sent_before = sent(worker.link());
+        let sent_before = sent(&worker.link);
         let mut activity = false;
 
         // 1. Everything due, in the kernel's (time, scheduling order).
         while let Some((due, class)) = worker.fire_due(now, &(), &mut sink) {
             if class == EventClass::Timer {
                 let late = now.saturating_since(due).as_nanos() as u64;
-                worker.link_mut().telemetry.timer_lateness_ns.observe(late);
+                worker.link.telemetry.timer_lateness_ns.observe(late);
             }
             activity = true;
         }
         // 2. Jitter holds now due.
-        activity |= worker.link_mut().release_held(now);
+        activity |= worker.link.release_held(now);
         // 3. Drain every owned socket in batches.
-        let recv_before = worker.link().stats.datagrams_received;
-        let mut recv = std::mem::take(&mut worker.link_mut().recv);
-        for local in 0..worker.link().ports.len() {
+        let recv_before = worker.link.stats.datagrams_received;
+        let mut recv = std::mem::take(&mut worker.link.recv);
+        for local in 0..worker.link.ports.len() {
             for _ in 0..DRAIN_BATCHES {
-                let link = worker.link_mut();
+                let link = &mut worker.link;
                 let socket = &link.ports[local].socket;
                 let got = recv.recv(socket, &mut link.mode, &mut link.stats);
                 for j in 0..got {
@@ -512,7 +512,7 @@ pub(crate) fn run_until<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>>(
                 }
             }
         }
-        let link = worker.link_mut();
+        let link = &mut worker.link;
         link.recv = recv;
 
         // 4. Everything gathered this iteration leaves before we sleep
@@ -552,7 +552,7 @@ fn on_datagram<N: Protocol<Msg = GoCastMsg, Event = GoCastEvent>>(
     data: &[u8],
     sink: &mut &mut dyn Recorder<GoCastEvent>,
 ) {
-    let link = worker.link_mut();
+    let link = &mut worker.link;
     let Some(frame) = decode_frame(data) else {
         link.stats.malformed += 1;
         return;
@@ -627,9 +627,9 @@ mod tests {
         let book: Vec<_> = (0..nodes)
             .map(|i| (NodeId::new(i), bound[i as usize].1))
             .collect();
-        let placement = Placement::new(nodes as usize, 1, 1);
+        let placement = Placement::new(nodes as usize, 1);
         let mut bound = bound.into_iter();
-        let link = |lane| WireLink::new(lane, placement);
+        let link = |worker| WireLink::new(worker, placement);
         Some(WorkerSet::new(placement, 1, link, |_, link| {
             let (socket, addr) = bound.next().expect("a socket per node");
             link.ports
@@ -653,7 +653,7 @@ mod tests {
         let deadline = epoch + Duration::from_millis(ms);
         let worker = &mut sh.workers_mut()[0];
         run_until(worker, epoch, deadline, &mut NullRecorder);
-        worker.link().stats
+        worker.link.stats
     }
 
     /// A crash silences a node — it sends nothing, and what arrives for it
@@ -716,7 +716,7 @@ mod tests {
         let gathered = s.datagrams_sent - held;
         assert!(gathered > 0 && held > 0, "{s}");
         assert_eq!(gathered + held + fates.lost, sends, "{s}");
-        assert_eq!(sh.workers()[0].link().held.len(), 0, "every hold released");
+        assert_eq!(sh.workers()[0].link.held.len(), 0, "every hold released");
         assert_eq!(s.datagrams_received, s.datagrams_sent, "{s}");
         assert_eq!(s.wire_msgs, s.datagrams_received);
         let stopped = fates.cut + fates.partitioned + fates.dead;

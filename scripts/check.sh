@@ -194,29 +194,39 @@ absent  crates/net/src  -  sites \* sites
 absent  crates/testnet/src  -  TimerWheel|DelayQueue
 absent  crates  -  FxHashMap<Timer|fn cancel\(
 
-# One host loop: a testnet shard is a kernel Worker over one lane whose
-# Link is its sockets, so the wire's second dispatch (its event enum, its
+# One host loop: a testnet shard is a kernel Worker whose Link is its
+# sockets, so the wire's second dispatch (its event enum, its
 # fire/apply_fault and its global crash marks) stays gone, and one match
 # maps a planned fault onto kernel events for the engine and the fabric.
 absent  crates/testnet/src  -  enum Due([^_[:alnum:]]|$)|fn (apply_fault|fire)\(|crashed: Vec<bool>
 once    crates/sim/src,crates/testnet/src  -  Fault::Crash\([^)]*\) =>
 
 # One placement on both hosts: gocast_sim::Placement alone maps a node id
-# to its lane, slot and worker (no other non-test line takes `%`, `/` or
-# `*` by a lane, shard or chunk count); a wire shard is a bare kernel
+# to its worker and slot (no other non-test line takes `%`, `/` or `*` by
+# a worker, lane, shard or chunk count); a wire shard is a bare kernel
 # Worker, so the fabric's shard wrapper, its trace buffer and its second
 # stream merge stay gone; and the wire's recorder is fed as the engine's
 # is, so the experiments never replay a captured trace.
-absent  crates/sim/src,crates/testnet/src  crates/sim/src/placement\.rs:  [%/*][[:space:]]*[(]?[[:alnum:]_.]*(lanes|lane_count|shards|shard_count|chunk)([^[:alnum:]_(]|[(][)]|$)|(lanes|lane_count|shards|shard_count|chunk)([(][)])?[[:space:]]*[%/*]|div_ceil[(][[:alnum:]_.]*(lanes|lane_count|shards|shard_count|chunk)
+absent  crates/sim/src,crates/testnet/src  crates/sim/src/placement\.rs:  [%/*][[:space:]]*[(]?[[:alnum:]_.]*(workers|lanes|lane_count|shards|shard_count|chunk)([^[:alnum:]_(]|[(][)]|$)|(workers|lanes|lane_count|shards|shard_count|chunk)([(][)])?[[:space:]]*[%/*]|div_ceil[(][[:alnum:]_.]*(workers|lanes|lane_count|shards|shard_count|chunk)
 absent  crates/testnet/src  -  struct (Shard|Trace)([^_[:alnum:]]|$)|fn merge_event_streams([^_[:alnum:]]|$)
 absent  crates/experiments/src  -  \.trace\(\)
 
-# One event queue per worker thread: a kernel lane owns no queue (its
-# events wait in its worker's, keyed by lane and per-lane sequence), and
-# threads take disjoint chunks of lanes over channels, not lanes behind
-# locks.
-once    crates/sim/src/lane.rs  -  (^|[^[:alnum:]_])queue: (Queue|EventQueue)<
+# One event queue per worker thread: a worker is one queue over its own
+# share of the nodes, and threads take whole workers over channels, not
+# nodes behind locks.
+once    crates/sim/src/worker.rs  -  (^|[^[:alnum:]_])queue: (Queue|EventQueue)<
 absent  crates/sim/src  crates/sim/src/parallel\.rs:  Mutex<|trait LaneSet([^_[:alnum:]]|$)
+
+# One lane per worker, one determinism contract: an event's tie belongs
+# to whoever scheduled it and a loss/jitter draw is one counter hash of
+# (seed, sender, send count), so no output depends on the layout. The
+# lane layer and its count, the per-replica chaos streams, the lane-only
+# metric, the manifests' lane fields and the step-by-step entry points
+# stay gone.
+absent  crates,tests,examples  -  DEFAULT_LANES|MAX_LANES|struct Ties([^_[:alnum:]]|$)|fn (lanes|lane_count|lanes_of|run_until_idle)\(|kernel_lanes
+absent  crates/sim/src/fault.rs  -  SmallRng
+absent  crates/sim/src  -  pub fn step\(|first: usize|lanes: Vec<|replica: u32|fn worker\(
+absent  crates/experiments/src  -  pub lanes: usize
 
 # One streaming distribution: gocast_metrics::Log2Histogram (exact below
 # 64, 32 sub-buckets an octave) is the only one, the delivery ledger's

@@ -1,16 +1,14 @@
-//! Runs over many lanes pinned as one literal, under every fault the
-//! kernel injects at once: crashes, a partition, a link cut, loss and
-//! jitter.
+//! A many-worker run pinned as one literal, under every fault the kernel
+//! injects at once: crashes, a partition, a link cut, loss and jitter.
 //!
 //! `one_kernel.rs` compares the engine's entry points and
 //! `barrier_order.rs` pins a fault-free stream; this pins the one run the
-//! seed makes where layout could matter most — the cross-lane barrier
-//! order and the loss/jitter draws — at 4 and 64 lanes on 1, 2 and 4
-//! threads. The literal is the recorder stream's digest and every
-//! `KernelStats` counter that says what ran. Four fields are left out:
-//! `wall_time`, and `slab_slots`, `queue_mem_bytes` and
-//! `queue_high_water`, which say how the pending events are stored, not
-//! which ones there are.
+//! seed makes where the layout could matter most — the barrier's order
+//! across workers and the loss/jitter draws — at 1, 2 and 4 threads. The
+//! literal is the recorder stream's digest and every `KernelStats`
+//! counter that says what ran. Four fields are left out: `wall_time`, and
+//! `slab_slots`, `queue_mem_bytes` and `queue_high_water`, which say how
+//! the pending events were stored, not which ones there are.
 
 use std::hash::Hasher;
 use std::time::Duration;
@@ -67,10 +65,9 @@ fn scenario() -> Scenario {
 }
 
 /// `(stream digest, counters)` of one run.
-fn run(lanes: usize, threads: usize) -> (String, String) {
+fn run(threads: usize) -> (String, String) {
     let mut sim = ShardedSimBuilder::new(net())
         .seed(SEED)
-        .lanes(lanes)
         .threads(threads)
         .build_with(Rec::new(), member());
     let start = SimTime::ZERO + WARMUP;
@@ -123,16 +120,14 @@ fn counters(k: &KernelStats) -> String {
 }
 
 #[test]
-fn many_lane_runs_under_faults_match_the_pinned_literal() {
-    for lanes in [4, 64] {
-        for threads in [1, 2, 4] {
-            let (digest, counters) = run(lanes, threads);
-            assert_eq!(
-                (digest.as_str(), counters.as_str()),
-                PINNED,
-                "lanes {lanes}, threads {threads}"
-            );
-        }
+fn many_lane_runs_under_faults_match_the_pinned_literals() {
+    for threads in [1, 2, 4] {
+        let (digest, counters) = run(threads);
+        assert_eq!(
+            (digest.as_str(), counters.as_str()),
+            PINNED,
+            "{threads} threads"
+        );
     }
 }
 
