@@ -1165,17 +1165,31 @@ mod tests {
     /// A fresh engine's first run call starts every node, and runs what
     /// is due at its deadline; only run calls accrue wall time.
     #[test]
-    fn run_until_starts_the_nodes_and_runs_what_is_due_at_the_deadline() {
+    fn run_until_idle_stops_the_clock_at_the_last_event() {
         let mut sim = serial(4, 1);
-        assert_eq!(sim.kernel_stats().wall_time, Duration::ZERO);
-        assert_eq!(sim.kernel_stats().events_per_sec(), 0.0);
-        // 3n + 1 = 13 hops, each 10ms: the last is due at the deadline.
+        // 3n + 1 = 13 hops, each 10ms: the last is due at the deadline, and
+        // `run_until` starts the nodes itself.
         sim.run_until(ms(130));
         assert_eq!(sim.now(), ms(130));
         assert_eq!(hops(&sim), 13);
         let k = sim.kernel_stats();
         assert_eq!((k.deliveries, k.queue_len), (13, 0));
         assert!(k.wall_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn manual_stepping_counts_events_without_wall_time() {
+        let mut sim = serial(4, 1);
+        // Nothing has run: no wall time is charged and the rate reads zero.
+        assert_eq!(sim.kernel_stats().wall_time, Duration::ZERO);
+        assert_eq!(sim.kernel_stats().events_per_sec(), 0.0);
+        // Step the clock one hop at a time: each deadline runs one delivery.
+        for hop in 1..=13 {
+            sim.run_until(ms(10 * hop));
+            assert_eq!(sim.now(), ms(10 * hop));
+            assert_eq!(sim.kernel_stats().deliveries, hop);
+        }
+        assert_eq!(sim.kernel_stats().queue_len, 0);
     }
 
     #[test]
