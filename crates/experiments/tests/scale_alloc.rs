@@ -107,9 +107,11 @@ fn scale_opts(nodes: usize) -> ExpOptions {
     o
 }
 
-/// What one pending GoCast event occupies in an event queue: an 80-byte
-/// payload slot (the 72-byte message beside its addressing) and a 24-byte
-/// heap entry.
+/// The most one pending GoCast event occupies in a worker's queues: a
+/// message's 80-byte payload slot (the 72-byte message beside its
+/// addressing) and its 24-byte key. A pending timer takes less, a 32-byte
+/// slot in the timer queue and its key, so this bounds every event from
+/// above.
 const EVENT_BYTES: u64 = 104;
 
 fn assert_clean_and_bounded(out: &RunCore, nodes: usize, cap_bytes: u64) {

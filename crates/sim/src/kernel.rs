@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine: one kernel ([`Engine`]), two
 //! entry points ([`Sim`], [`ShardedSim`]), built over the workers of
-//! [`crate::worker`], one a thread, each with its own event queue. The
+//! [`crate::worker`], one a thread, each with its own event queues. The
 //! execution and determinism model is documented on [`Engine`].
 
 use std::sync::mpsc;
@@ -47,11 +47,11 @@ pub struct KernelStats {
     pub events_scheduled: u64,
     /// Events pending at snapshot time.
     pub queue_len: usize,
-    /// Most events one worker's queue has held at once: with one worker,
-    /// the whole run's most pending. One queue per worker
-    /// thread, so this, `slab_slots` and `queue_mem_bytes` say how the
-    /// events were stored, depend on the thread count, and are the only
-    /// counters that do.
+    /// Most events one worker's two queues (its timers, everything else)
+    /// have held at once: with one worker, the whole run's most pending.
+    /// One worker per thread, so this, `slab_slots` and `queue_mem_bytes`
+    /// say how the events were stored, depend on the thread count, and are
+    /// the only counters that do.
     pub queue_high_water: usize,
     /// Payload slots currently allocated in the event-queue slabs (occupied
     /// plus the vacant ones awaiting reuse): the deepest the queues have
@@ -276,16 +276,18 @@ const WINDOW_BUFFER_KEEP: usize = 64;
 /// same methods on both; only the run loop differs.
 ///
 /// The engine owns the protocol instances, split over one or more
-/// *workers* by a [`Placement`] (each worker with its own event queue,
-/// per-node RNG streams and schedule counts, counters and fault-state
-/// replica), the latency model, and the event recorder. A queue orders by
-/// `(time, tie)`, and an event's tie belongs to whoever scheduled it: node
-/// `g` schedules as `(g + 1) << 40 | g's own schedule count`, the harness
-/// (commands, crashes, faults) as its own count. So events at equal
-/// timestamps fire in one order whichever queue holds them.
+/// *workers* by a [`Placement`] (each worker with its own event queues —
+/// one for its nodes' timers, one for everything else — per-node RNG
+/// streams and schedule counts, counters and fault-state replica), the
+/// latency model, and the event recorder. A worker pops its two queues as
+/// one by `(time, tie)`, and an event's tie belongs to whoever scheduled
+/// it: node `g` schedules as `(g + 1) << 40 | g's own schedule count`,
+/// sends and timers alike, the harness (commands, crashes, faults) as its
+/// own count. So events at equal timestamps fire in one order whichever
+/// queue holds them.
 ///
 /// - With **one worker** — [`Sim`], or [`ShardedSim`] at one thread —
-///   the run loop pops the one queue to the `run_until` deadline: the
+///   the run loop pops the one worker to the `run_until` deadline: the
 ///   latency model needs no lookahead bound, and events reach the
 ///   recorder as they happen.
 /// - With **more**, [`ShardedSim`] runs the classic conservative-lookahead
@@ -372,7 +374,7 @@ fn next_window<P: Protocol>(
     deadline: SimTime,
     delta: u64,
 ) -> Option<SimTime> {
-    let next = workers.iter().filter_map(|w| w.queue.peek_time()).min();
+    let next = workers.iter().filter_map(|w| w.next_due()).min();
     let next = next.filter(|t| *t <= deadline)?;
     let end = next.as_nanos().saturating_add(delta - 1);
     Some(SimTime::from_nanos(end.min(deadline.as_nanos())))
@@ -714,7 +716,7 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         self.fold_stats();
         self.now = deadline;
         for w in &mut self.workers.list {
-            w.queue.trim();
+            w.trim();
             w.events_out.shrink_to(WINDOW_BUFFER_KEEP);
             w.link.outbox.shrink_to(WINDOW_BUFFER_KEEP);
         }
@@ -955,7 +957,7 @@ impl ShardedSimBuilder {
     /// Sets the worker-thread count, the engine's only layout setting:
     /// output is byte-identical at any value (see [`Engine`]). Clamped to
     /// at least 1 and at most the node count; the engine builds one
-    /// worker, with its own event queue, a thread, and node `g` lives on
+    /// worker, with its own event queues, a thread, and node `g` lives on
     /// worker `g % threads` ([`Placement`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -1278,6 +1280,78 @@ mod tests {
         }
     }
 
+    /// Node 1 sets a 10 ms timer at start, and node `from` sends it a
+    /// message that arrives at the same instant: the timer waits in node
+    /// 1's worker's timer queue, the message in its other one.
+    struct Meet {
+        id: NodeId,
+        from: u32,
+        seen: Vec<EventClass>,
+    }
+
+    impl Protocol for Meet {
+        type Msg = Hop;
+        type Command = ();
+        type Event = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
+            if self.id == NodeId::new(1) {
+                ctx.set_timer(Duration::from_millis(10), Timer::of_kind(0));
+            }
+            if self.id.as_u32() == self.from {
+                ctx.send(NodeId::new(1), Hop(0));
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: Hop) {
+            self.seen.push(EventClass::Deliver);
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _timer: Timer) {
+            self.seen.push(EventClass::Timer);
+        }
+    }
+
+    /// A timer and a message due at one instant pop in tie order across
+    /// a worker's two queues: node 1's timer ties as `2 << 40`, node 0's
+    /// message as `1 << 40` and node 2's as `3 << 40`. So on both engines,
+    /// and through a wire shard's `fire_due`.
+    #[test]
+    fn a_timer_and_a_message_due_together_pop_in_tie_order() {
+        use EventClass::{Deliver, Timer};
+        for (from, want) in [(0, [Deliver, Timer]), (2, [Timer, Deliver])] {
+            let meet = |id| Meet {
+                id,
+                from,
+                seen: Vec::new(),
+            };
+            let target = NodeId::new(1);
+            let mut sim = SimBuilder::new(net(3)).build(meet);
+            sim.run_until(ms(10));
+            assert_eq!(sim.node(target).seen, want, "Sim");
+            let mut sharded = ShardedSimBuilder::new(net(3))
+                .threads(2)
+                .build_with(NullRecorder, meet);
+            sharded.run_until(ms(10));
+            assert_eq!(sharded.node(target).seen, want, "ShardedSim at 2 threads");
+
+            let placement = Placement::new(3, 1);
+            let link = |index| SimLink {
+                index,
+                placement,
+                outbox: Vec::new(),
+            };
+            let mut set = WorkerSet::new(placement, 1, link, |id, _| meet(id));
+            let model = net(3);
+            set.start(&model, &mut NullRecorder);
+            let w = &mut set.workers_mut()[0];
+            let fired: Vec<_> =
+                std::iter::from_fn(|| w.fire_due(ms(10), &model, &mut NullRecorder)).collect();
+            assert_eq!(fired, want.map(|class| (ms(10), class)), "fire_due");
+            assert_eq!(set.node(target).seen, want, "fire_due");
+        }
+    }
+
     #[test]
     fn output_identical_across_thread_counts() {
         // Everything but how the pending events are stored: that depends
@@ -1388,8 +1462,8 @@ mod tests {
             }
             sim.run_until(ms(5));
             // A command per node and the token in flight, over every
-            // worker; the high-water mark is the deepest one queue got,
-            // which holds at least its share.
+            // worker; the high-water mark is the deepest one worker's
+            // queues got, which hold at least its share.
             let k = sim.kernel_stats();
             assert_eq!(k.queue_len, N as usize + 1);
             let workers = sim.workers.workers().len();

@@ -9,11 +9,14 @@
 //!
 //! ## Three tiers
 //!
-//! This queue is the simulator's single hottest data structure: every
-//! message, timer, and command passes through one `schedule` and one `pop`.
-//! Time is cut into buckets ("days") of 2²⁰ ns ≈ 1 ms, and every pending
-//! event sits in one of three tiers by its day, relative to the last day
-//! the front holds:
+//! This queue is the simulator's hottest data structure. A worker keeps
+//! two: one for its nodes' timers, whose slots hold a timer, and one for
+//! the messages, commands, crashes and faults, whose slots are sized for
+//! the largest message. It pops them as one by their heads' keys
+//! ([`EventQueue::peek_key`]), so every event passes through one
+//! `schedule` and one `pop` of one of the two. Time is cut into buckets
+//! ("days") of 2²⁰ ns ≈ 1 ms, and every pending event sits in one of three
+//! tiers by its day, relative to the last day the front holds:
 //!
 //! - **The front**: every event up to that day, its slots sorted by
 //!   descending key, so a pop is `Vec::pop` and the next two pops are the
@@ -63,8 +66,8 @@
 //! at a slot number — and the slab is cut down in place to that peak plus
 //! a quarter. A compaction scans no more slots than its epoch had pops, so
 //! the rule is amortised O(1) per pop, and a queue that oscillates between
-//! `n` and `2n` pending — timers plus one message each in flight — never
-//! compacts at all. Judging vacancy at a single pop instead would shrink
+//! `n` and `2n` pending — a message per node in flight at the crest of
+//! each round, none at its trough — never compacts at all. Judging vacancy at a single pop instead would shrink
 //! at every trough of such an oscillation and regrow at every crest.
 //! [`EventQueue::trim`] is the rule for a caller that knows the queue is
 //! at rest.
@@ -145,8 +148,9 @@ const BUCKETS: u64 = 512;
 /// few dozen nodes), and cost a queue with full buckets nothing.
 const FRONT_MIN: usize = 8;
 
-/// Most slots a walk stages ahead of a refill: more than a bucket holds in
-/// the one queue of a 10⁴-node run (≈ 570 events), and a fixed 4 KiB
+/// Most slots a walk stages ahead of a refill: more than a bucket of a
+/// 10⁴-node run holds (≈ 570 events with timers and messages in one
+/// queue, fewer in either of a worker's two), and a fixed 4 KiB
 /// however deep the start-up storm's buckets are; a refill chases the
 /// rest, a dependent miss a slot.
 const WALK_MAX: usize = 1024;
@@ -631,6 +635,19 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn second_hint(&self) -> Option<u32> {
         self.earliest(1).map(|k| k.hint).filter(|&h| h != NO_HINT)
+    }
+
+    /// The `(at, tie)` key and the hint (`u32::MAX` for none) of the event
+    /// that pops `rank`-th, 0 or 1: what a caller that pops two queues as
+    /// one compares. Where every schedule since the last pop went past the
+    /// front, the front moves on first, as the next pop would move it, so
+    /// the read stays a front entry.
+    #[inline]
+    pub fn peek_key(&mut self, rank: usize) -> Option<(SimTime, u64, u32)> {
+        if self.front.is_empty() {
+            self.refill();
+        }
+        self.earliest(rank).map(|k| (k.at, k.seq, k.hint))
     }
 
     /// The key of the event that pops `rank`-th, 0 or 1: a front entry,

@@ -1,10 +1,19 @@
 //! One worker of the simulation engine: a self-contained slice of the node
 //! population with its own per-node RNG streams and schedule counts, event
-//! queue, counters, telemetry and fault-state replica — and the **only**
+//! queues, counters, telemetry and fault-state replica — and the **only**
 //! dispatch table and send path on either host. Every event is keyed by
 //! `(time, tie)`, the tie belonging to whoever scheduled it — the sending
 //! or timer-setting node, with its own schedule count, or the harness — so
 //! events pop in one order however the nodes are spread over workers.
+//!
+//! A worker keeps its nodes' pending timers in a queue of their own, whose
+//! slots hold a node and a [`Timer`], and the messages, commands, crashes
+//! and faults in another, whose slots are sized for the largest message:
+//! every node has its periodic timers pending all the time, and they need
+//! not pay for a message's room. The worker pops the two as one, by
+//! `(time, tie)`. A node's count moves on for every send and every timer
+//! alike, so no two pending events share a tie, and the merged order is
+//! the one a single queue holding both would pop in.
 //!
 //! Which worker owns a node, at which slot, is the [`Placement`]'s to say.
 //! With one worker that is the whole population and nothing ever crosses
@@ -52,7 +61,8 @@ pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 pub(crate) enum Event<M, C> {
     /// A message in flight arrives at `to`.
     Deliver { from: NodeId, to: NodeId, msg: M },
-    /// A protocol timer fires at `node`.
+    /// A protocol timer fires at `node`: what a pop of the timer queue
+    /// runs as; it is never queued in this form.
     Fire { node: NodeId, timer: Timer },
     /// The harness injects a command into `node`.
     Command { node: NodeId, cmd: C },
@@ -151,6 +161,104 @@ fn schedule<T>(
     kernel.queue_high_water = kernel.queue_high_water.max(kernel.queue_len);
 }
 
+/// The head of one of a worker's two queues: its earliest event's `(at,
+/// tie)` as one integer, and that event's hint; [`Head::NONE`] for an
+/// empty queue. No tie is all ones (the top scheduler is the harness's 0
+/// or a node's id plus one, below 2²⁴ − 1), so no event's key is the
+/// empty queue's.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    key: u128,
+    hint: u32,
+}
+
+impl Head {
+    const NONE: Head = Head {
+        key: u128::MAX,
+        hint: u32::MAX,
+    };
+
+    #[inline(always)]
+    fn new(at: SimTime, tie: u64, hint: u32) -> Head {
+        Head {
+            key: u128::from(at.as_nanos()) << 64 | u128::from(tie),
+            hint,
+        }
+    }
+
+    /// The head [`EventQueue::peek_key`] reads.
+    #[inline(always)]
+    fn of(peek: Option<(SimTime, u64, u32)>) -> Head {
+        peek.map_or(Head::NONE, |(at, tie, hint)| Head::new(at, tie, hint))
+    }
+
+    /// Whether the event is due after `deadline` (an empty queue's head is
+    /// due at the end of time).
+    #[inline(always)]
+    fn after(self, deadline: SimTime) -> bool {
+        (self.key >> 64) as u64 > deadline.as_nanos()
+    }
+
+    /// The earlier of two heads.
+    #[inline(always)]
+    fn min(self, other: Head) -> Head {
+        if other.key < self.key {
+            other
+        } else {
+            self
+        }
+    }
+}
+
+/// A worker's pending timers: a queue of their own, and its head kept at
+/// hand, written when a timer is set earlier than it and read again from
+/// the queue only when a timer pops. So popping the two queues as one
+/// costs the message queue's pops one comparison with a word the worker
+/// holds, and no read of the timer queue.
+#[derive(Debug)]
+struct Timers {
+    queue: EventQueue<(NodeId, Timer)>,
+    /// The earliest pending timer.
+    head: Head,
+}
+
+impl Timers {
+    fn new() -> Self {
+        Timers {
+            queue: EventQueue::new(),
+            head: Head::NONE,
+        }
+    }
+
+    /// Sets `timer` at `node` for `(at, tie)`, counted in `kernel`.
+    #[inline(always)]
+    fn schedule(
+        &mut self,
+        kernel: &mut KernelStats,
+        at: SimTime,
+        tie: u64,
+        node: NodeId,
+        timer: Timer,
+    ) {
+        let hint = node.as_u32();
+        schedule(&mut self.queue, kernel, at, tie, hint, (node, timer));
+        self.head = self.head.min(Head::new(at, tie, hint));
+    }
+
+    /// Pops the earliest timer, as the event it fires.
+    #[inline(always)]
+    fn pop<M, C>(&mut self) -> Option<Scheduled<Event<M, C>>> {
+        let s = self.queue.pop()?;
+        self.head = Head::of(self.queue.peek_key(0));
+        let (node, timer) = s.payload;
+        Some(Scheduled {
+            at: s.at,
+            seq: s.seq,
+            payload: Event::Fire { node, timer },
+        })
+    }
+}
+
 /// Where a worker's sends leave it: the one part of the send path a host
 /// supplies. The worker has counted the send and drawn its loss and
 /// jitter first (a lost message never reaches the link), and judges
@@ -184,6 +292,7 @@ pub struct Sender<'a, P: Protocol> {
     /// How many events `from` has scheduled: the count of its next tie.
     count: &'a mut u64,
     queue: &'a mut Queue<P>,
+    timers: &'a mut Timers,
     kernel: &'a mut KernelStats,
 }
 
@@ -276,10 +385,12 @@ pub struct Worker<P: Protocol, L> {
     rngs: Vec<SmallRng>,
     /// How many events each node has scheduled: the count of its next tie.
     counts: Vec<u64>,
+    /// Every pending event but the timers.
     pub(crate) queue: Queue<P>,
+    timers: Timers,
     pub(crate) stats: TrafficStats,
     /// Counters, with `events_scheduled` and `queue_len` kept as events
-    /// enter and leave the queue.
+    /// enter and leave the queues.
     kernel: KernelStats,
     /// `Some` once telemetry is turned on.
     pub(crate) telemetry: Option<Box<KernelTelemetry>>,
@@ -313,6 +424,7 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
             rngs: Vec::with_capacity(nodes),
             counts: Vec::with_capacity(nodes),
             queue: EventQueue::new(),
+            timers: Timers::new(),
             stats: TrafficStats::new(),
             kernel: KernelStats::default(),
             telemetry: None,
@@ -337,7 +449,34 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
 
     /// When the earliest pending event is due.
     pub fn next_due(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let timer = self.timers.queue.peek_time();
+        self.queue.peek_time().into_iter().chain(timer).min()
+    }
+
+    /// Gives back what the queues reserve beyond what is pending, for a
+    /// caller that knows they are at rest ([`EventQueue::trim`]).
+    pub(crate) fn trim(&mut self) {
+        self.queue.trim();
+        self.timers.queue.trim();
+    }
+
+    /// Pops the earliest pending event of the two queues, if it is due by
+    /// `deadline`: the head of the message queue, read from its front, or
+    /// the timer queue's, read from the worker.
+    #[inline(always)]
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Scheduled<Ev<P>>> {
+        let msg = Head::of(self.queue.peek_key(0));
+        if msg.key < self.timers.head.key {
+            if msg.after(deadline) {
+                return None;
+            }
+            self.queue.pop()
+        } else {
+            if self.timers.head.after(deadline) {
+                return None;
+            }
+            self.timers.pop()
+        }
     }
 
     /// Runs `f` with this worker's window buffer as the recorder: where
@@ -388,8 +527,7 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         env: &L::Env,
         sink: &mut S,
     ) {
-        // Deadline test and pop share a single probe of the front.
-        while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
+        while let Some(ev) = self.pop_due(end_inclusive) {
             self.execute(ev.at, ev, env, sink);
         }
     }
@@ -403,7 +541,7 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
     pub(crate) fn run_window_buffered(&mut self, end_inclusive: SimTime, env: &L::Env) {
         let mut out = std::mem::take(&mut self.events_out);
         let (mut at, mut tie) = (SimTime::ZERO, 0);
-        while let Some(ev) = self.queue.pop_at_or_before(end_inclusive) {
+        while let Some(ev) = self.pop_due(end_inclusive) {
             tie = if ev.at == at { tie.max(ev.seq) } else { ev.seq };
             at = ev.at;
             self.execute(at, ev, env, &mut Tagged { tie, out: &mut out });
@@ -421,7 +559,7 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         env: &L::Env,
         sink: &mut S,
     ) -> Option<(SimTime, EventClass)> {
-        let ev = self.queue.pop_at_or_before(now)?;
+        let ev = self.pop_due(now)?;
         let due = (ev.at, ev.payload.class());
         self.execute(now, ev, env, sink);
         Some(due)
@@ -543,6 +681,7 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
                 tie: 0,
                 count: &mut self.counts[l],
                 queue: &mut self.queue,
+                timers: &mut self.timers,
                 kernel: &mut self.kernel,
             },
             population: self.placement.population(),
@@ -556,12 +695,13 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
         f(p, &mut ctx);
     }
 
-    /// This worker's counters, with what its queue stores.
+    /// This worker's counters, with what its two queues store.
     pub(crate) fn kernel_stats(&self) -> KernelStats {
         let mut k = self.kernel;
         k.fates = self.faults.fates();
-        k.slab_slots = self.queue.slab_slots();
-        k.queue_mem_bytes = self.queue.mem_bytes();
+        let timers = &self.timers.queue;
+        k.slab_slots = self.queue.slab_slots() + timers.slab_slots();
+        k.queue_mem_bytes = self.queue.mem_bytes() + timers.mem_bytes();
         k
     }
 
@@ -571,8 +711,8 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
     /// an event grows with the population"), and its handler then follows
     /// the node's pointers to its containers. Two stages:
     ///
-    /// 1. the node whose event pops *second*: its leading lines, RNG and
-    ///    liveness flag;
+    /// 1. the node whose event pops *second*, of the two queues as one:
+    ///    its leading lines, RNG and liveness flag;
     /// 2. the node whose event pops *next*: [`Protocol::prefetch`], which
     ///    reads the container pointers from lines stage 1 requested one
     ///    event earlier. The leading lines are asked for again first: in
@@ -581,15 +721,20 @@ impl<P: Protocol, L: Link<P>> Worker<P, L> {
     ///    flight at once, not one by one as the hook and handler reach
     ///    them.
     #[inline(always)]
-    fn prefetch_next(&self) {
-        for (hint, hook) in [
-            (self.queue.second_hint(), false),
-            (self.queue.next_hint(), true),
-        ] {
-            // A broadcast fault's hint is no node, and every other event's
-            // node is this worker's.
-            let Some(node) = hint else { continue };
-            let l = self.placement.slot(NodeId::new(node));
+    fn prefetch_next(&mut self) {
+        let (msg, timer) = (Head::of(self.queue.peek_key(0)), self.timers.head);
+        let (next, second) = if msg.key < timer.key {
+            (msg, Head::of(self.queue.peek_key(1)).min(timer))
+        } else {
+            (timer, Head::of(self.timers.queue.peek_key(1)).min(msg))
+        };
+        for (hint, hook) in [(second.hint, false), (next.hint, true)] {
+            // A broadcast fault's hint is no node (nor is an empty
+            // queue's), and every other event's node is this worker's.
+            if hint == u32::MAX {
+                continue;
+            }
+            let l = self.placement.slot(NodeId::new(hint));
             if let (Some(p), Some(rng), Some(alive)) =
                 (self.nodes.get(l), self.rngs.get(l), self.alive.get(l))
             {
@@ -855,10 +1000,10 @@ impl<P: Protocol, L: Link<P>, S: Recorder<P::Event>> HostBackend<P> for Backend<
     fn set_timer(&mut self, delay: Duration, timer: Timer) {
         let sender = &mut self.sender;
         sender.next_tie();
-        let node = sender.from;
-        let (at, ev) = (sender.now + delay, Event::Fire { node, timer });
-        let hint = node.as_u32();
-        schedule(sender.queue, sender.kernel, at, sender.tie, hint, ev);
+        let (at, node) = (sender.now + delay, sender.from);
+        sender
+            .timers
+            .schedule(sender.kernel, at, sender.tie, node, timer);
     }
 
     fn emit(&mut self, event: P::Event) {

@@ -18,6 +18,10 @@
 //! empty ring jumping to the far minimum, compaction with all three
 //! tiers occupied) and checks each observable after every operation.
 //!
+//! A kernel worker keeps two queues and pops them as one by their heads'
+//! keys ([`EventQueue::peek_key`]): the two-queue property checks that this
+//! pops exactly as one queue holding both, and names the same hints.
+//!
 //! The queue also gives memory back (it compacts its slab when an epoch of
 //! pops never needed half of it), which the model knows nothing about: the
 //! burst-and-drain property checks that compaction changes no pop and that
@@ -312,6 +316,75 @@ proptest! {
             pop!();
         }
         prop_assert_eq!(model.pop(), None);
+    }
+}
+
+/// The pending events of two queues popped as one, the way a kernel
+/// worker pops its timer queue and its other events: whichever head key
+/// [`EventQueue::peek_key`] reads lower pops.
+fn pop_merged(a: &mut EventQueue<u64>, b: &mut EventQueue<u64>) -> Option<(SimTime, u64, u64)> {
+    let key = |p: Option<(SimTime, u64, u32)>| p.map(|(at, tie, _)| (at, tie));
+    let from_b = match (key(a.peek_key(0)), key(b.peek_key(0))) {
+        (Some(x), Some(y)) => y < x,
+        (x, _) => x.is_none(),
+    };
+    let q = if from_b { b } else { a };
+    q.pop().map(|s| (s.at, s.seq, s.payload))
+}
+
+/// The hints of the first and second pops of two queues popped as one:
+/// of the two least keys among each queue's first two.
+fn merged_hints(a: &mut EventQueue<u64>, b: &mut EventQueue<u64>) -> (Option<u32>, Option<u32>) {
+    let mut heads: Vec<(SimTime, u64, u32)> =
+        [a.peek_key(0), a.peek_key(1), b.peek_key(0), b.peek_key(1)]
+            .into_iter()
+            .flatten()
+            .collect();
+    heads.sort_unstable();
+    let hint = |i: usize| heads.get(i).and_then(|&(_, _, h)| reported(h));
+    (hint(0), hint(1))
+}
+
+proptest! {
+    /// Random interleaved schedules under kernel-shaped ties (unique, each
+    /// scheduler's own count under its number, so equal instants do not
+    /// pop in schedule order), each put in one queue and in one of two
+    /// others: the two popped by their heads' keys pop exactly as the one
+    /// queue, and name the same next and second hints.
+    #[test]
+    fn two_queues_popped_by_head_key_pop_as_one(seed in 0u64..1_000_000, ops in 50usize..600) {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut one = EventQueue::new();
+        let (mut a, mut b) = (EventQueue::new(), EventQueue::new());
+        let mut counts = [0u64; 8];
+        let mut now = SimTime::ZERO;
+        let mut payload = 0u64;
+        for _ in 0..ops {
+            if rng.gen_bool(0.55) {
+                let at = now + sim_delay(&mut rng);
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let scheduler = rng.gen_range(0..counts.len());
+                    let tie = (scheduler as u64) << 40 | counts[scheduler];
+                    counts[scheduler] += 1;
+                    let hint = if rng.gen_bool(0.25) { u32::MAX } else { rng.gen_range(0..u32::MAX) };
+                    one.schedule_keyed(at, tie, hint, payload);
+                    let q = if rng.gen_bool(0.7) { &mut a } else { &mut b };
+                    q.schedule_keyed(at, tie, hint, payload);
+                    payload += 1;
+                }
+            } else {
+                let want = one.pop().map(|s| (s.at, s.seq, s.payload));
+                prop_assert_eq!(pop_merged(&mut a, &mut b), want, "merged pop diverged");
+                now = want.map_or(now, |(at, _, _)| at);
+            }
+            prop_assert_eq!(merged_hints(&mut a, &mut b), (one.next_hint(), one.second_hint()));
+            prop_assert_eq!(a.peek_time().into_iter().chain(b.peek_time()).min(), one.peek_time());
+            prop_assert_eq!(a.len() + b.len(), one.len());
+        }
+        while let Some(s) = one.pop() {
+            prop_assert_eq!(pop_merged(&mut a, &mut b), Some((s.at, s.seq, s.payload)));
+        }
+        prop_assert_eq!(pop_merged(&mut a, &mut b), None);
     }
 }
 

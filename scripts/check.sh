@@ -428,13 +428,15 @@ echo "==> scale smoke: 10^4 nodes on the sharded kernel (oracle-gated)"
 # 25-byte coordinate copy there, the 6.2 KB of the per-node protocol
 # counters or the 6.7 KB of the B-tree neighbor table and the per-node
 # configuration copy.
-# `queue_mem_mb` (what the event queues, one per worker thread, reserve
-# when the run ends) is held to a quarter above its 10.1 MB the same way:
-# queues that keep their start-up storm's capacity (44.9 MB here, before
-# they shrank) fail. (A queue per lane reserved 11.5 MB here; the
-# 64-lane bound on that lives in crates/sim/tests/queue_memory.rs.)
+# `queue_mem_mb` (what the event queues, two per worker thread — its
+# nodes' timers in 56-byte entries, everything else in 104-byte ones —
+# reserve when the run ends) is held to a quarter above its 6.1 MB: a
+# pending timer back in a message-sized slot (13.2 MB here with one
+# queue a worker) fails, and so do queues that keep their start-up
+# storm's capacity (44.9 MB here, before they shrank). The per-timer
+# bound lives in crates/sim/tests/queue_memory.rs.
 NODE_KB_MAX=3.47
-QUEUE_MB_MAX=12.6
+QUEUE_MB_MAX=7.6
 SCALE_OUT=$(timeout 600 cargo run --release -q -p gocast-experiments -- scale \
     --nodes 10000 --sim-shards 2 --warmup 30 --messages 10 --rate 2 \
     --drain 20 --no-csv)
