@@ -322,12 +322,14 @@ const COMPARE_CHURN: &str = concat!(
     "   churn     7       8    1.0000    1.0000          5.66          4.99            0.0560            0.1683             -             -              0              0\n",
     "   churn     8       8    1.0000    1.0000          5.58          4.59            0.0603            0.1587             -             -              0              0\n",
 );
-// The stream reports `kernel_queue_mem_bytes`, so this digest also pins
-// what a queued GoCast event occupies (104 B a slot, 79,560 B) and what
-// the calendar queue's tiers add (3,648 B): 83,208 at every sample. It
-// also pins the histogram layout: `kernel_queue_depth` and
-// `proto_delay_ns` list their non-empty buckets by index.
-const CHAOS_CHURN_METRICS_FNV: u64 = 0xf0988dac80074471;
+// The stream reports `kernel_queue_mem_bytes` and the slab's slots, so
+// this digest also pins what a queued GoCast event occupies (104 B a
+// message slot, 56 B a timer slot, each with its key) and what the
+// calendar queue's tiers add: 43,504–77,616 B over the samples, as each
+// of a worker's two queues follows its own pending count. It also pins
+// the histogram layout: `kernel_queue_depth` and `proto_delay_ns` list
+// their non-empty buckets by index.
+const CHAOS_CHURN_METRICS_FNV: u64 = 0x7ee128b380cbbbd6;
 const FIG3A_TRACE_FNV: [u64; 5] = [
     0xfa43fa47a2d48446,
     0x1f518e426db9a516,
