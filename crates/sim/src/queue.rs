@@ -20,8 +20,8 @@
 //!
 //! - **The front**: every event up to that day, its slots sorted by
 //!   descending key, so a pop is `Vec::pop` and the next two pops are the
-//!   last two entries — [`EventQueue::next_hint`] and
-//!   [`EventQueue::second_hint`] are exact reads. A schedule into it (a
+//!   last two entries — [`EventQueue::peek_key`] reads either's key and
+//!   hint in one load. A schedule into it (a
 //!   delay shorter than what is left of the front's day) is a binary
 //!   search and an insert.
 //! - **The ring**: 512 buckets for the days after it, a horizon of ≈ 0.54 s
@@ -314,11 +314,11 @@ impl<T> EventQueue<T> {
     }
 
     /// [`EventQueue::schedule`], with a word about the payload that
-    /// [`EventQueue::next_hint`] reports while the event is the earliest
-    /// pending one — without touching the payload's slot. The kernel puts
-    /// the target node there, to start fetching that node's state one event
-    /// ahead. A hint never takes part in ordering; `u32::MAX` reads back as
-    /// no hint.
+    /// [`EventQueue::peek_key`] reports while the event is the earliest or
+    /// second pending one — without touching the payload's slot. The
+    /// kernel puts the target node there, to start fetching that node's
+    /// state ahead. A hint never takes part in ordering; `u32::MAX` is no
+    /// hint.
     #[inline]
     pub fn schedule_hinted(&mut self, at: SimTime, hint: u32, payload: T) {
         self.schedule_keyed(at, self.next_seq, hint, payload);
@@ -605,8 +605,7 @@ impl<T> EventQueue<T> {
     /// Pops the earliest event only if it fires at or before `deadline`.
     ///
     /// Equivalent to checking [`EventQueue::peek_time`] and then calling
-    /// [`EventQueue::pop`], but probes the front once — this is the
-    /// kernel run loop's per-event fast path.
+    /// [`EventQueue::pop`], but probes the front once.
     #[inline]
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<Scheduled<T>> {
         if self.front.is_empty() {
@@ -623,25 +622,13 @@ impl<T> EventQueue<T> {
         self.earliest(0).map(|k| k.at)
     }
 
-    /// The hint the earliest pending event was scheduled with, if any.
-    #[inline]
-    pub fn next_hint(&self) -> Option<u32> {
-        self.earliest(0).map(|k| k.hint).filter(|&h| h != NO_HINT)
-    }
-
-    /// The hint of the event that pops *second*, if at least two are
-    /// pending and it has one. It names the second pop's hint unless an
-    /// earlier event is scheduled before then.
-    #[inline]
-    pub fn second_hint(&self) -> Option<u32> {
-        self.earliest(1).map(|k| k.hint).filter(|&h| h != NO_HINT)
-    }
-
     /// The `(at, tie)` key and the hint (`u32::MAX` for none) of the event
     /// that pops `rank`-th, 0 or 1: what a caller that pops two queues as
-    /// one compares. Where every schedule since the last pop went past the
-    /// front, the front moves on first, as the next pop would move it, so
-    /// the read stays a front entry.
+    /// one compares, and the node the kernel prefetches for. The second
+    /// pop's is exact unless an earlier event is scheduled before then.
+    /// Where every schedule since the last pop went past the front, the
+    /// front moves on first, as the next pop would move it, so the read
+    /// stays a front entry.
     #[inline]
     pub fn peek_key(&mut self, rank: usize) -> Option<(SimTime, u64, u32)> {
         if self.front.is_empty() {

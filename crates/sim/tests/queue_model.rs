@@ -7,8 +7,7 @@
 //! must pop in insertion order — the two must agree on every observable:
 //! pop results (time, sequence, payload), `peek_time`, `len`, and
 //! `scheduled_total` — and on the hints the kernel prefetches by: the
-//! first and second pops' (`next_hint`, `second_hint`), which never move a
-//! pop.
+//! first and second pops' (`peek_key`), which never move a pop.
 //!
 //! The queue keeps its events in three tiers — a sorted front, a ring of
 //! ≈ 1 ms buckets over the next ≈ 0.54 s, and a heap beyond — which the
@@ -72,6 +71,12 @@ impl ModelQueue {
 /// The hint `EventQueue` reports for an event: `u32::MAX` means none.
 fn reported(hint: u32) -> Option<u32> {
     (hint != u32::MAX).then_some(hint)
+}
+
+/// The hint of the event that pops `rank`-th, 0 or 1, as
+/// [`EventQueue::peek_key`] reads it.
+fn hint<T>(q: &mut EventQueue<T>, rank: usize) -> Option<u32> {
+    q.peek_key(rank).and_then(|(_, _, h)| reported(h))
 }
 
 /// Bytes one pending event reserves: its payload slot and its heap entry.
@@ -160,7 +165,7 @@ proptest! {
         let mut hints: Vec<Option<u32>> = Vec::new();
         for _ in 0..ops {
             // What the kernel's first prefetch stage reads: the second pop.
-            let ahead = q.second_hint();
+            let ahead = hint(&mut q, 1);
             if rng.gen_bool(0.6) {
                 // Schedule a burst of 1..4 events, often at equal times.
                 let at = now + Duration::from_nanos(rng.gen_range(0..50));
@@ -187,12 +192,12 @@ proptest! {
                 }
                 // Nothing was scheduled since: the look-ahead named this
                 // pop's successor.
-                prop_assert_eq!(q.next_hint(), ahead, "look-ahead missed the next pop");
+                prop_assert_eq!(hint(&mut q, 0), ahead, "look-ahead missed the next pop");
             }
             let (first, second) = model.first_two();
-            prop_assert_eq!(q.next_hint(), first.and_then(|p| hints[p as usize]));
-            prop_assert_eq!(q.second_hint(), second.and_then(|p| hints[p as usize]));
             prop_assert_eq!(q.peek_time(), model.peek_time());
+            prop_assert_eq!(hint(&mut q, 0), first.and_then(|p| hints[p as usize]));
+            prop_assert_eq!(hint(&mut q, 1), second.and_then(|p| hints[p as usize]));
             prop_assert_eq!(q.len(), model.heap.len());
             prop_assert_eq!(q.scheduled_total(), model.next_seq);
         }
@@ -257,9 +262,11 @@ proptest! {
         macro_rules! check {
             () => {{
                 let (first, second) = model.first_two();
-                prop_assert_eq!(q.next_hint(), first.and_then(|p| hints[p as usize]));
-                prop_assert_eq!(q.second_hint(), second.and_then(|p| hints[p as usize]));
+                // `peek_time` first: it reads a short front's successors
+                // without moving the front, where `peek_key` moves it on.
                 prop_assert_eq!(q.peek_time(), model.peek_time());
+                prop_assert_eq!(hint(&mut q, 0), first.and_then(|p| hints[p as usize]));
+                prop_assert_eq!(hint(&mut q, 1), second.and_then(|p| hints[p as usize]));
                 prop_assert_eq!(q.len(), model.heap.len());
                 prop_assert_eq!(q.is_empty(), model.heap.is_empty());
             }};
@@ -377,7 +384,7 @@ proptest! {
                 prop_assert_eq!(pop_merged(&mut a, &mut b), want, "merged pop diverged");
                 now = want.map_or(now, |(at, _, _)| at);
             }
-            prop_assert_eq!(merged_hints(&mut a, &mut b), (one.next_hint(), one.second_hint()));
+            prop_assert_eq!(merged_hints(&mut a, &mut b), (hint(&mut one, 0), hint(&mut one, 1)));
             prop_assert_eq!(a.peek_time().into_iter().chain(b.peek_time()).min(), one.peek_time());
             prop_assert_eq!(a.len() + b.len(), one.len());
         }
@@ -396,21 +403,21 @@ proptest! {
 fn hints_never_order_events() {
     let mut q = EventQueue::new();
     let at = SimTime::from_millis(3);
-    assert_eq!(q.second_hint(), None, "empty");
+    assert_eq!(hint(&mut q, 1), None, "empty");
     for i in 0..100u32 {
         q.schedule_hinted(at, 99 - i, i);
     }
     q.schedule(at, 100);
     for i in 0..100u32 {
-        assert_eq!(q.next_hint(), Some(99 - i));
+        assert_eq!(hint(&mut q, 0), Some(99 - i));
         let second = (i < 99).then(|| 98 - i);
-        assert_eq!(q.second_hint(), second, "pop {i}");
+        assert_eq!(hint(&mut q, 1), second, "pop {i}");
         assert_eq!(q.pop().map(|s| s.payload), Some(i));
     }
-    assert_eq!(q.next_hint(), None, "scheduled without a hint");
-    assert_eq!(q.second_hint(), None, "one pending");
+    assert_eq!(hint(&mut q, 0), None, "scheduled without a hint");
+    assert_eq!(hint(&mut q, 1), None, "one pending");
     assert_eq!(q.pop().map(|s| s.payload), Some(100));
-    assert_eq!(q.next_hint(), None, "empty");
+    assert_eq!(hint(&mut q, 0), None, "empty");
 }
 
 /// Timers plus one message each in flight: `n` pending at the trough, `2n`

@@ -211,10 +211,11 @@ absent  crates/sim/src,crates/testnet/src  crates/sim/src/placement\.rs:  [%/*][
 absent  crates/testnet/src  -  struct (Shard|Trace)([^_[:alnum:]]|$)|fn merge_event_streams([^_[:alnum:]]|$)
 absent  crates/experiments/src  -  \.trace\(\)
 
-# One event queue per worker thread: a worker is one queue over its own
-# share of the nodes, and threads take whole workers over channels, not
-# nodes behind locks.
-once    crates/sim/src/worker.rs  -  (^|[^[:alnum:]_])queue: (Queue|EventQueue)<
+# Two event queues per worker thread: a worker is one queue of its nodes'
+# timers (`EventQueue<(NodeId, Timer)>`) and one of everything else
+# (`Queue<P>`) over its own share of the nodes, and threads take whole
+# workers over channels, not nodes behind locks.
+once    crates/sim/src/worker.rs  -  (^|[^[:alnum:]_])queue: {Queue<,EventQueue<}
 absent  crates/sim/src  crates/sim/src/parallel\.rs:  Mutex<|trait LaneSet([^_[:alnum:]]|$)
 
 # One lane per worker, one determinism contract: an event's tie belongs
