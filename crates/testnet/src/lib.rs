@@ -32,7 +32,7 @@
 //!   `recvmmsg` (portable one-at-a-time fallback at runtime), while
 //!   [`TestnetConfig::shards`] lays nodes out across OS threads by the
 //!   engine's [`gocast_sim::Placement`], each shard owning its slice's
-//!   sockets and event queue. Steady-state framing
+//!   sockets and event queues. Steady-state framing
 //!   allocates nothing.
 //!
 //! # Quick start
