@@ -386,7 +386,7 @@ pub struct Worker<P: Protocol, L> {
     /// How many events each node has scheduled: the count of its next tie.
     counts: Vec<u64>,
     /// Every pending event but the timers.
-    pub(crate) queue: Queue<P>,
+    queue: Queue<P>,
     timers: Timers,
     pub(crate) stats: TrafficStats,
     /// Counters, with `events_scheduled` and `queue_len` kept as events
