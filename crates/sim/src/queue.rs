@@ -21,9 +21,8 @@
 //! - **The front**: every event up to that day, its slots sorted by
 //!   descending key, so a pop is `Vec::pop` and the next two pops are the
 //!   last two entries — [`EventQueue::peek_key`] reads either's key and
-//!   hint in one load. A schedule into it (a
-//!   delay shorter than what is left of the front's day) is a binary
-//!   search and an insert.
+//!   hint in one load. A schedule into it (a delay shorter than what is
+//!   left of the front's day) is a binary search and an insert.
 //! - **The ring**: 512 buckets for the days after it, a horizon of ≈ 0.54 s
 //!   past the 100 ms protocol periods and the 399 ms latency cap. A
 //!   bucket is a list threaded through a per-slot key array, so a schedule
@@ -67,8 +66,9 @@
 //! a quarter. A compaction scans no more slots than its epoch had pops, so
 //! the rule is amortised O(1) per pop, and a queue that oscillates between
 //! `n` and `2n` pending — a message per node in flight at the crest of
-//! each round, none at its trough — never compacts at all. Judging vacancy at a single pop instead would shrink
-//! at every trough of such an oscillation and regrow at every crest.
+//! each round, none at its trough — never compacts at all. Judging
+//! vacancy at a single pop instead would shrink at every trough of such an
+//! oscillation and regrow at every crest.
 //! [`EventQueue::trim`] is the rule for a caller that knows the queue is
 //! at rest.
 
