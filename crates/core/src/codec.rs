@@ -7,7 +7,10 @@
 //!
 //! Format: one tag byte, then fixed-width little-endian fields;
 //! variable-length sequences are prefixed with a `u32` count. No varints —
-//! sizes stay computable without encoding.
+//! sizes stay computable without encoding. Two fields go at their own
+//! width: a landmark vector is a `u8` slot count and 3 bytes a slot
+//! (24-bit microseconds, all ones for "not measured"), and a probe kind is
+//! one byte (the landmark index, or a tag for the other two kinds).
 //!
 //! The format is written once. Each field type has one `Field` impl, which
 //! puts a value, takes it back and sizes it, and the `messages!` table
@@ -18,10 +21,10 @@
 //! fixed-size field is sized by a constant, and a `Vec` of them in closed
 //! form (`4 + n·size`).
 //!
-//! Decoding accepts only what encoding writes: a flag is 0 or 1, and an
-//! unused argument or an absent value is 0; anything else is a
-//! [`DecodeError::BadTag`]. The one exception is an RTT word too large for
-//! a landmark slot, which saturates (see [`LandmarkVector::set`]).
+//! Decoding accepts only what encoding writes: a flag is 0 or 1, an absent
+//! value is 0, and a landmark count or index fits the slots a vector has;
+//! anything else is a [`DecodeError::BadTag`]. So every byte string that
+//! decodes re-encodes to itself.
 
 use gocast_net::{LandmarkVector, MAX_LANDMARKS};
 use gocast_sim::NodeId;
@@ -200,53 +203,79 @@ impl Field for DropReason {
     }
 }
 
-/// A kind tag, then a `u16` argument: the landmark index, below
-/// [`MAX_LANDMARKS`], and 0 otherwise.
+/// Every [`ProbeKind::Candidate`] byte.
+const CANDIDATE: u8 = 0xFE;
+/// Every [`ProbeKind::LinkMeasure`] byte.
+const LINK_MEASURE: u8 = 0xFF;
+
+/// One byte: the landmark index, below [`MAX_LANDMARKS`], or one of the
+/// two tags above.
 impl Field for ProbeKind {
-    const FIXED: Option<usize> = <(u8, u16)>::FIXED;
+    const FIXED: Option<usize> = u8::FIXED;
     fn put(&self, out: &mut Vec<u8>) {
         match *self {
-            ProbeKind::Landmark(i) => (0u8, i),
-            ProbeKind::Candidate => (1, 0),
-            ProbeKind::LinkMeasure => (2, 0),
+            ProbeKind::Landmark(i) => {
+                assert!(
+                    usize::from(i) < MAX_LANDMARKS,
+                    "landmark index {i} exceeds MAX_LANDMARKS ({MAX_LANDMARKS})"
+                );
+                i
+            }
+            ProbeKind::Candidate => CANDIDATE,
+            ProbeKind::LinkMeasure => LINK_MEASURE,
         }
         .put(out);
     }
     #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match <(u8, u16)>::take(r)? {
-            (0, i) if usize::from(i) < MAX_LANDMARKS => Ok(ProbeKind::Landmark(i)),
-            (1, 0) => Ok(ProbeKind::Candidate),
-            (2, 0) => Ok(ProbeKind::LinkMeasure),
-            (t, _) => Err(DecodeError::BadTag(t)),
+        match u8::take(r)? {
+            i if usize::from(i) < MAX_LANDMARKS => Ok(ProbeKind::Landmark(i)),
+            CANDIDATE => Ok(ProbeKind::Candidate),
+            LINK_MEASURE => Ok(ProbeKind::LinkMeasure),
+            t => Err(DecodeError::BadTag(t)),
         }
     }
 }
 
-/// A `u32` slot count, then one RTT word per slot: microseconds, or
-/// `u32::MAX` for a slot not measured.
+/// Bytes of one landmark slot on the wire.
+const SLOT_BYTES: usize = 3;
+/// A slot's 24 bits all set: not measured.
+const UNMEASURED_SLOT: u32 = 0xFF_FFFF;
+
+/// A `u8` slot count, at most [`MAX_LANDMARKS`], then each slot as 3
+/// little-endian bytes: microseconds, or `0xFFFFFF` for a slot not
+/// measured. A slot holds 24 bits, so every slot has one encoding.
 impl Field for LandmarkVector {
     const FIXED: Option<usize> = None;
     fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).put(out);
+        (self.len() as u8).put(out);
         for i in 0..self.len() {
-            self.rtt_us_at(i).put(out);
+            // `u32::MAX` (unmeasured) becomes all ones; a measurement is
+            // below them.
+            let slot = self.rtt_us_at(i).min(UNMEASURED_SLOT);
+            out.extend_from_slice(&slot.to_le_bytes()[..SLOT_BYTES]);
         }
     }
     #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u32::take(r)? as usize;
-        if n > MAX_LANDMARKS {
-            return Err(DecodeError::BadTag(255)); // implausible landmark count
+        let n = u8::take(r)?;
+        if usize::from(n) > MAX_LANDMARKS {
+            return Err(DecodeError::BadTag(n));
         }
         let mut words = [0; MAX_LANDMARKS];
-        for word in &mut words[..n] {
-            *word = u32::take(r)?;
+        for word in &mut words[..usize::from(n)] {
+            let [a, b, c] = r.bytes()?;
+            *word = match u32::from_le_bytes([a, b, c, 0]) {
+                UNMEASURED_SLOT => u32::MAX,
+                us => us,
+            };
         }
-        Ok(LandmarkVector::from_rtt_words(words[..n].iter().copied()))
+        Ok(LandmarkVector::from_rtt_words(
+            words[..usize::from(n)].iter().copied(),
+        ))
     }
     fn size(&self) -> usize {
-        4 * (1 + self.len())
+        1 + SLOT_BYTES * self.len()
     }
 }
 
@@ -610,7 +639,7 @@ mod tests {
         fn probe(rng: &mut proptest::TestRng) -> ProbeKind {
             match rng.gen_range(0..3u8) {
                 // Only a storable landmark index is well-formed.
-                0 => ProbeKind::Landmark((rng.next_u64() % MAX_LANDMARKS as u64) as u16),
+                0 => ProbeKind::Landmark((rng.next_u64() % MAX_LANDMARKS as u64) as u8),
                 1 => ProbeKind::Candidate,
                 _ => ProbeKind::LinkMeasure,
             }
@@ -816,11 +845,9 @@ mod tests {
 
     /// Decode accepts only what encode writes: every single-byte mutation
     /// of every sample either fails to decode or re-encodes to exactly the
-    /// mutated bytes. The one exception is an RTT word too large for a
-    /// landmark slot, which decodes saturated by design.
+    /// mutated bytes.
     #[test]
     fn whatever_decodes_re_encodes_to_the_same_bytes() {
-        const SLOT_MAX_US: u32 = (1 << 24) - 2;
         for msg in samples() {
             let bytes = encode(&msg);
             for at in 0..bytes.len() {
@@ -828,23 +855,9 @@ mod tests {
                     let mut mutated = bytes.clone();
                     mutated[at] ^= flip;
                     let Ok(back) = decode(&mutated) else { continue };
-                    let again = encode(&back);
-                    if again == mutated {
-                        continue;
-                    }
-                    let len = mutated.len();
-                    let saturated_rtt = again.len() == len
-                        && len >= 4
-                        && (at.saturating_sub(3)..=at.min(len - 4)).any(|s| {
-                            let word = u32::from_le_bytes(mutated[s..s + 4].try_into().unwrap());
-                            word > SLOT_MAX_US
-                                && word != u32::MAX
-                                && again[s..s + 4] == SLOT_MAX_US.to_le_bytes()
-                                && again[..s] == mutated[..s]
-                                && again[s + 4..] == mutated[s + 4..]
-                        });
-                    assert!(
-                        saturated_rtt,
+                    assert_eq!(
+                        encode(&back),
+                        mutated,
                         "{msg:?}: byte {at} ^ {flip:#04x} decodes to {back:?}, \
                          which re-encodes to other bytes"
                     );
@@ -893,48 +906,60 @@ mod tests {
         assert!(!coords.shares_storage(&shared));
     }
 
-    /// The wire carries 32-bit RTT words; a slot holds 24 bits. A word too
-    /// large for a slot is a (very slow) measurement, `u32::MAX` alone
-    /// means "not measured", and what decodes re-encodes at its own length.
+    /// A join reply carrying one member whose vector has `n` slots, each
+    /// holding 10 ms; the vector is the frame's last field.
+    fn one_member_frame(n: usize) -> Vec<u8> {
+        let ms = std::time::Duration::from_millis;
+        let coords = LandmarkVector::from_rtts((0..n).map(|_| ms(10)));
+        encode(&GoCastMsg::JoinReply {
+            members: vec![(NodeId::new(5), coords)],
+        })
+    }
+
+    /// A slot is 3 bytes on the wire and 24 bits in a vector: the smallest
+    /// and largest measurements and the all-ones "not measured" slot come
+    /// back exactly and re-encode to the same bytes.
     #[test]
-    fn rtt_words_beyond_a_slot_decode_saturated_and_u32_max_unmeasured() {
-        const SLOT_MAX_US: u32 = (1 << 24) - 2;
-        let frame_with = |word: u32| {
-            let coords = LandmarkVector::from_rtts([std::time::Duration::from_millis(10)]);
-            let mut bytes = encode(&GoCastMsg::JoinReply {
-                members: vec![(NodeId::new(5), coords)],
-            });
-            // The single RTT word is the frame's last field.
-            let at = bytes.len() - 4;
-            bytes[at..].copy_from_slice(&word.to_le_bytes());
-            bytes
-        };
-        let coords_of = |bytes: &[u8]| match decode(bytes) {
-            Ok(GoCastMsg::JoinReply { mut members }) => members.remove(0).1,
-            other => panic!("{other:?}"),
-        };
-        for word in [
-            SLOT_MAX_US,
-            SLOT_MAX_US + 1,
-            1 << 31,
-            u32::MAX - 1,
-            u32::MAX,
+    fn landmark_slots_round_trip_exactly_and_all_ones_is_unmeasured() {
+        for (slot, rtt_us) in [
+            (0u32, 0u32),
+            (1, 1),
+            ((1 << 24) - 2, (1 << 24) - 2),
+            (0xFF_FFFF, u32::MAX),
         ] {
-            let bytes = frame_with(word);
-            let coords = coords_of(&bytes);
+            let mut bytes = one_member_frame(1);
+            let at = bytes.len() - SLOT_BYTES;
+            bytes[at..].copy_from_slice(&slot.to_le_bytes()[..SLOT_BYTES]);
+            let msg = decode(&bytes).unwrap_or_else(|e| panic!("slot {slot:#x}: {e}"));
+            let GoCastMsg::JoinReply { members } = &msg else {
+                panic!("{msg:?}")
+            };
+            let coords = &members[0].1;
             assert_eq!(coords.len(), 1);
-            if word == u32::MAX {
-                assert!(!coords.is_complete(1));
-                assert_eq!(coords.rtt_us_at(0), u32::MAX);
-            } else {
-                assert!(coords.is_complete(1), "{word} is a measurement");
-                assert_eq!(coords.rtt_us_at(0), SLOT_MAX_US);
+            assert_eq!(coords.rtt_us_at(0), rtt_us, "slot {slot:#x}");
+            assert_eq!(coords.is_complete(1), rtt_us != u32::MAX);
+            assert_eq!(encode(&msg), bytes, "slot {slot:#x}");
+            assert_eq!(encoded_len(&msg), bytes.len());
+        }
+    }
+
+    /// A slot count past what a vector holds is malformed, and a frame
+    /// that ends inside a slot is truncated.
+    #[test]
+    fn landmark_count_past_the_slots_and_a_cut_slot_are_rejected() {
+        let frame = one_member_frame(2);
+        let count_at = frame.len() - 1 - 2 * SLOT_BYTES;
+        assert_eq!(frame[count_at], 2);
+        for count in MAX_LANDMARKS as u8 + 1..=u8::MAX {
+            let mut bytes = frame.clone();
+            bytes[count_at] = count;
+            assert_eq!(decode(&bytes), Err(DecodeError::BadTag(count)));
+        }
+        for cut in 1..SLOT_BYTES {
+            for slots_whole in 0..2 {
+                let end = count_at + 1 + slots_whole * SLOT_BYTES + cut;
+                assert_eq!(decode(&frame[..end]), Err(DecodeError::Truncated));
             }
-            let msg = decode(&bytes).unwrap();
-            let again = encode(&msg);
-            assert_eq!(encoded_len(&msg), again.len());
-            assert_eq!(again.len(), bytes.len());
-            assert_eq!(decode(&again), Ok(msg));
         }
     }
 
@@ -1012,27 +1037,44 @@ mod tests {
     }
 
     /// A landmark index a node cannot store is malformed, in a ping and
-    /// in the pong that echoes it; the last storable one round-trips.
+    /// in the pong that echoes it; the last storable one round-trips. So
+    /// is every kind byte between the indices and the two tags.
     #[test]
     fn landmark_index_past_the_slots_is_rejected() {
-        let pong = |i: usize| GoCastMsg::Pong {
-            kind: ProbeKind::Landmark(i as u16),
+        let last = MAX_LANDMARKS as u8 - 1;
+        let pong = GoCastMsg::Pong {
+            kind: ProbeKind::Landmark(last),
             sent_at_us: 1,
             degrees: DegreeInfo::default(),
             max_nearby_rtt_us: 0,
             coords: LandmarkVector::unknown(),
         };
-        let ping = |i: usize| GoCastMsg::Ping {
-            kind: ProbeKind::Landmark(i as u16),
+        let ping = GoCastMsg::Ping {
+            kind: ProbeKind::Landmark(last),
             sent_at_us: 1,
         };
-        for last in [pong(MAX_LANDMARKS - 1), ping(MAX_LANDMARKS - 1)] {
-            assert_eq!(decode(&encode(&last)), Ok(last));
+        for msg in [pong, ping] {
+            let bytes = encode(&msg);
+            // The kind is the byte after the message tag.
+            assert_eq!(bytes[1], last);
+            assert_eq!(decode(&bytes), Ok(msg));
+            for kind in MAX_LANDMARKS as u8..CANDIDATE {
+                let mut bad = bytes.clone();
+                bad[1] = kind;
+                assert_eq!(decode(&bad), Err(DecodeError::BadTag(kind)));
+            }
         }
-        for i in [MAX_LANDMARKS, MAX_LANDMARKS + 1, usize::from(u16::MAX)] {
-            assert_eq!(decode(&encode(&pong(i))), Err(DecodeError::BadTag(0)));
-            assert_eq!(decode(&encode(&ping(i))), Err(DecodeError::BadTag(0)));
-        }
+    }
+
+    /// An index no kind byte carries is a bug at the sender, as storing
+    /// it in a vector is.
+    #[test]
+    #[should_panic(expected = "exceeds MAX_LANDMARKS")]
+    fn encoding_a_landmark_index_past_the_slots_panics() {
+        encode(&GoCastMsg::Ping {
+            kind: ProbeKind::Landmark(MAX_LANDMARKS as u8),
+            sent_at_us: 1,
+        });
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl GoCastNode {
         ctx.send(
             NodeId::new(index as u32),
             GoCastMsg::Ping {
-                kind: ProbeKind::Landmark(index as u16),
+                kind: ProbeKind::Landmark(index as u8),
                 sent_at_us,
             },
         );

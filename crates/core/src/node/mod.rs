@@ -916,7 +916,7 @@ mod tests {
         let mut node = GoCastNode::new(NodeId::new(0), cfg, vec![]);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut sink = Sink { nodes: 16 };
-        let mut pong = |node: &mut GoCastNode, i: u16| {
+        let mut pong = |node: &mut GoCastNode, i: u8| {
             let mut ctx = Ctx::for_host(node.id, SimTime::from_millis(5), &mut rng, &mut sink);
             let msg = GoCastMsg::Pong {
                 kind: crate::wire::ProbeKind::Landmark(i),
@@ -927,7 +927,7 @@ mod tests {
             };
             node.on_message(&mut ctx, NodeId::new(1), msg);
         };
-        for i in [4, 7, gocast_net::MAX_LANDMARKS as u16, 9, u16::MAX] {
+        for i in [4, 7, gocast_net::MAX_LANDMARKS as u8, 9, u8::MAX] {
             pong(&mut node, i);
             assert!(node.coords().is_empty(), "landmark {i} was stored");
         }

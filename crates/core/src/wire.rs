@@ -18,8 +18,9 @@ pub const HEADER_BYTES: u32 = 28;
 /// What a [`GoCastMsg::Ping`] is measuring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProbeKind {
-    /// Measuring the RTT to landmark `index` (latency estimation).
-    Landmark(u16),
+    /// Measuring the RTT to landmark `index` (latency estimation), below
+    /// [`gocast_net::MAX_LANDMARKS`].
+    Landmark(u8),
     /// Measuring a nearby-neighbor candidate from the member list.
     Candidate,
     /// Measuring an established overlay link (tree weights need it).

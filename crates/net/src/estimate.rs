@@ -41,7 +41,7 @@ pub const DEFAULT_LANDMARKS: usize = 8;
 pub const MAX_LANDMARKS: usize = DEFAULT_LANDMARKS;
 
 /// A slot's 24 bits all set: not measured. Presented as `u32::MAX` by
-/// [`LandmarkVector::rtt_us_at`] and on the wire.
+/// [`LandmarkVector::rtt_us_at`]; the wire carries the 24 bits as they are.
 const UNMEASURED: u32 = 0xFF_FFFF;
 
 /// Largest RTT a slot stores, in microseconds (16.777214 s): one below
@@ -371,9 +371,10 @@ impl LandmarkVector {
 
     /// Builds a vector from raw slot words as [`rtt_us_at`](Self::rtt_us_at)
     /// presents them — microseconds, or `u32::MAX` for a slot not measured
-    /// — in one block (none for an empty iterator): how a wire codec
-    /// restores a vector. A word of 2²⁴ − 1 µs or more other than
-    /// `u32::MAX` saturates as [`set`](Self::set) does.
+    /// — in one block (none for an empty iterator): how the wire codec
+    /// restores a vector from its 3-byte slots, each of which comes back
+    /// exactly. A word of 2²⁴ − 1 µs or more other than `u32::MAX`, which
+    /// no 3-byte slot carries, saturates as [`set`](Self::set) does.
     ///
     /// # Panics
     ///

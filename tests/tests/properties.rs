@@ -188,7 +188,7 @@ proptest! {
             },
             3 => GoCastMsg::Pong {
                 // Only a storable landmark index is well-formed.
-                kind: ProbeKind::Landmark((seq % MAX_LANDMARKS as u32) as u16),
+                kind: ProbeKind::Landmark((seq % MAX_LANDMARKS as u32) as u8),
                 sent_at_us: age,
                 degrees,
                 max_nearby_rtt_us: age * 2,
