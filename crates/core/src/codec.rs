@@ -795,18 +795,17 @@ mod tests {
             ("00030000000700000040e20100000000000400000000040000", 25),
             (
                 "010200000001000000020000000a000000000000000400000000000000000000000000000002\
-                 00000009000000020000001027000050c300000200000000000000020000001027000050c300\
-                 000100050001000500",
-                85,
+                 000000090000000210270050c30002000000000210270050c3000100050001000500",
+                72,
             ),
             ("02010000000100000002000000", 13),
             ("03", 1),
-            ("040100000005000000020000001027000050c30000", 21),
-            ("050003002a00000000000000", 12),
-            ("050200000700000000000000", 12),
+            ("0401000000050000000210270050c300", 16),
+            ("05032a00000000000000", 10),
+            ("05ff0700000000000000", 10),
             (
-                "060100002a000000000000000100050001000500ffffffffffffffff020000001027000050c30000",
-                40,
+                "06fe2a000000000000000100050001000500ffffffffffffffff0210270050c300",
+                33,
             ),
             ("07010188130000000000000100050001000500", 19),
             ("07000000000000000000000100050001000500", 19),
