@@ -39,7 +39,8 @@
 //! scale   10⁵-node-default runs on the sharded kernel (`--sim-shards N`
 //!         worker threads, O(1)-memory latency model): a fig3-style
 //!         delivery run plus one chaos preset, printing the scaling row
-//!         (events/s, self-reported queue memory, peak RSS); accepts
+//!         (control bytes per delivery, events/s, self-reported queue
+//!         memory, peak RSS); accepts
 //!         --scenario/--spec (default `catastrophe`), defaults --nodes
 //!         to 100,000
 //! metrics instrumented quick run rendering every subsystem's telemetry

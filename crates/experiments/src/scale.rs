@@ -27,7 +27,7 @@ use std::ops::Deref;
 
 use gocast::GoCastNode;
 use gocast_analysis::{Cdf, InvariantOracle, Table};
-use gocast_sim::{Scenario, Threaded};
+use gocast_sim::{Scenario, Threaded, TrafficClass, TrafficStats};
 
 use crate::chaos::resolve_scenario;
 use crate::options::ExpOptions;
@@ -63,6 +63,10 @@ pub struct ScaleOutcome {
     /// Process peak RSS (`VmHWM`), best-effort; process-wide, so it is
     /// reported but never part of [`ScaleOutcome::manifest`].
     pub peak_rss_bytes: Option<u64>,
+    /// Wire bytes of every class but [`TrafficClass::Data`] sent from the
+    /// end of warm-up to the end of the run: gossip, probes, pulls, tree
+    /// and overlay upkeep.
+    pub window_control_bytes: u64,
 }
 
 impl Deref for ScaleOutcome {
@@ -138,6 +142,11 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Wire bytes of every class but [`TrafficClass::Data`].
+fn control_bytes(stats: &TrafficStats) -> u64 {
+    stats.total().bytes - stats.class(TrafficClass::Data).bytes
+}
+
 /// The scale configuration of the pipeline: GoCast (stores kept for the
 /// audit) on the threaded kernel over [`scale_network`], oracle-audited. With
 /// a scenario, its plan is scheduled after warm-up (site groups make group
@@ -157,6 +166,7 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
     let mut run: Run<GoCastNode, Threaded> =
         Run::sharded(opts, net, recorder, gocast_nodes(opts, &cfg));
     run.warm(opts.warmup);
+    let warm_control_bytes = control_bytes(run.sim.stats());
     if let Some(plan) = &plan {
         run.schedule(plan);
     }
@@ -167,6 +177,7 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
     let start = run.inject_multicasts(opts, &sources);
     run.drive(horizon(opts, start, plan.as_ref()));
 
+    let window_control_bytes = control_bytes(run.sim.stats()) - warm_control_bytes;
     let (per_node_avg, incomplete, _) = run.delays(opts);
     let (core, _) = run.finish_audited(plan.as_ref().map_or(0, |p| p.len()), |n, at| {
         presence.as_ref().is_none_or(|p| p.present_from(n, at))
@@ -185,6 +196,7 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
         incomplete,
         node_mem_bytes: node_mem_total / sim.len().max(1) as u64,
         peak_rss_bytes: peak_rss_bytes(),
+        window_control_bytes,
     }
 }
 
@@ -204,7 +216,7 @@ pub fn run_scale_chaos(opts: &ExpOptions, label: &str, scenario: &Scenario) -> S
 /// The scaling table this subcommand prints and writes, one row per run.
 fn scaling_table(runs: [&ScaleOutcome; 2]) -> Table {
     let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-    let columns: [Column<'_, ScaleOutcome>; 16] = [
+    let columns: [Column<'_, ScaleOutcome>; 17] = [
         ("phase", &|o| o.phase.clone()),
         ("nodes", &|o| o.nodes.to_string()),
         ("sim_shards", &|o| o.sim_shards.to_string()),
@@ -218,6 +230,12 @@ fn scaling_table(runs: [&ScaleOutcome; 2]) -> Table {
             false => format!("{:.1}", o.per_node_avg.mean().as_secs_f64() * 1000.0),
         }),
         ("violations", &|o| o.violations.to_string()),
+        ("ctl_b_per_del", &|o| {
+            format!(
+                "{:.1}",
+                o.window_control_bytes as f64 / o.delivered.max(1) as f64
+            )
+        }),
         ("events", &|o| o.kernel.events_processed.to_string()),
         ("events_per_sec", &|o| {
             format!("{:.0}", o.kernel.events_per_sec())

@@ -436,8 +436,15 @@ echo "==> scale smoke: 10^4 nodes on the sharded kernel (oracle-gated)"
 # queue a worker) fails, and so do queues that keep their start-up
 # storm's capacity (44.9 MB here, before they shrank). The per-timer
 # bound lives in crates/sim/tests/queue_memory.rs.
+# `ctl_b_per_del` (the wire bytes of every class but `Data` sent after
+# warm-up, per delivery: gossip with its member lists, probes, pulls,
+# tree and overlay upkeep) is held to about 1.6 % above the 6,152 B the
+# catastrophe row measures: landmark vectors back at 4 + 4n bytes and
+# probe kinds at 3 (7,368 B), or probe kinds alone at 3 (6,262 B),
+# fail.
 NODE_KB_MAX=3.47
 QUEUE_MB_MAX=7.6
+CTL_B_PER_DEL_MAX=6250
 SCALE_OUT=$(timeout 600 cargo run --release -q -p gocast-experiments -- scale \
     --nodes 10000 --sim-shards 2 --warmup 30 --messages 10 --rate 2 \
     --drain 20 --no-csv)
@@ -456,6 +463,7 @@ scale_column_at_most() {
 }
 scale_column_at_most node_kb "$NODE_KB_MAX" "KB/node"
 scale_column_at_most queue_mem_mb "$QUEUE_MB_MAX" "MB"
+scale_column_at_most ctl_b_per_del "$CTL_B_PER_DEL_MAX" "B/delivery"
 
 echo "==> docs cross-reference check (every .md link resolves)"
 # Every relative markdown link in the repo's own docs must point at a
