@@ -305,8 +305,8 @@ const TXT2: &str = concat!(
 const EXT4: &str = concat!(
     "             protocol  bottleneck stress (KB)  mean link stress (KB)  links used  total traffic (MB)\n",
     "  --------------------------------------------------------------------------------------------------\n",
-    "      GoCast (1024 B)                  2952.4                 1539.6          17               26.17\n",
-    "        GoCast (64 B)                  1896.4                 1003.0          17               17.05\n",
+    "      GoCast (1024 B)                  2678.5                 1394.1          17               23.70\n",
+    "        GoCast (64 B)                  1622.5                  857.5          17               14.58\n",
     "  gossip F=5 (1024 B)                  1284.5                  714.6          17               12.15\n",
     "    gossip F=5 (64 B)                   262.1                  145.0          17                2.47\n",
 );
