@@ -203,9 +203,9 @@ impl Field for DropReason {
     }
 }
 
-/// Every [`ProbeKind::Candidate`] byte.
+/// The byte of a [`ProbeKind::Candidate`].
 const CANDIDATE: u8 = 0xFE;
-/// Every [`ProbeKind::LinkMeasure`] byte.
+/// The byte of a [`ProbeKind::LinkMeasure`].
 const LINK_MEASURE: u8 = 0xFF;
 
 /// One byte: the landmark index, below [`MAX_LANDMARKS`], or one of the
@@ -258,21 +258,20 @@ impl Field for LandmarkVector {
     }
     #[inline]
     fn take(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u8::take(r)?;
-        if usize::from(n) > MAX_LANDMARKS {
-            return Err(DecodeError::BadTag(n));
+        let count = u8::take(r)?;
+        let n = usize::from(count);
+        if n > MAX_LANDMARKS {
+            return Err(DecodeError::BadTag(count));
         }
         let mut words = [0; MAX_LANDMARKS];
-        for word in &mut words[..usize::from(n)] {
+        for word in &mut words[..n] {
             let [a, b, c] = r.bytes()?;
             *word = match u32::from_le_bytes([a, b, c, 0]) {
                 UNMEASURED_SLOT => u32::MAX,
                 us => us,
             };
         }
-        Ok(LandmarkVector::from_rtt_words(
-            words[..usize::from(n)].iter().copied(),
-        ))
+        Ok(LandmarkVector::from_rtt_words(words[..n].iter().copied()))
     }
     fn size(&self) -> usize {
         1 + SLOT_BYTES * self.len()
