@@ -19,7 +19,6 @@ use std::time::Duration;
 use gocast::{DeliveryPath, GoCastCommand, GoCastEvent, MsgId};
 use gocast_sim::{Ctx, NodeId, Protocol, SimTime, Stack, StackCaps, Timer, TrafficClass, Wire};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Timer kinds.
 mod timers {
@@ -38,7 +37,7 @@ const PULL_TIMEOUT: Duration = Duration::from_secs(2);
 const GC_WAIT: Duration = Duration::from_secs(120);
 
 /// Configuration for the push-gossip baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PushGossipConfig {
     /// Gossip fanout `F`: how many random nodes hear each message ID.
     pub fanout: usize,
@@ -70,7 +69,7 @@ impl PushGossipConfig {
 }
 
 /// Wire messages of the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PushGossipMsg {
     /// Message-ID summary.
     Gossip {

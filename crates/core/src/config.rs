@@ -10,8 +10,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Acceptance slack: a node accepts a new link of a kind while its degree
 /// of that kind is below `target + DEGREE_SLACK` (paper: 5).
 const DEGREE_SLACK: usize = 5;
@@ -44,7 +42,7 @@ const DEGREE_SLACK: usize = 5;
 /// };
 /// assert_eq!(bad.validate(), Err(ConfigError::ZeroDegree));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoCastConfig {
     /// Target number of random neighbors (`C_rand`, paper default 1).
     pub c_rand: usize,

@@ -5,7 +5,6 @@ use std::fmt;
 use std::time::Duration;
 
 use gocast_sim::{NodeId, ReplayEvent, TraceEvent, TraceLine};
-use serde::{Deserialize, Serialize};
 
 /// `as_str` and `parse` for a field-less enum, and its trace field, from
 /// one list of `Variant => "name"` pairs.
@@ -49,7 +48,7 @@ macro_rules! names {
 /// The paper concatenates the origin's IP address with a locally assigned,
 /// monotonically increasing sequence number; this is the same thing with a
 /// [`NodeId`] in place of the address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId {
     /// The node that injected the message.
     pub origin: NodeId,
@@ -71,7 +70,7 @@ impl fmt::Display for MsgId {
 }
 
 /// Classification of an overlay link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// A link to a uniformly random node (connectivity insurance).
     Random,
@@ -101,7 +100,7 @@ impl fmt::Display for LinkKind {
 /// node capacity can be accommodated in our protocol"): conditions that
 /// reason about *another* node's degree (C1, C2, operation 2) must compare
 /// against that node's own targets, not ours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegreeInfo {
     /// Number of random neighbors (`D_rand`).
     pub d_rand: u16,
@@ -133,7 +132,7 @@ impl DegreeInfo {
 }
 
 /// How a multicast message reached a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeliveryPath {
     /// Pushed along a tree link.
     Tree,
@@ -152,7 +151,7 @@ names! {
 }
 
 /// Why an overlay link was removed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Replaced by a lower-latency candidate (nearby maintenance).
     Replaced,
@@ -211,7 +210,7 @@ impl fmt::Display for DropReason {
 ///
 /// These are the raw material for every figure: the analysis crate folds
 /// them into delay CDFs, redundancy counts, and link-churn series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GoCastEvent {
     /// This node injected a new multicast message.
     Injected {

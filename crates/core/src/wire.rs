@@ -7,7 +7,6 @@
 
 use gocast_net::LandmarkVector;
 use gocast_sim::{NodeId, TrafficClass, Wire};
-use serde::{Deserialize, Serialize};
 
 use crate::types::{DegreeInfo, DropReason, LinkKind, MsgId};
 
@@ -16,7 +15,7 @@ use crate::types::{DegreeInfo, DropReason, LinkKind, MsgId};
 pub const HEADER_BYTES: u32 = 28;
 
 /// What a [`GoCastMsg::Ping`] is measuring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
     /// Measuring the RTT to landmark `index` (latency estimation), below
     /// [`gocast_net::MAX_LANDMARKS`].
@@ -45,7 +44,7 @@ const _: () = assert!(size_of::<MemberEntry>() == 8);
 /// observed-remove set per topic; each local mutation becomes one of
 /// these, multicast through the topic layer and re-sent by anti-entropy
 /// ([`GoCastMsg::TopicDeltas`]) when tree+pull dissemination missed it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaWire {
     /// Origin-local mutation counter (contiguous from 1 per origin, the
     /// unit of version-vector anti-entropy).
@@ -64,7 +63,7 @@ pub struct DeltaWire {
 pub type VvEntry = (NodeId, u32);
 
 /// Every message a GoCast node can send.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GoCastMsg {
     /// A full multicast payload, pushed along a tree link or answering a
     /// pull request.

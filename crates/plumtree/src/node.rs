@@ -9,7 +9,6 @@ use gocast_sim::{
     Ctx, FxHashMap, NodeId, Protocol, SimTime, Stack, StackCaps, Timer, TrafficClass, Wire,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Active-view size: the node's overlay degree target. 6 matches GoCast's
 /// `C_near + C_rand`, so head-to-head runs compare equal-degree overlays.
@@ -60,7 +59,7 @@ mod timers {
 }
 
 /// Wire messages of the Plumtree/HyParView stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlumtreeMsg {
     /// HyParView join request sent to a contact node.
     Join {

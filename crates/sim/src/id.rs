@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a node in the simulation.
 ///
 /// In the paper each node is identified by its IP address; in the simulator a
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.index(), 3);
 /// assert_eq!(a.to_string(), "n3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {

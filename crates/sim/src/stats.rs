@@ -7,12 +7,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::NodeId;
 
 /// Coarse classification of protocol traffic, used for accounting only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Full multicast payloads (tree pushes and gossip-pull responses).
     Data,
@@ -57,7 +55,7 @@ impl TrafficClass {
 }
 
 /// Message/byte counters for one traffic class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounters {
     /// Number of unicast messages sent.
     pub messages: u64,

@@ -8,8 +8,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, measured from simulation start.
 ///
 /// `SimTime` is a transparent wrapper over nanoseconds. It is totally
@@ -24,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_secs_f64(), 0.25);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
