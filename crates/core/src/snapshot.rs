@@ -2,12 +2,12 @@
 //!
 //! The paper's adaptation figures (5a, 5b, 6 and the §3 summaries) measure
 //! global properties of the overlay and tree at instants in time. These
-//! helpers extract the graphs from a running [`Sim`] so the analysis crate
+//! helpers extract the graphs from a running [`Engine`] so the analysis crate
 //! can compute degrees, latencies, components and diameters.
 
 use std::time::Duration;
 
-use gocast_sim::{LatencyModel, NodeId, Recorder, Sim};
+use gocast_sim::{Engine, LatencyModel, Mode, NodeId, Recorder};
 
 use crate::node::GoCastNode;
 use crate::types::{GoCastEvent, LinkKind};
@@ -28,7 +28,7 @@ pub struct Snapshot {
 }
 
 /// Captures a [`Snapshot`] from a simulation of GoCast nodes.
-pub fn snapshot<R: Recorder<GoCastEvent>>(sim: &Sim<GoCastNode, R>) -> Snapshot {
+pub fn snapshot<R: Recorder<GoCastEvent>, M: Mode>(sim: &Engine<GoCastNode, R, M>) -> Snapshot {
     let n = sim.len();
     let alive: Vec<bool> = (0..n)
         .map(|i| sim.is_alive(NodeId::new(i as u32)))

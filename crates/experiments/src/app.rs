@@ -38,7 +38,7 @@ use std::time::Duration;
 use gocast::{GoCastConfig, GoCastNode};
 use gocast_analysis::{ConvergenceReport, InvariantOracle, MetricsRecorder, Table};
 use gocast_app::{AppCommand, AppConfig, CrdtAudit, SubscriptionTable, TopicDirectory, TopicMux};
-use gocast_sim::{NodeId, PresenceTimeline, Scenario, ScenarioPlan, SimTime, Threaded};
+use gocast_sim::{NodeId, PresenceTimeline, Scenario, ScenarioPlan, SimTime};
 use gocast_testnet::{deployment_config, loopback_available, Testnet, TestnetConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -353,7 +353,7 @@ pub fn run_app(
         Some(InvariantOracle::for_protocol(&cfg)),
     );
     let nodes = staged.nodes(&cfg, AppConfig::default());
-    let mut run: Run<AppNode, Threaded> = Run::sharded(opts, net, recorder, nodes);
+    let mut run = Run::new(opts, net, false, recorder, nodes);
     run.warm(opts.warmup);
     run.schedule(&staged.plan);
     let start = run.sim.now() + Duration::from_millis(100);

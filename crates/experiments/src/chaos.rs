@@ -29,17 +29,17 @@ use std::fmt::Write as _;
 use std::ops::Deref;
 use std::time::Duration;
 
-use gocast::{GoCastConfig, GoCastEvent};
+use gocast::GoCastConfig;
 use gocast_analysis::{
     fmt_ms, fmt_secs, DeliveryTracker, InvariantOracle, MetricsRecorder, OracleConfig, WindowRatio,
 };
 use gocast_plumtree::PlumtreeNode;
-use gocast_sim::{NodeId, Scenario, Serial, SimTime, Split, Stack};
+use gocast_sim::{NodeId, Scenario, SimTime, Split, Stack};
 
 use crate::options::{ExpOptions, StackKind};
 use crate::pipeline::{
     audited_gocast, bootstrapped, build_network, compile_plan, gocast_nodes, horizon, Run, RunCore,
-    RunRecorder, Sources,
+    RunRecorder, RunStack, Sources,
 };
 use crate::report::{kernel_digest, table_of, whole_ms, Column};
 use crate::sweep::per_seed;
@@ -189,11 +189,11 @@ pub fn run_chaos(opts: &ExpOptions, scenario: &Scenario) -> ChaosOutcome {
 }
 
 /// The chaos configuration of the pipeline, generic over the stack: the
-/// serial kernel over the synthetic-King matrix (site groups make group
-/// faults correlated site failures), the scenario compiled and scheduled
-/// after warm-up, presence-gated sources, tree attachment sampled every
+/// engine over the synthetic-King matrix (site groups make group faults
+/// correlated site failures), the scenario compiled and scheduled after
+/// warm-up, presence-gated sources, tree attachment sampled every
 /// [`SLICE`], and a presence-aware store audit.
-fn chaos_phases<S: Stack<Event = GoCastEvent>>(
+fn chaos_phases<S: RunStack>(
     opts: &ExpOptions,
     scenario: &Scenario,
     oracle: InvariantOracle,
@@ -203,7 +203,7 @@ fn chaos_phases<S: Stack<Event = GoCastEvent>>(
     let plan = compile_plan(opts, scenario, net.site_assignment());
     let presence = plan.presence();
     let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), Some(oracle));
-    let mut run: Run<S, Serial> = Run::serial(opts, net, false, recorder, make);
+    let mut run = Run::new(opts, net, false, recorder, make);
     run.warm(opts.warmup);
     run.schedule(&plan);
     let start = run.inject_multicasts(opts, &Sources::Present(&presence));

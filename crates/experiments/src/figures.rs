@@ -4,20 +4,19 @@
 
 use std::time::Duration;
 
-use gocast::{GoCastCommand, GoCastConfig, GoCastEvent};
+use gocast::{GoCastCommand, GoCastConfig};
 use gocast_analysis::{diameter, fmt_ms, fmt_secs, Table};
 use gocast_baselines::{
     prob_all_nodes_hear, prob_all_nodes_hear_all, PushGossipConfig, PushGossipNode,
 };
 use gocast_net::{AsTopology, LinkStress};
-use gocast_sim::Stack;
 
 use crate::options::ExpOptions;
-use crate::pipeline::{build_network, gocast_nodes, horizon, inject};
+use crate::pipeline::{build_network, gocast_nodes, horizon, inject, Run, RunStack};
 use crate::report::log_kernel;
 use crate::runners::{
     gocast_run, overlay_latency_breakdown, plain_run, resilience_q, run_adaptation, run_delay,
-    DelayStats, PlainRun, Proto,
+    DelayStats, Proto,
 };
 
 /// Percentiles reported for delay CDFs.
@@ -393,11 +392,7 @@ pub fn ext3(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
 
 /// The link-stress phases: warm up, drop the warm-up traffic from the
 /// counters, then the standard workload and drain.
-fn stress_phases<S: Stack<Event = GoCastEvent>>(
-    mut run: PlainRun<S>,
-    opts: &ExpOptions,
-    warmup: Duration,
-) -> PlainRun<S> {
+fn stress_phases<S: RunStack>(mut run: Run<S>, opts: &ExpOptions, warmup: Duration) -> Run<S> {
     run.warm(warmup);
     run.sim.reset_stats();
     let start = run.inject_multicasts(opts, &run.live_sources());

@@ -36,18 +36,17 @@
 //!         simulator and through real loopback-UDP nodes (wall-clock
 //!         defaults wherever a scale flag is not given: 16 nodes, 200
 //!         messages, 3 s warm-up/drain; accepts --scenario/--spec)
-//! scale   10⁵-node-default runs on the sharded kernel (`--sim-shards N`
-//!         worker threads, O(1)-memory latency model): a fig3-style
-//!         delivery run plus one chaos preset, printing the scaling row
-//!         (control bytes per delivery, events/s, self-reported queue
-//!         memory, peak RSS); accepts
+//! scale   10⁵-node-default runs over the O(sites)-memory latency
+//!         model: a fig3-style delivery run plus one chaos preset,
+//!         printing the scaling row (control bytes per delivery,
+//!         events/s, self-reported queue memory, peak RSS); accepts
 //!         --scenario/--spec (default `catastrophe`), defaults --nodes
 //!         to 100,000
 //! metrics instrumented quick run rendering every subsystem's telemetry
 //!         tables; `metrics --overhead` measures the instrumentation
 //!         cost and fails if it exceeds the 5% budget
 //! pubsub  multi-topic pub/sub workload (gocast-app's TopicMux) through
-//!         the sharded kernel and the wire fabric: goodput, staleness,
+//!         the simulator and the wire fabric: goodput, staleness,
 //!         and per-topic delivery under the baseline/churn/partition
 //!         trio (narrow with --scenario/--spec; `--topics N` sizes the
 //!         topic space)
@@ -79,9 +78,9 @@
 //! ignored by `compare`, which always runs both), `--shards N`
 //! (`testnet` only: partition the wire-side fabric across N event-loop
 //! threads; default 1 reproduces the single-threaded fabric),
-//! `--sim-shards N` (`scale`, `pubsub`, `crdt`: worker threads *inside*
-//! the one sharded simulation; every artifact is byte-identical at any
-//! value), `--topics N` (`pubsub`/`crdt` only: concurrent logical topics;
+//! `--sim-shards N` (every simulated subcommand: worker threads *inside*
+//! each simulation; every artifact is byte-identical at any value),
+//! `--topics N` (`pubsub`/`crdt` only: concurrent logical topics;
 //! default 8).
 
 use std::time::Duration;
@@ -101,7 +100,7 @@ fn usage() -> ! {
         "usage: gocast-experiments <fig1|fig3a|fig3b|fig4|fig5a|fig5b|fig6|ext1|ext2|ext3|ext4|ext5|txt1|txt2|txt4|ablate|adaptive|sweep|trace|trace-fail|chaos|compare|testnet|scale|metrics|pubsub|crdt|all> \
          [--quick] [--nodes N] [--seed S] [--warmup SECS] [--messages M] [--rate R] [--drain SECS] [--out DIR] [--no-csv] [--trace-out PATH] [--metrics-out PATH] [--jobs N] \
          [--scenario NAME] [--spec STR] [--seeds K] [--stack gocast|plumtree] [--shards N] [--sim-shards N] [--topics N] [--overhead]\n\
-         --messages is at most {MAX_MESSAGES}, --jobs at most {MAX_JOBS}, testnet's --nodes at most {MAX_WIRE_NODES}"
+         --messages is at most {MAX_MESSAGES}, --jobs and --sim-shards at most {MAX_JOBS}, testnet's --nodes at most {MAX_WIRE_NODES}"
     );
     std::process::exit(2);
 }
@@ -154,7 +153,6 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
     let mut overhead = false;
     let mut given = GivenFlags::default();
     let mut explicit_nodes = None;
-    let mut explicit_jobs = None;
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -173,6 +171,7 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
                 opts = ExpOptions {
                     out_dir: opts.out_dir.clone(),
                     stack: opts.stack,
+                    jobs: opts.jobs,
                     sim_shards: opts.sim_shards,
                     topics: opts.topics,
                     ..ExpOptions::quick()
@@ -204,7 +203,7 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
             "--trace-out" => opts.trace_out = Some(take().into()),
             "--metrics-out" => opts.metrics_out = Some(take().into()),
             "--overhead" => overhead = true,
-            "--jobs" => explicit_jobs = Some(parse_value(arg, &take())),
+            "--jobs" => opts.jobs = parse_value(arg, &take()),
             "--shards" => opts.shards = parse_value(arg, &take()),
             "--sim-shards" => opts.sim_shards = parse_value(arg, &take()),
             "--topics" => opts.topics = parse_value(arg, &take()),
@@ -229,13 +228,13 @@ fn parse_opts(args: &[String], scale: bool) -> CliArgs {
     if let Some(n) = explicit_nodes {
         opts.nodes = n;
     }
-    if let Some(j) = explicit_jobs {
-        if j > MAX_JOBS {
-            eprintln!("--jobs must be at most {MAX_JOBS} (got {j})");
+    for (flag, threads) in [("--jobs", opts.jobs), ("--sim-shards", opts.sim_shards)] {
+        if threads > MAX_JOBS {
+            eprintln!("{flag} must be at most {MAX_JOBS} (got {threads})");
             usage()
         }
-        opts = opts.with_jobs(j);
     }
+    opts.jobs = opts.jobs.max(1);
     for (flag, value) in [
         ("--nodes", opts.nodes as u64),
         ("--seeds", seeds),

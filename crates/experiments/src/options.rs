@@ -42,9 +42,10 @@ impl fmt::Display for StackKind {
     }
 }
 
-/// The most worker threads `--jobs` may ask for: each runs a whole
-/// simulation at once, so a larger count buys no speed on any host this
-/// runs on and multiplies the memory in use.
+/// The most worker threads `--jobs` or `--sim-shards` may ask for: a
+/// `--jobs` thread runs a whole simulation at once, so a larger count
+/// buys no speed on any host this runs on and multiplies the memory in
+/// use, and a `--sim-shards` count is clamped only to the node count.
 pub const MAX_JOBS: usize = 256;
 
 /// Scale and output parameters for a run.
@@ -77,9 +78,9 @@ pub struct ExpOptions {
     pub metrics_out: Option<PathBuf>,
     /// Worker threads for multi-run experiments (`--jobs N`).
     ///
-    /// Each simulation run is still single-threaded and seeded, so results
-    /// are identical at any job count; parallelism only changes which CPU
-    /// core a run lands on. The default of 1 keeps the fully serial path.
+    /// Each simulation run is seeded, so results are identical at any job
+    /// count; parallelism only changes which CPU core a run lands on. The
+    /// default of 1 keeps the fully serial path.
     pub jobs: usize,
     /// Which protocol stack to run (`--stack`; default GoCast).
     pub stack: StackKind,
@@ -87,11 +88,11 @@ pub struct ExpOptions {
     /// `testnet` subcommand). 1 (the default) is the single-threaded
     /// fabric; simulation subcommands ignore it.
     pub shards: usize,
-    /// Worker threads *inside one simulation* for the sharded kernel
-    /// (`--sim-shards N` on the `scale` subcommand). Unlike `jobs`
-    /// (which fans independent runs out) this parallelizes a single run;
-    /// results are byte-identical at any value, and to the serial
-    /// kernel's. 1 (the default) runs the serial kernel's loop.
+    /// Worker threads *inside each simulation* (`--sim-shards N`, on every
+    /// simulated subcommand; the CLI refuses more than [`MAX_JOBS`]).
+    /// Unlike `jobs` (which fans independent runs out) this parallelizes
+    /// a single run; results are byte-identical at any value. 1 (the
+    /// default) runs one worker on the caller's thread.
     pub sim_shards: usize,
     /// Concurrent logical topics for the application-tier subcommands
     /// (`pubsub`, `crdt`; `--topics N`). Protocol-level experiments
@@ -224,7 +225,8 @@ impl ExpOptions {
         self
     }
 
-    /// Sets the sharded-kernel worker-thread count (builder style).
+    /// Sets the worker-thread count inside each simulation (builder
+    /// style); the CLI refuses more than [`MAX_JOBS`].
     pub fn with_sim_shards(mut self, sim_shards: usize) -> Self {
         self.sim_shards = sim_shards.max(1);
         self

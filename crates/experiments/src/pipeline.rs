@@ -7,10 +7,10 @@
 //! (DESIGN.md's experiment index lists which kernel, stack, scenario,
 //! source rule and observers each one picks):
 //!
-//! 1. **build** — a network ([`build_network`] for the serial kernel,
-//!    [`scale_network`] for the threaded one), the standard bootstrap graph
-//!    ([`bootstrapped`]), one [`RunRecorder`], and [`Run::serial`] or
-//!    [`Run::sharded`];
+//! 1. **build** — a network ([`build_network`]'s latency matrix, or
+//!    [`scale_network`]'s on-demand latencies at scale), the standard
+//!    bootstrap graph ([`bootstrapped`]), one [`RunRecorder`], and
+//!    [`Run::new`] on `--sim-shards` worker threads;
 //! 2. **warm** — [`Run::warm`], unobserved;
 //! 3. **plan** — [`compile_plan`] + [`Run::schedule`] for a fault
 //!    scenario, or [`Run::crash_and_freeze`] for Figure 3(b)'s failure set;
@@ -35,7 +35,7 @@
 //! function of its options. Independent runs therefore fan across
 //! `--jobs` worker threads ([`crate::sweep::per_seed`]) and merge in
 //! submission order, and `--sim-shards` only spreads one run's nodes over
-//! threads: every manifest, summary string and CSV is
+//! the engine's worker threads: every manifest, summary string and CSV is
 //! byte-identical at any value of either. `--trace-out` and
 //! `--metrics-out` number their files in run-start order, so they force
 //! `--jobs 1` ([`ExpOptions::effective_jobs`]); neither changes a run.
@@ -51,9 +51,8 @@ use gocast_analysis::{Cdf, InvariantOracle, MetricsRecorder, WindowRatio};
 use gocast_metrics::{RunManifest, Snapshot};
 use gocast_net::{synthetic_king, OnDemandKing, SiteLatencyMatrix, SyntheticKingConfig};
 use gocast_sim::{
-    Engine, KernelStats, LatencyModel, Mode, NodeId, PresenceTimeline, Protocol, Recorder,
-    Scenario, ScenarioEnv, ScenarioPlan, Serial, ShardedSimBuilder, SimBuilder, SimTime, Stack,
-    Threaded, TraceRecorder,
+    KernelStats, LatencyModel, NodeId, PresenceTimeline, Recorder, Scenario, ScenarioEnv,
+    ScenarioPlan, ShardedSim, ShardedSimBuilder, SimTime, Stack, TraceRecorder,
 };
 use gocast_testnet::Testnet;
 use rand::rngs::SmallRng;
@@ -279,13 +278,13 @@ fn king_config(opts: &ExpOptions) -> SyntheticKingConfig {
     }
 }
 
-/// The serial kernel's network: the synthetic-King site latency matrix.
+/// The figures' network: the synthetic-King site latency matrix.
 pub fn build_network(opts: &ExpOptions) -> SiteLatencyMatrix {
     synthetic_king(opts.nodes, &king_config(opts))
 }
 
-/// The threaded kernel's network: the same synthetic-King sites with
-/// O(sites) memory, every pairwise latency synthesized on demand.
+/// The network at scale: the same synthetic-King sites with O(sites)
+/// memory, every pairwise latency synthesized on demand.
 pub fn scale_network(opts: &ExpOptions) -> OnDemandKing {
     OnDemandKing::new(opts.nodes, &king_config(opts))
 }
@@ -392,32 +391,6 @@ pub fn horizon(opts: &ExpOptions, start: SimTime, plan: Option<&ScenarioPlan>) -
         + opts.drain
 }
 
-/// The one method the two engine modes do not share: `run_until` needs
-/// `Send` nodes and messages on [`Threaded`] only.
-pub trait Advance {
-    /// Processes every event due by `deadline`, then moves the clock there.
-    fn advance(&mut self, deadline: SimTime);
-}
-
-impl<P: Protocol, R: Recorder<P::Event>> Advance for Engine<P, R, Serial> {
-    fn advance(&mut self, deadline: SimTime) {
-        self.run_until(deadline);
-    }
-}
-
-impl<P, R> Advance for Engine<P, R, Threaded>
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-    P::Command: Send,
-    P::Event: Send,
-    R: Recorder<P::Event>,
-{
-    fn advance(&mut self, deadline: SimTime) {
-        self.run_until(deadline);
-    }
-}
-
 /// The labelled topics' `(deliveries, bytes)` counter names. Topic ids
 /// are popularity ranks under the Zipf subscription model, so these are
 /// the most popular topics; every other topic folds into
@@ -489,82 +462,56 @@ where
 
 /// One combined snapshot of everything the simulation knows: kernel
 /// counters/telemetry plus the ledger's `proto_*` and `app_*` counts.
-pub fn combined_snapshot<S, M>(sim: &Engine<S, RunRecorder, M>) -> Snapshot
-where
-    S: Stack<Event = GoCastEvent>,
-    M: Mode,
-{
+pub fn combined_snapshot<S: Stack<Event = GoCastEvent>>(
+    sim: &ShardedSim<S, RunRecorder>,
+) -> Snapshot {
     let mut snap = sim.metrics_snapshot();
     ledger_snapshot_into(&sim.recorder().metrics, &mut snap);
     snap
 }
 
+/// A stack the pipeline drives: its nodes, messages and commands move
+/// between the engine's worker threads.
+pub trait RunStack: Stack<Event = GoCastEvent, Msg: Send, Command: Send> + Send {}
+
+impl<S: Stack<Event = GoCastEvent, Msg: Send, Command: Send> + Send> RunStack for S {}
+
 /// One simulation moving through the pipeline's phases.
 #[derive(Debug)]
-pub struct Run<S, M>
-where
-    S: Stack<Event = GoCastEvent>,
-    M: Mode,
-{
+pub struct Run<S: RunStack> {
     /// The simulation (configurations read nodes, statistics and the
     /// recorder through it).
-    pub sim: Engine<S, RunRecorder, M>,
+    pub sim: ShardedSim<S, RunRecorder>,
 }
 
-impl<S: Stack<Event = GoCastEvent>> Run<S, Serial> {
-    /// Builds the run on the serial kernel. `pair_counts` turns on
-    /// per-endpoint-pair traffic counting (link stress).
-    pub fn serial(
+impl<S: RunStack> Run<S> {
+    /// Builds the run on `opts.sim_shards` worker threads, the same run at
+    /// any count. `pair_counts` turns on per-endpoint-pair traffic
+    /// counting (link stress); a `--metrics-out` stream also reports the
+    /// kernel's deep telemetry, so that is turned on with it.
+    pub fn new(
         opts: &ExpOptions,
-        net: impl LatencyModel + 'static,
+        net: impl LatencyModel + Send + Sync + 'static,
         pair_counts: bool,
         recorder: RunRecorder,
         make: impl FnMut(NodeId) -> S,
     ) -> Self {
-        let mut builder = SimBuilder::new(net).seed(opts.seed);
+        let mut builder = ShardedSimBuilder::new(net)
+            .seed(opts.seed)
+            .threads(opts.sim_shards);
         if pair_counts {
             builder = builder.track_pair_counts();
         }
-        Run::over(opts, builder.build_with(recorder, make))
-    }
-}
-
-impl<S: Stack<Event = GoCastEvent>> Run<S, Threaded> {
-    /// Builds the run on the threaded kernel: one worker for each of
-    /// `opts.sim_shards` threads, the same run at any count.
-    pub fn sharded(
-        opts: &ExpOptions,
-        net: impl LatencyModel + Send + Sync + 'static,
-        recorder: RunRecorder,
-        make: impl FnMut(NodeId) -> S,
-    ) -> Self {
-        let builder = ShardedSimBuilder::new(net)
-            .seed(opts.seed)
-            .threads(opts.sim_shards);
-        Run::over(opts, builder.build_with(recorder, make))
-    }
-}
-
-impl<S: Stack<Event = GoCastEvent>, M: Mode> Run<S, M> {
-    /// Wraps a built simulation; a `--metrics-out` stream also reports
-    /// the kernel's deep telemetry, so that is turned on with it.
-    fn over(opts: &ExpOptions, mut sim: Engine<S, RunRecorder, M>) -> Self {
+        let mut sim = builder.build_with(recorder, make);
         if opts.metrics_out.is_some() {
             sim.enable_telemetry();
         }
         Run { sim }
     }
-}
 
-impl<S, M> Run<S, M>
-where
-    S: Stack<Event = GoCastEvent>,
-    M: Mode,
-    Engine<S, RunRecorder, M>: Advance,
-{
     /// Warm-up: adapts the overlay for `d` of simulated time, unobserved.
     pub fn warm(&mut self, d: Duration) {
-        self.sim.advance(SimTime::ZERO + d);
+        self.sim.run_until(SimTime::ZERO + d);
     }
 
     /// Schedules every fault of a compiled plan, leaves and joins as the
@@ -591,7 +538,7 @@ where
                 self.sim.command_now(id, cmd);
             }
             let now = self.sim.now();
-            self.sim.advance(now + Duration::from_millis(1));
+            self.sim.run_until(now + Duration::from_millis(1));
         }
         failed.len()
     }
@@ -621,9 +568,9 @@ where
     pub fn step_to(
         &mut self,
         t: SimTime,
-        observe: &mut impl FnMut(&Engine<S, RunRecorder, M>, SimTime),
+        observe: &mut impl FnMut(&ShardedSim<S, RunRecorder>, SimTime),
     ) {
-        self.sim.advance(t);
+        self.sim.run_until(t);
         if self.sim.recorder().stream.is_some() {
             let snap = combined_snapshot(&self.sim);
             if let Some(stream) = &mut self.sim.recorder_mut().stream {
@@ -639,7 +586,7 @@ where
         &mut self,
         until: SimTime,
         every: Duration,
-        mut observe: impl FnMut(&Engine<S, RunRecorder, M>, SimTime),
+        mut observe: impl FnMut(&ShardedSim<S, RunRecorder>, SimTime),
     ) {
         let mut t = self.sim.now();
         while t < until {
@@ -655,7 +602,7 @@ where
         if self.sim.recorder().stream.is_some() {
             self.observe_every(until, Duration::from_secs(1), |_, _| {});
         } else {
-            self.sim.advance(until);
+            self.sim.run_until(until);
         }
     }
 

@@ -1,20 +1,20 @@
 //! The dissemination and adaptation experiments (Figures 3–6 and the §3
-//! summaries) as configurations of [`crate::pipeline`]: the serial
-//! kernel over the synthetic-King matrix, unaudited, sources drawn from
-//! the live nodes.
+//! summaries) as configurations of [`crate::pipeline`]: the engine over
+//! the synthetic-King matrix, unaudited, sources drawn from the live
+//! nodes.
 
 use std::ops::Deref;
 use std::time::Duration;
 
-use gocast::{snapshot, GoCastConfig, GoCastEvent, GoCastNode, LinkKind, Snapshot};
+use gocast::{snapshot, GoCastConfig, GoCastNode, LinkKind, Snapshot};
 use gocast_analysis::{Cdf, Histogram};
 use gocast_baselines::{PushGossipConfig, PushGossipNode};
-use gocast_sim::{KernelStats, LatencyModel, NodeId, Serial, SimTime, Stack};
+use gocast_sim::{KernelStats, LatencyModel, NodeId, ShardedSim, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::options::ExpOptions;
-use crate::pipeline::{build_network, gocast_nodes, horizon, Run, RunCore, RunRecorder};
+use crate::pipeline::{build_network, gocast_nodes, horizon, Run, RunCore, RunRecorder, RunStack};
 
 /// Which protocol to drive through a delay experiment.
 #[derive(Debug, Clone)]
@@ -69,19 +69,16 @@ impl Deref for DelayStats {
     }
 }
 
-/// An unaudited run on the serial kernel.
-pub(crate) type PlainRun<S> = Run<S, Serial>;
-
-/// Builds the unaudited serial run the figure experiments use, over
-/// `net`, honoring `--trace-out`/`--metrics-out`.
-pub(crate) fn plain_run<S: Stack<Event = GoCastEvent>>(
+/// Builds the unaudited run the figure experiments use, over `net`,
+/// honoring `--trace-out`/`--metrics-out`.
+pub(crate) fn plain_run<S: RunStack>(
     opts: &ExpOptions,
-    net: impl LatencyModel + 'static,
+    net: impl LatencyModel + Send + Sync + 'static,
     pair_counts: bool,
     make: impl FnMut(NodeId) -> S,
-) -> PlainRun<S> {
+) -> Run<S> {
     let recorder = RunRecorder::for_opts(opts, &opts.manifest(None), None);
-    Run::serial(opts, net, pair_counts, recorder, make)
+    Run::new(opts, net, pair_counts, recorder, make)
 }
 
 /// A GoCast [`plain_run`] over the synthetic-King matrix in the paper's
@@ -90,7 +87,7 @@ pub(crate) fn gocast_run(
     opts: &ExpOptions,
     cfg: &GoCastConfig,
     pair_counts: bool,
-) -> PlainRun<GoCastNode> {
+) -> Run<GoCastNode> {
     plain_run(
         opts,
         build_network(opts),
@@ -127,8 +124,8 @@ pub fn run_delay(opts: &ExpOptions, proto: Proto, fail_frac: f64) -> DelayStats 
     }
 }
 
-fn delay_phases<S: Stack<Event = GoCastEvent>>(
-    mut run: PlainRun<S>,
+fn delay_phases<S: RunStack>(
+    mut run: Run<S>,
     opts: &ExpOptions,
     protocol: String,
     warmup: Duration,
@@ -193,7 +190,7 @@ pub fn run_adaptation(
         .max(snap_times.iter().copied().max().unwrap_or(0));
     let mut degree_hists = Vec::new();
     let mut latency_series = Vec::new();
-    let mut each_second = |sim: &gocast_sim::Sim<GoCastNode, RunRecorder>, t: SimTime| {
+    let mut each_second = |sim: &ShardedSim<GoCastNode, RunRecorder>, t: SimTime| {
         let sec = t.as_nanos() / 1_000_000_000;
         if snap_times.contains(&sec) {
             let snap = snapshot(sim);

@@ -5,9 +5,8 @@
 //! - the latency model is [`gocast_net::OnDemandKing`] — O(sites)
 //!   coordinates, every pairwise latency synthesized on demand (no N×N
 //!   table);
-//! - the simulation runs on the conservative parallel kernel
-//!   ([`Run::sharded`]): `--sim-shards N` spreads the nodes across N
-//!   worker threads and changes no artifact (see [`crate::pipeline`]);
+//! - `--sim-shards N` spreads the nodes across N worker threads
+//!   ([`Run::new`]) and changes no artifact (see [`crate::pipeline`]);
 //! - delay statistics use the same per-node aggregates as the fig3
 //!   runners (O(nodes), not O(deliveries)).
 //!
@@ -19,15 +18,14 @@
 //! driven through the scenario compiler and audited by the invariant
 //! oracle. Both report what the kernel's queues reserve when the run ends
 //! ([`gocast_sim::KernelStats::slab_slots`] / `queue_mem_bytes`), the
-//! nodes' ([`GoCastNode::mem_bytes`], mean per node) plus the process peak
-//! RSS, feeding the scaling-curve table in EXPERIMENTS.md.
+//! nodes' ([`gocast::GoCastNode::mem_bytes`], mean per node) plus the
+//! process peak RSS, feeding the scaling-curve table in EXPERIMENTS.md.
 
 use std::fmt::Write as _;
 use std::ops::Deref;
 
-use gocast::GoCastNode;
 use gocast_analysis::{Cdf, InvariantOracle, Table};
-use gocast_sim::{Scenario, Threaded, TrafficClass, TrafficStats};
+use gocast_sim::{Scenario, TrafficClass, TrafficStats};
 
 use crate::chaos::resolve_scenario;
 use crate::options::ExpOptions;
@@ -57,8 +55,8 @@ pub struct ScaleOutcome {
     /// Nodes that missed at least one expected message.
     pub incomplete: usize,
     /// Mean self-reported protocol state per node at the end of the run
-    /// ([`GoCastNode::mem_bytes`] totals over every node, crashed ones
-    /// included — their state stays allocated).
+    /// ([`gocast::GoCastNode::mem_bytes`] totals over every node, crashed
+    /// ones included — their state stays allocated).
     pub node_mem_bytes: u64,
     /// Process peak RSS (`VmHWM`), best-effort; process-wide, so it is
     /// reported but never part of [`ScaleOutcome::manifest`].
@@ -148,11 +146,11 @@ fn control_bytes(stats: &TrafficStats) -> u64 {
 }
 
 /// The scale configuration of the pipeline: GoCast (stores kept for the
-/// audit) on the threaded kernel over [`scale_network`], oracle-audited. With
-/// a scenario, its plan is scheduled after warm-up (site groups make group
-/// faults correlated site failures), sources are presence-gated and the
-/// store audit is presence-aware; without one, sources are the live nodes
-/// and every node owes every message.
+/// audit) over [`scale_network`], oracle-audited. With a scenario, its plan
+/// is scheduled after warm-up (site groups make group faults correlated
+/// site failures), sources are presence-gated and the store audit is
+/// presence-aware; without one, sources are the live nodes and every node
+/// owes every message.
 fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> ScaleOutcome {
     let net = scale_network(opts);
     let plan = scenario.map(|(_, s)| compile_plan(opts, s, &net.site_assignment()));
@@ -163,8 +161,7 @@ fn scale_phases(opts: &ExpOptions, scenario: Option<(&str, &Scenario)>) -> Scale
         &opts.manifest(scenario.map(|(label, _)| label)),
         Some(InvariantOracle::for_protocol(&cfg)),
     );
-    let mut run: Run<GoCastNode, Threaded> =
-        Run::sharded(opts, net, recorder, gocast_nodes(opts, &cfg));
+    let mut run = Run::new(opts, net, false, recorder, gocast_nodes(opts, &cfg));
     run.warm(opts.warmup);
     let warm_control_bytes = control_bytes(run.sim.stats());
     if let Some(plan) = &plan {

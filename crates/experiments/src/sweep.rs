@@ -12,7 +12,7 @@ use gocast_analysis::Summary;
 
 use crate::options::ExpOptions;
 
-// Shared with the threaded kernel's intra-run parallelism: one audited
+// Shared with the engine's intra-run parallelism: one audited
 // implementation, merging results in submission order.
 pub use gocast_sim::parallel_map;
 

@@ -271,7 +271,7 @@ pub fn conform(opts: &ExpOptions, plan: &ScenarioPlan) -> io::Result<Conformance
         opts.seed,
     );
     let rec = RunRecorder::detached(Some(InvariantOracle::for_protocol(proto)));
-    let mut run = Run::serial(opts, latency, false, rec, gocast_nodes(opts, proto));
+    let mut run = Run::new(opts, latency, false, rec, gocast_nodes(opts, proto));
     run.schedule(plan);
     multicasts(opts, |at, n, cmd| run.sim.schedule_command(at, n, cmd));
     let started = Instant::now();

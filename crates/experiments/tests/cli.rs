@@ -6,8 +6,8 @@
 //! of the flag's type), or in the injection schedule a message count past
 //! the CLI's bound would build (4.3 G commands were killed for memory), or
 //! in a run sized past what the host can hold: a `testnet` population past
-//! the wire bound (which binds a socket a node) or more `--jobs` threads
-//! than the bound.
+//! the wire bound (which binds a socket a node) or more `--jobs` or
+//! `--sim-shards` threads than the bound.
 
 use std::process::{Command, Output};
 
@@ -77,7 +77,8 @@ fn malformed_numeric_flags_print_usage_and_exit_2() {
 
 /// One past each bound is refused before anything runs: a `testnet`
 /// population past the wire bound would first simulate, then bind a
-/// socket a node; `--jobs` past its bound would start that many threads.
+/// socket a node; `--jobs` or `--sim-shards` past the thread bound would
+/// start that many threads.
 #[test]
 fn wire_population_and_job_count_past_their_bounds_exit_2() {
     let nodes = (MAX_WIRE_NODES + 1).to_string();
@@ -86,4 +87,6 @@ fn wire_population_and_job_count_past_their_bounds_exit_2() {
     let jobs = (MAX_JOBS + 1).to_string();
     let case = ["--jobs", jobs.as_str()];
     assert_usage_error(&fig3a(&case), "--jobs", &case);
+    let case = ["--sim-shards", jobs.as_str()];
+    assert_usage_error(&fig3a(&case), "--sim-shards", &case);
 }

@@ -27,7 +27,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use gocast::GoCastNode;
 use gocast_analysis::InvariantOracle;
 use gocast_experiments::pipeline::{
     audited_gocast, gocast_nodes, horizon, scale_network, Run, RunCore, RunRecorder,
@@ -35,7 +34,6 @@ use gocast_experiments::pipeline::{
 use gocast_experiments::scale::run_scale_delivery;
 use gocast_experiments::ExpOptions;
 use gocast_net::LandmarkVector;
-use gocast_sim::Threaded;
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
@@ -163,9 +161,10 @@ fn two_thousand_node_scale_run_stays_bounded() {
         &opts.manifest(None),
         Some(InvariantOracle::for_protocol(&cfg)),
     );
-    let mut run: Run<GoCastNode, Threaded> = Run::sharded(
+    let mut run = Run::new(
         &opts,
         scale_network(&opts),
+        false,
         recorder,
         gocast_nodes(&opts, &cfg),
     );

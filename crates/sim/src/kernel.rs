@@ -487,8 +487,8 @@ impl<P: Protocol, R: Recorder<P::Event>, M: Mode> Engine<P, R, M> {
         total
     }
 
-    /// Turns on deep kernel telemetry for an already-built simulation
-    /// (equivalent to [`SimBuilder::telemetry`]).
+    /// Turns on deep kernel telemetry (queue-depth histogram plus sampled
+    /// per-class dispatch timing; see [`Engine::metrics_snapshot`]).
     pub fn enable_telemetry(&mut self) {
         self.workers.list.iter_mut().for_each(|w| {
             w.telemetry.get_or_insert_with(Box::default);
@@ -825,16 +825,12 @@ fn saturating_nanos(d: Duration) -> u64 {
 /// use gocast_sim::{FixedLatency, SimBuilder};
 /// use std::time::Duration;
 ///
-/// let builder = SimBuilder::new(FixedLatency::new(8, Duration::from_millis(10)))
-///     .seed(42)
-///     .track_pair_counts();
+/// let builder = SimBuilder::new(FixedLatency::new(8, Duration::from_millis(10))).seed(42);
 /// # let _ = builder;
 /// ```
 pub struct SimBuilder {
     net: Box<dyn LatencyModel>,
     seed: u64,
-    pair_counts: bool,
-    telemetry: bool,
 }
 
 impl std::fmt::Debug for SimBuilder {
@@ -842,8 +838,6 @@ impl std::fmt::Debug for SimBuilder {
         f.debug_struct("SimBuilder")
             .field("nodes", &self.net.len())
             .field("seed", &self.seed)
-            .field("pair_counts", &self.pair_counts)
-            .field("telemetry", &self.telemetry)
             .finish()
     }
 }
@@ -855,27 +849,12 @@ impl SimBuilder {
         SimBuilder {
             net: Box::new(net),
             seed: 0,
-            pair_counts: false,
-            telemetry: false,
         }
     }
 
     /// Sets the master seed. All per-node RNGs derive from it.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables per-endpoint-pair traffic counting (used for link stress).
-    pub fn track_pair_counts(mut self) -> Self {
-        self.pair_counts = true;
-        self
-    }
-
-    /// Enables deep kernel telemetry (queue-depth histogram plus sampled
-    /// per-class dispatch timing; see [`Engine::metrics_snapshot`]).
-    pub fn telemetry(mut self) -> Self {
-        self.telemetry = true;
         self
     }
 
@@ -887,14 +866,7 @@ impl SimBuilder {
         R: Recorder<P::Event>,
         F: FnMut(NodeId) -> P,
     {
-        let mut sim = Engine::assemble(self.net, self.seed, 1, recorder, make);
-        if self.pair_counts {
-            sim.workers.list[0].stats.enable_pair_counts();
-        }
-        if self.telemetry {
-            sim.enable_telemetry();
-        }
-        sim
+        Engine::assemble(self.net, self.seed, 1, recorder, make)
     }
 
     /// Convenience: builds with a [`NullRecorder`].
@@ -915,13 +887,15 @@ impl SimBuilder {
 ///
 /// let builder = ShardedSimBuilder::new(FixedLatency::new(256, Duration::from_millis(10)))
 ///     .seed(42)
-///     .threads(2);
+///     .threads(2)
+///     .track_pair_counts();
 /// # let _ = builder;
 /// ```
 pub struct ShardedSimBuilder {
     net: Box<dyn LatencyModel + Send + Sync>,
     seed: u64,
     threads: usize,
+    pair_counts: bool,
 }
 
 impl std::fmt::Debug for ShardedSimBuilder {
@@ -930,6 +904,7 @@ impl std::fmt::Debug for ShardedSimBuilder {
             .field("nodes", &self.net.len())
             .field("seed", &self.seed)
             .field("threads", &self.threads)
+            .field("pair_counts", &self.pair_counts)
             .finish()
     }
 }
@@ -944,6 +919,7 @@ impl ShardedSimBuilder {
             net: Box::new(net),
             seed: 0,
             threads: 1,
+            pair_counts: false,
         }
     }
 
@@ -964,6 +940,13 @@ impl ShardedSimBuilder {
         self
     }
 
+    /// Enables per-endpoint-pair traffic counting (used for link stress)
+    /// in every worker; [`Engine::stats`] merges the workers' pairs.
+    pub fn track_pair_counts(mut self) -> Self {
+        self.pair_counts = true;
+        self
+    }
+
     /// Builds the sharded simulation, constructing one protocol instance
     /// per node with `make` (called in global id order) and recording
     /// merged events with `recorder`.
@@ -978,7 +961,13 @@ impl ShardedSimBuilder {
         R: Recorder<P::Event>,
         F: FnMut(NodeId) -> P,
     {
-        Engine::assemble(self.net, self.seed, self.threads, recorder, make)
+        let mut sim = Engine::assemble(self.net, self.seed, self.threads, recorder, make);
+        if self.pair_counts {
+            for w in &mut sim.workers.list {
+                w.stats.enable_pair_counts();
+            }
+        }
+        sim
     }
 }
 
@@ -1748,9 +1737,8 @@ mod tests {
     fn metric_names_agree_across_entry_points_and_telemetry_merges_lanes() {
         let names =
             |s: &Snapshot| -> Vec<&'static str> { s.entries().iter().map(|e| e.name).collect() };
-        let mut sim = SimBuilder::new(net(N))
-            .telemetry()
-            .build_with(Rec::new(), member(N));
+        let mut sim = SimBuilder::new(net(N)).build_with(Rec::new(), member(N));
+        sim.enable_telemetry();
         let mut workers = sharded(N, 0, 4);
         workers.enable_telemetry();
         assert!(workers.telemetry_enabled());

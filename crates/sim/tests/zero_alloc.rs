@@ -136,8 +136,8 @@ fn telemetry_enabled_kernel_path_does_not_allocate() {
     let n = 64u32;
     let mut sim = SimBuilder::new(FixedLatency::new(n as usize, Duration::from_millis(3)))
         .seed(7)
-        .telemetry()
         .build(|id| Ticker { id, n, received: 0 });
+    sim.enable_telemetry();
 
     sim.run_until(SimTime::from_secs(2));
 

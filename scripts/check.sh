@@ -237,6 +237,21 @@ absent  crates,tests,examples  -  struct DelayHistogram([^_[:alnum:]]|$)
 absent  crates,tests,examples  -  fn bucket_midpoint([^_[:alnum:]]|$)
 once    crates,tests,examples  -  "proto_delay_ns"
 absent  crates/sim/src  -  dispatch_ns: \[Log2Histogram|telemetry: KernelTelemetry([^_[:alnum:]]|$)
+
+# One engine mode for every experiment: each simulated subcommand builds
+# through pipeline::Run::new on `--sim-shards` worker threads, so the
+# pipeline's serial/threaded split (the Advance trait, a constructor per
+# mode, the serial-only run alias) stays gone; pair counting is one
+# builder setting, on the builder every run uses, and telemetry is turned
+# on by the engine's one setter, not by a builder's copy of it.
+absent  crates/experiments/src  -  trait Advance|PlainRun|fn (serial|sharded)\(
+once    crates/sim/src  -  fn track_pair_counts\(
+absent  crates/sim/src  -  fn telemetry\(
+
+# No serde stand-in: nothing serializes through serde, so neither the
+# vendored no-op crates nor a dependency on them comes back.
+path-absent  -  -  vendor/serde vendor/serde_derive
+absent  Cargo.toml,crates/*/Cargo.toml,tests/Cargo.toml,examples/Cargo.toml,vendor/*/Cargo.toml  -  serde
 GATES
 [[ "$gate_failed" -eq 0 ]] || exit 1
 
